@@ -1,10 +1,6 @@
 package radix
 
-import (
-	"unsafe"
-
-	"radixvm/internal/hw"
-)
+import "radixvm/internal/hw"
 
 // Value carriers make the mmap/munmap control plane's slot writes
 // allocation-free on cloneCopy trees, the way the Range carriers did for
@@ -29,8 +25,8 @@ import (
 // pointer obtained without the slot's lock is a point-in-time snapshot
 // whose contents may change. See the slotState comment in radix.go.
 //
-// Ownership discipline matches the node pools: pool i is touched only by
-// the goroutine driving CPU i, and a carrier is retired only by the Set
+// Ownership discipline matches the node pools: a CPU's pool is touched only
+// by the goroutine driving that CPU, and a carrier is retired only by the Set
 // that replaces it, under the slot's lock bit, so no carrier can be retired
 // twice or from two sides.
 
@@ -44,21 +40,15 @@ type valCarrier[V any] struct {
 	next *valCarrier[V] // pool free-list link
 }
 
-type carrierPoolData[V any] struct {
+// carrierPool is one CPU's free list of retired carriers (in its cpuState).
+type carrierPool[V any] struct {
 	head *valCarrier[V]
 	n    int
 }
 
-// carrierPool pads the per-CPU free list so adjacent CPUs' pools never
-// false-share a host cache line.
-type carrierPool[V any] struct {
-	carrierPoolData[V]
-	_ [(cacheLine - unsafe.Sizeof(carrierPoolData[struct{}]{})%cacheLine) % cacheLine]byte
-}
-
 // getCarrier pops a carrier for cpu, or builds a fresh one.
 func (t *Tree[V]) getCarrier(cpu *hw.CPU) *valCarrier[V] {
-	p := &t.carriers[cpu.ID()].carrierPoolData
+	p := &t.cpu(cpu).carriers
 	if c := p.head; c != nil {
 		p.head = c.next
 		p.n--
@@ -75,7 +65,7 @@ func (t *Tree[V]) getCarrier(cpu *hw.CPU) *valCarrier[V] {
 // the lock bit of the slot that owned it and has already unpublished its
 // state.
 func (t *Tree[V]) retireCarrier(cpu *hw.CPU, c *valCarrier[V]) {
-	p := &t.carriers[cpu.ID()].carrierPoolData
+	p := &t.cpu(cpu).carriers
 	if p.n >= carrierPoolCap {
 		return // let the GC take it
 	}
@@ -87,7 +77,7 @@ func (t *Tree[V]) retireCarrier(cpu *hw.CPU, c *valCarrier[V]) {
 // CarrierPoolSize returns the number of retired carriers cached for cpu
 // (diagnostics and tests).
 func (t *Tree[V]) CarrierPoolSize(cpu *hw.CPU) int {
-	return t.carriers[cpu.ID()].n
+	return t.cpu(cpu).carriers.n
 }
 
 // CarriersEver returns the number of value carriers ever heap-allocated —

@@ -2,6 +2,7 @@ package radix
 
 import (
 	"runtime"
+	"slices"
 
 	"radixvm/internal/hw"
 )
@@ -269,7 +270,7 @@ func (t *Tree[V]) forkNode(cpu *hw.CPU, ctx *forkCtx[V], src *node[V], extra int
 		ctx.visit(src.base, hi, src.uniSt.val, dst.uniSt.val)
 	}
 	dst.obj = nt.rc.NewObj(used+extra, freeNode[V])
-	dst.obj.Data = dst
+	dst.obj.Data = dst.node
 	// The node is fully copied. Flush (the VM layer's shootdowns for this
 	// node's pages) while the bits are still held, then release them all in
 	// one merged busy period so trailing forks and lockers can proceed.
@@ -282,22 +283,23 @@ func (t *Tree[V]) forkNode(cpu *hw.CPU, ctx *forkCtx[V], src *node[V], extra int
 	for i := range kids {
 		k := &kids[i]
 		dchild := t.forkNode(cpu, ctx, k.child, 0)
-		dchild.parent = dst
+		dchild.parent = dst.node
 		dchild.parentIdx = k.idx
 		k.dg.slab[k.j] = slotState[V]{child: dchild.obj}
 		storePlain(&k.dg.sts[k.j], &k.dg.slab[k.j])
 		t.unpin(cpu, k.child)
 	}
-	return dst
+	return dst.node
 }
 
 // cloneShell builds the child-tree counterpart of src: same level and
-// base, a kind-appropriate copy of the uniform fill, no groups beyond the
-// ones the caller mirrors slot by slot. t is the child tree. The metadata
-// copy is billed by its logical size (ForkNodeCost): a header-sized tick
-// for the uniform state plus a cache line per materialized source group,
-// instead of the flat full-page charge the pre-cost-model fork paid.
-func (t *Tree[V]) cloneShell(cpu *hw.CPU, src *node[V]) *node[V] {
+// base, a kind-appropriate copy of the uniform fill, and the storage for the
+// groups the caller is about to mirror slot by slot (see shell). t is the
+// child tree. The metadata copy is billed by its logical size
+// (ForkNodeCost): a header-sized tick for the uniform state plus a cache
+// line per materialized source group, instead of the flat full-page charge
+// the pre-cost-model fork paid.
+func (t *Tree[V]) cloneShell(cpu *hw.CPU, src *node[V]) shell[V] {
 	n := t.getNode(cpu)
 	if n == nil {
 		n = &node[V]{}
@@ -323,46 +325,92 @@ func (t *Tree[V]) cloneShell(cpu *hw.CPU, src *node[V]) *node[V] {
 	n.forkBusy, n.forkForks = 0, 0
 	n.gen = t.gen.Load()
 	n.links.Store(1)
+	// Count the source's materialized groups: they price the clone
+	// (logical-size billing below). Those the copy will mirror — every
+	// group of a node with a fill, the groups holding anything in a node
+	// without one — size its directory and its group slab, so a diverging
+	// full leaf makes three allocations where inserting group by group
+	// made three per group. The source is not locked yet, so under real
+	// concurrency the count can come out short; forkGroup then grows the
+	// directory and allocates the missing groups singly.
+	sd := src.dir.Load()
+	srcGroups, mirrored := 0, 0
+	if sd != nil {
+		srcGroups = len(sd.groups)
+		mirrored = srcGroups
+		if src.uniSt == nil {
+			mirrored = 0
+			for _, g := range sd.groups {
+				for j := range g.sts {
+					if g.sts[j].Load() != nil {
+						mirrored++
+						break
+					}
+				}
+			}
+		}
+	}
 	// A pooled node may carry recycled groups where src has none; drop
 	// them so the child's materialization shape is exactly the parent's.
-	// Count the source's materialized groups while here: they price the
-	// clone (logical-size billing below).
-	srcGroups := 0
-	if sd := src.dir.Load(); sd != nil {
-		srcGroups = sd.count()
+	var nd *groupDir[V]
+	if mirrored > 0 {
+		nd = &groupDir[V]{groups: make([]*slotGroup[V], 0, mirrored)}
 	}
-	if d := n.dir.Load(); d != nil {
-		sd := src.dir.Load()
-		nd := &groupDir[V]{}
-		n.forEachGroup(func(gi int, g *slotGroup[V]) {
-			if sd != nil && sd.get(gi) != nil {
-				nd.bits[gi>>6] |= 1 << (uint(gi) & 63)
-				nd.groups = append(nd.groups, g)
-			} else {
-				t.groupsLive.Add(-1)
+	n.forEachGroup(func(gi int, g *slotGroup[V]) {
+		if sd != nil && sd.get(gi) != nil {
+			if nd == nil {
+				nd = &groupDir[V]{}
 			}
-		})
-		if len(nd.groups) == 0 {
-			nd = nil
+			nd.bits[gi>>6] |= 1 << (uint(gi) & 63)
+			nd.groups = append(nd.groups, g)
+		} else {
+			t.groupsLive.Add(-1)
 		}
-		n.dir.Store(nd)
+	})
+	n.dir.Store(nd)
+	sh := shell[V]{node: n}
+	if nd != nil && mirrored > len(nd.groups) {
+		sh.spare = make([]slotGroup[V], mirrored-len(nd.groups))
 	}
 	cpu.Tick(ForkNodeCost(t.pageZero, srcGroups))
 	t.nodesLive.Add(1)
 	t.nodesEver.Add(1)
-	return n
+	return sh
 }
 
-// forkGroup returns dst's group gi, creating it zeroed if absent (a fresh
-// child group's gates start free, as in a brand-new address space). Unlike
-// materialize it does not pre-fill slot states: forkNode overwrites every
-// slot of a mirrored group explicitly.
-func (n *node[V]) forkGroup(nt *Tree[V], gi int) *slotGroup[V] {
-	if g := n.groupLoad(gi); g != nil {
+// shell is a copy under construction: the node, private to the copying
+// goroutine until its parent slot publishes it, and the zeroed groups set
+// aside for it. While the node is private its directory is filled in place;
+// copy-on-insert (dirInsert) is for nodes readers can already see.
+type shell[V any] struct {
+	*node[V]
+	spare []slotGroup[V]
+}
+
+// forkGroup returns the copy's group gi, creating it zeroed if absent (a
+// fresh child group's gates start free, as in a brand-new address space).
+// Unlike materialize it does not pre-fill slot states: the copy loops
+// overwrite every slot of a mirrored group explicitly. nt is the tree the
+// copy belongs to.
+func (sh *shell[V]) forkGroup(nt *Tree[V], gi int) *slotGroup[V] {
+	d := sh.dir.Load()
+	if d == nil {
+		d = &groupDir[V]{}
+		sh.dir.Store(d)
+	} else if g := d.get(gi); g != nil {
 		return g
 	}
-	g := new(slotGroup[V])
-	n.dirInsert(gi, g)
+	var g *slotGroup[V]
+	if len(sh.spare) > 0 {
+		g, sh.spare = &sh.spare[0], sh.spare[1:]
+	} else {
+		g = new(slotGroup[V])
+	}
+	// The copy loops ask in ascending slot order, so r is the slice's end
+	// unless a recycled group sits further right.
+	r := d.rank(gi)
+	d.bits[gi>>6] |= 1 << (uint(gi) & 63)
+	d.groups = slices.Insert(d.groups, r, g)
 	nt.groupsEver.Add(1)
 	nt.groupsLive.Add(1)
 	return g

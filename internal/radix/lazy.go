@@ -37,7 +37,7 @@ import (
 //     nodes.
 //   - The snapshot is whole-tree atomic — a property the eager sweep
 //     cannot provide. Two mechanisms combine: ForkLazy drains all in-flight
-//     locked operations through the per-CPU quiescence gate (Tree.holds)
+//     locked operations through the per-CPU quiescence gate (cpuState.hold)
 //     before bumping the generation, so no operation straddles the
 //     snapshot instant with bits already held; and after the bump, every
 //     locked descent diverges foreign nodes before writing, so by
@@ -63,7 +63,7 @@ import (
 func (t *Tree[V]) ForkLazy(cpu *hw.CPU) *Tree[V] {
 	// Drain in-flight locked operations and hold new ones out until the
 	// snapshot is taken (see the quiescence-gate comment above and on
-	// Tree.holds): an operation that validated its path as native before
+	// Tree.lazyForks): an operation that validated its path as native before
 	// the generation bump would keep writing snapshot-shared nodes in
 	// place afterwards, and a multi-node operation caught mid-acquisition
 	// could then be half-visible to the child. The drain costs no virtual
@@ -71,9 +71,13 @@ func (t *Tree[V]) ForkLazy(cpu *hw.CPU) *Tree[V] {
 	// implementation gets from per-CPU reader flags — and the caller must
 	// not hold a Range on t (self-deadlock).
 	t.lazyForks.Add(1)
-	for i := range t.holds {
-		for t.holds[i].flag.Load() != 0 {
-			runtime.Gosched()
+	for i := range t.cpus {
+		// A CPU that never operated on t has no state yet; if it starts
+		// now, its opEnter sees lazyForks raised and waits.
+		if cs := t.cpus[i].Load(); cs != nil {
+			for cs.hold.flag.Load() != 0 {
+				runtime.Gosched()
+			}
 		}
 	}
 	defer t.lazyForks.Add(-1)
@@ -221,8 +225,8 @@ func (t *Tree[V]) linkCopy(cpu *hw.CPU, src *node[V], extra int64) (*node[V], ui
 		t.onDiverge(cpu, src.base, hi, src.uniSt.val, dst.uniSt.val)
 	}
 	dst.obj = t.rc.NewObj(used+extra, freeNode[V])
-	dst.obj.Data = dst
-	return dst, arrive
+	dst.obj.Data = dst.node
+	return dst.node, arrive
 }
 
 // divergeChild path-copies the foreign node child — pinned by the caller,

@@ -33,20 +33,15 @@ type Range[V any] struct {
 	busy    bool
 }
 
-// getRange returns cpu's cached Range carrier, or a fresh one if the cache
-// is empty or its carrier is in use (nested locking). Owner-goroutine
+// getRange returns the Range carrier cached in cs, cpu's scratch state, or a
+// fresh one if that carrier is in use (nested locking). Owner-goroutine
 // discipline, like the node pools.
-func (t *Tree[V]) getRange(cpu *hw.CPU, lo, hi uint64) *Range[V] {
-	var r *Range[V]
-	if c := t.ranges[cpu.ID()]; c != nil && !c.busy {
-		r = c
-	} else {
+func (t *Tree[V]) getRange(cs *cpuState[V], cpu *hw.CPU, lo, hi uint64) *Range[V] {
+	r := &cs.rng
+	if r.busy {
 		r = &Range[V]{}
 		r.entries = r.eInline[:0]
 		r.pins = r.pInline[:0]
-		if c == nil {
-			t.ranges[cpu.ID()] = r
-		}
 	}
 	r.busy = true
 	r.t, r.cpu, r.Lo, r.Hi = t, cpu, lo, hi
@@ -69,8 +64,7 @@ type Entry[V any] struct {
 // bit into the freshly allocated child.
 func (t *Tree[V]) LockRange(cpu *hw.CPU, lo, hi uint64) *Range[V] {
 	checkRange(lo, hi)
-	t.opEnter(cpu)
-	r := t.getRange(cpu, lo, hi)
+	r := t.getRange(t.opEnter(cpu), cpu, lo, hi)
 	t.lockIn(r, t.root, lo, hi)
 	return r
 }
@@ -210,8 +204,7 @@ func (t *Tree[V]) lockedDescend(r *Range[V], n *node[V], lo, hi uint64) {
 // serializes against concurrent mmaps of the region).
 func (t *Tree[V]) LockPage(cpu *hw.CPU, vpn uint64) *Range[V] {
 	checkRange(vpn, vpn+1)
-	t.opEnter(cpu)
-	r := t.getRange(cpu, vpn, vpn+1)
+	r := t.getRange(t.opEnter(cpu), cpu, vpn, vpn+1)
 	n := t.root
 	for {
 		idx := n.slotIndex(vpn)

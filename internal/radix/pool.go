@@ -1,10 +1,6 @@
 package radix
 
-import (
-	"unsafe"
-
-	"radixvm/internal/hw"
-)
+import "radixvm/internal/hw"
 
 // Per-CPU node pools, mirroring sv6's per-core slab allocators: freeNode
 // recycles a reclaimed node onto the freeing core's pool instead of feeding
@@ -13,11 +9,8 @@ import (
 // recycling every folded-slot expansion churns the heap and the GC — the
 // seed profile attributed 93% of allocated bytes to newNode.
 //
-// Concurrency discipline: pool i is touched only by the goroutine driving
-// CPU i (the same owner-only rule as Refcache's per-core delta caches), so
-// the pools need no locks. Quiescent helpers like Refcache.FlushAll may
-// drive several CPUs from one goroutine; that is fine — the rule is one
-// goroutine per CPU at a time, not one goroutine forever.
+// Concurrency discipline: a CPU's pool lives in its cpuState and is touched
+// only by the goroutine driving that CPU, so the pools need no locks.
 //
 // Safety of recycling: a node is freed only when its true reference count
 // is zero, meaning no traversal pins and no used slots, so no reader can
@@ -37,28 +30,15 @@ const poolCap = 64
 // pool — so its groups are dropped and it recycles compact.
 const poolGroupCap = 4
 
-type nodePoolData[V any] struct {
-	free []*node[V]
-}
-
-// nodePool pads the per-CPU free list to a whole multiple of the host
-// cache-line size so adjacent CPUs' pools never false-share.
-type nodePool[V any] struct {
-	nodePoolData[V]
-	_ [(cacheLine - unsafe.Sizeof(nodePoolData[struct{}]{})%cacheLine) % cacheLine]byte
-}
-
-const cacheLine = 64
-
 // getNode pops a recycled node for cpu, or nil if the pool is empty (the
 // caller then heap-allocates). Recycled nodes are fully reset: empty slots,
 // unheld bits, cold lines.
 func (t *Tree[V]) getNode(cpu *hw.CPU) *node[V] {
-	p := &t.pools[cpu.ID()].nodePoolData
-	if n := len(p.free); n > 0 {
-		nd := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
+	cs := t.cpu(cpu)
+	if n := len(cs.pool); n > 0 {
+		nd := cs.pool[n-1]
+		cs.pool[n-1] = nil
+		cs.pool = cs.pool[:n-1]
 		return nd
 	}
 	return nil
@@ -70,8 +50,8 @@ func (t *Tree[V]) getNode(cpu *hw.CPU) *node[V] {
 // the next incarnation re-fills them from its uniform state, which keeps
 // steady-state expansion from re-allocating the groups hot paths touch.
 func (t *Tree[V]) recycle(cpu *hw.CPU, n *node[V]) {
-	p := &t.pools[cpu.ID()].nodePoolData
-	if len(p.free) >= poolCap {
+	cs := t.cpu(cpu)
+	if len(cs.pool) >= poolCap {
 		// Pool full: let the GC take the node and its groups.
 		t.groupsLive.Add(-countGroups(n))
 		return
@@ -94,7 +74,7 @@ func (t *Tree[V]) recycle(cpu *hw.CPU, n *node[V]) {
 	for w := range n.bits {
 		n.bits[w].Store(0)
 	}
-	p.free = append(p.free, n)
+	cs.pool = append(cs.pool, n)
 }
 
 func countGroups[V any](n *node[V]) int64 {
@@ -107,5 +87,5 @@ func countGroups[V any](n *node[V]) int64 {
 // PoolSize returns the number of recycled nodes cached for cpu
 // (diagnostics and tests).
 func (t *Tree[V]) PoolSize(cpu *hw.CPU) int {
-	return len(t.pools[cpu.ID()].free)
+	return len(t.cpu(cpu).pool)
 }

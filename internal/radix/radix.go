@@ -114,14 +114,11 @@ type Tree[V any] struct {
 	pageZero uint64 // m.Config().PageZero, hoisted out of newNode
 	root     *node[V]
 
-	// pools, ranges, and carriers are per-CPU scratch state
-	// (owner-goroutine only, like Refcache's delta caches): recycled
-	// nodes, reusable Range carriers, and recycled value carriers, which
-	// together make the steady-state lock, fault, and mmap/munmap paths
-	// allocation-free.
-	pools    []nodePool[V]
-	ranges   []*Range[V]
-	carriers []carrierPool[V]
+	// cpus is the per-CPU scratch state (see cpuState), one lazily filled
+	// slot per core: a lazily forked child runs on two or three cores of a
+	// 64-core machine, so a fresh tree carries one pointer per core and
+	// builds a core's state on that core's first operation.
+	cpus []atomic.Pointer[cpuState[V]]
 
 	// gen is the tree's current generation. Nodes record the generation
 	// they were created (or last adopted) under; a node whose gen differs
@@ -139,15 +136,14 @@ type Tree[V any] struct {
 	onDiverge func(cpu *hw.CPU, lo, hi uint64, src, dst *V)
 	onRelease func(cpu *hw.CPU, lo, hi uint64, v *V)
 
-	// holds and lazyForks form the quiescence gate that gives ForkLazy its
-	// whole-tree snapshot atomicity (see lazy.go): every LockRange/LockPage
-	// publishes a per-CPU hold flag for the duration of its critical
-	// section (own cache line, no shared-line traffic, no virtual-time
-	// cost), and ForkLazy — alone — raises lazyForks and drains all holds
-	// before taking its snapshot, so no locked operation ever straddles
-	// the generation bump. Eager trees never raise lazyForks, so the
-	// reader side is a single uncontended load per lock operation.
-	holds     []opHold
+	// The per-CPU holds (cpuState.hold) and lazyForks form the quiescence
+	// gate that gives ForkLazy its whole-tree snapshot atomicity (see
+	// lazy.go): every LockRange/LockPage publishes a per-CPU hold flag for
+	// the duration of its critical section (no shared-line traffic, no
+	// virtual-time cost), and ForkLazy — alone — raises lazyForks and drains
+	// all holds before taking its snapshot, so no locked operation ever
+	// straddles the generation bump. Eager trees never raise lazyForks, so
+	// the reader side is a single uncontended load per lock operation.
 	lazyForks atomic.Int32
 
 	nodesLive        atomic.Int64
@@ -309,6 +305,17 @@ func (d *groupDir[V]) get(gi int) *slotGroup[V] {
 	return d.groups[r]
 }
 
+// rank returns the number of materialized groups below index gi: group gi's
+// position in the dense slice, present or not.
+func (d *groupDir[V]) rank(gi int) int {
+	w, b := gi>>6, uint(gi)&63
+	r := bits.OnesCount64(d.bits[w] & (1<<b - 1))
+	for i := 0; i < w; i++ {
+		r += bits.OnesCount64(d.bits[i])
+	}
+	return r
+}
+
 // count returns the number of materialized groups.
 func (d *groupDir[V]) count() int {
 	n := 0
@@ -336,12 +343,8 @@ func (n *node[V]) dirInsert(gi int, g *slotGroup[V]) {
 		nd.bits = old.bits
 		oldGroups = old.groups
 	}
-	w, b := gi>>6, uint(gi)&63
-	r := bits.OnesCount64(nd.bits[w] & (1<<b - 1))
-	for i := 0; i < w; i++ {
-		r += bits.OnesCount64(nd.bits[i])
-	}
-	nd.bits[w] |= 1 << b
+	r := nd.rank(gi)
+	nd.bits[gi>>6] |= 1 << (uint(gi) & 63)
 	nd.groups = make([]*slotGroup[V], len(oldGroups)+1)
 	copy(nd.groups[:r], oldGroups[:r])
 	nd.groups[r] = g
@@ -637,37 +640,75 @@ func treeShell[V any](m *hw.Machine, rc *refcache.Refcache, clone func(*V) *V, k
 		clone:    clone,
 		kind:     kind,
 		pageZero: m.Config().PageZero,
-		pools:    make([]nodePool[V], m.NCores()),
-		ranges:   make([]*Range[V], m.NCores()),
-		carriers: make([]carrierPool[V], m.NCores()),
-		holds:    make([]opHold, m.NCores()),
+		cpus:     make([]atomic.Pointer[cpuState[V]], m.NCores()),
 	}
 }
+
+// cpuState is one CPU's scratch state on a tree: recycled nodes, the
+// reusable Range carrier, recycled value carriers and the SetClone template
+// — which together make the steady-state lock, fault and mmap/munmap paths
+// allocation-free — plus the CPU's slot in the lazy-fork quiescence gate.
+// All of it but hold.flag is owner-goroutine state, like Refcache's delta
+// caches: touched only by the goroutine driving that CPU (quiescent helpers
+// such as Refcache.FlushAll may drive several CPUs from one goroutine; the
+// rule is one goroutine per CPU at a time, not one goroutine forever). Each
+// CPU's state is a heap object of its own (~1 KB), which also keeps two
+// CPUs' hot words from packing into one host cache line.
+type cpuState[V any] struct {
+	hold     opHold
+	pool     []*node[V]     // recycled nodes (pool.go)
+	carriers carrierPool[V] // recycled value carriers (carrier.go)
+	template V              // see Tree.Template
+	rng      Range[V]       // cached Range carrier (lock.go)
+}
+
+// cpu returns cpu's scratch state, building it on the CPU's first use of
+// the tree. Only the CPU's own goroutine stores its slot; the pointer is
+// atomic because ForkLazy scans every slot's hold flag.
+func (t *Tree[V]) cpu(cpu *hw.CPU) *cpuState[V] {
+	p := &t.cpus[cpu.ID()]
+	if cs := p.Load(); cs != nil {
+		return cs
+	}
+	cs := new(cpuState[V])
+	cs.rng.entries = cs.rng.eInline[:0]
+	cs.rng.pins = cs.rng.pInline[:0]
+	p.Store(cs)
+	return cs
+}
+
+// Template returns cpu's scratch value for building what Entry.SetClone
+// copies into a slot: a caller that fills it in place and passes it on makes
+// no per-call allocation. Owner-goroutine only; the contents do not survive
+// the CPU's next use of it.
+func (t *Tree[V]) Template(cpu *hw.CPU) *V { return &t.cpu(cpu).template }
 
 // opHold is one CPU's slot in the lazy-fork quiescence gate. depth is
 // owner-goroutine state (each CPU's operations run on its own goroutine,
 // like the node pools); flag is the published in-critical-section marker
-// ForkLazy scans. The pad keeps neighboring CPUs' flags off one line.
+// ForkLazy scans.
 type opHold struct {
 	depth int32
 	flag  atomic.Int32
-	_     [56]byte
 }
 
 // opEnter marks cpu as inside a locked operation on t. If a ForkLazy is
 // draining, the operation waits for it to finish before entering — the
 // writer side of a per-CPU reader/writer gate. Nested ranges on one CPU
-// just deepen the existing hold.
-func (t *Tree[V]) opEnter(cpu *hw.CPU) {
-	h := &t.holds[cpu.ID()]
+// just deepen the existing hold. A CPU's first operation publishes its
+// state before raising the flag, so a ForkLazy that scanned the slot while
+// it was still empty is one this operation then sees in lazyForks.
+func (t *Tree[V]) opEnter(cpu *hw.CPU) *cpuState[V] {
+	cs := t.cpu(cpu)
+	h := &cs.hold
 	h.depth++
 	if h.depth > 1 {
-		return
+		return cs
 	}
 	for {
 		h.flag.Store(1)
 		if t.lazyForks.Load() == 0 {
-			return
+			return cs
 		}
 		h.flag.Store(0)
 		for t.lazyForks.Load() != 0 {
@@ -678,7 +719,7 @@ func (t *Tree[V]) opEnter(cpu *hw.CPU) {
 
 // opExit ends cpu's hold (when the outermost range unlocks).
 func (t *Tree[V]) opExit(cpu *hw.CPU) {
-	h := &t.holds[cpu.ID()]
+	h := &t.cpu(cpu).hold
 	h.depth--
 	if h.depth == 0 {
 		h.flag.Store(0)

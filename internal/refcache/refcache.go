@@ -212,8 +212,17 @@ func (rc *Refcache) Inc(cpu *hw.CPU, o *Obj) { rc.adjust(cpu, o, +1) }
 func (rc *Refcache) Dec(cpu *hw.CPU, o *Obj) { rc.adjust(cpu, o, -1) }
 
 func (rc *Refcache) adjust(cpu *hw.CPU, o *Obj, d int64) {
+	if o == nil {
+		panicDead(cpu)
+	}
 	e := rc.slot(cpu, o)
 	if e.obj != o {
+		// Checked where the core starts caching o, not on every hit (the
+		// hottest path there is): the cache is emptied every epoch, so a
+		// dead reference still in use gets here within one.
+		if o.freed.Load() {
+			panicDead(cpu)
+		}
 		if e.obj != nil && e.delta != 0 {
 			cpu.Stats().RefcacheEvicts++
 			rc.evict(cpu, e.obj, e.delta)
@@ -223,6 +232,15 @@ func (rc *Refcache) adjust(cpu *hw.CPU, o *Obj, d int64) {
 	}
 	e.delta += d
 	cpu.Tick(rc.localHit) // per-core cache: core-local line
+}
+
+// panicDead reports a count adjusted through a reference that no longer
+// holds anything: a nil object (an owner that clears its pointer when the
+// object dies, as a released frame does) or one whose free callback has run.
+// Either is a use-after-free in the caller; naming it here beats the nil
+// dereference it used to surface as a few frames further down.
+func panicDead(cpu *hw.CPU) {
+	panic(fmt.Sprintf("refcache: Inc/Dec on dead object (core %d)", cpu.ID()))
 }
 
 // evict applies a cached delta to o's global count, implementing the

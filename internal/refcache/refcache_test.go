@@ -395,3 +395,33 @@ func TestNewSizedValidation(t *testing.T) {
 	}()
 	NewSized(m, 3)
 }
+
+// A count adjusted through a dead reference — nil, as a released frame's
+// Obj is, or an object whose free callback already ran — is a use-after-free
+// in the caller. It must fail under its own name and say which core did it,
+// not as a nil dereference inside the delta cache.
+func TestIncDecOnDeadObjectPanicsByName(t *testing.T) {
+	m, rc := newTestRC(4)
+	freed := rc.NewObj(1, nil)
+	rc.Dec(m.CPU(0), freed)
+	flushEpochs(rc, 6)
+	if !freed.Freed() {
+		t.Fatal("setup: object not freed")
+	}
+	for name, op := range map[string]func(){
+		"Dec nil":   func() { rc.Dec(m.CPU(3), nil) },
+		"Inc nil":   func() { rc.Inc(m.CPU(3), nil) },
+		"Dec freed": func() { rc.Dec(m.CPU(3), freed) },
+		"Inc freed": func() { rc.Inc(m.CPU(3), freed) },
+	} {
+		func() {
+			defer func() {
+				const want = "refcache: Inc/Dec on dead object (core 3)"
+				if got := recover(); got != want {
+					t.Errorf("%s: panic %v, want %q", name, got, want)
+				}
+			}()
+			op()
+		}()
+	}
+}

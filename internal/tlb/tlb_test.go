@@ -1,6 +1,9 @@
 package tlb
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func ro(pfn uint64) Entry { return Entry{PFN: pfn} }
 
@@ -121,5 +124,190 @@ func TestStaleOrderAfterFlushDoesNotCorrupt(t *testing.T) {
 	}
 	if _, ok := tl.Lookup(4); !ok {
 		t.Fatal("newest entry lost")
+	}
+}
+
+func TestZeroValueTLB(t *testing.T) {
+	var tl TLB
+	if _, ok := tl.Lookup(1); ok || tl.Len() != 0 || tl.FlushPage(1) || tl.FlushRange(0, 8) != 0 {
+		t.Fatal("zero-value TLB is not empty")
+	}
+	tl.FlushAll()
+	for vpn := uint64(0); vpn < DefaultCapacity+10; vpn++ {
+		tl.Insert(vpn, ro(vpn))
+	}
+	if tl.Len() != DefaultCapacity || tl.FullFlushes != 1 {
+		t.Fatalf("Len=%d FullFlushes=%d, want %d and 1", tl.Len(), tl.FullFlushes, DefaultCapacity)
+	}
+	if _, ok := tl.Lookup(9); ok {
+		t.Fatal("zero-value TLB did not evict at DefaultCapacity")
+	}
+}
+
+// FlushAll runs once per active core of the parent at every lazy fork, and
+// once per core of the child at exit; it used to allocate a presized map
+// (~37 KB) each time.
+func TestFlushAllAllocatesNothing(t *testing.T) {
+	empty := New(0)
+	if n := testing.AllocsPerRun(100, empty.FlushAll); n != 0 {
+		t.Errorf("FlushAll on an empty TLB: %v allocs, want 0", n)
+	}
+	full := New(0)
+	n := testing.AllocsPerRun(100, func() {
+		full.Insert(1, ro(1)) // the map and the queue keep their storage
+		full.Insert(2, ro(2))
+		full.FlushAll()
+	})
+	if n != 0 || full.Len() != 0 {
+		t.Errorf("FlushAll on a populated TLB: %v allocs, Len=%d, want 0 and 0", n, full.Len())
+	}
+}
+
+// refTLB is the TLB as it was before the eviction queue was stored in runs:
+// a map plus a plain FIFO slice of VPNs in which flushed pages leave stale
+// entries. It is the specification the differential test holds TLB to.
+type refTLB struct {
+	entries              map[uint64]Entry
+	order                []uint64
+	capacity             int
+	flushes, fullFlushes uint64
+}
+
+func (r *refTLB) insert(vpn uint64, e Entry) {
+	if _, ok := r.entries[vpn]; !ok {
+		for len(r.entries) >= r.capacity && len(r.order) > 0 {
+			old := r.order[0]
+			r.order = r.order[1:]
+			delete(r.entries, old)
+		}
+		r.order = append(r.order, vpn)
+	}
+	r.entries[vpn] = e
+}
+
+func (r *refTLB) flushRange(lo, hi uint64) int {
+	n := 0
+	for vpn := lo; vpn < hi; vpn++ {
+		if _, ok := r.entries[vpn]; ok {
+			delete(r.entries, vpn)
+			n++
+		}
+	}
+	r.flushes += uint64(n)
+	return n
+}
+
+func (r *refTLB) flushAll() {
+	r.entries = map[uint64]Entry{}
+	r.order = r.order[:0]
+	r.fullFlushes++
+}
+
+// TestDifferentialAgainstReference drives random operations at a small
+// capacity over a small VPN space, so pages are flushed, re-inserted and
+// evicted through stale queue entries constantly.
+func TestDifferentialAgainstReference(t *testing.T) {
+	for _, capacity := range []int{1, 3, 8} {
+		rng := rand.New(rand.NewSource(int64(capacity)))
+		tl := New(capacity)
+		ref := &refTLB{entries: map[uint64]Entry{}, capacity: capacity}
+		const vpns = 24
+		// Start behind a long run of stale tokens for one page — more than
+		// one queue word counts — which the random phase then evicts through.
+		for i := 0; i < 5000; i++ {
+			tl.Insert(3, ro(3))
+			ref.insert(3, ro(3))
+			tl.FlushPage(3)
+			ref.flushRange(3, 4)
+		}
+		for i := 0; i < 20000; i++ {
+			vpn := uint64(rng.Intn(vpns))
+			switch op := rng.Intn(100); {
+			case op < 45:
+				e := Entry{PFN: uint64(i), Readable: true, Writable: rng.Intn(2) == 0}
+				tl.Insert(vpn, e)
+				ref.insert(vpn, e)
+			case op < 75:
+				got, ok := tl.Lookup(vpn)
+				want, wok := ref.entries[vpn]
+				if ok != wok || got != want {
+					t.Fatalf("cap %d op %d: Lookup(%d) = %+v, %v; reference %+v, %v", capacity, i, vpn, got, ok, want, wok)
+				}
+			case op < 88:
+				if got, want := tl.FlushPage(vpn), ref.flushRange(vpn, vpn+1) == 1; got != want {
+					t.Fatalf("cap %d op %d: FlushPage(%d) = %v; reference %v", capacity, i, vpn, got, want)
+				}
+			case op < 98:
+				// Both FlushRange strategies: narrower and wider than the
+				// cached set.
+				hi := vpn + uint64(rng.Intn(vpns))
+				if got, want := tl.FlushRange(vpn, hi), ref.flushRange(vpn, hi); got != want {
+					t.Fatalf("cap %d op %d: FlushRange(%d, %d) = %d; reference %d", capacity, i, vpn, hi, got, want)
+				}
+			default:
+				tl.FlushAll()
+				ref.flushAll()
+			}
+			if tl.Len() != len(ref.entries) || tl.Flushes != ref.flushes || tl.FullFlushes != ref.fullFlushes {
+				t.Fatalf("cap %d op %d: Len/Flushes/FullFlushes = %d/%d/%d; reference %d/%d/%d", capacity, i,
+					tl.Len(), tl.Flushes, tl.FullFlushes, len(ref.entries), ref.flushes, ref.fullFlushes)
+			}
+		}
+		for vpn := uint64(0); vpn < vpns; vpn++ {
+			got, ok := tl.Lookup(vpn)
+			if want, wok := ref.entries[vpn]; ok != wok || got != want {
+				t.Fatalf("cap %d: final Lookup(%d) = %+v, %v; reference %+v, %v", capacity, vpn, got, ok, want, wok)
+			}
+		}
+	}
+}
+
+// A flushed page's queue entry is not dead weight: if the page comes back
+// while the entry is still queued, the entry evicts it ahead of older pages.
+// Dropping entries whose VPN is absent from the map — the obvious way to
+// bound the queue — would keep vpn 1 and evict vpn 2 here, and every
+// virtual-time figure that reaches TLB capacity after an munmap would move.
+func TestStaleQueueEntryEvictsReinsertedPage(t *testing.T) {
+	tl := New(3)
+	tl.Insert(1, ro(1))
+	tl.Insert(2, ro(2))
+	tl.Insert(3, ro(3))
+	tl.FlushPage(1)     // queue still 1 2 3
+	tl.Insert(1, ro(1)) // room without evicting; queue 1 2 3 1
+	tl.Insert(4, ro(4)) // the stale head entry evicts the new vpn 1
+	if _, ok := tl.Lookup(1); ok {
+		t.Fatal("re-inserted page survived its stale queue entry")
+	}
+	if _, ok := tl.Lookup(2); !ok {
+		t.Fatal("vpn 2 evicted: the stale entry for vpn 1 was dropped from the queue")
+	}
+}
+
+// The local benchmark's loop — map, touch and unmap one page — queues one
+// token per iteration without ever evicting; the queue used to grow by a
+// word each time for the life of the address space. A TLB cycling at
+// capacity used to abandon its queue's backing array every few hundred
+// evictions.
+func TestEvictionQueueStaysCompact(t *testing.T) {
+	loop := New(0)
+	for i := 0; i < 10000; i++ {
+		loop.Insert(7, ro(7))
+		loop.FlushPage(7)
+	}
+	if len(loop.order) > 4 {
+		t.Fatalf("10000 insert/flush rounds of one page queued %d words", len(loop.order))
+	}
+
+	cycling := New(64)
+	for vpn := uint64(0); vpn < 64; vpn++ {
+		cycling.Insert(vpn, ro(vpn))
+	}
+	vpn := uint64(64)
+	allocs := testing.AllocsPerRun(10000, func() {
+		cycling.Insert(vpn, ro(vpn))
+		vpn++
+	})
+	if allocs != 0 || cap(cycling.order) > 4*64 {
+		t.Fatalf("TLB cycling at capacity: %v allocs per insert, queue capacity %d", allocs, cap(cycling.order))
 	}
 }

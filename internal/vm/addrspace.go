@@ -57,14 +57,6 @@ type AddressSpace struct {
 	tree  *radix.Tree[Mapping]
 	mmu   MMU
 
-	// tmpls is the per-CPU Mmap metadata template cache (owner-goroutine
-	// only, like the radix Range carriers): each core's template is a
-	// separate heap Mapping, rewritten in place per Mmap and copied into
-	// the radix slots by Entry.SetClone, which removes the last per-call
-	// allocation from the mmap path. The pointer slots themselves are
-	// written once and read-only afterwards, so no padding is needed.
-	tmpls []*Mapping
-
 	// forkEager selects Fork's metadata strategy: true (the default) is
 	// the hand-over-hand O(tree) sweep whose virtual-time billing the
 	// gated figures were frozen under; false is the O(1) generation fork
@@ -114,7 +106,6 @@ func New(m *hw.Machine, rc *refcache.Refcache, alloc *mem.Allocator, mmu MMU) *A
 		// its metadata through recycled value carriers.
 		tree:      radix.NewCopy[Mapping](m, rc),
 		mmu:       mmu,
-		tmpls:     make([]*Mapping, m.NCores()),
 		forkEager: true,
 	}
 	as.wireTree()
@@ -182,7 +173,9 @@ func (as *AddressSpace) Mmap(cpu *hw.CPU, vpn, npages uint64, opts MapOpts) erro
 
 	r := as.tree.LockRange(cpu, vpn, vpn+npages)
 	as.unmapLocked(cpu, r)
-	tmpl := as.tmpl(cpu)
+	// The tree's per-CPU template is rewritten in place and copied into the
+	// radix slots by Entry.SetClone: no per-call allocation.
+	tmpl := as.tree.Template(cpu)
 	*tmpl = Mapping{
 		Prot:  opts.Prot,
 		Back:  Backing{File: opts.File, Offset: opts.Offset},
@@ -197,15 +190,6 @@ func (as *AddressSpace) Mmap(cpu *hw.CPU, vpn, npages uint64, opts MapOpts) erro
 		as.fileRecord(opts.File, vpn, npages, opts.Offset)
 	}
 	return nil
-}
-
-// tmpl returns cpu's cached metadata template, allocating it on the core's
-// first Mmap.
-func (as *AddressSpace) tmpl(cpu *hw.CPU) *Mapping {
-	if as.tmpls[cpu.ID()] == nil {
-		as.tmpls[cpu.ID()] = new(Mapping)
-	}
-	return as.tmpls[cpu.ID()]
 }
 
 // Munmap implements System (§3.4): lock the range, gather physical page

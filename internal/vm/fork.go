@@ -42,7 +42,6 @@ func (as *AddressSpace) Fork(cpu *hw.CPU) (System, error) {
 		rc:        as.rc,
 		alloc:     as.alloc,
 		mmu:       as.newChildMMU(),
-		tmpls:     make([]*Mapping, as.m.NCores()),
 		forkEager: as.forkEager,
 	}
 

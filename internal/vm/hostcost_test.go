@@ -1,0 +1,111 @@
+package vm_test
+
+import (
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"radixvm/internal/hw"
+	"radixvm/internal/vm"
+)
+
+// Host-cost guards for the spawn path: fork, first touches, exit must cost
+// the simulator what the child's address space holds, not what the machine
+// has cores.
+
+// allCores returns the set of every core of w's machine.
+func allCores(w *world) hw.CoreSet {
+	var s hw.CoreSet
+	for i := 0; i < w.m.NCores(); i++ {
+		s.Add(i)
+	}
+	return s
+}
+
+// foldMail lets every core take the interrupts mailed to it, as running
+// cores do, so the mailboxes reuse their storage.
+func foldMail(w *world, now uint64) {
+	for i := 0; i < w.m.NCores(); i++ {
+		w.m.CPU(i).AdvanceTo(now)
+	}
+}
+
+// TestResetWithoutTranslationsAllocatesNothing: a lazy fork resets the
+// parent's MMU on every core it ever ran on and an exit the child's; cores
+// that hold no table and an empty TLB — after the first fork, all of a
+// template's — used to get a fresh 1536-entry map each, ~2.4 MB per fork at
+// 64 cores. The interrupts are still all sent.
+func TestResetWithoutTranslationsAllocatesNothing(t *testing.T) {
+	w := newWorld(64)
+	c := m0(w)
+	mmu := vm.NewPerCoreMMU(w.m)
+	active := allCores(w)
+	foldMail(w, c.Now())
+	sent := c.Stats().IPIsSent
+	const runs = 50
+	allocs := testing.AllocsPerRun(runs, func() {
+		mmu.Reset(c, active)
+		foldMail(w, c.Now())
+	})
+	if allocs != 0 {
+		t.Errorf("Reset of an MMU holding nothing: %v allocs, want 0", allocs)
+	}
+	if got, want := c.Stats().IPIsSent-sent, uint64((runs+1)*63); got != want {
+		t.Errorf("Reset sent %d IPIs over %d calls, want %d", got, runs+1, want)
+	}
+	for i := 0; i < 64; i++ {
+		if got := mmu.TLB(i).FullFlushes; got != runs+1 {
+			t.Fatalf("core %d counted %d full flushes, want %d", i, got, runs+1)
+		}
+	}
+}
+
+// spawnBytes returns the Go heap bytes one fork → 32 COW touches → exit
+// cycle allocates on an ncores machine whose template ran on every core.
+func spawnBytes(t *testing.T, ncores int) uint64 {
+	const lo, npages = uint64(1 << 20), uint64(32)
+	w := newWorld(ncores)
+	tmpl := lazySpace(w)
+	c := m0(w)
+	must(t, tmpl.Mmap(c, lo, npages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
+	for v := lo; v < lo+npages; v++ {
+		must(t, tmpl.Access(c, v, true))
+	}
+	for i := 1; i < ncores; i++ {
+		must(t, tmpl.Access(w.m.CPU(i), lo, false))
+	}
+	cycle := func() {
+		child, err := tmpl.Fork(c)
+		must(t, err)
+		for v := lo; v < lo+npages; v++ {
+			must(t, child.Access(c, v, true))
+		}
+		exit(c, child)
+		w.rc.FlushAll() // frames and nodes the child dropped recycle
+		foldMail(w, c.Now())
+	}
+	for i := 0; i < 8; i++ {
+		cycle() // warm the frame free lists, node pools and mailboxes
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const cycles = 32
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / cycles
+}
+
+// TestSpawnBytesIndependentOfCoreCount: the same spawn on a 64-core machine
+// may allocate at most a quarter more than on an 8-core one (the per-core
+// slots of the child's MMU and tree are the part that still scales). It
+// used to grow by one ~37 KB map per active core per fork.
+func TestSpawnBytesIndependentOfCoreCount(t *testing.T) {
+	small, large := spawnBytes(t, 8), spawnBytes(t, 64)
+	t.Logf("fork + 32 COW touches + exit: %d B at 8 cores, %d B at 64 cores", small, large)
+	if large*4 > small*5 {
+		t.Errorf("spawn allocates %d B at 64 cores against %d B at 8 cores: more than 1.25x", large, small)
+	}
+}

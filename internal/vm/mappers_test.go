@@ -1,0 +1,68 @@
+package vm
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"radixvm/internal/hw"
+	"radixvm/internal/mem"
+	"radixvm/internal/refcache"
+)
+
+type stubMapper struct{ id int }
+
+func (*stubMapper) RevokeFilePages(*hw.CPU, *File, uint64, uint64) (int, int) { return 0, 0 }
+
+// TestMapperRegistryKeepsRegistrationOrder churns registrations against the
+// registry as it was — a slice scanned for membership, removal by splicing —
+// and checks that revocations still visit mappers in the same order: that
+// order decides which space's shootdown a writeback pays first, so it feeds
+// the virtual clock.
+func TestMapperRegistryKeepsRegistrationOrder(t *testing.T) {
+	m := hw.NewMachine(hw.TestConfig(1))
+	f := NewFile(mem.NewAllocator(m, refcache.New(m)))
+	pool := make([]FileMapper, 64)
+	for i := range pool {
+		pool[i] = &stubMapper{id: i}
+	}
+	var want []FileMapper
+	index := func(m FileMapper) int {
+		for i, have := range want {
+			if have == m {
+				return i
+			}
+		}
+		return -1
+	}
+	rng := rand.New(rand.NewSource(1))
+	for step := 0; step < 20000; step++ {
+		// Mostly grow, then mostly shrink, so the registry both fills up
+		// and drains through its hole-squeezing threshold.
+		grow := 60
+		if step/2500%2 == 1 {
+			grow = 35
+		}
+		mp := pool[rng.Intn(len(pool))]
+		if rng.Intn(100) < grow {
+			f.RegisterMapper(mp) // idempotent: may already be in
+			if index(mp) < 0 {
+				want = append(want, mp)
+			}
+		} else {
+			f.UnregisterMapper(mp) // may not be in
+			if i := index(mp); i >= 0 {
+				want = append(want[:i], want[i+1:]...)
+			}
+		}
+		if f.Mappers() != len(want) {
+			t.Fatalf("step %d: Mappers() = %d, want %d", step, f.Mappers(), len(want))
+		}
+		if got := f.snapshotMappers(); len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("step %d: revocation order diverged from registration order:\n got %v\nwant %v", step, got, want)
+		}
+		if len(f.mappers) > 2*len(want)+1 {
+			t.Fatalf("step %d: registry holds %d slots for %d mappers", step, len(f.mappers), len(want))
+		}
+	}
+}

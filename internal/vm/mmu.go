@@ -127,37 +127,40 @@ type MMU interface {
 // those — zero IPIs when a region never left its core (§3.3).
 type PerCoreMMU struct {
 	m *hw.Machine
-	// pts entries are swapped atomically: a lazy fork's Reset replaces a
-	// core's whole table with nil from the forking goroutine while the
-	// owner may be walking or filling it, and walkers re-load the pointer
-	// (Revalidate) after their TLB insert to detect the swap.
-	pts  []atomic.Pointer[pagetable.PageTable]
-	tlbs []*tlb.TLB
+	// cores is the whole per-core state in one allocation: a forked child
+	// runs on two or three cores, and a table pointer plus a TLB held by
+	// value cost the others nothing until they fault.
+	cores []coreMMU
+}
+
+// coreMMU is one core's page table and TLB.
+type coreMMU struct {
+	// pt is swapped atomically: a lazy fork's Reset replaces a core's whole
+	// table with nil from the forking goroutine while the owner may be
+	// walking or filling it, and walkers re-load the pointer (Revalidate)
+	// after their TLB insert to detect the swap.
+	pt  atomic.Pointer[pagetable.PageTable]
+	tlb tlb.TLB
 }
 
 // NewPerCoreMMU builds the per-core-page-table MMU. Tables are allocated
 // lazily, matching the paper's observation that most applications touch a
 // small fraction of the address space per core.
 func NewPerCoreMMU(m *hw.Machine) *PerCoreMMU {
-	mmu := &PerCoreMMU{m: m}
-	mmu.pts = make([]atomic.Pointer[pagetable.PageTable], m.NCores())
-	mmu.tlbs = make([]*tlb.TLB, m.NCores())
-	for i := range mmu.tlbs {
-		mmu.tlbs[i] = tlb.New(0)
-	}
-	return mmu
+	return &PerCoreMMU{m: m, cores: make([]coreMMU, m.NCores())}
 }
 
 // Name implements MMU.
 func (mmu *PerCoreMMU) Name() string { return "percore" }
 
 func (mmu *PerCoreMMU) pt(id int) *pagetable.PageTable {
+	c := &mmu.cores[id]
 	for {
-		if pt := mmu.pts[id].Load(); pt != nil {
+		if pt := c.pt.Load(); pt != nil {
 			return pt
 		}
 		pt := pagetable.New(mmu.m)
-		if mmu.pts[id].CompareAndSwap(nil, pt) {
+		if c.pt.CompareAndSwap(nil, pt) {
 			return pt
 		}
 	}
@@ -167,12 +170,12 @@ func (mmu *PerCoreMMU) pt(id int) *pagetable.PageTable {
 // faults on different cores share nothing.
 func (mmu *PerCoreMMU) Fill(cpu *hw.CPU, vpn, pfn uint64, perm pagetable.Perm) {
 	mmu.pt(cpu.ID()).Map(cpu, vpn, pfn, perm)
-	mmu.tlbs[cpu.ID()].Insert(vpn, tlbEntry(pfn, perm))
+	mmu.cores[cpu.ID()].tlb.Insert(vpn, tlbEntry(pfn, perm))
 }
 
 // Lookup implements MMU.
 func (mmu *PerCoreMMU) Lookup(cpu *hw.CPU, vpn uint64) (pagetable.PTE, bool) {
-	pt := mmu.pts[cpu.ID()].Load()
+	pt := mmu.cores[cpu.ID()].pt.Load()
 	if pt == nil {
 		return pagetable.PTE{}, false
 	}
@@ -184,7 +187,7 @@ func (mmu *PerCoreMMU) Lookup(cpu *hw.CPU, vpn uint64) (pagetable.PTE, bool) {
 // insert is ordered after Reset's flush by the TLB mutex, so this load
 // observes the nil (or replacement) table and fails the revalidation.
 func (mmu *PerCoreMMU) Revalidate(cpu *hw.CPU, vpn, pfn uint64, perm pagetable.Perm) bool {
-	pt := mmu.pts[cpu.ID()].Load()
+	pt := mmu.cores[cpu.ID()].pt.Load()
 	return pt != nil && revalidate(pt, vpn, pfn, perm)
 }
 
@@ -196,7 +199,7 @@ func revalidate(pt *pagetable.PageTable, vpn, pfn uint64, perm pagetable.Perm) b
 }
 
 // TLB implements MMU.
-func (mmu *PerCoreMMU) TLB(id int) *tlb.TLB { return mmu.tlbs[id] }
+func (mmu *PerCoreMMU) TLB(id int) *tlb.TLB { return &mmu.cores[id].tlb }
 
 // Shootdown implements MMU: targeted. The unmapping core clears its own
 // state synchronously and interrupts exactly the cores the metadata saw.
@@ -204,7 +207,7 @@ func (mmu *PerCoreMMU) Shootdown(cpu *hw.CPU, lo, hi uint64, precise, _ hw.CoreS
 	self := cpu.ID()
 	if precise.Has(self) {
 		mmu.pt(self).UnmapRange(cpu, lo, hi)
-		mmu.tlbs[self].FlushRange(lo, hi)
+		mmu.cores[self].tlb.FlushRange(lo, hi)
 		precise.Remove(self)
 	}
 	if precise.Empty() {
@@ -214,7 +217,7 @@ func (mmu *PerCoreMMU) Shootdown(cpu *hw.CPU, lo, hi uint64, precise, _ hw.CoreS
 	cpu.SendIPIs(precise, func(t *hw.CPU) {
 		// Executed by proxy; cost charged to the target by SendIPIs.
 		mmu.pt(t.ID()).UnmapRange(cpu, lo, hi)
-		mmu.tlbs[t.ID()].FlushRange(lo, hi)
+		mmu.cores[t.ID()].tlb.FlushRange(lo, hi)
 	})
 }
 
@@ -225,7 +228,7 @@ func (mmu *PerCoreMMU) Protect(cpu *hw.CPU, lo, hi uint64, perm pagetable.Perm, 
 	self := cpu.ID()
 	if precise.Has(self) {
 		mmu.pt(self).ProtectRange(cpu, lo, hi, perm)
-		mmu.tlbs[self].FlushRange(lo, hi)
+		mmu.cores[self].tlb.FlushRange(lo, hi)
 		precise.Remove(self)
 	}
 	if precise.Empty() {
@@ -234,7 +237,7 @@ func (mmu *PerCoreMMU) Protect(cpu *hw.CPU, lo, hi uint64, perm pagetable.Perm, 
 	cpu.Stats().Shootdowns++
 	cpu.SendIPIs(precise, func(t *hw.CPU) {
 		mmu.pt(t.ID()).ProtectRange(cpu, lo, hi, perm)
-		mmu.tlbs[t.ID()].FlushRange(lo, hi)
+		mmu.cores[t.ID()].tlb.FlushRange(lo, hi)
 	})
 }
 
@@ -243,11 +246,12 @@ func (mmu *PerCoreMMU) Protect(cpu *hw.CPU, lo, hi uint64, perm pagetable.Perm, 
 // walk — whose TLB insert and Revalidate are ordered behind the flush by
 // the TLB mutex — observes the empty table and retries as a fault; a fault
 // concurrently filling the old table is caught by the caller's fork-epoch
-// validation (see AddressSpace.fault).
+// validation (see AddressSpace.fault). Every active core is interrupted
+// whatever it holds — the sender cannot know — but a core with no table and
+// an empty TLB costs the simulator only the flush count (tlb.FlushAll).
 func (mmu *PerCoreMMU) Reset(cpu *hw.CPU, active hw.CoreSet) {
 	self := cpu.ID()
-	mmu.pts[self].Store(nil)
-	mmu.tlbs[self].FlushAll()
+	mmu.cores[self].reset()
 	active.Remove(self)
 	if active.Empty() {
 		return
@@ -255,17 +259,21 @@ func (mmu *PerCoreMMU) Reset(cpu *hw.CPU, active hw.CoreSet) {
 	cpu.Stats().Shootdowns++
 	cpu.SendIPIs(active, func(t *hw.CPU) {
 		// Executed by proxy; cost charged to the target by SendIPIs.
-		mmu.pts[t.ID()].Store(nil)
-		mmu.tlbs[t.ID()].FlushAll()
+		mmu.cores[t.ID()].reset()
 	})
+}
+
+func (c *coreMMU) reset() {
+	c.pt.Store(nil)
+	c.tlb.FlushAll()
 }
 
 // Bytes implements MMU: the sum over per-core tables — the memory overhead
 // §5.4 quantifies.
 func (mmu *PerCoreMMU) Bytes() uint64 {
 	var b uint64
-	for i := range mmu.pts {
-		if pt := mmu.pts[i].Load(); pt != nil {
+	for i := range mmu.cores {
+		if pt := mmu.cores[i].pt.Load(); pt != nil {
 			b += pt.Bytes()
 		}
 	}
@@ -279,17 +287,12 @@ func (mmu *PerCoreMMU) Bytes() uint64 {
 type SharedMMU struct {
 	m    *hw.Machine
 	pt   *pagetable.PageTable
-	tlbs []*tlb.TLB
+	tlbs []tlb.TLB // by value: one allocation, each TLB's map on first Insert
 }
 
 // NewSharedMMU builds the shared-page-table MMU.
 func NewSharedMMU(m *hw.Machine) *SharedMMU {
-	mmu := &SharedMMU{m: m, pt: pagetable.New(m)}
-	mmu.tlbs = make([]*tlb.TLB, m.NCores())
-	for i := range mmu.tlbs {
-		mmu.tlbs[i] = tlb.New(0)
-	}
-	return mmu
+	return &SharedMMU{m: m, pt: pagetable.New(m), tlbs: make([]tlb.TLB, m.NCores())}
 }
 
 // Name implements MMU.
@@ -321,7 +324,7 @@ func (mmu *SharedMMU) Revalidate(_ *hw.CPU, vpn, pfn uint64, perm pagetable.Perm
 }
 
 // TLB implements MMU.
-func (mmu *SharedMMU) TLB(id int) *tlb.TLB { return mmu.tlbs[id] }
+func (mmu *SharedMMU) TLB(id int) *tlb.TLB { return &mmu.tlbs[id] }
 
 // PageTable exposes the shared table (baseline VMs clear it themselves to
 // collect frames before the shootdown).

@@ -218,8 +218,14 @@ type File struct {
 	length uint64 // pages; accesses at or past it fault (truncated tail)
 
 	// mappers is the file's mm registry, in registration order (which the
-	// deterministic schedule makes a pure function of virtual time).
-	mappers []FileMapper
+	// deterministic schedule makes a pure function of virtual time, and
+	// which revocations follow, so it feeds the virtual clock). mapperAt
+	// indexes it for membership and removal: a fleet registers and
+	// unregisters one mapper per process, and scanning the slice for each
+	// made that quadratic in the live processes. Unregistering leaves a
+	// nil hole, squeezed out once holes outnumber live mappers.
+	mappers  []FileMapper
+	mapperAt map[FileMapper]int
 
 	writebacks uint64
 	truncates  uint64
@@ -240,10 +246,11 @@ func NewFile(alloc *mem.Allocator) *File {
 // NewFileIn creates a file in an existing (possibly shared) page cache.
 func NewFileIn(pc *mem.PageCache) *File {
 	return &File{
-		pc:     pc,
-		id:     pc.NewFileID(),
-		length: ^uint64(0), // unbounded until the first Truncate
-		altCtr: map[uint64]counter.Counter{},
+		pc:       pc,
+		id:       pc.NewFileID(),
+		length:   ^uint64(0), // unbounded until the first Truncate
+		altCtr:   map[uint64]counter.Counter{},
+		mapperAt: map[FileMapper]int{},
 	}
 }
 
@@ -286,11 +293,10 @@ func (f *File) Page(cpu *hw.CPU, off uint64) (*mem.Frame, counter.Counter) {
 func (f *File) RegisterMapper(m FileMapper) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for _, have := range f.mappers {
-		if have == m {
-			return
-		}
+	if _, have := f.mapperAt[m]; have {
+		return
 	}
+	f.mapperAt[m] = len(f.mappers)
 	f.mappers = append(f.mappers, m)
 }
 
@@ -299,11 +305,22 @@ func (f *File) RegisterMapper(m FileMapper) {
 func (f *File) UnregisterMapper(m FileMapper) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for i, have := range f.mappers {
-		if have == m {
-			f.mappers = append(f.mappers[:i], f.mappers[i+1:]...)
-			return
+	i, have := f.mapperAt[m]
+	if !have {
+		return
+	}
+	delete(f.mapperAt, m)
+	f.mappers[i] = nil
+	if len(f.mappers) > 2*len(f.mapperAt) {
+		live := f.mappers[:0]
+		for _, m := range f.mappers {
+			if m != nil {
+				f.mapperAt[m] = len(live)
+				live = append(live, m)
+			}
 		}
+		clear(f.mappers[len(live):])
+		f.mappers = live
 	}
 }
 
@@ -311,7 +328,7 @@ func (f *File) UnregisterMapper(m FileMapper) {
 func (f *File) Mappers() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.mappers)
+	return len(f.mapperAt)
 }
 
 // Len returns the file's length in pages (^uint64(0) until truncated).
@@ -337,7 +354,13 @@ func (f *File) Extend(n uint64) {
 func (f *File) snapshotMappers() []FileMapper {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return append([]FileMapper(nil), f.mappers...)
+	snap := make([]FileMapper, 0, len(f.mapperAt))
+	for _, m := range f.mappers {
+		if m != nil {
+			snap = append(snap, m)
+		}
+	}
+	return snap
 }
 
 // Writeback flushes the file's pages in [off, off+n) to backing store,
