@@ -388,9 +388,19 @@ func (as *AddressSpace) pageFault(cpu *hw.CPU, vpn uint64, k vm.Kind, trapped bo
 		cpu.Acquire(&as.lock)
 		cur = as.findRegion(cpu, vpn)
 		if cur == nil {
-			as.mmu.PageTable().Unmap(cpu, vpn)
+			// Whoever clears a PTE drops the reference it held. The Munmap
+			// that removed the region may already have swapped our entry
+			// out and dropped frame's reference, so release only what this
+			// Unmap clears — which is then frame, or another stale
+			// faulter's install that landed after Munmap's sweep.
+			var cleared *mem.Frame
+			as.mmu.PageTable().UnmapRangeFunc(cpu, vpn, vpn+1, func(_, pfn uint64) {
+				cleared = as.alloc.ByPFN(pfn)
+			})
 			as.mmu.ShootdownTLBOnly(cpu, vpn, vpn+1, as.activeSet())
-			as.alloc.DecRef(cpu, frame)
+			if cleared != nil {
+				as.alloc.DecRef(cpu, cleared)
+			}
 			cpu.Release(&as.lock)
 			return vm.ErrSegv
 		}

@@ -14,10 +14,10 @@ import "sync"
 // but still lets the Go scheduler pick which of two virtually-concurrent
 // line transfers folds first, and the gate's answer depends on that order.
 //
-// The parallel gang (RunGang) remains the way unit and stress tests drive
-// the simulator, so the functional code keeps real-concurrency coverage
-// under the race detector; figures use RunGangDet so the paper's numbers
-// are reproducible bit-for-bit.
+// Every figure runs under this schedule (RunGangDet, or Sched.Run on top
+// of it), so the paper's numbers are reproducible bit-for-bit. The
+// parallel gang (RunGang) drives only unit and stress tests, which keep
+// the functional code under real concurrency and the race detector.
 //
 // Members may hold no hw.Lock or other real mutex across a yield point
 // (Sync/Barrier/idle park) — all workloads yield only at top level, between

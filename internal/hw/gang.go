@@ -1,136 +1,37 @@
 package hw
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Gang keeps a group of simulated cores' virtual clocks within a bounded
 // skew of each other (conservative-window parallel discrete event
 // simulation). Without it, the Go scheduler may run one core's entire
-// benchmark loop before another's, so cores that *in virtual time* hammer
-// the same cache line would never actually interleave and contention would
-// be invisible. Each core calls Sync once per loop iteration; cores that
-// run ahead of the slowest active member by more than the quantum block
-// until the laggards catch up.
+// loop before another's, so cores that *in virtual time* hammer the same
+// cache line would never actually interleave and contention would be
+// invisible. Each core calls Sync once per loop iteration; cores that run
+// ahead of the slowest active member by more than the quantum block until
+// the laggards catch up.
 //
 // A core that finishes its work must call Leave so the others stop waiting
 // for it.
 //
-// # Tree structure
-//
-// The gang is a two-level tree mirroring the simulated machine's socket
-// topology. Each socket's members sync against a socket-local sub-gang: a
-// per-socket mutex, condvar, incremental minimum (clocks are monotonic, so
-// the minimum only moves when the slowest member reports or membership
-// changes), and a per-socket adaptive quantum. The socket publishes its
-// minimum as a single atomic word; the global minimum is the min over
-// those published words — a handful of atomic loads, no shared lock. The
-// global layer (one mutex + condvar) is touched only when a member has
-// exhausted its window against a *remote* socket's published minimum and
-// must park; socket-minimum advances broadcast there only while such
-// remote waiters exist.
-//
-// The previous flat design — one mutex, one O(members) scan, one
-// thundering-herd broadcast — was the simulator's own scalability ceiling:
-// real time per Sync grew superlinearly with member count, which is why
-// every figure stopped at 8–16 cores. With the tree, the hot structures a
-// Sync touches are all per-socket (at most CoresPerSocket contenders), so
-// the real-time cost per Sync stays near-flat from 8 to 128 members.
-//
-// # Adaptive quantum batching
-//
-// The skew bound exists only to make simulated *contention* faithful: if
-// two cores never touch a common cache line, their virtual outcomes are
-// independent of how far their clocks drift, and forcing them to lock-step
-// every `quantum` cycles is pure real-time overhead. Sync therefore
-// watches each member's contention signal (its cache-line transfer and
-// received-IPI counters): after a calm window with no member of the
-// *socket* observing any cross-core traffic the socket's effective quantum
-// doubles (up to maxBatchFactor× the configured bound), and the moment any
-// member observes a transfer it snaps back to the configured quantum. The
-// machinery composes per level: a calm socket widens locally even while a
-// sibling socket is contended, because each socket's bound is driven only
-// by its own members' signals and its own minimum's progress. Contended
-// sockets never leave the configured bound, so their interleaving — and
-// the virtual-time output — is exactly as with the flat barrier;
-// embarrassingly parallel sockets stop paying for a tight lock-step they
-// never needed.
-//
-// Widening carries hysteresis, because the contention signal arrives one
-// Sync late (a member reports the transfers of its *previous* iteration):
-// on a workload that alternates calm and contended phases every few
-// iterations, an instant-rewiden policy would widen during each short calm
-// phase, enter the next contended phase with skewed clocks, and oscillate
-// forever. Each snap-back therefore doubles the number of consecutive calm
-// windows the next widening step requires (calmNeed, capped), so an
-// alternating workload settles at the tight bound within a few cycles; a
-// ramp that makes it all the way back to the cap proves the calm is real
-// and resets calmNeed to one. A socket that never observes contention
-// behaves exactly as before (calmNeed stays at one).
+// The parallel gang serves tests (and the facade's RunGang), which want
+// real concurrency under the race detector at a handful of cores: one
+// mutex, one condvar, one scan of the member clocks per Sync. Figures
+// never run on it — which of two virtually-concurrent operations resolves
+// first is up to the Go scheduler here — they run under the deterministic
+// schedule (detgang.go), which a Gang built by RunGangDet or Sched.Run
+// delegates to.
 type Gang struct {
-	quantum uint64 // configured skew bound (the floor)
+	quantum uint64 // skew bound in cycles
 
-	// det, when non-nil, replaces the parallel skew-window machinery with
-	// the deterministic sequential schedule (see detgang.go): Sync becomes
-	// a token hand-off and the fields below go unused.
+	// det, when non-nil, replaces the skew window with the deterministic
+	// sequential schedule: Sync becomes a token hand-off and the fields
+	// below go unused.
 	det *detSched
 
-	// Socket layer. regMu serializes sub-gang creation; a published
-	// sockGang and the socks list snapshot are immutable afterwards.
-	regMu   sync.Mutex
-	sockets [MaxCores]atomic.Pointer[sockGang] // indexed by socket number
-	socks   atomic.Pointer[[]*sockGang]        // sockets ever populated
-
-	// Global layer: touched only when a member must park on a remote
-	// socket's progress. Each parked waiter publishes the bound it needs
-	// (the global minimum that releases it) so a laggard advance wakes
-	// only the waiters it actually releases — not the whole herd.
-	gmu      sync.Mutex
-	gwait    []*gWaiter
-	gwaiters atomic.Int64 // len(gwait) mirror, read without gmu as a fast path
-
-	// Wakeup accounting for the targeted-wake invariant (diagnostics and
-	// tests): every remote park is matched by exactly one wake.
-	remoteParks atomic.Uint64
-	remoteWakes atomic.Uint64
-}
-
-// gWaiter is one member parked at the global layer. need is the global
-// minimum that releases it under the effective quantum it saw when it
-// parked; it is also released if its own socket becomes the laggard
-// (progress then broadcasts locally, so it must go back to waiting there).
-type gWaiter struct {
-	need uint64
-	sock *sockGang
-	ch   chan struct{}
-}
-
-// sockGang is one socket's sub-gang: the members on that socket, their
-// local minimum, and the socket's own adaptive skew bound.
-type sockGang struct {
-	g    *Gang
-	idx  int // socket number
-	base int // first core ID on this socket
-
-	min atomic.Uint64 // published socket minimum; emptyMin when no members
-	eff atomic.Uint64 // adaptive bound: quantum..maxBatchFactor*quantum
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	clocks  []uint64 // local index -> clock
-	lastObs []uint64 // last contention counter sample per member
-	member  []bool
-	ids     []int // active local indices, unordered
-	minLoc  int
-	minVal  uint64
-	calmLo  uint64 // minVal when the current calm window started
-	// Hysteresis state: widening requires calmNeed consecutive calm
-	// windows (calmStreak counts them). Snap-backs from a widened bound
-	// double calmNeed up to maxCalmNeed; a ramp all the way back to the
-	// cap proves the calm is real and resets calmNeed to one.
-	calmStreak uint64
-	calmNeed   uint64
+	mu     sync.Mutex
+	cond   sync.Cond
+	clocks []uint64 // core ID -> last reported clock; notMember otherwise
 }
 
 // DefaultQuantum bounds virtual-clock skew to roughly one benchmark
@@ -138,69 +39,19 @@ type sockGang struct {
 // the paper's real ones.
 const DefaultQuantum = 2000
 
-// maxBatchFactor caps how far the adaptive quantum may widen over the
-// configured bound during contention-free stretches.
-const maxBatchFactor = 32
-
-// calmWindowFactor is how many effective quanta of socket-minimum progress
-// must pass without any member of the socket observing contention before
-// the socket's bound widens.
-const calmWindowFactor = 4
-
-// maxCalmNeed caps the widening hysteresis: however noisy the workload, a
-// long enough genuinely-calm stretch can always re-widen eventually.
-const maxCalmNeed = 64
-
-// emptyMin is the minimum an empty socket (or gang) reports, so nobody
-// blocks on it. Slightly below the maximum clock so adding a bound to it
-// cannot wrap.
-const emptyMin = ^uint64(0) - 1<<32
+// notMember is the clock of a core outside the gang: above every real
+// clock, so it never holds the minimum.
+const notMember = ^uint64(0)
 
 // NewGang creates a gang with the given skew bound in cycles
-// (DefaultQuantum if <= 0).
+// (DefaultQuantum if 0).
 func NewGang(quantum uint64) *Gang {
 	if quantum == 0 {
 		quantum = DefaultQuantum
 	}
 	g := &Gang{quantum: quantum}
-	empty := []*sockGang{}
-	g.socks.Store(&empty)
+	g.cond.L = &g.mu
 	return g
-}
-
-// socketFor returns (creating if needed) the sub-gang for cpu's socket.
-func (g *Gang) socketFor(cpu *CPU) *sockGang {
-	sid := cpu.Socket()
-	if s := g.sockets[sid].Load(); s != nil {
-		return s
-	}
-	g.regMu.Lock()
-	defer g.regMu.Unlock()
-	if s := g.sockets[sid].Load(); s != nil {
-		return s
-	}
-	cps := cpu.m.cfg.CoresPerSocket
-	s := &sockGang{
-		g:        g,
-		idx:      sid,
-		base:     sid * cps,
-		clocks:   make([]uint64, cps),
-		lastObs:  make([]uint64, cps),
-		member:   make([]bool, cps),
-		minLoc:   -1,
-		minVal:   emptyMin,
-		calmNeed: 1,
-	}
-	s.cond = sync.NewCond(&s.mu)
-	s.min.Store(emptyMin)
-	s.eff.Store(g.quantum)
-	old := *g.socks.Load()
-	list := make([]*sockGang, len(old)+1)
-	copy(list, old)
-	list[len(old)] = s
-	g.socks.Store(&list)
-	g.sockets[sid].Store(s)
-	return s
 }
 
 // Join registers cpu as an active member. Call before the core's loop
@@ -210,247 +61,31 @@ func (g *Gang) Join(cpu *CPU) {
 		return // membership is fixed under the deterministic schedule
 	}
 	now := cpu.Now()
-	obs := cpu.stats.Transfers + cpu.stats.IPIsReceived()
-	s := g.socketFor(cpu)
-	li := cpu.ID() - s.base
-	s.mu.Lock()
-	if !s.member[li] {
-		s.member[li] = true
-		s.ids = append(s.ids, li)
+	g.mu.Lock()
+	for len(g.clocks) <= cpu.ID() {
+		g.clocks = append(g.clocks, notMember)
 	}
-	s.clocks[li] = now
-	s.lastObs[li] = obs // traffic before joining is not gang contention
-	s.advanceLocked()   // a joiner may lower the minimum
-	s.mu.Unlock()
+	// A joiner can only lower the minimum, which releases nobody: no wakeup.
+	g.clocks[cpu.ID()] = now
+	g.mu.Unlock()
 }
 
-// Sync reports cpu's clock and blocks while cpu is more than its socket's
-// current effective quantum ahead of the slowest active member anywhere in
-// the gang.
+// Sync reports cpu's clock and blocks while cpu is more than the quantum
+// ahead of the slowest active member. cpu must have Joined.
 func (g *Gang) Sync(cpu *CPU) {
 	if g.det != nil {
 		g.det.yield(cpu)
 		return
 	}
 	now := cpu.Now()
-	// Contention signal, sampled outside the lock: Transfers is owned by
-	// the calling goroutine, ipisRecv is atomic.
-	obs := cpu.stats.Transfers + cpu.stats.IPIsReceived()
-	s := g.sockets[cpu.Socket()].Load()
-	li := cpu.ID() - s.base
-	s.mu.Lock()
-	s.clocks[li] = now
-	if li == s.minLoc {
-		// Only the slowest member's report can advance the socket minimum,
-		// so only then do waiters need a wakeup.
-		s.advanceLocked()
+	g.mu.Lock()
+	g.clocks[cpu.ID()] = now
+	g.cond.Broadcast() // this report may have raised the minimum
+	// The caller is a member, so the minimum is at most now.
+	for now-g.minLocked() > g.quantum {
+		g.cond.Wait()
 	}
-	quantum := g.quantum
-	if obs != s.lastObs[li] {
-		// This member moved a cache line (or took an IPI) since its last
-		// report: contention is live on this socket, tighten back to the
-		// configured bound and restart the calm window. A snap-back from a
-		// widened bound means the last widening was premature (the signal
-		// lags a Sync), so the next one must earn more consecutive calm
-		// windows.
-		s.lastObs[li] = obs
-		if s.eff.Load() > quantum && s.calmNeed < maxCalmNeed {
-			s.calmNeed *= 2
-		}
-		s.eff.Store(quantum)
-		s.calmLo = s.minVal
-		s.calmStreak = 0
-	} else if e := s.eff.Load(); e < quantum*maxBatchFactor && s.minVal > s.calmLo+calmWindowFactor*e {
-		// A full calm window of socket progress with none of its members
-		// observing contention: count it, and widen once enough have
-		// accumulated.
-		s.calmLo = s.minVal
-		s.calmStreak++
-		if s.calmStreak >= s.calmNeed {
-			s.eff.Store(e * 2)
-			s.calmStreak = 0
-			if e*2 >= quantum*maxBatchFactor {
-				// A full ramp back to the cap is proof of real calm:
-				// restore the fast ramp for the next tightening.
-				s.calmNeed = 1
-			}
-		}
-	}
-	for {
-		gmin, gsock := g.globalMin()
-		if now <= gmin+s.eff.Load() {
-			break
-		}
-		if gsock == s.idx || s.minVal <= gmin {
-			// Our own socket is (or ties) the global laggard: its progress
-			// is what unblocks us, and that progress broadcasts locally.
-			s.cond.Wait()
-			continue
-		}
-		// A remote socket lags. Drop the socket lock — siblings must keep
-		// syncing through it — and park at the global layer until some
-		// socket's minimum advances.
-		s.mu.Unlock()
-		g.waitRemote(s, now)
-		s.mu.Lock()
-	}
-	s.mu.Unlock()
-}
-
-// waitRemote parks the caller at the global layer until the global minimum
-// allows it to proceed or its own socket becomes the laggard (in which
-// case Sync's loop goes back to waiting locally). Callers hold no socket
-// lock. The waiter registers the bound that releases it (need = now - eff
-// at registration time), so a laggard advance wakes exactly the waiters it
-// released. A woken waiter re-checks with fresh eff — the bound may have
-// tightened while it slept — and re-registers if it must still wait.
-//
-// The waiter publishes itself BEFORE sampling the global minimum. The
-// advancer's order is the mirror image — store the new socket minimum,
-// then sample gwaiters without gmu (advanceLocked) — so one side must
-// observe the other: either the advancer sees the registration and its
-// wakeReleased scan (serialized behind gmu) covers this waiter, or the
-// advancer's store precedes the read below and the waiter de-registers
-// without sleeping. Checking first and publishing after opened a window
-// where an advance slipped between the two, saw zero waiters, skipped the
-// scan, and left the waiter blocked against a pre-advance bound forever.
-func (g *Gang) waitRemote(s *sockGang, now uint64) {
-	w := &gWaiter{sock: s, ch: make(chan struct{}, 1)}
-	for {
-		g.gmu.Lock()
-		eff := s.eff.Load()
-		w.need = now - eff
-		g.gwait = append(g.gwait, w)
-		g.gwaiters.Store(int64(len(g.gwait)))
-		gmin, _ := g.globalMin()
-		if now <= gmin+eff || s.min.Load() <= gmin {
-			// Released already: de-register — still the tail, since gmu has
-			// been held since the append — and run.
-			last := len(g.gwait) - 1
-			g.gwait[last] = nil
-			g.gwait = g.gwait[:last]
-			g.gwaiters.Store(int64(last))
-			g.gmu.Unlock()
-			return
-		}
-		g.remoteParks.Add(1)
-		g.gmu.Unlock()
-		<-w.ch
-	}
-}
-
-// wakeReleased scans the global waiter list and wakes only the waiters the
-// new global minimum gmin releases: those whose registered bound it meets,
-// plus those whose own socket now holds (or ties) the laggard role and
-// must therefore resume waiting locally. Everyone else keeps sleeping —
-// this is the targeted replacement for the old broadcast, which woke every
-// remote waiter on every laggard advance only for most to re-park.
-func (g *Gang) wakeReleased(gmin uint64) {
-	g.gmu.Lock()
-	kept := g.gwait[:0]
-	for _, w := range g.gwait {
-		if gmin >= w.need || w.sock.min.Load() <= gmin {
-			w.ch <- struct{}{}
-			g.remoteWakes.Add(1)
-		} else {
-			kept = append(kept, w)
-		}
-	}
-	for i := len(kept); i < len(g.gwait); i++ {
-		g.gwait[i] = nil
-	}
-	g.gwait = kept
-	g.gwaiters.Store(int64(len(kept)))
-	g.gmu.Unlock()
-}
-
-// RemoteParks reports how many times a member parked at the global layer.
-func (g *Gang) RemoteParks() uint64 { return g.remoteParks.Load() }
-
-// RemoteWakes reports how many targeted wakeups the global layer issued.
-// With targeted wakeups every park is matched by exactly one wake, so
-// RemoteWakes == RemoteParks once the gang is quiescent; the retired
-// broadcast design woke every waiter on every laggard advance instead.
-func (g *Gang) RemoteWakes() uint64 { return g.remoteWakes.Load() }
-
-// globalMin returns the minimum over every socket's published minimum and
-// the socket holding it. An empty gang reports emptyMin so nobody blocks.
-func (g *Gang) globalMin() (uint64, int) {
-	min, sock := emptyMin, -1
-	for _, s := range *g.socks.Load() {
-		if v := s.min.Load(); v < min {
-			min, sock = v, s.idx
-		}
-	}
-	return min, sock
-}
-
-// advanceLocked recomputes the socket minimum, publishes it, and wakes
-// waiters: local members always; the global layer only if remote waiters
-// exist AND this socket's advance could have raised the global minimum —
-// i.e. its previous published minimum was at or below the new global one.
-// A non-laggard socket's advance leaves the global minimum untouched, so
-// skipping the wake scan there cannot strand a waiter. Even then, only the
-// waiters the new minimum actually releases are woken (see wakeReleased);
-// the rest keep sleeping through however many advances it takes to reach
-// their published bound. The lock-free gwaiters sample is safe only
-// because it follows the min.Store and waitRemote registers before it
-// samples the minimum — see the ordering argument there. Callers hold
-// s.mu.
-func (s *sockGang) advanceLocked() {
-	old := s.min.Load()
-	s.recompute()
-	s.min.Store(s.minVal)
-	s.cond.Broadcast()
-	if s.g.gwaiters.Load() > 0 {
-		if gmin, _ := s.g.globalMin(); old <= gmin {
-			s.g.wakeReleased(gmin)
-		}
-	}
-}
-
-// recompute rescans the socket's member list for the slowest clock;
-// callers hold s.mu. An empty socket reports emptyMin so nobody blocks.
-func (s *sockGang) recompute() {
-	if len(s.ids) == 0 {
-		s.minLoc = -1
-		s.minVal = emptyMin
-		return
-	}
-	s.minLoc = s.ids[0]
-	s.minVal = s.clocks[s.minLoc]
-	for _, li := range s.ids[1:] {
-		if c := s.clocks[li]; c < s.minVal {
-			s.minLoc, s.minVal = li, c
-		}
-	}
-}
-
-// EffectiveQuantum returns the widest current adaptive skew bound across
-// the gang's sockets (diagnostics and tests): the configured quantum while
-// contention is live everywhere, up to maxBatchFactor times it after calm
-// windows.
-func (g *Gang) EffectiveQuantum() uint64 {
-	var e uint64
-	for _, s := range *g.socks.Load() {
-		if v := s.eff.Load(); v > e {
-			e = v
-		}
-	}
-	if e == 0 {
-		return g.quantum
-	}
-	return e
-}
-
-// EffectiveQuantumFor returns the adaptive skew bound of cpu's socket —
-// per-socket, so a calm socket's widened bound is visible even while a
-// sibling socket is pinned at the configured quantum.
-func (g *Gang) EffectiveQuantumFor(cpu *CPU) uint64 {
-	if s := g.sockets[cpu.Socket()].Load(); s != nil {
-		return s.eff.Load()
-	}
-	return g.quantum
+	g.mu.Unlock()
 }
 
 // Leave removes cpu from the gang so other members no longer wait for it.
@@ -458,24 +93,24 @@ func (g *Gang) Leave(cpu *CPU) {
 	if g.det != nil {
 		return // membership is fixed under the deterministic schedule
 	}
-	s := g.sockets[cpu.Socket()].Load()
-	if s == nil {
-		return
+	g.mu.Lock()
+	if cpu.ID() < len(g.clocks) {
+		g.clocks[cpu.ID()] = notMember
+		g.cond.Broadcast()
 	}
-	li := cpu.ID() - s.base
-	s.mu.Lock()
-	if s.member[li] {
-		s.member[li] = false
-		for i, m := range s.ids {
-			if m == li {
-				s.ids[i] = s.ids[len(s.ids)-1]
-				s.ids = s.ids[:len(s.ids)-1]
-				break
-			}
+	g.mu.Unlock()
+}
+
+// minLocked returns the slowest member's clock (notMember for an empty
+// gang); callers hold g.mu.
+func (g *Gang) minLocked() uint64 {
+	min := notMember
+	for _, c := range g.clocks {
+		if c < min {
+			min = c
 		}
-		s.advanceLocked()
 	}
-	s.mu.Unlock()
+	return min
 }
 
 // RunGang runs fn(cpu) concurrently on cores [0, ncores) of m, each joined

@@ -1,171 +1,41 @@
 package hw
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
-func TestGangBoundsSkew(t *testing.T) {
-	const ncores = 4
-	const quantum = 1000
-	m := NewMachine(TestConfig(ncores))
-	skews := make([]uint64, ncores)
-	// One shared line touched every iteration keeps contention live, so
-	// the adaptive quantum must stay pinned at the configured bound.
+// maxSkew gang-schedules every core of a machine built from cfg on one
+// shared line — contention stays live the whole run — and returns, per
+// core, the furthest it was seen ahead of the slowest member right after
+// a Sync returned.
+func maxSkew(cfg Config, quantum uint64, iters int) []uint64 {
+	m := NewMachine(cfg)
+	skews := make([]uint64, cfg.NCores)
 	var l Line
-	RunGang(m, ncores, quantum, func(c *CPU, g *Gang) {
-		for k := 0; k < 200; k++ {
+	RunGang(m, cfg.NCores, quantum, func(c *CPU, g *Gang) {
+		for k := 0; k < iters; k++ {
 			c.Write(&l)
 			c.Tick(100)
 			g.Sync(c)
-			lo, _ := g.globalMin()
-			eff := g.EffectiveQuantumFor(c)
-			if eff != quantum {
-				t.Errorf("core %d saw effective quantum %d under live contention, want %d", c.ID(), eff, quantum)
-				return
-			}
-			if now := c.Now(); now > lo && now-lo > skews[c.ID()] {
-				skews[c.ID()] = now - lo
+			g.mu.Lock()
+			lo := g.minLocked()
+			g.mu.Unlock()
+			// The caller is a member, so lo is at most its clock.
+			if d := c.Now() - lo; d > skews[c.ID()] {
+				skews[c.ID()] = d
 			}
 		}
 	})
+	return skews
+}
+
+func TestGangBoundsSkew(t *testing.T) {
+	const quantum = 1000
 	// After Sync returns, a contended core is at most quantum + one
 	// iteration's worth of cycles ahead (a write can cost up to a
 	// cross-socket transfer).
-	for id, s := range skews {
+	for id, s := range maxSkew(TestConfig(4), quantum, 200) {
 		if s > quantum+1000 {
 			t.Errorf("core %d virtual skew %d exceeded quantum bound", id, s)
 		}
-	}
-}
-
-func TestGangAdaptiveQuantumWidensWhenCalm(t *testing.T) {
-	const ncores = 4
-	const quantum = 500
-	m := NewMachine(TestConfig(ncores))
-	var widest uint64
-	RunGang(m, ncores, quantum, func(c *CPU, g *Gang) {
-		for k := 0; k < 400; k++ {
-			c.Tick(100) // no shared lines: embarrassingly parallel
-			g.Sync(c)
-		}
-		if c.ID() == 0 {
-			widest = g.EffectiveQuantum()
-		}
-	})
-	if widest <= quantum {
-		t.Errorf("effective quantum %d never widened beyond %d on a contention-free gang", widest, quantum)
-	}
-	if widest > quantum*maxBatchFactor {
-		t.Errorf("effective quantum %d exceeded the %dx cap", widest, maxBatchFactor)
-	}
-}
-
-func TestGangAdaptiveQuantumNarrowsOnConflict(t *testing.T) {
-	const ncores = 2
-	const quantum = 200
-	m := NewMachine(TestConfig(ncores))
-	var l Line
-	after := make([]uint64, ncores)
-	RunGang(m, ncores, quantum, func(c *CPU, g *Gang) {
-		// Calm phase: widen.
-		for k := 0; k < 300; k++ {
-			c.Tick(50)
-			g.Sync(c)
-		}
-		// Contended phase: every iteration moves the shared line.
-		for k := 0; k < 50; k++ {
-			c.Write(&l)
-			c.Tick(50)
-			g.Sync(c)
-		}
-		after[c.ID()] = g.EffectiveQuantum()
-	})
-	for id, eff := range after {
-		if eff != quantum {
-			t.Errorf("core %d: effective quantum %d after conflicts, want %d", id, eff, quantum)
-		}
-	}
-}
-
-// TestGangAdaptiveQuantumHysteresis is the regression for the one-Sync-late
-// oscillation: a workload alternating short calm and contended phases used
-// to widen during every calm phase, enter each contended phase with clocks
-// skewed beyond the configured bound, and snap back — forever. With
-// hysteresis, each premature widening doubles the calm requirement, so the
-// gang settles at the tight bound after a handful of cycles: in the second
-// half of the run the effective quantum must never leave the configured
-// quantum, while contended interleaving stays as tight as ever.
-func TestGangAdaptiveQuantumHysteresis(t *testing.T) {
-	const ncores = 4
-	const quantum = 200
-	const cycles = 40
-	const calmIters = 30 // long enough that a calm phase can widen pre-fix
-	const hotIters = 6
-	m := NewMachine(TestConfig(ncores))
-	var l Line
-	var lateWidenings [MaxCores]int
-	RunGang(m, ncores, quantum, func(c *CPU, g *Gang) {
-		for cyc := 0; cyc < cycles; cyc++ {
-			for k := 0; k < calmIters; k++ {
-				c.Tick(100)
-				g.Sync(c)
-				if cyc >= cycles/2 && g.EffectiveQuantum() != quantum {
-					lateWidenings[c.ID()]++
-				}
-			}
-			for k := 0; k < hotIters; k++ {
-				c.Write(&l)
-				c.Tick(100)
-				g.Sync(c)
-				if cyc >= cycles/2 && g.EffectiveQuantum() != quantum {
-					lateWidenings[c.ID()]++
-				}
-			}
-		}
-	})
-	for id, n := range lateWidenings {
-		if n != 0 {
-			t.Errorf("core %d: effective quantum left the configured bound %d times in the settled half of an alternating workload", id, n)
-		}
-	}
-}
-
-// TestGangHysteresisRecovers: after a noisy stretch raised the calm
-// requirement, a genuinely calm stretch must still be able to widen (the
-// hysteresis dampens, it does not disable).
-func TestGangHysteresisRecovers(t *testing.T) {
-	const ncores = 2
-	const quantum = 100
-	m := NewMachine(TestConfig(ncores))
-	var l Line
-	var widest uint64
-	RunGang(m, ncores, quantum, func(c *CPU, g *Gang) {
-		// Noisy prologue: several widen/snap-back cycles raise calmNeed.
-		for cyc := 0; cyc < 6; cyc++ {
-			for k := 0; k < 40; k++ {
-				c.Tick(100)
-				g.Sync(c)
-			}
-			for k := 0; k < 4; k++ {
-				c.Write(&l)
-				c.Tick(100)
-				g.Sync(c)
-			}
-		}
-		// Long genuinely calm epilogue.
-		for k := 0; k < 30000; k++ {
-			c.Tick(100)
-			g.Sync(c)
-			if c.ID() == 0 {
-				if e := g.EffectiveQuantum(); e > widest {
-					widest = e
-				}
-			}
-		}
-	})
-	if widest <= quantum {
-		t.Errorf("effective quantum %d never re-widened after a long calm stretch", widest)
 	}
 }
 
@@ -188,195 +58,27 @@ func TestGangForcesInterleaving(t *testing.T) {
 	}
 }
 
-// BenchmarkGangSyncCalm measures the real-time cost of gang scheduling an
-// embarrassingly parallel phase — the simulator's own overhead, which the
-// adaptive quantum exists to cut. Cores tick and sync with no shared
-// lines; the reported metric is wall time per simulated iteration.
-func BenchmarkGangSyncCalm(b *testing.B) {
-	for _, ncores := range []int{8, 64} {
-		b.Run(fmt.Sprintf("cores=%d", ncores), func(b *testing.B) {
-			m := NewMachine(TestConfig(ncores))
-			iters := b.N/ncores + 1
-			b.ResetTimer()
-			RunGang(m, ncores, 1000, func(c *CPU, g *Gang) {
-				for k := 0; k < iters; k++ {
-					c.Tick(100)
-					g.Sync(c)
-				}
-			})
-		})
-	}
-}
-
-// TestGangRemoteWakeTargeted pins the targeted global-wakeup protocol: a
-// laggard socket forces fast remote members to park at the global layer,
-// and every park must be matched by exactly one wake once the gang is
-// quiescent — the retired broadcast design woke every waiter on every
-// laggard advance, so wakes outnumbered parks by an unbounded factor.
-func TestGangRemoteWakeTargeted(t *testing.T) {
-	const quantum = 500
-	cfg := TestConfig(8)
-	cfg.CoresPerSocket = 2 // sockets {0,1} {2,3} {4,5} {6,7}
-	m := NewMachine(cfg)
-	var l Line
-	var gg *Gang
-	RunGang(m, 8, quantum, func(c *CPU, g *Gang) {
-		if c.ID() == 0 {
-			gg = g
-		}
-		// Everyone writes one shared line, so contention stays live and no
-		// socket widens its bound; core 0 crawls while the rest sprint, so
-		// remote sockets exhaust their window against socket 0's published
-		// minimum and must park globally.
-		if c.ID() == 0 {
-			for k := 0; k < 2000; k++ {
-				c.Write(&l)
-				c.Tick(50)
-				g.Sync(c)
-			}
-		} else {
-			for k := 0; k < 200; k++ {
-				c.Write(&l)
-				c.Tick(500)
-				g.Sync(c)
-			}
-		}
-	})
-	parks, wakes := gg.RemoteParks(), gg.RemoteWakes()
-	if parks == 0 {
-		t.Fatalf("laggard run never parked a member at the global layer")
-	}
-	if wakes != parks {
-		t.Errorf("RemoteWakes = %d, RemoteParks = %d: targeted wakeups must match parks one-to-one", wakes, parks)
-	}
-}
-
-// BenchmarkGangSyncLaggard measures the real-time cost of gang scheduling
-// when one member lags the whole machine — the shape that used to trigger
-// the broadcast thundering herd at the global layer: every laggard advance
-// woke all ~127 remote waiters only for most to re-park. With targeted
-// wakeups, a laggard advance wakes only the waiters its new minimum
-// actually releases. The reported wakes/op metric is the herd size.
-func BenchmarkGangSyncLaggard(b *testing.B) {
-	const ncores = 128
-	m := NewMachine(TestConfig(ncores))
-	iters := b.N/ncores + 1
-	var l Line
-	var gg *Gang
-	b.ResetTimer()
-	RunGang(m, ncores, 1000, func(c *CPU, g *Gang) {
-		if c.ID() == 0 {
-			gg = g
-		}
-		if c.ID() == 0 {
-			// The laggard: same virtual span in 10x the syncs.
-			for k := 0; k < iters*10; k++ {
-				c.Write(&l)
-				c.Tick(100)
-				g.Sync(c)
-			}
-		} else {
-			for k := 0; k < iters; k++ {
-				c.Write(&l)
-				c.Tick(1000)
-				g.Sync(c)
-			}
-		}
-	})
-	b.StopTimer()
-	b.ReportMetric(float64(gg.RemoteWakes())/float64(b.N), "wakes/op")
-}
-
-// TestGangTreeCrossSocketSkew is the multi-socket regression for the tree
-// barrier: with every socket contended, no member may run beyond the
-// configured quantum of the *global* minimum, and no socket's adaptive
-// bound may widen. Small CoresPerSocket spreads a handful of goroutines
-// across several sockets.
+// TestGangTreeCrossSocketSkew holds the same bound with the members spread
+// over three sockets, where an iteration costs up to a cross-socket
+// transfer plus home-node serialization. (The Tree in this name and the
+// next is the retired socket-tree barrier; the names stay because the
+// tier-1 floor list tracks them.)
 func TestGangTreeCrossSocketSkew(t *testing.T) {
-	const ncores = 6
 	const quantum = 1000
-	cfg := TestConfig(ncores)
+	cfg := TestConfig(6)
 	cfg.CoresPerSocket = 2 // sockets {0,1} {2,3} {4,5}
-	m := NewMachine(cfg)
-	skews := make([]uint64, ncores)
-	var l Line
-	RunGang(m, ncores, quantum, func(c *CPU, g *Gang) {
-		for k := 0; k < 300; k++ {
-			c.Write(&l) // one shared line: every socket stays contended
-			c.Tick(100)
-			g.Sync(c)
-			lo, _ := g.globalMin()
-			if eff := g.EffectiveQuantumFor(c); eff != quantum {
-				t.Errorf("core %d (socket %d): effective quantum %d under live contention, want %d",
-					c.ID(), c.Socket(), eff, quantum)
-				return
-			}
-			if now := c.Now(); now > lo && now-lo > skews[c.ID()] {
-				skews[c.ID()] = now - lo
-			}
-		}
-	})
-	// After Sync returns, a contended core is at most quantum + one
-	// iteration ahead of the global minimum (a write can cost up to a
-	// cross-socket transfer plus home-node serialization).
-	for id, s := range skews {
+	for id, s := range maxSkew(cfg, quantum, 300) {
 		if s > quantum+1500 {
 			t.Errorf("core %d virtual skew %d exceeded the cross-socket quantum bound", id, s)
 		}
 	}
 }
 
-// TestGangPerSocketWidening: the adaptive quantum composes per level — a
-// calm socket must ramp its local bound far beyond the configured quantum
-// even while a sibling socket's recurring contention pins that sibling
-// near the configured bound. (Under the flat barrier this was impossible:
-// the contended cores' snap-backs reset the single shared calm window, so
-// nobody ever widened.) The contended socket may take one transient
-// widening step — the skew window legitimately admits short local-hit
-// bursts, and the traffic signal lags a Sync — but must never ramp.
-func TestGangPerSocketWidening(t *testing.T) {
-	const quantum = 500
-	cfg := TestConfig(8)
-	cfg.CoresPerSocket = 4 // socket 0: cores 0-3, socket 1: cores 4-7
-	m := NewMachine(cfg)
-	var l Line
-	maxEff := make([]uint64, 8)
-	effs := make([]uint64, 8)
-	RunGang(m, 8, quantum, func(c *CPU, g *Gang) {
-		for k := 0; k < 600; k++ {
-			if c.Socket() == 0 {
-				c.Write(&l) // socket 0 keeps hitting a shared line
-			}
-			c.Tick(100)
-			g.Sync(c)
-			if e := g.EffectiveQuantumFor(c); e > maxEff[c.ID()] {
-				maxEff[c.ID()] = e
-			}
-		}
-		effs[c.ID()] = g.EffectiveQuantumFor(c)
-	})
-	for id := 0; id < 4; id++ {
-		if maxEff[id] > 2*quantum {
-			t.Errorf("contended socket 0 core %d: effective quantum ramped to %d, want <= one transient step (%d)",
-				id, maxEff[id], 2*quantum)
-		}
-	}
-	for id := 4; id < 8; id++ {
-		if effs[id] < 4*quantum {
-			t.Errorf("calm socket 1 core %d: effective quantum %d never ramped past %d while sibling was contended",
-				id, effs[id], 4*quantum)
-		}
-		if effs[id] > quantum*maxBatchFactor {
-			t.Errorf("calm socket 1 core %d: effective quantum %d exceeded the %dx cap", id, effs[id], maxBatchFactor)
-		}
-	}
-}
-
-// TestGangTreeJoinLeaveChurn stresses membership churn across sockets
-// under the race detector: members repeatedly Block (leave + rejoin)
-// mid-run, with staggered lifetimes, while shared-line traffic keeps every
-// socket's minimum moving. The assertions are liveness (the run completes)
-// and that long-lived members reached their full virtual span.
+// TestGangTreeJoinLeaveChurn stresses membership churn under the race
+// detector: members repeatedly leave and rejoin mid-run, with staggered
+// lifetimes, while shared-line traffic keeps the minimum moving. The
+// assertions are liveness (the run completes) and that long-lived members
+// reached their full virtual span.
 func TestGangTreeJoinLeaveChurn(t *testing.T) {
 	const ncores = 12
 	cfg := TestConfig(ncores)
@@ -384,7 +86,7 @@ func TestGangTreeJoinLeaveChurn(t *testing.T) {
 	m := NewMachine(cfg)
 	var l Line
 	RunGang(m, ncores, 400, func(c *CPU, g *Gang) {
-		iters := 200 + 40*c.ID() // staggered exits empty sockets one by one
+		iters := 200 + 40*c.ID() // staggered exits
 		for k := 0; k < iters; k++ {
 			if (k+c.ID())%3 == 0 {
 				c.Write(&l)

@@ -92,8 +92,7 @@ type Allocator struct {
 	pageZero uint64                       // m.Config().PageZero, hoisted out of Alloc
 	freeFn   func(*hw.CPU, *refcache.Obj) // shared free callback (frame in Obj.Data)
 
-	nextPFN atomic.Uint64
-	lists   []freelist
+	lists []freelist
 
 	allocated atomic.Int64 // live frames
 	totals    atomic.Int64 // frames ever created
@@ -138,10 +137,15 @@ func (a *Allocator) Alloc(cpu *hw.CPU) *Frame {
 	}
 	fl.mu.Unlock()
 	if f == nil {
-		f = &Frame{PFN: a.nextPFN.Add(1), Home: id}
+		f = &Frame{Home: id}
 		a.totals.Add(1)
+		// The PFN is the frame's registry index, so it is assigned under
+		// the lock that appends: numbered outside it, two cores creating
+		// frames at once could append out of PFN order and ByPFN would
+		// hand the baselines the wrong frame from then on.
 		a.regMu.Lock()
 		a.registry = append(a.registry, f)
+		f.PFN = uint64(len(a.registry))
 		a.regMu.Unlock()
 	}
 	a.rc.InitObj(&f.obj, 1, a.freeFn)

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"sync"
 	"testing"
 
 	"radixvm/internal/hw"
@@ -35,6 +36,34 @@ func TestAllocRefcountedLifecycle(t *testing.T) {
 	quiesce(rc)
 	if a.Live() != 0 {
 		t.Fatalf("frame not reclaimed: Live = %d", a.Live())
+	}
+}
+
+// TestConcurrentAllocByPFN: frames created on several cores at once must
+// each be the frame ByPFN returns for their PFN — the baselines recover
+// the frame to DecRef from the PFN in a page-table entry, so a registry
+// out of PFN order sends that DecRef to some other frame for good.
+func TestConcurrentAllocByPFN(t *testing.T) {
+	const ncores, perCore = 8, 500
+	m, _, a := newAlloc(ncores)
+	frames := make([][]*Frame, ncores)
+	var wg sync.WaitGroup
+	for i := 0; i < ncores; i++ {
+		wg.Add(1)
+		go func(c *hw.CPU) {
+			defer wg.Done()
+			for k := 0; k < perCore; k++ {
+				frames[c.ID()] = append(frames[c.ID()], a.Alloc(c))
+			}
+		}(m.CPU(i))
+	}
+	wg.Wait()
+	for id, fs := range frames {
+		for _, f := range fs {
+			if got := a.ByPFN(f.PFN); got != f {
+				t.Fatalf("core %d: ByPFN(%d) returned frame with PFN %d", id, f.PFN, got.PFN)
+			}
+		}
 	}
 }
 

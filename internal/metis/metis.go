@@ -146,7 +146,8 @@ func Run(env *workload.Env, sys vm.System, cores int, cfg Config) Result {
 	bar := hw.NewBarrier(cores)
 	perCore := cfg.Words / cores
 
-	hw.RunGang(env.M, cores, 2000, func(c *hw.CPU, g *hw.Gang) {
+	job := func(tc *hw.Ctx) {
+		c := tc.CPU() // pinned: the same core across every yield
 		id := c.ID()
 		// --- Map phase: parse the chunk, spill (word, pos) by bucket.
 		gen := wordGen{state: cfg.Seed + uint64(id)*0x9E3779B97F4A7C15, vocab: uint64(cfg.Vocab)}
@@ -165,16 +166,16 @@ func Run(env *workload.Env, sys vm.System, cores int, cfg Config) Result {
 			}
 			b.emit(sys, c, entry{word: w, pos: pos})
 			c.Tick(cfg.MapCost)
-			// Sync tightly: the gang must interleave cores at fault
+			// Yield tightly: the schedule must interleave cores at fault
 			// granularity or one core's burst of faults keeps the
 			// address-space lock line locally owned, hiding the
 			// contention the real machine would see.
 			if i%32 == 0 {
 				env.RC.Maintain(c)
-				g.Sync(c)
+				tc.Yield()
 			}
 		}
-		bar.Wait(c, g)
+		tc.Wait(bar)
 
 		// --- Reduce phase: merge every mapper's bucket id.
 		out := map[uint32]*posList{}
@@ -189,7 +190,7 @@ func Run(env *workload.Env, sys vm.System, cores int, cfg Config) Result {
 				}
 				for j, e := range b.entries {
 					if j%32 == 0 {
-						g.Sync(c)
+						tc.Yield()
 					}
 					pl := out[e.word]
 					if pl == nil {
@@ -219,12 +220,20 @@ func Run(env *workload.Env, sys vm.System, cores int, cfg Config) Result {
 				// reuse already-faulted pages and hide the very
 				// fault traffic Figure 4 measures.
 				env.RC.Maintain(c)
-				g.Sync(c)
+				tc.Yield()
 			}
 		}
 		partial[id] = out
-		bar.Wait(c, g)
-	})
+		tc.Wait(bar)
+	}
+	// One pinned proc per core on the process scheduler, the same shape as
+	// workload.run: the job runs under the deterministic schedule, so
+	// Figure 4 is a pure function of virtual time like every other figure.
+	s := hw.NewSched(0)
+	for i := 0; i < cores; i++ {
+		s.Spawn(i, job)
+	}
+	s.Run(env.M, cores, 2000)
 
 	cycles := env.M.MaxClock() - start
 	distinct := 0

@@ -3,6 +3,7 @@ package metis
 import (
 	"testing"
 
+	"radixvm/internal/bonsaivm"
 	"radixvm/internal/hw"
 	"radixvm/internal/linuxvm"
 	"radixvm/internal/mem"
@@ -50,6 +51,35 @@ func TestDeterministicAcrossSystems(t *testing.T) {
 	r2 := Run(env2, linuxvm.New(env2.M, env2.RC, a2), 2, cfg)
 	if r1.Checksum != r2.Checksum || r1.Distinct != r2.Distinct || r1.Words != r2.Words {
 		t.Fatalf("results diverge: %+v vs %+v", r1, r2)
+	}
+}
+
+// TestRunDeterministic is Figure 4's share of the determinism gate: the
+// job run twice on fresh environments must reproduce the whole Result —
+// cycles, mmaps, faults and checksum — on every system, at enough cores
+// that map and reduce phases contend. (Under the parallel gang the cycle
+// count differed from run to run.)
+func TestRunDeterministic(t *testing.T) {
+	systems := []struct {
+		name string
+		mk   func(*workload.Env, *mem.Allocator) vm.System
+	}{
+		{"radixvm", func(e *workload.Env, a *mem.Allocator) vm.System { return vm.New(e.M, e.RC, a, nil) }},
+		{"bonsai", func(e *workload.Env, a *mem.Allocator) vm.System { return bonsaivm.New(e.M, e.RC, a) }},
+		{"linux", func(e *workload.Env, a *mem.Allocator) vm.System { return linuxvm.New(e.M, e.RC, a) }},
+	}
+	cfg := tinyConfig()
+	cfg.BlockPages = 16 // the 64 KB unit: mmaps as well as faults contend
+	for _, sys := range systems {
+		t.Run(sys.name, func(t *testing.T) {
+			run := func() Result {
+				env, alloc := newEnv(8)
+				return Run(env, sys.mk(env, alloc), 8, cfg)
+			}
+			if r1, r2 := run(), run(); r1 != r2 {
+				t.Errorf("results diverge:\n run1: %#v\n run2: %#v", r1, r2)
+			}
+		})
 	}
 }
 

@@ -71,8 +71,8 @@ func spread(id int) uint64 { return uint64(id*4+4) << 18 }
 // therefore reproduces the pre-scheduler figures byte-for-byte. Figures
 // run under the deterministic sequential gang so every cell is a pure
 // function of the op stream — byte-stable across runs and byte-gateable
-// in CI. The parallel gang (hw.RunGang) remains the harness for tests,
-// which want real concurrency under -race.
+// in CI. The parallel gang (hw.RunGang) drives only tests, which want
+// real concurrency under -race.
 func run(env *Env, name string, sys vm.System, cores int, warm, body func(tc *hw.Ctx) uint64) Result {
 	var writes [hw.MaxCores]uint64
 	if warm != nil {

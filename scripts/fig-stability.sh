@@ -28,6 +28,7 @@ full_budget=$((budget * 2))
 gen() {
   out="$1"
   mkdir -p "$out"
+  go run ./cmd/radixbench -exp fig4 -quick >"$out/fig4.txt"
   go run ./cmd/radixbench -exp fig5 -cores 1 >"$out/fig5_1core.txt"
   go run ./cmd/radixbench -exp fig7 -quick >"$out/fig7.txt"
   go run ./cmd/radixbench -exp fig8 -quick >"$out/fig8.txt"
@@ -57,8 +58,10 @@ echo "figure outputs are byte-identical across two runs"
 #     functions of virtual time,
 #   - figures/filemap.txt — the shared page cache: per-page sharer-set
 #     shootdowns, refcache review pressure, and the broadcast baselines'
-#     IPI bill, all through the concurrent fleet scheduler.
-for fig in scale clone spawn fleet filemap; do
+#     IPI bill, all through the concurrent fleet scheduler,
+#   - figures/fig4.txt — Metis, the paper's headline application result,
+#     to 80 cores.
+for fig in scale clone spawn fleet filemap fig4; do
   timeout "$full_budget" go run ./cmd/radixbench -exp "$fig" >"$dir/${fig}_full.txt"
   diff -u "figures/${fig}.txt" "$dir/${fig}_full.txt"
   echo "committed figures/${fig}.txt regenerates byte-identically"
