@@ -23,7 +23,7 @@ func Table1(root string) string {
 		{"MMU abstraction", []string{"internal/pagetable", "internal/tlb"}},
 		{"Syscall interface (VM ops)", []string{"internal/vm"}},
 		{"Machine model", []string{"internal/hw", "internal/mem"}},
-		{"Baselines", []string{"internal/linuxvm", "internal/bonsaivm", "internal/rbtree", "internal/bonsai", "internal/skiplist", "internal/counter"}},
+		{"Baselines", []string{"internal/sharedvm", "internal/linuxvm", "internal/bonsaivm", "internal/rbtree", "internal/bonsai", "internal/skiplist", "internal/counter"}},
 		{"Workloads & harness", []string{"internal/workload", "internal/metis", "internal/falloc", "internal/layout", "internal/harness"}},
 	}
 	var b strings.Builder

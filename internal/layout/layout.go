@@ -139,7 +139,7 @@ func Measure(app App, seed int64) Measurement {
 		App:        app,
 		Regions:    len(regions),
 		RSSPages:   rss,
-		VMABytes:   lsys.VMABytesTotal(),
+		VMABytes:   uint64(lsys.Regions()) * linuxvm.VMABytes,
 		LinuxPT:    lsys.PageTableBytes(),
 		RadixBytes: ras.Tree().Bytes(),
 	}

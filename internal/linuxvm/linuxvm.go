@@ -7,6 +7,9 @@
 // takes it in read mode, which still writes the lock word's cache line —
 // the reason "Metis on Linux scales poorly with both small and large
 // allocation units" (§5.2).
+//
+// This package is the policy — index, lock, fault path — over the skeleton
+// in internal/sharedvm.
 package linuxvm
 
 import (
@@ -15,554 +18,164 @@ import (
 	"radixvm/internal/pagetable"
 	"radixvm/internal/rbtree"
 	"radixvm/internal/refcache"
+	"radixvm/internal/sharedvm"
 	"radixvm/internal/vm"
 )
-
-// vma is one contiguous mapped region [start, end), Linux's per-region
-// metadata object.
-type vma struct {
-	start, end uint64
-	prot       vm.Prot
-	back       vm.Backing // Offset is the file page at start
-	// cow marks an anonymous region whose already-faulted frames are (or
-	// were) shared with a forked address space: translations install
-	// read-only and the first write to each page copies its frame. The
-	// flag is region-granular — Linux's VMA carries exactly this — so it
-	// persists after every page has been privatized; a stale flag only
-	// costs a touched page one extra copy, never correctness.
-	cow bool
-}
-
-// permBits returns the rights a translation for v may carry: the region's
-// protection, minus write while the region is copy-on-write (per-page
-// write-back happens only through a resolved COW break).
-func (v *vma) permBits() pagetable.Perm {
-	perm := vm.PermBits(v.prot)
-	if v.cow {
-		perm &^= pagetable.PermW
-	}
-	return perm
-}
 
 // VMABytes approximates sizeof(struct vm_area_struct) for Table 2's
 // "VMA tree" column (Linux 3.5: ~200 bytes including rb-tree linkage).
 const VMABytes = 200
 
 // AddressSpace is a Linux-like address space.
-type AddressSpace struct {
-	m     *hw.Machine
-	rc    *refcache.Refcache
-	alloc *mem.Allocator
+type AddressSpace = sharedvm.Space
 
+// New creates an empty Linux-like address space. Frames are counted through
+// alloc; the baselines keep no Refcache objects of their own.
+func New(m *hw.Machine, _ *refcache.Refcache, alloc *mem.Allocator) *AddressSpace {
+	return sharedvm.New(m, alloc, "linux", newPolicy)
+}
+
+// policy is the Linux side of sharedvm.Policy: VMAs in a red-black tree
+// under mmap_sem.
+type policy struct {
 	lock hw.RWLock // mmap_sem
-	vmas *rbtree.Tree[*vma]
-	mmu  *vm.SharedMMU
-
-	// fileVMAs counts live VMAs per backing file, mirroring the kernel's
-	// i_mmap membership: this space registers with a file while at least
-	// one VMA maps it, so writebacks find exactly the current mappers.
-	// Guarded by lock (write mode at every update site).
-	fileVMAs map[*vm.File]int
-
-	active vm.ActiveSet
+	vmas *rbtree.Tree[*sharedvm.Region]
 }
 
-// New creates an empty Linux-like address space.
-func New(m *hw.Machine, rc *refcache.Refcache, alloc *mem.Allocator) *AddressSpace {
-	return &AddressSpace{
-		m:     m,
-		rc:    rc,
-		alloc: alloc,
-		vmas:  rbtree.New[*vma](),
-		mmu:   vm.NewSharedMMU(m),
+func newPolicy() sharedvm.Policy { return &policy{vmas: rbtree.New[*sharedvm.Region]()} }
+
+func (p *policy) Lock(cpu *hw.CPU)   { cpu.WLock(&p.lock) }
+func (p *policy) Unlock(cpu *hw.CPU) { cpu.WUnlock(&p.lock) }
+func (p *policy) Len() int           { return p.vmas.Len() }
+
+func (p *policy) Floor(cpu *hw.CPU, vpn uint64) *sharedvm.Region {
+	if n := p.vmas.Floor(cpu, vpn); n != nil {
+		return n.Val
 	}
-}
-
-// Name implements vm.System.
-func (as *AddressSpace) Name() string { return "linux" }
-
-// PageTableBytes implements vm.System.
-func (as *AddressSpace) PageTableBytes() uint64 { return as.mmu.Bytes() }
-
-// VMACount returns the number of regions (Table 2 accounting).
-func (as *AddressSpace) VMACount() int { return as.vmas.Len() }
-
-// VMABytesTotal returns the VMA tree's memory footprint.
-func (as *AddressSpace) VMABytesTotal() uint64 { return uint64(as.vmas.Len()) * VMABytes }
-
-func (as *AddressSpace) noteActive(cpu *hw.CPU) { as.active.Note(cpu.ID()) }
-
-func (as *AddressSpace) activeSet() hw.CoreSet { return as.active.Get() }
-
-// insertVMA inserts v and, for a file-backed region, joins the file's
-// mapper registry on the 0→1 VMA transition (i_mmap insertion). Caller
-// holds the write lock.
-func (as *AddressSpace) insertVMA(cpu *hw.CPU, v *vma) {
-	as.vmas.Insert(cpu, v.start, v)
-	if f := v.back.File; f != nil {
-		if as.fileVMAs == nil {
-			as.fileVMAs = make(map[*vm.File]int)
-		}
-		as.fileVMAs[f]++
-		if as.fileVMAs[f] == 1 {
-			f.RegisterMapper(as)
-		}
-	}
-}
-
-// deleteVMA removes v, leaving the file's registry on the last-VMA
-// transition. Caller holds the write lock.
-func (as *AddressSpace) deleteVMA(cpu *hw.CPU, v *vma) {
-	as.vmas.Delete(cpu, v.start)
-	if f := v.back.File; f != nil {
-		as.fileVMAs[f]--
-		if as.fileVMAs[f] == 0 {
-			delete(as.fileVMAs, f)
-			f.UnregisterMapper(as)
-		}
-	}
-}
-
-// Mmap implements vm.System: write-locks the address space, removes any
-// overlapping regions (clearing page tables and broadcasting shootdowns),
-// and inserts the new VMA.
-func (as *AddressSpace) Mmap(cpu *hw.CPU, vpn, npages uint64, opts vm.MapOpts) error {
-	if npages == 0 {
-		return vm.ErrRange
-	}
-	cpu.Stats().Mmaps++
-	cpu.Tick(vm.LinuxSyscallCost)
-	as.noteActive(cpu)
-	cpu.WLock(&as.lock)
-	as.removeOverlapsLocked(cpu, vpn, vpn+npages)
-	as.insertVMA(cpu, &vma{
-		start: vpn,
-		end:   vpn + npages,
-		prot:  opts.Prot,
-		back:  vm.Backing{File: opts.File, Offset: opts.Offset},
-	})
-	cpu.WUnlock(&as.lock)
 	return nil
 }
 
-// Munmap implements vm.System.
-func (as *AddressSpace) Munmap(cpu *hw.CPU, vpn, npages uint64) error {
-	if npages == 0 {
-		return vm.ErrRange
-	}
-	cpu.Stats().Munmaps++
-	cpu.Tick(vm.LinuxSyscallCost)
-	as.noteActive(cpu)
-	cpu.WLock(&as.lock)
-	as.removeOverlapsLocked(cpu, vpn, vpn+npages)
-	cpu.WUnlock(&as.lock)
-	return nil
+func (p *policy) Ascend(cpu *hw.CPU, from uint64, fn func(uint64, *sharedvm.Region) bool) {
+	p.vmas.Ascend(cpu, from, fn)
 }
 
-// removeOverlapsLocked trims or splits every VMA overlapping [lo, hi),
-// clears the shared page table over the range while collecting the frames
-// that backed it, broadcasts TLB shootdowns to every core using the
-// address space (the hardware gives no better information), and finally
-// releases the frames. Caller holds the write lock.
-// overlapsLocked gathers every VMA intersecting [lo, hi), in ascending
-// start order; the caller holds the lock in at least read mode.
-func (as *AddressSpace) overlapsLocked(cpu *hw.CPU, lo, hi uint64) []*vma {
-	var overlaps []*vma
-	if n := as.vmas.Floor(cpu, lo); n != nil && n.Key < lo && n.Val.end > lo {
-		overlaps = append(overlaps, n.Val)
-	}
-	as.vmas.Ascend(cpu, lo, func(n *rbtree.Node[*vma]) bool {
-		if n.Key >= hi {
-			return false
-		}
-		overlaps = append(overlaps, n.Val)
-		return true
-	})
-	return overlaps
+func (p *policy) Insert(cpu *hw.CPU, start uint64, r *sharedvm.Region) {
+	p.vmas.Insert(cpu, start, r)
 }
 
-func (as *AddressSpace) removeOverlapsLocked(cpu *hw.CPU, lo, hi uint64) {
-	overlaps := as.overlapsLocked(cpu, lo, hi)
-	if len(overlaps) == 0 {
+func (p *policy) Delete(cpu *hw.CPU, start uint64) { p.vmas.Delete(cpu, start) }
+
+// Replace rewrites a region that keeps its extent in place — the write lock
+// excludes every reader — and splits a boundary VMA by deleting it and
+// inserting its pieces.
+func (p *policy) Replace(cpu *hw.CPU, ix sharedvm.Policy, old *sharedvm.Region, pieces ...sharedvm.Region) {
+	if len(pieces) == 1 {
+		*old = pieces[0]
 		return
 	}
-	for _, o := range overlaps {
-		as.deleteVMA(cpu, o)
-		if o.start < lo { // keep the left piece
-			as.insertVMA(cpu, &vma{
-				start: o.start, end: lo, prot: o.prot, back: o.back, cow: o.cow,
-			})
-		}
-		if o.end > hi { // keep the right piece, with shifted file offset
-			nb := o.back
-			if nb.File != nil {
-				nb.Offset += hi - o.start
-			}
-			as.insertVMA(cpu, &vma{start: hi, end: o.end, prot: o.prot, back: nb, cow: o.cow})
-		}
-	}
-	var frames []*mem.Frame
-	as.mmu.PageTable().UnmapRangeFunc(cpu, lo, hi, func(_, pfn uint64) {
-		if f := as.alloc.ByPFN(pfn); f != nil {
-			frames = append(frames, f)
-		}
-	})
-	as.mmu.ShootdownTLBOnly(cpu, lo, hi, as.activeSet())
-	for _, f := range frames {
-		as.alloc.DecRef(cpu, f)
+	ix.Delete(cpu, old.Start)
+	for i := range pieces {
+		ix.Insert(cpu, pieces[i].Start, &pieces[i])
 	}
 }
 
-// Fork implements vm.System the Linux way (dup_mmap): write-lock the
-// parent's whole address space — serializing against every fault, map, and
-// unmap — copy the VMA tree, and for each anonymous region copy the
-// parent's installed translations into the child's shared page table with
-// write permission stripped on both sides, marking both regions COW. The
-// hardware gives no record of which TLBs cache the old writable rights, so
-// the write-protect shootdown is a broadcast to every core using the
-// parent — the non-scalable flush RadixVM's per-page sharer sets avoid.
-// File-backed regions copy metadata only; the child re-faults their pages
-// from the page cache lazily.
-func (as *AddressSpace) Fork(cpu *hw.CPU) (vm.System, error) {
-	cpu.Stats().Forks++
-	cpu.Tick(vm.LinuxSyscallCost)
-	as.noteActive(cpu)
-	child := New(as.m, as.rc, as.alloc)
-	cpu.WLock(&as.lock)
-	defer cpu.WUnlock(&as.lock)
-
-	var anon []vm.Span
-	pageZero := as.m.Config().PageZero
-	as.vmas.Ascend(cpu, 0, func(n *rbtree.Node[*vma]) bool {
-		o := n.Val
-		cow := o.cow
-		if o.back.File == nil {
-			cow = true
-			o.cow = true
-			anon = append(anon, vm.Span{Lo: o.start, Hi: o.end})
-		}
-		// Each duplicated VMA struct is billed by its logical size, the
-		// same rule that prices RadixVM's header-sized node clones.
-		cpu.Tick(vm.MetaCopyCost(pageZero, vm.VMACopyBytes))
-		child.insertVMA(cpu, &vma{
-			start: o.start, end: o.end, prot: o.prot, back: o.back, cow: cow,
-		})
-		return true
-	})
-	// Copy the parent's anonymous translations read-only into the child
-	// and downgrade them in place in the parent.
-	if revoked, lo, hi := vm.ForkCopyTranslations(cpu, as.alloc, as.mmu.PageTable(), child.mmu.PageTable(), anon); revoked {
-		// One conservative broadcast covers every downgraded page.
-		as.mmu.ShootdownTLBOnly(cpu, lo, hi, as.activeSet())
-	}
-	return child, nil
-}
-
-// Mprotect implements vm.System the Linux way: write-lock the whole
-// address space (serializing against every other mmap/munmap/mprotect),
-// split boundary VMAs so the range is covered by regions carrying exactly
-// the new protection, rewrite the shared page table's permission bits, and
-// — because the hardware cannot say which TLBs cached the old rights —
-// broadcast a flush to every core using the address space whenever rights
-// were revoked. Granted rights propagate lazily through protection faults.
-func (as *AddressSpace) Mprotect(cpu *hw.CPU, vpn, npages uint64, prot vm.Prot) error {
-	if npages == 0 {
-		return vm.ErrRange
-	}
-	cpu.Stats().Mprotects++
-	cpu.Tick(vm.LinuxSyscallCost)
-	as.noteActive(cpu)
-	cpu.WLock(&as.lock)
-	defer cpu.WUnlock(&as.lock)
-	lo, hi := vpn, vpn+npages
-
-	overlaps := as.overlapsLocked(cpu, lo, hi)
-	covered := lo
-	revoked := false
-	for _, o := range overlaps {
-		clipLo, clipHi := max(lo, o.start), min(hi, o.end)
-		covered = clipHi
-		if o.prot&^prot != 0 {
-			revoked = true
-		}
-		if o.start >= lo && o.end <= hi {
-			o.prot = prot // wholly inside: rewrite in place
-			continue
-		}
-		// Boundary VMA: split into outside piece(s) with the old
-		// protection and an inside piece with the new one. File offsets
-		// shift with each piece's start, as in removeOverlapsLocked.
-		shifted := func(start uint64) vm.Backing {
-			nb := o.back
-			if nb.File != nil {
-				nb.Offset += start - o.start
-			}
-			return nb
-		}
-		as.deleteVMA(cpu, o)
-		if o.start < lo {
-			as.insertVMA(cpu, &vma{start: o.start, end: lo, prot: o.prot, back: o.back, cow: o.cow})
-		}
-		as.insertVMA(cpu, &vma{start: clipLo, end: clipHi, prot: prot, back: shifted(clipLo), cow: o.cow})
-		if o.end > hi {
-			as.insertVMA(cpu, &vma{start: hi, end: o.end, prot: o.prot, back: shifted(hi), cow: o.cow})
-		}
-	}
-	if revoked {
-		perm := vm.PermBits(prot)
-		if anyCow(overlaps) {
-			// Never hand write rights back to a COW region through the
-			// bulk PTE rewrite; stripping W from the whole range is safe
-			// (non-COW writes re-trap and lazily re-fill).
-			perm &^= pagetable.PermW
-		}
-		as.mmu.Protect(cpu, lo, hi, perm, hw.CoreSet{}, as.activeSet())
-	}
-	if len(overlaps) == 0 || covered < hi || overlaps[0].start > lo || gapped(overlaps) {
-		return vm.ErrSegv
-	}
-	return nil
-}
-
-// gapped reports whether consecutive overlapping VMAs leave a hole.
-func gapped(overlaps []*vma) bool {
-	for i := 1; i < len(overlaps); i++ {
-		if overlaps[i].start > overlaps[i-1].end {
-			return true
-		}
-	}
-	return false
-}
-
-// anyCow reports whether any of the regions is copy-on-write.
-func anyCow(overlaps []*vma) bool {
-	for _, o := range overlaps {
-		if o.cow {
-			return true
-		}
-	}
-	return false
-}
-
-// findVMALocked returns the region containing vpn; the caller holds the
-// lock in at least read mode.
-func (as *AddressSpace) findVMALocked(cpu *hw.CPU, vpn uint64) *vma {
-	n := as.vmas.Floor(cpu, vpn)
-	if n == nil || vpn >= n.Val.end {
-		return nil
-	}
-	return n.Val
-}
-
-// PageFault takes the address space lock in read mode — cheap in real-time
+// Fault takes the address space lock in read mode — cheap in real-time
 // terms, but the reader-count update transfers the lock's cache line, so
 // concurrent faults across cores serialize at that line (§5.2). The VMA's
 // protection gates the access; a present PTE with narrower rights than the
 // VMA (an mprotect upgrade not yet realized) is rewritten in place, and a
 // write into a COW region resolves the copy-on-write first.
-func (as *AddressSpace) PageFault(cpu *hw.CPU, vpn uint64, write bool) error {
-	return as.pageFault(cpu, vpn, vm.KindOf(write), false)
-}
+func (p *policy) Fault(s *sharedvm.Space, cpu *hw.CPU, vpn uint64, k vm.Kind, trapped bool) error {
+	cpu.RLock(&p.lock)
+	defer cpu.RUnlock(&p.lock)
 
-// pageFault handles one fault; trapped means a TLB permission trap raised
-// it and the caller already counted the ProtFault.
-func (as *AddressSpace) pageFault(cpu *hw.CPU, vpn uint64, k vm.Kind, trapped bool) error {
-	cpu.Stats().PageFaults++
-	cpu.Tick(vm.FaultCost)
-	as.noteActive(cpu)
-	cpu.RLock(&as.lock)
-	defer cpu.RUnlock(&as.lock)
-
-	v := as.findVMALocked(cpu, vpn)
+	v := s.Find(cpu, vpn)
 	if v == nil {
 		return vm.ErrSegv
 	}
-	if !v.prot.Permits(k) {
-		if !trapped {
-			cpu.Stats().ProtFaults++
-		}
-		return vm.ErrProt
+	if !v.Prot.Permits(k) {
+		return sharedvm.Denied(cpu, trapped)
 	}
-	if v.cow && k == vm.KindWrite {
-		if as.breakCOWLocked(cpu, vpn, v) {
+	if v.COW && k == vm.KindWrite {
+		if breakCOW(s, cpu, vpn, v) {
 			return nil
 		}
 		// No translation yet: the page was never faulted in this space, so
 		// no frame is shared — fall through to a plain private fill, which
 		// may carry full rights.
 	}
-	perm := v.permBits()
+	perm := v.PermBits()
 	if k == vm.KindWrite {
 		perm |= pagetable.PermW // a resolved COW (or non-COW) write install
 	}
-	var frame *mem.Frame
-	fileBacked := v.back.File != nil
-	if fileBacked {
-		fr, _ := v.back.File.Page(cpu, v.back.Offset+(vpn-v.start))
-		if fr == nil {
-			return vm.ErrSegv // past EOF: the offset was truncated away
-		}
-		frame = fr
-	} else {
-		frame = as.alloc.Alloc(cpu)
+	pte, installed, ok := s.Fill(cpu, v, vpn, perm)
+	if !ok {
+		return vm.ErrSegv
 	}
-	if as.mmu.PageTable().MapIfAbsent(cpu, vpn, frame.PFN, perm) {
-		as.mmu.TLB(cpu.ID()).Insert(vpn, vm.TLBEntry(pagetable.PTE{PFN: frame.PFN, Perm: perm, Present: true}))
+	if installed {
+		s.Cache(cpu, vpn, pte)
 		return nil
 	}
-	// Another core mapped the page first: drop ours, adopt theirs,
-	// upgrading the PTE's rights if the VMA now grants more. COW regions
-	// never upgrade to writable here — that is the break path's job.
-	cpu.Stats().FillFaults++
-	cpu.Tick(vm.FillCost)
-	as.alloc.DecRef(cpu, frame)
-	if v.cow && k == vm.KindWrite {
+	// Another core mapped the page first: adopt its translation, upgrading
+	// the PTE's rights if the VMA now grants more. COW regions never
+	// upgrade to writable here — that is the break path's job.
+	if v.COW && k == vm.KindWrite {
 		// We lost the install race, so the page now has a (shared,
 		// read-only) translation after all: resolve the COW against it.
-		if as.breakCOWLocked(cpu, vpn, v) {
+		if breakCOW(s, cpu, vpn, v) {
 			return nil
 		}
 	}
-	perm = v.permBits()
-	if pte, ok := as.mmu.PageTable().Lookup(cpu, vpn); ok {
+	perm = v.PermBits()
+	pt := s.MMU.PageTable()
+	if pte, ok := pt.Lookup(cpu, vpn); ok {
 		if pte.Perm&perm != perm {
-			as.mmu.PageTable().Map(cpu, vpn, pte.PFN, perm)
+			pt.Map(cpu, vpn, pte.PFN, perm)
 			pte.Perm = perm
 		}
-		as.mmu.TLB(cpu.ID()).Insert(vpn, vm.TLBEntry(pte))
+		s.Cache(cpu, vpn, pte)
 	}
 	return nil
 }
 
-// breakCOWLocked resolves a write fault in a COW region when the page has
-// an installed (necessarily read-only) translation: copy the frame, swap
-// the PTE to the private writable copy, and broadcast a flush — the shared
-// page table records no sharer set, so like every Linux shootdown it must
+// breakCOW resolves a write fault in a COW region when the page has an
+// installed (necessarily read-only) translation: copy the frame, swap the
+// PTE to the private writable copy, and broadcast a flush — the shared page
+// table records no sharer set, so like every Linux shootdown it must
 // interrupt every core using the address space. Reports whether a
 // translation existed (false means the caller should fill privately).
 // Caller holds the address-space lock in at least read mode; concurrent
 // breakers of one page race on the PTE swap, and the loser adopts the
 // winner's copy.
-func (as *AddressSpace) breakCOWLocked(cpu *hw.CPU, vpn uint64, v *vma) bool {
-	pte, ok := as.mmu.PageTable().Lookup(cpu, vpn)
+func breakCOW(s *sharedvm.Space, cpu *hw.CPU, vpn uint64, v *sharedvm.Region) bool {
+	pt := s.MMU.PageTable()
+	pte, ok := pt.Lookup(cpu, vpn)
 	if !ok {
 		return false
 	}
-	orig := as.alloc.ByPFN(pte.PFN)
-	wperm := vm.PermBits(v.prot)
+	orig := s.Alloc.ByPFN(pte.PFN)
+	wperm := vm.PermBits(v.Prot)
 	if pte.Perm&pagetable.PermW != 0 {
 		// Another core already privatized this page; just adopt.
-		as.mmu.TLB(cpu.ID()).Insert(vpn, vm.TLBEntry(pte))
+		s.Cache(cpu, vpn, pte)
 		return true
 	}
-	nf := vm.CopyCOWFrame(cpu, as.alloc, orig)
-	if !as.mmu.PageTable().Replace(cpu, vpn, pte, nf.PFN, wperm) {
+	nf := s.CopyCOWFrame(cpu, orig)
+	if !pt.Replace(cpu, vpn, pte, nf.PFN, wperm) {
 		// Lost the race to a concurrent breaker: discard our copy and
 		// adopt whatever is installed now (the winner's ref on orig was
 		// moved by the winner; ours never moved).
-		as.alloc.DecRef(cpu, nf)
-		if cur, ok2 := as.mmu.PageTable().Lookup(cpu, vpn); ok2 {
-			as.mmu.TLB(cpu.ID()).Insert(vpn, vm.TLBEntry(cur))
+		s.Alloc.DecRef(cpu, nf)
+		if cur, ok2 := pt.Lookup(cpu, vpn); ok2 {
+			s.Cache(cpu, vpn, cur)
 		}
 		return true
 	}
 	// The page table's reference moved from the shared frame to the copy.
-	as.alloc.DecRef(cpu, orig)
+	s.Alloc.DecRef(cpu, orig)
 	// Stale read-only translations of the old frame may be cached
 	// anywhere; Linux can only broadcast.
-	as.mmu.ShootdownTLBOnly(cpu, vpn, vpn+1, as.activeSet())
-	as.mmu.TLB(cpu.ID()).Insert(vpn, vm.TLBEntryFor(nf.PFN, v.prot))
+	s.Flush(cpu, vpn, vpn+1)
+	s.Cache(cpu, vpn, pagetable.PTE{PFN: nf.PFN, Perm: wperm, Present: true})
 	return true
-}
-
-// RevokeFilePages implements vm.FileMapper the Linux way
-// (unmap_mapping_range / invalidate_inode_pages2): write-lock the whole
-// address space, clear the shared page table over every region of f
-// overlapping [offLo, offHi), and flush with a broadcast to every core
-// using this mm — the hardware records no per-page sharer set, so one
-// core's cached translation costs an IPI to all of them. The reported
-// sharer width is that broadcast's span, which is what the filemap figure
-// contrasts with RadixVM's exact per-page counts.
-func (as *AddressSpace) RevokeFilePages(cpu *hw.CPU, f *vm.File, offLo, offHi uint64) (int, int) {
-	cpu.WLock(&as.lock)
-	defer cpu.WUnlock(&as.lock)
-	if as.fileVMAs[f] == 0 {
-		return 0, 0 // raced the last munmap: nothing maps f anymore
-	}
-	var spans []vm.Span
-	as.vmas.Ascend(cpu, 0, func(n *rbtree.Node[*vma]) bool {
-		o := n.Val
-		if o.back.File != f {
-			return true
-		}
-		oLo, oHi := o.back.Offset, o.back.Offset+(o.end-o.start)
-		cLo, cHi := max(oLo, offLo), min(oHi, offHi)
-		if cLo >= cHi {
-			return true
-		}
-		spans = append(spans, vm.Span{Lo: o.start + (cLo - oLo), Hi: o.start + (cHi - oLo)})
-		return true
-	})
-	if len(spans) == 0 {
-		return 0, 0
-	}
-	revoked := 0
-	lo, hi := spans[0].Lo, spans[0].Hi
-	var frames []*mem.Frame
-	for _, s := range spans {
-		lo, hi = min(lo, s.Lo), max(hi, s.Hi)
-		as.mmu.PageTable().UnmapRangeFunc(cpu, s.Lo, s.Hi, func(_, pfn uint64) {
-			revoked++
-			if fr := as.alloc.ByPFN(pfn); fr != nil {
-				frames = append(frames, fr)
-			}
-		})
-	}
-	// One conservative flush per mm, present PTEs or not — the rmap walk
-	// cannot prove absence of cached translations.
-	active := as.activeSet()
-	as.mmu.ShootdownTLBOnly(cpu, lo, hi, active)
-	for _, fr := range frames {
-		as.alloc.DecRef(cpu, fr)
-	}
-	return revoked, active.Count()
-}
-
-// Access implements vm.System.
-func (as *AddressSpace) Access(cpu *hw.CPU, vpn uint64, write bool) error {
-	return as.access(cpu, vpn, vm.KindOf(write))
-}
-
-// Fetch implements vm.System: an exec-checked access, sharing the same
-// TLB/walk/fault pipeline as Access.
-func (as *AddressSpace) Fetch(cpu *hw.CPU, vpn uint64) error {
-	return as.access(cpu, vpn, vm.KindExec)
-}
-
-func (as *AddressSpace) access(cpu *hw.CPU, vpn uint64, k vm.Kind) error {
-	as.noteActive(cpu)
-	t := as.mmu.TLB(cpu.ID())
-	if e, ok := t.Lookup(vpn); ok {
-		if vm.TLBAllows(e, k) {
-			cpu.Tick(vm.AccessCost)
-			return nil
-		}
-		cpu.Stats().ProtFaults++
-		return as.pageFault(cpu, vpn, k, true) // permission trap from the TLB
-	}
-	if pte, ok := as.mmu.Lookup(cpu, vpn); ok {
-		if !vm.PTEAllows(pte, k) {
-			cpu.Stats().ProtFaults++
-			return as.pageFault(cpu, vpn, k, true) // permission trap from the walk
-		}
-		cpu.Tick(vm.WalkCost)
-		t.Insert(vpn, vm.TLBEntry(pte))
-		// Walk+insert is not atomic against a concurrent shootdown;
-		// re-validate (see vm.MMU.Revalidate).
-		if as.mmu.Revalidate(cpu, vpn, pte.PFN, pte.Perm) {
-			return nil
-		}
-		t.FlushPage(vpn)
-	}
-	return as.pageFault(cpu, vpn, k, false)
 }

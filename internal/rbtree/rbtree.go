@@ -328,9 +328,10 @@ func (t *Tree[V]) deleteFixup(cpu *hw.CPU, x *Node[V], par *Node[V]) {
 
 func isBlack[V any](n *Node[V]) bool { return n == nil || n.color == black }
 
-// Ascend visits nodes in key order starting at the first key >= from,
-// until fn returns false.
-func (t *Tree[V]) Ascend(cpu *hw.CPU, from uint64, fn func(n *Node[V]) bool) {
+// Ascend visits (key, val) pairs in key order starting at the first key >=
+// from, until fn returns false — the callback shape of bonsai's
+// Snapshot.Ascend, so one func value serves either index.
+func (t *Tree[V]) Ascend(cpu *hw.CPU, from uint64, fn func(key uint64, val V) bool) {
 	var visit func(n *Node[V]) bool
 	visit = func(n *Node[V]) bool {
 		if n == nil {
@@ -341,7 +342,7 @@ func (t *Tree[V]) Ascend(cpu *hw.CPU, from uint64, fn func(n *Node[V]) bool) {
 			if !visit(n.left) {
 				return false
 			}
-			if !fn(n) {
+			if !fn(n.Key, n.Val) {
 				return false
 			}
 		}

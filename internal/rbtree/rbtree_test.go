@@ -104,8 +104,8 @@ func TestAscendAndNext(t *testing.T) {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	var got []uint64
-	tr.Ascend(c, 20, func(n *Node[int]) bool {
-		got = append(got, n.Key)
+	tr.Ascend(c, 20, func(k uint64, _ int) bool {
+		got = append(got, k)
 		return true
 	})
 	want := []uint64{20, 30, 50, 70, 90}
@@ -141,7 +141,7 @@ func TestAscendEarlyStop(t *testing.T) {
 		tr.Insert(c, k, 0)
 	}
 	count := 0
-	tr.Ascend(c, 1, func(n *Node[int]) bool {
+	tr.Ascend(c, 1, func(uint64, int) bool {
 		count++
 		return count < 3
 	})

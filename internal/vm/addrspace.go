@@ -397,12 +397,8 @@ func (as *AddressSpace) faultOnce(cpu *hw.CPU, vpn uint64, k Kind, trapped bool)
 	return nil, false
 }
 
-// Access implements System: a user-level memory access. TLB hit, then
-// hardware walk of this core's page table, then page fault. A TLB or walk
-// hit whose cached rights forbid the access traps like a miss: the fault
-// handler consults the metadata and either re-fills with wider rights (an
-// mprotect upgrade being realized lazily), resolves a copy-on-write, or
-// reports ErrProt.
+// Access implements System: a user-level memory access through this core's
+// TLB and page table (the package-level Access), trapping into fault.
 func (as *AddressSpace) Access(cpu *hw.CPU, vpn uint64, write bool) error {
 	return as.access(cpu, vpn, KindOf(write))
 }
@@ -415,37 +411,7 @@ func (as *AddressSpace) Fetch(cpu *hw.CPU, vpn uint64) error {
 
 func (as *AddressSpace) access(cpu *hw.CPU, vpn uint64, k Kind) error {
 	as.noteActive(cpu)
-	t := as.mmu.TLB(cpu.ID())
-	if e, ok := t.Lookup(vpn); ok {
-		if TLBAllows(e, k) {
-			cpu.Tick(AccessCost)
-			return nil
-		}
-		// Hardware raises the permission trap straight from the TLB
-		// entry; no page walk happens first. The fault handler either
-		// re-fills with the mapping's (wider) current rights or denies.
-		cpu.Stats().ProtFaults++
-		return as.fault(cpu, vpn, k, true)
-	}
-	if pte, ok := as.mmu.Lookup(cpu, vpn); ok {
-		if !PTEAllows(pte, k) {
-			// The walk found a translation lacking the needed right —
-			// the same permission trap the TLB branch raises.
-			cpu.Stats().ProtFaults++
-			return as.fault(cpu, vpn, k, true)
-		}
-		cpu.Tick(WalkCost)
-		t.Insert(vpn, TLBEntry(pte))
-		// The Go-level walk+insert is not atomic against a concurrent
-		// shootdown the way hardware's is; re-validate the insert
-		// against the table and retry as a fault if the translation
-		// vanished or lost rights in between (see MMU.Revalidate).
-		if as.mmu.Revalidate(cpu, vpn, pte.PFN, pte.Perm) {
-			return nil
-		}
-		t.FlushPage(vpn)
-	}
-	return as.fault(cpu, vpn, k, false)
+	return Access(cpu, as.mmu, vpn, k, as.fault)
 }
 
 // Lookup returns the mapping metadata covering vpn (diagnostics/tests).

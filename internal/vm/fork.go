@@ -2,7 +2,6 @@ package vm
 
 import (
 	"radixvm/internal/hw"
-	"radixvm/internal/mem"
 	"radixvm/internal/pagetable"
 )
 
@@ -270,61 +269,4 @@ func (as *AddressSpace) breakCOW(cpu *hw.CPU, vpn uint64, v *Mapping) {
 	}
 	v.TLBCores = hw.CoreSet{}
 	as.alloc.DecRef(cpu, orig)
-}
-
-// Span is one contiguous page range, as the baselines' fork passes its
-// anonymous regions to ForkCopyTranslations.
-type Span struct{ Lo, Hi uint64 }
-
-// ForkCopyTranslations is the page-table half of a baseline fork
-// (dup_mmap): for every present translation in the anonymous spans, take a
-// reference for the child's page table, install the translation there with
-// write permission stripped, and downgrade the parent's entry in place
-// when it was writable. Each copied entry is billed by its logical size
-// (MetaCopyCost over PTECopyBytes) — the same by-logical-size rule that
-// prices RadixVM's node clones. Returns whether any write right was
-// revoked plus the bounding page range of the downgrades, so the caller
-// can issue its single conservative broadcast flush. The caller holds the
-// parent's address-space lock; the child is private.
-func ForkCopyTranslations(cpu *hw.CPU, alloc *mem.Allocator, parent, child *pagetable.PageTable, spans []Span) (revoked bool, lo, hi uint64) {
-	lo, hi = ^uint64(0), uint64(0)
-	pageZero := cpu.Machine().Config().PageZero
-	for _, s := range spans {
-		parent.ForEachRange(cpu, s.Lo, s.Hi, func(vpn uint64, pte pagetable.PTE) {
-			f := alloc.ByPFN(pte.PFN)
-			if f == nil {
-				return
-			}
-			cpu.Tick(MetaCopyCost(pageZero, PTECopyBytes))
-			alloc.IncRef(cpu, f) // the child page table's reference
-			perm := pte.Perm &^ pagetable.PermW
-			child.Map(cpu, vpn, pte.PFN, perm)
-			if pte.Perm&pagetable.PermW != 0 {
-				parent.Map(cpu, vpn, pte.PFN, perm)
-				revoked = true
-				if vpn < lo {
-					lo = vpn
-				}
-				if vpn+1 > hi {
-					hi = vpn + 1
-				}
-			}
-		})
-	}
-	return revoked, lo, hi
-}
-
-// CopyCOWFrame is the baselines' copy-on-write resolution: allocate a
-// private frame and copy the contents. Unlike RadixVM's break it cannot
-// take sole ownership — region-granular metadata cannot prove no other
-// space still maps the frame — so it always copies (the behavior of
-// pre-reuse-optimization kernels, and safely over-conservative). No
-// reference moves here: the caller drops its reference to the shared
-// frame only once its page table actually points at the copy (a loser of
-// the PTE-swap race must instead discard the copy).
-func CopyCOWFrame(cpu *hw.CPU, alloc *mem.Allocator, orig *mem.Frame) *mem.Frame {
-	cpu.Stats().COWBreaks++
-	nf := alloc.Alloc(cpu) // the zeroing charge stands in for the copy
-	nf.CopyFrom(orig)
-	return nf
 }

@@ -109,3 +109,48 @@ func TestSpawnBytesIndependentOfCoreCount(t *testing.T) {
 		t.Errorf("spawn allocates %d B at 64 cores against %d B at 8 cores: more than 1.25x", large, small)
 	}
 }
+
+// TestTLBHitAccessAllocatesNothing: the hardware half of an access is one
+// function for all three systems and takes the system's fault handler as a
+// plain func parameter; a hit must not make that a heap closure.
+func TestTLBHitAccessAllocatesNothing(t *testing.T) {
+	w := newWorld(2)
+	c := m0(w)
+	for _, sys := range systems(w) {
+		must(t, sys.Mmap(c, 100, 1, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
+		must(t, sys.Access(c, 100, true))
+		if allocs := testing.AllocsPerRun(100, func() { _ = sys.Access(c, 100, true) }); allocs != 0 {
+			t.Errorf("%s: TLB-hit Access: %v allocs, want 0", sys.Name(), allocs)
+		}
+	}
+}
+
+// TestBaselineMapTouchUnmapAllocs holds the baselines' mmap + first touch +
+// munmap cycle to what it allocated when each had its own copy of the
+// skeleton (4 and 10 on this cycle: the region, its tree node or copied
+// path, the gather lists): handing callbacks to the index through an
+// interface must not add a heap closure per call.
+func TestBaselineMapTouchUnmapAllocs(t *testing.T) {
+	limit := map[string]float64{"linux": 4, "bonsai": 10}
+	w := newWorld(2)
+	c := m0(w)
+	for _, sys := range systems(w)[1:] {
+		for i := uint64(0); i < 8; i++ { // siblings, so the index has depth
+			must(t, sys.Mmap(c, 1000+16*i, 4, vm.MapOpts{Prot: vm.ProtRead}))
+		}
+		cycle := func() {
+			must(t, sys.Mmap(c, 100, 1, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
+			must(t, sys.Access(c, 100, true))
+			must(t, sys.Munmap(c, 100, 1))
+			w.rc.FlushAll() // the frame recycles
+		}
+		for i := 0; i < 8; i++ {
+			cycle() // warm the frame free list and the page table
+		}
+		allocs := testing.AllocsPerRun(100, cycle)
+		t.Logf("%s: %v allocs per mmap+touch+munmap", sys.Name(), allocs)
+		if allocs > limit[sys.Name()] {
+			t.Errorf("%s: mmap+touch+munmap: %v allocs, want <= %v", sys.Name(), allocs, limit[sys.Name()])
+		}
+	}
+}

@@ -122,6 +122,47 @@ type MMU interface {
 	Bytes() uint64
 }
 
+// Access is the hardware's half of a user-level access, the same on all
+// three systems: TLB hit, then a walk of the faulting core's view of the page
+// tables, then the trap into fault — the system's handler, which never
+// outlives the call. A TLB or walk hit whose cached rights forbid the access
+// traps like a miss (trapped is true: the ProtFault is already counted), and
+// the handler consults the metadata and either re-fills with wider rights (an
+// mprotect upgrade being realized lazily), resolves a copy-on-write, or
+// reports ErrProt.
+func Access(cpu *hw.CPU, mmu MMU, vpn uint64, k Kind, fault func(cpu *hw.CPU, vpn uint64, k Kind, trapped bool) error) error {
+	t := mmu.TLB(cpu.ID())
+	if e, ok := t.Lookup(vpn); ok {
+		if TLBAllows(e, k) {
+			cpu.Tick(AccessCost)
+			return nil
+		}
+		// Hardware raises the permission trap straight from the TLB entry;
+		// no page walk happens first.
+		cpu.Stats().ProtFaults++
+		return fault(cpu, vpn, k, true)
+	}
+	if pte, ok := mmu.Lookup(cpu, vpn); ok {
+		if !PTEAllows(pte, k) {
+			// The walk found a translation lacking the needed right — the
+			// same permission trap the TLB branch raises.
+			cpu.Stats().ProtFaults++
+			return fault(cpu, vpn, k, true)
+		}
+		cpu.Tick(WalkCost)
+		t.Insert(vpn, TLBEntry(pte))
+		// The Go-level walk+insert is not atomic against a concurrent
+		// shootdown the way hardware's is; re-validate the insert against
+		// the table and retry as a fault if the translation vanished or lost
+		// rights in between (see MMU.Revalidate).
+		if mmu.Revalidate(cpu, vpn, pte.PFN, pte.Perm) {
+			return nil
+		}
+		t.FlushPage(vpn)
+	}
+	return fault(cpu, vpn, k, false)
+}
+
 // PerCoreMMU gives every core its own page table, so the mapping metadata
 // knows exactly which cores may cache each page and munmap interrupts only
 // those — zero IPIs when a region never left its core (§3.3).
