@@ -18,8 +18,8 @@ type Barrier struct {
 	// a waiter of generation g always wakes before generation g+2 can
 	// complete, since it must itself arrive at g+1)
 
-	// detWaiters lists the members parked here under a deterministic
-	// gang's schedule (guarded by that schedule's mutex, not b.mu).
+	// detWaiters lists the cores parked here under the deterministic
+	// schedule (touched only by its loop, so not guarded by b.mu).
 	detWaiters []int
 }
 
@@ -37,7 +37,7 @@ func NewBarrier(n int) *Barrier {
 // ahead of it deadlock in Sync.
 func (b *Barrier) Wait(cpu *CPU, g *Gang) {
 	if g != nil && g.det != nil {
-		g.det.barrier(cpu, b)
+		g.det.running(cpu).Wait(b)
 		return
 	}
 	if g != nil {

@@ -19,15 +19,14 @@ import "sync"
 // mutex, one condvar, one scan of the member clocks per Sync. Figures
 // never run on it — which of two virtually-concurrent operations resolves
 // first is up to the Go scheduler here — they run under the deterministic
-// schedule (detgang.go), which a Gang built by RunGangDet or Sched.Run
-// delegates to.
+// schedule (Sched), which a Gang built by RunGangDet delegates to.
 type Gang struct {
 	quantum uint64 // skew bound in cycles
 
 	// det, when non-nil, replaces the skew window with the deterministic
-	// sequential schedule: Sync becomes a token hand-off and the fields
-	// below go unused.
-	det *detSched
+	// schedule: Sync becomes the calling core's proc yielding to the loop,
+	// and the fields below go unused.
+	det *Sched
 
 	mu     sync.Mutex
 	cond   sync.Cond
@@ -74,7 +73,7 @@ func (g *Gang) Join(cpu *CPU) {
 // ahead of the slowest active member. cpu must have Joined.
 func (g *Gang) Sync(cpu *CPU) {
 	if g.det != nil {
-		g.det.yield(cpu)
+		g.det.running(cpu).Yield()
 		return
 	}
 	now := cpu.Now()

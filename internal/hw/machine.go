@@ -5,8 +5,8 @@
 // "any contended cache line can be a scalability risk because frequently
 // written cache lines must be re-read by other cores, an operation that
 // typically serializes at the cache line's home node" (§3). This package
-// models exactly that. Each simulated core is driven by one goroutine and
-// owns a private virtual clock measured in cycles. Shared memory the VM
+// models exactly that. Each simulated core is driven by one goroutine at a
+// time and owns a private virtual clock measured in cycles. Shared memory the VM
 // system cares about is annotated with Line values; reading or writing a
 // Line advances the toucher's clock by the modeled coherence cost, and
 // transfers of the same line serialize against each other in virtual time

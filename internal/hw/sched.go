@@ -2,47 +2,47 @@ package hw
 
 import (
 	"fmt"
+	"iter"
 	"sort"
-	"sync"
 )
 
-// Sched schedules processes onto the cores of a deterministic gang. It is
-// the layer that turns "a gang runs one workload function" into "a machine
-// schedules processes": gang members become worker cores that pull
-// runnable procs from a capped run queue at yield points, and the procs —
-// coroutine-style contexts, each a goroutine that runs only while a worker
-// lends it that worker's CPU — carry the actual workload bodies.
+// Sched is the deterministic schedule: one event loop, run by Run on its
+// caller's goroutine, over a machine's cores and the procs spawned onto
+// them. Exactly one body executes at a time. At every yield point
+// (Ctx.Yield, Ctx.Park, Ctx.Wait, a core going idle) the loop steps the
+// ready core with the lowest (virtual clock, core ID), and that core runs
+// its lowest-seq runnable proc: its own pinned queue first, then the shared
+// migratable queue. Virtual-time arithmetic is untouched — cores still
+// overlap in virtual time exactly as under the parallel gang — but the
+// *real* order in which overlapping operations resolve (home-node gate
+// folds, seqlock outcomes, mailbox enqueues) becomes a pure function of
+// (virtual clock, core ID, arrival seq). That is what makes figure outputs
+// byte-stable across runs: the parallel gang bounds virtual skew but still
+// lets the Go scheduler pick which of two virtually-concurrent line
+// transfers folds first, and the gate's answer depends on that order.
+// Every figure runs under this schedule; the parallel gang (RunGang) drives
+// only unit and stress tests, which keep the functional code under real
+// concurrency and the race detector.
 //
-// Dispatch order is a pure function of (virtual clock, core ID, arrival
-// seq): the deterministic gang (detgang.go) picks which worker core acts
-// next by lowest (virtual clock, core ID), and that worker picks the
-// lowest-seq runnable proc (its own pinned queue first, then the shared
-// migratable queue). Fleet figures built on Sched are therefore byte-
-// stable across runs for exactly the same reason the fixed-gang figures
-// are.
+// Procs are coroutines the loop resumes directly and cores are entries in
+// the loop, so nothing here runs concurrently, the scheduler takes no lock,
+// and every Sched method must be called on-schedule: before Run, from a
+// proc body, or from an arrival handler. Bodies may hold no hw.Lock or
+// other real mutex across a yield point — all workloads yield only at top
+// level, between operations — so the running body never blocks on a lock
+// held by a suspended one. There are no off-schedule points: every way a
+// proc can wait, including on another proc (Park/Wake), is a yield back to
+// the loop, so the entire run is a pure function of virtual time.
 //
-// A fixed gang is the degenerate fleet: N procs, each pinned to its own
-// core. In that shape the scheduler adds no virtual time at all — a worker
-// redispatching the proc it last ran charges nothing, AdvanceTo to the
-// proc's own last clock is a no-op, and the worker's post-yield Sync lands
-// exactly where the old workload bodies called g.Sync — so figures
-// produced through Sched are byte-identical to the pre-scheduler ones.
-//
-// Idle cores park through the det gang's token machinery (detIdle): a
-// worker with nothing runnable freezes its clock and leaves the schedule
-// until a proc is enqueued for it. The one exception: while spawn
-// arrivals are still pending and the backlog has room, an idle worker is
-// a halted CPU sleeping until the next event — it advances its clock to
-// the next arrival stamp instead of parking, so virtual time always
-// progresses toward the next event and arrival folds land on the
-// lowest-clock (idle) cores first. This folds the old Gang.Block
-// off-schedule re-entry into the scheduler's own yield protocol: a proc
-// that must wait for another proc calls Ctx.Park, its worker parks idle
-// on-schedule, and the peer's Wake re-enqueues it deterministically.
+// A core with nothing runnable goes idle: its clock freezes and it leaves
+// the pick until a proc is enqueued for it. The one exception: while spawn
+// arrivals are still pending and the backlog has room, an idle core is a
+// halted CPU sleeping until the next event — it advances its clock to the
+// next arrival stamp instead, so virtual time always progresses toward the
+// next event, and because idle (lowest-clock) cores are stepped first,
+// arrival folds land on them before busy cores and spread the fleet across
+// the machine.
 type Sched struct {
-	g      *Gang
-	ncores int
-
 	// queueCap bounds the total ready backlog (migratable run queue plus
 	// every pinned queue). Arrivals are admission-controlled against it: a
 	// due arrival is folded only while the backlog has room, mirroring a
@@ -51,25 +51,25 @@ type Sched struct {
 	// admission control, not a running-proc limit.
 	queueCap int
 
-	// SwitchCost is the virtual cycles a worker charges when it dispatches
+	// SwitchCost is the virtual cycles a core charges when it dispatches
 	// a different proc than the one it last ran (context-switch cost).
 	// Redispatching the same proc is free, so single-proc-per-core
 	// workloads never pay it.
 	SwitchCost uint64
 
-	mu          sync.Mutex
+	cores       []core // [0, ncores); nil until Run starts
 	seq         uint64
 	procs       []*Proc   // every spawned proc, ascending seq
-	runq        []*Proc   // migratable ready procs, ascending seq
-	pinq        [][]*Proc // per-core pinned ready procs, ascending seq
+	runq        *Proc     // migratable ready procs, ascending seq
+	pinq        []*Proc   // per-core pinned ready procs, ascending seq
 	arrivals    []arrival // future spawn requests, ascending (stamp, seq)
 	nextArrival int
-	remaining   int   // procs not yet done
-	migratable  int   // migratable procs not yet done
-	pinned      []int // per-core pinned procs not yet done
-	ready       int   // procs currently in a queue (runq + all pinq)
-	active      int   // workers neither idle-parked nor finished
-	running     bool
+	remaining   int // procs not yet done
+	ready       int // procs currently in a queue (runq + all pinq)
+	active      int // cores neither idle nor retired
+
+	free     *carrier // carriers with no proc on them
+	stopping bool     // Run is unwinding: suspended bodies are being cancelled
 
 	// Diagnostics (read after Run via the accessors).
 	runqHigh     int
@@ -79,49 +79,66 @@ type Sched struct {
 	lastDeferred uint64 // last seq counted in deferred; ^0 = none yet
 }
 
-// Proc states, guarded by Sched.mu.
+// core is one simulated core's entry in the loop.
+type core struct {
+	cpu   *CPU
+	state int8
+	clock uint64 // the pick key: virtual clock at the last yield point, or the barrier's release time
+	last  *Proc  // proc last dispatched here, for switch accounting
+	cur   *Proc  // proc occupying the core: running, or waiting at a barrier
+}
+
+// Core states.
 const (
-	procReady int8 = iota
-	procRunning
-	procParked
-	procDone
+	coreReady   int8 = iota // runnable: in the pick
+	coreBarrier             // its proc waits at a Barrier
+	coreIdle                // nothing runnable: clock frozen until an enqueue
+	coreDone                // retired: the fleet has finished
 )
 
-// Yield kinds a proc hands back to its worker.
+// Yield kinds a proc hands back to the loop.
 const (
 	yieldSync int8 = iota
 	yieldPark
+	yieldBarrier
 	yieldDone
 )
 
-// Proc is one schedulable context: a body that runs on whichever worker
-// core dispatches it, yielding the core back cooperatively. The proc's
-// goroutine runs only between a worker's resume send and the proc's next
-// yield send, so at most one of (worker, proc) per core chain executes at
-// a time and the det gang's one-runner-at-a-time invariant holds.
+// Proc is one schedulable context: a body that runs on whichever core
+// dispatches it, yielding the core back cooperatively.
 type Proc struct {
 	seq  uint64 // arrival order: dispatch tiebreak and determinism anchor
 	pin  int    // core ID the proc is pinned to, or -1 if migratable
 	body func(*Ctx)
 	ctx  Ctx
+	next *Proc    // run-queue link
+	on   *carrier // the coroutine running body, from first dispatch to return
+	bar  *Barrier // the barrier a yieldBarrier waits at
 
-	resume chan *CPU // worker -> proc: the lent CPU
-	yield  chan int8 // proc -> worker: yieldSync/yieldPark/yieldDone
-
-	state       int8
-	wakePending bool // Wake arrived while ready/running: next Park no-ops
-	started     bool
+	parked      bool   // in Park, waiting for a Wake
+	wakePending bool   // Wake arrived while not parked: next Park no-ops
 	lastClock   uint64 // virtual clock at the proc's last yield
-	lastCore    int    // core that last ran the proc, -1 before first run
 }
 
 // Seq returns the proc's arrival sequence number.
 func (p *Proc) Seq() uint64 { return p.seq }
 
+// carrier is a coroutine that runs proc bodies one after another: a proc
+// takes a free one at its first dispatch and frees it when its body
+// returns. A coroutine costs a dozen allocations and a fleet's procs are
+// mostly short-lived, so a run creates as many as it has procs alive at
+// once, not one per proc.
+type carrier struct {
+	p      *Proc
+	next   *carrier            // free-list link
+	resume func() (int8, bool) // run p until its next yield
+	stop   func()
+	yield  func(int8) bool // called on the coroutine: hand a kind to the loop
+}
+
 // arrival is a future spawn request: at virtual time stamp, fn runs on
-// whichever worker core's clock crosses the stamp first (the fork-handler
-// shape: fn typically forks an address space and Spawns the child's
-// threads).
+// whichever core's clock crosses the stamp first (the fork-handler shape:
+// fn typically forks an address space and Spawns the child's threads).
 type arrival struct {
 	stamp uint64
 	seq   uint64
@@ -143,39 +160,39 @@ func (tc *Ctx) CPU() *CPU { return tc.c }
 // Sched returns the scheduler running the proc.
 func (tc *Ctx) Sched() *Sched { return tc.s }
 
-// Yield hands the core back to the worker, which requeues the proc, syncs
-// the gang, and redispatches by (virtual clock, core ID, seq). The det-
-// mode Sync this triggers is exactly where the pre-scheduler workload
-// bodies called g.Sync(c).
-func (tc *Ctx) Yield() {
-	tc.p.yield <- yieldSync
-	tc.c = <-tc.p.resume
-}
+// Yield hands the core back to the loop, which requeues the proc, records
+// the core's clock, and redispatches by (virtual clock, core ID, seq).
+func (tc *Ctx) Yield() { tc.yield(yieldSync) }
 
 // Park blocks the proc until another proc Wakes it. A Wake that arrived
 // since the last yield point makes Park return immediately (the pending-
-// wakeup protocol, so a producer's Wake is never lost to a racing Park).
+// wakeup protocol, so a producer's Wake is never lost to a later Park).
 // The proc's virtual clock freezes while parked.
 func (tc *Ctx) Park() {
-	s := tc.s
-	s.mu.Lock()
 	if tc.p.wakePending {
 		tc.p.wakePending = false
-		s.mu.Unlock()
 		return
 	}
-	s.mu.Unlock()
-	tc.p.yield <- yieldPark
-	tc.c = <-tc.p.resume
+	tc.yield(yieldPark)
 }
 
-// Wait parks the proc at b through the gang's deterministic barrier: the
-// proc's core chain waits off the worker's back, and the barrier release
-// realigns clocks exactly as for a fixed-gang member.
-func (tc *Ctx) Wait(b *Barrier) { b.Wait(tc.c, tc.s.g) }
+// Wait blocks the proc at b until all of b's members have arrived, then
+// resumes it with its core's clock aligned to the latest arrival. The proc
+// keeps its core while it waits. The released cores re-enter the pick with
+// equal clocks, so the post-barrier order is core-ID order.
+func (tc *Ctx) Wait(b *Barrier) {
+	tc.p.bar = b
+	tc.yield(yieldBarrier)
+}
 
-// NewSched creates a scheduler whose migratable run queue admits at most
-// queueCap procs (<= 0: effectively unbounded).
+func (tc *Ctx) yield(kind int8) {
+	if !tc.p.on.yield(kind) {
+		panic("hw: proc cancelled") // unwinds the body; see Sched.stop
+	}
+}
+
+// NewSched creates a scheduler whose ready backlog admits arrivals only
+// below queueCap procs (<= 0: effectively unbounded).
 func NewSched(queueCap int) *Sched {
 	if queueCap <= 0 {
 		queueCap = 1 << 30
@@ -186,68 +203,51 @@ func NewSched(queueCap int) *Sched {
 }
 
 // Spawn adds a proc. pin >= 0 pins it to that core ID; pin < 0 lets any
-// worker run it. Procs spawned before Run are ready at virtual time zero;
+// core run it. Procs spawned before Run are ready at virtual time zero;
 // procs spawned mid-run (by arrival handlers or by other procs) should use
 // SpawnAt with the spawner's virtual present instead. Spawned procs bypass
 // the admission cap — the cap gates arrival folds, not running work's
 // children; size the cap to include the threads each arrival spawns.
-func (s *Sched) Spawn(pin int, body func(*Ctx)) *Proc {
-	return s.spawn(pin, 0, body)
-}
+func (s *Sched) Spawn(pin int, body func(*Ctx)) *Proc { return s.SpawnAt(pin, 0, body) }
 
 // SpawnAt is Spawn for mid-run callers: the proc becomes runnable no
 // earlier than virtual time notBefore — a forked thread cannot run before
-// the fork that created it returned, even on a worker core whose own clock
-// still lags the fork. The dispatching worker advances to notBefore
-// exactly as it advances to a previously-run proc's last clock.
+// the fork that created it returned, even on a core whose own clock still
+// lags the fork. The dispatching core advances to notBefore exactly as it
+// advances to a previously-run proc's last clock.
 func (s *Sched) SpawnAt(pin int, notBefore uint64, body func(*Ctx)) *Proc {
-	return s.spawn(pin, notBefore, body)
-}
-
-func (s *Sched) spawn(pin int, notBefore uint64, body func(*Ctx)) *Proc {
-	s.mu.Lock()
-	p := &Proc{
-		seq:       s.seq,
-		pin:       pin,
-		body:      body,
-		resume:    make(chan *CPU),
-		yield:     make(chan int8),
-		lastCore:  -1,
-		lastClock: notBefore,
-	}
+	s.checkPin(pin)
+	p := &Proc{seq: s.seq, pin: pin, body: body, lastClock: notBefore}
+	p.ctx = Ctx{s: s, p: p}
 	s.seq++
 	s.procs = append(s.procs, p)
 	s.remaining++
-	if pin >= 0 {
-		s.ensurePin(pin)
-		s.pinned[pin]++
-	} else {
-		s.migratable++
-	}
-	s.enqueueLocked(p)
-	s.mu.Unlock()
+	s.enqueue(p)
 	return p
 }
 
+// checkPin panics if Run has started and a proc pinned to core pin could
+// never run on its cores.
+func (s *Sched) checkPin(pin int) {
+	if s.cores != nil && pin >= len(s.cores) {
+		panic(fmt.Sprintf("hw: proc pinned to core %d but Run has only %d cores", pin, len(s.cores)))
+	}
+}
+
 // Arrive registers a spawn request at virtual time stamp. fn runs on the
-// first worker core whose clock reaches the stamp (subject to run-queue
+// first core whose clock reaches the stamp (subject to run-queue
 // admission), with the arrival's seq — the fork-handler hook.
 func (s *Sched) Arrive(stamp uint64, fn func(c *CPU, seq uint64)) {
-	s.mu.Lock()
-	if s.running {
-		s.mu.Unlock()
+	if s.cores != nil {
 		panic("hw: Sched.Arrive after Run started")
 	}
 	s.arrivals = append(s.arrivals, arrival{stamp: stamp, seq: s.seq, fn: fn})
 	s.seq++
-	s.mu.Unlock()
 }
 
 // Proc returns the proc with the given arrival seq, or nil. Procs spawned
 // before any Arrive call have seq equal to their spawn order.
 func (s *Sched) Proc(seq uint64) *Proc {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	i := sort.Search(len(s.procs), func(i int) bool { return s.procs[i].seq >= seq })
 	if i < len(s.procs) && s.procs[i].seq == seq {
 		return s.procs[i]
@@ -256,197 +256,237 @@ func (s *Sched) Proc(seq uint64) *Proc {
 }
 
 // Wake makes a parked proc runnable again (or arms the pending-wakeup
-// flag if it has not parked yet). Call only from a running proc or an
-// arrival handler — i.e. from on-schedule code.
+// flag if it has not parked yet).
 func (s *Sched) Wake(p *Proc) {
-	s.mu.Lock()
-	switch p.state {
-	case procParked:
-		s.enqueueLocked(p)
-	case procReady, procRunning:
+	if p.parked {
+		s.enqueue(p)
+	} else {
 		p.wakePending = true
 	}
-	s.mu.Unlock()
 }
 
-func (s *Sched) ensurePin(pin int) {
-	for len(s.pinq) <= pin {
-		s.pinq = append(s.pinq, nil)
-	}
-	for len(s.pinned) <= pin {
-		s.pinned = append(s.pinned, 0)
-	}
-}
-
-// enqueueLocked marks p ready, inserts it seq-ordered into its queue, and
-// wakes an idle worker that can run it. Callers hold s.mu.
-func (s *Sched) enqueueLocked(p *Proc) {
-	p.state = procReady
+// enqueue marks p ready, inserts it seq-ordered into its queue, and wakes
+// an idle core that can run it: its own for a pinned proc, else the idle
+// core with the lowest (clock, ID) — the one the loop would step first.
+func (s *Sched) enqueue(p *Proc) {
+	p.parked = false
 	s.ready++
 	if s.ready > s.runqHigh {
 		s.runqHigh = s.ready
 	}
-	if p.pin >= 0 {
-		s.ensurePin(p.pin)
-		s.pinq[p.pin] = insertBySeq(s.pinq[p.pin], p)
-		if s.g != nil && s.g.det != nil {
-			s.g.det.wakeIdleCore(p.pin)
-		}
-	} else {
-		s.runq = insertBySeq(s.runq, p)
-		if s.g != nil && s.g.det != nil {
-			s.g.det.wakeIdleOne()
-		}
+	if p.pin < 0 {
+		insertBySeq(&s.runq, p)
+		s.wake(s.pick(coreIdle))
+		return
+	}
+	for len(s.pinq) <= p.pin {
+		s.pinq = append(s.pinq, nil)
+	}
+	insertBySeq(&s.pinq[p.pin], p)
+	s.wake(p.pin)
+}
+
+// wake puts core id, if there is one and it is idle, back in the pick with
+// its clock still frozen where it went idle.
+func (s *Sched) wake(id int) {
+	if id >= 0 && id < len(s.cores) && s.cores[id].state == coreIdle {
+		s.cores[id].state = coreReady
+		s.active++
 	}
 }
 
-func insertBySeq(q []*Proc, p *Proc) []*Proc {
-	i := sort.Search(len(q), func(i int) bool { return q[i].seq > p.seq })
-	q = append(q, nil)
-	copy(q[i+1:], q[i:])
-	q[i] = p
-	return q
+// insertBySeq links p into the seq-ordered queue at *q. Queues are lists
+// through Proc.next: a requeued proc usually has the lowest seq waiting, so
+// it goes in at the head, and the lists cost no allocation.
+func insertBySeq(q **Proc, p *Proc) {
+	for *q != nil && (*q).seq < p.seq {
+		q = &(*q).next
+	}
+	p.next, *q = *q, p
 }
 
-// pickLocked pops the lowest-seq runnable proc for worker id: its pinned
-// queue first, then the migratable queue. Callers hold s.mu.
-func (s *Sched) pickLocked(id int) *Proc {
-	if id < len(s.pinq) && len(s.pinq[id]) > 0 {
-		p := s.pinq[id][0]
-		s.pinq[id] = popFront(s.pinq[id])
+// pop removes and returns the lowest-seq runnable proc for core id: its
+// pinned queue first, then the migratable queue.
+func (s *Sched) pop(id int) *Proc {
+	q := &s.runq
+	if id < len(s.pinq) && s.pinq[id] != nil {
+		q = &s.pinq[id]
+	}
+	p := *q
+	if p != nil {
+		*q, p.next = p.next, nil
 		s.ready--
-		return p
 	}
-	if len(s.runq) > 0 {
-		p := s.runq[0]
-		s.runq = popFront(s.runq)
-		s.ready--
-		return p
-	}
-	return nil
+	return p
 }
 
-func popFront(q []*Proc) []*Proc {
-	copy(q, q[1:])
-	q[len(q)-1] = nil
-	return q[:len(q)-1]
+// pick returns the core in the given state with the lowest (clock, ID), or
+// -1. Ties resolve by core ID, so the choice — and therefore the entire
+// schedule — is deterministic.
+func (s *Sched) pick(state int8) int {
+	next := -1
+	var best uint64
+	for j := range s.cores {
+		if k := &s.cores[j]; k.state == state && (next == -1 || k.clock < best) {
+			next, best = j, k.clock
+		}
+	}
+	return next
 }
 
-// Run executes the scheduled machine on cores [0, ncores) of m under the
-// deterministic gang and returns when every proc has finished and every
-// arrival has been folded. A Sched runs once; build a fresh one per run.
+// Run executes the scheduled machine on cores [0, ncores) of m and returns
+// when every proc has finished and every arrival has been folded. A Sched
+// runs once; build a fresh one per run. quantum is ignored — lowest-clock-
+// first bounds skew to one inter-yield chunk by construction — and kept
+// only because callers, bench/ among them, pass it. A body's panic
+// propagates to Run's caller.
 func (s *Sched) Run(m *Machine, ncores int, quantum uint64) {
-	s.mu.Lock()
-	if s.running {
-		s.mu.Unlock()
+	if s.cores != nil {
 		panic("hw: Sched.Run called twice")
 	}
-	for i := ncores; i < len(s.pinned); i++ {
-		if s.pinned[i] > 0 {
-			s.mu.Unlock()
-			panic(fmt.Sprintf("hw: proc pinned to core %d but Run has only %d cores", i, ncores))
-		}
+	s.cores = make([]core, ncores)
+	for _, p := range s.procs {
+		s.checkPin(p.pin)
 	}
 	sort.SliceStable(s.arrivals, func(i, j int) bool {
 		return s.arrivals[i].stamp < s.arrivals[j].stamp
 	})
-	s.running = true
-	s.ncores = ncores
+	for i := range s.cores {
+		s.cores[i] = core{cpu: m.CPU(i), clock: m.CPU(i).Now()}
+	}
 	s.active = ncores
-	g := newDetGang(m, ncores, quantum)
-	s.g = g
-	s.mu.Unlock()
-	runDet(g, m, ncores, func(c *CPU, g *Gang) { s.worker(c, g) })
+	defer s.stop()
+	for id := s.pick(coreReady); id >= 0; id = s.pick(coreReady) {
+		s.step(&s.cores[id])
+	}
+	if s.remaining > 0 {
+		// Every core is at a barrier or idle, and with none running nothing
+		// can ever release one. That is a workload bug (a barrier that
+		// cannot fill), not a recoverable state.
+		panic("hw: deterministic schedule deadlock: no runnable core")
+	}
 }
 
-// worker is one gang member's dispatch loop: pull the next runnable proc,
-// lend it the CPU until it yields, account the yield, sync the gang,
-// repeat. The Sync after every yield is the det-schedule hand-off point —
-// it lands at exactly the virtual instants the pre-scheduler bodies
-// synced at, because procs yield where those bodies called g.Sync.
-func (s *Sched) worker(c *CPU, g *Gang) {
-	var last *Proc
-	for {
-		p := s.next(c, g)
-		if p == nil {
-			return
+// stop cancels every coroutine Run created, so none outlives it. A carrier
+// between procs returns from its loop; one suspended inside a body — Run is
+// unwinding from a panic — has that body's pending yield panic in turn, which
+// the carrier swallows.
+func (s *Sched) stop() {
+	s.stopping = true
+	for on := s.free; on != nil; on = on.next {
+		on.stop()
+	}
+	for _, p := range s.procs {
+		if p.on != nil {
+			p.on.stop()
 		}
+	}
+}
+
+// step runs core k from its pick to its next yield point: dispatch a proc
+// (or continue the one a barrier just released), lend it the CPU until it
+// yields, account the yield, and record the clock the next pick sees.
+func (s *Sched) step(k *core) {
+	c := k.cpu
+	p := k.cur
+	if p != nil {
+		c.advanceTo(k.clock) // a barrier released p: align to the latest arrival
+	} else if p = s.next(k); p == nil {
+		return
+	} else {
 		if p.lastClock > c.Now() {
 			c.AdvanceTo(p.lastClock)
 		}
-		s.mu.Lock()
 		s.dispatches++
-		if last != nil && p != last {
+		if k.last != nil && p != k.last {
 			s.switches++
+			if s.SwitchCost > 0 {
+				c.Tick(s.SwitchCost)
+			}
 		}
-		s.mu.Unlock()
-		if last != nil && p != last && s.SwitchCost > 0 {
-			c.Tick(s.SwitchCost)
+		if p.on == nil {
+			p.on = s.carrier()
+			p.on.p = p
 		}
-		if !p.started {
-			p.started = true
-			p.ctx = Ctx{s: s, p: p}
-			go func(p *Proc) {
-				p.ctx.c = <-p.resume
-				p.body(&p.ctx)
-				p.yield <- yieldDone
-			}(p)
-		}
-		p.resume <- c
-		k := <-p.yield
-		p.lastClock = c.Now()
-		p.lastCore = c.ID()
-		last = p
-		s.afterYield(p, k)
-		g.Sync(c)
+		k.cur, k.last = p, p
 	}
-}
-
-// afterYield updates proc and fleet accounting for one yield.
-func (s *Sched) afterYield(p *Proc, k int8) {
-	s.mu.Lock()
-	switch k {
+	p.ctx.c = c
+	kind, _ := p.on.resume()
+	if kind == yieldBarrier {
+		s.arrive(k, p.bar)
+		return
+	}
+	p.lastClock = c.Now()
+	k.cur = nil
+	switch kind {
 	case yieldDone:
-		p.state = procDone
+		p.on.next, s.free = s.free, p.on
+		p.on = nil
 		s.remaining--
-		if p.pin >= 0 {
-			s.pinned[p.pin]--
-		} else {
-			s.migratable--
-		}
-		if s.remaining == 0 && s.nextArrival >= len(s.arrivals) {
-			// Global termination: wake every idle worker so it can exit.
-			s.g.det.wakeIdleAll()
-		}
 	case yieldPark:
-		if p.wakePending {
-			p.wakePending = false
-			s.enqueueLocked(p)
-		} else {
-			p.state = procParked
-		}
+		p.parked = true
 	default:
-		s.enqueueLocked(p)
+		s.enqueue(p)
 	}
-	s.mu.Unlock()
+	k.clock = c.Now()
 }
 
-// next returns the next proc for worker c, folding due arrivals, parking
-// idle, or advancing virtual time to the next arrival as needed. Returns
-// nil when the whole fleet is done.
-func (s *Sched) next(c *CPU, g *Gang) *Proc {
-	id := c.ID()
+// carrier returns a coroutine with no proc on it: a free one, or a new one.
+func (s *Sched) carrier() *carrier {
+	if on := s.free; on != nil {
+		s.free = on.next
+		return on
+	}
+	on := &carrier{}
+	on.resume, on.stop = iter.Pull(func(yield func(int8) bool) {
+		on.yield = yield
+		defer func() {
+			if s.stopping {
+				_ = recover() // what a cancelled body unwinds with
+			}
+		}()
+		for {
+			on.p.body(&on.p.ctx)
+			if !yield(yieldDone) {
+				return
+			}
+		}
+	})
+	return on
+}
+
+// arrive parks core k at b. The last of b's members to arrive releases
+// them all, itself included, ready at the latest arrival time.
+func (s *Sched) arrive(k *core, b *Barrier) {
+	b.maxT = max(b.maxT, k.cpu.Now())
+	k.state = coreBarrier
+	b.detWaiters = append(b.detWaiters, k.cpu.ID())
+	if len(b.detWaiters) < b.n {
+		return
+	}
+	for _, id := range b.detWaiters {
+		s.cores[id].state, s.cores[id].clock = coreReady, b.maxT
+	}
+	b.maxT = 0
+	b.detWaiters = b.detWaiters[:0]
+}
+
+// next returns the proc core k runs now, folding due arrivals and sleeping
+// to the next arrival as needed. It returns nil after taking the core out
+// of the pick: idle if nothing is runnable here, retired if the whole fleet
+// is done.
+func (s *Sched) next(k *core) *Proc {
+	c := k.cpu
 	for {
 		now := c.Now()
-		s.mu.Lock()
 		// Fold due arrivals first: a spawn request whose stamp has passed
-		// enters through whichever worker crosses it, queue permitting.
-		if s.nextArrival < len(s.arrivals) {
+		// enters through whichever core crosses it, queue permitting.
+		pending := s.nextArrival < len(s.arrivals)
+		if pending {
 			a := s.arrivals[s.nextArrival]
 			if a.stamp <= now {
 				if s.ready < s.queueCap {
 					s.nextArrival++
-					s.mu.Unlock()
 					a.fn(c, a.seq)
 					continue
 				}
@@ -456,44 +496,55 @@ func (s *Sched) next(c *CPU, g *Gang) *Proc {
 				}
 			}
 		}
-		if p := s.pickLocked(id); p != nil {
-			p.state = procRunning
-			s.mu.Unlock()
+		if p := s.pop(c.ID()); p != nil {
 			return p
 		}
-		if s.remaining == 0 && s.nextArrival >= len(s.arrivals) {
-			s.g.det.wakeIdleAll()
-			s.mu.Unlock()
+		if s.remaining == 0 && !pending {
+			// Global termination: idle cores wake to retire too.
+			for id := range s.cores {
+				s.wake(id)
+			}
+			k.state = coreDone
 			return nil
 		}
-		if s.nextArrival < len(s.arrivals) && s.ready < s.queueCap {
+		if pending && s.ready < s.queueCap {
 			// Nothing runnable here, a future arrival pending, and the
-			// backlog has room: this worker is a halted CPU sleeping until
-			// the next event, so its clock jumps to the arrival stamp and
-			// the fold happens here. Idle (lowest-clock) workers get the
-			// det token first, so arrival folding lands on idle cores
-			// before busy ones and spreads the fleet across the machine.
-			stamp := s.arrivals[s.nextArrival].stamp
-			s.mu.Unlock()
-			c.AdvanceTo(stamp)
+			// backlog has room: a halted CPU sleeping until the next event.
+			// Its clock jumps to the arrival stamp and the fold happens here.
+			c.AdvanceTo(s.arrivals[s.nextArrival].stamp)
 			continue
 		}
-		if s.nextArrival >= len(s.arrivals) && s.active == 1 {
-			s.mu.Unlock()
+		if !pending && s.active == 1 {
 			panic("hw: scheduler deadlock: procs parked with no runnable waker")
 		}
-		// Nothing runnable here and others are still active: park idle
-		// through the det token machinery, clock frozen, until an enqueue
-		// or termination wakes us. The det schedule serializes execution,
-		// so no wake can slip in between releasing s.mu and parking.
+		// Nothing runnable here and other cores are still active: go idle,
+		// clock frozen, until an enqueue or termination wakes this core.
 		s.active--
-		s.mu.Unlock()
-		g.det.parkIdle(c)
-		s.mu.Lock()
-		s.active++
-		s.mu.Unlock()
+		k.state = coreIdle
+		k.clock = c.Now()
+		return nil
 	}
 }
+
+// RunGangDet runs fn(cpu) on cores [0, ncores) of m like RunGang, but under
+// the deterministic schedule: same fn signature, same virtual-time
+// semantics for Sync/Barrier, bit-identical output across runs. It is the
+// degenerate fleet, one proc pinned to each core, and in that shape the
+// scheduler adds no virtual time at all: a core redispatching the proc it
+// last ran charges nothing, and AdvanceTo to the proc's own last clock is a
+// no-op. g.Sync and Barrier.Wait(cpu, g) forward to the calling core's
+// proc's Yield and Wait. quantum is ignored, as in Sched.Run.
+func RunGangDet(m *Machine, ncores int, quantum uint64, fn func(cpu *CPU, g *Gang)) {
+	s := NewSched(0)
+	g := &Gang{det: s}
+	for i := 0; i < ncores; i++ {
+		s.Spawn(i, func(tc *Ctx) { fn(tc.CPU(), g) })
+	}
+	s.Run(m, ncores, quantum)
+}
+
+// running returns the context of the proc running on cpu.
+func (s *Sched) running(cpu *CPU) *Ctx { return &s.cores[cpu.ID()].cur.ctx }
 
 // RunQueueHighWater reports the deepest the ready backlog got (migratable
 // run queue plus all pinned queues).
@@ -502,7 +553,7 @@ func (s *Sched) RunQueueHighWater() int { return s.runqHigh }
 // Dispatches reports the total number of proc dispatches.
 func (s *Sched) Dispatches() uint64 { return s.dispatches }
 
-// Switches reports dispatches that changed procs on a worker.
+// Switches reports dispatches that changed procs on a core.
 func (s *Sched) Switches() uint64 { return s.switches }
 
 // DeferredArrivals reports arrivals whose fold the admission cap delayed.

@@ -1,0 +1,90 @@
+package hw
+
+import "testing"
+
+// The scheduler's host cost, in the repo's own benchmark harness so CI can
+// print it. Each reports the host ns per scheduler event as ns/op: one
+// b.N iteration is one yield, one dispatch, or one proc's whole life.
+
+// BenchmarkSchedYield: 64 procs pinned one per core, Tick+Yield — the
+// fixed-gang shape every figure workload runs in. One op is one yield:
+// pick the lowest-clock core, resume its proc, requeue it.
+func BenchmarkSchedYield(b *testing.B) {
+	const ncores = 64
+	rounds := b.N/ncores + 1
+	m := NewMachine(DefaultConfig(ncores))
+	s := NewSched(0)
+	for i := 0; i < ncores; i++ {
+		s.Spawn(i, func(tc *Ctx) {
+			for k := 0; k < rounds; k++ {
+				tc.CPU().Tick(100)
+				tc.Yield()
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run(m, ncores, 0)
+}
+
+// BenchmarkSchedSwitch: 128 migratable procs on 64 cores with a switch
+// cost. Dispatch is lowest-seq first, so procs that only yield would run
+// to completion one after another on whichever core is behind; these are
+// 64 pairs handing a turn back and forth through Wake and Park instead, so
+// a dispatch finds a different proc than the core ran last, charges the
+// switch, and parks it again. One op is one dispatch: a Wake that finds its
+// partner not yet parked makes the partner's next Park return at once, so a
+// dispatch covers two turns of the loop.
+func BenchmarkSchedSwitch(b *testing.B) {
+	const ncores, npairs = 64, 64
+	rounds := b.N/npairs + 1
+	m := NewMachine(DefaultConfig(ncores))
+	s := NewSched(0)
+	s.SwitchCost = 3000
+	for i := 0; i < npairs; i++ {
+		var ping, pong *Proc
+		done := false
+		ping = s.Spawn(-1, func(tc *Ctx) {
+			for k := 0; k < rounds; k++ {
+				tc.CPU().Tick(100)
+				s.Wake(pong)
+				tc.Park()
+			}
+			done = true
+			s.Wake(pong)
+		})
+		pong = s.Spawn(-1, func(tc *Ctx) {
+			for !done {
+				tc.CPU().Tick(100)
+				s.Wake(ping)
+				tc.Park()
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run(m, ncores, 0)
+	b.StopTimer()
+	if s.Dispatches() < uint64(b.N) || s.Switches() < s.Dispatches()/2 {
+		b.Fatalf("b.N=%d: %d switches in %d dispatches: the benchmark no longer measures switching", b.N, s.Switches(), s.Dispatches())
+	}
+}
+
+// BenchmarkSchedSpawnExit: short-lived procs arriving one at a time, each
+// spawned by an arrival, dispatched, yielding once and exiting — the
+// fleet's churn. One op is one proc, spawn to exit.
+func BenchmarkSchedSpawnExit(b *testing.B) {
+	const ncores = 4
+	m := NewMachine(DefaultConfig(ncores))
+	s := NewSched(0)
+	body := func(tc *Ctx) {
+		tc.CPU().Tick(100)
+		tc.Yield()
+	}
+	for i := 0; i < b.N; i++ {
+		s.Arrive(uint64(i)*200, func(c *CPU, seq uint64) { s.SpawnAt(-1, c.Now(), body) })
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run(m, ncores, 0)
+}

@@ -200,7 +200,7 @@ func FileServe(env *Env, sys vm.System, cores int, alloc *mem.Allocator, cfg Fil
 				tc.Yield()
 				c = tc.CPU()
 			}
-			reads += touched // on-schedule: serialized by the det gang
+			reads += touched // on-schedule: serialized by the schedule
 			pool.ThreadDone(c, p, c.Now())
 		}
 	}

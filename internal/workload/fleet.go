@@ -183,7 +183,7 @@ func Fleet(env *Env, sys vm.System, cores int, cfg FleetConfig) FleetResult {
 				tc.Yield()
 				c = tc.CPU()
 			}
-			writes += touched // on-schedule: serialized by the det gang
+			writes += touched // on-schedule: serialized by the schedule
 			pool.ThreadDone(c, p, c.Now())
 		}
 	}
