@@ -28,6 +28,10 @@ const PageSize = 4096
 // recycled frame touches no heap at all — the last allocation on the
 // page-fault path. Frames never hand out weak references that outlive a
 // lifetime, which is what makes the reuse sound (see InitObj).
+//
+// A frame is an element of one of the allocator's chunks and never moves or
+// goes away once created, so a *Frame held across any number of later Allocs
+// stays the frame ByPFN returns for its PFN.
 type Frame struct {
 	PFN  uint64        // physical frame number
 	Home int           // core whose free list owns this frame
@@ -85,7 +89,16 @@ func (f *Frame) DropCOWShare(cpu *hw.CPU) {
 	f.cowShares.Add(-1)
 }
 
+// frameChunk is how many frames the allocator creates at a time. A run
+// shorter than the two Refcache epochs a frame needs to recycle creates one
+// frame per fault, and one heap object (plus a slot in a reallocating
+// pointer slice) per frame was most of what such a run allocated.
+const frameChunk = 64
+
 // Allocator hands out reference-counted frames with per-core free lists.
+// Frames are created in chunks of frameChunk: a new frame is the next unused
+// element of the newest chunk, and only the directory of chunk pointers ever
+// reallocates, so frames have stable addresses.
 type Allocator struct {
 	m        *hw.Machine
 	rc       *refcache.Refcache
@@ -95,10 +108,12 @@ type Allocator struct {
 	lists []freelist
 
 	allocated atomic.Int64 // live frames
-	totals    atomic.Int64 // frames ever created
+	totals    atomic.Int64 // frames ever created; written under regMu
 
-	regMu    sync.RWMutex
-	registry []*Frame // pfn-1 -> frame (append-only)
+	// Frame pfn is chunks[(pfn-1)/frameChunk][(pfn-1)%frameChunk]; chunks
+	// is append-only and totals is the highest PFN handed out.
+	regMu  sync.RWMutex
+	chunks []*[frameChunk]Frame
 }
 
 type freelist struct {
@@ -137,15 +152,18 @@ func (a *Allocator) Alloc(cpu *hw.CPU) *Frame {
 	}
 	fl.mu.Unlock()
 	if f == nil {
-		f = &Frame{Home: id}
-		a.totals.Add(1)
-		// The PFN is the frame's registry index, so it is assigned under
-		// the lock that appends: numbered outside it, two cores creating
-		// frames at once could append out of PFN order and ByPFN would
-		// hand the baselines the wrong frame from then on.
+		// The PFN is the frame's position in the chunks, so the frame is
+		// taken and numbered under one lock: numbered outside it, two cores
+		// creating frames at once could number them out of position order
+		// and ByPFN would hand the baselines the wrong frame from then on.
 		a.regMu.Lock()
-		a.registry = append(a.registry, f)
-		f.PFN = uint64(len(a.registry))
+		n := uint64(a.totals.Load())
+		if n%frameChunk == 0 {
+			a.chunks = append(a.chunks, new([frameChunk]Frame))
+		}
+		f = &a.chunks[n/frameChunk][n%frameChunk]
+		f.PFN, f.Home = n+1, id
+		a.totals.Store(int64(n + 1))
 		a.regMu.Unlock()
 	}
 	a.rc.InitObj(&f.obj, 1, a.freeFn)
@@ -191,10 +209,10 @@ func (a *Allocator) release(cpu *hw.CPU, f *Frame) {
 func (a *Allocator) ByPFN(pfn uint64) *Frame {
 	a.regMu.RLock()
 	defer a.regMu.RUnlock()
-	if pfn == 0 || int(pfn) > len(a.registry) {
+	if pfn == 0 || pfn > uint64(a.totals.Load()) {
 		return nil
 	}
-	return a.registry[pfn-1]
+	return &a.chunks[(pfn-1)/frameChunk][(pfn-1)%frameChunk]
 }
 
 // Live returns the number of frames currently allocated (reference held or

@@ -67,6 +67,56 @@ func TestConcurrentAllocByPFN(t *testing.T) {
 	}
 }
 
+// TestByPFNAcrossChunks: frames are created a chunk at a time; the PFNs on
+// both sides of every chunk boundary must find their own frame, the ones
+// past the last frame created (the rest of its chunk exists, unnumbered)
+// nothing.
+func TestByPFNAcrossChunks(t *testing.T) {
+	m, _, a := newAlloc(2)
+	const n = 2*frameChunk + 3
+	frames := make([]*Frame, 0, n)
+	for i := 0; i < n; i++ {
+		f := a.Alloc(m.CPU(i % 2))
+		if f.PFN != uint64(i+1) || f.Home != i%2 {
+			t.Fatalf("frame %d: PFN %d, Home %d", i, f.PFN, f.Home)
+		}
+		frames = append(frames, f)
+	}
+	for _, f := range frames {
+		if a.ByPFN(f.PFN) != f {
+			t.Fatalf("ByPFN(%d) is not the frame Alloc returned", f.PFN)
+		}
+	}
+	for _, pfn := range []uint64{0, n + 1, 3 * frameChunk, 3*frameChunk + 1, 1 << 40} {
+		if f := a.ByPFN(pfn); f != nil {
+			t.Errorf("ByPFN(%d) = frame %d, want nil: no such frame was created", pfn, f.PFN)
+		}
+	}
+	if a.Created() != n || a.Live() != n {
+		t.Errorf("Created = %d, Live = %d, want %d", a.Created(), a.Live(), n)
+	}
+}
+
+// TestFramesNeverMove: page tables, free lists and refcache objects all hold
+// *Frame, so a frame's address must survive any amount of later growth.
+func TestFramesNeverMove(t *testing.T) {
+	m, _, a := newAlloc(1)
+	c := m.CPU(0)
+	early := []*Frame{a.Alloc(c), a.Alloc(c)}
+	early[0].Data()[0] = 42
+	for i := 0; i < 10000; i++ {
+		a.Alloc(c)
+	}
+	for i, f := range early {
+		if got := a.ByPFN(uint64(i + 1)); got != f || f.PFN != uint64(i+1) {
+			t.Fatalf("frame %d moved: Alloc returned %p, ByPFN now returns %p", i+1, f, got)
+		}
+	}
+	if early[0].Data()[0] != 42 || early[0].Obj == nil {
+		t.Error("an early frame lost its state to later allocations")
+	}
+}
+
 func TestFrameReuseFromLocalFreeList(t *testing.T) {
 	m, rc, a := newAlloc(2)
 	c := m.CPU(0)

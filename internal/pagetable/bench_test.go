@@ -1,0 +1,62 @@
+package pagetable
+
+import (
+	"testing"
+
+	"radixvm/internal/hw"
+)
+
+// The page table's host cost, at the two shapes that matter: sparse (a
+// forked child's per-core table: built, given a handful of PTEs, dropped)
+// and dense (a long-lived table walked over and over).
+
+// BenchmarkPageTableMapSparse: one op builds a table and maps one page in
+// it, so B/op is what one core's table costs a forked child before its
+// second fault.
+func BenchmarkPageTableMapSparse(b *testing.B) {
+	m := hw.NewMachine(hw.DefaultConfig(1))
+	c := m.CPU(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		New(m).Map(c, 1<<20, uint64(i), PermR|PermW)
+	}
+}
+
+var sink PTE
+
+// BenchmarkPageTableLookupDense: hardware walks over one fully populated
+// leaf, every line of it hot.
+func BenchmarkPageTableLookupDense(b *testing.B) {
+	m := hw.NewMachine(hw.DefaultConfig(1))
+	c := m.CPU(0)
+	pt := New(m)
+	for v := uint64(0); v < EntriesPerNode; v++ {
+		pt.Map(c, v, v, PermR)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink, _ = pt.Lookup(c, uint64(i)%EntriesPerNode)
+	}
+}
+
+// BenchmarkPageTableUnmapRange16: the munmap shape. One op maps 16
+// consecutive pages of a long-lived table and clears them with one
+// UnmapRange.
+func BenchmarkPageTableUnmapRange16(b *testing.B) {
+	m := hw.NewMachine(hw.DefaultConfig(1))
+	c := m.CPU(0)
+	pt := New(m)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := uint64(i%1024) * 16
+		for v := lo; v < lo+16; v++ {
+			pt.Map(c, v, v, PermR|PermW)
+		}
+		if pt.UnmapRange(c, lo, lo+16) != 16 {
+			b.Fatal("UnmapRange missed pages it had just mapped")
+		}
+	}
+}

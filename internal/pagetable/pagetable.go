@@ -4,9 +4,10 @@
 // shared-table baselines; the MMU abstraction in internal/vm chooses how
 // many tables an address space has and who gets shot down.
 //
-// Walks are lock-free (children are installed with CAS); PTE reads and
-// writes are atomic and charge coherence cost on the containing line, which
-// is how shared-table contention (Figure 9's "Shared" curves) emerges.
+// Walks are lock-free (a new node is installed in its parent's entry with
+// CAS); PTE reads and writes are atomic and charge coherence cost on the
+// containing line, which is how shared-table contention (Figure 9's "Shared"
+// curves) emerges.
 package pagetable
 
 import (
@@ -29,6 +30,7 @@ const (
 	NodeBytes = EntriesPerNode * 8
 	// slotsPerLine reflects eight 8-byte PTEs per 64-byte cache line.
 	slotsPerLine = 8
+	linesPerNode = EntriesPerNode / slotsPerLine
 )
 
 // Perm is the permission half of a PTE: the readable/writable and
@@ -98,112 +100,145 @@ func unpack(raw uint64) PTE {
 	return PTE{PFN: raw >> rawShift, Perm: perm, Present: raw&rawPresent != 0}
 }
 
-// node holds only the array its level uses — child pointers at interior
-// levels, PTEs at leaves — so a table node costs one 4 KB array instead of
-// two (a real page table node is 4 KB; the seed's nodes carried both
-// arrays and doubled the footprint of every table).
+// node is one table node as the host pays for it: a directory of the node's
+// 64 cache lines, each nil until a walk first touches it. The simulated node
+// is still 4 KB (NodeBytes, what Bytes reports); the host holds the 512-byte
+// directory plus one block per touched line, because an address space's
+// per-core tables mostly cover sparse regions — a forked child that runs on
+// two cores reaches one line in each interior node and a few in a leaf, and
+// a 4 KB entry array per node to hold them was a quarter of everything the
+// fleet allocated.
 //
-// The cache-line models materialize lazily, one Line per touched group of
-// eight entries: an address space's per-core tables mostly cover sparse
-// regions where each walk touches a handful of lines, and the eager
-// [64]hw.Line array added 3 KB of real memory to every 4 KB simulated
-// node. Losing a CAS race on installation is harmless — both racers then
-// touch the winner's Line, which charges exactly what a mutex-ordered pair
-// of first touches would.
-type node struct {
-	level    int                    // Levels-1 at the root, 0 at the leaves
-	children []atomic.Pointer[node] // level > 0
-	ptes     []atomic.Uint64        // level == 0: pfn<<1 | present
-	lines    [EntriesPerNode / slotsPerLine]atomic.Pointer[hw.Line]
+// E is the entry type: atomic.Uint64 (a raw PTE) in a leaf, a pointer to the
+// next level's node above it. The four levels are four instantiations, so
+// the walk is three typed descents rather than a loop over a level field.
+type node[E any] struct {
+	lines [linesPerNode]atomic.Pointer[line[E]]
 }
 
-// line returns the cache-line model covering entry i, materializing it on
-// first touch.
-func (n *node) line(i int) *hw.Line {
-	li := i / slotsPerLine
-	if l := n.lines[li].Load(); l != nil {
-		return l
+// line is one touched cache line of a node: its coherence model and the
+// eight entries it holds. The entries live with the Line because both appear
+// at the same moment — the first touch, an absent-entry read included, since
+// a read of an empty entry still pulls the line into the reader's cache and
+// the next toucher must find that sharer state — so one allocation and one
+// installing CAS cover both, and an entry of a never-touched line needs no
+// storage: nothing can have written it. Losing the installation race is
+// harmless — both racers then use the winner's line, which charges exactly
+// what a mutex-ordered pair of first touches would, and the loser's block
+// was never visible to hold an entry.
+type line[E any] struct {
+	hw.Line
+	e [slotsPerLine]E
+}
+
+type (
+	leaf = node[atomic.Uint64] // level 0: PTEs, packed as pack describes
+	dir1 = node[atomic.Pointer[leaf]]
+	dir2 = node[atomic.Pointer[dir1]]
+	dir3 = node[atomic.Pointer[dir2]] // level Levels-1: the root
+)
+
+// touch returns entry i of n and the cache line holding it, materializing
+// the line on first touch.
+func (n *node[E]) touch(i int) (*hw.Line, *E) {
+	p := &n.lines[i/slotsPerLine]
+	l := p.Load()
+	if l == nil {
+		l = new(line[E])
+		if !p.CompareAndSwap(nil, l) {
+			l = p.Load()
+		}
 	}
-	l := new(hw.Line)
-	if !n.lines[li].CompareAndSwap(nil, l) {
-		l = n.lines[li].Load()
+	return &l.Line, &l.e[i%slotsPerLine]
+}
+
+// peek returns entry i of n without materializing anything: nil when no
+// walk has touched the entry's line yet, so the entry is still zero — or
+// when n itself is nil, so a cost-free walk can chain its steps.
+func (n *node[E]) peek(i int) *E {
+	if n == nil {
+		return nil
 	}
-	return l
+	l := n.lines[i/slotsPerLine].Load()
+	if l == nil {
+		return nil
+	}
+	return &l.e[i%slotsPerLine]
 }
 
 // PageTable is one hardware page table tree.
 type PageTable struct {
 	m     *hw.Machine
-	root  *node
+	root  *dir3
 	nodes atomic.Int64 // allocated table nodes, for memory accounting
 }
 
 // New creates an empty page table.
 func New(m *hw.Machine) *PageTable {
 	pt := &PageTable{m: m}
-	pt.root = pt.newNode(Levels - 1)
+	pt.root = newNode[dir3](pt)
 	return pt
 }
 
-func (pt *PageTable) newNode(level int) *node {
+func newNode[N any](pt *PageTable) *N {
 	pt.nodes.Add(1)
-	n := &node{level: level}
-	if level > 0 {
-		n.children = make([]atomic.Pointer[node], EntriesPerNode)
-	} else {
-		n.ptes = make([]atomic.Uint64, EntriesPerNode)
-	}
-	return n
+	return new(N)
 }
 
 func idxAt(vpn uint64, level int) int {
 	return int(vpn >> (uint(level) * BitsPerLevel) & (EntriesPerNode - 1))
 }
 
+// descend is one interior step of a walk: it reads entry i of n, charged to
+// cpu, and returns the node it points to, installing a fresh one when the
+// entry is empty and create is set. Returns nil when the entry is empty and
+// stays so.
+func descend[C any](pt *PageTable, cpu *hw.CPU, n *node[atomic.Pointer[C]], i int, create bool) *C {
+	l, slot := n.touch(i)
+	cpu.Read(l)
+	child := slot.Load()
+	if child == nil && create {
+		fresh := newNode[C](pt)
+		if slot.CompareAndSwap(nil, fresh) {
+			cpu.Write(l)
+			return fresh
+		}
+		pt.nodes.Add(-1) // lost the race; discard ours
+		child = slot.Load()
+	}
+	return child
+}
+
 // walk returns the leaf node for vpn, allocating intermediate nodes when
 // create is set. Returns nil when the path does not exist.
-func (pt *PageTable) walk(cpu *hw.CPU, vpn uint64, create bool) *node {
-	n := pt.root
-	for n.level > 0 {
-		i := idxAt(vpn, n.level)
-		cpu.Read(n.line(i))
-		child := n.children[i].Load()
-		if child == nil {
-			if !create {
-				return nil
-			}
-			fresh := pt.newNode(n.level - 1)
-			if n.children[i].CompareAndSwap(nil, fresh) {
-				cpu.Write(n.line(i))
-				child = fresh
-			} else {
-				pt.nodes.Add(-1) // lost the race; discard ours
-				child = n.children[i].Load()
-			}
-		}
-		n = child
+func (pt *PageTable) walk(cpu *hw.CPU, vpn uint64, create bool) *leaf {
+	d2 := descend(pt, cpu, pt.root, idxAt(vpn, 3), create)
+	if d2 == nil {
+		return nil
 	}
-	return n
+	d1 := descend(pt, cpu, d2, idxAt(vpn, 2), create)
+	if d1 == nil {
+		return nil
+	}
+	return descend(pt, cpu, d1, idxAt(vpn, 1), create)
 }
 
 // Map installs vpn→pfn with the given permissions, charged to cpu. Mapping
 // an already-present entry overwrites it (how a protection fault upgrades a
 // read-only PTE after mprotect widened the mapping's rights).
 func (pt *PageTable) Map(cpu *hw.CPU, vpn, pfn uint64, perm Perm) {
-	n := pt.walk(cpu, vpn, true)
-	i := idxAt(vpn, 0)
-	cpu.Write(n.line(i))
-	n.ptes[i].Store(pack(pfn, perm))
+	l, pte := pt.walk(cpu, vpn, true).touch(idxAt(vpn, 0))
+	cpu.Write(l)
+	pte.Store(pack(pfn, perm))
 }
 
 // MapIfAbsent installs vpn→pfn only if no translation is present, and
 // reports whether it installed. Concurrent faulters on a shared table race
 // here; exactly one wins (Linux's equivalent is the PTE lock + recheck).
 func (pt *PageTable) MapIfAbsent(cpu *hw.CPU, vpn, pfn uint64, perm Perm) bool {
-	n := pt.walk(cpu, vpn, true)
-	i := idxAt(vpn, 0)
-	cpu.Write(n.line(i))
-	return n.ptes[i].CompareAndSwap(0, pack(pfn, perm))
+	l, pte := pt.walk(cpu, vpn, true).touch(idxAt(vpn, 0))
+	cpu.Write(l)
+	return pte.CompareAndSwap(0, pack(pfn, perm))
 }
 
 // Unmap clears vpn's entry and reports whether it was present.
@@ -212,9 +247,9 @@ func (pt *PageTable) Unmap(cpu *hw.CPU, vpn uint64) bool {
 	if n == nil {
 		return false
 	}
-	i := idxAt(vpn, 0)
-	cpu.Write(n.line(i))
-	return n.ptes[i].Swap(0)&rawPresent != 0
+	l, pte := n.touch(idxAt(vpn, 0))
+	cpu.Write(l)
+	return pte.Swap(0)&rawPresent != 0
 }
 
 // UnmapRange clears [lo, hi) and returns how many entries were present.
@@ -234,9 +269,9 @@ func (pt *PageTable) UnmapRangeFunc(cpu *hw.CPU, lo, hi uint64, fn func(vpn, pfn
 			vpn |= EntriesPerNode - 1 // jump to end of this leaf span
 			continue
 		}
-		i := idxAt(vpn, 0)
-		cpu.Write(n.line(i))
-		if old := n.ptes[i].Swap(0); old&rawPresent != 0 {
+		l, pte := n.touch(idxAt(vpn, 0))
+		cpu.Write(l)
+		if old := pte.Swap(0); old&rawPresent != 0 {
 			cleared++
 			if fn != nil {
 				fn(vpn, old>>rawShift)
@@ -257,9 +292,9 @@ func (pt *PageTable) ForEachRange(cpu *hw.CPU, lo, hi uint64, fn func(vpn uint64
 			vpn |= EntriesPerNode - 1 // jump to end of this leaf span
 			continue
 		}
-		i := idxAt(vpn, 0)
-		cpu.Read(n.line(i))
-		if raw := n.ptes[i].Load(); raw&rawPresent != 0 {
+		l, pte := n.touch(idxAt(vpn, 0))
+		cpu.Read(l)
+		if raw := pte.Load(); raw&rawPresent != 0 {
 			fn(vpn, unpack(raw))
 		}
 	}
@@ -275,9 +310,9 @@ func (pt *PageTable) Replace(cpu *hw.CPU, vpn uint64, old PTE, pfn uint64, perm 
 	if n == nil {
 		return false
 	}
-	i := idxAt(vpn, 0)
-	cpu.Write(n.line(i))
-	return n.ptes[i].CompareAndSwap(pack(old.PFN, old.Perm), pack(pfn, perm))
+	l, pte := n.touch(idxAt(vpn, 0))
+	cpu.Write(l)
+	return pte.CompareAndSwap(pack(old.PFN, old.Perm), pack(pfn, perm))
 }
 
 // ProtectRange rewrites the permission bits of every present entry in
@@ -293,15 +328,15 @@ func (pt *PageTable) ProtectRange(cpu *hw.CPU, lo, hi uint64, perm Perm) int {
 			vpn |= EntriesPerNode - 1 // jump to end of this leaf span
 			continue
 		}
-		i := idxAt(vpn, 0)
-		cpu.Write(n.line(i))
+		l, pte := n.touch(idxAt(vpn, 0))
+		cpu.Write(l)
 		for {
-			old := n.ptes[i].Load()
+			old := pte.Load()
 			if old&rawPresent == 0 {
 				break
 			}
 			newRaw := pack(old>>rawShift, perm)
-			if old == newRaw || n.ptes[i].CompareAndSwap(old, newRaw) {
+			if old == newRaw || pte.CompareAndSwap(old, newRaw) {
 				changed++
 				break
 			}
@@ -316,9 +351,9 @@ func (pt *PageTable) Lookup(cpu *hw.CPU, vpn uint64) (PTE, bool) {
 	if n == nil {
 		return PTE{}, false
 	}
-	i := idxAt(vpn, 0)
-	cpu.Read(n.line(i))
-	raw := n.ptes[i].Load()
+	l, pte := n.touch(idxAt(vpn, 0))
+	cpu.Read(l)
+	raw := pte.Load()
 	if raw&rawPresent == 0 {
 		return PTE{}, false
 	}
@@ -338,21 +373,30 @@ func (pt *PageTable) Present(vpn uint64) bool {
 
 // Peek returns vpn's entry without charging simulated cost — for callers
 // that just touched (and paid for) the entry's line and need to re-read it,
-// and for the Present recheck above.
+// and for the Present recheck above. It materializes nothing: an entry on a
+// line no walk has touched is absent.
 func (pt *PageTable) Peek(vpn uint64) (PTE, bool) {
-	n := pt.root
-	for n.level > 0 {
-		child := n.children[idxAt(vpn, n.level)].Load()
-		if child == nil {
-			return PTE{}, false
-		}
-		n = child
+	d2 := peekChild(pt.root, idxAt(vpn, 3))
+	d1 := peekChild(d2, idxAt(vpn, 2))
+	pte := peekChild(d1, idxAt(vpn, 1)).peek(idxAt(vpn, 0))
+	if pte == nil {
+		return PTE{}, false
 	}
-	raw := n.ptes[idxAt(vpn, 0)].Load()
+	raw := pte.Load()
 	if raw&rawPresent == 0 {
 		return PTE{}, false
 	}
 	return unpack(raw), true
+}
+
+// peekChild returns the node that entry i of n points to, nil when there is
+// none.
+func peekChild[C any](n *node[atomic.Pointer[C]], i int) *C {
+	slot := n.peek(i)
+	if slot == nil {
+		return nil
+	}
+	return slot.Load()
 }
 
 // Bytes returns the memory consumed by table nodes, matching how the paper

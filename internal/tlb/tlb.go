@@ -1,8 +1,9 @@
 // Package tlb models per-core translation lookaside buffers. RadixVM's
 // targeted shootdown design needs nothing fancy from the TLB itself — the
 // cleverness is in tracking which cores *may* have an entry (the per-page
-// core set in mapping metadata) — so this TLB is a bounded map with FIFO
-// eviction, safe for the owner core plus shootdown-by-proxy senders.
+// core set in mapping metadata) — so this TLB is a bounded hash table (open
+// addressing, linear probing) with FIFO eviction, safe for the owner core
+// plus shootdown-by-proxy senders.
 package tlb
 
 import (
@@ -46,11 +47,13 @@ func unpack(raw uint64) Entry {
 
 // TLB is one core's translation cache. The zero value is an empty TLB of
 // DefaultCapacity, so an MMU can hold its cores' TLBs by value in one slice;
-// a TLB must not be copied after first use.
+// a TLB must not be copied after first use. The translations are held by
+// pointer, not inline, for the same slice's sake: an address space has one
+// TLB per core of the machine and a forked child uses two or three of them.
 type TLB struct {
 	mu       sync.Mutex
-	entries  map[uint64]uint64 // vpn -> packed Entry; nil until the first Insert
-	capacity int               // 0 means DefaultCapacity
+	tab      *table // vpn -> packed Entry; nil until the first Insert
+	capacity int    // 0 means DefaultCapacity
 
 	// order is the FIFO eviction queue: one token per Insert of an absent
 	// VPN, oldest at order[head]. Flushing a page leaves its token behind,
@@ -79,13 +82,115 @@ const (
 )
 
 // New creates a TLB with the given capacity (DefaultCapacity if <= 0). The
-// map appears on the first Insert and grows on demand rather than being
-// presized: presizing a 1536-entry map per core per address space cost ~1 MB
+// table appears on the first Insert and doubles on demand rather than being
+// presized: presizing for 1536 entries per core per address space cost ~1 MB
 // and a bulk zeroing per benchmark environment, while most simulated
 // workloads touch a few dozen translations — and most cores of a forked
 // child's address space none at all.
 func New(capacity int) *TLB {
 	return &TLB{capacity: max(capacity, 0)}
+}
+
+// table is the translations as an open-addressed hash table: one flat array
+// of (key, value) words probed linearly from the key's home slot, so a hit
+// is a multiply and usually one cache line — the Go map this replaces was a
+// fifth of a fault-heavy run's host time. Deletion shifts the rest of the
+// probe run back over the hole instead of leaving a tombstone: a TLB deletes
+// as often as it inserts (every munmap, every eviction), and tombstones
+// would make probe length depend on history rather than on occupancy.
+type table struct {
+	slots []slot // power-of-two length, at most 3/4 occupied
+	n     int    // occupied slots
+	shift uint   // 64 - log2(len(slots)): home takes a hash's top bits
+}
+
+// A slot holds key vpn+1, so the zero slot is empty.
+type slot struct{ key, val uint64 }
+
+// A table starts at minSlots: most TLBs of a forked child hold a handful of
+// translations for a few microseconds.
+const (
+	minSlotsLog2 = 3
+	minSlots     = 1 << minSlotsLog2
+)
+
+func newTable() *table {
+	return &table{slots: make([]slot, minSlots), shift: 64 - minSlotsLog2}
+}
+
+// home is the slot a key's probe run starts at: Fibonacci hashing, because
+// VPNs arrive in strides (one page per core a GB apart, every 512th page)
+// that a mask of the low bits would pile onto one slot.
+func (tb *table) home(key uint64) int {
+	return int(key * 0x9E3779B97F4A7C15 >> tb.shift)
+}
+
+// find returns the slot holding vpn. A nil table holds nothing.
+func (tb *table) find(vpn uint64) (int, bool) {
+	if tb == nil {
+		return 0, false
+	}
+	key, mask := vpn+1, len(tb.slots)-1
+	for i := tb.home(key); ; i = (i + 1) & mask {
+		switch tb.slots[i].key {
+		case 0: // tested first: vpn+1 wraps to 0 for the one VPN no page has
+			return 0, false
+		case key:
+			return i, true
+		}
+	}
+}
+
+// put adds vpn, which must be absent.
+func (tb *table) put(vpn, val uint64) {
+	if 4*(tb.n+1) > 3*len(tb.slots) {
+		old := tb.slots
+		tb.slots, tb.shift = make([]slot, 2*len(old)), tb.shift-1
+		for _, s := range old {
+			if s.key != 0 {
+				tb.place(s)
+			}
+		}
+	}
+	tb.place(slot{vpn + 1, val})
+	tb.n++
+}
+
+// place stores s in the first empty slot of its probe run.
+func (tb *table) place(s slot) {
+	mask := len(tb.slots) - 1
+	i := tb.home(s.key)
+	for tb.slots[i].key != 0 {
+		i = (i + 1) & mask
+	}
+	tb.slots[i] = s
+}
+
+// removeAt empties slot i and closes the hole: each later member of the
+// probe run moves back into it unless that would put it before its home,
+// until the run ends at an empty slot. Slot i may hold another key
+// afterwards.
+func (tb *table) removeAt(i int) {
+	mask := len(tb.slots) - 1
+	for j := (i + 1) & mask; tb.slots[j].key != 0; j = (j + 1) & mask {
+		// The member at j may move to the hole at i iff its home is not in
+		// (i, j], taken cyclically.
+		if (j-tb.home(tb.slots[j].key))&mask >= (j-i)&mask {
+			tb.slots[i] = tb.slots[j]
+			i = j
+		}
+	}
+	tb.slots[i] = slot{}
+	tb.n--
+}
+
+// remove deletes vpn and reports whether it was present.
+func (tb *table) remove(vpn uint64) bool {
+	i, ok := tb.find(vpn)
+	if ok {
+		tb.removeAt(i)
+	}
+	return ok
 }
 
 // Insert caches vpn→e, evicting the oldest entry at capacity. Re-inserting
@@ -94,22 +199,24 @@ func New(capacity int) *TLB {
 func (t *TLB) Insert(vpn uint64, e Entry) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.entries[vpn]; !ok {
-		if t.entries == nil {
-			t.entries = make(map[uint64]uint64)
-		}
-		capacity := t.capacity
-		if capacity == 0 {
-			capacity = DefaultCapacity
-		}
-		// order may hold stale VPNs flushed earlier; evict until below
-		// capacity.
-		for len(t.entries) >= capacity && t.head < len(t.order) {
-			delete(t.entries, t.pop())
-		}
-		t.push(vpn)
+	if i, ok := t.tab.find(vpn); ok {
+		t.tab.slots[i].val = e.pack()
+		return
 	}
-	t.entries[vpn] = e.pack()
+	if t.tab == nil {
+		t.tab = newTable()
+	}
+	capacity := t.capacity
+	if capacity == 0 {
+		capacity = DefaultCapacity
+	}
+	// order may hold stale VPNs flushed earlier; evict until below
+	// capacity.
+	for t.tab.n >= capacity && t.head < len(t.order) {
+		t.tab.remove(t.pop())
+	}
+	t.push(vpn)
+	t.tab.put(vpn, e.pack())
 }
 
 // push appends one eviction token for vpn.
@@ -148,19 +255,18 @@ func (t *TLB) pop() uint64 {
 func (t *TLB) Lookup(vpn uint64) (Entry, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	raw, ok := t.entries[vpn]
+	i, ok := t.tab.find(vpn)
 	if !ok {
 		return Entry{}, false
 	}
-	return unpack(raw), true
+	return unpack(t.tab.slots[i].val), true
 }
 
 // FlushPage invalidates vpn (INVLPG) and reports whether it was present.
 func (t *TLB) FlushPage(vpn uint64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.entries[vpn]; ok {
-		delete(t.entries, vpn)
+	if t.tab.remove(vpn) {
 		t.Flushes++
 		return true
 	}
@@ -170,25 +276,34 @@ func (t *TLB) FlushPage(vpn uint64) bool {
 // FlushRange invalidates [lo, hi) and returns the number of entries dropped.
 // Narrow ranges (the common munmap shape: a handful of pages) are flushed
 // by per-key INVLPG-style deletes; only ranges wider than the cached set
-// pay for a full map iteration. The seed iterated the whole map per
-// munmap, which dominated the shootdown path's real CPU time.
+// pay for a sweep of the whole table. The seed swept per munmap, which
+// dominated the shootdown path's real CPU time.
 func (t *TLB) FlushRange(lo, hi uint64) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	tb := t.tab
+	if tb == nil {
+		return 0
+	}
 	n := 0
-	if hi-lo <= uint64(len(t.entries)) {
+	if hi-lo <= uint64(tb.n) {
 		for vpn := lo; vpn < hi; vpn++ {
-			if _, ok := t.entries[vpn]; ok {
-				delete(t.entries, vpn)
+			if tb.remove(vpn) {
 				n++
 			}
 		}
 	} else {
-		for vpn := range t.entries {
-			if vpn >= lo && vpn < hi {
-				delete(t.entries, vpn)
-				n++
+		for i := 0; i < len(tb.slots); {
+			key := tb.slots[i].key
+			if key == 0 || key-1 < lo || key-1 >= hi {
+				i++
+				continue
 			}
+			// Closing the hole may bring another key to slot i (only ever
+			// one not yet looked at, or one already passed over and out of
+			// range), so the sweep stays on it.
+			tb.removeAt(i)
+			n++
 		}
 	}
 	t.Flushes += uint64(n)
@@ -202,8 +317,9 @@ func (t *TLB) FlushRange(lo, hi uint64) int {
 func (t *TLB) FlushAll() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.entries) > 0 {
-		clear(t.entries)
+	if t.tab != nil && t.tab.n > 0 {
+		clear(t.tab.slots)
+		t.tab.n = 0
 	}
 	t.order = t.order[:0]
 	t.head = 0
@@ -214,5 +330,8 @@ func (t *TLB) FlushAll() {
 func (t *TLB) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.entries)
+	if t.tab == nil {
+		return 0
+	}
+	return t.tab.n
 }

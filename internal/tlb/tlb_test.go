@@ -2,7 +2,9 @@ package tlb
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
+	"unsafe"
 )
 
 func ro(pfn uint64) Entry { return Entry{PFN: pfn} }
@@ -203,15 +205,22 @@ func (r *refTLB) flushAll() {
 	r.fullFlushes++
 }
 
-// TestDifferentialAgainstReference drives random operations at a small
-// capacity over a small VPN space, so pages are flushed, re-inserted and
-// evicted through stale queue entries constantly.
+// TestDifferentialAgainstReference drives random operations over a VPN
+// space three times the capacity, so pages are flushed, re-inserted and
+// evicted through stale queue entries constantly. The small capacities live
+// in the table's first eight slots; the large ones grow it through five
+// doublings, at a stride that scatters the keys, and keep it near its load
+// limit, so deletions close holes inside long probe runs, across the table's
+// end included (TestDeleteInsideWrappedProbeRun pins that case by hand).
 func TestDifferentialAgainstReference(t *testing.T) {
-	for _, capacity := range []int{1, 3, 8} {
+	for _, tc := range []struct {
+		capacity int
+		stride   uint64
+	}{{1, 1}, {3, 1}, {8, 1}, {190, 1}, {190, 5}} {
+		capacity, vpns := tc.capacity, 3*tc.capacity
 		rng := rand.New(rand.NewSource(int64(capacity)))
 		tl := New(capacity)
 		ref := &refTLB{entries: map[uint64]Entry{}, capacity: capacity}
-		const vpns = 24
 		// Start behind a long run of stale tokens for one page — more than
 		// one queue word counts — which the random phase then evicts through.
 		for i := 0; i < 5000; i++ {
@@ -220,8 +229,9 @@ func TestDifferentialAgainstReference(t *testing.T) {
 			tl.FlushPage(3)
 			ref.flushRange(3, 4)
 		}
+		narrow, wide, slots := 0, 0, 0
 		for i := 0; i < 20000; i++ {
-			vpn := uint64(rng.Intn(vpns))
+			vpn := uint64(rng.Intn(vpns)) * tc.stride
 			switch op := rng.Intn(100); {
 			case op < 45:
 				e := Entry{PFN: uint64(i), Readable: true, Writable: rng.Intn(2) == 0}
@@ -239,12 +249,22 @@ func TestDifferentialAgainstReference(t *testing.T) {
 				}
 			case op < 98:
 				// Both FlushRange strategies: narrower and wider than the
-				// cached set.
-				hi := vpn + uint64(rng.Intn(vpns))
+				// cached set. Mostly short ranges, or a full table never
+				// builds up between two of them.
+				width := rng.Intn(8)
+				if rng.Intn(4) == 0 {
+					width = rng.Intn(vpns)
+				}
+				hi := vpn + uint64(width)*tc.stride
+				if hi-vpn <= uint64(tl.Len()) {
+					narrow++
+				} else {
+					wide++
+				}
 				if got, want := tl.FlushRange(vpn, hi), ref.flushRange(vpn, hi); got != want {
 					t.Fatalf("cap %d op %d: FlushRange(%d, %d) = %d; reference %d", capacity, i, vpn, hi, got, want)
 				}
-			default:
+			case i%10 == 0: // a tenth as often as the other ops, so the table fills
 				tl.FlushAll()
 				ref.flushAll()
 			}
@@ -252,13 +272,169 @@ func TestDifferentialAgainstReference(t *testing.T) {
 				t.Fatalf("cap %d op %d: Len/Flushes/FullFlushes = %d/%d/%d; reference %d/%d/%d", capacity, i,
 					tl.Len(), tl.Flushes, tl.FullFlushes, len(ref.entries), ref.flushes, ref.fullFlushes)
 			}
+			if tl.tab != nil {
+				slots = max(slots, len(tl.tab.slots))
+			}
 		}
-		for vpn := uint64(0); vpn < vpns; vpn++ {
+		for i := 0; i < vpns; i++ {
+			vpn := uint64(i) * tc.stride
 			got, ok := tl.Lookup(vpn)
 			if want, wok := ref.entries[vpn]; ok != wok || got != want {
 				t.Fatalf("cap %d: final Lookup(%d) = %+v, %v; reference %+v, %v", capacity, vpn, got, ok, want, wok)
 			}
 		}
+		if narrow < 100 || wide < 100 {
+			t.Errorf("cap %d: %d narrow and %d wide FlushRange calls: the mix no longer reaches both branches", capacity, narrow, wide)
+		}
+		if want := max(minSlots, capacity*4/3); slots < want || slots >= 4*want {
+			t.Errorf("cap %d: the table reached %d slots, want enough for %d entries at 3/4 full and under four times that", capacity, slots, capacity)
+		}
+	}
+}
+
+// homedAt returns n distinct VPNs whose probe runs start at slot home of tb.
+func homedAt(tb *table, home, n int) []uint64 {
+	var vpns []uint64
+	for vpn := uint64(0); len(vpns) < n; vpn++ {
+		if tb.home(vpn+1) == home {
+			vpns = append(vpns, vpn)
+		}
+	}
+	return vpns
+}
+
+// TestDeleteInsideWrappedProbeRun: four colliding keys whose run starts in
+// the table's last slot and wraps to its first, followed by a key at home in
+// slot 0 that the run pushed along. Deleting from the middle must shift the
+// tail back across the table's end — and must not shift the last key to
+// before its own home, where no probe would find it.
+func TestDeleteInsideWrappedProbeRun(t *testing.T) {
+	tl := New(0)
+	tl.Insert(1<<40, ro(0)) // the table exists
+	tl.FlushAll()
+	tb := tl.tab
+	last := len(tb.slots) - 1
+	run := homedAt(tb, last, 4)
+	guest := homedAt(tb, 0, 1)[0]
+	for _, vpn := range append(run, guest) {
+		tl.Insert(vpn, ro(vpn))
+	}
+	at := func(i int) uint64 { return tb.slots[i&last].key - 1 }
+	if len(tb.slots) != last+1 || at(last) != run[0] || at(0) != run[1] || at(1) != run[2] || at(2) != run[3] || at(3) != guest {
+		t.Fatalf("setup: slots %v do not hold the wrapped run %v then %d", tb.slots, run, guest)
+	}
+	const empty = ^uint64(0) // what at reports for a free slot
+	live := map[uint64]bool{run[0]: true, run[1]: true, run[2]: true, run[3]: true, guest: true}
+	// drop flushes vpn and checks every key's presence and the slots from
+	// the last one on.
+	drop := func(vpn uint64, layout ...uint64) {
+		t.Helper()
+		if !tl.FlushPage(vpn) {
+			t.Fatalf("FlushPage(%d) missed a cached page", vpn)
+		}
+		delete(live, vpn)
+		for _, vpn := range append(run, guest) {
+			if e, ok := tl.Lookup(vpn); ok != live[vpn] || (ok && e.PFN != vpn) {
+				t.Fatalf("after FlushPage: Lookup(%d) = %+v, %v; want present=%v", vpn, e, ok, live[vpn])
+			}
+		}
+		for i, vpn := range layout {
+			if at(last+i) != vpn {
+				t.Fatalf("slots %v, want VPNs %v from slot %d on", tb.slots, layout, last)
+			}
+		}
+		if tl.Len() != len(live) {
+			t.Fatalf("Len = %d, want %d", tl.Len(), len(live))
+		}
+	}
+	drop(run[1], run[0], run[2], run[3], guest, empty) // slot 0: mid-run, just past the wrap
+	drop(run[0], run[2], run[3], guest, empty)         // the last slot: the shift itself wraps
+	drop(run[2], run[3], guest, empty)
+	drop(run[3], empty, guest, empty) // guest is in slot 0, its home, and must stay
+}
+
+// TestConcurrentOwnerAndProxyFlush: the owner core fills and reads its TLB
+// while other cores flush it by proxy, which is all tlb.mu is for. Run under
+// -race; afterwards the table must still agree with itself.
+func TestConcurrentOwnerAndProxyFlush(t *testing.T) {
+	const vpns = 512
+	tl := New(256)
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() { // the owner
+		defer wg.Done()
+		for i := uint64(0); i < 20000; i++ {
+			vpn := i * 7 % vpns
+			tl.Insert(vpn, ro(vpn))
+			if e, ok := tl.Lookup(vpn); ok && e.PFN != vpn {
+				t.Errorf("Lookup(%d) returned the translation of page %d", vpn, e.PFN)
+				return
+			}
+		}
+	}()
+	go func() { // a munmap elsewhere
+		defer wg.Done()
+		for i := uint64(0); i < 5000; i++ {
+			tl.FlushRange(i*16%vpns, i*16%vpns+16)
+			tl.FlushPage(i % vpns)
+		}
+	}()
+	go func() { // forks and wide munmaps elsewhere
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			tl.FlushRange(0, 1<<40)
+			tl.FlushAll()
+		}
+	}()
+	wg.Wait()
+	hits := 0
+	for vpn := uint64(0); vpn < vpns; vpn++ {
+		if e, ok := tl.Lookup(vpn); ok {
+			hits++
+			if e.PFN != vpn {
+				t.Errorf("Lookup(%d) returned the translation of page %d", vpn, e.PFN)
+			}
+		}
+	}
+	if hits != tl.Len() || hits > 256 {
+		t.Errorf("%d pages hit, Len = %d, capacity 256", hits, tl.Len())
+	}
+}
+
+// TestSteadyStateAllocatesNothing: once the table has grown to hold a TLB's
+// working set, hits, misses, a flush and re-insert of a cached page, and an
+// insert that evicts all leave the heap alone.
+func TestSteadyStateAllocatesNothing(t *testing.T) {
+	tl := New(1024)
+	for vpn := uint64(0); vpn < 4096; vpn++ {
+		tl.Insert(vpn, ro(vpn)) // three times round, so the queue has its storage too
+	}
+	next := uint64(4096)
+	allocs := testing.AllocsPerRun(2000, func() {
+		if _, ok := tl.Lookup(next - 1); !ok {
+			t.Fatal("miss on the newest page")
+		}
+		if _, ok := tl.Lookup(next + 1<<30); ok {
+			t.Fatal("hit on a page never inserted")
+		}
+		if !tl.FlushPage(next-2) || tl.FlushPage(next-2) {
+			t.Fatal("FlushPage of a cached page, then of a flushed one")
+		}
+		tl.Insert(next-2, ro(0))  // room without evicting
+		tl.Insert(next, ro(next)) // evicts
+		next++
+	})
+	if allocs != 0 || tl.Len() != 1024 {
+		t.Errorf("steady state at 1024 entries: %v allocs per round, Len = %d; want 0 and 1024", allocs, tl.Len())
+	}
+}
+
+// An address space holds one TLB per core of the machine by value, used or
+// not; the table must stay behind a pointer (inline it cost 1.5 KB more per
+// 64-core address space).
+func TestTLBStaysSmall(t *testing.T) {
+	if size := unsafe.Sizeof(TLB{}); size > 72 {
+		t.Errorf("TLB is %d bytes, want <= 72", size)
 	}
 }
 
