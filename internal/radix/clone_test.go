@@ -11,18 +11,20 @@ import (
 )
 
 // Tests for the node copy fork and first-touch divergence make (cloneShell,
-// forkGroup): the copy's group directory and groups are sized from a count
-// over the source and filled in place, where each group used to be inserted
-// by copying the directory. The copy must come out exactly as the
-// slot-by-slot construction made it.
+// shell): a copy of a live source is mirrored into groups of its own, sized
+// from a count over the source and filled in place; a copy of a frozen source
+// is born in the source's image, its groups present without storage until
+// touched. Either way the copy must come out exactly as the slot-by-slot
+// construction made it, in which groups it has and in what every slot holds.
 
 // nodeShape is what a tree can observe of a node: what each slot holds,
-// which slot groups are materialized, and the uniform fill.
+// which slot groups it has (with storage or born in an image without), and
+// the uniform fill.
 type nodeShape struct {
 	Level  int
 	Base   uint64
 	Fill   *val
-	Bits   [groupsPerNode / 64]uint64
+	Bits   groupSet
 	Groups int
 	Slots  [SlotsPerNode]slotShape
 }
@@ -45,7 +47,9 @@ func shapeOfSlot(st *slotState[val]) slotShape {
 }
 
 // shapeOf records n's shape and checks its directory against itself: the
-// dense slice holds exactly the bitmap's groups, in ascending order.
+// dense slice has exactly one entry per group of the bitmap, the entries with
+// storage are where get finds them, and only a copy born in an image has any
+// without.
 func shapeOf(t *testing.T, n *node[val]) nodeShape {
 	t.Helper()
 	s := nodeShape{Level: n.level, Base: n.base}
@@ -56,8 +60,8 @@ func shapeOf(t *testing.T, n *node[val]) nodeShape {
 	if d := n.dir.Load(); d != nil {
 		s.Bits = d.bits
 		s.Groups = len(d.groups)
-		if d.count() != len(d.groups) {
-			t.Fatalf("directory bitmap names %d groups, slice holds %d", d.count(), len(d.groups))
+		if d.bits.count() != len(d.groups) {
+			t.Fatalf("directory bitmap names %d groups, slice holds %d", d.bits.count(), len(d.groups))
 		}
 		last := -1
 		n.forEachGroup(func(gi int, g *slotGroup[val]) {
@@ -66,6 +70,9 @@ func shapeOf(t *testing.T, n *node[val]) nodeShape {
 			}
 			last = gi
 		})
+		if realized := int(countGroups(n)); realized > s.Groups || (realized < s.Groups && n.img == nil) {
+			t.Fatalf("%d of %d groups have storage (born in an image: %v)", realized, s.Groups, n.img != nil)
+		}
 	}
 	for idx := range s.Slots {
 		s.Slots[idx] = shapeOfSlot(n.peek(idx))
@@ -73,9 +80,29 @@ func shapeOf(t *testing.T, n *node[val]) nodeShape {
 	return s
 }
 
+// insertGroup publishes g as n's group gi the way single-group
+// materialization used to: by copying the directory around it.
+func insertGroup(n *node[val], gi int, g *slotGroup[val]) {
+	var set groupSet
+	old := n.dir.Load()
+	if old != nil {
+		set = old.bits
+	}
+	set.add(gi)
+	nd := newGroupDirOf[val](set)
+	for i := 0; i < groupsPerNode; i++ {
+		if i == gi {
+			nd.entry(i).Store(g)
+		} else if e := old.entry(i); e != nil {
+			nd.entry(i).Store(e.Load())
+		}
+	}
+	n.dir.Store(nd)
+}
+
 // copiedSlotBySlot builds what linkCopy made of src before directories were
 // presized: slots visited in ascending order, a group allocated on its own
-// and inserted by copying the directory (dirInsert) the first time a slot
+// and inserted by copying the directory (insertGroup) the first time a slot
 // needs one. A slot needs a group when it diverges from the copy's uniform
 // fill: an empty slot in a filled node, a child link, a materialized value.
 // It returns the copy and the number of groups it allocated.
@@ -92,7 +119,7 @@ func copiedSlotBySlot(src *node[val]) (*node[val], int) {
 			return g
 		}
 		g := new(slotGroup[val])
-		dst.dirInsert(gi, g)
+		insertGroup(dst, gi, g)
 		made++
 		return g
 	}
@@ -164,8 +191,13 @@ func setPage(tr *Tree[val], c *hw.CPU, vpn uint64, x int) {
 //
 // Their ancestors are interior nodes without a fill that hold child links,
 // empty slots and a folded value.
-func forkSource(t *testing.T) (m *hw.Machine, rc *refcache.Refcache, tr *Tree[val], full, sparse, holed uint64) {
-	m, rc, tr = newCopyTree(1)
+func forkSource(t testing.TB) (m *hw.Machine, rc *refcache.Refcache, tr *Tree[val], full, sparse, holed uint64) {
+	return forkSourceOn(t, 1)
+}
+
+// forkSourceOn is forkSource on a machine of ncores cores, built by core 0.
+func forkSourceOn(t testing.TB, ncores int) (m *hw.Machine, rc *refcache.Refcache, tr *Tree[val], full, sparse, holed uint64) {
+	m, rc, tr = newCopyTree(ncores)
 	c := m.CPU(0)
 	full, sparse, holed = 8*span(1), 9*span(1), 11*span(1)
 
@@ -205,9 +237,11 @@ func forkSource(t *testing.T) (m *hw.Machine, rc *refcache.Refcache, tr *Tree[va
 // TestCopyEqualsSlotBySlotCopy: every node a lazy fork copies — the root at
 // fork time, the path nodes and leaves at first touch — equals the node the
 // slot-by-slot construction builds from the same source, in slot contents,
-// directory and group count; and the child tree's group counters, which
-// Table 2's footprint is computed from, count exactly those groups. A second
-// round copies into recycled nodes that bring groups of their own.
+// directory and group count. The root's source is live, so its copy is
+// mirrored and the child tree's group counters count exactly those groups; a
+// path copy is born in its source's image, and of the groups it has only the
+// ones the touch went through have storage. A second round copies into
+// recycled nodes that bring groups of their own.
 func TestCopyEqualsSlotBySlotCopy(t *testing.T) {
 	for _, recycled := range []bool{false, true} {
 		m, rc, tr, full, sparse, holed := forkSource(t)
@@ -278,25 +312,26 @@ func TestCopyEqualsSlotBySlotCopy(t *testing.T) {
 			}
 			continue // a reused group is not materialized again
 		}
-		if got := int(child.GroupsEver()) - base; got != groups || child.groupsLive.Load() != child.GroupsEver() {
-			t.Errorf("touches materialized %d groups (%d live of %d ever), the slot-by-slot copies %d",
+		if got := int(child.GroupsEver()) - base; got == 0 || got > groups || child.groupsLive.Load() != child.GroupsEver() {
+			t.Errorf("touches gave %d groups storage (%d live of %d ever), the slot-by-slot copies have %d",
 				got, child.groupsLive.Load(), child.GroupsEver(), groups)
 		}
 	}
 }
 
 // TestDivergeFullLeafAllocs: copying a leaf with all 128 groups materialized
-// is the node, its directory, the directory's slice, the group slab, the
-// Refcache object and the parent's new link — not three allocations per
-// group.
+// is the node, its directory, the directory's slice, the Refcache object and
+// the parent's new link, plus one run of groups for the page touched — not
+// three allocations per group, nor a slab of 128 groups nobody will touch.
+// The first child to copy the leaf also builds its image.
 func TestDivergeFullLeafAllocs(t *testing.T) {
 	m, _, tr, full, sparse, _ := forkSource(t)
 	c := m.CPU(0)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	// The allocation counter is the process's: take the quietest of a few
+	// The allocation counters are the process's: take the quietest of a few
 	// children, each diverging its own copy of the leaf.
-	least := ^uint64(0)
-	for i := 0; i < 5; i++ {
+	least, fewest := ^uint64(0), ^uint64(0)
+	for i := 0; i < 6; i++ {
 		child := tr.ForkLazy(c)
 		// Diverge the shared path through a neighbouring leaf first, so
 		// the measured touch copies the full leaf and nothing else.
@@ -308,27 +343,38 @@ func TestDivergeFullLeafAllocs(t *testing.T) {
 		runtime.ReadMemStats(&after)
 
 		leaf := descend(t, child, full)[Levels-1]
-		if leaf.tree != child || countGroups(leaf) != groupsPerNode {
-			t.Fatalf("setup: the touch did not copy a full leaf (groups=%d)", countGroups(leaf))
+		if leaf.tree != child || leaf.dir.Load().bits.count() != groupsPerNode {
+			t.Fatalf("setup: the touch did not copy a full leaf (groups=%d)", leaf.dir.Load().bits.count())
 		}
-		least = min(least, after.Mallocs-before.Mallocs)
+		if got := countGroups(leaf); got != realizeRun {
+			t.Errorf("child %d: %d of the copy's groups have storage after one touch, want %d", i, got, realizeRun)
+		}
+		mallocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+		if i == 0 {
+			t.Logf("the child that builds the image: %d allocations, %d B", mallocs, bytes)
+			continue
+		}
+		least, fewest = min(least, mallocs), min(fewest, bytes)
 	}
-	if least > 8 {
-		t.Errorf("diverging a fully populated leaf made %d allocations, want <= 8", least)
+	t.Logf("later children: %d allocations, %d B", least, fewest)
+	if least > 8 || fewest > 4096 {
+		t.Errorf("diverging and touching a fully populated leaf made %d allocations of %d B, want <= 8 and <= 4096", least, fewest)
 	}
 }
 
 // TestDirectoryFilledInPlaceEqualsCopyOnInsert: a private directory filled
-// in place, in any order, is the directory copy-on-insert publishes.
+// in place, in any order, is the directory materialization publishes.
 func TestDirectoryFilledInPlaceEqualsCopyOnInsert(t *testing.T) {
 	order := []int{5, 127, 0, 64, 63, 1, 126, 65, 2}
-	groups := map[int]*slotGroup[val]{}
-	published := &node[val]{}
-	for _, gi := range order {
-		groups[gi] = new(slotGroup[val])
-		published.dirInsert(gi, groups[gi])
-	}
 	tr := &Tree[val]{}
+	published := &node[val]{tree: tr}
+	for _, gi := range order {
+		published.materialize(gi, gi)
+	}
+	if n := tr.GroupsEver(); n != int64(len(order)) {
+		t.Errorf("GroupsEver = %d after materializing, want %d", n, len(order))
+	}
+	groups := map[int]*slotGroup[val]{}
 	sh := shell[val]{node: &node[val]{}, spare: make([]slotGroup[val], 4)}
 	for _, gi := range order {
 		g := sh.forkGroup(tr, gi)
@@ -339,14 +385,14 @@ func TestDirectoryFilledInPlaceEqualsCopyOnInsert(t *testing.T) {
 	}
 	want, got := published.dir.Load(), sh.dir.Load()
 	if want.bits != got.bits || len(want.groups) != len(got.groups) {
-		t.Fatalf("in-place directory bits=%x n=%d, copy-on-insert bits=%x n=%d", got.bits, len(got.groups), want.bits, len(want.groups))
+		t.Fatalf("in-place directory bits=%x n=%d, published bits=%x n=%d", got.bits, len(got.groups), want.bits, len(want.groups))
 	}
 	for _, gi := range order {
-		if got.get(gi) != groups[gi] {
+		if got.get(gi) != groups[gi] || want.get(gi) == nil {
 			t.Errorf("group %d not where the bitmap says", gi)
 		}
 	}
-	if n := tr.GroupsEver(); n != int64(len(order)) {
-		t.Errorf("GroupsEver = %d, want %d", n, len(order))
+	if n := tr.GroupsEver(); n != 2*int64(len(order)) {
+		t.Errorf("GroupsEver = %d, want %d", n, 2*len(order))
 	}
 }

@@ -2,7 +2,6 @@ package radix
 
 import (
 	"runtime"
-	"slices"
 
 	"radixvm/internal/hw"
 )
@@ -92,8 +91,7 @@ type forkCtx[V any] struct {
 // plus the dst slot the finished copy's link goes into.
 type forkKid[V any] struct {
 	child *node[V]
-	dg    *slotGroup[V]
-	j     int
+	cell  *slotState[V]
 	idx   int
 }
 
@@ -148,108 +146,43 @@ func (t *Tree[V]) forkNode(cpu *hw.CPU, ctx *forkCtx[V], src *node[V], extra int
 	if src.forkForks == 1 || arrive < src.forkBusy {
 		src.forkBusy = arrive
 	}
+	src.materializeLocked(0, groupsPerNode-1, false) // see linkCopy
 	src.matMu.Unlock()
 
 	nt := ctx.nt
-	dst := nt.cloneShell(cpu, src)
+	dst := nt.cloneShell(cpu, src, false)
 	var kidsBuf [8]forkKid[V]
 	kids := kidsBuf[:0]
+	fill := dst.uniSt != nil
 	var used int64
-	if dst.uniSt != nil {
+	if fill {
 		used = SlotsPerNode
 	}
 	sp := span(src.level)
 	for idx := 0; idx < SlotsPerNode; idx++ {
-		gi := idx / slotsPerLine
-		j := idx % slotsPerLine
-		mask := uint64(1) << (uint(idx) & 63)
-		w := &src.bits[idx>>6]
-		g := src.groupLoad(gi)
-		if g != nil {
-			cpu.Write(&g.line)
-			cpu.AcquireBitIn(w, mask, &g.gates[j])
-		} else {
-			// No group: the bit is normally free (held groupless bits
-			// exist only transiently, mid-expansion — or for a whole
-			// critical section, when a concurrent fork holds them). Spin
-			// out any such holder; its virtual-time cost is settled by
-			// the post-sweep merged-table wait below. No line exists to
-			// charge, in keeping with the copy-on-diverge rule that
-			// untouched slots cost nothing.
-			for {
-				old := w.Load()
-				if old&mask == 0 {
-					if w.CompareAndSwap(old, old|mask) {
-						break
-					}
-					continue
-				}
-				runtime.Gosched()
-			}
-			// A concurrent locker may have materialized the group while
-			// we raced for the bit; re-read so the state load sees it.
-			g = src.groupLoad(gi)
+		g, st, child := t.sweepSlot(cpu, src, idx)
+		// A slot the copy's header does not already stand for — one that
+		// diverged from src's fill, to empty included, or anything a node
+		// without a fill holds — goes into the mirrored group.
+		if g == nil || st == nil && !fill {
+			continue
 		}
-
-		var st *slotState[V]
-		if g != nil {
-			st = g.sts[j].Load()
-		} else {
-			st = src.uniSt
-		}
+		cell, store := dst.cell(nt, nil, src, idx, st)
 		switch {
 		case st == nil:
-			if dst.uniSt != nil {
-				// src diverged this slot to empty; dst must too.
-				dg := dst.forkGroup(nt, gi)
-				storePlain(&dg.sts[j], nil)
-				used--
-			}
-		case st.child != nil:
-			child := t.loadChild(cpu, src, idx, st)
-			if child == nil {
-				// The child died mid-reclaim; the slot is now empty.
-				if dst.uniSt != nil {
-					dg := dst.forkGroup(nt, gi)
-					storePlain(&dg.sts[j], nil)
-					used--
-				}
-				continue
-			}
+			used--
+		case child != nil:
 			// Pinned: the child cannot be reclaimed. Defer its subtree copy
 			// until src's bits are released (the dst slot is filled in
 			// below; dst is private until Fork returns, so the order is
 			// unobservable).
-			kids = append(kids, forkKid[V]{child: child, dg: dst.forkGroup(nt, gi), j: j, idx: idx})
-			if dst.uniSt == nil {
-				used++
-			}
-		case g == nil:
-			// Uniform fill: already represented (and visited) by dst's
-			// header; nothing diverges.
+			kids = append(kids, forkKid[V]{child: child, cell: cell, idx: idx})
 		default:
-			// A materialized value slot: give dst its own copy in the
-			// mirrored group.
-			dg := dst.forkGroup(nt, gi)
-			var dv *V
-			switch t.kind {
-			case cloneShared:
-				dv = st.val
-				dg.slab[j] = slotState[V]{val: dv}
-			case cloneCopy:
-				dg.vals[j] = *st.val
-				dv = &dg.vals[j]
-				dg.slab[j] = slotState[V]{val: dv}
-			default:
-				dv = t.clone(st.val)
-				dg.slab[j] = slotState[V]{val: dv}
-			}
-			storePlain(&dg.sts[j], &dg.slab[j])
 			lo := src.slotBase(idx)
-			ctx.visit(lo, lo+sp, st.val, dv)
-			if dst.uniSt == nil {
-				used++
-			}
+			ctx.visit(lo, lo+sp, st.val, nt.copyInto(cell, store, st.val))
+		}
+		if st != nil && !fill {
+			used++
 		}
 	}
 	// A concurrent fork may have merged its busy period into the uniform
@@ -265,9 +198,9 @@ func (t *Tree[V]) forkNode(cpu *hw.CPU, ctx *forkCtx[V], src *node[V], extra int
 	// node held (the sweep above took them all), so the visit contract —
 	// src mutable under the covering slots' locks — holds for folded
 	// state too; a trailing concurrent fork is still parked on the bits.
-	if dst.uniSt != nil {
-		hi := src.base + uint64(SlotsPerNode)*span(src.level)
-		ctx.visit(src.base, hi, src.uniSt.val, dst.uniSt.val)
+	if fill {
+		hi := src.base + uint64(SlotsPerNode)*sp
+		ctx.visit(src.base, hi, src.uniSt.val, nt.copyInto(&dst.uniStore, &dst.uniVal, src.uniSt.val))
 	}
 	dst.obj = nt.rc.NewObj(used+extra, freeNode[V])
 	dst.obj.Data = dst.node
@@ -285,21 +218,66 @@ func (t *Tree[V]) forkNode(cpu *hw.CPU, ctx *forkCtx[V], src *node[V], extra int
 		dchild := t.forkNode(cpu, ctx, k.child, 0)
 		dchild.parent = dst.node
 		dchild.parentIdx = k.idx
-		k.dg.slab[k.j] = slotState[V]{child: dchild.obj}
-		storePlain(&k.dg.sts[k.j], &k.dg.slab[k.j])
+		*k.cell = slotState[V]{child: dchild.obj}
 		t.unpin(cpu, k.child)
 	}
 	return dst.node
 }
 
+// sweepSlot takes slot idx's lock bit for a fork's sweep of src and reads the
+// slot under it: the slot's group (nil if it has none — its state is then
+// src's uniform fill), its state, and for a child link the child, pinned. A
+// link whose child died mid-reclaim reads as the empty slot it has become.
+func (t *Tree[V]) sweepSlot(cpu *hw.CPU, src *node[V], idx int) (g *slotGroup[V], st *slotState[V], child *node[V]) {
+	gi := idx / slotsPerLine
+	j := idx % slotsPerLine
+	mask := uint64(1) << (uint(idx) & 63)
+	w := &src.bits[idx>>6]
+	g = src.groupLoad(gi)
+	if g != nil {
+		cpu.Write(&g.line)
+		cpu.AcquireBitIn(w, mask, &g.gates[j])
+	} else {
+		// No group: the bit is normally free (held groupless bits
+		// exist only transiently, mid-expansion — or for a whole
+		// critical section, when a concurrent fork holds them). Spin
+		// out any such holder; its virtual-time cost is settled by
+		// the post-sweep merged-table wait. No line exists to
+		// charge, in keeping with the copy-on-diverge rule that
+		// untouched slots cost nothing.
+		for {
+			old := w.Load()
+			if old&mask == 0 {
+				if w.CompareAndSwap(old, old|mask) {
+					break
+				}
+				continue
+			}
+			runtime.Gosched()
+		}
+		// A concurrent locker may have materialized the group while
+		// we raced for the bit; re-read so the state load sees it.
+		if g = src.groupLoad(gi); g == nil {
+			return nil, src.uniSt, nil
+		}
+	}
+	st = g.sts[j].Load()
+	if st != nil && st.child != nil {
+		if child = t.loadChild(cpu, src, idx, st); child == nil {
+			st = nil
+		}
+	}
+	return g, st, child
+}
+
 // cloneShell builds the child-tree counterpart of src: same level and
-// base, a kind-appropriate copy of the uniform fill, and the storage for the
-// groups the caller is about to mirror slot by slot (see shell). t is the
+// base, a kind-appropriate copy of the uniform fill, and the means to place
+// the groups the caller is about to sweep slot by slot (see shell). t is the
 // child tree. The metadata copy is billed by its logical size
 // (ForkNodeCost): a header-sized tick for the uniform state plus a cache
 // line per materialized source group, instead of the flat full-page charge
 // the pre-cost-model fork paid.
-func (t *Tree[V]) cloneShell(cpu *hw.CPU, src *node[V]) shell[V] {
+func (t *Tree[V]) cloneShell(cpu *hw.CPU, src *node[V], frozen bool) shell[V] {
 	n := t.getNode(cpu)
 	if n == nil {
 		n = &node[V]{}
@@ -308,31 +286,20 @@ func (t *Tree[V]) cloneShell(cpu *hw.CPU, src *node[V]) shell[V] {
 	n.level = src.level
 	n.base = src.base
 	n.uni = uniformGates{}
+	// Whether src has a fill is fixed at its birth; the fill's value is copied
+	// once the sweep holds src's bits (another tree's hook may be writing it).
+	n.uniSt = nil
 	if src.uniSt != nil {
-		switch t.kind {
-		case cloneCopy:
-			n.uniVal = *src.uniSt.val
-			n.uniStore = slotState[V]{val: &n.uniVal}
-		case cloneShared:
-			n.uniStore = slotState[V]{val: src.uniSt.val}
-		default:
-			n.uniStore = slotState[V]{val: t.clone(src.uniSt.val)}
-		}
 		n.uniSt = &n.uniStore
-	} else {
-		n.uniSt = nil
 	}
 	n.forkBusy, n.forkForks = 0, 0
 	n.gen = t.gen.Load()
 	n.links.Store(1)
-	// Count the source's materialized groups: they price the clone
-	// (logical-size billing below). Those the copy will mirror — every
-	// group of a node with a fill, the groups holding anything in a node
-	// without one — size its directory and its group slab, so a diverging
-	// full leaf makes three allocations where inserting group by group
-	// made three per group. The source is not locked yet, so under real
-	// concurrency the count can come out short; forkGroup then grows the
-	// directory and allocates the missing groups singly.
+	// Count the source's groups: they price the clone (logical-size billing
+	// below). Those the copy will have too — every group of a node with a
+	// fill, the groups holding anything in a node without one — size what
+	// holds them. The source is not locked yet, so under real concurrency the
+	// count can come out short; see forkGroup and nodeImage.grow.
 	sd := src.dir.Load()
 	srcGroups, mirrored := 0, 0
 	if sd != nil {
@@ -340,38 +307,56 @@ func (t *Tree[V]) cloneShell(cpu *hw.CPU, src *node[V]) shell[V] {
 		mirrored = srcGroups
 		if src.uniSt == nil {
 			mirrored = 0
-			for _, g := range sd.groups {
+			src.forEachGroup(func(_ int, g *slotGroup[V]) {
 				for j := range g.sts {
 					if g.sts[j].Load() != nil {
 						mirrored++
 						break
 					}
 				}
-			}
+			})
 		}
 	}
-	// A pooled node may carry recycled groups where src has none; drop
-	// them so the child's materialization shape is exactly the parent's.
-	var nd *groupDir[V]
-	if mirrored > 0 {
-		nd = &groupDir[V]{groups: make([]*slotGroup[V], 0, mirrored)}
-	}
-	n.forEachGroup(func(gi int, g *slotGroup[V]) {
-		if sd != nil && sd.get(gi) != nil {
-			if nd == nil {
-				nd = &groupDir[V]{}
-			}
-			nd.bits[gi>>6] |= 1 << (uint(gi) & 63)
-			nd.groups = append(nd.groups, g)
-		} else {
-			t.groupsLive.Add(-1)
-		}
-	})
-	n.dir.Store(nd)
 	sh := shell[V]{node: n}
-	if nd != nil && mirrored > len(nd.groups) {
-		sh.spare = make([]slotGroup[V], mirrored-len(nd.groups))
+	if frozen && mirrored > 0 {
+		// Born in src's image: the cached one if it still describes src,
+		// else a new one, which the sweep fills and then publishes along
+		// with the copy's directory. A pooled node's groups are
+		// dropped; the ones the owner touches are realized in runs.
+		t.groupsLive.Add(-countGroups(n))
+		if sh.img = src.copyImg.Load(); sh.img != nil && sh.img.over == sd {
+			n.dir.Store(newGroupDirOf[V](sh.img.bits))
+		} else {
+			sh.img = &nodeImage[V]{over: sd, groups: make([]imageGroup[V], 0, mirrored)}
+			sh.build = true
+			n.dir.Store(nil)
+		}
+	} else {
+		// Mirrored into groups of its own: a directory filled in place and
+		// one slab for all of them, so copying a full node makes three
+		// allocations where inserting group by group made three per group.
+		// A pooled node may carry recycled groups where src has none; drop
+		// them so the child's materialization shape is exactly the parent's.
+		var nd *groupDir[V]
+		if mirrored > 0 {
+			nd = newGroupDir[V](mirrored)
+		}
+		n.forEachGroup(func(gi int, g *slotGroup[V]) {
+			if sd.get(gi) != nil {
+				if nd == nil {
+					nd = newGroupDir[V](0)
+				}
+				nd.insert(gi, g)
+			} else {
+				t.groupsLive.Add(-1)
+			}
+		})
+		n.dir.Store(nd)
+		if nd != nil && mirrored > len(nd.groups) {
+			sh.spare = make([]slotGroup[V], mirrored-len(nd.groups))
+		}
 	}
+	n.img = sh.img
 	cpu.Tick(ForkNodeCost(t.pageZero, srcGroups))
 	t.nodesLive.Add(1)
 	t.nodesEver.Add(1)
@@ -379,23 +364,98 @@ func (t *Tree[V]) cloneShell(cpu *hw.CPU, src *node[V]) shell[V] {
 }
 
 // shell is a copy under construction: the node, private to the copying
-// goroutine until its parent slot publishes it, and the zeroed groups set
-// aside for it. While the node is private its directory is filled in place;
-// copy-on-insert (dirInsert) is for nodes readers can already see.
+// goroutine until its parent slot publishes it, and where the sweep puts what
+// the copy's slots are born holding. A copy of a live source is mirrored
+// into groups of its own, taken from spare, its directory filled in place. A
+// copy of a frozen source is born in img, the source's image: the sweep fills
+// it if build is set, and otherwise has nothing to write.
 type shell[V any] struct {
 	*node[V]
 	spare []slotGroup[V]
+	img   *nodeImage[V]
+	build bool
 }
 
-// forkGroup returns the copy's group gi, creating it zeroed if absent (a
-// fresh child group's gates start free, as in a brand-new address space).
-// Unlike materialize it does not pre-fill slot states: the copy loops
+// cell returns the storage for what slot idx of the copy is born holding — a
+// slot state, and on cloneCopy trees the value behind it — for the sweep to
+// fill; st is what src's slot holds (nil: empty). The slot is one the copy's
+// header does not stand for. A mirrored copy's cell is in its group, created
+// at need; the cell of a copy whose sweep builds an image is in the image.
+// When the image is there already the sweep has nothing to write and cell
+// returns nil — unless the slot holds a value and there is an onDiverge hook
+// to hand a dst to: cs's scratch cell, filled and forgotten.
+func (sh *shell[V]) cell(t *Tree[V], cs *cpuState[V], src *node[V], idx int, st *slotState[V]) (*slotState[V], *V) {
+	gi, j := idx/slotsPerLine, idx%slotsPerLine
+	if sh.build {
+		ig := sh.img.group(gi)
+		if ig == nil {
+			ig = sh.img.grow(gi)
+		}
+		if ig != nil {
+			ig.src[j] = st
+			return &ig.sts[j], &ig.vals[j]
+		}
+		sh.abandon(t, src, idx)
+	}
+	if sh.img != nil {
+		if st == nil || st.child != nil || t.onDiverge == nil {
+			return nil, nil
+		}
+		return &cs.bornSt, &cs.born
+	}
+	dg := sh.forkGroup(t, gi)
+	if st == nil {
+		storePlain(&dg.sts[j], nil)
+	} else {
+		storePlain(&dg.sts[j], &dg.slab[j])
+	}
+	return &dg.slab[j], &dg.vals[j]
+}
+
+// abandon turns a copy being born in an image into a mirrored one, when the
+// sweep finds at slot idx that the image cannot serve: the source no
+// longer reads as the image recorded (a child of a frozen interior node died
+// since, or a lookup materialized a group mid-sweep), or has more groups than
+// a new image was sized for. Everything before that slot agreed with the
+// image, so the groups swept so far become real groups filled from it; the
+// sweep mirrors the rest. The source's cached image, if this is it, is
+// dropped: the next divergence builds a current one.
+func (sh *shell[V]) abandon(t *Tree[V], src *node[V], idx int) {
+	im := sh.img
+	gi, j := idx/slotsPerLine, idx%slotsPerLine
+	upto := gi
+	if j > 0 && im.bits.has(gi) {
+		upto++ // partly swept: its first j slots are the image's
+	}
+	d := newGroupDirOf[V](im.bits.below(upto))
+	slab := make([]slotGroup[V], len(d.groups))
+	for k, g := 0, 0; k < len(slab); g++ {
+		if d.bits.has(g) {
+			slots := slotsPerLine
+			if g == gi {
+				slots = j
+			}
+			im.fill(t, &slab[k], g, slots)
+			d.groups[k].Store(&slab[k])
+			k++
+		}
+	}
+	t.groupsEver.Add(int64(len(slab)))
+	t.groupsLive.Add(int64(len(slab)))
+	sh.dir.Store(d)
+	sh.node.img, sh.img, sh.build = nil, nil, false
+	src.copyImg.CompareAndSwap(im, nil)
+}
+
+// forkGroup returns the mirrored copy's group gi, creating it zeroed if
+// absent (a fresh child group's gates start free, as in a brand-new address
+// space). Unlike materialize it does not pre-fill slot states: the copy loops
 // overwrite every slot of a mirrored group explicitly. nt is the tree the
 // copy belongs to.
 func (sh *shell[V]) forkGroup(nt *Tree[V], gi int) *slotGroup[V] {
 	d := sh.dir.Load()
 	if d == nil {
-		d = &groupDir[V]{}
+		d = newGroupDir[V](0)
 		sh.dir.Store(d)
 	} else if g := d.get(gi); g != nil {
 		return g
@@ -406,11 +466,9 @@ func (sh *shell[V]) forkGroup(nt *Tree[V], gi int) *slotGroup[V] {
 	} else {
 		g = new(slotGroup[V])
 	}
-	// The copy loops ask in ascending slot order, so r is the slice's end
-	// unless a recycled group sits further right.
-	r := d.rank(gi)
-	d.bits[gi>>6] |= 1 << (uint(gi) & 63)
-	d.groups = slices.Insert(d.groups, r, g)
+	// The copy loops ask in ascending slot order, so this appends unless a
+	// recycled group sits further right.
+	d.insert(gi, g)
 	nt.groupsEver.Add(1)
 	nt.groupsLive.Add(1)
 	return g

@@ -35,6 +35,17 @@ import (
 //     state identical to the eager representation), but every locking
 //     descent diverges first, so in-place writes happen only under native
 //     nodes.
+//   - Being read-only, a shared node has copies that are all born alike,
+//     and they share that too: the first divergence records what a copy's
+//     slots start out holding in an image cached on the node (nodeImage),
+//     and each copy is a header over it that gives a group storage of its
+//     own — line, gates, private values — when its owner first touches it.
+//     The image is written by the sweep that builds it, under all of the
+//     node's bits, and by nobody afterwards; what can still change in the
+//     node itself (a lookup materializing a group, a dead child's link
+//     swung to empty) makes the next divergence rebuild or abandon it. The
+//     divergence hook's writes to the source's values (COW arming) do not:
+//     what the hook makes of a copy may depend on the source alone.
 //   - The snapshot is whole-tree atomic — a property the eager sweep
 //     cannot provide. Two mechanisms combine: ForkLazy drains all in-flight
 //     locked operations through the per-CPU quiescence gate (cpuState.hold)
@@ -85,7 +96,7 @@ func (t *Tree[V]) ForkLazy(cpu *hw.CPU) *Tree[V] {
 	nt := treeShell(t.m, t.rc, t.clone, t.kind)
 	nt.onDiverge = t.onDiverge
 	nt.onRelease = t.onRelease
-	root, arrive := nt.linkCopy(cpu, t.root, 1) // +1: the root's immortal ref
+	root, arrive := nt.linkCopy(cpu, t.root, 1, false) // +1: the root's immortal ref
 	nt.root = root
 	// Re-adopt the parent root into the new generation while all of its
 	// bits are still held: after the bits release, any descent from the
@@ -109,7 +120,16 @@ func (t *Tree[V]) ForkLazy(cpu *hw.CPU) *Tree[V] {
 // acquisition, busy-period registration, and ForkNodeCost billing are
 // exactly the eager forkNode's, so a lazy fork family remains
 // virtual-time-deterministic.
-func (t *Tree[V]) linkCopy(cpu *hw.CPU, src *node[V], extra int64) (*node[V], uint64) {
+//
+// frozen says that src is foreign to every tree — divergeChild's case, not
+// ForkLazy's root — so that all its copies are born alike. The copy's groups
+// are then born in src's image (nodeImage), which this sweep builds if src
+// has none that is current, and otherwise only checks slot by slot: either
+// way every bit is acquired, every line written, every child pinned and
+// linked and every value reported to the hook as when mirroring, in the same
+// order; what differs is where, if anywhere, a slot's born state is written
+// (shell.cell).
+func (t *Tree[V]) linkCopy(cpu *hw.CPU, src *node[V], extra int64, frozen bool) (*node[V], uint64) {
 	arrive := cpu.Now()
 	src.matMu.Lock()
 	src.waitUniformLocked(cpu, arrive)
@@ -117,101 +137,53 @@ func (t *Tree[V]) linkCopy(cpu *hw.CPU, src *node[V], extra int64) (*node[V], ui
 	if src.forkForks == 1 || arrive < src.forkBusy {
 		src.forkBusy = arrive
 	}
+	// A source that is itself a copy may still hold groups in its image
+	// only. The eager mirror gave it all of them, cold and free, and the
+	// sweep counts, bills, charges and mirrors groups: give them storage.
+	src.materializeLocked(0, groupsPerNode-1, false)
 	src.matMu.Unlock()
 
-	dst := t.cloneShell(cpu, src)
+	dst := t.cloneShell(cpu, src, frozen)
+	cs := t.cpu(cpu)
+	fill := dst.uniSt != nil
 	var used int64
-	if dst.uniSt != nil {
+	if fill {
 		used = SlotsPerNode
 	}
 	sp := span(src.level)
 	for idx := 0; idx < SlotsPerNode; idx++ {
-		gi := idx / slotsPerLine
-		j := idx % slotsPerLine
-		mask := uint64(1) << (uint(idx) & 63)
-		w := &src.bits[idx>>6]
-		g := src.groupLoad(gi)
-		if g != nil {
-			cpu.Write(&g.line)
-			cpu.AcquireBitIn(w, mask, &g.gates[j])
-		} else {
-			// Groupless bit: spin out any transient holder (see forkNode);
-			// the virtual-time wait is settled by the merged-table wait
-			// below, and no line exists to charge.
-			for {
-				old := w.Load()
-				if old&mask == 0 {
-					if w.CompareAndSwap(old, old|mask) {
-						break
-					}
-					continue
-				}
-				runtime.Gosched()
-			}
-			g = src.groupLoad(gi)
+		g, st, child := t.sweepSlot(cpu, src, idx)
+		// A slot the copy's header does not already stand for — one that
+		// diverged from src's fill, to empty included, or anything a node
+		// without a fill holds — goes into the copy's group.
+		mirror := g != nil && (st != nil || fill)
+		if dst.img != nil && !dst.build && !dst.img.agrees(idx, st, mirror) {
+			dst.abandon(t, src, idx)
 		}
-
-		var st *slotState[V]
-		if g != nil {
-			st = g.sts[j].Load()
-		} else {
-			st = src.uniSt
+		if !mirror {
+			continue
 		}
+		cell, store := dst.cell(t, cs, src, idx, st)
 		switch {
 		case st == nil:
-			if dst.uniSt != nil {
-				dg := dst.forkGroup(t, gi)
-				storePlain(&dg.sts[j], nil)
-				used--
-			}
-		case st.child != nil:
-			child := t.loadChild(cpu, src, idx, st)
-			if child == nil {
-				// The child died mid-reclaim; the slot is now empty.
-				if dst.uniSt != nil {
-					dg := dst.forkGroup(t, gi)
-					storePlain(&dg.sts[j], nil)
-					used--
-				}
-				continue
-			}
+			used--
+		case child != nil:
 			// Link mode: share the subtree instead of copying it. The pin
 			// makes the links bump safe against concurrent reclamation.
 			child.links.Add(1)
-			dg := dst.forkGroup(t, gi)
-			dg.slab[j] = slotState[V]{child: child.obj}
-			storePlain(&dg.sts[j], &dg.slab[j])
+			if cell != nil {
+				*cell = slotState[V]{child: child.obj}
+			}
 			t.unpin(cpu, child)
-			if dst.uniSt == nil {
-				used++
-			}
-		case g == nil:
-			// Uniform fill: already represented by dst's header; the single
-			// whole-span visit runs below with every bit held.
-		default:
-			// A materialized value slot: give dst its own copy.
-			dg := dst.forkGroup(t, gi)
-			var dv *V
-			switch t.kind {
-			case cloneShared:
-				dv = st.val
-				dg.slab[j] = slotState[V]{val: dv}
-			case cloneCopy:
-				dg.vals[j] = *st.val
-				dv = &dg.vals[j]
-				dg.slab[j] = slotState[V]{val: dv}
-			default:
-				dv = t.clone(st.val)
-				dg.slab[j] = slotState[V]{val: dv}
-			}
-			storePlain(&dg.sts[j], &dg.slab[j])
+		case cell != nil:
+			dv := t.copyInto(cell, store, st.val)
 			if t.onDiverge != nil {
 				lo := src.slotBase(idx)
 				t.onDiverge(cpu, lo, lo+sp, st.val, dv)
 			}
-			if dst.uniSt == nil {
-				used++
-			}
+		}
+		if st != nil && !fill {
+			used++
 		}
 	}
 	// Serialize in virtual time with concurrent forks/divergences whose
@@ -220,9 +192,18 @@ func (t *Tree[V]) linkCopy(cpu *hw.CPU, src *node[V], extra int64) (*node[V], ui
 	src.matMu.Lock()
 	src.waitUniformLocked(cpu, arrive)
 	src.matMu.Unlock()
-	if dst.uniSt != nil && t.onDiverge != nil {
-		hi := src.base + uint64(SlotsPerNode)*sp
-		t.onDiverge(cpu, src.base, hi, src.uniSt.val, dst.uniSt.val)
+	if fill {
+		dv := t.copyInto(&dst.uniStore, &dst.uniVal, src.uniSt.val)
+		if t.onDiverge != nil {
+			t.onDiverge(cpu, src.base, src.base+uint64(SlotsPerNode)*sp, src.uniSt.val, dv)
+		}
+	}
+	if dst.build {
+		// The image is complete, and every bit of src still held: the copy
+		// gets its directory — the image's groups, none with storage — and
+		// src the image, for its later copies.
+		dst.dir.Store(newGroupDirOf[V](dst.img.bits))
+		src.copyImg.Store(dst.img)
 	}
 	dst.obj = t.rc.NewObj(used+extra, freeNode[V])
 	dst.obj.Data = dst.node
@@ -251,7 +232,7 @@ func (t *Tree[V]) divergeChild(cpu *hw.CPU, n *node[V], idx int, child *node[V])
 	// in-flight range operation inside it — with one creator pin for the
 	// caller. The copy inherits the parent *node's* generation (native by
 	// construction: descent only writes under native parents).
-	dst, arrive := t.linkCopy(cpu, child, 1)
+	dst, arrive := t.linkCopy(cpu, child, 1, true)
 	dst.gen = n.gen
 	dst.parent = n
 	dst.parentIdx = idx

@@ -72,6 +72,10 @@ func (t *Tree[V]) LockRange(cpu *hw.CPU, lo, hi uint64) *Range[V] {
 func (t *Tree[V]) lockIn(r *Range[V], n *node[V], lo, hi uint64) {
 	cpu := r.cpu
 	sp := span(n.level)
+	// The walk below reads the line of every slot of n the range covers, so
+	// every one of their groups comes to exist: make the missing ones at
+	// once, in one allocation and one directory publish per node.
+	n.materialize(n.slotIndex(lo)/slotsPerLine, n.slotIndex(hi-1)/slotsPerLine)
 	for idx := n.slotIndex(lo); ; idx++ {
 		slotLo := n.slotBase(idx)
 		if slotLo >= hi {

@@ -65,23 +65,27 @@ func (t *Tree[V]) recycle(cpu *hw.CPU, n *node[V]) {
 	n.uni = uniformGates{}
 	// Plain resets are legal: the node is unreachable, and the next
 	// incarnation is published through the parent slot's atomic store.
-	if cnt := countGroups(n); cnt > poolGroupCap {
+	// A copy born in an image drops its directory too: its entries without
+	// storage mean nothing without the image, and its groups were allocated
+	// in runs.
+	if cnt := countGroups(n); cnt > poolGroupCap || n.img != nil {
 		n.dir.Store(nil)
 		t.groupsLive.Add(-cnt)
 	} else {
 		n.forEachGroup(func(_ int, g *slotGroup[V]) { resetGroup(g) })
 	}
+	n.img = nil
+	n.copyImg.Store(nil)
 	for w := range n.bits {
 		n.bits[w].Store(0)
 	}
 	cs.pool = append(cs.pool, n)
 }
 
-func countGroups[V any](n *node[V]) int64 {
-	if d := n.dir.Load(); d != nil {
-		return int64(d.count())
-	}
-	return 0
+// countGroups returns the number of n's groups that have storage.
+func countGroups[V any](n *node[V]) (cnt int64) {
+	n.forEachGroup(func(int, *slotGroup[V]) { cnt++ })
+	return cnt
 }
 
 // PoolSize returns the number of recycled nodes cached for cpu

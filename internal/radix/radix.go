@@ -41,6 +41,19 @@
 // memory footprint shrinks (~13x for the fault path's chain nodes, which
 // diverge in a single slot).
 //
+// A group comes to exist in a third way besides materializing on first touch
+// and being mirrored by a fork from a live node: a path copy of a node no
+// tree can write anymore (a lazy fork's shared node, lazy.go) is *born with*
+// the source's groups in an image — one immutable record, shared by all the
+// node's copies, of what each slot of a copy starts out holding. Such a group
+// is present in the copy's directory without storage; slots read through to
+// the image until something needs the group's line or gates, which *realizes*
+// it: cold line, free gates, private copies of the image's values — the state
+// an eagerly mirrored group nobody touched would be in. Like late
+// materialization this is exact, and invisible in virtual time; a child that
+// touches 32 pages of a 512-page leaf pays the host for eight groups, not
+// for 128 (see nodeImage).
+//
 // Node lifetime: each node's Refcache object counts its non-empty slots
 // plus transient traversal pins; when the true count reaches zero the node
 // is reclaimed, clearing its parent slot through the weak-reference kill
@@ -148,8 +161,8 @@ type Tree[V any] struct {
 
 	nodesLive        atomic.Int64
 	nodesEver        atomic.Int64
-	groupsEver       atomic.Int64 // slot groups materialized (fresh allocations)
-	groupsLive       atomic.Int64 // slot groups currently attached to live or pooled nodes
+	groupsEver       atomic.Int64 // slot groups given storage (fresh allocations)
+	groupsLive       atomic.Int64 // slot groups with storage attached to live or pooled nodes
 	carriersEver     atomic.Int64 // value carriers heap-allocated (see CarriersEver)
 	plateauOverflows atomic.Int64 // bulk releases that exceeded maxPlateaus (see PlateauOverflows)
 }
@@ -206,10 +219,13 @@ func (u *uniformGates) release(i int, t uint64) bool {
 	return true
 }
 
-// slotGroup is the materialized per-slot state of the slotsPerLine slots
-// sharing one simulated cache line: the line model, the per-slot
-// virtual-time gates, and the per-slot states, with embedded slabs backing
-// the fill clones so materialization is a single allocation.
+// slotGroup is the per-slot state of the slotsPerLine slots sharing one
+// simulated cache line: the line model, the per-slot virtual-time gates, and
+// the per-slot states, with embedded slabs backing the fill clones so
+// materialization is a single allocation. All of it belongs to one node of
+// one tree: a line or a gate two trees charged would move virtual time, so
+// what copies of a node share is never a group but the image of what their
+// groups are born holding (nodeImage), and a group a tree touches is its own.
 type slotGroup[V any] struct {
 	line  hw.Line
 	gates [slotsPerLine]hw.Gate
@@ -271,89 +287,277 @@ type node[V any] struct {
 	forkForks int32
 
 	bits [SlotsPerNode / 64]atomic.Uint64 // packed slot lock bits
-	dir  atomic.Pointer[groupDir[V]]      // materialized slot groups; nil = none
+	dir  atomic.Pointer[groupDir[V]]      // the node's slot groups; nil = none
+
+	// img is the image this node was born from, if it is a path copy of a
+	// frozen node: what its groups without storage hold. peek reads it with
+	// no lock, so it is set while the copy is still private and stays set
+	// for the copy's lifetime, realized groups or not; only the next
+	// incarnation (recycle, cloneShell) replaces it. copyImg is the other
+	// side: the image of this node's own copies, cached here by the first
+	// tree that path-copied it once no tree could write it anymore.
+	img     *nodeImage[V]
+	copyImg atomic.Pointer[nodeImage[V]]
 }
 
-// groupDir is a node's directory of materialized slot groups: a presence
-// bitmap plus a dense slice holding the present groups in ascending group
-// index order. The obvious 128-entry pointer array was ~1 KB of every
-// node's ~1.2 KB header while the typical node diverges in zero, one, or
-// two groups; the compressed form costs two words plus one pointer per
-// materialized group, cutting the uniform-node header ~4x — which is what
-// keeps 64–128-core fleets' node populations in cache.
+// nodeImage is the state every path copy of one frozen node is born with.
 //
-// A published groupDir is immutable. Insertions (materializeLocked under
-// matMu, or fork/construction paths while the node is private) build a new
-// directory and publish it with one atomic pointer store, so lock-free
-// readers get a consistent bitmap+slice snapshot from a single load.
-type groupDir[V any] struct {
-	bits   [groupsPerNode / 64]uint64
-	groups []*slotGroup[V]
+// A node foreign to every tree (lazy.go) is never written in place again, so
+// all its copies are born identical: the same groups, each slot holding the
+// same child link or a copy of the same value, which the onDiverge hook has
+// turned into the same thing. The first tree to diverge the node records that
+// in an image instead of in groups of its own, caches it on the source, and
+// every copy — its own included — is born as a header whose directory has
+// the image's groups without storage. What a copy's owner never touches stays
+// in the image, shared by all the copies and written by none of them; a group
+// the owner does touch is realized as it would have been mirrored, with a cold
+// line, free gates and private copies of the values. A copy thus costs the
+// host what its owner touches, and virtual time nothing it did not cost
+// before: the sweep that builds or checks an image acquires, charges, pins
+// and bills exactly what the mirroring sweep does.
+//
+// An image is immutable once its sweep ends, and it describes the source as
+// of the directory it was built over: a lookup that materializes a group in
+// the frozen source publishes a new directory, and the next divergence builds
+// a new image. A repeat sweep also checks each source slot against src as it
+// goes, and falls back to mirroring if one has changed (shell.abandon).
+type nodeImage[V any] struct {
+	over   *groupDir[V] // the source's directory when the image was built
+	bits   groupSet
+	groups []imageGroup[V] // dense, ascending; never reallocated (sts point into vals)
 }
 
-// get returns the group at index gi, or nil: one bit test plus a popcount
-// rank into the dense slice.
-func (d *groupDir[V]) get(gi int) *slotGroup[V] {
-	w, b := gi>>6, uint(gi)&63
-	if d.bits[w]&(1<<b) == 0 {
+// imageGroup is one group of an image.
+type imageGroup[V any] struct {
+	src  [slotsPerLine]*slotState[V] // what the source's slots held
+	sts  [slotsPerLine]slotState[V]  // what a copy's slots are born holding; zero = empty
+	vals [slotsPerLine]V             // backs sts on cloneCopy trees, like slotGroup.vals
+}
+
+// group returns the image's group gi, or nil if copies are born without it.
+func (im *nodeImage[V]) group(gi int) *imageGroup[V] {
+	if !im.bits.has(gi) {
 		return nil
 	}
-	r := bits.OnesCount64(d.bits[w] & (1<<b - 1))
-	for i := 0; i < w; i++ {
-		r += bits.OnesCount64(d.bits[i])
-	}
-	return d.groups[r]
+	return &im.groups[im.bits.rank(gi)]
 }
 
-// rank returns the number of materialized groups below index gi: group gi's
-// position in the dense slice, present or not.
-func (d *groupDir[V]) rank(gi int) int {
-	w, b := gi>>6, uint(gi)&63
-	r := bits.OnesCount64(d.bits[w] & (1<<b - 1))
-	for i := 0; i < w; i++ {
-		r += bits.OnesCount64(d.bits[i])
+// grow adds group gi to an image under construction, which adds them in
+// ascending order. It returns nil if the source turned out to have more groups
+// than the image was sized for (one materialized mid-sweep).
+func (im *nodeImage[V]) grow(gi int) *imageGroup[V] {
+	k := len(im.groups)
+	if k == cap(im.groups) {
+		return nil
+	}
+	im.bits.add(gi)
+	im.groups = im.groups[:k+1]
+	return &im.groups[k]
+}
+
+// agrees reports whether the image was built from a source whose slot idx
+// held st, mirror saying whether a copy's header fails to stand for that (so
+// that the slot's group is one copies have).
+func (im *nodeImage[V]) agrees(idx int, st *slotState[V], mirror bool) bool {
+	if ig := im.group(idx / slotsPerLine); ig != nil {
+		return ig.src[idx%slotsPerLine] == st
+	}
+	return !mirror
+}
+
+// peek returns what slot j of group gi is born holding: a state inside the
+// image, shared by every copy and read-only.
+func (im *nodeImage[V]) peek(gi, j int) *slotState[V] {
+	st := &im.group(gi).sts[j]
+	if st.child == nil && st.val == nil {
+		return nil
+	}
+	return st
+}
+
+// fill gives g, zeroed storage for group gi of a copy born from im, the first
+// upto slots' born state: the child links, and copies of the values private
+// to the copy's tree t.
+func (im *nodeImage[V]) fill(t *Tree[V], g *slotGroup[V], gi, upto int) {
+	ig := im.group(gi)
+	for j := 0; j < upto; j++ {
+		switch st := &ig.sts[j]; {
+		case st.child != nil:
+			g.slab[j] = slotState[V]{child: st.child}
+		case st.val != nil:
+			t.copyInto(&g.slab[j], &g.vals[j], st.val)
+		default:
+			continue
+		}
+		storePlain(&g.sts[j], &g.slab[j])
+	}
+}
+
+// copyInto makes st the slot state of a fresh copy of v, of the kind the
+// tree's clone makes — on cloneCopy trees a plain copy backed by store — and
+// returns the copy.
+func (t *Tree[V]) copyInto(st *slotState[V], store *V, v *V) *V {
+	switch t.kind {
+	case cloneShared:
+		*st = slotState[V]{val: v}
+	case cloneCopy:
+		*store = *v
+		*st = slotState[V]{val: store}
+	default:
+		*st = slotState[V]{val: t.clone(v)}
+	}
+	return st.val
+}
+
+// groupSet is a set of group indices. A node's directory and an image each
+// pair one with a dense slice holding an element per member, in ascending
+// group order.
+type groupSet [groupsPerNode / 64]uint64
+
+func (s *groupSet) has(gi int) bool { return s[gi>>6]&(1<<(uint(gi)&63)) != 0 }
+func (s *groupSet) add(gi int)      { s[gi>>6] |= 1 << (uint(gi) & 63) }
+
+// rank returns the number of members below gi: gi's position in the dense
+// slice, member or not.
+func (s *groupSet) rank(gi int) int {
+	r := bits.OnesCount64(s[gi>>6] & (1<<(uint(gi)&63) - 1))
+	if gi >= 64 {
+		r += bits.OnesCount64(s[0]) // the set is two words (asserted below)
 	}
 	return r
 }
 
-// count returns the number of materialized groups.
-func (d *groupDir[V]) count() int {
+var _ [2]uint64 = groupSet{}
+
+func (s *groupSet) count() int {
 	n := 0
-	for _, w := range d.bits {
+	for _, w := range s {
 		n += bits.OnesCount64(w)
 	}
 	return n
 }
 
-// groupLoad returns the node's group gi, or nil if unmaterialized.
+// hasAll reports whether every index in [g0, g1] is a member.
+func (s *groupSet) hasAll(g0, g1 int) bool {
+	for w := g0 >> 6; w <= g1>>6; w++ {
+		mask := ^uint64(0)
+		if w == g0>>6 {
+			mask &= ^uint64(0) << (uint(g0) & 63)
+		}
+		if w == g1>>6 {
+			mask &= ^uint64(0) >> (63 - uint(g1)&63)
+		}
+		if s[w]&mask != mask {
+			return false
+		}
+	}
+	return true
+}
+
+// below returns the members of s that are smaller than gi.
+func (s groupSet) below(gi int) groupSet {
+	for w := range s {
+		switch {
+		case w > gi>>6:
+			s[w] = 0
+		case w == gi>>6:
+			s[w] &= 1<<(uint(gi)&63) - 1
+		}
+	}
+	return s
+}
+
+// groupDir is a node's directory of slot groups: a presence bitmap plus a
+// dense slice with one entry per present group, in ascending group index
+// order. The obvious 128-entry pointer array was ~1 KB of every node's
+// ~1.2 KB header while the typical node diverges in zero, one, or two groups;
+// the compressed form costs one pointer per present group — four of them
+// inline, so the typical node's directory is a single allocation — cutting the
+// uniform-node header ~4x, which is what keeps 64–128-core fleets' node
+// populations in cache.
+//
+// A group comes to be present in one of three ways. It *materializes* out of
+// the node's uniform state the first time its line is touched; it is
+// *mirrored* from a live source's group when a fork copies the node; or the
+// node is *born with it in an image* (see nodeImage), when the node is a
+// path copy of a frozen one. Only the third kind is ever present without
+// storage: its entry stays nil, and the slots read through to the image,
+// until something needs the group's line or gates and *realizes* it.
+//
+// A published groupDir's membership is immutable. Adding groups
+// (materializeLocked under matMu) builds a new directory and publishes it
+// with one atomic pointer store, so lock-free readers get a consistent
+// bitmap+slice snapshot from a single load; giving a present group its
+// storage is one atomic store into the entry it already has. While a node is
+// private to the goroutine constructing it, its directory is filled in place
+// (see shell).
+type groupDir[V any] struct {
+	bits   groupSet
+	groups []atomic.Pointer[slotGroup[V]]
+	few    [dirInline]atomic.Pointer[slotGroup[V]] // backs groups while it fits
+}
+
+// dirInline is the number of directory entries a groupDir holds inline.
+const dirInline = 4
+
+// newGroupDir returns an empty, private directory with room for n groups.
+func newGroupDir[V any](n int) *groupDir[V] {
+	d := &groupDir[V]{}
+	if n <= dirInline {
+		d.groups = d.few[:0]
+	} else {
+		d.groups = make([]atomic.Pointer[slotGroup[V]], 0, n)
+	}
+	return d
+}
+
+// newGroupDirOf returns a private directory in which exactly the groups of
+// set are present, none with storage yet.
+func newGroupDirOf[V any](set groupSet) *groupDir[V] {
+	n := set.count()
+	d := newGroupDir[V](n)
+	d.bits = set
+	d.groups = d.groups[:n]
+	return d
+}
+
+// insert makes g group gi of a directory still private to the goroutine
+// filling it; gi must be absent.
+func (d *groupDir[V]) insert(gi int, g *slotGroup[V]) {
+	r := d.bits.rank(gi)
+	d.bits.add(gi)
+	d.groups = append(d.groups, atomic.Pointer[slotGroup[V]]{})
+	for k := len(d.groups) - 1; k > r; k-- {
+		d.groups[k].Store(d.groups[k-1].Load())
+	}
+	d.groups[r].Store(g)
+}
+
+// entry returns group gi's directory entry, or nil if the group is absent.
+func (d *groupDir[V]) entry(gi int) *atomic.Pointer[slotGroup[V]] {
+	if d == nil || !d.bits.has(gi) {
+		return nil
+	}
+	return &d.groups[d.bits.rank(gi)]
+}
+
+// get returns the storage of group gi, or nil if it is absent or present
+// without any: one bit test plus a popcount rank into the dense slice.
+func (d *groupDir[V]) get(gi int) *slotGroup[V] {
+	if d == nil || !d.bits.has(gi) {
+		return nil
+	}
+	return d.groups[d.bits.rank(gi)].Load()
+}
+
+// groupLoad returns the node's group gi, or nil if nothing has touched its
+// line yet.
 func (n *node[V]) groupLoad(gi int) *slotGroup[V] {
-	if d := n.dir.Load(); d != nil {
-		return d.get(gi)
-	}
-	return nil
+	return n.dir.Load().get(gi)
 }
 
-// dirInsert publishes g as group gi via copy-on-insert. Callers must hold
-// matMu or have the node private, and gi must be absent.
-func (n *node[V]) dirInsert(gi int, g *slotGroup[V]) {
-	old := n.dir.Load()
-	nd := &groupDir[V]{}
-	var oldGroups []*slotGroup[V]
-	if old != nil {
-		nd.bits = old.bits
-		oldGroups = old.groups
-	}
-	r := nd.rank(gi)
-	nd.bits[gi>>6] |= 1 << (uint(gi) & 63)
-	nd.groups = make([]*slotGroup[V], len(oldGroups)+1)
-	copy(nd.groups[:r], oldGroups[:r])
-	nd.groups[r] = g
-	copy(nd.groups[r+1:], oldGroups[r:])
-	n.dir.Store(nd)
-}
-
-// forEachGroup calls fn for every materialized group in ascending group
-// index order.
+// forEachGroup calls fn for every group that has storage, in ascending
+// group index order.
 func (n *node[V]) forEachGroup(fn func(gi int, g *slotGroup[V])) {
 	d := n.dir.Load()
 	if d == nil {
@@ -365,41 +569,120 @@ func (n *node[V]) forEachGroup(fn func(gi int, g *slotGroup[V])) {
 		for bw != 0 {
 			b := bits.TrailingZeros64(bw)
 			bw &^= 1 << uint(b)
-			fn(w*64+b, d.groups[k])
+			if g := d.groups[k].Load(); g != nil {
+				fn(w*64+b, g)
+			}
 			k++
 		}
 	}
 }
 
-// group returns slot idx's group, materializing it if needed. The caller
-// is about to touch the group's line or gates; pure value reads should use
-// peek, which does not materialize.
+// group returns slot idx's group, materializing or realizing it if needed.
+// The caller is about to touch the group's line or gates; pure value reads
+// should use peek, which does neither.
 func (n *node[V]) group(idx int) *slotGroup[V] {
 	gi := idx / slotsPerLine
 	if g := n.groupLoad(gi); g != nil {
 		return g
 	}
-	return n.materialize(gi)
+	n.materialize(gi, gi)
+	return n.groupLoad(gi)
 }
 
-func (n *node[V]) materialize(gi int) *slotGroup[V] {
-	n.matMu.Lock()
-	g := n.materializeLocked(gi)
-	n.matMu.Unlock()
-	return g
-}
-
-// materializeLocked builds and publishes group gi if absent. matMu held.
-func (n *node[V]) materializeLocked(gi int) *slotGroup[V] {
-	g := n.groupLoad(gi)
-	if g == nil {
-		g = new(slotGroup[V])
-		n.initGroup(g, gi)
-		n.dirInsert(gi, g)
-		n.tree.groupsEver.Add(1)
-		n.tree.groupsLive.Add(1)
+// materialize gives groups [g0, g1], whose lines the caller is about to
+// touch, their storage if any of them lacks it.
+func (n *node[V]) materialize(g0, g1 int) {
+	d := n.dir.Load()
+	if d != nil && n.img == nil && d.bits.hasAll(g0, g1) {
+		return // present, and only a copy born in an image has groups without storage
 	}
-	return g
+	for gi := g0; gi <= g1; gi++ {
+		if d.get(gi) == nil {
+			n.matMu.Lock()
+			n.materializeLocked(g0, g1, true)
+			n.matMu.Unlock()
+			return
+		}
+	}
+}
+
+// realizeRun is how many neighbouring groups get storage together when one
+// group a node was born with in an image is first touched: the aligned run
+// around it, in one allocation. Touches cluster, and nobody can tell a
+// realized group from an unrealized one, so rounding out is free in virtual
+// time and saves most of the allocations realizing singly would make.
+const realizeRun = 4
+
+// materializeLocked gives groups [g0, g1] their storage, in one allocation and
+// at most one directory publish. matMu held. A group present without storage
+// is realized — cold line, free gates, private copies of the values the image
+// holds for it — together with its like in the aligned runs around the range.
+// If uniform is set, a group absent from the directory materializes out of the
+// node's uniform state (initGroup); unlike a realization that is visible — a
+// later fork mirrors, charges and bills the group — so it happens for exactly
+// the groups asked for, which the caller is about to touch.
+func (n *node[V]) materializeLocked(g0, g1 int, uniform bool) {
+	w0, w1 := g0, g1
+	if n.img != nil {
+		w0, w1 = g0&^(realizeRun-1), g1|(realizeRun-1)
+	} else if !uniform {
+		return
+	}
+	d := n.dir.Load()
+	var add groupSet
+	need := 0
+	for gi := w0; gi <= w1; gi++ {
+		if e := d.entry(gi); e != nil {
+			if e.Load() == nil {
+				need++
+			}
+		} else if uniform && g0 <= gi && gi <= g1 {
+			add.add(gi)
+			need++
+		}
+	}
+	if need == 0 {
+		return
+	}
+	nd := d
+	if add != (groupSet{}) {
+		// The new directory: d's entries at their new ranks, the added
+		// groups' entries still empty.
+		if d == nil {
+			nd = newGroupDirOf[V](add)
+		} else {
+			for w := range add {
+				add[w] |= d.bits[w]
+			}
+			nd = newGroupDirOf[V](add)
+			for gi, k := 0, 0; k < len(d.groups); gi++ {
+				if d.bits.has(gi) {
+					nd.groups[nd.bits.rank(gi)].Store(d.groups[k].Load())
+					k++
+				}
+			}
+		}
+	}
+	slab := make([]slotGroup[V], need)
+	for gi := w0; gi <= w1; gi++ {
+		e := nd.entry(gi)
+		if e == nil || e.Load() != nil {
+			continue
+		}
+		g := &slab[0]
+		slab = slab[1:]
+		if d.entry(gi) != nil {
+			n.img.fill(n.tree, g, gi, slotsPerLine)
+		} else {
+			n.initGroup(g, gi)
+		}
+		e.Store(g)
+	}
+	if nd != d {
+		n.dir.Store(nd)
+	}
+	n.tree.groupsEver.Add(int64(need))
+	n.tree.groupsLive.Add(int64(need))
 }
 
 // initGroup fills g with exactly the state the eager representation would
@@ -452,15 +735,21 @@ func resetGroup[V any](g *slotGroup[V]) {
 	}
 }
 
-// peek reads slot idx's state without materializing its group: untouched
-// slots report the uniform state. Used by pure value reads (Entry.Value on
-// shared-clone trees, expansion's re-read under a held bit), which charge
-// no line cost and so need no line model.
+// peek reads slot idx's state without giving its group storage: slots of a
+// group the node was born with in an image report what the image holds for
+// them, slots nothing has touched the uniform state. Used by pure value reads
+// (Entry.Value on shared-clone trees, expansion's re-read under a held bit,
+// teardown), which charge no line cost and so need no line model.
 func (n *node[V]) peek(idx int) *slotState[V] {
-	if g := n.groupLoad(idx / slotsPerLine); g != nil {
+	gi := idx / slotsPerLine
+	d := n.dir.Load()
+	if d == nil || !d.bits.has(gi) {
+		return n.uniSt
+	}
+	if g := d.groups[d.bits.rank(gi)].Load(); g != nil {
 		return g.sts[idx%slotsPerLine].Load()
 	}
-	return n.uniSt
+	return n.img.peek(gi, idx%slotsPerLine)
 }
 
 // slot returns slot idx's state word, materializing its group.
@@ -518,9 +807,9 @@ func (n *node[V]) bulkRelease(cpu *hw.CPU, idx int) {
 		// Plateau overflow (an unforeseen release pattern): materialize
 		// this slot's group so its gate records its own history.
 		n.tree.plateauOverflows.Add(1)
-		g := n.materializeLocked(idx / slotsPerLine)
+		n.materializeLocked(idx/slotsPerLine, idx/slotsPerLine, true)
 		n.matMu.Unlock()
-		cpu.ReleaseBitIn(&n.bits[idx>>6], mask, &g.gates[idx%slotsPerLine])
+		cpu.ReleaseBitIn(&n.bits[idx>>6], mask, &n.groupLoad(idx / slotsPerLine).gates[idx%slotsPerLine])
 		return
 	}
 	n.matMu.Unlock()
@@ -543,9 +832,7 @@ func (n *node[V]) releaseAllExcept(cpu *hw.CPU, keep int) {
 	// loop below then restores the release into every group).
 	if !n.uni.release(0, now) {
 		n.tree.plateauOverflows.Add(1)
-		for gi := 0; gi < groupsPerNode; gi++ {
-			n.materializeLocked(gi)
-		}
+		n.materializeLocked(0, groupsPerNode-1, true)
 	}
 	n.forEachGroup(func(gi int, g *slotGroup[V]) {
 		for j := 0; j < slotsPerLine; j++ {
@@ -660,6 +947,13 @@ type cpuState[V any] struct {
 	carriers carrierPool[V] // recycled value carriers (carrier.go)
 	template V              // see Tree.Template
 	rng      Range[V]       // cached Range carrier (lock.go)
+
+	// born and bornSt stand in for a copy's slot when a divergence sweep
+	// finds the slot's born state in an image already: the onDiverge hook
+	// still runs, and this is the dst it is handed. (A local would escape
+	// through the hook's func value: one allocation per slot.)
+	born   V
+	bornSt slotState[V]
 }
 
 // cpu returns cpu's scratch state, building it on the CPU's first use of
@@ -839,9 +1133,10 @@ func (t *Tree[V]) NodesLive() int64 { return t.nodesLive.Load() }
 // NodesEver returns the number of nodes ever allocated.
 func (t *Tree[V]) NodesEver() int64 { return t.nodesEver.Load() }
 
-// GroupsEver returns the number of slot groups ever materialized — the
+// GroupsEver returns the number of slot groups ever given storage — the
 // divergence counter: a tree whose operations stay uniform materializes
-// almost nothing.
+// almost nothing. A group a path copy was born with in an image counts when
+// it is realized, not before. (Diagnostics: no figure reads it.)
 func (t *Tree[V]) GroupsEver() int64 { return t.groupsEver.Load() }
 
 // PlateauOverflows returns how many bulk lock-bit releases exceeded the
@@ -858,10 +1153,11 @@ func (t *Tree[V]) PlateauOverflows() int64 { return t.plateauOverflows.Load() }
 func (t *Tree[V]) Bytes() uint64 { return uint64(t.nodesLive.Load()) * NodeBytes }
 
 // FootprintBytes estimates the tree's real Go-side memory: compact node
-// headers plus materialized slot groups (each charged one directory
+// headers plus the slot groups that have storage (each charged one directory
 // pointer for its dense groupDir entry). Uniform and singly-diverged nodes
 // cost a small fraction of NodeBytes; only fully diverged nodes approach
-// the eager representation's size.
+// the eager representation's size. Groups a path copy holds only in its
+// source's image are not counted: the image is shared, and charged to nobody.
 //
 // Nodes shared with a lazily forked snapshot are charged to the tree that
 // created them (nodesLive is a creating-tree counter), so parent and child
@@ -914,12 +1210,20 @@ func (t *Tree[V]) foreign(n *node[V]) bool {
 // distinct value copied when a snapshot-shared node is path-copied on first
 // write, with the VPN range the value covers — the deferred equivalent of
 // Fork's visit callback. Inherited by ForkLazy children.
+//
+// fn runs under every slot bit of src's node and may write *src. dst arrives
+// as a copy of *src (the tree's kind of copy) for fn to finish, and what fn
+// leaves in it may depend on src alone: the tree keeps the finished copy in
+// the node's image and gives every tree that diverges from src a copy of it,
+// so on all divergences but the first fn's dst is a scratch value, called for
+// fn's other effects and then forgotten.
 func (t *Tree[V]) OnDiverge(fn func(cpu *hw.CPU, lo, hi uint64, src, dst *V)) { t.onDiverge = fn }
 
 // OnRelease registers the lazy-fork release hook: fn is invoked once per
 // distinct value dropped when the last tree referencing a shared subtree
 // releases it (Tree.Release, or a divergence unlinking the old copy).
-// Inherited by ForkLazy children.
+// Inherited by ForkLazy children. fn must not write *v: the value of a slot
+// its tree never touched may live in an image other trees' copies read.
 func (t *Tree[V]) OnRelease(fn func(cpu *hw.CPU, lo, hi uint64, v *V)) { t.onRelease = fn }
 
 // Lookup returns the value covering vpn, or nil if unmapped. It takes no

@@ -161,6 +161,16 @@ func (as *AddressSpace) forkLazy(cpu *hw.CPU, child *AddressSpace) {
 // invalidated wholesale at fork time and shared nodes never supply new
 // ones (every locking descent diverges first), so no stale writable
 // translation for these pages can exist anywhere.
+//
+// Contract with the tree (radix.Tree.OnDiverge): dst arrives as a copy of
+// *src, and what the hook leaves in it may depend on src alone — not on the
+// core, the diverging space, or how many divergences came before. The tree
+// keeps one finished dst per shared mapping (the node's image) and hands
+// every space that diverges from src a copy of that; the hook still runs
+// once per divergence, for its effects on src and the frame (the reference
+// and share counts below), with a scratch dst. The function keeps to it: dst
+// ends as *src with no TLBCores, and COW set exactly when src has an
+// anonymous frame — whether or not an earlier divergence armed src already.
 func (as *AddressSpace) divergeMapping(cpu *hw.CPU, lo, hi uint64, src, dst *Mapping) {
 	dst.TLBCores = hw.CoreSet{} // no translation derives from a shared node
 	if src.Frame == nil {
@@ -187,7 +197,9 @@ func (as *AddressSpace) divergeMapping(cpu *hw.CPU, lo, hi uint64, src, dst *Map
 // referencing tree releases it — Exit, or a divergence unlinking the
 // shared original after both sides copied it. No shootdown runs here: a
 // shared node's pages have no translations (see divergeMapping), and Exit
-// resets the dying space's MMU wholesale.
+// resets the dying space's MMU wholesale. v is read-only here: a mapping its
+// space never touched may still live in an image shared with the other
+// copies of its node (radix.Tree.OnRelease).
 func (as *AddressSpace) releaseMapping(cpu *hw.CPU, lo, hi uint64, v *Mapping) {
 	if v.Frame == nil {
 		return

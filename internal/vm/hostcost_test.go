@@ -61,14 +61,15 @@ func TestResetWithoutTranslationsAllocatesNothing(t *testing.T) {
 }
 
 // spawnBytes returns the Go heap bytes one fork → 32 COW touches → exit
-// cycle allocates on an ncores machine whose template ran on every core.
-func spawnBytes(t *testing.T, ncores int) uint64 {
+// cycle allocates on an ncores machine whose template, of tmplPages written
+// pages, ran on every core.
+func spawnBytes(t *testing.T, ncores int, tmplPages uint64) uint64 {
 	const lo, npages = uint64(1 << 20), uint64(32)
 	w := newWorld(ncores)
 	tmpl := lazySpace(w)
 	c := m0(w)
-	must(t, tmpl.Mmap(c, lo, npages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
-	for v := lo; v < lo+npages; v++ {
+	must(t, tmpl.Mmap(c, lo, tmplPages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
+	for v := lo; v < lo+tmplPages; v++ {
 		must(t, tmpl.Access(c, v, true))
 	}
 	for i := 1; i < ncores; i++ {
@@ -107,7 +108,7 @@ func spawnBytes(t *testing.T, ncores int) uint64 {
 // 17 296 and 22 416 B now, the same ~5 KB apart and 1.30 x. A ratio punishes
 // shrinking its denominator, so the ceilings are absolute.
 func TestSpawnBytesIndependentOfCoreCount(t *testing.T) {
-	small, large := spawnBytes(t, 8), spawnBytes(t, 64)
+	small, large := spawnBytes(t, 8, 32), spawnBytes(t, 64, 32)
 	t.Logf("fork + 32 COW touches + exit: %d B at 8 cores, %d B at 64 cores", small, large)
 	if small > 20<<10 {
 		t.Errorf("spawn allocates %d B at 8 cores, want <= 20 KB", small)
@@ -117,6 +118,24 @@ func TestSpawnBytesIndependentOfCoreCount(t *testing.T) {
 	}
 	if large > small+6656 {
 		t.Errorf("spawn allocates %d B at 64 cores against %d B at 8 cores: more than 6.5 KB apart", large, small)
+	}
+}
+
+// TestSpawnBytesIndependentOfTemplateSize: the same spawn off a template of
+// 8 192 pages — sixteen full leaves, of which the child touches a sixteenth
+// of one — may allocate only a few KB more than off a template of 32: the
+// longer path is not there, the leaf copy's directory of 128 entries is. A
+// copy used to mirror all 128 slot groups of its leaf into storage of its
+// own, whatever its owner went on to touch: 17 296 B off 32 pages, 87 248 B
+// off 512 and 89 000 B off 8 192.
+func TestSpawnBytesIndependentOfTemplateSize(t *testing.T) {
+	small, leaf, large := spawnBytes(t, 8, 32), spawnBytes(t, 8, 512), spawnBytes(t, 8, 8192)
+	t.Logf("fork + 32 COW touches + exit at 8 cores: %d B off a 32-page template, %d B off a 512-page one, %d B off an 8192-page one", small, leaf, large)
+	if large > 24<<10 {
+		t.Errorf("spawn off an 8192-page template allocates %d B, want <= 24 KB", large)
+	}
+	if large > small+4<<10 {
+		t.Errorf("spawn allocates %d B off 8192 template pages against %d B off 32: more than 4 KB apart", large, small)
 	}
 }
 

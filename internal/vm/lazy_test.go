@@ -369,3 +369,78 @@ func TestLazyDoubleForkChains(t *testing.T) {
 		t.Fatalf("%d frames leaked after the lazy fork chain exited", live)
 	}
 }
+
+// TestDivergedCopiesAreEqual: two children of one template touch the same
+// leaf, so each gets a copy of it — from one image of what a copy of that
+// leaf is born holding, where each used to mirror the leaf for itself. The
+// copies must hold what mirroring gave them (the expectations below were
+// checked against the commit before images, cb53c27): every mapping the
+// template's, minus its cached-translation set, armed copy-on-write where it
+// has an anonymous frame; equal between the two children field by field; and
+// private — the page each child writes changes in that child alone. The
+// divergence hook ran once per child per mapping, image or not: every shared
+// anonymous frame counts three shares, and after all three spaces exit the
+// only frames alive are the page cache's.
+func TestDivergedCopiesAreEqual(t *testing.T) {
+	const lo, npages = uint64(1 << 20), uint64(512) // one leaf
+	const anon, ro, file = 64, 32, 8                // written, then read-only, then file-backed pages
+	w := newWorld(2)
+	tmpl := lazySpace(w)
+	c := m0(w)
+	f := vm.NewFile(w.alloc)
+	must(t, tmpl.Mmap(c, lo, npages-file, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
+	must(t, tmpl.Mmap(c, lo+npages-file, file, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite, File: f}))
+	for v := lo; v < lo+anon+ro; v++ {
+		must(t, tmpl.Access(c, v, true))
+	}
+	must(t, tmpl.Access(w.m.CPU(1), lo+1, false)) // a second core caches a translation
+	must(t, tmpl.Mprotect(c, lo+anon, ro, vm.ProtRead))
+	must(t, tmpl.Access(c, lo+npages-file, true))
+	must(t, tmpl.Access(c, lo+npages-file+1, false))
+
+	want := make([]vm.Mapping, npages)
+	for i := range want {
+		want[i] = *tmpl.Lookup(c, lo+uint64(i))
+	}
+	var kids [2]*vm.AddressSpace
+	for i := range kids {
+		sys, err := tmpl.Fork(c)
+		must(t, err)
+		kids[i] = sys.(*vm.AddressSpace)
+	}
+	const touched = 3
+	for _, kid := range kids {
+		must(t, kid.Access(c, lo+touched, true)) // copies the leaf, then breaks COW on one page
+	}
+	for i := uint64(0); i < npages; i++ {
+		a, b, tm := kids[0].Lookup(c, lo+i), kids[1].Lookup(c, lo+i), want[i]
+		if a == nil || b == nil || a == b {
+			t.Fatalf("page %d: children map %p and %p, want two private mappings", i, a, b)
+		}
+		if i == touched {
+			if a.Frame == b.Frame || a.Frame == tm.Frame || a.COW || b.COW || !a.TLBCores.Has(0) || !b.TLBCores.Has(0) {
+				t.Errorf("written page: children hold %+v and %+v, want private frames, COW broken, core 0 caching", *a, *b)
+			}
+			continue
+		}
+		wantCOW := tm.Frame != nil && tm.Back.File == nil
+		for _, m := range []*vm.Mapping{a, b} {
+			if m.Frame != tm.Frame || m.COW != wantCOW || m.Prot != tm.Prot || m.Back != tm.Back || m.Start != tm.Start || !m.TLBCores.Empty() {
+				t.Errorf("page %d: child holds %+v, want the template's %+v without cached cores, COW=%v", i, *m, tm, wantCOW)
+			}
+		}
+		if wantCOW {
+			if got := tm.Frame.COWShares(); got != 3 {
+				t.Errorf("page %d: frame counts %d COW shares, want 3 (the template's mapping and two copies)", i, got)
+			}
+		}
+	}
+	for _, kid := range kids {
+		exit(c, kid)
+	}
+	exit(c, tmpl)
+	w.quiesce()
+	if live := w.alloc.Live(); live != 2 {
+		t.Fatalf("%d frames alive after the children and the template exited, want 2 (the page cache's)", live)
+	}
+}
