@@ -15,9 +15,7 @@ var FleetLives = []int{64, 256, 1024, 4096}
 // FleetQuickLives is the CI smoke sweep of the live-space axis.
 var FleetQuickLives = []int{64, 256}
 
-// fleetSystem builds one VM system for the fleet in a fresh environment.
-// The fleet itself flips radixvm to the lazy generation fork (the zygote
-// path); the factory just constructs.
+// fleetEnv builds one VM system for the fleet in a fresh environment.
 func fleetEnv(f sysFactory, n int) (*workload.Env, vm.System) {
 	e, a := env(n)
 	return e, f.make(e, a)

@@ -235,11 +235,11 @@ func FigMprotect(o Options) *Table {
 // FigFork runs the fork+COW microbenchmark (the Metis/posix-spawn pattern;
 // not a figure in the paper, whose evaluation forks only at job start): a
 // multithreaded parent is forked once per round and the child's threads
-// COW-touch disjoint regions. RadixVM's per-page sharer sets make both the
-// fork's write-protect pass and every COW break targeted, so the cycle
-// scales with cores; the baselines broadcast a TLB flush per break and per
-// child munmap and stay near-flat. Each series is a VM system; the metric
-// matches Figure 5's.
+// COW-touch disjoint regions. RadixVM's COW breaks are per-page and send no
+// IPI, but each fork and exit interrupts every core once (MMU.Reset), so the
+// cycle stops scaling near 8 cores; the baselines broadcast a TLB flush per
+// break and per child munmap and stay near-flat. Each series is a VM system;
+// the metric matches Figure 5's.
 func FigFork(o Options) *Table {
 	t := &Table{Title: "fork: fork+COW-touch cycling (M page writes/sec)"}
 	for _, f := range factories() {
@@ -256,13 +256,13 @@ func FigFork(o Options) *Table {
 // variant of FigFork): every core forks its own COW child of one shared
 // multithreaded parent each round, with no barrier between the forks, so
 // fork-vs-fork serialization at the address-space structures is measured
-// directly. RadixVM's forks serialize only at the radix slot locks and
+// directly. RadixVM's forks serialize only at the root's slot locks and
 // its parent-side COW breaks are targeted; the baselines serialize every
 // fork and parent break on one address-space lock and broadcast per
 // parent break. Each series is a VM system; the metric matches Figure
-// 5's. Under the deterministic gang schedule the concurrent forks
-// resolve in virtual-time order, so the figure is bit-stable run-to-run
-// and gated byte-for-byte (figures/spawn.txt).
+// 5's. The deterministic schedule resolves the concurrent forks in
+// virtual-time order, so the figure is gated byte-for-byte
+// (figures/spawn.txt).
 func FigSpawn(o Options) *Table {
 	t := &Table{Title: "spawn: concurrent per-core fork/exit (M page writes/sec)"}
 	for _, f := range factories() {
@@ -280,35 +280,23 @@ func FigSpawn(o Options) *Table {
 // child of one large shared template per round, COW-touches 8 pages of its
 // own slice, and exits the child. The metric is whole fork-to-exit cycles
 // per second, so it isolates fork and exit cost from the (fixed, small)
-// touch work. The headline radixvm series runs the lazy generation fork
-// (SetForkEager(false)): fork is one root copy plus a generation bump and
+// touch work. On radixvm fork is one root copy plus a generation bump and
 // exit releases only the child's divergences, so the cycle cost is O(pages
-// touched) regardless of template size. radixvm-eager is the same system
-// with the default per-node sweep, and the baselines additionally pay an
-// exit_mmap munmap sweep per child — both walk metadata proportional to
-// the whole template per cycle. Like FigSpawn, the concurrent forks
-// contend for tree locks, but the deterministic gang schedule resolves
-// them in virtual-time order, so every column is bit-stable run-to-run
-// and gated byte-for-byte (figures/clone.txt).
+// touched) regardless of template size; the baselines copy metadata
+// proportional to the whole template per fork and pay an exit_mmap munmap
+// sweep per child. Like FigSpawn, the concurrent forks contend for tree
+// locks, but the deterministic gang schedule resolves them in virtual-time
+// order, so every column is bit-stable run-to-run and gated byte-for-byte
+// (figures/clone.txt).
 func FigClone(o Options) *Table {
 	t := &Table{Title: "clone: template fork fan-out (K clones/sec)"}
-	series := []sysFactory{
-		{"radixvm", func(e *workload.Env, a *mem.Allocator) vm.System {
-			as := vm.New(e.M, e.RC, a, nil)
-			as.SetForkEager(false)
-			return as
-		}},
-		{"radixvm-eager", func(e *workload.Env, a *mem.Allocator) vm.System { return vm.New(e.M, e.RC, a, nil) }},
-		{"bonsai", func(e *workload.Env, a *mem.Allocator) vm.System { return bonsaivm.New(e.M, e.RC, a) }},
-		{"linux", func(e *workload.Env, a *mem.Allocator) vm.System { return linuxvm.New(e.M, e.RC, a) }},
-	}
 	const slicePages, touchPages = 1024, 8
 	// Each round forks (and for the baselines, munmap-sweeps) the whole
 	// template on every core, so rounds are expensive; a few suffice for a
 	// deterministic virtual-time metric, and the full sweep must fit the
 	// fig-stability wall-clock budget on a loaded CI runner.
 	iters := maxInt(2, o.Iters/40)
-	for _, f := range series {
+	for _, f := range factories() {
 		for _, n := range o.Cores {
 			e, a := env(n)
 			r := workload.Clone(e, f.make(e, a), n, iters, slicePages, touchPages)

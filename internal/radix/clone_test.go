@@ -20,22 +20,22 @@ import (
 // nodeShape is what a tree can observe of a node: what each slot holds,
 // which slot groups it has (with storage or born in an image without), and
 // the uniform fill.
-type nodeShape struct {
+type nodeShape[V any] struct {
 	Level  int
 	Base   uint64
-	Fill   *val
+	Fill   *V
 	Bits   groupSet
 	Groups int
-	Slots  [SlotsPerNode]slotShape
+	Slots  [SlotsPerNode]slotShape[V]
 }
 
-type slotShape struct {
+type slotShape[V any] struct {
 	Child *refcache.Obj
-	Val   *val // a copy: two nodes compare by content
+	Val   *V // a copy: two nodes compare by content
 }
 
-func shapeOfSlot(st *slotState[val]) slotShape {
-	var s slotShape
+func shapeOfSlot[V any](st *slotState[V]) slotShape[V] {
+	var s slotShape[V]
 	if st != nil {
 		s.Child = st.child
 		if st.val != nil {
@@ -50,9 +50,9 @@ func shapeOfSlot(st *slotState[val]) slotShape {
 // dense slice has exactly one entry per group of the bitmap, the entries with
 // storage are where get finds them, and only a copy born in an image has any
 // without.
-func shapeOf(t *testing.T, n *node[val]) nodeShape {
+func shapeOf[V any](t *testing.T, n *node[V]) nodeShape[V] {
 	t.Helper()
-	s := nodeShape{Level: n.level, Base: n.base}
+	s := nodeShape[V]{Level: n.level, Base: n.base}
 	if n.uniSt != nil {
 		v := *n.uniSt.val
 		s.Fill = &v
@@ -64,7 +64,7 @@ func shapeOf(t *testing.T, n *node[val]) nodeShape {
 			t.Fatalf("directory bitmap names %d groups, slice holds %d", d.bits.count(), len(d.groups))
 		}
 		last := -1
-		n.forEachGroup(func(gi int, g *slotGroup[val]) {
+		n.forEachGroup(func(gi int, g *slotGroup[V]) {
 			if g == nil || d.get(gi) != g || gi <= last {
 				t.Fatalf("directory slice out of step with its bitmap at group %d", gi)
 			}
@@ -257,7 +257,7 @@ func TestCopyEqualsSlotBySlotCopy(t *testing.T) {
 			ref, made := copiedSlotBySlot(src)
 			want, have := shapeOf(t, ref), shapeOf(t, got)
 			if relinked >= 0 {
-				want.Slots[relinked], have.Slots[relinked] = slotShape{}, slotShape{}
+				want.Slots[relinked], have.Slots[relinked] = slotShape[val]{}, slotShape[val]{}
 			}
 			if !reflect.DeepEqual(want, have) {
 				t.Errorf("recycled=%v: copy of %s differs from the slot-by-slot copy:\n got groups=%d bits=%x\nwant groups=%d bits=%x",

@@ -98,30 +98,24 @@ func refGet(ref *rbtree.Tree[int], c *hw.CPU, p uint64) int {
 	return -1
 }
 
-// TestDifferentialEagerVsLazyFork drives identical randomized op sequences
-// through two fork families — one all-eager, one all-lazy (the two modes
-// must not mix within a family) — with a fork in the middle: seed the
-// parent, fork, then keep mutating parent and child with the same ops on
-// both sides. The final mappings of parent and child must match page by
-// page across the two strategies and against rbtree reference models.
-// Virtual *time* is not compared across strategies: the lazy fork bills
-// each node copy at divergence instead of at fork, so the clocks
-// legitimately differ; what must hold is that the lazy schedule is
-// deterministic, which TestLazyForkDeterministic pins down below.
-func TestDifferentialEagerVsLazyFork(t *testing.T) {
+// TestDifferentialForkVsRBTree drives randomized op sequences through a fork
+// family with the fork in the middle: seed the parent, fork, then keep
+// mutating parent and child, each with its own op stream. The final mappings
+// of parent and child must match, page by page, rbtree reference models that
+// split where the trees did. (Virtual time is TestLazyForkDeterministic's.)
+func TestDifferentialForkVsRBTree(t *testing.T) {
 	const (
 		trials = 4
 		window = uint64(1 << 13)
 		ops    = 150
 	)
 	for trial := 0; trial < trials; trial++ {
-		mE, rcE, trE := newCopyTree(1)
-		mL, rcL, trL := newCopyTree(1)
-		cE, cL := mE.CPU(0), mL.CPU(0)
+		m, rc, tr := newCopyTree(1)
+		c := m.CPU(0)
 		parentRef := rbtree.New[int]()
 		childRef := rbtree.New[int]()
 
-		apply := func(rng *rand.Rand, eager, lazy *Tree[val], ref *rbtree.Tree[int], op int) {
+		apply := func(rng *rand.Rand, tr *Tree[val], ref *rbtree.Tree[int], op int) {
 			lo := uint64(rng.Intn(int(window)))
 			ln := uint64(rng.Intn(700) + 1)
 			hi := minU(lo+ln, window)
@@ -130,83 +124,62 @@ func TestDifferentialEagerVsLazyFork(t *testing.T) {
 			}
 			switch rng.Intn(5) {
 			case 0, 1, 2:
-				v := &val{op}
-				setRange(eager, cE, lo, hi, v)
-				setRange(lazy, cL, lo, hi, v)
+				setRange(tr, c, lo, hi, &val{op})
 				for p := lo; p < hi; p++ {
-					ref.Insert(cE, p, op)
+					ref.Insert(c, p, op)
 				}
 			case 3:
-				clearRange(eager, cE, lo, hi)
-				clearRange(lazy, cL, lo, hi)
+				clearRange(tr, c, lo, hi)
 				for p := lo; p < hi; p++ {
-					ref.Delete(cE, p)
+					ref.Delete(c, p)
 				}
 			default:
-				rE := eager.LockPage(cE, lo)
-				rL := lazy.LockPage(cL, lo)
-				eE, eL := rE.Entry(0), rL.Entry(0)
-				if (eE.Value() == nil) != (eL.Value() == nil) {
-					t.Fatalf("trial %d op %d: page %d mapped=%v eager vs %v lazy",
-						trial, op, lo, eE.Value() != nil, eL.Value() != nil)
+				r := tr.LockPage(c, lo)
+				e := r.Entry(0)
+				if _, mapped := ref.Get(c, lo); mapped != (e.Value() != nil) {
+					t.Fatalf("trial %d op %d: page %d mapped=%v, rbtree %v", trial, op, lo, e.Value() != nil, mapped)
 				}
-				if v := eE.Value(); v != nil {
+				if v := e.Value(); v != nil {
 					v.x = op
-					eE.Set(v)
-					vL := eL.Value()
-					vL.x = op
-					eL.Set(vL)
-					for p := eE.Lo; p < eE.Hi; p++ {
-						ref.Insert(cE, p, op)
+					e.Set(v)
+					for p := e.Lo; p < e.Hi; p++ {
+						ref.Insert(c, p, op)
 					}
 				}
-				rE.Unlock()
-				rL.Unlock()
+				r.Unlock()
 			}
-			rcE.Maintain(cE)
-			rcL.Maintain(cL)
+			rc.Maintain(c)
 		}
 
 		seed := int64(4200 + trial)
 		rng := rand.New(rand.NewSource(seed))
 		for op := 0; op < ops; op++ {
-			apply(rng, trE, trL, parentRef, op)
+			apply(rng, tr, parentRef, op)
 		}
-		childE := trE.Fork(cE, func(_, _ uint64, _, _ *val) {})
-		childL := trL.ForkLazy(cL)
-		// The child starts as a snapshot of the parent.
-		for p := uint64(0); p < window; p += 7 {
-			if got, want := lookupVal(childL, cL, p), refGet(parentRef, cE, p); got != want {
-				t.Fatalf("trial %d: lazy child snapshot diverged at page %d: %d, want %d", trial, p, got, want)
-			}
-		}
-		// Keep mutating both sides with identical (but distinct per side)
-		// op streams; the rbtree models split at the fork too.
+		child := tr.ForkLazy(c)
+		// The child starts as a snapshot of the parent, and so does its model.
 		for p := uint64(0); p < window; p++ {
-			if v, ok := parentRef.Get(cE, p); ok {
-				childRef.Insert(cE, p, v)
+			want := refGet(parentRef, c, p)
+			if got := lookupVal(child, c, p); got != want {
+				t.Fatalf("trial %d: child snapshot diverged at page %d: %d, want %d", trial, p, got, want)
+			}
+			if want >= 0 {
+				childRef.Insert(c, p, want)
 			}
 		}
 		rngP := rand.New(rand.NewSource(seed + 1000))
 		rngC := rand.New(rand.NewSource(seed + 2000))
 		for op := ops; op < 2*ops; op++ {
-			apply(rngP, trE, trL, parentRef, op)
-			apply(rngC, childE, childL, childRef, -op)
+			apply(rngP, tr, parentRef, op)
+			apply(rngC, child, childRef, -op)
 		}
-		quiesce(rcE)
-		quiesce(rcL)
+		quiesce(rc)
 		for p := uint64(0); p < window+64; p++ {
-			if got, want := lookupVal(trL, cL, p), refGet(parentRef, cE, p); got != want {
-				t.Fatalf("trial %d: lazy parent diverged at page %d: %d, want %d", trial, p, got, want)
+			if got, want := lookupVal(tr, c, p), refGet(parentRef, c, p); got != want {
+				t.Fatalf("trial %d: parent diverged at page %d: %d, want %d", trial, p, got, want)
 			}
-			if got, want := lookupVal(trE, cE, p), refGet(parentRef, cE, p); got != want {
-				t.Fatalf("trial %d: eager parent diverged at page %d: %d, want %d", trial, p, got, want)
-			}
-			if got, want := lookupVal(childL, cL, p), refGet(childRef, cE, p); got != want {
-				t.Fatalf("trial %d: lazy child diverged at page %d: %d, want %d", trial, p, got, want)
-			}
-			if got, want := lookupVal(childE, cE, p), refGet(childRef, cE, p); got != want {
-				t.Fatalf("trial %d: eager child diverged at page %d: %d, want %d", trial, p, got, want)
+			if got, want := lookupVal(child, c, p), refGet(childRef, c, p); got != want {
+				t.Fatalf("trial %d: child diverged at page %d: %d, want %d", trial, p, got, want)
 			}
 		}
 	}

@@ -6,60 +6,26 @@ import (
 	"radixvm/internal/hw"
 )
 
-// Tree.Fork structurally clones a tree — the radix half of an address-space
-// fork. It sweeps every slot lock bit in the tree strictly left-to-right in
-// the same global order every Range operation uses (ascending VPN, parent
-// slot before the child node covering the same VPNs), but unlike a Range it
-// does not hold the whole sweep at once: each *node* is copied under all of
-// its bits and released (one merged busy period) before the fork descends
-// into that node's children — hand-over-hand at node granularity.
-//
-// What that buys and what it costs:
-//
-//   - Concurrent forks of one parent pipeline instead of fully serializing:
-//     fork B enters a subtree as soon as fork A has released it, so a spawn
-//     server's N simultaneous forks cost ~one tree sweep plus N pipeline
-//     stages, not N full sweeps back to back. This is the contention path
-//     the spawn workload measures.
-//   - Snapshot atomicity is *node-granular*: a concurrent Range operation
-//     whose slots all live in one node is observed entirely or not at all
-//     (it mutates only while holding its whole range, and the fork holds
-//     every bit of a node across that node's copy), and single-page
-//     operations — faults, COW breaks — are always atomic. A Range
-//     operation *spanning nodes* can land in the released/not-yet-copied
-//     gap between two node copies and be reflected partially, split at a
-//     node boundary. Operations on disjoint regions commute with fork
-//     either way — the §3.4 property the workloads rely on.
-//   - ForkLazy (lazy.go) strengthens this to whole-tree snapshot
-//     atomicity: the snapshot is taken entirely under the root's bits, and
-//     a shared node diverges only after acquiring all of its bits —
-//     serializing with any in-flight multi-node Range op, which therefore
-//     lands entirely before or entirely after the snapshot. Callers
-//     needing Linux-style whole-space fork atomicity use ForkLazy (the
-//     regression test TestLazyForkRangeAtomicity pins this down); the
-//     eager sweep keeps the node-granular relaxation in exchange for
-//     billing all copy cost up front at fork time.
-//
-// The child preserves the parent's uniform/diverged representation without
-// materializing anything on either side: a parent node's unmaterialized
-// slots are covered by acquiring their packed bit words directly (their
-// virtual-time wait comes from the node's uniform gate table, consulted
-// once per node), and the child mirrors exactly the slot groups the parent
-// has materialized — uniform parent nodes yield uniform children, so
-// forking a large, mostly-folded address space copies compact headers, not
-// 8 KB pages of slots.
+// The per-node copy protocol: the one way a node of one tree becomes a node
+// of another. A fork family shares subtrees (lazy.go); a node is copied when
+// ForkLazy snapshots a root and when a write path first descends into a node
+// its tree shares (divergeChild). The copier (linkCopy) sweeps every slot lock
+// bit of the source left to right — the global order every Range operation
+// uses, so the copy serializes with any operation inside the node and is an
+// atomic snapshot of it — fills the copy (cloneShell, shell), and releases
+// all the bits as one merged busy period (forkUnlock). Neither side gains a
+// group: the source's unmaterialized slots are covered by their packed bit
+// words, their virtual-time wait by the node's uniform gate table, and the
+// copy has exactly the groups the source has.
 
-// Fork cost model: a cloned node is billed by the *logical* size of what
-// fork actually copies, at the page-copy rate (PageZero cycles per 4 KB).
-// A uniform node is one compact header — the fill value, the packed lock
-// bits, the plateau table, and the group directory — so cloning it costs a
-// header-sized virtual copy, not a full simulated 8 KB page; each
-// materialized group adds its cache line of four 16-byte slots. A fully
-// diverged node therefore pays the full page-copy rate for its 8 KB of
-// slots while a vast folded mapping forks in header-sized steps — the
-// virtual-time mirror of the real-memory win the structural clone already
-// delivers. The same by-logical-size rule prices the baselines' fork
-// (vm.MetaCopyCost: VMA structs and PTEs), keeping the comparison fair.
+// Cost model: a copied node is billed by the *logical* size of what is
+// copied, at the page-copy rate (PageZero cycles per 4 KB). A uniform node is
+// one compact header — the fill value, the packed lock bits, the plateau
+// table, and the group directory — so copying it costs a header-sized virtual
+// copy, not a full simulated 8 KB page; each materialized group adds its
+// cache line of four 16-byte slots. The same by-logical-size rule prices the
+// baselines' fork (vm.MetaCopyCost: VMA structs and PTEs), keeping the
+// comparison fair.
 const (
 	// ForkHeaderBytes is the logical size of a uniform node header billed
 	// per cloned node (~1.2 KB: fill slot, 8 lock-bit words, plateau
@@ -73,155 +39,11 @@ const (
 	forkPageBytes = 4096
 )
 
-// ForkNodeCost returns the virtual cycles fork charges for cloning one
-// node with the given number of materialized groups, given the machine's
-// PageZero cost (exported so tests can assert the billing exactly).
+// ForkNodeCost returns the virtual cycles charged for copying one node with
+// the given number of materialized groups, given the machine's PageZero cost
+// (exported so tests can assert the billing exactly).
 func ForkNodeCost(pageZero uint64, groups int) uint64 {
 	return pageZero * (ForkHeaderBytes + uint64(groups)*ForkGroupBytes) / forkPageBytes
-}
-
-type forkCtx[V any] struct {
-	nt    *Tree[V]
-	visit func(lo, hi uint64, src, dst *V)
-	flush func(cpu *hw.CPU)
-}
-
-// forkKid records a pinned source child whose subtree copy is deferred
-// until the current node's bits are released (the hand-over-hand step),
-// plus the dst slot the finished copy's link goes into.
-type forkKid[V any] struct {
-	child *node[V]
-	cell  *slotState[V]
-	idx   int
-}
-
-// Fork clones t's mapped structure into a fresh tree of the same kind on
-// the same machine and Refcache domain. visit is invoked once per distinct
-// stored value with the VPN range it covers: leaf slots get one page,
-// folded interior slots their whole span, and a uniform node's shared fill
-// is visited once for the node's entire range (its logical per-slot copies
-// are identical by construction, so one visit covers them all). src is the
-// parent's value — mutable in place, since fork holds the covering slot's
-// lock bit while visiting — and dst the child's fresh copy. On cloneShared
-// trees src and dst are the same pointer (values are shared by
-// construction).
-func (t *Tree[V]) Fork(cpu *hw.CPU, visit func(lo, hi uint64, src, dst *V)) *Tree[V] {
-	return t.ForkFlush(cpu, visit, nil)
-}
-
-// ForkFlush is Fork with a per-node flush hook: after each source node has
-// been fully copied — every visit for its slots done — and *before* its
-// lock bits are released, flush runs. The VM layer uses it to issue the
-// write-protect shootdowns for the pages just flagged COW while the slots
-// are still locked, so no parent write can slip through a stale writable
-// translation between the snapshot of a page and the revocation of its
-// write rights.
-func (t *Tree[V]) ForkFlush(cpu *hw.CPU, visit func(lo, hi uint64, src, dst *V), flush func(cpu *hw.CPU)) *Tree[V] {
-	nt := treeShell(t.m, t.rc, t.clone, t.kind)
-	ctx := &forkCtx[V]{nt: nt, visit: visit, flush: flush}
-	nt.root = t.forkNode(cpu, ctx, t.root, 1) // +1: the root's immortal ref
-	return nt
-}
-
-// forkNode locks src's slots left-to-right (ascending within each node, at
-// most one node held at a time, so the sweep is deadlock-free), copies
-// them into the child tree's counterpart, then releases all of src's bits
-// and only afterwards descends into the child nodes it pinned along the
-// way — hand-over-hand, so a trailing fork (or any locker) enters this
-// node the moment its copy is done rather than when the whole fork
-// finishes. Within one node the copy is a two-phase atomic snapshot;
-// across nodes the snapshot is only node-granular (see the package comment
-// above). extra is added to the new node's reference count (the root's
-// immortal reference).
-func (t *Tree[V]) forkNode(cpu *hw.CPU, ctx *forkCtx[V], src *node[V], extra int64) *node[V] {
-	arrive := cpu.Now()
-	// Unmaterialized slots' bits carry no per-slot gates; their pending
-	// virtual-time state lives in the node's uniform plateau table. Wait
-	// out its latest busy period once, under the usual overlap rule. While
-	// here, register this fork's busy period on the node so groups
-	// materializing mid-fork restore gates that include it (see initGroup).
-	src.matMu.Lock()
-	src.waitUniformLocked(cpu, arrive)
-	src.forkForks++
-	if src.forkForks == 1 || arrive < src.forkBusy {
-		src.forkBusy = arrive
-	}
-	src.materializeLocked(0, groupsPerNode-1, false) // see linkCopy
-	src.matMu.Unlock()
-
-	nt := ctx.nt
-	dst := nt.cloneShell(cpu, src, false)
-	var kidsBuf [8]forkKid[V]
-	kids := kidsBuf[:0]
-	fill := dst.uniSt != nil
-	var used int64
-	if fill {
-		used = SlotsPerNode
-	}
-	sp := span(src.level)
-	for idx := 0; idx < SlotsPerNode; idx++ {
-		g, st, child := t.sweepSlot(cpu, src, idx)
-		// A slot the copy's header does not already stand for — one that
-		// diverged from src's fill, to empty included, or anything a node
-		// without a fill holds — goes into the mirrored group.
-		if g == nil || st == nil && !fill {
-			continue
-		}
-		cell, store := dst.cell(nt, nil, src, idx, st)
-		switch {
-		case st == nil:
-			used--
-		case child != nil:
-			// Pinned: the child cannot be reclaimed. Defer its subtree copy
-			// until src's bits are released (the dst slot is filled in
-			// below; dst is private until Fork returns, so the order is
-			// unobservable).
-			kids = append(kids, forkKid[V]{child: child, cell: cell, idx: idx})
-		default:
-			lo := src.slotBase(idx)
-			ctx.visit(lo, lo+sp, st.val, nt.copyInto(cell, store, st.val))
-		}
-		if st != nil && !fill {
-			used++
-		}
-	}
-	// A concurrent fork may have merged its busy period into the uniform
-	// table after our entry wait — whether or not we ever observed one of
-	// its bits held (it can release between our entry and our first bit
-	// load). Consult the merged table once more now that every bit is
-	// ours, so overlapping forks serialize in virtual time regardless of
-	// how the real-time race resolved.
-	src.matMu.Lock()
-	src.waitUniformLocked(cpu, arrive)
-	src.matMu.Unlock()
-	// The uniform fill's single visit runs here, with every bit of the
-	// node held (the sweep above took them all), so the visit contract —
-	// src mutable under the covering slots' locks — holds for folded
-	// state too; a trailing concurrent fork is still parked on the bits.
-	if fill {
-		hi := src.base + uint64(SlotsPerNode)*sp
-		ctx.visit(src.base, hi, src.uniSt.val, nt.copyInto(&dst.uniStore, &dst.uniVal, src.uniSt.val))
-	}
-	dst.obj = nt.rc.NewObj(used+extra, freeNode[V])
-	dst.obj.Data = dst.node
-	// The node is fully copied. Flush (the VM layer's shootdowns for this
-	// node's pages) while the bits are still held, then release them all in
-	// one merged busy period so trailing forks and lockers can proceed.
-	if ctx.flush != nil {
-		ctx.flush(cpu)
-	}
-	src.forkUnlock(cpu, arrive)
-	// Hand-over-hand descent: copy the pinned children left-to-right, each
-	// locking only its own subtree.
-	for i := range kids {
-		k := &kids[i]
-		dchild := t.forkNode(cpu, ctx, k.child, 0)
-		dchild.parent = dst.node
-		dchild.parentIdx = k.idx
-		*k.cell = slotState[V]{child: dchild.obj}
-		t.unpin(cpu, k.child)
-	}
-	return dst.node
 }
 
 // sweepSlot takes slot idx's lock bit for a fork's sweep of src and reads the
@@ -275,8 +97,7 @@ func (t *Tree[V]) sweepSlot(cpu *hw.CPU, src *node[V], idx int) (g *slotGroup[V]
 // the groups the caller is about to sweep slot by slot (see shell). t is the
 // child tree. The metadata copy is billed by its logical size
 // (ForkNodeCost): a header-sized tick for the uniform state plus a cache
-// line per materialized source group, instead of the flat full-page charge
-// the pre-cost-model fork paid.
+// line per materialized source group.
 func (t *Tree[V]) cloneShell(cpu *hw.CPU, src *node[V], frozen bool) shell[V] {
 	n := t.getNode(cpu)
 	if n == nil {

@@ -7,9 +7,11 @@ import (
 	"radixvm/internal/hw"
 )
 
-// TestForkClonesValues: the child sees exactly the parent's mappings —
-// folded, uniform-filled, and per-slot diverged alike — as private copies,
-// and visit reports every distinct value with its range.
+// TestForkClonesValues: the divergence hook reports every distinct value a
+// fork family copies, with the range it covers and a dst that starts out equal
+// to src — a folded interior slot once over its whole span, leaf pages one by
+// one — at the fork for what the root holds and at first touch for the rest.
+// (TestLazyForkClonesValues checks what the two trees then read.)
 func TestForkClonesValues(t *testing.T) {
 	m, _, tr := newCopyTree(1)
 	c := m.CPU(0)
@@ -19,62 +21,48 @@ func TestForkClonesValues(t *testing.T) {
 	r := tr.LockRange(c, lo, lo+span(1))
 	r.Entry(0).SetClone(&val{x: 3})
 	r.Unlock()
-	for _, vpn := range []uint64{7, 1000, span(2) + 5} {
-		r = tr.LockPage(c, vpn)
-		v := val{x: int(vpn)}
-		r.Entry(0).SetClone(&v)
-		r.Unlock()
+	seeded := []uint64{7, 1000, span(2) + 5}
+	for _, vpn := range seeded {
+		setRange(tr, c, vpn, vpn+1, &val{x: int(vpn)})
 	}
 	r = tr.LockPage(c, lo+9)
 	r.Entry(0).Value().x = 42
 	r.Unlock()
 
-	visited := 0
-	child := tr.Fork(c, func(flo, fhi uint64, src, dst *val) {
-		visited++
+	covered := map[uint64]int{} // first page of a reported range -> its length
+	tr.OnDiverge(func(_ *hw.CPU, flo, fhi uint64, src, dst *val) {
 		if src.x != dst.x {
-			t.Errorf("visit [%d,%d): src x=%d, dst x=%d", flo, fhi, src.x, dst.x)
+			t.Errorf("hook [%d,%d): src x=%d, dst x=%d", flo, fhi, src.x, dst.x)
 		}
+		covered[flo] = int(fhi - flo)
 	})
-	if visited == 0 {
-		t.Fatal("visit never called")
+	child := tr.ForkLazy(c)
+	if len(covered) != 0 {
+		t.Fatalf("the fork itself reported %v: the root holds only links", covered)
 	}
-	// Child matches the parent everywhere.
-	for _, vpn := range []uint64{7, 1000, span(2) + 5, lo, lo + 9, lo + 100} {
-		p, ch := tr.Lookup(c, vpn), child.Lookup(c, vpn)
-		switch {
-		case p == nil && ch == nil:
-		case p == nil || ch == nil:
-			t.Fatalf("vpn %d: parent=%v child=%v", vpn, p, ch)
-		case p.x != ch.x:
-			t.Fatalf("vpn %d: parent x=%d child x=%d", vpn, p.x, ch.x)
+	// The child touches one page under each seeded leaf: each path copy
+	// reports the values of the nodes it copies.
+	for _, vpn := range append(seeded, lo+9) {
+		r = child.LockPage(c, vpn)
+		r.Unlock()
+	}
+	for _, vpn := range append(seeded, lo+9) {
+		if covered[vpn] != 1 {
+			t.Errorf("page %d reported over %d pages, want its own", vpn, covered[vpn])
 		}
 	}
-	if got := child.Lookup(c, lo+9); got == nil || got.x != 42 {
-		t.Fatalf("diverged page in fold: child sees %+v, want x=42", got)
-	}
-	// Copies are private in both directions.
-	r = child.LockPage(c, 1000)
-	r.Entry(0).Value().x = -1
-	r.Unlock()
-	if tr.Lookup(c, 1000).x != 1000 {
-		t.Fatal("child mutation leaked into the parent")
-	}
-	r = tr.LockPage(c, 7)
-	r.Entry(0).Value().x = -2
-	r.Unlock()
-	if child.Lookup(c, 7).x != 7 {
-		t.Fatal("parent mutation leaked into the child")
+	if got := covered[lo]; got != int(span(1)) {
+		t.Errorf("the expanded fold's fill reported over %d pages, want the leaf's %d", got, span(1))
 	}
 	// The parent's locks are all released: a whole-space range lock works.
 	r = tr.LockRange(c, lo, lo+span(1))
 	r.Unlock()
 }
 
-// TestForkPreservesCompactness: forking a mostly-uniform tree must not
-// materialize slot groups on either side beyond what the parent already
-// diverged — the whole point of the structural clone over a replay of
-// per-slot writes.
+// TestForkPreservesCompactness: forking a mostly-uniform tree, and copying
+// its nodes on first touch, must not materialize slot groups on either side
+// beyond what the parent already diverged — the whole point of the structural
+// clone over a replay of per-slot writes.
 func TestForkPreservesCompactness(t *testing.T) {
 	m, _, tr := newCopyTree(1)
 	c := m.CPU(0)
@@ -83,7 +71,9 @@ func TestForkPreservesCompactness(t *testing.T) {
 	r.Entry(0).SetClone(&val{x: 1})
 	r.Unlock()
 	before := tr.GroupsEver()
-	child := tr.Fork(c, func(_, _ uint64, _, _ *val) {})
+	child := tr.ForkLazy(c)
+	r = child.LockRange(c, lo, lo+span(1)) // path-copies down to the folded slot
+	r.Unlock()
 	if grew := tr.GroupsEver() - before; grew != 0 {
 		t.Errorf("fork materialized %d parent groups, want 0", grew)
 	}
@@ -100,66 +90,59 @@ func TestForkPreservesCompactness(t *testing.T) {
 
 func countLiveGroups[V any](t *Tree[V]) int64 { return t.groupsLive.Load() }
 
-// TestForkMidMaterializationBusyPeriod is the regression for the mid-fork
-// under-wait (ROADMAP open item 4, closed this PR): a slot group that
-// materializes while a fork holds the node's bits must restore gates whose
-// busy period includes the fork's — merged at materialization from the
-// node's in-progress-fork record — not just the pre-fork uniform table's.
-// Without the merge, a locker whose clock sits between the fork's arrival
-// and the (later) bulk-prime time recorded in the uniform table takes the
-// waitGate inversion pass-through and under-waits the fork's critical
-// section.
+// TestForkMidMaterializationBusyPeriod: a slot group that materializes while
+// a fork holds the root's bits must restore gates whose busy period includes
+// the fork's — merged at materialization from the node's in-progress-copy
+// record — not just the uniform table's from before it. Without the merge, a
+// locker whose clock sits between the fork's arrival and the (later) busy
+// period recorded in the uniform table takes the waitGate inversion
+// pass-through and under-waits the fork's critical section.
 func TestForkMidMaterializationBusyPeriod(t *testing.T) {
 	m, _, tr := newCopyTree(3)
 	c0, c1, c2 := m.CPU(0), m.CPU(1), m.CPU(2)
+	other := 40*span(Levels-1) + 100 // a page under another root slot, unmapped
 
-	// Seed from a core whose clock is far ahead: first a folded value over
-	// the whole root slot, then a LockPage that expands it into a chain
-	// down to the leaf — every chain node's uniform table records a
-	// bulk-prime busy period around H.
+	// From a core whose clock is far ahead: a folded value over the whole
+	// first root slot — a value the root copy reports to the hook mid-sweep —
+	// and a first fork, which leaves the root's uniform table recording a
+	// busy period around H.
 	const H = 1_000_000
 	c1.Tick(H)
 	r := tr.LockPage(c1, 5)
-	v := val{x: 1}
-	r.Entry(0).SetClone(&v) // folded: covers the whole root slot
+	r.Entry(0).SetClone(&val{x: 1}) // folded: covers the whole root slot
 	r.Unlock()
-	r = tr.LockPage(c1, 5) // expands to the leaf at c1's clock (~H)
-	r.Unlock()
+	tr.ForkLazy(c1).Release(c1)
 
-	// Fork from a core far behind the seeder (gang skew), and stretch its
+	// Fork again from a core far behind (gang skew), and stretch the fork's
 	// critical section past the locker's clock M, with L < M < H.
 	const L = 10_000
 	const M = 50_000
 	c0.Tick(L)
 	c2.Tick(M)
-
-	var forkEnd uint64
-	sawLeaf := false
-	tr.ForkFlush(c0, func(lo, hi uint64, _, _ *val) {
-		if hi-lo == 1 { // a per-page visit: only the leaf produces these
-			sawLeaf = true
+	stretched := false
+	tr.OnDiverge(func(cpu *hw.CPU, lo, hi uint64, _, _ *val) {
+		if hi-lo != span(Levels-1) || stretched {
+			return
 		}
-	}, func(cpu *hw.CPU) {
-		if !sawLeaf || forkEnd != 0 {
-			return // not the leaf node's flush
-		}
-		// Mid-fork, with the leaf's bits held: a reader's touch of vpn 100
-		// materializes its (previously uniform) group. Its gates must carry
-		// the fork's busy period, which began around L.
-		if got := tr.Lookup(c2, 100); got == nil || got.x != 1 {
-			t.Fatalf("vpn 100 = %+v, want the uniform fill x=1", got)
+		// Mid-fork, the first root slot's bit held and the sweep on its way to
+		// the others: a reader's touch materializes a root group that had no
+		// storage. Its gates must carry the fork's busy period, begun around L.
+		if got := tr.Lookup(c2, other); got != nil {
+			t.Fatalf("page %d = %+v, want unmapped", other, got)
 		}
 		cpu.Tick(100_000) // stretch the fork's critical section past M
-		forkEnd = cpu.Now()
+		stretched = true
 	})
-	if forkEnd == 0 {
-		t.Fatal("leaf flush never ran")
+	tr.ForkLazy(c0)
+	if !stretched {
+		t.Fatal("the root's folded value was never reported")
 	}
+	forkEnd := c0.Now()
 
 	// The locker arrived inside the fork's (merged) busy period, so it must
 	// wait out the critical section — not pass through because the uniform
-	// table's bulk-prime busyStart H postdates its clock.
-	lr := tr.LockPage(c2, 100)
+	// table's busyStart H postdates its clock.
+	lr := tr.LockPage(c2, other)
 	lr.Unlock()
 	if got := c2.Now(); got < forkEnd {
 		t.Fatalf("locker under-waited the fork's critical section: clock %d < fork end %d", got, forkEnd)
@@ -182,8 +165,8 @@ func TestForkCostModel(t *testing.T) {
 		t.Fatalf("fully diverged node (%d cycles) cheaper than its 8 KB of slots (%d)", full, 2*pz)
 	}
 
-	// A mostly-folded space forks for strictly less than the old flat
-	// page-copy charge per node.
+	// The fork itself copies one node, the root, whatever the tree holds,
+	// and bills it as a header plus the root's one materialized group.
 	m, _, tr := newCopyTree(1)
 	c := m.CPU(0)
 	pageZero := m.Config().PageZero
@@ -192,21 +175,25 @@ func TestForkCostModel(t *testing.T) {
 	r.Entry(0).SetClone(&val{x: 1})
 	r.Unlock()
 	before := c.Now()
-	child := tr.Fork(c, func(_, _ uint64, _, _ *val) {})
+	child := tr.ForkLazy(c)
 	delta := c.Now() - before
-	nodes := uint64(child.NodesEver())
-	if delta >= nodes*pageZero {
-		t.Errorf("fork cost %d cycles >= old flat billing %d (%d nodes x PageZero)", delta, nodes*pageZero, nodes)
+	if nodes := child.NodesEver(); nodes != 1 {
+		t.Fatalf("fork copied %d nodes, want 1", nodes)
 	}
-	if delta < nodes*ForkNodeCost(pageZero, 0) {
-		t.Errorf("fork cost %d cycles < %d header copies (%d)", delta, nodes, nodes*ForkNodeCost(pageZero, 0))
+	if delta >= pageZero {
+		t.Errorf("fork cost %d cycles >= a flat page copy (%d)", delta, pageZero)
+	}
+	if delta < ForkNodeCost(pageZero, 1) {
+		t.Errorf("fork cost %d cycles < the root's billed copy (%d)", delta, ForkNodeCost(pageZero, 1))
 	}
 }
 
 // TestConcurrentForksConsistent races several cores forking one parent
-// simultaneously — the spawn-server pattern the hand-over-hand sweep
-// exists for: no deadlock at the tree locks, every child sees exactly the
-// parent's mappings, and the parent's locks are all free afterwards.
+// simultaneously and keeping what they forked — the spawn-server pattern: no
+// deadlock at the root's locks, and every retained snapshot, however many
+// generation bumps of the parent it has sat through, still reads exactly the
+// parent's mappings; the parent's locks are all free afterwards.
+// (TestLazyForkConcurrent has the children diverge and leave as they go.)
 func TestConcurrentForksConsistent(t *testing.T) {
 	const forkers = 4
 	m, rc, tr := newCopyTree(forkers)
@@ -215,10 +202,7 @@ func TestConcurrentForksConsistent(t *testing.T) {
 	for f := 0; f < forkers; f++ {
 		for p := 0; p < 4; p++ {
 			vpn := uint64(f+1)*span(1) + uint64(p)
-			r := tr.LockPage(seedC, vpn)
-			v := val{x: f*100 + p}
-			r.Entry(0).SetClone(&v)
-			r.Unlock()
+			setRange(tr, seedC, vpn, vpn+1, &val{x: f*100 + p})
 		}
 	}
 	foldLo := span(1) * 16
@@ -226,32 +210,35 @@ func TestConcurrentForksConsistent(t *testing.T) {
 	r.Entry(0).SetClone(&val{x: 7777})
 	r.Unlock()
 
-	children := make([]*Tree[val], forkers)
+	var children [forkers][10]*Tree[val]
 	var wg sync.WaitGroup
 	for f := 0; f < forkers; f++ {
 		wg.Add(1)
 		go func(f int) {
 			defer wg.Done()
 			c := m.CPU(f)
-			for k := 0; k < 10; k++ {
-				children[f] = tr.Fork(c, func(_, _ uint64, _, _ *val) {})
+			for k := range children[f] {
+				children[f][k] = tr.ForkLazy(c)
 				rc.Maintain(c)
 			}
 		}(f)
 	}
 	wg.Wait()
-	for f, child := range children {
-		for ff := 0; ff < forkers; ff++ {
-			for p := 0; p < 4; p++ {
-				vpn := uint64(ff+1)*span(1) + uint64(p)
-				got := child.Lookup(seedC, vpn)
-				if got == nil || got.x != ff*100+p {
-					t.Fatalf("child %d vpn %d: got %+v, want x=%d", f, vpn, got, ff*100+p)
+	for f := range children {
+		for k, child := range children[f] {
+			for ff := 0; ff < forkers; ff++ {
+				for p := 0; p < 4; p++ {
+					vpn := uint64(ff+1)*span(1) + uint64(p)
+					got := child.Lookup(seedC, vpn)
+					if got == nil || got.x != ff*100+p {
+						t.Fatalf("forker %d child %d vpn %d: got %+v, want x=%d", f, k, vpn, got, ff*100+p)
+					}
 				}
 			}
-		}
-		if got := child.Lookup(seedC, foldLo+99); got == nil || got.x != 7777 {
-			t.Fatalf("child %d folded value: %+v", f, got)
+			if got := child.Lookup(seedC, foldLo+99); got == nil || got.x != 7777 {
+				t.Fatalf("forker %d child %d folded value: %+v", f, k, got)
+			}
+			child.Release(seedC)
 		}
 	}
 	// Every bit was released: a whole-space range lock goes through.
@@ -259,15 +246,11 @@ func TestConcurrentForksConsistent(t *testing.T) {
 	r.Unlock()
 }
 
-// TestForkVsConcurrentLockRange races a fork against range lock/write
-// cycles in a disjoint and an overlapping region: no deadlock, no torn
-// snapshot (the child must hold either the old or the new value of each
-// whole range, never a mix within one folded write). The written ranges
-// live inside one node — the granularity at which the hand-over-hand
-// fork promises atomicity; ranges spanning node boundaries may split at
-// a boundary, by documented design (see fork.go). The lazy fork does not
-// share that relaxation: TestLazyForkRangeAtomicity exercises the
-// cross-boundary case against ForkLazy.
+// TestForkVsConcurrentLockRange races forks against range lock/write cycles
+// in a disjoint and an overlapping region, both inside single nodes: no
+// deadlock, and no torn snapshot — the child must hold either the old or the
+// new value of the whole overlapping range. (TestLazyForkRangeAtomicity has
+// the range that spans two nodes.)
 func TestForkVsConcurrentLockRange(t *testing.T) {
 	m, rc, tr := newCopyTree(2)
 	c0, c1 := m.CPU(0), m.CPU(1)
@@ -291,8 +274,7 @@ func TestForkVsConcurrentLockRange(t *testing.T) {
 		}
 	}()
 	for k := 0; k < 20; k++ {
-		child := tr.Fork(c0, func(_, _ uint64, _, _ *val) {})
-		// Snapshot atomicity: within [100,108) all pages carry one value.
+		child := tr.ForkLazy(c0)
 		first := child.Lookup(c0, 100)
 		if first == nil {
 			t.Fatalf("fork %d: seeded page missing", k)
@@ -303,6 +285,7 @@ func TestForkVsConcurrentLockRange(t *testing.T) {
 				t.Fatalf("fork %d: torn snapshot at %d: %v vs %v", k, vpn, got, first)
 			}
 		}
+		child.Release(c0)
 		rc.Maintain(c0)
 	}
 	wg.Wait()

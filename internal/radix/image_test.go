@@ -75,7 +75,7 @@ func TestCopiesShareOneImmutableImage(t *testing.T) {
 	src := descend(t, tr, full)[Levels-1]
 	var im *nodeImage[val]
 	var imWas imageSnap
-	var srcWas nodeShape
+	var srcWas nodeShape[val]
 	var kids []*Tree[val]
 	for i := 0; i < 5; i++ {
 		child := tr.ForkLazy(c)
@@ -156,9 +156,9 @@ func sameAsSlotBySlot(t *testing.T, what string, src, got *node[val], relinked i
 	t.Helper()
 	ref, _ := copiedSlotBySlot(src)
 	want, have := shapeOf(t, ref), shapeOf(t, got)
-	for _, s := range []*nodeShape{&want, &have} {
+	for _, s := range []*nodeShape[val]{&want, &have} {
 		if relinked >= 0 {
-			s.Slots[relinked] = slotShape{}
+			s.Slots[relinked] = slotShape[val]{}
 		}
 		if s.Fill != nil {
 			s.Fill.x &^= 3 << 20

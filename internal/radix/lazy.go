@@ -6,20 +6,19 @@ import (
 	"radixvm/internal/hw"
 )
 
-// Lazy (generation-based) fork: COW of the radix metadata itself.
+// The generation fork: COW of the radix metadata itself.
 //
-// ForkLazy is the O(1) counterpart of Fork: instead of sweeping the whole
-// tree, it copies only the root node — in *link mode*, sharing the root's
-// child subtrees with the child tree instead of copying them — and bumps
-// the parent tree's generation, re-adopting the parent root into the new
-// generation under the root's held bits. Every node below the root is now
-// *foreign* to both trees (it belongs to the parent tree but predates the
-// parent's new generation, and belongs to the wrong tree outright from the
-// child's point of view), and the write paths path-copy a foreign node the
-// first time they descend into it (divergeChild): the same per-node copy
-// the eager fork performs, billed the same ForkNodeCost virtual time, just
-// deferred from fork time to first-divergence time. A node neither side
-// ever touches again is never copied — the metadata mirror of frame COW.
+// ForkLazy is O(1) in the size of the tree: it copies only the root node — in
+// *link mode*, sharing the root's child subtrees with the child tree instead
+// of copying them — and bumps the parent tree's generation, re-adopting the
+// parent root into the new generation under the root's held bits. Every node
+// below the root is now *foreign* to both trees (it belongs to the parent
+// tree but predates the parent's new generation, and belongs to the wrong
+// tree outright from the child's point of view), and the write paths
+// path-copy a foreign node the first time they descend into it
+// (divergeChild): the per-node copy of fork.go, billed ForkNodeCost virtual
+// time at first divergence. A node neither side ever touches again is never
+// copied — the metadata mirror of frame COW.
 //
 // Sharing discipline:
 //
@@ -31,10 +30,9 @@ import (
 //     recursively), which is how frame references stay balanced when one
 //     side of a fork exits without ever touching most of the tree.
 //   - A shared node is read-only to every tree: Lookup and group
-//     materialization are safe (materialization is exact and produces
-//     state identical to the eager representation), but every locking
-//     descent diverges first, so in-place writes happen only under native
-//     nodes.
+//     materialization are safe (materialization is exact: the group reads
+//     as the uniform state it came out of), but every locking descent
+//     diverges first, so in-place writes happen only under native nodes.
 //   - Being read-only, a shared node has copies that are all born alike,
 //     and they share that too: the first divergence records what a copy's
 //     slots start out holding in an image cached on the node (nodeImage),
@@ -46,24 +44,20 @@ import (
 //     swung to empty) makes the next divergence rebuild or abandon it. The
 //     divergence hook's writes to the source's values (COW arming) do not:
 //     what the hook makes of a copy may depend on the source alone.
-//   - The snapshot is whole-tree atomic — a property the eager sweep
-//     cannot provide. Two mechanisms combine: ForkLazy drains all in-flight
+//   - The snapshot is whole-tree atomic: a Range operation spanning nodes
+//     lands entirely before or entirely after it (TestLazyForkRangeAtomicity).
+//     Two mechanisms combine: ForkLazy drains all in-flight
 //     locked operations through the per-CPU quiescence gate (cpuState.hold)
 //     before bumping the generation, so no operation straddles the
 //     snapshot instant with bits already held; and after the bump, every
 //     locked descent diverges foreign nodes before writing, so by
 //     induction writes only ever land in nodes native to the writing tree
 //     — never in a node the snapshot can reach. Divergence itself
-//     acquires *all* of the shared node's slot bits (the eager per-node
-//     copy protocol), so even racing divergences of one node serialize.
+//     acquires *all* of the shared node's slot bits (the per-node copy
+//     protocol), so even racing divergences of one node serialize.
 //   - The deadlock-free order is preserved: divergence holds the parent
 //     slot's bit, then takes the child node's bits, which is the global
 //     parent-before-child, ascending-VPN order every operation uses.
-//
-// Mixing Fork and ForkLazy within one fork family is unsupported: the
-// eager sweep's visit mutates source values in place (COW arming), which
-// must not happen on a node shared with another tree. A family is
-// all-eager or all-lazy, chosen before the first fork.
 
 // ForkLazy clones t in O(1): the root is copied in link mode and the
 // parent's generation is bumped. The child tree inherits t's onDiverge and
@@ -111,15 +105,14 @@ func (t *Tree[V]) ForkLazy(cpu *hw.CPU) *Tree[V] {
 }
 
 // linkCopy copies src into a new node of tree t in link mode: value slots
-// are cloned (invoking t's onDiverge hook per distinct value, the deferred
-// equivalent of Fork's visit), but child subtrees are *shared* — the copy
-// links src's children directly, bumping their links counts — so the copy
-// is O(1) in subtree size. src's bits are all held when linkCopy returns;
-// the caller publishes the copy (and performs any generation re-adoption)
-// and then releases them with src.forkUnlock(cpu, arrive). The bit
-// acquisition, busy-period registration, and ForkNodeCost billing are
-// exactly the eager forkNode's, so a lazy fork family remains
-// virtual-time-deterministic.
+// are cloned (invoking t's onDiverge hook once per distinct value with the
+// VPN range it covers: a leaf slot's page, a folded interior slot's whole
+// span, a uniform fill once for the node's entire range), but child subtrees
+// are *shared* — the copy links src's children directly, bumping their links
+// counts — so the copy is O(1) in subtree size. src's bits are all held when
+// linkCopy returns; the caller publishes the copy (and performs any
+// generation re-adoption) and then releases them with src.forkUnlock(cpu,
+// arrive).
 //
 // frozen says that src is foreign to every tree — divergeChild's case, not
 // ForkLazy's root — so that all its copies are born alike. The copy's groups
@@ -138,8 +131,8 @@ func (t *Tree[V]) linkCopy(cpu *hw.CPU, src *node[V], extra int64, frozen bool) 
 		src.forkBusy = arrive
 	}
 	// A source that is itself a copy may still hold groups in its image
-	// only. The eager mirror gave it all of them, cold and free, and the
-	// sweep counts, bills, charges and mirrors groups: give them storage.
+	// only. The sweep counts, bills, charges and mirrors groups with storage,
+	// cold and free as a realization leaves them: give them storage.
 	src.materializeLocked(0, groupsPerNode-1, false)
 	src.matMu.Unlock()
 
@@ -186,9 +179,12 @@ func (t *Tree[V]) linkCopy(cpu *hw.CPU, src *node[V], extra int64, frozen bool) 
 			used++
 		}
 	}
-	// Serialize in virtual time with concurrent forks/divergences whose
-	// busy periods merged into the uniform table after our entry wait
-	// (same rule as forkNode).
+	// A concurrent copy of src may have merged its busy period into the
+	// uniform table after our entry wait — whether or not we ever observed
+	// one of its bits held (it can release between our entry and our first
+	// bit load). Consult the merged table once more now that every bit is
+	// ours, so overlapping copies serialize in virtual time regardless of how
+	// the real-time race resolved.
 	src.matMu.Lock()
 	src.waitUniformLocked(cpu, arrive)
 	src.matMu.Unlock()
@@ -260,8 +256,8 @@ func (t *Tree[V]) dropLink(cpu *hw.CPU, n *node[V]) {
 
 // releaseContents drops the contents of a node no tree links anymore: every
 // value is reported to the onRelease hook (the uniform fill once over the
-// node's whole span, diverged slots individually — mirroring the fork visit
-// convention), carriers are retired, child links are dropped recursively,
+// node's whole span, diverged slots individually — onDiverge's convention),
+// carriers are retired, child links are dropped recursively,
 // and the used-slot references drain so Refcache reclaims the node. No new
 // descent can reach n (no tree's slots point at it); lock-free readers that
 // pinned it earlier only ever read, and the GC keeps the memory valid under

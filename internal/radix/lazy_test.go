@@ -64,64 +64,49 @@ func TestLazyForkClonesValues(t *testing.T) {
 	r.Unlock()
 }
 
-// TestLazyForkIsOrderOne: ForkLazy's virtual-time cost is O(root) — it must
-// not scale with the number of nodes in the tree, unlike the eager sweep,
-// which visits every one of them. This is the tentpole property: the fork
-// itself copies one node and bumps a generation.
+// TestLazyForkIsOrderOne: ForkLazy's virtual-time cost is O(root) — the same
+// for a parent of 64 leaf nodes and of 1 024, because the fork itself copies
+// one node and bumps a generation. The deferred copies are billed at
+// divergence.
 func TestLazyForkIsOrderOne(t *testing.T) {
-	build := func() (*hw.Machine, *Tree[val]) {
+	fork := func(leaves uint64) (*hw.CPU, *Tree[val], uint64) {
 		m, _, tr := newCopyTree(1)
 		c := m.CPU(0)
-		// Dozens of distinct leaf nodes: one real per-page value every 512
-		// pages (setRange expands down to a leaf; LockPage+Set on an empty
-		// tree would install folded values instead).
-		for i := uint64(0); i < 64; i++ {
+		// One real per-page value every 512 pages (setRange expands down to a
+		// leaf; LockPage+Set on an empty tree would install folded values).
+		for i := uint64(0); i < leaves; i++ {
 			vpn := i * span(1)
 			setRange(tr, c, vpn, vpn+1, &val{x: int(i)})
 		}
-		return m, tr
+		before := c.Now()
+		child := tr.ForkLazy(c)
+		return c, child, c.Now() - before
 	}
-
-	mE, trE := build()
-	cE := mE.CPU(0)
-	before := cE.Now()
-	trE.Fork(cE, func(_, _ uint64, _, _ *val) {})
-	eager := cE.Now() - before
-
-	mL, trL := build()
-	cL := mL.CPU(0)
-	before = cL.Now()
-	child := trL.ForkLazy(cL)
-	lazy := cL.Now() - before
-
-	if lazy*10 > eager {
-		t.Fatalf("lazy fork cost %d cycles, eager %d: want >= 10x cheaper", lazy, eager)
+	c, child, small := fork(64)
+	if _, _, large := fork(1024); small != large {
+		t.Fatalf("fork cost %d cycles over 64 leaves, %d over 1024: want equal", small, large)
 	}
-	// The deferred copies are billed at divergence: the child's first write
-	// into a shared subtree pays the path-copy, later writes to the same
-	// leaf are steady-state cheap.
-	before = cL.Now()
-	r := child.LockPage(cL, 0)
+	// The child's first write into a shared subtree pays the path-copy,
+	// later writes to the same leaf are steady-state cheap.
+	before := c.Now()
+	r := child.LockPage(c, 0)
 	r.Entry(0).Value().x = -1
 	r.Unlock()
-	first := cL.Now() - before
-	before = cL.Now()
-	r = child.LockPage(cL, 0)
+	first := c.Now() - before
+	before = c.Now()
+	r = child.LockPage(c, 0)
 	r.Entry(0).Value().x = -2
 	r.Unlock()
-	second := cL.Now() - before
-	if first < second+ForkNodeCost(mL.Config().PageZero, 0) {
-		t.Fatalf("first write after lazy fork cost %d cycles, second %d: divergence billing missing", first, second)
+	second := c.Now() - before
+	if first < second+ForkNodeCost(c.Machine().Config().PageZero, 0) {
+		t.Fatalf("first write after fork cost %d cycles, second %d: divergence billing missing", first, second)
 	}
 }
 
-// TestLazyForkRangeAtomicity is the regression promised in fork.go's
-// package comment: a multi-node range write racing a lazy fork must be
-// observed by the child entirely or not at all, even across node
-// boundaries — the whole-tree snapshot atomicity the eager sweep's
-// hand-over-hand protocol cannot provide (its cross-boundary tear is
-// documented and exercised in TestForkVsConcurrentLockRange). The written
-// range straddles the leaf-node boundary at page 512.
+// TestLazyForkRangeAtomicity: a multi-node range write racing a fork must be
+// observed by the child entirely or not at all, even across node boundaries —
+// whole-tree snapshot atomicity (lazy.go). The written range straddles the
+// leaf-node boundary at page 512.
 func TestLazyForkRangeAtomicity(t *testing.T) {
 	m, rc, tr := newCopyTree(2)
 	c0, c1 := m.CPU(0), m.CPU(1)

@@ -137,13 +137,14 @@ type Tree[V any] struct {
 	// they were created (or last adopted) under; a node whose gen differs
 	// from the tree's — or that belongs to another tree outright — is
 	// *foreign*: shared with a lazily forked snapshot and copied on first
-	// write (see lazy.go). Eager trees never bump gen, so every node stays
-	// native and the foreign check is a never-taken branch on hot paths.
+	// write (see lazy.go). A tree that was never forked never bumps gen, so
+	// every node stays native and the foreign check is a never-taken branch
+	// on its hot paths.
 	gen atomic.Uint64
 
-	// onDiverge and onRelease are the lazy-fork value hooks, inherited by
-	// ForkLazy children. onDiverge plays the role of Fork's visit callback,
-	// invoked at divergence time when a shared node is path-copied;
+	// onDiverge and onRelease are the fork's value hooks, inherited by
+	// ForkLazy children. onDiverge is invoked for each value copied when a
+	// shared node is path-copied (and for the root's values at the fork);
 	// onRelease is invoked for each value dropped when a subtree's last
 	// referencing tree releases it (Tree.Release or divergence unlink).
 	onDiverge func(cpu *hw.CPU, lo, hi uint64, src, dst *V)
@@ -155,8 +156,8 @@ type Tree[V any] struct {
 	// the duration of its critical section (no shared-line traffic, no
 	// virtual-time cost), and ForkLazy — alone — raises lazyForks and drains
 	// all holds before taking its snapshot, so no locked operation ever
-	// straddles the generation bump. Eager trees never raise lazyForks, so
-	// the reader side is a single uncontended load per lock operation.
+	// straddles the generation bump. The reader side is a single load per
+	// lock operation, uncontended unless a fork is draining.
 	lazyForks atomic.Int32
 
 	nodesLive        atomic.Int64
@@ -1200,16 +1201,15 @@ func (t *Tree[V]) unpin(cpu *hw.CPU, n *node[V]) {
 // foreign reports whether n is shared with a lazily forked snapshot and
 // must be path-copied before t writes under it: either n belongs to another
 // tree outright (a ForkLazy child still linking parent nodes) or n predates
-// t's current generation (the parent side after ForkLazy bumped it). Eager
-// trees never bump gen and never share nodes, so this stays false for them.
+// t's current generation (the parent side after ForkLazy bumped it). A tree
+// outside any fork family shares no node, so this stays false for it.
 func (t *Tree[V]) foreign(n *node[V]) bool {
 	return n.tree != t || n.gen != t.gen.Load()
 }
 
-// OnDiverge registers the lazy-fork divergence hook: fn is invoked once per
+// OnDiverge registers the fork's divergence hook: fn is invoked once per
 // distinct value copied when a snapshot-shared node is path-copied on first
-// write, with the VPN range the value covers — the deferred equivalent of
-// Fork's visit callback. Inherited by ForkLazy children.
+// write, with the VPN range the value covers. Inherited by ForkLazy children.
 //
 // fn runs under every slot bit of src's node and may write *src. dst arrives
 // as a copy of *src (the tree's kind of copy) for fn to finish, and what fn
@@ -1219,7 +1219,7 @@ func (t *Tree[V]) foreign(n *node[V]) bool {
 // fn's other effects and then forgotten.
 func (t *Tree[V]) OnDiverge(fn func(cpu *hw.CPU, lo, hi uint64, src, dst *V)) { t.onDiverge = fn }
 
-// OnRelease registers the lazy-fork release hook: fn is invoked once per
+// OnRelease registers the fork's release hook: fn is invoked once per
 // distinct value dropped when the last tree referencing a shared subtree
 // releases it (Tree.Release, or a divergence unlinking the old copy).
 // Inherited by ForkLazy children. fn must not write *v: the value of a slot

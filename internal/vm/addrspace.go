@@ -57,20 +57,11 @@ type AddressSpace struct {
 	tree  *radix.Tree[Mapping]
 	mmu   MMU
 
-	// forkEager selects Fork's metadata strategy: true (the default) is
-	// the hand-over-hand O(tree) sweep whose virtual-time billing the
-	// gated figures were frozen under; false is the O(1) generation fork
-	// (radix.Tree.ForkLazy) that defers node copies and COW arming to
-	// first divergence. Inherited by children — a fork family is
-	// all-eager or all-lazy (see SetForkEager).
-	forkEager bool
-
-	// forkGen counts lazy forks of this space. The fault path reads it on
+	// forkGen counts forks of this space. The fault path reads it on
 	// entry and re-validates after installing a translation: a bump in
 	// between means the fork's wholesale invalidation may already have
 	// swept this core, so the just-installed translation — derived from
 	// possibly pre-divergence metadata — is undone and the fault retried.
-	// Never bumped in eager mode, so the check is a never-taken branch.
 	forkGen atomic.Uint64
 
 	active ActiveSet
@@ -104,37 +95,30 @@ func New(m *hw.Machine, rc *refcache.Refcache, alloc *mem.Allocator, mmu MMU) *A
 		// A Mapping needs no deep clone, so NewCopy lets folded-slot
 		// expansion slab-allocate the 512 per-page copies and Mmap write
 		// its metadata through recycled value carriers.
-		tree:      radix.NewCopy[Mapping](m, rc),
-		mmu:       mmu,
-		forkEager: true,
+		tree: radix.NewCopy[Mapping](m, rc),
+		mmu:  mmu,
 	}
 	as.wireTree()
 	return as
 }
 
-// wireTree registers the lazy-fork hooks on as.tree: divergence COW-arms
-// the copied mappings (the deferred half of the eager fork's visit) and
-// release drops their frame references (the teardown half of unmapLocked).
-// Registered on every address space — Exit relies on the release hook even
-// in eager mode, and ForkLazy children re-wire to their own binding.
+// wireTree registers the fork hooks on as.tree: divergence COW-arms the
+// copied mappings and release drops their frame references (the teardown half
+// of unmapLocked). Registered on every address space — Exit relies on the
+// release hook whether or not the space ever forked, and Fork re-wires each
+// child to its own binding.
 func (as *AddressSpace) wireTree() {
 	as.tree.OnDiverge(as.divergeMapping)
 	as.tree.OnRelease(as.releaseMapping)
 }
 
-// SetForkEager selects Fork's metadata strategy (default true): the eager
-// hand-over-hand sweep, or — with false — the O(1) generation fork, which
-// returns in O(touched nodes) and bills the same radix.ForkNodeCost at
-// first divergence instead of at fork time. Must be chosen before the
-// first Fork and is inherited by children: mixing modes within one fork
-// family is unsupported, because the eager sweep COW-arms source values in
-// place, which must never happen on a node shared with a lazy snapshot.
-// On a SharedMMU the lazy request silently falls back to the eager sweep
-// (see Fork).
-func (as *AddressSpace) SetForkEager(eager bool) { as.forkEager = eager }
-
-// ForkEager reports the current fork strategy.
-func (as *AddressSpace) ForkEager() bool { return as.forkEager }
+// The generation fork is the only fork, and this setter of the strategy does
+// nothing. It exists because bench/trace.go — which no PR but a benchmark one
+// may edit — offers a wrapped system whole-space Exit only if the system has
+// this method too (lazyExiter); without it fleet and filemap would silently
+// tear children down by munmap sweep. The bench PR that makes lazyExiter
+// probe vm.Exiter alone deletes it (ROADMAP, bench hand-off note).
+func (as *AddressSpace) SetForkEager(bool) {}
 
 // Name implements System.
 func (as *AddressSpace) Name() string { return "radixvm" }
@@ -338,12 +322,11 @@ func (as *AddressSpace) fault(cpu *hw.CPU, vpn uint64, k Kind, trapped bool) err
 }
 
 // faultOnce runs one optimistic fault attempt under the fork epoch read at
-// entry. retry is true when a lazy fork's epoch bump raced the attempt: the
+// entry. retry is true when a fork's epoch bump raced the attempt: the
 // installed translation may have been derived from pre-divergence metadata
 // and missed by the fork's wholesale invalidation, so it is undone (a
 // self-targeted shootdown of the page) and the fault re-runs under the new
-// epoch — whose LockPage descent then diverges the metadata first. In
-// eager mode forkGen never changes and the validation never fires.
+// epoch — whose LockPage descent then diverges the metadata first.
 func (as *AddressSpace) faultOnce(cpu *hw.CPU, vpn uint64, k Kind, trapped bool) (error, bool) {
 	gen := as.forkGen.Load()
 	r := as.tree.LockPage(cpu, vpn)
@@ -387,7 +370,7 @@ func (as *AddressSpace) faultOnce(cpu *hw.CPU, vpn uint64, k Kind, trapped bool)
 	v.TLBCores.Add(cpu.ID())
 	e.Set(v)
 	if as.forkGen.Load() != gen {
-		// A lazy fork's invalidation raced this fault; the translation
+		// A fork's invalidation raced this fault; the translation
 		// just installed may be stale. Undo it locally and retry.
 		var self hw.CoreSet
 		self.Add(cpu.ID())

@@ -1,131 +1,22 @@
 package vm
 
-import (
-	"radixvm/internal/hw"
-	"radixvm/internal/pagetable"
-)
+import "radixvm/internal/hw"
 
-// Fork implements System for RadixVM. The radix tree's fork path sweeps
-// every slot lock bit left-to-right (the same global order as any range
-// operation, so concurrent mmap/munmap/pagefault serialize with it at each
-// overlapping slot) hand-over-hand: each node is copied under its bits,
-// write-protected, and released before the sweep descends further — which
-// is what lets a spawn server's concurrent per-core forks pipeline through
-// disjoint subtrees instead of serializing end to end. The snapshot goes
-// into a child tree that keeps the parent's uniform/diverged compactness,
-// billed by its logical size (radix.ForkNodeCost). Per copied entry:
+// Fork implements System for RadixVM: the O(1) generation fork. The radix
+// tree is snapshotted by a root-only link copy plus a generation bump
+// (radix.Tree.ForkLazy), and the parent's translations are invalidated
+// wholesale (MMU.Reset — O(active cores), independent of the size of the
+// space). Every later access on either side re-faults through the metadata,
+// whose locking descent path-copies the touched shared nodes first; the
+// divergence hook COW-arms the copied pages at that point, so the per-page
+// work of a fork — IncRef, COW flagging, share counting — happens per
+// *touched* node, not per existing node. What the copies share:
 //
 //   - Never-faulted metadata (including folded interior entries) copies as
 //     is; each side faults its own frames later, privately.
 //   - File-backed frames are shared outright — the child's copy is just
-//     another mapping of the page cache frame, so its reference count (and
-//     Figure 8 baseline counter, when present) is bumped.
-//   - Anonymous frames become copy-on-write on both sides: the mapping
-//     metadata is flagged COW, the frame's COW share count grows (by two
-//     the first time, one per additional fork), and write permission is
-//     revoked from the parent's installed translations — a §3.4-style
-//     write-protect shootdown targeted at exactly the cores the mapping
-//     metadata saw fault each page, so forking a space whose regions are
-//     core-local sends no IPIs at all. The baselines must broadcast here,
-//     which is what the fork figure measures.
-//
-// The child starts with no translations anywhere (fresh MMU), so only the
-// parent's side needs shootdowns.
-func (as *AddressSpace) Fork(cpu *hw.CPU) (System, error) {
-	cpu.Stats().Forks++
-	cpu.Tick(RadixSyscallCost)
-	as.noteActive(cpu)
-
-	child := &AddressSpace{
-		m:         as.m,
-		rc:        as.rc,
-		alloc:     as.alloc,
-		mmu:       as.newChildMMU(),
-		forkEager: as.forkEager,
-	}
-
-	// The child's mappings are more copies of the same file pages: it must
-	// join each file's mapper registry, or a post-fork writeback would miss
-	// its translations entirely (the bug this fixes — forked children used
-	// to keep stale file translations across writebacks).
-	defer as.fileShare(child)
-
-	if !as.forkEager {
-		if _, shared := as.mmu.(*SharedMMU); !shared {
-			as.forkLazy(cpu, child)
-			return child, nil
-		}
-		// A shared page table leaves a window where another core keeps
-		// using a stale writable PTE between the snapshot and a shared-
-		// table rewrite (per-core tables are swapped out whole, each
-		// owner's walks fenced by its own TLB mutex); fall back to the
-		// eager sweep, which write-protects under the slot locks.
-	}
-
-	// Contiguous runs of faulted, writable, newly-COW pages, write-
-	// protected in one MMU.Protect (= one shootdown round) per run. The
-	// runs are flushed per radix node *while its slot bits are still held*
-	// (ForkFlush), so no parent write can slip through a stale writable
-	// translation between a page's snapshot and the revocation of its
-	// write rights.
-	type protRun struct {
-		lo, hi  uint64
-		perm    pagetable.Perm
-		targets hw.CoreSet
-	}
-	var runs []protRun
-
-	child.tree = as.tree.ForkFlush(cpu, func(lo, hi uint64, src, dst *Mapping) {
-		dst.TLBCores = hw.CoreSet{} // a fresh space: nobody caches anything
-		if src.Frame == nil {
-			return // metadata-only copy
-		}
-		as.alloc.IncRef(cpu, src.Frame) // the child's reference
-		if src.altCtr != nil {
-			src.altCtr.Inc(cpu)
-		}
-		if src.Back.File != nil {
-			return // file pages stay shared and writable on both sides
-		}
-		dst.COW = true
-		if src.COW {
-			// Already shared with an earlier fork; the child joins.
-			src.Frame.AddCOWShares(cpu, 1)
-			return
-		}
-		src.COW = true
-		src.Frame.AddCOWShares(cpu, 2) // parent and child
-		if src.Prot&ProtWrite == 0 {
-			return // no writable translation can exist; nothing to revoke
-		}
-		perm := src.permBits() // COW just set: write already stripped
-		if n := len(runs); n > 0 && runs[n-1].hi == lo && runs[n-1].perm == perm {
-			runs[n-1].hi = hi
-			runs[n-1].targets.Union(src.TLBCores)
-		} else {
-			runs = append(runs, protRun{lo: lo, hi: hi, perm: perm, targets: src.TLBCores})
-		}
-	}, func(cpu *hw.CPU) {
-		for i := range runs {
-			r := &runs[i]
-			as.mmu.Protect(cpu, r.lo, r.hi, r.perm, r.targets, as.activeSet())
-		}
-		runs = runs[:0]
-	})
-	child.wireTree()
-	return child, nil
-}
-
-// forkLazy is the O(1) generation fork (ROADMAP direction 4): the radix
-// tree is snapshotted by a root-only link copy plus a generation bump
-// (radix.Tree.ForkLazy), and instead of the eager sweep's per-node
-// write-protect rounds the parent's translations are invalidated wholesale
-// (MMU.Reset — O(active cores), independent of tree size). Every later
-// access on either side re-faults through the metadata, whose locking
-// descent path-copies the touched shared nodes first; the divergence hook
-// COW-arms the copied pages at that point, so the eager fork's per-page
-// work — IncRef, COW flagging, share counting — happens per *touched*
-// node, not per existing node.
+//     another mapping of the page cache frame.
+//   - Anonymous frames become copy-on-write on both sides (divergeMapping).
 //
 // Ordering: the tree snapshot (which bumps the tree generation under the
 // root's held bits) comes first, then the fork epoch bump, then the
@@ -136,31 +27,40 @@ func (as *AddressSpace) Fork(cpu *hw.CPU) (System, error) {
 // Frame *contents* snapshot at Reset completion — a racing core may write
 // through a pre-fork translation until its table is swept, exactly as a
 // write that beat the fork — while the metadata snapshot is atomic at the
-// generation bump (whole-tree, not node-granular: see radix/lazy.go).
-func (as *AddressSpace) forkLazy(cpu *hw.CPU, child *AddressSpace) {
+// generation bump, for the whole tree (see radix/lazy.go). The child starts
+// with no translations anywhere (newChildMMU).
+func (as *AddressSpace) Fork(cpu *hw.CPU) (System, error) {
+	cpu.Stats().Forks++
+	cpu.Tick(RadixSyscallCost)
+	as.noteActive(cpu)
+
+	child := &AddressSpace{m: as.m, rc: as.rc, alloc: as.alloc, mmu: as.newChildMMU()}
 	child.tree = as.tree.ForkLazy(cpu)
 	child.wireTree()
 	as.forkGen.Add(1)
 	as.mmu.Reset(cpu, as.activeSet())
+	// The child's mappings are more copies of the same file pages: it must
+	// join each file's mapper registry, or a post-fork writeback would miss
+	// its translations entirely.
+	as.fileShare(child)
+	return child, nil
 }
 
-// divergeMapping is the radix tree's onDiverge hook: the deferred per-page
-// half of the eager fork's visit, run when a snapshot-shared node is
-// path-copied on first touch. src is the shared mapping, dst the copy that
-// becomes private to the diverging tree. The COW share count follows the
-// eager fork's arithmetic, just deferred: the first divergence counts the
-// shared original and the copy (2), later divergences add their copy (1) —
-// writing src.COW is legal here because the hook runs under every slot bit
-// of src's node, the same discipline the eager visit mutates sources under.
+// divergeMapping is the radix tree's onDiverge hook: the per-page half of
+// a fork, run when a snapshot-shared node is path-copied on first touch. src
+// is the shared mapping, dst the copy that becomes private to the diverging
+// tree. The first divergence counts the shared original and the copy as COW
+// shares (2), later divergences add their copy (1) — writing src.COW is
+// legal here because the hook runs under every slot bit of src's node.
 // The original's share and reference drop when its node's last link goes
 // away (releaseMapping), so however a fork family diverges and exits, k
 // surviving mappings of a frame hold exactly k references, and breakCOW's
 // sole-share ownership test stays exact.
 //
-// No write-protect rounds run here: the forking side's translations were
-// invalidated wholesale at fork time and shared nodes never supply new
-// ones (every locking descent diverges first), so no stale writable
-// translation for these pages can exist anywhere.
+// No shootdown runs here: the forking side's translations were invalidated
+// wholesale at fork time and shared nodes never supply new ones (every
+// locking descent diverges first), so no stale writable translation for
+// these pages can exist anywhere.
 //
 // Contract with the tree (radix.Tree.OnDiverge): dst arrives as a copy of
 // *src, and what the hook leaves in it may depend on src alone — not on the
@@ -216,11 +116,12 @@ func (as *AddressSpace) releaseMapping(cpu *hw.CPU, lo, hi uint64, v *Mapping) {
 // Exit tears the address space down whole: the tree releases its root —
 // dropping links on snapshot-shared subtrees and releasing outright-owned
 // ones, frame references draining through releaseMapping — and the MMU's
-// translations are invalidated wholesale. For a lazily forked child this
-// is O(its own divergences) instead of the O(tree) unmap sweep teardown
-// would otherwise cost, which is what keeps the template-clone fleet shape
-// (fork, touch a little, exit) cheap end to end. The address space must
-// not be used after Exit, and no concurrent operations may be in flight.
+// translations are invalidated wholesale. For a forked child this is O(its
+// own divergences) instead of the O(tree) unmap sweep teardown would
+// otherwise cost (a Munmap of a shared subtree path-copies it first), which
+// keeps the template-clone fleet shape (fork, touch a little, exit) cheap end
+// to end. The address space must not be used after Exit, and no concurrent
+// operations may be in flight.
 func (as *AddressSpace) Exit(cpu *hw.CPU) {
 	cpu.Tick(RadixSyscallCost)
 	as.noteActive(cpu)

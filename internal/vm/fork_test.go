@@ -8,95 +8,165 @@ import (
 	"radixvm/internal/vm"
 )
 
-// TestForkCOWSemantics drives the canonical fork lifecycle on all three
-// systems: the child shares the parent's faulted anonymous frames until
-// first write, each written page is copied exactly once per side, repeat
-// writes copy nothing more, and teardown leaks no frames.
-func TestForkCOWSemantics(t *testing.T) {
-	const lo, npages = uint64(100), uint64(4)
-	for i := range systems(newWorld(2)) {
-		w := newWorld(2)
-		sys := systems(w)[i]
-		t.Run(sys.Name(), func(t *testing.T) {
-			c := m0(w)
-			must(t, sys.Mmap(c, lo, npages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
-			for v := lo; v < lo+npages; v++ {
-				must(t, sys.Access(c, v, true))
-			}
-			base := w.alloc.Created()
-			childSys, err := sys.Fork(c)
-			must(t, err)
-			// Reads share: no frames materialize.
-			for v := lo; v < lo+npages; v++ {
-				must(t, childSys.Access(c, v, false))
-			}
-			if got := w.alloc.Created() - base; got != 0 {
-				t.Fatalf("child reads created %d frames, want 0 (COW shares)", got)
-			}
-			// First child write of each page copies exactly once.
-			for v := lo; v < lo+npages; v++ {
-				must(t, childSys.Access(c, v, true))
-			}
-			if got := w.alloc.Created() - base; got != int64(npages) {
-				t.Fatalf("child writes created %d frames, want %d (one copy per page)", got, npages)
-			}
-			// Repeat writes copy nothing.
-			for v := lo; v < lo+npages; v++ {
-				must(t, childSys.Access(c, v, true))
-			}
-			if got := w.alloc.Created() - base; got != int64(npages) {
-				t.Fatalf("repeat child writes grew frames to %d, want %d", got, npages)
-			}
-			// After fork, the parent's cached writable translations are
-			// gone: its next write must trap (and resolve), not sail
-			// through a stale TLB entry onto the shared frame.
-			protBefore := c.Stats().ProtFaults + c.Stats().PageFaults
-			must(t, sys.Access(c, lo, true))
-			if c.Stats().ProtFaults+c.Stats().PageFaults == protBefore {
-				t.Fatal("parent write after fork used a stale writable translation")
-			}
-			// Isolation: the parent still owns its pages; its writes after
-			// the child privatized cost at most one more copy per page
-			// (zero on RadixVM, whose per-page share counts prove sole
-			// ownership; the baselines may copy conservatively).
-			base = w.alloc.Created()
-			for v := lo; v < lo+npages; v++ {
-				must(t, sys.Access(c, v, true))
-			}
-			extra := w.alloc.Created() - base
-			if extra > int64(npages) {
-				t.Fatalf("parent writes after child privatized created %d frames, want <= %d", extra, npages)
-			}
-			if sys.Name() == "radixvm" && extra != 0 {
-				t.Fatalf("radixvm parent (sole owner) copied %d frames, want 0", extra)
-			}
-			// Teardown: both spaces unmap; nothing leaks.
-			must(t, childSys.Munmap(c, lo, npages))
-			must(t, sys.Munmap(c, lo, npages))
-			w.quiesce()
-			if live := w.alloc.Live(); live != 0 {
-				t.Fatalf("%d frames leaked after parent+child exit", live)
-			}
+// space is one input of a fork scenario: a system, and the way its forked
+// children — and at the end the parent — leave.
+type space struct {
+	name string
+	make func(w *world) vm.System
+	exit bool // through vm.Exiter rather than by unmapping what the scenario mapped
+}
+
+// threeSystems are the three VM systems, torn down by munmap, the one way all
+// of them have. On radixvm that is the expensive way out of a forked child (a
+// munmap of a subtree the child still shares path-copies it first), so it is
+// a different path from bothMMUs', not a repeat of it.
+func threeSystems() []space {
+	var out []space
+	for i, s := range systems(newWorld(1)) {
+		out = append(out, space{name: s.Name(), make: func(w *world) vm.System { return systems(w)[i] }})
+	}
+	return out
+}
+
+// bothMMUs is radixvm on each page-table design, torn down through Exit: the
+// shared table takes the same generation fork as per-core tables, its Reset a
+// swap of the one table where theirs is a swap per core.
+func bothMMUs() []space {
+	return []space{
+		{"percore", func(w *world) vm.System { return vm.New(w.m, w.rc, w.alloc, nil) }, true},
+		{"shared", func(w *world) vm.System { return vm.New(w.m, w.rc, w.alloc, vm.NewSharedMMU(w.m)) }, true},
+	}
+}
+
+// A reaper tears sys down the way its space says: Exit, or a munmap of [lo,
+// lo+npages), which is everything these scenarios map.
+type reaper func(t *testing.T, c *hw.CPU, sys vm.System, lo, npages uint64)
+
+// over runs scenario once per space as a subtest, each in a fresh world.
+func over(t *testing.T, spaces []space, ncores int, scenario func(t *testing.T, w *world, sys vm.System, reap reaper)) {
+	for _, sp := range spaces {
+		t.Run(sp.name, func(t *testing.T) {
+			w := newWorld(ncores)
+			scenario(t, w, sp.make(w), func(t *testing.T, c *hw.CPU, sys vm.System, lo, npages uint64) {
+				t.Helper()
+				if sp.exit {
+					sys.(vm.Exiter).Exit(c)
+				} else {
+					must(t, sys.Munmap(c, lo, npages))
+				}
+			})
 		})
 	}
 }
 
-// TestForkCopiesFrameContents verifies the data half of a COW break on
-// RadixVM, whose Lookup exposes the backing frames: the child's copy holds
-// the parent's bytes, and later parent writes stay invisible to the child.
-func TestForkCopiesFrameContents(t *testing.T) {
-	w := newWorld(1)
-	as := vm.New(w.m, w.rc, w.alloc, nil)
+// The six fork scenarios, each run on the three systems under its TestFork /
+// TestGang / TestDouble name and on both radixvm MMUs under its TestLazy name.
+
+func TestForkCOWSemantics(t *testing.T)     { over(t, threeSystems(), 2, forkCOWSemantics) }
+func TestLazyForkCOWSemantics(t *testing.T) { over(t, bothMMUs(), 2, forkCOWSemantics) }
+
+func TestForkSharesFileMappings(t *testing.T)     { over(t, threeSystems(), 1, forkSharesFileMappings) }
+func TestLazyForkSharesFileMappings(t *testing.T) { over(t, bothMMUs(), 1, forkSharesFileMappings) }
+
+func TestGangForkVsConcurrentWrite(t *testing.T) {
+	over(t, threeSystems(), gangCores, gangForkVsConcurrentWrite)
+}
+func TestLazyGangForkVsConcurrentWrite(t *testing.T) {
+	over(t, bothMMUs(), gangCores, gangForkVsConcurrentWrite)
+}
+
+func TestGangCOWFaultVsMunmap(t *testing.T)     { over(t, threeSystems(), gangCores, gangCOWFaultVsMunmap) }
+func TestLazyGangCOWFaultVsMunmap(t *testing.T) { over(t, bothMMUs(), gangCores, gangCOWFaultVsMunmap) }
+
+func TestDoubleForkChains(t *testing.T)     { over(t, threeSystems(), 1, doubleForkChains) }
+func TestLazyDoubleForkChains(t *testing.T) { over(t, bothMMUs(), 1, doubleForkChains) }
+
+// TestForkCopiesFrameContents needs Lookup to see the backing frames, which
+// only radixvm has, and tears nothing down: one name, both MMUs.
+func TestForkCopiesFrameContents(t *testing.T) { over(t, bothMMUs(), 1, forkCopiesFrameContents) }
+
+const gangCores = 4
+
+// forkCOWSemantics drives the canonical fork lifecycle: the child shares the
+// parent's faulted anonymous frames until first write, each written page is
+// copied exactly once per side, repeat writes copy nothing more, and teardown
+// leaks no frames.
+func forkCOWSemantics(t *testing.T, w *world, sys vm.System, reap reaper) {
+	const lo, npages = uint64(100), uint64(4)
+	c := m0(w)
+	must(t, sys.Mmap(c, lo, npages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
+	for v := lo; v < lo+npages; v++ {
+		must(t, sys.Access(c, v, true))
+	}
+	base := w.alloc.Created()
+	childSys, err := sys.Fork(c)
+	must(t, err)
+	// Reads share: no frames materialize.
+	for v := lo; v < lo+npages; v++ {
+		must(t, childSys.Access(c, v, false))
+	}
+	if got := w.alloc.Created() - base; got != 0 {
+		t.Fatalf("child reads created %d frames, want 0 (COW shares)", got)
+	}
+	// First child write of each page copies exactly once.
+	for v := lo; v < lo+npages; v++ {
+		must(t, childSys.Access(c, v, true))
+	}
+	if got := w.alloc.Created() - base; got != int64(npages) {
+		t.Fatalf("child writes created %d frames, want %d (one copy per page)", got, npages)
+	}
+	// Repeat writes copy nothing.
+	for v := lo; v < lo+npages; v++ {
+		must(t, childSys.Access(c, v, true))
+	}
+	if got := w.alloc.Created() - base; got != int64(npages) {
+		t.Fatalf("repeat child writes grew frames to %d, want %d", got, npages)
+	}
+	// After fork, the parent's cached writable translations are gone: its
+	// next write must trap (and resolve), not sail through a stale TLB entry
+	// onto the shared frame.
+	protBefore := c.Stats().ProtFaults + c.Stats().PageFaults
+	must(t, sys.Access(c, lo, true))
+	if c.Stats().ProtFaults+c.Stats().PageFaults == protBefore {
+		t.Fatal("parent write after fork used a stale writable translation")
+	}
+	// Isolation: the parent still owns its pages; its writes after the child
+	// privatized cost at most one more copy per page (zero on RadixVM, whose
+	// per-page share counts prove sole ownership; the baselines may copy
+	// conservatively).
+	base = w.alloc.Created()
+	for v := lo; v < lo+npages; v++ {
+		must(t, sys.Access(c, v, true))
+	}
+	extra := w.alloc.Created() - base
+	if extra > int64(npages) {
+		t.Fatalf("parent writes after child privatized created %d frames, want <= %d", extra, npages)
+	}
+	if sys.Name() == "radixvm" && extra != 0 {
+		t.Fatalf("radixvm parent (sole owner) copied %d frames, want 0", extra)
+	}
+	reap(t, c, childSys, lo, npages)
+	reap(t, c, sys, lo, npages)
+	w.quiesce()
+	if live := w.alloc.Live(); live != 0 {
+		t.Fatalf("%d frames leaked after parent+child exit", live)
+	}
+}
+
+// forkCopiesFrameContents verifies the data half of a COW break: the child's
+// copy holds the parent's bytes, and later parent writes stay invisible to
+// the child.
+func forkCopiesFrameContents(t *testing.T, w *world, sys vm.System, _ reaper) {
+	as := sys.(*vm.AddressSpace)
 	c := m0(w)
 	must(t, as.Mmap(c, 100, 1, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
 	must(t, as.Access(c, 100, true))
-	pm := as.Lookup(c, 100)
-	pm.Frame.Data()[0] = 0xAB
+	as.Lookup(c, 100).Frame.Data()[0] = 0xAB
 	childSys, err := as.Fork(c)
 	must(t, err)
 	child := childSys.(*vm.AddressSpace)
-	must(t, child.Access(c, 100, true)) // COW break copies the frame
-	cm := child.Lookup(c, 100)
+	must(t, child.Access(c, 100, true)) // diverge + COW break copies the frame
+	cm, pm := child.Lookup(c, 100), as.Lookup(c, 100)
 	if cm.Frame == pm.Frame {
 		t.Fatal("child still maps the parent's frame after its write")
 	}
@@ -109,41 +179,35 @@ func TestForkCopiesFrameContents(t *testing.T) {
 	}
 }
 
-// TestForkSharesFileMappings: file-backed pages are not COW — both sides
-// keep writing the same page-cache frame, exactly like two independent
-// mappings of the file.
-func TestForkSharesFileMappings(t *testing.T) {
-	for i := range systems(newWorld(1)) {
-		w := newWorld(1)
-		sys := systems(w)[i]
-		t.Run(sys.Name(), func(t *testing.T) {
-			f := vm.NewFile(w.alloc)
-			c := m0(w)
-			must(t, sys.Mmap(c, 500, 2, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite, File: f}))
-			must(t, sys.Access(c, 500, true))
-			childSys, err := sys.Fork(c)
-			must(t, err)
-			must(t, childSys.Access(c, 500, true)) // write, not a COW break
-			must(t, childSys.Access(c, 501, true)) // child faults the file page itself
-			if created := w.alloc.Created(); created != 2 {
-				t.Fatalf("%d frames created, want 2 (file pages stay shared)", created)
-			}
-			must(t, childSys.Munmap(c, 500, 2))
-			must(t, sys.Munmap(c, 500, 2))
-			w.quiesce()
-			// The page cache holds the base references.
-			if live := w.alloc.Live(); live != 2 {
-				t.Fatalf("live = %d after unmaps, want 2 (page cache refs)", live)
-			}
-		})
+// forkSharesFileMappings: file-backed pages are not COW — both sides keep
+// writing the same page-cache frame, exactly like two independent mappings of
+// the file.
+func forkSharesFileMappings(t *testing.T, w *world, sys vm.System, reap reaper) {
+	f := vm.NewFile(w.alloc)
+	c := m0(w)
+	must(t, sys.Mmap(c, 500, 2, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite, File: f}))
+	must(t, sys.Access(c, 500, true))
+	childSys, err := sys.Fork(c)
+	must(t, err)
+	must(t, childSys.Access(c, 500, true)) // write, not a COW break
+	must(t, childSys.Access(c, 501, true)) // child faults the file page itself
+	if created := w.alloc.Created(); created != 2 {
+		t.Fatalf("%d frames created, want 2 (file pages stay shared)", created)
+	}
+	reap(t, c, childSys, 500, 2)
+	reap(t, c, sys, 500, 2)
+	w.quiesce()
+	// The page cache holds the base references.
+	if live := w.alloc.Live(); live != 2 {
+		t.Fatalf("live = %d after both left, want 2 (page cache refs)", live)
 	}
 }
 
-// TestForkShootdownTargeting mirrors the munmap/mprotect IPI accounting
-// tests for fork: RadixVM's write-protect pass interrupts only the cores
-// that faulted writable pages (zero for a space one core used), and the
-// steady state — re-forking a space whose pages are already COW — sends
-// nothing at all. The baselines must broadcast their downgrade.
+// TestForkShootdownTargeting is the fork's IPI accounting, beside the
+// munmap/mprotect tests': RadixVM's fork interrupts every other core that
+// has used the space, once, to drop its translations (MMU.Reset) — none for a
+// space one core used, however many pages it holds — and its COW breaks
+// interrupt nobody. The baselines broadcast their downgrade likewise.
 func TestForkShootdownTargeting(t *testing.T) {
 	w := newWorld(4)
 	as := vm.New(w.m, w.rc, w.alloc, nil)
@@ -152,26 +216,31 @@ func TestForkShootdownTargeting(t *testing.T) {
 	for v := uint64(100); v < 104; v++ {
 		must(t, as.Access(c0, v, true))
 	}
-	_, err := as.Fork(c0)
-	must(t, err)
-	if got := c0.Stats().IPIsSent; got != 0 {
-		t.Fatalf("fork of a core-local space sent %d IPIs, want 0", got)
+	for k := 0; k < 2; k++ {
+		_, err := as.Fork(c0)
+		must(t, err)
+		if got := c0.Stats().IPIsSent; got != 0 {
+			t.Fatalf("fork %d of a core-local space sent %d IPIs, want 0", k, got)
+		}
 	}
-	// Steady state: everything already COW, nothing to revoke.
-	_, err = as.Fork(c0)
-	must(t, err)
-	if got := c0.Stats().IPIsSent; got != 0 {
-		t.Fatalf("re-fork sent %d IPIs, want 0 (pages already COW)", got)
-	}
-	// A second core with writable translations is interrupted precisely.
+	// A second core that used the space is interrupted, and only it: once
+	// per fork, whether or not it has faulted anything since the last one.
 	c1 := w.m.CPU(1)
 	must(t, as.Mmap(c0, 200, 2, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
 	must(t, as.Access(c1, 200, true))
+	for k := 0; k < 2; k++ {
+		before := c0.Stats().IPIsSent
+		_, err := as.Fork(c0)
+		must(t, err)
+		if got := c0.Stats().IPIsSent - before; got != 1 {
+			t.Fatalf("fork %d of a space two cores used sent %d IPIs, want exactly 1", k, got)
+		}
+	}
+	// The parent's write after the fork breaks COW on a page only it cached.
 	before := c0.Stats().IPIsSent
-	_, err = as.Fork(c0)
-	must(t, err)
-	if got := c0.Stats().IPIsSent - before; got != 1 {
-		t.Fatalf("fork with one remote writable page sent %d IPIs, want exactly 1", got)
+	must(t, as.Access(c0, 100, true))
+	if got := c0.Stats().IPIsSent - before; got != 0 {
+		t.Fatalf("COW break sent %d IPIs, want 0", got)
 	}
 
 	// The Linux baseline broadcasts to every active core.
@@ -184,7 +253,7 @@ func TestForkShootdownTargeting(t *testing.T) {
 	}
 	must(t, lsys.Mmap(lc0, 100, 1, vm.MapOpts{Prot: vm.ProtWrite}))
 	must(t, lsys.Access(lc0, 100, true))
-	_, err = lsys.Fork(lc0)
+	_, err := lsys.Fork(lc0)
 	must(t, err)
 	if got := lc0.Stats().IPIsSent; got != 3 {
 		t.Fatalf("linux fork sent %d IPIs, want 3 (broadcast to all active cores)", got)
@@ -229,160 +298,142 @@ func TestFetchAllSystems(t *testing.T) {
 	}
 }
 
-// TestGangForkVsConcurrentWrite races repeated forks against parent
-// writes from the other gang members: every access must succeed (the
-// region stays mapped read-write throughout), every child must be
-// internally consistent, and after everything exits no frame may leak.
-func TestGangForkVsConcurrentWrite(t *testing.T) {
-	const ncores = 4
+// gangForkVsConcurrentWrite races repeated forks against parent writes from
+// the other gang members: every access must succeed (the region stays mapped
+// read-write throughout; on radixvm the fault path's epoch validation covers
+// the race with the fork's invalidation), every child must be internally
+// consistent, and after everything exits no frame may leak.
+func gangForkVsConcurrentWrite(t *testing.T, w *world, sys vm.System, reap reaper) {
 	const lo, npages = uint64(3000), uint64(8)
-	for i := range systems(newWorld(ncores)) {
-		w := newWorld(ncores)
-		sys := systems(w)[i]
-		t.Run(sys.Name(), func(t *testing.T) {
-			must(t, sys.Mmap(m0(w), lo, npages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
-			children := make([]vm.System, 0, 20)
-			hw.RunGang(w.m, ncores, 2000, func(c *hw.CPU, g *hw.Gang) {
-				if c.ID() == 0 {
-					for k := 0; k < 20; k++ {
-						ch, err := sys.Fork(c)
-						if err != nil {
-							t.Errorf("fork %d: %v", k, err)
-							return
-						}
-						children = append(children, ch)
-						w.rc.Maintain(c)
-						g.Sync(c)
-					}
+	must(t, sys.Mmap(m0(w), lo, npages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
+	children := make([]vm.System, 0, 20)
+	hw.RunGang(w.m, gangCores, 2000, func(c *hw.CPU, g *hw.Gang) {
+		if c.ID() == 0 {
+			for k := 0; k < 20; k++ {
+				ch, err := sys.Fork(c)
+				if err != nil {
+					t.Errorf("fork %d: %v", k, err)
 					return
 				}
-				for k := 0; k < 60; k++ {
-					v := lo + uint64(k)%npages
-					if err := sys.Access(c, v, true); err != nil {
-						t.Errorf("core %d: parent write during fork: %v", c.ID(), err)
-						return
-					}
-					w.rc.Maintain(c)
-					g.Sync(c)
-				}
-			})
-			if t.Failed() {
+				children = append(children, ch)
+				w.rc.Maintain(c)
+				g.Sync(c)
+			}
+			return
+		}
+		for k := 0; k < 60; k++ {
+			v := lo + uint64(k)%npages
+			if err := sys.Access(c, v, true); err != nil {
+				t.Errorf("core %d: parent write during fork: %v", c.ID(), err)
 				return
 			}
-			// Each child is a working space: write every page, then exit.
-			c := m0(w)
-			for _, ch := range children {
-				for v := lo; v < lo+npages; v++ {
-					must(t, ch.Access(c, v, true))
-				}
-				must(t, ch.Munmap(c, lo, npages))
-			}
-			must(t, sys.Munmap(c, lo, npages))
-			w.quiesce()
-			if live := w.alloc.Live(); live != 0 {
-				t.Fatalf("%d frames leaked across %d forks", live, len(children))
-			}
-		})
+			w.rc.Maintain(c)
+			g.Sync(c)
+		}
+	})
+	if t.Failed() {
+		return
+	}
+	// Each child is a working space: write every page, then exit.
+	c := m0(w)
+	for _, ch := range children {
+		for v := lo; v < lo+npages; v++ {
+			must(t, ch.Access(c, v, true))
+		}
+		reap(t, c, ch, lo, npages)
+	}
+	reap(t, c, sys, lo, npages)
+	w.quiesce()
+	if live := w.alloc.Live(); live != 0 {
+		t.Fatalf("%d frames leaked across %d forks", live, len(children))
 	}
 }
 
-// TestGangCOWFaultVsMunmap races COW breaks in a child against a
-// concurrent munmap of the child's range: an access may succeed or report
-// ErrSegv (the munmap got there first), never anything else, never a
-// wedge, and no frame may leak.
-func TestGangCOWFaultVsMunmap(t *testing.T) {
-	const ncores = 4
+// gangCOWFaultVsMunmap races COW breaks in a child against a concurrent
+// munmap of the child's range: an access may succeed or report ErrSegv (the
+// munmap got there first), never anything else, never a wedge, and no frame
+// may leak.
+func gangCOWFaultVsMunmap(t *testing.T, w *world, sys vm.System, reap reaper) {
 	const lo, npages = uint64(4000), uint64(8)
-	for i := range systems(newWorld(ncores)) {
-		w := newWorld(ncores)
-		sys := systems(w)[i]
-		t.Run(sys.Name(), func(t *testing.T) {
-			c0 := m0(w)
-			for round := 0; round < 10; round++ {
-				must(t, sys.Mmap(c0, lo, npages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
-				for v := lo; v < lo+npages; v++ {
-					must(t, sys.Access(c0, v, true))
-				}
-				childSys, err := sys.Fork(c0)
-				must(t, err)
-				hw.RunGang(w.m, ncores, 2000, func(c *hw.CPU, g *hw.Gang) {
-					if c.ID() == 0 {
-						c.Tick(uint64(500 * (round + 1)))
-						mustT(t, childSys.Munmap(c, lo, npages))
-						g.Sync(c)
-						return
-					}
-					for k := 0; k < 30; k++ {
-						v := lo + uint64(k)%npages
-						if err := childSys.Access(c, v, true); err != nil && !errors.Is(err, vm.ErrSegv) {
-							t.Errorf("core %d: COW write vs munmap: %v", c.ID(), err)
-							return
-						}
-						w.rc.Maintain(c)
-						g.Sync(c)
-					}
-				})
-				if t.Failed() {
+	c0 := m0(w)
+	for round := 0; round < 10; round++ {
+		must(t, sys.Mmap(c0, lo, npages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
+		for v := lo; v < lo+npages; v++ {
+			must(t, sys.Access(c0, v, true))
+		}
+		childSys, err := sys.Fork(c0)
+		must(t, err)
+		hw.RunGang(w.m, gangCores, 2000, func(c *hw.CPU, g *hw.Gang) {
+			if c.ID() == 0 {
+				c.Tick(uint64(500 * (round + 1)))
+				mustT(t, childSys.Munmap(c, lo, npages))
+				g.Sync(c)
+				return
+			}
+			for k := 0; k < 30; k++ {
+				v := lo + uint64(k)%npages
+				if err := childSys.Access(c, v, true); err != nil && !errors.Is(err, vm.ErrSegv) {
+					t.Errorf("core %d: COW write vs munmap: %v", c.ID(), err)
 					return
 				}
-				must(t, sys.Munmap(c0, lo, npages))
-				w.quiesce()
-				if live := w.alloc.Live(); live != 0 {
-					t.Fatalf("round %d: %d frames leaked", round, live)
-				}
+				w.rc.Maintain(c)
+				g.Sync(c)
 			}
 		})
+		if t.Failed() {
+			return
+		}
+		reap(t, c0, childSys, lo, npages) // of a child with nothing mapped
+		must(t, sys.Munmap(c0, lo, npages))
+		w.quiesce()
+		if live := w.alloc.Live(); live != 0 {
+			t.Fatalf("round %d: %d frames leaked", round, live)
+		}
 	}
 }
 
-// TestDoubleForkChains: fork a fork a few generations deep; every level
-// shares until written, copies exactly once when written, and the whole
-// family tears down to zero live frames.
-func TestDoubleForkChains(t *testing.T) {
+// doubleForkChains: fork a fork a few generations deep; every level shares
+// until written, copies exactly once when written, and the whole family —
+// the oldest leaving first — tears down to zero live frames.
+func doubleForkChains(t *testing.T, w *world, sys vm.System, reap reaper) {
 	const lo, npages = uint64(100), uint64(2)
-	for i := range systems(newWorld(1)) {
-		w := newWorld(1)
-		sys := systems(w)[i]
-		t.Run(sys.Name(), func(t *testing.T) {
-			c := m0(w)
-			must(t, sys.Mmap(c, lo, npages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
-			for v := lo; v < lo+npages; v++ {
-				must(t, sys.Access(c, v, true))
-			}
-			family := []vm.System{sys}
-			cur := sys
-			for gen := 0; gen < 3; gen++ {
-				ch, err := cur.Fork(c)
-				must(t, err)
-				family = append(family, ch)
-				cur = ch
-			}
-			// Reads anywhere in the chain share the original frames.
-			base := w.alloc.Created()
-			for _, s := range family {
-				for v := lo; v < lo+npages; v++ {
-					must(t, s.Access(c, v, false))
-				}
-			}
-			if got := w.alloc.Created() - base; got != 0 {
-				t.Fatalf("chain reads created %d frames, want 0", got)
-			}
-			// The deepest child writes: one copy per page, once.
-			for v := lo; v < lo+npages; v++ {
-				must(t, cur.Access(c, v, true))
-				must(t, cur.Access(c, v, true))
-			}
-			if got := w.alloc.Created() - base; got != int64(npages) {
-				t.Fatalf("deepest child writes created %d frames, want %d", got, npages)
-			}
-			// Everyone exits; refcache balance returns to zero.
-			for _, s := range family {
-				must(t, s.Munmap(c, lo, npages))
-			}
-			w.quiesce()
-			if live := w.alloc.Live(); live != 0 {
-				t.Fatalf("%d frames leaked after the fork chain exited", live)
-			}
-		})
+	c := m0(w)
+	must(t, sys.Mmap(c, lo, npages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
+	for v := lo; v < lo+npages; v++ {
+		must(t, sys.Access(c, v, true))
+	}
+	family := []vm.System{sys}
+	cur := sys
+	for gen := 0; gen < 3; gen++ {
+		ch, err := cur.Fork(c)
+		must(t, err)
+		family = append(family, ch)
+		cur = ch
+	}
+	// Reads anywhere in the chain share the original frames.
+	base := w.alloc.Created()
+	for _, s := range family {
+		for v := lo; v < lo+npages; v++ {
+			must(t, s.Access(c, v, false))
+		}
+	}
+	if got := w.alloc.Created() - base; got != 0 {
+		t.Fatalf("chain reads created %d frames, want 0", got)
+	}
+	// The deepest child writes: one copy per page, once.
+	for v := lo; v < lo+npages; v++ {
+		must(t, cur.Access(c, v, true))
+		must(t, cur.Access(c, v, true))
+	}
+	if got := w.alloc.Created() - base; got != int64(npages) {
+		t.Fatalf("deepest child writes created %d frames, want %d", got, npages)
+	}
+	// Everyone exits; refcache balance returns to zero.
+	for _, s := range family {
+		reap(t, c, s, lo, npages)
+	}
+	w.quiesce()
+	if live := w.alloc.Live(); live != 0 {
+		t.Fatalf("%d frames leaked after the fork chain exited", live)
 	}
 }

@@ -66,7 +66,7 @@ func TestResetWithoutTranslationsAllocatesNothing(t *testing.T) {
 func spawnBytes(t *testing.T, ncores int, tmplPages uint64) uint64 {
 	const lo, npages = uint64(1 << 20), uint64(32)
 	w := newWorld(ncores)
-	tmpl := lazySpace(w)
+	tmpl := vm.New(w.m, w.rc, w.alloc, nil)
 	c := m0(w)
 	must(t, tmpl.Mmap(c, lo, tmplPages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
 	for v := lo; v < lo+tmplPages; v++ {

@@ -5,7 +5,6 @@ import (
 
 	"radixvm/internal/hw"
 	"radixvm/internal/pagetable"
-	"radixvm/internal/radix"
 	"radixvm/internal/tlb"
 )
 
@@ -111,10 +110,9 @@ type MMU interface {
 	// interrupt precise, shared tables broadcast to active.
 	Protect(cpu *hw.CPU, lo, hi uint64, perm pagetable.Perm, precise, active hw.CoreSet)
 	// Reset wholesale-invalidates every translation of the address space:
-	// each active core's page table is dropped (rebuilt on demand by later
-	// faults) and its TLB flushed. This is the lazy fork's one up-front
-	// hardware cost — O(active cores), independent of the tree size —
-	// standing in for the eager sweep's per-node write-protect rounds:
+	// the page tables are dropped (rebuilt on demand by later faults) and
+	// each active core's TLB flushed. This is fork's one up-front hardware
+	// cost, and Exit's — O(active cores), independent of the tree size:
 	// with no surviving translations, every later access re-faults through
 	// the metadata, which diverges and COW-arms the touched pages first.
 	Reset(cpu *hw.CPU, active hw.CoreSet)
@@ -176,7 +174,7 @@ type PerCoreMMU struct {
 
 // coreMMU is one core's page table and TLB.
 type coreMMU struct {
-	// pt is swapped atomically: a lazy fork's Reset replaces a core's whole
+	// pt is swapped atomically: a fork's Reset replaces a core's whole
 	// table with nil from the forking goroutine while the owner may be
 	// walking or filling it, and walkers re-load the pointer (Revalidate)
 	// after their TLB insert to detect the swap.
@@ -326,14 +324,18 @@ func (mmu *PerCoreMMU) Bytes() uint64 {
 // every unmap broadcasts to every core using the address space — Figure
 // 9's "Shared" curves.
 type SharedMMU struct {
-	m    *hw.Machine
-	pt   *pagetable.PageTable
+	m *hw.Machine
+	// pt is swapped atomically, as coreMMU.pt is and for the same reason:
+	// Reset replaces the whole table while other cores walk and fill it.
+	pt   atomic.Pointer[pagetable.PageTable]
 	tlbs []tlb.TLB // by value: one allocation, each TLB's map on first Insert
 }
 
 // NewSharedMMU builds the shared-page-table MMU.
 func NewSharedMMU(m *hw.Machine) *SharedMMU {
-	return &SharedMMU{m: m, pt: pagetable.New(m), tlbs: make([]tlb.TLB, m.NCores())}
+	mmu := &SharedMMU{m: m, tlbs: make([]tlb.TLB, m.NCores())}
+	mmu.pt.Store(pagetable.New(m))
+	return mmu
 }
 
 // Name implements MMU.
@@ -344,11 +346,12 @@ func (mmu *SharedMMU) Name() string { return "shared" }
 // as-is unless its rights are narrower than the mapping's (a fill after an
 // mprotect upgrade), in which case it is rewritten.
 func (mmu *SharedMMU) Fill(cpu *hw.CPU, vpn, pfn uint64, perm pagetable.Perm) {
-	if !mmu.pt.MapIfAbsent(cpu, vpn, pfn, perm) {
+	pt := mmu.pt.Load()
+	if !pt.MapIfAbsent(cpu, vpn, pfn, perm) {
 		// The losing CAS already charged the PTE line; Peek re-reads it
 		// cost-free.
-		if pte, ok := mmu.pt.Peek(vpn); ok && pte.Perm&perm != perm {
-			mmu.pt.Map(cpu, vpn, pfn, perm)
+		if pte, ok := pt.Peek(vpn); ok && pte.Perm&perm != perm {
+			pt.Map(cpu, vpn, pfn, perm)
 		}
 	}
 	mmu.tlbs[cpu.ID()].Insert(vpn, tlbEntry(pfn, perm))
@@ -356,12 +359,13 @@ func (mmu *SharedMMU) Fill(cpu *hw.CPU, vpn, pfn uint64, perm pagetable.Perm) {
 
 // Lookup implements MMU.
 func (mmu *SharedMMU) Lookup(cpu *hw.CPU, vpn uint64) (pagetable.PTE, bool) {
-	return mmu.pt.Lookup(cpu, vpn)
+	return mmu.pt.Load().Lookup(cpu, vpn)
 }
 
-// Revalidate implements MMU.
+// Revalidate implements MMU. As on per-core tables, re-loading the pointer
+// is what shows a walk that raced Reset the replacement table.
 func (mmu *SharedMMU) Revalidate(_ *hw.CPU, vpn, pfn uint64, perm pagetable.Perm) bool {
-	return revalidate(mmu.pt, vpn, pfn, perm)
+	return revalidate(mmu.pt.Load(), vpn, pfn, perm)
 }
 
 // TLB implements MMU.
@@ -369,12 +373,12 @@ func (mmu *SharedMMU) TLB(id int) *tlb.TLB { return &mmu.tlbs[id] }
 
 // PageTable exposes the shared table (baseline VMs clear it themselves to
 // collect frames before the shootdown).
-func (mmu *SharedMMU) PageTable() *pagetable.PageTable { return mmu.pt }
+func (mmu *SharedMMU) PageTable() *pagetable.PageTable { return mmu.pt.Load() }
 
 // Shootdown implements MMU: broadcast. The shared table is cleared once
 // (by the caller or here), but every active core's TLB must be flushed.
 func (mmu *SharedMMU) Shootdown(cpu *hw.CPU, lo, hi uint64, _, active hw.CoreSet) {
-	mmu.pt.UnmapRange(cpu, lo, hi)
+	mmu.pt.Load().UnmapRange(cpu, lo, hi)
 	mmu.ShootdownTLBOnly(cpu, lo, hi, active)
 }
 
@@ -382,7 +386,7 @@ func (mmu *SharedMMU) Shootdown(cpu *hw.CPU, lo, hi uint64, _, active hw.CoreSet
 // active core's TLB is flushed — the hardware cannot say which cores cached
 // the old rights, so the flush is a broadcast, exactly like the unmap path.
 func (mmu *SharedMMU) Protect(cpu *hw.CPU, lo, hi uint64, perm pagetable.Perm, _, active hw.CoreSet) {
-	mmu.pt.ProtectRange(cpu, lo, hi, perm)
+	mmu.pt.Load().ProtectRange(cpu, lo, hi, perm)
 	mmu.ShootdownTLBOnly(cpu, lo, hi, active)
 }
 
@@ -402,14 +406,13 @@ func (mmu *SharedMMU) ShootdownTLBOnly(cpu *hw.CPU, lo, hi uint64, active hw.Cor
 	})
 }
 
-// Reset implements MMU: the shared table is cleared once and every active
-// core's TLB flushed. Present for interface completeness — the lazy fork
-// path never runs on a SharedMMU (it falls back to the eager sweep; see
-// AddressSpace.Fork), because a shared table leaves a window where another
-// core could keep using a stale writable PTE between the snapshot and the
-// table rewrite.
+// Reset implements MMU: the shared table is swapped for an empty one — no
+// per-page work — and every active core's TLB flushed. Swap before flush, as
+// on per-core tables: a walk of the old table that raced the swap fails its
+// Revalidate against the new one, and a fault filling the old table is caught
+// by the caller's fork-epoch validation.
 func (mmu *SharedMMU) Reset(cpu *hw.CPU, active hw.CoreSet) {
-	mmu.pt.UnmapRange(cpu, 0, radix.MaxVPN)
+	mmu.pt.Store(pagetable.New(mmu.m))
 	self := cpu.ID()
 	mmu.tlbs[self].FlushAll()
 	active.Remove(self)
@@ -423,4 +426,4 @@ func (mmu *SharedMMU) Reset(cpu *hw.CPU, active hw.CoreSet) {
 }
 
 // Bytes implements MMU.
-func (mmu *SharedMMU) Bytes() uint64 { return mmu.pt.Bytes() }
+func (mmu *SharedMMU) Bytes() uint64 { return mmu.pt.Load().Bytes() }

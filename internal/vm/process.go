@@ -47,7 +47,7 @@ type ThreadState struct {
 // lifecycle: forked as an embryo, active while its (possibly many)
 // threads run, dormant once they finish, and exited when the pool's
 // memory ceiling forces its teardown. Teardown goes through vm.Exiter
-// when the system provides it — O(divergences) for a lazy-forked radixvm
+// when the system provides it — O(divergences) for a forked radixvm
 // child — and otherwise through a caller-supplied exit_mmap-style sweep.
 type Process struct {
 	ID      int    // arrival sequence; also the LRU tiebreak

@@ -122,11 +122,10 @@ type System interface {
 	// faulted anonymous frame read-only with the parent (the first write
 	// on either side copies the frame), and shares file-backed frames
 	// outright. No stale writable translation for a shared frame survives
-	// Fork's return: the eager strategy downgrades installed translations
-	// and shoots down stale TLB entries per node, the lazy strategy
-	// (radixvm with SetForkEager(false)) invalidates the parent's
-	// translations wholesale — so neither side can write a shared frame
-	// behind the other's back.
+	// Fork's return — the baselines downgrade the parent's installed
+	// translations and flush stale TLB entries, radixvm invalidates the
+	// parent's translations wholesale — so neither side can write a shared
+	// frame behind the other's back.
 	Fork(cpu *hw.CPU) (System, error)
 	// PageTableBytes reports current hardware page table memory.
 	PageTableBytes() uint64

@@ -128,9 +128,6 @@ func FileServe(env *Env, sys vm.System, cores int, alloc *mem.Allocator, cfg Fil
 	if queueCap == 0 {
 		queueCap = 4 * cfg.Threads * cores
 	}
-	if as, ok := sys.(interface{ SetForkEager(bool) }); ok {
-		as.SetForkEager(false)
-	}
 
 	file := vm.NewFile(alloc)
 

@@ -114,24 +114,11 @@ func TestFileServeRunsOnAllSystems(t *testing.T) {
 // child shares the parent's cached file frames, so it must also join each
 // mapped file's mm registry — otherwise a later writeback cannot find the
 // child's translations and the child keeps reading a page the kernel
-// believes it has invalidated. Both fork flavors and all three systems.
+// believes it has invalidated. All three systems.
 func TestForkRegistersFileSharers(t *testing.T) {
-	cases := []struct {
-		label string
-		name  string
-		eager bool
-	}{
-		{"radixvm-lazy", "radixvm", false},
-		{"radixvm-eager", "radixvm", true},
-		{"linux", "linux", true},
-		{"bonsai", "bonsai", true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.label, func(t *testing.T) {
-			env, sys, alloc := fsSys(tc.name, hw.DefaultConfig(2))
-			if se, ok := sys.(interface{ SetForkEager(bool) }); ok {
-				se.SetForkEager(tc.eager)
-			}
+	for _, name := range []string{"radixvm", "linux", "bonsai"} {
+		t.Run(name, func(t *testing.T) {
+			env, sys, alloc := fsSys(name, hw.DefaultConfig(2))
 			c0, c1 := env.M.CPU(0), env.M.CPU(1)
 			file := vm.NewFile(alloc)
 			fsMust(t, sys.Mmap(c0, fsTestBase, 4, vm.MapOpts{
@@ -319,9 +306,6 @@ func TestRaceWritebackVsForkCOWExit(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			const ncores = 4
 			env, sys, alloc := fsSys(name, hw.TestConfig(ncores))
-			if se, ok := sys.(interface{ SetForkEager(bool) }); ok {
-				se.SetForkEager(false)
-			}
 			c0 := env.M.CPU(0)
 			file := vm.NewFile(alloc)
 			fsMust(t, sys.Mmap(c0, fsTestBase, 32, vm.MapOpts{

@@ -79,8 +79,8 @@ const fleetBase = uint64(1) << 33
 // leaving the process dormant but resident. The pool holds at most
 // MaxLive resident spaces under the memory ceiling, tearing down the
 // least-recently-run dormant space when a new child needs the room
-// (through vm.Exiter where the system provides it — O(divergences) for
-// radixvm's lazy fork — else an exit_mmap-style sweep).
+// (through vm.Exiter where the system provides it — O(divergences) on
+// radixvm — else an exit_mmap-style sweep).
 //
 // The arrival stream is a deterministic-PRNG Poisson process, and the
 // whole run executes under the deterministic gang schedule, so every
@@ -116,13 +116,6 @@ func Fleet(env *Env, sys vm.System, cores int, cfg FleetConfig) FleetResult {
 		// Room for every core to fold an arrival's threads plus slack, so
 		// admission control engages under backlog, not steady state.
 		queueCap = 4 * cfg.Threads * cores
-	}
-
-	// RadixVM runs the fleet on the O(1) generation fork: spawns are a
-	// root copy plus a generation bump, and eviction's Exit is
-	// O(the child's own divergences).
-	if as, ok := sys.(interface{ SetForkEager(bool) }); ok {
-		as.SetForkEager(false)
 	}
 
 	// Warm the template: map and write-fault every page on core 0, so every

@@ -143,46 +143,67 @@ func Local(env *Env, sys vm.System, cores int, iters int, regionPages uint64) Re
 // region, then passes it to core (i+1) mod n, which writes it again and
 // unmaps it.
 func Pipeline(env *Env, sys vm.System, cores int, iters int, regionPages uint64) Result {
-	// Hand-off queues, one per receiving core. The handoff carries the
-	// producer's virtual time so the consumer observes proper causality.
-	// Delivery is the scheduler's park/wake protocol — the producer
-	// enqueues and Wakes the consumer's proc; a consumer with an empty
-	// inbox Parks, freezing its clock on-schedule until woken — which
-	// replaced the retired Gang.Block off-schedule channel hand-off.
+	// Hand-off queues, one per receiving core, bounded as a real pipeline's
+	// are. The handoff carries the producer's virtual time so the consumer
+	// observes proper causality. Delivery is the scheduler's park/wake
+	// protocol: the producer Parks while the consumer's inbox is full, then
+	// enqueues and Wakes the consumer's proc; a consumer with an empty inbox
+	// Parks, and Wakes its producer after each dequeue. Every core produces
+	// one hand-off and consumes one per iteration, so at most cores are in
+	// flight and a full inbox always has a consumer draining it.
+	const (
+		pipeDepth = 4
+		// Each in-flight region gets a distinct address, so that no VA is
+		// reused before its munmap: pipeDepth queued, one being consumed.
+		pipeSlots = 8
+	)
 	type handoff struct {
-		lo uint64
-		t  uint64
+		lo   uint64
+		t    uint64
+		slot int
 	}
 	inbox := make([][]handoff, cores)
+	// live[i][slot]: core i's region at that slot is mapped and its consumer
+	// has not unmapped it yet.
+	live := make([][pipeSlots]bool, cores)
 	body := func(tc *hw.Ctx) uint64 {
 		c := tc.CPU()
 		s := tc.Sched()
 		id := c.ID()
-		next := (id + 1) % cores
-		// Each in-flight region gets a distinct address so producer
-		// and consumer never reuse a VA before munmap completes.
+		next, prev := (id+1)%cores, (id+cores-1)%cores
 		base := spread(id)
 		var writes uint64
 		for k := 0; k < iters; k++ {
-			lo := base + uint64(k%8)*regionPages*2
+			slot := k % pipeSlots
+			lo := base + uint64(slot)*regionPages*2
+			if live[id][slot] {
+				panic(fmt.Sprintf("pipeline: %s core %d iteration %d maps %#x over a hand-off still in flight",
+					sys.Name(), id, k, lo))
+			}
+			live[id][slot] = true
 			mustNil(sys.Mmap(c, lo, regionPages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
 			for v := lo; v < lo+regionPages; v++ {
 				mustNil(sys.Access(c, v, true))
 				writes++
 			}
-			inbox[next] = append(inbox[next], handoff{lo: lo, t: c.Now()})
+			for len(inbox[next]) >= pipeDepth {
+				tc.Park()
+			}
+			inbox[next] = append(inbox[next], handoff{lo: lo, t: c.Now(), slot: slot})
 			s.Wake(s.Proc(uint64(next))) // run()'s pinned procs: seq == core ID
 			for len(inbox[id]) == 0 {
 				tc.Park()
 			}
 			in := inbox[id][0]
 			inbox[id] = inbox[id][:copy(inbox[id], inbox[id][1:])]
+			s.Wake(s.Proc(uint64(prev)))
 			c.AdvanceTo(in.t + 200) // cross-core queue hand-off
 			for v := in.lo; v < in.lo+regionPages; v++ {
 				mustNil(sys.Access(c, v, true))
 				writes++
 			}
 			mustNil(sys.Munmap(c, in.lo, regionPages))
+			live[prev][in.slot] = false
 			env.RC.Maintain(c)
 			tc.Yield()
 		}
@@ -284,16 +305,18 @@ func Protect(env *Env, sys vm.System, cores int, iters int, regionPages uint64) 
 // write a copy-on-write break that copies the shared frame — unmap their
 // piece, and the child exits. Repeat.
 //
-// On RadixVM the steady-state cycle is entirely core-local: the fork's
-// write-protect pass finds the parent's pages already COW (the parent
-// never re-dirties them), so no shootdowns are sent, and each COW break
-// touches per-page metadata, a per-core page table, and a core-local frame
-// — disjoint writes commute even when they copy. The baselines serialize
-// three ways: every COW break broadcasts a TLB flush to every core using
-// the child (the shared table records no sharer sets), every child munmap
-// broadcasts again, and the fault/unmap paths contend on the address-space
-// lock. The reported metric is child page writes per second, as in the
-// local benchmark.
+// On RadixVM the fork is a root copy and the child's work is core-local:
+// each COW break touches per-page metadata, a per-core page table, and a
+// core-local frame — disjoint writes commute even when they copy — and sends
+// no IPI. What does not scale is the one interrupt round per fork and per
+// exit (MMU.Reset reaches every core using the space), which flattens the
+// curve from 8 cores. The baselines serialize three ways: every COW break
+// broadcasts a TLB flush to every core using the child (the shared table
+// records no sharer sets), every child munmap broadcasts again, and the
+// fault/unmap paths contend on the address-space lock. The child exits
+// through vm.Exiter where the system has one, once its threads are done.
+// The reported metric is child page writes per second, as in the local
+// benchmark.
 func Fork(env *Env, sys vm.System, cores int, iters int, regionPages uint64) Result {
 	bar := hw.NewBarrier(cores)
 	var child vm.System // published by core 0, read by all after the barrier
@@ -314,13 +337,16 @@ func Fork(env *Env, sys vm.System, cores int, iters int, regionPages uint64) Res
 			writes++
 		}
 		mustNil(ch.Munmap(c, lo, regionPages))
-		tc.Wait(bar) // child fully torn down before the next fork
+		tc.Wait(bar) // every thread done with the child before it goes
+		if ex, ok := ch.(vm.Exiter); ok && id == 0 {
+			ex.Exit(c)
+		}
 		return writes
 	}
 	warm := func(tc *hw.Ctx) uint64 {
 		// The parent: each core maps and write-faults its own region, so
-		// every page has a frame to share. One throwaway round pays the
-		// first fork's one-time write-protect shootdowns.
+		// every page has a frame to share. One throwaway round settles
+		// every line the loop touches.
 		c := tc.CPU()
 		lo := spread(c.ID())
 		mustNil(sys.Mmap(c, lo, regionPages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
@@ -331,17 +357,7 @@ func Fork(env *Env, sys vm.System, cores int, iters int, regionPages uint64) Res
 		round(tc)
 		return 0
 	}
-	body := func(tc *hw.Ctx) uint64 {
-		c := tc.CPU()
-		var writes uint64
-		for k := 0; k < iters; k++ {
-			writes += round(tc)
-			env.RC.Maintain(c)
-			tc.Yield()
-		}
-		return writes
-	}
-	return run(env, "fork", sys, cores, warm, body)
+	return run(env, "fork", sys, cores, warm, rounds(env, iters, round))
 }
 
 // Spawn runs the spawn-server microbenchmark, the concurrent half of the
@@ -357,15 +373,12 @@ func Fork(env *Env, sys vm.System, cores int, iters int, regionPages uint64) Res
 //  2. COW-touches its own region in its child — each first write breaks
 //     the share and copies the frame;
 //  3. re-dirties its own region in the *parent* (the server thread keeps
-//     serving), which breaks the parent-side COW shares and re-arms the
-//     next fork's write-protect pass;
-//  4. tears its child down, exit_mmap-style — one munmap per mapped
-//     region — unwinding the child's COW shares and frame references
-//     exactly.
+//     serving), which breaks the parent-side COW shares;
+//  4. tears its child down (reap), unwinding the child's COW shares and
+//     frame references exactly.
 //
-// On RadixVM the forks serialize only at the radix slot locks — cheap,
-// because the cost model bills the structural clone's compact headers by
-// their logical size — while the parent-side COW breaks stay per-page and
+// On RadixVM the forks serialize only at the root's slot locks — a fork
+// copies one node — while the parent-side COW breaks stay per-page and
 // targeted (the stale translation lives only on the breaking core: no
 // shootdowns at all). The baselines serialize every fork, parent break,
 // and parent fault on one address-space lock and broadcast a TLB flush to
@@ -388,16 +401,12 @@ func Spawn(env *Env, sys vm.System, cores int, iters int, regionPages uint64) Re
 			mustNil(sys.Access(c, v, true)) // parent re-dirty: parent-side break
 			writes++
 		}
-		// The child exits: unmap every inherited region, exit_mmap-style.
-		for id := 0; id < cores; id++ {
-			mustNil(ch.Munmap(c, spread(id), regionPages))
-		}
+		reap(c, ch, cores, regionPages)
 		return writes
 	}
 	warm := func(tc *hw.Ctx) uint64 {
 		// The parent: each core maps and write-faults its own region, then
-		// one throwaway round pays the first fork's one-time shootdowns and
-		// settles every line the loop touches.
+		// one throwaway round settles every line the loop touches.
 		c := tc.CPU()
 		lo := spread(c.ID())
 		mustNil(sys.Mmap(c, lo, regionPages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
@@ -408,17 +417,7 @@ func Spawn(env *Env, sys vm.System, cores int, iters int, regionPages uint64) Re
 		round(tc)
 		return 0
 	}
-	body := func(tc *hw.Ctx) uint64 {
-		c := tc.CPU()
-		var writes uint64
-		for k := 0; k < iters; k++ {
-			writes += round(tc)
-			env.RC.Maintain(c)
-			tc.Yield()
-		}
-		return writes
-	}
-	return run(env, "spawn", sys, cores, warm, body)
+	return run(env, "spawn", sys, cores, warm, rounds(env, iters, round))
 }
 
 // Clone runs the template-clone microbenchmark, the fan-out pattern the
@@ -431,14 +430,12 @@ func Spawn(env *Env, sys vm.System, cores int, iters int, regionPages uint64) Re
 // is large, so the figure isolates how fork and exit cost scale with the
 // size of the address space being cloned.
 //
-// On RadixVM in lazy mode the fork copies one root node and bumps a
-// generation, each touch pays its path copy at divergence, and exit
-// releases only the child's own divergences — the whole cycle is O(pages
-// the child actually touched). The eager sweep (and both baselines) walk
-// metadata proportional to the whole template per fork, and the baselines
-// additionally pay an exit_mmap munmap sweep per child because they lack a
-// whole-space teardown. Children exit through vm.Exiter when the system
-// provides it, else per-region munmaps.
+// On RadixVM the fork copies one root node and bumps a generation, each
+// touch pays its path copy at divergence, and exit releases only the child's
+// own divergences — the whole cycle is O(pages the child actually touched).
+// Both baselines copy metadata proportional to the whole template per fork
+// and pay an exit_mmap munmap sweep per child because they lack a whole-space
+// teardown (reap).
 func Clone(env *Env, sys vm.System, cores int, iters int, slicePages, touchPages uint64) Result {
 	bar := hw.NewBarrier(cores)
 	round := func(tc *hw.Ctx) uint64 {
@@ -452,13 +449,7 @@ func Clone(env *Env, sys vm.System, cores int, iters int, slicePages, touchPages
 			mustNil(ch.Access(c, v, true)) // COW break in the child's slice
 			writes++
 		}
-		if ex, ok := ch.(vm.Exiter); ok {
-			ex.Exit(c)
-		} else {
-			for other := 0; other < cores; other++ { // exit_mmap-style sweep
-				mustNil(ch.Munmap(c, spread(other), slicePages))
-			}
-		}
+		reap(c, ch, cores, slicePages)
 		return writes
 	}
 	warm := func(tc *hw.Ctx) uint64 {
@@ -474,7 +465,13 @@ func Clone(env *Env, sys vm.System, cores int, iters int, slicePages, touchPages
 		round(tc)
 		return 0
 	}
-	body := func(tc *hw.Ctx) uint64 {
+	return run(env, "clone", sys, cores, warm, rounds(env, iters, round))
+}
+
+// rounds is the measured body of the fork workloads: iters rounds, Refcache
+// maintenance and a yield after each.
+func rounds(env *Env, iters int, round func(tc *hw.Ctx) uint64) func(tc *hw.Ctx) uint64 {
+	return func(tc *hw.Ctx) uint64 {
 		c := tc.CPU()
 		var writes uint64
 		for k := 0; k < iters; k++ {
@@ -484,7 +481,20 @@ func Clone(env *Env, sys vm.System, cores int, iters int, slicePages, touchPages
 		}
 		return writes
 	}
-	return run(env, "clone", sys, cores, warm, body)
+}
+
+// reap tears down a forked child whose parent gave each of cores cores a
+// pages-page region at spread(id): through vm.Exiter where the system has
+// one, else exit_mmap-style, one munmap per region. On radixvm the munmap
+// sweep would path-copy every node the child still shares before clearing it.
+func reap(c *hw.CPU, ch vm.System, cores int, pages uint64) {
+	if ex, ok := ch.(vm.Exiter); ok {
+		ex.Exit(c)
+		return
+	}
+	for id := 0; id < cores; id++ {
+		mustNil(ch.Munmap(c, spread(id), pages))
+	}
 }
 
 func mustNil(err error) {

@@ -52,6 +52,30 @@ func TestPipelineShootsDownOncePerRegion(t *testing.T) {
 	}
 }
 
+// TestPipelineBackpressure is the regression for the hand-off queue that had
+// no bound: at 40 cores a producer lapped its consumer past the eight VA
+// slots, the consumer's munmap of the older hand-off tore down the newer
+// mapping, and the next access died with a segmentation violation — on all
+// three systems, from 30 cores at 50 iterations. Pipeline itself asserts that
+// no region still in flight is mapped over; here it must run to the end and
+// have written every page twice.
+func TestPipelineBackpressure(t *testing.T) {
+	const cores, iters, pages = 40, 1000, 1
+	for _, mk := range []func(*Env, *mem.Allocator) vm.System{
+		func(e *Env, a *mem.Allocator) vm.System { return vm.New(e.M, e.RC, a, nil) },
+		func(e *Env, a *mem.Allocator) vm.System { return linuxvm.New(e.M, e.RC, a) },
+		func(e *Env, a *mem.Allocator) vm.System { return bonsaivm.New(e.M, e.RC, a) },
+	} {
+		m := hw.NewMachine(hw.DefaultConfig(cores))
+		rc := refcache.New(m)
+		env := &Env{M: m, RC: rc}
+		sys := mk(env, mem.NewAllocator(m, rc))
+		if r := Pipeline(env, sys, cores, iters, pages); r.PageWrites != cores*iters*pages*2 {
+			t.Errorf("%s: PageWrites = %d, want %d", sys.Name(), r.PageWrites, cores*iters*pages*2)
+		}
+	}
+}
+
 func TestLocalRadixVMSendsNoIPIs(t *testing.T) {
 	// Use the realistic epoch length: with the test config's tiny epochs
 	// Refcache flushes every couple of iterations and its (by design)
@@ -153,19 +177,22 @@ func TestForkRunsOnAllSystems(t *testing.T) {
 }
 
 func TestForkRadixVMSendsNoIPIs(t *testing.T) {
-	// The steady-state fork+COW cycle on RadixVM is IPI-free: re-forks
-	// find the parent's pages already COW (nothing to revoke), and each
-	// child's COW break hits only per-page metadata its own core owns.
-	m := hw.NewMachine(hw.DefaultConfig(4))
+	// The fork+COW cycle on RadixVM sends no IPI on behalf of a page: each
+	// child's COW break hits only per-page metadata and a page table its own
+	// core owns. Every IPI there is belongs to a Reset round — one per fork
+	// (the parent's translations) and one per exit (the child's), each to
+	// every other core using the space.
+	const cores, iters = 4, 20
+	m := hw.NewMachine(hw.DefaultConfig(cores))
 	rc := refcache.New(m)
 	env := &Env{M: m, RC: rc}
 	sys := vm.New(env.M, env.RC, mem.NewAllocator(m, rc), nil)
-	r := Fork(env, sys, 4, 20, 4)
-	if r.Stats.IPIsSent != 0 {
-		t.Errorf("fork benchmark sent %d IPIs on radixvm, want 0", r.Stats.IPIsSent)
+	r := Fork(env, sys, cores, iters, 4)
+	if want := uint64(2 * iters); r.Stats.Shootdowns != want {
+		t.Errorf("fork benchmark ran %d shootdown rounds on radixvm, want %d (forks + exits)", r.Stats.Shootdowns, want)
 	}
-	if r.Stats.Shootdowns != 0 {
-		t.Errorf("fork benchmark ran %d shootdown rounds on radixvm, want 0", r.Stats.Shootdowns)
+	if want := r.Stats.Shootdowns * (cores - 1); r.Stats.IPIsSent != want {
+		t.Errorf("fork benchmark sent %d IPIs on radixvm, want %d (Reset rounds only)", r.Stats.IPIsSent, want)
 	}
 }
 
@@ -212,23 +239,22 @@ func TestSpawnRunsOnAllSystems(t *testing.T) {
 }
 
 func TestSpawnShootdownsTargetedOnRadixVM(t *testing.T) {
-	// The spawn steady state on RadixVM: each round's forks re-COW the
-	// parent's re-dirtied regions — one targeted single-core shootdown per
-	// region per round, from the per-page sharer sets — and the parent-side
-	// COW breaks send nothing at all (the only stale translation lives on
-	// the breaking core itself). Totals are deterministic even though which
-	// fork pays each revoke is scheduling-dependent.
+	// Spawn on RadixVM: each fork interrupts the other cores using the
+	// parent, once (Reset); a child only its own core ever ran on exits
+	// without interrupting anyone; and the COW breaks on both sides send
+	// nothing at all (the only stale translation lives on the breaking core
+	// itself).
 	const cores, iters = 4, 20
 	m := hw.NewMachine(hw.DefaultConfig(cores))
 	rc := refcache.New(m)
 	env := &Env{M: m, RC: rc}
 	sys := vm.New(env.M, env.RC, mem.NewAllocator(m, rc), nil)
 	r := Spawn(env, sys, cores, iters, 4)
-	if want := uint64(cores * iters); r.Stats.IPIsSent != want {
-		t.Errorf("radixvm spawn sent %d IPIs, want %d (one per re-dirtied region per round)", r.Stats.IPIsSent, want)
-	}
 	if want := uint64(cores * iters); r.Stats.Shootdowns != want {
-		t.Errorf("radixvm spawn ran %d shootdown rounds, want %d", r.Stats.Shootdowns, want)
+		t.Errorf("radixvm spawn ran %d shootdown rounds, want %d (one per fork)", r.Stats.Shootdowns, want)
+	}
+	if want := r.Stats.Shootdowns * (cores - 1); r.Stats.IPIsSent != want {
+		t.Errorf("radixvm spawn sent %d IPIs, want %d (Reset rounds only)", r.Stats.IPIsSent, want)
 	}
 }
 
@@ -254,8 +280,8 @@ func TestSpawnBaselinesBroadcast(t *testing.T) {
 
 func TestSpawnScalesOnRadixVMNotBaselines(t *testing.T) {
 	// The headline: concurrent per-core fork/exit throughput grows with
-	// cores on RadixVM (forks pipeline through the tree hand-over-hand,
-	// COW breaks stay per-page and targeted) while the Linux baseline
+	// cores on RadixVM (a fork copies one node, COW breaks stay per-page
+	// and targeted) while the Linux baseline
 	// stays near-flat on its address-space lock and broadcasts.
 	throughput := func(mk func(*Env, *mem.Allocator) vm.System, cores int) float64 {
 		m := hw.NewMachine(hw.DefaultConfig(cores))

@@ -10,26 +10,26 @@
 # map-iteration-order leak, an unstamped cycle charge, a raced lock fold —
 # breaks this gate.
 #
-# The 64-core scale smoke runs under a wall-clock budget (default 300 s,
+# The 64-core scale smoke runs under a wall-clock budget (default 150 s,
 # override with FIG_SMOKE_BUDGET) so a simulator-side real-time scaling
 # regression fails this job instead of hanging it. The full committed-
-# figure regenerations get twice that: the full spawn sweep (80 cores,
-# concurrent forks) legitimately takes ~3 minutes of near-serial
-# deterministic schedule, so 300 s leaves too little headroom on a loaded
-# runner while 2x still catches a real scaling regression.
+# figure regenerations get twice that: the longest, the full spawn sweep
+# (80 cores, concurrent forks), takes about 80 s of near-serial deterministic
+# schedule on a 2-vCPU host, so 300 s leaves headroom on a loaded runner and
+# still catches a real scaling regression.
 #
 # Usage: scripts/fig-stability.sh <scratch-dir>
 set -euo pipefail
 
 dir="${1:?usage: fig-stability.sh <scratch-dir>}"
-budget="${FIG_SMOKE_BUDGET:-300}"
+budget="${FIG_SMOKE_BUDGET:-150}"
 full_budget=$((budget * 2))
 
 gen() {
   out="$1"
   mkdir -p "$out"
   go run ./cmd/radixbench -exp fig4 -quick >"$out/fig4.txt"
-  go run ./cmd/radixbench -exp fig5 -cores 1 >"$out/fig5_1core.txt"
+  go run ./cmd/radixbench -exp fig5 -quick >"$out/fig5.txt"
   go run ./cmd/radixbench -exp fig7 -quick >"$out/fig7.txt"
   go run ./cmd/radixbench -exp fig8 -quick >"$out/fig8.txt"
   go run ./cmd/radixbench -exp table2 >"$out/table2.txt"
@@ -50,7 +50,7 @@ echo "figure outputs are byte-identical across two runs"
 # The committed full-resolution figures must also regenerate byte-for-byte:
 #   - figures/scale.txt — the paper's central claim (radixvm's slope holds
 #     to 64 cores while the broadcast baselines flatten),
-#   - figures/clone.txt — the O(1) generation fork's headline,
+#   - figures/clone.txt — the generation fork's headline,
 #   - figures/spawn.txt — concurrent fork-vs-fork serialization, the
 #     workload most sensitive to scheduling nondeterminism,
 #   - figures/fleet.txt — the scheduled multi-address-space machine: even
