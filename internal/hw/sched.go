@@ -8,13 +8,13 @@ import (
 
 // Sched is the deterministic schedule: one event loop, run by Run on its
 // caller's goroutine, over a machine's cores and the procs spawned onto
-// them. Exactly one body executes at a time. At every yield point
-// (Ctx.Yield, Ctx.Park, Ctx.Wait, a core going idle) the loop steps the
-// ready core with the lowest (virtual clock, core ID), and that core runs
-// its lowest-seq runnable proc: its own pinned queue first, then the shared
-// migratable queue. Virtual-time arithmetic is untouched — cores still
-// overlap in virtual time exactly as under the parallel gang — but the
-// *real* order in which overlapping operations resolve (home-node gate
+// them. Exactly one body executes at a time. At every yield point (Ctx.Yield,
+// Ctx.Park, Ctx.Wait, an arrival fold, a core going idle) the loop steps the
+// ready core with the lowest (virtual clock, core ID), and that core folds one
+// due arrival or runs its lowest-seq runnable proc: its own pinned queue first,
+// then the shared migratable queue. Virtual-time arithmetic is untouched —
+// cores still overlap in virtual time exactly as under the parallel gang — but
+// the *real* order in which overlapping operations resolve (home-node gate
 // folds, seqlock outcomes, mailbox enqueues) becomes a pure function of
 // (virtual clock, core ID, arrival seq). That is what makes figure outputs
 // byte-stable across runs: the parallel gang bounds virtual skew but still
@@ -471,10 +471,10 @@ func (s *Sched) arrive(k *core, b *Barrier) {
 	b.detWaiters = b.detWaiters[:0]
 }
 
-// next returns the proc core k runs now, folding due arrivals and sleeping
-// to the next arrival as needed. It returns nil after taking the core out
-// of the pick: idle if nothing is runnable here, retired if the whole fleet
-// is done.
+// next returns the proc core k runs now, sleeping to the next arrival as
+// needed. It returns nil after folding a due arrival — the core stays in the
+// pick with its new clock — or after taking the core out of the pick: idle if
+// nothing is runnable here, retired if the whole fleet is done.
 func (s *Sched) next(k *core) *Proc {
 	c := k.cpu
 	for {
@@ -486,9 +486,12 @@ func (s *Sched) next(k *core) *Proc {
 			a := s.arrivals[s.nextArrival]
 			if a.stamp <= now {
 				if s.ready < s.queueCap {
+					// A fold is a yield point: the handler moved this core's clock,
+					// so the next due arrival goes to the ready core lowest now.
 					s.nextArrival++
 					a.fn(c, a.seq)
-					continue
+					k.clock = c.Now()
+					return nil
 				}
 				if s.lastDeferred != a.seq {
 					s.lastDeferred = a.seq

@@ -200,6 +200,39 @@ func TestSchedIdleArrivalAdoption(t *testing.T) {
 	}
 }
 
+// TestFoldIsAYieldPoint: a backlog of due arrivals whose handler costs far
+// more than the gap between them (a fork, an eviction) must spread over the
+// machine. The folding core goes back through the pick after each fold, so
+// every fold lands on the ready core with the lowest (clock, ID) at that
+// moment and, on two cores with equal handlers, consecutive folds alternate.
+// (The fold loop used to keep the core that had just folded: the laggard
+// whose clock crossed the first stamp ran every handler in the backlog.)
+func TestFoldIsAYieldPoint(t *testing.T) {
+	const ncores, arrivals = 2, 8
+	m := NewMachine(TestConfig(ncores))
+	s := NewSched(0)
+	var folders []int
+	for i := 0; i < arrivals; i++ {
+		s.Arrive(uint64(10*i), func(c *CPU, seq uint64) {
+			other := m.CPU(1 - c.ID())
+			if o, n := other.Now(), c.Now(); o < n || (o == n && other.ID() < c.ID()) {
+				t.Errorf("arrival %d folded on core %d at clock %d while core %d stood at %d", seq, c.ID(), n, other.ID(), o)
+			}
+			folders = append(folders, c.ID())
+			c.Tick(100_000)
+		})
+	}
+	s.Run(m, ncores, 1000)
+	if len(folders) != arrivals {
+		t.Fatalf("folded %d arrivals, want %d", len(folders), arrivals)
+	}
+	for i := 1; i < arrivals; i++ {
+		if folders[i] == folders[i-1] {
+			t.Fatalf("folds %d and %d both landed on core %d: %v", i-1, i, folders[i], folders)
+		}
+	}
+}
+
 // mustPanic runs fn and returns the value it panicked with, failing the
 // test if it returned normally.
 func mustPanic(t *testing.T, fn func()) (v any) {

@@ -17,8 +17,11 @@ import (
 // every body writes so the order shows up in the transfer counts. The
 // expected text in testdata/sched_trace.golden was produced by the
 // scheduler this one replaced (per-core member goroutines passing a token,
-// PR 14's tree) and has not been regenerated since: a scheduler change
-// that moves one resume, one clock or one counter fails here.
+// PR 14's tree) and regenerated once since, when a fold became a yield point
+// (PR 22): every line up to and including the first fold stayed as it was —
+// a schedule without arrivals does not move — and the core that folded
+// arrival 6 now goes back through the pick instead of dispatching first. A
+// scheduler change that moves one resume, one clock or one counter fails here.
 func TestSchedTraceGolden(t *testing.T) {
 	const ncores = 4
 	m := NewMachine(TestConfig(ncores))

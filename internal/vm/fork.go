@@ -5,10 +5,10 @@ import "radixvm/internal/hw"
 // Fork implements System for RadixVM: the O(1) generation fork. The radix
 // tree is snapshotted by a root-only link copy plus a generation bump
 // (radix.Tree.ForkLazy), and the parent's translations are invalidated
-// wholesale (MMU.Reset — O(active cores), independent of the size of the
-// space). Every later access on either side re-faults through the metadata,
-// whose locking descent path-copies the touched shared nodes first; the
-// divergence hook COW-arms the copied pages at that point, so the per-page
+// wholesale (MMU.Reset — O(cores holding translations), independent of the size
+// of the space). Every later access on either side re-faults through the
+// metadata, whose locking descent path-copies the touched shared nodes first;
+// the divergence hook COW-arms the copied pages at that point, so the per-page
 // work of a fork — IncRef, COW flagging, share counting — happens per
 // *touched* node, not per existing node. What the copies share:
 //

@@ -75,6 +75,12 @@ func TestLazyGangForkVsConcurrentWrite(t *testing.T) {
 	over(t, bothMMUs(), gangCores, gangForkVsConcurrentWrite)
 }
 
+// TestLazyGangForkLeavesNoStaleTranslation is the fork's translation oracle
+// (TLB ⊆ table ⊆ metadata), on both MMUs; Reset's holder scan is what it is for.
+func TestLazyGangForkLeavesNoStaleTranslation(t *testing.T) {
+	over(t, bothMMUs(), gangCores, gangForkLeavesNoStaleTranslation)
+}
+
 func TestGangCOWFaultVsMunmap(t *testing.T)     { over(t, threeSystems(), gangCores, gangCOWFaultVsMunmap) }
 func TestLazyGangCOWFaultVsMunmap(t *testing.T) { over(t, bothMMUs(), gangCores, gangCOWFaultVsMunmap) }
 
@@ -204,10 +210,11 @@ func forkSharesFileMappings(t *testing.T, w *world, sys vm.System, reap reaper) 
 }
 
 // TestForkShootdownTargeting is the fork's IPI accounting, beside the
-// munmap/mprotect tests': RadixVM's fork interrupts every other core that
-// has used the space, once, to drop its translations (MMU.Reset) — none for a
-// space one core used, however many pages it holds — and its COW breaks
-// interrupt nobody. The baselines broadcast their downgrade likewise.
+// munmap/mprotect tests': RadixVM's fork interrupts the other cores that hold
+// translations of the space, to drop them (MMU.Reset) — none for a space one
+// core used, however many pages it holds, and none for a core that has
+// faulted nothing since the last fork swept it — and its COW breaks interrupt
+// nobody. The baselines broadcast their downgrade to every active core.
 func TestForkShootdownTargeting(t *testing.T) {
 	w := newWorld(4)
 	as := vm.New(w.m, w.rc, w.alloc, nil)
@@ -223,17 +230,17 @@ func TestForkShootdownTargeting(t *testing.T) {
 			t.Fatalf("fork %d of a core-local space sent %d IPIs, want 0", k, got)
 		}
 	}
-	// A second core that used the space is interrupted, and only it: once
-	// per fork, whether or not it has faulted anything since the last one.
+	// A second core that faulted a page in is interrupted, and only it, by
+	// the next fork — and not by the one after: that fork finds its table gone.
 	c1 := w.m.CPU(1)
 	must(t, as.Mmap(c0, 200, 2, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
 	must(t, as.Access(c1, 200, true))
-	for k := 0; k < 2; k++ {
+	for k, want := range []uint64{1, 0} {
 		before := c0.Stats().IPIsSent
 		_, err := as.Fork(c0)
 		must(t, err)
-		if got := c0.Stats().IPIsSent - before; got != 1 {
-			t.Fatalf("fork %d of a space two cores used sent %d IPIs, want exactly 1", k, got)
+		if got := c0.Stats().IPIsSent - before; got != want {
+			t.Fatalf("fork %d after a second core faulted sent %d IPIs, want exactly %d", k, got, want)
 		}
 	}
 	// The parent's write after the fork breaks COW on a page only it cached.
@@ -241,6 +248,36 @@ func TestForkShootdownTargeting(t *testing.T) {
 	must(t, as.Access(c0, 100, true))
 	if got := c0.Stats().IPIsSent - before; got != 0 {
 		t.Fatalf("COW break sent %d IPIs, want 0", got)
+	}
+
+	// The fleet's shape: a template only core 0 ever touched, forked from
+	// every other core of a 64-core machine in turn. Per-core tables: the
+	// first fork interrupts core 0, no later one anybody, however many cores
+	// have used the space by then. A shared table cannot know, and its k-th
+	// fork interrupts all k cores that used the space before it.
+	for _, shared := range []bool{false, true} {
+		tw := newWorld(64)
+		var mmu vm.MMU
+		if shared {
+			mmu = vm.NewSharedMMU(tw.m)
+		}
+		tmpl := vm.New(tw.m, tw.rc, tw.alloc, mmu)
+		must(t, tmpl.Mmap(m0(tw), 100, 4, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
+		must(t, tmpl.Access(m0(tw), 100, true))
+		for k := 1; k < 64; k++ {
+			c := tw.m.CPU(k)
+			_, err := tmpl.Fork(c)
+			must(t, err)
+			want := uint64(0)
+			if shared {
+				want = uint64(k)
+			} else if k == 1 {
+				want = 1
+			}
+			if got := c.Stats().IPIsSent; got != want {
+				t.Fatalf("shared=%v: fork %d of a template only core 0 touched sent %d IPIs, want %d", shared, k, got, want)
+			}
+		}
 	}
 
 	// The Linux baseline broadcasts to every active core.
@@ -343,6 +380,123 @@ func gangForkVsConcurrentWrite(t *testing.T, w *world, sys vm.System, reap reape
 		reap(t, c, ch, lo, npages)
 	}
 	reap(t, c, sys, lo, npages)
+	w.quiesce()
+	if live := w.alloc.Live(); live != 0 {
+		t.Fatalf("%d frames leaked across %d forks", live, len(children))
+	}
+}
+
+// gangForkLeavesNoStaleTranslation races a forking core against cores
+// faulting the parent's pages in, then stops everyone and reads every core's
+// TLB and page table, twice per round:
+//
+//   - After the racing forks: a writable translation of a page may not point
+//     at a frame any child still maps — the children sit untouched, so such a
+//     frame is copy-on-write and the translation predates a fork whose Reset
+//     (or whose epoch validation, for a fault that raced it) should have
+//     removed it.
+//   - After one more fork with every other core stopped: no core holds any
+//     translation at all, in TLB or table — neither the holders the Reset
+//     interrupted nor the cores its scan skipped. One core sits each round
+//     out, so on per-core tables there is always a core to skip, and the fork
+//     must have interrupted at least the cores seen holding and at most the
+//     cores that ran.
+func gangForkLeavesNoStaleTranslation(t *testing.T, w *world, sys vm.System, reap reaper) {
+	const lo, npages, rounds = uint64(3000), uint64(8), 6
+	as := sys.(*vm.AddressSpace)
+	mmu := as.MMU()
+	c0 := m0(w)
+	must(t, sys.Mmap(c0, lo, npages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
+	var children []vm.System
+	fork := func(c *hw.CPU) {
+		ch, err := sys.Fork(c)
+		mustT(t, err)
+		children = append(children, ch)
+	}
+	// held reports whether core id holds a translation of v, and its frame and
+	// rights; a TLB entry the table does not back fails the test. What the
+	// shared table holds beyond a core's TLB is no one core's.
+	perCore := mmu.Name() == "percore"
+	held := func(id int, v uint64) (pfn uint64, writable, ok bool) {
+		pte, inTable := mmu.Lookup(w.m.CPU(id), v)
+		if e, inTLB := mmu.TLB(id).Lookup(v); inTLB {
+			if !inTable || pte.PFN != e.PFN || (e.Writable && !pte.Writable()) {
+				t.Errorf("core %d caches page %d -> frame %d (writable=%v) but its table holds %+v (present=%v)", id, v, e.PFN, e.Writable, pte, inTable)
+			}
+			return e.PFN, e.Writable, true
+		}
+		return pte.PFN, pte.Writable(), inTable && perCore
+	}
+	for round := 0; round < rounds; round++ {
+		idle := 1 + round%(gangCores-1)
+		hw.RunGang(w.m, gangCores, 2000, func(c *hw.CPU, g *hw.Gang) {
+			for k := 0; k < 40; k++ {
+				switch {
+				case c.ID() == 0 && k%4 == 0:
+					fork(c)
+				case c.ID() != 0 && c.ID() != idle:
+					mustT(t, sys.Access(c, lo+uint64(k+c.ID())%npages, k%3 != 0))
+				}
+				w.rc.Maintain(c)
+				g.Sync(c)
+			}
+		})
+		if t.Failed() {
+			return
+		}
+		holding := 0
+		for id := 1; id < gangCores; id++ {
+			holds := false
+			for v := lo; v < lo+npages; v++ {
+				pfn, writable, ok := held(id, v)
+				holds = holds || ok
+				if !ok || !writable {
+					continue
+				}
+				if m := as.Lookup(c0, v); m == nil || m.Frame == nil || m.Frame.PFN != pfn || (perCore && !m.TLBCores.Has(id)) {
+					t.Errorf("round %d: core %d holds page %d -> frame %d writable, which the metadata does not record: %+v", round, id, v, pfn, m)
+				}
+				for k, ch := range children {
+					if m := ch.(*vm.AddressSpace).Lookup(c0, v); m != nil && m.Frame != nil && m.Frame.PFN == pfn {
+						t.Errorf("round %d: core %d holds a writable translation of page %d to frame %d, which child %d still shares", round, id, v, pfn, k)
+					}
+				}
+			}
+			if holds {
+				holding++
+			}
+		}
+		sent := c0.Stats().IPIsSent
+		fork(c0)
+		sent = c0.Stats().IPIsSent - sent
+		most := uint64(gangCores - 1)
+		if perCore {
+			most-- // the core that sat the round out holds nothing to interrupt it for
+		}
+		if sent < uint64(holding) || sent > most {
+			t.Errorf("round %d: fork with %d cores holding translations sent %d IPIs, want %d..%d", round, holding, sent, holding, most)
+		}
+		for id := 0; id < gangCores; id++ {
+			if n := mmu.TLB(id).Len(); n != 0 {
+				t.Errorf("round %d: core %d caches %d translations after a fork nobody raced", round, id, n)
+			}
+			for v := lo; v < lo+npages; v++ {
+				if _, _, ok := held(id, v); ok {
+					t.Errorf("round %d: core %d holds a translation of page %d after a fork nobody raced", round, id, v)
+				}
+			}
+		}
+		if t.Failed() {
+			return
+		}
+	}
+	for _, ch := range children {
+		for v := lo; v < lo+npages; v++ {
+			must(t, ch.Access(c0, v, true))
+		}
+		reap(t, c0, ch, lo, npages)
+	}
+	reap(t, c0, sys, lo, npages)
 	w.quiesce()
 	if live := w.alloc.Live(); live != 0 {
 		t.Fatalf("%d frames leaked across %d forks", live, len(children))

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"radixvm/internal/hw"
+	"radixvm/internal/pagetable"
 	"radixvm/internal/vm"
 )
 
@@ -31,10 +32,11 @@ func foldMail(w *world, now uint64) {
 }
 
 // TestResetWithoutTranslationsAllocatesNothing: a lazy fork resets the
-// parent's MMU on every core it ever ran on and an exit the child's; cores
-// that hold no table and an empty TLB — after the first fork, all of a
-// template's — used to get a fresh 1536-entry map each, ~2.4 MB per fork at
-// 64 cores. The interrupts are still all sent.
+// parent's MMU and an exit the child's; cores that hold no table — after the
+// first fork, all of a template's — are neither interrupted nor flushed, and
+// the scan that finds that out allocates nothing (each used to get a fresh
+// 1536-entry map, ~2.4 MB per fork at 64 cores). A Reset after k other cores
+// filled interrupts exactly those k, and the one after it nobody again.
 func TestResetWithoutTranslationsAllocatesNothing(t *testing.T) {
 	w := newWorld(64)
 	c := m0(w)
@@ -43,19 +45,38 @@ func TestResetWithoutTranslationsAllocatesNothing(t *testing.T) {
 	foldMail(w, c.Now())
 	sent := c.Stats().IPIsSent
 	const runs = 50
-	allocs := testing.AllocsPerRun(runs, func() {
+	reset := func() {
 		mmu.Reset(c, active)
 		foldMail(w, c.Now())
-	})
-	if allocs != 0 {
+	}
+	if allocs := testing.AllocsPerRun(runs, reset); allocs != 0 {
 		t.Errorf("Reset of an MMU holding nothing: %v allocs, want 0", allocs)
 	}
-	if got, want := c.Stats().IPIsSent-sent, uint64((runs+1)*63); got != want {
-		t.Errorf("Reset sent %d IPIs over %d calls, want %d", got, runs+1, want)
+	if got := c.Stats().IPIsSent - sent; got != 0 {
+		t.Errorf("Reset sent %d IPIs over %d calls with no holder, want 0", got, runs+1)
 	}
-	for i := 0; i < 64; i++ {
-		if got := mmu.TLB(i).FullFlushes; got != runs+1 {
-			t.Fatalf("core %d counted %d full flushes, want %d", i, got, runs+1)
+	for i := 1; i < 64; i++ {
+		if got := mmu.TLB(i).FullFlushes; got != 0 {
+			t.Fatalf("core %d, holding nothing, counted %d full flushes, want 0", i, got)
+		}
+	}
+	holders := []int{3, 17, 40, 63}
+	for _, id := range holders {
+		mmu.Fill(w.m.CPU(id), 100, 7, pagetable.PermR)
+	}
+	for _, want := range []uint64{uint64(len(holders)), 0} {
+		sent = c.Stats().IPIsSent
+		reset()
+		if got := c.Stats().IPIsSent - sent; got != want {
+			t.Errorf("Reset sent %d IPIs, want %d (%d cores filled before the first of the two)", got, want, len(holders))
+		}
+	}
+	for _, id := range holders {
+		if got := mmu.TLB(id).FullFlushes; got != 1 {
+			t.Errorf("holder core %d counted %d full flushes, want 1", id, got)
+		}
+		if _, ok := mmu.TLB(id).Lookup(100); ok {
+			t.Errorf("holder core %d still caches its translation after Reset", id)
 		}
 	}
 }

@@ -110,11 +110,11 @@ type MMU interface {
 	// interrupt precise, shared tables broadcast to active.
 	Protect(cpu *hw.CPU, lo, hi uint64, perm pagetable.Perm, precise, active hw.CoreSet)
 	// Reset wholesale-invalidates every translation of the address space:
-	// the page tables are dropped (rebuilt on demand by later faults) and
-	// each active core's TLB flushed. This is fork's one up-front hardware
-	// cost, and Exit's — O(active cores), independent of the tree size:
-	// with no surviving translations, every later access re-faults through
-	// the metadata, which diverges and COW-arms the touched pages first.
+	// the page tables are dropped (rebuilt on demand by later faults) and the
+	// TLBs flushed, on the cores holding translations (shared tables: on every
+	// active core). This is fork's one up-front hardware cost, and Exit's,
+	// independent of the tree size: with none surviving, every later access
+	// re-faults through the metadata, which diverges and COW-arms its pages.
 	Reset(cpu *hw.CPU, active hw.CoreSet)
 	// Bytes reports page-table memory (Table 2 / §5.4 accounting).
 	Bytes() uint64
@@ -245,8 +245,7 @@ func (mmu *PerCoreMMU) TLB(id int) *tlb.TLB { return &mmu.cores[id].tlb }
 func (mmu *PerCoreMMU) Shootdown(cpu *hw.CPU, lo, hi uint64, precise, _ hw.CoreSet) {
 	self := cpu.ID()
 	if precise.Has(self) {
-		mmu.pt(self).UnmapRange(cpu, lo, hi)
-		mmu.cores[self].tlb.FlushRange(lo, hi)
+		mmu.cores[self].unmap(cpu, lo, hi)
 		precise.Remove(self)
 	}
 	if precise.Empty() {
@@ -255,8 +254,7 @@ func (mmu *PerCoreMMU) Shootdown(cpu *hw.CPU, lo, hi uint64, precise, _ hw.CoreS
 	cpu.Stats().Shootdowns++
 	cpu.SendIPIs(precise, func(t *hw.CPU) {
 		// Executed by proxy; cost charged to the target by SendIPIs.
-		mmu.pt(t.ID()).UnmapRange(cpu, lo, hi)
-		mmu.cores[t.ID()].tlb.FlushRange(lo, hi)
+		mmu.cores[t.ID()].unmap(cpu, lo, hi)
 	})
 }
 
@@ -266,8 +264,7 @@ func (mmu *PerCoreMMU) Shootdown(cpu *hw.CPU, lo, hi uint64, precise, _ hw.CoreS
 func (mmu *PerCoreMMU) Protect(cpu *hw.CPU, lo, hi uint64, perm pagetable.Perm, precise, _ hw.CoreSet) {
 	self := cpu.ID()
 	if precise.Has(self) {
-		mmu.pt(self).ProtectRange(cpu, lo, hi, perm)
-		mmu.cores[self].tlb.FlushRange(lo, hi)
+		mmu.cores[self].protect(cpu, lo, hi, perm)
 		precise.Remove(self)
 	}
 	if precise.Empty() {
@@ -275,8 +272,7 @@ func (mmu *PerCoreMMU) Protect(cpu *hw.CPU, lo, hi uint64, perm pagetable.Perm, 
 	}
 	cpu.Stats().Shootdowns++
 	cpu.SendIPIs(precise, func(t *hw.CPU) {
-		mmu.pt(t.ID()).ProtectRange(cpu, lo, hi, perm)
-		mmu.cores[t.ID()].tlb.FlushRange(lo, hi)
+		mmu.cores[t.ID()].protect(cpu, lo, hi, perm)
 	})
 }
 
@@ -285,18 +281,41 @@ func (mmu *PerCoreMMU) Protect(cpu *hw.CPU, lo, hi uint64, perm pagetable.Perm, 
 // walk — whose TLB insert and Revalidate are ordered behind the flush by
 // the TLB mutex — observes the empty table and retries as a fault; a fault
 // concurrently filling the old table is caught by the caller's fork-epoch
-// validation (see AddressSpace.fault). Every active core is interrupted
-// whatever it holds — the sender cannot know — but a core with no table and
-// an empty TLB costs the simulator only the flush count (tlb.FlushAll).
+// validation (see AddressSpace.fault).
+//
+// Only holders are interrupted (§3.3: per-core tables say exactly which cores
+// can hold a translation). A TLB entry is only installed through the core's
+// own table — Fill creates it, Access's walk needs it non-nil — and reset
+// stores nil before it flushes, so a core with no table and an empty TLB (read
+// too: another fork's reset may stand between its store and its flush) holds
+// nothing since its last reset. A core that fills after the scan passed it is
+// the fault the epoch validation undoes: the caller bumped the epoch before
+// Reset, so that fault's table CAS follows the scan's load and its post-fill
+// epoch read follows the bump. The scan is charged as reads of the per-core
+// pointers: a hit for a non-holder's, a line transfer for a holder's.
 func (mmu *PerCoreMMU) Reset(cpu *hw.CPU, active hw.CoreSet) {
 	self := cpu.ID()
 	mmu.cores[self].reset()
 	active.Remove(self)
-	if active.Empty() {
+	cfg := mmu.m.Config()
+	var holders hw.CoreSet
+	active.ForEach(func(id int) {
+		switch c := &mmu.cores[id]; {
+		case c.pt.Load() == nil && c.tlb.Len() == 0:
+			cpu.Tick(cfg.LocalHit)
+			return
+		case mmu.m.Socket(id) == cpu.Socket():
+			cpu.Tick(cfg.SameSocketXfer)
+		default:
+			cpu.Tick(cfg.CrossSocketXfer)
+		}
+		holders.Add(id)
+	})
+	if holders.Empty() {
 		return
 	}
 	cpu.Stats().Shootdowns++
-	cpu.SendIPIs(active, func(t *hw.CPU) {
+	cpu.SendIPIs(holders, func(t *hw.CPU) {
 		// Executed by proxy; cost charged to the target by SendIPIs.
 		mmu.cores[t.ID()].reset()
 	})
@@ -305,6 +324,22 @@ func (mmu *PerCoreMMU) Reset(cpu *hw.CPU, active hw.CoreSet) {
 func (c *coreMMU) reset() {
 	c.pt.Store(nil)
 	c.tlb.FlushAll()
+}
+
+// unmap and protect are one core's share of a shootdown. A nil table is an
+// empty table: allocating one to clear it would make the core a holder (Reset).
+func (c *coreMMU) unmap(cpu *hw.CPU, lo, hi uint64) {
+	if pt := c.pt.Load(); pt != nil {
+		pt.UnmapRange(cpu, lo, hi)
+	}
+	c.tlb.FlushRange(lo, hi)
+}
+
+func (c *coreMMU) protect(cpu *hw.CPU, lo, hi uint64, perm pagetable.Perm) {
+	if pt := c.pt.Load(); pt != nil {
+		pt.ProtectRange(cpu, lo, hi, perm)
+	}
+	c.tlb.FlushRange(lo, hi)
 }
 
 // Bytes implements MMU: the sum over per-core tables — the memory overhead

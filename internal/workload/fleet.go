@@ -46,14 +46,15 @@ func DefaultFleetConfig() FleetConfig {
 type FleetResult struct {
 	Result
 	Spawns      uint64
-	P50, P99    uint64 // spawn-to-first-touch virtual latency, cycles
-	LiveHigh    int    // most address spaces simultaneously resident
-	LiveEnd     int    // resident at the end (the steady-state fleet)
-	Evictions   []int  // LRU teardown sequence (process IDs)
-	RunQHigh    int    // scheduler run-queue depth high-water
-	Deferred    uint64 // arrival folds delayed by the admission cap
-	Reviews     uint64 // refcache objects reviewed during the run
-	ReviewQHigh int    // deepest per-core refcache review queue
+	P50, P99    uint64        // spawn-to-first-touch virtual latency, cycles
+	LiveHigh    int           // most address spaces simultaneously resident
+	LiveEnd     int           // resident at the end (the steady-state fleet)
+	Evictions   []int         // LRU teardown sequence (process IDs)
+	RunQHigh    int           // scheduler run-queue depth high-water
+	Deferred    uint64        // arrival folds delayed by the admission cap
+	Reviews     uint64        // refcache objects reviewed during the run
+	ReviewQHigh int           // deepest per-core refcache review queue
+	procs       []*vm.Process // every spawned process, by ID (the tests' LRU oracle)
 }
 
 // SpawnsPerSec converts the spawn count into spawns/sec at the modeled
@@ -176,7 +177,8 @@ func Fleet(env *Env, sys vm.System, cores int, cfg FleetConfig) FleetResult {
 				tc.Yield()
 				c = tc.CPU()
 			}
-			writes += touched // on-schedule: serialized by the schedule
+			writes += touched                // on-schedule: serialized by the schedule
+			p.NoteRun(t, c.ID(), c.Now(), 0) // the finish is the thread's last run
 			pool.ThreadDone(c, p, c.Now())
 		}
 	}
@@ -199,10 +201,9 @@ func Fleet(env *Env, sys vm.System, cores int, cfg FleetConfig) FleetResult {
 			for t := 0; t < cfg.Threads; t++ {
 				// Threads become runnable at the fork's completion, not at
 				// their target cores' (possibly lagging) clocks. Pins
-				// round-robin by arrival seq, not by folding core: under a
-				// full backlog the fold privilege sticks to whichever core
-				// keeps completing work, and pinning to the folder would
-				// concentrate the whole fleet there.
+				// round-robin by arrival seq, not by folding core, so where
+				// a child runs does not depend on which core was lowest
+				// when its arrival came due.
 				s.SpawnAt((int(seq)*cfg.Threads+t)%coresN, c.Now(), thread(p, t))
 			}
 		})
@@ -238,6 +239,7 @@ func Fleet(env *Env, sys vm.System, cores int, cfg FleetConfig) FleetResult {
 		Deferred:    s.DeferredArrivals(),
 		Reviews:     env.RC.Reviews() - reviews0,
 		ReviewQHigh: env.RC.ReviewQueueHighWater(),
+		procs:       procs,
 	}
 	return r
 }

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"slices"
+	"sort"
 	"testing"
 
 	"radixvm/internal/bonsaivm"
@@ -121,9 +123,50 @@ func TestFleetSustainsThousandLive(t *testing.T) {
 	if want := 1280 - 1024; len(r.Evictions) != want {
 		t.Errorf("evictions = %d, want %d", len(r.Evictions), want)
 	}
-	// LRU over Poisson arrivals completing roughly in order: the first
-	// spawned processes go dormant first and must be reclaimed first.
-	if r.Evictions[0] != 0 {
-		t.Errorf("first eviction was process %d, want 0 (LRU)", r.Evictions[0])
+	// LRU: every eviction takes the dormant process that ran least recently
+	// (ties by ID). A process's last run is its last thread's finish, frozen
+	// from then on, and a process still running at an eviction finishes after
+	// it — so the evictions are the 256 least-recently-run processes of the
+	// whole run, in that order. Arrival order is not it: children's threads
+	// run where the schedule puts them, and process 1 finishes before 0.
+	lastRun := func(id int) (last uint64) {
+		for t := 0; t < cfg.Threads; t++ {
+			last = max(last, r.procs[id].Thread(t).LastClock)
+		}
+		return last
+	}
+	lru := make([]int, len(r.procs))
+	for id := range lru {
+		lru[id] = id
+	}
+	sort.SliceStable(lru, func(i, j int) bool { return lastRun(lru[i]) < lastRun(lru[j]) })
+	if !slices.Equal(r.Evictions, lru[:len(r.Evictions)]) {
+		t.Errorf("evictions are not the least-recently-run processes in order:\n got %v\nwant %v", r.Evictions, lru[:len(r.Evictions)])
+	}
+}
+
+// TestFleetThroughputIsNotALottery: a figure cell is an outcome, and an
+// outcome may not depend on which arrival stream was drawn. At 64 cores, at
+// the shape bench/ and CI measure (1 536 arrivals against a 1 024-space pool),
+// the fleet used to give 40-97 K spawns/s over seeds 1-6 (max/min 2.41): the
+// core that folded one due arrival kept folding, so whichever laggard crossed
+// a stamp first ran every fork and every eviction's Exit in the backlog, and
+// each fork's Reset interrupted all 63 other cores on top. With the fold a
+// yield point and Reset aimed at holders the six seeds sit within 6 % of each
+// other, just under the offered 120 K/s. CI prints the logged line.
+func TestFleetThroughputIsNotALottery(t *testing.T) {
+	if testing.Short() {
+		t.Skip("six 1536-process fleets at 64 cores")
+	}
+	var rates []float64
+	for seed := int64(1); seed <= 6; seed++ {
+		env, sys := fleetSys("radixvm", 64)
+		cfg := DefaultFleetConfig()
+		cfg.Procs, cfg.MaxLive, cfg.Seed = 1536, 1024, seed
+		rates = append(rates, Fleet(env, sys, 64, cfg).SpawnsPerSec()/1e3)
+	}
+	t.Logf("64-core fleet, seeds 1-6: %.1f K spawns/s", rates)
+	if lo, hi := slices.Min(rates), slices.Max(rates); hi > 1.10*lo {
+		t.Errorf("spawn throughput depends on the arrival seed: %.1f-%.1f K spawns/s over seeds 1-6 (max/min %.2f, want <= 1.10)", lo, hi, hi/lo)
 	}
 }

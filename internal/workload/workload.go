@@ -308,11 +308,11 @@ func Protect(env *Env, sys vm.System, cores int, iters int, regionPages uint64) 
 // On RadixVM the fork is a root copy and the child's work is core-local:
 // each COW break touches per-page metadata, a per-core page table, and a
 // core-local frame — disjoint writes commute even when they copy — and sends
-// no IPI. What does not scale is the one interrupt round per fork and per
-// exit (MMU.Reset reaches every core using the space), which flattens the
-// curve from 8 cores. The baselines serialize three ways: every COW break
-// broadcasts a TLB flush to every core using the child (the shared table
-// records no sharer sets), every child munmap broadcasts again, and the
+// no IPI. What does not scale is the one interrupt round per exit (every
+// core faulted its region into the child, so MMU.Reset finds every one a
+// holder; the fork's finds none). The baselines serialize three ways: every
+// COW break broadcasts a TLB flush to every core using the child (the shared
+// table records no sharer sets), every child munmap broadcasts again, and the
 // fault/unmap paths contend on the address-space lock. The child exits
 // through vm.Exiter where the system has one, once its threads are done.
 // The reported metric is child page writes per second, as in the local

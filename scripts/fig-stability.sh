@@ -51,11 +51,12 @@ echo "figure outputs are byte-identical across two runs"
 #   - figures/scale.txt — the paper's central claim (radixvm's slope holds
 #     to 64 cores while the broadcast baselines flatten),
 #   - figures/clone.txt — the generation fork's headline,
-#   - figures/spawn.txt — concurrent fork-vs-fork serialization, the
-#     workload most sensitive to scheduling nondeterminism,
+#   - figures/spawn.txt — concurrent fork-vs-fork serialization,
 #   - figures/fleet.txt — the scheduled multi-address-space machine: even
 #     its latency percentiles and LRU-driven review pressure are pure
-#     functions of virtual time,
+#     functions of virtual time. The figure most sensitive to scheduling
+#     nondeterminism: its saturated 16-core cell moves between 57 and 69
+#     K spawns/s on a 60-cycle difference in what a fork costs (PR 22),
 #   - figures/filemap.txt — the shared page cache: per-page sharer-set
 #     shootdowns, refcache review pressure, and the broadcast baselines'
 #     IPI bill, all through the concurrent fleet scheduler,
