@@ -294,7 +294,7 @@ func benchTree(b *testing.B) (*hw.Machine, *refcache.Refcache, *radix.Tree[int])
 	b.Helper()
 	m := hw.NewMachine(hw.DefaultConfig(1))
 	rc := refcache.New(m)
-	return m, rc, radix.New[int](m, rc, nil)
+	return m, rc, radix.NewCopy[int](m, rc)
 }
 
 // BenchmarkLookup measures the lock-free read path (pagefault's first

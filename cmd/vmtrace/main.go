@@ -83,15 +83,15 @@ func main() {
 			fmt.Fprintln(os.Stderr, "vmtrace: pipeline needs >= 2 cores")
 			os.Exit(2)
 		}
-		r = workload.Pipeline(env, sys, *cores, *iters, maxU(*pages, 2))
+		r = workload.Pipeline(env, sys, *cores, *iters, max(*pages, 2))
 	case "global":
-		r = workload.Global(env, sys, *cores, maxInt(2, *iters/40), maxU(*pages, 4))
+		r = workload.Global(env, sys, *cores, max(2, *iters/40), max(*pages, 4))
 	case "protect":
-		r = workload.Protect(env, sys, *cores, *iters, maxU(*pages, 4))
+		r = workload.Protect(env, sys, *cores, *iters, max(*pages, 4))
 	case "fork":
-		r = workload.Fork(env, sys, *cores, *iters, maxU(*pages, 4))
+		r = workload.Fork(env, sys, *cores, *iters, max(*pages, 4))
 	case "spawn":
-		r = workload.Spawn(env, sys, *cores, *iters, maxU(*pages, 4))
+		r = workload.Spawn(env, sys, *cores, *iters, max(*pages, 4))
 	default:
 		fmt.Fprintf(os.Stderr, "vmtrace: unknown -workload %q\n", *wl)
 		os.Exit(2)
@@ -139,18 +139,4 @@ func main() {
 		t.Mmaps, t.Munmaps, t.Mprotects, t.Forks, t.PageFaults, t.FillFaults, t.ProtFaults,
 		t.COWBreaks, t.Transfers, t.CrossSocket, t.Shootdowns, t.IPIsSent, t.IPIsRemote, t.IPIMboxMax, t.PagesZeroed)
 	fmt.Printf("page tables: %d KB\n", sys.PageTableBytes()/1024)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxU(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

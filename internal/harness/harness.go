@@ -193,7 +193,7 @@ func Fig5(o Options) []*Table {
 			return workload.Pipeline(e, s, n, o.Iters, 8)
 		}},
 		{"global", func(e *workload.Env, s vm.System, n int) workload.Result {
-			return workload.Global(e, s, n, maxInt(2, o.Iters/40), 16)
+			return workload.Global(e, s, n, max(2, o.Iters/40), 16)
 		}},
 	}
 	var tables []*Table
@@ -295,7 +295,7 @@ func FigClone(o Options) *Table {
 	// template on every core, so rounds are expensive; a few suffice for a
 	// deterministic virtual-time metric, and the full sweep must fit the
 	// fig-stability wall-clock budget on a loaded CI runner.
-	iters := maxInt(2, o.Iters/40)
+	iters := max(2, o.Iters/40)
 	for _, f := range factories() {
 		for _, n := range o.Cores {
 			e, a := env(n)
@@ -375,7 +375,7 @@ func Fig7(o Options) *Table {
 	return structureBench("Figure 7: radix tree lookups/sec (millions)", o, []int{0, 10, 40},
 		func(m *hw.Machine) structure {
 			rc := refcache.New(m)
-			tr := radix.New[int](m, rc, nil)
+			tr := radix.NewCopy[int](m, rc)
 			seed := func(c *hw.CPU, key uint64, v int) {
 				r := tr.LockPage(c, key)
 				r.Entry(0).Set(&v)
@@ -551,7 +551,7 @@ func Fig9(o Options) []*Table {
 			return workload.Pipeline(e, s, n, o.Iters, 8)
 		}},
 		{"global", func(e *workload.Env, s vm.System, n int) workload.Result {
-			return workload.Global(e, s, n, maxInt(2, o.Iters/40), 16)
+			return workload.Global(e, s, n, max(2, o.Iters/40), 16)
 		}},
 	}
 	var tables []*Table
@@ -612,13 +612,6 @@ func MetisMemory(cores int) string {
 		"per-core page table: %8d KB (%.1fx; paper measured 13x at 80 cores,\n"+
 		"                     where this model's all-cores-touch-everything job overshoots)\n",
 		cores, sh/1024, per/1024, float64(per)/float64(sh))
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func mustNil(err error) {

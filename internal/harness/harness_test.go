@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -102,6 +104,27 @@ func TestTable1CountsSources(t *testing.T) {
 	out := Table1("../..")
 	if !strings.Contains(out, "Radix tree") || strings.Contains(out, "source not found") {
 		t.Errorf("Table1 failed to count sources:\n%s", out)
+	}
+	// Every component row carries a code column smaller than its line count.
+	lines := strings.Split(out, "\n")
+	if f := strings.Fields(lines[1]); len(f) < 3 || f[1] != "lines" || f[2] != "code" {
+		t.Fatalf("Table1 header has no code column beside lines: %q", lines[1])
+	}
+	counts := regexp.MustCompile(`^.{28} +(\d+) +(\d+)`)
+	for _, row := range lines[2:] {
+		if row == "" {
+			continue
+		}
+		m := counts.FindStringSubmatch(row)
+		if m == nil {
+			t.Errorf("row without lines and code counts: %q", row)
+			continue
+		}
+		total, _ := strconv.Atoi(m[1])
+		code, _ := strconv.Atoi(m[2])
+		if code <= 0 || code >= total {
+			t.Errorf("code %d not in (0, lines %d): %q", code, total, row)
+		}
 	}
 }
 

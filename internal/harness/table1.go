@@ -9,7 +9,9 @@ import (
 
 // Table1 reports the line counts of this reproduction's major components,
 // mirroring the paper's Table 1 (radix tree 1376, Refcache 932, MMU
-// abstraction 889, syscall interface 632 in the sv6 prototype). root is
+// abstraction 889, syscall interface 632 in the sv6 prototype), and beside
+// each its code lines — non-blank lines that are not // comments — so a
+// "smaller" claim cannot be met by trimming comments. root is
 // the repository root (".") — the counts are computed from source, so the
 // tool must run inside the source tree; otherwise an explanatory note is
 // returned.
@@ -28,7 +30,7 @@ func Table1(root string) string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "== Table 1: major component line counts (non-test Go) ==\n")
-	fmt.Fprintf(&b, "%-28s %8s   %s\n", "component", "lines", "paper (sv6 prototype)")
+	fmt.Fprintf(&b, "%-28s %8s %8s   %s\n", "component", "lines", "code", "paper (sv6 prototype)")
 	paper := map[string]string{
 		"Radix tree":                 "1,376",
 		"Refcache":                   "932",
@@ -36,26 +38,27 @@ func Table1(root string) string {
 		"Syscall interface (VM ops)": "632",
 	}
 	for _, comp := range components {
-		total := 0
+		total, code := 0, 0
 		for _, d := range comp.dirs {
-			total += countGoLines(filepath.Join(root, d))
+			l, c := countGoLines(filepath.Join(root, d))
+			total, code = total+l, code+c
 		}
 		if total == 0 {
-			fmt.Fprintf(&b, "%-28s %8s   (source not found under %q)\n", comp.name, "-", root)
+			fmt.Fprintf(&b, "%-28s %8s %8s   (source not found under %q)\n", comp.name, "-", "-", root)
 			continue
 		}
-		fmt.Fprintf(&b, "%-28s %8d   %s\n", comp.name, total, paper[comp.name])
+		fmt.Fprintf(&b, "%-28s %8d %8d   %s\n", comp.name, total, code, paper[comp.name])
 	}
 	return b.String()
 }
 
-// countGoLines sums the lines of non-test .go files under dir.
-func countGoLines(dir string) int {
+// countGoLines sums the lines of non-test .go files under dir, and how many
+// of them are code: not blank and not a // comment.
+func countGoLines(dir string) (total, code int) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return 0
+		return 0, 0
 	}
-	total := 0
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
@@ -66,6 +69,11 @@ func countGoLines(dir string) int {
 			continue
 		}
 		total += strings.Count(string(data), "\n")
+		for _, line := range strings.Split(string(data), "\n") {
+			if line = strings.TrimSpace(line); line != "" && !strings.HasPrefix(line, "//") {
+				code++
+			}
+		}
 	}
-	return total
+	return total, code
 }

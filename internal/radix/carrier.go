@@ -3,27 +3,21 @@ package radix
 import "radixvm/internal/hw"
 
 // Value carriers make the mmap/munmap control plane's slot writes
-// allocation-free on cloneCopy trees, the way the Range carriers did for
-// the lock paths and the node pools for expansion.
+// allocation-free, the way the Range carriers do for the lock paths and the
+// node pools for expansion.
 //
 // A carrier owns one slotState and the value it points to. Entry.SetClone
 // copies the caller's template into a carrier popped from the writing CPU's
 // pool and publishes the carrier's state; when a later Set (the munmap
 // clearing the slot, or a remap overwriting it) replaces a carrier-backed
-// state, the carrier returns to that CPU's pool. In the steady-state
-// mmap/munmap cycle every Mmap reuses the carriers the previous Munmap
-// retired, so the cycle performs no heap allocation at all.
+// state, the carrier returns to that CPU's pool, for the next Mmap.
 //
 // Safety: a retired carrier may be reused immediately because its
-// slotState words are written exactly once, at carrier construction
-// (st.val = &c.val, st.child = nil, st.carrier = c), and never again —
-// a lock-free reader that loaded the state just before the slot was
-// replaced reads only immutable words. Reuse rewrites the carrier's
-// *value*, which follows the tree's existing discipline for value
-// contents: they are mutated under the owning slot's lock bit (exactly as
-// the pagefault path updates mapping metadata in place), and a value
-// pointer obtained without the slot's lock is a point-in-time snapshot
-// whose contents may change. See the slotState comment in radix.go.
+// slotState words are written exactly once, at carrier construction, and
+// never again — a lock-free reader that loaded the state just before the
+// slot was replaced reads only immutable words. Reuse rewrites the carrier's
+// *value*, under its new slot's lock bit: the discipline for value contents
+// in the slotState comment (radix.go).
 //
 // Ownership discipline matches the node pools: a CPU's pool is touched only
 // by the goroutine driving that CPU, and a carrier is retired only by the Set
@@ -81,7 +75,6 @@ func (t *Tree[V]) CarrierPoolSize(cpu *hw.CPU) int {
 }
 
 // CarriersEver returns the number of value carriers ever heap-allocated —
-// the carrier-leak tripwire: a steady-state remap cycle (including the
-// fold-heavy kind whose expansions used to orphan carriers) must stop
-// growing this counter once its pools are warm.
+// the carrier-leak tripwire: a steady-state remap cycle must stop growing
+// this counter once its pools are warm.
 func (t *Tree[V]) CarriersEver() int64 { return t.carriersEver.Load() }

@@ -1,23 +1,12 @@
 package radix
 
-import (
-	"testing"
-
-	"radixvm/internal/hw"
-	"radixvm/internal/refcache"
-)
-
-func newCopyTree(ncores int) (*hw.Machine, *refcache.Refcache, *Tree[val]) {
-	m := hw.NewMachine(hw.TestConfig(ncores))
-	rc := refcache.New(m)
-	return m, rc, NewCopy[val](m, rc)
-}
+import "testing"
 
 // TestSetCloneStoresPrivateCopies: each slot written by SetClone must hold
 // its own copy, not the caller's template — mutating the template after the
 // call, or one slot's value through another, must not leak.
 func TestSetCloneStoresPrivateCopies(t *testing.T) {
-	m, _, tr := newCopyTree(1)
+	m, _, tr := newTree(1)
 	c := m.CPU(0)
 	tmpl := &val{x: 7}
 	r := tr.LockRange(c, 100, 104)
@@ -44,7 +33,7 @@ func TestSetCloneStoresPrivateCopies(t *testing.T) {
 // covering a whole subtree) adopts the template through one carrier, and a
 // later single-page expansion clones per page from it.
 func TestSetCloneFoldedAdoptsTemplate(t *testing.T) {
-	m, _, tr := newCopyTree(1)
+	m, _, tr := newTree(1)
 	c := m.CPU(0)
 	lo := span(1) * 4 // slot-aligned: folds into one level-1 slot
 	tmpl := &val{x: 3}
@@ -70,7 +59,7 @@ func TestSetCloneFoldedAdoptsTemplate(t *testing.T) {
 // TestCarrierRecycling: the clear/set cycle (munmap then mmap) must reuse
 // retired carriers from the per-CPU pool instead of allocating.
 func TestCarrierRecycling(t *testing.T) {
-	m, _, tr := newCopyTree(1)
+	m, _, tr := newTree(1)
 	c := m.CPU(0)
 	tmpl := &val{x: 1}
 	cycle := func() {
@@ -101,7 +90,7 @@ func TestCarrierRecycling(t *testing.T) {
 // TestCarrierReplaceRetires: overwriting a carrier-backed slot with a
 // caller-owned pointer retires the carrier.
 func TestCarrierReplaceRetires(t *testing.T) {
-	m, _, tr := newCopyTree(1)
+	m, _, tr := newTree(1)
 	c := m.CPU(0)
 	// A multi-slot range forces expansion down to the leaf, so the
 	// carrier lands in a leaf slot (a single-page lock on an empty tree
@@ -135,7 +124,7 @@ func TestCarrierReplaceRetires(t *testing.T) {
 // expanding CPU's pool: steady-state cycles allocate no new carriers and
 // the pool's population is stable.
 func TestFoldedExpansionRetiresCarrier(t *testing.T) {
-	m, rc, tr := newCopyTree(1)
+	m, rc, tr := newTree(1)
 	c := m.CPU(0)
 	lo := span(1) * 12 // slot-aligned: folds into one level-1 slot
 	tmpl := &val{x: 6}
@@ -168,34 +157,46 @@ func TestFoldedExpansionRetiresCarrier(t *testing.T) {
 	if grew := tr.CarriersEver() - ever; grew != 0 {
 		t.Errorf("fold-heavy remap cycles allocated %d fresh carriers, want 0 (orphaned by expansion)", grew)
 	}
-	if n := tr.PlateauOverflows(); n != 0 {
-		t.Errorf("plateau overflows = %d, want 0", n)
-	}
 }
 
-// TestSetCloneOnSharedTreeFallsBack: SetClone on a non-copy tree behaves
-// exactly like Set(Clone(v)).
-func TestSetCloneOnSharedTreeFallsBack(t *testing.T) {
-	m, _, tr := newTree(1) // cloneFunc tree
-	c := m.CPU(0)
-	tmpl := &val{x: 4}
-	r := tr.LockPage(c, 50)
-	r.Entry(0).SetClone(tmpl)
-	r.Unlock()
-	tmpl.x = 9
-	if got := tr.Lookup(c, 50); got == nil || got.x != 4 {
-		t.Fatalf("fallback SetClone = %+v, want cloned x=4", got)
+// TestBulkReleasePlateaus: a node's uniform gate table holds maxPlateaus
+// distinct release times and a fifth is a bug (release panics), while the two
+// bulk-release paths stay far inside it on the heaviest shapes — fault-style
+// expandToward releases each node it creates at one instant, a
+// boundary-splitting range lock releases a prefix and a suffix.
+func TestBulkReleasePlateaus(t *testing.T) {
+	var u uniformGates
+	for p := 0; p < maxPlateaus; p++ {
+		u.release(2*p, uint64(10+p))
+		u.release(2*p+1, uint64(10+p)) // the same instant extends the plateau
 	}
-}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a fifth distinct release time did not panic")
+			}
+		}()
+		u.release(2*maxPlateaus, 99)
+	}()
 
-// TestPlateauOverflowCounterZero: no path in the tree's bulk-release
-// protocol should ever exceed the plateau table — exercise the heaviest
-// shapes (deep expansion, boundary-splitting range locks, fault-style
-// expandToward) and assert the debug counter stays zero.
-func TestPlateauOverflowCounterZero(t *testing.T) {
-	m, rc, tr := newCopyTree(1)
+	m, _, tr := newTree(1)
 	c := m.CPU(0)
 	tmpl := &val{x: 1}
+	check := func(what string) {
+		t.Helper()
+		var walk func(n *node[val])
+		walk = func(n *node[val]) {
+			if n.uni.n > 2 {
+				t.Errorf("%s: level-%d node at %d has %d plateaus, want <= 2", what, n.level, n.base, n.uni.n)
+			}
+			for idx := 0; idx < SlotsPerNode; idx++ {
+				if st := n.peek(idx); st != nil && st.child != nil && st.child.Data != nil {
+					walk(st.child.Data.(*node[val]))
+				}
+			}
+		}
+		walk(tr.root)
+	}
 	// Fault-style: expand a root-level fold down to one leaf.
 	r := tr.LockRange(c, 0, span(2))
 	for i := range r.Entries() {
@@ -206,6 +207,7 @@ func TestPlateauOverflowCounterZero(t *testing.T) {
 		r = tr.LockPage(c, vpn)
 		r.Entry(0).Value().x = 2
 		r.Unlock()
+		check("fault expansion")
 	}
 	// Range-style: lock windows that split boundaries at several levels.
 	for _, w := range [][2]uint64{{5, 600}, {span(1) - 3, span(1)*2 + 9}, {span(2) - 700, span(2) + 700}} {
@@ -214,9 +216,6 @@ func TestPlateauOverflowCounterZero(t *testing.T) {
 			r.Entry(i).SetClone(tmpl)
 		}
 		r.Unlock()
-	}
-	quiesce(rc)
-	if n := tr.PlateauOverflows(); n != 0 {
-		t.Errorf("plateau overflows = %d, want 0", n)
+		check("range-lock expansion")
 	}
 }

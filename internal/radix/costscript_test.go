@@ -14,8 +14,7 @@ import (
 // the virtual cost of every step recorded. How a copy's groups come to exist
 // on the host (mirrored eagerly, or born in an image and realized on touch)
 // must move none of it: the rows below were recorded from commit cb53c27,
-// whose divergence mirrored every group of the source into real storage, and
-// are the same for all three tree kinds.
+// whose divergence mirrored every group of the source into real storage.
 
 // scriptStep is one step's cost: the cycles all cores' clocks advanced by, the
 // line touches by outcome, and the nodes alive across the family afterwards.
@@ -140,29 +139,18 @@ func costScript(t *testing.T, m *hw.Machine, rc *refcache.Refcache, tr *Tree[val
 }
 
 func TestCostScriptMatchesRecordedParent(t *testing.T) {
-	kinds := []struct {
-		name string
-		mk   func(*hw.Machine, *refcache.Refcache) *Tree[val]
-	}{
-		{"NewCopy", func(m *hw.Machine, rc *refcache.Refcache) *Tree[val] { return NewCopy[val](m, rc) }},
-		{"New(nil)", func(m *hw.Machine, rc *refcache.Refcache) *Tree[val] { return New[val](m, rc, nil) }},
-		{"New(clone)", func(m *hw.Machine, rc *refcache.Refcache) *Tree[val] { return New[val](m, rc, cloneVal) }},
-	}
-	for _, k := range kinds {
-		t.Run(k.name, func(t *testing.T) {
-			m := hw.NewMachine(hw.TestConfig(3))
-			rc := refcache.New(m)
-			got := costScript(t, m, rc, k.mk(m, rc))
-			if len(got) != len(costScriptWant) {
-				t.Fatalf("script ran %d steps, want %d", len(got), len(costScriptWant))
+	t.Run("NewCopy", func(t *testing.T) {
+		m, rc, tr := newTree(3)
+		got := costScript(t, m, rc, tr)
+		if len(got) != len(costScriptWant) {
+			t.Fatalf("script ran %d steps, want %d", len(got), len(costScriptWant))
+		}
+		for i, g := range got {
+			if g != costScriptWant[i] {
+				t.Errorf("step %d: cycles/hits/cold/xfers/nodes = %s, recorded %s", i+1, g, costScriptWant[i])
 			}
-			for i, g := range got {
-				if g != costScriptWant[i] {
-					t.Errorf("step %d: cycles/hits/cold/xfers/nodes = %s, recorded %s", i+1, g, costScriptWant[i])
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 func (s scriptStep) String() string {

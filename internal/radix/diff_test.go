@@ -110,7 +110,7 @@ func TestDifferentialForkVsRBTree(t *testing.T) {
 		ops    = 150
 	)
 	for trial := 0; trial < trials; trial++ {
-		m, rc, tr := newCopyTree(1)
+		m, rc, tr := newTree(1)
 		c := m.CPU(0)
 		parentRef := rbtree.New[int]()
 		childRef := rbtree.New[int]()
@@ -118,7 +118,7 @@ func TestDifferentialForkVsRBTree(t *testing.T) {
 		apply := func(rng *rand.Rand, tr *Tree[val], ref *rbtree.Tree[int], op int) {
 			lo := uint64(rng.Intn(int(window)))
 			ln := uint64(rng.Intn(700) + 1)
-			hi := minU(lo+ln, window)
+			hi := min(lo+ln, window)
 			if hi == lo {
 				hi = lo + 1
 			}
@@ -191,7 +191,7 @@ func TestDifferentialForkVsRBTree(t *testing.T) {
 // this for the template-clone figure's one-core column).
 func TestLazyForkDeterministic(t *testing.T) {
 	run := func() uint64 {
-		m, rc, tr := newCopyTree(1)
+		m, rc, tr := newTree(1)
 		c := m.CPU(0)
 		rng := rand.New(rand.NewSource(77))
 		for op := 0; op < 100; op++ {

@@ -14,42 +14,38 @@ import (
 // uses, so the copy serializes with any operation inside the node and is an
 // atomic snapshot of it — fills the copy (cloneShell, shell), and releases
 // all the bits as one merged busy period (forkUnlock). Neither side gains a
-// group: the source's unmaterialized slots are covered by their packed bit
+// group: the source's slots without storage are covered by their packed bit
 // words, their virtual-time wait by the node's uniform gate table, and the
 // copy has exactly the groups the source has.
 
 // Cost model: a copied node is billed by the *logical* size of what is
-// copied, at the page-copy rate (PageZero cycles per 4 KB). A uniform node is
-// one compact header — the fill value, the packed lock bits, the plateau
-// table, and the group directory — so copying it costs a header-sized virtual
-// copy, not a full simulated 8 KB page; each materialized group adds its
-// cache line of four 16-byte slots. The same by-logical-size rule prices the
-// baselines' fork (vm.MetaCopyCost: VMA structs and PTEs), keeping the
-// comparison fair.
+// copied, at the page-copy rate (PageZero cycles per 4 KB): a header — the
+// fill value, the packed lock bits, the plateau table, and the group
+// directory — plus a cache line of four 16-byte slots per group of the
+// source, not a full simulated 8 KB page. The same by-logical-size rule
+// prices the baselines' fork (vm.MetaCopyCost: VMA structs and PTEs), keeping
+// the comparison fair.
 const (
-	// ForkHeaderBytes is the logical size of a uniform node header billed
-	// per cloned node (~1.2 KB: fill slot, 8 lock-bit words, plateau
-	// table, 128-entry group directory).
+	// ForkHeaderBytes is the logical size of a node header (~1.2 KB: fill
+	// slot, 8 lock-bit words, plateau table, 128-entry group directory).
 	ForkHeaderBytes = 1216
-	// ForkGroupBytes is the logical size billed per materialized group
-	// mirrored into the child: its cache line of four 16-byte slots.
+	// ForkGroupBytes is the logical size billed per group of the source.
 	ForkGroupBytes = 64
-	// forkPageBytes is the page-copy rate's denominator: PageZero is the
-	// cost of touching one 4 KB page.
+	// forkPageBytes: PageZero is the cost of touching one 4 KB page.
 	forkPageBytes = 4096
 )
 
 // ForkNodeCost returns the virtual cycles charged for copying one node with
-// the given number of materialized groups, given the machine's PageZero cost
-// (exported so tests can assert the billing exactly).
+// the given number of groups, given the machine's PageZero cost (exported so
+// tests can assert the billing exactly).
 func ForkNodeCost(pageZero uint64, groups int) uint64 {
 	return pageZero * (ForkHeaderBytes + uint64(groups)*ForkGroupBytes) / forkPageBytes
 }
 
-// sweepSlot takes slot idx's lock bit for a fork's sweep of src and reads the
-// slot under it: the slot's group (nil if it has none — its state is then
-// src's uniform fill), its state, and for a child link the child, pinned. A
-// link whose child died mid-reclaim reads as the empty slot it has become.
+// sweepSlot takes slot idx's lock bit for a copy's sweep of src and reads the
+// slot under it: its group (nil if it has none: src's uniform fill), its
+// state, and for a child link the child, pinned. A link whose child died
+// mid-reclaim reads as the empty slot it has become.
 func (t *Tree[V]) sweepSlot(cpu *hw.CPU, src *node[V], idx int) (g *slotGroup[V], st *slotState[V], child *node[V]) {
 	gi := idx / slotsPerLine
 	j := idx % slotsPerLine
@@ -65,8 +61,7 @@ func (t *Tree[V]) sweepSlot(cpu *hw.CPU, src *node[V], idx int) (g *slotGroup[V]
 		// critical section, when a concurrent fork holds them). Spin
 		// out any such holder; its virtual-time cost is settled by
 		// the post-sweep merged-table wait. No line exists to
-		// charge, in keeping with the copy-on-diverge rule that
-		// untouched slots cost nothing.
+		// charge: untouched slots cost nothing.
 		for {
 			old := w.Load()
 			if old&mask == 0 {
@@ -92,35 +87,22 @@ func (t *Tree[V]) sweepSlot(cpu *hw.CPU, src *node[V], idx int) (g *slotGroup[V]
 	return g, st, child
 }
 
-// cloneShell builds the child-tree counterpart of src: same level and
-// base, a kind-appropriate copy of the uniform fill, and the means to place
-// the groups the caller is about to sweep slot by slot (see shell). t is the
-// child tree. The metadata copy is billed by its logical size
-// (ForkNodeCost): a header-sized tick for the uniform state plus a cache
-// line per materialized source group.
+// cloneShell builds the child-tree counterpart of src: same level and base,
+// room for a copy of the uniform fill, and the means to place the groups the
+// caller is about to sweep slot by slot (see shell). t is the child tree. The
+// metadata copy is billed by its logical size (ForkNodeCost).
 func (t *Tree[V]) cloneShell(cpu *hw.CPU, src *node[V], frozen bool) shell[V] {
-	n := t.getNode(cpu)
-	if n == nil {
-		n = &node[V]{}
-	}
-	n.tree = t
-	n.level = src.level
-	n.base = src.base
-	n.uni = uniformGates{}
+	n := t.header(cpu, src.level, src.base)
 	// Whether src has a fill is fixed at its birth; the fill's value is copied
 	// once the sweep holds src's bits (another tree's hook may be writing it).
-	n.uniSt = nil
 	if src.uniSt != nil {
 		n.uniSt = &n.uniStore
 	}
-	n.forkBusy, n.forkForks = 0, 0
-	n.gen = t.gen.Load()
-	n.links.Store(1)
-	// Count the source's groups: they price the clone (logical-size billing
-	// below). Those the copy will have too — every group of a node with a
-	// fill, the groups holding anything in a node without one — size what
-	// holds them. The source is not locked yet, so under real concurrency the
-	// count can come out short; see forkGroup and nodeImage.grow.
+	// Count the source's groups: they price the clone. Those the copy will
+	// have too — every group of a node with a fill, the groups holding
+	// anything in a node without one — size what holds them. The source is
+	// not locked yet, so under real concurrency the count can come out short;
+	// see forkGroup and nodeImage.grow.
 	sd := src.dir.Load()
 	srcGroups, mirrored := 0, 0
 	if sd != nil {
@@ -138,13 +120,14 @@ func (t *Tree[V]) cloneShell(cpu *hw.CPU, src *node[V], frozen bool) shell[V] {
 			})
 		}
 	}
+	// A pooled node's groups are dropped: the copy's groups are src's, in one
+	// slab (mirrored) or realized in runs as its owner touches them (image).
+	t.groupsLive.Add(-countGroups(n))
 	sh := shell[V]{node: n}
 	if frozen && mirrored > 0 {
 		// Born in src's image: the cached one if it still describes src,
 		// else a new one, which the sweep fills and then publishes along
-		// with the copy's directory. A pooled node's groups are
-		// dropped; the ones the owner touches are realized in runs.
-		t.groupsLive.Add(-countGroups(n))
+		// with the copy's directory.
 		if sh.img = src.copyImg.Load(); sh.img != nil && sh.img.over == sd {
 			n.dir.Store(newGroupDirOf[V](sh.img.bits))
 		} else {
@@ -153,41 +136,23 @@ func (t *Tree[V]) cloneShell(cpu *hw.CPU, src *node[V], frozen bool) shell[V] {
 			n.dir.Store(nil)
 		}
 	} else {
-		// Mirrored into groups of its own: a directory filled in place and
-		// one slab for all of them, so copying a full node makes three
-		// allocations where inserting group by group made three per group.
-		// A pooled node may carry recycled groups where src has none; drop
-		// them so the child's materialization shape is exactly the parent's.
+		// Mirrored: a directory filled in place, one slab for all its groups.
 		var nd *groupDir[V]
 		if mirrored > 0 {
 			nd = newGroupDir[V](mirrored)
+			sh.spare = make([]slotGroup[V], mirrored)
 		}
-		n.forEachGroup(func(gi int, g *slotGroup[V]) {
-			if sd.get(gi) != nil {
-				if nd == nil {
-					nd = newGroupDir[V](0)
-				}
-				nd.insert(gi, g)
-			} else {
-				t.groupsLive.Add(-1)
-			}
-		})
 		n.dir.Store(nd)
-		if nd != nil && mirrored > len(nd.groups) {
-			sh.spare = make([]slotGroup[V], mirrored-len(nd.groups))
-		}
 	}
 	n.img = sh.img
 	cpu.Tick(ForkNodeCost(t.pageZero, srcGroups))
-	t.nodesLive.Add(1)
-	t.nodesEver.Add(1)
 	return sh
 }
 
 // shell is a copy under construction: the node, private to the copying
 // goroutine until its parent slot publishes it, and where the sweep puts what
-// the copy's slots are born holding. A copy of a live source is mirrored
-// into groups of its own, taken from spare, its directory filled in place. A
+// the copy's slots are born holding (the package comment's last two rows). A
+// mirrored copy's groups come from spare, its directory filled in place. A
 // copy of a frozen source is born in img, the source's image: the sweep fills
 // it if build is set, and otherwise has nothing to write.
 type shell[V any] struct {
@@ -198,9 +163,9 @@ type shell[V any] struct {
 }
 
 // cell returns the storage for what slot idx of the copy is born holding — a
-// slot state, and on cloneCopy trees the value behind it — for the sweep to
-// fill; st is what src's slot holds (nil: empty). The slot is one the copy's
-// header does not stand for. A mirrored copy's cell is in its group, created
+// slot state and the value behind it — for the sweep to fill; st is what
+// src's slot holds (nil: empty). The slot is one the copy's header does not
+// stand for. A mirrored copy's cell is in its group, created
 // at need; the cell of a copy whose sweep builds an image is in the image.
 // When the image is there already the sweep has nothing to write and cell
 // returns nil — unless the slot holds a value and there is an onDiverge hook
@@ -237,10 +202,9 @@ func (sh *shell[V]) cell(t *Tree[V], cs *cpuState[V], src *node[V], idx int, st 
 // sweep finds at slot idx that the image cannot serve: the source no
 // longer reads as the image recorded (a child of a frozen interior node died
 // since, or a lookup materialized a group mid-sweep), or has more groups than
-// a new image was sized for. Everything before that slot agreed with the
-// image, so the groups swept so far become real groups filled from it; the
-// sweep mirrors the rest. The source's cached image, if this is it, is
-// dropped: the next divergence builds a current one.
+// a new image was sized for. The groups swept so far agreed with the image
+// and become real groups filled from it; the sweep mirrors the rest. The
+// source's cached image, if this is it, is dropped.
 func (sh *shell[V]) abandon(t *Tree[V], src *node[V], idx int) {
 	im := sh.img
 	gi, j := idx/slotsPerLine, idx%slotsPerLine
@@ -256,7 +220,7 @@ func (sh *shell[V]) abandon(t *Tree[V], src *node[V], idx int) {
 			if g == gi {
 				slots = j
 			}
-			im.fill(t, &slab[k], g, slots)
+			im.fill(&slab[k], g, slots)
 			d.groups[k].Store(&slab[k])
 			k++
 		}
@@ -270,8 +234,8 @@ func (sh *shell[V]) abandon(t *Tree[V], src *node[V], idx int) {
 
 // forkGroup returns the mirrored copy's group gi, creating it zeroed if
 // absent (a fresh child group's gates start free, as in a brand-new address
-// space). Unlike materialize it does not pre-fill slot states: the copy loops
-// overwrite every slot of a mirrored group explicitly. nt is the tree the
+// space). Unlike initGroup it does not pre-fill slot states: the sweep
+// overwrites every slot of a mirrored group explicitly. nt is the tree the
 // copy belongs to.
 func (sh *shell[V]) forkGroup(nt *Tree[V], gi int) *slotGroup[V] {
 	d := sh.dir.Load()
@@ -287,9 +251,7 @@ func (sh *shell[V]) forkGroup(nt *Tree[V], gi int) *slotGroup[V] {
 	} else {
 		g = new(slotGroup[V])
 	}
-	// The copy loops ask in ascending slot order, so this appends unless a
-	// recycled group sits further right.
-	d.insert(gi, g)
+	d.insert(gi, g) // the copy loops ask in ascending slot order
 	nt.groupsEver.Add(1)
 	nt.groupsLive.Add(1)
 	return g
@@ -309,12 +271,9 @@ func (n *node[V]) waitUniformLocked(cpu *hw.CPU, at uint64) {
 // forkUnlock releases every slot bit of n at the end of a fork. The
 // uniform gate table is rewritten to one merged busy period — begun at the
 // fork's arrival (or the table's earlier busyStart) and free now — which
-// is exactly the state per-slot gates would hold and can never overflow
-// the plateau capacity. Materialized groups release through their own
-// gates. A group materialized *mid-fork* restored its gates with the
-// fork's busy period merged in (initGroup consults forkBusy), so a
-// concurrent locker waits out the fork's critical section exactly as it
-// would behind any other holder.
+// is the state per-slot gates would hold, in one plateau. Groups with storage
+// release through their own gates (one materialized mid-fork carries the
+// fork's busy period already: node.forkBusy).
 func (n *node[V]) forkUnlock(cpu *hw.CPU, arrive uint64) {
 	now := cpu.Now()
 	n.matMu.Lock()

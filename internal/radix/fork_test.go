@@ -13,7 +13,7 @@ import (
 // one — at the fork for what the root holds and at first touch for the rest.
 // (TestLazyForkClonesValues checks what the two trees then read.)
 func TestForkClonesValues(t *testing.T) {
-	m, _, tr := newCopyTree(1)
+	m, _, tr := newTree(1)
 	c := m.CPU(0)
 	// A folded aligned subtree, a few scattered leaves, and a diverged
 	// page inside the fold.
@@ -64,7 +64,7 @@ func TestForkClonesValues(t *testing.T) {
 // beyond what the parent already diverged — the whole point of the structural
 // clone over a replay of per-slot writes.
 func TestForkPreservesCompactness(t *testing.T) {
-	m, _, tr := newCopyTree(1)
+	m, _, tr := newTree(1)
 	c := m.CPU(0)
 	lo := span(1) * 4
 	r := tr.LockRange(c, lo, lo+span(1)) // one folded interior slot
@@ -98,7 +98,7 @@ func countLiveGroups[V any](t *Tree[V]) int64 { return t.groupsLive.Load() }
 // period recorded in the uniform table takes the waitGate inversion
 // pass-through and under-waits the fork's critical section.
 func TestForkMidMaterializationBusyPeriod(t *testing.T) {
-	m, _, tr := newCopyTree(3)
+	m, _, tr := newTree(3)
 	c0, c1, c2 := m.CPU(0), m.CPU(1), m.CPU(2)
 	other := 40*span(Levels-1) + 100 // a page under another root slot, unmapped
 
@@ -167,7 +167,7 @@ func TestForkCostModel(t *testing.T) {
 
 	// The fork itself copies one node, the root, whatever the tree holds,
 	// and bills it as a header plus the root's one materialized group.
-	m, _, tr := newCopyTree(1)
+	m, _, tr := newTree(1)
 	c := m.CPU(0)
 	pageZero := m.Config().PageZero
 	lo := span(1) * 4
@@ -196,7 +196,7 @@ func TestForkCostModel(t *testing.T) {
 // (TestLazyForkConcurrent has the children diverge and leave as they go.)
 func TestConcurrentForksConsistent(t *testing.T) {
 	const forkers = 4
-	m, rc, tr := newCopyTree(forkers)
+	m, rc, tr := newTree(forkers)
 	seedC := m.CPU(0)
 	// Per-forker diverged leaves plus one shared folded range.
 	for f := 0; f < forkers; f++ {
@@ -252,7 +252,7 @@ func TestConcurrentForksConsistent(t *testing.T) {
 // new value of the whole overlapping range. (TestLazyForkRangeAtomicity has
 // the range that spans two nodes.)
 func TestForkVsConcurrentLockRange(t *testing.T) {
-	m, rc, tr := newCopyTree(2)
+	m, rc, tr := newTree(2)
 	c0, c1 := m.CPU(0), m.CPU(1)
 	seed := func(c *hw.CPU, lo, n uint64, x int) {
 		r := tr.LockRange(c, lo, lo+n)

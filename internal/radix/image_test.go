@@ -293,7 +293,7 @@ func TestImageAbandonedWhenSourceChanged(t *testing.T) {
 // everybody sees it.
 func TestConcurrentRealization(t *testing.T) {
 	const ncores = 8
-	m, rc, tr := newCopyTree(ncores)
+	m, rc, tr := newTree(ncores)
 	c0 := m.CPU(0)
 	full := 8 * span(1)
 	r := tr.LockRange(c0, full, full+span(1))
@@ -387,7 +387,7 @@ func TestRangeLockMaterializesPerNode(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const lo, hi = 64, 128 // sixteen groups of the leaf
 	build := func() (*hw.CPU, *Tree[val], *node[val]) {
-		m, _, tr := newCopyTree(1)
+		m, _, tr := newTree(1)
 		c := m.CPU(0)
 		r := tr.LockRange(c, 0, span(1))
 		r.Entry(0).SetClone(&val{x: 5})

@@ -12,10 +12,8 @@ import (
 // *link mode*, sharing the root's child subtrees with the child tree instead
 // of copying them — and bumps the parent tree's generation, re-adopting the
 // parent root into the new generation under the root's held bits. Every node
-// below the root is now *foreign* to both trees (it belongs to the parent
-// tree but predates the parent's new generation, and belongs to the wrong
-// tree outright from the child's point of view), and the write paths
-// path-copy a foreign node the first time they descend into it
+// below the root is now *foreign* to both trees (Tree.foreign), and the write
+// paths path-copy a foreign node the first time they descend into it
 // (divergeChild): the per-node copy of fork.go, billed ForkNodeCost virtual
 // time at first divergence. A node neither side ever touches again is never
 // copied — the metadata mirror of frame COW.
@@ -23,58 +21,50 @@ import (
 // Sharing discipline:
 //
 //   - node.links counts how many parent slots, across all trees of a fork
-//     family, reference the node. ForkLazy and divergence link-sharing
-//     increment it; divergence (which replaces a tree's link with a private
-//     copy) and Tree.Release decrement it. The last dropLink releases the
-//     node's *contents* (values via the onRelease hook, child links
-//     recursively), which is how frame references stay balanced when one
-//     side of a fork exits without ever touching most of the tree.
+//     family, reference the node: a copy's link-sharing increments it;
+//     divergence (which replaces a tree's link with a private copy) and
+//     Tree.Release decrement it. The last dropLink releases the node's
+//     *contents* (values via the onRelease hook, child links recursively),
+//     which keeps frame references balanced when one side of a fork exits
+//     without ever touching most of the tree.
 //   - A shared node is read-only to every tree: Lookup and group
-//     materialization are safe (materialization is exact: the group reads
-//     as the uniform state it came out of), but every locking descent
-//     diverges first, so in-place writes happen only under native nodes.
-//   - Being read-only, a shared node has copies that are all born alike,
-//     and they share that too: the first divergence records what a copy's
-//     slots start out holding in an image cached on the node (nodeImage),
-//     and each copy is a header over it that gives a group storage of its
-//     own — line, gates, private values — when its owner first touches it.
-//     The image is written by the sweep that builds it, under all of the
-//     node's bits, and by nobody afterwards; what can still change in the
-//     node itself (a lookup materializing a group, a dead child's link
-//     swung to empty) makes the next divergence rebuild or abandon it. The
-//     divergence hook's writes to the source's values (COW arming) do not:
-//     what the hook makes of a copy may depend on the source alone.
+//     materialization are safe (the group reads as the uniform state it
+//     came out of), but every locking descent diverges first, so in-place
+//     writes happen only under native nodes.
+//   - Being read-only, a shared node has copies that are all born alike, in
+//     the image cached on it (nodeImage). The image is written by the sweep
+//     that builds it, under all of the node's bits, and by nobody
+//     afterwards; what can still change in the node itself (a lookup
+//     materializing a group, a dead child's link swung to empty) makes the
+//     next divergence rebuild or abandon it. The divergence hook's writes
+//     to the source's values (COW arming) do not: what the hook makes of a
+//     copy may depend on the source alone.
 //   - The snapshot is whole-tree atomic: a Range operation spanning nodes
 //     lands entirely before or entirely after it (TestLazyForkRangeAtomicity).
-//     Two mechanisms combine: ForkLazy drains all in-flight
-//     locked operations through the per-CPU quiescence gate (cpuState.hold)
-//     before bumping the generation, so no operation straddles the
-//     snapshot instant with bits already held; and after the bump, every
-//     locked descent diverges foreign nodes before writing, so by
-//     induction writes only ever land in nodes native to the writing tree
-//     — never in a node the snapshot can reach. Divergence itself
-//     acquires *all* of the shared node's slot bits (the per-node copy
-//     protocol), so even racing divergences of one node serialize.
+//     Two mechanisms combine: ForkLazy drains all in-flight locked operations
+//     through the per-CPU quiescence gate (cpuState.hold) before bumping the
+//     generation — an operation that validated its path as native before the
+//     bump would keep writing shared nodes in place, and one caught
+//     mid-acquisition could be half-visible to the child — and after the
+//     bump, every locked descent diverges foreign nodes before writing, so
+//     by induction writes only ever land in nodes native to the writing
+//     tree. Divergence itself acquires *all* of the shared node's slot bits,
+//     so even racing divergences of one node serialize.
 //   - The deadlock-free order is preserved: divergence holds the parent
 //     slot's bit, then takes the child node's bits, which is the global
 //     parent-before-child, ascending-VPN order every operation uses.
 
-// ForkLazy clones t in O(1): the root is copied in link mode and the
-// parent's generation is bumped. The child tree inherits t's onDiverge and
-// onRelease hooks; onDiverge is invoked now for values stored in the root
+// ForkLazy clones t in O(1), as above. The child tree inherits t's onDiverge
+// and onRelease hooks; onDiverge is invoked now for values stored in the root
 // node itself (they are copied immediately) and at divergence time for
 // everything deeper. The caller must tear the child down with Tree.Release
 // when it exits, or the shared subtrees' contents leak.
 func (t *Tree[V]) ForkLazy(cpu *hw.CPU) *Tree[V] {
 	// Drain in-flight locked operations and hold new ones out until the
-	// snapshot is taken (see the quiescence-gate comment above and on
-	// Tree.lazyForks): an operation that validated its path as native before
-	// the generation bump would keep writing snapshot-shared nodes in
-	// place afterwards, and a multi-node operation caught mid-acquisition
-	// could then be half-visible to the child. The drain costs no virtual
-	// time — it models the brief kernel-level fork/VM-op exclusion a real
-	// implementation gets from per-CPU reader flags — and the caller must
-	// not hold a Range on t (self-deadlock).
+	// snapshot is taken (the quiescence gate, above and on Tree.lazyForks).
+	// The drain costs no virtual time — it models the brief kernel-level
+	// fork/VM-op exclusion a real implementation gets from per-CPU reader
+	// flags — and the caller must not hold a Range on t (self-deadlock).
 	t.lazyForks.Add(1)
 	for i := range t.cpus {
 		// A CPU that never operated on t has no state yet; if it starts
@@ -87,7 +77,7 @@ func (t *Tree[V]) ForkLazy(cpu *hw.CPU) *Tree[V] {
 	}
 	defer t.lazyForks.Add(-1)
 
-	nt := treeShell(t.m, t.rc, t.clone, t.kind)
+	nt := treeShell[V](t.m, t.rc)
 	nt.onDiverge = t.onDiverge
 	nt.onRelease = t.onRelease
 	root, arrive := nt.linkCopy(cpu, t.root, 1, false) // +1: the root's immortal ref
@@ -105,23 +95,20 @@ func (t *Tree[V]) ForkLazy(cpu *hw.CPU) *Tree[V] {
 }
 
 // linkCopy copies src into a new node of tree t in link mode: value slots
-// are cloned (invoking t's onDiverge hook once per distinct value with the
+// are copied (invoking t's onDiverge hook once per distinct value with the
 // VPN range it covers: a leaf slot's page, a folded interior slot's whole
 // span, a uniform fill once for the node's entire range), but child subtrees
 // are *shared* — the copy links src's children directly, bumping their links
-// counts — so the copy is O(1) in subtree size. src's bits are all held when
-// linkCopy returns; the caller publishes the copy (and performs any
-// generation re-adoption) and then releases them with src.forkUnlock(cpu,
-// arrive).
+// counts. src's bits are all held when linkCopy returns; the caller publishes
+// the copy (and performs any generation re-adoption) and then releases them
+// with src.forkUnlock(cpu, arrive).
 //
 // frozen says that src is foreign to every tree — divergeChild's case, not
-// ForkLazy's root — so that all its copies are born alike. The copy's groups
-// are then born in src's image (nodeImage), which this sweep builds if src
-// has none that is current, and otherwise only checks slot by slot: either
-// way every bit is acquired, every line written, every child pinned and
-// linked and every value reported to the hook as when mirroring, in the same
-// order; what differs is where, if anywhere, a slot's born state is written
-// (shell.cell).
+// ForkLazy's root — so the copy is born in src's image, which this sweep
+// builds if src has none that is current, and otherwise only checks slot by
+// slot. Either way it acquires, charges, pins, links and reports to the hook
+// exactly as when mirroring, in the same order; what differs is where, if
+// anywhere, a slot's born state is written (shell.cell).
 func (t *Tree[V]) linkCopy(cpu *hw.CPU, src *node[V], extra int64, frozen bool) (*node[V], uint64) {
 	arrive := cpu.Now()
 	src.matMu.Lock()
@@ -131,8 +118,8 @@ func (t *Tree[V]) linkCopy(cpu *hw.CPU, src *node[V], extra int64, frozen bool) 
 		src.forkBusy = arrive
 	}
 	// A source that is itself a copy may still hold groups in its image
-	// only. The sweep counts, bills, charges and mirrors groups with storage,
-	// cold and free as a realization leaves them: give them storage.
+	// only. The sweep counts, bills, charges and mirrors groups with
+	// storage: realize them.
 	src.materializeLocked(0, groupsPerNode-1, false)
 	src.matMu.Unlock()
 
@@ -169,7 +156,7 @@ func (t *Tree[V]) linkCopy(cpu *hw.CPU, src *node[V], extra int64, frozen bool) 
 			}
 			t.unpin(cpu, child)
 		case cell != nil:
-			dv := t.copyInto(cell, store, st.val)
+			dv := copyInto(cell, store, st.val)
 			if t.onDiverge != nil {
 				lo := src.slotBase(idx)
 				t.onDiverge(cpu, lo, lo+sp, st.val, dv)
@@ -180,24 +167,22 @@ func (t *Tree[V]) linkCopy(cpu *hw.CPU, src *node[V], extra int64, frozen bool) 
 		}
 	}
 	// A concurrent copy of src may have merged its busy period into the
-	// uniform table after our entry wait — whether or not we ever observed
-	// one of its bits held (it can release between our entry and our first
-	// bit load). Consult the merged table once more now that every bit is
-	// ours, so overlapping copies serialize in virtual time regardless of how
-	// the real-time race resolved.
+	// uniform table after our entry wait (it can release between our entry
+	// and our first bit load). Consult the merged table once more now that
+	// every bit is ours, so overlapping copies serialize in virtual time
+	// however the real-time race resolved.
 	src.matMu.Lock()
 	src.waitUniformLocked(cpu, arrive)
 	src.matMu.Unlock()
 	if fill {
-		dv := t.copyInto(&dst.uniStore, &dst.uniVal, src.uniSt.val)
+		dv := copyInto(&dst.uniStore, &dst.uniVal, src.uniSt.val)
 		if t.onDiverge != nil {
 			t.onDiverge(cpu, src.base, src.base+uint64(SlotsPerNode)*sp, src.uniSt.val, dv)
 		}
 	}
 	if dst.build {
 		// The image is complete, and every bit of src still held: the copy
-		// gets its directory — the image's groups, none with storage — and
-		// src the image, for its later copies.
+		// gets its directory and src the image, for its later copies.
 		dst.dir.Store(newGroupDirOf[V](dst.img.bits))
 		src.copyImg.Store(dst.img)
 	}
@@ -211,8 +196,8 @@ func (t *Tree[V]) linkCopy(cpu *hw.CPU, src *node[V], extra int64, frozen bool) 
 // the slot and dropping the shared node's link. It returns the replacement
 // with one traversal pin for the caller, or nil if the slot no longer
 // references child (another operation diverged it first, or the child
-// died), in which case the caller re-reads the slot. The caller's pin on
-// child is consumed either way.
+// died): the caller re-reads the slot. The caller's pin on child is consumed
+// either way.
 func (t *Tree[V]) divergeChild(cpu *hw.CPU, n *node[V], idx int, child *node[V]) *node[V] {
 	// Take the parent slot's bit: divergence is a write to the slot, and
 	// the bit is what serializes racing divergences of the same link.
@@ -224,10 +209,9 @@ func (t *Tree[V]) divergeChild(cpu *hw.CPU, n *node[V], idx int, child *node[V])
 		t.unpin(cpu, child)
 		return nil
 	}
-	// Copy the shared node under all of its bits — serializing with any
-	// in-flight range operation inside it — with one creator pin for the
-	// caller. The copy inherits the parent *node's* generation (native by
-	// construction: descent only writes under native parents).
+	// Copy the shared node under all of its bits, with one creator pin for
+	// the caller. The copy inherits the parent *node's* generation (native
+	// by construction: descent only writes under native parents).
 	dst, arrive := t.linkCopy(cpu, child, 1, true)
 	dst.gen = n.gen
 	dst.parent = n
@@ -243,10 +227,9 @@ func (t *Tree[V]) divergeChild(cpu *hw.CPU, n *node[V], idx int, child *node[V])
 	return dst
 }
 
-// dropLink records that one parent slot stopped referencing n. The last
-// link releases the node's contents: its values (through the onRelease
-// hook) and, recursively, its links on child subtrees. Callers must hold a
-// traversal pin on n (or otherwise know it cannot be reclaimed mid-call).
+// dropLink records that one parent slot stopped referencing n; the last
+// link releases the node's contents. Callers must hold a traversal pin on n
+// (or otherwise know it cannot be reclaimed mid-call).
 func (t *Tree[V]) dropLink(cpu *hw.CPU, n *node[V]) {
 	if n.links.Add(-1) > 0 {
 		return
@@ -255,16 +238,14 @@ func (t *Tree[V]) dropLink(cpu *hw.CPU, n *node[V]) {
 }
 
 // releaseContents drops the contents of a node no tree links anymore: every
-// value is reported to the onRelease hook (the uniform fill once over the
-// node's whole span, diverged slots individually — onDiverge's convention),
-// carriers are retired, child links are dropped recursively,
-// and the used-slot references drain so Refcache reclaims the node. No new
-// descent can reach n (no tree's slots point at it); lock-free readers that
-// pinned it earlier only ever read, and the GC keeps the memory valid under
-// them. The parent link is severed first so freeNode does not CAS a parent
-// slot that may itself already be released or recycled — nodes released
-// through this path go to the GC rather than the per-CPU pools, which is
-// fine: teardown is not a steady-state hot path.
+// value is reported to the onRelease hook (onDiverge's convention: the
+// uniform fill once, diverged slots individually), carriers are retired, child
+// links are dropped recursively, and the used-slot references drain so
+// Refcache reclaims the node. No new descent can reach n (no tree's slots
+// point at it); lock-free readers that pinned it earlier only ever read, and
+// the GC keeps the memory valid under them. The parent link is severed first
+// so freeNode does not CAS a parent slot that may itself already be released
+// or recycled — so these nodes go to the GC rather than the per-CPU pools.
 func releaseContents[V any](cpu *hw.CPU, n *node[V]) {
 	t := n.tree
 	n.parent = nil
@@ -303,14 +284,12 @@ func releaseContents[V any](cpu *hw.CPU, n *node[V]) {
 	}
 }
 
-// Release tears down a tree: the root's contents are released exactly as a
-// shared node's would be — values through onRelease, links on shared
-// subtrees dropped (a subtree another tree still links survives untouched;
-// one nobody links releases recursively) — and the root's immortal
-// reference is dropped. This is how a lazily forked child exits in O(its
-// own divergences) instead of paying an O(tree) unmap sweep, and how the
-// parent side of a fork family retires. The caller must guarantee no
-// concurrent operations on t are in flight.
+// Release tears down a tree: the root's contents are released as a shared
+// node's would be (a subtree another tree still links survives untouched)
+// and the root's immortal reference is dropped. This is how a lazily forked
+// child exits in O(its own divergences) instead of paying an O(tree) unmap
+// sweep, and how the parent side of a fork family retires. The caller must
+// guarantee no concurrent operations on t are in flight.
 func (t *Tree[V]) Release(cpu *hw.CPU) {
 	t.dropLink(cpu, t.root)
 	t.rc.Dec(cpu, t.root.obj)

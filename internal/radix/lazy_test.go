@@ -12,7 +12,7 @@ import (
 // mappings — folded, uniform-filled, and per-slot diverged alike — and
 // writes on either side diverge privately, never leaking across the fork.
 func TestLazyForkClonesValues(t *testing.T) {
-	m, _, tr := newCopyTree(1)
+	m, _, tr := newTree(1)
 	c := m.CPU(0)
 	lo := span(1) * 8
 	r := tr.LockRange(c, lo, lo+span(1))
@@ -70,7 +70,7 @@ func TestLazyForkClonesValues(t *testing.T) {
 // divergence.
 func TestLazyForkIsOrderOne(t *testing.T) {
 	fork := func(leaves uint64) (*hw.CPU, *Tree[val], uint64) {
-		m, _, tr := newCopyTree(1)
+		m, _, tr := newTree(1)
 		c := m.CPU(0)
 		// One real per-page value every 512 pages (setRange expands down to a
 		// leaf; LockPage+Set on an empty tree would install folded values).
@@ -108,7 +108,7 @@ func TestLazyForkIsOrderOne(t *testing.T) {
 // whole-tree snapshot atomicity (lazy.go). The written range straddles the
 // leaf-node boundary at page 512.
 func TestLazyForkRangeAtomicity(t *testing.T) {
-	m, rc, tr := newCopyTree(2)
+	m, rc, tr := newTree(2)
 	c0, c1 := m.CPU(0), m.CPU(1)
 	const lo, hi = 504, 520 // 8 pages in one leaf node, 8 in the next
 	seed := func(c *hw.CPU, x int) {
@@ -151,7 +151,7 @@ func TestLazyForkRangeAtomicity(t *testing.T) {
 // not a copy of the parent's whole metadata — and diverging a single page
 // grows it by at most one path of nodes.
 func TestLazyForkFootprint(t *testing.T) {
-	m, _, tr := newCopyTree(1)
+	m, _, tr := newTree(1)
 	c := m.CPU(0)
 	for i := uint64(0); i < 64; i++ {
 		vpn := i * span(1)
@@ -192,7 +192,7 @@ func TestLazyForkFootprint(t *testing.T) {
 // dropped value; after both trees are torn down the books must balance:
 // releases = diverged copies + the parent's original values.
 func TestLazyForkReleaseBalance(t *testing.T) {
-	m, rc, tr := newCopyTree(1)
+	m, rc, tr := newTree(1)
 	c := m.CPU(0)
 	var diverged, released atomic.Int64
 	tr.OnDiverge(func(_ *hw.CPU, lo, hi uint64, _, _ *val) { diverged.Add(int64(hi - lo)) })
@@ -238,7 +238,7 @@ func TestLazyForkReleaseBalance(t *testing.T) {
 // and teardown keeps the tree usable.
 func TestLazyForkConcurrent(t *testing.T) {
 	const forkers = 4
-	m, rc, tr := newCopyTree(forkers)
+	m, rc, tr := newTree(forkers)
 	seedC := m.CPU(0)
 	for f := 0; f < forkers; f++ {
 		for p := 0; p < 4; p++ {

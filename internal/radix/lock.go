@@ -4,9 +4,8 @@ import "radixvm/internal/hw"
 
 // Inline capacities for a Range's entry and pin lists. LockPage needs at
 // most 1 entry and 2·(Levels-1) pins (a descend pin plus an expansion pin
-// per level); small LockRanges fit comfortably. Larger ranges spill to
-// heap-backed slices, whose capacity the per-CPU Range cache then retains,
-// so even big ranges stop allocating in steady state.
+// per level). Larger ranges spill to heap-backed slices, whose capacity the
+// per-CPU Range cache then retains.
 const (
 	inlineEntries = 16
 	inlinePins    = 8
@@ -17,8 +16,7 @@ const (
 // is either a leaf slot (one page) or an interior slot whose whole span is
 // inside the range (a folded entry). The caller reads and writes entries,
 // then calls Unlock, after which the Range is invalid: Ranges are recycled
-// through a per-CPU cache so the pagefault and mmap paths allocate nothing
-// in steady state.
+// through a per-CPU cache.
 type Range[V any] struct {
 	t   *Tree[V]
 	cpu *hw.CPU
@@ -34,8 +32,7 @@ type Range[V any] struct {
 }
 
 // getRange returns the Range carrier cached in cs, cpu's scratch state, or a
-// fresh one if that carrier is in use (nested locking). Owner-goroutine
-// discipline, like the node pools.
+// fresh one if that carrier is in use (nested locking).
 func (t *Tree[V]) getRange(cs *cpuState[V], cpu *hw.CPU, lo, hi uint64) *Range[V] {
 	r := &cs.rng
 	if r.busy {
@@ -82,22 +79,20 @@ func (t *Tree[V]) lockIn(r *Range[V], n *node[V], lo, hi uint64) {
 			return
 		}
 		slotHi := slotLo + sp
-		clipLo, clipHi := maxU(lo, slotLo), minU(hi, slotHi)
+		clipLo, clipHi := max(lo, slotLo), min(hi, slotHi)
 
 		for {
 			g := n.group(idx)
 			cpu.Read(&g.line)
 			st := g.sts[idx%slotsPerLine].Load()
 			if st != nil && st.child != nil {
-				// Interior link: descend without locking
-				// (traversal is pinned, not locked).
+				// Interior link: descend pinned, not locked.
 				child := t.loadChild(cpu, n, idx, st)
 				if child == nil {
 					continue // dead child cleaned; re-read
 				}
 				if t.foreign(child) {
-					// Snapshot-shared subtree: path-copy it before
-					// locking inside (metadata COW, see lazy.go).
+					// Snapshot-shared subtree: path-copy it first (lazy.go).
 					child = t.divergeChild(cpu, n, idx, child)
 					if child == nil {
 						continue // slot changed under us; re-read
@@ -118,13 +113,11 @@ func (t *Tree[V]) lockIn(r *Range[V], n *node[V], lo, hi uint64) {
 				continue
 			}
 			if n.level == 0 || (clipLo == slotLo && clipHi == slotHi) {
-				// A leaf page, or an interior slot wholly
-				// inside the range: lock at this level.
+				// A leaf page, or an interior slot wholly inside the range.
 				r.entries = append(r.entries, Entry[V]{r: r, n: n, idx: idx, Lo: clipLo, Hi: clipHi})
 				break
 			}
-			// The range partially covers this slot: expand it,
-			// propagating the lock bit into the child.
+			// Partially covered: expand, propagating the lock bit.
 			child := t.expand(cpu, n, idx, st)
 			r.pins = append(r.pins, child)
 			t.lockedDescend(r, child, clipLo, clipHi)
@@ -134,7 +127,7 @@ func (t *Tree[V]) lockIn(r *Range[V], n *node[V], lo, hi uint64) {
 }
 
 // expand replaces a terminal interior slot (lock bit held by the caller)
-// with a freshly allocated child node whose slots all carry clones of the
+// with a freshly allocated child node whose slots all carry copies of the
 // slot's folded value and whose lock bits are all held by the caller. The
 // parent's lock bit is released after the child is installed (§3.4). The
 // returned child carries one traversal pin for the caller.
@@ -142,9 +135,7 @@ func (t *Tree[V]) lockIn(r *Range[V], n *node[V], lo, hi uint64) {
 // A carrier-backed folded value (a slot Mmap wrote through SetClone) is
 // retired to the expanding CPU's pool once the child is installed: the
 // child's uniform fill is a node-owned copy of the value (see newNode), so
-// nothing references the carrier's storage anymore. Without this the
-// carrier would be orphaned to the GC and every fold-expand remap cycle
-// would allocate a fresh one.
+// nothing references the carrier's storage anymore.
 func (t *Tree[V]) expand(cpu *hw.CPU, n *node[V], idx int, st *slotState[V]) *node[V] {
 	var fill *V
 	if st != nil {
@@ -176,9 +167,8 @@ func (t *Tree[V]) expand(cpu *hw.CPU, n *node[V], idx int, st *slotState[V]) *no
 }
 
 // lockedDescend processes a freshly expanded child whose lock bits are all
-// held: slots outside [lo, hi) are released (in bulk, staying uniform),
-// slots wholly inside become entries, and boundary interior slots are
-// expanded further.
+// held: slots outside [lo, hi) are released in bulk, slots wholly inside
+// become entries, and boundary interior slots are expanded further.
 func (t *Tree[V]) lockedDescend(r *Range[V], n *node[V], lo, hi uint64) {
 	cpu := r.cpu
 	sp := span(n.level)
@@ -189,7 +179,7 @@ func (t *Tree[V]) lockedDescend(r *Range[V], n *node[V], lo, hi uint64) {
 			n.bulkRelease(cpu, idx)
 			continue
 		}
-		clipLo, clipHi := maxU(lo, slotLo), minU(hi, slotHi)
+		clipLo, clipHi := max(lo, slotLo), min(hi, slotHi)
 		if n.level == 0 || (clipLo == slotLo && clipHi == slotHi) {
 			r.entries = append(r.entries, Entry[V]{r: r, n: n, idx: idx, Lo: clipLo, Hi: clipHi})
 			continue
@@ -203,9 +193,9 @@ func (t *Tree[V]) lockedDescend(r *Range[V], n *node[V], lo, hi uint64) {
 
 // LockPage locks the single slot governing vpn, expanding folded mappings
 // down to the leaf so the page gets a private metadata copy — the
-// pagefault path (§3.4). The resulting Range has exactly one entry; if
-// that entry's Value is nil the page is unmapped (and the holder still
-// serializes against concurrent mmaps of the region).
+// pagefault path (§3.4). The resulting Range has exactly one entry; if its
+// Value is nil the page is unmapped (and the holder still serializes against
+// concurrent mmaps of the region).
 func (t *Tree[V]) LockPage(cpu *hw.CPU, vpn uint64) *Range[V] {
 	checkRange(vpn, vpn+1)
 	r := t.getRange(t.opEnter(cpu), cpu, vpn, vpn+1)
@@ -238,13 +228,11 @@ func (t *Tree[V]) LockPage(cpu *hw.CPU, vpn uint64) *Range[V] {
 			continue
 		}
 		if n.level == 0 || st == nil {
-			// Leaf page, or unmapped interior slot: this is the
-			// faulting page's lock.
+			// Leaf page, or unmapped interior slot: the faulting page's lock.
 			r.entries = append(r.entries, Entry[V]{r: r, n: n, idx: idx, Lo: vpn, Hi: vpn + 1})
 			return r
 		}
-		// Folded mapping: expand toward the leaf, keeping only the
-		// lock bit on the slot that covers vpn.
+		// Folded mapping: expand toward the leaf covering vpn.
 		t.expandToward(r, n, idx, st, vpn)
 		return r
 	}
@@ -253,10 +241,7 @@ func (t *Tree[V]) LockPage(cpu *hw.CPU, vpn uint64) *Range[V] {
 // expandToward expands a folded slot (bit held) down to the leaf covering
 // vpn, releasing every other lock bit propagated along the way, and
 // appends the leaf entry to r. It finishes the LockPage job itself because
-// the caller cannot re-acquire bits it already holds. The chain nodes it
-// creates stay uniform apart from the path slot: the bulk release lands in
-// the uniform gate history, and only the path slot's group materializes
-// (when the next expansion installs its child link).
+// the caller cannot re-acquire bits it already holds.
 func (t *Tree[V]) expandToward(r *Range[V], n *node[V], idx int, st *slotState[V], vpn uint64) {
 	cpu := r.cpu
 	for {
@@ -280,8 +265,7 @@ func (r *Range[V]) Entries() []Entry[V] { return r.entries }
 func (r *Range[V]) Entry(i int) *Entry[V] { return &r.entries[i] }
 
 // Unlock releases all lock bits (right to left) and traversal pins, then
-// returns the Range to its CPU's cache. The Range must not be used after
-// Unlock.
+// returns the Range to its CPU's cache.
 func (r *Range[V]) Unlock() {
 	for i := len(r.entries) - 1; i >= 0; i-- {
 		e := &r.entries[i]
@@ -300,18 +284,11 @@ func (r *Range[V]) Unlock() {
 }
 
 // Value returns the entry's current value (nil if unmapped). For a folded
-// entry the value stands for every page in [Lo, Hi). On trees whose clone
-// makes per-slot copies, Value materializes the slot's group so the caller
-// gets the slot's private copy (mutating it must not leak to siblings, as
-// the pagefault path relies on); shared-clone trees read through to the
-// uniform state without materializing.
+// entry the value stands for every page in [Lo, Hi). It is the slot's private
+// copy, read through the slot's group: mutating it must not leak to siblings,
+// as the pagefault path relies on.
 func (e *Entry[V]) Value() *V {
-	var st *slotState[V]
-	if e.r.t.kind == cloneShared {
-		st = e.n.peek(e.idx)
-	} else {
-		st = e.n.slot(e.idx).Load()
-	}
+	st := e.n.slot(e.idx).Load()
 	if st == nil {
 		return nil
 	}
@@ -323,7 +300,7 @@ func (e *Entry[V]) Value() *V {
 // already holds — the pagefault path reads Value, updates the metadata in
 // place, and stores it back — reuses the existing slot state, so
 // steady-state faults allocate nothing. A replaced carrier-backed state
-// (see SetClone) returns its carrier to the writing CPU's pool.
+// returns its carrier to the writing CPU's pool.
 func (e *Entry[V]) Set(v *V) {
 	t := e.r.t
 	cpu := e.r.cpu
@@ -353,17 +330,11 @@ func (e *Entry[V]) Set(v *V) {
 
 // SetClone stores a private copy of template v into the slot — what Mmap
 // does for every entry of a fresh mapping, including folded interior slots
-// that adopt the template for a whole subtree. On cloneCopy trees the copy
-// lands in a recycled value carrier from the writing CPU's pool, so the
-// steady-state mmap path allocates nothing; other tree kinds fall back to
-// the tree's clone function plus a fresh slot state. The caller owns the
-// entry's lock bit. v must not be nil (use Set(nil) to clear).
+// that adopt the template for a whole subtree — in a recycled value carrier
+// from the writing CPU's pool, so the steady-state mmap path allocates
+// nothing. The caller owns the entry's lock bit. v must not be nil.
 func (e *Entry[V]) SetClone(v *V) {
 	t := e.r.t
-	if t.kind != cloneCopy {
-		e.Set(t.clone(v))
-		return
-	}
 	cpu := e.r.cpu
 	s := e.n.slot(e.idx)
 	old := s.Load()
@@ -384,21 +355,3 @@ func (e *Entry[V]) Pages() uint64 { return e.Hi - e.Lo }
 // IsLeaf reports whether the entry is a single leaf page (false for a
 // folded interior entry).
 func (e *Entry[V]) IsLeaf() bool { return e.n.level == 0 }
-
-// Clone duplicates a value with the tree's clone function (identity when
-// none was supplied).
-func (t *Tree[V]) Clone(v *V) *V { return t.clone(v) }
-
-func maxU(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minU(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}

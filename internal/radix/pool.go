@@ -4,13 +4,8 @@ import "radixvm/internal/hw"
 
 // Per-CPU node pools, mirroring sv6's per-core slab allocators: freeNode
 // recycles a reclaimed node onto the freeing core's pool instead of feeding
-// the garbage collector, and newNode pops from the allocating core's pool.
-// Nodes are ~12 KB each (512 slots + 128 cache-line models), so without
-// recycling every folded-slot expansion churns the heap and the GC — the
-// seed profile attributed 93% of allocated bytes to newNode.
-//
-// Concurrency discipline: a CPU's pool lives in its cpuState and is touched
-// only by the goroutine driving that CPU, so the pools need no locks.
+// the garbage collector, and every node birth (Tree.header) pops from the
+// allocating core's pool, so steady-state expansion allocates nothing.
 //
 // Safety of recycling: a node is freed only when its true reference count
 // is zero, meaning no traversal pins and no used slots, so no reader can
@@ -22,17 +17,16 @@ import "radixvm/internal/hw"
 // poolCap bounds each CPU's free list; beyond it nodes fall back to the GC.
 const poolCap = 64
 
-// poolGroupCap bounds how many materialized slot groups a recycled node
-// may keep. Fault-path chain nodes diverge in one or two groups, which are
-// worth keeping (the next incarnation re-fills them instead of
-// re-allocating); a node that diverged widely would make every later
-// incarnation pay full eager re-initialization — and pin ~18 KB in the
-// pool — so its groups are dropped and it recycles compact.
+// poolGroupCap bounds how many slot groups a recycled node may keep.
+// Fault-path chain nodes diverge in one or two groups, which are worth
+// keeping (the next incarnation re-fills them instead of re-allocating); a
+// node that diverged widely would make every later incarnation re-fill all
+// of them — and pin ~18 KB in the pool — so its groups are dropped and it
+// recycles compact.
 const poolGroupCap = 4
 
-// getNode pops a recycled node for cpu, or nil if the pool is empty (the
-// caller then heap-allocates). Recycled nodes are fully reset: empty slots,
-// unheld bits, cold lines.
+// getNode pops a recycled node for cpu — fully reset: empty slots, unheld
+// bits, cold lines — or nil if the pool is empty.
 func (t *Tree[V]) getNode(cpu *hw.CPU) *node[V] {
 	cs := t.cpu(cpu)
 	if n := len(cs.pool); n > 0 {
@@ -45,10 +39,8 @@ func (t *Tree[V]) getNode(cpu *hw.CPU) *node[V] {
 }
 
 // recycle resets n and pushes it onto cpu's pool. Called from freeNode,
-// after the parent slot has been unlinked, so no core can reach n.
-// Materialized slot groups stay attached (reset to the empty cold state):
-// the next incarnation re-fills them from its uniform state, which keeps
-// steady-state expansion from re-allocating the groups hot paths touch.
+// after the parent slot has been unlinked, so no core can reach n. Up to
+// poolGroupCap slot groups stay attached, reset to the empty cold state.
 func (t *Tree[V]) recycle(cpu *hw.CPU, n *node[V]) {
 	cs := t.cpu(cpu)
 	if len(cs.pool) >= poolCap {
@@ -65,9 +57,8 @@ func (t *Tree[V]) recycle(cpu *hw.CPU, n *node[V]) {
 	n.uni = uniformGates{}
 	// Plain resets are legal: the node is unreachable, and the next
 	// incarnation is published through the parent slot's atomic store.
-	// A copy born in an image drops its directory too: its entries without
-	// storage mean nothing without the image, and its groups were allocated
-	// in runs.
+	// An image-born copy drops its directory too: its entries without
+	// storage mean nothing without the image.
 	if cnt := countGroups(n); cnt > poolGroupCap || n.img != nil {
 		n.dir.Store(nil)
 		t.groupsLive.Add(-cnt)

@@ -25,34 +25,37 @@
 //
 // A node *simulates* the paper's 8 KB page of 512 (value, lock-bit) slots,
 // but its real Go-side state — per-slot values, virtual-time gates, and
-// cache-line models — is created on first divergence, not eagerly. A node
-// is born *uniform*: one shared slot value (the expansion fill), one
-// compact uniform gate state describing the bulk lock-bit propagation, a
-// packed lock-bit array, and an empty directory of slot groups. The
-// per-slot state of the four slots sharing a cache line materializes as
-// one slotGroup the first time anything touches that line — a lookup's
-// read, a locker's write, an expansion installing a child link. Slots
-// nobody has touched cost nothing beyond their lock bit.
+// cache-line models — lives in slotGroups, one per cache line of four slots,
+// which get storage only when something touches that line: a lookup's read,
+// a locker's write, an expansion installing a child link. The node's header
+// stands for every other slot: one fill value (the expansion fill, or none),
+// one compact gate table recording the bulk lock-bit propagation and release
+// (uniformGates), and the packed lock bits, which are always present. Slots
+// nobody has touched cost nothing beyond their lock bit. The life of a group,
+// one routine per transition:
 //
-// Materialization is exact: a group created late carries precisely the
-// state (clones of the fill value, gate histories from the bulk lock-bit
-// propagation and release) that the eager representation would have held,
-// so the simulated virtual-time outputs are unchanged — only the real
-// memory footprint shrinks (~13x for the fault path's chain nodes, which
-// diverge in a single slot).
+//	born by                 without storage                  given storage when
+//	───────                 ───────────────                  ──────────────────
+//	newNode ──────────────▶ absent (uniform): the header ──▶ its line is first touched:
+//	                        stands for its slots             materialized (initGroup)
 //
-// A group comes to exist in a third way besides materializing on first touch
-// and being mirrored by a fork from a live node: a path copy of a node no
-// tree can write anymore (a lazy fork's shared node, lazy.go) is *born with*
-// the source's groups in an image — one immutable record, shared by all the
-// node's copies, of what each slot of a copy starts out holding. Such a group
-// is present in the copy's directory without storage; slots read through to
-// the image until something needs the group's line or gates, which *realizes*
-// it: cold line, free gates, private copies of the image's values — the state
-// an eagerly mirrored group nobody touched would be in. Like late
-// materialization this is exact, and invisible in virtual time; a child that
-// touches 32 pages of a 512-page leaf pays the host for eight groups, not
-// for 128 (see nodeImage).
+//	cloneShell of a ──────▶ image-born: present in the ────▶ its line is first touched:
+//	frozen node             directory, slots read through    realized (nodeImage.fill)
+//	(divergeChild)          to the source's image (peek)
+//	   └─ the image cannot serve (shell.abandon) ─┐
+//	                                              ▼
+//	cloneShell of a ───────────────────────────────────────▶ the copier's sweep reaches it:
+//	live root (ForkLazy)                                     mirrored (shell.cell, forkGroup)
+//
+// Every transition into storage is exact — the group holds what stood for its
+// slots: copies of the fill with gates restored from the table (materialized),
+// copies of the image's or the source's values behind a cold line and free
+// gates (realized, mirrored) — so the representation moves no virtual cycle;
+// only host memory follows what a tree's owner touches (a child touching 32
+// pages of a 512-page leaf pays for eight groups, not 128). An image
+// (nodeImage) is the one immutable record, shared by all copies of a node no
+// tree can write anymore (lazy.go), of what each slot of a copy is born
+// holding.
 //
 // Node lifetime: each node's Refcache object counts its non-empty slots
 // plus transient traversal pins; when the true count reaches zero the node
@@ -84,88 +87,54 @@ const (
 	MaxVPN = uint64(1) << (BitsPerLevel * Levels)
 	// NodeBytes approximates one node's simulated memory footprint for
 	// Table 2 accounting: 512 slots of 16 bytes (value pointer +
-	// lock/state). The real Go-side footprint is far smaller for uniform
-	// nodes; see FootprintBytes.
+	// lock/state). For the real Go-side footprint see FootprintBytes.
 	NodeBytes = SlotsPerNode * 16
 	// slotsPerLine: four 16-byte slots share a 64-byte cache line, the
-	// granularity at which false sharing can occur (§5.5) and at which
-	// slot state materializes (one slotGroup per line).
+	// granularity of false sharing (§5.5) and of slot state (slotGroup).
 	slotsPerLine = 4
 	// groupsPerNode is the size of a node's slot-group directory.
 	groupsPerNode = SlotsPerNode / slotsPerLine
 )
 
-// cloneKind selects how folded-slot expansion replicates the folded value
-// into the slots of a fresh child node — the allocation behavior of the
-// hottest path in the tree.
-type cloneKind int
-
-const (
-	// cloneShared: clone is the identity (New with nil clone). All slots
-	// of an expanded node share one immutable slotState.
-	cloneShared cloneKind = iota
-	// cloneCopy: clone is a plain value copy (NewCopy). Materializing a
-	// slot group backs its values and slot states with the group's
-	// embedded slabs; slots never touched make no copies at all.
-	cloneCopy
-	// cloneFunc: clone is an arbitrary user function (New with non-nil
-	// clone). It is called per slot, lazily, when the slot's group
-	// materializes — so it must be safe to call from whichever core
-	// first touches the group.
-	cloneFunc
-)
-
-// Tree is a concurrent radix tree mapping VPNs to values of type V.
-//
-// clone duplicates a value when a folded range must be split into per-page
-// copies (pass nil to share pointers, appropriate for immutable values).
+// Tree is a concurrent radix tree mapping VPNs to values of type V. A slot
+// holds its own plain copy (c := *v) of its value: splitting a folded range
+// into per-page slots copies the folded value into each.
 type Tree[V any] struct {
 	m        *hw.Machine
 	rc       *refcache.Refcache
-	clone    func(*V) *V
-	kind     cloneKind
 	pageZero uint64 // m.Config().PageZero, hoisted out of newNode
 	root     *node[V]
 
-	// cpus is the per-CPU scratch state (see cpuState), one lazily filled
-	// slot per core: a lazily forked child runs on two or three cores of a
-	// 64-core machine, so a fresh tree carries one pointer per core and
-	// builds a core's state on that core's first operation.
+	// cpus is the per-CPU scratch state (see cpuState), built on a core's
+	// first operation: a lazily forked child runs on two or three cores of
+	// a 64-core machine.
 	cpus []atomic.Pointer[cpuState[V]]
 
 	// gen is the tree's current generation. Nodes record the generation
 	// they were created (or last adopted) under; a node whose gen differs
 	// from the tree's — or that belongs to another tree outright — is
 	// *foreign*: shared with a lazily forked snapshot and copied on first
-	// write (see lazy.go). A tree that was never forked never bumps gen, so
-	// every node stays native and the foreign check is a never-taken branch
-	// on its hot paths.
+	// write (see lazy.go). A tree that was never forked never bumps gen.
 	gen atomic.Uint64
 
-	// onDiverge and onRelease are the fork's value hooks, inherited by
-	// ForkLazy children. onDiverge is invoked for each value copied when a
-	// shared node is path-copied (and for the root's values at the fork);
-	// onRelease is invoked for each value dropped when a subtree's last
-	// referencing tree releases it (Tree.Release or divergence unlink).
+	// The fork's value hooks (OnDiverge, OnRelease), inherited by ForkLazy
+	// children.
 	onDiverge func(cpu *hw.CPU, lo, hi uint64, src, dst *V)
 	onRelease func(cpu *hw.CPU, lo, hi uint64, v *V)
 
 	// The per-CPU holds (cpuState.hold) and lazyForks form the quiescence
-	// gate that gives ForkLazy its whole-tree snapshot atomicity (see
-	// lazy.go): every LockRange/LockPage publishes a per-CPU hold flag for
-	// the duration of its critical section (no shared-line traffic, no
-	// virtual-time cost), and ForkLazy — alone — raises lazyForks and drains
-	// all holds before taking its snapshot, so no locked operation ever
-	// straddles the generation bump. The reader side is a single load per
-	// lock operation, uncontended unless a fork is draining.
+	// gate that gives ForkLazy its whole-tree snapshot atomicity (lazy.go):
+	// every LockRange/LockPage raises its CPU's hold flag for its critical
+	// section (no shared-line traffic, no virtual-time cost), and ForkLazy
+	// raises lazyForks and drains all holds before taking its snapshot, so
+	// no locked operation straddles the generation bump.
 	lazyForks atomic.Int32
 
-	nodesLive        atomic.Int64
-	nodesEver        atomic.Int64
-	groupsEver       atomic.Int64 // slot groups given storage (fresh allocations)
-	groupsLive       atomic.Int64 // slot groups with storage attached to live or pooled nodes
-	carriersEver     atomic.Int64 // value carriers heap-allocated (see CarriersEver)
-	plateauOverflows atomic.Int64 // bulk releases that exceeded maxPlateaus (see PlateauOverflows)
+	nodesLive    atomic.Int64
+	nodesEver    atomic.Int64
+	groupsEver   atomic.Int64 // slot groups given storage (fresh allocations)
+	groupsLive   atomic.Int64 // slot groups with storage attached to live or pooled nodes
+	carriersEver atomic.Int64 // value carriers heap-allocated (see CarriersEver)
 }
 
 // uniformGates is the compact virtual-time gate state shared by every slot
@@ -177,10 +146,9 @@ type Tree[V any] struct {
 // over slot indices with very few steps ("plateaus"). Only those two bulk
 // paths append here, and within one node they release ascending contiguous
 // index runs at non-decreasing times, which appending plateaus represents
-// exactly; every other release goes through a materialized group's own
-// gate. If an unforeseen pattern exceeds the plateau capacity, the slot
-// being released materializes its group instead (correct, just not
-// compact).
+// exactly; every other release goes through a group's own gate. Both paths
+// work on a node newNode just gave an empty table and add at most two
+// plateaus to it, so a full table is a bug (release panics).
 type uniformGates struct {
 	busyStart uint64 // bulk Prime time; 0 if the node was born unlocked
 	n         int8
@@ -191,10 +159,9 @@ type uniformGates struct {
 const maxPlateaus = 4
 
 // freeAt returns the gate release time a materializing group must restore
-// for slot i. Slots before the first plateau (or in a node never bulk-
-// released) report 0; slots still locked may report a plateau time
-// prematurely, which is unobservable — no core can arrive at a held bit's
-// gate, and the eventual release maxes the real end time in.
+// for slot i (0 before the first plateau). Slots still locked may report a
+// plateau time prematurely, which is unobservable — no core can arrive at a
+// held bit's gate, and the eventual release maxes the real end time in.
 func (u *uniformGates) freeAt(i int) uint64 {
 	var free uint64
 	for p := 0; p < int(u.n); p++ {
@@ -205,42 +172,38 @@ func (u *uniformGates) freeAt(i int) uint64 {
 	return free
 }
 
-// release records the bulk release of slot i at virtual time t, returning
-// false if the plateau capacity is exhausted (caller must materialize).
-func (u *uniformGates) release(i int, t uint64) bool {
+// release records the bulk release of slot i at virtual time t.
+func (u *uniformGates) release(i int, t uint64) {
 	if u.n > 0 && u.free[u.n-1] == t {
-		return true // extends the open plateau
+		return // extends the open plateau
 	}
 	if int(u.n) == maxPlateaus {
-		return false
+		panic("radix: bulk lock-bit releases at more than maxPlateaus distinct times in one node")
 	}
 	u.idx[u.n] = int32(i)
 	u.free[u.n] = t
 	u.n++
-	return true
 }
 
 // slotGroup is the per-slot state of the slotsPerLine slots sharing one
 // simulated cache line: the line model, the per-slot virtual-time gates, and
-// the per-slot states, with embedded slabs backing the fill clones so
-// materialization is a single allocation. All of it belongs to one node of
-// one tree: a line or a gate two trees charged would move virtual time, so
-// what copies of a node share is never a group but the image of what their
-// groups are born holding (nodeImage), and a group a tree touches is its own.
+// the per-slot states, with embedded slabs backing the slots' private copies
+// so giving a group storage is a single allocation. All of it belongs to one
+// node of one tree: a line or a gate two trees charged would move virtual
+// time, so what copies of a node share is never a group but an image.
 type slotGroup[V any] struct {
 	line  hw.Line
 	gates [slotsPerLine]hw.Gate
 	sts   [slotsPerLine]atomic.Pointer[slotState[V]]
-	slab  [slotsPerLine]slotState[V] // backs fill clones (cloneCopy/cloneFunc)
-	vals  [slotsPerLine]V            // cloneCopy value slab
+	slab  [slotsPerLine]slotState[V] // backs the states of slots holding a copy
+	vals  [slotsPerLine]V            // backs the copies
 }
 
 // node simulates the paper's 8 KB radix node (Figure 3): 512 slots, each a
-// 16-byte (value pointer, lock bit) pair. Real state follows the
-// copy-on-diverge scheme in the package comment: a compact uniform header
-// plus a directory of lazily materialized slot groups. The 512 lock bits
-// are packed into 8 atomic words and always present (the lock really is
-// one bit of the slot, as in the paper).
+// 16-byte (value pointer, lock bit) pair, as a compact header plus a directory
+// of slot groups (package comment). The 512 lock bits are packed into 8
+// atomic words and always present (the lock really is one bit of the slot,
+// as in the paper).
 type node[V any] struct {
 	tree      *Tree[V]
 	level     int    // 0 at leaves
@@ -261,12 +224,10 @@ type node[V any] struct {
 	// uniSt is the slot state every unmaterialized slot holds (nil for an
 	// empty node). It is written only while the node is unpublished and
 	// immutable afterwards: post-publication writes go through a slot's
-	// materialized group. uniStore is its embedded backing, so uniform
-	// construction allocates nothing beyond the node itself. On cloneCopy
-	// trees the fill value itself is copied into the embedded uniVal, so
-	// the node never aliases caller-owned storage — in particular not a
-	// value carrier's, which lets folded-slot expansion retire the carrier
-	// it just expanded instead of orphaning it to the GC.
+	// materialized group. uniStore and uniVal are its embedded backing: the
+	// node allocates nothing for its fill and never aliases caller-owned
+	// storage — in particular not a value carrier's, which lets folded-slot
+	// expansion retire the carrier it just expanded.
 	uniSt    *slotState[V]
 	uniStore slotState[V]
 	uniVal   V
@@ -279,11 +240,11 @@ type node[V any] struct {
 
 	// forkBusy/forkForks (matMu) track in-progress forks holding this
 	// node's slot bits: forkForks counts them and forkBusy is the earliest
-	// arrival among them — the start of the fork busy period forkUnlock
-	// will eventually merge into uni. A group materializing mid-fork
-	// consults them so its restored gates carry the fork's busy period,
-	// not just the pre-fork table's (a locker could otherwise under-wait
-	// the fork's critical section; see initGroup).
+	// arrival among them — the start of the busy period forkUnlock will
+	// merge into uni. A group materializing mid-fork merges it into its
+	// restored gates (initGroup): a locker could otherwise carry a later
+	// busyStart and pass the gate without waiting out the fork's critical
+	// section.
 	forkBusy  uint64
 	forkForks int32
 
@@ -291,9 +252,8 @@ type node[V any] struct {
 	dir  atomic.Pointer[groupDir[V]]      // the node's slot groups; nil = none
 
 	// img is the image this node was born from, if it is a path copy of a
-	// frozen node: what its groups without storage hold. peek reads it with
-	// no lock, so it is set while the copy is still private and stays set
-	// for the copy's lifetime, realized groups or not; only the next
+	// frozen node. peek reads it with no lock, so it is set while the copy
+	// is still private and stays set for the copy's lifetime; only the next
 	// incarnation (recycle, cloneShell) replaces it. copyImg is the other
 	// side: the image of this node's own copies, cached here by the first
 	// tree that path-copied it once no tree could write it anymore.
@@ -307,15 +267,8 @@ type node[V any] struct {
 // all its copies are born identical: the same groups, each slot holding the
 // same child link or a copy of the same value, which the onDiverge hook has
 // turned into the same thing. The first tree to diverge the node records that
-// in an image instead of in groups of its own, caches it on the source, and
-// every copy — its own included — is born as a header whose directory has
-// the image's groups without storage. What a copy's owner never touches stays
-// in the image, shared by all the copies and written by none of them; a group
-// the owner does touch is realized as it would have been mirrored, with a cold
-// line, free gates and private copies of the values. A copy thus costs the
-// host what its owner touches, and virtual time nothing it did not cost
-// before: the sweep that builds or checks an image acquires, charges, pins
-// and bills exactly what the mirroring sweep does.
+// in an image, caches it on the source, and every copy — its own included —
+// is born as a header whose directory has the image's groups without storage.
 //
 // An image is immutable once its sweep ends, and it describes the source as
 // of the directory it was built over: a lookup that materializes a group in
@@ -332,7 +285,7 @@ type nodeImage[V any] struct {
 type imageGroup[V any] struct {
 	src  [slotsPerLine]*slotState[V] // what the source's slots held
 	sts  [slotsPerLine]slotState[V]  // what a copy's slots are born holding; zero = empty
-	vals [slotsPerLine]V             // backs sts on cloneCopy trees, like slotGroup.vals
+	vals [slotsPerLine]V             // backs sts, like slotGroup.vals
 }
 
 // group returns the image's group gi, or nil if copies are born without it.
@@ -377,16 +330,15 @@ func (im *nodeImage[V]) peek(gi, j int) *slotState[V] {
 }
 
 // fill gives g, zeroed storage for group gi of a copy born from im, the first
-// upto slots' born state: the child links, and copies of the values private
-// to the copy's tree t.
-func (im *nodeImage[V]) fill(t *Tree[V], g *slotGroup[V], gi, upto int) {
+// upto slots' born state: the child links, and private copies of the values.
+func (im *nodeImage[V]) fill(g *slotGroup[V], gi, upto int) {
 	ig := im.group(gi)
 	for j := 0; j < upto; j++ {
 		switch st := &ig.sts[j]; {
 		case st.child != nil:
 			g.slab[j] = slotState[V]{child: st.child}
 		case st.val != nil:
-			t.copyInto(&g.slab[j], &g.vals[j], st.val)
+			copyInto(&g.slab[j], &g.vals[j], st.val)
 		default:
 			continue
 		}
@@ -394,20 +346,12 @@ func (im *nodeImage[V]) fill(t *Tree[V], g *slotGroup[V], gi, upto int) {
 	}
 }
 
-// copyInto makes st the slot state of a fresh copy of v, of the kind the
-// tree's clone makes — on cloneCopy trees a plain copy backed by store — and
+// copyInto makes st the slot state of a copy of v backed by store, and
 // returns the copy.
-func (t *Tree[V]) copyInto(st *slotState[V], store *V, v *V) *V {
-	switch t.kind {
-	case cloneShared:
-		*st = slotState[V]{val: v}
-	case cloneCopy:
-		*store = *v
-		*st = slotState[V]{val: store}
-	default:
-		*st = slotState[V]{val: t.clone(v)}
-	}
-	return st.val
+func copyInto[V any](st *slotState[V], store *V, v *V) *V {
+	*store = *v
+	*st = slotState[V]{val: store}
+	return store
 }
 
 // groupSet is a set of group indices. A node's directory and an image each
@@ -430,30 +374,7 @@ func (s *groupSet) rank(gi int) int {
 
 var _ [2]uint64 = groupSet{}
 
-func (s *groupSet) count() int {
-	n := 0
-	for _, w := range s {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// hasAll reports whether every index in [g0, g1] is a member.
-func (s *groupSet) hasAll(g0, g1 int) bool {
-	for w := g0 >> 6; w <= g1>>6; w++ {
-		mask := ^uint64(0)
-		if w == g0>>6 {
-			mask &= ^uint64(0) << (uint(g0) & 63)
-		}
-		if w == g1>>6 {
-			mask &= ^uint64(0) >> (63 - uint(g1)&63)
-		}
-		if s[w]&mask != mask {
-			return false
-		}
-	}
-	return true
-}
+func (s *groupSet) count() int { return bits.OnesCount64(s[0]) + bits.OnesCount64(s[1]) }
 
 // below returns the members of s that are smaller than gi.
 func (s groupSet) below(gi int) groupSet {
@@ -470,28 +391,17 @@ func (s groupSet) below(gi int) groupSet {
 
 // groupDir is a node's directory of slot groups: a presence bitmap plus a
 // dense slice with one entry per present group, in ascending group index
-// order. The obvious 128-entry pointer array was ~1 KB of every node's
-// ~1.2 KB header while the typical node diverges in zero, one, or two groups;
-// the compressed form costs one pointer per present group — four of them
-// inline, so the typical node's directory is a single allocation — cutting the
-// uniform-node header ~4x, which is what keeps 64–128-core fleets' node
-// populations in cache.
-//
-// A group comes to be present in one of three ways. It *materializes* out of
-// the node's uniform state the first time its line is touched; it is
-// *mirrored* from a live source's group when a fork copies the node; or the
-// node is *born with it in an image* (see nodeImage), when the node is a
-// path copy of a frozen one. Only the third kind is ever present without
-// storage: its entry stays nil, and the slots read through to the image,
-// until something needs the group's line or gates and *realizes* it.
+// order — one pointer per present group, four of them inline, since the
+// typical node diverges in zero, one, or two groups. Only an image-born group
+// (package comment) is present without storage: its entry stays nil until it
+// is realized.
 //
 // A published groupDir's membership is immutable. Adding groups
 // (materializeLocked under matMu) builds a new directory and publishes it
 // with one atomic pointer store, so lock-free readers get a consistent
 // bitmap+slice snapshot from a single load; giving a present group its
-// storage is one atomic store into the entry it already has. While a node is
-// private to the goroutine constructing it, its directory is filled in place
-// (see shell).
+// storage is one atomic store into the entry it already has. A node still
+// private to the goroutine constructing it has its directory filled in place.
 type groupDir[V any] struct {
 	bits   groupSet
 	groups []atomic.Pointer[slotGroup[V]]
@@ -523,15 +433,11 @@ func newGroupDirOf[V any](set groupSet) *groupDir[V] {
 }
 
 // insert makes g group gi of a directory still private to the goroutine
-// filling it; gi must be absent.
+// filling it, which adds groups in ascending order.
 func (d *groupDir[V]) insert(gi int, g *slotGroup[V]) {
-	r := d.bits.rank(gi)
 	d.bits.add(gi)
 	d.groups = append(d.groups, atomic.Pointer[slotGroup[V]]{})
-	for k := len(d.groups) - 1; k > r; k-- {
-		d.groups[k].Store(d.groups[k-1].Load())
-	}
-	d.groups[r].Store(g)
+	d.groups[len(d.groups)-1].Store(g)
 }
 
 // entry returns group gi's directory entry, or nil if the group is absent.
@@ -543,7 +449,7 @@ func (d *groupDir[V]) entry(gi int) *atomic.Pointer[slotGroup[V]] {
 }
 
 // get returns the storage of group gi, or nil if it is absent or present
-// without any: one bit test plus a popcount rank into the dense slice.
+// without any.
 func (d *groupDir[V]) get(gi int) *slotGroup[V] {
 	if d == nil || !d.bits.has(gi) {
 		return nil
@@ -578,9 +484,8 @@ func (n *node[V]) forEachGroup(fn func(gi int, g *slotGroup[V])) {
 	}
 }
 
-// group returns slot idx's group, materializing or realizing it if needed.
-// The caller is about to touch the group's line or gates; pure value reads
-// should use peek, which does neither.
+// group returns slot idx's group, giving it storage if needed: the caller is
+// about to touch its line or gates (pure value reads use peek).
 func (n *node[V]) group(idx int) *slotGroup[V] {
 	gi := idx / slotsPerLine
 	if g := n.groupLoad(gi); g != nil {
@@ -594,9 +499,6 @@ func (n *node[V]) group(idx int) *slotGroup[V] {
 // touch, their storage if any of them lacks it.
 func (n *node[V]) materialize(g0, g1 int) {
 	d := n.dir.Load()
-	if d != nil && n.img == nil && d.bits.hasAll(g0, g1) {
-		return // present, and only a copy born in an image has groups without storage
-	}
 	for gi := g0; gi <= g1; gi++ {
 		if d.get(gi) == nil {
 			n.matMu.Lock()
@@ -607,21 +509,19 @@ func (n *node[V]) materialize(g0, g1 int) {
 	}
 }
 
-// realizeRun is how many neighbouring groups get storage together when one
-// group a node was born with in an image is first touched: the aligned run
-// around it, in one allocation. Touches cluster, and nobody can tell a
-// realized group from an unrealized one, so rounding out is free in virtual
-// time and saves most of the allocations realizing singly would make.
+// realizeRun is how many neighbouring groups get storage together when an
+// image-born group is first touched: the aligned run around it, in one
+// allocation. Touches cluster, and nobody can tell a realized group from an
+// unrealized one, so rounding out is free in virtual time.
 const realizeRun = 4
 
 // materializeLocked gives groups [g0, g1] their storage, in one allocation and
 // at most one directory publish. matMu held. A group present without storage
-// is realized — cold line, free gates, private copies of the values the image
-// holds for it — together with its like in the aligned runs around the range.
+// is realized together with its like in the aligned runs around the range.
 // If uniform is set, a group absent from the directory materializes out of the
-// node's uniform state (initGroup); unlike a realization that is visible — a
-// later fork mirrors, charges and bills the group — so it happens for exactly
-// the groups asked for, which the caller is about to touch.
+// node's uniform state; unlike a realization that is visible — a later fork
+// mirrors, charges and bills the group — so it happens for exactly the groups
+// asked for.
 func (n *node[V]) materializeLocked(g0, g1 int, uniform bool) {
 	w0, w1 := g0, g1
 	if n.img != nil {
@@ -649,18 +549,16 @@ func (n *node[V]) materializeLocked(g0, g1 int, uniform bool) {
 	if add != (groupSet{}) {
 		// The new directory: d's entries at their new ranks, the added
 		// groups' entries still empty.
-		if d == nil {
-			nd = newGroupDirOf[V](add)
-		} else {
+		if d != nil {
 			for w := range add {
 				add[w] |= d.bits[w]
 			}
-			nd = newGroupDirOf[V](add)
-			for gi, k := 0, 0; k < len(d.groups); gi++ {
-				if d.bits.has(gi) {
-					nd.groups[nd.bits.rank(gi)].Store(d.groups[k].Load())
-					k++
-				}
+		}
+		nd = newGroupDirOf[V](add)
+		for gi, k := 0, 0; d != nil && k < len(d.groups); gi++ {
+			if d.bits.has(gi) {
+				nd.groups[nd.bits.rank(gi)].Store(d.groups[k].Load())
+				k++
 			}
 		}
 	}
@@ -673,7 +571,7 @@ func (n *node[V]) materializeLocked(g0, g1 int, uniform bool) {
 		g := &slab[0]
 		slab = slab[1:]
 		if d.entry(gi) != nil {
-			n.img.fill(n.tree, g, gi, slotsPerLine)
+			n.img.fill(g, gi, slotsPerLine)
 		} else {
 			n.initGroup(g, gi)
 		}
@@ -686,20 +584,16 @@ func (n *node[V]) materializeLocked(g0, g1 int, uniform bool) {
 	n.tree.groupsLive.Add(int64(need))
 }
 
-// initGroup fills g with exactly the state the eager representation would
-// hold for slots [gi*slotsPerLine, (gi+1)*slotsPerLine): clones of the
-// uniform fill and gates restored from the uniform gate history. Called
-// with matMu held (post-publication materialization) or with the node
-// unpublished (construction/recycling), so plain stores are legal — the
-// group pointer's atomic store publishes it.
+// initGroup fills g with what the header stands for in slots
+// [gi*slotsPerLine, (gi+1)*slotsPerLine): copies of the uniform fill and
+// gates restored from the uniform gate history. Called with matMu held
+// (post-publication materialization) or with the node unpublished
+// (construction/recycling), so plain stores are legal — the group pointer's
+// atomic store publishes it.
 func (n *node[V]) initGroup(g *slotGroup[V], gi int) {
-	t := n.tree
 	base := gi * slotsPerLine
-	// A fork in progress holds this node's bits: its busy period has not
-	// been merged into uni yet (forkUnlock does that), so merge it into the
-	// restored gates here. Without this, a locker materializing a group
-	// mid-fork could carry a busyStart later than the fork's arrival and
-	// pass the gate without waiting out the fork's critical section.
+	// A fork in progress has not merged its busy period into uni yet: merge
+	// it into the restored gates here (see node.forkBusy).
 	busyStart := n.uni.busyStart
 	if n.forkForks > 0 && n.forkBusy < busyStart {
 		busyStart = n.forkBusy
@@ -707,17 +601,8 @@ func (n *node[V]) initGroup(g *slotGroup[V], gi int) {
 	for j := 0; j < slotsPerLine; j++ {
 		var st *slotState[V]
 		if n.uniSt != nil {
-			switch t.kind {
-			case cloneShared:
-				st = n.uniSt
-			case cloneCopy:
-				g.vals[j] = *n.uniSt.val
-				g.slab[j] = slotState[V]{val: &g.vals[j]}
-				st = &g.slab[j]
-			default:
-				g.slab[j] = slotState[V]{val: t.clone(n.uniSt.val)}
-				st = &g.slab[j]
-			}
+			st = &g.slab[j]
+			copyInto(st, &g.vals[j], n.uniSt.val)
 		}
 		storePlain(&g.sts[j], st)
 		g.gates[j].Restore(n.uni.freeAt(base+j), busyStart)
@@ -736,11 +621,11 @@ func resetGroup[V any](g *slotGroup[V]) {
 	}
 }
 
-// peek reads slot idx's state without giving its group storage: slots of a
-// group the node was born with in an image report what the image holds for
-// them, slots nothing has touched the uniform state. Used by pure value reads
-// (Entry.Value on shared-clone trees, expansion's re-read under a held bit,
-// teardown), which charge no line cost and so need no line model.
+// peek reads slot idx's state without giving its group storage: slots of an
+// image-born group report what the image holds for them, slots nothing has
+// touched the uniform state. Used by pure value reads (expansion's re-read
+// under a held bit, teardown), which charge no line cost and so need no line
+// model.
 func (n *node[V]) peek(idx int) *slotState[V] {
 	gi := idx / slotsPerLine
 	d := n.dir.Load()
@@ -771,70 +656,43 @@ func (n *node[V]) acquire(cpu *hw.CPU, idx int) {
 	cpu.AcquireBitIn(&n.bits[idx>>6], uint64(1)<<(uint(idx)&63), &g.gates[idx%slotsPerLine])
 }
 
-// release drops slot idx's lock bit. A slot whose group never
-// materialized (a locked entry the caller neither read nor wrote)
-// materializes it here: the group's gate picks up the uniform history and
-// then records this release itself, which keeps every gate state exact.
-// The plateau encoding is reserved for the creation-time bulk patterns
-// (bulkRelease, releaseAllExcept), whose ascending contiguous bursts it
-// can represent; arbitrary per-slot releases cannot be folded into it.
+// release drops slot idx's lock bit through its group's gate (acquire gave
+// the group storage): the plateau table cannot represent arbitrary per-slot
+// releases.
 func (n *node[V]) release(cpu *hw.CPU, idx int) {
 	g := n.group(idx)
 	cpu.ReleaseBitIn(&n.bits[idx>>6], uint64(1)<<(uint(idx)&63), &g.gates[idx%slotsPerLine])
 }
 
 // bulkRelease drops slot idx's lock bit during lock-bit propagation's
-// release sweep (lockedDescend walking a freshly expanded child). Within
-// one node these sweeps release ascending contiguous index runs at at most
-// two distinct virtual times (before and after the boundary expansions),
-// which is exactly what the uniform plateau table encodes — so slots whose
-// group never materialized stay compact, with the same gate-before-bit
-// ordering ReleaseBitIn provides (a locker that wins the freed bit
-// observes the release time).
+// release sweep (lockedDescend walking a freshly expanded child): ascending
+// contiguous index runs at at most two distinct virtual times (before and
+// after the boundary expansions). A slot whose group has no storage goes into
+// the plateau table, with the same gate-before-bit ordering ReleaseBitIn
+// provides (a locker that wins the freed bit observes the release time).
 func (n *node[V]) bulkRelease(cpu *hw.CPU, idx int) {
 	mask := uint64(1) << (uint(idx) & 63)
-	if g := n.groupLoad(idx / slotsPerLine); g != nil {
-		cpu.ReleaseBitIn(&n.bits[idx>>6], mask, &g.gates[idx%slotsPerLine])
-		return
-	}
 	n.matMu.Lock()
 	if g := n.groupLoad(idx / slotsPerLine); g != nil {
 		n.matMu.Unlock()
 		cpu.ReleaseBitIn(&n.bits[idx>>6], mask, &g.gates[idx%slotsPerLine])
 		return
 	}
-	now := cpu.Now()
-	if !n.uni.release(idx, now) {
-		// Plateau overflow (an unforeseen release pattern): materialize
-		// this slot's group so its gate records its own history.
-		n.tree.plateauOverflows.Add(1)
-		n.materializeLocked(idx/slotsPerLine, idx/slotsPerLine, true)
-		n.matMu.Unlock()
-		cpu.ReleaseBitIn(&n.bits[idx>>6], mask, &n.groupLoad(idx / slotsPerLine).gates[idx%slotsPerLine])
-		return
-	}
+	n.uni.release(idx, cpu.Now())
 	n.matMu.Unlock()
 	n.bits[idx>>6].And(^mask)
 }
 
 // releaseAllExcept bulk-releases every slot lock bit except keep's, the
 // fault path's expansion step (§3.4: expand, then keep only the faulting
-// page's lock). All releases happen at one virtual instant, so the
-// uniform gate history absorbs them as a single plateau; materialized
-// groups (pooled nodes carry them) get per-gate releases. Gate state is
-// updated before any bit is cleared, exactly as ReleaseBitIn orders it.
+// page's lock). All releases happen at one virtual instant, one plateau of
+// the uniform gate history; groups with storage (pooled nodes carry them) get
+// per-gate releases. Gate state is updated before any bit is cleared, exactly
+// as ReleaseBitIn orders it.
 func (n *node[V]) releaseAllExcept(cpu *hw.CPU, keep int) {
 	now := cpu.Now()
 	n.matMu.Lock()
-	// One plateau covers all unmaterialized slots. The table of a freshly
-	// expanded node is empty, so this cannot overflow today; if a future
-	// caller ever hands in a node with a full table, fall back to
-	// materializing everything so each gate records its own history (the
-	// loop below then restores the release into every group).
-	if !n.uni.release(0, now) {
-		n.tree.plateauOverflows.Add(1)
-		n.materializeLocked(0, groupsPerNode-1, true)
-	}
+	n.uni.release(0, now) // one plateau covers all unmaterialized slots
 	n.forEachGroup(func(gi int, g *slotGroup[V]) {
 		for j := 0; j < slotsPerLine; j++ {
 			if idx := gi*slotsPerLine + j; idx != keep {
@@ -853,9 +711,8 @@ func (n *node[V]) releaseAllExcept(cpu *hw.CPU, keep int) {
 }
 
 // The plain-store fast path below assumes atomic.Pointer is exactly one
-// word (its zero-size noCopy/type-guard fields precede the pointer); the
-// two declarations assert size equality in both directions, so compilation
-// fails if a future runtime grows or shrinks the layout.
+// word; the two declarations assert size equality in both directions, so
+// compilation fails if a future runtime grows or shrinks the layout.
 var (
 	_ [unsafe.Sizeof(atomic.Pointer[int]{}) - unsafe.Sizeof(unsafe.Pointer(nil))]byte
 	_ [unsafe.Sizeof(unsafe.Pointer(nil)) - unsafe.Sizeof(atomic.Pointer[int]{})]byte
@@ -863,9 +720,8 @@ var (
 
 // storePlain initializes slot state p with a plain (non-atomic) store.
 // Only legal while the containing group is unpublished (group construction
-// or pool reset), so no other goroutine can observe the slot: the atomic
-// store that later publishes the group (or the node) orders these writes
-// before any reader's atomic loads.
+// or pool reset): the atomic store that later publishes the group (or the
+// node) orders these writes before any reader's atomic loads.
 func storePlain[V any](p *atomic.Pointer[slotState[V]], st *slotState[V]) {
 	*(**slotState[V])(unsafe.Pointer(p)) = st
 }
@@ -875,58 +731,36 @@ func storePlain[V any](p *atomic.Pointer[slotState[V]], st *slotState[V]) {
 // folded value at an interior slot). nil slotState = empty.
 //
 // The three pointer words are written once, before the state is first
-// published through a slot, and never after — lock-free readers (Lookup,
-// the lock paths' descend loads) may hold a slotState across a concurrent
-// replacement, and immutability of the words is what keeps those reads
-// race-free. The *contents* of val follow a weaker rule: they may be
-// mutated under the owning slot's lock bit (the pagefault path updates
-// mapping metadata in place; a recycled carrier's value is rewritten under
-// its new slot's bit), so dereferencing a value obtained without the slot's
-// lock yields a point-in-time snapshot only.
+// published through a slot, and never after — lock-free readers may hold a
+// slotState across a concurrent replacement, and immutability of the words
+// is what keeps those reads race-free. The *contents* of val follow a weaker
+// rule: they may be mutated under the owning slot's lock bit (the pagefault
+// path updates mapping metadata in place; a recycled carrier's value is
+// rewritten under its new slot's bit), so dereferencing a value obtained
+// without the slot's lock yields a point-in-time snapshot only.
 type slotState[V any] struct {
 	child   *refcache.Obj // Data holds the *node[V]
 	val     *V
 	carrier *valCarrier[V] // non-nil when this state is carrier-backed
 }
 
-// New creates an empty tree on machine m, using rc for node lifetimes.
-// A nil clone shares value pointers (appropriate for immutable values) and
-// lets all slots of an expanded child share a single slot state. A non-nil
-// clone is called lazily, from whichever core first touches a slot group,
-// so it must be safe for concurrent use.
-func New[V any](m *hw.Machine, rc *refcache.Refcache, clone func(*V) *V) *Tree[V] {
-	kind := cloneFunc
-	if clone == nil {
-		kind = cloneShared
-		clone = func(v *V) *V { return v }
-	}
-	return buildTree(m, rc, clone, kind)
-}
-
-// NewCopy creates a tree whose clone is a plain value copy (c := *v). This
-// declares that V needs no deep cloning, which lets slot groups back their
-// per-page copies with embedded slabs instead of individual heap
-// allocations — the right choice for flat metadata structs like VM
-// mappings — and make only the four copies their line actually holds.
+// NewCopy creates an empty tree on machine m, using rc for node lifetimes.
+// Values are duplicated by plain copy (c := *v): V needs no deep cloning — the
+// case of flat metadata structs like VM mappings — which lets slot groups back
+// their per-page copies with embedded slabs instead of heap allocations.
 func NewCopy[V any](m *hw.Machine, rc *refcache.Refcache) *Tree[V] {
-	return buildTree(m, rc, func(v *V) *V { c := *v; return &c }, cloneCopy)
-}
-
-func buildTree[V any](m *hw.Machine, rc *refcache.Refcache, clone func(*V) *V, kind cloneKind) *Tree[V] {
-	t := treeShell(m, rc, clone, kind)
+	t := treeShell[V](m, rc)
 	t.root = t.newNode(nil, Levels-1, 0, nil, 0, false)
 	// The root is permanent: its object holds one immortal reference.
 	return t
 }
 
-// treeShell builds a tree without its root — shared by buildTree and Fork,
+// treeShell builds a tree without its root — shared by NewCopy and ForkLazy,
 // whose root is a structural clone rather than an empty node.
-func treeShell[V any](m *hw.Machine, rc *refcache.Refcache, clone func(*V) *V, kind cloneKind) *Tree[V] {
+func treeShell[V any](m *hw.Machine, rc *refcache.Refcache) *Tree[V] {
 	return &Tree[V]{
 		m:        m,
 		rc:       rc,
-		clone:    clone,
-		kind:     kind,
 		pageZero: m.Config().PageZero,
 		cpus:     make([]atomic.Pointer[cpuState[V]], m.NCores()),
 	}
@@ -937,11 +771,9 @@ func treeShell[V any](m *hw.Machine, rc *refcache.Refcache, clone func(*V) *V, k
 // — which together make the steady-state lock, fault and mmap/munmap paths
 // allocation-free — plus the CPU's slot in the lazy-fork quiescence gate.
 // All of it but hold.flag is owner-goroutine state, like Refcache's delta
-// caches: touched only by the goroutine driving that CPU (quiescent helpers
-// such as Refcache.FlushAll may drive several CPUs from one goroutine; the
-// rule is one goroutine per CPU at a time, not one goroutine forever). Each
-// CPU's state is a heap object of its own (~1 KB), which also keeps two
-// CPUs' hot words from packing into one host cache line.
+// caches: touched only by the goroutine driving that CPU (one at a time, not
+// one forever). Each CPU's state is a heap object of its own (~1 KB), which
+// also keeps two CPUs' hot words from packing into one host cache line.
 type cpuState[V any] struct {
 	hold     opHold
 	pool     []*node[V]     // recycled nodes (pool.go)
@@ -950,9 +782,9 @@ type cpuState[V any] struct {
 	rng      Range[V]       // cached Range carrier (lock.go)
 
 	// born and bornSt stand in for a copy's slot when a divergence sweep
-	// finds the slot's born state in an image already: the onDiverge hook
-	// still runs, and this is the dst it is handed. (A local would escape
-	// through the hook's func value: one allocation per slot.)
+	// finds the slot's born state in an image already: the dst the
+	// onDiverge hook is still handed. (A local would escape through the
+	// hook's func value: one allocation per slot.)
 	born   V
 	bornSt slotState[V]
 }
@@ -973,26 +805,23 @@ func (t *Tree[V]) cpu(cpu *hw.CPU) *cpuState[V] {
 }
 
 // Template returns cpu's scratch value for building what Entry.SetClone
-// copies into a slot: a caller that fills it in place and passes it on makes
-// no per-call allocation. Owner-goroutine only; the contents do not survive
-// the CPU's next use of it.
+// copies into a slot without a per-call allocation. Owner-goroutine only; the
+// contents do not survive the CPU's next use of it.
 func (t *Tree[V]) Template(cpu *hw.CPU) *V { return &t.cpu(cpu).template }
 
 // opHold is one CPU's slot in the lazy-fork quiescence gate. depth is
-// owner-goroutine state (each CPU's operations run on its own goroutine,
-// like the node pools); flag is the published in-critical-section marker
+// owner-goroutine state; flag is the published in-critical-section marker
 // ForkLazy scans.
 type opHold struct {
 	depth int32
 	flag  atomic.Int32
 }
 
-// opEnter marks cpu as inside a locked operation on t. If a ForkLazy is
-// draining, the operation waits for it to finish before entering — the
-// writer side of a per-CPU reader/writer gate. Nested ranges on one CPU
-// just deepen the existing hold. A CPU's first operation publishes its
-// state before raising the flag, so a ForkLazy that scanned the slot while
-// it was still empty is one this operation then sees in lazyForks.
+// opEnter marks cpu as inside a locked operation on t, waiting out a
+// draining ForkLazy first. Nested ranges on one CPU just deepen the existing
+// hold. A CPU's first operation publishes its state before raising the flag,
+// so a ForkLazy that scanned the slot while it was still empty is one this
+// operation then sees in lazyForks.
 func (t *Tree[V]) opEnter(cpu *hw.CPU) *cpuState[V] {
 	cs := t.cpu(cpu)
 	h := &cs.hold
@@ -1021,60 +850,32 @@ func (t *Tree[V]) opExit(cpu *hw.CPU) {
 	}
 }
 
-// newNode allocates (or recycles) a node at the given level whose slots
-// all logically hold clones of fill (nil for an empty node). If locked,
-// every slot's lock bit is taken by the caller (lock-bit propagation
+// newNode allocates (or recycles) a node at the given level, born uniform:
+// its slots all logically hold copies of fill (nil for an empty node). If
+// locked, every slot's lock bit is taken by the caller (lock-bit propagation
 // during expansion). The caller receives the node with one traversal pin
 // already held on cpu (none for the root, which instead gets an immortal
-// reference).
-//
-// The node is private until the caller publishes it through the parent
-// slot's atomic store. Construction is uniform-form: the fill value and
-// gate history live in the header, and per-slot state materializes only as
-// slots are touched — none of which changes the simulated cost accounting
-// (a fresh node's lines are cold and its bits free, exactly as an eager
-// node's would be).
+// reference); the node is private until the caller publishes it through the
+// parent slot's atomic store.
 func (t *Tree[V]) newNode(cpu *hw.CPU, level int, base uint64, fill *V, used int64, locked bool) *node[V] {
-	var n *node[V]
-	if cpu != nil {
-		n = t.getNode(cpu)
-	}
-	if n == nil {
-		n = &node[V]{}
-	}
-	n.tree = t
-	n.level = level
-	n.base = base
+	n := t.header(cpu, level, base)
 	if fill != nil {
-		if t.kind == cloneCopy {
-			// Copy the fill into node-owned storage: the caller's value
-			// (often a carrier's, see expand) stays free to be recycled.
-			n.uniVal = *fill
-			n.uniStore = slotState[V]{val: &n.uniVal}
-		} else {
-			n.uniStore = slotState[V]{val: fill}
-		}
+		// Copy the fill into node-owned storage: the caller's value (often
+		// a carrier's, see expand) stays free to be recycled.
 		n.uniSt = &n.uniStore
-	} else {
-		n.uniSt = nil
+		copyInto(n.uniSt, &n.uniVal, fill)
 	}
-	n.uni = uniformGates{}
-	n.forkBusy, n.forkForks = 0, 0
-	n.gen = t.gen.Load()
-	n.links.Store(1)
 	if locked {
-		// Lock-bit propagation (§3.4) in bulk: set all 512 bits with 8
-		// word stores and record the priming instant; the node is
-		// unpublished, so no contention is possible and no cost is
-		// charged — exactly as acquiring 512 fresh, free bits.
+		// Lock-bit propagation (§3.4) in bulk: the node is unpublished,
+		// so no contention is possible and no cost is charged — exactly
+		// as acquiring 512 fresh, free bits.
 		n.uni.busyStart = cpu.Now()
 		for w := range n.bits {
 			n.bits[w].Store(^uint64(0))
 		}
 	}
-	// A pooled node may carry materialized groups from its previous
-	// incarnation; re-fill them from the new uniform state (cheap: nodes
-	// that stayed compact have at most a group or two).
+	// A pooled node may carry groups from its previous incarnation (at
+	// most poolGroupCap); re-fill them from the new uniform state.
 	n.forEachGroup(func(gi int, g *slotGroup[V]) { n.initGroup(g, gi) })
 	initial := used
 	if cpu == nil {
@@ -1085,6 +886,28 @@ func (t *Tree[V]) newNode(cpu *hw.CPU, level int, base uint64, fill *V, used int
 	}
 	n.obj = t.rc.NewObj(initial, freeNode[V])
 	n.obj.Data = n
+	return n
+}
+
+// header returns a node of t at level and base — recycled from cpu's pool if
+// it has one (no cpu: the first root) — with the header every birth starts
+// from: no fill, an empty gate table, native to t's current generation,
+// linked once. Its directory is the previous incarnation's, for the caller
+// to re-fill (newNode) or replace (cloneShell).
+func (t *Tree[V]) header(cpu *hw.CPU, level int, base uint64) *node[V] {
+	var n *node[V]
+	if cpu != nil {
+		n = t.getNode(cpu)
+	}
+	if n == nil {
+		n = &node[V]{}
+	}
+	n.tree, n.level, n.base = t, level, base
+	n.uniSt = nil
+	n.uni = uniformGates{}
+	n.forkBusy, n.forkForks = 0, 0
+	n.gen = t.gen.Load()
+	n.links.Store(1)
 	t.nodesLive.Add(1)
 	t.nodesEver.Add(1)
 	return n
@@ -1093,7 +916,7 @@ func (t *Tree[V]) newNode(cpu *hw.CPU, level int, base uint64, fill *V, used int
 // freeNode is the Refcache callback that reclaims an empty node: it clears
 // the parent's slot (racing fairly with concurrent lockers via CAS), drops
 // the used-slot reference the child link held on the parent, and recycles
-// the node onto the freeing CPU's pool.
+// the node.
 func freeNode[V any](cpu *hw.CPU, o *refcache.Obj) {
 	n := o.Data.(*node[V])
 	t := n.tree
@@ -1102,8 +925,6 @@ func freeNode[V any](cpu *hw.CPU, o *refcache.Obj) {
 	if p == nil {
 		return // root (never freed in practice)
 	}
-	// The child link was installed through p's materialized group (expand
-	// charges the parent line), so the group exists.
 	s := p.slot(n.parentIdx)
 	st := s.Load()
 	if st != nil && st.child == o && s.CompareAndSwap(st, nil) {
@@ -1135,35 +956,22 @@ func (t *Tree[V]) NodesLive() int64 { return t.nodesLive.Load() }
 func (t *Tree[V]) NodesEver() int64 { return t.nodesEver.Load() }
 
 // GroupsEver returns the number of slot groups ever given storage — the
-// divergence counter: a tree whose operations stay uniform materializes
-// almost nothing. A group a path copy was born with in an image counts when
-// it is realized, not before. (Diagnostics: no figure reads it.)
+// divergence counter; an image-born group counts when it is realized, not
+// before. (Diagnostics: no figure reads it.)
 func (t *Tree[V]) GroupsEver() int64 { return t.groupsEver.Load() }
 
-// PlateauOverflows returns how many bulk lock-bit releases exceeded the
-// uniform gate table's plateau capacity and fell back to materializing the
-// slot's group. The fallback is correct but abandons the compact encoding;
-// no known release pattern triggers it, so a non-zero count is a debug
-// signal that some path silently started materializing nodes (the ROADMAP's
-// plateau-overflow regression tripwire). Benchmarks assert it stays zero.
-func (t *Tree[V]) PlateauOverflows() int64 { return t.plateauOverflows.Load() }
-
 // Bytes returns the tree's simulated structural memory footprint, the
-// paper's Table 2 accounting (every node is an 8 KB page there, however
-// compact its Go-side representation is).
+// paper's Table 2 accounting (every node is an 8 KB page there).
 func (t *Tree[V]) Bytes() uint64 { return uint64(t.nodesLive.Load()) * NodeBytes }
 
 // FootprintBytes estimates the tree's real Go-side memory: compact node
 // headers plus the slot groups that have storage (each charged one directory
-// pointer for its dense groupDir entry). Uniform and singly-diverged nodes
-// cost a small fraction of NodeBytes; only fully diverged nodes approach
-// the eager representation's size. Groups a path copy holds only in its
+// pointer for its dense groupDir entry). Groups a path copy holds only in its
 // source's image are not counted: the image is shared, and charged to nobody.
-//
 // Nodes shared with a lazily forked snapshot are charged to the tree that
-// created them (nodesLive is a creating-tree counter), so parent and child
-// never double-count a shared node: a fresh ForkLazy child's footprint is
-// one root header, growing only as divergence path-copies nodes into it.
+// created them (nodesLive is a creating-tree counter), so a fresh ForkLazy
+// child's footprint is one root header, growing only as divergence
+// path-copies nodes into it.
 func (t *Tree[V]) FootprintBytes() uint64 {
 	return uint64(t.nodesLive.Load())*uint64(unsafe.Sizeof(node[V]{})) +
 		uint64(t.groupsLive.Load())*uint64(unsafe.Sizeof(slotGroup[V]{})+unsafe.Sizeof(uintptr(0)))
@@ -1178,7 +986,6 @@ func checkRange(lo, hi uint64) {
 // loadChild resolves a slot's child link by taking a traversal pin through
 // the weak reference. It returns the pinned node, or nil if the child is
 // dead (in which case the caller sees the slot as empty after cleanup).
-// Child links live only in materialized groups, so g is always available.
 func (t *Tree[V]) loadChild(cpu *hw.CPU, n *node[V], idx int, st *slotState[V]) *node[V] {
 	obj := t.rc.TryGet(cpu, st.child.Weak())
 	if obj == nil {
@@ -1201,8 +1008,7 @@ func (t *Tree[V]) unpin(cpu *hw.CPU, n *node[V]) {
 // foreign reports whether n is shared with a lazily forked snapshot and
 // must be path-copied before t writes under it: either n belongs to another
 // tree outright (a ForkLazy child still linking parent nodes) or n predates
-// t's current generation (the parent side after ForkLazy bumped it). A tree
-// outside any fork family shares no node, so this stays false for it.
+// t's current generation (the parent side after ForkLazy bumped it).
 func (t *Tree[V]) foreign(n *node[V]) bool {
 	return n.tree != t || n.gen != t.gen.Load()
 }
@@ -1212,11 +1018,11 @@ func (t *Tree[V]) foreign(n *node[V]) bool {
 // write, with the VPN range the value covers. Inherited by ForkLazy children.
 //
 // fn runs under every slot bit of src's node and may write *src. dst arrives
-// as a copy of *src (the tree's kind of copy) for fn to finish, and what fn
-// leaves in it may depend on src alone: the tree keeps the finished copy in
-// the node's image and gives every tree that diverges from src a copy of it,
-// so on all divergences but the first fn's dst is a scratch value, called for
-// fn's other effects and then forgotten.
+// as a copy of *src for fn to finish, and what fn leaves in it may depend on
+// src alone: the tree keeps the finished copy in the node's image and gives
+// every tree that diverges from src a copy of it, so on all divergences but
+// the first fn's dst is a scratch value, called for fn's other effects and
+// then forgotten.
 func (t *Tree[V]) OnDiverge(fn func(cpu *hw.CPU, lo, hi uint64, src, dst *V)) { t.onDiverge = fn }
 
 // OnRelease registers the fork's release hook: fn is invoked once per
@@ -1229,10 +1035,9 @@ func (t *Tree[V]) OnRelease(fn func(cpu *hw.CPU, lo, hi uint64, v *V)) { t.onRel
 // Lookup returns the value covering vpn, or nil if unmapped. It takes no
 // locks: interior nodes are only read, so concurrent lookups of disjoint
 // keys against concurrent inserts of disjoint keys move no cache lines
-// (Figure 7's property). It also performs no steady-state heap
-// allocations — the traversal pins live in a fixed on-stack array (the
-// tree is at most Levels deep); only the first-ever touch of a slot group
-// materializes it.
+// (Figure 7's property). It allocates nothing in steady state — the
+// traversal pins live in a fixed on-stack array; only the first-ever touch of
+// a slot group materializes it.
 func (t *Tree[V]) Lookup(cpu *hw.CPU, vpn uint64) *V {
 	checkRange(vpn, vpn+1)
 	n := t.root

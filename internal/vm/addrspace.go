@@ -169,10 +169,7 @@ func (as *AddressSpace) Mmap(cpu *hw.CPU, vpn, npages uint64, opts MapOpts) erro
 		r.Entry(i).SetClone(tmpl)
 	}
 	r.Unlock()
-	as.fileForget(vpn, vpn+npages)
-	if opts.File != nil {
-		as.fileRecord(opts.File, vpn, npages, opts.Offset)
-	}
+	as.fileRemap(vpn, vpn+npages, opts.File, opts.Offset)
 	return nil
 }
 
@@ -192,7 +189,7 @@ func (as *AddressSpace) Munmap(cpu *hw.CPU, vpn, npages uint64) error {
 	r := as.tree.LockRange(cpu, vpn, vpn+npages)
 	as.unmapLocked(cpu, r)
 	r.Unlock()
-	as.fileForget(vpn, vpn+npages)
+	as.fileRemap(vpn, vpn+npages, nil, 0)
 	return nil
 }
 

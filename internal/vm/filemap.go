@@ -16,24 +16,20 @@ type fileSpan struct {
 	off    uint64 // file page offset at lo
 }
 
-// fileRecord registers a new file-backed mapping of [vpn, vpn+npages) at
-// file offset off, adding this space to the file's mm registry. Bookkeeping
-// only: no virtual cost, no simulated cache traffic.
-func (as *AddressSpace) fileRecord(f *File, vpn, npages, off uint64) {
-	as.fileMu.Lock()
-	as.fileMaps = append(as.fileMaps, fileSpan{file: f, lo: vpn, hi: vpn + npages, off: off})
-	as.fileMu.Unlock()
-	f.RegisterMapper(as)
-}
-
-// fileForget subtracts [lo, hi) from every recorded file span (mmap
-// replacing the range, or munmap removing it), unregistering from any file
-// this space no longer maps at all. In-place compaction keeps the slice's
+// fileRemap subtracts [lo, hi) from every recorded file span (mmap replacing
+// the range, or munmap removing it) and records the range's new mapping of f
+// at file offset off (none if f is nil), in one step under fileMu — so a
+// space that maps f over its only region of f never leaves f's mm registry:
+// a concurrent Writeback finds whatever a fault installs in between, and the
+// space keeps its place in the revoke order. The registry is updated after
+// the hold (File.mu is never taken under fileMu), joining f before leaving
+// the files this space no longer maps at all. Bookkeeping only: no virtual
+// cost, no simulated cache traffic. In-place compaction keeps the slice's
 // capacity, so steady-state map/unmap cycles of a file page stay
 // allocation-free after the first round.
-func (as *AddressSpace) fileForget(lo, hi uint64) {
+func (as *AddressSpace) fileRemap(lo, hi uint64, f *File, off uint64) {
 	as.fileMu.Lock()
-	if len(as.fileMaps) == 0 {
+	if len(as.fileMaps) == 0 && f == nil {
 		as.fileMu.Unlock()
 		return
 	}
@@ -65,18 +61,25 @@ func (as *AddressSpace) fileForget(lo, hi uint64) {
 		}
 	}
 	as.fileMaps = append(kept, tail...)
+	joins := f != nil && !had[f]
+	if f != nil {
+		as.fileMaps = append(as.fileMaps, fileSpan{file: f, lo: lo, hi: hi, off: off})
+	}
 	// Files with no surviving span lose their registration, so later
 	// writebacks skip this space entirely; partial trims keep it.
 	for _, sp := range as.fileMaps {
 		delete(had, sp.file)
 	}
 	gone := make([]*File, 0, len(had))
-	for f := range had {
-		gone = append(gone, f)
+	for g := range had {
+		gone = append(gone, g)
 	}
 	as.fileMu.Unlock()
-	for _, f := range gone {
-		f.UnregisterMapper(as)
+	if joins {
+		f.RegisterMapper(as)
+	}
+	for _, g := range gone {
+		g.UnregisterMapper(as)
 	}
 }
 
@@ -134,7 +137,7 @@ func (as *AddressSpace) RevokeFilePages(cpu *hw.CPU, f *File, offLo, offHi uint6
 			continue
 		}
 		oLo, oHi := sp.off, sp.off+(sp.hi-sp.lo)
-		cLo, cHi := maxU64(oLo, offLo), minU64(oHi, offHi)
+		cLo, cHi := max(oLo, offLo), min(oHi, offHi)
 		if cLo >= cHi {
 			continue
 		}
@@ -196,18 +199,4 @@ func (as *AddressSpace) RevokeFilePages(cpu *hw.CPU, f *File, offLo, offHi uint6
 		r.Unlock()
 	}
 	return revoked, maxSharers
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

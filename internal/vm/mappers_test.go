@@ -66,3 +66,46 @@ func TestMapperRegistryKeepsRegistrationOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestRemapKeepsRegistryPlace: a space that maps a file over its only region
+// of that file must not leave the file's mm registry and rejoin at the tail.
+// Two spaces map one file; the first remaps its region; one Writeback must
+// still revoke the first space before the second (the order feeds the virtual
+// clock), and find both spaces' translations.
+func TestRemapKeepsRegistryPlace(t *testing.T) {
+	m := hw.NewMachine(hw.TestConfig(2))
+	rc := refcache.New(m)
+	alloc := mem.NewAllocator(m, rc)
+	f := NewFile(alloc)
+	c0, c1 := m.CPU(0), m.CPU(1)
+	first, second := New(m, rc, alloc, nil), New(m, rc, alloc, nil)
+	opts := MapOpts{Prot: ProtRead, File: f}
+	for _, as := range []*AddressSpace{first, second} {
+		if err := as.Mmap(c0, 500, 2, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := f.snapshotMappers()
+	if err := first.Mmap(c0, 500, 2, opts); err != nil { // over its only region of f
+		t.Fatal(err)
+	}
+	if got := f.snapshotMappers(); !reflect.DeepEqual(got, before) {
+		t.Fatalf("the remap changed the revoke order:\n got %v\nwant %v", got, before)
+	}
+	for _, as := range []*AddressSpace{first, second} {
+		if err := as.Access(c1, 500, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.Writeback(c0, 0, 1)
+	if got := f.RevokedPages(); got != 2 {
+		t.Errorf("writeback revoked %d translations, want both spaces' (2)", got)
+	}
+	// A remap elsewhere keeps the registration; unmapping the last region drops it.
+	if err := first.Mmap(c0, 500, 2, MapOpts{Prot: ProtRead}); err != nil {
+		t.Fatal(err)
+	}
+	if f.Mappers() != 1 {
+		t.Errorf("Mappers() = %d after the first space mapped anonymous memory over its region, want 1", f.Mappers())
+	}
+}

@@ -750,9 +750,6 @@ func TestMmapMunmapCycleZeroAlloc(t *testing.T) {
 	if got != 0 {
 		t.Errorf("mmap/fault/munmap cycle = %v allocs/op, want 0", got)
 	}
-	if n := as.Tree().PlateauOverflows(); n != 0 {
-		t.Errorf("plateau overflows = %d, want 0", n)
-	}
 }
 
 // TestMprotectCycleZeroAlloc extends the criterion to the new syscall: the
