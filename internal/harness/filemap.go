@@ -14,7 +14,7 @@ var FileMapQuickLives = []int{32, 128}
 
 // FigFileMap is the shared page cache figure: a fleet of multithreaded
 // reader processes mapping one hot file, with a writeback/truncate ticker
-// revoking a rotating window of its pages while they read. Three tables:
+// revoking a rotating window of its pages while they read. Four tables:
 //
 //  1. Read throughput across cores for every system — the page cache
 //     serves one filled frame to every later mapper, so the fault path's
@@ -29,20 +29,31 @@ var FileMapQuickLives = []int{32, 128}
 //     fleet, radixvm tracks actual sharers), the per-page sharer-set
 //     high-water, and refcache reviews per writeback — revoked and
 //     truncated pages drain through the per-core delta caches.
+//  4. Where the ticker's time goes, across cores: its cycles per round inside
+//     the revocations and the address spaces they walked into. The run ends
+//     when the ticker does, so this is what bends table 1: RadixVM visits the
+//     holders of the window's pages and pays one interrupt round each (a
+//     cross-socket target costs three times an on-socket one), the baselines
+//     visit every space that maps the file and broadcast from each.
 //
 // Everything runs under the deterministic gang schedule, so every cell is
 // bit-stable run-to-run and gated byte-for-byte (figures/filemap.txt).
 func FigFileMap(o Options, lives []int) []*Table {
 	thr := &Table{Title: "filemap: shared-file read throughput (M faults/sec)"}
 	ipis := &Table{Title: "filemap: shootdown IPIs per writeback"}
+	tick := &Table{Title: "filemap: the ticker's revocations per round (K cycles inside them; address spaces visited)"}
+	var visits []Row
 	for _, f := range factories() {
 		for _, n := range o.Cores {
 			e, a := env(n)
 			r := workload.FileServe(e, f.make(e, a), n, a, workload.DefaultFileServeConfig())
 			thr.Rows = append(thr.Rows, Row{Series: f.name, Cores: n, Value: r.FaultsPerSec() / 1e6, Unit: "M faults/s"})
 			ipis.Rows = append(ipis.Rows, Row{Series: f.name, Cores: n, Value: r.IPIsPerWriteback(), Unit: "IPIs/wb"})
+			tick.Rows = append(tick.Rows, Row{Series: f.name + " Kcycles", Cores: n, Value: r.TickerCyclesPerRound() / 1e3, Unit: "per round"})
+			visits = append(visits, Row{Series: f.name + " spaces", Cores: n, Value: r.VisitsPerRound(), Unit: "per round"})
 		}
 	}
+	tick.Rows = append(tick.Rows, visits...)
 
 	const cores = 8
 	prs := &Table{Title: fmt.Sprintf("filemap: invalidation pressure @ %d cores (columns: live processes)", cores)}
@@ -62,5 +73,5 @@ func FigFileMap(o Options, lives []int) []*Table {
 			}
 		}
 	}
-	return []*Table{thr, ipis, prs}
+	return []*Table{thr, ipis, prs, tick}
 }

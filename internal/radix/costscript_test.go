@@ -46,7 +46,7 @@ func costScript(t *testing.T, m *hw.Machine, rc *refcache.Refcache, tr *Tree[val
 	t.Helper()
 	c0, c1, c2 := m.CPU(0), m.CPU(1), m.CPU(2)
 	// The hooks are the VM layer's in miniature: the copy is marked, and so
-	// is the source the first time it is copied (as divergeMapping arms COW).
+	// is the source the first time it is copied (as vm's OnDiverge arms COW).
 	tr.OnDiverge(func(_ *hw.CPU, _, _ uint64, src, dst *val) {
 		if src != dst {
 			dst.x = src.x | 1<<20

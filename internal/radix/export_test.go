@@ -1,6 +1,10 @@
 package radix
 
-import "testing"
+import (
+	"testing"
+
+	"radixvm/internal/hw"
+)
 
 // TreeShape is shapeOf over a whole tree, for the test outside the package
 // that needs real address spaces (oracle_test.go): the shape of every node
@@ -24,4 +28,40 @@ func TreeShape[V any](t *testing.T, tr *Tree[V]) (shapes any, pages []uint64) {
 	}
 	walk(tr.root)
 	return out, pages
+}
+
+// funcHooks adapts the tests' closures to Hooks: a test registers either
+// half, through the OnDiverge and OnRelease setters below.
+type funcHooks[V any] struct {
+	diverge func(cpu *hw.CPU, lo, hi uint64, src, dst *V)
+	release func(cpu *hw.CPU, lo, hi uint64, v *V)
+}
+
+func (h *funcHooks[V]) OnDiverge(cpu *hw.CPU, lo, hi uint64, src, dst *V) {
+	if h.diverge != nil {
+		h.diverge(cpu, lo, hi, src, dst)
+	}
+}
+
+func (h *funcHooks[V]) OnRelease(cpu *hw.CPU, lo, hi uint64, v *V) {
+	if h.release != nil {
+		h.release(cpu, lo, hi, v)
+	}
+}
+
+func (t *Tree[V]) testHooks() *funcHooks[V] {
+	h, ok := t.hooks.(*funcHooks[V])
+	if !ok {
+		h = &funcHooks[V]{}
+		t.SetHooks(h)
+	}
+	return h
+}
+
+func (t *Tree[V]) OnDiverge(fn func(cpu *hw.CPU, lo, hi uint64, src, dst *V)) {
+	t.testHooks().diverge = fn
+}
+
+func (t *Tree[V]) OnRelease(fn func(cpu *hw.CPU, lo, hi uint64, v *V)) {
+	t.testHooks().release = fn
 }

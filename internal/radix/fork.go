@@ -168,7 +168,7 @@ type shell[V any] struct {
 // stand for. A mirrored copy's cell is in its group, created
 // at need; the cell of a copy whose sweep builds an image is in the image.
 // When the image is there already the sweep has nothing to write and cell
-// returns nil — unless the slot holds a value and there is an onDiverge hook
+// returns nil — unless the slot holds a value and there is an OnDiverge hook
 // to hand a dst to: cs's scratch cell, filled and forgotten.
 func (sh *shell[V]) cell(t *Tree[V], cs *cpuState[V], src *node[V], idx int, st *slotState[V]) (*slotState[V], *V) {
 	gi, j := idx/slotsPerLine, idx%slotsPerLine
@@ -184,7 +184,7 @@ func (sh *shell[V]) cell(t *Tree[V], cs *cpuState[V], src *node[V], idx int, st 
 		sh.abandon(t, src, idx)
 	}
 	if sh.img != nil {
-		if st == nil || st.child != nil || t.onDiverge == nil {
+		if st == nil || st.child != nil || t.hooks == nil {
 			return nil, nil
 		}
 		return &cs.bornSt, &cs.born

@@ -49,7 +49,7 @@ func snapImage(im *nodeImage[val]) imageSnap {
 }
 
 // markingHook registers hooks shaped like the VM layer's: the copy is marked,
-// and so is the source the first time it is copied (divergeMapping arms COW on
+// and so is the source the first time it is copied (vm's OnDiverge arms COW on
 // both). What the hook leaves in dst depends on src alone.
 func markingHook(tr *Tree[val]) {
 	const copied, shared = 1 << 20, 1 << 21

@@ -24,7 +24,7 @@ import (
 //     family, reference the node: a copy's link-sharing increments it;
 //     divergence (which replaces a tree's link with a private copy) and
 //     Tree.Release decrement it. The last dropLink releases the node's
-//     *contents* (values via the onRelease hook, child links recursively),
+//     *contents* (values via the OnRelease hook, child links recursively),
 //     which keeps frame references balanced when one side of a fork exits
 //     without ever touching most of the tree.
 //   - A shared node is read-only to every tree: Lookup and group
@@ -54,8 +54,8 @@ import (
 //     slot's bit, then takes the child node's bits, which is the global
 //     parent-before-child, ascending-VPN order every operation uses.
 
-// ForkLazy clones t in O(1), as above. The child tree inherits t's onDiverge
-// and onRelease hooks; onDiverge is invoked now for values stored in the root
+// ForkLazy clones t in O(1), as above. The child tree inherits t's hooks;
+// OnDiverge is invoked now for values stored in the root
 // node itself (they are copied immediately) and at divergence time for
 // everything deeper. The caller must tear the child down with Tree.Release
 // when it exits, or the shared subtrees' contents leak.
@@ -78,8 +78,7 @@ func (t *Tree[V]) ForkLazy(cpu *hw.CPU) *Tree[V] {
 	defer t.lazyForks.Add(-1)
 
 	nt := treeShell[V](t.m, t.rc)
-	nt.onDiverge = t.onDiverge
-	nt.onRelease = t.onRelease
+	nt.hooks = t.hooks
 	root, arrive := nt.linkCopy(cpu, t.root, 1, false) // +1: the root's immortal ref
 	nt.root = root
 	// Re-adopt the parent root into the new generation while all of its
@@ -95,7 +94,7 @@ func (t *Tree[V]) ForkLazy(cpu *hw.CPU) *Tree[V] {
 }
 
 // linkCopy copies src into a new node of tree t in link mode: value slots
-// are copied (invoking t's onDiverge hook once per distinct value with the
+// are copied (invoking t's OnDiverge hook once per distinct value with the
 // VPN range it covers: a leaf slot's page, a folded interior slot's whole
 // span, a uniform fill once for the node's entire range), but child subtrees
 // are *shared* — the copy links src's children directly, bumping their links
@@ -157,9 +156,9 @@ func (t *Tree[V]) linkCopy(cpu *hw.CPU, src *node[V], extra int64, frozen bool) 
 			t.unpin(cpu, child)
 		case cell != nil:
 			dv := copyInto(cell, store, st.val)
-			if t.onDiverge != nil {
+			if t.hooks != nil {
 				lo := src.slotBase(idx)
-				t.onDiverge(cpu, lo, lo+sp, st.val, dv)
+				t.hooks.OnDiverge(cpu, lo, lo+sp, st.val, dv)
 			}
 		}
 		if st != nil && !fill {
@@ -176,8 +175,8 @@ func (t *Tree[V]) linkCopy(cpu *hw.CPU, src *node[V], extra int64, frozen bool) 
 	src.matMu.Unlock()
 	if fill {
 		dv := copyInto(&dst.uniStore, &dst.uniVal, src.uniSt.val)
-		if t.onDiverge != nil {
-			t.onDiverge(cpu, src.base, src.base+uint64(SlotsPerNode)*sp, src.uniSt.val, dv)
+		if t.hooks != nil {
+			t.hooks.OnDiverge(cpu, src.base, src.base+uint64(SlotsPerNode)*sp, src.uniSt.val, dv)
 		}
 	}
 	if dst.build {
@@ -238,7 +237,7 @@ func (t *Tree[V]) dropLink(cpu *hw.CPU, n *node[V]) {
 }
 
 // releaseContents drops the contents of a node no tree links anymore: every
-// value is reported to the onRelease hook (onDiverge's convention: the
+// value is reported to the OnRelease hook (OnDiverge's convention: the
 // uniform fill once, diverged slots individually), carriers are retired, child
 // links are dropped recursively, and the used-slot references drain so
 // Refcache reclaims the node. No new descent can reach n (no tree's slots
@@ -250,9 +249,9 @@ func releaseContents[V any](cpu *hw.CPU, n *node[V]) {
 	t := n.tree
 	n.parent = nil
 	sp := span(n.level)
-	if n.uniSt != nil && t.onRelease != nil {
+	if n.uniSt != nil && t.hooks != nil {
 		hi := n.base + uint64(SlotsPerNode)*sp
-		t.onRelease(cpu, n.base, hi, n.uniSt.val)
+		t.hooks.OnRelease(cpu, n.base, hi, n.uniSt.val)
 	}
 	used := 0
 	for idx := 0; idx < SlotsPerNode; idx++ {
@@ -270,9 +269,9 @@ func releaseContents[V any](cpu *hw.CPU, n *node[V]) {
 			continue
 		}
 		if st != n.uniSt {
-			if t.onRelease != nil && st.val != nil {
+			if t.hooks != nil && st.val != nil {
 				lo := n.slotBase(idx)
-				t.onRelease(cpu, lo, lo+sp, st.val)
+				t.hooks.OnRelease(cpu, lo, lo+sp, st.val)
 			}
 			if st.carrier != nil {
 				t.retireCarrier(cpu, st.carrier)

@@ -188,7 +188,7 @@ func TestLazyForkFootprint(t *testing.T) {
 }
 
 // TestLazyForkReleaseBalance: every value copy the fork family creates is
-// released exactly once. onDiverge fires per deferred copy, onRelease per
+// released exactly once. OnDiverge fires per deferred copy, OnRelease per
 // dropped value; after both trees are torn down the books must balance:
 // releases = diverged copies + the parent's original values.
 func TestLazyForkReleaseBalance(t *testing.T) {

@@ -117,10 +117,9 @@ type Tree[V any] struct {
 	// write (see lazy.go). A tree that was never forked never bumps gen.
 	gen atomic.Uint64
 
-	// The fork's value hooks (OnDiverge, OnRelease), inherited by ForkLazy
-	// children.
-	onDiverge func(cpu *hw.CPU, lo, hi uint64, src, dst *V)
-	onRelease func(cpu *hw.CPU, lo, hi uint64, v *V)
+	// The fork's value hooks (SetHooks), inherited by ForkLazy children; nil
+	// for a tree of plain values.
+	hooks Hooks[V]
 
 	// The per-CPU holds (cpuState.hold) and lazyForks form the quiescence
 	// gate that gives ForkLazy its whole-tree snapshot atomicity (lazy.go):
@@ -265,7 +264,7 @@ type node[V any] struct {
 //
 // A node foreign to every tree (lazy.go) is never written in place again, so
 // all its copies are born identical: the same groups, each slot holding the
-// same child link or a copy of the same value, which the onDiverge hook has
+// same child link or a copy of the same value, which the OnDiverge hook has
 // turned into the same thing. The first tree to diverge the node records that
 // in an image, caches it on the source, and every copy — its own included —
 // is born as a header whose directory has the image's groups without storage.
@@ -783,7 +782,7 @@ type cpuState[V any] struct {
 
 	// born and bornSt stand in for a copy's slot when a divergence sweep
 	// finds the slot's born state in an image already: the dst the
-	// onDiverge hook is still handed. (A local would escape through the
+	// OnDiverge hook is still handed. (A local would escape through the
 	// hook's func value: one allocation per slot.)
 	born   V
 	bornSt slotState[V]
@@ -1013,24 +1012,34 @@ func (t *Tree[V]) foreign(n *node[V]) bool {
 	return n.tree != t || n.gen != t.gen.Load()
 }
 
-// OnDiverge registers the fork's divergence hook: fn is invoked once per
-// distinct value copied when a snapshot-shared node is path-copied on first
-// write, with the VPN range the value covers. Inherited by ForkLazy children.
-//
-// fn runs under every slot bit of src's node and may write *src. dst arrives
-// as a copy of *src for fn to finish, and what fn leaves in it may depend on
-// src alone: the tree keeps the finished copy in the node's image and gives
-// every tree that diverges from src a copy of it, so on all divergences but
-// the first fn's dst is a scratch value, called for fn's other effects and
-// then forgotten.
-func (t *Tree[V]) OnDiverge(fn func(cpu *hw.CPU, lo, hi uint64, src, dst *V)) { t.onDiverge = fn }
+// Hooks are the fork's value hooks: what the tree's owner does to a value
+// when a snapshot-shared node is path-copied and when its last copy goes. One
+// interface rather than two funcs, so that an owner that implements it wires
+// a forked tree without allocating (a pointer in an interface is free; a
+// method value is a closure).
+type Hooks[V any] interface {
+	// OnDiverge is invoked once per distinct value copied when a
+	// snapshot-shared node is path-copied on first write, with the VPN range
+	// the value covers. It runs under every slot bit of src's node and may
+	// write *src. dst arrives as a copy of *src for the hook to finish, and
+	// what it leaves there may depend on src alone: the tree keeps the
+	// finished copy in the node's image and gives every tree that diverges
+	// from src a copy of it, so on all divergences but the first dst is a
+	// scratch value, handed over for the hook's other effects and then
+	// forgotten.
+	OnDiverge(cpu *hw.CPU, lo, hi uint64, src, dst *V)
+	// OnRelease is invoked once per distinct value dropped when the last tree
+	// referencing a shared subtree releases it (Tree.Release, or a divergence
+	// unlinking the old copy) — on the hooks of the tree the node was built
+	// in, whichever tree's operation dropped the last link. It must not write
+	// *v: the value of a slot its tree never touched may live in an image
+	// other trees' copies read.
+	OnRelease(cpu *hw.CPU, lo, hi uint64, v *V)
+}
 
-// OnRelease registers the fork's release hook: fn is invoked once per
-// distinct value dropped when the last tree referencing a shared subtree
-// releases it (Tree.Release, or a divergence unlinking the old copy).
-// Inherited by ForkLazy children. fn must not write *v: the value of a slot
-// its tree never touched may live in an image other trees' copies read.
-func (t *Tree[V]) OnRelease(fn func(cpu *hw.CPU, lo, hi uint64, v *V)) { t.onRelease = fn }
+// SetHooks registers the fork's value hooks. ForkLazy children inherit them
+// until their owner sets its own.
+func (t *Tree[V]) SetHooks(h Hooks[V]) { t.hooks = h }
 
 // Lookup returns the value covering vpn, or nil if unmapped. It takes no
 // locks: interior nodes are only read, so concurrent lookups of disjoint

@@ -70,15 +70,16 @@ type AddressSpace struct {
 	// inverse map a writeback needs to find this space's translations of a
 	// file page. Host-side bookkeeping under its own mutex: no virtual
 	// cost, and never touched by anonymous-only workloads.
-	fileMu   sync.Mutex
-	fileMaps []fileSpan
+	fileMu         sync.Mutex
+	fileMaps       []fileSpan
+	fileMapsShared bool // fileMaps' array is a fork relative's too: copy before writing
 
 	// revokeMu orders file-page revocations against Exit: a revoke holds
 	// the read side while it walks the tree, and Exit marks the space
 	// exited under the write side before releasing the tree, so a
 	// writeback can never walk freed radix nodes.
 	revokeMu sync.RWMutex
-	exited   bool
+	exited   atomic.Bool
 }
 
 // New creates an address space on machine m. mmu selects the paper's
@@ -102,15 +103,12 @@ func New(m *hw.Machine, rc *refcache.Refcache, alloc *mem.Allocator, mmu MMU) *A
 	return as
 }
 
-// wireTree registers the fork hooks on as.tree: divergence COW-arms the
-// copied mappings and release drops their frame references (the teardown half
-// of unmapLocked). Registered on every address space — Exit relies on the
-// release hook whether or not the space ever forked, and Fork re-wires each
-// child to its own binding.
-func (as *AddressSpace) wireTree() {
-	as.tree.OnDiverge(as.divergeMapping)
-	as.tree.OnRelease(as.releaseMapping)
-}
+// wireTree makes as the fork hooks of as.tree (radix.Hooks): OnDiverge
+// COW-arms the copied mappings and OnRelease drops their frame references (the
+// teardown half of unmapLocked). Done on every address space — Exit relies on
+// the release hook whether or not the space ever forked, and Fork re-wires
+// each child to itself.
+func (as *AddressSpace) wireTree() { as.tree.SetHooks(as) }
 
 // The generation fork is the only fork, and this setter of the strategy does
 // nothing. It exists because bench/trace.go — which no PR but a benchmark one
@@ -342,7 +340,7 @@ func (as *AddressSpace) faultOnce(cpu *hw.CPU, vpn uint64, k Kind, trapped bool)
 	switch {
 	case v.Frame == nil:
 		if v.Back.File != nil {
-			fr, ctr := v.Back.File.Page(cpu, v.Back.Offset+(vpn-v.Start))
+			fr, ctr := v.Back.File.pageFor(cpu, v.Back.Offset+(vpn-v.Start), as)
 			if fr == nil {
 				return ErrSegv, false // past EOF: the offset was truncated away
 			}

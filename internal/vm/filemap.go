@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"slices"
+
 	"radixvm/internal/counter"
 	"radixvm/internal/hw"
 	"radixvm/internal/mem"
@@ -8,7 +10,7 @@ import (
 
 // fileSpan records one file-backed mmap: which file backs VPNs [lo, hi)
 // and the file page offset at lo. The address space keeps these so a
-// writeback or truncate of the file can find its mappings without walking
+// revocation that comes with file offsets can find their VPNs without walking
 // the whole radix tree — the role the kernel's per-file rmap plays.
 type fileSpan struct {
 	file   *File
@@ -18,24 +20,18 @@ type fileSpan struct {
 
 // fileRemap subtracts [lo, hi) from every recorded file span (mmap replacing
 // the range, or munmap removing it) and records the range's new mapping of f
-// at file offset off (none if f is nil), in one step under fileMu — so a
-// space that maps f over its only region of f never leaves f's mm registry:
-// a concurrent Writeback finds whatever a fault installs in between, and the
-// space keeps its place in the revoke order. The registry is updated after
-// the hold (File.mu is never taken under fileMu), joining f before leaving
-// the files this space no longer maps at all. Bookkeeping only: no virtual
-// cost, no simulated cache traffic. In-place compaction keeps the slice's
-// capacity, so steady-state map/unmap cycles of a file page stay
-// allocation-free after the first round.
+// at file offset off (none if f is nil), in one step under fileMu.
+// Bookkeeping only: no virtual cost, no simulated cache traffic. In-place
+// compaction keeps the slice's capacity, so steady-state map/unmap cycles of
+// a file page stay allocation-free after the first round.
 func (as *AddressSpace) fileRemap(lo, hi uint64, f *File, off uint64) {
 	as.fileMu.Lock()
+	defer as.fileMu.Unlock()
 	if len(as.fileMaps) == 0 && f == nil {
-		as.fileMu.Unlock()
 		return
 	}
-	had := make(map[*File]bool, 2)
-	for _, sp := range as.fileMaps {
-		had[sp.file] = true
+	if as.fileMapsShared { // with the other side of a fork: compact a copy
+		as.fileMaps, as.fileMapsShared = slices.Clone(as.fileMaps), false
 	}
 	var tail []fileSpan // right-hand pieces of split spans (rare)
 	kept := as.fileMaps[:0]
@@ -61,72 +57,41 @@ func (as *AddressSpace) fileRemap(lo, hi uint64, f *File, off uint64) {
 		}
 	}
 	as.fileMaps = append(kept, tail...)
-	joins := f != nil && !had[f]
 	if f != nil {
 		as.fileMaps = append(as.fileMaps, fileSpan{file: f, lo: lo, hi: hi, off: off})
 	}
-	// Files with no surviving span lose their registration, so later
-	// writebacks skip this space entirely; partial trims keep it.
-	for _, sp := range as.fileMaps {
-		delete(had, sp.file)
-	}
-	gone := make([]*File, 0, len(had))
-	for g := range had {
-		gone = append(gone, g)
-	}
-	as.fileMu.Unlock()
-	if joins {
-		f.RegisterMapper(as)
-	}
-	for _, g := range gone {
-		g.UnregisterMapper(as)
-	}
 }
 
-// fileShare copies the parent's file spans to a forked child and registers
-// the child with each file — the fix for fork's file-page sharing: the
-// child's mappings share the cache frames, so post-fork writebacks must be
-// able to find and shoot down the child's translations too.
+// fileShare hands a forked child the parent's file spans: the slice itself,
+// capacity clamped so an append on either side reallocates, and marked shared
+// on both so a fileRemap copies before it compacts. Fork does no per-file
+// work: a file finds the child when the child faults one of its pages
+// (File.pageFor), not before.
 func (as *AddressSpace) fileShare(child *AddressSpace) {
 	as.fileMu.Lock()
-	spans := append([]fileSpan(nil), as.fileMaps...)
-	as.fileMu.Unlock()
-	if len(spans) == 0 {
-		return
-	}
-	child.fileMu.Lock()
-	child.fileMaps = spans
-	child.fileMu.Unlock()
-	for _, sp := range spans {
-		sp.file.RegisterMapper(child) // idempotent across multiple spans
-	}
-}
-
-// fileDropAll unregisters this space from every file it maps (Exit).
-func (as *AddressSpace) fileDropAll() {
-	as.fileMu.Lock()
-	spans := as.fileMaps
-	as.fileMaps = nil
-	as.fileMu.Unlock()
-	for _, sp := range spans {
-		sp.file.UnregisterMapper(as)
+	defer as.fileMu.Unlock()
+	if n := len(as.fileMaps); n > 0 {
+		as.fileMaps, as.fileMapsShared = as.fileMaps[:n:n], true
+		child.fileMaps, child.fileMapsShared = as.fileMaps, true
 	}
 }
 
 // RevokeFilePages implements FileMapper for RadixVM: invalidate every
-// cached translation this space holds for f's pages in [offLo, offHi).
-// Each page's metadata names exactly the cores that faulted it (TLBCores),
-// so the shootdown interrupts precisely the page's sharers — contiguous
-// pages with identical sharer sets share one shootdown round — where the
-// baselines must broadcast to every core using every mapping address
-// space. Frame references drop so truncated pages can die; the mapping
-// metadata itself survives, so a post-writeback access refaults through
-// the page cache.
+// cached translation this space holds for f's pages in [offLo, offHi) — the
+// hull of the offsets a revocation found this space holding (File.revoke).
+// Each page's metadata names exactly the cores that faulted it (TLBCores), so
+// the shootdown interrupts precisely the pages' sharers, in one round: every
+// run of pages with one sharer set is cleared from those cores' tables
+// (MMU.Unmap), then the union is interrupted once (MMU.Interrupt) — where the
+// baselines must broadcast to every core using every mapping address space.
+// Frame references drop so truncated pages can die; the mapping metadata
+// itself survives, so a post-writeback access refaults through the page
+// cache. Allocates nothing.
 func (as *AddressSpace) RevokeFilePages(cpu *hw.CPU, f *File, offLo, offHi uint64) (int, int) {
 	as.revokeMu.RLock()
 	defer as.revokeMu.RUnlock()
-	if as.exited {
-		return 0, 0
+	if as.exited.Load() {
+		return 0, 0 // a leftover holder entry: the space unmapped, then exited
 	}
 	type window struct{ lo, hi uint64 }
 	var winBuf [4]window
@@ -148,37 +113,32 @@ func (as *AddressSpace) RevokeFilePages(cpu *hw.CPU, f *File, offLo, offHi uint6
 	revoked, maxSharers := 0, 0
 	for _, w := range wins {
 		r := as.tree.LockRange(cpu, w.lo, w.hi)
-		var framesBuf [16]*mem.Frame
+		var framesBuf [32]*mem.Frame
 		var ctrsBuf [4]counter.Counter
 		frames := framesBuf[:0]
 		ctrs := ctrsBuf[:0]
-		// Contiguous pages whose sharer sets are identical share one
-		// shootdown round; the IPI count is the same either way (the sum
-		// of per-page sharer-set sizes), rounds just batch.
-		type run struct {
-			lo, hi  uint64
-			targets hw.CoreSet
-		}
-		var runBuf [8]run
-		runs := runBuf[:0]
+		// The open run: contiguous pages whose sharer sets are identical.
+		var runLo, runHi uint64
+		var runCores, union hw.CoreSet
 		for i := range r.Entries() {
 			e := r.Entry(i)
 			v := e.Value()
 			if v == nil || v.Frame == nil || v.Back.File != f {
 				continue // never faulted (folded spans included), or remapped
 			}
-			if n := v.TLBCores.Count(); n > maxSharers {
-				maxSharers = n
-			}
+			maxSharers = max(maxSharers, v.TLBCores.Count())
 			frames = append(frames, v.Frame)
 			if v.altCtr != nil {
 				ctrs = append(ctrs, v.altCtr)
 			}
-			if n := len(runs); n > 0 && runs[n-1].hi == e.Lo && runs[n-1].targets == v.TLBCores {
-				runs[n-1].hi = e.Hi
-			} else {
-				runs = append(runs, run{lo: e.Lo, hi: e.Hi, targets: v.TLBCores})
+			if runHi != e.Lo || runCores != v.TLBCores {
+				if runHi > runLo {
+					as.mmu.Unmap(cpu, runLo, runHi, runCores)
+				}
+				runLo, runCores = e.Lo, v.TLBCores
+				union.Union(runCores)
 			}
+			runHi = e.Hi
 			v.Frame = nil
 			v.TLBCores = hw.CoreSet{}
 			v.altCtr = nil
@@ -187,8 +147,9 @@ func (as *AddressSpace) RevokeFilePages(cpu *hw.CPU, f *File, offLo, offHi uint6
 		}
 		// Gather, shoot down, then release references — the unmapLocked
 		// discipline, so no page can be reused while a TLB still maps it.
-		for i := range runs {
-			as.mmu.Shootdown(cpu, runs[i].lo, runs[i].hi, runs[i].targets, as.activeSet())
+		if len(frames) > 0 {
+			as.mmu.Unmap(cpu, runLo, runHi, runCores)
+			as.mmu.Interrupt(cpu, r.Lo, r.Hi, union, as.activeSet())
 		}
 		for _, fr := range frames {
 			as.alloc.DecRef(cpu, fr)

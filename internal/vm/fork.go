@@ -14,9 +14,9 @@ import "radixvm/internal/hw"
 //
 //   - Never-faulted metadata (including folded interior entries) copies as
 //     is; each side faults its own frames later, privately.
-//   - File-backed frames are shared outright — the child's copy is just
-//     another mapping of the page cache frame.
-//   - Anonymous frames become copy-on-write on both sides (divergeMapping).
+//   - File-backed pages copy unfaulted: each side refaults through the page
+//     cache, to the same frame (OnDiverge).
+//   - Anonymous frames become copy-on-write on both sides (OnDiverge).
 //
 // Ordering: the tree snapshot (which bumps the tree generation under the
 // root's held bits) comes first, then the fork epoch bump, then the
@@ -39,21 +39,19 @@ func (as *AddressSpace) Fork(cpu *hw.CPU) (System, error) {
 	child.wireTree()
 	as.forkGen.Add(1)
 	as.mmu.Reset(cpu, as.activeSet())
-	// The child's mappings are more copies of the same file pages: it must
-	// join each file's mapper registry, or a post-fork writeback would miss
-	// its translations entirely.
 	as.fileShare(child)
 	return child, nil
 }
 
-// divergeMapping is the radix tree's onDiverge hook: the per-page half of
-// a fork, run when a snapshot-shared node is path-copied on first touch. src
-// is the shared mapping, dst the copy that becomes private to the diverging
-// tree. The first divergence counts the shared original and the copy as COW
-// shares (2), later divergences add their copy (1) — writing src.COW is
-// legal here because the hook runs under every slot bit of src's node.
+// OnDiverge is the radix tree's divergence hook (radix.Hooks): the per-page
+// half of a fork, run when a snapshot-shared node is path-copied on first
+// touch. src is the shared mapping, dst the copy that becomes private to the
+// diverging tree. The first divergence counts the shared original and the
+// copy as COW shares (2), later divergences add their copy (1) — writing
+// src.COW is legal here because the hook runs under every slot bit of src's
+// node.
 // The original's share and reference drop when its node's last link goes
-// away (releaseMapping), so however a fork family diverges and exits, k
+// away (OnRelease), so however a fork family diverges and exits, k
 // surviving mappings of a frame hold exactly k references, and breakCOW's
 // sole-share ownership test stays exact.
 //
@@ -62,27 +60,31 @@ func (as *AddressSpace) Fork(cpu *hw.CPU) (System, error) {
 // locking descent diverges first), so no stale writable translation for
 // these pages can exist anywhere.
 //
-// Contract with the tree (radix.Tree.OnDiverge): dst arrives as a copy of
+// Contract with the tree (radix.Hooks): dst arrives as a copy of
 // *src, and what the hook leaves in it may depend on src alone — not on the
 // core, the diverging space, or how many divergences came before. The tree
 // keeps one finished dst per shared mapping (the node's image) and hands
 // every space that diverges from src a copy of that; the hook still runs
 // once per divergence, for its effects on src and the frame (the reference
 // and share counts below), with a scratch dst. The function keeps to it: dst
-// ends as *src with no TLBCores, and COW set exactly when src has an
-// anonymous frame — whether or not an earlier divergence armed src already.
-func (as *AddressSpace) divergeMapping(cpu *hw.CPU, lo, hi uint64, src, dst *Mapping) {
+// ends as *src with no TLBCores; no frame if src's is a file's; and COW set
+// exactly when src has an anonymous frame — whether or not an earlier
+// divergence armed src already.
+func (as *AddressSpace) OnDiverge(cpu *hw.CPU, lo, hi uint64, src, dst *Mapping) {
 	dst.TLBCores = hw.CoreSet{} // no translation derives from a shared node
 	if src.Frame == nil {
 		return // metadata-only copy
 	}
-	as.alloc.IncRef(cpu, src.Frame) // the diverged copy's reference
-	if src.altCtr != nil {
-		src.altCtr.Inc(cpu)
-	}
 	if src.Back.File != nil {
-		return // file pages stay shared and writable on both sides
+		// A file frame enters a private mapping only through File.pageFor,
+		// where the space joins the page's holder set: the copy is born
+		// unfaulted and refaults through the page cache. Handing it src's
+		// frame would give a child forked from a parent that had faulted the
+		// page a frame no revocation could find.
+		dst.Frame, dst.altCtr = nil, nil
+		return
 	}
+	as.alloc.IncRef(cpu, src.Frame) // the diverged copy's reference
 	dst.COW = true
 	if src.COW {
 		src.Frame.AddCOWShares(cpu, 1)
@@ -92,15 +94,20 @@ func (as *AddressSpace) divergeMapping(cpu *hw.CPU, lo, hi uint64, src, dst *Map
 	src.Frame.AddCOWShares(cpu, 2) // the shared original and this copy
 }
 
-// releaseMapping is the radix tree's onRelease hook: the teardown half of
-// unmapLocked, run for each mapping dropped when a subtree's last
+// OnRelease is the radix tree's release hook (radix.Hooks): the teardown half
+// of unmapLocked, run for each mapping dropped when a subtree's last
 // referencing tree releases it — Exit, or a divergence unlinking the
 // shared original after both sides copied it. No shootdown runs here: a
-// shared node's pages have no translations (see divergeMapping), and Exit
+// shared node's pages have no translations (see OnDiverge), and Exit
 // resets the dying space's MMU wholesale. v is read-only here: a mapping its
 // space never touched may still live in an image shared with the other
-// copies of its node (radix.Tree.OnRelease).
-func (as *AddressSpace) releaseMapping(cpu *hw.CPU, lo, hi uint64, v *Mapping) {
+// copies of its node.
+//
+// A file page leaves its holder set here only while as is exiting. The hook
+// runs on the space whose tree built the node, also when another space's
+// divergence or exit drops the node's last link — as may be alive then, and
+// hold the page through its own copy of the node.
+func (as *AddressSpace) OnRelease(cpu *hw.CPU, lo, hi uint64, v *Mapping) {
 	if v.Frame == nil {
 		return
 	}
@@ -111,11 +118,14 @@ func (as *AddressSpace) releaseMapping(cpu *hw.CPU, lo, hi uint64, v *Mapping) {
 	if v.altCtr != nil {
 		v.altCtr.Dec(cpu)
 	}
+	if v.Back.File != nil && as.exited.Load() {
+		v.Back.File.dropHolder(cpu, v.Back.Offset+(lo-v.Start), as)
+	}
 }
 
 // Exit tears the address space down whole: the tree releases its root —
 // dropping links on snapshot-shared subtrees and releasing outright-owned
-// ones, frame references draining through releaseMapping — and the MMU's
+// ones, frame references draining through OnRelease — and the MMU's
 // translations are invalidated wholesale. For a forked child this is O(its
 // own divergences) instead of the O(tree) unmap sweep teardown would
 // otherwise cost (a Munmap of a shared subtree path-copies it first), which
@@ -129,9 +139,8 @@ func (as *AddressSpace) Exit(cpu *hw.CPU) {
 	// this tree again, and any revoke already inside the tree finished
 	// before the write lock was granted.
 	as.revokeMu.Lock()
-	as.exited = true
+	as.exited.Store(true)
 	as.revokeMu.Unlock()
-	as.fileDropAll()
 	as.tree.Release(cpu)
 	as.mmu.Reset(cpu, as.activeSet())
 }

@@ -3,6 +3,7 @@ package vm_test
 import (
 	"testing"
 
+	"radixvm/internal/counter"
 	"radixvm/internal/hw"
 	"radixvm/internal/vm"
 )
@@ -80,7 +81,9 @@ func TestExitNeverForkedSpace(t *testing.T) {
 // copies must hold what mirroring gave them (the expectations below were
 // checked against the commit before images, cb53c27): every mapping the
 // template's, minus its cached-translation set, armed copy-on-write where it
-// has an anonymous frame; equal between the two children field by field; and
+// has an anonymous frame, and unfaulted where it has a file's (a file frame
+// enters a private mapping only through the page cache, where its space joins
+// the page's holder set); equal between the two children field by field; and
 // private — the page each child writes changes in that child alone. The
 // divergence hook ran once per child per mapping, image or not: every shared
 // anonymous frame counts three shares, and after all three spaces exit the
@@ -91,7 +94,11 @@ func TestDivergedCopiesAreEqual(t *testing.T) {
 	w := newWorld(2)
 	tmpl := vm.New(w.m, w.rc, w.alloc, nil)
 	c := m0(w)
-	f := vm.NewFile(w.alloc)
+	var ctrs []*counter.Shared // the file pages' baseline counters, as filled
+	f := vm.NewFileWithCounter(w.alloc, func() counter.Counter {
+		ctrs = append(ctrs, counter.NewShared(0))
+		return ctrs[len(ctrs)-1]
+	})
 	must(t, tmpl.Mmap(c, lo, npages-file, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
 	must(t, tmpl.Mmap(c, lo+npages-file, file, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite, File: f}))
 	for v := lo; v < lo+anon+ro; v++ {
@@ -128,9 +135,13 @@ func TestDivergedCopiesAreEqual(t *testing.T) {
 			continue
 		}
 		wantCOW := tm.Frame != nil && tm.Back.File == nil
+		wantFrame := tm.Frame
+		if tm.Back.File != nil {
+			wantFrame = nil
+		}
 		for _, m := range []*vm.Mapping{a, b} {
-			if m.Frame != tm.Frame || m.COW != wantCOW || m.Prot != tm.Prot || m.Back != tm.Back || m.Start != tm.Start || !m.TLBCores.Empty() {
-				t.Errorf("page %d: child holds %+v, want the template's %+v without cached cores, COW=%v", i, *m, tm, wantCOW)
+			if m.Frame != wantFrame || m.COW != wantCOW || m.Prot != tm.Prot || m.Back != tm.Back || m.Start != tm.Start || !m.TLBCores.Empty() {
+				t.Errorf("page %d: child holds %+v, want the template's %+v without cached cores, COW=%v, frame %p", i, *m, tm, wantCOW, wantFrame)
 			}
 		}
 		if wantCOW {
@@ -139,10 +150,20 @@ func TestDivergedCopiesAreEqual(t *testing.T) {
 			}
 		}
 	}
+	for i, ctr := range ctrs {
+		if got := ctr.Value(); got != 1 {
+			t.Errorf("file page %d: baseline counter at %d after the children's copies, want 1 (the template's mapping: a copy holds no counter)", i, got)
+		}
+	}
 	for _, kid := range kids {
 		exit(c, kid)
 	}
 	exit(c, tmpl)
+	for i, ctr := range ctrs {
+		if got := ctr.Value(); got != 0 {
+			t.Errorf("file page %d: baseline counter at %d after every space exited, want 0", i, got)
+		}
+	}
 	w.quiesce()
 	if live := w.alloc.Live(); live != 2 {
 		t.Fatalf("%d frames alive after the children and the template exited, want 2 (the page cache's)", live)

@@ -102,6 +102,17 @@ type MMU interface {
 	// precise; shared tables must broadcast to active. The caller's own
 	// core is handled synchronously, not by IPI.
 	Shootdown(cpu *hw.CPU, lo, hi uint64, precise, active hw.CoreSet)
+	// Unmap and Interrupt are Shootdown in two steps, for a caller whose one
+	// lock covers ranges with different sharer sets (a file-page revocation).
+	// Unmap clears [lo, hi) from the precise cores' tables and TLBs — by
+	// proxy and charged to the caller, as a shootdown's handlers are
+	// (hw.SendIPIs) — and interrupts nobody; Interrupt is the one round the
+	// caller then owes the union of those cores before it releases the
+	// pages, [lo, hi) the hull. A core clears only the ranges that named it:
+	// a table walk materializes what it walks. Shared tables are cleared per
+	// range, and one broadcast flushes the hull from every active core's TLB.
+	Unmap(cpu *hw.CPU, lo, hi uint64, precise hw.CoreSet)
+	Interrupt(cpu *hw.CPU, lo, hi uint64, precise, active hw.CoreSet)
 	// Protect rewrites [lo, hi)'s installed translations to perm and
 	// flushes the affected TLBs — the hardware half of an mprotect that
 	// revokes rights (§3.4's write-protect shootdown). Translations stay
@@ -256,6 +267,21 @@ func (mmu *PerCoreMMU) Shootdown(cpu *hw.CPU, lo, hi uint64, precise, _ hw.CoreS
 		// Executed by proxy; cost charged to the target by SendIPIs.
 		mmu.cores[t.ID()].unmap(cpu, lo, hi)
 	})
+}
+
+// Unmap implements MMU.
+func (mmu *PerCoreMMU) Unmap(cpu *hw.CPU, lo, hi uint64, precise hw.CoreSet) {
+	precise.ForEach(func(id int) { mmu.cores[id].unmap(cpu, lo, hi) })
+}
+
+// Interrupt implements MMU. The handlers have nothing left to do.
+func (mmu *PerCoreMMU) Interrupt(cpu *hw.CPU, _, _ uint64, precise, _ hw.CoreSet) {
+	precise.Remove(cpu.ID())
+	if precise.Empty() {
+		return
+	}
+	cpu.Stats().Shootdowns++
+	cpu.SendIPIs(precise, func(*hw.CPU) {})
 }
 
 // Protect implements MMU: targeted, like Shootdown, but PTEs are rewritten
@@ -414,6 +440,16 @@ func (mmu *SharedMMU) PageTable() *pagetable.PageTable { return mmu.pt.Load() }
 // (by the caller or here), but every active core's TLB must be flushed.
 func (mmu *SharedMMU) Shootdown(cpu *hw.CPU, lo, hi uint64, _, active hw.CoreSet) {
 	mmu.pt.Load().UnmapRange(cpu, lo, hi)
+	mmu.ShootdownTLBOnly(cpu, lo, hi, active)
+}
+
+// Unmap implements MMU: the one table.
+func (mmu *SharedMMU) Unmap(cpu *hw.CPU, lo, hi uint64, _ hw.CoreSet) {
+	mmu.pt.Load().UnmapRange(cpu, lo, hi)
+}
+
+// Interrupt implements MMU: broadcast.
+func (mmu *SharedMMU) Interrupt(cpu *hw.CPU, lo, hi uint64, _, active hw.CoreSet) {
 	mmu.ShootdownTLBOnly(cpu, lo, hi, active)
 }
 

@@ -7,6 +7,7 @@ package vm
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -186,13 +187,13 @@ func MetaCopyCost(pageZero, bytes uint64) uint64 {
 	return pageZero * bytes / MetaPageBytes
 }
 
-// FileMapper is the hook a VM system registers with every file it maps: a
-// writeback or truncate of the file calls back into each registered address
-// space to invalidate its cached translations for the affected pages — each
-// system at its own precision. RadixVM's per-page mapping metadata shoots
-// down exactly each page's TLBCores sharer set; the baselines' shared
-// tables can only do the faithful invalidate_inode_pages-style broadcast
-// over every core using the address space.
+// FileMapper is how a writeback or truncate of a file calls back into an
+// address space to invalidate its cached translations for the affected pages
+// — each system at its own precision. The baselines register one with every
+// file they map (the mm registry, linux's i_mmap walk) and can only do the
+// faithful invalidate_inode_pages-style broadcast over every core using the
+// address space. RadixVM is found through the holder sets of the pages
+// revoked (filePage) and shoots down exactly each page's TLBCores sharer set.
 //
 // RevokeFilePages invalidates every cached translation this space holds for
 // f's pages in [offLo, offHi) (file page offsets), dropping the mappings'
@@ -206,9 +207,9 @@ type FileMapper interface {
 // File is a mappable object backed by the simulated page cache
 // (mem.PageCache): all mappings of the same file offset share one physical
 // frame, which is what makes the Figure 8 workload hammer a single
-// reference count. Every address space that maps the file registers itself
-// as a FileMapper, so Writeback and Truncate can find and invalidate each
-// mapping's cached translations.
+// reference count. Writeback and Truncate find the translations to invalidate
+// through the mm registry (the baselines: every space that maps the file) and
+// through the per-page holder sets (RadixVM: the spaces that faulted the page).
 type File struct {
 	pc *mem.PageCache
 	id uint64
@@ -228,13 +229,49 @@ type File struct {
 
 	writebacks uint64
 	truncates  uint64
-	revoked    uint64 // page translations invalidated across all mappers
+	revoked    uint64 // page translations invalidated across all spaces visited
+	visits     uint64 // RevokeFilePages calls: spaces a revocation walked into
 
 	// altNew, when set, attaches a baseline reference counter (shared or
 	// SNZI) to each page for the Figure 8 comparison; the frame's native
 	// Refcache count still manages its lifetime.
 	altNew func() counter.Counter
-	altCtr map[uint64]counter.Counter
+
+	// pages holds the per-page records in chunks keyed by offset /
+	// filePagesPerChunk: the records' slabs and, keys sorted, a window's index.
+	pages map[uint64]*[filePagesPerChunk]filePage
+}
+
+// filePage is what a File keeps per page offset. holders are the RadixVM
+// spaces that took a frame of the page through pageFor and have not been
+// revoked since, in registration order. Revocation rests on one invariant: if
+// a live space's private mapping holds a frame of the page, the space is in
+// holders. A superset is legal and costs one wasted visit: a munmap leaves its
+// entry (the space may map the page twice), and if the space then exits, the
+// exited fence in RevokeFilePages skips it. Every change of the set (pageFor,
+// takeHolders, dropHolder) is a write of line and a revocation's scan a read;
+// a membership hit on the fault path is part of pageFor's lookup, uncharged
+// as a whole (f.mu, the cache map, f.length: ROADMAP 3e).
+type filePage struct {
+	line    hw.Line
+	holders []*AddressSpace
+	altCtr  counter.Counter
+}
+
+const filePagesPerChunk = 64
+
+// page returns off's record — nil if it has none and create is unset. The
+// caller holds f.mu.
+func (f *File) page(off uint64, create bool) *filePage {
+	chunk := f.pages[off/filePagesPerChunk]
+	if chunk == nil {
+		if !create {
+			return nil
+		}
+		chunk = new([filePagesPerChunk]filePage)
+		f.pages[off/filePagesPerChunk] = chunk
+	}
+	return &chunk[off%filePagesPerChunk]
 }
 
 // NewFile creates a file in a fresh private page cache over alloc.
@@ -248,7 +285,7 @@ func NewFileIn(pc *mem.PageCache) *File {
 		pc:       pc,
 		id:       pc.NewFileID(),
 		length:   ^uint64(0), // unbounded until the first Truncate
-		altCtr:   map[uint64]counter.Counter{},
+		pages:    map[uint64]*[filePagesPerChunk]filePage{},
 		mapperAt: map[FileMapper]int{},
 	}
 }
@@ -272,17 +309,96 @@ func (f *File) Cache() *mem.PageCache { return f.pc }
 // Returns nil for an offset at or past the file's length (truncated away):
 // the fault becomes ErrSegv, as an access beyond EOF of a mapping would.
 func (f *File) Page(cpu *hw.CPU, off uint64) (*mem.Frame, counter.Counter) {
+	return f.pageFor(cpu, off, nil)
+}
+
+// pageFor is Page for a RadixVM fault: holder joins the page's holder set
+// under the hold of f.mu that checks f.length, so a Truncate ordered after the
+// fault finds it there. The baselines (Page) are found through the registry.
+func (f *File) pageFor(cpu *hw.CPU, off uint64, holder *AddressSpace) (*mem.Frame, counter.Counter) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if off >= f.length {
 		return nil, nil
 	}
 	fr, filled := f.pc.Page(cpu, mem.PageKey{File: f.id, Off: off})
-	if filled && f.altNew != nil {
-		f.altCtr[off] = f.altNew()
-	}
 	f.pc.Allocator().IncRef(cpu, fr)
-	return fr, f.altCtr[off]
+	if holder == nil && f.altNew == nil {
+		return fr, nil
+	}
+	p := f.page(off, true)
+	if filled && f.altNew != nil {
+		p.altCtr = f.altNew()
+	}
+	if holder != nil && !slices.Contains(p.holders, holder) {
+		p.holders = append(p.holders, holder)
+		cpu.Write(&p.line)
+	}
+	return fr, p.altCtr
+}
+
+// dropHolder removes an exiting space from off's holder set.
+func (f *File) dropHolder(cpu *hw.CPU, off uint64, as *AddressSpace) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	p := f.page(off, false)
+	if p == nil {
+		return
+	}
+	if i := slices.Index(p.holders, as); i >= 0 {
+		p.holders = slices.Delete(p.holders, i, i+1)
+		cpu.Write(&p.line)
+	}
+}
+
+// holderVisit is one space a revocation walks into, over the hull of the
+// offsets it held: its range lock covers the pages it faulted, not the window.
+type holderVisit struct {
+	as     *AddressSpace
+	lo, hi uint64
+}
+
+// takeHolders empties the holder sets of the pages in [lo, hi) into visits,
+// one per distinct space, in ascending offset and then registration order (the
+// revocation follows it, so it feeds the virtual clock). A fault that registers
+// after the take waits for the next revocation; one that registered before but
+// has not stored its frame yet holds its page lock, which the visit's LockRange
+// waits for. The caller holds f.mu.
+func (f *File) takeHolders(cpu *hw.CPU, lo, hi uint64, visits []holderVisit) []holderVisit {
+	var keyBuf [16]uint64
+	keys := keyBuf[:0]
+	first, last := lo/filePagesPerChunk, (hi-1)/filePagesPerChunk
+	for k := range f.pages {
+		if first <= k && k <= last {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		chunk := f.pages[k]
+		for i := range chunk {
+			p, off := &chunk[i], k*filePagesPerChunk+uint64(i)
+			if off < lo || off >= hi {
+				continue
+			}
+			cpu.Read(&p.line)
+			if len(p.holders) == 0 {
+				continue
+			}
+			cpu.Write(&p.line)
+			for _, as := range p.holders {
+				at := slices.IndexFunc(visits, func(v holderVisit) bool { return v.as == as })
+				if at < 0 {
+					visits = append(visits, holderVisit{as: as, lo: off, hi: off + 1})
+				} else {
+					visits[at].hi = off + 1 // offsets ascend
+				}
+			}
+			clear(p.holders)
+			p.holders = p.holders[:0]
+		}
+	}
+	return visits
 }
 
 // RegisterMapper records as as mapping the file (idempotent). Mmap and
@@ -366,18 +482,15 @@ func (f *File) snapshotMappers() []FileMapper {
 // revoking every mapping's cached translations for them so later accesses
 // refault through the page cache — the invalidate half of a real
 // writeback. The pages stay cached (clean), so refaults share the same
-// frames. Each registered mapper invalidates at its own precision:
-// RadixVM interrupts exactly each page's sharer set, the baselines
-// broadcast over every core using each mapping address space.
+// frames. Each space invalidates at its own precision (revoke).
 func (f *File) Writeback(cpu *hw.CPU, off, n uint64) {
 	cpu.Tick(LinuxSyscallCost)
+	var buf [holderVisitsOnStack]holderVisit
 	f.mu.Lock()
 	f.writebacks++
+	visits := f.takeHolders(cpu, off, off+n, buf[:0])
 	f.mu.Unlock()
-	for _, m := range f.snapshotMappers() {
-		revoked, sharers := m.RevokeFilePages(cpu, f, off, off+n)
-		f.noteRevoke(revoked, sharers)
-	}
+	f.revoke(cpu, visits, off, off+n)
 }
 
 // Truncate shrinks the file to newLen pages: the tail pages leave the
@@ -387,20 +500,35 @@ func (f *File) Writeback(cpu *hw.CPU, off, n uint64) {
 // return ErrSegv.
 func (f *File) Truncate(cpu *hw.CPU, newLen uint64) {
 	cpu.Tick(LinuxSyscallCost)
+	var buf [holderVisitsOnStack]holderVisit
 	f.mu.Lock()
 	f.truncates++
 	if newLen < f.length {
 		f.length = newLen
 	}
+	visits := f.takeHolders(cpu, newLen, ^uint64(0), buf[:0])
 	f.mu.Unlock()
 	dropped := f.pc.DropRange(f.id, newLen, ^uint64(0))
-	for _, m := range f.snapshotMappers() {
-		revoked, sharers := m.RevokeFilePages(cpu, f, newLen, ^uint64(0))
-		f.noteRevoke(revoked, sharers)
-	}
+	f.revoke(cpu, visits, newLen, ^uint64(0))
 	alloc := f.pc.Allocator()
 	for _, fr := range dropped {
 		alloc.DecRef(cpu, fr) // the cache's base reference
+	}
+}
+
+// holderVisitsOnStack: a 64-page window of the filemap fleet has a few dozen.
+const holderVisitsOnStack = 64
+
+// revoke invalidates the translations of f's pages in [lo, hi): in the RadixVM
+// spaces that held some (visits), each over its hull and interrupting exactly
+// each page's sharers, then in every registered mapper over the window — the
+// baselines, which broadcast over every core using each mapping space.
+func (f *File) revoke(cpu *hw.CPU, visits []holderVisit, lo, hi uint64) {
+	for _, v := range visits {
+		f.noteRevoke(v.as.RevokeFilePages(cpu, f, v.lo, v.hi))
+	}
+	for _, m := range f.snapshotMappers() {
+		f.noteRevoke(m.RevokeFilePages(cpu, f, lo, hi))
 	}
 }
 
@@ -410,6 +538,7 @@ func (f *File) noteRevoke(revoked, sharers int) {
 	}
 	f.mu.Lock()
 	f.revoked += uint64(revoked)
+	f.visits++
 	f.mu.Unlock()
 }
 
@@ -433,6 +562,14 @@ func (f *File) RevokedPages() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.revoked
+}
+
+// RevokeVisits returns how many spaces revocations walked into, empty-handed
+// or not (RevokeFilePages calls).
+func (f *File) RevokeVisits() uint64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.visits
 }
 
 // Backing identifies what is behind a mapping.

@@ -61,6 +61,8 @@ type FileServeResult struct {
 	Truncates     uint64
 	RevokedPages  uint64 // translations invalidated across all revokes
 	WritebackIPIs uint64 // IPIs the ticker core sent inside Writeback/Truncate
+	TickerCycles  uint64 // virtual cycles the ticker spent inside Writeback/Truncate
+	RevokeVisits  uint64 // address spaces the revocations walked into
 	SharerHigh    int    // per-page sharer-set high-water seen at revokes
 	CacheFills    uint64 // page-cache misses (first faulter fills)
 	CachePages    int    // pages resident in the cache at the end
@@ -91,14 +93,31 @@ func (r FileServeResult) IPIsPerWriteback() float64 {
 	return float64(r.WritebackIPIs) / float64(ops)
 }
 
+// TickerCyclesPerRound is where the ticker's time goes: the virtual cycles one
+// round's revocations cost it, its own gap excluded. The run ends when the
+// ticker does, so beside WBGap this is what bounds the figure's throughput.
+func (r FileServeResult) TickerCyclesPerRound() float64 { return r.perRound(r.TickerCycles) }
+
+// VisitsPerRound is how many address spaces one round's revocations walked
+// into: the holders of the window's pages on RadixVM, every space mapping the
+// file on the baselines.
+func (r FileServeResult) VisitsPerRound() float64 { return r.perRound(r.RevokeVisits) }
+
+func (r FileServeResult) perRound(n uint64) float64 {
+	if r.Writebacks == 0 {
+		return 0
+	}
+	return float64(n) / float64(r.Writebacks) // one Writeback a round
+}
+
 // fileServeBase places the shared file mapping in its own region, away
 // from the per-core spread() arenas and the fleet template.
 const fileServeBase = uint64(1) << 34
 
 // FileServe runs the shared page cache workload: one hot file in a
 // mem.PageCache, a fleet of multithreaded reader processes forked from a
-// template that maps it (so every child shares the cached frames — and,
-// post-fork, is registered in the file's mapper set), and a writeback
+// template that maps it (so every child shares the cached frames, and a
+// revocation has to find each child that holds one), and a writeback
 // ticker that walks a rotating window of the file revoking cached
 // translations; every TruncEvery-th round it truncates the file's tail
 // and re-extends it, forcing the cache pages themselves to die and
@@ -108,7 +127,9 @@ const fileServeBase = uint64(1) << 34
 // delta around each revocation. On RadixVM that counts exactly the
 // per-page sharer sets of the revoked window; on linux/bonsai it counts
 // one broadcast per live address space mapping the file, however few of
-// its pages that space ever touched.
+// its pages that space ever touched. Beside it, where the ticker's time goes:
+// its cycles inside the revocations and the spaces they walked into — the
+// window's holders on RadixVM, every mapping space on the baselines.
 //
 // Like Fleet, the run is a pure function of (config, virtual time) under
 // the deterministic gang schedule.
@@ -205,7 +226,7 @@ func FileServe(env *Env, sys vm.System, cores int, alloc *mem.Allocator, cfg Fil
 	// The writeback ticker: a pinned proc on core 0 that revokes a
 	// rotating window each round. Its own core's IPIsSent delta around
 	// each call is exactly the shootdown traffic that revocation cost.
-	var wbIPIs uint64
+	var wbIPIs, wbCycles uint64
 	if cfg.WBRounds > 0 && cfg.WBPages > 0 {
 		s.SpawnAt(0, start, func(tc *hw.Ctx) {
 			c := tc.CPU()
@@ -215,7 +236,7 @@ func FileServe(env *Env, sys vm.System, cores int, alloc *mem.Allocator, cfg Fil
 				if off+n > cfg.FilePages {
 					n = cfg.FilePages - off
 				}
-				ipi0 := c.Stats().IPIsSent
+				ipi0, now0 := c.Stats().IPIsSent, c.Now()
 				file.Writeback(c, off, n)
 				if cfg.TruncEvery > 0 && (round+1)%cfg.TruncEvery == 0 {
 					// Cut the file's tail and grow it back: the dropped
@@ -225,6 +246,7 @@ func FileServe(env *Env, sys vm.System, cores int, alloc *mem.Allocator, cfg Fil
 					file.Extend(cfg.FilePages)
 				}
 				wbIPIs += c.Stats().IPIsSent - ipi0
+				wbCycles += c.Now() - now0
 				env.RC.Maintain(c)
 				c.Tick(cfg.WBGap)
 				tc.Yield()
@@ -280,6 +302,8 @@ func FileServe(env *Env, sys vm.System, cores int, alloc *mem.Allocator, cfg Fil
 		Truncates:     file.Truncates(),
 		RevokedPages:  file.RevokedPages(),
 		WritebackIPIs: wbIPIs,
+		TickerCycles:  wbCycles,
+		RevokeVisits:  file.RevokeVisits(),
 		SharerHigh:    file.Cache().SharerHighWater(),
 		CacheFills:    file.Cache().Fills(),
 		CachePages:    file.Cache().Pages(),

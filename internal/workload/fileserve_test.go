@@ -2,6 +2,8 @@ package workload
 
 import (
 	"errors"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"radixvm/internal/bonsaivm"
@@ -111,10 +113,11 @@ func TestFileServeRunsOnAllSystems(t *testing.T) {
 }
 
 // TestForkRegistersFileSharers is the fork/file-page regression: a forked
-// child shares the parent's cached file frames, so it must also join each
-// mapped file's mm registry — otherwise a later writeback cannot find the
-// child's translations and the child keeps reading a page the kernel
-// believes it has invalidated. All three systems.
+// child shares the parent's cached file frames, so a later writeback must find
+// the child's translations too — otherwise the child keeps reading a page the
+// kernel believes it has invalidated. The baselines join each mapped file's mm
+// registry at fork; a RadixVM child is found through the holder set of each
+// page it faults. All three systems.
 func TestForkRegistersFileSharers(t *testing.T) {
 	for _, name := range []string{"radixvm", "linux", "bonsai"} {
 		t.Run(name, func(t *testing.T) {
@@ -125,10 +128,12 @@ func TestForkRegistersFileSharers(t *testing.T) {
 				Prot: vm.ProtRead | vm.ProtWrite, File: file, Offset: 0,
 			}))
 			fsMust(t, sys.Access(c0, fsTestBase, false))
+			fsMust(t, sys.Access(c0, fsTestBase+1, false))
 
 			child, err := sys.Fork(c0)
 			fsMust(t, err)
-			if got := file.Mappers(); got != 2 {
+			registry := name != "radixvm"
+			if got := file.Mappers(); registry && got != 2 {
 				t.Fatalf("file has %d registered mappers after fork, want 2 (child missing)", got)
 			}
 			fsMust(t, child.Access(c1, fsTestBase, false))
@@ -140,9 +145,28 @@ func TestForkRegistersFileSharers(t *testing.T) {
 				t.Fatalf("child access after writeback took %d faults, want 1 refault (stale translation survived)", got)
 			}
 
+			// The parent had faulted both pages before it forked; the child
+			// has read one of them and reaches the other through metadata it
+			// still shares with the parent. After a truncate neither side may
+			// reach a frame of either.
+			file.Truncate(c0, 0)
+			for p := uint64(0); p < 2; p++ {
+				if err := sys.Access(c0, fsTestBase+p, false); !errors.Is(err, vm.ErrSegv) {
+					t.Errorf("parent read of page %d past EOF: %v, want ErrSegv", p, err)
+				}
+				if err := child.Access(c1, fsTestBase+p, false); !errors.Is(err, vm.ErrSegv) {
+					t.Errorf("child read of page %d past EOF: %v, want ErrSegv", p, err)
+				}
+			}
+
 			fsRetire(c1, t, child, [2]uint64{fsTestBase, 4})
-			if got := file.Mappers(); got != 1 {
+			if got := file.Mappers(); registry && got != 1 {
 				t.Fatalf("file has %d registered mappers after child teardown, want 1", got)
+			}
+			fsRetire(c0, t, sys, [2]uint64{fsTestBase, 4})
+			fsQuiesce(env)
+			if live := alloc.Live(); live != 0 {
+				t.Fatalf("%d frames live after both sides retired and the file emptied", live)
 			}
 		})
 	}
@@ -202,6 +226,65 @@ func TestWritebackIPIsTrackSharersNotMappers(t *testing.T) {
 	}
 }
 
+// TestWritebackCostTracksHoldersNotMappers is the same claim for cycles and
+// host allocations: one Writeback over a window that two spaces hold costs
+// RadixVM's ticker the same virtual cycles, and the simulator the same number
+// of mallocs, with no further children and with 512 of them that each fault a
+// page elsewhere in the file. A revocation walks into the holders of the
+// pages it revokes; a space that maps the file and holds none of them is not
+// locked, path-copied or expanded to find that out.
+func TestWritebackCostTracksHoldersNotMappers(t *testing.T) {
+	costFor := func(idle int) (cycles, mallocs, visits uint64) {
+		env, sys, alloc := fsSys("radixvm", hw.DefaultConfig(8))
+		file := vm.NewFile(alloc)
+		c0 := env.M.CPU(0)
+		fsMust(t, sys.Mmap(c0, fsTestBase, 1024, vm.MapOpts{
+			Prot: vm.ProtRead | vm.ProtWrite, File: file, Offset: 0,
+		}))
+		fork := func() vm.System {
+			ch, err := sys.Fork(c0)
+			fsMust(t, err)
+			return ch
+		}
+		holders := []vm.System{fork(), fork()}
+		for i := 0; i < idle; i++ {
+			fsMust(t, fork().Access(env.M.CPU(3+i%5), fsTestBase+64+uint64(i), false))
+		}
+		for p := uint64(0); p < 16; p++ {
+			fsMust(t, holders[0].Access(env.M.CPU(1), fsTestBase+p, false))
+			fsMust(t, holders[1].Access(env.M.CPU(2), fsTestBase+p, false))
+		}
+		// The same instant on every core both times, so that no charge
+		// depends on how long the idle children took to set up.
+		for i := 0; i < 8; i++ {
+			env.M.CPU(i).AdvanceTo(1 << 32)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		now := c0.Now()
+		file.Writeback(c0, 0, 16)
+		cycles = c0.Now() - now
+		runtime.ReadMemStats(&after)
+		if got := file.RevokedPages(); got != 32 {
+			t.Fatalf("%d idle children: writeback revoked %d translations, want 32", idle, got)
+		}
+		return cycles, after.Mallocs - before.Mallocs, file.RevokeVisits()
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	c0, m0, v0 := costFor(0)
+	c512, m512, v512 := costFor(512)
+	if v0 != 2 || v512 != 2 {
+		t.Errorf("writeback walked into %d spaces alone and %d beside 512 idle children, want the 2 holders both times", v0, v512)
+	}
+	if c0 != c512 {
+		t.Errorf("writeback cost %d cycles alone, %d beside 512 idle children (%+d a child): want equal",
+			c0, c512, (int64(c512)-int64(c0))/512)
+	}
+	if m0 != m512 {
+		t.Errorf("writeback allocated %d objects alone, %d beside 512 idle children: want equal", m0, m512)
+	}
+}
+
 // TestFileServeDeterministic runs the 8-core filemap workload twice per
 // system and demands bit-identical results: the figure-level metrics, every
 // per-core clock, and every per-core Stats counter. This is what lets
@@ -242,6 +325,33 @@ func TestFileServeTeardownLeavesOnlyCache(t *testing.T) {
 		if live := alloc.Live(); live != int64(r.CachePages) {
 			t.Errorf("%s: %d frames live after fleet teardown, want exactly the %d cached pages",
 				name, live, r.CachePages)
+		}
+	}
+}
+
+// TestFileServeTickerVisitsHoldersNotMappers: the figure's fourth table in
+// miniature. Under either run shape RadixVM's ticker walks into the holders of
+// the pages it revokes — a small fraction of the spaces that map the file,
+// every one of which the baselines' registry walk visits.
+func TestFileServeTickerVisitsHoldersNotMappers(t *testing.T) {
+	big := DefaultFileServeConfig()
+	big.Procs, big.MaxLive, big.WBRounds = 96, 48, 24
+	for _, run := range []struct {
+		mc  hw.Config
+		cfg FileServeConfig
+	}{{hw.TestConfig(4), fsSmallConfig()}, {hw.DefaultConfig(8), big}} {
+		visits := map[string]float64{}
+		for _, name := range []string{"radixvm", "linux"} {
+			env, sys, alloc := fsSys(name, run.mc)
+			r := FileServe(env, sys, run.mc.NCores, alloc, run.cfg)
+			if r.TickerCycles == 0 || r.RevokeVisits == 0 {
+				t.Errorf("%s: the ticker spent %d cycles in %d visits, want both > 0", name, r.TickerCycles, r.RevokeVisits)
+			}
+			visits[name] = r.VisitsPerRound()
+		}
+		if visits["radixvm"]*2 > visits["linux"] {
+			t.Errorf("radixvm's revocations walked into %.2f spaces a round, linux's into %.2f: holders should be far fewer than mappers",
+				visits["radixvm"], visits["linux"])
 		}
 	}
 }
