@@ -118,8 +118,9 @@ func main() {
 		}
 		fmt.Printf("filemap: %.2fM faults/s, %d cache fills, %d pages cached at end\n",
 			fsr.FaultsPerSec()/1e6, fsr.CacheFills, fsr.CachePages)
-		fmt.Printf("filemap: %d writebacks + %d truncates revoked %d translations, %d shootdown IPIs (%.2f IPIs/writeback)\n",
-			fsr.Writebacks, fsr.Truncates, fsr.RevokedPages, fsr.WritebackIPIs, fsr.IPIsPerWriteback())
+		fmt.Printf("filemap: %d writebacks + %d truncates revoked %d translations, %d shootdown IPIs (%.2f IPIs/writeback) in %d interrupt rounds (%.2f rounds/writeback)\n",
+			fsr.Writebacks, fsr.Truncates, fsr.RevokedPages, fsr.WritebackIPIs, fsr.IPIsPerWriteback(),
+			fsr.WritebackRounds, fsr.RoundsPerWriteback())
 		fmt.Printf("filemap: the ticker spent %.1fK cycles/round inside its revocations, which walked into %.2f spaces/round\n",
 			fsr.TickerCyclesPerRound()/1e3, fsr.VisitsPerRound())
 		fmt.Printf("filemap: per-page sharer-set high-water %d, refcache reviews %d (%.2f reviews/writeback), review-queue high-water %d\n",

@@ -57,6 +57,12 @@ func (p *policy) Insert(cpu *hw.CPU, start uint64, r *sharedvm.Region) {
 
 func (p *policy) Delete(cpu *hw.CPU, start uint64) { p.regions.Delete(cpu, start) }
 
+// Rewrite publishes a copy under old's key: a lock-free faulter may still
+// hold the published region, which is never mutated.
+func (p *policy) Rewrite(cpu *hw.CPU, ix sharedvm.Policy, _ *sharedvm.Region, r sharedvm.Region) {
+	ix.Insert(cpu, r.Start, &r)
+}
+
 // Replace publishes without ever uncovering a page: faulters read a
 // lock-free snapshot per call, so the higher-key pieces go in first (while
 // old's full-width entry still covers them from below) and the last insert

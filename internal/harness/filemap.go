@@ -30,11 +30,12 @@ var FileMapQuickLives = []int{32, 128}
 //     high-water, and refcache reviews per writeback — revoked and
 //     truncated pages drain through the per-core delta caches.
 //  4. Where the ticker's time goes, across cores: its cycles per round inside
-//     the revocations and the address spaces they walked into. The run ends
-//     when the ticker does, so this is what bends table 1: RadixVM visits the
-//     holders of the window's pages and pays one interrupt round each (a
-//     cross-socket target costs three times an on-socket one), the baselines
-//     visit every space that maps the file and broadcast from each.
+//     the revocations, the address spaces they walked into, and the interrupt
+//     rounds one writeback or truncate sent. The run ends when the ticker
+//     does, so this is what bends table 1: RadixVM visits the holders of the
+//     window's pages and interrupts the union of their sharers in at most one
+//     round (a cross-socket target costs three times an on-socket one), the
+//     baselines visit every space that maps the file and broadcast from each.
 //
 // Everything runs under the deterministic gang schedule, so every cell is
 // bit-stable run-to-run and gated byte-for-byte (figures/filemap.txt).
@@ -42,7 +43,7 @@ func FigFileMap(o Options, lives []int) []*Table {
 	thr := &Table{Title: "filemap: shared-file read throughput (M faults/sec)"}
 	ipis := &Table{Title: "filemap: shootdown IPIs per writeback"}
 	tick := &Table{Title: "filemap: the ticker's revocations per round (K cycles inside them; address spaces visited)"}
-	var visits []Row
+	var visits, rounds []Row
 	for _, f := range factories() {
 		for _, n := range o.Cores {
 			e, a := env(n)
@@ -51,9 +52,11 @@ func FigFileMap(o Options, lives []int) []*Table {
 			ipis.Rows = append(ipis.Rows, Row{Series: f.name, Cores: n, Value: r.IPIsPerWriteback(), Unit: "IPIs/wb"})
 			tick.Rows = append(tick.Rows, Row{Series: f.name + " Kcycles", Cores: n, Value: r.TickerCyclesPerRound() / 1e3, Unit: "per round"})
 			visits = append(visits, Row{Series: f.name + " spaces", Cores: n, Value: r.VisitsPerRound(), Unit: "per round"})
+			rounds = append(rounds, Row{Series: f.name + " rounds/wb", Cores: n, Value: r.RoundsPerWriteback(), Unit: "per wb"})
 		}
 	}
-	tick.Rows = append(tick.Rows, visits...)
+	// The header prints the last row's unit: the visits close the table.
+	tick.Rows = append(append(tick.Rows, rounds...), visits...)
 
 	const cores = 8
 	prs := &Table{Title: fmt.Sprintf("filemap: invalidation pressure @ %d cores (columns: live processes)", cores)}

@@ -65,14 +65,13 @@ func (p *policy) Insert(cpu *hw.CPU, start uint64, r *sharedvm.Region) {
 
 func (p *policy) Delete(cpu *hw.CPU, start uint64) { p.vmas.Delete(cpu, start) }
 
-// Replace rewrites a region that keeps its extent in place — the write lock
-// excludes every reader — and splits a boundary VMA by deleting it and
-// inserting its pieces.
+// Rewrite rewrites the region in place: the write lock excludes every reader.
+func (p *policy) Rewrite(_ *hw.CPU, _ sharedvm.Policy, old *sharedvm.Region, r sharedvm.Region) {
+	*old = r
+}
+
+// Replace splits a boundary VMA by deleting it and inserting its pieces.
 func (p *policy) Replace(cpu *hw.CPU, ix sharedvm.Policy, old *sharedvm.Region, pieces ...sharedvm.Region) {
-	if len(pieces) == 1 {
-		*old = pieces[0]
-		return
-	}
 	ix.Delete(cpu, old.Start)
 	for i := range pieces {
 		ix.Insert(cpu, pieces[i].Start, &pieces[i])

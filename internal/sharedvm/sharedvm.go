@@ -76,10 +76,14 @@ type Policy interface {
 	Insert(cpu *hw.CPU, start uint64, r *Region)
 	Delete(cpu *hw.CPU, start uint64)
 	Len() int
-	// Replace publishes pieces — one to three regions tiling old's extent
-	// in ascending order — in old's place, by Insert and Delete on ix (the
-	// policy itself, or a test's wrapper of it). The caller holds the lock
-	// and is done with pieces, so Replace may keep pointers into it.
+	// Rewrite publishes r, which has old's extent, in old's place, and
+	// Replace publishes pieces — two or three regions tiling old's extent in
+	// ascending order — by Insert and Delete on ix (the policy itself, or a
+	// test's wrapper of it). The caller holds the lock and is done with
+	// pieces, so Replace may keep pointers into it. r is a value so that a
+	// policy that rewrites in place allocates nothing: a slice handed to an
+	// interface escapes.
+	Rewrite(cpu *hw.CPU, ix Policy, old *Region, r Region)
 	Replace(cpu *hw.CPU, ix Policy, old *Region, pieces ...Region)
 	// Fault resolves a page fault on s, Space.Fault having charged the trap;
 	// trapped: a TLB permission trap raised it and counted the ProtFault.
@@ -324,7 +328,7 @@ func (s *Space) Fork(cpu *hw.CPU) (vm.System, error) {
 			c.COW = true
 			anon = append(anon, span{o.Start, o.End})
 			if !o.COW {
-				s.replace(cpu, o, c)
+				s.pol.Rewrite(cpu, s.pol, o, c)
 			}
 		}
 		child.insert(cpu, &c)
@@ -404,12 +408,16 @@ func (s *Space) Mprotect(cpu *hw.CPU, vpn, npages uint64, prot vm.Prot) error {
 		covered = clipHi
 		revoked = revoked || o.Prot&^prot != 0
 		cow = cow || o.COW
+		mid := o.piece(clipLo, clipHi)
+		mid.Prot = prot
+		if o.Start >= lo && o.End <= hi {
+			s.pol.Rewrite(cpu, s.pol, o, mid)
+			continue
+		}
 		pieces := make([]Region, 0, 3)
 		if o.Start < lo {
 			pieces = append(pieces, o.piece(o.Start, lo))
 		}
-		mid := o.piece(clipLo, clipHi)
-		mid.Prot = prot
 		pieces = append(pieces, mid)
 		if o.End > hi {
 			pieces = append(pieces, o.piece(hi, o.End))

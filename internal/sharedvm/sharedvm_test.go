@@ -223,6 +223,38 @@ func TestMapperMembership(t *testing.T) {
 	}
 }
 
+// TestWholeRegionMprotectAllocations: an mprotect that covers a whole region
+// rewrites it as one piece. Under the write lock linux rewrites the region in
+// place and allocates nothing; bonsai's lock-free faulters may hold the
+// published region, so it publishes a copy in a new node of its persistent
+// tree: two allocations.
+func TestWholeRegionMprotectAllocations(t *testing.T) {
+	want := map[string]float64{"linux": 0, "bonsai": 2}
+	for _, p := range policies {
+		t.Run(p.name, func(t *testing.T) {
+			w := newWorld(1)
+			c := w.m.CPU(0)
+			as := p.new(w)
+			must(t, as.Mmap(c, 100, 10, vm.MapOpts{Prot: rw}))
+			must(t, as.Access(c, 104, true))
+			prots := [2]vm.Prot{vm.ProtRead, rw}
+			k := 0
+			allocs := testing.AllocsPerRun(100, func() {
+				k++
+				if err := as.Mprotect(c, 100, 10, prots[k%2]); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != want[p.name] {
+				t.Errorf("mprotect of a whole region: %v allocs, want %v", allocs, want[p.name])
+			}
+			if got := as.Regions(); got != 1 {
+				t.Errorf("%d regions after whole-region mprotects, want 1", got)
+			}
+		})
+	}
+}
+
 // spy records every index operation and runs a check after each.
 type spy struct {
 	sharedvm.Policy

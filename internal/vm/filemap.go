@@ -76,18 +76,57 @@ func (as *AddressSpace) fileShare(child *AddressSpace) {
 	}
 }
 
-// RevokeFilePages implements FileMapper for RadixVM: invalidate every
-// cached translation this space holds for f's pages in [offLo, offHi) — the
-// hull of the offsets a revocation found this space holding (File.revoke).
-// Each page's metadata names exactly the cores that faulted it (TLBCores), so
-// the shootdown interrupts precisely the pages' sharers, in one round: every
-// run of pages with one sharer set is cleared from those cores' tables
-// (MMU.Unmap), then the union is interrupted once (MMU.Interrupt) — where the
-// baselines must broadcast to every core using every mapping address space.
-// Frame references drop so truncated pages can die; the mapping metadata
-// itself survives, so a post-writeback access refaults through the page
-// cache. Allocates nothing.
-func (as *AddressSpace) RevokeFilePages(cpu *hw.CPU, f *File, offLo, offHi uint64) (int, int) {
+// revokeBatch is one revocation's shootdown, shared by every space it visits:
+// the holders it takes (File.takeHolders), the cores the visits' clears owe
+// an interrupt, and the references the visits took from the mappings. A file
+// keeps one spare batch, so a steady-state revocation allocates nothing.
+type revokeBatch struct {
+	visits  []holderVisit
+	targets hw.CoreSet
+	frames  []*mem.Frame
+	ctrs    []counter.Counter
+}
+
+// flush sends the batch's one interrupt round — to the union of the visits'
+// targets, minus the sender — and only then releases the references: the
+// unmapLocked discipline across spaces, and linux's batched reclaim flush
+// (try_to_unmap_flush). Every table and TLB was already cleared by proxy, so
+// the handlers have nothing left to do. Between a visit's unlock and the round
+// a fault may refill a visited page; it gets a legal answer (a writeback's
+// page is the same cached frame, re-registered for the next revocation; a
+// truncated one is ErrSegv), because every frame a stale translation could
+// reach is still referenced. The one thing not charged is the refault a real
+// handler would cause by flushing that fresh entry.
+func (b *revokeBatch) flush(cpu *hw.CPU, alloc *mem.Allocator) {
+	b.targets.Remove(cpu.ID())
+	if !b.targets.Empty() {
+		cpu.Stats().Shootdowns++
+		cpu.SendIPIs(b.targets, func(*hw.CPU) {})
+	}
+	for _, fr := range b.frames {
+		alloc.DecRef(cpu, fr)
+	}
+	for _, c := range b.ctrs {
+		c.Dec(cpu)
+	}
+	// Kept for the next revocation: it must hold no space, frame or counter.
+	clear(b.visits)
+	clear(b.frames)
+	clear(b.ctrs)
+	*b = revokeBatch{visits: b.visits[:0], frames: b.frames[:0], ctrs: b.ctrs[:0]}
+}
+
+// revokeFile is a revocation's visit to this space: invalidate every cached
+// translation it holds for f's pages in [offLo, offHi) — the hull of the
+// offsets the revocation found it holding (File.revoke). Each page's metadata
+// names exactly the cores that faulted it (TLBCores): every run of pages with
+// one sharer set is cleared from those cores' tables and TLBs (MMU.Unmap)
+// under the range lock, and the cores the round owes, the frames and the
+// baseline counters go into b, whose one round covers every visit — where the
+// baselines broadcast once per mapping address space. The mapping metadata
+// itself survives, so a post-writeback access refaults through the page cache.
+// Allocates nothing.
+func (as *AddressSpace) revokeFile(cpu *hw.CPU, f *File, offLo, offHi uint64, b *revokeBatch) (int, int) {
 	as.revokeMu.RLock()
 	defer as.revokeMu.RUnlock()
 	if as.exited.Load() {
@@ -113,13 +152,12 @@ func (as *AddressSpace) RevokeFilePages(cpu *hw.CPU, f *File, offLo, offHi uint6
 	revoked, maxSharers := 0, 0
 	for _, w := range wins {
 		r := as.tree.LockRange(cpu, w.lo, w.hi)
-		var framesBuf [32]*mem.Frame
-		var ctrsBuf [4]counter.Counter
-		frames := framesBuf[:0]
-		ctrs := ctrsBuf[:0]
+		// Read under the lock: a core that cached a page of the range noted
+		// itself active before its fault took the page's lock.
+		active := as.activeSet()
 		// The open run: contiguous pages whose sharer sets are identical.
 		var runLo, runHi uint64
-		var runCores, union hw.CoreSet
+		var runCores hw.CoreSet
 		for i := range r.Entries() {
 			e := r.Entry(i)
 			v := e.Value()
@@ -127,16 +165,15 @@ func (as *AddressSpace) RevokeFilePages(cpu *hw.CPU, f *File, offLo, offHi uint6
 				continue // never faulted (folded spans included), or remapped
 			}
 			maxSharers = max(maxSharers, v.TLBCores.Count())
-			frames = append(frames, v.Frame)
+			b.frames = append(b.frames, v.Frame)
 			if v.altCtr != nil {
-				ctrs = append(ctrs, v.altCtr)
+				b.ctrs = append(b.ctrs, v.altCtr)
 			}
 			if runHi != e.Lo || runCores != v.TLBCores {
 				if runHi > runLo {
-					as.mmu.Unmap(cpu, runLo, runHi, runCores)
+					b.targets.Union(as.mmu.Unmap(cpu, runLo, runHi, runCores, active))
 				}
 				runLo, runCores = e.Lo, v.TLBCores
-				union.Union(runCores)
 			}
 			runHi = e.Hi
 			v.Frame = nil
@@ -145,17 +182,8 @@ func (as *AddressSpace) RevokeFilePages(cpu *hw.CPU, f *File, offLo, offHi uint6
 			e.Set(v)
 			revoked += int(e.Hi - e.Lo)
 		}
-		// Gather, shoot down, then release references — the unmapLocked
-		// discipline, so no page can be reused while a TLB still maps it.
-		if len(frames) > 0 {
-			as.mmu.Unmap(cpu, runLo, runHi, runCores)
-			as.mmu.Interrupt(cpu, r.Lo, r.Hi, union, as.activeSet())
-		}
-		for _, fr := range frames {
-			as.alloc.DecRef(cpu, fr)
-		}
-		for _, c := range ctrs {
-			c.Dec(cpu)
+		if runHi > runLo {
+			b.targets.Union(as.mmu.Unmap(cpu, runLo, runHi, runCores, active))
 		}
 		r.Unlock()
 	}

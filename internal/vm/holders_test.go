@@ -280,11 +280,73 @@ func TestRevocationLeavesNoStaleTranslation(t *testing.T) {
 	})
 }
 
+// TestRevocationInterruptsOnceAcrossHolders, on both MMUs: four forked spaces
+// read overlapping windows of one file from overlapping core pairs, and one
+// Writeback that finds all four holding pages sends the ticker's core one
+// interrupt round, whose targets are the union over every visited space minus
+// the sender — the revoked pages' sharers on per-core tables, every core that
+// used a visited space on the shared one — not a round per visited space,
+// which would be four.
+func TestRevocationInterruptsOnceAcrossHolders(t *testing.T) {
+	const ncores, window = 6, uint64(14)
+	over(t, bothMMUs(), ncores, func(t *testing.T, w *world, sys vm.System, reap reaper) {
+		c0 := m0(w)
+		f := vm.NewFile(w.alloc)
+		must(t, sys.Mmap(c0, holdFile, 32, vm.MapOpts{Prot: rw, File: f}))
+		perCore := sys.(*vm.AddressSpace).MMU().Name() == "percore"
+		// Space i is read by cores i and i+1 (core 5 reads nothing), each over
+		// twelve pages: sharer sets {i}, {i, i+1}, {i+1}.
+		var spaces []vm.System
+		var sharers, users hw.CoreSet
+		for i := 0; i < 4; i++ {
+			ch, err := sys.Fork(c0)
+			must(t, err)
+			spaces = append(spaces, ch)
+			for k, lo := range []uint64{uint64(4 * i), uint64(4*i + 8)} {
+				c := w.m.CPU(i + k)
+				for off := lo; off < lo+12; off++ {
+					must(t, ch.Access(c, holdFile+off, false))
+				}
+				users.Add(c.ID())
+				if lo < window {
+					sharers.Add(c.ID())
+				}
+			}
+		}
+		want, of := users, "cores that used a visited space"
+		if perCore {
+			want, of = sharers, "revoked pages' sharers"
+		}
+		want.Remove(c0.ID())
+		foldMail(w, c0.Now())
+		rounds, sent := c0.Stats().Shootdowns, c0.Stats().IPIsSent
+		visits := f.RevokeVisits()
+		f.Writeback(c0, 0, window)
+		if got := f.RevokeVisits() - visits; got != 4 {
+			t.Fatalf("the writeback visited %d spaces, want the 4 holders", got)
+		}
+		if got := c0.Stats().Shootdowns - rounds; got != 1 {
+			t.Errorf("one writeback across 4 holders sent %d interrupt rounds, want 1", got)
+		}
+		if got := c0.Stats().IPIsSent - sent; got != uint64(want.Count()) {
+			t.Errorf("the round interrupted %d cores, want %d: the %s, minus the sender", got, want.Count(), of)
+		}
+		for _, ch := range spaces {
+			exit(c0, ch)
+		}
+		exit(c0, sys)
+		drained(t, w, c0, f)
+	})
+}
+
 // TestRevocationAllocatesNothing: in steady state a revocation cycle — two
 // cores refault a registered space's window, Writeback takes the window's
 // holder sets and walks into the space over its hull — allocates nothing:
-// re-registration appends into the sets' retained storage, the visit list is
-// on Writeback's stack, and RevokeFilePages keeps its one open run in locals.
+// re-registration appends into the sets' retained storage, the visit list and
+// the references the round releases live in the file's spare batch, and each
+// visit keeps its one open run in locals. A batch that spans three holder
+// spaces allocates nothing either; there only the Writeback is counted, each
+// into a window all three refaulted beforehand.
 func TestRevocationAllocatesNothing(t *testing.T) {
 	over(t, bothMMUs(), 4, func(t *testing.T, w *world, sys vm.System, reap reaper) {
 		c0 := m0(w)
@@ -307,6 +369,46 @@ func TestRevocationAllocatesNothing(t *testing.T) {
 			t.Errorf("the cycles revoked %d translations, want %d (24 pages each)", got, 21*24)
 		}
 	})
+	t.Run("three holders", func(t *testing.T) { over(t, bothMMUs(), 4, revokeThreeHolders) })
+}
+
+// revokeThreeHolders: sys and two forks each refault 21 windows of one file
+// from two cores; then each Writeback revokes one window, visiting all three.
+func revokeThreeHolders(t *testing.T, w *world, sys vm.System, _ reaper) {
+	const windows = 21 // AllocsPerRun(20) calls once more to warm up
+	c0 := m0(w)
+	f := vm.NewFile(w.alloc)
+	must(t, sys.Mmap(c0, holdFile, 64*windows, vm.MapOpts{Prot: rw, File: f}))
+	spaces := []vm.System{sys}
+	for range 2 {
+		ch, err := sys.Fork(c0)
+		must(t, err)
+		spaces = append(spaces, ch)
+	}
+	for k := uint64(0); k < windows; k++ {
+		for _, as := range spaces {
+			for p := uint64(0); p < 16; p++ {
+				must(t, as.Access(w.m.CPU(1), holdFile+64*k+20+p, false))
+				must(t, as.Access(w.m.CPU(2), holdFile+64*k+28+p, false))
+			}
+		}
+	}
+	foldMail(w, c0.Now())
+	revoked, visits := f.RevokedPages(), f.RevokeVisits()
+	k := uint64(0)
+	allocs := testing.AllocsPerRun(windows-1, func() {
+		f.Writeback(c0, 64*k, 64)
+		k++
+	})
+	if allocs != 0 {
+		t.Errorf("a writeback across three holders' 24-page hulls: %v allocs, want 0", allocs)
+	}
+	if got := f.RevokeVisits() - visits; got != 3*windows {
+		t.Errorf("the writebacks visited %d spaces, want %d (3 holders each)", got, 3*windows)
+	}
+	if got := f.RevokedPages() - revoked; got != 3*24*windows {
+		t.Errorf("the writebacks revoked %d translations, want %d (24 pages in each of 3 spaces)", got, 3*24*windows)
+	}
 }
 
 // TestFilePageRemapCycleAllocatesNothing is Figure 8's loop: a space that is

@@ -102,17 +102,17 @@ type MMU interface {
 	// precise; shared tables must broadcast to active. The caller's own
 	// core is handled synchronously, not by IPI.
 	Shootdown(cpu *hw.CPU, lo, hi uint64, precise, active hw.CoreSet)
-	// Unmap and Interrupt are Shootdown in two steps, for a caller whose one
-	// lock covers ranges with different sharer sets (a file-page revocation).
-	// Unmap clears [lo, hi) from the precise cores' tables and TLBs — by
-	// proxy and charged to the caller, as a shootdown's handlers are
-	// (hw.SendIPIs) — and interrupts nobody; Interrupt is the one round the
-	// caller then owes the union of those cores before it releases the
-	// pages, [lo, hi) the hull. A core clears only the ranges that named it:
-	// a table walk materializes what it walks. Shared tables are cleared per
-	// range, and one broadcast flushes the hull from every active core's TLB.
-	Unmap(cpu *hw.CPU, lo, hi uint64, precise hw.CoreSet)
-	Interrupt(cpu *hw.CPU, lo, hi uint64, precise, active hw.CoreSet)
+	// Unmap is Shootdown without its interrupt round, for a caller that
+	// batches the rounds of many ranges into one (a file-page revocation,
+	// across every space it visits). It does the whole functional clear of
+	// [lo, hi) — by proxy and charged to the caller, as a shootdown's
+	// handlers are (hw.SendIPIs) — and returns the cores the round owes; the
+	// caller sends it before it releases the pages. Per-core tables clear
+	// the precise cores' tables and TLBs (a core clears only the ranges that
+	// named it: a table walk materializes what it walks) and return precise;
+	// the shared table is cleared once, every active core's TLB flushed, and
+	// active returned.
+	Unmap(cpu *hw.CPU, lo, hi uint64, precise, active hw.CoreSet) hw.CoreSet
 	// Protect rewrites [lo, hi)'s installed translations to perm and
 	// flushes the affected TLBs — the hardware half of an mprotect that
 	// revokes rights (§3.4's write-protect shootdown). Translations stay
@@ -270,18 +270,9 @@ func (mmu *PerCoreMMU) Shootdown(cpu *hw.CPU, lo, hi uint64, precise, _ hw.CoreS
 }
 
 // Unmap implements MMU.
-func (mmu *PerCoreMMU) Unmap(cpu *hw.CPU, lo, hi uint64, precise hw.CoreSet) {
+func (mmu *PerCoreMMU) Unmap(cpu *hw.CPU, lo, hi uint64, precise, _ hw.CoreSet) hw.CoreSet {
 	precise.ForEach(func(id int) { mmu.cores[id].unmap(cpu, lo, hi) })
-}
-
-// Interrupt implements MMU. The handlers have nothing left to do.
-func (mmu *PerCoreMMU) Interrupt(cpu *hw.CPU, _, _ uint64, precise, _ hw.CoreSet) {
-	precise.Remove(cpu.ID())
-	if precise.Empty() {
-		return
-	}
-	cpu.Stats().Shootdowns++
-	cpu.SendIPIs(precise, func(*hw.CPU) {})
+	return precise
 }
 
 // Protect implements MMU: targeted, like Shootdown, but PTEs are rewritten
@@ -443,14 +434,11 @@ func (mmu *SharedMMU) Shootdown(cpu *hw.CPU, lo, hi uint64, _, active hw.CoreSet
 	mmu.ShootdownTLBOnly(cpu, lo, hi, active)
 }
 
-// Unmap implements MMU: the one table.
-func (mmu *SharedMMU) Unmap(cpu *hw.CPU, lo, hi uint64, _ hw.CoreSet) {
+// Unmap implements MMU: the one table, and a broadcast's worth of TLBs.
+func (mmu *SharedMMU) Unmap(cpu *hw.CPU, lo, hi uint64, _, active hw.CoreSet) hw.CoreSet {
 	mmu.pt.Load().UnmapRange(cpu, lo, hi)
-}
-
-// Interrupt implements MMU: broadcast.
-func (mmu *SharedMMU) Interrupt(cpu *hw.CPU, lo, hi uint64, _, active hw.CoreSet) {
-	mmu.ShootdownTLBOnly(cpu, lo, hi, active)
+	active.ForEach(func(id int) { mmu.tlbs[id].FlushRange(lo, hi) })
+	return active
 }
 
 // Protect implements MMU: the shared table is rewritten once, then every

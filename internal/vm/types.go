@@ -187,19 +187,19 @@ func MetaCopyCost(pageZero, bytes uint64) uint64 {
 	return pageZero * bytes / MetaPageBytes
 }
 
-// FileMapper is how a writeback or truncate of a file calls back into an
-// address space to invalidate its cached translations for the affected pages
-// — each system at its own precision. The baselines register one with every
-// file they map (the mm registry, linux's i_mmap walk) and can only do the
-// faithful invalidate_inode_pages-style broadcast over every core using the
-// address space. RadixVM is found through the holder sets of the pages
-// revoked (filePage) and shoots down exactly each page's TLBCores sharer set.
+// FileMapper is how a writeback or truncate of a file calls back into a
+// baseline address space to invalidate its cached translations for the
+// affected pages. The baselines register one with every file they map (the mm
+// registry, linux's i_mmap walk) and can only do the faithful
+// invalidate_inode_pages-style broadcast over every core using the address
+// space, one per mapping space. RadixVM is not a FileMapper: it is found
+// through the holder sets of the pages revoked (filePage), and its visits
+// share one interrupt round (revokeBatch).
 //
 // RevokeFilePages invalidates every cached translation this space holds for
 // f's pages in [offLo, offHi) (file page offsets), dropping the mappings'
 // frame references so a truncated page can die. It returns the number of
-// page translations revoked and the widest per-page sharer set it had to
-// interrupt (for the baselines: the broadcast width).
+// page translations revoked and the broadcast's width.
 type FileMapper interface {
 	RevokeFilePages(cpu *hw.CPU, f *File, offLo, offHi uint64) (revoked, maxSharers int)
 }
@@ -229,8 +229,9 @@ type File struct {
 
 	writebacks uint64
 	truncates  uint64
-	revoked    uint64 // page translations invalidated across all spaces visited
-	visits     uint64 // RevokeFilePages calls: spaces a revocation walked into
+	revoked    uint64       // page translations invalidated across all spaces visited
+	visits     uint64       // spaces a revocation walked into
+	spare      *revokeBatch // the last revocation's batch, for the next one
 
 	// altNew, when set, attaches a baseline reference counter (shared or
 	// SNZI) to each page for the Figure 8 comparison; the frame's native
@@ -248,7 +249,7 @@ type File struct {
 // a live space's private mapping holds a frame of the page, the space is in
 // holders. A superset is legal and costs one wasted visit: a munmap leaves its
 // entry (the space may map the page twice), and if the space then exits, the
-// exited fence in RevokeFilePages skips it. Every change of the set (pageFor,
+// exited fence in revokeFile skips it. Every change of the set (pageFor,
 // takeHolders, dropHolder) is a write of line and a revocation's scan a read;
 // a membership hit on the fault path is part of pageFor's lookup, uncharged
 // as a whole (f.mu, the cache map, f.length: ROADMAP 3e).
@@ -358,13 +359,19 @@ type holderVisit struct {
 	lo, hi uint64
 }
 
-// takeHolders empties the holder sets of the pages in [lo, hi) into visits,
-// one per distinct space, in ascending offset and then registration order (the
-// revocation follows it, so it feeds the virtual clock). A fault that registers
-// after the take waits for the next revocation; one that registered before but
-// has not stored its frame yet holds its page lock, which the visit's LockRange
-// waits for. The caller holds f.mu.
-func (f *File) takeHolders(cpu *hw.CPU, lo, hi uint64, visits []holderVisit) []holderVisit {
+// takeHolders empties the holder sets of the pages in [lo, hi) into a batch's
+// visits — the file's spare batch if it has one —, one per distinct space, in
+// ascending offset and then registration order (the revocation follows it, so
+// it feeds the virtual clock). A fault that registers after the take waits for
+// the next revocation; one that registered before but has not stored its frame
+// yet holds its page lock, which the visit's LockRange waits for. The caller
+// holds f.mu.
+func (f *File) takeHolders(cpu *hw.CPU, lo, hi uint64) *revokeBatch {
+	b := f.spare
+	if f.spare = nil; b == nil {
+		b = new(revokeBatch)
+	}
+	visits := b.visits
 	var keyBuf [16]uint64
 	keys := keyBuf[:0]
 	first, last := lo/filePagesPerChunk, (hi-1)/filePagesPerChunk
@@ -398,7 +405,8 @@ func (f *File) takeHolders(cpu *hw.CPU, lo, hi uint64, visits []holderVisit) []h
 			p.holders = p.holders[:0]
 		}
 	}
-	return visits
+	b.visits = visits
+	return b
 }
 
 // RegisterMapper records as as mapping the file (idempotent). Mmap and
@@ -485,12 +493,11 @@ func (f *File) snapshotMappers() []FileMapper {
 // frames. Each space invalidates at its own precision (revoke).
 func (f *File) Writeback(cpu *hw.CPU, off, n uint64) {
 	cpu.Tick(LinuxSyscallCost)
-	var buf [holderVisitsOnStack]holderVisit
 	f.mu.Lock()
 	f.writebacks++
-	visits := f.takeHolders(cpu, off, off+n, buf[:0])
+	b := f.takeHolders(cpu, off, off+n)
 	f.mu.Unlock()
-	f.revoke(cpu, visits, off, off+n)
+	f.revoke(cpu, b, off, off+n)
 }
 
 // Truncate shrinks the file to newLen pages: the tail pages leave the
@@ -500,33 +507,34 @@ func (f *File) Writeback(cpu *hw.CPU, off, n uint64) {
 // return ErrSegv.
 func (f *File) Truncate(cpu *hw.CPU, newLen uint64) {
 	cpu.Tick(LinuxSyscallCost)
-	var buf [holderVisitsOnStack]holderVisit
 	f.mu.Lock()
 	f.truncates++
 	if newLen < f.length {
 		f.length = newLen
 	}
-	visits := f.takeHolders(cpu, newLen, ^uint64(0), buf[:0])
+	b := f.takeHolders(cpu, newLen, ^uint64(0))
 	f.mu.Unlock()
 	dropped := f.pc.DropRange(f.id, newLen, ^uint64(0))
-	f.revoke(cpu, visits, newLen, ^uint64(0))
+	f.revoke(cpu, b, newLen, ^uint64(0))
 	alloc := f.pc.Allocator()
 	for _, fr := range dropped {
 		alloc.DecRef(cpu, fr) // the cache's base reference
 	}
 }
 
-// holderVisitsOnStack: a 64-page window of the filemap fleet has a few dozen.
-const holderVisitsOnStack = 64
-
 // revoke invalidates the translations of f's pages in [lo, hi): in the RadixVM
-// spaces that held some (visits), each over its hull and interrupting exactly
-// each page's sharers, then in every registered mapper over the window — the
+// spaces that held some (b's visits), each over its hull, with one interrupt
+// round to the union of the pages' sharers once every visit has cleared
+// (revokeBatch.flush); then in every registered mapper over the window — the
 // baselines, which broadcast over every core using each mapping space.
-func (f *File) revoke(cpu *hw.CPU, visits []holderVisit, lo, hi uint64) {
-	for _, v := range visits {
-		f.noteRevoke(v.as.RevokeFilePages(cpu, f, v.lo, v.hi))
+func (f *File) revoke(cpu *hw.CPU, b *revokeBatch, lo, hi uint64) {
+	for _, v := range b.visits {
+		f.noteRevoke(v.as.revokeFile(cpu, f, v.lo, v.hi, b))
 	}
+	b.flush(cpu, f.pc.Allocator())
+	f.mu.Lock()
+	f.spare = b
+	f.mu.Unlock()
 	for _, m := range f.snapshotMappers() {
 		f.noteRevoke(m.RevokeFilePages(cpu, f, lo, hi))
 	}
@@ -565,7 +573,7 @@ func (f *File) RevokedPages() uint64 {
 }
 
 // RevokeVisits returns how many spaces revocations walked into, empty-handed
-// or not (RevokeFilePages calls).
+// or not.
 func (f *File) RevokeVisits() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -55,22 +55,23 @@ func DefaultFileServeConfig() FileServeConfig {
 // FileServeResult extends Result with the page-cache pressure metrics.
 type FileServeResult struct {
 	Result
-	Spawns        uint64
-	Faults        uint64 // page faults machine-wide (file fills + refaults)
-	Writebacks    uint64
-	Truncates     uint64
-	RevokedPages  uint64 // translations invalidated across all revokes
-	WritebackIPIs uint64 // IPIs the ticker core sent inside Writeback/Truncate
-	TickerCycles  uint64 // virtual cycles the ticker spent inside Writeback/Truncate
-	RevokeVisits  uint64 // address spaces the revocations walked into
-	SharerHigh    int    // per-page sharer-set high-water seen at revokes
-	CacheFills    uint64 // page-cache misses (first faulter fills)
-	CachePages    int    // pages resident in the cache at the end
-	LiveHigh      int
-	RunQHigh      int
-	Deferred      uint64
-	Reviews       uint64
-	ReviewQHigh   int
+	Spawns          uint64
+	Faults          uint64 // page faults machine-wide (file fills + refaults)
+	Writebacks      uint64
+	Truncates       uint64
+	RevokedPages    uint64 // translations invalidated across all revokes
+	WritebackIPIs   uint64 // IPIs the ticker core sent inside Writeback/Truncate
+	WritebackRounds uint64 // interrupt rounds (Shootdowns) it sent there
+	TickerCycles    uint64 // virtual cycles the ticker spent inside Writeback/Truncate
+	RevokeVisits    uint64 // address spaces the revocations walked into
+	SharerHigh      int    // per-page sharer-set high-water seen at revokes
+	CacheFills      uint64 // page-cache misses (first faulter fills)
+	CachePages      int    // pages resident in the cache at the end
+	LiveHigh        int
+	RunQHigh        int
+	Deferred        uint64
+	Reviews         uint64
+	ReviewQHigh     int
 }
 
 // FaultsPerSec converts the fault count into faults/sec at the modeled
@@ -85,12 +86,19 @@ func (r FileServeResult) FaultsPerSec() float64 {
 // IPIsPerWriteback is the figure's headline: how many shootdown IPIs one
 // writeback costs. RadixVM pays per actual sharer of each revoked page;
 // the baselines broadcast per address space mapping the file.
-func (r FileServeResult) IPIsPerWriteback() float64 {
+func (r FileServeResult) IPIsPerWriteback() float64 { return r.perRevocation(r.WritebackIPIs) }
+
+// RoundsPerWriteback is how many interrupt rounds one writeback costs: at most
+// one on RadixVM, whose visits to the holders share a round; one per mapping
+// space on the baselines.
+func (r FileServeResult) RoundsPerWriteback() float64 { return r.perRevocation(r.WritebackRounds) }
+
+func (r FileServeResult) perRevocation(n uint64) float64 {
 	ops := r.Writebacks + r.Truncates
 	if ops == 0 {
 		return 0
 	}
-	return float64(r.WritebackIPIs) / float64(ops)
+	return float64(n) / float64(ops)
 }
 
 // TickerCyclesPerRound is where the ticker's time goes: the virtual cycles one
@@ -226,7 +234,7 @@ func FileServe(env *Env, sys vm.System, cores int, alloc *mem.Allocator, cfg Fil
 	// The writeback ticker: a pinned proc on core 0 that revokes a
 	// rotating window each round. Its own core's IPIsSent delta around
 	// each call is exactly the shootdown traffic that revocation cost.
-	var wbIPIs, wbCycles uint64
+	var wbIPIs, wbRounds, wbCycles uint64
 	if cfg.WBRounds > 0 && cfg.WBPages > 0 {
 		s.SpawnAt(0, start, func(tc *hw.Ctx) {
 			c := tc.CPU()
@@ -236,7 +244,7 @@ func FileServe(env *Env, sys vm.System, cores int, alloc *mem.Allocator, cfg Fil
 				if off+n > cfg.FilePages {
 					n = cfg.FilePages - off
 				}
-				ipi0, now0 := c.Stats().IPIsSent, c.Now()
+				ipi0, rounds0, now0 := c.Stats().IPIsSent, c.Stats().Shootdowns, c.Now()
 				file.Writeback(c, off, n)
 				if cfg.TruncEvery > 0 && (round+1)%cfg.TruncEvery == 0 {
 					// Cut the file's tail and grow it back: the dropped
@@ -246,6 +254,7 @@ func FileServe(env *Env, sys vm.System, cores int, alloc *mem.Allocator, cfg Fil
 					file.Extend(cfg.FilePages)
 				}
 				wbIPIs += c.Stats().IPIsSent - ipi0
+				wbRounds += c.Stats().Shootdowns - rounds0
 				wbCycles += c.Now() - now0
 				env.RC.Maintain(c)
 				c.Tick(cfg.WBGap)
@@ -296,21 +305,22 @@ func FileServe(env *Env, sys vm.System, cores int, alloc *mem.Allocator, cfg Fil
 			Cycles:     env.M.MaxClock() - start,
 			Stats:      stats,
 		},
-		Spawns:        uint64(cfg.Procs),
-		Faults:        stats.PageFaults,
-		Writebacks:    file.Writebacks(),
-		Truncates:     file.Truncates(),
-		RevokedPages:  file.RevokedPages(),
-		WritebackIPIs: wbIPIs,
-		TickerCycles:  wbCycles,
-		RevokeVisits:  file.RevokeVisits(),
-		SharerHigh:    file.Cache().SharerHighWater(),
-		CacheFills:    file.Cache().Fills(),
-		CachePages:    file.Cache().Pages(),
-		LiveHigh:      pool.LiveHighWater(),
-		RunQHigh:      s.RunQueueHighWater(),
-		Deferred:      s.DeferredArrivals(),
-		Reviews:       env.RC.Reviews() - reviews0,
-		ReviewQHigh:   env.RC.ReviewQueueHighWater(),
+		Spawns:          uint64(cfg.Procs),
+		Faults:          stats.PageFaults,
+		Writebacks:      file.Writebacks(),
+		Truncates:       file.Truncates(),
+		RevokedPages:    file.RevokedPages(),
+		WritebackIPIs:   wbIPIs,
+		WritebackRounds: wbRounds,
+		TickerCycles:    wbCycles,
+		RevokeVisits:    file.RevokeVisits(),
+		SharerHigh:      file.Cache().SharerHighWater(),
+		CacheFills:      file.Cache().Fills(),
+		CachePages:      file.Cache().Pages(),
+		LiveHigh:        pool.LiveHighWater(),
+		RunQHigh:        s.RunQueueHighWater(),
+		Deferred:        s.DeferredArrivals(),
+		Reviews:         env.RC.Reviews() - reviews0,
+		ReviewQHigh:     env.RC.ReviewQueueHighWater(),
 	}
 }
