@@ -168,6 +168,14 @@ func (p *policy) Fault(s *sharedvm.Space, cpu *hw.CPU, vpn uint64, k vm.Kind, tr
 			return s.Fault(cpu, vpn, k, trapped)
 		}
 		if curPerm := cur.PermBits(); curPerm != perm {
+			if now, ok := pt.Peek(vpn); !ok || now.PFN != pte.PFN {
+				// A COW break behind a fork replaced our install, and
+				// dropped its reference, while we waited for the lock:
+				// rewriting our frame back would orphan the copy and map
+				// ours unreferenced. Fault against what is there now.
+				p.Unlock(cpu)
+				return s.Fault(cpu, vpn, k, trapped)
+			}
 			pt.Map(cpu, vpn, pte.PFN, curPerm)
 			s.Flush(cpu, vpn, vpn+1)
 			pte.Perm = curPerm

@@ -70,13 +70,6 @@ func (pc *PageCache) Page(cpu *hw.CPU, k PageKey) (fr *Frame, filled bool) {
 	return fr, filled
 }
 
-// Peek returns the frame caching k without filling, or nil.
-func (pc *PageCache) Peek(k PageKey) *Frame {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.pages[k]
-}
-
 // DropRange removes file's pages with offsets in [lo, hi) from the cache
 // (truncate), returning the dropped frames in ascending offset order. The
 // frames still carry the cache's base reference — the caller must DecRef

@@ -40,10 +40,6 @@ func tlbEntry(pfn uint64, perm pagetable.Perm) tlb.Entry {
 // encoding shared by all three systems' walk paths.
 func TLBEntry(pte pagetable.PTE) tlb.Entry { return tlbEntry(pte.PFN, pte.Perm) }
 
-// TLBEntryFor builds the TLB entry a fault installs for pfn under a
-// mapping with protection p — the fill-path counterpart of TLBEntry.
-func TLBEntryFor(pfn uint64, p Prot) tlb.Entry { return tlbEntry(pfn, PermBits(p)) }
-
 // TLBAllows reports whether cached translation e carries the right access
 // kind k needs — the hardware check all three systems' TLB-hit paths share.
 func TLBAllows(e tlb.Entry, k Kind) bool {

@@ -59,11 +59,6 @@ func KindOf(write bool) Kind {
 	return KindRead
 }
 
-// Allows reports whether protection p permits a plain load or store — a
-// shorthand for Permits(KindOf(write)); exec-checked accesses (Fetch) use
-// Permits(KindExec) directly.
-func (p Prot) Allows(write bool) bool { return p.Permits(KindOf(write)) }
-
 // Permits reports whether a mapping with protection p permits the access.
 // The rules are x86-shaped: a store needs ProtWrite, an instruction fetch
 // needs ProtExec, and a load succeeds under any non-empty protection
@@ -219,13 +214,9 @@ type File struct {
 
 	// mappers is the file's mm registry, in registration order (which the
 	// deterministic schedule makes a pure function of virtual time, and
-	// which revocations follow, so it feeds the virtual clock). mapperAt
-	// indexes it for membership and removal: a fleet registers and
-	// unregisters one mapper per process, and scanning the slice for each
-	// made that quadratic in the live processes. Unregistering leaves a
-	// nil hole, squeezed out once holes outnumber live mappers.
-	mappers  []FileMapper
-	mapperAt map[FileMapper]int
+	// which revocations follow, so it feeds the virtual clock). Only the
+	// baselines register, one space per live process at most.
+	mappers []FileMapper
 
 	writebacks uint64
 	truncates  uint64
@@ -277,17 +268,12 @@ func (f *File) page(off uint64, create bool) *filePage {
 
 // NewFile creates a file in a fresh private page cache over alloc.
 func NewFile(alloc *mem.Allocator) *File {
-	return NewFileIn(mem.NewPageCache(alloc))
-}
-
-// NewFileIn creates a file in an existing (possibly shared) page cache.
-func NewFileIn(pc *mem.PageCache) *File {
+	pc := mem.NewPageCache(alloc)
 	return &File{
-		pc:       pc,
-		id:       pc.NewFileID(),
-		length:   ^uint64(0), // unbounded until the first Truncate
-		pages:    map[uint64]*[filePagesPerChunk]filePage{},
-		mapperAt: map[FileMapper]int{},
+		pc:     pc,
+		id:     pc.NewFileID(),
+		length: ^uint64(0), // unbounded until the first Truncate
+		pages:  map[uint64]*[filePagesPerChunk]filePage{},
 	}
 }
 
@@ -416,11 +402,9 @@ func (f *File) takeHolders(cpu *hw.CPU, lo, hi uint64) *revokeBatch {
 func (f *File) RegisterMapper(m FileMapper) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if _, have := f.mapperAt[m]; have {
-		return
+	if !slices.Contains(f.mappers, m) {
+		f.mappers = append(f.mappers, m)
 	}
-	f.mapperAt[m] = len(f.mappers)
-	f.mappers = append(f.mappers, m)
 }
 
 // UnregisterMapper removes m from the file's mm registry (the space
@@ -428,22 +412,8 @@ func (f *File) RegisterMapper(m FileMapper) {
 func (f *File) UnregisterMapper(m FileMapper) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	i, have := f.mapperAt[m]
-	if !have {
-		return
-	}
-	delete(f.mapperAt, m)
-	f.mappers[i] = nil
-	if len(f.mappers) > 2*len(f.mapperAt) {
-		live := f.mappers[:0]
-		for _, m := range f.mappers {
-			if m != nil {
-				f.mapperAt[m] = len(live)
-				live = append(live, m)
-			}
-		}
-		clear(f.mappers[len(live):])
-		f.mappers = live
+	if i := slices.Index(f.mappers, m); i >= 0 {
+		f.mappers = slices.Delete(f.mappers, i, i+1)
 	}
 }
 
@@ -451,7 +421,7 @@ func (f *File) UnregisterMapper(m FileMapper) {
 func (f *File) Mappers() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.mapperAt)
+	return len(f.mappers)
 }
 
 // Len returns the file's length in pages (^uint64(0) until truncated).
@@ -477,13 +447,7 @@ func (f *File) Extend(n uint64) {
 func (f *File) snapshotMappers() []FileMapper {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	snap := make([]FileMapper, 0, len(f.mapperAt))
-	for _, m := range f.mappers {
-		if m != nil {
-			snap = append(snap, m)
-		}
-	}
-	return snap
+	return slices.Clone(f.mappers)
 }
 
 // Writeback flushes the file's pages in [off, off+n) to backing store,
@@ -589,32 +553,25 @@ type Backing struct {
 // ActiveSet tracks which cores have ever used an address space — the
 // equivalent of Linux's mm_cpumask. Conservative broadcast shootdowns must
 // cover every core in it, including cores whose accesses were satisfied
-// purely by hardware page walks (they still populated their TLBs). Note is
-// cheap after the first call per core.
+// purely by hardware page walks (they still populated their TLBs). After
+// the first call per core, Note is one atomic load.
 type ActiveSet struct {
-	flags [hw.MaxCores]atomicBool
-	mu    sync.Mutex
-	set   hw.CoreSet
+	words [hw.MaxCores / 64]atomic.Uint64
 }
-
-type atomicBool struct{ v atomic.Uint32 }
 
 // Note records core id as active.
 func (a *ActiveSet) Note(id int) {
-	if a.flags[id].v.Load() != 0 {
-		return
+	w, bit := &a.words[id/64], uint64(1)<<(id%64)
+	if w.Load()&bit == 0 {
+		w.Or(bit)
 	}
-	a.mu.Lock()
-	if a.flags[id].v.Load() == 0 {
-		a.set.Add(id)
-		a.flags[id].v.Store(1)
-	}
-	a.mu.Unlock()
 }
 
 // Get returns a copy of the active core set.
 func (a *ActiveSet) Get() hw.CoreSet {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.set
+	var words [hw.MaxCores / 64]uint64
+	for i := range a.words {
+		words[i] = a.words[i].Load()
+	}
+	return hw.CoreSetOf(words)
 }

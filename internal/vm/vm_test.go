@@ -3,6 +3,7 @@ package vm_test
 import (
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"radixvm/internal/bonsaivm"
@@ -857,5 +858,43 @@ func TestFaultAfterRecycleZeroAlloc(t *testing.T) {
 	if delta := withFault - base; delta > 0 {
 		t.Errorf("frame-allocating fault adds %v allocs/op over the bare mmap cycle, want 0 (cycle %v, with fault %v)",
 			delta, base, withFault)
+	}
+}
+
+// TestActiveSetNotesUnion: eight goroutines note overlapping core IDs at once,
+// and the set afterwards holds exactly their union. Note's check-then-Or may
+// skip an Or only for a bit already set, never lose one another goroutine set
+// in the same word.
+func TestActiveSetNotesUnion(t *testing.T) {
+	noted := func(g, id int) bool { return id%(g+2) == 0 || id/16 == g }
+	var want hw.CoreSet
+	for id := 0; id < hw.MaxCores; id++ {
+		for g := 0; g < 8; g++ {
+			if noted(g, id) {
+				want.Add(id)
+			}
+		}
+	}
+	for trial := 0; trial < 100; trial++ {
+		var a vm.ActiveSet
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for id := 0; id < hw.MaxCores; id++ {
+					if noted(g, id) {
+						a.Note(id)
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if got := a.Get(); got != want {
+			t.Fatalf("trial %d: active set %s after concurrent Notes, want the union %s", trial, got.String(), want.String())
+		}
 	}
 }

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"math/rand"
-
 	"radixvm/internal/hw"
 	"radixvm/internal/mem"
 	"radixvm/internal/vm"
@@ -142,22 +140,12 @@ const fileServeBase = uint64(1) << 34
 // Like Fleet, the run is a pure function of (config, virtual time) under
 // the deterministic gang schedule.
 func FileServe(env *Env, sys vm.System, cores int, alloc *mem.Allocator, cfg FileServeConfig) FileServeResult {
-	coresN := cores
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
 	}
 	if cfg.WindowPages == 0 || cfg.WindowPages > cfg.FilePages {
 		cfg.WindowPages = cfg.FilePages
 	}
-	ceiling := cfg.MemCeiling
-	if ceiling == 0 {
-		ceiling = uint64(cfg.MaxLive) * uint64(cfg.Threads) * cfg.WindowPages * 4096
-	}
-	queueCap := cfg.QueueCap
-	if queueCap == 0 {
-		queueCap = 4 * cfg.Threads * cores
-	}
-
 	file := vm.NewFile(alloc)
 
 	// The template parent maps the whole file but faults nothing: each
@@ -169,65 +157,16 @@ func FileServe(env *Env, sys vm.System, cores int, alloc *mem.Allocator, cfg Fil
 		Prot: vm.ProtRead | vm.ProtWrite, File: file, Offset: 0,
 	}))
 
-	env.M.ResetStats()
-	start := env.M.MaxClock()
-	reviews0 := env.RC.Reviews()
-
-	pool := vm.NewPool(cfg.MaxLive, ceiling)
-	teardown := func(c *hw.CPU, p *vm.Process) {
-		if ex, ok := p.Sys.(vm.Exiter); ok {
-			ex.Exit(c)
-		} else {
-			mustNil(p.Sys.Munmap(c, fileServeBase, cfg.FilePages))
-		}
-	}
-
-	s := hw.NewSched(queueCap)
-	s.SwitchCost = cfg.SwitchCost
-	procs := make([]*vm.Process, cfg.Procs)
-	var reads uint64
-
-	thread := func(p *vm.Process, t int) func(*hw.Ctx) {
-		return func(tc *hw.Ctx) {
-			c := tc.CPU()
-			// Each thread reads a rotating window of the shared file,
-			// advancing by half a window per thread: neighbors overlap, so
-			// pages accumulate small multi-core sharer sets while the whole
-			// file stays hot across the fleet.
-			stride := cfg.WindowPages / 2
-			if stride == 0 {
-				stride = 1
-			}
-			off0 := (uint64(p.ID)*uint64(cfg.Threads) + uint64(t)) * stride % cfg.FilePages
-			var touched uint64
-			for i := uint64(0); i < cfg.WindowPages; i++ {
-				v := fileServeBase + (off0+i)%cfg.FilePages
-				// A racing truncate may have cut this offset; the segv is
-				// the correct demand-paging answer, not a workload error.
-				if err := p.Sys.Access(c, v, false); err != nil && err != vm.ErrSegv {
-					panic(err)
-				}
-				touched++
-				if i == 0 {
-					p.NoteFirstTouch(c.Now())
-				}
-				if touched%4 == 0 {
-					p.NoteRun(t, c.ID(), c.Now(), 4)
-					env.RC.Maintain(c)
-					tc.Yield()
-					c = tc.CPU()
-				}
-			}
-			pool.Charge(c, p, touched*4096)
-			for q := 0; q < cfg.Quanta; q++ {
-				c.Tick(cfg.QuantumTicks)
-				p.NoteRun(t, c.ID(), c.Now(), 0)
-				env.RC.Maintain(c)
-				tc.Yield()
-				c = tc.CPU()
-			}
-			reads += touched // on-schedule: serialized by the schedule
-			pool.ThreadDone(c, p, c.Now())
+	// Each thread reads a rotating window of the shared file, advancing by
+	// half a window per thread: neighbors overlap, so pages accumulate small
+	// multi-core sharer sets while the whole file stays hot across the fleet.
+	stride := max(cfg.WindowPages/2, 1)
+	touch := func(c *hw.CPU, p *process, t int, i uint64) {
+		off0 := (uint64(p.id)*uint64(cfg.Threads) + uint64(t)) * stride % cfg.FilePages
+		// A racing truncate may have cut this offset; the segv is the
+		// correct demand-paging answer, not a workload error.
+		if err := p.sys.Access(c, fileServeBase+(off0+i)%cfg.FilePages, false); err != nil && err != vm.ErrSegv {
+			panic(err)
 		}
 	}
 
@@ -235,15 +174,13 @@ func FileServe(env *Env, sys vm.System, cores int, alloc *mem.Allocator, cfg Fil
 	// rotating window each round. Its own core's IPIsSent delta around
 	// each call is exactly the shootdown traffic that revocation cost.
 	var wbIPIs, wbRounds, wbCycles uint64
+	var ticker func(tc *hw.Ctx)
 	if cfg.WBRounds > 0 && cfg.WBPages > 0 {
-		s.SpawnAt(0, start, func(tc *hw.Ctx) {
+		ticker = func(tc *hw.Ctx) {
 			c := tc.CPU()
 			for round := 0; round < cfg.WBRounds; round++ {
 				off := (uint64(round) * cfg.WBPages) % cfg.FilePages
-				n := cfg.WBPages
-				if off+n > cfg.FilePages {
-					n = cfg.FilePages - off
-				}
+				n := min(cfg.WBPages, cfg.FilePages-off)
 				ipi0, rounds0, now0 := c.Stats().IPIsSent, c.Stats().Shootdowns, c.Now()
 				file.Writeback(c, off, n)
 				if cfg.TruncEvery > 0 && (round+1)%cfg.TruncEvery == 0 {
@@ -261,30 +198,16 @@ func FileServe(env *Env, sys vm.System, cores int, alloc *mem.Allocator, cfg Fil
 				tc.Yield()
 				c = tc.CPU()
 			}
-		})
+		}
 	}
 
-	// The Poisson arrival stream, offset past the warm phase's clocks.
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	stamp := start
-	for i := 0; i < cfg.Procs; i++ {
-		// The ticker proc holds scheduler seq 0, so arrival seqs are not
-		// process IDs here; the loop index is.
-		id := i
-		stamp += uint64(rng.ExpFloat64() * float64(cfg.MeanArrival))
-		arrived := stamp
-		s.Arrive(stamp, func(c *hw.CPU, _ uint64) {
-			ch, err := sys.Fork(c)
-			mustNil(err)
-			p := vm.NewProcess(id, ch, arrived, cfg.Threads, teardown)
-			procs[id] = p
-			pool.Admit(c, p)
-			for t := 0; t < cfg.Threads; t++ {
-				s.SpawnAt((id*cfg.Threads+t)%coresN, c.Now(), thread(p, t))
-			}
-		})
-	}
-	s.Run(env.M, cores, 4000)
+	run := runFleet(env, sys, cores, fleetSpec{
+		procs: cfg.Procs, maxLive: cfg.MaxLive, ceiling: cfg.MemCeiling, threads: cfg.Threads,
+		quanta: cfg.Quanta, quantumTicks: cfg.QuantumTicks, meanArrival: cfg.MeanArrival,
+		queueCap: cfg.QueueCap, switchCost: cfg.SwitchCost, seed: cfg.Seed,
+		base: fileServeBase, pages: cfg.FilePages, touchPages: cfg.WindowPages,
+		touch: touch, ticker: ticker,
+	})
 
 	// Drain the refcache to quiescence: pages the truncates killed and the
 	// teardowns dereferenced sit in per-core delta caches and review
@@ -295,18 +218,11 @@ func FileServe(env *Env, sys vm.System, cores int, alloc *mem.Allocator, cfg Fil
 	env.RC.FlushAll()
 	env.RC.FlushAll()
 
-	stats := env.M.TotalStats()
+	res := run.result("filemap")
 	return FileServeResult{
-		Result: Result{
-			Name:       "filemap",
-			System:     sys.Name(),
-			Cores:      cores,
-			PageWrites: reads,
-			Cycles:     env.M.MaxClock() - start,
-			Stats:      stats,
-		},
+		Result:          res,
 		Spawns:          uint64(cfg.Procs),
-		Faults:          stats.PageFaults,
+		Faults:          res.Stats.PageFaults,
 		Writebacks:      file.Writebacks(),
 		Truncates:       file.Truncates(),
 		RevokedPages:    file.RevokedPages(),
@@ -317,10 +233,10 @@ func FileServe(env *Env, sys vm.System, cores int, alloc *mem.Allocator, cfg Fil
 		SharerHigh:      file.Cache().SharerHighWater(),
 		CacheFills:      file.Cache().Fills(),
 		CachePages:      file.Cache().Pages(),
-		LiveHigh:        pool.LiveHighWater(),
-		RunQHigh:        s.RunQueueHighWater(),
-		Deferred:        s.DeferredArrivals(),
-		Reviews:         env.RC.Reviews() - reviews0,
+		LiveHigh:        run.pool.liveHigh,
+		RunQHigh:        run.sched.RunQueueHighWater(),
+		Deferred:        run.sched.DeferredArrivals(),
+		Reviews:         env.RC.Reviews() - run.reviews0,
 		ReviewQHigh:     env.RC.ReviewQueueHighWater(),
 	}
 }

@@ -271,17 +271,29 @@ func TestWritebackCostTracksHoldersNotMappers(t *testing.T) {
 		return cycles, after.Mallocs - before.Mallocs, file.RevokeVisits()
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	c0, m0, v0 := costFor(0)
-	c512, m512, v512 := costFor(512)
-	if v0 != 2 || v512 != 2 {
-		t.Errorf("writeback walked into %d spaces alone and %d beside 512 idle children, want the 2 holders both times", v0, v512)
+	// The Go runtime may start an OS thread inside a measured Writeback, and
+	// that counts as mallocs: each side's count is its least over three fresh
+	// setups. The virtual numbers must agree in all six.
+	var cycles uint64
+	mallocs := map[int]uint64{}
+	for _, idle := range []int{0, 512} {
+		for run := range 3 {
+			c, m, v := costFor(idle)
+			if v != 2 {
+				t.Errorf("writeback walked into %d spaces beside %d idle children, want the 2 holders", v, idle)
+			}
+			if idle == 0 && run == 0 {
+				cycles = c
+			} else if c != cycles {
+				t.Errorf("writeback cost %d cycles beside %d idle children, %d alone: want equal", c, idle, cycles)
+			}
+			if run == 0 || m < mallocs[idle] {
+				mallocs[idle] = m
+			}
+		}
 	}
-	if c0 != c512 {
-		t.Errorf("writeback cost %d cycles alone, %d beside 512 idle children (%+d a child): want equal",
-			c0, c512, (int64(c512)-int64(c0))/512)
-	}
-	if m0 != m512 {
-		t.Errorf("writeback allocated %d objects alone, %d beside 512 idle children: want equal", m0, m512)
+	if mallocs[0] != mallocs[512] {
+		t.Errorf("writeback allocated at least %d objects alone, %d beside 512 idle children: want equal", mallocs[0], mallocs[512])
 	}
 }
 

@@ -46,15 +46,15 @@ func DefaultFleetConfig() FleetConfig {
 type FleetResult struct {
 	Result
 	Spawns      uint64
-	P50, P99    uint64        // spawn-to-first-touch virtual latency, cycles
-	LiveHigh    int           // most address spaces simultaneously resident
-	LiveEnd     int           // resident at the end (the steady-state fleet)
-	Evictions   []int         // LRU teardown sequence (process IDs)
-	RunQHigh    int           // scheduler run-queue depth high-water
-	Deferred    uint64        // arrival folds delayed by the admission cap
-	Reviews     uint64        // refcache objects reviewed during the run
-	ReviewQHigh int           // deepest per-core refcache review queue
-	procs       []*vm.Process // every spawned process, by ID (the tests' LRU oracle)
+	P50, P99    uint64     // spawn-to-first-touch virtual latency, cycles
+	LiveHigh    int        // most address spaces simultaneously resident
+	LiveEnd     int        // resident at the end (the steady-state fleet)
+	Evictions   []int      // LRU teardown sequence (process IDs)
+	RunQHigh    int        // scheduler run-queue depth high-water
+	Deferred    uint64     // arrival folds delayed by the admission cap
+	Reviews     uint64     // refcache objects reviewed during the run
+	ReviewQHigh int        // deepest per-core refcache review queue
+	procs       []*process // every spawned process, by ID (the tests' LRU oracle)
 }
 
 // SpawnsPerSec converts the spawn count into spawns/sec at the modeled
@@ -75,10 +75,10 @@ const fleetBase = uint64(1) << 33
 // bounded pool of live child address spaces.
 //
 // Each arrival forks the template into a fresh multithreaded child
-// process; the child's threads — migratable scheduler procs — COW-touch
-// disjoint slices of the template, run a few compute quanta, and finish,
-// leaving the process dormant but resident. The pool holds at most
-// MaxLive resident spaces under the memory ceiling, tearing down the
+// process; the child's threads — scheduler procs — COW-touch disjoint
+// slices of the template, run a few compute quanta, and finish, leaving
+// the process dormant but resident. The pool holds at most MaxLive
+// resident spaces under the memory ceiling, tearing down the
 // least-recently-run dormant space when a new child needs the room
 // (through vm.Exiter where the system provides it — O(divergences) on
 // radixvm — else an exit_mmap-style sweep).
@@ -88,7 +88,6 @@ const fleetBase = uint64(1) << 33
 // output — spawn throughput, latency percentiles, even the LRU eviction
 // sequence — is a pure function of (config, virtual time).
 func Fleet(env *Env, sys vm.System, cores int, cfg FleetConfig) FleetResult {
-	coresN := cores
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
 	}
@@ -105,19 +104,6 @@ func Fleet(env *Env, sys vm.System, cores int, cfg FleetConfig) FleetResult {
 	}
 	// Keep the rotating slices aligned.
 	tmplPages -= tmplPages % cfg.TouchPages
-	ceiling := cfg.MemCeiling
-	if ceiling == 0 {
-		// Default ceiling: MaxLive childs' worth of fully-touched
-		// footprints; the residency cap bites first, the ceiling guards
-		// against outsized children.
-		ceiling = uint64(cfg.MaxLive) * uint64(cfg.Threads) * cfg.TouchPages * 4096
-	}
-	queueCap := cfg.QueueCap
-	if queueCap == 0 {
-		// Room for every core to fold an arrival's threads plus slack, so
-		// admission control engages under backlog, not steady state.
-		queueCap = 4 * cfg.Threads * cores
-	}
 
 	// Warm the template: map and write-fault every page on core 0, so every
 	// spawn forks one hot, fully settled zygote. Keeping a single master is
@@ -130,89 +116,23 @@ func Fleet(env *Env, sys vm.System, cores int, cfg FleetConfig) FleetResult {
 		mustNil(sys.Access(c0, v, true))
 	}
 
-	env.M.ResetStats()
-	start := env.M.MaxClock()
-	reviews0 := env.RC.Reviews()
-
-	pool := vm.NewPool(cfg.MaxLive, ceiling)
-	teardown := func(c *hw.CPU, p *vm.Process) {
-		if ex, ok := p.Sys.(vm.Exiter); ok {
-			ex.Exit(c)
-		} else {
-			mustNil(p.Sys.Munmap(c, fleetBase, tmplPages))
-		}
-	}
-
-	s := hw.NewSched(queueCap)
-	s.SwitchCost = cfg.SwitchCost
-	procs := make([]*vm.Process, cfg.Procs)
-	var writes uint64
-
-	thread := func(p *vm.Process, t int) func(*hw.Ctx) {
-		return func(tc *hw.Ctx) {
-			c := tc.CPU()
+	run := runFleet(env, sys, cores, fleetSpec{
+		procs: cfg.Procs, maxLive: cfg.MaxLive, ceiling: cfg.MemCeiling, threads: cfg.Threads,
+		quanta: cfg.Quanta, quantumTicks: cfg.QuantumTicks, meanArrival: cfg.MeanArrival,
+		queueCap: cfg.QueueCap, switchCost: cfg.SwitchCost, seed: cfg.Seed,
+		base: fleetBase, pages: tmplPages, touchPages: cfg.TouchPages,
+		touch: func(c *hw.CPU, p *process, t int, i uint64) {
 			// Each child works a rotating slice of the template, so
 			// successive children of one replica COW-break different leaf
 			// metadata rather than re-copying the same node.
-			lo := fleetBase + (uint64(p.ID)*uint64(cfg.Threads)+uint64(t))*cfg.TouchPages%tmplPages
-			var touched uint64
-			for v := lo; v < lo+cfg.TouchPages; v++ {
-				mustNil(p.Sys.Access(c, v, true)) // COW break: copy the frame
-				touched++
-				if v == lo {
-					p.NoteFirstTouch(c.Now())
-				}
-				if touched%4 == 0 {
-					p.NoteRun(t, c.ID(), c.Now(), 4)
-					env.RC.Maintain(c)
-					tc.Yield()
-					c = tc.CPU()
-				}
-			}
-			pool.Charge(c, p, touched*4096)
-			for q := 0; q < cfg.Quanta; q++ {
-				c.Tick(cfg.QuantumTicks)
-				p.NoteRun(t, c.ID(), c.Now(), 0)
-				env.RC.Maintain(c)
-				tc.Yield()
-				c = tc.CPU()
-			}
-			writes += touched                // on-schedule: serialized by the schedule
-			p.NoteRun(t, c.ID(), c.Now(), 0) // the finish is the thread's last run
-			pool.ThreadDone(c, p, c.Now())
-		}
-	}
-
-	// The Poisson arrival stream, offset past the warm phase's clocks.
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	stamp := start
-	for i := 0; i < cfg.Procs; i++ {
-		stamp += uint64(rng.ExpFloat64() * float64(cfg.MeanArrival))
-		arrived := stamp
-		s.Arrive(stamp, func(c *hw.CPU, seq uint64) {
-			// The fork handler: clone the template, admit the child to
-			// the pool (evicting LRU dormant spaces if full), and hand
-			// its threads to the run queue.
-			ch, err := sys.Fork(c)
-			mustNil(err)
-			p := vm.NewProcess(int(seq), ch, arrived, cfg.Threads, teardown)
-			procs[seq] = p
-			pool.Admit(c, p)
-			for t := 0; t < cfg.Threads; t++ {
-				// Threads become runnable at the fork's completion, not at
-				// their target cores' (possibly lagging) clocks. Pins
-				// round-robin by arrival seq, not by folding core, so where
-				// a child runs does not depend on which core was lowest
-				// when its arrival came due.
-				s.SpawnAt((int(seq)*cfg.Threads+t)%coresN, c.Now(), thread(p, t))
-			}
-		})
-	}
-	s.Run(env.M, cores, 4000)
+			lo := fleetBase + (uint64(p.id)*uint64(cfg.Threads)+uint64(t))*cfg.TouchPages%tmplPages
+			mustNil(p.sys.Access(c, lo+i, true)) // COW break: copy the frame
+		},
+	})
 
 	lats := make([]uint64, 0, cfg.Procs)
-	for _, p := range procs {
-		lats = append(lats, p.FirstTouchLatency())
+	for _, p := range run.children {
+		lats = append(lats, p.firstTouchLatency())
 	}
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	var p50, p99 uint64
@@ -220,26 +140,147 @@ func Fleet(env *Env, sys vm.System, cores int, cfg FleetConfig) FleetResult {
 		p50 = lats[len(lats)/2]
 		p99 = lats[len(lats)*99/100]
 	}
-	r := FleetResult{
-		Result: Result{
-			Name:       "fleet",
-			System:     sys.Name(),
-			Cores:      cores,
-			PageWrites: writes,
-			Cycles:     env.M.MaxClock() - start,
-			Stats:      env.M.TotalStats(),
-		},
+	return FleetResult{
+		Result:      run.result("fleet"),
 		Spawns:      uint64(cfg.Procs),
 		P50:         p50,
 		P99:         p99,
-		LiveHigh:    pool.LiveHighWater(),
-		LiveEnd:     pool.Live(),
-		Evictions:   pool.Evictions(),
-		RunQHigh:    s.RunQueueHighWater(),
-		Deferred:    s.DeferredArrivals(),
-		Reviews:     env.RC.Reviews() - reviews0,
+		LiveHigh:    run.pool.liveHigh,
+		LiveEnd:     len(run.pool.live),
+		Evictions:   run.pool.evictions,
+		RunQHigh:    run.sched.RunQueueHighWater(),
+		Deferred:    run.sched.DeferredArrivals(),
+		Reviews:     env.RC.Reviews() - run.reviews0,
 		ReviewQHigh: env.RC.ReviewQueueHighWater(),
-		procs:       procs,
+		procs:       run.children,
 	}
+}
+
+// fleetSpec is a fleet-shaped workload: the arrival, pool and thread shape
+// its config gives, and what it brings of its own — its template mapping,
+// its per-page touch, and optionally a ticker.
+type fleetSpec struct {
+	procs, maxLive, threads, quanta, queueCap      int
+	ceiling, quantumTicks, meanArrival, switchCost uint64
+	seed                                           int64
+
+	base, pages uint64                                       // the template mapping, which a teardown without vm.Exiter unmaps
+	touchPages  uint64                                       // pages each thread touches
+	touch       func(c *hw.CPU, p *process, t int, i uint64) // thread t's i-th page
+	ticker      func(tc *hw.Ctx)                             // if set, a proc pinned to core 0 from the start
+}
+
+// fleetRun is what one run of the skeleton leaves to report from.
+type fleetRun struct {
+	env                      *Env
+	sys                      vm.System
+	cores                    int
+	start, reviews0, touched uint64
+	sched                    *hw.Sched
+	pool                     *pool
+	children                 []*process // by arrival index, which is also the process ID
+}
+
+// runFleet is the skeleton Fleet and FileServe share, run against a template
+// sys already maps. Poisson arrivals fork the template into multithreaded
+// children, which the pool admits (evicting LRU dormant ones); each thread
+// touches its pages, yielding every 4, charges them to the pool, runs its
+// compute quanta and finishes, the last one leaving its child dormant but
+// resident.
+func runFleet(env *Env, sys vm.System, cores int, f fleetSpec) *fleetRun {
+	if f.ceiling == 0 {
+		// MaxLive children's fully-touched footprints: the residency cap
+		// bites first, the ceiling guards against outsized children.
+		f.ceiling = uint64(f.maxLive) * uint64(f.threads) * f.touchPages * 4096
+	}
+	if f.queueCap == 0 {
+		// Room for every core to fold an arrival's threads plus slack, so
+		// admission control engages under backlog, not steady state.
+		f.queueCap = 4 * f.threads * cores
+	}
+	env.M.ResetStats()
+	r := &fleetRun{env: env, sys: sys, cores: cores, start: env.M.MaxClock(), reviews0: env.RC.Reviews()}
+	r.children = make([]*process, f.procs)
+	r.pool = newPool(f.maxLive, f.ceiling, func(c *hw.CPU, p *process) {
+		if ex, ok := p.sys.(vm.Exiter); ok {
+			ex.Exit(c)
+		} else {
+			mustNil(p.sys.Munmap(c, f.base, f.pages))
+		}
+	})
+	s := hw.NewSched(f.queueCap)
+	s.SwitchCost = f.switchCost
+	r.sched = s
+	if f.ticker != nil {
+		s.SpawnAt(0, r.start, f.ticker)
+	}
+
+	thread := func(p *process, t int) func(*hw.Ctx) {
+		return func(tc *hw.Ctx) {
+			c := tc.CPU()
+			for i := uint64(0); i < f.touchPages; i++ {
+				f.touch(c, p, t, i)
+				if i == 0 {
+					p.noteFirstTouch(c.Now())
+				}
+				if (i+1)%4 == 0 {
+					p.noteRun(c.Now())
+					env.RC.Maintain(c)
+					tc.Yield()
+					c = tc.CPU()
+				}
+			}
+			r.pool.charge(c, p, f.touchPages*4096)
+			for q := 0; q < f.quanta; q++ {
+				c.Tick(f.quantumTicks)
+				p.noteRun(c.Now())
+				env.RC.Maintain(c)
+				tc.Yield()
+				c = tc.CPU()
+			}
+			r.touched += f.touchPages // on-schedule: serialized by the schedule
+			r.pool.threadDone(c, p, c.Now())
+		}
+	}
+
+	// The Poisson arrival stream, offset past the warm phase's clocks. The
+	// process ID is the arrival's index, not its scheduler seq: a ticker
+	// spawned first holds seq 0.
+	rng := rand.New(rand.NewSource(f.seed))
+	stamp := r.start
+	for id := range r.children {
+		stamp += uint64(rng.ExpFloat64() * float64(f.meanArrival))
+		arrived := stamp
+		s.Arrive(stamp, func(c *hw.CPU, _ uint64) {
+			// The fork handler: clone the template, admit the child to the
+			// pool, and hand its threads to the run queue.
+			ch, err := sys.Fork(c)
+			mustNil(err)
+			p := &process{id: id, sys: ch, arrived: arrived, threadsLeft: f.threads}
+			r.children[id] = p
+			r.pool.admit(c, p)
+			for t := 0; t < f.threads; t++ {
+				// Threads become runnable at the fork's completion, not at
+				// their target cores' (possibly lagging) clocks. Pins go
+				// round-robin by process ID, not by folding core, so where a
+				// child runs does not depend on which core was lowest when
+				// its arrival came due.
+				s.SpawnAt((id*f.threads+t)%cores, c.Now(), thread(p, t))
+			}
+		})
+	}
+	s.Run(env.M, cores, 4000)
 	return r
+}
+
+// result is the run's Result, read once the workload is done with the machine.
+func (r *fleetRun) result(name string) Result {
+	return Result{
+		Name:       name,
+		System:     r.sys.Name(),
+		Cores:      r.cores,
+		PageWrites: r.touched,
+		Cycles:     r.env.M.MaxClock() - r.start,
+		Stats:      r.env.M.TotalStats(),
+	}
 }

@@ -124,22 +124,17 @@ func TestFleetSustainsThousandLive(t *testing.T) {
 		t.Errorf("evictions = %d, want %d", len(r.Evictions), want)
 	}
 	// LRU: every eviction takes the dormant process that ran least recently
-	// (ties by ID). A process's last run is its last thread's finish, frozen
-	// from then on, and a process still running at an eviction finishes after
-	// it — so the evictions are the 256 least-recently-run processes of the
-	// whole run, in that order. Arrival order is not it: children's threads
-	// run where the schedule puts them, and process 1 finishes before 0.
-	lastRun := func(id int) (last uint64) {
-		for t := 0; t < cfg.Threads; t++ {
-			last = max(last, r.procs[id].Thread(t).LastClock)
-		}
-		return last
-	}
+	// (ties by ID). A process's last run is stamped by its last thread's
+	// finish, frozen from then on, and a process still running at an eviction
+	// finishes after it — so the evictions are the 256 least-recently-run
+	// processes of the whole run, in that order. Arrival order is not it:
+	// children's threads run where the schedule puts them, and process 1
+	// finishes before 0.
 	lru := make([]int, len(r.procs))
 	for id := range lru {
 		lru[id] = id
 	}
-	sort.SliceStable(lru, func(i, j int) bool { return lastRun(lru[i]) < lastRun(lru[j]) })
+	sort.SliceStable(lru, func(i, j int) bool { return r.procs[lru[i]].lastRun < r.procs[lru[j]].lastRun })
 	if !slices.Equal(r.Evictions, lru[:len(r.Evictions)]) {
 		t.Errorf("evictions are not the least-recently-run processes in order:\n got %v\nwant %v", r.Evictions, lru[:len(r.Evictions)])
 	}
