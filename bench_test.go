@@ -1,21 +1,16 @@
-// Top-level benchmarks: one testing.B per table/figure of the paper's
-// evaluation. Each benchmark runs a reduced sweep of the corresponding
-// harness experiment; `go run ./cmd/radixbench` produces the full series.
-// The reported custom metrics carry the paper's units (jobs/hour, pages/s,
-// lookups/s, iterations/s).
+// Top-level benchmarks of the host cost of the fork and spawn paths, the
+// allocation-free map/unmap cycle and the radix tree's hot paths. The
+// paper's figures come from `go run ./cmd/radixbench`, and
+// scripts/fig-stability.sh diffs them byte for byte against figures/*.txt.
 package radixvm_test
 
 import (
-	"strings"
 	"testing"
 
 	"radixvm/internal/bonsaivm"
-	"radixvm/internal/harness"
 	"radixvm/internal/hw"
-	"radixvm/internal/layout"
 	"radixvm/internal/linuxvm"
 	"radixvm/internal/mem"
-	"radixvm/internal/metis"
 	"radixvm/internal/radix"
 	"radixvm/internal/refcache"
 	"radixvm/internal/vm"
@@ -29,36 +24,11 @@ const benchCores = 16
 // every workload replaces or unmaps its own mappings, so iterating on a
 // live system is sound, and it keeps the measurement on the VM operations
 // rather than on rebuilding per-core page tables, TLBs, and refcache
-// domains every iteration (which used to dominate the Fig5-style
-// benchmarks' allocation columns).
+// domains every iteration.
 func benchEnv(n int) (*workload.Env, *mem.Allocator) {
 	m := hw.NewMachine(hw.DefaultConfig(n))
 	rc := refcache.New(m)
 	return &workload.Env{M: m, RC: rc}, mem.NewAllocator(m, rc)
-}
-
-// BenchmarkFig4Metis reproduces Figure 4 (one system/unit cell per sub-benchmark).
-func BenchmarkFig4Metis(b *testing.B) {
-	for _, sys := range []string{"radixvm", "bonsai", "linux"} {
-		for _, unit := range []struct {
-			name  string
-			pages uint64
-		}{{"8MB", 2048}, {"64KB", 16}} {
-			b.Run(sys+"/"+unit.name, func(b *testing.B) {
-				cfg := metis.DefaultConfig()
-				cfg.Words = 100_000
-				cfg.BlockPages = unit.pages
-				e, a := benchEnv(benchCores)
-				s := makeSystem(sys, e, a)
-				var jobsPerHour float64
-				for i := 0; i < b.N; i++ {
-					r := metis.Run(e, s, benchCores, cfg)
-					jobsPerHour = r.JobsPerHour
-				}
-				b.ReportMetric(jobsPerHour, "jobs/hour")
-			})
-		}
-	}
 }
 
 func makeSystem(name string, e *workload.Env, a *mem.Allocator) vm.System {
@@ -69,112 +39,6 @@ func makeSystem(name string, e *workload.Env, a *mem.Allocator) vm.System {
 		return bonsaivm.New(e.M, e.RC, a)
 	default:
 		return linuxvm.New(e.M, e.RC, a)
-	}
-}
-
-// BenchmarkFig5 reproduces Figure 5: the three microbenchmarks on the
-// three VM systems at benchCores cores.
-func BenchmarkFig5(b *testing.B) {
-	type runner func(e *workload.Env, s vm.System) workload.Result
-	benches := map[string]runner{
-		"local": func(e *workload.Env, s vm.System) workload.Result {
-			return workload.Local(e, s, benchCores, 100, 1)
-		},
-		"pipeline": func(e *workload.Env, s vm.System) workload.Result {
-			return workload.Pipeline(e, s, benchCores, 100, 8)
-		},
-		"global": func(e *workload.Env, s vm.System) workload.Result {
-			return workload.Global(e, s, benchCores, 3, 16)
-		},
-	}
-	for _, wl := range []string{"local", "pipeline", "global"} {
-		for _, sys := range []string{"radixvm", "bonsai", "linux"} {
-			b.Run(wl+"/"+sys, func(b *testing.B) {
-				e, a := benchEnv(benchCores)
-				s := makeSystem(sys, e, a)
-				var pagesPerSec float64
-				for i := 0; i < b.N; i++ {
-					r := benches[wl](e, s)
-					pagesPerSec = r.PerSecond()
-				}
-				b.ReportMetric(pagesPerSec/1e6, "Mpages/s")
-			})
-		}
-	}
-}
-
-// BenchmarkFig6SkipList and BenchmarkFig7Radix reproduce the index
-// structure comparison (readers with concurrent writers).
-func BenchmarkFig6SkipList(b *testing.B) {
-	benchStructure(b, harness.Fig6)
-}
-
-// BenchmarkFig7Radix is Figure 7.
-func BenchmarkFig7Radix(b *testing.B) {
-	benchStructure(b, harness.Fig7)
-}
-
-func benchStructure(b *testing.B, fig func(harness.Options) *harness.Table) {
-	o := harness.Options{Cores: []int{benchCores}, Iters: 50}
-	var rows []harness.Row
-	for i := 0; i < b.N; i++ {
-		rows = fig(o).Rows
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.Value, strings.ReplaceAll(r.Series, " ", "")+"_Mlookups/s")
-	}
-}
-
-// BenchmarkFig8Refcount reproduces Figure 8: map/unmap of one shared page
-// under the three reference-counting schemes.
-func BenchmarkFig8Refcount(b *testing.B) {
-	o := harness.Options{Cores: []int{benchCores}, Iters: 50}
-	var rows []harness.Row
-	for i := 0; i < b.N; i++ {
-		rows = harness.Fig8(o).Rows
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.Value, r.Series+"_Miters/s")
-	}
-}
-
-// BenchmarkFig9Shootdown reproduces Figure 9: per-core vs shared page
-// tables on the local microbenchmark (the most dramatic panel).
-func BenchmarkFig9Shootdown(b *testing.B) {
-	for _, mode := range []string{"percore", "shared"} {
-		b.Run(mode, func(b *testing.B) {
-			e, a := benchEnv(benchCores)
-			var mmu vm.MMU
-			if mode == "percore" {
-				mmu = vm.NewPerCoreMMU(e.M)
-			} else {
-				mmu = vm.NewSharedMMU(e.M)
-			}
-			s := vm.New(e.M, e.RC, a, mmu)
-			var pagesPerSec float64
-			for i := 0; i < b.N; i++ {
-				r := workload.Local(e, s, benchCores, 100, 1)
-				pagesPerSec = r.PerSecond()
-			}
-			b.ReportMetric(pagesPerSec/1e6, "Mpages/s")
-		})
-	}
-}
-
-// BenchmarkMprotect runs the write-protect cycling microbenchmark on the
-// three VM systems (the new mprotect experiment; not a paper figure).
-func BenchmarkMprotect(b *testing.B) {
-	for _, sys := range []string{"radixvm", "bonsai", "linux"} {
-		b.Run(sys, func(b *testing.B) {
-			e, a := benchEnv(benchCores)
-			s := makeSystem(sys, e, a)
-			var pagesPerSec float64
-			for i := 0; i < b.N; i++ {
-				r := workload.Protect(e, s, benchCores, 60, 4)
-				pagesPerSec = r.PerSecond()
-			}
-			b.ReportMetric(pagesPerSec/1e6, "Mpages/s")
-		})
 	}
 }
 
@@ -358,15 +222,4 @@ func BenchmarkExpand(b *testing.B) {
 		r.Unlock()
 		rc.FlushAll()
 	}
-}
-
-// BenchmarkTable2Memory reproduces Table 2's representation measurement.
-func BenchmarkTable2Memory(b *testing.B) {
-	app := layout.Apps()[0] // Firefox
-	var m layout.Measurement
-	for i := 0; i < b.N; i++ {
-		m = layout.Measure(app, 1)
-	}
-	b.ReportMetric(m.RadixMul, "x_linux")
-	b.ReportMetric(m.RSSShare*100, "pct_of_RSS")
 }

@@ -19,7 +19,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -29,125 +28,87 @@ import (
 	"radixvm/internal/harness"
 )
 
-// jsonExp is one experiment in the -json output: figure experiments carry
-// rows, text experiments (table1, table2, memory) carry rendered text.
-type jsonExp struct {
-	Name   string           `json:"name"`
-	Tables []*harness.Table `json:"tables,omitempty"`
-	Text   string           `json:"text,omitempty"`
+// sweep is what the flags choose: the figure and scale sweeps and the fleet
+// and filemap live-process axes.
+type sweep struct {
+	o, so          harness.Options
+	lives, fmLives []int
+}
+
+// experiments is every experiment, in -exp all order. Each prints its
+// tables, or its text for table1, table2 and memory.
+var experiments = []struct {
+	name string
+	run  func(s sweep)
+}{
+	{"table1", func(sweep) { fmt.Print(harness.Table1(".")) }},
+	{"fig4", func(s sweep) { show(harness.Fig4(s.o)) }},
+	{"fig5", func(s sweep) { show(harness.Fig5(s.o)...) }},
+	{"fig6", func(s sweep) { show(harness.Fig6(s.o)) }},
+	{"fig7", func(s sweep) { show(harness.Fig7(s.o)) }},
+	{"fig8", func(s sweep) { show(harness.Fig8(s.o)) }},
+	{"fig9", func(s sweep) { show(harness.Fig9(s.o)...) }},
+	{"mprotect", func(s sweep) { show(harness.FigMprotect(s.o)) }},
+	{"fork", func(s sweep) { show(harness.FigFork(s.o)) }},
+	{"spawn", func(s sweep) { show(harness.FigSpawn(s.o)) }},
+	{"clone", func(s sweep) { show(harness.FigClone(s.o)) }},
+	{"scale", func(s sweep) { show(harness.FigScale(s.so)) }},
+	{"fleet", func(s sweep) { show(harness.FigFleet(s.so, s.lives)...) }},
+	{"filemap", func(s sweep) { show(harness.FigFileMap(s.so, s.fmLives)...) }},
+	{"table2", func(sweep) { fmt.Print(harness.Table2()) }},
+	// A laptop-sized point beside the paper's own 80-core measurement
+	// (§5.4 cites 13x there).
+	{"memory", func(sweep) { fmt.Print(harness.MetisMemory(20), harness.MetisMemory(80)) }},
+}
+
+func show(ts ...*harness.Table) {
+	for _, t := range ts {
+		t.Print(os.Stdout)
+	}
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all|table1|fig4|fig5|fig6|fig7|fig8|fig9|mprotect|fork|spawn|clone|scale|fleet|filemap|table2|memory")
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	exp := flag.String("exp", "all", "experiment: all|"+strings.Join(names, "|"))
 	coresFlag := flag.String("cores", "", "comma-separated core counts (default 1,10,20,40,80; scale: 1,4,8,16,32,64)")
 	iters := flag.Int("iters", 0, "per-core iterations (default per experiment)")
 	quick := flag.Bool("quick", false, "fast smoke sweep (1,4,8 cores; scale: 1,8,64)")
-	memCores := flag.Int("memcores", 20, "core count for the -exp memory experiment (80-core run is always appended)")
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of text tables")
 	flag.Parse()
 
-	o := harness.DefaultOptions()
-	so := harness.ScaleOptions()
-	lives := harness.FleetLives
-	fmLives := harness.FileMapLives
+	s := sweep{harness.DefaultOptions(), harness.ScaleOptions(), harness.FleetLives, harness.FileMapLives}
 	if *quick {
-		o = harness.QuickOptions()
-		so = harness.ScaleQuickOptions()
-		lives = harness.FleetQuickLives
-		fmLives = harness.FileMapQuickLives
+		s = sweep{harness.QuickOptions(), harness.ScaleQuickOptions(), harness.FleetQuickLives, harness.FileMapQuickLives}
 	}
 	if *coresFlag != "" {
-		o.Cores = nil
+		s.o.Cores = nil
 		for _, part := range strings.Split(*coresFlag, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil || n <= 0 {
 				fmt.Fprintf(os.Stderr, "radixbench: bad core count %q\n", part)
 				os.Exit(2)
 			}
-			o.Cores = append(o.Cores, n)
+			s.o.Cores = append(s.o.Cores, n)
 		}
-		so.Cores = o.Cores
+		s.so.Cores = s.o.Cores
 	}
 	if *iters > 0 {
-		o.Iters = *iters
-		so.Iters = *iters
+		s.o.Iters = *iters
+		s.so.Iters = *iters
 	}
 
-	// run computes one experiment, returning tables for figure experiments
-	// and rendered text for the text-only ones.
-	run := func(name string) jsonExp {
-		switch name {
-		case "table1":
-			return jsonExp{Name: name, Text: harness.Table1(".")}
-		case "fig4":
-			return jsonExp{Name: name, Tables: []*harness.Table{harness.Fig4(o)}}
-		case "fig5":
-			return jsonExp{Name: name, Tables: harness.Fig5(o)}
-		case "fig6":
-			return jsonExp{Name: name, Tables: []*harness.Table{harness.Fig6(o)}}
-		case "fig7":
-			return jsonExp{Name: name, Tables: []*harness.Table{harness.Fig7(o)}}
-		case "fig8":
-			return jsonExp{Name: name, Tables: []*harness.Table{harness.Fig8(o)}}
-		case "fig9":
-			return jsonExp{Name: name, Tables: harness.Fig9(o)}
-		case "mprotect":
-			return jsonExp{Name: name, Tables: []*harness.Table{harness.FigMprotect(o)}}
-		case "fork":
-			return jsonExp{Name: name, Tables: []*harness.Table{harness.FigFork(o)}}
-		case "spawn":
-			return jsonExp{Name: name, Tables: []*harness.Table{harness.FigSpawn(o)}}
-		case "clone":
-			return jsonExp{Name: name, Tables: []*harness.Table{harness.FigClone(o)}}
-		case "scale":
-			return jsonExp{Name: name, Tables: []*harness.Table{harness.FigScale(so)}}
-		case "fleet":
-			return jsonExp{Name: name, Tables: harness.FigFleet(so, lives)}
-		case "filemap":
-			return jsonExp{Name: name, Tables: harness.FigFileMap(so, fmLives)}
-		case "table2":
-			return jsonExp{Name: name, Text: harness.Table2()}
-		case "memory":
-			// Report the requested sweep point alongside the paper's own
-			// 80-core measurement (§5.4 cites 13x there).
-			txt := harness.MetisMemory(*memCores)
-			if *memCores != 80 {
-				txt += harness.MetisMemory(80)
-			}
-			return jsonExp{Name: name, Text: txt}
-		default:
-			fmt.Fprintf(os.Stderr, "radixbench: unknown experiment %q\n", name)
-			os.Exit(2)
-			panic("unreachable")
+	ran := false
+	for _, e := range experiments {
+		if *exp == "all" || *exp == e.name {
+			e.run(s)
+			fmt.Println()
+			ran = true
 		}
 	}
-
-	names := []string{*exp}
-	if *exp == "all" {
-		names = []string{"table1", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "mprotect", "fork", "spawn", "clone", "scale", "fleet", "filemap", "table2", "memory"}
-	}
-
-	var results []jsonExp
-	for _, name := range names {
-		r := run(name)
-		if *jsonOut {
-			results = append(results, r)
-			continue
-		}
-		if r.Text != "" {
-			fmt.Print(r.Text)
-		}
-		for _, t := range r.Tables {
-			t.Print(os.Stdout)
-		}
-		fmt.Println()
-	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(map[string]any{"experiments": results}); err != nil {
-			fmt.Fprintf(os.Stderr, "radixbench: %v\n", err)
-			os.Exit(1)
-		}
+	if !ran {
+		fmt.Fprintf(os.Stderr, "radixbench: unknown experiment %q\n", *exp)
+		os.Exit(2)
 	}
 }

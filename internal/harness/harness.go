@@ -1,7 +1,7 @@
 // Package harness regenerates every table and figure in the paper's
 // evaluation (§5). Each Fig*/Table* function runs the corresponding
 // experiment across core counts and systems and returns printable rows;
-// cmd/radixbench and the top-level benchmarks are thin wrappers around it.
+// cmd/radixbench is a thin wrapper around it.
 package harness
 
 import (
@@ -56,20 +56,18 @@ func ScaleQuickOptions() Options {
 	return Options{Cores: []int{1, 8, 64}, Iters: 40}
 }
 
-// Row is one data point: a labeled series value at a core count. The JSON
-// tags define the machine-readable schema `radixbench -json` emits for
-// perf-trajectory tooling.
+// Row is one data point: a labeled series value at a core count.
 type Row struct {
-	Series string  `json:"series"`
-	Cores  int     `json:"cores"`
-	Value  float64 `json:"value"`
-	Unit   string  `json:"unit"`
+	Series string
+	Cores  int
+	Value  float64
+	Unit   string
 }
 
 // Table is a named set of rows.
 type Table struct {
-	Title string `json:"title"`
-	Rows  []Row  `json:"rows"`
+	Title string
+	Rows  []Row
 }
 
 // Print renders the table as aligned text.
