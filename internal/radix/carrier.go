@@ -67,14 +67,3 @@ func (t *Tree[V]) retireCarrier(cpu *hw.CPU, c *valCarrier[V]) {
 	p.head = c
 	p.n++
 }
-
-// CarrierPoolSize returns the number of retired carriers cached for cpu
-// (diagnostics and tests).
-func (t *Tree[V]) CarrierPoolSize(cpu *hw.CPU) int {
-	return t.cpu(cpu).carriers.n
-}
-
-// CarriersEver returns the number of value carriers ever heap-allocated —
-// the carrier-leak tripwire: a steady-state remap cycle must stop growing
-// this counter once its pools are warm.
-func (t *Tree[V]) CarriersEver() int64 { return t.carriersEver.Load() }

@@ -219,3 +219,39 @@ func TestBulkReleasePlateaus(t *testing.T) {
 		check("range-lock expansion")
 	}
 }
+
+// TestFamilyRangeCarrierParksEmpty: a forked tree borrows its family root's
+// per-CPU Range carrier, which outlives the trees that borrow it, so a parked
+// carrier must reference no tree — not through its tree pointer, and not
+// through the inline entry and pin arrays a spilled range leaves behind.
+func TestFamilyRangeCarrierParksEmpty(t *testing.T) {
+	m, _, tr := newTree(1)
+	c := m.CPU(0)
+	child := tr.ForkLazy(c)
+	if child.cpu(c).rng != tr.cpu(c).rng {
+		t.Fatal("forked tree does not borrow its family's Range carrier")
+	}
+	// Ten leaves, then one range through all of them: more pins and
+	// entries than the inline arrays hold.
+	for k := uint64(0); k < 10; k++ {
+		setRange(child, c, k*span(1), k*span(1)+2, &val{x: 1})
+	}
+	r := child.LockRange(c, 0, 10*span(1))
+	if len(r.pins) <= inlinePins || len(r.Entries()) <= inlineEntries {
+		t.Fatalf("range holds %d pins, %d entries: did not spill", len(r.pins), len(r.Entries()))
+	}
+	r.Unlock()
+	if r.t != nil || r.cpu != nil {
+		t.Error("parked carrier still references the tree that locked it")
+	}
+	for _, e := range append(r.eInline[:], r.entries[:cap(r.entries)]...) {
+		if e.n != nil {
+			t.Fatal("parked carrier holds a stale entry")
+		}
+	}
+	for _, p := range append(r.pInline[:], r.pins[:cap(r.pins)]...) {
+		if p != nil {
+			t.Fatal("parked carrier holds a stale pin")
+		}
+	}
+}

@@ -65,3 +65,22 @@ func (t *Tree[V]) OnDiverge(fn func(cpu *hw.CPU, lo, hi uint64, src, dst *V)) {
 func (t *Tree[V]) OnRelease(fn func(cpu *hw.CPU, lo, hi uint64, v *V)) {
 	t.testHooks().release = fn
 }
+
+// NodesEver returns the number of nodes the tree ever allocated.
+func (t *Tree[V]) NodesEver() int64 { return t.nodesEver.Load() }
+
+// GroupsEver returns the number of slot groups ever given storage — the
+// divergence counter; an image-born group counts when it is realized, not
+// before.
+func (t *Tree[V]) GroupsEver() int64 { return t.groupsEver.Load() }
+
+// CarriersEver returns the number of value carriers ever heap-allocated —
+// the carrier-leak tripwire: a steady-state remap cycle must stop growing
+// this counter once its pools are warm.
+func (t *Tree[V]) CarriersEver() int64 { return t.carriersEver.Load() }
+
+// PoolSize returns the number of recycled nodes cached for cpu.
+func (t *Tree[V]) PoolSize(cpu *hw.CPU) int { return len(t.cpu(cpu).pool) }
+
+// CarrierPoolSize returns the number of retired carriers cached for cpu.
+func (t *Tree[V]) CarrierPoolSize(cpu *hw.CPU) int { return t.cpu(cpu).carriers.n }

@@ -78,7 +78,7 @@ func (t *Tree[V]) ForkLazy(cpu *hw.CPU) *Tree[V] {
 	defer t.lazyForks.Add(-1)
 
 	nt := treeShell[V](t.m, t.rc)
-	nt.hooks = t.hooks
+	nt.hooks, nt.family = t.hooks, t.family
 	root, arrive := nt.linkCopy(cpu, t.root, 1, false) // +1: the root's immortal ref
 	nt.root = root
 	// Re-adopt the parent root into the new generation while all of its

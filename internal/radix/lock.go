@@ -5,7 +5,7 @@ import "radixvm/internal/hw"
 // Inline capacities for a Range's entry and pin lists. LockPage needs at
 // most 1 entry and 2·(Levels-1) pins (a descend pin plus an expansion pin
 // per level). Larger ranges spill to heap-backed slices, whose capacity the
-// per-CPU Range cache then retains.
+// core's Range carrier then retains for its whole fork family.
 const (
 	inlineEntries = 16
 	inlinePins    = 8
@@ -15,8 +15,8 @@ const (
 // LockRange or LockPage. Entries appear in ascending VPN order; each entry
 // is either a leaf slot (one page) or an interior slot whose whole span is
 // inside the range (a folded entry). The caller reads and writes entries,
-// then calls Unlock, after which the Range is invalid: Ranges are recycled
-// through a per-CPU cache.
+// then calls Unlock, after which the Range is invalid: it is the CPU's
+// carrier for every tree of the fork family (cpuState.rng).
 type Range[V any] struct {
 	t   *Tree[V]
 	cpu *hw.CPU
@@ -31,14 +31,15 @@ type Range[V any] struct {
 	busy    bool
 }
 
-// getRange returns the Range carrier cached in cs, cpu's scratch state, or a
-// fresh one if that carrier is in use (nested locking).
+// getRange returns the Range carrier in cs, cpu's scratch state, or a fresh
+// one if that carrier is in use (nested locking).
 func (t *Tree[V]) getRange(cs *cpuState[V], cpu *hw.CPU, lo, hi uint64) *Range[V] {
-	r := &cs.rng
+	r := cs.rng
 	if r.busy {
-		r = &Range[V]{}
-		r.entries = r.eInline[:0]
-		r.pins = r.pInline[:0]
+		r = new(Range[V])
+	}
+	if r.entries == nil {
+		r.entries, r.pins = r.eInline[:0], r.pInline[:0]
 	}
 	r.busy = true
 	r.t, r.cpu, r.Lo, r.Hi = t, cpu, lo, hi
@@ -265,22 +266,27 @@ func (r *Range[V]) Entries() []Entry[V] { return r.entries }
 func (r *Range[V]) Entry(i int) *Entry[V] { return &r.entries[i] }
 
 // Unlock releases all lock bits (right to left) and traversal pins, then
-// returns the Range to its CPU's cache.
+// parks the Range as its CPU's carrier, referencing no tree: the carrier
+// outlives every tree of the family but the root.
 func (r *Range[V]) Unlock() {
+	t, cpu := r.t, r.cpu
 	for i := len(r.entries) - 1; i >= 0; i-- {
 		e := &r.entries[i]
-		e.n.release(r.cpu, e.idx)
+		e.n.release(cpu, e.idx)
 	}
 	for i := len(r.pins) - 1; i >= 0; i-- {
-		r.t.unpin(r.cpu, r.pins[i])
+		t.unpin(cpu, r.pins[i])
 	}
 	// Drop node references but keep any grown capacity for reuse.
 	clear(r.entries)
 	clear(r.pins)
 	r.entries = r.entries[:0]
 	r.pins = r.pins[:0]
-	r.busy = false
-	r.t.opExit(r.cpu)
+	if r.eInline[0].n != nil || r.pInline[0] != nil { // stale copies a spill left behind
+		r.eInline, r.pInline = [inlineEntries]Entry[V]{}, [inlinePins]*node[V]{}
+	}
+	r.t, r.cpu, r.busy = nil, nil, false
+	t.opExit(cpu)
 }
 
 // Value returns the entry's current value (nil if unmapped). For a folded
@@ -348,10 +354,3 @@ func (e *Entry[V]) SetClone(v *V) {
 		t.retireCarrier(cpu, old.carrier)
 	}
 }
-
-// Pages returns the number of pages the entry covers.
-func (e *Entry[V]) Pages() uint64 { return e.Hi - e.Lo }
-
-// IsLeaf reports whether the entry is a single leaf page (false for a
-// folded interior entry).
-func (e *Entry[V]) IsLeaf() bool { return e.n.level == 0 }

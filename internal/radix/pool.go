@@ -78,9 +78,3 @@ func countGroups[V any](n *node[V]) (cnt int64) {
 	n.forEachGroup(func(int, *slotGroup[V]) { cnt++ })
 	return cnt
 }
-
-// PoolSize returns the number of recycled nodes cached for cpu
-// (diagnostics and tests).
-func (t *Tree[V]) PoolSize(cpu *hw.CPU) int {
-	return len(t.cpu(cpu).pool)
-}

@@ -107,8 +107,10 @@ type Tree[V any] struct {
 
 	// cpus is the per-CPU scratch state (see cpuState), built on a core's
 	// first operation: a lazily forked child runs on two or three cores of
-	// a 64-core machine.
-	cpus []atomic.Pointer[cpuState[V]]
+	// a 64-core machine. family is the tree NewCopy built, kept reachable by
+	// every tree it forks for its per-CPU states' Range carriers they borrow.
+	cpus   []atomic.Pointer[cpuState[V]]
+	family *Tree[V]
 
 	// gen is the tree's current generation. Nodes record the generation
 	// they were created (or last adopted) under; a node whose gen differs
@@ -133,7 +135,7 @@ type Tree[V any] struct {
 	nodesEver    atomic.Int64
 	groupsEver   atomic.Int64 // slot groups given storage (fresh allocations)
 	groupsLive   atomic.Int64 // slot groups with storage attached to live or pooled nodes
-	carriersEver atomic.Int64 // value carriers heap-allocated (see CarriersEver)
+	carriersEver atomic.Int64 // value carriers heap-allocated (the carrier-leak tripwire)
 }
 
 // uniformGates is the compact virtual-time gate state shared by every slot
@@ -749,6 +751,7 @@ type slotState[V any] struct {
 // their per-page copies with embedded slabs instead of heap allocations.
 func NewCopy[V any](m *hw.Machine, rc *refcache.Refcache) *Tree[V] {
 	t := treeShell[V](m, rc)
+	t.family = t
 	t.root = t.newNode(nil, Levels-1, 0, nil, 0, false)
 	// The root is permanent: its object holds one immortal reference.
 	return t
@@ -765,20 +768,20 @@ func treeShell[V any](m *hw.Machine, rc *refcache.Refcache) *Tree[V] {
 	}
 }
 
-// cpuState is one CPU's scratch state on a tree: recycled nodes, the
-// reusable Range carrier, recycled value carriers and the SetClone template
+// cpuState is one CPU's scratch state on a tree: recycled nodes, the fork
+// family's Range carrier, recycled value carriers and the SetClone template
 // — which together make the steady-state lock, fault and mmap/munmap paths
 // allocation-free — plus the CPU's slot in the lazy-fork quiescence gate.
 // All of it but hold.flag is owner-goroutine state, like Refcache's delta
 // caches: touched only by the goroutine driving that CPU (one at a time, not
-// one forever). Each CPU's state is a heap object of its own (~1 KB), which
-// also keeps two CPUs' hot words from packing into one host cache line.
+// one forever). Each is a heap object of its own (~300 B; ~1 KB with the
+// carrier), which keeps two CPUs' hot words out of one host cache line.
 type cpuState[V any] struct {
 	hold     opHold
 	pool     []*node[V]     // recycled nodes (pool.go)
 	carriers carrierPool[V] // recycled value carriers (carrier.go)
 	template V              // see Tree.Template
-	rng      Range[V]       // cached Range carrier (lock.go)
+	rng      *Range[V]      // the family's Range carrier for this CPU (lock.go)
 
 	// born and bornSt stand in for a copy's slot when a divergence sweep
 	// finds the slot's born state in an image already: the dst the
@@ -796,9 +799,16 @@ func (t *Tree[V]) cpu(cpu *hw.CPU) *cpuState[V] {
 	if cs := p.Load(); cs != nil {
 		return cs
 	}
-	cs := new(cpuState[V])
-	cs.rng.entries = cs.rng.eInline[:0]
-	cs.rng.pins = cs.rng.pInline[:0]
+	var cs *cpuState[V]
+	if t.family != t {
+		cs = &cpuState[V]{rng: t.family.cpu(cpu).rng}
+	} else { // one allocation for the state and the family's carrier
+		s := new(struct {
+			cpuState[V]
+			rng Range[V]
+		})
+		cs, s.cpuState.rng = &s.cpuState, &s.rng
+	}
 	p.Store(cs)
 	return cs
 }
@@ -950,14 +960,6 @@ func (n *node[V]) slotBase(idx int) uint64 {
 
 // NodesLive returns the number of currently allocated tree nodes.
 func (t *Tree[V]) NodesLive() int64 { return t.nodesLive.Load() }
-
-// NodesEver returns the number of nodes ever allocated.
-func (t *Tree[V]) NodesEver() int64 { return t.nodesEver.Load() }
-
-// GroupsEver returns the number of slot groups ever given storage — the
-// divergence counter; an image-born group counts when it is realized, not
-// before. (Diagnostics: no figure reads it.)
-func (t *Tree[V]) GroupsEver() int64 { return t.groupsEver.Load() }
 
 // Bytes returns the tree's simulated structural memory footprint, the
 // paper's Table 2 accounting (every node is an 8 KB page there).

@@ -118,7 +118,7 @@ func TestExpansionClonesPerPage(t *testing.T) {
 	// Page-lock one page and mutate it; other pages must be unaffected.
 	r := tr.LockPage(c, 100)
 	e := r.Entry(0)
-	if !e.IsLeaf() {
+	if e.n.level != 0 {
 		t.Fatal("LockPage did not expand to a leaf")
 	}
 	v := e.Value()
@@ -144,7 +144,7 @@ func TestLockPageOnUnmapped(t *testing.T) {
 		t.Fatal("unmapped page has a value")
 	}
 	// An unmapped page locks at the interior level, without expansion.
-	if r.Entry(0).IsLeaf() {
+	if r.Entry(0).n.level == 0 {
 		t.Fatal("unmapped page lock expanded the tree")
 	}
 	r.Unlock()

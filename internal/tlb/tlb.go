@@ -46,10 +46,12 @@ func unpack(raw uint64) Entry {
 }
 
 // TLB is one core's translation cache. The zero value is an empty TLB of
-// DefaultCapacity, so an MMU can hold its cores' TLBs by value in one slice;
-// a TLB must not be copied after first use. The translations are held by
-// pointer, not inline, for the same slice's sake: an address space has one
-// TLB per core of the machine and a forked child uses two or three of them.
+// DefaultCapacity, so an MMU can hold a TLB by value in the per-core state it
+// builds (or in one slice for every core); a TLB must not be copied after
+// first use. The translations are held by pointer, not inline, so a TLB that
+// never caches anything stays a few words: a forked child fills the TLBs of
+// the one or two cores it runs on, and a shared-table MMU holds one TLB per
+// core of the machine.
 type TLB struct {
 	mu       sync.Mutex
 	tab      *table // vpn -> packed Entry; nil until the first Insert

@@ -429,8 +429,9 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
-// An address space holds one TLB per core of the machine by value, used or
-// not; the table must stay behind a pointer (inline it cost 1.5 KB more per
+// A shared-table address space holds a TLB by value for every core of the
+// machine, used or not, and a per-core-table one for every core it runs on;
+// the table must stay behind a pointer (inline it cost 1.5 KB more per
 // 64-core address space).
 func TestTLBStaysSmall(t *testing.T) {
 	if size := unsafe.Sizeof(TLB{}); size > 72 {

@@ -56,3 +56,14 @@ func (f *File) Holders() int {
 
 // Exited reports whether as has exited.
 func (as *AddressSpace) Exited() bool { return as.exited.Load() }
+
+// SlotsBuilt returns how many cores' slots mmu has built.
+func (mmu *PerCoreMMU) SlotsBuilt() int {
+	n := 0
+	for id := range mmu.cores {
+		if mmu.core(id) != nil {
+			n++
+		}
+	}
+	return n
+}

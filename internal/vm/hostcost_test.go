@@ -34,7 +34,8 @@ func foldMail(w *world, now uint64) {
 // TestResetWithoutTranslationsAllocatesNothing: a lazy fork resets the
 // parent's MMU and an exit the child's; cores that hold no table — after the
 // first fork, all of a template's — are neither interrupted nor flushed, and
-// the scan that finds that out allocates nothing (each used to get a fresh
+// the scan that finds that out allocates nothing and builds no per-core slot
+// for cores that never ran the space (each used to get a fresh
 // 1536-entry map, ~2.4 MB per fork at 64 cores). A Reset after k other cores
 // filled interrupts exactly those k, and the one after it nobody again.
 func TestResetWithoutTranslationsAllocatesNothing(t *testing.T) {
@@ -55,10 +56,8 @@ func TestResetWithoutTranslationsAllocatesNothing(t *testing.T) {
 	if got := c.Stats().IPIsSent - sent; got != 0 {
 		t.Errorf("Reset sent %d IPIs over %d calls with no holder, want 0", got, runs+1)
 	}
-	for i := 1; i < 64; i++ {
-		if got := mmu.TLB(i).FullFlushes; got != 0 {
-			t.Fatalf("core %d, holding nothing, counted %d full flushes, want 0", i, got)
-		}
+	if got := mmu.SlotsBuilt(); got != 0 {
+		t.Fatalf("Reset of an MMU holding nothing built %d per-core slots, want 0", got)
 	}
 	holders := []int{3, 17, 40, 63}
 	for _, id := range holders {
@@ -110,35 +109,44 @@ func spawnBytes(t *testing.T, ncores int, tmplPages uint64) uint64 {
 		cycle() // warm the frame free lists, node pools and mailboxes
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// The least of three windows: about one `go test` run in 40 picks up
+	// ~5 KB more in one window on 64 cores (~160 B a cycle), which the 1 KB
+	// core-count margin cannot absorb.
 	const cycles = 32
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < cycles; i++ {
-		cycle()
+	best := ^uint64(0)
+	for k := 0; k < 3; k++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < cycles; i++ {
+			cycle()
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, (after.TotalAlloc-before.TotalAlloc)/cycles)
 	}
-	runtime.ReadMemStats(&after)
-	return (after.TotalAlloc - before.TotalAlloc) / cycles
+	return best
 }
 
 // TestSpawnBytesIndependentOfCoreCount: the same spawn on a 64-core machine
-// may allocate only a few KB more than on an 8-core one — the per-core slots
-// of the child's MMU and tree are the part that still scales. It used to
-// grow by one ~37 KB map per active core per fork. The guard was a ratio
-// (64-core <= 1.25 x 8-core; 36 136 and 41 256 B then) until PR 17 stored
-// page-table nodes by touched line and halved the part both machines share:
-// 17 296 and 22 416 B now, the same ~5 KB apart and 1.30 x. A ratio punishes
-// shrinking its denominator, so the ceilings are absolute.
+// may allocate less than 1 KB more than on an 8-core one — the per-core slot
+// pointers of the child's MMU and tree are the part that still scales. It
+// used to grow by one ~37 KB map per active core per fork. The guard was a
+// ratio (64-core <= 1.25 x 8-core; 36 136 and 41 256 B then) until page-table
+// nodes were stored by touched line, which halved the part both machines
+// share (16 648 and 21 768 B, ~5 KB apart: the child's MMU held a TLB slot for
+// every core). A ratio punishes shrinking its denominator, so the ceilings
+// are absolute. Now that a child builds MMU slots only on the cores it runs on
+// and borrows its family's Range carrier, it is 15 304 and 16 200 B.
 func TestSpawnBytesIndependentOfCoreCount(t *testing.T) {
 	small, large := spawnBytes(t, 8, 32), spawnBytes(t, 64, 32)
 	t.Logf("fork + 32 COW touches + exit: %d B at 8 cores, %d B at 64 cores", small, large)
-	if small > 20<<10 {
-		t.Errorf("spawn allocates %d B at 8 cores, want <= 20 KB", small)
+	if small > 16<<10 {
+		t.Errorf("spawn allocates %d B at 8 cores, want <= 16 KB", small)
 	}
-	if large > 26<<10 {
-		t.Errorf("spawn allocates %d B at 64 cores, want <= 26 KB", large)
+	if large > 17<<10 {
+		t.Errorf("spawn allocates %d B at 64 cores, want <= 17 KB", large)
 	}
-	if large > small+6656 {
-		t.Errorf("spawn allocates %d B at 64 cores against %d B at 8 cores: more than 6.5 KB apart", large, small)
+	if large > small+1<<10 {
+		t.Errorf("spawn allocates %d B at 64 cores against %d B at 8 cores: more than 1 KB apart", large, small)
 	}
 }
 

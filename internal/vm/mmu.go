@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"radixvm/internal/hw"
@@ -173,10 +174,20 @@ func Access(cpu *hw.CPU, mmu MMU, vpn uint64, k Kind, fault func(cpu *hw.CPU, vp
 // those — zero IPIs when a region never left its core (§3.3).
 type PerCoreMMU struct {
 	m *hw.Machine
-	// cores is the whole per-core state in one allocation: a forked child
-	// runs on two or three cores, and a table pointer plus a TLB held by
-	// value cost the others nothing until they fault.
-	cores []coreMMU
+	// cores holds one slot per core, built on the core's first Fill or TLB
+	// call: a forked child runs on one or two cores of 64. Every path that
+	// only scans or clears reads an unbuilt (nil) slot as a nil table and an
+	// empty TLB, charges what it charges for those, and builds nothing.
+	cores []atomic.Pointer[coreMMU]
+	// spare is where the next slots are built: first the two allocated with
+	// the MMU, so a child that runs on two cores adds no heap object, then one
+	// chunk for every other core: a space that outgrows two cores pays for all
+	// of them at once, which no forked child of the benchmark's workloads
+	// does. buildMu serializes builds: host bookkeeping, at most once per core
+	// for the space's life, charged nothing.
+	buildMu sync.Mutex
+	spare   []coreMMU
+	first   [2]coreMMU
 }
 
 // coreMMU is one core's page table and TLB.
@@ -193,19 +204,43 @@ type coreMMU struct {
 // lazily, matching the paper's observation that most applications touch a
 // small fraction of the address space per core.
 func NewPerCoreMMU(m *hw.Machine) *PerCoreMMU {
-	return &PerCoreMMU{m: m, cores: make([]coreMMU, m.NCores())}
+	mmu := &PerCoreMMU{m: m, cores: make([]atomic.Pointer[coreMMU], m.NCores())}
+	mmu.spare = mmu.first[:]
+	return mmu
 }
 
 // Name implements MMU.
 func (mmu *PerCoreMMU) Name() string { return "percore" }
 
-func (mmu *PerCoreMMU) pt(id int) *pagetable.PageTable {
-	c := &mmu.cores[id]
+// core returns core id's slot, nil if it was never built.
+func (mmu *PerCoreMMU) core(id int) *coreMMU { return mmu.cores[id].Load() }
+
+// build returns core id's slot, building it on first use.
+func (mmu *PerCoreMMU) build(id int) *coreMMU {
+	if c := mmu.core(id); c != nil {
+		return c
+	}
+	mmu.buildMu.Lock()
+	defer mmu.buildMu.Unlock()
+	if c := mmu.core(id); c != nil {
+		return c // built by a racing caller
+	}
+	if len(mmu.spare) == 0 {
+		mmu.spare = make([]coreMMU, len(mmu.cores)-len(mmu.first))
+	}
+	c := &mmu.spare[0]
+	mmu.spare = mmu.spare[1:]
+	mmu.cores[id].Store(c)
+	return c
+}
+
+// mapTable returns the slot's table, allocating it on first use.
+func (c *coreMMU) mapTable(m *hw.Machine) *pagetable.PageTable {
 	for {
 		if pt := c.pt.Load(); pt != nil {
 			return pt
 		}
-		pt := pagetable.New(mmu.m)
+		pt := pagetable.New(m)
 		if c.pt.CompareAndSwap(nil, pt) {
 			return pt
 		}
@@ -215,17 +250,17 @@ func (mmu *PerCoreMMU) pt(id int) *pagetable.PageTable {
 // Fill implements MMU: only the faulting core's table is written, so
 // faults on different cores share nothing.
 func (mmu *PerCoreMMU) Fill(cpu *hw.CPU, vpn, pfn uint64, perm pagetable.Perm) {
-	mmu.pt(cpu.ID()).Map(cpu, vpn, pfn, perm)
-	mmu.cores[cpu.ID()].tlb.Insert(vpn, tlbEntry(pfn, perm))
+	c := mmu.build(cpu.ID())
+	c.mapTable(mmu.m).Map(cpu, vpn, pfn, perm)
+	c.tlb.Insert(vpn, tlbEntry(pfn, perm))
 }
 
 // Lookup implements MMU.
 func (mmu *PerCoreMMU) Lookup(cpu *hw.CPU, vpn uint64) (pagetable.PTE, bool) {
-	pt := mmu.cores[cpu.ID()].pt.Load()
-	if pt == nil {
-		return pagetable.PTE{}, false
+	if pt := mmu.core(cpu.ID()).table(); pt != nil {
+		return pt.Lookup(cpu, vpn)
 	}
-	return pt.Lookup(cpu, vpn)
+	return pagetable.PTE{}, false
 }
 
 // Revalidate implements MMU. Re-loading the table pointer is what makes
@@ -233,7 +268,7 @@ func (mmu *PerCoreMMU) Lookup(cpu *hw.CPU, vpn uint64) (pagetable.PTE, bool) {
 // insert is ordered after Reset's flush by the TLB mutex, so this load
 // observes the nil (or replacement) table and fails the revalidation.
 func (mmu *PerCoreMMU) Revalidate(cpu *hw.CPU, vpn, pfn uint64, perm pagetable.Perm) bool {
-	pt := mmu.cores[cpu.ID()].pt.Load()
+	pt := mmu.core(cpu.ID()).table()
 	return pt != nil && revalidate(pt, vpn, pfn, perm)
 }
 
@@ -245,14 +280,14 @@ func revalidate(pt *pagetable.PageTable, vpn, pfn uint64, perm pagetable.Perm) b
 }
 
 // TLB implements MMU.
-func (mmu *PerCoreMMU) TLB(id int) *tlb.TLB { return &mmu.cores[id].tlb }
+func (mmu *PerCoreMMU) TLB(id int) *tlb.TLB { return &mmu.build(id).tlb }
 
 // Shootdown implements MMU: targeted. The unmapping core clears its own
 // state synchronously and interrupts exactly the cores the metadata saw.
 func (mmu *PerCoreMMU) Shootdown(cpu *hw.CPU, lo, hi uint64, precise, _ hw.CoreSet) {
 	self := cpu.ID()
 	if precise.Has(self) {
-		mmu.cores[self].unmap(cpu, lo, hi)
+		mmu.core(self).unmap(cpu, lo, hi)
 		precise.Remove(self)
 	}
 	if precise.Empty() {
@@ -261,13 +296,13 @@ func (mmu *PerCoreMMU) Shootdown(cpu *hw.CPU, lo, hi uint64, precise, _ hw.CoreS
 	cpu.Stats().Shootdowns++
 	cpu.SendIPIs(precise, func(t *hw.CPU) {
 		// Executed by proxy; cost charged to the target by SendIPIs.
-		mmu.cores[t.ID()].unmap(cpu, lo, hi)
+		mmu.core(t.ID()).unmap(cpu, lo, hi)
 	})
 }
 
 // Unmap implements MMU.
 func (mmu *PerCoreMMU) Unmap(cpu *hw.CPU, lo, hi uint64, precise, _ hw.CoreSet) hw.CoreSet {
-	precise.ForEach(func(id int) { mmu.cores[id].unmap(cpu, lo, hi) })
+	precise.ForEach(func(id int) { mmu.core(id).unmap(cpu, lo, hi) })
 	return precise
 }
 
@@ -277,7 +312,7 @@ func (mmu *PerCoreMMU) Unmap(cpu *hw.CPU, lo, hi uint64, precise, _ hw.CoreSet) 
 func (mmu *PerCoreMMU) Protect(cpu *hw.CPU, lo, hi uint64, perm pagetable.Perm, precise, _ hw.CoreSet) {
 	self := cpu.ID()
 	if precise.Has(self) {
-		mmu.cores[self].protect(cpu, lo, hi, perm)
+		mmu.core(self).protect(cpu, lo, hi, perm)
 		precise.Remove(self)
 	}
 	if precise.Empty() {
@@ -285,7 +320,7 @@ func (mmu *PerCoreMMU) Protect(cpu *hw.CPU, lo, hi uint64, perm pagetable.Perm, 
 	}
 	cpu.Stats().Shootdowns++
 	cpu.SendIPIs(precise, func(t *hw.CPU) {
-		mmu.cores[t.ID()].protect(cpu, lo, hi, perm)
+		mmu.core(t.ID()).protect(cpu, lo, hi, perm)
 	})
 }
 
@@ -308,13 +343,13 @@ func (mmu *PerCoreMMU) Protect(cpu *hw.CPU, lo, hi uint64, perm pagetable.Perm, 
 // pointers: a hit for a non-holder's, a line transfer for a holder's.
 func (mmu *PerCoreMMU) Reset(cpu *hw.CPU, active hw.CoreSet) {
 	self := cpu.ID()
-	mmu.cores[self].reset()
+	mmu.core(self).reset()
 	active.Remove(self)
 	cfg := mmu.m.Config()
 	var holders hw.CoreSet
 	active.ForEach(func(id int) {
-		switch c := &mmu.cores[id]; {
-		case c.pt.Load() == nil && c.tlb.Len() == 0:
+		switch c := mmu.core(id); {
+		case !c.holds():
 			cpu.Tick(cfg.LocalHit)
 			return
 		case mmu.m.Socket(id) == cpu.Socket():
@@ -330,18 +365,34 @@ func (mmu *PerCoreMMU) Reset(cpu *hw.CPU, active hw.CoreSet) {
 	cpu.Stats().Shootdowns++
 	cpu.SendIPIs(holders, func(t *hw.CPU) {
 		// Executed by proxy; cost charged to the target by SendIPIs.
-		mmu.cores[t.ID()].reset()
+		mmu.core(t.ID()).reset()
 	})
 }
 
-func (c *coreMMU) reset() {
-	c.pt.Store(nil)
-	c.tlb.FlushAll()
+// table, holds, reset, unmap and protect read or clear a slot without
+// building it: a nil slot is a nil table and an empty TLB. Allocating a table
+// or a slot to clear it would make the core a holder (Reset).
+func (c *coreMMU) table() *pagetable.PageTable {
+	if c == nil {
+		return nil
+	}
+	return c.pt.Load()
 }
 
-// unmap and protect are one core's share of a shootdown. A nil table is an
-// empty table: allocating one to clear it would make the core a holder (Reset).
+func (c *coreMMU) holds() bool { return c.table() != nil || c != nil && c.tlb.Len() != 0 }
+
+func (c *coreMMU) reset() {
+	if c != nil {
+		c.pt.Store(nil)
+		c.tlb.FlushAll()
+	}
+}
+
+// unmap and protect are one core's share of a shootdown.
 func (c *coreMMU) unmap(cpu *hw.CPU, lo, hi uint64) {
+	if c == nil {
+		return
+	}
 	if pt := c.pt.Load(); pt != nil {
 		pt.UnmapRange(cpu, lo, hi)
 	}
@@ -349,6 +400,9 @@ func (c *coreMMU) unmap(cpu *hw.CPU, lo, hi uint64) {
 }
 
 func (c *coreMMU) protect(cpu *hw.CPU, lo, hi uint64, perm pagetable.Perm) {
+	if c == nil {
+		return
+	}
 	if pt := c.pt.Load(); pt != nil {
 		pt.ProtectRange(cpu, lo, hi, perm)
 	}
@@ -359,8 +413,8 @@ func (c *coreMMU) protect(cpu *hw.CPU, lo, hi uint64, perm pagetable.Perm) {
 // §5.4 quantifies.
 func (mmu *PerCoreMMU) Bytes() uint64 {
 	var b uint64
-	for i := range mmu.cores {
-		if pt := mmu.cores[i].pt.Load(); pt != nil {
+	for id := range mmu.cores {
+		if pt := mmu.core(id).table(); pt != nil {
 			b += pt.Bytes()
 		}
 	}
