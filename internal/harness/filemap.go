@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"radixvm/internal/mem"
 	"radixvm/internal/workload"
 )
 
@@ -45,15 +46,15 @@ func FigFileMap(o Options, lives []int) []*Table {
 	tick := &Table{Title: "filemap: the ticker's revocations per round (K cycles inside them; address spaces visited)"}
 	var visits, rounds []Row
 	for _, f := range factories() {
-		for _, n := range o.Cores {
-			e, a := env(n)
+		// One run per core count fills a row of every table.
+		thr.sweep(o.Cores, f.name, "M faults/s", func(e *workload.Env, a *mem.Allocator, n int) float64 {
 			r := workload.FileServe(e, f.make(e, a), n, a, workload.DefaultFileServeConfig())
-			thr.Rows = append(thr.Rows, Row{Series: f.name, Cores: n, Value: r.FaultsPerSec() / 1e6, Unit: "M faults/s"})
 			ipis.Rows = append(ipis.Rows, Row{Series: f.name, Cores: n, Value: r.IPIsPerWriteback(), Unit: "IPIs/wb"})
 			tick.Rows = append(tick.Rows, Row{Series: f.name + " Kcycles", Cores: n, Value: r.TickerCyclesPerRound() / 1e3, Unit: "per round"})
 			visits = append(visits, Row{Series: f.name + " spaces", Cores: n, Value: r.VisitsPerRound(), Unit: "per round"})
 			rounds = append(rounds, Row{Series: f.name + " rounds/wb", Cores: n, Value: r.RoundsPerWriteback(), Unit: "per wb"})
-		}
+			return r.FaultsPerSec() / 1e6
+		})
 	}
 	// The header prints the last row's unit: the visits close the table.
 	tick.Rows = append(append(tick.Rows, rounds...), visits...)

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"radixvm/internal/mem"
 	"radixvm/internal/vm"
 	"radixvm/internal/workload"
 )
@@ -14,12 +15,6 @@ var FleetLives = []int{64, 256, 1024, 4096}
 
 // FleetQuickLives is the CI smoke sweep of the live-space axis.
 var FleetQuickLives = []int{64, 256}
-
-// fleetEnv builds one VM system for the fleet in a fresh environment.
-func fleetEnv(f sysFactory, n int) (*workload.Env, vm.System) {
-	e, a := env(n)
-	return e, f.make(e, a)
-}
 
 // FigFleet is the process-fleet figure: a machine-wide scheduler running
 // Poisson spawn arrivals of multithreaded COW children against one hot
@@ -45,11 +40,9 @@ func fleetEnv(f sysFactory, n int) (*workload.Env, vm.System) {
 func FigFleet(o Options, lives []int) []*Table {
 	thr := &Table{Title: "fleet: process-fleet spawn throughput (K spawns/sec)"}
 	for _, f := range factories() {
-		for _, n := range o.Cores {
-			e, sys := fleetEnv(f, n)
-			r := workload.Fleet(e, sys, n, workload.DefaultFleetConfig())
-			thr.Rows = append(thr.Rows, Row{Series: f.name, Cores: n, Value: r.SpawnsPerSec() / 1e3, Unit: "K spawns/s"})
-		}
+		thr.sweep(o.Cores, f.name, "K spawns/s", func(e *workload.Env, a *mem.Allocator, n int) float64 {
+			return workload.Fleet(e, f.make(e, a), n, workload.DefaultFleetConfig()).SpawnsPerSec() / 1e3
+		})
 	}
 
 	const cores = 8
@@ -61,8 +54,8 @@ func FigFleet(o Options, lives []int) []*Table {
 		// A quarter of the fleet beyond the residency cap, so the LRU
 		// teardown path runs at every sweep point.
 		cfg.Procs = live + live/4
-		e, sys := fleetEnv(factories()[0], cores)
-		r := workload.Fleet(e, sys, cores, cfg)
+		e, a := env(cores)
+		r := workload.Fleet(e, vm.New(e.M, e.RC, a, nil), cores, cfg)
 		lat.Rows = append(lat.Rows,
 			Row{Series: "p50", Cores: live, Value: float64(r.P50) / 1e3, Unit: "K cycles"},
 			Row{Series: "p99", Cores: live, Value: float64(r.P99) / 1e3, Unit: "K cycles"})

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -137,12 +138,13 @@ func env(n int) (*workload.Env, *mem.Allocator) {
 	return &workload.Env{M: m, RC: rc}, mem.NewAllocator(m, rc)
 }
 
-// sysFactory builds one of the three VM systems in a fresh environment.
+// sysFactory builds one VM system in a fresh environment.
 type sysFactory struct {
 	name string
 	make func(e *workload.Env, a *mem.Allocator) vm.System
 }
 
+// factories are the three VM systems the cross-system figures compare.
 func factories() []sysFactory {
 	return []sysFactory{
 		{"radixvm", func(e *workload.Env, a *mem.Allocator) vm.System { return vm.New(e.M, e.RC, a, nil) }},
@@ -151,66 +153,110 @@ func factories() []sysFactory {
 	}
 }
 
+// mmus are RadixVM on each of its two MMUs, the ablation of Figure 9 and
+// §5.4.
+func mmus() []sysFactory {
+	return []sysFactory{
+		{"percore", func(e *workload.Env, a *mem.Allocator) vm.System { return vm.New(e.M, e.RC, a, vm.NewPerCoreMMU(e.M)) }},
+		{"shared", func(e *workload.Env, a *mem.Allocator) vm.System { return vm.New(e.M, e.RC, a, vm.NewSharedMMU(e.M)) }},
+	}
+}
+
+// sweep appends to t one row per core count: series' value from a run on a
+// fresh n-core environment.
+func (t *Table) sweep(cores []int, series, unit string, value func(e *workload.Env, a *mem.Allocator, n int) float64) {
+	for _, n := range cores {
+		e, a := env(n)
+		t.Rows = append(t.Rows, Row{Series: series, Cores: n, Value: value(e, a, n), Unit: unit})
+	}
+}
+
+// bench is a workload counted in page writes, and the core counts it runs
+// at.
+type bench struct {
+	name  string
+	cores []int
+	run   func(e *workload.Env, s vm.System, n int) workload.Result
+}
+
+// pages sweeps b on each of systems into t, in Figure 5's M page writes/s;
+// each series is its system's name plus suffix.
+func (t *Table) pages(b bench, systems []sysFactory, suffix string) *Table {
+	for _, f := range systems {
+		t.sweep(b.cores, f.name+suffix, "M pages/s", func(e *workload.Env, a *mem.Allocator, n int) float64 {
+			return b.run(e, f.make(e, a), n).PerSecond() / 1e6
+		})
+	}
+	return t
+}
+
+// micros are the paper's three microbenchmarks (§5.1).
+func micros(o Options) []bench {
+	return []bench{
+		{"local", o.Cores, func(e *workload.Env, s vm.System, n int) workload.Result {
+			return workload.Local(e, s, n, o.Iters, 1)
+		}},
+		// pipeline needs a ring of at least 2.
+		{"pipeline", slices.DeleteFunc(slices.Clone(o.Cores), func(n int) bool { return n < 2 }),
+			func(e *workload.Env, s vm.System, n int) workload.Result {
+				return workload.Pipeline(e, s, n, o.Iters, 8)
+			}},
+		{"global", o.Cores, func(e *workload.Env, s vm.System, n int) workload.Result {
+			return workload.Global(e, s, n, max(2, o.Iters/40), 16)
+		}},
+	}
+}
+
+// microTables is one table per microbenchmark, each sweeping systems; title
+// formats the microbenchmark's name.
+func microTables(o Options, title string, systems []sysFactory) []*Table {
+	var tables []*Table
+	for _, b := range micros(o) {
+		tables = append(tables, (&Table{Title: fmt.Sprintf(title, b.name)}).pages(b, systems, ""))
+	}
+	return tables
+}
+
+// ops are the three VM-operation workloads whose slopes the paper's central
+// claim is about, in this order: targeted mprotect, fork+COW and concurrent
+// spawn. FigMprotect, FigFork and FigSpawn each sweep one; FigScale sweeps
+// all three.
+func ops(o Options) []bench {
+	return []bench{
+		{"mprotect", o.Cores, func(e *workload.Env, s vm.System, n int) workload.Result {
+			return workload.Protect(e, s, n, o.Iters, 4)
+		}},
+		{"fork", o.Cores, func(e *workload.Env, s vm.System, n int) workload.Result {
+			return workload.Fork(e, s, n, o.Iters, 16)
+		}},
+		{"spawn", o.Cores, func(e *workload.Env, s vm.System, n int) workload.Result {
+			return workload.Spawn(e, s, n, o.Iters, 16)
+		}},
+	}
+}
+
 // Fig4 reproduces the Metis scalability figure: jobs/hour for each VM
 // system at 8 MB and 64 KB allocation units.
 func Fig4(o Options) *Table {
 	t := &Table{Title: "Figure 4: Metis throughput (jobs/hour)"}
 	for _, f := range factories() {
-		for _, unitPages := range []uint64{2048, 16} {
-			label := fmt.Sprintf("%s/%s", f.name, unitName(unitPages))
-			for _, n := range o.Cores {
-				e, a := env(n)
-				cfg := metis.DefaultConfig()
-				cfg.BlockPages = unitPages
-				r := metis.Run(e, f.make(e, a), n, cfg)
-				t.Rows = append(t.Rows, Row{Series: label, Cores: n, Value: r.JobsPerHour, Unit: "jobs/hour"})
-			}
+		for _, unit := range []struct {
+			name  string
+			pages uint64
+		}{{"8MB", 2048}, {"64KB", 16}} {
+			cfg := metis.DefaultConfig()
+			cfg.BlockPages = unit.pages
+			t.sweep(o.Cores, f.name+"/"+unit.name, "jobs/hour", func(e *workload.Env, a *mem.Allocator, n int) float64 {
+				return metis.Run(e, f.make(e, a), n, cfg).JobsPerHour
+			})
 		}
 	}
 	return t
 }
 
-func unitName(pages uint64) string {
-	if pages >= 2048 {
-		return "8MB"
-	}
-	return "64KB"
-}
-
 // Fig5 reproduces the three microbenchmarks across VM systems.
 func Fig5(o Options) []*Table {
-	type bench struct {
-		name string
-		run  func(e *workload.Env, s vm.System, n int) workload.Result
-	}
-	benches := []bench{
-		{"local", func(e *workload.Env, s vm.System, n int) workload.Result {
-			return workload.Local(e, s, n, o.Iters, 1)
-		}},
-		{"pipeline", func(e *workload.Env, s vm.System, n int) workload.Result {
-			return workload.Pipeline(e, s, n, o.Iters, 8)
-		}},
-		{"global", func(e *workload.Env, s vm.System, n int) workload.Result {
-			return workload.Global(e, s, n, max(2, o.Iters/40), 16)
-		}},
-	}
-	var tables []*Table
-	for _, b := range benches {
-		t := &Table{Title: fmt.Sprintf("Figure 5 (%s): page writes/sec (millions)", b.name)}
-		for _, f := range factories() {
-			for _, n := range o.Cores {
-				e, a := env(n)
-				if b.name == "pipeline" && n < 2 {
-					// pipeline needs a ring of at least 2.
-					continue
-				}
-				r := b.run(e, f.make(e, a), n)
-				t.Rows = append(t.Rows, Row{Series: f.name, Cores: n, Value: r.PerSecond() / 1e6, Unit: "M pages/s"})
-			}
-		}
-		tables = append(tables, t)
-	}
-	return tables
+	return microTables(o, "Figure 5 (%s): page writes/sec (millions)", factories())
 }
 
 // FigMprotect runs the mprotect-cycling microbenchmark (not a figure in
@@ -219,35 +265,19 @@ func Fig5(o Options) []*Table {
 // write-protect path RadixVM's metadata makes targeted). Each series is a
 // VM system; the metric matches Figure 5's.
 func FigMprotect(o Options) *Table {
-	t := &Table{Title: "mprotect: write-protect cycling (M page writes/sec)"}
-	for _, f := range factories() {
-		for _, n := range o.Cores {
-			e, a := env(n)
-			r := workload.Protect(e, f.make(e, a), n, o.Iters, 4)
-			t.Rows = append(t.Rows, Row{Series: f.name, Cores: n, Value: r.PerSecond() / 1e6, Unit: "M pages/s"})
-		}
-	}
-	return t
+	return (&Table{Title: "mprotect: write-protect cycling (M page writes/sec)"}).pages(ops(o)[0], factories(), "")
 }
 
 // FigFork runs the fork+COW microbenchmark (the Metis/posix-spawn pattern;
 // not a figure in the paper, whose evaluation forks only at job start): a
 // multithreaded parent is forked once per round and the child's threads
 // COW-touch disjoint regions. RadixVM's COW breaks are per-page and send no
-// IPI, but each fork and exit interrupts every core once (MMU.Reset), so the
-// cycle stops scaling near 8 cores; the baselines broadcast a TLB flush per
-// break and per child munmap and stay near-flat. Each series is a VM system;
-// the metric matches Figure 5's.
+// IPI, but each exit interrupts every core that faulted into the child
+// (MMU.Reset), so the cycle stops scaling near 8 cores; the baselines
+// broadcast a TLB flush per break and per child munmap and stay near-flat.
+// Each series is a VM system; the metric matches Figure 5's.
 func FigFork(o Options) *Table {
-	t := &Table{Title: "fork: fork+COW-touch cycling (M page writes/sec)"}
-	for _, f := range factories() {
-		for _, n := range o.Cores {
-			e, a := env(n)
-			r := workload.Fork(e, f.make(e, a), n, o.Iters, 16)
-			t.Rows = append(t.Rows, Row{Series: f.name, Cores: n, Value: r.PerSecond() / 1e6, Unit: "M pages/s"})
-		}
-	}
-	return t
+	return (&Table{Title: "fork: fork+COW-touch cycling (M page writes/sec)"}).pages(ops(o)[1], factories(), "")
 }
 
 // FigSpawn runs the spawn-server microbenchmark (the concurrent-fork
@@ -262,15 +292,7 @@ func FigFork(o Options) *Table {
 // virtual-time order, so the figure is gated byte-for-byte
 // (figures/spawn.txt).
 func FigSpawn(o Options) *Table {
-	t := &Table{Title: "spawn: concurrent per-core fork/exit (M page writes/sec)"}
-	for _, f := range factories() {
-		for _, n := range o.Cores {
-			e, a := env(n)
-			r := workload.Spawn(e, f.make(e, a), n, o.Iters, 16)
-			t.Rows = append(t.Rows, Row{Series: f.name, Cores: n, Value: r.PerSecond() / 1e6, Unit: "M pages/s"})
-		}
-	}
-	return t
+	return (&Table{Title: "spawn: concurrent per-core fork/exit (M page writes/sec)"}).pages(ops(o)[2], factories(), "")
 }
 
 // FigClone runs the template-clone microbenchmark (the zygote/spawn-server
@@ -295,50 +317,25 @@ func FigClone(o Options) *Table {
 	// fig-stability wall-clock budget on a loaded CI runner.
 	iters := max(2, o.Iters/40)
 	for _, f := range factories() {
-		for _, n := range o.Cores {
-			e, a := env(n)
+		t.sweep(o.Cores, f.name, "K clones/s", func(e *workload.Env, a *mem.Allocator, n int) float64 {
 			r := workload.Clone(e, f.make(e, a), n, iters, slicePages, touchPages)
-			clones := float64(iters * n)
-			t.Rows = append(t.Rows, Row{Series: f.name, Cores: n, Value: clones * 2.4e9 / float64(r.Cycles) / 1e3, Unit: "K clones/s"})
-		}
+			return float64(iters*n) * 2.4e9 / float64(r.Cycles) / 1e3
+		})
 	}
 	return t
 }
 
 // FigScale is the extended scalability figure the 64-128-core simulator
-// exists for: the three VM-operation workloads whose slopes the paper's
-// central claim is about (targeted mprotect, fork+COW, concurrent spawn),
-// swept across socket boundaries. radixvm's per-page sharer sets keep
-// every shootdown targeted, so its slope holds as the sweep crosses
-// sockets; linux and bonsai broadcast, and past one socket each broadcast
-// pays the cross-socket IPI rate for most of its growing target list, so
-// their curves stay flat or fall. Series are system/workload pairs.
+// exists for: the three VM-operation workloads swept across socket
+// boundaries. radixvm's per-page sharer sets keep every shootdown targeted,
+// so its slope holds as the sweep crosses sockets; linux and bonsai
+// broadcast, and past one socket each broadcast pays the cross-socket IPI
+// rate for most of its growing target list, so their curves stay flat or
+// fall. Series are system/workload pairs, workload-major.
 func FigScale(o Options) *Table {
 	t := &Table{Title: "scale: VM-op throughput to 64 cores (M page writes/sec)"}
-	type wl struct {
-		name string
-		run  func(e *workload.Env, s vm.System, n int) workload.Result
-	}
-	wls := []wl{
-		{"mprotect", func(e *workload.Env, s vm.System, n int) workload.Result {
-			return workload.Protect(e, s, n, o.Iters, 4)
-		}},
-		{"fork", func(e *workload.Env, s vm.System, n int) workload.Result {
-			return workload.Fork(e, s, n, o.Iters, 16)
-		}},
-		{"spawn", func(e *workload.Env, s vm.System, n int) workload.Result {
-			return workload.Spawn(e, s, n, o.Iters, 16)
-		}},
-	}
-	for _, w := range wls {
-		for _, f := range factories() {
-			series := f.name + "/" + w.name
-			for _, n := range o.Cores {
-				e, a := env(n)
-				r := w.run(e, f.make(e, a), n)
-				t.Rows = append(t.Rows, Row{Series: series, Cores: n, Value: r.PerSecond() / 1e6, Unit: "M pages/s"})
-			}
-		}
+	for _, b := range ops(o) {
+		t.pages(b, factories(), "/"+b.name)
 	}
 	return t
 }
@@ -476,53 +473,36 @@ func structureBench(title string, o Options, writerCounts []int, build func(m *h
 func Fig8(o Options) *Table {
 	t := &Table{Title: "Figure 8: shared-page map/unmap (M iterations/sec)"}
 	schemes := []struct {
-		name   string
-		newCtr func() counter.Counter // nil = Refcache (the native path)
+		name string
+		ctr  func(m *hw.Machine) counter.Counter // nil = Refcache (the native path)
 	}{
 		{"refcache", nil},
-		{"snzi", nil}, // filled per machine below
-		{"shared", func() counter.Counter { return counter.NewShared(0) }},
+		{"snzi", func(m *hw.Machine) counter.Counter { return counter.NewSNZI(m, 0) }},
+		{"shared", func(*hw.Machine) counter.Counter { return counter.NewShared(0) }},
 	}
+	iters := o.Iters * 4
 	for _, sc := range schemes {
-		for _, n := range o.Cores {
-			e, a := env(n)
+		t.sweep(o.Cores, sc.name, "M iters/s", func(e *workload.Env, a *mem.Allocator, n int) float64 {
 			as := vm.New(e.M, e.RC, a, nil)
-			var file *vm.File
-			switch sc.name {
-			case "refcache":
-				file = vm.NewFile(a)
-			case "snzi":
-				m := e.M
-				file = vm.NewFileWithCounter(a, func() counter.Counter { return counter.NewSNZI(m, 0) })
-			default:
-				file = vm.NewFileWithCounter(a, sc.newCtr)
+			var newCtr func() counter.Counter
+			if sc.ctr != nil {
+				newCtr = func() counter.Counter { return sc.ctr(e.M) }
 			}
-			iters := o.Iters * 4
-			var ops [hw.MaxCores]uint64
+			file := vm.NewFileWithCounter(a, newCtr)
 			e.M.ResetStats()
 			start := e.M.MaxClock()
 			hw.RunGangDet(e.M, n, 4000, func(c *hw.CPU, g *hw.Gang) {
 				lo := uint64(c.ID()*4+4) << 18
 				for k := 0; k < iters; k++ {
-					mustNil(as.Mmap(c, lo, 1, vm.MapOpts{Prot: vm.ProtRead, File: file}))
-					mustNil(as.Access(c, lo, false))
-					mustNil(as.Munmap(c, lo, 1))
-					ops[c.ID()]++
+					workload.Check(as, c, "mmap", lo, as.Mmap(c, lo, 1, vm.MapOpts{Prot: vm.ProtRead, File: file}))
+					workload.Check(as, c, "access", lo, as.Access(c, lo, false))
+					workload.Check(as, c, "munmap", lo, as.Munmap(c, lo, 1))
 					e.RC.Maintain(c)
 					g.Sync(c)
 				}
 			})
-			var total uint64
-			for i := 0; i < n; i++ {
-				total += ops[i]
-			}
-			cycles := e.M.MaxClock() - start
-			t.Rows = append(t.Rows, Row{
-				Series: sc.name, Cores: n,
-				Value: float64(total) * 2.4e9 / float64(cycles) / 1e6,
-				Unit:  "M iters/s",
-			})
-		}
+			return float64(n*iters) * 2.4e9 / float64(e.M.MaxClock()-start) / 1e6
+		})
 	}
 	return t
 }
@@ -530,45 +510,7 @@ func Fig8(o Options) *Table {
 // Fig9 reproduces the per-core vs shared page table ablation over the
 // three microbenchmarks, RadixVM only.
 func Fig9(o Options) []*Table {
-	modes := []struct {
-		name string
-		mmu  func(m *hw.Machine) vm.MMU
-	}{
-		{"percore", func(m *hw.Machine) vm.MMU { return vm.NewPerCoreMMU(m) }},
-		{"shared", func(m *hw.Machine) vm.MMU { return vm.NewSharedMMU(m) }},
-	}
-	type bench struct {
-		name string
-		run  func(e *workload.Env, s vm.System, n int) workload.Result
-	}
-	benches := []bench{
-		{"local", func(e *workload.Env, s vm.System, n int) workload.Result {
-			return workload.Local(e, s, n, o.Iters, 1)
-		}},
-		{"pipeline", func(e *workload.Env, s vm.System, n int) workload.Result {
-			return workload.Pipeline(e, s, n, o.Iters, 8)
-		}},
-		{"global", func(e *workload.Env, s vm.System, n int) workload.Result {
-			return workload.Global(e, s, n, max(2, o.Iters/40), 16)
-		}},
-	}
-	var tables []*Table
-	for _, b := range benches {
-		t := &Table{Title: fmt.Sprintf("Figure 9 (%s): per-core vs shared page tables (M page writes/sec)", b.name)}
-		for _, mode := range modes {
-			for _, n := range o.Cores {
-				if b.name == "pipeline" && n < 2 {
-					continue
-				}
-				e, a := env(n)
-				s := vm.New(e.M, e.RC, a, mode.mmu(e.M))
-				r := b.run(e, s, n)
-				t.Rows = append(t.Rows, Row{Series: mode.name, Cores: n, Value: r.PerSecond() / 1e6, Unit: "M pages/s"})
-			}
-		}
-		tables = append(tables, t)
-	}
-	return tables
+	return microTables(o, "Figure 9 (%s): per-core vs shared page tables (M page writes/sec)", mmus())
 }
 
 // Table2 reproduces the memory-overhead comparison.
@@ -597,23 +539,16 @@ func Table2() string {
 // paper's number.
 func MetisMemory(cores int) string {
 	cfg := metis.DefaultConfig()
-	run := func(mmu func(m *hw.Machine) vm.MMU) uint64 {
+	run := func(f sysFactory) uint64 {
 		e, a := env(cores)
-		s := vm.New(e.M, e.RC, a, mmu(e.M))
+		s := f.make(e, a)
 		metis.Run(e, s, cores, cfg)
 		return s.PageTableBytes()
 	}
-	per := run(func(m *hw.Machine) vm.MMU { return vm.NewPerCoreMMU(m) })
-	sh := run(func(m *hw.Machine) vm.MMU { return vm.NewSharedMMU(m) })
+	per, sh := run(mmus()[0]), run(mmus()[1])
 	return fmt.Sprintf("== §5.4: Metis page-table memory at %d cores ==\n"+
 		"shared page table:   %8d KB\n"+
 		"per-core page table: %8d KB (%.1fx; paper measured 13x at 80 cores,\n"+
 		"                     where this model's all-cores-touch-everything job overshoots)\n",
 		cores, sh/1024, per/1024, float64(per)/float64(sh))
-}
-
-func mustNil(err error) {
-	if err != nil {
-		panic(err)
-	}
 }

@@ -5,17 +5,16 @@ import (
 	"sync/atomic"
 )
 
-// Packed one-bit spinlocks. Where SpinBit spends 24 bytes per lock (a
-// mutex plus its gate), structures that embed a lock per slot — the radix
-// tree reserves one bit in each of its 512 slots (§3.2) — pack the
-// exclusion bits into a handful of atomic words and keep only the
-// per-slot Gate. That matches the paper's layout (the lock really is one
+// Packed one-bit spinlocks. Where a Lock spends a mutex plus its gate per
+// lock, structures that embed a lock per slot — the radix tree reserves
+// one bit in each of its 512 slots (§3.2) — pack the exclusion bits into a
+// handful of atomic words and keep only the per-slot Gate. That matches the paper's layout (the lock really is one
 // bit of the slot) and cuts the dominant per-node memory cost.
 //
 // Real mutual exclusion comes from a CAS on the bit; a loser spins with
 // runtime.Gosched, which is fine here because critical sections are short
 // in real time (only virtual time is long). Virtual-time serialization
-// comes from the per-bit Gate, exactly as in SpinBit.
+// comes from the per-bit Gate, exactly as a Lock's comes from its gate.
 //
 // Memory ordering: the winning CAS is an acquire, the clearing store a
 // release, so the Gate (and any other state the bit guards) needs no
@@ -46,8 +45,7 @@ func (g *Gate) Restore(free, busyStart uint64) {
 // AcquireBitIn locks bit mask of word w for core c, spinning until it is
 // free, then waits out the previous holder's critical section in virtual
 // time through gate. The caller must have charged the containing cache
-// line already (the acquisition is a CAS on that line), as with
-// AcquireBit.
+// line already: the acquisition is a CAS on that line.
 func (c *CPU) AcquireBitIn(w *atomic.Uint64, mask uint64, gate *Gate) {
 	now := c.Now() // arrival time: before any real-time spinning
 	for {
@@ -61,21 +59,6 @@ func (c *CPU) AcquireBitIn(w *atomic.Uint64, mask uint64, gate *Gate) {
 		runtime.Gosched()
 	}
 	c.advanceTo(gate.g.arrive(now))
-}
-
-// TryAcquireBitIn attempts to take bit mask of word w without blocking.
-func (c *CPU) TryAcquireBitIn(w *atomic.Uint64, mask uint64, gate *Gate) bool {
-	now := c.Now()
-	for {
-		old := w.Load()
-		if old&mask != 0 {
-			return false
-		}
-		if w.CompareAndSwap(old, old|mask) {
-			c.advanceTo(gate.g.arrive(now))
-			return true
-		}
-	}
 }
 
 // ReleaseBitIn unlocks bit mask of word w, recording the end of c's

@@ -1,10 +1,13 @@
 package hw
 
 // waitGate models a serialization resource (a lock's critical section, a
-// cache line's home-node queue) in virtual time. The subtlety: simulated
-// cores execute in real time in whatever order the Go scheduler picks, so
-// a core can reach a resource "after" (real time) a holder whose critical
-// section ran far in the core's virtual *future*. Charging such an arrival
+// cache line's home-node queue) in virtual time. The subtlety: under the
+// parallel gang (RunGang, which only tests use) simulated cores execute in
+// real time in whatever order the Go scheduler picks, so a core can reach a
+// resource "after" (real time) a holder whose critical section ran far in
+// the core's virtual *future*. The deterministic schedule steps the
+// lowest-clock core first, which bounds the inversion to one inter-yield
+// chunk of virtual skew but does not rule it out. Charging such an arrival
 // the full wait would be wrong — in a faithful timeline the arrival would
 // have been served first — and worse, the errors compound into a global
 // max-plus ratchet that serializes everything (every jump inflates the

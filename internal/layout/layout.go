@@ -19,6 +19,7 @@ import (
 	"radixvm/internal/mem"
 	"radixvm/internal/refcache"
 	"radixvm/internal/vm"
+	"radixvm/internal/workload"
 )
 
 // App describes one snapshot target.
@@ -49,7 +50,6 @@ type Region struct {
 	VPN      uint64
 	Pages    uint64
 	Resident uint64 // pages actually faulted in
-	File     bool
 }
 
 // Generate builds a layout with the app's region count whose resident
@@ -72,31 +72,31 @@ func Generate(app App, seed int64) []Region {
 	smallShare := rssPages - bigShare - libShare
 
 	vpn := uint64(1) << 22 // start of the synthetic layout
-	place := func(pages, resident uint64, file bool) {
+	place := func(pages, resident uint64) {
 		if resident > pages {
 			resident = pages
 		}
-		regions = append(regions, Region{VPN: vpn, Pages: pages, Resident: resident, File: file})
+		regions = append(regions, Region{VPN: vpn, Pages: pages, Resident: resident})
 		// Gap between regions, as real layouts have (ASLR, guards).
 		vpn += pages + uint64(rng.Intn(64)+16)
 	}
 	for i := 0; i < nBig; i++ {
 		res := bigShare / uint64(nBig)
-		place(res*3/2, res, false) // heaps are ~2/3 resident
+		place(res*3/2, res) // heaps are ~2/3 resident
 	}
 	for i := 0; i < nLib; i++ {
 		res := libShare / uint64(nLib)
 		if res == 0 {
 			res = 1
 		}
-		place(res*3, res, true) // libraries are sparsely resident
+		place(res*3, res) // libraries are sparsely resident
 	}
 	for i := 0; i < nSmall; i++ {
 		res := smallShare / uint64(nSmall)
 		if res == 0 {
 			res = 1
 		}
-		place(res+uint64(rng.Intn(8)), res, false)
+		place(res+uint64(rng.Intn(8)), res)
 	}
 	return regions
 }
@@ -149,17 +149,7 @@ func Measure(app App, seed int64) Measurement {
 }
 
 func populate(c *hw.CPU, sys vm.System, regions []Region) {
-	var file *vm.File
 	for _, r := range regions {
-		opts := vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}
-		_ = file
-		if err := sys.Mmap(c, r.VPN, r.Pages, opts); err != nil {
-			panic(err)
-		}
-		for p := r.VPN; p < r.VPN+r.Resident; p++ {
-			if err := sys.Access(c, p, true); err != nil {
-				panic(err)
-			}
-		}
+		workload.Populate(sys, c, r.VPN, r.Pages, r.Resident)
 	}
 }

@@ -95,7 +95,7 @@ func (b *buffer) emit(sys vm.System, c *hw.CPU, e entry) {
 	b.bytes += EntryBytes
 	page := b.vpn + (b.bytes-1)/PageBytes
 	if page != b.lastPage {
-		mustNil(sys.Access(c, page, true))
+		workload.Check(sys, c, "access", page, sys.Access(c, page, true))
 		b.lastPage = page
 	}
 }
@@ -159,7 +159,7 @@ func Run(env *workload.Env, sys vm.System, cores int, cfg Config) Result {
 			b := cur[r]
 			if b == nil || b.full() {
 				vpn, err := fa.Alloc(c, cfg.ChunkPages)
-				mustNil(err)
+				workload.Check(sys, c, "falloc", vpn, err)
 				b = &buffer{vpn: vpn, pages: cfg.ChunkPages}
 				cur[r] = b
 				buckets[id][r] = append(buckets[id][r], b)
@@ -186,7 +186,7 @@ func Run(env *workload.Env, sys vm.System, cores int, cfg Config) Result {
 				// on RadixVM faults into this core's page table
 				// (the paper's pairwise Map->Reduce sharing).
 				for p := b.vpn; p <= b.vpn+(b.bytes-1)/PageBytes; p++ {
-					mustNil(sys.Access(c, p, false))
+					workload.Check(sys, c, "access", p, sys.Access(c, p, false))
 				}
 				for j, e := range b.entries {
 					if j%32 == 0 {
@@ -203,13 +203,13 @@ func Run(env *workload.Env, sys vm.System, cores int, cfg Config) Result {
 					// memory.
 					if outBuf == nil || outBuf.full() {
 						vpn, err := fa.Alloc(c, cfg.ChunkPages)
-						mustNil(err)
+						workload.Check(sys, c, "falloc", vpn, err)
 						outBuf = &buffer{vpn: vpn, pages: cfg.ChunkPages}
 					}
 					outBuf.bytes += EntryBytes
 					page := outBuf.vpn + (outBuf.bytes-1)/PageBytes
 					if page != outBuf.lastPage {
-						mustNil(sys.Access(c, page, true))
+						workload.Check(sys, c, "access", page, sys.Access(c, page, true))
 						outBuf.lastPage = page
 					}
 					c.Tick(cfg.ReduceCost)
@@ -263,10 +263,4 @@ func Run(env *workload.Env, sys vm.System, cores int, cfg Config) Result {
 type posList struct {
 	count  int
 	digest uint64
-}
-
-func mustNil(err error) {
-	if err != nil {
-		panic(err)
-	}
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 
 	"radixvm/internal/hw"
@@ -167,4 +168,42 @@ func TestSpawnDeterministicManyCores(t *testing.T) {
 	env2, sys2 := newDetEnv(cores)
 	s2 := snap(env2, Spawn(env2, sys2, cores, 2, 2))
 	compare(t, "spawn@64", s1, s2)
+}
+
+// TestResultPrintDeterministic guards the print bench/ fingerprints a run by:
+// %+v of the workload's result. FleetResult and FileServeResult embed Result,
+// so that print is Result.String, a pure function of the run, and not their
+// fields, which include process pointers that differ every run. Each print
+// must equal String and repeat across two runs.
+func TestResultPrintDeterministic(t *testing.T) {
+	const cores = 4
+	runs := []struct {
+		name string
+		run  func() fmt.Stringer
+	}{
+		{"local", func() fmt.Stringer {
+			env, sys := newDetEnv(cores)
+			return Local(env, sys, cores, 10, 1)
+		}},
+		{"fleet", func() fmt.Stringer {
+			env, sys := newDetEnv(cores)
+			cfg := DefaultFleetConfig()
+			cfg.Procs, cfg.MaxLive = 24, 16
+			return Fleet(env, sys, cores, cfg)
+		}},
+		{"filemap", func() fmt.Stringer {
+			env, sys, alloc := fsSys("radixvm", hw.DefaultConfig(cores))
+			return FileServe(env, sys, cores, alloc, fsSmallConfig())
+		}},
+	}
+	for _, r := range runs {
+		a, b := r.run(), r.run()
+		print := fmt.Sprintf("%+v", a)
+		if print != a.String() {
+			t.Errorf("%s: %%+v prints %q, not String's %q", r.name, print, a.String())
+		}
+		if again := fmt.Sprintf("%+v", b); again != print {
+			t.Errorf("%s: %%+v differs between runs:\n %s\n %s", r.name, print, again)
+		}
+	}
 }

@@ -8,18 +8,13 @@ import (
 
 // FileServeConfig parameterizes the shared-page-cache workload.
 type FileServeConfig struct {
-	Procs        int    // total spawn requests (arrivals)
-	MaxLive      int    // pool residency cap (concurrently live address spaces)
-	MemCeiling   uint64 // pool byte ceiling; 0 derives one from MaxLive
-	Threads      int    // reader threads per child process
-	FilePages    uint64 // shared file size in pages
-	WindowPages  uint64 // pages each thread reads per activation
-	Quanta       int    // post-read compute quanta per thread
-	QuantumTicks uint64
-	MeanArrival  uint64 // mean virtual inter-arrival gap in cycles
-	QueueCap     int    // scheduler run-queue admission cap; 0 derives one
-	SwitchCost   uint64 // per-context-switch virtual cost
-	Seed         int64  // arrival-PRNG seed
+	Procs       int    // total spawn requests (arrivals)
+	MaxLive     int    // pool residency cap (concurrently live address spaces)
+	Threads     int    // reader threads per child process
+	FilePages   uint64 // shared file size in pages
+	WindowPages uint64 // pages each thread reads per activation
+	MeanArrival uint64 // mean virtual inter-arrival gap in cycles
+	Seed        int64  // arrival-PRNG seed
 
 	WBRounds   int    // writeback ticker rounds
 	WBPages    uint64 // pages revoked per round (rotating window)
@@ -27,26 +22,30 @@ type FileServeConfig struct {
 	TruncEvery int    // every Nth round also truncate+re-extend (0 = never)
 }
 
+// A reader thread's compute after its window: one quantum, half a fleet
+// thread's.
+const (
+	fileServeQuanta       = 1
+	fileServeQuantumTicks = 2000 // virtual cycles
+)
+
 // DefaultFileServeConfig is the shape the filemap figure sweeps around:
 // one hot shared file, fleets of two-thread readers each faulting a
 // rotating window of it, and a writeback ticker revoking a rotating
 // window while they run.
 func DefaultFileServeConfig() FileServeConfig {
 	return FileServeConfig{
-		Procs:        512,
-		MaxLive:      256,
-		Threads:      2,
-		FilePages:    512,
-		WindowPages:  16,
-		Quanta:       1,
-		QuantumTicks: 2000,
-		MeanArrival:  20_000,
-		SwitchCost:   3000,
-		Seed:         1,
-		WBRounds:     64,
-		WBPages:      64,
-		WBGap:        200_000,
-		TruncEvery:   8,
+		Procs:       512,
+		MaxLive:     256,
+		Threads:     2,
+		FilePages:   512,
+		WindowPages: 16,
+		MeanArrival: 20_000,
+		Seed:        1,
+		WBRounds:    64,
+		WBPages:     64,
+		WBGap:       200_000,
+		TruncEvery:  8,
 	}
 }
 
@@ -153,7 +152,7 @@ func FileServe(env *Env, sys vm.System, cores int, alloc *mem.Allocator, cfg Fil
 	// faulter anywhere in the fleet fills a page and everyone later shares
 	// the same frame.
 	c0 := env.M.CPU(0)
-	mustNil(sys.Mmap(c0, fileServeBase, cfg.FilePages, vm.MapOpts{
+	Check(sys, c0, "mmap", fileServeBase, sys.Mmap(c0, fileServeBase, cfg.FilePages, vm.MapOpts{
 		Prot: vm.ProtRead | vm.ProtWrite, File: file, Offset: 0,
 	}))
 
@@ -165,8 +164,9 @@ func FileServe(env *Env, sys vm.System, cores int, alloc *mem.Allocator, cfg Fil
 		off0 := (uint64(p.id)*uint64(cfg.Threads) + uint64(t)) * stride % cfg.FilePages
 		// A racing truncate may have cut this offset; the segv is the
 		// correct demand-paging answer, not a workload error.
-		if err := p.sys.Access(c, fileServeBase+(off0+i)%cfg.FilePages, false); err != nil && err != vm.ErrSegv {
-			panic(err)
+		vpn := fileServeBase + (off0+i)%cfg.FilePages
+		if err := p.sys.Access(c, vpn, false); err != vm.ErrSegv {
+			Check(p.sys, c, "access", vpn, err)
 		}
 	}
 
@@ -202,9 +202,8 @@ func FileServe(env *Env, sys vm.System, cores int, alloc *mem.Allocator, cfg Fil
 	}
 
 	run := runFleet(env, sys, cores, fleetSpec{
-		procs: cfg.Procs, maxLive: cfg.MaxLive, ceiling: cfg.MemCeiling, threads: cfg.Threads,
-		quanta: cfg.Quanta, quantumTicks: cfg.QuantumTicks, meanArrival: cfg.MeanArrival,
-		queueCap: cfg.QueueCap, switchCost: cfg.SwitchCost, seed: cfg.Seed,
+		procs: cfg.Procs, maxLive: cfg.MaxLive, threads: cfg.Threads, quanta: fileServeQuanta,
+		quantumTicks: fileServeQuantumTicks, meanArrival: cfg.MeanArrival, seed: cfg.Seed,
 		base: fileServeBase, pages: cfg.FilePages, touchPages: cfg.WindowPages,
 		touch: touch, ticker: ticker,
 	})

@@ -12,17 +12,20 @@ import (
 type FleetConfig struct {
 	Procs         int    // total spawn requests (arrivals)
 	MaxLive       int    // pool residency cap (concurrently live address spaces)
-	MemCeiling    uint64 // pool byte ceiling; 0 derives one from MaxLive
 	Threads       int    // threads per child process
 	TouchPages    uint64 // template pages each thread COW-touches
 	Quanta        int    // post-touch compute quanta per thread
-	QuantumTicks  uint64 // virtual cycles per compute quantum
 	TemplatePages uint64 // template parent size; 0 derives Threads*TouchPages
-	MeanArrival   uint64 // mean virtual inter-arrival gap in cycles
-	QueueCap      int    // scheduler run-queue admission cap; 0 derives one
-	SwitchCost    uint64 // per-context-switch virtual cost
 	Seed          int64  // arrival-PRNG seed
 }
+
+// The fleet-shaped workloads' fixed costs: a context switch, fleet and
+// filemap alike, and the fleet's arrival gap and compute quantum.
+const (
+	switchCost        = 3000   // virtual cycles per context switch
+	fleetMeanArrival  = 20_000 // mean virtual inter-arrival gap, cycles
+	fleetQuantumTicks = 4000   // virtual cycles per compute quantum
+)
 
 // DefaultFleetConfig is the shape the fleet figure sweeps around: enough
 // offered load to keep every core busy (so spawns/s measures capacity,
@@ -30,15 +33,12 @@ type FleetConfig struct {
 // set per thread.
 func DefaultFleetConfig() FleetConfig {
 	return FleetConfig{
-		Procs:        512,
-		MaxLive:      256,
-		Threads:      2,
-		TouchPages:   16,
-		Quanta:       2,
-		QuantumTicks: 4000,
-		MeanArrival:  20_000,
-		SwitchCost:   3000,
-		Seed:         1,
+		Procs:      512,
+		MaxLive:    256,
+		Threads:    2,
+		TouchPages: 16,
+		Quanta:     2,
+		Seed:       1,
 	}
 }
 
@@ -110,23 +110,18 @@ func Fleet(env *Env, sys vm.System, cores int, cfg FleetConfig) FleetResult {
 	// deliberate — the baselines' O(template) dup_mmap under that one
 	// address space's lock is exactly the serial section the fleet figure
 	// measures.
-	c0 := env.M.CPU(0)
-	mustNil(sys.Mmap(c0, fleetBase, tmplPages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
-	for v := fleetBase; v < fleetBase+tmplPages; v++ {
-		mustNil(sys.Access(c0, v, true))
-	}
+	Populate(sys, env.M.CPU(0), fleetBase, tmplPages, tmplPages)
 
 	run := runFleet(env, sys, cores, fleetSpec{
-		procs: cfg.Procs, maxLive: cfg.MaxLive, ceiling: cfg.MemCeiling, threads: cfg.Threads,
-		quanta: cfg.Quanta, quantumTicks: cfg.QuantumTicks, meanArrival: cfg.MeanArrival,
-		queueCap: cfg.QueueCap, switchCost: cfg.SwitchCost, seed: cfg.Seed,
+		procs: cfg.Procs, maxLive: cfg.MaxLive, threads: cfg.Threads, quanta: cfg.Quanta,
+		quantumTicks: fleetQuantumTicks, meanArrival: fleetMeanArrival, seed: cfg.Seed,
 		base: fleetBase, pages: tmplPages, touchPages: cfg.TouchPages,
 		touch: func(c *hw.CPU, p *process, t int, i uint64) {
 			// Each child works a rotating slice of the template, so
 			// successive children of one replica COW-break different leaf
 			// metadata rather than re-copying the same node.
 			lo := fleetBase + (uint64(p.id)*uint64(cfg.Threads)+uint64(t))*cfg.TouchPages%tmplPages
-			mustNil(p.sys.Access(c, lo+i, true)) // COW break: copy the frame
+			Check(p.sys, c, "access", lo+i, p.sys.Access(c, lo+i, true)) // COW break: copy the frame
 		},
 	})
 
@@ -160,9 +155,9 @@ func Fleet(env *Env, sys vm.System, cores int, cfg FleetConfig) FleetResult {
 // its config gives, and what it brings of its own — its template mapping,
 // its per-page touch, and optionally a ticker.
 type fleetSpec struct {
-	procs, maxLive, threads, quanta, queueCap      int
-	ceiling, quantumTicks, meanArrival, switchCost uint64
-	seed                                           int64
+	procs, maxLive, threads, quanta int
+	quantumTicks, meanArrival       uint64
+	seed                            int64
 
 	base, pages uint64                                       // the template mapping, which a teardown without vm.Exiter unmaps
 	touchPages  uint64                                       // pages each thread touches
@@ -187,29 +182,26 @@ type fleetRun struct {
 // touches its pages, yielding every 4, charges them to the pool, runs its
 // compute quanta and finishes, the last one leaving its child dormant but
 // resident.
+//
+// The pool's byte ceiling is maxLive children's fully-touched footprints, so
+// the residency cap bites first and the ceiling guards against outsized
+// children. The run queue admits arrivals while it has room for every core
+// to fold an arrival's threads plus slack, so admission control engages
+// under backlog, not steady state.
 func runFleet(env *Env, sys vm.System, cores int, f fleetSpec) *fleetRun {
-	if f.ceiling == 0 {
-		// MaxLive children's fully-touched footprints: the residency cap
-		// bites first, the ceiling guards against outsized children.
-		f.ceiling = uint64(f.maxLive) * uint64(f.threads) * f.touchPages * 4096
-	}
-	if f.queueCap == 0 {
-		// Room for every core to fold an arrival's threads plus slack, so
-		// admission control engages under backlog, not steady state.
-		f.queueCap = 4 * f.threads * cores
-	}
 	env.M.ResetStats()
 	r := &fleetRun{env: env, sys: sys, cores: cores, start: env.M.MaxClock(), reviews0: env.RC.Reviews()}
 	r.children = make([]*process, f.procs)
-	r.pool = newPool(f.maxLive, f.ceiling, func(c *hw.CPU, p *process) {
+	ceiling := uint64(f.maxLive) * uint64(f.threads) * f.touchPages * 4096
+	r.pool = newPool(f.maxLive, ceiling, func(c *hw.CPU, p *process) {
 		if ex, ok := p.sys.(vm.Exiter); ok {
 			ex.Exit(c)
 		} else {
-			mustNil(p.sys.Munmap(c, f.base, f.pages))
+			Check(p.sys, c, "munmap", f.base, p.sys.Munmap(c, f.base, f.pages))
 		}
 	})
-	s := hw.NewSched(f.queueCap)
-	s.SwitchCost = f.switchCost
+	s := hw.NewSched(4 * f.threads * cores)
+	s.SwitchCost = switchCost
 	r.sched = s
 	if f.ticker != nil {
 		s.SpawnAt(0, r.start, f.ticker)
@@ -254,9 +246,7 @@ func runFleet(env *Env, sys vm.System, cores int, f fleetSpec) *fleetRun {
 		s.Arrive(stamp, func(c *hw.CPU, _ uint64) {
 			// The fork handler: clone the template, admit the child to the
 			// pool, and hand its threads to the run queue.
-			ch, err := sys.Fork(c)
-			mustNil(err)
-			p := &process{id: id, sys: ch, arrived: arrived, threadsLeft: f.threads}
+			p := &process{id: id, sys: fork(sys, c), arrived: arrived, threadsLeft: f.threads}
 			r.children[id] = p
 			r.pool.admit(c, p)
 			for t := 0; t < f.threads; t++ {

@@ -93,7 +93,7 @@ func TestPoolUnderScheduler(t *testing.T) {
 	env, sys := fleetSysCfg("radixvm", hw.TestConfig(4))
 	run := runFleet(env, sys, 4, fleetSpec{
 		procs: procs, maxLive: maxLive, threads: 2, quanta: 2, quantumTicks: 1000,
-		meanArrival: 2000, switchCost: 300, seed: 1, touchPages: 8,
+		meanArrival: 2000, seed: 1, touchPages: 8,
 		touch: func(c *hw.CPU, _ *process, _ int, _ uint64) { c.Tick(100) },
 	})
 	pl := run.pool

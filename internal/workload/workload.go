@@ -49,9 +49,53 @@ func (r Result) PerSecond() float64 {
 	return float64(r.PageWrites) * 2.4e9 / float64(r.Cycles)
 }
 
+// String is also what %+v prints for a Result, a FleetResult and a
+// FileServeResult, which embed it: name, system, cores and throughput, not
+// their fields. bench/ fingerprints a run by that print, so it must stay a
+// pure function of the run. Without this method %+v would print
+// FleetResult's unexported process pointers, which differ every run.
 func (r Result) String() string {
 	return fmt.Sprintf("%-8s %-8s %2d cores: %8.2fM page writes/sec",
 		r.Name, r.System, r.Cores, r.PerSecond()/1e6)
+}
+
+// Check is every workload's checked step: a nil err passes, and any other
+// panics with an error that wraps err and names the system, the core, the
+// op, its VPN and the core's virtual clock. The schedule is deterministic, so
+// the clock pins the failing event in a rerun. A panic is the only way out:
+// the workloads return a bare result, and a scheduled proc's panic reaches
+// the caller through hw.Sched.Run.
+func Check(sys vm.System, c *hw.CPU, op string, vpn uint64, err error) {
+	if err != nil {
+		fail(sys, c, op, vpn, err)
+	}
+}
+
+// fail is Check's failure path, kept out of line so that Check inlines.
+func fail(sys vm.System, c *hw.CPU, op string, vpn uint64, err error) {
+	panic(fmt.Errorf("%s: core %d %s vpn %#x at cycle %d: %w", sys.Name(), c.ID(), op, vpn, c.Now(), err))
+}
+
+// Populate maps [lo, lo+pages) read-write on c and write-faults its first
+// touched pages, returning the pages written.
+func Populate(sys vm.System, c *hw.CPU, lo, pages, touched uint64) uint64 {
+	Check(sys, c, "mmap", lo, sys.Mmap(c, lo, pages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
+	return touch(sys, c, lo, touched, true)
+}
+
+// touch accesses [lo, lo+pages) of sys on c, returning the pages touched.
+func touch(sys vm.System, c *hw.CPU, lo, pages uint64, write bool) uint64 {
+	for v := lo; v < lo+pages; v++ {
+		Check(sys, c, "access", v, sys.Access(c, v, write))
+	}
+	return pages
+}
+
+// fork forks sys on c.
+func fork(sys vm.System, c *hw.CPU) vm.System {
+	ch, err := sys.Fork(c)
+	Check(sys, c, "fork", 0, err)
+	return ch
 }
 
 // spread places core id's private region in its own radix subtree and on
@@ -60,9 +104,8 @@ func (r Result) String() string {
 func spread(id int) uint64 { return uint64(id*4+4) << 18 }
 
 // run executes body as a fleet of cores processes, one pinned per core,
-// on the process scheduler, with per-iteration Refcache maintenance,
-// measures virtual time, and gathers stats. warm runs once per core
-// before measurement.
+// on the process scheduler, measures virtual time, and gathers stats. warm
+// runs once per core before measurement.
 //
 // A fixed gang is the degenerate fleet: the scheduler dispatches each
 // core's single pinned proc at the same virtual instants the old per-
@@ -73,12 +116,12 @@ func spread(id int) uint64 { return uint64(id*4+4) << 18 }
 // function of the op stream — byte-stable across runs and byte-gateable
 // in CI. The parallel gang (hw.RunGang) drives only tests, which want
 // real concurrency under -race.
-func run(env *Env, name string, sys vm.System, cores int, warm, body func(tc *hw.Ctx) uint64) Result {
+func run(env *Env, name string, sys vm.System, cores int, warm func(tc *hw.Ctx), body func(tc *hw.Ctx) uint64) Result {
 	var writes [hw.MaxCores]uint64
 	if warm != nil {
 		s := hw.NewSched(0)
 		for i := 0; i < cores; i++ {
-			s.Spawn(i, func(tc *hw.Ctx) { warm(tc) })
+			s.Spawn(i, warm)
 		}
 		s.Run(env.M, cores, 4000)
 	}
@@ -86,7 +129,6 @@ func run(env *Env, name string, sys vm.System, cores int, warm, body func(tc *hw
 	start := env.M.MaxClock()
 	s := hw.NewSched(0)
 	for i := 0; i < cores; i++ {
-		i := i
 		s.Spawn(i, func(tc *hw.Ctx) { writes[i] = body(tc) })
 	}
 	s.Run(env.M, cores, 4000)
@@ -104,6 +146,21 @@ func run(env *Env, name string, sys vm.System, cores int, warm, body func(tc *hw
 	}
 }
 
+// rounds is a measured body: iters rounds, Refcache maintenance and a yield
+// after each.
+func rounds(env *Env, iters int, round func(tc *hw.Ctx) uint64) func(tc *hw.Ctx) uint64 {
+	return func(tc *hw.Ctx) uint64 {
+		c := tc.CPU()
+		var writes uint64
+		for k := 0; k < iters; k++ {
+			writes += round(tc)
+			env.RC.Maintain(c)
+			tc.Yield()
+		}
+		return writes
+	}
+}
+
 // Local runs the local microbenchmark: iters rounds of mmap/write/munmap
 // of a regionPages-page private region per core (the paper uses one 4 KB
 // page to maximally stress the VM).
@@ -111,32 +168,16 @@ func Local(env *Env, sys vm.System, cores int, iters int, regionPages uint64) Re
 	round := func(tc *hw.Ctx) uint64 {
 		c := tc.CPU()
 		lo := spread(c.ID())
-		var writes uint64
-		for k := 0; k < iters; k++ {
-			mustNil(sys.Mmap(c, lo, regionPages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
-			for v := lo; v < lo+regionPages; v++ {
-				mustNil(sys.Access(c, v, true))
-				writes++
-			}
-			mustNil(sys.Munmap(c, lo, regionPages))
-			env.RC.Maintain(c)
-			tc.Yield()
-		}
+		writes := Populate(sys, c, lo, regionPages, regionPages)
+		Check(sys, c, "munmap", lo, sys.Munmap(c, lo, regionPages))
 		return writes
 	}
-	warm := func(tc *hw.Ctx) uint64 {
-		c := tc.CPU()
-		lo := spread(c.ID())
+	warm := func(tc *hw.Ctx) {
 		for k := 0; k < 3; k++ {
-			mustNil(sys.Mmap(c, lo, regionPages, vm.MapOpts{Prot: vm.ProtWrite}))
-			for v := lo; v < lo+regionPages; v++ {
-				mustNil(sys.Access(c, v, true))
-			}
-			mustNil(sys.Munmap(c, lo, regionPages))
+			round(tc)
 		}
-		return 0
 	}
-	return run(env, "local", sys, cores, warm, round)
+	return run(env, "local", sys, cores, warm, rounds(env, iters, round))
 }
 
 // Pipeline runs the pipeline microbenchmark: core i maps and writes a
@@ -171,21 +212,16 @@ func Pipeline(env *Env, sys vm.System, cores int, iters int, regionPages uint64)
 		s := tc.Sched()
 		id := c.ID()
 		next, prev := (id+1)%cores, (id+cores-1)%cores
-		base := spread(id)
 		var writes uint64
 		for k := 0; k < iters; k++ {
 			slot := k % pipeSlots
-			lo := base + uint64(slot)*regionPages*2
+			lo := spread(id) + uint64(slot)*regionPages*2
 			if live[id][slot] {
 				panic(fmt.Sprintf("pipeline: %s core %d iteration %d maps %#x over a hand-off still in flight",
 					sys.Name(), id, k, lo))
 			}
 			live[id][slot] = true
-			mustNil(sys.Mmap(c, lo, regionPages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
-			for v := lo; v < lo+regionPages; v++ {
-				mustNil(sys.Access(c, v, true))
-				writes++
-			}
+			writes += Populate(sys, c, lo, regionPages, regionPages)
 			for len(inbox[next]) >= pipeDepth {
 				tc.Park()
 			}
@@ -198,11 +234,8 @@ func Pipeline(env *Env, sys vm.System, cores int, iters int, regionPages uint64)
 			inbox[id] = inbox[id][:copy(inbox[id], inbox[id][1:])]
 			s.Wake(s.Proc(uint64(prev)))
 			c.AdvanceTo(in.t + 200) // cross-core queue hand-off
-			for v := in.lo; v < in.lo+regionPages; v++ {
-				mustNil(sys.Access(c, v, true))
-				writes++
-			}
-			mustNil(sys.Munmap(c, in.lo, regionPages))
+			writes += touch(sys, c, in.lo, regionPages, true)
+			Check(sys, c, "munmap", in.lo, sys.Munmap(c, in.lo, regionPages))
 			live[prev][in.slot] = false
 			env.RC.Maintain(c)
 			tc.Yield()
@@ -224,13 +257,14 @@ func Global(env *Env, sys vm.System, cores int, iters int, piecePages uint64) Re
 		id := c.ID()
 		rng := rand.New(rand.NewSource(int64(id + 1)))
 		total := piecePages * uint64(cores)
+		mine := regionBase + uint64(id)*piecePages
 		var writes uint64
 		for k := 0; k < iters; k++ {
-			mine := regionBase + uint64(id)*piecePages
-			mustNil(sys.Mmap(c, mine, piecePages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
+			Check(sys, c, "mmap", mine, sys.Mmap(c, mine, piecePages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
 			tc.Wait(bar)
 			for _, off := range rng.Perm(int(total)) {
-				mustNil(sys.Access(c, regionBase+uint64(off), true))
+				v := regionBase + uint64(off)
+				Check(sys, c, "access", v, sys.Access(c, v, true))
 				writes++
 				// Yield every access: contended fill faults cost
 				// thousands of cycles each, so coarser syncs would
@@ -239,7 +273,7 @@ func Global(env *Env, sys vm.System, cores int, iters int, piecePages uint64) Re
 				tc.Yield()
 			}
 			tc.Wait(bar)
-			mustNil(sys.Munmap(c, mine, piecePages))
+			Check(sys, c, "munmap", mine, sys.Munmap(c, mine, piecePages))
 			env.RC.Maintain(c)
 			tc.Wait(bar)
 		}
@@ -258,44 +292,23 @@ func Global(env *Env, sys vm.System, cores int, iters int, piecePages uint64) Re
 // targeted — a region only its own core touched interrupts nobody — while
 // the baselines broadcast TLB flushes to every active core per mprotect.
 func Protect(env *Env, sys vm.System, cores int, iters int, regionPages uint64) Result {
-	cycle := func(c *hw.CPU) uint64 {
+	cycle := func(tc *hw.Ctx) uint64 {
+		c := tc.CPU()
 		lo := spread(c.ID())
-		var writes uint64
-		mustNil(sys.Mprotect(c, lo, regionPages, vm.ProtRead))
-		for v := lo; v < lo+regionPages; v++ {
-			mustNil(sys.Access(c, v, false))
-		}
-		mustNil(sys.Mprotect(c, lo, regionPages, vm.ProtRead|vm.ProtWrite))
-		for v := lo; v < lo+regionPages; v++ {
-			mustNil(sys.Access(c, v, true))
-			writes++
-		}
-		return writes
+		Check(sys, c, "mprotect", lo, sys.Mprotect(c, lo, regionPages, vm.ProtRead))
+		touch(sys, c, lo, regionPages, false)
+		Check(sys, c, "mprotect", lo, sys.Mprotect(c, lo, regionPages, vm.ProtRead|vm.ProtWrite))
+		return touch(sys, c, lo, regionPages, true)
 	}
-	warm := func(tc *hw.Ctx) uint64 {
+	warm := func(tc *hw.Ctx) {
 		// Map and fault the region once (the structures it expands are
 		// shared setup, not the steady state being measured), then run
 		// one cycle so every line the loop touches has settled.
 		c := tc.CPU()
-		lo := spread(c.ID())
-		mustNil(sys.Mmap(c, lo, regionPages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
-		for v := lo; v < lo+regionPages; v++ {
-			mustNil(sys.Access(c, v, true))
-		}
-		cycle(c)
-		return 0
+		Populate(sys, c, spread(c.ID()), regionPages, regionPages)
+		cycle(tc)
 	}
-	body := func(tc *hw.Ctx) uint64 {
-		c := tc.CPU()
-		var writes uint64
-		for k := 0; k < iters; k++ {
-			writes += cycle(c)
-			env.RC.Maintain(c)
-			tc.Yield()
-		}
-		return writes
-	}
-	return run(env, "protect", sys, cores, warm, body)
+	return run(env, "protect", sys, cores, warm, rounds(env, iters, cycle))
 }
 
 // Fork runs the fork+COW microbenchmark, the Metis/posix-spawn pattern the
@@ -320,44 +333,23 @@ func Protect(env *Env, sys vm.System, cores int, iters int, regionPages uint64) 
 func Fork(env *Env, sys vm.System, cores int, iters int, regionPages uint64) Result {
 	bar := hw.NewBarrier(cores)
 	var child vm.System // published by core 0, read by all after the barrier
-	round := func(tc *hw.Ctx) uint64 {
+	return forkRounds(env, "fork", sys, cores, iters, regionPages, func(tc *hw.Ctx) uint64 {
 		c := tc.CPU()
 		id := c.ID()
 		if id == 0 {
-			ch, err := sys.Fork(c)
-			mustNil(err)
-			child = ch
+			child = fork(sys, c)
 		}
 		tc.Wait(bar)
 		ch := child
 		lo := spread(id)
-		var writes uint64
-		for v := lo; v < lo+regionPages; v++ {
-			mustNil(ch.Access(c, v, true))
-			writes++
-		}
-		mustNil(ch.Munmap(c, lo, regionPages))
+		writes := touch(ch, c, lo, regionPages, true)
+		Check(ch, c, "munmap", lo, ch.Munmap(c, lo, regionPages))
 		tc.Wait(bar) // every thread done with the child before it goes
 		if ex, ok := ch.(vm.Exiter); ok && id == 0 {
 			ex.Exit(c)
 		}
 		return writes
-	}
-	warm := func(tc *hw.Ctx) uint64 {
-		// The parent: each core maps and write-faults its own region, so
-		// every page has a frame to share. One throwaway round settles
-		// every line the loop touches.
-		c := tc.CPU()
-		lo := spread(c.ID())
-		mustNil(sys.Mmap(c, lo, regionPages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
-		for v := lo; v < lo+regionPages; v++ {
-			mustNil(sys.Access(c, v, true))
-		}
-		tc.Wait(bar)
-		round(tc)
-		return 0
-	}
-	return run(env, "fork", sys, cores, warm, rounds(env, iters, round))
+	})
 }
 
 // Spawn runs the spawn-server microbenchmark, the concurrent half of the
@@ -386,38 +378,15 @@ func Fork(env *Env, sys vm.System, cores int, iters int, regionPages uint64) Res
 // where they should, and do, collapse. The reported metric counts child
 // and parent page writes, as in the local benchmark.
 func Spawn(env *Env, sys vm.System, cores int, iters int, regionPages uint64) Result {
-	bar := hw.NewBarrier(cores)
-	round := func(tc *hw.Ctx) uint64 {
+	return forkRounds(env, "spawn", sys, cores, iters, regionPages, func(tc *hw.Ctx) uint64 {
 		c := tc.CPU()
 		lo := spread(c.ID())
-		ch, err := sys.Fork(c)
-		mustNil(err)
-		var writes uint64
-		for v := lo; v < lo+regionPages; v++ {
-			mustNil(ch.Access(c, v, true)) // child COW break: copy
-			writes++
-		}
-		for v := lo; v < lo+regionPages; v++ {
-			mustNil(sys.Access(c, v, true)) // parent re-dirty: parent-side break
-			writes++
-		}
+		ch := fork(sys, c)
+		writes := touch(ch, c, lo, regionPages, true)  // child COW break: copy
+		writes += touch(sys, c, lo, regionPages, true) // parent re-dirty: parent-side break
 		reap(c, ch, cores, regionPages)
 		return writes
-	}
-	warm := func(tc *hw.Ctx) uint64 {
-		// The parent: each core maps and write-faults its own region, then
-		// one throwaway round settles every line the loop touches.
-		c := tc.CPU()
-		lo := spread(c.ID())
-		mustNil(sys.Mmap(c, lo, regionPages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
-		for v := lo; v < lo+regionPages; v++ {
-			mustNil(sys.Access(c, v, true))
-		}
-		tc.Wait(bar) // every region faulted before the first fork
-		round(tc)
-		return 0
-	}
-	return run(env, "spawn", sys, cores, warm, rounds(env, iters, round))
+	})
 }
 
 // Clone runs the template-clone microbenchmark, the fan-out pattern the
@@ -437,50 +406,29 @@ func Spawn(env *Env, sys vm.System, cores int, iters int, regionPages uint64) Re
 // and pay an exit_mmap munmap sweep per child because they lack a whole-space
 // teardown (reap).
 func Clone(env *Env, sys vm.System, cores int, iters int, slicePages, touchPages uint64) Result {
-	bar := hw.NewBarrier(cores)
-	round := func(tc *hw.Ctx) uint64 {
+	return forkRounds(env, "clone", sys, cores, iters, slicePages, func(tc *hw.Ctx) uint64 {
 		c := tc.CPU()
-		id := c.ID()
-		lo := spread(id)
-		ch, err := sys.Fork(c)
-		mustNil(err)
-		var writes uint64
-		for v := lo; v < lo+touchPages; v++ {
-			mustNil(ch.Access(c, v, true)) // COW break in the child's slice
-			writes++
-		}
+		ch := fork(sys, c)
+		writes := touch(ch, c, spread(c.ID()), touchPages, true) // COW breaks in the child's slice
 		reap(c, ch, cores, slicePages)
 		return writes
-	}
-	warm := func(tc *hw.Ctx) uint64 {
-		// The template: each core maps and write-faults its own large slice,
-		// then one throwaway round settles first-fork one-time costs.
-		c := tc.CPU()
-		lo := spread(c.ID())
-		mustNil(sys.Mmap(c, lo, slicePages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
-		for v := lo; v < lo+slicePages; v++ {
-			mustNil(sys.Access(c, v, true))
-		}
-		tc.Wait(bar) // the whole template exists before the first fork
-		round(tc)
-		return 0
-	}
-	return run(env, "clone", sys, cores, warm, rounds(env, iters, round))
+	})
 }
 
-// rounds is the measured body of the fork workloads: iters rounds, Refcache
-// maintenance and a yield after each.
-func rounds(env *Env, iters int, round func(tc *hw.Ctx) uint64) func(tc *hw.Ctx) uint64 {
-	return func(tc *hw.Ctx) uint64 {
+// forkRounds runs a fork workload over a parent in which every core has
+// mapped and write-faulted its own pages-page region at spread(id). The warm
+// phase builds that parent, waits until every region exists, and runs one
+// throwaway round to settle first-fork one-time costs and every line the
+// loop touches; then iters measured rounds.
+func forkRounds(env *Env, name string, sys vm.System, cores, iters int, pages uint64, round func(tc *hw.Ctx) uint64) Result {
+	bar := hw.NewBarrier(cores)
+	warm := func(tc *hw.Ctx) {
 		c := tc.CPU()
-		var writes uint64
-		for k := 0; k < iters; k++ {
-			writes += round(tc)
-			env.RC.Maintain(c)
-			tc.Yield()
-		}
-		return writes
+		Populate(sys, c, spread(c.ID()), pages, pages)
+		tc.Wait(bar)
+		round(tc)
 	}
+	return run(env, name, sys, cores, warm, rounds(env, iters, round))
 }
 
 // reap tears down a forked child whose parent gave each of cores cores a
@@ -493,12 +441,6 @@ func reap(c *hw.CPU, ch vm.System, cores int, pages uint64) {
 		return
 	}
 	for id := 0; id < cores; id++ {
-		mustNil(ch.Munmap(c, spread(id), pages))
-	}
-}
-
-func mustNil(err error) {
-	if err != nil {
-		panic(err)
+		Check(ch, c, "munmap", spread(id), ch.Munmap(c, spread(id), pages))
 	}
 }

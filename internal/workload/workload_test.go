@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"radixvm/internal/bonsaivm"
@@ -335,4 +338,41 @@ func TestLocalCollapsesOnLinux(t *testing.T) {
 	if eight < one*2 {
 		t.Errorf("linux local did not collapse: per-op cost %0.0f -> %0.0f cycles", one, eight)
 	}
+}
+
+// segvOnce is a system whose nth Access on one core fails with ErrSegv.
+type segvOnce struct {
+	vm.System
+	core, n int
+}
+
+func (s *segvOnce) Access(c *hw.CPU, vpn uint64, write bool) error {
+	if c.ID() == s.core {
+		if s.n--; s.n == 0 {
+			return vm.ErrSegv
+		}
+	}
+	return s.System.Access(c, vpn, write)
+}
+
+// TestFailureNamesTheOp: a workload op that fails panics out of the
+// schedule with an error that wraps the op's and names the system, the core,
+// the op and its VPN, so the failing event can be found in a rerun.
+func TestFailureNamesTheOp(t *testing.T) {
+	env, alloc := newEnv(2)
+	sys := &segvOnce{System: vm.New(env.M, env.RC, alloc, nil), core: 1, n: 3}
+	defer func() {
+		err, ok := recover().(error)
+		if !ok || !errors.Is(err, vm.ErrSegv) {
+			t.Fatalf("recovered %v, want an error wrapping vm.ErrSegv", err)
+		}
+		// Core 1's third access is its third warm-up write of its one page.
+		for _, want := range []string{"radixvm", "core 1", "access", fmt.Sprintf("vpn %#x", spread(1))} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not name %q", err, want)
+			}
+		}
+	}()
+	Local(env, sys, 2, 5, 1)
+	t.Fatal("Local returned despite a failing access")
 }
