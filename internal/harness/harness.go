@@ -344,8 +344,6 @@ func FigScale(o Options) *Table {
 func Fig6(o Options) *Table {
 	return structureBench("Figure 6: skip list lookups/sec (millions)", o, []int{0, 1, 5},
 		func(m *hw.Machine) structure {
-			rc := refcache.New(m)
-			_ = rc
 			l := skiplist.New[int](m)
 			rng := rand.New(rand.NewSource(1))
 			seed := m.CPU(m.NCores() - 1)

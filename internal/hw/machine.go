@@ -43,7 +43,7 @@ type Config struct {
 	// "non-scalable": each additional target adds serialized cost at the
 	// sender. Like line transfers, delivery is two-tier: targets on the
 	// sender's socket cost IPIPerTarget/IPIAckWait, targets on another
-	// socket cost the Remote variants (zero means same as local).
+	// socket cost the Remote variants.
 	IPIBase            uint64 // fixed cost to initiate any shootdown
 	IPIPerTarget       uint64 // serialized delivery cost, same-socket target
 	IPIPerTargetRemote uint64 // serialized delivery cost, cross-socket target
@@ -103,14 +103,6 @@ func NewMachine(cfg Config) *Machine {
 	}
 	if cfg.CoresPerSocket <= 0 {
 		cfg.CoresPerSocket = 10
-	}
-	// Configs predating the two-tier IPI model pay the local cost
-	// everywhere.
-	if cfg.IPIPerTargetRemote == 0 {
-		cfg.IPIPerTargetRemote = cfg.IPIPerTarget
-	}
-	if cfg.IPIAckWaitRemote == 0 {
-		cfg.IPIAckWaitRemote = cfg.IPIAckWait
 	}
 	m := &Machine{cfg: cfg}
 	m.cpus = make([]*CPU, cfg.NCores)

@@ -21,20 +21,14 @@ type PageKey struct {
 // takes its own reference on top (refcache-counted sharers), so a frame
 // dies only when the cache has dropped the page (truncate) AND the last
 // mapping has unmapped it.
-//
-// The cache records the widest per-page sharer set any invalidation ever
-// observed (NoteSharers): on RadixVM that is a page's exact TLBCores set,
-// on the baselines the broadcast width — the number every
-// writeback/truncate shootdown actually paid for.
 type PageCache struct {
 	alloc *Allocator
 
 	mu    sync.Mutex
 	pages map[PageKey]*Frame
 
-	nextFile   uint64
-	fills      uint64 // pages ever brought into the cache
-	sharerHigh int    // widest per-page sharer set seen at invalidation
+	nextFile uint64
+	fills    uint64 // pages ever brought into the cache
 }
 
 // NewPageCache creates a page cache whose frames come from alloc.
@@ -105,22 +99,4 @@ func (pc *PageCache) Fills() uint64 {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	return pc.fills
-}
-
-// NoteSharers records the size of one page's sharer set as observed by an
-// invalidation pass, keeping the high-water mark.
-func (pc *PageCache) NoteSharers(n int) {
-	pc.mu.Lock()
-	if n > pc.sharerHigh {
-		pc.sharerHigh = n
-	}
-	pc.mu.Unlock()
-}
-
-// SharerHighWater returns the widest per-page sharer set any invalidation
-// observed.
-func (pc *PageCache) SharerHighWater() int {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.sharerHigh
 }

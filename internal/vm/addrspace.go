@@ -66,14 +66,6 @@ type AddressSpace struct {
 
 	active ActiveSet
 
-	// fileMaps is the per-space registry of live file-backed spans — the
-	// inverse map a writeback needs to find this space's translations of a
-	// file page. Host-side bookkeeping under its own mutex: no virtual
-	// cost, and never touched by anonymous-only workloads.
-	fileMu         sync.Mutex
-	fileMaps       []fileSpan
-	fileMapsShared bool // fileMaps' array is a fork relative's too: copy before writing
-
 	// revokeMu orders file-page revocations against Exit: a revoke holds
 	// the read side while it walks the tree, and Exit marks the space
 	// exited under the write side before releasing the tree, so a
@@ -167,7 +159,6 @@ func (as *AddressSpace) Mmap(cpu *hw.CPU, vpn, npages uint64, opts MapOpts) erro
 		r.Entry(i).SetClone(tmpl)
 	}
 	r.Unlock()
-	as.fileRemap(vpn, vpn+npages, opts.File, opts.Offset)
 	return nil
 }
 
@@ -187,7 +178,6 @@ func (as *AddressSpace) Munmap(cpu *hw.CPU, vpn, npages uint64) error {
 	r := as.tree.LockRange(cpu, vpn, vpn+npages)
 	as.unmapLocked(cpu, r)
 	r.Unlock()
-	as.fileRemap(vpn, vpn+npages, nil, 0)
 	return nil
 }
 
@@ -340,7 +330,7 @@ func (as *AddressSpace) faultOnce(cpu *hw.CPU, vpn uint64, k Kind, trapped bool)
 	switch {
 	case v.Frame == nil:
 		if v.Back.File != nil {
-			fr, ctr := v.Back.File.pageFor(cpu, v.Back.Offset+(vpn-v.Start), as)
+			fr, ctr := v.Back.File.pageFor(cpu, v.Back.Offset+(vpn-v.Start), holder{as, v.Start - v.Back.Offset})
 			if fr == nil {
 				return ErrSegv, false // past EOF: the offset was truncated away
 			}

@@ -39,7 +39,6 @@ func (as *AddressSpace) Fork(cpu *hw.CPU) (System, error) {
 	child.wireTree()
 	as.forkGen.Add(1)
 	as.mmu.Reset(cpu, as.activeSet())
-	as.fileShare(child)
 	return child, nil
 }
 

@@ -33,9 +33,9 @@ func drained(t *testing.T, w *world, c *hw.CPU, f *vm.File) {
 	if live, cached := w.alloc.Live(), int64(f.Cache().Pages()); live != cached {
 		t.Errorf("%d frames alive after every space exited, want the page cache's %d", live, cached)
 	}
-	revoked := f.RevokedPages()
+	revoked := f.Stats().Revoked
 	f.Writeback(c, 0, 1<<20)
-	if got := f.RevokedPages() - revoked; got != 0 {
+	if got := f.Stats().Revoked - revoked; got != 0 {
 		t.Errorf("a writeback after every space exited revoked %d translations, want 0", got)
 	}
 	if got := f.Holders(); got != 0 {
@@ -78,7 +78,7 @@ func TestHolderOracleFaultVsTruncate(t *testing.T) {
 				g.Sync(c)
 			}
 		})
-		if held := vm.CheckHolders(t, c0, sys.(*vm.AddressSpace)); held == 0 {
+		if held := vm.CheckHolders(t, c0, holdFile, holdFile+64, sys.(*vm.AddressSpace)); held == 0 {
 			t.Error("the space holds no file page after the race: the oracle checked nothing")
 		}
 		reap(t, c0, sys, holdFile, 64)
@@ -137,7 +137,7 @@ func TestHolderOracleWritebackVsForkCOWExit(t *testing.T) {
 				g.Sync(c)
 			}
 		})
-		if held := vm.CheckHolders(t, c0, alive...); held == 0 {
+		if held := vm.CheckHolders(t, c0, holdFile, holdFile+32, alive...); held == 0 {
 			t.Error("no live space holds a file page after the race: the oracle checked nothing")
 		}
 		for _, as := range alive {
@@ -173,7 +173,8 @@ func TestHolderOracleAfterFileServe(t *testing.T) {
 		r := workload.FileServe(&workload.Env{M: w.m, RC: w.rc}, rec, 8, w.alloc, cfg)
 		c0 := m0(w)
 		tmpl := sys.(*vm.AddressSpace)
-		f := tmpl.Lookup(c0, 1<<34).Back.File // FileServe's one mapping
+		const base = uint64(1) << 34 // FileServe's one mapping
+		f := tmpl.Lookup(c0, base).Back.File
 		alive := []*vm.AddressSpace{tmpl}
 		for _, kid := range rec.kids {
 			if !kid.Exited() {
@@ -183,7 +184,7 @@ func TestHolderOracleAfterFileServe(t *testing.T) {
 		if len(rec.kids) != cfg.Procs || len(alive) < 2 || r.RevokedPages == 0 {
 			t.Fatalf("%d children forked, %d spaces alive, %d translations revoked: the run checked nothing", len(rec.kids), len(alive), r.RevokedPages)
 		}
-		if held := vm.CheckHolders(t, c0, alive...); held == 0 {
+		if held := vm.CheckHolders(t, c0, base, base+cfg.FilePages, alive...); held == 0 {
 			t.Error("no resident space holds a file page: the oracle checked nothing")
 		}
 		for _, as := range alive {
@@ -265,7 +266,7 @@ func TestRevocationLeavesNoStaleTranslation(t *testing.T) {
 		check("truncate to 4", 4, npages)
 		read()
 		check("reads past the new EOF", 4, npages)
-		if held := vm.CheckHolders(t, c0, spaces...); held != 4 {
+		if held := vm.CheckHolders(t, c0, holdFile, holdFile+npages, spaces...); held != 4 {
 			t.Errorf("the spaces hold %d file pages, want the 4 below EOF that the first one reads", held)
 		}
 		for _, as := range spaces {
@@ -276,6 +277,84 @@ func TestRevocationLeavesNoStaleTranslation(t *testing.T) {
 		if got := f.Holders(); got != 0 {
 			t.Errorf("%d holder entries left by spaces that exited holding their pages, want 0", got)
 		}
+		drained(t, w, c0, f)
+	})
+}
+
+// TestRevocationFollowsEachPlacement, on both MMUs: one space maps a file at
+// three placements — A and B over the same offsets, C shifted by 8 — and a
+// Writeback of a window revokes exactly that window's pages through every
+// placement, leaving the rest cached. A placement the space later replaced
+// holds nothing a revocation may touch: neither anonymous memory mapped over
+// it nor the same file mapped there at other offsets.
+func TestRevocationFollowsEachPlacement(t *testing.T) {
+	const n = uint64(16)
+	over(t, bothMMUs(), 2, func(t *testing.T, w *world, sys vm.System, reap reaper) {
+		c0, c1 := m0(w), w.m.CPU(1)
+		as := sys.(*vm.AddressSpace)
+		f := vm.NewFile(w.alloc)
+		placements := []struct{ vpn, off uint64 }{{holdFile, 0}, {holdFile + 64, 0}, {holdFile + 128, 8}}
+		for _, p := range placements {
+			must(t, sys.Mmap(c0, p.vpn, n, vm.MapOpts{Prot: rw, File: f, Offset: p.off}))
+		}
+		readAll := func() {
+			t.Helper()
+			for _, p := range placements {
+				for i := uint64(0); i < n; i++ {
+					must(t, sys.Access(c1, p.vpn+i, false))
+				}
+			}
+		}
+		readAll()
+		const lo, hi = 4, 12 // the window, in file offsets
+		before := f.Stats()
+		f.Writeback(c0, lo, hi-lo)
+		if got, want := f.Stats().Revoked-before.Revoked, uint64(2*(hi-lo)+(hi-8)); got != want {
+			t.Errorf("a writeback of offsets [%d, %d) revoked %d translations, want %d: A's and B's 8, C's 4", lo, hi, got, want)
+		}
+		for _, p := range placements {
+			for i := uint64(0); i < n; i++ {
+				off := p.off + i
+				_, cached := as.MMU().TLB(c1.ID()).Lookup(p.vpn + i)
+				if in := off >= lo && off < hi; in == cached {
+					t.Errorf("placement at VPN %#x, offset %d: cached after the writeback = %v, want %v", p.vpn, off, cached, !in)
+				}
+			}
+		}
+		faults := c1.Stats().PageFaults
+		readAll()
+		if got := c1.Stats().PageFaults - faults; got != 20 {
+			t.Errorf("rereading every placement took %d faults, want the 20 revoked pages'", got)
+		}
+		for _, p := range placements {
+			if held := vm.CheckHolders(t, c0, p.vpn, p.vpn+n, as); held != int(n) {
+				t.Errorf("placement at VPN %#x holds %d file pages, want %d", p.vpn, held, n)
+			}
+		}
+
+		// A is replaced twice over, each time after faulting f through it:
+		// by anonymous memory, then by f at offsets no window below covers.
+		f.Writeback(c0, 0, 64)
+		a := placements[0].vpn
+		for _, remap := range []struct {
+			what string
+			opts vm.MapOpts
+		}{{"anonymous memory", vm.MapOpts{Prot: rw}}, {"f at offset 32", vm.MapOpts{Prot: rw, File: f, Offset: 32}}} {
+			must(t, sys.Mmap(c0, a, n, vm.MapOpts{Prot: rw, File: f}))
+			must(t, sys.Access(c1, a, false))
+			must(t, sys.Munmap(c0, a, n))
+			must(t, sys.Mmap(c0, a, n, remap.opts))
+			must(t, sys.Access(c1, a, true))
+			before := f.Stats()
+			f.Writeback(c0, 0, n)
+			if got := f.Stats().Revoked - before.Revoked; got != 0 {
+				t.Errorf("A remapped to %s: the writeback revoked %d translations, want 0", remap.what, got)
+			}
+			if _, cached := as.MMU().TLB(c1.ID()).Lookup(a); !cached || as.Lookup(c0, a).Frame == nil {
+				t.Errorf("A remapped to %s: the writeback took the new mapping's translation", remap.what)
+			}
+		}
+		reap(t, c0, sys, holdFile, 256)
 		drained(t, w, c0, f)
 	})
 }
@@ -320,9 +399,9 @@ func TestRevocationInterruptsOnceAcrossHolders(t *testing.T) {
 		want.Remove(c0.ID())
 		foldMail(w, c0.Now())
 		rounds, sent := c0.Stats().Shootdowns, c0.Stats().IPIsSent
-		visits := f.RevokeVisits()
+		visits := f.Stats().Visits
 		f.Writeback(c0, 0, window)
-		if got := f.RevokeVisits() - visits; got != 4 {
+		if got := f.Stats().Visits - visits; got != 4 {
 			t.Fatalf("the writeback visited %d spaces, want the 4 holders", got)
 		}
 		if got := c0.Stats().Shootdowns - rounds; got != 1 {
@@ -361,11 +440,11 @@ func TestRevocationAllocatesNothing(t *testing.T) {
 			foldMail(w, c0.Now())
 		}
 		cycle()
-		revoked := f.RevokedPages()
+		revoked := f.Stats().Revoked
 		if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
 			t.Errorf("a refault-and-revoke cycle over a 24-page hull: %v allocs, want 0", allocs)
 		}
-		if got := f.RevokedPages() - revoked; got != 21*24 {
+		if got := f.Stats().Revoked - revoked; got != 21*24 {
 			t.Errorf("the cycles revoked %d translations, want %d (24 pages each)", got, 21*24)
 		}
 	})
@@ -394,7 +473,7 @@ func revokeThreeHolders(t *testing.T, w *world, sys vm.System, _ reaper) {
 		}
 	}
 	foldMail(w, c0.Now())
-	revoked, visits := f.RevokedPages(), f.RevokeVisits()
+	before := f.Stats()
 	k := uint64(0)
 	allocs := testing.AllocsPerRun(windows-1, func() {
 		f.Writeback(c0, 64*k, 64)
@@ -403,10 +482,10 @@ func revokeThreeHolders(t *testing.T, w *world, sys vm.System, _ reaper) {
 	if allocs != 0 {
 		t.Errorf("a writeback across three holders' 24-page hulls: %v allocs, want 0", allocs)
 	}
-	if got := f.RevokeVisits() - visits; got != 3*windows {
+	if got := f.Stats().Visits - before.Visits; got != 3*windows {
 		t.Errorf("the writebacks visited %d spaces, want %d (3 holders each)", got, 3*windows)
 	}
-	if got := f.RevokedPages() - revoked; got != 3*24*windows {
+	if got := f.Stats().Revoked - before.Revoked; got != 3*24*windows {
 		t.Errorf("the writebacks revoked %d translations, want %d (24 pages in each of 3 spaces)", got, 3*24*windows)
 	}
 }

@@ -102,7 +102,7 @@ func TestRemapKeepsRegistryPlace(t *testing.T) {
 	}
 	touch()
 	f.Writeback(c0, 0, 1)
-	if got := f.RevokedPages(); got != 2 {
+	if got := f.Stats().Revoked; got != 2 {
 		t.Errorf("writeback revoked %d translations, want both spaces' (2)", got)
 	}
 	if f.Mappers() != 0 {
@@ -114,10 +114,10 @@ func TestRemapKeepsRegistryPlace(t *testing.T) {
 	}
 	for round, want := range [][2]uint64{{2 + 1, 2 + 2}, {2 + 1 + 1, 2 + 2 + 1}} {
 		f.Writeback(c0, 0, 1)
-		if got := f.RevokedPages(); got != want[0] {
+		if got := f.Stats().Revoked; got != want[0] {
 			t.Errorf("round %d: %d translations revoked in all, want %d (the second space's: the anonymous remap dropped the first's)", round, got, want[0])
 		}
-		if got := f.RevokeVisits(); got != want[1] {
+		if got := f.Stats().Visits; got != want[1] {
 			t.Errorf("round %d: %d spaces visited in all, want %d", round, got, want[1])
 		}
 		if err := second.Access(c1, 500, false); err != nil {

@@ -218,11 +218,8 @@ type File struct {
 	// baselines register, one space per live process at most.
 	mappers []FileMapper
 
-	writebacks uint64
-	truncates  uint64
-	revoked    uint64       // page translations invalidated across all spaces visited
-	visits     uint64       // spaces a revocation walked into
-	spare      *revokeBatch // the last revocation's batch, for the next one
+	stats FileStats
+	spare *revokeBatch // the last revocation's batch, for the next one
 
 	// altNew, when set, attaches a baseline reference counter (shared or
 	// SNZI) to each page for the Figure 8 comparison; the frame's native
@@ -234,20 +231,35 @@ type File struct {
 	pages map[uint64]*[filePagesPerChunk]filePage
 }
 
-// filePage is what a File keeps per page offset. holders are the RadixVM
-// spaces that took a frame of the page through pageFor and have not been
-// revoked since, in registration order. Revocation rests on one invariant: if
-// a live space's private mapping holds a frame of the page, the space is in
-// holders. A superset is legal and costs one wasted visit: a munmap leaves its
-// entry (the space may map the page twice), and if the space then exits, the
-// exited fence in revokeFile skips it. Every change of the set (pageFor,
-// takeHolders, dropHolder) is a write of line and a revocation's scan a read;
-// a membership hit on the fault path is part of pageFor's lookup, uncharged
-// as a whole (f.mu, the cache map, f.length: ROADMAP 3e).
+// filePage is what a File keeps per page offset. holders are the placements
+// through which RadixVM spaces took a frame of the page (pageFor) and have not
+// been revoked since, in registration order. Revocation rests on one
+// invariant: if a live space's private mapping holds a frame of the page, the
+// mapping's placement is in holders. A superset is legal and costs one wasted
+// visit: a munmap leaves its entry, and if the space then exits, the exited
+// fence in revokeFile skips it. Every change of the set of holder *spaces*
+// (pageFor, takeHolders, dropHolder) is a write of line and a revocation's
+// scan a read; a second placement of a space already in the set is uncharged
+// bookkeeping, like a membership hit on the fault path, which is part of
+// pageFor's lookup, uncharged as a whole (f.mu, the cache map, f.length:
+// ROADMAP 3e).
 type filePage struct {
 	line    hw.Line
-	holders []*AddressSpace
+	holders []holder
 	altCtr  counter.Counter
+}
+
+// holder is one placement of a file page in a RadixVM space: the space, and
+// vpn − offset of the mapping it faulted through (Mapping.Start −
+// Backing.Offset, mod 2⁶⁴), which names the VPN a revocation must clear.
+type holder struct {
+	as    *AddressSpace
+	delta uint64
+}
+
+// holds reports whether as is among hs.
+func holds(hs []holder, as *AddressSpace) bool {
+	return slices.ContainsFunc(hs, func(h holder) bool { return h.as == as })
 }
 
 const filePagesPerChunk = 64
@@ -296,13 +308,13 @@ func (f *File) Cache() *mem.PageCache { return f.pc }
 // Returns nil for an offset at or past the file's length (truncated away):
 // the fault becomes ErrSegv, as an access beyond EOF of a mapping would.
 func (f *File) Page(cpu *hw.CPU, off uint64) (*mem.Frame, counter.Counter) {
-	return f.pageFor(cpu, off, nil)
+	return f.pageFor(cpu, off, holder{})
 }
 
-// pageFor is Page for a RadixVM fault: holder joins the page's holder set
-// under the hold of f.mu that checks f.length, so a Truncate ordered after the
-// fault finds it there. The baselines (Page) are found through the registry.
-func (f *File) pageFor(cpu *hw.CPU, off uint64, holder *AddressSpace) (*mem.Frame, counter.Counter) {
+// pageFor is Page for a RadixVM fault: h joins the page's holder set under
+// the hold of f.mu that checks f.length, so a Truncate ordered after the fault
+// finds it there. The baselines (Page) are found through the registry.
+func (f *File) pageFor(cpu *hw.CPU, off uint64, h holder) (*mem.Frame, counter.Counter) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if off >= f.length {
@@ -310,48 +322,49 @@ func (f *File) pageFor(cpu *hw.CPU, off uint64, holder *AddressSpace) (*mem.Fram
 	}
 	fr, filled := f.pc.Page(cpu, mem.PageKey{File: f.id, Off: off})
 	f.pc.Allocator().IncRef(cpu, fr)
-	if holder == nil && f.altNew == nil {
+	if h.as == nil && f.altNew == nil {
 		return fr, nil
 	}
 	p := f.page(off, true)
 	if filled && f.altNew != nil {
 		p.altCtr = f.altNew()
 	}
-	if holder != nil && !slices.Contains(p.holders, holder) {
-		p.holders = append(p.holders, holder)
-		cpu.Write(&p.line)
+	if h.as != nil && !slices.Contains(p.holders, h) {
+		if !holds(p.holders, h.as) {
+			cpu.Write(&p.line)
+		}
+		p.holders = append(p.holders, h)
 	}
 	return fr, p.altCtr
 }
 
-// dropHolder removes an exiting space from off's holder set.
+// dropHolder removes an exiting space, every placement of it, from off's
+// holder set.
 func (f *File) dropHolder(cpu *hw.CPU, off uint64, as *AddressSpace) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	p := f.page(off, false)
-	if p == nil {
-		return
-	}
-	if i := slices.Index(p.holders, as); i >= 0 {
-		p.holders = slices.Delete(p.holders, i, i+1)
+	if p != nil && holds(p.holders, as) {
+		p.holders = slices.DeleteFunc(p.holders, func(h holder) bool { return h.as == as })
 		cpu.Write(&p.line)
 	}
 }
 
-// holderVisit is one space a revocation walks into, over the hull of the
-// offsets it held: its range lock covers the pages it faulted, not the window.
+// holderVisit is one placement a revocation walks into, over the hull of the
+// offsets held through it: its range lock covers the pages it faulted, not
+// the window.
 type holderVisit struct {
-	as     *AddressSpace
+	holder
 	lo, hi uint64
 }
 
 // takeHolders empties the holder sets of the pages in [lo, hi) into a batch's
-// visits — the file's spare batch if it has one —, one per distinct space, in
-// ascending offset and then registration order (the revocation follows it, so
-// it feeds the virtual clock). A fault that registers after the take waits for
-// the next revocation; one that registered before but has not stored its frame
-// yet holds its page lock, which the visit's LockRange waits for. The caller
-// holds f.mu.
+// visits — the file's spare batch if it has one —, one per distinct placement,
+// in ascending offset and then registration order (the revocation follows it,
+// so it feeds the virtual clock). A fault that registers after the take waits
+// for the next revocation; one that registered before but has not stored its
+// frame yet holds its page lock, which the visit's LockRange waits for. The
+// caller holds f.mu.
 func (f *File) takeHolders(cpu *hw.CPU, lo, hi uint64) *revokeBatch {
 	b := f.spare
 	if f.spare = nil; b == nil {
@@ -379,10 +392,10 @@ func (f *File) takeHolders(cpu *hw.CPU, lo, hi uint64) *revokeBatch {
 				continue
 			}
 			cpu.Write(&p.line)
-			for _, as := range p.holders {
-				at := slices.IndexFunc(visits, func(v holderVisit) bool { return v.as == as })
+			for _, h := range p.holders {
+				at := slices.IndexFunc(visits, func(v holderVisit) bool { return v.holder == h })
 				if at < 0 {
-					visits = append(visits, holderVisit{as: as, lo: off, hi: off + 1})
+					visits = append(visits, holderVisit{holder: h, lo: off, hi: off + 1})
 				} else {
 					visits[at].hi = off + 1 // offsets ascend
 				}
@@ -458,7 +471,7 @@ func (f *File) snapshotMappers() []FileMapper {
 func (f *File) Writeback(cpu *hw.CPU, off, n uint64) {
 	cpu.Tick(LinuxSyscallCost)
 	f.mu.Lock()
-	f.writebacks++
+	f.stats.Writebacks++
 	b := f.takeHolders(cpu, off, off+n)
 	f.mu.Unlock()
 	f.revoke(cpu, b, off, off+n)
@@ -472,7 +485,7 @@ func (f *File) Writeback(cpu *hw.CPU, off, n uint64) {
 func (f *File) Truncate(cpu *hw.CPU, newLen uint64) {
 	cpu.Tick(LinuxSyscallCost)
 	f.mu.Lock()
-	f.truncates++
+	f.stats.Truncates++
 	if newLen < f.length {
 		f.length = newLen
 	}
@@ -486,14 +499,14 @@ func (f *File) Truncate(cpu *hw.CPU, newLen uint64) {
 	}
 }
 
-// revoke invalidates the translations of f's pages in [lo, hi): in the RadixVM
-// spaces that held some (b's visits), each over its hull, with one interrupt
-// round to the union of the pages' sharers once every visit has cleared
-// (revokeBatch.flush); then in every registered mapper over the window — the
-// baselines, which broadcast over every core using each mapping space.
+// revoke invalidates the translations of f's pages in [lo, hi): through the
+// RadixVM placements that held some (b's visits), each over its hull, with one
+// interrupt round to the union of the pages' sharers once every visit has
+// cleared (revokeBatch.flush); then in every registered mapper over the window
+// — the baselines, which broadcast over every core using each mapping space.
 func (f *File) revoke(cpu *hw.CPU, b *revokeBatch, lo, hi uint64) {
 	for _, v := range b.visits {
-		f.noteRevoke(v.as.revokeFile(cpu, f, v.lo, v.hi, b))
+		f.noteRevoke(v.as.revokeFile(cpu, f, v.delta, v.lo+v.delta, v.hi+v.delta, b))
 	}
 	b.flush(cpu, f.pc.Allocator())
 	f.mu.Lock()
@@ -505,43 +518,27 @@ func (f *File) revoke(cpu *hw.CPU, b *revokeBatch, lo, hi uint64) {
 }
 
 func (f *File) noteRevoke(revoked, sharers int) {
-	if sharers > 0 {
-		f.pc.NoteSharers(sharers)
-	}
 	f.mu.Lock()
-	f.revoked += uint64(revoked)
-	f.visits++
+	f.stats.Revoked += uint64(revoked)
+	f.stats.Visits++
+	f.stats.SharerHigh = max(f.stats.SharerHigh, sharers)
 	f.mu.Unlock()
 }
 
-// Writebacks returns the number of Writeback calls.
-func (f *File) Writebacks() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.writebacks
+// FileStats is what a file's writebacks and truncates did.
+type FileStats struct {
+	Writebacks uint64
+	Truncates  uint64
+	Revoked    uint64 // page translations invalidated across all spaces visited
+	Visits     uint64 // visits revocations made, empty-handed or not
+	SharerHigh int    // widest per-page sharer set a revocation saw
 }
 
-// Truncates returns the number of Truncate calls.
-func (f *File) Truncates() uint64 {
+// Stats returns the file's revocation statistics.
+func (f *File) Stats() FileStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.truncates
-}
-
-// RevokedPages returns the total page translations invalidated by
-// writebacks and truncates across all mapping spaces.
-func (f *File) RevokedPages() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.revoked
-}
-
-// RevokeVisits returns how many spaces revocations walked into, empty-handed
-// or not.
-func (f *File) RevokeVisits() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.visits
+	return f.stats
 }
 
 // Backing identifies what is behind a mapping.

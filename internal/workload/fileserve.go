@@ -217,19 +217,19 @@ func FileServe(env *Env, sys vm.System, cores int, alloc *mem.Allocator, cfg Fil
 	env.RC.FlushAll()
 	env.RC.FlushAll()
 
-	res := run.result("filemap")
+	res, fs := run.result("filemap"), file.Stats()
 	return FileServeResult{
 		Result:          res,
 		Spawns:          uint64(cfg.Procs),
 		Faults:          res.Stats.PageFaults,
-		Writebacks:      file.Writebacks(),
-		Truncates:       file.Truncates(),
-		RevokedPages:    file.RevokedPages(),
+		Writebacks:      fs.Writebacks,
+		Truncates:       fs.Truncates,
+		RevokedPages:    fs.Revoked,
 		WritebackIPIs:   wbIPIs,
 		WritebackRounds: wbRounds,
 		TickerCycles:    wbCycles,
-		RevokeVisits:    file.RevokeVisits(),
-		SharerHigh:      file.Cache().SharerHighWater(),
+		RevokeVisits:    fs.Visits,
+		SharerHigh:      fs.SharerHigh,
 		CacheFills:      file.Cache().Fills(),
 		CachePages:      file.Cache().Pages(),
 		LiveHigh:        run.pool.liveHigh,

@@ -265,10 +265,10 @@ func TestWritebackCostTracksHoldersNotMappers(t *testing.T) {
 		file.Writeback(c0, 0, 16)
 		cycles = c0.Now() - now
 		runtime.ReadMemStats(&after)
-		if got := file.RevokedPages(); got != 32 {
+		if got := file.Stats().Revoked; got != 32 {
 			t.Fatalf("%d idle children: writeback revoked %d translations, want 32", idle, got)
 		}
-		return cycles, after.Mallocs - before.Mallocs, file.RevokeVisits()
+		return cycles, after.Mallocs - before.Mallocs, file.Stats().Visits
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	// The Go runtime may start an OS thread inside a measured Writeback, and
