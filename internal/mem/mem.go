@@ -19,26 +19,24 @@ import (
 // PageSize is the machine's base page size in bytes.
 const PageSize = 4096
 
-// Frame is one physical page. Its reference count lives in Obj; the actual
-// byte contents are allocated lazily (only workloads that compute on data,
-// such as Metis, materialize them).
+// Frame is one physical page. Its reference count is an embedded
+// refcache.Obj; the actual byte contents are allocated lazily (only
+// workloads that compute on data, such as Metis, materialize them).
 //
-// The count's Obj is embedded in the frame and reinitialized (via
-// refcache.InitObj) on each trip through the allocator, so allocating a
-// recycled frame touches no heap at all — the last allocation on the
-// page-fault path. Frames never hand out weak references that outlive a
-// lifetime, which is what makes the reuse sound (see InitObj).
+// The count is reinitialized (via refcache.InitObj) on each trip through the
+// allocator, so allocating a recycled frame touches no heap at all — the
+// last allocation on the page-fault path. Frames never hand out weak
+// references that outlive a lifetime, which is what makes the reuse sound
+// (see InitObj). While the frame sits on a free list its count is dead, so
+// a reference count adjusted on it panics as a use-after-free.
 //
 // A frame is an element of one of the allocator's chunks and never moves or
 // goes away once created, so a *Frame held across any number of later Allocs
-// stays the frame ByPFN returns for its PFN.
+// stays the frame ByPFN returns for its PFN. Every workload fault can create
+// one, so its size is the simulator's main host-memory cost (TestFrameStaysSmall).
 type Frame struct {
-	PFN  uint64        // physical frame number
-	Home int           // core whose free list owns this frame
-	Obj  *refcache.Obj // &obj while allocated; nil while on a free list
-	obj  refcache.Obj  // embedded count, reinitialized per lifetime
-	data []byte        // lazily materialized contents
-	line hw.Line       // the frame's first data line (write tracking)
+	PFN  uint64 // physical frame number
+	Home int32  // core whose free list owns this frame
 
 	// cowShares counts the copy-on-write mappings currently referencing
 	// this frame — the role struct page's mapcount plays in a real COW
@@ -46,15 +44,19 @@ type Frame struct {
 	// which is fine because it is touched only by fork, COW breaks, and
 	// unmaps of still-COW pages, never by the per-access hot path.
 	cowShares atomic.Int32
+
+	obj  refcache.Obj    // embedded count, reinitialized per lifetime
+	data *[PageSize]byte // lazily materialized contents
+	line hw.Line         // the frame's first data line (write tracking)
 }
 
 // Data returns the frame's backing bytes, materializing them on first use.
 // Only call from the core currently holding a reference.
 func (f *Frame) Data() []byte {
 	if f.data == nil {
-		f.data = make([]byte, PageSize)
+		f.data = new([PageSize]byte)
 	}
-	return f.data
+	return f.data[:]
 }
 
 // CopyFrom copies src's materialized contents into f — the data half of a
@@ -67,7 +69,7 @@ func (f *Frame) CopyFrom(src *Frame) {
 	if src.data == nil {
 		return
 	}
-	copy(f.Data(), src.data)
+	copy(f.Data(), src.data[:])
 }
 
 // AddCOWShares records n more copy-on-write mappings of f (fork: parent and
@@ -93,7 +95,12 @@ func (f *Frame) DropCOWShare(cpu *hw.CPU) {
 // shorter than the two Refcache epochs a frame needs to recycle creates one
 // frame per fault, and one heap object (plus a slot in a reallocating
 // pointer slice) per frame was most of what such a run allocated.
-const frameChunk = 64
+//
+// A chunk holds pointers, so the Go runtime puts an 8-byte malloc header in
+// front of it and bills it at the next size class up. The count fills the
+// 16 KiB class: 73 × 224 B + 8 B = 16 360 B of 16 384 (64 frames would
+// waste 2 040 B; TestFrameChunkFillsItsSizeClass holds it).
+const frameChunk = 73
 
 // Allocator hands out reference-counted frames with per-core free lists.
 // Frames are created in chunks of frameChunk: a new frame is the next unused
@@ -162,19 +169,18 @@ func (a *Allocator) Alloc(cpu *hw.CPU) *Frame {
 			a.chunks = append(a.chunks, new([frameChunk]Frame))
 		}
 		f = &a.chunks[n/frameChunk][n%frameChunk]
-		f.PFN, f.Home = n+1, id
+		f.PFN, f.Home = n+1, int32(id)
 		a.totals.Store(int64(n + 1))
 		a.regMu.Unlock()
 	}
 	a.rc.InitObj(&f.obj, 1, a.freeFn)
 	f.obj.Data = f
-	f.Obj = &f.obj
 	f.cowShares.Store(0)
 	if f.data != nil {
 		// The zeroing this call charges below must be real for recycled
 		// frames with materialized contents, or a new lifetime would read
 		// the previous one's bytes.
-		clear(f.data)
+		clear(f.data[:])
 	}
 	cpu.Tick(a.pageZero)
 	cpu.Stats().PagesZeroed++
@@ -183,21 +189,20 @@ func (a *Allocator) Alloc(cpu *hw.CPU) *Frame {
 }
 
 // IncRef takes an additional reference to f on cpu.
-func (a *Allocator) IncRef(cpu *hw.CPU, f *Frame) { a.rc.Inc(cpu, f.Obj) }
+func (a *Allocator) IncRef(cpu *hw.CPU, f *Frame) { a.rc.Inc(cpu, &f.obj) }
 
 // DecRef drops a reference to f on cpu. When the true count reaches zero,
 // Refcache returns the frame to its home free list within two epochs.
-func (a *Allocator) DecRef(cpu *hw.CPU, f *Frame) { a.rc.Dec(cpu, f.Obj) }
+func (a *Allocator) DecRef(cpu *hw.CPU, f *Frame) { a.rc.Dec(cpu, &f.obj) }
 
 // release returns a dead frame to its home free list. Freeing from a
 // different core models the "return freed pages to their home nodes"
 // synchronization the paper observes in the pipeline benchmark.
 func (a *Allocator) release(cpu *hw.CPU, f *Frame) {
 	fl := &a.lists[f.Home]
-	if cpu.ID() != f.Home {
+	if cpu.ID() != int(f.Home) {
 		cpu.Write(&f.line)
 	}
-	f.Obj = nil
 	fl.mu.Lock()
 	fl.frames = append(fl.frames, f)
 	fl.mu.Unlock()

@@ -1,8 +1,10 @@
 package mem
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"radixvm/internal/hw"
 	"radixvm/internal/refcache"
@@ -77,7 +79,7 @@ func TestByPFNAcrossChunks(t *testing.T) {
 	frames := make([]*Frame, 0, n)
 	for i := 0; i < n; i++ {
 		f := a.Alloc(m.CPU(i % 2))
-		if f.PFN != uint64(i+1) || f.Home != i%2 {
+		if f.PFN != uint64(i+1) || int(f.Home) != i%2 {
 			t.Fatalf("frame %d: PFN %d, Home %d", i, f.PFN, f.Home)
 		}
 		frames = append(frames, f)
@@ -112,7 +114,7 @@ func TestFramesNeverMove(t *testing.T) {
 			t.Fatalf("frame %d moved: Alloc returned %p, ByPFN now returns %p", i+1, f, got)
 		}
 	}
-	if early[0].Data()[0] != 42 || early[0].Obj == nil {
+	if early[0].Data()[0] != 42 || early[0].obj.Freed() {
 		t.Error("an early frame lost its state to later allocations")
 	}
 }
@@ -220,7 +222,7 @@ func TestAllocRecycledFrameZeroAlloc(t *testing.T) {
 	}
 	got := testing.AllocsPerRun(200, func() {
 		f := a.Alloc(c)
-		if f.Obj == nil || f.Obj.Freed() {
+		if f.obj.Freed() {
 			t.Fatal("recycled frame has no live count")
 		}
 		a.DecRef(c, f)
@@ -233,5 +235,63 @@ func TestAllocRecycledFrameZeroAlloc(t *testing.T) {
 	}
 	if created := a.Created(); created != 1 {
 		t.Errorf("Created = %d, want 1 (every cycle reused the same frame)", created)
+	}
+}
+
+// A released frame's count is dead until the frame's next Alloc: a count
+// adjusted on it is a use-after-free, and it must panic under refcache's
+// name for it rather than revive the count or corrupt another frame's.
+func TestRefOnReleasedFramePanics(t *testing.T) {
+	m, rc, a := newAlloc(2)
+	f := a.Alloc(m.CPU(0))
+	a.DecRef(m.CPU(0), f)
+	quiesce(rc)
+	if a.Live() != 0 {
+		t.Fatal("setup: frame not released")
+	}
+	for name, op := range map[string]func(){
+		"IncRef": func() { a.IncRef(m.CPU(1), f) },
+		"DecRef": func() { a.DecRef(m.CPU(1), f) },
+	} {
+		func() {
+			defer func() {
+				const want = "refcache: Inc/Dec on dead object (core 1)"
+				if got := recover(); got != want {
+					t.Errorf("%s on a released frame: panic %v, want %q", name, got, want)
+				}
+			}()
+			op()
+		}()
+	}
+}
+
+// Every fault of a short run can create a frame, so a frame's size is most
+// of what such a run allocates on the host.
+func TestFrameStaysSmall(t *testing.T) {
+	if size := unsafe.Sizeof(Frame{}); size > 224 {
+		t.Errorf("Frame is %d bytes, want <= 224", size)
+	}
+	if size := unsafe.Sizeof(refcache.Obj{}); size > 152 {
+		t.Errorf("refcache.Obj is %d bytes, want <= 152", size)
+	}
+}
+
+// A chunk of frames is billed at its runtime size class, malloc header
+// included: a field that grows Frame can tip a chunk into the next class
+// and bill every frame for bytes it never uses. The heap bytes a run of
+// fresh frames costs must stay within 2 % of the frames themselves.
+func TestFrameChunkFillsItsSizeClass(t *testing.T) {
+	m, _, a := newAlloc(1)
+	c := m.CPU(0)
+	const n = 64 * frameChunk
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		a.Alloc(c)
+	}
+	runtime.ReadMemStats(&after)
+	perFrame := float64(after.TotalAlloc-before.TotalAlloc) / n
+	if size := float64(unsafe.Sizeof(Frame{})); perFrame > 1.02*size {
+		t.Errorf("a fresh frame costs %.1f heap bytes, want <= %.1f (1.02 x its %.0f-byte size)", perFrame, 1.02*size, size)
 	}
 }

@@ -261,7 +261,7 @@ func releaseContents[V any](cpu *hw.CPU, n *node[V]) {
 		}
 		used++
 		if st.child != nil {
-			if obj := t.rc.TryGet(cpu, st.child.Weak()); obj != nil {
+			if obj := t.rc.TryGet(cpu, st.child); obj != nil {
 				child := obj.Data.(*node[V])
 				t.dropLink(cpu, child)
 				t.rc.Dec(cpu, obj)

@@ -11,8 +11,9 @@ import "radixvm/internal/hw"
 // is zero, meaning no traversal pins and no used slots, so no reader can
 // hold the node itself. Stale slotState pointers may still reference the
 // node's *refcache.Obj, but every incarnation gets a fresh Obj (and thus a
-// fresh weak reference), so a TryGet through a stale link can only fail —
-// it can never resurrect the recycled memory under its new identity.
+// fresh weak state word), and a dead Obj's word stays dead, so a TryGet
+// through a stale link can only fail — it can never resurrect the recycled
+// memory under its new identity.
 
 // poolCap bounds each CPU's free list; beyond it nodes fall back to the GC.
 const poolCap = 64

@@ -740,7 +740,7 @@ func storePlain[V any](p *atomic.Pointer[slotState[V]], st *slotState[V]) {
 // rewritten under its new slot's bit), so dereferencing a value obtained
 // without the slot's lock yields a point-in-time snapshot only.
 type slotState[V any] struct {
-	child   *refcache.Obj // Data holds the *node[V]
+	child   *refcache.Obj // Data holds the *node[V]; the weak reference TryGet pins through
 	val     *V
 	carrier *valCarrier[V] // non-nil when this state is carrier-backed
 }
@@ -985,10 +985,11 @@ func checkRange(lo, hi uint64) {
 }
 
 // loadChild resolves a slot's child link by taking a traversal pin through
-// the weak reference. It returns the pinned node, or nil if the child is
-// dead (in which case the caller sees the slot as empty after cleanup).
+// the child's weak reference (its Obj's state word). It returns the pinned
+// node, or nil if the child is dead (in which case the caller sees the slot
+// as empty after cleanup).
 func (t *Tree[V]) loadChild(cpu *hw.CPU, n *node[V], idx int, st *slotState[V]) *node[V] {
-	obj := t.rc.TryGet(cpu, st.child.Weak())
+	obj := t.rc.TryGet(cpu, st.child)
 	if obj == nil {
 		// The child died. Whoever swings the slot to nil does the
 		// parent accounting; the loser simply moves on.

@@ -11,10 +11,11 @@
 // only if the count is still zero — and was never non-zero in between (no
 // "dirty zero") — two epoch boundaries later is the object freed.
 //
-// Weak references support revival: a weak reference is a pointer plus a
-// "dying" bit. TryGet atomically clears the dying bit and increments the
-// count, reviving an object whose global count touched zero; the freeing
-// path clears the pointer and the dying bit together, and whichever CAS
+// Weak references support revival: the paper's weak reference is a tagged
+// pointer — a pointer plus a "dying" bit — and here it is a fixed Obj plus
+// one state word in it (dead, alive or dying). TryGet atomically clears the
+// dying bit and increments the count, reviving an object whose global count
+// touched zero; the freeing path swings dying to dead, and whichever CAS
 // wins the race decides the object's fate — exactly the paper's Figure 2.
 //
 // Unlike sloppy counters or SNZI, space is O(objects + cores), not
@@ -125,11 +126,9 @@ type Obj struct {
 	refcnt   int64 // global reference count
 	dirty    bool  // became non-zero while on a review queue
 	onReview bool
-	weak     Weak                // back-referencing weak state (always present)
-	weak0    weakState           // the (obj, alive) state, embedded so NewObj is one allocation
-	weak1    weakState           // the (obj, dying) state; flipping the dying bit swaps pointers, no allocation
+	weak     atomic.Uint32       // weak-reference state: weakDead, weakAlive or weakDying
+	weakLine hw.Line             // the weak state's cache line
 	free     func(*hw.CPU, *Obj) // invoked exactly once when truly dead
-	freed    atomic.Bool
 }
 
 // NewObj creates an object with the given initial global count. free, if
@@ -137,11 +136,11 @@ type Obj struct {
 // zero (and no TryGet revived the object). It runs with the object's lock
 // held, on the goroutine performing epoch maintenance.
 //
-// Construction is a single allocation: the initial weak state is embedded
-// in the object rather than heap-allocated, which matters to callers that
-// create objects on hot paths (one per radix-tree node, including nodes
-// recycled through the per-CPU pools — each recycled node still gets a
-// fresh Obj, so stale weak references can never resurrect a recycled node).
+// Construction is a single allocation: the weak state is a word in the
+// object, which matters to callers that create objects on hot paths (one per
+// radix-tree node, including nodes recycled through the per-CPU pools —
+// each recycled node still gets a fresh Obj, so stale weak references can
+// never resurrect a recycled node).
 func (rc *Refcache) NewObj(initial int64, free func(*hw.CPU, *Obj)) *Obj {
 	o := &Obj{}
 	rc.InitObj(o, initial, free)
@@ -173,16 +172,10 @@ func (rc *Refcache) InitObj(o *Obj, initial int64, free func(*hw.CPU, *Obj)) {
 	o.dirty = false
 	o.onReview = false
 	o.free = free
-	o.freed.Store(false)
 	o.line.Reset()
-	o.weak.line.Reset()
-	o.weak0 = weakState{obj: o}
-	o.weak1 = weakState{obj: o, dying: true}
-	o.weak.state.Store(&o.weak0)
+	o.weakLine.Reset()
+	o.weak.Store(weakAlive)
 }
-
-// Weak returns the object's weak reference, from which TryGet can revive it.
-func (o *Obj) Weak() *Weak { return &o.weak }
 
 // GlobalCount returns the object's current global count (diagnostic; the
 // true count also includes unflushed per-core deltas).
@@ -192,8 +185,9 @@ func (o *Obj) GlobalCount() int64 {
 	return o.refcnt
 }
 
-// Freed reports whether the object's free callback has run.
-func (o *Obj) Freed() bool { return o.freed.Load() }
+// Freed reports whether the object is dead: its deletion CAS has won and
+// its free callback has run, or is running under its lock.
+func (o *Obj) Freed() bool { return o.weak.Load() == weakDead }
 
 func (rc *Refcache) slot(cpu *hw.CPU, o *Obj) *entry {
 	cs := &rc.cores[cpu.ID()].coreStateData
@@ -220,7 +214,7 @@ func (rc *Refcache) adjust(cpu *hw.CPU, o *Obj, d int64) {
 		// Checked where the core starts caching o, not on every hit (the
 		// hottest path there is): the cache is emptied every epoch, so a
 		// dead reference still in use gets here within one.
-		if o.freed.Load() {
+		if o.Freed() {
 			panicDead(cpu)
 		}
 		if e.obj != nil && e.delta != 0 {
@@ -235,10 +229,10 @@ func (rc *Refcache) adjust(cpu *hw.CPU, o *Obj, d int64) {
 }
 
 // panicDead reports a count adjusted through a reference that no longer
-// holds anything: a nil object (an owner that clears its pointer when the
-// object dies, as a released frame does) or one whose free callback has run.
-// Either is a use-after-free in the caller; naming it here beats the nil
-// dereference it used to surface as a few frames further down.
+// holds anything: a nil object or one that is dead (a released frame's
+// embedded count is, until the frame's next Alloc). Either is a
+// use-after-free in the caller; naming it here beats the nil dereference or
+// silent resurrection it would otherwise surface as.
 func panicDead(cpu *hw.CPU) {
 	panic(fmt.Sprintf("refcache: Inc/Dec on dead object (core %d)", cpu.ID()))
 }
@@ -255,7 +249,7 @@ func (rc *Refcache) evict(cpu *hw.CPU, o *Obj, delta int64) {
 		if !o.onReview {
 			o.dirty = false
 			o.onReview = true
-			o.weak.setDying(cpu, true)
+			o.setDying(cpu, true)
 			cs := &rc.cores[cpu.ID()]
 			cs.review = append(cs.review, reviewEntry{obj: o, epoch: rc.epoch.Load()})
 		}
@@ -342,19 +336,16 @@ func (rc *Refcache) reviewCore(cpu *hw.CPU) {
 		o.onReview = false
 		switch {
 		case o.refcnt != 0:
-			o.weak.setDying(cpu, false)
-		case o.dirty || !o.weak.tryKill(cpu, o):
+			o.setDying(cpu, false)
+		case o.dirty || !o.tryKill(cpu):
 			// Dirty zero, or a TryGet revived the object between
 			// our zero detection and now: review again later.
 			o.dirty = false
 			o.onReview = true
-			o.weak.setDying(cpu, true)
+			o.setDying(cpu, true)
 			q[w] = reviewEntry{obj: o, epoch: now}
 			w++
 		default:
-			if o.freed.Swap(true) {
-				panic("refcache: double free")
-			}
 			if o.free != nil {
 				o.free(cpu, o)
 			}

@@ -3,6 +3,7 @@ package refcache
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -140,7 +141,7 @@ func TestDirtyZeroDelaysFree(t *testing.T) {
 func TestWeakTryGetAlive(t *testing.T) {
 	m, rc := newTestRC(2)
 	o := rc.NewObj(1, nil)
-	got := rc.TryGet(m.CPU(1), o.Weak())
+	got := rc.TryGet(m.CPU(1), o)
 	if got != o {
 		t.Fatalf("TryGet = %v, want the object", got)
 	}
@@ -154,7 +155,7 @@ func TestWeakRevival(t *testing.T) {
 	o := rc.NewObj(1, nil)
 	rc.Dec(m.CPU(0), o)
 	rc.FlushAll() // queued, dying bit set
-	got := rc.TryGet(m.CPU(1), o.Weak())
+	got := rc.TryGet(m.CPU(1), o)
 	if got != o {
 		t.Fatal("TryGet failed to revive a dying object")
 	}
@@ -168,7 +169,7 @@ func TestWeakRevival(t *testing.T) {
 	if !o.Freed() {
 		t.Fatal("object not freed after revival reference dropped")
 	}
-	if rc.TryGet(m.CPU(0), o.Weak()) != nil {
+	if rc.TryGet(m.CPU(0), o) != nil {
 		t.Fatal("TryGet returned a freed object")
 	}
 }
@@ -178,12 +179,12 @@ func TestTryGetPureReadWhenHealthy(t *testing.T) {
 	o := rc.NewObj(1, nil)
 	// Warm each core's cache of the weak line.
 	for i := 0; i < 4; i++ {
-		rc.TryGet(m.CPU(i), o.Weak())
+		rc.TryGet(m.CPU(i), o)
 	}
 	m.ResetStats()
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 100; j++ {
-			rc.TryGet(m.CPU(i), o.Weak())
+			rc.TryGet(m.CPU(i), o)
 		}
 	}
 	if tr := m.TotalStats().Transfers; tr != 0 {
@@ -262,13 +263,14 @@ func TestConcurrentIncDecStress(t *testing.T) {
 
 func TestConcurrentTryGetVsFree(t *testing.T) {
 	// Race TryGet against the reclamation path; the winner is decided by
-	// the dying-bit CAS and there must never be a double free (panics).
+	// the CAS on the weak state word and the object is freed exactly once.
 	// Each simulated core is driven by exactly one goroutine.
 	const rounds = 100
 	m, rc := newTestRC(2)
 	epoch := m.Config().EpochCycles
 	for r := 0; r < rounds; r++ {
-		o := rc.NewObj(1, nil)
+		var frees atomic.Int32
+		o := rc.NewObj(1, func(*hw.CPU, *Obj) { frees.Add(1) })
 		rc.Dec(m.CPU(0), o)
 		rc.FlushAll() // queued, dying bit set
 		var got *Obj
@@ -277,7 +279,7 @@ func TestConcurrentTryGetVsFree(t *testing.T) {
 		go func() { // core 1: attempt revival, then run epochs
 			defer wg.Done()
 			c := m.CPU(1)
-			got = rc.TryGet(c, o.Weak())
+			got = rc.TryGet(c, o)
 			for i := 0; i < 20; i++ {
 				c.Tick(epoch)
 				rc.Maintain(c)
@@ -299,8 +301,8 @@ func TestConcurrentTryGetVsFree(t *testing.T) {
 			rc.Dec(m.CPU(1), got)
 		}
 		flushEpochs(rc, 6)
-		if !o.Freed() {
-			t.Fatalf("round %d: object leaked", r)
+		if n := frees.Load(); !o.Freed() || n != 1 {
+			t.Fatalf("round %d: freed %d times, want 1", r, n)
 		}
 	}
 }
@@ -332,7 +334,7 @@ func TestTrueCountConservationQuick(t *testing.T) {
 			case model[i] == dead:
 				// A freed object is only reachable weakly, and
 				// TryGet must refuse it.
-				if rc.TryGet(c, objs[i].Weak()) != nil {
+				if rc.TryGet(c, objs[i]) != nil {
 					return false
 				}
 			case model[i] == 0:
@@ -340,7 +342,7 @@ func TestTrueCountConservationQuick(t *testing.T) {
 				// way back up is through the weak reference
 				// (a direct Inc on a zero-count object is a
 				// use-after-free).
-				if got := rc.TryGet(c, objs[i].Weak()); got != nil {
+				if got := rc.TryGet(c, objs[i]); got != nil {
 					model[i]++
 				} else {
 					model[i] = dead
@@ -396,8 +398,8 @@ func TestNewSizedValidation(t *testing.T) {
 	NewSized(m, 3)
 }
 
-// A count adjusted through a dead reference — nil, as a released frame's
-// Obj is, or an object whose free callback already ran — is a use-after-free
+// A count adjusted through a dead reference — nil, or an object whose free
+// callback already ran, as a released frame's count has — is a use-after-free
 // in the caller. It must fail under its own name and say which core did it,
 // not as a nil dereference inside the delta cache.
 func TestIncDecOnDeadObjectPanicsByName(t *testing.T) {
@@ -423,5 +425,77 @@ func TestIncDecOnDeadObjectPanicsByName(t *testing.T) {
 			}()
 			op()
 		}()
+	}
+}
+
+// The deletion CAS is the only way out of a lifetime: once it has won, no
+// setDying or second kill can bring the state word back, and only InitObj
+// starts a new lifetime — which can again be killed exactly once.
+func TestTryKillSucceedsOncePerLifetime(t *testing.T) {
+	m, rc := newTestRC(2)
+	c := m.CPU(0)
+	var o Obj
+	for life := 0; life < 3; life++ {
+		rc.InitObj(&o, 0, nil)
+		if o.tryKill(c) {
+			t.Fatalf("life %d: killed an object whose dying bit was clear", life)
+		}
+		o.setDying(c, true)
+		if !o.tryKill(c) {
+			t.Fatalf("life %d: kill of a dying object failed", life)
+		}
+		for i := 0; i < 3; i++ {
+			o.setDying(c, false)
+			o.setDying(c, true)
+			if o.tryKill(c) {
+				t.Fatalf("life %d: killed twice", life)
+			}
+		}
+		if !o.Freed() || rc.TryGet(c, &o) != nil {
+			t.Fatalf("life %d: killed object is not dead", life)
+		}
+	}
+}
+
+// A TryGet that finds its object dead charges one read of the weak line and
+// nothing else: no write (the killer still caches the line), and no count
+// adjustment (the core's clock moves by exactly one local hit once the line
+// is cached).
+func TestTryGetAfterKillChargesOneRead(t *testing.T) {
+	m, rc := newTestRC(2)
+	o := rc.NewObj(1, nil)
+	rc.Dec(m.CPU(0), o)
+	flushEpochs(rc, 6) // core 0 queued it, so core 0's review kills it
+	if !o.Freed() {
+		t.Fatal("setup: object not freed")
+	}
+	c := m.CPU(1)
+	touches := func(s hw.Stats) uint64 { return s.LocalHits + s.ColdMisses + s.Transfers }
+	for i, want := range []struct{ touches, transfers uint64 }{{1, 1}, {1, 0}} {
+		before, now := *c.Stats(), c.Now()
+		if got := rc.TryGet(c, o); got != nil {
+			t.Fatalf("TryGet %d returned a dead object", i)
+		}
+		after := *c.Stats()
+		if n := touches(after) - touches(before); n != want.touches {
+			t.Errorf("TryGet %d touched %d lines, want %d", i, n, want.touches)
+		}
+		if n := after.Transfers - before.Transfers; n != want.transfers {
+			t.Errorf("TryGet %d: %d transfers, want %d", i, n, want.transfers)
+		}
+		if i == 1 {
+			if d := c.Now() - now; d != m.Config().LocalHit {
+				t.Errorf("cached TryGet of a dead object cost %d cycles, want one local hit (%d)", d, m.Config().LocalHit)
+			}
+		}
+	}
+	killer := m.CPU(0)
+	before := killer.Stats().Transfers
+	killer.Read(&o.weakLine)
+	if killer.Stats().Transfers != before {
+		t.Error("TryGet of a dead object wrote the weak line: its killer lost its copy")
+	}
+	if n := rc.TrueCount(o); n != 0 {
+		t.Errorf("TryGet of a dead object adjusted its count to %d", n)
 	}
 }

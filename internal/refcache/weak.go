@@ -1,101 +1,72 @@
 package refcache
 
-import (
-	"sync/atomic"
+import "radixvm/internal/hw"
 
-	"radixvm/internal/hw"
+// The weak reference of §3.1 ("Weak references") is the paper's tagged
+// pointer — a pointer marked with a "dying" bit, plus a back-reference from
+// the object. Here it is a fixed Obj plus one state word in that Obj: whoever
+// holds the Obj (the radix tree's parent slot, for a child node) holds the
+// pointer half, and the state word is the tag. The pointer never changes
+// within a lifetime — an Obj's identity is fixed — so one word with three
+// values (dead, alive, dying) gives the same single-CAS semantics as the
+// tagged pointer. The radix tree links parent slots to child nodes this way,
+// so that an empty node can be revived if it becomes used again before
+// Refcache deletes it.
+const (
+	weakDead  uint32 = iota // the paper's ⟨null, false⟩; the zero value
+	weakAlive               // ⟨obj, false⟩
+	weakDying               // ⟨obj, true⟩
 )
 
-// Weak is a weak reference: a pointer marked with a "dying" bit, plus a
-// back-reference from the object (§3.1, "Weak references"). The radix tree
-// links parent slots to child nodes through Weaks so that an empty node can
-// be revived if it becomes used again before Refcache deletes it.
-//
-// The (pointer, dying) pair is represented as an immutable state struct
-// swapped atomically, giving the same single-CAS semantics as the paper's
-// tagged pointer.
-type Weak struct {
-	state atomic.Pointer[weakState]
-	line  hw.Line
-}
-
-type weakState struct {
-	obj   *Obj
-	dying bool
-}
-
-var deadState = &weakState{} // obj == nil, dying == false
-
-// TryGet attempts to take a reference through the weak reference: it either
-// increments the object's count (reviving it if its global count touched
-// zero) and returns the object, or returns nil if the object has already
+// TryGet attempts to take a reference to o through its weak reference: it
+// either increments the object's count (reviving it if its global count
+// touched zero) and returns o, or returns nil if the object has already
 // been deleted. The common path — object alive, not dying — is a pure read
-// of the weak state, so concurrent TryGets of a healthy object do not
+// of the weak line, so concurrent TryGets of a healthy object do not
 // contend.
-func (rc *Refcache) TryGet(cpu *hw.CPU, w *Weak) *Obj {
+func (rc *Refcache) TryGet(cpu *hw.CPU, o *Obj) *Obj {
 	for {
-		s := w.state.Load()
-		if s == nil || s.obj == nil {
-			cpu.Read(&w.line)
+		switch o.weak.Load() {
+		case weakDead:
+			cpu.Read(&o.weakLine)
 			return nil
+		case weakAlive:
+			cpu.Read(&o.weakLine)
+			rc.Inc(cpu, o)
+			return o
 		}
-		if !s.dying {
-			cpu.Read(&w.line)
-			rc.Inc(cpu, s.obj)
-			return s.obj
-		}
-		// Revive: atomically clear the dying bit, then take a
-		// reference as usual. The (obj, alive) state is pre-built in
-		// the object, so flipping the bit allocates nothing.
-		if w.state.CompareAndSwap(s, &s.obj.weak0) {
-			cpu.Write(&w.line)
-			rc.Inc(cpu, s.obj)
-			return s.obj
+		// Revive: atomically clear the dying bit, then take a reference
+		// as usual.
+		if o.weak.CompareAndSwap(weakDying, weakAlive) {
+			cpu.Write(&o.weakLine)
+			rc.Inc(cpu, o)
+			return o
 		}
 	}
-}
-
-// Get returns the referent regardless of the dying bit, without taking a
-// reference. Diagnostic/teardown use only.
-func (w *Weak) Get() *Obj {
-	if s := w.state.Load(); s != nil {
-		return s.obj
-	}
-	return nil
 }
 
 // setDying sets or clears the dying bit, leaving the pointer intact. No-op
-// if the pointer has already been cleared. Both (obj, dying) states are
-// pre-built in the object, so the swap never allocates — objects cycling
-// through zero (the shared-page Figure 8 workload, frame churn in the
-// local workload) stay off the heap.
-func (w *Weak) setDying(cpu *hw.CPU, dying bool) {
-	for {
-		s := w.state.Load()
-		if s == nil || s.obj == nil || s.dying == dying {
-			return
-		}
-		next := &s.obj.weak0
-		if dying {
-			next = &s.obj.weak1
-		}
-		if w.state.CompareAndSwap(s, next) {
-			cpu.Write(&w.line)
-			return
-		}
+// if the object is already dead or the bit already has that value. The swap
+// is one CAS on a word in the object, so objects cycling through zero (the
+// shared-page Figure 8 workload, frame churn in the local workload) stay off
+// the heap.
+func (o *Obj) setDying(cpu *hw.CPU, dying bool) {
+	from, to := weakAlive, weakDying
+	if !dying {
+		from, to = to, from
+	}
+	if o.weak.CompareAndSwap(from, to) {
+		cpu.Write(&o.weakLine)
 	}
 }
 
 // tryKill attempts the paper's deletion CAS: ⟨obj, true⟩ → ⟨null, false⟩.
-// It succeeds only if the dying bit is still set for o, i.e. no TryGet
-// revived the object since zero detection.
-func (w *Weak) tryKill(cpu *hw.CPU, o *Obj) bool {
-	s := w.state.Load()
-	if s == nil || s.obj != o || !s.dying {
-		return false
-	}
-	if w.state.CompareAndSwap(s, deadState) {
-		cpu.Write(&w.line)
+// It succeeds only if the dying bit is still set, i.e. no TryGet revived the
+// object since zero detection — and so at most once per lifetime, since
+// nothing but InitObj leaves the dead state.
+func (o *Obj) tryKill(cpu *hw.CPU) bool {
+	if o.weak.CompareAndSwap(weakDying, weakDead) {
+		cpu.Write(&o.weakLine)
 		return true
 	}
 	return false
