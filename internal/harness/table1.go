@@ -24,7 +24,7 @@ func Table1(root string) string {
 		{"Refcache", []string{"internal/refcache"}},
 		{"MMU abstraction", []string{"internal/pagetable", "internal/tlb"}},
 		{"Syscall interface (VM ops)", []string{"internal/vm"}},
-		{"Machine model", []string{"internal/hw", "internal/mem"}},
+		{"Machine model", []string{"internal/hw", "internal/mem", "internal/fifo"}},
 		{"Baselines", []string{"internal/sharedvm", "internal/linuxvm", "internal/bonsaivm", "internal/rbtree", "internal/bonsai", "internal/skiplist", "internal/counter"}},
 		{"Workloads & harness", []string{"internal/workload", "internal/metis", "internal/falloc", "internal/layout", "internal/harness"}},
 	}

@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"radixvm/internal/fifo"
 	"radixvm/internal/hw"
 )
 
@@ -59,7 +60,7 @@ const cacheLine = 64
 
 type coreStateData struct {
 	cache     []entry
-	review    []reviewEntry
+	review    fifo.Queue[reviewEntry]
 	epoch     uint64 // last epoch this core flushed in
 	lastFlush uint64 // virtual time of the last flush
 	// Review-pressure diagnostics (no virtual-time cost): objects this
@@ -251,7 +252,7 @@ func (rc *Refcache) evict(cpu *hw.CPU, o *Obj, delta int64) {
 			o.onReview = true
 			o.setDying(cpu, true)
 			cs := &rc.cores[cpu.ID()]
-			cs.review = append(cs.review, reviewEntry{obj: o, epoch: rc.epoch.Load()})
+			cs.review.Push(reviewEntry{obj: o, epoch: rc.epoch.Load()})
 		}
 	} else {
 		o.dirty = true
@@ -312,21 +313,24 @@ func (rc *Refcache) flushCore(cpu *hw.CPU, ge uint64) {
 
 // reviewCore implements the paper's review(): objects queued at epoch E are
 // examined once the global epoch reaches E+2, guaranteeing every core has
-// flushed its delta cache at least once in between. The queue is compacted
-// in place — re-queued dirty zeros stay ahead of the too-recent tail — so
-// steady-state review churn reuses the queue's capacity instead of
-// reallocating it every epoch.
+// flushed its delta cache at least once in between. Re-queued dirty zeros
+// are written over the front of the examined prefix as the pass goes, then
+// moved to just ahead of the too-recent tail and the rest of the prefix is
+// dropped, so the tail is never copied. A free callback run in the pass may
+// itself Dec counts to zero (freeing a radix node Decs its parent) and queue
+// objects via evict; those land behind the tail, where the pass never looks.
 func (rc *Refcache) reviewCore(cpu *hw.CPU) {
 	cs := &rc.cores[cpu.ID()]
 	now := rc.epoch.Load()
-	q := cs.review
-	if len(q) > cs.reviewHigh {
-		cs.reviewHigh = len(q)
+	q := &cs.review
+	n := q.Len()
+	if n > cs.reviewHigh {
+		cs.reviewHigh = n
 	}
 	w := 0
 	i := 0
-	for ; i < len(q); i++ {
-		re := q[i]
+	for ; i < n; i++ {
+		re := *q.At(i)
 		if now < re.epoch+2 {
 			break // queue is in epoch order; the rest is too recent
 		}
@@ -343,7 +347,7 @@ func (rc *Refcache) reviewCore(cpu *hw.CPU) {
 			o.dirty = false
 			o.onReview = true
 			o.setDying(cpu, true)
-			q[w] = reviewEntry{obj: o, epoch: now}
+			*q.At(w) = reviewEntry{obj: o, epoch: now}
 			w++
 		default:
 			if o.free != nil {
@@ -353,17 +357,12 @@ func (rc *Refcache) reviewCore(cpu *hw.CPU) {
 		o.mu.Unlock()
 	}
 	cs.reviews += uint64(i)
-	w += copy(q[w:], q[i:])
-	clear(q[w:]) // drop freed-object references for the GC
-	kept := q[:w]
-	// A free callback run above may itself Dec counts to zero (freeing a
-	// radix node Decs its parent) and queue objects via evict; those
-	// entries landed past q's original length — possibly in a grown
-	// array — and must not be dropped by the compaction.
-	if extra := cs.review[len(q):]; len(extra) > 0 {
-		kept = append(kept, extra...)
+	if i > w {
+		for j := w - 1; j >= 0; j-- {
+			*q.At(i - w + j) = *q.At(j)
+		}
+		q.Drop(i - w)
 	}
-	cs.review = kept
 }
 
 // Epoch returns the current global epoch (diagnostic).

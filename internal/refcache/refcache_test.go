@@ -2,6 +2,7 @@ package refcache
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -497,5 +498,137 @@ func TestTryGetAfterKillChargesOneRead(t *testing.T) {
 	}
 	if n := rc.TrueCount(o); n != 0 {
 		t.Errorf("TryGet of a dead object adjusted its count to %d", n)
+	}
+}
+
+// reviewWorld is one core's Refcache with a review queue several blocks
+// long: objects queued at epoch 1 and a tail queued at epoch 2, every fifth
+// a dirty zero, every fifth a count that came back, and a free callback
+// that, for every fourth object it frees, queues a fresh one mid-pass (as
+// freeing a radix node Decs its parent). freed logs object IDs in free
+// order.
+type reviewWorld struct {
+	rc    *Refcache
+	cpu   *hw.CPU
+	freed []uint64
+}
+
+func newReviewWorld() *reviewWorld {
+	m := hw.NewMachine(hw.TestConfig(1))
+	w := &reviewWorld{rc: New(m), cpu: m.CPU(0)}
+	var free func(*hw.CPU, *Obj)
+	free = func(cpu *hw.CPU, o *Obj) {
+		w.freed = append(w.freed, o.id)
+		if o.id%4 == 0 {
+			w.rc.evict(cpu, w.rc.NewObj(1, free), -1)
+		}
+	}
+	queue := func(epoch uint64, n int) {
+		w.rc.epoch.Store(epoch)
+		for i := range n {
+			o := w.rc.NewObj(1, free)
+			w.rc.evict(w.cpu, o, -1) // zero: queued
+			switch i % 5 {
+			case 0: // dirty zero
+				w.rc.evict(w.cpu, o, +1)
+				w.rc.evict(w.cpu, o, -1)
+			case 1: // no longer zero
+				w.rc.evict(w.cpu, o, +1)
+			}
+		}
+	}
+	queue(1, 2500)
+	queue(2, 700)
+	return w
+}
+
+// oldReview is reviewCore as it was on a plain slice: re-queued entries
+// written over the front, the too-recent tail copied down behind them, and
+// whatever free callbacks queued during the pass appended after that.
+func oldReview(rc *Refcache, cpu *hw.CPU, q []reviewEntry) []reviewEntry {
+	cs := &rc.cores[cpu.ID()]
+	now := rc.epoch.Load()
+	w, i := 0, 0
+	for ; i < len(q); i++ {
+		re := q[i]
+		if now < re.epoch+2 {
+			break
+		}
+		o := re.obj
+		o.mu.Lock()
+		o.onReview = false
+		switch {
+		case o.refcnt != 0:
+			o.setDying(cpu, false)
+		case o.dirty || !o.tryKill(cpu):
+			o.dirty = false
+			o.onReview = true
+			o.setDying(cpu, true)
+			q[w] = reviewEntry{obj: o, epoch: now}
+			w++
+		default:
+			if o.free != nil {
+				o.free(cpu, o)
+			}
+		}
+		o.mu.Unlock()
+	}
+	w += copy(q[w:], q[i:])
+	clear(q[w:])
+	kept := q[:w]
+	for j := range cs.review.Len() {
+		kept = append(kept, *cs.review.At(j))
+	}
+	cs.review.Reset()
+	return kept
+}
+
+func reviewIDs(q []reviewEntry) []uint64 {
+	ids := make([]uint64, len(q))
+	for i, re := range q {
+		ids[i] = re.obj.id
+	}
+	return ids
+}
+
+// Moving a review queue onto blocks must not move a single free: pass after
+// pass, the queue frees what the slice version freed, in the same order, and
+// leaves the same queue behind.
+func TestReviewOrderAcrossBlocks(t *testing.T) {
+	got, want := newReviewWorld(), newReviewWorld()
+	q := &got.rc.cores[0].review
+	if q.Blocks() < 3 {
+		t.Fatalf("review queue of %d entries in %d blocks, want several", q.Len(), q.Blocks())
+	}
+	var ref []reviewEntry
+	for j := range want.rc.cores[0].review.Len() {
+		ref = append(ref, *want.rc.cores[0].review.At(j))
+	}
+	want.rc.cores[0].review.Reset()
+
+	for now := uint64(3); q.Len() > 0 || len(ref) > 0; now++ {
+		if now > 20 {
+			t.Fatalf("queues not drained by epoch 20: %d and %d entries left", q.Len(), len(ref))
+		}
+		got.rc.epoch.Store(now)
+		got.rc.reviewCore(got.cpu)
+		want.rc.epoch.Store(now)
+		ref = oldReview(want.rc, want.cpu, ref)
+
+		if !slices.Equal(got.freed, want.freed) {
+			t.Fatalf("epoch %d: %d frees, want %d, or in another order", now, len(got.freed), len(want.freed))
+		}
+		var left []reviewEntry
+		for j := range q.Len() {
+			left = append(left, *q.At(j))
+		}
+		if !slices.Equal(reviewIDs(left), reviewIDs(ref)) {
+			t.Fatalf("epoch %d: queue left behind differs from the slice version's", now)
+		}
+	}
+	// 2 560 of the 3 200 reach a clean zero (the dirty ones a pass late);
+	// anything freed beyond them was queued by a free callback mid-pass.
+	if n := len(got.freed); n <= 2560 {
+		t.Fatalf("%d objects freed: no free callback queued anything", n)
 	}
 }

@@ -9,6 +9,8 @@ package tlb
 import (
 	"fmt"
 	"sync"
+
+	"radixvm/internal/fifo"
 )
 
 // DefaultCapacity approximates a real x86 second-level TLB.
@@ -58,16 +60,17 @@ type TLB struct {
 	capacity int    // 0 means DefaultCapacity
 
 	// order is the FIFO eviction queue: one token per Insert of an absent
-	// VPN, oldest at order[head]. Flushing a page leaves its token behind,
-	// and a stale token is not inert — when it reaches the head it evicts
+	// VPN, oldest at the front. Flushing a page leaves its token behind,
+	// and a stale token is not inert — when it reaches the front it evicts
 	// whatever translation its VPN has by then, so a VPN that was flushed
 	// and inserted again can go before its turn. Virtual time depends on
 	// that, which is why no token is ever dropped or merged away; the queue
 	// is only stored compactly. Consecutive tokens of one VPN (a core that
 	// maps, touches and unmaps the same page in a loop queues nothing else)
-	// share one word, and the evicted prefix is reclaimed in place.
-	order []uint64
-	head  int
+	// share one word, and the words sit in fifo blocks that are never
+	// copied, so a core that fills and flushes thousands of pages between
+	// evictions costs its tokens' bytes and no more.
+	order fifo.Queue[uint64]
 
 	// Flush statistics.
 	Flushes     uint64 // explicit invalidations of present entries
@@ -214,7 +217,7 @@ func (t *TLB) Insert(vpn uint64, e Entry) {
 	}
 	// order may hold stale VPNs flushed earlier; evict until below
 	// capacity.
-	for t.tab.n >= capacity && t.head < len(t.order) {
+	for t.tab.n >= capacity && t.order.Len() > 0 {
 		t.tab.remove(t.pop())
 	}
 	t.push(vpn)
@@ -226,30 +229,27 @@ func (t *TLB) push(vpn uint64) {
 	if vpn > vpnMask {
 		panic(fmt.Sprintf("tlb: %#x is not a page number", vpn))
 	}
-	if n := len(t.order); n > t.head {
+	if n := t.order.Len(); n > 0 {
+		last := t.order.At(n - 1)
 		// w+repeat wraps once the word's repeat count is full.
-		if w := t.order[n-1]; w&vpnMask == vpn && w+repeat > w {
-			t.order[n-1] = w + repeat
+		if w := *last; w&vpnMask == vpn && w+repeat > w {
+			*last = w + repeat
 			return
 		}
 	}
-	t.order = append(t.order, vpn)
+	t.order.Push(vpn)
 }
 
 // pop removes the oldest eviction token and returns its VPN. The queue must
-// not be empty. Once the evicted prefix is half the array the live words
-// move down over it, so a TLB cycling at capacity reuses one backing array.
+// not be empty.
 func (t *TLB) pop() uint64 {
-	w := t.order[t.head]
+	first := t.order.At(0)
+	w := *first
 	if w >= repeat {
-		t.order[t.head] = w - repeat
+		*first = w - repeat
 		return w & vpnMask
 	}
-	t.head++
-	if 2*t.head >= len(t.order) {
-		t.order = t.order[:copy(t.order, t.order[t.head:])]
-		t.head = 0
-	}
+	t.order.Drop(1)
 	return w
 }
 
@@ -323,8 +323,7 @@ func (t *TLB) FlushAll() {
 		clear(t.tab.slots)
 		t.tab.n = 0
 	}
-	t.order = t.order[:0]
-	t.head = 0
+	t.order.Reset()
 	t.FullFlushes++
 }
 

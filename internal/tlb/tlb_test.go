@@ -2,6 +2,7 @@ package tlb
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"unsafe"
@@ -471,8 +472,8 @@ func TestEvictionQueueStaysCompact(t *testing.T) {
 		loop.Insert(7, ro(7))
 		loop.FlushPage(7)
 	}
-	if len(loop.order) > 4 {
-		t.Fatalf("10000 insert/flush rounds of one page queued %d words", len(loop.order))
+	if loop.order.Len() > 4 {
+		t.Fatalf("10000 insert/flush rounds of one page queued %d words", loop.order.Len())
 	}
 
 	cycling := New(64)
@@ -484,7 +485,41 @@ func TestEvictionQueueStaysCompact(t *testing.T) {
 		cycling.Insert(vpn, ro(vpn))
 		vpn++
 	})
-	if allocs != 0 || cap(cycling.order) > 4*64 {
-		t.Fatalf("TLB cycling at capacity: %v allocs per insert, queue capacity %d", allocs, cap(cycling.order))
+	if allocs != 0 || cycling.order.Blocks() > 1 {
+		t.Fatalf("TLB cycling at capacity: %v allocs per insert, queue in %d blocks", allocs, cycling.order.Blocks())
+	}
+}
+
+// The global benchmark's pattern: a core fills 1 024 distinct pages and the
+// munmap flushes them all, below capacity, so no token is ever evicted and
+// the queue grows by 1 024 tokens a round. The tokens must cost the heap
+// their own 8 bytes, not the copies of a slice outgrowing its array (about
+// 3.4 times that): after the first round, which builds the translation
+// table and the queue's first block, the rounds allocate the storage of
+// every token the queue ends up holding, one block at the back that is not
+// yet full (16 KiB) and the block index, and nothing else.
+func TestFlushedTokensCostTheirOwnBytes(t *testing.T) {
+	const pages, rounds = 1024, 12
+	tl := New(DefaultCapacity)
+	round := func() {
+		for vpn := uint64(0); vpn < pages; vpn++ {
+			tl.Insert(vpn, ro(vpn))
+		}
+		tl.FlushRange(0, pages)
+	}
+	round()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range rounds - 1 {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	tokens := tl.order.Len()
+	if tokens != rounds*pages {
+		t.Fatalf("queue holds %d tokens, want %d", tokens, rounds*pages)
+	}
+	got, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*tokens+16384+1024)
+	if got > limit {
+		t.Fatalf("rounds 2-%d allocated %d bytes for a queue of %d tokens, want at most %d", rounds, got, tokens, limit)
 	}
 }

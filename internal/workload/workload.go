@@ -258,11 +258,13 @@ func Global(env *Env, sys vm.System, cores int, iters int, piecePages uint64) Re
 		rng := rand.New(rand.NewSource(int64(id + 1)))
 		total := piecePages * uint64(cores)
 		mine := regionBase + uint64(id)*piecePages
+		order := make([]int, total)
 		var writes uint64
 		for k := 0; k < iters; k++ {
 			Check(sys, c, "mmap", mine, sys.Mmap(c, mine, piecePages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
 			tc.Wait(bar)
-			for _, off := range rng.Perm(int(total)) {
+			perm(rng, order)
+			for _, off := range order {
 				v := regionBase + uint64(off)
 				Check(sys, c, "access", v, sys.Access(c, v, true))
 				writes++
@@ -280,6 +282,16 @@ func Global(env *Env, sys vm.System, cores int, iters int, piecePages uint64) Re
 		return writes
 	}
 	return run(env, "global", sys, cores, nil, body)
+}
+
+// perm fills m with rng.Perm(len(m)) — the same permutation from the same
+// draws, leaving rng in the same state — without allocating a slice per call.
+func perm(rng *rand.Rand, m []int) {
+	for i := range m {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
 }
 
 // Protect runs the mprotect microbenchmark, the write-protect analogue of

@@ -3,6 +3,8 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -103,6 +105,25 @@ func TestGlobalAllPagesWritten(t *testing.T) {
 	// 3 cores x 2 iters x (3*4 pages each) writes.
 	if want := uint64(3 * 2 * 12); r.PageWrites != want {
 		t.Fatalf("PageWrites = %d, want %d", r.PageWrites, want)
+	}
+}
+
+// Global's access order is rand.Perm's, filled into one buffer per core: the
+// same permutation, and the generator left where Perm leaves it, so every
+// later draw (and every virtual figure) is unchanged.
+func TestPermMatchesRandPerm(t *testing.T) {
+	for _, n := range []int{0, 1, 16, 1024} {
+		m := make([]int, n)
+		for seed := int64(1); seed <= 8; seed++ {
+			got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			perm(got, m)
+			if w := want.Perm(n); !slices.Equal(m, w) {
+				t.Fatalf("n=%d seed=%d: perm = %v, want %v", n, seed, m, w)
+			}
+			if g, w := got.Int63(), want.Int63(); g != w {
+				t.Fatalf("n=%d seed=%d: next draw %d after perm, %d after Perm", n, seed, g, w)
+			}
+		}
 	}
 }
 
