@@ -161,6 +161,76 @@ func TestConcurrentFirstTouchOfOneLine(t *testing.T) {
 	}
 }
 
+// TestConcurrentFirstTouchOfTwoLines: eight cores write into two
+// never-touched lines of a fresh node at once, four to each, so the two
+// lines race for the node's inline slot and the loser's writers race to
+// build the directory and install its block. Exactly one line must end up
+// inline and the other in the directory, every entry must land, and the
+// node is charged two cold misses — one per line, whoever wins.
+func TestConcurrentFirstTouchOfTwoLines(t *testing.T) {
+	const ncores = slotsPerLine
+	m, pt := newPT(ncores)
+	leaves := make([]*leaf, linesPerNode)
+	for r := range leaves {
+		leaves[r] = pt.walk(m.CPU(0), uint64(r)*EntriesPerNode, true) // the leaf exists, untouched
+	}
+	cold := m.TotalStats().ColdMisses
+
+	for r, n := range leaves {
+		a, b := r, linesPerNode-1-r // distinct: linesPerNode is even
+		vpn := func(i int) uint64 {
+			li := a
+			if i%2 == 1 {
+				li = b
+			}
+			return uint64(r*EntriesPerNode + li*slotsPerLine + i/2)
+		}
+		var start, done sync.WaitGroup
+		start.Add(1)
+		for i := 0; i < ncores; i++ {
+			done.Add(1)
+			go func(c *hw.CPU, vpn uint64) {
+				defer done.Done()
+				start.Wait()
+				pt.Map(c, vpn, vpn+1, PermW)
+			}(m.CPU(i), vpn(i))
+		}
+		start.Done()
+		done.Wait()
+		for i := 0; i < ncores; i++ {
+			if pte, ok := pt.Peek(vpn(i)); !ok || pte.PFN != vpn(i)+1 {
+				t.Fatalf("leaf %d: vpn %#x = %+v, %v after a concurrent first touch", r, vpn(i), pte, ok)
+			}
+		}
+		inline, d := int(n.at.Load())-1, n.dir.Load()
+		other := a + b - inline
+		if inline != a && inline != b {
+			t.Fatalf("leaf %d: line %d is inline, want %d or %d", r, inline, a, b)
+		}
+		if d == nil || d[inline].Load() != nil || d[other].Load() == nil {
+			t.Fatalf("leaf %d: line %d inline, but the directory does not hold exactly line %d", r, inline, other)
+		}
+	}
+	if got, want := m.TotalStats().ColdMisses-cold, uint64(2*len(leaves)); got != want {
+		t.Errorf("%d first-touched lines charged %d cold misses", want, got)
+	}
+}
+
+// TestNodeFillsItsSizeClass: a node with its inline line is exactly one
+// 128-byte size class at every level. A larger hw.Line or entry would move
+// every node of every table into the 144-byte class without failing
+// anything else.
+func TestNodeFillsItsSizeClass(t *testing.T) {
+	for name, size := range map[string]uintptr{
+		"leaf": unsafe.Sizeof(leaf{}), "dir1": unsafe.Sizeof(dir1{}),
+		"dir2": unsafe.Sizeof(dir2{}), "dir3": unsafe.Sizeof(dir3{}),
+	} {
+		if size != 128 {
+			t.Errorf("%s node is %d B, want 128", name, size)
+		}
+	}
+}
+
 // TestHostBytesFollowTouchedLines: what a table costs the host tracks the
 // lines walks reached, not the 4 KB a simulated node stands for — and a
 // fully populated leaf costs no more than it did as a header, one entry
@@ -173,23 +243,25 @@ func TestHostBytesFollowTouchedLines(t *testing.T) {
 		pt = New(m)
 		pt.Map(c, 1<<20, 1, PermR)
 	})
-	// The table, its four nodes, one touched line in each.
-	if allocs != 1+2*Levels {
-		t.Errorf("a table holding one page: %v allocations, want %d", allocs, 1+2*Levels)
+	// The table with its root inline, and three more nodes, each holding
+	// its one touched line inline.
+	if allocs != Levels {
+		t.Errorf("a table holding one page: %v allocations, want %d", allocs, Levels)
 	}
 	if pt.Nodes() != Levels || pt.Bytes() != Levels*NodeBytes {
 		t.Errorf("a table holding one page reports %d nodes, %d B; the simulated table is %d nodes of %d B", pt.Nodes(), pt.Bytes(), Levels, NodeBytes)
 	}
 
-	header, block := unsafe.Sizeof(leaf{}), unsafe.Sizeof(line[atomic.Uint64]{})
-	if interior := unsafe.Sizeof(line[atomic.Pointer[leaf]]{}); interior != block || unsafe.Sizeof(dir1{}) != header {
-		t.Errorf("interior nodes and lines (%d, %d B) differ from leaf ones (%d, %d B)", unsafe.Sizeof(dir1{}), interior, header, block)
+	node, block := unsafe.Sizeof(leaf{}), unsafe.Sizeof(line[atomic.Uint64]{})
+	dir := unsafe.Sizeof([linesPerNode]atomic.Pointer[line[atomic.Uint64]]{})
+	if interior := unsafe.Sizeof(line[atomic.Pointer[leaf]]{}); interior != block {
+		t.Errorf("interior lines (%d B) differ from leaf ones (%d B)", interior, block)
 	}
-	if sparse := Levels * (header + block); sparse > 2560 {
-		t.Errorf("a table holding one page is %d B of nodes and lines, want <= 2.5 KB", sparse)
+	if sparse := unsafe.Sizeof(PageTable{}) + (Levels-1)*node; sparse > 528 {
+		t.Errorf("a table holding one page is %d B of nodes and lines, want <= 528 B", sparse)
 	}
 	const was = 568 + NodeBytes + linesPerNode*unsafe.Sizeof(hw.Line{})
-	if dense := header + linesPerNode*block; dense > was {
+	if dense := node + dir + (linesPerNode-1)*block; dense > was {
 		t.Errorf("a fully touched node is %d B, more than the %d B of a header, an entry array and %d lines", dense, was, linesPerNode)
 	}
 }

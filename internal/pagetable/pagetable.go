@@ -100,32 +100,44 @@ func unpack(raw uint64) PTE {
 	return PTE{PFN: raw >> rawShift, Perm: perm, Present: raw&rawPresent != 0}
 }
 
-// node is one table node as the host pays for it: a directory of the node's
-// 64 cache lines, each nil until a walk first touches it. The simulated node
-// is still 4 KB (NodeBytes, what Bytes reports); the host holds the 512-byte
-// directory plus one block per touched line, because an address space's
-// per-core tables mostly cover sparse regions — a forked child that runs on
-// two cores reaches one line in each interior node and a few in a leaf, and
-// a 4 KB entry array per node to hold them was a quarter of everything the
-// fleet allocated.
+// node is one table node as the host pays for it: the first cache line a
+// walk touches, held inline, and a directory of the node's 64 lines that
+// exists only once walks reach a second one. The simulated node is still
+// 4 KB (NodeBytes, what Bytes reports); the host holds one 128-byte object
+// per node, plus a 512-byte directory and one block per further touched
+// line, because an address space's per-core tables mostly cover sparse
+// regions: a forked child that runs on two cores reaches one line in each
+// interior node and a few in a leaf. A 4 KB entry array per node was a
+// quarter of everything the fleet allocated, and a directory per node
+// nearly a fifth of what a filemap run did.
+//
+// at names the inline line: its index plus one, 0 while no walk has touched
+// the node. The first toucher claims the inline line for its line with one
+// CAS, and the claim is final, so every toucher of a line agrees on where
+// it lives: inline if at names it, in the directory otherwise (whose slot
+// for the inline line stays nil). A directory exists only once at is set.
 //
 // E is the entry type: atomic.Uint64 (a raw PTE) in a leaf, a pointer to the
 // next level's node above it. The four levels are four instantiations, so
 // the walk is three typed descents rather than a loop over a level field.
 type node[E any] struct {
-	lines [linesPerNode]atomic.Pointer[line[E]]
+	first line[E]
+	at    atomic.Int32
+	dir   atomic.Pointer[[linesPerNode]atomic.Pointer[line[E]]]
 }
 
 // line is one touched cache line of a node: its coherence model and the
 // eight entries it holds. The entries live with the Line because both appear
 // at the same moment — the first touch, an absent-entry read included, since
 // a read of an empty entry still pulls the line into the reader's cache and
-// the next toucher must find that sharer state — so one allocation and one
-// installing CAS cover both, and an entry of a never-touched line needs no
-// storage: nothing can have written it. Losing the installation race is
-// harmless — both racers then use the winner's line, which charges exactly
-// what a mutex-ordered pair of first touches would, and the loser's block
-// was never visible to hold an entry.
+// the next toucher must find that sharer state — so one claim covers both
+// (the CAS on at for the inline line, one installing CAS per directory
+// line), and an entry of a never-touched line needs no storage: nothing can
+// have written it. Losing a race for the same line is harmless — both racers
+// then use the winner's line, which charges exactly what a mutex-ordered
+// pair of first touches would, and a losing block was never visible to hold
+// an entry. Losing the inline claim to another line sends the loser to the
+// directory.
 type line[E any] struct {
 	hw.Line
 	e [slotsPerLine]E
@@ -139,9 +151,26 @@ type (
 )
 
 // touch returns entry i of n and the cache line holding it, materializing
-// the line on first touch.
+// the line on first touch: the inline line when no walk has touched n yet,
+// else a block in the directory, which the first touch of a second line
+// builds.
 func (n *node[E]) touch(i int) (*hw.Line, *E) {
-	p := &n.lines[i/slotsPerLine]
+	li := int32(i/slotsPerLine) + 1
+	at := n.at.Load()
+	if at == 0 && !n.at.CompareAndSwap(0, li) {
+		at = n.at.Load() // lost the claim: the winner's line is inline
+	}
+	if at == 0 || at == li { // claimed just now, or by an earlier touch
+		return &n.first.Line, &n.first.e[i%slotsPerLine]
+	}
+	d := n.dir.Load()
+	if d == nil {
+		d = new([linesPerNode]atomic.Pointer[line[E]])
+		if !n.dir.CompareAndSwap(nil, d) {
+			d = n.dir.Load()
+		}
+	}
+	p := &d[li-1]
 	l := p.Load()
 	if l == nil {
 		l = new(line[E])
@@ -159,7 +188,15 @@ func (n *node[E]) peek(i int) *E {
 	if n == nil {
 		return nil
 	}
-	l := n.lines[i/slotsPerLine].Load()
+	li := int32(i/slotsPerLine) + 1
+	if n.at.Load() == li {
+		return &n.first.e[i%slotsPerLine]
+	}
+	d := n.dir.Load()
+	if d == nil {
+		return nil
+	}
+	l := d[li-1].Load()
 	if l == nil {
 		return nil
 	}
@@ -169,14 +206,15 @@ func (n *node[E]) peek(i int) *E {
 // PageTable is one hardware page table tree.
 type PageTable struct {
 	m     *hw.Machine
-	root  *dir3
+	root  dir3
 	nodes atomic.Int64 // allocated table nodes, for memory accounting
 }
 
-// New creates an empty page table.
+// New creates an empty page table: its root node, which lives in the
+// PageTable itself.
 func New(m *hw.Machine) *PageTable {
 	pt := &PageTable{m: m}
-	pt.root = newNode[dir3](pt)
+	pt.nodes.Store(1)
 	return pt
 }
 
@@ -212,7 +250,7 @@ func descend[C any](pt *PageTable, cpu *hw.CPU, n *node[atomic.Pointer[C]], i in
 // walk returns the leaf node for vpn, allocating intermediate nodes when
 // create is set. Returns nil when the path does not exist.
 func (pt *PageTable) walk(cpu *hw.CPU, vpn uint64, create bool) *leaf {
-	d2 := descend(pt, cpu, pt.root, idxAt(vpn, 3), create)
+	d2 := descend(pt, cpu, &pt.root, idxAt(vpn, 3), create)
 	if d2 == nil {
 		return nil
 	}
@@ -376,7 +414,7 @@ func (pt *PageTable) Present(vpn uint64) bool {
 // and for the Present recheck above. It materializes nothing: an entry on a
 // line no walk has touched is absent.
 func (pt *PageTable) Peek(vpn uint64) (PTE, bool) {
-	d2 := peekChild(pt.root, idxAt(vpn, 3))
+	d2 := peekChild(&pt.root, idxAt(vpn, 3))
 	d1 := peekChild(d2, idxAt(vpn, 2))
 	pte := peekChild(d1, idxAt(vpn, 1)).peek(idxAt(vpn, 0))
 	if pte == nil {

@@ -228,3 +228,73 @@ func TestQuickAgainstMapModel(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRandomOpsMatchMapReference drives one table with random Map,
+// MapIfAbsent, Unmap, Lookup and Peek calls over a few lines of a few
+// nodes — leaves that share interior nodes and one under a root entry on
+// another line, so nodes hold one line inline and others in a directory — and
+// checks every answer against a map. After each stream every VPN of the
+// covered leaves, on touched lines and never-touched ones alike, must read
+// as the map says, and the node count must be the root plus the distinct
+// interior nodes and leaves the mapping calls created.
+func TestRandomOpsMatchMapReference(t *testing.T) {
+	leaves := []uint64{0, 1, 2, 511, 1 << 21}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m, pt := newPT(1)
+		c := m.CPU(0)
+		model := map[uint64]uint64{}
+		created := map[uint64]bool{} // every prefix a mapping call walked, by level
+		pick := func() uint64 {
+			line := uint64(rng.Intn(3)) * 17 // lines 0, 17 and 34 of the leaf
+			return leaves[rng.Intn(len(leaves))]*EntriesPerNode + line*slotsPerLine + uint64(rng.Intn(slotsPerLine))
+		}
+		walked := func(vpn uint64) {
+			for level := 1; level < Levels; level++ {
+				created[uint64(level)<<60|vpn>>(level*BitsPerLevel)] = true
+			}
+		}
+		for i := 0; i < 400; i++ {
+			vpn, pfn := pick(), uint64(rng.Intn(1000))
+			_, present := model[vpn]
+			switch rng.Intn(5) {
+			case 0:
+				pt.Map(c, vpn, pfn, PermR)
+				model[vpn] = pfn
+				walked(vpn)
+			case 1:
+				if got := pt.MapIfAbsent(c, vpn, pfn, PermR); got == present {
+					t.Fatalf("seed %d op %d: MapIfAbsent(%#x) = %v with present = %v", seed, i, vpn, got, present)
+				}
+				if !present {
+					model[vpn] = pfn
+				}
+				walked(vpn)
+			case 2:
+				if got := pt.Unmap(c, vpn); got != present {
+					t.Fatalf("seed %d op %d: Unmap(%#x) = %v, want %v", seed, i, vpn, got, present)
+				}
+				delete(model, vpn)
+			case 3:
+				if pte, ok := pt.Lookup(c, vpn); ok != present || ok && pte.PFN != model[vpn] {
+					t.Fatalf("seed %d op %d: Lookup(%#x) = %+v, %v; want %d, %v", seed, i, vpn, pte, ok, model[vpn], present)
+				}
+			case 4:
+				if pte, ok := pt.Peek(vpn); ok != present || ok && pte.PFN != model[vpn] {
+					t.Fatalf("seed %d op %d: Peek(%#x) = %+v, %v; want %d, %v", seed, i, vpn, pte, ok, model[vpn], present)
+				}
+			}
+		}
+		for _, l := range leaves {
+			for vpn := l * EntriesPerNode; vpn < (l+1)*EntriesPerNode; vpn++ {
+				pfn, present := model[vpn]
+				if pte, ok := pt.Peek(vpn); ok != present || ok && pte.PFN != pfn {
+					t.Fatalf("seed %d: Peek(%#x) = %+v, %v; want %d, %v", seed, vpn, pte, ok, pfn, present)
+				}
+			}
+		}
+		if got, want := pt.Nodes(), int64(1+len(created)); got != want {
+			t.Errorf("seed %d: %d nodes, want %d (the root and %d walked prefixes)", seed, got, want, len(created))
+		}
+	}
+}

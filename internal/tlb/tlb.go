@@ -107,6 +107,11 @@ type table struct {
 	slots []slot // power-of-two length, at most 3/4 occupied
 	n     int    // occupied slots
 	shift uint   // 64 - log2(len(slots)): home takes a hash's top bits
+
+	// first is slots until the table first grows, so a table's header and
+	// its first slots are one 176-byte allocation: a forked child fills a
+	// fresh TLB on each core it runs on.
+	first [minSlots]slot
 }
 
 // A slot holds key vpn+1, so the zero slot is empty.
@@ -120,7 +125,9 @@ const (
 )
 
 func newTable() *table {
-	return &table{slots: make([]slot, minSlots), shift: 64 - minSlotsLog2}
+	tb := &table{shift: 64 - minSlotsLog2}
+	tb.slots = tb.first[:]
+	return tb
 }
 
 // home is the slot a key's probe run starts at: Fibonacci hashing, because

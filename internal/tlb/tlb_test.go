@@ -430,6 +430,21 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestFirstInsertAllocations: a forked child fills a fresh TLB on each core
+// it runs on. New and the first Insert allocate the TLB, its table with the
+// first eight slots inside it, and the eviction queue's block index and
+// first block — four objects; the slots were a fifth of their own.
+func TestFirstInsertAllocations(t *testing.T) {
+	var tl *TLB
+	allocs := testing.AllocsPerRun(100, func() {
+		tl = New(0)
+		tl.Insert(1, ro(1))
+	})
+	if allocs != 4 || tl.Len() != 1 {
+		t.Errorf("New + first Insert: %v allocs, Len = %d; want 4 and 1", allocs, tl.Len())
+	}
+}
+
 // A shared-table address space holds a TLB by value for every core of the
 // machine, used or not, and a per-core-table one for every core it runs on;
 // the table must stay behind a pointer (inline it cost 1.5 KB more per
