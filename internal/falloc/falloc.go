@@ -95,6 +95,3 @@ func (a *Allocator) Free(cpu *hw.CPU, vpn, npages uint64) {
 	h.free[npages] = append(h.free[npages], vpn)
 	cpu.Tick(20)
 }
-
-// BlockPages returns the allocation unit in pages.
-func (a *Allocator) BlockPages() uint64 { return a.blockPages }

@@ -314,6 +314,27 @@ func TestMailboxCascade(t *testing.T) {
 	if c.Now() != 1100 {
 		t.Fatalf("cascade: Now = %d, want 1100", c.Now())
 	}
+
+	// The same cascading mailbox, folded by Now on one CPU and by AdvanceTo
+	// at its pre-fold clock on the other: the fold is one rule either way.
+	// The last message is not yet due and stays.
+	m = testMachine(t, 2)
+	byNow, byAdvance := m.CPU(0), m.CPU(1)
+	for _, d := range []*CPU{byNow, byAdvance} {
+		d.AdvanceTo(2000)
+		d.DeliverAt(1900, 500)
+		d.DeliverAt(2300, 500)
+		d.DeliverAt(9000, 1)
+	}
+	byNow.Now()
+	byAdvance.AdvanceTo(2000)
+	// 2000 -> 2500 (stamp 1900 already due), stamp 2300 <= 2500 -> 3000.
+	for _, d := range []*CPU{byNow, byAdvance} {
+		if d.clock != 3000 || d.Stats().IPIMboxMax != 3 || len(d.mbox) != 1 {
+			t.Errorf("core %d: clock %d, IPIMboxMax %d, %d left; want 3000, 3, 1",
+				d.ID(), d.clock, d.Stats().IPIMboxMax, len(d.mbox))
+		}
+	}
 }
 
 func TestLockSerializesVirtualTime(t *testing.T) {

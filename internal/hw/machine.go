@@ -253,22 +253,9 @@ func (c *CPU) Stats() *Stats { return &c.stats }
 // up as ~9% of flat CPU in the radix hot paths.
 func (c *CPU) Now() uint64 {
 	if c.mboxLen.Load() != 0 {
-		c.drainDue()
+		c.advanceSlow(c.clock)
 	}
 	return c.clock
-}
-
-// drainDue folds every message whose stamp the clock has already reached.
-// Folding a cost advances the clock, which can make the next message due in
-// turn, so the loop re-tests against the moving clock.
-func (c *CPU) drainDue() {
-	c.mboxMu.Lock()
-	i := 0
-	for ; i < len(c.mbox) && c.mbox[i].stamp <= c.clock; i++ {
-		c.clock += c.mbox[i].cost
-	}
-	c.popMail(i)
-	c.mboxMu.Unlock()
 }
 
 // Tick advances the core's virtual clock by cycles of local computation.
@@ -322,7 +309,10 @@ func (c *CPU) advanceTo(t uint64) {
 }
 
 // advanceSlow folds every message stamped at or before max(clock, t) at its
-// own arrival time — max(clock, stamp) + cost — before maxing with t.
+// own arrival time — max(clock, stamp) + cost — before maxing with t. Folding
+// a cost advances the clock, which can make the next message due in turn, so
+// the loop re-tests against the moving clock; at t = clock (Now) it folds
+// exactly the messages the clock has already reached.
 // Handler time that overlaps a wait is absorbed by the wait, never stacked
 // on top of it; the clock only exceeds t if the folds themselves pushed it
 // past. (The old pending-accumulator model got this wrong: an advanceTo

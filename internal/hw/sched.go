@@ -120,9 +120,6 @@ type Proc struct {
 	lastClock   uint64 // virtual clock at the proc's last yield
 }
 
-// Seq returns the proc's arrival sequence number.
-func (p *Proc) Seq() uint64 { return p.seq }
-
 // carrier is a coroutine that runs proc bodies one after another: a proc
 // takes a free one at its first dispatch and frees it when its body
 // returns. A coroutine costs a dozen allocations and a fleet's procs are

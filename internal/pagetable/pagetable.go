@@ -63,41 +63,22 @@ func (p PTE) Writable() bool { return p.Perm&PermW != 0 }
 // Executable reports whether the entry permits instruction fetches.
 func (p PTE) Executable() bool { return p.Perm&PermX != 0 }
 
-// Raw PTE packing: pfn<<4 | readable<<3 | exec<<2 | writable<<1 | present.
+// Raw PTE packing: pfn<<rawShift | perm<<1 | present. Perm's bits (W, X, R)
+// already sit in raw-PTE order just above the present bit, so packing is two
+// shifts; the array below fails to compile if present bit and Perm stop
+// filling exactly the bits under the PFN.
 const (
-	rawPresent = 1 << 0
-	rawW       = 1 << 1
-	rawX       = 1 << 2
-	rawR       = 1 << 3
+	rawPresent = 1
 	rawShift   = 4
+	permAll    = PermW | PermX | PermR
 )
 
-func pack(pfn uint64, perm Perm) uint64 {
-	raw := pfn<<rawShift | rawPresent
-	if perm&PermW != 0 {
-		raw |= rawW
-	}
-	if perm&PermX != 0 {
-		raw |= rawX
-	}
-	if perm&PermR != 0 {
-		raw |= rawR
-	}
-	return raw
-}
+var _ [0]struct{} = [rawPresent | permAll<<1 ^ (1<<rawShift - 1)]struct{}{}
+
+func pack(pfn uint64, perm Perm) uint64 { return pfn<<rawShift | uint64(perm)<<1 | rawPresent }
 
 func unpack(raw uint64) PTE {
-	var perm Perm
-	if raw&rawW != 0 {
-		perm |= PermW
-	}
-	if raw&rawX != 0 {
-		perm |= PermX
-	}
-	if raw&rawR != 0 {
-		perm |= PermR
-	}
-	return PTE{PFN: raw >> rawShift, Perm: perm, Present: raw&rawPresent != 0}
+	return PTE{PFN: raw >> rawShift, Perm: Perm(raw>>1) & permAll, Present: raw&rawPresent != 0}
 }
 
 // node is one table node as the host pays for it: the first cache line a
@@ -261,33 +242,55 @@ func (pt *PageTable) walk(cpu *hw.CPU, vpn uint64, create bool) *leaf {
 	return descend(pt, cpu, d1, idxAt(vpn, 1), create)
 }
 
+// entry is the one step every single-entry operation takes: it walks to
+// vpn's leaf, creating the path when create is set, touches vpn's entry and
+// charges its line to cpu, as a write when write is set. Returns nil when
+// the path does not exist.
+func (pt *PageTable) entry(cpu *hw.CPU, vpn uint64, create, write bool) *atomic.Uint64 {
+	n := pt.walk(cpu, vpn, create)
+	if n == nil {
+		return nil
+	}
+	l, pte := n.touch(idxAt(vpn, 0))
+	if write {
+		cpu.Write(l)
+	} else {
+		cpu.Read(l)
+	}
+	return pte
+}
+
+// each is the one range walk: it runs op on the entry of every vpn in
+// [lo, hi), each reached and charged as entry reaches it, and skips the rest
+// of a leaf's span when the leaf does not exist.
+func (pt *PageTable) each(cpu *hw.CPU, lo, hi uint64, write bool, op func(vpn uint64, pte *atomic.Uint64)) {
+	for vpn := lo; vpn < hi; vpn++ {
+		if pte := pt.entry(cpu, vpn, false, write); pte != nil {
+			op(vpn, pte)
+		} else {
+			vpn |= EntriesPerNode - 1 // jump to end of this leaf span
+		}
+	}
+}
+
 // Map installs vpn→pfn with the given permissions, charged to cpu. Mapping
 // an already-present entry overwrites it (how a protection fault upgrades a
 // read-only PTE after mprotect widened the mapping's rights).
 func (pt *PageTable) Map(cpu *hw.CPU, vpn, pfn uint64, perm Perm) {
-	l, pte := pt.walk(cpu, vpn, true).touch(idxAt(vpn, 0))
-	cpu.Write(l)
-	pte.Store(pack(pfn, perm))
+	pt.entry(cpu, vpn, true, true).Store(pack(pfn, perm))
 }
 
 // MapIfAbsent installs vpn→pfn only if no translation is present, and
 // reports whether it installed. Concurrent faulters on a shared table race
 // here; exactly one wins (Linux's equivalent is the PTE lock + recheck).
 func (pt *PageTable) MapIfAbsent(cpu *hw.CPU, vpn, pfn uint64, perm Perm) bool {
-	l, pte := pt.walk(cpu, vpn, true).touch(idxAt(vpn, 0))
-	cpu.Write(l)
-	return pte.CompareAndSwap(0, pack(pfn, perm))
+	return pt.entry(cpu, vpn, true, true).CompareAndSwap(0, pack(pfn, perm))
 }
 
 // Unmap clears vpn's entry and reports whether it was present.
 func (pt *PageTable) Unmap(cpu *hw.CPU, vpn uint64) bool {
-	n := pt.walk(cpu, vpn, false)
-	if n == nil {
-		return false
-	}
-	l, pte := n.touch(idxAt(vpn, 0))
-	cpu.Write(l)
-	return pte.Swap(0)&rawPresent != 0
+	pte := pt.entry(cpu, vpn, false, true)
+	return pte != nil && pte.Swap(0)&rawPresent != 0
 }
 
 // UnmapRange clears [lo, hi) and returns how many entries were present.
@@ -300,22 +303,14 @@ func (pt *PageTable) UnmapRange(cpu *hw.CPU, lo, hi uint64) int {
 // returns how many entries were present.
 func (pt *PageTable) UnmapRangeFunc(cpu *hw.CPU, lo, hi uint64, fn func(vpn, pfn uint64)) int {
 	cleared := 0
-	for vpn := lo; vpn < hi; vpn++ {
-		// Skip absent subtrees a leaf node at a time.
-		n := pt.walk(cpu, vpn, false)
-		if n == nil {
-			vpn |= EntriesPerNode - 1 // jump to end of this leaf span
-			continue
-		}
-		l, pte := n.touch(idxAt(vpn, 0))
-		cpu.Write(l)
+	pt.each(cpu, lo, hi, true, func(vpn uint64, pte *atomic.Uint64) {
 		if old := pte.Swap(0); old&rawPresent != 0 {
 			cleared++
 			if fn != nil {
 				fn(vpn, old>>rawShift)
 			}
 		}
-	}
+	})
 	return cleared
 }
 
@@ -324,18 +319,11 @@ func (pt *PageTable) UnmapRangeFunc(cpu *hw.CPU, lo, hi uint64, fn func(vpn, pfn
 // them into the child and downgrade them in place. Each visited leaf line
 // is charged as a read.
 func (pt *PageTable) ForEachRange(cpu *hw.CPU, lo, hi uint64, fn func(vpn uint64, pte PTE)) {
-	for vpn := lo; vpn < hi; vpn++ {
-		n := pt.walk(cpu, vpn, false)
-		if n == nil {
-			vpn |= EntriesPerNode - 1 // jump to end of this leaf span
-			continue
-		}
-		l, pte := n.touch(idxAt(vpn, 0))
-		cpu.Read(l)
+	pt.each(cpu, lo, hi, false, func(vpn uint64, pte *atomic.Uint64) {
 		if raw := pte.Load(); raw&rawPresent != 0 {
 			fn(vpn, unpack(raw))
 		}
-	}
+	})
 }
 
 // Replace atomically swaps vpn's entry from old to (pfn, perm), reporting
@@ -344,13 +332,8 @@ func (pt *PageTable) ForEachRange(cpu *hw.CPU, lo, hi uint64, fn func(vpn uint64
 // wins — the loser discards its copy and adopts the winner's (the role the
 // per-PTE lock plays in Linux).
 func (pt *PageTable) Replace(cpu *hw.CPU, vpn uint64, old PTE, pfn uint64, perm Perm) bool {
-	n := pt.walk(cpu, vpn, false)
-	if n == nil {
-		return false
-	}
-	l, pte := n.touch(idxAt(vpn, 0))
-	cpu.Write(l)
-	return pte.CompareAndSwap(pack(old.PFN, old.Perm), pack(pfn, perm))
+	pte := pt.entry(cpu, vpn, false, true)
+	return pte != nil && pte.CompareAndSwap(pack(old.PFN, old.Perm), pack(pfn, perm))
 }
 
 // ProtectRange rewrites the permission bits of every present entry in
@@ -360,71 +343,51 @@ func (pt *PageTable) Replace(cpu *hw.CPU, vpn uint64, old PTE, pfn uint64, perm 
 // UnmapRange. Returns how many present entries the sweep covered.
 func (pt *PageTable) ProtectRange(cpu *hw.CPU, lo, hi uint64, perm Perm) int {
 	changed := 0
-	for vpn := lo; vpn < hi; vpn++ {
-		n := pt.walk(cpu, vpn, false)
-		if n == nil {
-			vpn |= EntriesPerNode - 1 // jump to end of this leaf span
-			continue
-		}
-		l, pte := n.touch(idxAt(vpn, 0))
-		cpu.Write(l)
+	pt.each(cpu, lo, hi, true, func(_ uint64, pte *atomic.Uint64) {
 		for {
 			old := pte.Load()
 			if old&rawPresent == 0 {
-				break
+				return
 			}
 			newRaw := pack(old>>rawShift, perm)
 			if old == newRaw || pte.CompareAndSwap(old, newRaw) {
 				changed++
-				break
+				return
 			}
 		}
-	}
+	})
 	return changed
 }
 
 // Lookup performs a hardware-style walk for vpn.
 func (pt *PageTable) Lookup(cpu *hw.CPU, vpn uint64) (PTE, bool) {
-	n := pt.walk(cpu, vpn, false)
-	if n == nil {
-		return PTE{}, false
-	}
-	l, pte := n.touch(idxAt(vpn, 0))
-	cpu.Read(l)
-	raw := pte.Load()
-	if raw&rawPresent == 0 {
-		return PTE{}, false
-	}
-	return unpack(raw), true
-}
-
-// Present reports whether vpn has a translation, without charging any
-// simulated cost. It exists for the walk/shootdown atomicity recheck: real
-// hardware's page walk and TLB insert are atomic against the shootdown
-// protocol (the IPI ack round orders them), and the Go-level walk+insert is
-// not, so Access re-validates its insert against the table. The recheck is
-// an emulation artifact, not a modeled memory operation, so it is cost-free.
-func (pt *PageTable) Present(vpn uint64) bool {
-	_, ok := pt.Peek(vpn)
-	return ok
+	return present(pt.entry(cpu, vpn, false, false))
 }
 
 // Peek returns vpn's entry without charging simulated cost — for callers
 // that just touched (and paid for) the entry's line and need to re-read it,
-// and for the Present recheck above. It materializes nothing: an entry on a
-// line no walk has touched is absent.
+// and for the walk/shootdown recheck: real hardware's page walk and TLB
+// insert are atomic against the shootdown protocol (the IPI ack round
+// orders them), the Go-level walk+insert is not, so the MMU re-validates
+// its insert through Peek. The recheck is an emulation artifact, not a
+// modeled memory operation, so it is cost-free. Peek materializes nothing:
+// an entry on a line no walk has touched is absent.
 func (pt *PageTable) Peek(vpn uint64) (PTE, bool) {
 	d2 := peekChild(&pt.root, idxAt(vpn, 3))
 	d1 := peekChild(d2, idxAt(vpn, 2))
-	pte := peekChild(d1, idxAt(vpn, 1)).peek(idxAt(vpn, 0))
+	return present(peekChild(d1, idxAt(vpn, 1)).peek(idxAt(vpn, 0)))
+}
+
+// present reads an entry, reporting whether it holds a translation; a nil
+// entry (no path to it, or a line no walk has touched) holds none.
+func present(pte *atomic.Uint64) (PTE, bool) {
 	if pte == nil {
 		return PTE{}, false
 	}
-	raw := pte.Load()
-	if raw&rawPresent == 0 {
-		return PTE{}, false
+	if raw := pte.Load(); raw&rawPresent != 0 {
+		return unpack(raw), true
 	}
-	return unpack(raw), true
+	return PTE{}, false
 }
 
 // peekChild returns the node that entry i of n points to, nil when there is

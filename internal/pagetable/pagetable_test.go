@@ -47,26 +47,37 @@ func TestMapOverwrite(t *testing.T) {
 	}
 }
 
+// TestPermissionRoundTrip: every permission survives the packed PTE at a
+// zero, a small and a wide PFN, through Map/Lookup, Peek and ProtectRange.
 func TestPermissionRoundTrip(t *testing.T) {
 	m, pt := newPT(1)
 	c := m.CPU(0)
-	pt.Map(c, 1, 11, 0)
-	pt.Map(c, 2, 12, PermR|PermW)
-	pt.Map(c, 3, 13, PermR|PermW|PermX)
-	for vpn, want := range map[uint64]Perm{1: 0, 2: PermR | PermW, 3: PermR | PermW | PermX} {
-		pte, ok := pt.Lookup(c, vpn)
-		if !ok || pte.Perm != want || pte.PFN != 10+vpn {
-			t.Fatalf("vpn %d: %+v ok=%v want perm %v", vpn, pte, ok, want)
+	check := func(how string, vpn, pfn uint64, perm Perm, pte PTE, ok bool) {
+		t.Helper()
+		if want := (PTE{PFN: pfn, Perm: perm, Present: true}); !ok || pte != want {
+			t.Fatalf("vpn %d %s: %+v ok=%v, want %+v", vpn, how, pte, ok, want)
+		}
+		if pte.Readable() != (perm&PermR != 0) || pte.Writable() != (perm&PermW != 0) || pte.Executable() != (perm&PermX != 0) {
+			t.Fatalf("vpn %d %s: accessors of %+v disagree with its bits", vpn, how, pte)
 		}
 	}
-	if pte, _ := pt.Lookup(c, 3); !pte.Writable() || !pte.Executable() {
-		t.Fatal("perm accessors disagree with bits")
-	}
-	if pte, _ := pt.Lookup(c, 1); pte.Readable() || pte.Writable() || pte.Executable() {
-		t.Fatal("PROT_NONE entry reports rights")
-	}
-	if pte, _ := pt.Lookup(c, 2); !pte.Readable() {
-		t.Fatal("readable bit lost")
+	vpn := uint64(0)
+	for _, pfn := range []uint64{0, 1, 1<<40 + 1} {
+		for perm := Perm(0); perm <= permAll; perm++ {
+			pt.Map(c, vpn, pfn, perm)
+			pte, ok := pt.Lookup(c, vpn)
+			check("Lookup", vpn, pfn, perm, pte, ok)
+			pte, ok = pt.Peek(vpn)
+			check("Peek", vpn, pfn, perm, pte, ok)
+			for to := Perm(0); to <= permAll; to++ {
+				if n := pt.ProtectRange(c, vpn, vpn+1, to); n != 1 {
+					t.Fatalf("vpn %d: ProtectRange to %03b covered %d entries", vpn, to, n)
+				}
+				pte, ok := pt.Lookup(c, vpn)
+				check("ProtectRange", vpn, pfn, to, pte, ok)
+			}
+			vpn++
+		}
 	}
 }
 
@@ -98,20 +109,17 @@ func TestProtectRange(t *testing.T) {
 func TestPresentPeek(t *testing.T) {
 	m, pt := newPT(1)
 	c := m.CPU(0)
-	if pt.Present(7) {
-		t.Fatal("Present on empty table")
+	if _, ok := pt.Peek(7); ok {
+		t.Fatal("Peek hit on empty table")
 	}
 	pt.Map(c, 7, 70, PermX)
-	if !pt.Present(7) {
-		t.Fatal("Present missed mapped page")
-	}
 	pte, ok := pt.Peek(7)
 	if !ok || pte.PFN != 70 || pte.Perm != PermX {
 		t.Fatalf("Peek = %+v, %v", pte, ok)
 	}
 	pt.Unmap(c, 7)
-	if pt.Present(7) {
-		t.Fatal("Present after unmap")
+	if _, ok := pt.Peek(7); ok {
+		t.Fatal("Peek hit after unmap")
 	}
 }
 

@@ -41,13 +41,28 @@ func tlbEntry(pfn uint64, perm pagetable.Perm) tlb.Entry {
 // encoding shared by all three systems' walk paths.
 func TLBEntry(pte pagetable.PTE) tlb.Entry { return tlbEntry(pte.PFN, pte.Perm) }
 
+// right is the one PTE permission bit access kind k needs (x86: a load
+// needs the readable bit any non-empty protection sets, a store the
+// writable bit, a fetch the executable one). Prot.Permits, PTEAllows and
+// TLBAllows all check through it.
+func right(k Kind) pagetable.Perm {
+	switch k {
+	case KindWrite:
+		return pagetable.PermW
+	case KindExec:
+		return pagetable.PermX
+	default:
+		return pagetable.PermR
+	}
+}
+
 // TLBAllows reports whether cached translation e carries the right access
 // kind k needs — the hardware check all three systems' TLB-hit paths share.
 func TLBAllows(e tlb.Entry, k Kind) bool {
-	switch k {
-	case KindWrite:
+	switch right(k) {
+	case pagetable.PermW:
 		return e.Writable
-	case KindExec:
+	case pagetable.PermX:
 		return e.Exec
 	default:
 		return e.Readable
@@ -55,16 +70,7 @@ func TLBAllows(e tlb.Entry, k Kind) bool {
 }
 
 // PTEAllows is TLBAllows for a walked page table entry.
-func PTEAllows(p pagetable.PTE, k Kind) bool {
-	switch k {
-	case KindWrite:
-		return p.Writable()
-	case KindExec:
-		return p.Executable()
-	default:
-		return p.Readable()
-	}
-}
+func PTEAllows(p pagetable.PTE, k Kind) bool { return p.Perm&right(k) != 0 }
 
 // MMU abstracts the hardware mapping layer under an address space, the
 // paper's "MMU abstraction" component (Table 1): it is "implemented both
@@ -282,22 +288,29 @@ func revalidate(pt *pagetable.PageTable, vpn, pfn uint64, perm pagetable.Perm) b
 // TLB implements MMU.
 func (mmu *PerCoreMMU) TLB(id int) *tlb.TLB { return &mmu.build(id).tlb }
 
+// round is the per-core tables' one interrupt round, under Shootdown,
+// Protect and Reset: op runs on the caller's own slot synchronously if
+// targets names it, then on every other core targets names by IPI —
+// executed by proxy, its cost charged to the target by SendIPIs. A round
+// that names no other core is no shootdown at all: the common local case
+// (§3.3).
+func (mmu *PerCoreMMU) round(cpu *hw.CPU, targets hw.CoreSet, op func(c *coreMMU)) {
+	self := cpu.ID()
+	if targets.Has(self) {
+		op(mmu.core(self))
+		targets.Remove(self)
+	}
+	if targets.Empty() {
+		return
+	}
+	cpu.Stats().Shootdowns++
+	cpu.SendIPIs(targets, func(t *hw.CPU) { op(mmu.core(t.ID())) })
+}
+
 // Shootdown implements MMU: targeted. The unmapping core clears its own
 // state synchronously and interrupts exactly the cores the metadata saw.
 func (mmu *PerCoreMMU) Shootdown(cpu *hw.CPU, lo, hi uint64, precise, _ hw.CoreSet) {
-	self := cpu.ID()
-	if precise.Has(self) {
-		mmu.core(self).unmap(cpu, lo, hi)
-		precise.Remove(self)
-	}
-	if precise.Empty() {
-		return // the common local case: no shootdown at all (§3.3)
-	}
-	cpu.Stats().Shootdowns++
-	cpu.SendIPIs(precise, func(t *hw.CPU) {
-		// Executed by proxy; cost charged to the target by SendIPIs.
-		mmu.core(t.ID()).unmap(cpu, lo, hi)
-	})
+	mmu.round(cpu, precise, func(c *coreMMU) { c.unmap(cpu, lo, hi) })
 }
 
 // Unmap implements MMU.
@@ -310,18 +323,7 @@ func (mmu *PerCoreMMU) Unmap(cpu *hw.CPU, lo, hi uint64, precise, _ hw.CoreSet) 
 // in place instead of cleared, so a core that re-touches a still-permitted
 // page pays a hardware walk, not a fault.
 func (mmu *PerCoreMMU) Protect(cpu *hw.CPU, lo, hi uint64, perm pagetable.Perm, precise, _ hw.CoreSet) {
-	self := cpu.ID()
-	if precise.Has(self) {
-		mmu.core(self).protect(cpu, lo, hi, perm)
-		precise.Remove(self)
-	}
-	if precise.Empty() {
-		return // rights revoked on a core-local region: no IPIs (§3.3)
-	}
-	cpu.Stats().Shootdowns++
-	cpu.SendIPIs(precise, func(t *hw.CPU) {
-		mmu.core(t.ID()).protect(cpu, lo, hi, perm)
-	})
+	mmu.round(cpu, precise, func(c *coreMMU) { c.protect(cpu, lo, hi, perm) })
 }
 
 // Reset implements MMU: each active core's table is swapped out whole and
@@ -340,13 +342,14 @@ func (mmu *PerCoreMMU) Protect(cpu *hw.CPU, lo, hi uint64, perm pagetable.Perm, 
 // the fault the epoch validation undoes: the caller bumped the epoch before
 // Reset, so that fault's table CAS follows the scan's load and its post-fill
 // epoch read follows the bump. The scan is charged as reads of the per-core
-// pointers: a hit for a non-holder's, a line transfer for a holder's.
+// pointers: a hit for a non-holder's, a line transfer for a holder's. The
+// caller resets its own slot whether or not it holds anything.
 func (mmu *PerCoreMMU) Reset(cpu *hw.CPU, active hw.CoreSet) {
 	self := cpu.ID()
-	mmu.core(self).reset()
 	active.Remove(self)
 	cfg := mmu.m.Config()
 	var holders hw.CoreSet
+	holders.Add(self)
 	active.ForEach(func(id int) {
 		switch c := mmu.core(id); {
 		case !c.holds():
@@ -359,14 +362,7 @@ func (mmu *PerCoreMMU) Reset(cpu *hw.CPU, active hw.CoreSet) {
 		}
 		holders.Add(id)
 	})
-	if holders.Empty() {
-		return
-	}
-	cpu.Stats().Shootdowns++
-	cpu.SendIPIs(holders, func(t *hw.CPU) {
-		// Executed by proxy; cost charged to the target by SendIPIs.
-		mmu.core(t.ID()).reset()
-	})
+	mmu.round(cpu, holders, (*coreMMU).reset)
 }
 
 // table, holds, reset, unmap and protect read or clear a slot without
@@ -503,16 +499,7 @@ func (mmu *SharedMMU) Protect(cpu *hw.CPU, lo, hi uint64, perm pagetable.Perm, _
 // touching the page table — for baseline VMs that already cleared the
 // shared table themselves while collecting the frames to free.
 func (mmu *SharedMMU) ShootdownTLBOnly(cpu *hw.CPU, lo, hi uint64, active hw.CoreSet) {
-	self := cpu.ID()
-	mmu.tlbs[self].FlushRange(lo, hi)
-	active.Remove(self)
-	if active.Empty() {
-		return
-	}
-	cpu.Stats().Shootdowns++
-	cpu.SendIPIs(active, func(t *hw.CPU) {
-		mmu.tlbs[t.ID()].FlushRange(lo, hi)
-	})
+	mmu.broadcast(cpu, active, func(t *tlb.TLB) { t.FlushRange(lo, hi) })
 }
 
 // Reset implements MMU: the shared table is swapped for an empty one — no
@@ -522,16 +509,21 @@ func (mmu *SharedMMU) ShootdownTLBOnly(cpu *hw.CPU, lo, hi uint64, active hw.Cor
 // by the caller's fork-epoch validation.
 func (mmu *SharedMMU) Reset(cpu *hw.CPU, active hw.CoreSet) {
 	mmu.pt.Store(pagetable.New(mmu.m))
+	mmu.broadcast(cpu, active, (*tlb.TLB).FlushAll)
+}
+
+// broadcast is the shared table's one interrupt round, under
+// ShootdownTLBOnly and Reset: flush runs on the caller's own TLB, then on
+// every other active core's by IPI.
+func (mmu *SharedMMU) broadcast(cpu *hw.CPU, active hw.CoreSet, flush func(t *tlb.TLB)) {
 	self := cpu.ID()
-	mmu.tlbs[self].FlushAll()
+	flush(&mmu.tlbs[self])
 	active.Remove(self)
 	if active.Empty() {
 		return
 	}
 	cpu.Stats().Shootdowns++
-	cpu.SendIPIs(active, func(t *hw.CPU) {
-		mmu.tlbs[t.ID()].FlushAll()
-	})
+	cpu.SendIPIs(active, func(t *hw.CPU) { flush(&mmu.tlbs[t.ID()]) })
 }
 
 // Bytes implements MMU.

@@ -1,6 +1,7 @@
 package vm_test
 
 import (
+	"fmt"
 	"testing"
 
 	"radixvm/internal/hw"
@@ -120,6 +121,112 @@ func TestMMUSlotFirstFillVsProxyClears(t *testing.T) {
 		mmu.Reset(m0(w), all)
 		if _, ok := mmu.Lookup(w.m.CPU(1), 100); ok || mmu.TLB(1).Len() != 0 || mmu.Bytes() != 0 {
 			t.Fatalf("round %d: core 1 still holds a translation after a quiescent Reset", round)
+		}
+	}
+}
+
+// TestAccessRightsMatchX86: every protection against every access kind, on
+// the three checks that decide it — the mapping's Permits, a walk's
+// PTEAllows, a TLB hit's TLBAllows — against the x86 rules written out: a
+// load needs any non-empty protection, a store ProtWrite, a fetch ProtExec.
+func TestAccessRightsMatchX86(t *testing.T) {
+	const R, W, X = vm.ProtRead, vm.ProtWrite, vm.ProtExec
+	//                 load   store  fetch
+	want := [8][3]bool{
+		0:         {false, false, false},
+		R:         {true, false, false},
+		W:         {true, true, false},
+		R | W:     {true, true, false},
+		X:         {true, false, true},
+		R | X:     {true, false, true},
+		W | X:     {true, true, true},
+		R | W | X: {true, true, true},
+	}
+	for p := vm.Prot(0); p < 8; p++ {
+		pte := pagetable.PTE{PFN: 1, Perm: vm.PermBits(p), Present: true}
+		for _, k := range []vm.Kind{vm.KindRead, vm.KindWrite, vm.KindExec} {
+			w := want[p][k]
+			if got := p.Permits(k); got != w {
+				t.Errorf("prot %03b kind %d: Permits = %v, want %v", p, k, got, w)
+			}
+			if got := vm.PTEAllows(pte, k); got != w {
+				t.Errorf("prot %03b kind %d: PTEAllows = %v, want %v", p, k, got, w)
+			}
+			if got := vm.TLBAllows(vm.TLBEntry(pte), k); got != w {
+				t.Errorf("prot %03b kind %d: TLBAllows = %v, want %v", p, k, got, w)
+			}
+		}
+	}
+}
+
+// TestInterruptRoundsSkipTheCaller: every interrupt round of both MMUs
+// handles the caller's own core synchronously and interrupts only the other
+// cores its set names — one shootdown and one IPI per other core, none at
+// all when the set names no other core, and never an IPI to the caller.
+func TestInterruptRoundsSkipTheCaller(t *testing.T) {
+	const ncores, self, vpn = 8, 0, 100
+	shapes := []struct {
+		name                string
+		cores               []int
+		shootdowns, ipisOut uint64
+	}{
+		{"empty", nil, 0, 0},
+		{"caller only", []int{self}, 0, 0},
+		{"caller and one", []int{self, 3}, 1, 1},
+		{"two others", []int{2, 5}, 1, 2},
+	}
+	rounds := map[string]func(mmu vm.MMU, cpu *hw.CPU, set hw.CoreSet){
+		"Shootdown": func(mmu vm.MMU, cpu *hw.CPU, set hw.CoreSet) { mmu.Shootdown(cpu, vpn, vpn+1, set, set) },
+		"Protect": func(mmu vm.MMU, cpu *hw.CPU, set hw.CoreSet) {
+			mmu.Protect(cpu, vpn, vpn+1, pagetable.PermR, set, set)
+		},
+		"Reset": func(mmu vm.MMU, cpu *hw.CPU, set hw.CoreSet) { mmu.Reset(cpu, set) },
+		"ShootdownTLBOnly": func(mmu vm.MMU, cpu *hw.CPU, set hw.CoreSet) {
+			mmu.(*vm.SharedMMU).ShootdownTLBOnly(cpu, vpn, vpn+1, set)
+		},
+	}
+	for _, shared := range []bool{false, true} {
+		for name, round := range rounds {
+			if name == "ShootdownTLBOnly" && !shared {
+				continue
+			}
+			for _, sh := range shapes {
+				m := hw.NewMachine(hw.TestConfig(ncores))
+				var mmu vm.MMU = vm.NewPerCoreMMU(m)
+				if shared {
+					mmu = vm.NewSharedMMU(m)
+				}
+				var set hw.CoreSet
+				for _, id := range sh.cores {
+					set.Add(id)
+					mmu.Fill(m.CPU(id), vpn, 7, pagetable.PermR|pagetable.PermW)
+				}
+				recv := make([]uint64, ncores)
+				for id := range recv {
+					recv[id] = m.CPU(id).Stats().IPIsReceived()
+				}
+				cpu := m.CPU(self)
+				st := cpu.Stats()
+				sd, sent := st.Shootdowns, st.IPIsSent
+				round(mmu, cpu, set)
+				where := fmt.Sprintf("%s %s, %s", mmu.Name(), name, sh.name)
+				if st.Shootdowns-sd != sh.shootdowns || st.IPIsSent-sent != sh.ipisOut {
+					t.Errorf("%s: caller counted %d shootdowns and %d IPIs, want %d and %d",
+						where, st.Shootdowns-sd, st.IPIsSent-sent, sh.shootdowns, sh.ipisOut)
+				}
+				for id := range recv {
+					want := uint64(0)
+					if id != self && set.Has(id) {
+						want = 1
+					}
+					if got := m.CPU(id).Stats().IPIsReceived() - recv[id]; got != want {
+						t.Errorf("%s: core %d received %d IPIs, want %d", where, id, got, want)
+					}
+				}
+				if _, ok := mmu.TLB(self).Lookup(vpn); ok {
+					t.Errorf("%s: the caller's TLB still caches vpn %d", where, vpn)
+				}
+			}
 		}
 	}
 }

@@ -59,21 +59,12 @@ func KindOf(write bool) Kind {
 	return KindRead
 }
 
-// Permits reports whether a mapping with protection p permits the access.
-// The rules are x86-shaped: a store needs ProtWrite, an instruction fetch
-// needs ProtExec, and a load succeeds under any non-empty protection
-// (writable and executable pages are readable; only PROT_NONE blocks
-// reads).
-func (p Prot) Permits(k Kind) bool {
-	switch k {
-	case KindWrite:
-		return p&ProtWrite != 0
-	case KindExec:
-		return p&ProtExec != 0
-	default:
-		return p != 0
-	}
-}
+// Permits reports whether a mapping with protection p permits the access:
+// whether the PTE it installs carries the right k needs. The rules are
+// x86-shaped: a store needs ProtWrite, an instruction fetch needs ProtExec,
+// and a load succeeds under any non-empty protection (writable and
+// executable pages are readable; only PROT_NONE blocks reads).
+func (p Prot) Permits(k Kind) bool { return PermBits(p)&right(k) != 0 }
 
 // MapOpts describes an mmap request.
 type MapOpts struct {

@@ -13,10 +13,11 @@
 // (internal/hw): each simulated core has a virtual clock — and is a
 // goroutine under RunGang; under the deterministic schedule the figures
 // use, cores are entries in one loop and procs are coroutines — and shared
-// cache lines are serialization resources with modeled coherence costs. The data structures are really concurrent — only time
-// is simulated — so the library reproduces both the semantics and the
-// scalability curves of the paper on any host. README.md ("The simulated
-// machine") gives the full substitution argument.
+// cache lines are serialization resources with modeled coherence costs.
+// The data structures are really concurrent — only time is simulated — so
+// the library reproduces both the semantics and the scalability curves of
+// the paper on any host. README.md ("The simulated machine") gives the full
+// substitution argument.
 //
 // # Quick start
 //
