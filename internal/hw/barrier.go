@@ -68,5 +68,5 @@ func (b *Barrier) wait(cpu *CPU) {
 	}
 	t := b.release[gen%2]
 	b.mu.Unlock()
-	cpu.advanceTo(t)
+	cpu.advanceTo(CauseIdle, t)
 }

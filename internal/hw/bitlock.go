@@ -44,9 +44,10 @@ func (g *Gate) Restore(free, busyStart uint64) {
 
 // AcquireBitIn locks bit mask of word w for core c, spinning until it is
 // free, then waits out the previous holder's critical section in virtual
-// time through gate. The caller must have charged the containing cache
-// line already: the acquisition is a CAS on that line.
-func (c *CPU) AcquireBitIn(w *atomic.Uint64, mask uint64, gate *Gate) {
+// time through gate, charging the wait to cause k. The caller must have
+// charged the containing cache line already: the acquisition is a CAS on
+// that line.
+func (c *CPU) AcquireBitIn(w *atomic.Uint64, mask uint64, gate *Gate, k Cause) {
 	now := c.Now() // arrival time: before any real-time spinning
 	for {
 		old := w.Load()
@@ -58,7 +59,7 @@ func (c *CPU) AcquireBitIn(w *atomic.Uint64, mask uint64, gate *Gate) {
 		}
 		runtime.Gosched()
 	}
-	c.advanceTo(gate.g.arrive(now))
+	c.advanceTo(k, gate.g.arrive(now))
 }
 
 // ReleaseBitIn unlocks bit mask of word w, recording the end of c's

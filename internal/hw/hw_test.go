@@ -290,7 +290,7 @@ func TestMailboxStampOrder(t *testing.T) {
 		t.Fatalf("second fold: Now = %d, want 2600", c.Now())
 	}
 	// Now() alone never advances past a future stamp.
-	if depth := c.mboxLen.Load(); depth != 1 {
+	if depth := atomic.LoadInt32(&c.mboxLen); depth != 1 {
 		t.Fatalf("queued = %d, want 1", depth)
 	}
 	c.Tick(400) // to 3000, handler runs => 3500
@@ -397,9 +397,9 @@ func TestPackedBitLock(t *testing.T) {
 	var word atomic.Uint64
 	var gates [2]Gate
 	const bit0, bit1 = uint64(1) << 0, uint64(1) << 7
-	c.AcquireBitIn(&word, bit0, &gates[0])
+	c.AcquireBitIn(&word, bit0, &gates[0], CauseSlotWait)
 	// A different bit of the same word stays independently lockable.
-	c.AcquireBitIn(&word, bit1, &gates[1])
+	c.AcquireBitIn(&word, bit1, &gates[1], CauseSlotWait)
 	if word.Load() != bit0|bit1 {
 		t.Fatalf("word = %#x with both bits held, want %#x", word.Load(), bit0|bit1)
 	}
@@ -407,7 +407,7 @@ func TestPackedBitLock(t *testing.T) {
 	c.Tick(777)
 	c.ReleaseBitIn(&word, bit0, &gates[0])
 	c2 := m.CPU(1)
-	c2.AcquireBitIn(&word, bit0, &gates[0])
+	c2.AcquireBitIn(&word, bit0, &gates[0], CauseSlotWait)
 	if c2.Now() < 777 {
 		t.Errorf("bit did not serialize virtual time: %d", c2.Now())
 	}

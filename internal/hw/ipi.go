@@ -45,7 +45,7 @@ func (c *CPU) SendIPIs(targets CoreSet, handler func(target *CPU)) int {
 	})
 	nNear := uint64(n) - nFar
 	start := c.Now()
-	c.Tick(cfg.IPIBase + nNear*cfg.IPIPerTarget + nFar*cfg.IPIPerTargetRemote)
+	c.TickAs(CauseIPISend, cfg.IPIBase+nNear*cfg.IPIPerTarget+nFar*cfg.IPIPerTargetRemote)
 	// Each target's interrupt arrives when the serialized APIC protocol
 	// reaches it: initiation plus the delivery costs of every earlier
 	// target in core-ID order.
@@ -63,7 +63,7 @@ func (c *CPU) SendIPIs(targets CoreSet, handler func(target *CPU)) int {
 	})
 	// Wait for acknowledgments; acks arrive roughly in parallel but each
 	// costs the sender a serialized receive.
-	c.Tick(nNear*cfg.IPIAckWait + nFar*cfg.IPIAckWaitRemote)
+	c.TickAs(CauseIPIAck, nNear*cfg.IPIAckWait+nFar*cfg.IPIAckWaitRemote)
 	c.stats.IPIsSent += uint64(n)
 	c.stats.IPIsRemote += nFar
 	return n

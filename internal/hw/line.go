@@ -125,7 +125,7 @@ func (c *CPU) Read(l *Line) {
 	if l.fast.Load() == int32(c.id)+1 {
 		// Sole sharer and owner: hit, no shared state touched.
 		c.stats.LocalHits++
-		c.Tick(c.m.cfg.LocalHit)
+		c.TickAs(CauseLineHit, c.m.cfg.LocalHit)
 		return
 	}
 	now := c.Now()
@@ -135,15 +135,13 @@ func (c *CPU) Read(l *Line) {
 	// set (we still share the line) or is about to invalidate it, in
 	// which case this hit linearizes just before the invalidation.
 	if s := l.seq.Load(); s&1 == 0 && l.sharedHas(c.id) && l.seq.Load() == s {
-		c.stats.LocalHits++
-		c.clock = now + c.m.cfg.LocalHit
+		c.hit(now)
 		return
 	}
 	l.lock()
 	if l.sharedHas(c.id) {
 		l.unlock()
-		c.stats.LocalHits++
-		c.clock = now + c.m.cfg.LocalHit
+		c.hit(now)
 		return
 	}
 	cost, cross, cold := c.xferCost(l)
@@ -153,8 +151,7 @@ func (c *CPU) Read(l *Line) {
 	l.sharedAdd(c.id)
 	l.refreshFast(l.sharedCount() == 1)
 	l.unlock()
-	c.countMiss(cross, cold)
-	c.advanceTo(end)
+	c.miss(start, end, cross, cold)
 }
 
 // Write models a store to the line by core c.
@@ -162,7 +159,7 @@ func (c *CPU) Write(l *Line) {
 	if l.fast.Load() == int32(c.id)+1 {
 		// Sole sharer and owner: silent upgrade, no shared state touched.
 		c.stats.LocalHits++
-		c.Tick(c.m.cfg.LocalHit)
+		c.TickAs(CauseLineHit, c.m.cfg.LocalHit)
 		return
 	}
 	now := c.Now()
@@ -172,8 +169,7 @@ func (c *CPU) Write(l *Line) {
 		l.owner.Store(int32(c.id) + 1)
 		l.fast.Store(int32(c.id) + 1)
 		l.unlock()
-		c.stats.LocalHits++
-		c.clock = now + c.m.cfg.LocalHit
+		c.hit(now)
 		return
 	}
 	cost, cross, cold := c.xferCost(l)
@@ -185,8 +181,7 @@ func (c *CPU) Write(l *Line) {
 	l.sharedAdd(c.id)
 	l.fast.Store(int32(c.id) + 1)
 	l.unlock()
-	c.countMiss(cross, cold)
-	c.advanceTo(end)
+	c.miss(start, end, cross, cold)
 }
 
 // refreshFast updates the fast-path hint after a state change. Called with
@@ -206,17 +201,31 @@ func (l *Line) refreshFast(soleSharer bool) {
 	l.fast.Store(0)
 }
 
-// countMiss attributes a miss to the right statistic: coherence transfers
-// (the paper's contention metric) or cold DRAM fills.
-func (c *CPU) countMiss(cross, cold bool) {
+// hit completes a touch that hit locally after the clock was read as now.
+func (c *CPU) hit(now uint64) {
+	c.stats.LocalHits++
+	c.clock = now + c.m.cfg.LocalHit
+	c.cycles[CauseLineHit] += c.m.cfg.LocalHit
+}
+
+// miss completes a touch whose service by the line's home node starts at
+// start and ends at end, and attributes it to the right statistic: coherence
+// transfers (the paper's contention metric) or cold DRAM fills. The clock
+// advances in two steps, the queue wait and then the service, each charged
+// to its cause; a mailbox message stamped between them folds exactly where
+// one advance to end would fold it.
+func (c *CPU) miss(start, end uint64, cross, cold bool) {
+	c.advanceTo(CauseLineQueue, start)
 	if cold {
 		c.stats.ColdMisses++
+		c.advanceTo(CauseColdFill, end)
 		return
 	}
 	c.stats.Transfers++
 	if cross {
 		c.stats.CrossSocket++
 	}
+	c.advanceTo(CauseLineXfer, end)
 }
 
 // xferCost picks the transfer cost for core c missing on line l.

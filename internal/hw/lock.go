@@ -24,7 +24,7 @@ func (c *CPU) Acquire(l *Lock) {
 	now := c.Now()
 	l.mu.Lock()
 	c.Write(&l.line) // CAS on the lock word
-	c.advanceTo(l.gate.arrive(now))
+	c.advanceTo(CauseLockWait, l.gate.arrive(now))
 }
 
 // Release drops the lock, recording the end of c's critical section.
@@ -64,7 +64,7 @@ func (c *CPU) RLock(l *RWLock) {
 		l.rgate.busyStart = now // first reader of a new busy period
 	}
 	l.smu.Unlock()
-	c.advanceTo(t)
+	c.advanceTo(CauseLockWait, t)
 }
 
 // RUnlock releases a read acquisition.
@@ -88,7 +88,7 @@ func (c *CPU) WLock(l *RWLock) {
 		t = r
 	}
 	l.smu.Unlock()
-	c.advanceTo(t)
+	c.advanceTo(CauseLockWait, t)
 }
 
 // WUnlock releases a write acquisition.

@@ -145,10 +145,12 @@ func (m *Machine) TotalStats() Stats {
 	return t
 }
 
-// ResetStats zeroes all per-core statistics (clocks are preserved).
+// ResetStats zeroes all per-core statistics and cycle meters (clocks are
+// preserved): each core's Cycles count from its clock now.
 func (m *Machine) ResetStats() {
 	for _, c := range m.cpus {
 		c.stats = Stats{}
+		c.cycles, c.base = Cycles{}, c.clock
 	}
 }
 
@@ -226,12 +228,19 @@ type CPU struct {
 	// folding each cost at max(clock, stamp) — so where remote cycles
 	// land in virtual time is a function of the op stream's virtual-time
 	// order, never of goroutine scheduling. mboxLen mirrors len(mbox) so
-	// the empty-mailbox fast path is a single atomic load.
-	mboxLen atomic.Int32
+	// the empty-mailbox fast path is a single atomic load (a plain int32
+	// with atomic.LoadInt32 rather than an atomic.Int32: one method call
+	// less keeps Tick and TickAs within the inlining budget).
+	mboxLen int32 // accessed atomically
 	mboxMu  sync.Mutex
 	mbox    []ipiMsg // sorted by stamp, ascending; guarded by mboxMu
 
 	stats Stats
+
+	// The cycle meter (meter.go): cycles charged by cause since ResetStats,
+	// and the clock at that reset. Owned by the driving goroutine.
+	cycles Cycles
+	base   uint64
 }
 
 // ID returns the core number.
@@ -252,15 +261,28 @@ func (c *CPU) Stats() *Stats { return &c.stats }
 // during shootdowns), and heavier synchronization on every clock read showed
 // up as ~9% of flat CPU in the radix hot paths.
 func (c *CPU) Now() uint64 {
-	if c.mboxLen.Load() != 0 {
-		c.advanceSlow(c.clock)
+	if atomic.LoadInt32(&c.mboxLen) != 0 {
+		c.advanceSlow(CauseMailbox, c.clock)
 	}
 	return c.clock
 }
 
-// Tick advances the core's virtual clock by cycles of local computation.
+// Tick advances the core's virtual clock by cycles of op work: TickAs with
+// CauseOp, spelled out so that both stay within the inlining budget.
 func (c *CPU) Tick(cycles uint64) {
-	if c.mboxLen.Load() != 0 {
+	c.cycles[CauseOp] += cycles
+	if atomic.LoadInt32(&c.mboxLen) != 0 {
+		c.tickSlow(cycles)
+		return
+	}
+	c.clock += cycles
+}
+
+// TickAs advances the core's virtual clock by cycles of local work, charged
+// to cause k.
+func (c *CPU) TickAs(k Cause, cycles uint64) {
+	c.cycles[k] += cycles
+	if atomic.LoadInt32(&c.mboxLen) != 0 {
 		c.tickSlow(cycles)
 		return
 	}
@@ -269,7 +291,8 @@ func (c *CPU) Tick(cycles uint64) {
 
 // tickSlow interleaves mailbox deliveries with cycles of local work: a
 // message stamped inside the window preempts at its stamp, runs its handler,
-// and the remaining local work continues after it.
+// and the remaining local work continues after it. The work's own cause has
+// been charged all of cycles already; the handlers are charged here.
 func (c *CPU) tickSlow(cycles uint64) {
 	c.mboxMu.Lock()
 	i := 0
@@ -277,6 +300,7 @@ func (c *CPU) tickSlow(cycles uint64) {
 		m := c.mbox[i]
 		if m.stamp <= c.clock {
 			c.clock += m.cost
+			c.cycles[CauseMailbox] += m.cost
 			continue
 		}
 		run := m.stamp - c.clock
@@ -285,25 +309,32 @@ func (c *CPU) tickSlow(cycles uint64) {
 		}
 		cycles -= run
 		c.clock = m.stamp + m.cost
+		c.cycles[CauseMailbox] += m.cost
 	}
 	c.popMail(i)
 	c.mboxMu.Unlock()
 	c.clock += cycles
 }
 
-// AdvanceTo moves the clock forward to at least t. Workloads use it to
-// model cross-core causality (e.g. a consumer cannot observe a region
-// before its producer handed it off).
-func (c *CPU) AdvanceTo(t uint64) { c.advanceTo(t) }
+// AdvanceTo moves the clock forward to at least t, charged as a hand-off.
+// Workloads use it to model cross-core causality (e.g. a consumer cannot
+// observe a region before its producer handed it off).
+func (c *CPU) AdvanceTo(t uint64) { c.advanceTo(CauseHandoff, t) }
 
-// advanceTo moves the clock forward to at least t (used by line transfers
-// that had to wait for the line's home-node queue).
-func (c *CPU) advanceTo(t uint64) {
-	if c.mboxLen.Load() != 0 {
-		c.advanceSlow(t)
+// AdvanceToAs moves the clock forward to at least t, charging the wait to
+// cause k.
+func (c *CPU) AdvanceToAs(k Cause, t uint64) { c.advanceTo(k, t) }
+
+// advanceTo moves the clock forward to at least t, charging the wait to k
+// (a line transfer waiting for the line's home-node queue, a lock waiting
+// out its holder).
+func (c *CPU) advanceTo(k Cause, t uint64) {
+	if atomic.LoadInt32(&c.mboxLen) != 0 {
+		c.advanceSlow(k, t)
 		return
 	}
 	if t > c.clock {
+		c.cycles[k] += t - c.clock
 		c.clock = t
 	}
 }
@@ -318,7 +349,10 @@ func (c *CPU) advanceTo(t uint64) {
 // past. (The old pending-accumulator model got this wrong: an advanceTo
 // could jump past pending charges and then fold them on top, double-
 // counting wait time relative to virtual causality.)
-func (c *CPU) advanceSlow(t uint64) {
+//
+// The clock's moves toward t are charged to k, the folded costs to
+// CauseMailbox.
+func (c *CPU) advanceSlow(k Cause, t uint64) {
 	c.mboxMu.Lock()
 	i := 0
 	for ; i < len(c.mbox); i++ {
@@ -331,13 +365,16 @@ func (c *CPU) advanceSlow(t uint64) {
 			break
 		}
 		if m.stamp > c.clock {
+			c.cycles[k] += m.stamp - c.clock
 			c.clock = m.stamp
 		}
 		c.clock += m.cost
+		c.cycles[CauseMailbox] += m.cost
 	}
 	c.popMail(i)
 	c.mboxMu.Unlock()
 	if t > c.clock {
+		c.cycles[k] += t - c.clock
 		c.clock = t
 	}
 }
@@ -349,7 +386,7 @@ func (c *CPU) popMail(n int) {
 		return
 	}
 	c.mbox = append(c.mbox[:0], c.mbox[n:]...)
-	c.mboxLen.Store(int32(len(c.mbox)))
+	atomic.StoreInt32(&c.mboxLen, int32(len(c.mbox)))
 }
 
 // DeliverAt enqueues cost cycles of remote work (e.g. a shootdown IPI
@@ -364,7 +401,7 @@ func (c *CPU) DeliverAt(stamp, cost uint64) {
 		c.mbox[i-1], c.mbox[i] = c.mbox[i], c.mbox[i-1]
 	}
 	n := int32(len(c.mbox))
-	c.mboxLen.Store(n)
+	atomic.StoreInt32(&c.mboxLen, n)
 	if d := uint64(n); d > c.stats.IPIMboxMax {
 		c.stats.IPIMboxMax = d
 	}

@@ -387,18 +387,18 @@ func (s *Sched) step(k *core) {
 	c := k.cpu
 	p := k.cur
 	if p != nil {
-		c.advanceTo(k.clock) // a barrier released p: align to the latest arrival
+		c.advanceTo(CauseIdle, k.clock) // a barrier released p: align to the latest arrival
 	} else if p = s.next(k); p == nil {
 		return
 	} else {
 		if p.lastClock > c.Now() {
-			c.AdvanceTo(p.lastClock)
+			c.advanceTo(CauseIdle, p.lastClock)
 		}
 		s.dispatches++
 		if k.last != nil && p != k.last {
 			s.switches++
 			if s.SwitchCost > 0 {
-				c.Tick(s.SwitchCost)
+				c.TickAs(CauseSwitch, s.SwitchCost)
 			}
 		}
 		if p.on == nil {
@@ -511,7 +511,7 @@ func (s *Sched) next(k *core) *Proc {
 			// Nothing runnable here, a future arrival pending, and the
 			// backlog has room: a halted CPU sleeping until the next event.
 			// Its clock jumps to the arrival stamp and the fold happens here.
-			c.AdvanceTo(s.arrivals[s.nextArrival].stamp)
+			c.advanceTo(CauseIdle, s.arrivals[s.nextArrival].stamp)
 			continue
 		}
 		if !pending && s.active == 1 {

@@ -14,7 +14,8 @@ import (
 // from an arrival handler, a Park that blocks and a Park that finds its
 // wake already pending, a two-member barrier crossed twice while the other
 // procs keep yielding, idle cores sleeping to a late arrival, and one line
-// every body writes so the order shows up in the transfer counts. The
+// every body writes so the order shows up in the transfer counts. Every
+// core's cycle meter must sum to its clock. The
 // expected text in testdata/sched_trace.golden was produced by the
 // scheduler this one replaced (per-core member goroutines passing a token,
 // PR 14's tree) and regenerated once since, when a fold became a yield point
@@ -137,6 +138,12 @@ func TestSchedTraceGolden(t *testing.T) {
 	fmt.Fprintf(&out, "sched  dispatches=%d switches=%d deferred=%d runq_high=%d\n",
 		s.Dispatches(), s.Switches(), s.DeferredArrivals(), s.RunQueueHighWater())
 
+	for id := 0; id < ncores; id++ {
+		c := m.CPU(id)
+		if y := c.Cycles(); y.Total() != c.Elapsed() {
+			t.Errorf("core %d: causes sum to %d cycles, clock advanced %d: %v", id, y.Total(), c.Elapsed(), y)
+		}
+	}
 	if s.DeferredArrivals() == 0 {
 		t.Errorf("no arrival was deferred: the scenario no longer reaches the admission cap")
 	}

@@ -182,7 +182,7 @@ func (a *Allocator) Alloc(cpu *hw.CPU) *Frame {
 		// the previous one's bytes.
 		clear(f.data[:])
 	}
-	cpu.Tick(a.pageZero)
+	cpu.TickAs(hw.CausePageZero, a.pageZero)
 	cpu.Stats().PagesZeroed++
 	a.allocated.Add(1)
 	return f

@@ -165,7 +165,7 @@ func Run(env *workload.Env, sys vm.System, cores int, cfg Config) Result {
 				buckets[id][r] = append(buckets[id][r], b)
 			}
 			b.emit(sys, c, entry{word: w, pos: pos})
-			c.Tick(cfg.MapCost)
+			c.TickAs(hw.CauseThink, cfg.MapCost)
 			// Yield tightly: the schedule must interleave cores at fault
 			// granularity or one core's burst of faults keeps the
 			// address-space lock line locally owned, hiding the
@@ -212,7 +212,7 @@ func Run(env *workload.Env, sys vm.System, cores int, cfg Config) Result {
 						workload.Check(sys, c, "access", page, sys.Access(c, page, true))
 						outBuf.lastPage = page
 					}
-					c.Tick(cfg.ReduceCost)
+					c.TickAs(hw.CauseThink, cfg.ReduceCost)
 				}
 				// Like the real Metis, buffers live until the job
 				// ends (the allocator never returns memory anyway,

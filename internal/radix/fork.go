@@ -42,11 +42,12 @@ func ForkNodeCost(pageZero uint64, groups int) uint64 {
 	return pageZero * (ForkHeaderBytes + uint64(groups)*ForkGroupBytes) / forkPageBytes
 }
 
-// sweepSlot takes slot idx's lock bit for a copy's sweep of src and reads the
-// slot under it: its group (nil if it has none: src's uniform fill), its
-// state, and for a child link the child, pinned. A link whose child died
-// mid-reclaim reads as the empty slot it has become.
-func (t *Tree[V]) sweepSlot(cpu *hw.CPU, src *node[V], idx int) (g *slotGroup[V], st *slotState[V], child *node[V]) {
+// sweepSlot takes slot idx's lock bit for a copy's sweep of src, charging a
+// wait for its previous holder to k, and reads the slot under it: its group
+// (nil if it has none: src's uniform fill), its state, and for a child link
+// the child, pinned. A link whose child died mid-reclaim reads as the empty
+// slot it has become.
+func (t *Tree[V]) sweepSlot(cpu *hw.CPU, src *node[V], idx int, k hw.Cause) (g *slotGroup[V], st *slotState[V], child *node[V]) {
 	gi := idx / slotsPerLine
 	j := idx % slotsPerLine
 	mask := uint64(1) << (uint(idx) & 63)
@@ -54,7 +55,7 @@ func (t *Tree[V]) sweepSlot(cpu *hw.CPU, src *node[V], idx int) (g *slotGroup[V]
 	g = src.groupLoad(gi)
 	if g != nil {
 		cpu.Write(&g.line)
-		cpu.AcquireBitIn(w, mask, &g.gates[j])
+		cpu.AcquireBitIn(w, mask, &g.gates[j], k)
 	} else {
 		// No group: the bit is normally free (held groupless bits
 		// exist only transiently, mid-expansion — or for a whole
@@ -145,7 +146,7 @@ func (t *Tree[V]) cloneShell(cpu *hw.CPU, src *node[V], frozen bool) shell[V] {
 		n.dir.Store(nd)
 	}
 	n.img = sh.img
-	cpu.Tick(ForkNodeCost(t.pageZero, srcGroups))
+	cpu.TickAs(hw.CauseMetaCopy, ForkNodeCost(t.pageZero, srcGroups))
 	return sh
 }
 
@@ -259,11 +260,12 @@ func (sh *shell[V]) forkGroup(nt *Tree[V], gi int) *slotGroup[V] {
 
 // waitUniformLocked waits out the node's latest merged busy period for an
 // arrival at virtual time at, under the usual overlap rule (an arrival
-// predating the busy period passes through). Caller holds matMu.
-func (n *node[V]) waitUniformLocked(cpu *hw.CPU, at uint64) {
+// predating the busy period passes through), charging the wait to k. Caller
+// holds matMu.
+func (n *node[V]) waitUniformLocked(cpu *hw.CPU, at uint64, k hw.Cause) {
 	if u := &n.uni; u.n > 0 {
 		if f := u.free[u.n-1]; f > at && at >= u.busyStart {
-			cpu.AdvanceTo(f)
+			cpu.AdvanceToAs(k, f)
 		}
 	}
 }

@@ -109,9 +109,13 @@ func (t *Tree[V]) ForkLazy(cpu *hw.CPU) *Tree[V] {
 // exactly as when mirroring, in the same order; what differs is where, if
 // anywhere, a slot's born state is written (shell.cell).
 func (t *Tree[V]) linkCopy(cpu *hw.CPU, src *node[V], extra int64, frozen bool) (*node[V], uint64) {
+	wait := hw.CauseRootFork
+	if frozen {
+		wait = hw.CauseDiverge
+	}
 	arrive := cpu.Now()
 	src.matMu.Lock()
-	src.waitUniformLocked(cpu, arrive)
+	src.waitUniformLocked(cpu, arrive, wait)
 	src.forkForks++
 	if src.forkForks == 1 || arrive < src.forkBusy {
 		src.forkBusy = arrive
@@ -131,7 +135,7 @@ func (t *Tree[V]) linkCopy(cpu *hw.CPU, src *node[V], extra int64, frozen bool) 
 	}
 	sp := span(src.level)
 	for idx := 0; idx < SlotsPerNode; idx++ {
-		g, st, child := t.sweepSlot(cpu, src, idx)
+		g, st, child := t.sweepSlot(cpu, src, idx, wait)
 		// A slot the copy's header does not already stand for — one that
 		// diverged from src's fill, to empty included, or anything a node
 		// without a fill holds — goes into the copy's group.
@@ -171,7 +175,7 @@ func (t *Tree[V]) linkCopy(cpu *hw.CPU, src *node[V], extra int64, frozen bool) 
 	// every bit is ours, so overlapping copies serialize in virtual time
 	// however the real-time race resolved.
 	src.matMu.Lock()
-	src.waitUniformLocked(cpu, arrive)
+	src.waitUniformLocked(cpu, arrive, wait)
 	src.matMu.Unlock()
 	if fill {
 		dv := copyInto(&dst.uniStore, &dst.uniVal, src.uniSt.val)

@@ -654,7 +654,7 @@ func (n *node[V]) line(idx int) *hw.Line {
 // guarantees the group exists.
 func (n *node[V]) acquire(cpu *hw.CPU, idx int) {
 	g := n.group(idx)
-	cpu.AcquireBitIn(&n.bits[idx>>6], uint64(1)<<(uint(idx)&63), &g.gates[idx%slotsPerLine])
+	cpu.AcquireBitIn(&n.bits[idx>>6], uint64(1)<<(uint(idx)&63), &g.gates[idx%slotsPerLine], hw.CauseSlotWait)
 }
 
 // release drops slot idx's lock bit through its group's gate (acquire gave
@@ -891,7 +891,7 @@ func (t *Tree[V]) newNode(cpu *hw.CPU, level int, base uint64, fill *V, used int
 		initial = 1 // the root's immortal self-reference
 	} else {
 		initial += 1 // the creator's traversal pin
-		cpu.Tick(t.pageZero)
+		cpu.TickAs(hw.CausePageZero, t.pageZero)
 	}
 	n.obj = t.rc.NewObj(initial, freeNode[V])
 	n.obj.Data = n

@@ -226,7 +226,7 @@ func (rc *Refcache) adjust(cpu *hw.CPU, o *Obj, d int64) {
 		e.delta = 0
 	}
 	e.delta += d
-	cpu.Tick(rc.localHit) // per-core cache: core-local line
+	cpu.TickAs(hw.CauseLineHit, rc.localHit) // per-core cache: core-local line
 }
 
 // panicDead reports a count adjusted through a reference that no longer

@@ -322,7 +322,7 @@ func (s *Space) Fork(cpu *hw.CPU) (vm.System, error) {
 	s.pol.Ascend(cpu, 0, func(_ uint64, o *Region) bool {
 		// Each duplicated region struct is billed by its logical size, the
 		// same rule that prices RadixVM's header-sized node clones.
-		cpu.Tick(vm.MetaCopyCost(pageZero, vm.VMACopyBytes))
+		cpu.TickAs(hw.CauseMetaCopy, vm.MetaCopyCost(pageZero, vm.VMACopyBytes))
 		c := *o
 		if o.Back.File == nil {
 			c.COW = true
@@ -347,7 +347,7 @@ func (s *Space) Fork(cpu *hw.CPU) (vm.System, error) {
 			if f == nil {
 				return
 			}
-			cpu.Tick(vm.MetaCopyCost(pageZero, vm.PTECopyBytes))
+			cpu.TickAs(hw.CauseMetaCopy, vm.MetaCopyCost(pageZero, vm.PTECopyBytes))
 			s.Alloc.IncRef(cpu, f) // the child page table's reference
 			perm := pte.Perm &^ pagetable.PermW
 			into.Map(cpu, vpn, pte.PFN, perm)

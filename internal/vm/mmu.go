@@ -353,12 +353,12 @@ func (mmu *PerCoreMMU) Reset(cpu *hw.CPU, active hw.CoreSet) {
 	active.ForEach(func(id int) {
 		switch c := mmu.core(id); {
 		case !c.holds():
-			cpu.Tick(cfg.LocalHit)
+			cpu.TickAs(hw.CauseLineHit, cfg.LocalHit)
 			return
 		case mmu.m.Socket(id) == cpu.Socket():
-			cpu.Tick(cfg.SameSocketXfer)
+			cpu.TickAs(hw.CauseLineXfer, cfg.SameSocketXfer)
 		default:
-			cpu.Tick(cfg.CrossSocketXfer)
+			cpu.TickAs(hw.CauseLineXfer, cfg.CrossSocketXfer)
 		}
 		holders.Add(id)
 	})

@@ -22,11 +22,12 @@ func newDetEnv(ncores int) (*Env, vm.System) {
 
 // snapshot captures everything a deterministic run must reproduce: the
 // figure-level result, every per-core final virtual clock, and every
-// per-core Stats counter.
+// per-core Stats counter and cycle meter.
 type snapshot struct {
 	res    Result
 	clocks []uint64
 	stats  []hw.Stats
+	cycles []hw.Cycles
 }
 
 func snap(env *Env, res Result) snapshot {
@@ -35,8 +36,22 @@ func snap(env *Env, res Result) snapshot {
 		c := env.M.CPU(i)
 		s.clocks = append(s.clocks, c.Now())
 		s.stats = append(s.stats, *c.Stats())
+		s.cycles = append(s.cycles, c.Cycles())
 	}
 	return s
+}
+
+// checkMeter asserts the cycle meter's invariant on every core of m: the
+// causes sum to the clock's advance since ResetStats.
+func checkMeter(t *testing.T, name string, m *hw.Machine) {
+	t.Helper()
+	for i := 0; i < m.NCores(); i++ {
+		c := m.CPU(i)
+		y := c.Cycles()
+		if got, want := y.Total(), c.Elapsed(); got != want {
+			t.Errorf("%s: core %d causes sum to %d cycles, clock advanced %d: %v", name, i, got, want, y)
+		}
+	}
 }
 
 func compare(t *testing.T, name string, a, b snapshot) {
@@ -55,12 +70,16 @@ func compare(t *testing.T, name string, a, b snapshot) {
 		if a.stats[i] != b.stats[i] {
 			t.Errorf("%s: core %d stats diverged:\n run1: %+v\n run2: %+v", name, i, a.stats[i], b.stats[i])
 		}
+		if a.cycles[i] != b.cycles[i] {
+			t.Errorf("%s: core %d cycle meter diverged:\n run1: %v\n run2: %v", name, i, a.cycles[i], b.cycles[i])
+		}
 	}
 }
 
 // TestWorkloadsDeterministic runs each concurrent gang workload twice
 // in-process with identical inputs and asserts per-core final virtual
-// clocks and all Stats counters are identical. This is the regression gate
+// clocks, all Stats counters and the cycle meters are identical, and that
+// each core's causes sum to its clock advance. This is the regression gate
 // for the deterministic schedule: figure cells are byte-gated in CI, and
 // this test catches a reintroduced real-time dependency at the source,
 // under -race, without generating figures.
@@ -81,6 +100,7 @@ func TestWorkloadsDeterministic(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			env1, sys1 := newDetEnv(cores)
 			s1 := snap(env1, tc.run(env1, sys1))
+			checkMeter(t, tc.name, env1.M)
 			env2, sys2 := newDetEnv(cores)
 			s2 := snap(env2, tc.run(env2, sys2))
 			compare(t, tc.name, s1, s2)
@@ -90,9 +110,10 @@ func TestWorkloadsDeterministic(t *testing.T) {
 
 // fleetDet runs the fleet on a fresh radixvm environment under the figure
 // cost model and returns (snapshot, full fleet result).
-func fleetDet(cores int, cfg FleetConfig) (snapshot, FleetResult) {
+func fleetDet(t *testing.T, cores int, cfg FleetConfig) (snapshot, FleetResult) {
 	env, sys := newDetEnv(cores)
 	r := Fleet(env, sys, cores, cfg)
+	checkMeter(t, "fleet", env.M)
 	return snap(env, r.Result), r
 }
 
@@ -131,8 +152,8 @@ func compareFleet(t *testing.T, name string, a, b FleetResult) {
 func TestFleetDeterministic(t *testing.T) {
 	const cores = 8
 	cfg := DefaultFleetConfig()
-	s1, r1 := fleetDet(cores, cfg)
-	s2, r2 := fleetDet(cores, cfg)
+	s1, r1 := fleetDet(t, cores, cfg)
+	s2, r2 := fleetDet(t, cores, cfg)
 	compare(t, "fleet", s1, s2)
 	compareFleet(t, "fleet", r1, r2)
 	if len(r1.Evictions) == 0 {
@@ -149,8 +170,8 @@ func TestFleetDeterministicManyCores(t *testing.T) {
 	}
 	const cores = 64
 	cfg := DefaultFleetConfig()
-	s1, r1 := fleetDet(cores, cfg)
-	s2, r2 := fleetDet(cores, cfg)
+	s1, r1 := fleetDet(t, cores, cfg)
+	s2, r2 := fleetDet(t, cores, cfg)
 	compare(t, "fleet@64", s1, s2)
 	compareFleet(t, "fleet@64", r1, r2)
 }
@@ -165,6 +186,7 @@ func TestSpawnDeterministicManyCores(t *testing.T) {
 	const cores = 64
 	env1, sys1 := newDetEnv(cores)
 	s1 := snap(env1, Spawn(env1, sys1, cores, 2, 2))
+	checkMeter(t, "spawn@64", env1.M)
 	env2, sys2 := newDetEnv(cores)
 	s2 := snap(env2, Spawn(env2, sys2, cores, 2, 2))
 	compare(t, "spawn@64", s1, s2)

@@ -194,7 +194,7 @@ func FileServe(env *Env, sys vm.System, cores int, alloc *mem.Allocator, cfg Fil
 				wbRounds += c.Stats().Shootdowns - rounds0
 				wbCycles += c.Now() - now0
 				env.RC.Maintain(c)
-				c.Tick(cfg.WBGap)
+				c.TickAs(hw.CauseThink, cfg.WBGap)
 				tc.Yield()
 				c = tc.CPU()
 			}

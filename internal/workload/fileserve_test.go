@@ -299,7 +299,8 @@ func TestWritebackCostTracksHoldersNotMappers(t *testing.T) {
 
 // TestFileServeDeterministic runs the 8-core filemap workload twice per
 // system and demands bit-identical results: the figure-level metrics, every
-// per-core clock, and every per-core Stats counter. This is what lets
+// per-core clock, and every per-core Stats counter and cycle meter, whose
+// causes must sum to each core's clock advance. This is what lets
 // figures/filemap.txt be gated byte-for-byte.
 func TestFileServeDeterministic(t *testing.T) {
 	for _, name := range []string{"radixvm", "linux", "bonsai"} {
@@ -310,6 +311,7 @@ func TestFileServeDeterministic(t *testing.T) {
 			cfg.MaxLive = 48
 			cfg.WBRounds = 24
 			r := FileServe(env, sys, 8, alloc, cfg)
+			checkMeter(t, name+"/filemap@8", env.M)
 			return r, snap(env, r.Result)
 		}
 		r1, s1 := run()

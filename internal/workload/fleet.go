@@ -224,7 +224,7 @@ func runFleet(env *Env, sys vm.System, cores int, f fleetSpec) *fleetRun {
 			}
 			r.pool.charge(c, p, f.touchPages*4096)
 			for q := 0; q < f.quanta; q++ {
-				c.Tick(f.quantumTicks)
+				c.TickAs(hw.CauseThink, f.quantumTicks)
 				p.noteRun(c.Now())
 				env.RC.Maintain(c)
 				tc.Yield()
