@@ -134,4 +134,14 @@ func TestPaperClaims(t *testing.T) {
 	for _, base := range []string{"bonsai/64KB", "linux/64KB"} {
 		atLeast("fig4 radixvm/64KB / "+base+" at 80 cores", metis["radixvm/64KB"][80]/metis[base][80], 2.5)
 	}
+
+	// Clone: forks of one template scale, because sibling children copying
+	// the template's frozen nodes only read them: radixvm's row does not fall
+	// from 10 to 80 cores, and reaches 1 000 K clones/s at 80.
+	clone := readFigure(t, "clone").table(t, "clone")["radixvm"]
+	for _, pair := range [][2]int{{10, 20}, {20, 40}, {40, 80}} {
+		atLeast("clone radixvm "+strconv.Itoa(pair[1])+"-core / "+strconv.Itoa(pair[0])+"-core",
+			clone[pair[1]]/clone[pair[0]], 1)
+	}
+	atLeast("clone radixvm at 80 cores (K clones/s)", clone[80], 1000)
 }

@@ -49,17 +49,23 @@ func (g *Gate) Restore(free, busyStart uint64) {
 // that line.
 func (c *CPU) AcquireBitIn(w *atomic.Uint64, mask uint64, gate *Gate, k Cause) {
 	now := c.Now() // arrival time: before any real-time spinning
+	LockBit(w, mask)
+	c.advanceTo(k, gate.g.arrive(now))
+}
+
+// LockBit locks bit mask of word w in real time only, spinning until it is
+// free, for a holder that waits for nobody in virtual time.
+func LockBit(w *atomic.Uint64, mask uint64) {
 	for {
 		old := w.Load()
 		if old&mask == 0 {
 			if w.CompareAndSwap(old, old|mask) {
-				break
+				return
 			}
 			continue
 		}
 		runtime.Gosched()
 	}
-	c.advanceTo(k, gate.g.arrive(now))
 }
 
 // ReleaseBitIn unlocks bit mask of word w, recording the end of c's

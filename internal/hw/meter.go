@@ -19,7 +19,7 @@ const (
 	CauseLockWait               // waiting out a Lock or RWLock holder
 	CauseSlotWait               // waiting out a radix slot lock bit's holder
 	CauseRootFork               // a fork's copy of a live root waiting out earlier holders of its bits
-	CauseDiverge                // a copy of a frozen node waiting out earlier holders of its bits
+	CauseDiverge                // a copy of a frozen node waiting out an earlier copy: none since such copies only read (radix.linkCopy)
 	CauseIPISend                // initiating an interrupt round and delivering it
 	CauseIPIAck                 // waiting for an interrupt round's acknowledgments
 	CauseMailbox                // running remote handlers (mailbox folds)

@@ -13,8 +13,11 @@ import (
 // a lookup that materializes a group in a shared leaf, three releases — with
 // the virtual cost of every step recorded. How a copy's groups come to exist
 // on the host (mirrored eagerly, or born in an image and realized on touch)
-// must move none of it: the rows below were recorded from commit cb53c27,
-// whose divergence mirrored every group of the source into real storage.
+// must move none of it (commit cb53c27, whose divergence mirrored every group
+// of the source into real storage, recorded the first rows). The rows were
+// last re-recorded when a copy of a frozen node became a reader of it: one
+// read of each source group line, a write where the hook arms a value, and no
+// wait for an earlier copy (steps 2, 4 and 8-11).
 
 // scriptStep is one step's cost: the cycles all cores' clocks advanced by, the
 // line touches by outcome, and the nodes alive across the family afterwards.
@@ -24,20 +27,20 @@ type scriptStep struct {
 }
 
 var costScriptWant = [...]scriptStep{
-	{828, 5, 0, 0, 7},        // 1: a := ForkLazy
-	{27844, 400, 4, 135, 10}, // 2: a touches the full leaf: three path copies
-	{828, 5, 0, 0, 11},       // 3: b := ForkLazy
-	{48256, 400, 4, 135, 14}, // 4: b copies the same path
-	{1100, 13, 5, 0, 14},     // 5: b touches two more groups of its copy
-	{3272, 112, 14, 0, 14},   // 6: a's 40-page range
-	{828, 5, 0, 0, 15},       // 7: c := b.ForkLazy
-	{50224, 402, 129, 8, 18}, // 8: c copies b's copy of the leaf
-	{53424, 410, 3, 130, 21}, // 9: b copies its own
-	{1988, 44, 3, 3, 22},     // 10: a's range over the holed leaf
-	{2468, 24, 4, 6, 23},     // 11: the parent's lookup, then b copies the holed leaf
-	{13956, 24, 17, 63, 15},  // 12: a exits
-	{9176, 16, 5, 60, 11},    // 13: c exits
-	{16200, 43, 6, 65, 0},    // 14: b and the parent exit
+	{828, 5, 0, 0, 7},         // 1: a := ForkLazy
+	{34976, 10, 4, 263, 10},   // 2: a touches the full leaf: three path copies, arming every page
+	{828, 5, 0, 0, 11},        // 3: b := ForkLazy
+	{21888, 10, 4, 135, 14},   // 4: b copies the same path, reading what a armed
+	{1100, 13, 5, 0, 14},      // 5: b touches two more groups of its copy
+	{3272, 112, 14, 0, 14},    // 6: a's 40-page range
+	{828, 5, 0, 0, 15},        // 7: c := b.ForkLazy
+	{34996, 137, 129, 11, 18}, // 8: c copies b's copy of the leaf
+	{23132, 22, 3, 128, 21},   // 9: b copies its own
+	{2252, 35, 3, 6, 22},      // 10: a's range over the holed leaf
+	{2228, 14, 4, 4, 23},      // 11: the parent's lookup, then b copies the holed leaf
+	{13956, 24, 17, 63, 15},   // 12: a exits
+	{9176, 16, 5, 60, 11},     // 13: c exits
+	{16200, 43, 6, 65, 0},     // 14: b and the parent exit
 }
 
 // costScript runs the script on tr (an empty tree on a three-core machine)
@@ -47,11 +50,7 @@ func costScript(t *testing.T, m *hw.Machine, rc *refcache.Refcache, tr *Tree[val
 	c0, c1, c2 := m.CPU(0), m.CPU(1), m.CPU(2)
 	// The hooks are the VM layer's in miniature: the copy is marked, and so
 	// is the source the first time it is copied (as vm's OnDiverge arms COW).
-	tr.OnDiverge(func(_ *hw.CPU, _, _ uint64, src, dst *val) {
-		if src != dst {
-			dst.x = src.x | 1<<20
-		}
-	})
+	tr.OnDiverge(markSource)
 	tr.OnRelease(func(*hw.CPU, uint64, uint64, *val) {})
 
 	full, sparse, holed := 8*span(1), 9*span(1), 11*span(1)

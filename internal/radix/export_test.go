@@ -33,14 +33,12 @@ func TreeShape[V any](t *testing.T, tr *Tree[V]) (shapes any, pages []uint64) {
 // funcHooks adapts the tests' closures to Hooks: a test registers either
 // half, through the OnDiverge and OnRelease setters below.
 type funcHooks[V any] struct {
-	diverge func(cpu *hw.CPU, lo, hi uint64, src, dst *V)
+	diverge func(cpu *hw.CPU, lo, hi uint64, src, dst *V) bool
 	release func(cpu *hw.CPU, lo, hi uint64, v *V)
 }
 
-func (h *funcHooks[V]) OnDiverge(cpu *hw.CPU, lo, hi uint64, src, dst *V) {
-	if h.diverge != nil {
-		h.diverge(cpu, lo, hi, src, dst)
-	}
+func (h *funcHooks[V]) OnDiverge(cpu *hw.CPU, lo, hi uint64, src, dst *V) bool {
+	return h.diverge != nil && h.diverge(cpu, lo, hi, src, dst)
 }
 
 func (h *funcHooks[V]) OnRelease(cpu *hw.CPU, lo, hi uint64, v *V) {
@@ -58,7 +56,7 @@ func (t *Tree[V]) testHooks() *funcHooks[V] {
 	return h
 }
 
-func (t *Tree[V]) OnDiverge(fn func(cpu *hw.CPU, lo, hi uint64, src, dst *V)) {
+func (t *Tree[V]) OnDiverge(fn func(cpu *hw.CPU, lo, hi uint64, src, dst *V) bool) {
 	t.testHooks().diverge = fn
 }
 

@@ -1,22 +1,29 @@
 package radix
 
-import (
-	"runtime"
-
-	"radixvm/internal/hw"
-)
+import "radixvm/internal/hw"
 
 // The per-node copy protocol: the one way a node of one tree becomes a node
 // of another. A fork family shares subtrees (lazy.go); a node is copied when
 // ForkLazy snapshots a root and when a write path first descends into a node
-// its tree shares (divergeChild). The copier (linkCopy) sweeps every slot lock
+// its tree shares (divergeChild). The copier (linkCopy) takes every slot lock
 // bit of the source left to right — the global order every Range operation
-// uses, so the copy serializes with any operation inside the node and is an
-// atomic snapshot of it — fills the copy (cloneShell, shell), and releases
-// all the bits as one merged busy period (forkUnlock). Neither side gains a
-// group: the source's slots without storage are covered by their packed bit
-// words, their virtual-time wait by the node's uniform gate table, and the
-// copy has exactly the groups the source has.
+// uses, so the copy is an atomic snapshot of the node — and fills the copy
+// (cloneShell, shell). What the copy costs in virtual time depends on whether
+// anyone can still write the source:
+//
+//   - A live root is written by its tree's operations, so its copy is a
+//     writer like them: it waits out each slot's earlier holder, writes each
+//     slot's line (sweepSlot), and releases all the bits as one merged busy
+//     period (forkUnlock). Neither side gains a group: the source's slots
+//     without storage are covered by their packed bit words, their
+//     virtual-time wait by the node's uniform gate table, and the copy has
+//     exactly the groups the source has.
+//   - A frozen node — shared by trees that all copy it before writing — is
+//     read-only, so its copy is a reader: one read of each group line, a
+//     write only where the divergence hook wrote a source value, no wait for
+//     an earlier copy, and bits released in real time only (unlockBits).
+//     Reads of a shared line scale; this is the paper's rule applied to the
+//     index's own metadata.
 
 // Cost model: a copied node is billed by the *logical* size of what is
 // copied, at the page-copy rate (PageZero cycles per 4 KB): a header — the
@@ -42,20 +49,17 @@ func ForkNodeCost(pageZero uint64, groups int) uint64 {
 	return pageZero * (ForkHeaderBytes + uint64(groups)*ForkGroupBytes) / forkPageBytes
 }
 
-// sweepSlot takes slot idx's lock bit for a copy's sweep of src, charging a
-// wait for its previous holder to k, and reads the slot under it: its group
-// (nil if it has none: src's uniform fill), its state, and for a child link
-// the child, pinned. A link whose child died mid-reclaim reads as the empty
-// slot it has become.
-func (t *Tree[V]) sweepSlot(cpu *hw.CPU, src *node[V], idx int, k hw.Cause) (g *slotGroup[V], st *slotState[V], child *node[V]) {
+// sweepSlot takes slot idx's lock bit for a copy's sweep of the live root
+// src and reads the slot under it: its group (nil if it has none: src's
+// uniform fill), its state, and for a child link the child, pinned.
+func (t *Tree[V]) sweepSlot(cpu *hw.CPU, src *node[V], idx int) (g *slotGroup[V], st *slotState[V], child *node[V]) {
 	gi := idx / slotsPerLine
-	j := idx % slotsPerLine
 	mask := uint64(1) << (uint(idx) & 63)
 	w := &src.bits[idx>>6]
 	g = src.groupLoad(gi)
 	if g != nil {
 		cpu.Write(&g.line)
-		cpu.AcquireBitIn(w, mask, &g.gates[j], k)
+		cpu.AcquireBitIn(w, mask, &g.gates[idx%slotsPerLine], hw.CauseRootFork)
 	} else {
 		// No group: the bit is normally free (held groupless bits
 		// exist only transiently, mid-expansion — or for a whole
@@ -63,29 +67,28 @@ func (t *Tree[V]) sweepSlot(cpu *hw.CPU, src *node[V], idx int, k hw.Cause) (g *
 		// out any such holder; its virtual-time cost is settled by
 		// the post-sweep merged-table wait. No line exists to
 		// charge: untouched slots cost nothing.
-		for {
-			old := w.Load()
-			if old&mask == 0 {
-				if w.CompareAndSwap(old, old|mask) {
-					break
-				}
-				continue
-			}
-			runtime.Gosched()
-		}
+		hw.LockBit(w, mask)
 		// A concurrent locker may have materialized the group while
 		// we raced for the bit; re-read so the state load sees it.
 		if g = src.groupLoad(gi); g == nil {
 			return nil, src.uniSt, nil
 		}
 	}
-	st = g.sts[j].Load()
+	st, child = t.readSlot(cpu, src, g, idx)
+	return g, st, child
+}
+
+// readSlot reads slot idx of src, whose group is g, under the slot's held
+// bit: its state, and for a child link the child, pinned. A link whose child
+// died mid-reclaim reads as the empty slot it has become.
+func (t *Tree[V]) readSlot(cpu *hw.CPU, src *node[V], g *slotGroup[V], idx int) (st *slotState[V], child *node[V]) {
+	st = g.sts[idx%slotsPerLine].Load()
 	if st != nil && st.child != nil {
 		if child = t.loadChild(cpu, src, idx, st); child == nil {
 			st = nil
 		}
 	}
-	return g, st, child
+	return st, child
 }
 
 // cloneShell builds the child-tree counterpart of src: same level and base,
@@ -102,8 +105,10 @@ func (t *Tree[V]) cloneShell(cpu *hw.CPU, src *node[V], frozen bool) shell[V] {
 	// Count the source's groups: they price the clone. Those the copy will
 	// have too — every group of a node with a fill, the groups holding
 	// anything in a node without one — size what holds them. The source is
-	// not locked yet, so under real concurrency the count can come out short;
-	// see forkGroup and nodeImage.grow.
+	// not locked yet, so under real concurrency a live root's count can come
+	// out short (see forkGroup). A frozen source's cannot: its sweep reads
+	// the groups of this directory only, and in a frozen node a slot can go
+	// empty (a dead child's link) but never stop being empty.
 	sd := src.dir.Load()
 	srcGroups, mirrored := 0, 0
 	if sd != nil {
@@ -111,20 +116,24 @@ func (t *Tree[V]) cloneShell(cpu *hw.CPU, src *node[V], frozen bool) shell[V] {
 		mirrored = srcGroups
 		if src.uniSt == nil {
 			mirrored = 0
-			src.forEachGroup(func(_ int, g *slotGroup[V]) {
+			for k := range sd.groups {
+				g := sd.groups[k].Load() // realized by linkCopy
 				for j := range g.sts {
 					if g.sts[j].Load() != nil {
 						mirrored++
 						break
 					}
 				}
-			})
+			}
 		}
 	}
 	// A pooled node's groups are dropped: the copy's groups are src's, in one
 	// slab (mirrored) or realized in runs as its owner touches them (image).
 	t.groupsLive.Add(-countGroups(n))
-	sh := shell[V]{node: n}
+	sh := shell[V]{node: n, over: sd}
+	if n.uniSt != nil {
+		sh.used = SlotsPerNode
+	}
 	if frozen && mirrored > 0 {
 		// Born in src's image: the cached one if it still describes src,
 		// else a new one, which the sweep fills and then publishes along
@@ -155,12 +164,57 @@ func (t *Tree[V]) cloneShell(cpu *hw.CPU, src *node[V], frozen bool) shell[V] {
 // the copy's slots are born holding (the package comment's last two rows). A
 // mirrored copy's groups come from spare, its directory filled in place. A
 // copy of a frozen source is born in img, the source's image: the sweep fills
-// it if build is set, and otherwise has nothing to write.
+// it if build is set, and otherwise has nothing to write. over is the
+// source's directory the copy was sized from, and used counts the copy's used
+// slots as the sweep takes them.
 type shell[V any] struct {
 	*node[V]
 	spare []slotGroup[V]
 	img   *nodeImage[V]
 	build bool
+	over  *groupDir[V]
+	used  int64
+}
+
+// take puts into the copy what the sweep read in src's slot idx under its
+// held bit: st (nil: empty) in group g (nil if it has none: src's fill),
+// with child pinned if st links one. It reports whether the OnDiverge hook
+// wrote src's value.
+func (sh *shell[V]) take(t *Tree[V], cpu *hw.CPU, cs *cpuState[V], src *node[V], idx int, g *slotGroup[V], st *slotState[V], child *node[V]) (wrote bool) {
+	fill := sh.uniSt != nil
+	// A slot the copy's header does not already stand for — one that
+	// diverged from src's fill, to empty included, or anything a node
+	// without a fill holds — goes into the copy's group.
+	mirror := g != nil && (st != nil || fill)
+	if sh.img != nil && !sh.build && !sh.img.agrees(idx, st, mirror) {
+		sh.abandon(t, src, idx)
+	}
+	if !mirror {
+		return false
+	}
+	cell, store := sh.cell(t, cs, idx, st)
+	switch {
+	case st == nil:
+		sh.used--
+	case child != nil:
+		// Link mode: share the subtree instead of copying it. The pin
+		// makes the links bump safe against concurrent reclamation.
+		child.links.Add(1)
+		if cell != nil {
+			*cell = slotState[V]{child: child.obj}
+		}
+		t.unpin(cpu, child)
+	case cell != nil:
+		dv := copyInto(cell, store, st.val)
+		if t.hooks != nil {
+			lo := src.slotBase(idx)
+			wrote = t.hooks.OnDiverge(cpu, lo, lo+span(src.level), st.val, dv)
+		}
+	}
+	if st != nil && !fill {
+		sh.used++
+	}
+	return wrote
 }
 
 // cell returns the storage for what slot idx of the copy is born holding — a
@@ -171,18 +225,15 @@ type shell[V any] struct {
 // When the image is there already the sweep has nothing to write and cell
 // returns nil — unless the slot holds a value and there is an OnDiverge hook
 // to hand a dst to: cs's scratch cell, filled and forgotten.
-func (sh *shell[V]) cell(t *Tree[V], cs *cpuState[V], src *node[V], idx int, st *slotState[V]) (*slotState[V], *V) {
+func (sh *shell[V]) cell(t *Tree[V], cs *cpuState[V], idx int, st *slotState[V]) (*slotState[V], *V) {
 	gi, j := idx/slotsPerLine, idx%slotsPerLine
 	if sh.build {
 		ig := sh.img.group(gi)
 		if ig == nil {
 			ig = sh.img.grow(gi)
 		}
-		if ig != nil {
-			ig.src[j] = st
-			return &ig.sts[j], &ig.vals[j]
-		}
-		sh.abandon(t, src, idx)
+		ig.src[j] = st
+		return &ig.sts[j], &ig.vals[j]
 	}
 	if sh.img != nil {
 		if st == nil || st.child != nil || t.hooks == nil {
@@ -200,12 +251,11 @@ func (sh *shell[V]) cell(t *Tree[V], cs *cpuState[V], src *node[V], idx int, st 
 }
 
 // abandon turns a copy being born in an image into a mirrored one, when the
-// sweep finds at slot idx that the image cannot serve: the source no
-// longer reads as the image recorded (a child of a frozen interior node died
-// since, or a lookup materialized a group mid-sweep), or has more groups than
-// a new image was sized for. The groups swept so far agreed with the image
-// and become real groups filled from it; the sweep mirrors the rest. The
-// source's cached image, if this is it, is dropped.
+// sweep finds at slot idx that the image cannot serve: the source no longer
+// reads as the image recorded, because a child of a frozen interior node died
+// since. The groups swept so far agreed with the image and become real groups
+// filled from it; the sweep mirrors the rest. The source's cached image, if
+// this is it, is dropped.
 func (sh *shell[V]) abandon(t *Tree[V], src *node[V], idx int) {
 	im := sh.img
 	gi, j := idx/slotsPerLine, idx%slotsPerLine
@@ -258,24 +308,32 @@ func (sh *shell[V]) forkGroup(nt *Tree[V], gi int) *slotGroup[V] {
 	return g
 }
 
-// waitUniformLocked waits out the node's latest merged busy period for an
-// arrival at virtual time at, under the usual overlap rule (an arrival
-// predating the busy period passes through), charging the wait to k. Caller
-// holds matMu.
-func (n *node[V]) waitUniformLocked(cpu *hw.CPU, at uint64, k hw.Cause) {
+// waitUniformLocked waits out the node's latest merged busy period for a
+// root copy arriving at virtual time at, under the usual overlap rule (an
+// arrival predating the busy period passes through). Caller holds matMu.
+func (n *node[V]) waitUniformLocked(cpu *hw.CPU, at uint64) {
 	if u := &n.uni; u.n > 0 {
 		if f := u.free[u.n-1]; f > at && at >= u.busyStart {
-			cpu.AdvanceToAs(k, f)
+			cpu.AdvanceToAs(hw.CauseRootFork, f)
 		}
 	}
 }
 
-// forkUnlock releases every slot bit of n at the end of a fork. The
-// uniform gate table is rewritten to one merged busy period — begun at the
-// fork's arrival (or the table's earlier busyStart) and free now — which
-// is the state per-slot gates would hold, in one plateau. Groups with storage
-// release through their own gates (one materialized mid-fork carries the
-// fork's busy period already: node.forkBusy).
+// unlockBits releases every slot bit of the frozen node n at the end of a
+// copy of it: in real time only, for the copy waited for no earlier holder
+// in virtual time, and neither will the next.
+func (n *node[V]) unlockBits() {
+	for w := range n.bits {
+		n.bits[w].Store(0)
+	}
+}
+
+// forkUnlock releases every slot bit of the live root n at the end of a
+// fork. The uniform gate table is rewritten to one merged busy period — begun
+// at the fork's arrival (or the table's earlier busyStart) and free now —
+// which is the state per-slot gates would hold, in one plateau. Groups with
+// storage release through their own gates (one materialized mid-fork carries
+// the fork's busy period already: node.forkBusy).
 func (n *node[V]) forkUnlock(cpu *hw.CPU, arrive uint64) {
 	now := cpu.Now()
 	n.matMu.Lock()

@@ -30,11 +30,12 @@ func TestForkClonesValues(t *testing.T) {
 	r.Unlock()
 
 	covered := map[uint64]int{} // first page of a reported range -> its length
-	tr.OnDiverge(func(_ *hw.CPU, flo, fhi uint64, src, dst *val) {
+	tr.OnDiverge(func(_ *hw.CPU, flo, fhi uint64, src, dst *val) bool {
 		if src.x != dst.x {
 			t.Errorf("hook [%d,%d): src x=%d, dst x=%d", flo, fhi, src.x, dst.x)
 		}
 		covered[flo] = int(fhi - flo)
+		return false
 	})
 	child := tr.ForkLazy(c)
 	if len(covered) != 0 {
@@ -120,9 +121,9 @@ func TestForkMidMaterializationBusyPeriod(t *testing.T) {
 	c0.Tick(L)
 	c2.Tick(M)
 	stretched := false
-	tr.OnDiverge(func(cpu *hw.CPU, lo, hi uint64, _, _ *val) {
+	tr.OnDiverge(func(cpu *hw.CPU, lo, hi uint64, _, _ *val) bool {
 		if hi-lo != span(Levels-1) || stretched {
-			return
+			return false
 		}
 		// Mid-fork, the first root slot's bit held and the sweep on its way to
 		// the others: a reader's touch materializes a root group that had no
@@ -132,6 +133,7 @@ func TestForkMidMaterializationBusyPeriod(t *testing.T) {
 		}
 		cpu.Tick(100_000) // stretch the fork's critical section past M
 		stretched = true
+		return false
 	})
 	tr.ForkLazy(c0)
 	if !stretched {

@@ -50,13 +50,21 @@ func snapImage(im *nodeImage[val]) imageSnap {
 
 // markingHook registers hooks shaped like the VM layer's: the copy is marked,
 // and so is the source the first time it is copied (vm's OnDiverge arms COW on
-// both). What the hook leaves in dst depends on src alone.
+// both), which the hook reports. What the hook leaves in dst depends on src
+// alone.
 func markingHook(tr *Tree[val]) {
-	const copied, shared = 1 << 20, 1 << 21
-	tr.OnDiverge(func(_ *hw.CPU, _, _ uint64, src, dst *val) {
-		dst.x = src.x&^shared | copied
-		src.x |= shared
-	})
+	tr.OnDiverge(markSource)
+}
+
+const copiedMark, sharedMark = 1 << 20, 1 << 21
+
+func markSource(_ *hw.CPU, _, _ uint64, src, dst *val) bool {
+	dst.x = src.x&^sharedMark | copiedMark
+	if src.x&sharedMark != 0 {
+		return false
+	}
+	src.x |= sharedMark
+	return true
 }
 
 // TestCopiesShareOneImmutableImage: every child that diverges one frozen leaf

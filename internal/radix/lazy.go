@@ -48,8 +48,11 @@ import (
 //     mid-acquisition could be half-visible to the child — and after the
 //     bump, every locked descent diverges foreign nodes before writing, so
 //     by induction writes only ever land in nodes native to the writing
-//     tree. Divergence itself acquires *all* of the shared node's slot bits,
-//     so even racing divergences of one node serialize.
+//     tree. A divergence is a reader of the shared node: it reads the
+//     node's lines and waits for no earlier copy in virtual time, so
+//     sibling divergences of one node overlap. It still takes all of the
+//     node's slot bits in real time, which orders the hook's writes to the
+//     source's values (COW arming) under real parallelism.
 //   - The deadlock-free order is preserved: divergence holds the parent
 //     slot's bit, then takes the child node's bits, which is the global
 //     parent-before-child, ascending-VPN order every operation uses.
@@ -99,26 +102,30 @@ func (t *Tree[V]) ForkLazy(cpu *hw.CPU) *Tree[V] {
 // span, a uniform fill once for the node's entire range), but child subtrees
 // are *shared* — the copy links src's children directly, bumping their links
 // counts. src's bits are all held when linkCopy returns; the caller publishes
-// the copy (and performs any generation re-adoption) and then releases them
-// with src.forkUnlock(cpu, arrive).
+// the copy (and performs any generation re-adoption) and then releases them:
+// with src.forkUnlock(cpu, arrive) after a copy of a live root, with
+// src.unlockBits() after a copy of a frozen node.
 //
 // frozen says that src is foreign to every tree — divergeChild's case, not
-// ForkLazy's root — so the copy is born in src's image, which this sweep
-// builds if src has none that is current, and otherwise only checks slot by
-// slot. Either way it acquires, charges, pins, links and reports to the hook
-// exactly as when mirroring, in the same order; what differs is where, if
-// anywhere, a slot's born state is written (shell.cell).
+// ForkLazy's root. A frozen node is read-only, so its copy is a reader: it
+// reads each of src's group lines once and waits for no earlier copy in
+// virtual time, so sibling copies of one node overlap. It writes a group's
+// line only when the hook wrote a value in it, and it still takes src's bits
+// in real time, which keeps a hook's check-then-write of a source value
+// exact under real parallelism. The copy is born in src's image, which this
+// sweep builds if src has none that is current, and otherwise only checks
+// slot by slot (shell.cell). A copy of a live root is a writer: it takes
+// src's bits slot by slot as every locker does, waiting out their earlier
+// holders and writing their lines, and mirrors every group.
 func (t *Tree[V]) linkCopy(cpu *hw.CPU, src *node[V], extra int64, frozen bool) (*node[V], uint64) {
-	wait := hw.CauseRootFork
-	if frozen {
-		wait = hw.CauseDiverge
-	}
 	arrive := cpu.Now()
 	src.matMu.Lock()
-	src.waitUniformLocked(cpu, arrive, wait)
-	src.forkForks++
-	if src.forkForks == 1 || arrive < src.forkBusy {
-		src.forkBusy = arrive
+	if !frozen {
+		src.waitUniformLocked(cpu, arrive)
+		src.forkForks++
+		if src.forkForks == 1 || arrive < src.forkBusy {
+			src.forkBusy = arrive
+		}
 	}
 	// A source that is itself a copy may still hold groups in its image
 	// only. The sweep counts, bills, charges and mirrors groups with
@@ -128,58 +135,47 @@ func (t *Tree[V]) linkCopy(cpu *hw.CPU, src *node[V], extra int64, frozen bool) 
 
 	dst := t.cloneShell(cpu, src, frozen)
 	cs := t.cpu(cpu)
-	fill := dst.uniSt != nil
-	var used int64
-	if fill {
-		used = SlotsPerNode
-	}
-	sp := span(src.level)
-	for idx := 0; idx < SlotsPerNode; idx++ {
-		g, st, child := t.sweepSlot(cpu, src, idx, wait)
-		// A slot the copy's header does not already stand for — one that
-		// diverged from src's fill, to empty included, or anything a node
-		// without a fill holds — goes into the copy's group.
-		mirror := g != nil && (st != nil || fill)
-		if dst.img != nil && !dst.build && !dst.img.agrees(idx, st, mirror) {
-			dst.abandon(t, src, idx)
-		}
-		if !mirror {
-			continue
-		}
-		cell, store := dst.cell(t, cs, src, idx, st)
-		switch {
-		case st == nil:
-			used--
-		case child != nil:
-			// Link mode: share the subtree instead of copying it. The pin
-			// makes the links bump safe against concurrent reclamation.
-			child.links.Add(1)
-			if cell != nil {
-				*cell = slotState[V]{child: child.obj}
+	if frozen {
+		// Group by group, from the directory the copy was sized from: a
+		// group a lookup materializes meanwhile holds the fill it came out
+		// of, which the copy's header stands for.
+		for gi := 0; gi < groupsPerNode; gi++ {
+			g := dst.over.get(gi)
+			if g != nil {
+				cpu.Read(&g.line)
 			}
-			t.unpin(cpu, child)
-		case cell != nil:
-			dv := copyInto(cell, store, st.val)
-			if t.hooks != nil {
-				lo := src.slotBase(idx)
-				t.hooks.OnDiverge(cpu, lo, lo+sp, st.val, dv)
+			wrote := false
+			for j := 0; j < slotsPerLine; j++ {
+				idx := gi*slotsPerLine + j
+				hw.LockBit(&src.bits[idx>>6], uint64(1)<<(uint(idx)&63))
+				st, child := src.uniSt, (*node[V])(nil) // no group: the fill
+				if g != nil {
+					st, child = t.readSlot(cpu, src, g, idx)
+				}
+				if dst.take(t, cpu, cs, src, idx, g, st, child) && !wrote {
+					cpu.Write(&g.line)
+					wrote = true
+				}
 			}
 		}
-		if st != nil && !fill {
-			used++
+	} else {
+		for idx := 0; idx < SlotsPerNode; idx++ {
+			g, st, child := t.sweepSlot(cpu, src, idx)
+			dst.take(t, cpu, cs, src, idx, g, st, child)
 		}
+		// A concurrent copy of src may have merged its busy period into the
+		// uniform table after our entry wait (it can release between our
+		// entry and our first bit load). Consult the merged table once more
+		// now that every bit is ours, so overlapping copies serialize in
+		// virtual time however the real-time race resolved.
+		src.matMu.Lock()
+		src.waitUniformLocked(cpu, arrive)
+		src.matMu.Unlock()
 	}
-	// A concurrent copy of src may have merged its busy period into the
-	// uniform table after our entry wait (it can release between our entry
-	// and our first bit load). Consult the merged table once more now that
-	// every bit is ours, so overlapping copies serialize in virtual time
-	// however the real-time race resolved.
-	src.matMu.Lock()
-	src.waitUniformLocked(cpu, arrive, wait)
-	src.matMu.Unlock()
-	if fill {
+	if dst.uniSt != nil {
 		dv := copyInto(&dst.uniStore, &dst.uniVal, src.uniSt.val)
 		if t.hooks != nil {
+			sp := span(src.level)
 			t.hooks.OnDiverge(cpu, src.base, src.base+uint64(SlotsPerNode)*sp, src.uniSt.val, dv)
 		}
 	}
@@ -189,7 +185,7 @@ func (t *Tree[V]) linkCopy(cpu *hw.CPU, src *node[V], extra int64, frozen bool) 
 		dst.dir.Store(newGroupDirOf[V](dst.img.bits))
 		src.copyImg.Store(dst.img)
 	}
-	dst.obj = t.rc.NewObj(used+extra, freeNode[V])
+	dst.obj = t.rc.NewObj(dst.used+extra, freeNode[V])
 	dst.obj.Data = dst.node
 	return dst.node, arrive
 }
@@ -215,13 +211,13 @@ func (t *Tree[V]) divergeChild(cpu *hw.CPU, n *node[V], idx int, child *node[V])
 	// Copy the shared node under all of its bits, with one creator pin for
 	// the caller. The copy inherits the parent *node's* generation (native
 	// by construction: descent only writes under native parents).
-	dst, arrive := t.linkCopy(cpu, child, 1, true)
+	dst, _ := t.linkCopy(cpu, child, 1, true)
 	dst.gen = n.gen
 	dst.parent = n
 	dst.parentIdx = idx
 	n.slot(idx).Store(&slotState[V]{child: dst.obj})
 	cpu.Write(n.line(idx))
-	child.forkUnlock(cpu, arrive)
+	child.unlockBits()
 	// This tree's link moved to the private copy; drop the shared one.
 	// The caller's pin keeps child alive until the unpin below.
 	t.dropLink(cpu, child)

@@ -195,7 +195,7 @@ func TestLazyForkReleaseBalance(t *testing.T) {
 	m, rc, tr := newTree(1)
 	c := m.CPU(0)
 	var diverged, released atomic.Int64
-	tr.OnDiverge(func(_ *hw.CPU, lo, hi uint64, _, _ *val) { diverged.Add(int64(hi - lo)) })
+	tr.OnDiverge(func(_ *hw.CPU, lo, hi uint64, _, _ *val) bool { diverged.Add(int64(hi - lo)); return false })
 	tr.OnRelease(func(_ *hw.CPU, lo, hi uint64, _ *val) { released.Add(int64(hi - lo)) })
 
 	const pages = 8
@@ -286,4 +286,105 @@ func TestLazyForkConcurrent(t *testing.T) {
 	// Every bit is free: a whole-space range lock goes through.
 	r := tr.LockRange(seedC, 1, MaxVPN-1)
 	r.Unlock()
+}
+
+// siblingDivergences forks k children of a tree whose leaf full holds 512
+// pages, then has cores 1..divergers each touch one page of its own child at
+// one virtual instant, through run: the deterministic gang or RunGang. Every
+// touch copies the same frozen path, leaf included. The hook arms the source
+// the way vm's OnDiverge arms COW, and counts each page's shares the way it
+// counts a frame's: 2 when it arms, 1 after. It returns the machine, its
+// cycle meters reset at that instant, and the shares.
+func siblingDivergences(t *testing.T, k, divergers int, run func(*hw.Machine, int, uint64, func(*hw.CPU, *hw.Gang))) (*hw.Machine, *[SlotsPerNode]atomic.Int64) {
+	t.Helper()
+	m, rc, tr, full, _, _ := forkSourceOn(t, k+1)
+	shares := new([SlotsPerNode]atomic.Int64)
+	tr.OnDiverge(func(c *hw.CPU, lo, hi uint64, src, dst *val) bool {
+		wrote := markSource(c, lo, hi, src, dst)
+		if hi-lo == 1 && lo >= full && lo < full+span(1) {
+			if wrote {
+				shares[lo-full].Add(2)
+			} else {
+				shares[lo-full].Add(1)
+			}
+		}
+		return wrote
+	})
+	kids := make([]*Tree[val], k+1)
+	for i := 1; i <= k; i++ {
+		kids[i] = tr.ForkLazy(m.CPU(0))
+	}
+	quiesce(rc)
+	at := m.MaxClock()
+	for i := 0; i <= k; i++ {
+		m.CPU(i).AdvanceTo(at)
+	}
+	m.ResetStats()
+	run(m, k+1, 2000, func(c *hw.CPU, _ *hw.Gang) {
+		if id := c.ID(); id >= 1 && id <= divergers {
+			kids[id].LockPage(c, full+uint64(id)).Unlock()
+		}
+	})
+	for i := 1; i <= divergers; i++ {
+		if leaf := descend(t, kids[i], full)[Levels-1]; leaf.tree != kids[i] {
+			t.Fatalf("child %d did not copy the leaf", i)
+		}
+	}
+	return m, shares
+}
+
+// checkShares asserts that every page of the diverged leaf was armed once and
+// copied by each of k divergences: 2 + (k-1) shares.
+func checkShares(t *testing.T, shares *[SlotsPerNode]atomic.Int64, k int) {
+	t.Helper()
+	for p := range shares {
+		if got := shares[p].Load(); got != int64(2+k-1) {
+			t.Fatalf("page %d of the leaf has %d shares after %d divergences, want %d", p, got, k, 2+k-1)
+		}
+	}
+}
+
+// TestSiblingDivergencesOverlap: a copy of a frozen node is a reader, so k
+// siblings diverging one frozen leaf at the same virtual instant overlap.
+// Each finishes at its arrival plus its own copy cost and is charged no wait
+// for another's sweep. The first costs exactly a divergence alone, and each
+// later one reads every group line right behind the sibling before it, one
+// line transfer later, and skips the arming writes, so it ends at most one
+// transfer per earlier sibling after a divergence alone; a copy that waited
+// out the previous one's sweep would end a whole divergence later. Each page
+// is still armed exactly once.
+func TestSiblingDivergencesOverlap(t *testing.T) {
+	const k = 4
+	solo, _ := siblingDivergences(t, k, 1, hw.RunGangDet)
+	alone := solo.CPU(1).Elapsed()
+	m, shares := siblingDivergences(t, k, k, hw.RunGangDet)
+	checkShares(t, shares, k)
+	xfer := m.Config().SameSocketXfer
+	for i := 1; i <= k; i++ {
+		c := m.CPU(i)
+		y := c.Cycles()
+		if got, bound := c.Elapsed(), alone+uint64(i-1)*xfer; got > bound {
+			t.Errorf("core %d finished %d cycles after the shared arrival, want at most %d (a divergence alone takes %d): it waited for another's copy (%v)", i, got, bound, alone, y)
+		}
+		for _, wait := range []hw.Cause{hw.CauseDiverge, hw.CauseRootFork, hw.CauseSlotWait, hw.CauseLockWait} {
+			if y[wait] != 0 {
+				t.Errorf("core %d charged %d cycles of %s", i, y[wait], wait)
+			}
+		}
+	}
+	if got := m.CPU(1).Elapsed(); got != alone {
+		t.Errorf("the first divergence took %d cycles, %d alone", got, alone)
+	}
+}
+
+// TestSiblingDivergencesArmOnce is TestSiblingDivergencesOverlap's share
+// count under real parallelism (and the race detector): the copies take the
+// frozen leaf's bits in real time, so however the sweeps interleave, one hook
+// call per page arms the source and every other adds one share.
+func TestSiblingDivergencesArmOnce(t *testing.T) {
+	const k = 4
+	for round := 0; round < 4; round++ {
+		_, shares := siblingDivergences(t, k, k, hw.RunGang)
+		checkShares(t, shares, k)
+	}
 }

@@ -239,8 +239,9 @@ type node[V any] struct {
 	matMu sync.Mutex
 	uni   uniformGates
 
-	// forkBusy/forkForks (matMu) track in-progress forks holding this
-	// node's slot bits: forkForks counts them and forkBusy is the earliest
+	// forkBusy/forkForks (matMu) track in-progress forks holding this root
+	// node's slot bits (ForkLazy; a copy of a frozen node waits for nobody
+	// and is not counted): forkForks counts them and forkBusy is the earliest
 	// arrival among them — the start of the busy period forkUnlock will
 	// merge into uni. A group materializing mid-fork merges it into its
 	// restored gates (initGroup): a locker could otherwise carry a later
@@ -298,13 +299,9 @@ func (im *nodeImage[V]) group(gi int) *imageGroup[V] {
 }
 
 // grow adds group gi to an image under construction, which adds them in
-// ascending order. It returns nil if the source turned out to have more groups
-// than the image was sized for (one materialized mid-sweep).
+// ascending order, within the capacity cloneShell sized it to.
 func (im *nodeImage[V]) grow(gi int) *imageGroup[V] {
 	k := len(im.groups)
-	if k == cap(im.groups) {
-		return nil
-	}
 	im.bits.add(gi)
 	im.groups = im.groups[:k+1]
 	return &im.groups[k]
@@ -1024,13 +1021,14 @@ type Hooks[V any] interface {
 	// OnDiverge is invoked once per distinct value copied when a
 	// snapshot-shared node is path-copied on first write, with the VPN range
 	// the value covers. It runs under every slot bit of src's node and may
-	// write *src. dst arrives as a copy of *src for the hook to finish, and
-	// what it leaves there may depend on src alone: the tree keeps the
-	// finished copy in the node's image and gives every tree that diverges
-	// from src a copy of it, so on all divergences but the first dst is a
-	// scratch value, handed over for the hook's other effects and then
-	// forgotten.
-	OnDiverge(cpu *hw.CPU, lo, hi uint64, src, dst *V)
+	// write *src, and reports whether it did: a copy of a frozen node,
+	// otherwise a reader of it, is charged a write of that value's line. dst
+	// arrives as a copy of *src for the hook to finish, and what it leaves
+	// there may depend on src alone: the tree keeps the finished copy in the
+	// node's image and gives every tree that diverges from src a copy of it,
+	// so on all divergences but the first dst is a scratch value, handed over
+	// for the hook's other effects and then forgotten.
+	OnDiverge(cpu *hw.CPU, lo, hi uint64, src, dst *V) bool
 	// OnRelease is invoked once per distinct value dropped when the last tree
 	// referencing a shared subtree releases it (Tree.Release, or a divergence
 	// unlinking the old copy) — on the hooks of the tree the node was built

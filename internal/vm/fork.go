@@ -48,7 +48,8 @@ func (as *AddressSpace) Fork(cpu *hw.CPU) (System, error) {
 // diverging tree. The first divergence counts the shared original and the
 // copy as COW shares (2), later divergences add their copy (1) — writing
 // src.COW is legal here because the hook runs under every slot bit of src's
-// node.
+// node. The hook reports the first divergence's write to src, which the copy
+// is charged as a write of src's line; every later divergence only reads it.
 // The original's share and reference drop when its node's last link goes
 // away (OnRelease), so however a fork family diverges and exits, k
 // surviving mappings of a frame hold exactly k references, and breakCOW's
@@ -69,10 +70,10 @@ func (as *AddressSpace) Fork(cpu *hw.CPU) (System, error) {
 // ends as *src with no TLBCores; no frame if src's is a file's; and COW set
 // exactly when src has an anonymous frame — whether or not an earlier
 // divergence armed src already.
-func (as *AddressSpace) OnDiverge(cpu *hw.CPU, lo, hi uint64, src, dst *Mapping) {
+func (as *AddressSpace) OnDiverge(cpu *hw.CPU, lo, hi uint64, src, dst *Mapping) (wroteSrc bool) {
 	dst.TLBCores = hw.CoreSet{} // no translation derives from a shared node
 	if src.Frame == nil {
-		return // metadata-only copy
+		return false // metadata-only copy
 	}
 	if src.Back.File != nil {
 		// A file frame enters a private mapping only through File.pageFor,
@@ -81,16 +82,17 @@ func (as *AddressSpace) OnDiverge(cpu *hw.CPU, lo, hi uint64, src, dst *Mapping)
 		// frame would give a child forked from a parent that had faulted the
 		// page a frame no revocation could find.
 		dst.Frame, dst.altCtr = nil, nil
-		return
+		return false
 	}
 	as.alloc.IncRef(cpu, src.Frame) // the diverged copy's reference
 	dst.COW = true
 	if src.COW {
 		src.Frame.AddCOWShares(cpu, 1)
-		return
+		return false
 	}
 	src.COW = true
 	src.Frame.AddCOWShares(cpu, 2) // the shared original and this copy
+	return true
 }
 
 // OnRelease is the radix tree's release hook (radix.Hooks): the teardown half
