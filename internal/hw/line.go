@@ -8,7 +8,7 @@ import (
 
 // Line models one cache line of shared memory. Data structures embed Line
 // values at the granularity of their real memory layout (e.g. one Line per
-// 8 radix-tree slots) and call CPU.Read / CPU.Write when they touch the
+// 4 radix-tree slots) and call CPU.Read / CPU.Write when they touch the
 // corresponding bytes.
 //
 // The model is a single-writer/multi-reader directory with home-node

@@ -81,6 +81,11 @@ func (t *Tree[V]) lockIn(r *Range[V], n *node[V], lo, hi uint64) {
 		}
 		slotHi := slotLo + sp
 		clipLo, clipHi := max(lo, slotLo), min(hi, slotHi)
+		if n.level == 0 {
+			n.lockLeaf(cpu, idx)
+			r.entries = append(r.entries, Entry[V]{r: r, n: n, idx: idx, Lo: clipLo, Hi: clipHi})
+			continue
+		}
 
 		for {
 			g := n.group(idx)
@@ -103,9 +108,12 @@ func (t *Tree[V]) lockIn(r *Range[V], n *node[V], lo, hi uint64) {
 				t.lockIn(r, child, clipLo, clipHi)
 				break
 			}
-			// Terminal slot: take the lock bit, then re-check,
-			// since the slot may have gained a child while we
-			// waited for the bit.
+			// Terminal interior slot. It was read before the CAS
+			// because above the leaves a slot may be a link, which
+			// is read shared, not taken exclusive (a leaf slot takes
+			// its bit first: lockLeaf). Take the lock bit, then
+			// re-check, since the slot may have gained a child while
+			// we waited for the bit.
 			cpu.Write(&g.line) // CAS on the lock bit
 			n.acquire(cpu, idx)
 			st = g.sts[idx%slotsPerLine].Load()
@@ -113,8 +121,8 @@ func (t *Tree[V]) lockIn(r *Range[V], n *node[V], lo, hi uint64) {
 				n.release(cpu, idx)
 				continue
 			}
-			if n.level == 0 || (clipLo == slotLo && clipHi == slotHi) {
-				// A leaf page, or an interior slot wholly inside the range.
+			if clipLo == slotLo && clipHi == slotHi {
+				// Wholly inside the range: a folded entry.
 				r.entries = append(r.entries, Entry[V]{r: r, n: n, idx: idx, Lo: clipLo, Hi: clipHi})
 				break
 			}
@@ -125,6 +133,18 @@ func (t *Tree[V]) lockIn(r *Range[V], n *node[V], lo, hi uint64) {
 			break
 		}
 	}
+}
+
+// lockLeaf takes leaf slot idx's lock bit. A leaf slot is never a link, so
+// nothing needs reading shared before the bit: the CAS is the line's one
+// ownership fetch, and the slot load under the bit hits. On a line the core
+// already owns this costs what read-then-CAS does; on one another core wrote
+// last, one transfer instead of two.
+func (n *node[V]) lockLeaf(cpu *hw.CPU, idx int) {
+	g := n.group(idx)
+	cpu.Write(&g.line) // CAS on the lock bit
+	n.acquire(cpu, idx)
+	cpu.Read(&g.line) // the slot load under the bit
 }
 
 // expand replaces a terminal interior slot (lock bit held by the caller)
@@ -196,13 +216,20 @@ func (t *Tree[V]) lockedDescend(r *Range[V], n *node[V], lo, hi uint64) {
 // down to the leaf so the page gets a private metadata copy — the
 // pagefault path (§3.4). The resulting Range has exactly one entry; if its
 // Value is nil the page is unmapped (and the holder still serializes against
-// concurrent mmaps of the region).
+// concurrent mmaps of the region). The walk reads each interior slot before
+// it CASes the slot's bit, since the slot may be a link, read shared; the
+// leaf slot, never a link, is CASed first and read under its bit (lockLeaf).
 func (t *Tree[V]) LockPage(cpu *hw.CPU, vpn uint64) *Range[V] {
 	checkRange(vpn, vpn+1)
 	r := t.getRange(t.opEnter(cpu), cpu, vpn, vpn+1)
 	n := t.root
 	for {
 		idx := n.slotIndex(vpn)
+		if n.level == 0 {
+			n.lockLeaf(cpu, idx)
+			r.entries = append(r.entries, Entry[V]{r: r, n: n, idx: idx, Lo: vpn, Hi: vpn + 1})
+			return r
+		}
 		g := n.group(idx)
 		cpu.Read(&g.line)
 		st := g.sts[idx%slotsPerLine].Load()
@@ -228,8 +255,8 @@ func (t *Tree[V]) LockPage(cpu *hw.CPU, vpn uint64) *Range[V] {
 			n.release(cpu, idx)
 			continue
 		}
-		if n.level == 0 || st == nil {
-			// Leaf page, or unmapped interior slot: the faulting page's lock.
+		if st == nil {
+			// Unmapped interior slot: the faulting page's lock.
 			r.entries = append(r.entries, Entry[V]{r: r, n: n, idx: idx, Lo: vpn, Hi: vpn + 1})
 			return r
 		}
@@ -292,7 +319,10 @@ func (r *Range[V]) Unlock() {
 // Value returns the entry's current value (nil if unmapped). For a folded
 // entry the value stands for every page in [Lo, Hi). It is the slot's private
 // copy, read through the slot's group: mutating it must not leak to siblings,
-// as the pagefault path relies on.
+// as the pagefault path relies on. It charges nothing: the lock that made the
+// entry charged the slot's load — a leaf's Read under its bit (lockLeaf), an
+// interior slot's Read before its CAS, or, in a child an expansion made,
+// the child's page zero.
 func (e *Entry[V]) Value() *V {
 	st := e.n.slot(e.idx).Load()
 	if st == nil {

@@ -229,11 +229,12 @@ type File struct {
 // mapping's placement is in holders. A superset is legal and costs one wasted
 // visit: a munmap leaves its entry, and if the space then exits, the exited
 // fence in revokeFile skips it. Every change of the set of holder *spaces*
-// (pageFor, takeHolders, dropHolder) is a write of line and a revocation's
-// scan a read; a second placement of a space already in the set is uncharged
-// bookkeeping, like a membership hit on the fault path, which is part of
-// pageFor's lookup, uncharged as a whole (f.mu, the cache map, f.length:
-// ROADMAP 3e).
+// (pageFor, dropHolder) is a write of line, and a revocation's take swaps
+// each record of its window empty with one write, held or not (the xchg a
+// kernel would issue); a second placement of a space already in the set is
+// uncharged bookkeeping, like a membership hit on the fault path, which is
+// part of pageFor's lookup, uncharged as a whole (f.mu, the cache map,
+// f.length: ROADMAP 3e).
 type filePage struct {
 	line    hw.Line
 	holders []holder
@@ -378,11 +379,10 @@ func (f *File) takeHolders(cpu *hw.CPU, lo, hi uint64) *revokeBatch {
 			if off < lo || off >= hi {
 				continue
 			}
-			cpu.Read(&p.line)
+			cpu.Write(&p.line) // swap the record empty: one xchg
 			if len(p.holders) == 0 {
 				continue
 			}
-			cpu.Write(&p.line)
 			for _, h := range p.holders {
 				at := slices.IndexFunc(visits, func(v holderVisit) bool { return v.holder == h })
 				if at < 0 {
