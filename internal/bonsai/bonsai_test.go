@@ -161,7 +161,7 @@ func TestConcurrentReadersWithOneWriter(t *testing.T) {
 	for k := uint64(0); k < 512; k += 2 {
 		tr.Insert(w, k, iv(int(k)))
 	}
-	hw.RunGang(m, 4, 5000, func(c *hw.CPU, g *hw.Gang) {
+	hw.RunGang(m, 4, func(c *hw.CPU, g *hw.Gang) {
 		rng := rand.New(rand.NewSource(int64(c.ID())))
 		for i := 0; i < 500; i++ {
 			if c.ID() == 0 {

@@ -18,6 +18,11 @@
 // genuine atomics and locks, so races and orderings are exercised by the Go
 // race detector. Only *time* is simulated, which is what lets a laptop sweep
 // 1..80 virtual cores and reproduce the paper's curves.
+//
+// One schedule keeps virtual time: the deterministic one (Sched, and
+// RunGangDet on it), which every figure and every test that asserts a clock
+// runs on. RunGang runs cores as plain goroutines, so the race detector sees
+// real interleavings; the clocks it leaves measure nothing.
 package hw
 
 import (

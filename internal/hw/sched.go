@@ -12,17 +12,14 @@ import (
 // Ctx.Park, Ctx.Wait, an arrival fold, a core going idle) the loop steps the
 // ready core with the lowest (virtual clock, core ID), and that core folds one
 // due arrival or runs its lowest-seq runnable proc: its own pinned queue first,
-// then the shared migratable queue. Virtual-time arithmetic is untouched —
-// cores still overlap in virtual time exactly as under the parallel gang — but
+// then the shared migratable queue. Cores still overlap in virtual time, but
 // the *real* order in which overlapping operations resolve (home-node gate
-// folds, seqlock outcomes, mailbox enqueues) becomes a pure function of
-// (virtual clock, core ID, arrival seq). That is what makes figure outputs
-// byte-stable across runs: the parallel gang bounds virtual skew but still
-// lets the Go scheduler pick which of two virtually-concurrent line
-// transfers folds first, and the gate's answer depends on that order.
-// Every figure runs under this schedule; the parallel gang (RunGang) drives
-// only unit and stress tests, which keep the functional code under real
-// concurrency and the race detector.
+// folds, seqlock outcomes, mailbox enqueues) is a pure function of (virtual
+// clock, core ID, arrival seq), so figure outputs are byte-stable across
+// runs. This is the only schedule that keeps virtual time: every figure and
+// every test that asserts a clock runs on it. RunGang's plain goroutines keep
+// the functional code under real concurrency and the race detector, and
+// their clocks measure nothing.
 //
 // Procs are coroutines the loop resumes directly and cores are entries in
 // the loop, so nothing here runs concurrently, the scheduler takes no lock,
@@ -457,15 +454,15 @@ func (s *Sched) carrier() *carrier {
 func (s *Sched) arrive(k *core, b *Barrier) {
 	b.maxT = max(b.maxT, k.cpu.Now())
 	k.state = coreBarrier
-	b.detWaiters = append(b.detWaiters, k.cpu.ID())
-	if len(b.detWaiters) < b.n {
+	b.waiters = append(b.waiters, k.cpu.ID())
+	if len(b.waiters) < b.n {
 		return
 	}
-	for _, id := range b.detWaiters {
+	for _, id := range b.waiters {
 		s.cores[id].state, s.cores[id].clock = coreReady, b.maxT
 	}
 	b.maxT = 0
-	b.detWaiters = b.detWaiters[:0]
+	b.waiters = b.waiters[:0]
 }
 
 // next returns the proc core k runs now, sleeping to the next arrival as
@@ -527,13 +524,12 @@ func (s *Sched) next(k *core) *Proc {
 }
 
 // RunGangDet runs fn(cpu) on cores [0, ncores) of m like RunGang, but under
-// the deterministic schedule: same fn signature, same virtual-time
-// semantics for Sync/Barrier, bit-identical output across runs. It is the
-// degenerate fleet, one proc pinned to each core, and in that shape the
-// scheduler adds no virtual time at all: a core redispatching the proc it
-// last ran charges nothing, and AdvanceTo to the proc's own last clock is a
-// no-op. g.Sync and Barrier.Wait(cpu, g) forward to the calling core's
-// proc's Yield and Wait. quantum is ignored, as in Sched.Run.
+// the deterministic schedule: same fn signature, clocks kept in step,
+// bit-identical output across runs. It is the degenerate fleet, one proc
+// pinned to each core, and in that shape the scheduler adds no virtual time
+// at all: a core redispatching the proc it last ran charges nothing, and
+// AdvanceTo to the proc's own last clock is a no-op. g.Sync is the calling
+// core's proc's Yield. quantum is ignored, as in Sched.Run.
 func RunGangDet(m *Machine, ncores int, quantum uint64, fn func(cpu *CPU, g *Gang)) {
 	s := NewSched(0)
 	g := &Gang{det: s}

@@ -418,29 +418,3 @@ func TestSchedSpawnExitAllocs(t *testing.T) {
 		t.Errorf("%.2f allocations per short-lived proc, want <= 1.5 (4.04 with a goroutine per proc)", got)
 	}
 }
-
-// TestRunGangDetBarrier: Barrier.Wait(cpu, g) inside a RunGangDet body
-// aligns every member's clock to the latest arrival and resumes members in
-// core-ID order.
-func TestRunGangDetBarrier(t *testing.T) {
-	const ncores = 4
-	m := NewMachine(TestConfig(ncores))
-	bar := NewBarrier(ncores)
-	var order []int
-	var after [ncores]uint64
-	RunGangDet(m, ncores, 0, func(c *CPU, g *Gang) {
-		c.Tick(uint64(1000 * (ncores - c.ID()))) // core 0 arrives last
-		g.Sync(c)
-		bar.Wait(c, g)
-		order = append(order, c.ID())
-		after[c.ID()] = c.Now()
-	})
-	for id := 0; id < ncores; id++ {
-		if order[id] != id {
-			t.Fatalf("resume order %v, want core-ID order", order)
-		}
-		if after[id] != 1000*ncores {
-			t.Errorf("core %d left the barrier at %d, want %d", id, after[id], 1000*ncores)
-		}
-	}
-}

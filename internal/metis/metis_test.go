@@ -57,8 +57,7 @@ func TestDeterministicAcrossSystems(t *testing.T) {
 // TestRunDeterministic is Figure 4's share of the determinism gate: the
 // job run twice on fresh environments must reproduce the whole Result —
 // cycles, mmaps, faults and checksum — on every system, at enough cores
-// that map and reduce phases contend. (Under the parallel gang the cycle
-// count differed from run to run.)
+// that map and reduce phases contend.
 func TestRunDeterministic(t *testing.T) {
 	systems := []struct {
 		name string

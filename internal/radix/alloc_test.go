@@ -222,7 +222,7 @@ func TestNodePoolRecycles(t *testing.T) {
 func TestConcurrentFoldExpandLookup(t *testing.T) {
 	const ncores = 4
 	m, rc, tr := newTree(ncores)
-	hw.RunGang(m, ncores, 2000, func(c *hw.CPU, g *hw.Gang) {
+	hw.RunGang(m, ncores, func(c *hw.CPU, g *hw.Gang) {
 		if c.ID() == 0 {
 			for k := 0; k < 150; k++ {
 				setRange(tr, c, 0, 1024, &val{k}) // folds two interior slots

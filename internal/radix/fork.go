@@ -52,6 +52,14 @@ func ForkNodeCost(pageZero uint64, groups int) uint64 {
 // sweepSlot takes slot idx's lock bit for a copy's sweep of the live root
 // src and reads the slot under it: its group (nil if it has none: src's
 // uniform fill), its state, and for a child link the child, pinned.
+//
+// A locker may materialize a group between two of its slots' sweeps, so the
+// copy reads the earlier ones as groupless and the later ones from the group.
+// That is the same snapshot: a root has no fill (NewCopy births it empty, a
+// fill is fixed at birth, and cloneShell copies only the source's), so a
+// group born from it holds empty slots, and the copy holds the earlier
+// slots' bits, so nothing has written them since. TestRootsHaveNoFill holds
+// the premise.
 func (t *Tree[V]) sweepSlot(cpu *hw.CPU, src *node[V], idx int) (g *slotGroup[V], st *slotState[V], child *node[V]) {
 	gi := idx / slotsPerLine
 	mask := uint64(1) << (uint(idx) & 63)

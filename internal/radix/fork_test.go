@@ -1,6 +1,7 @@
 package radix
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -114,8 +115,9 @@ func TestForkMidMaterializationBusyPeriod(t *testing.T) {
 	r.Unlock()
 	tr.ForkLazy(c1).Release(c1)
 
-	// Fork again from a core far behind (gang skew), and stretch the fork's
-	// critical section past the locker's clock M, with L < M < H.
+	// Fork again from a core far behind (an ordering inversion), and
+	// stretch the fork's critical section past the locker's clock M, with
+	// L < M < H.
 	const L = 10_000
 	const M = 50_000
 	c0.Tick(L)
@@ -291,4 +293,35 @@ func TestForkVsConcurrentLockRange(t *testing.T) {
 		rc.Maintain(c0)
 	}
 	wg.Wait()
+}
+
+// TestRootsHaveNoFill: a node's uniform fill is fixed at its birth, NewCopy
+// births its root empty, and ForkLazy's copy of a root has a fill only if
+// the source has one — so no root ever has one, however a fork family's op
+// stream folds, expands and clears its slots. sweepSlot relies on it.
+func TestRootsHaveNoFill(t *testing.T) {
+	m, rc, tr := newTree(1)
+	c := m.CPU(0)
+	trees := []*Tree[val]{tr}
+	rng := rand.New(rand.NewSource(9))
+	for op := 0; op < 300; op++ {
+		x := trees[rng.Intn(len(trees))]
+		// Up to four root slots long: some ops fold whole root slots.
+		lo := uint64(rng.Int63n(int64(MaxVPN - 4*span(Levels-1))))
+		hi := lo + 1 + uint64(rng.Int63n(int64(4*span(rng.Intn(Levels)))))
+		switch rng.Intn(5) {
+		case 0:
+			trees = append(trees, x.ForkLazy(c))
+		case 1:
+			clearRange(x, c, lo, hi)
+		default:
+			setRange(x, c, lo, hi, &val{op})
+		}
+		rc.Maintain(c)
+	}
+	for i, x := range trees {
+		if x.root.uniSt != nil {
+			t.Errorf("tree %d of %d: its root has a uniform fill", i, len(trees))
+		}
+	}
 }

@@ -290,12 +290,12 @@ func TestLazyForkConcurrent(t *testing.T) {
 
 // siblingDivergences forks k children of a tree whose leaf full holds 512
 // pages, then has cores 1..divergers each touch one page of its own child at
-// one virtual instant, through run: the deterministic gang or RunGang. Every
+// one virtual instant, through run: runDet or RunGang. Every
 // touch copies the same frozen path, leaf included. The hook arms the source
 // the way vm's OnDiverge arms COW, and counts each page's shares the way it
 // counts a frame's: 2 when it arms, 1 after. It returns the machine, its
 // cycle meters reset at that instant, and the shares.
-func siblingDivergences(t *testing.T, k, divergers int, run func(*hw.Machine, int, uint64, func(*hw.CPU, *hw.Gang))) (*hw.Machine, *[SlotsPerNode]atomic.Int64) {
+func siblingDivergences(t *testing.T, k, divergers int, run func(*hw.Machine, int, func(*hw.CPU, *hw.Gang))) (*hw.Machine, *[SlotsPerNode]atomic.Int64) {
 	t.Helper()
 	m, rc, tr, full, _, _ := forkSourceOn(t, k+1)
 	shares := new([SlotsPerNode]atomic.Int64)
@@ -320,7 +320,7 @@ func siblingDivergences(t *testing.T, k, divergers int, run func(*hw.Machine, in
 		m.CPU(i).AdvanceTo(at)
 	}
 	m.ResetStats()
-	run(m, k+1, 2000, func(c *hw.CPU, _ *hw.Gang) {
+	run(m, k+1, func(c *hw.CPU, _ *hw.Gang) {
 		if id := c.ID(); id >= 1 && id <= divergers {
 			kids[id].LockPage(c, full+uint64(id)).Unlock()
 		}
@@ -332,6 +332,9 @@ func siblingDivergences(t *testing.T, k, divergers int, run func(*hw.Machine, in
 	}
 	return m, shares
 }
+
+// runDet is hw.RunGangDet in hw.RunGang's shape.
+func runDet(m *hw.Machine, ncores int, fn func(*hw.CPU, *hw.Gang)) { hw.RunGangDet(m, ncores, 0, fn) }
 
 // checkShares asserts that every page of the diverged leaf was armed once and
 // copied by each of k divergences: 2 + (k-1) shares.
@@ -355,9 +358,9 @@ func checkShares(t *testing.T, shares *[SlotsPerNode]atomic.Int64, k int) {
 // is still armed exactly once.
 func TestSiblingDivergencesOverlap(t *testing.T) {
 	const k = 4
-	solo, _ := siblingDivergences(t, k, 1, hw.RunGangDet)
+	solo, _ := siblingDivergences(t, k, 1, runDet)
 	alone := solo.CPU(1).Elapsed()
-	m, shares := siblingDivergences(t, k, k, hw.RunGangDet)
+	m, shares := siblingDivergences(t, k, k, runDet)
 	checkShares(t, shares, k)
 	xfer := m.Config().SameSocketXfer
 	for i := 1; i <= k; i++ {

@@ -105,7 +105,7 @@ func TestConcurrentLeafLockers(t *testing.T) {
 	setRange(tr, m.CPU(0), base, base+pages, &val{0})
 	var held [pages]atomic.Int32
 	var bumps atomic.Int64
-	hw.RunGang(m, ncores, 2000, func(c *hw.CPU, g *hw.Gang) {
+	hw.RunGang(m, ncores, func(c *hw.CPU, g *hw.Gang) {
 		rng := rand.New(rand.NewSource(int64(c.ID())))
 		for k := 0; k < iters; k++ {
 			var r *Range[val]

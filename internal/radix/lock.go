@@ -86,52 +86,58 @@ func (t *Tree[V]) lockIn(r *Range[V], n *node[V], lo, hi uint64) {
 			r.entries = append(r.entries, Entry[V]{r: r, n: n, idx: idx, Lo: clipLo, Hi: clipHi})
 			continue
 		}
-
-		for {
-			g := n.group(idx)
-			cpu.Read(&g.line)
-			st := g.sts[idx%slotsPerLine].Load()
-			if st != nil && st.child != nil {
-				// Interior link: descend pinned, not locked.
-				child := t.loadChild(cpu, n, idx, st)
-				if child == nil {
-					continue // dead child cleaned; re-read
-				}
-				if t.foreign(child) {
-					// Snapshot-shared subtree: path-copy it first (lazy.go).
-					child = t.divergeChild(cpu, n, idx, child)
-					if child == nil {
-						continue // slot changed under us; re-read
-					}
-				}
-				r.pins = append(r.pins, child)
-				t.lockIn(r, child, clipLo, clipHi)
-				break
-			}
-			// Terminal interior slot. It was read before the CAS
-			// because above the leaves a slot may be a link, which
-			// is read shared, not taken exclusive (a leaf slot takes
-			// its bit first: lockLeaf). Take the lock bit, then
-			// re-check, since the slot may have gained a child while
-			// we waited for the bit.
-			cpu.Write(&g.line) // CAS on the lock bit
-			n.acquire(cpu, idx)
-			st = g.sts[idx%slotsPerLine].Load()
-			if st != nil && st.child != nil {
-				n.release(cpu, idx)
-				continue
-			}
-			if clipLo == slotLo && clipHi == slotHi {
-				// Wholly inside the range: a folded entry.
-				r.entries = append(r.entries, Entry[V]{r: r, n: n, idx: idx, Lo: clipLo, Hi: clipHi})
-				break
-			}
+		switch child, st := t.step(r, n, idx); {
+		case child != nil:
+			t.lockIn(r, child, clipLo, clipHi)
+		case clipLo == slotLo && clipHi == slotHi:
+			// Wholly inside the range: a folded entry.
+			r.entries = append(r.entries, Entry[V]{r: r, n: n, idx: idx, Lo: clipLo, Hi: clipHi})
+		default:
 			// Partially covered: expand, propagating the lock bit.
-			child := t.expand(cpu, n, idx, st)
+			child = t.expand(cpu, n, idx, st)
 			r.pins = append(r.pins, child)
 			t.lockedDescend(r, child, clipLo, clipHi)
-			break
 		}
+	}
+}
+
+// step is one interior slot of a lock walk, LockRange's or LockPage's: it
+// reads slot idx of n and either pins the child the slot links to into r —
+// path-copying it first if it is snapshot-shared (lazy.go) — and returns it,
+// or takes the bit of a terminal slot and returns a nil child and the slot's
+// state (nil if empty). It re-reads the slot whenever it changed under it.
+func (t *Tree[V]) step(r *Range[V], n *node[V], idx int) (*node[V], *slotState[V]) {
+	cpu := r.cpu
+	for {
+		g := n.group(idx)
+		cpu.Read(&g.line)
+		st := g.sts[idx%slotsPerLine].Load()
+		if st != nil && st.child != nil {
+			// Interior link: descend pinned, not locked.
+			child := t.loadChild(cpu, n, idx, st)
+			if child == nil {
+				continue // dead child cleaned; re-read
+			}
+			if t.foreign(child) {
+				if child = t.divergeChild(cpu, n, idx, child); child == nil {
+					continue // slot changed under us; re-read
+				}
+			}
+			r.pins = append(r.pins, child)
+			return child, nil
+		}
+		// Terminal slot. It was read before the CAS because above the
+		// leaves a slot may be a link, which is read shared, not taken
+		// exclusive (a leaf slot takes its bit first: lockLeaf). Take the
+		// lock bit, then re-check, since the slot may have gained a child
+		// while we waited for the bit.
+		cpu.Write(&g.line) // CAS on the lock bit
+		n.acquire(cpu, idx)
+		if st = g.sts[idx%slotsPerLine].Load(); st != nil && st.child != nil {
+			n.release(cpu, idx)
+			continue
+		}
+		return nil, st
 	}
 }
 
@@ -230,39 +236,18 @@ func (t *Tree[V]) LockPage(cpu *hw.CPU, vpn uint64) *Range[V] {
 			r.entries = append(r.entries, Entry[V]{r: r, n: n, idx: idx, Lo: vpn, Hi: vpn + 1})
 			return r
 		}
-		g := n.group(idx)
-		cpu.Read(&g.line)
-		st := g.sts[idx%slotsPerLine].Load()
-		if st != nil && st.child != nil {
-			child := t.loadChild(cpu, n, idx, st)
-			if child == nil {
-				continue
-			}
-			if t.foreign(child) {
-				child = t.divergeChild(cpu, n, idx, child)
-				if child == nil {
-					continue
-				}
-			}
-			r.pins = append(r.pins, child)
+		switch child, st := t.step(r, n, idx); {
+		case child != nil:
 			n = child
-			continue
-		}
-		cpu.Write(&g.line)
-		n.acquire(cpu, idx)
-		st = g.sts[idx%slotsPerLine].Load()
-		if st != nil && st.child != nil {
-			n.release(cpu, idx)
-			continue
-		}
-		if st == nil {
+		case st == nil:
 			// Unmapped interior slot: the faulting page's lock.
 			r.entries = append(r.entries, Entry[V]{r: r, n: n, idx: idx, Lo: vpn, Hi: vpn + 1})
 			return r
+		default:
+			// Folded mapping: expand toward the leaf covering vpn.
+			t.expandToward(r, n, idx, st, vpn)
+			return r
 		}
-		// Folded mapping: expand toward the leaf covering vpn.
-		t.expandToward(r, n, idx, st, vpn)
-		return r
 	}
 }
 

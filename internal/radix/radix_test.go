@@ -231,7 +231,7 @@ func TestDisjointOpsNoCacheContention(t *testing.T) {
 		setRange(tr, m.CPU(i), base(i), base(i)+8, &val{i})
 	}
 	m.ResetStats()
-	hw.RunGang(m, ncores, 500, func(c *hw.CPU, g *hw.Gang) {
+	hw.RunGang(m, ncores, func(c *hw.CPU, g *hw.Gang) {
 		lo := base(c.ID())
 		for k := 0; k < 200; k++ {
 			setRange(tr, c, lo, lo+8, &val{k})
@@ -254,7 +254,7 @@ func TestOverlappingOpsSerialize(t *testing.T) {
 	// the slot lock.
 	m, _, tr := newTree(2)
 	const iters = 100
-	hw.RunGang(m, 2, 200, func(c *hw.CPU, g *hw.Gang) {
+	hw.RunGangDet(m, 2, 0, func(c *hw.CPU, g *hw.Gang) {
 		for k := 0; k < iters; k++ {
 			r := tr.LockPage(c, 5000)
 			c.Tick(1000) // critical section work
@@ -277,7 +277,7 @@ func TestOverlappingOpsSerialize(t *testing.T) {
 func TestConcurrentDisjointStress(t *testing.T) {
 	const ncores = 8
 	m, rc, tr := newTree(ncores)
-	hw.RunGang(m, ncores, 2000, func(c *hw.CPU, g *hw.Gang) {
+	hw.RunGang(m, ncores, func(c *hw.CPU, g *hw.Gang) {
 		lo := uint64(c.ID()) * 10000
 		for k := 0; k < 300; k++ {
 			setRange(tr, c, lo, lo+16, &val{k})
@@ -304,7 +304,7 @@ func TestConcurrentOverlappingStress(t *testing.T) {
 	// observable as torn values, no deadlock).
 	const ncores = 4
 	m, rc, tr := newTree(ncores)
-	hw.RunGang(m, ncores, 2000, func(c *hw.CPU, g *hw.Gang) {
+	hw.RunGang(m, ncores, func(c *hw.CPU, g *hw.Gang) {
 		rng := rand.New(rand.NewSource(int64(c.ID())))
 		for k := 0; k < 400; k++ {
 			vpn := uint64(rng.Intn(64))

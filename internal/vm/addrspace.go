@@ -310,8 +310,8 @@ func (as *AddressSpace) fault(cpu *hw.CPU, vpn uint64, k Kind, trapped bool) err
 // entry. retry is true when a fork's epoch bump raced the attempt: the
 // installed translation may have been derived from pre-divergence metadata
 // and missed by the fork's wholesale invalidation, so it is undone (a
-// self-targeted shootdown of the page) and the fault re-runs under the new
-// epoch — whose LockPage descent then diverges the metadata first.
+// shootdown of the page) and the fault re-runs under the new epoch — whose
+// LockPage descent then diverges the metadata first.
 func (as *AddressSpace) faultOnce(cpu *hw.CPU, vpn uint64, k Kind, trapped bool) (error, bool) {
 	gen := as.forkGen.Load()
 	r := as.tree.LockPage(cpu, vpn)
@@ -356,10 +356,12 @@ func (as *AddressSpace) faultOnce(cpu *hw.CPU, vpn uint64, k Kind, trapped bool)
 	e.Set(v)
 	if as.forkGen.Load() != gen {
 		// A fork's invalidation raced this fault; the translation
-		// just installed may be stale. Undo it locally and retry.
+		// just installed may be stale. Undo it and retry: on per-core
+		// tables only this core holds it, but on the shared table any
+		// active core may have walked it since the fill.
 		var self hw.CoreSet
 		self.Add(cpu.ID())
-		as.mmu.Shootdown(cpu, vpn, vpn+1, self, self)
+		as.mmu.Shootdown(cpu, vpn, vpn+1, self, as.activeSet())
 		return nil, true
 	}
 	return nil, false

@@ -183,13 +183,15 @@ func (as *AddressSpace) breakCOW(cpu *hw.CPU, vpn uint64, v *Mapping) {
 	orig.DropCOWShare(cpu) // only after the copy: the last sharer writes in place
 	v.Frame = nf
 	// Cached translations elsewhere still map the copied-from frame;
-	// invalidate exactly those cores so their next access re-faults to
-	// the private copy. The caller re-adds this core after its fill.
+	// invalidate them so their next access re-faults to the private copy.
+	// Per-core tables interrupt exactly the other cores that faulted the
+	// page, and none at all when there are none. The shared table cannot
+	// skip an empty set: a core that walked the PTE another core's fault
+	// installed caches it without ever being recorded, so it broadcasts.
+	// The caller re-adds this core after its fill.
 	targets := v.TLBCores
 	targets.Remove(cpu.ID())
-	if !targets.Empty() {
-		as.mmu.Shootdown(cpu, vpn, vpn+1, targets, as.activeSet())
-	}
+	as.mmu.Shootdown(cpu, vpn, vpn+1, targets, as.activeSet())
 	v.TLBCores = hw.CoreSet{}
 	as.alloc.DecRef(cpu, orig)
 }

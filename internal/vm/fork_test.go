@@ -91,7 +91,42 @@ func TestLazyDoubleForkChains(t *testing.T) { over(t, bothMMUs(), 1, doubleForkC
 // only radixvm has, and tears nothing down: one name, both MMUs.
 func TestForkCopiesFrameContents(t *testing.T) { over(t, bothMMUs(), 1, forkCopiesFrameContents) }
 
+// TestLazyCOWBreakLeavesNoStaleTranslation is the COW break's translation
+// oracle, on both MMUs; the shared table's walkers are what it is for.
+func TestLazyCOWBreakLeavesNoStaleTranslation(t *testing.T) {
+	over(t, bothMMUs(), 3, cowBreakLeavesNoStaleTranslation)
+}
+
 const gangCores = 4
+
+// cowBreakLeavesNoStaleTranslation: a COW break that copies the page must
+// invalidate every cached translation of the frame it copied from. On the
+// shared table, core 1 caches the page by a hardware walk of the PTE core 2's
+// read fault installed, so the page's TLBCores never names it.
+func cowBreakLeavesNoStaleTranslation(t *testing.T, w *world, sys vm.System, reap reaper) {
+	const v = uint64(3000)
+	as := sys.(*vm.AddressSpace)
+	c0, c1, c2 := w.m.CPU(0), w.m.CPU(1), w.m.CPU(2)
+	must(t, sys.Mmap(c0, v, 1, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
+	must(t, sys.Access(c0, v, true))
+	child, err := sys.Fork(c0)
+	must(t, err)
+	must(t, sys.Access(c2, v, false)) // a fault: fills the shared frame read-only
+	must(t, sys.Access(c1, v, false)) // on the shared table, a walk of that PTE
+	must(t, sys.Access(c2, v, true))  // breaks COW onto a copy
+	want := as.Lookup(c0, v).Frame.PFN
+	for id := 0; id < 3; id++ {
+		if e, ok := as.MMU().TLB(id).Lookup(v); ok && e.PFN != want {
+			t.Errorf("core %d caches page %d -> frame %d after the COW break moved it to frame %d", id, v, e.PFN, want)
+		}
+	}
+	reap(t, c0, child, v, 1)
+	reap(t, c0, sys, v, 1)
+	w.quiesce()
+	if live := w.alloc.Live(); live != 0 {
+		t.Fatalf("%d frames leaked", live)
+	}
+}
 
 // forkCOWSemantics drives the canonical fork lifecycle: the child shares the
 // parent's faulted anonymous frames until first write, each written page is
@@ -344,7 +379,7 @@ func gangForkVsConcurrentWrite(t *testing.T, w *world, sys vm.System, reap reape
 	const lo, npages = uint64(3000), uint64(8)
 	must(t, sys.Mmap(m0(w), lo, npages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
 	children := make([]vm.System, 0, 20)
-	hw.RunGang(w.m, gangCores, 2000, func(c *hw.CPU, g *hw.Gang) {
+	hw.RunGang(w.m, gangCores, func(c *hw.CPU, g *hw.Gang) {
 		if c.ID() == 0 {
 			for k := 0; k < 20; k++ {
 				ch, err := sys.Fork(c)
@@ -429,7 +464,7 @@ func gangForkLeavesNoStaleTranslation(t *testing.T, w *world, sys vm.System, rea
 	}
 	for round := 0; round < rounds; round++ {
 		idle := 1 + round%(gangCores-1)
-		hw.RunGang(w.m, gangCores, 2000, func(c *hw.CPU, g *hw.Gang) {
+		hw.RunGang(w.m, gangCores, func(c *hw.CPU, g *hw.Gang) {
 			for k := 0; k < 40; k++ {
 				switch {
 				case c.ID() == 0 && k%4 == 0:
@@ -517,7 +552,7 @@ func gangCOWFaultVsMunmap(t *testing.T, w *world, sys vm.System, reap reaper) {
 		}
 		childSys, err := sys.Fork(c0)
 		must(t, err)
-		hw.RunGang(w.m, gangCores, 2000, func(c *hw.CPU, g *hw.Gang) {
+		hw.RunGang(w.m, gangCores, func(c *hw.CPU, g *hw.Gang) {
 			if c.ID() == 0 {
 				c.Tick(uint64(500 * (round + 1)))
 				mustT(t, childSys.Munmap(c, lo, npages))

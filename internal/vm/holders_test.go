@@ -55,7 +55,7 @@ func TestHolderOracleFaultVsTruncate(t *testing.T) {
 		// The readers run for as long as the ticker does and a little longer,
 		// so the race covers every revocation and leaves pages held.
 		var tickerDone atomic.Bool
-		hw.RunGang(w.m, gangCores, 2000, func(c *hw.CPU, g *hw.Gang) {
+		hw.RunGang(w.m, gangCores, func(c *hw.CPU, g *hw.Gang) {
 			for k, after := 0, 0; after < 8; k++ {
 				switch {
 				case c.ID() != 0:
@@ -104,15 +104,21 @@ func TestHolderOracleWritebackVsForkCOWExit(t *testing.T) {
 		}
 		var mu sync.Mutex
 		alive := []*vm.AddressSpace{sys.(*vm.AddressSpace)}
-		hw.RunGang(w.m, gangCores, 2000, func(c *hw.CPU, g *hw.Gang) {
-			for k := 0; k < 24; k++ {
+		// The forkers run for as long as the ticker does and one round
+		// longer, so the race leaves the parent holding pages.
+		var tickerDone atomic.Bool
+		hw.RunGang(w.m, gangCores, func(c *hw.CPU, g *hw.Gang) {
+			for k, last := 0, false; !last; k++ {
 				if c.ID() == 0 {
 					f.Writeback(c, uint64(k%4)*8, 16)
 					if k%8 == 7 {
 						f.Truncate(c, 24)
 						f.Extend(32)
 					}
+					last = k == 23
+					tickerDone.Store(last)
 				} else {
+					last = k >= 23 && tickerDone.Load()
 					// The parent holds a file page the child will not read
 					// when it forks, revoked or not a moment ago.
 					mustT(t, sys.Access(c, holdFile+20+uint64(c.ID()), false))

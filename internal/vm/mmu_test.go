@@ -105,7 +105,7 @@ func TestMMUSlotFirstFillVsProxyClears(t *testing.T) {
 		var owner, all hw.CoreSet
 		owner.Add(1)
 		all = allCores(w)
-		hw.RunGang(w.m, 3, 2000, func(c *hw.CPU, _ *hw.Gang) {
+		hw.RunGang(w.m, 3, func(c *hw.CPU, _ *hw.Gang) {
 			switch c.ID() {
 			case 0:
 				mmu.Unmap(c, 100, 101, owner, all)

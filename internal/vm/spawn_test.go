@@ -36,7 +36,7 @@ func TestGangSimultaneousFork(t *testing.T) {
 			for round := 0; round < 5; round++ {
 				var children [ncores]vm.System
 				w.m.ResetStats()
-				hw.RunGang(w.m, ncores, 2000, func(c *hw.CPU, g *hw.Gang) {
+				hw.RunGang(w.m, ncores, func(c *hw.CPU, g *hw.Gang) {
 					id := c.ID()
 					ch, err := sys.Fork(c) // all cores fork concurrently
 					if err != nil {
@@ -73,7 +73,7 @@ func TestGangSimultaneousFork(t *testing.T) {
 						round, st.COWBreaks, st.PagesZeroed, want)
 				}
 				// Each child exits: unmap every inherited region.
-				hw.RunGang(w.m, ncores, 2000, func(c *hw.CPU, g *hw.Gang) {
+				hw.RunGang(w.m, ncores, func(c *hw.CPU, g *hw.Gang) {
 					ch := children[c.ID()]
 					for id := 0; id < ncores; id++ {
 						if err := ch.Munmap(c, region(id), regionPages); err != nil {

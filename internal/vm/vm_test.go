@@ -296,7 +296,7 @@ func TestRadixVMDisjointOpsZeroContention(t *testing.T) {
 		warm(w.m.CPU(i)) // twice: frames + weak lines settle
 	}
 	w.m.ResetStats()
-	hw.RunGang(w.m, ncores, 2000, func(c *hw.CPU, g *hw.Gang) {
+	hw.RunGang(w.m, ncores, func(c *hw.CPU, g *hw.Gang) {
 		lo := base(c.ID())
 		for k := 0; k < 100; k++ {
 			must(t, as.Mmap(c, lo, 4, vm.MapOpts{Prot: vm.ProtWrite}))
@@ -593,7 +593,7 @@ func TestGangMunmapVsPageFaultRace(t *testing.T) {
 		w := newWorld(ncores)
 		sys := systems(w)[i]
 		t.Run(sys.Name(), func(t *testing.T) {
-			hw.RunGang(w.m, ncores, 2000, func(c *hw.CPU, g *hw.Gang) {
+			hw.RunGang(w.m, ncores, func(c *hw.CPU, g *hw.Gang) {
 				if c.ID() == 0 {
 					for k := 0; k < 60; k++ {
 						mustT(t, sys.Mmap(c, lo, npages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
@@ -657,7 +657,7 @@ func TestGangMprotectVsFaultRace(t *testing.T) {
 		sys := systems(w)[i]
 		t.Run(sys.Name(), func(t *testing.T) {
 			must(t, sys.Mmap(w.m.CPU(0), lo, npages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
-			hw.RunGang(w.m, ncores, 2000, func(c *hw.CPU, g *hw.Gang) {
+			hw.RunGang(w.m, ncores, func(c *hw.CPU, g *hw.Gang) {
 				if c.ID() == 0 {
 					for k := 0; k < 80; k++ {
 						mustT(t, sys.Mprotect(c, lo, npages, vm.ProtRead))

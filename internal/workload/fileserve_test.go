@@ -385,7 +385,7 @@ func TestRaceFileFaultVsTruncate(t *testing.T) {
 			fsMust(t, sys.Mmap(c0, fsTestBase, 64, vm.MapOpts{
 				Prot: vm.ProtRead | vm.ProtWrite, File: file, Offset: 0,
 			}))
-			hw.RunGang(env.M, ncores, 2000, func(c *hw.CPU, g *hw.Gang) {
+			hw.RunGang(env.M, ncores, func(c *hw.CPU, g *hw.Gang) {
 				if c.ID() == 0 {
 					for k := 0; k < 40; k++ {
 						file.Truncate(c, 8)
@@ -439,7 +439,7 @@ func TestRaceWritebackVsForkCOWExit(t *testing.T) {
 			for p := uint64(0); p < 4; p++ {
 				fsMust(t, sys.Access(c0, fsTestAnon+p, true))
 			}
-			hw.RunGang(env.M, ncores, 2000, func(c *hw.CPU, g *hw.Gang) {
+			hw.RunGang(env.M, ncores, func(c *hw.CPU, g *hw.Gang) {
 				if c.ID() == 0 {
 					for k := 0; k < 40; k++ {
 						file.Writeback(c, 0, 32)

@@ -112,10 +112,10 @@ func spread(id int) uint64 { return uint64(id*4+4) << 18 }
 // workload gang loops synced at (Ctx.Yield is where the bodies called
 // g.Sync), charges no switch cost for redispatching the same proc, and
 // therefore reproduces the pre-scheduler figures byte-for-byte. Figures
-// run under the deterministic sequential gang so every cell is a pure
-// function of the op stream — byte-stable across runs and byte-gateable
-// in CI. The parallel gang (hw.RunGang) drives only tests, which want
-// real concurrency under -race.
+// run under the deterministic schedule so every cell is a pure function
+// of the op stream — byte-stable across runs and byte-gateable in CI.
+// hw.RunGang's plain goroutines drive only tests, which want real
+// concurrency under -race and keep no virtual time.
 func run(env *Env, name string, sys vm.System, cores int, warm func(tc *hw.Ctx), body func(tc *hw.Ctx) uint64) Result {
 	var writes [hw.MaxCores]uint64
 	if warm != nil {
@@ -269,9 +269,9 @@ func Global(env *Env, sys vm.System, cores int, iters int, piecePages uint64) Re
 				Check(sys, c, "access", v, sys.Access(c, v, true))
 				writes++
 				// Yield every access: contended fill faults cost
-				// thousands of cycles each, so coarser syncs would
-				// let virtual clocks skew past the gang quantum and
-				// serialize the whole phase spuriously.
+				// thousands of cycles each, so coarser yields would
+				// let one core run many of them ahead of the others
+				// before the loop picks the lowest clock again.
 				tc.Yield()
 			}
 			tc.Wait(bar)

@@ -10,14 +10,14 @@
 //
 // Because the paper's results come from an 80-core machine running a
 // research kernel, this package runs everything on a simulated machine
-// (internal/hw): each simulated core has a virtual clock — and is a
-// goroutine under RunGang; under the deterministic schedule the figures
-// use, cores are entries in one loop and procs are coroutines — and shared
-// cache lines are serialization resources with modeled coherence costs.
-// The data structures are really concurrent — only time is simulated — so
-// the library reproduces both the semantics and the scalability curves of
-// the paper on any host. README.md ("The simulated machine") gives the full
-// substitution argument.
+// (internal/hw): each simulated core has a virtual clock, a deterministic
+// schedule (RunGang's and the figures') steps the cores in one loop, lowest
+// clock first, and shared cache lines are serialization resources with
+// modeled coherence costs. The data structures are really concurrent — their
+// tests drive them from parallel goroutines under the race detector; only
+// time is simulated — so the library reproduces both the semantics and the
+// scalability curves of the paper on any host. README.md ("The simulated
+// machine") gives the full substitution argument.
 //
 // # Quick start
 //
@@ -168,9 +168,10 @@ func (m *Machine) MaxClock() uint64 { return m.hw.MaxClock() }
 // LiveFrames returns the number of physical frames currently allocated.
 func (m *Machine) LiveFrames() int64 { return m.alloc.Live() }
 
-// RunGang runs fn concurrently on cores [0, n), keeping their virtual
-// clocks within a bounded skew; fn must call g.Sync(cpu) once per loop
-// iteration.
+// RunGang runs fn on cores [0, n) under the deterministic schedule: one
+// core at a time, lowest virtual clock first, so the clocks stay in step and
+// every run prints the same numbers. fn must call g.Sync(cpu) once per loop
+// iteration; that is where another core may run.
 func (m *Machine) RunGang(n int, fn func(cpu *CPU, g *Gang)) {
-	hw.RunGang(m.hw, n, hw.DefaultQuantum, fn)
+	hw.RunGangDet(m.hw, n, 0, fn)
 }
