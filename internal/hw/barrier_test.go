@@ -14,9 +14,22 @@ func runPinned(ncores int, body func(tc *Ctx)) *Machine {
 	return m
 }
 
-// TestBarrierAlignsClocks: every member leaves the barrier at the latest
-// arrival, and the released members resume in core-ID order.
 func TestBarrierAlignsClocks(t *testing.T) {
+	bar := NewBarrier(4)
+	runPinned(4, func(tc *Ctx) {
+		c := tc.CPU()
+		c.Tick(uint64(1000 * (c.ID() + 1)))
+		tc.Wait(bar)
+		if c.Now() != 4000 {
+			t.Errorf("core %d clock %d after barrier, want 4000", c.ID(), c.Now())
+		}
+	})
+}
+
+// TestRunGangDetBarrier: on the deterministic schedule every member leaves
+// the barrier at the latest arrival, and the released members resume in
+// core-ID order.
+func TestRunGangDetBarrier(t *testing.T) {
 	const ncores = 4
 	bar := NewBarrier(ncores)
 	var order []int
