@@ -213,7 +213,7 @@ func (t *Tree[V]) divergeChild(cpu *hw.CPU, n *node[V], idx int, child *node[V])
 	// by construction: descent only writes under native parents).
 	dst, _ := t.linkCopy(cpu, child, 1, true)
 	dst.gen = n.gen
-	dst.parent = n
+	dst.parent.Store(n)
 	dst.parentIdx = idx
 	n.slot(idx).Store(&slotState[V]{child: dst.obj})
 	cpu.Write(n.line(idx))
@@ -242,12 +242,15 @@ func (t *Tree[V]) dropLink(cpu *hw.CPU, n *node[V]) {
 // links are dropped recursively, and the used-slot references drain so
 // Refcache reclaims the node. No new descent can reach n (no tree's slots
 // point at it); lock-free readers that pinned it earlier only ever read, and
-// the GC keeps the memory valid under them. The parent link is severed first
-// so freeNode does not CAS a parent slot that may itself already be released
-// or recycled — so these nodes go to the GC rather than the per-CPU pools.
+// the GC keeps the memory valid under them. Both ends of n's parent links are
+// severed, so that no freeNode CASes a slot of a node that is released or
+// recycled: n's own (n goes to the GC rather than the per-CPU pools), and
+// that of each child still naming n, which other linkers may keep alive long
+// after n's count drained — its slot in n was counted used here. A child
+// that dies meanwhile is cleaned from their slots lazily (loadChild).
 func releaseContents[V any](cpu *hw.CPU, n *node[V]) {
 	t := n.tree
-	n.parent = nil
+	n.parent.Store(nil)
 	sp := span(n.level)
 	if n.uniSt != nil && t.hooks != nil {
 		hi := n.base + uint64(SlotsPerNode)*sp
@@ -263,6 +266,7 @@ func releaseContents[V any](cpu *hw.CPU, n *node[V]) {
 		if st.child != nil {
 			if obj := t.rc.TryGet(cpu, st.child); obj != nil {
 				child := obj.Data.(*node[V])
+				child.parent.CompareAndSwap(n, nil) // two releasers may share child
 				t.dropLink(cpu, child)
 				t.rc.Dec(cpu, obj)
 			}

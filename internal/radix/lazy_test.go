@@ -391,3 +391,44 @@ func TestSiblingDivergencesArmOnce(t *testing.T) {
 		checkShares(t, shares, k)
 	}
 }
+
+// TestReclaimUnderReleasedParent: a node emptied just before a fork and
+// reclaimed only after its parent's last link went must not touch that
+// parent. releaseContents drained the parent's count for every slot it found
+// used, the emptied child's link included, so a reclamation that still named
+// the parent would clear its slot and decrement its count a second time.
+// Lookups through the parent tree's copy keep reviving the empty leaf until
+// the released parent is reclaimed, so that second decrement would land on a
+// dead object.
+func TestReclaimUnderReleasedParent(t *testing.T) {
+	m, rc, tr := newTree(1)
+	c := m.CPU(0)
+	emptied, kept := 5*span(1)+3, 9*span(1)+3 // two leaves under one level-1 node
+	setPage(tr, c, emptied, 1)
+	setPage(tr, c, kept, 2)
+	quiesce(rc)
+	parent := descend(t, tr, emptied)[2].obj
+	clearRange(tr, c, emptied, emptied+1) // the leaf is empty, not yet reclaimed
+	a := tr.ForkLazy(c)
+	// Both trees path-copy the level-1 node: its last link drops.
+	setPage(tr, c, 20*span(1), 3)
+	setPage(a, c, 20*span(1), 4)
+	for i := 0; !parent.Freed(); i++ {
+		if i == 20 {
+			t.Fatal("the released level-1 node was never reclaimed")
+		}
+		if got := tr.Lookup(c, emptied); got != nil {
+			t.Fatalf("page %d = %+v after it was cleared", emptied, got)
+		}
+		rc.FlushAll()
+	}
+	quiesce(rc) // reclaims the leaf
+	for _, x := range []*Tree[val]{tr, a} {
+		if got := x.Lookup(c, kept); got == nil || got.x != 2 {
+			t.Fatalf("page %d = %+v, want x=2", kept, got)
+		}
+	}
+	a.Release(c)
+	tr.Release(c)
+	quiesce(rc)
+}

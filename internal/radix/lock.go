@@ -173,7 +173,7 @@ func (t *Tree[V]) expand(cpu *hw.CPU, n *node[V], idx int, st *slotState[V]) *no
 		used = SlotsPerNode
 	}
 	child := t.newNode(cpu, n.level-1, n.slotBase(idx), fill, used, true)
-	child.parent = n
+	child.parent.Store(n)
 	child.parentIdx = idx
 	// The child inherits the parent *node's* generation, not the tree's
 	// current one: an op that validated n as native can race a concurrent

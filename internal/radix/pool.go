@@ -50,7 +50,7 @@ func (t *Tree[V]) recycle(cpu *hw.CPU, n *node[V]) {
 		return
 	}
 	var zeroV V
-	n.parent = nil
+	n.parent.Store(nil)
 	n.obj = nil
 	n.uniSt = nil
 	n.uniStore = slotState[V]{}

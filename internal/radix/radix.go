@@ -207,9 +207,9 @@ type slotGroup[V any] struct {
 // as in the paper).
 type node[V any] struct {
 	tree      *Tree[V]
-	level     int    // 0 at leaves
-	base      uint64 // first VPN covered by this node
-	parent    *node[V]
+	level     int                     // 0 at leaves
+	base      uint64                  // first VPN covered by this node
+	parent    atomic.Pointer[node[V]] // nil once released (releaseContents)
 	parentIdx int
 	obj       *refcache.Obj // counts used slots + traversal pins
 
@@ -927,7 +927,7 @@ func freeNode[V any](cpu *hw.CPU, o *refcache.Obj) {
 	n := o.Data.(*node[V])
 	t := n.tree
 	t.nodesLive.Add(-1)
-	p := n.parent
+	p := n.parent.Load()
 	if p == nil {
 		return // root (never freed in practice)
 	}
