@@ -284,8 +284,8 @@ func FigFork(o Options) *Table {
 // variant of FigFork): every core forks its own COW child of one shared
 // multithreaded parent each round, with no barrier between the forks, so
 // fork-vs-fork serialization at the address-space structures is measured
-// directly. RadixVM's forks serialize only at the root's slot locks and
-// its parent-side COW breaks are targeted; the baselines serialize every
+// directly. RadixVM's forks only read the parent's frozen root and its
+// parent-side COW breaks are targeted; the baselines serialize every
 // fork and parent break on one address-space lock and broadcast per
 // parent break. Each series is a VM system; the metric matches Figure
 // 5's. The deterministic schedule resolves the concurrent forks in

@@ -18,7 +18,6 @@ const (
 	CauseLineQueue              // waiting for a line's home-node queue
 	CauseLockWait               // waiting out a Lock or RWLock holder
 	CauseSlotWait               // waiting out a radix slot lock bit's holder
-	CauseRootFork               // a fork's copy of a live root waiting out earlier holders of its bits
 	CauseDiverge                // a copy of a frozen node waiting out an earlier copy: none since such copies only read (radix.linkCopy)
 	CauseIPISend                // initiating an interrupt round and delivering it
 	CauseIPIAck                 // waiting for an interrupt round's acknowledgments
@@ -33,7 +32,7 @@ const (
 
 var causeNames = [NCause]string{
 	"op", "think", "line hit", "line xfer", "cold fill", "line queue",
-	"lock wait", "slot wait", "root-fork wait", "divergence wait",
+	"lock wait", "slot wait", "divergence wait",
 	"ipi send", "ipi ack", "mailbox", "switch", "idle", "hand-off",
 	"page zero", "meta copy",
 }

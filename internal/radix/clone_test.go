@@ -12,11 +12,10 @@ import (
 )
 
 // Tests for the node copy fork and first-touch divergence make (cloneShell,
-// shell): a copy of a live source is mirrored into groups of its own, sized
-// from a count over the source and filled in place; a copy of a frozen source
-// is born in the source's image, its groups present without storage until
-// touched. Either way the copy must come out exactly as the slot-by-slot
-// construction made it, in which groups it has and in what every slot holds.
+// shell): a copy of a frozen source is born in the source's image, its groups
+// present without storage until touched, and must come out exactly as the
+// slot-by-slot construction made it, in which groups it has and in what every
+// slot holds.
 
 // nodeShape is what a tree can observe of a node: what each slot holds,
 // which slot groups it has (with storage or born in an image without), and
@@ -162,8 +161,8 @@ func childOf(t *testing.T, n *node[val], idx int) *node[val] {
 // descend returns the nodes on the path from the root to vpn's leaf.
 func descend(t *testing.T, tr *Tree[val], vpn uint64) []*node[val] {
 	t.Helper()
-	path := []*node[val]{tr.root}
-	for n := tr.root; n.level > 0; {
+	path := []*node[val]{tr.root.Load()}
+	for n := tr.root.Load(); n.level > 0; {
 		n = childOf(t, n, n.slotIndex(vpn))
 		path = append(path, n)
 	}
@@ -238,11 +237,10 @@ func forkSourceOn(t testing.TB, ncores int) (m *hw.Machine, rc *refcache.Refcach
 // TestCopyEqualsSlotBySlotCopy: every node a lazy fork copies — the root at
 // fork time, the path nodes and leaves at first touch — equals the node the
 // slot-by-slot construction builds from the same source, in slot contents,
-// directory and group count. The root's source is live, so its copy is
-// mirrored and the child tree's group counters count exactly those groups; a
-// path copy is born in its source's image, and of the groups it has only the
-// ones the touch went through have storage. A second round copies into
-// recycled nodes that bring groups of their own.
+// directory and group count. Every copy is born in its source's image: the
+// root's copy has no group with storage at the fork, and a path copy has
+// storage only in the groups the touch went through. A second round copies
+// into recycled nodes that bring groups of their own.
 func TestCopyEqualsSlotBySlotCopy(t *testing.T) {
 	for _, recycled := range []bool{false, true} {
 		m, rc, tr, full, sparse, holed := forkSource(t)
@@ -266,9 +264,9 @@ func TestCopyEqualsSlotBySlotCopy(t *testing.T) {
 			}
 			return made
 		}
-		groups := check("the root", tr.root, child.root, -1)
-		if got := int(child.GroupsEver()); got != groups {
-			t.Errorf("recycled=%v: root copy materialized %d groups, the slot-by-slot copy %d", recycled, got, groups)
+		groups := check("the root", tr.root.Load(), child.root.Load(), -1)
+		if got := child.GroupsEver(); got != 0 || groups == 0 {
+			t.Errorf("recycled=%v: the fork gave %d of the root copy's %d groups storage, want none", recycled, got, groups)
 		}
 
 		if recycled {
@@ -288,7 +286,6 @@ func TestCopyEqualsSlotBySlotCopy(t *testing.T) {
 		}
 		pooled, base := child.PoolSize(c), int(child.GroupsEver())
 
-		groups = 0
 		for _, tc := range []struct {
 			what string
 			vpn  uint64
@@ -377,7 +374,7 @@ func TestDirectoryFilledInPlaceEqualsCopyOnInsert(t *testing.T) {
 		t.Errorf("GroupsEver = %d after materializing, want %d", n, len(order))
 	}
 	groups := map[int]*slotGroup[val]{}
-	sh := shell[val]{node: &node[val]{}, spare: make([]slotGroup[val], 4)}
+	sh := shell[val]{node: &node[val]{}}
 	for _, gi := range slices.Sorted(slices.Values(order)) {
 		g := sh.forkGroup(tr, gi)
 		if sh.forkGroup(tr, gi) != g {

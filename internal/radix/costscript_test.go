@@ -15,9 +15,12 @@ import (
 // on the host (mirrored eagerly, or born in an image and realized on touch)
 // must move none of it (commit cb53c27, whose divergence mirrored every group
 // of the source into real storage, recorded the first rows). The rows were
-// last re-recorded when a copy of a frozen node became a reader of it: one
-// read of each source group line, a write where the hook arms a value, and no
-// wait for an earlier copy (steps 2, 4 and 8-11).
+// re-recorded when a copy of a frozen node became a reader of it: one read of
+// each source group line, a write where the hook arms a value, and no wait
+// for an earlier copy (steps 2, 4 and 8-11). They were last re-recorded when
+// a fork came to freeze the parent's root and copy it as such a reader (steps
+// 1, 3 and 7), leaving the parent to copy its frozen root on its next write:
+// b does in step 9, after c's fork, and its old root is reclaimed in step 12.
 
 // scriptStep is one step's cost: the cycles all cores' clocks advanced by, the
 // line touches by outcome, and the nodes alive across the family afterwards.
@@ -27,18 +30,18 @@ type scriptStep struct {
 }
 
 var costScriptWant = [...]scriptStep{
-	{828, 5, 0, 0, 7},         // 1: a := ForkLazy
+	{816, 2, 0, 0, 7},         // 1: a := ForkLazy
 	{34976, 10, 4, 263, 10},   // 2: a touches the full leaf: three path copies, arming every page
-	{828, 5, 0, 0, 11},        // 3: b := ForkLazy
+	{816, 2, 0, 0, 11},        // 3: b := ForkLazy
 	{21888, 10, 4, 135, 14},   // 4: b copies the same path, reading what a armed
 	{1100, 13, 5, 0, 14},      // 5: b touches two more groups of its copy
 	{3272, 112, 14, 0, 14},    // 6: a's 40-page range
-	{828, 5, 0, 0, 15},        // 7: c := b.ForkLazy
+	{816, 2, 0, 0, 15},        // 7: c := b.ForkLazy
 	{34996, 137, 129, 11, 18}, // 8: c copies b's copy of the leaf
-	{23132, 22, 3, 128, 21},   // 9: b copies its own
-	{2252, 35, 3, 6, 22},      // 10: a's range over the holed leaf
-	{2228, 14, 4, 4, 23},      // 11: the parent's lookup, then b copies the holed leaf
-	{13956, 24, 17, 63, 15},   // 12: a exits
+	{24368, 25, 5, 128, 22},   // 9: b copies its own, and its root c froze
+	{2252, 35, 3, 6, 23},      // 10: a's range over the holed leaf
+	{2228, 14, 4, 4, 24},      // 11: the parent's lookup, then b copies the holed leaf
+	{14364, 26, 19, 63, 15},   // 12: a exits
 	{9176, 16, 5, 60, 11},     // 13: c exits
 	{16200, 43, 6, 65, 0},     // 14: b and the parent exit
 }

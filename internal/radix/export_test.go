@@ -26,7 +26,7 @@ func TreeShape[V any](t *testing.T, tr *Tree[V]) (shapes any, pages []uint64) {
 			}
 		}
 	}
-	walk(tr.root)
+	walk(tr.root.Load())
 	return out, pages
 }
 

@@ -3,27 +3,19 @@ package radix
 import "radixvm/internal/hw"
 
 // The per-node copy protocol: the one way a node of one tree becomes a node
-// of another. A fork family shares subtrees (lazy.go); a node is copied when
-// ForkLazy snapshots a root and when a write path first descends into a node
-// its tree shares (divergeChild). The copier (linkCopy) takes every slot lock
-// bit of the source left to right — the global order every Range operation
-// uses, so the copy is an atomic snapshot of the node — and fills the copy
-// (cloneShell, shell). What the copy costs in virtual time depends on whether
-// anyone can still write the source:
+// of another. A fork family shares subtrees (lazy.go), and only a frozen node
+// — one no tree writes in place, foreign to every tree linking it — is ever
+// copied: the root a fork froze, into the child at the fork and into the
+// parent at its next write (ownRoot), and a shared node below it when a write
+// path first descends into it (divergeChild). The copier (linkCopy) takes
+// every slot lock bit of the source left to right — the global order every
+// Range operation uses — and fills the copy (cloneShell, shell).
 //
-//   - A live root is written by its tree's operations, so its copy is a
-//     writer like them: it waits out each slot's earlier holder, writes each
-//     slot's line (sweepSlot), and releases all the bits as one merged busy
-//     period (forkUnlock). Neither side gains a group: the source's slots
-//     without storage are covered by their packed bit words, their
-//     virtual-time wait by the node's uniform gate table, and the copy has
-//     exactly the groups the source has.
-//   - A frozen node — shared by trees that all copy it before writing — is
-//     read-only, so its copy is a reader: one read of each group line, a
-//     write only where the divergence hook wrote a source value, no wait for
-//     an earlier copy, and bits released in real time only (unlockBits).
-//     Reads of a shared line scale; this is the paper's rule applied to the
-//     index's own metadata.
+// Since nobody can write the source, its copy is a reader: one read of each
+// group line, a write only where the divergence hook wrote a source value, no
+// wait for an earlier copy, and bits taken and released in real time only
+// (hw.LockBit, unlockBits). Reads of a shared line scale; this is the paper's
+// rule applied to the index's own metadata.
 
 // Cost model: a copied node is billed by the *logical* size of what is
 // copied, at the page-copy rate (PageZero cycles per 4 KB): a header — the
@@ -49,43 +41,6 @@ func ForkNodeCost(pageZero uint64, groups int) uint64 {
 	return pageZero * (ForkHeaderBytes + uint64(groups)*ForkGroupBytes) / forkPageBytes
 }
 
-// sweepSlot takes slot idx's lock bit for a copy's sweep of the live root
-// src and reads the slot under it: its group (nil if it has none: src's
-// uniform fill), its state, and for a child link the child, pinned.
-//
-// A locker may materialize a group between two of its slots' sweeps, so the
-// copy reads the earlier ones as groupless and the later ones from the group.
-// That is the same snapshot: a root has no fill (NewCopy births it empty, a
-// fill is fixed at birth, and cloneShell copies only the source's), so a
-// group born from it holds empty slots, and the copy holds the earlier
-// slots' bits, so nothing has written them since. TestRootsHaveNoFill holds
-// the premise.
-func (t *Tree[V]) sweepSlot(cpu *hw.CPU, src *node[V], idx int) (g *slotGroup[V], st *slotState[V], child *node[V]) {
-	gi := idx / slotsPerLine
-	mask := uint64(1) << (uint(idx) & 63)
-	w := &src.bits[idx>>6]
-	g = src.groupLoad(gi)
-	if g != nil {
-		cpu.Write(&g.line)
-		cpu.AcquireBitIn(w, mask, &g.gates[idx%slotsPerLine], hw.CauseRootFork)
-	} else {
-		// No group: the bit is normally free (held groupless bits
-		// exist only transiently, mid-expansion — or for a whole
-		// critical section, when a concurrent fork holds them). Spin
-		// out any such holder; its virtual-time cost is settled by
-		// the post-sweep merged-table wait. No line exists to
-		// charge: untouched slots cost nothing.
-		hw.LockBit(w, mask)
-		// A concurrent locker may have materialized the group while
-		// we raced for the bit; re-read so the state load sees it.
-		if g = src.groupLoad(gi); g == nil {
-			return nil, src.uniSt, nil
-		}
-	}
-	st, child = t.readSlot(cpu, src, g, idx)
-	return g, st, child
-}
-
 // readSlot reads slot idx of src, whose group is g, under the slot's held
 // bit: its state, and for a child link the child, pinned. A link whose child
 // died mid-reclaim reads as the empty slot it has become.
@@ -99,11 +54,11 @@ func (t *Tree[V]) readSlot(cpu *hw.CPU, src *node[V], g *slotGroup[V], idx int) 
 	return st, child
 }
 
-// cloneShell builds the child-tree counterpart of src: same level and base,
-// room for a copy of the uniform fill, and the means to place the groups the
-// caller is about to sweep slot by slot (see shell). t is the child tree. The
-// metadata copy is billed by its logical size (ForkNodeCost).
-func (t *Tree[V]) cloneShell(cpu *hw.CPU, src *node[V], frozen bool) shell[V] {
+// cloneShell builds tree t's counterpart of the frozen node src: same level
+// and base, room for a copy of the uniform fill, and the means to place the
+// groups the caller is about to sweep slot by slot (see shell). The metadata
+// copy is billed by its logical size (ForkNodeCost).
+func (t *Tree[V]) cloneShell(cpu *hw.CPU, src *node[V]) shell[V] {
 	n := t.header(cpu, src.level, src.base)
 	// Whether src has a fill is fixed at its birth; the fill's value is copied
 	// once the sweep holds src's bits (another tree's hook may be writing it).
@@ -112,56 +67,48 @@ func (t *Tree[V]) cloneShell(cpu *hw.CPU, src *node[V], frozen bool) shell[V] {
 	}
 	// Count the source's groups: they price the clone. Those the copy will
 	// have too — every group of a node with a fill, the groups holding
-	// anything in a node without one — size what holds them. The source is
-	// not locked yet, so under real concurrency a live root's count can come
-	// out short (see forkGroup). A frozen source's cannot: its sweep reads
-	// the groups of this directory only, and in a frozen node a slot can go
+	// anything in a node without one — size the image. The source is not
+	// locked yet, but the count cannot come out short: the sweep reads the
+	// groups of this directory only, and in a frozen node a slot can go
 	// empty (a dead child's link) but never stop being empty.
 	sd := src.dir.Load()
-	srcGroups, mirrored := 0, 0
+	srcGroups, kept := 0, 0
 	if sd != nil {
 		srcGroups = len(sd.groups)
-		mirrored = srcGroups
+		kept = srcGroups
 		if src.uniSt == nil {
-			mirrored = 0
+			kept = 0
 			for k := range sd.groups {
 				g := sd.groups[k].Load() // realized by linkCopy
 				for j := range g.sts {
 					if g.sts[j].Load() != nil {
-						mirrored++
+						kept++
 						break
 					}
 				}
 			}
 		}
 	}
-	// A pooled node's groups are dropped: the copy's groups are src's, in one
-	// slab (mirrored) or realized in runs as its owner touches them (image).
+	// A pooled node's groups are dropped: the copy's groups are src's,
+	// realized in runs as its owner touches them.
 	t.groupsLive.Add(-countGroups(n))
 	sh := shell[V]{node: n, over: sd}
 	if n.uniSt != nil {
 		sh.used = SlotsPerNode
 	}
-	if frozen && mirrored > 0 {
-		// Born in src's image: the cached one if it still describes src,
-		// else a new one, which the sweep fills and then publishes along
-		// with the copy's directory.
+	// Born in src's image: the cached one if it still describes src, else a
+	// new one, which the sweep fills and then publishes along with the
+	// copy's directory. A copy with no groups needs none.
+	var nd *groupDir[V]
+	if kept > 0 {
 		if sh.img = src.copyImg.Load(); sh.img != nil && sh.img.over == sd {
-			n.dir.Store(newGroupDirOf[V](sh.img.bits))
+			nd = newGroupDirOf[V](sh.img.bits)
 		} else {
-			sh.img = &nodeImage[V]{over: sd, groups: make([]imageGroup[V], 0, mirrored)}
+			sh.img = &nodeImage[V]{over: sd, groups: make([]imageGroup[V], 0, kept)}
 			sh.build = true
-			n.dir.Store(nil)
 		}
-	} else {
-		// Mirrored: a directory filled in place, one slab for all its groups.
-		var nd *groupDir[V]
-		if mirrored > 0 {
-			nd = newGroupDir[V](mirrored)
-			sh.spare = make([]slotGroup[V], mirrored)
-		}
-		n.dir.Store(nd)
 	}
+	n.dir.Store(nd)
 	n.img = sh.img
 	cpu.TickAs(hw.CauseMetaCopy, ForkNodeCost(t.pageZero, srcGroups))
 	return sh
@@ -169,15 +116,14 @@ func (t *Tree[V]) cloneShell(cpu *hw.CPU, src *node[V], frozen bool) shell[V] {
 
 // shell is a copy under construction: the node, private to the copying
 // goroutine until its parent slot publishes it, and where the sweep puts what
-// the copy's slots are born holding (the package comment's last two rows). A
-// mirrored copy's groups come from spare, its directory filled in place. A
-// copy of a frozen source is born in img, the source's image: the sweep fills
-// it if build is set, and otherwise has nothing to write. over is the
-// source's directory the copy was sized from, and used counts the copy's used
-// slots as the sweep takes them.
+// the copy's slots are born holding (the package comment's last two rows).
+// The copy is born in img, the source's image: the sweep fills it if build is
+// set, and otherwise has nothing to write. A copy whose image was abandoned
+// has img nil, and the sweep mirrors the rest of it into groups of its own,
+// its directory filled in place. over is the source's directory the copy was
+// sized from, and used counts the copy's used slots as the sweep takes them.
 type shell[V any] struct {
 	*node[V]
-	spare []slotGroup[V]
 	img   *nodeImage[V]
 	build bool
 	over  *groupDir[V]
@@ -228,8 +174,8 @@ func (sh *shell[V]) take(t *Tree[V], cpu *hw.CPU, cs *cpuState[V], src *node[V],
 // cell returns the storage for what slot idx of the copy is born holding — a
 // slot state and the value behind it — for the sweep to fill; st is what
 // src's slot holds (nil: empty). The slot is one the copy's header does not
-// stand for. A mirrored copy's cell is in its group, created
-// at need; the cell of a copy whose sweep builds an image is in the image.
+// stand for. The cell of a copy whose sweep builds an image is in the image;
+// an abandoned copy's is in its own group, created at need.
 // When the image is there already the sweep has nothing to write and cell
 // returns nil — unless the slot holds a value and there is an OnDiverge hook
 // to hand a dst to: cs's scratch cell, filled and forgotten.
@@ -291,7 +237,7 @@ func (sh *shell[V]) abandon(t *Tree[V], src *node[V], idx int) {
 	src.copyImg.CompareAndSwap(im, nil)
 }
 
-// forkGroup returns the mirrored copy's group gi, creating it zeroed if
+// forkGroup returns the abandoned copy's group gi, creating it zeroed if
 // absent (a fresh child group's gates start free, as in a brand-new address
 // space). Unlike initGroup it does not pre-fill slot states: the sweep
 // overwrites every slot of a mirrored group explicitly. nt is the tree the
@@ -304,27 +250,11 @@ func (sh *shell[V]) forkGroup(nt *Tree[V], gi int) *slotGroup[V] {
 	} else if g := d.get(gi); g != nil {
 		return g
 	}
-	var g *slotGroup[V]
-	if len(sh.spare) > 0 {
-		g, sh.spare = &sh.spare[0], sh.spare[1:]
-	} else {
-		g = new(slotGroup[V])
-	}
+	g := new(slotGroup[V])
 	d.insert(gi, g) // the copy loops ask in ascending slot order
 	nt.groupsEver.Add(1)
 	nt.groupsLive.Add(1)
 	return g
-}
-
-// waitUniformLocked waits out the node's latest merged busy period for a
-// root copy arriving at virtual time at, under the usual overlap rule (an
-// arrival predating the busy period passes through). Caller holds matMu.
-func (n *node[V]) waitUniformLocked(cpu *hw.CPU, at uint64) {
-	if u := &n.uni; u.n > 0 {
-		if f := u.free[u.n-1]; f > at && at >= u.busyStart {
-			cpu.AdvanceToAs(hw.CauseRootFork, f)
-		}
-	}
 }
 
 // unlockBits releases every slot bit of the frozen node n at the end of a
@@ -334,42 +264,4 @@ func (n *node[V]) unlockBits() {
 	for w := range n.bits {
 		n.bits[w].Store(0)
 	}
-}
-
-// forkUnlock releases every slot bit of the live root n at the end of a
-// fork. The uniform gate table is rewritten to one merged busy period — begun
-// at the fork's arrival (or the table's earlier busyStart) and free now —
-// which is the state per-slot gates would hold, in one plateau. Groups with
-// storage release through their own gates (one materialized mid-fork carries
-// the fork's busy period already: node.forkBusy).
-func (n *node[V]) forkUnlock(cpu *hw.CPU, arrive uint64) {
-	now := cpu.Now()
-	n.matMu.Lock()
-	n.forkForks--
-	if n.forkForks == 0 {
-		n.forkBusy = 0
-	}
-	merged := uniformGates{busyStart: arrive, n: 1}
-	merged.free[0] = now
-	if u := &n.uni; u.n > 0 {
-		if u.busyStart < merged.busyStart {
-			merged.busyStart = u.busyStart
-		}
-		if f := u.free[u.n-1]; f > now {
-			merged.free[0] = f
-		}
-	}
-	n.uni = merged
-	for gi := groupsPerNode - 1; gi >= 0; gi-- {
-		base := gi * slotsPerLine
-		if g := n.groupLoad(gi); g != nil {
-			for j := slotsPerLine - 1; j >= 0; j-- {
-				idx := base + j
-				cpu.ReleaseBitIn(&n.bits[idx>>6], uint64(1)<<(uint(idx)&63), &g.gates[j])
-			}
-		} else {
-			n.bits[base>>6].And(^(uint64(0xF) << (uint(base) & 63)))
-		}
-	}
-	n.matMu.Unlock()
 }

@@ -92,65 +92,65 @@ func TestForkPreservesCompactness(t *testing.T) {
 
 func countLiveGroups[V any](t *Tree[V]) int64 { return t.groupsLive.Load() }
 
-// TestForkMidMaterializationBusyPeriod: a slot group that materializes while
-// a fork holds the root's bits must restore gates whose busy period includes
-// the fork's — merged at materialization from the node's in-progress-copy
-// record — not just the uniform table's from before it. Without the merge, a
-// locker whose clock sits between the fork's arrival and the (later) busy
-// period recorded in the uniform table takes the waitGate inversion
-// pass-through and under-waits the fork's critical section.
-func TestForkMidMaterializationBusyPeriod(t *testing.T) {
-	m, _, tr := newTree(3)
-	c0, c1, c2 := m.CPU(0), m.CPU(1), m.CPU(2)
-	other := 40*span(Levels-1) + 100 // a page under another root slot, unmapped
-
-	// From a core whose clock is far ahead: a folded value over the whole
-	// first root slot — a value the root copy reports to the hook mid-sweep —
-	// and a first fork, which leaves the root's uniform table recording a
-	// busy period around H.
-	const H = 1_000_000
-	c1.Tick(H)
-	r := tr.LockPage(c1, 5)
-	r.Entry(0).SetClone(&val{x: 1}) // folded: covers the whole root slot
-	r.Unlock()
-	tr.ForkLazy(c1).Release(c1)
-
-	// Fork again from a core far behind (an ordering inversion), and
-	// stretch the fork's critical section past the locker's clock M, with
-	// L < M < H.
-	const L = 10_000
-	const M = 50_000
-	c0.Tick(L)
-	c2.Tick(M)
-	stretched := false
-	tr.OnDiverge(func(cpu *hw.CPU, lo, hi uint64, _, _ *val) bool {
-		if hi-lo != span(Levels-1) || stretched {
-			return false
+// TestForkCopiesFrozenRootAsReader: a fork freezes the parent's root and
+// copies it as a reader, so two cores forking one unchanged parent at one
+// virtual instant each pay exactly one copy of the root — one ForkNodeCost
+// bill, no lock, slot or divergence wait — and overlap. The parent copies its
+// frozen root on its next locking operation, exactly once: its second copies
+// nothing.
+func TestForkCopiesFrozenRootAsReader(t *testing.T) {
+	m, rc, tr, _, _, _ := forkSourceOn(t, 3)
+	pz := m.Config().PageZero
+	rootGroups := len(tr.root.Load().dir.Load().groups)
+	quiesce(rc)
+	at := m.MaxClock()
+	for i := 0; i < 3; i++ {
+		m.CPU(i).AdvanceTo(at)
+	}
+	m.ResetStats()
+	kids := make([]*Tree[val], 3)
+	runDet(m, 3, func(c *hw.CPU, _ *hw.Gang) {
+		if id := c.ID(); id > 0 {
+			kids[id] = tr.ForkLazy(c)
 		}
-		// Mid-fork, the first root slot's bit held and the sweep on its way to
-		// the others: a reader's touch materializes a root group that had no
-		// storage. Its gates must carry the fork's busy period, begun around L.
-		if got := tr.Lookup(c2, other); got != nil {
-			t.Fatalf("page %d = %+v, want unmapped", other, got)
-		}
-		cpu.Tick(100_000) // stretch the fork's critical section past M
-		stretched = true
-		return false
 	})
-	tr.ForkLazy(c0)
-	if !stretched {
-		t.Fatal("the root's folded value was never reported")
+	for id := 1; id <= 2; id++ {
+		y := m.CPU(id).Cycles()
+		if got, want := y[hw.CauseMetaCopy], ForkNodeCost(pz, rootGroups); got != want || kids[id].NodesEver() != 1 {
+			t.Errorf("fork on core %d copied %d nodes billed %d cycles, want one root copy billed %d", id, kids[id].NodesEver(), got, want)
+		}
+		for _, wait := range []hw.Cause{hw.CauseLockWait, hw.CauseSlotWait, hw.CauseDiverge} {
+			if y[wait] != 0 {
+				t.Errorf("fork on core %d charged %d cycles of %s", id, y[wait], wait)
+			}
+		}
 	}
-	forkEnd := c0.Now()
+	// The later fork reads the root's lines right behind the earlier one,
+	// one line transfer later at most; one that waited out the other's copy
+	// would end a whole copy later.
+	a, b := min(m.CPU(1).Elapsed(), m.CPU(2).Elapsed()), max(m.CPU(1).Elapsed(), m.CPU(2).Elapsed())
+	if xfer := m.Config().SameSocketXfer; b > a+xfer {
+		t.Errorf("forks at one instant took %d and %d cycles: one waited for the other", a, b)
+	}
 
-	// The locker arrived inside the fork's (merged) busy period, so it must
-	// wait out the critical section — not pass through because the uniform
-	// table's busyStart H postdates its clock.
-	lr := tr.LockPage(c2, other)
-	lr.Unlock()
-	if got := c2.Now(); got < forkEnd {
-		t.Fatalf("locker under-waited the fork's critical section: clock %d < fork end %d", got, forkEnd)
+	c := m.CPU(0)
+	unmapped := 40*span(Levels-1) + 100 // under an empty root slot: no path below the root to copy
+	for i, want := range []int64{1, 0} {
+		frozen, nodes := tr.root.Load(), tr.NodesEver()
+		before := c.Cycles()[hw.CauseMetaCopy]
+		tr.LockPage(c, unmapped).Unlock()
+		copied := tr.NodesEver() - nodes
+		if billed := c.Cycles()[hw.CauseMetaCopy] - before; copied != want || billed != uint64(want)*ForkNodeCost(pz, rootGroups) {
+			t.Errorf("parent's LockPage %d after the forks copied %d nodes billed %d cycles, want %d", i+1, copied, billed, want)
+		}
+		if replaced := tr.root.Load() != frozen; replaced != (want == 1) {
+			t.Errorf("parent's LockPage %d after the forks replaced its root: %v", i+1, replaced)
+		}
 	}
+	for _, x := range append(kids[1:], tr) {
+		x.Release(c)
+	}
+	quiesce(rc)
 }
 
 // TestForkCostModel: fork bills cloned nodes by their logical size —
@@ -296,9 +296,12 @@ func TestForkVsConcurrentLockRange(t *testing.T) {
 }
 
 // TestRootsHaveNoFill: a node's uniform fill is fixed at its birth, NewCopy
-// births its root empty, and ForkLazy's copy of a root has a fill only if
-// the source has one — so no root ever has one, however a fork family's op
-// stream folds, expands and clears its slots. sweepSlot relies on it.
+// births its root empty, and a copy of a root — the child's at a fork, the
+// parent's own at its next write — has a fill only if the source has one, so
+// no root ever has one, however a fork family's op stream folds, expands and
+// clears its slots. Nothing relies on it: a root's copy is a reader copy
+// like any other node's, which copies a fill as it finds it. It stays as an
+// oracle of the fill rule across the copies a family makes of its roots.
 func TestRootsHaveNoFill(t *testing.T) {
 	m, rc, tr := newTree(1)
 	c := m.CPU(0)
@@ -320,8 +323,78 @@ func TestRootsHaveNoFill(t *testing.T) {
 		rc.Maintain(c)
 	}
 	for i, x := range trees {
-		if x.root.uniSt != nil {
+		if x.root.Load().uniSt != nil {
 			t.Errorf("tree %d of %d: its root has a uniform fill", i, len(trees))
 		}
 	}
+}
+
+// TestForkRacesRootReplacement races forks of one tree against range locks,
+// page locks and lock-free lookups on it, under real parallelism: every fork
+// freezes the tree's root, the next locking operation replaces it with a
+// native copy (ownRoot) while lookups still descend from the frozen one and
+// later forks copy whichever root is current. Each snapshot holds one write
+// of a range that spans two leaves (TestLazyForkRangeAtomicity's check), a
+// page counter never goes backwards from one snapshot to the next, and the
+// parent's lookups always find everything mapped.
+func TestForkRacesRootReplacement(t *testing.T) {
+	const ncores = 4
+	const lo, hi = 504, 520       // 8 pages in one leaf node, 8 in the next
+	page := 40*span(Levels-1) + 7 // under another root slot
+	m, rc, tr := newTree(ncores)
+	setRange(tr, m.CPU(0), lo, hi, &val{x: 1})
+	setPage(tr, m.CPU(0), page, 0)
+	hw.RunGang(m, ncores, func(c *hw.CPU, g *hw.Gang) {
+		const rounds = 120
+		last := 0 // the page counter in the latest snapshot
+		for k := 1; k <= rounds; k++ {
+			switch c.ID() {
+			case 0:
+				if k%2 != 0 {
+					break
+				}
+				child := tr.ForkLazy(c)
+				first := child.Lookup(c, lo)
+				if first == nil {
+					t.Errorf("fork %d: page %d missing", k, lo)
+					return
+				}
+				for vpn := uint64(lo + 1); vpn < hi; vpn++ {
+					if got := child.Lookup(c, vpn); got == nil || got.x != first.x {
+						t.Errorf("fork %d: torn snapshot at %d: %v vs page %d's %v", k, vpn, got, lo, first)
+						return
+					}
+				}
+				got := child.Lookup(c, page)
+				if got == nil || got.x < last {
+					t.Errorf("fork %d: page %d holds %v, an earlier snapshot %d", k, page, got, last)
+					return
+				}
+				last = got.x
+				child.Release(c)
+			case 1:
+				setRange(tr, c, lo, hi, &val{x: 10 + k})
+			case 2:
+				r := tr.LockPage(c, page)
+				if v := r.Entry(0).Value(); v == nil || v.x != k-1 {
+					t.Errorf("page %d holds %v before write %d", page, v, k)
+				}
+				r.Entry(0).Set(&val{x: k})
+				r.Unlock()
+			case 3:
+				for _, vpn := range []uint64{lo, hi - 1, page} {
+					if tr.Lookup(c, vpn) == nil {
+						t.Errorf("lookup %d: page %d unmapped", k, vpn)
+					}
+				}
+			}
+			rc.Maintain(c)
+			g.Sync(c)
+		}
+	})
+	c := m.CPU(0)
+	// Every bit of the parent is free: a whole-space range lock goes through.
+	tr.LockRange(c, 1, MaxVPN-1).Unlock()
+	tr.Release(c)
+	quiesce(rc)
 }

@@ -8,37 +8,39 @@ import (
 
 // The generation fork: COW of the radix metadata itself.
 //
-// ForkLazy is O(1) in the size of the tree: it copies only the root node — in
-// *link mode*, sharing the root's child subtrees with the child tree instead
-// of copying them — and bumps the parent tree's generation, re-adopting the
-// parent root into the new generation under the root's held bits. Every node
-// below the root is now *foreign* to both trees (Tree.foreign), and the write
-// paths path-copy a foreign node the first time they descend into it
-// (divergeChild): the per-node copy of fork.go, billed ForkNodeCost virtual
-// time at first divergence. A node neither side ever touches again is never
-// copied — the metadata mirror of frame COW.
+// ForkLazy is O(1) in the size of the tree: it bumps the parent tree's
+// generation, which freezes the parent's root together with every node below
+// it, and gives the child tree a copy of that root — in *link mode*, sharing
+// the root's child subtrees instead of copying them. Every node below the
+// root is now *foreign* to both trees (Tree.foreign), and so is the parent's
+// root to the parent: the write paths path-copy a foreign node the first time
+// they descend into it (divergeChild, and ownRoot for the parent's root), with
+// the one copy protocol of fork.go, billed ForkNodeCost virtual time per copy.
+// A node neither side ever touches again is never copied — the metadata
+// mirror of frame COW.
 //
 // Sharing discipline:
 //
 //   - node.links counts how many parent slots, across all trees of a fork
 //     family, reference the node: a copy's link-sharing increments it;
 //     divergence (which replaces a tree's link with a private copy) and
-//     Tree.Release decrement it. The last dropLink releases the node's
-//     *contents* (values via the OnRelease hook, child links recursively),
-//     which keeps frame references balanced when one side of a fork exits
-//     without ever touching most of the tree.
-//   - A shared node is read-only to every tree: Lookup and group
+//     Tree.Release decrement it. A tree's root pointer counts as a link too,
+//     dropped when ownRoot replaces the root. The last dropLink releases the
+//     node's *contents* (values via the OnRelease hook, child links
+//     recursively), which keeps frame references balanced when one side of a
+//     fork exits without ever touching most of the tree.
+//   - A shared node is frozen: read-only to every tree. Lookup and group
 //     materialization are safe (the group reads as the uniform state it
-//     came out of), but every locking descent diverges first, so in-place
+//     came out of), but every locking descent copies first, so in-place
 //     writes happen only under native nodes.
-//   - Being read-only, a shared node has copies that are all born alike, in
+//   - Being read-only, a frozen node has copies that are all born alike, in
 //     the image cached on it (nodeImage). The image is written by the sweep
 //     that builds it, under all of the node's bits, and by nobody
 //     afterwards; what can still change in the node itself (a lookup
 //     materializing a group, a dead child's link swung to empty) makes the
-//     next divergence rebuild or abandon it. The divergence hook's writes
-//     to the source's values (COW arming) do not: what the hook makes of a
-//     copy may depend on the source alone.
+//     next copy rebuild or abandon it. The divergence hook's writes to the
+//     source's values (COW arming) do not: what the hook makes of a copy may
+//     depend on the source alone.
 //   - The snapshot is whole-tree atomic: a Range operation spanning nodes
 //     lands entirely before or entirely after it (TestLazyForkRangeAtomicity).
 //     Two mechanisms combine: ForkLazy drains all in-flight locked operations
@@ -46,28 +48,30 @@ import (
 //     generation — an operation that validated its path as native before the
 //     bump would keep writing shared nodes in place, and one caught
 //     mid-acquisition could be half-visible to the child — and after the
-//     bump, every locked descent diverges foreign nodes before writing, so
-//     by induction writes only ever land in nodes native to the writing
-//     tree. A divergence is a reader of the shared node: it reads the
-//     node's lines and waits for no earlier copy in virtual time, so
-//     sibling divergences of one node overlap. It still takes all of the
-//     node's slot bits in real time, which orders the hook's writes to the
-//     source's values (COW arming) under real parallelism.
-//   - The deadlock-free order is preserved: divergence holds the parent
-//     slot's bit, then takes the child node's bits, which is the global
-//     parent-before-child, ascending-VPN order every operation uses.
+//     bump, every locked operation copies the root and diverges foreign nodes
+//     before writing, so by induction writes only ever land in nodes native
+//     to the writing tree. A copy is a reader of the frozen node: it reads
+//     the node's lines and waits for no earlier copy in virtual time, so
+//     sibling copies of one node overlap. It still takes all of the node's
+//     slot bits in real time, which orders the hook's writes to the source's
+//     values (COW arming) under real parallelism.
+//   - The deadlock-free order is preserved: a copy holds the parent slot's
+//     bit (the tree's root bit, for a root), then takes the copied node's
+//     bits, which is the global parent-before-child, ascending-VPN order
+//     every operation uses.
 
 // ForkLazy clones t in O(1), as above. The child tree inherits t's hooks;
-// OnDiverge is invoked now for values stored in the root
-// node itself (they are copied immediately) and at divergence time for
-// everything deeper. The caller must tear the child down with Tree.Release
-// when it exits, or the shared subtrees' contents leak.
+// OnDiverge is invoked now for values stored in the root node itself (the
+// child's copy holds them at once), again for them when t next writes, and at
+// divergence time for everything deeper. The caller must tear the child down
+// with Tree.Release when it exits, or the shared subtrees' contents leak.
 func (t *Tree[V]) ForkLazy(cpu *hw.CPU) *Tree[V] {
 	// Drain in-flight locked operations and hold new ones out until the
-	// snapshot is taken (the quiescence gate, above and on Tree.lazyForks).
-	// The drain costs no virtual time — it models the brief kernel-level
-	// fork/VM-op exclusion a real implementation gets from per-CPU reader
-	// flags — and the caller must not hold a Range on t (self-deadlock).
+	// snapshot is taken (the quiescence gate, above and on Tree.lazyForks),
+	// which makes the freeze atomic in real time. The drain costs no virtual
+	// time — it models the brief kernel-level fork/VM-op exclusion a real
+	// implementation gets from per-CPU reader flags — and the caller must
+	// not hold a Range on t (self-deadlock).
 	t.lazyForks.Add(1)
 	for i := range t.cpus {
 		// A CPU that never operated on t has no state yet; if it starts
@@ -80,97 +84,92 @@ func (t *Tree[V]) ForkLazy(cpu *hw.CPU) *Tree[V] {
 	}
 	defer t.lazyForks.Add(-1)
 
+	// Leaving the generation freezes the root and everything below it. The
+	// child's copy is native to it by construction (generation 0 of a fresh
+	// tree); +1: the root's immortal reference.
+	t.gen.Add(1)
+	root := t.root.Load()
 	nt := treeShell[V](t.m, t.rc)
 	nt.hooks, nt.family = t.hooks, t.family
-	root, arrive := nt.linkCopy(cpu, t.root, 1, false) // +1: the root's immortal ref
-	nt.root = root
-	// Re-adopt the parent root into the new generation while all of its
-	// bits are still held: after the bits release, any descent from the
-	// parent root sees a native root whose children are all foreign. The
-	// child root is native to nt by construction (generation 0 of a fresh
-	// tree). Plain stores are ordered before concurrent lockers' bit
-	// acquisitions by the release/acquire pair on the packed bit words.
-	newGen := t.gen.Add(1)
-	t.root.gen = newGen
-	t.root.forkUnlock(cpu, arrive)
+	nt.root.Store(nt.linkCopy(cpu, root, 1))
+	root.unlockBits()
 	return nt
 }
 
-// linkCopy copies src into a new node of tree t in link mode: value slots
-// are copied (invoking t's OnDiverge hook once per distinct value with the
-// VPN range it covers: a leaf slot's page, a folded interior slot's whole
-// span, a uniform fill once for the node's entire range), but child subtrees
-// are *shared* — the copy links src's children directly, bumping their links
-// counts. src's bits are all held when linkCopy returns; the caller publishes
-// the copy (and performs any generation re-adoption) and then releases them:
-// with src.forkUnlock(cpu, arrive) after a copy of a live root, with
-// src.unlockBits() after a copy of a frozen node.
-//
-// frozen says that src is foreign to every tree — divergeChild's case, not
-// ForkLazy's root. A frozen node is read-only, so its copy is a reader: it
-// reads each of src's group lines once and waits for no earlier copy in
-// virtual time, so sibling copies of one node overlap. It writes a group's
-// line only when the hook wrote a value in it, and it still takes src's bits
-// in real time, which keeps a hook's check-then-write of a source value
-// exact under real parallelism. The copy is born in src's image, which this
-// sweep builds if src has none that is current, and otherwise only checks
-// slot by slot (shell.cell). A copy of a live root is a writer: it takes
-// src's bits slot by slot as every locker does, waiting out their earlier
-// holders and writing their lines, and mirrors every group.
-func (t *Tree[V]) linkCopy(cpu *hw.CPU, src *node[V], extra int64, frozen bool) (*node[V], uint64) {
-	arrive := cpu.Now()
-	src.matMu.Lock()
-	if !frozen {
-		src.waitUniformLocked(cpu, arrive)
-		src.forkForks++
-		if src.forkForks == 1 || arrive < src.forkBusy {
-			src.forkBusy = arrive
-		}
+// ownRoot returns t's root for a locking operation to descend from, first
+// replacing it with a native copy if a fork froze it: the root's divergence.
+// The tree's root bit stands for the parent slot divergeChild takes, so that
+// racing operations copy the root once; the old root's last link and its
+// immortal reference go with this tree's pointer to it. A tree that never
+// forked never gets past the first check.
+func (t *Tree[V]) ownRoot(cpu *hw.CPU) *node[V] {
+	root := t.root.Load()
+	if !t.foreign(root) {
+		return root
 	}
+	cpu.Write(&t.rootLine)
+	cpu.AcquireBitIn(&t.rootBit, 1, &t.rootGate, hw.CauseSlotWait)
+	// Re-read under the bit: a racing operation may have copied it first.
+	if root = t.root.Load(); t.foreign(root) {
+		old := root
+		root = t.linkCopy(cpu, old, 1)
+		t.root.Store(root)
+		cpu.Write(&t.rootLine)
+		old.unlockBits()
+		t.dropLink(cpu, old)
+		t.rc.Dec(cpu, old.obj)
+	}
+	cpu.ReleaseBitIn(&t.rootBit, 1, &t.rootGate)
+	return root
+}
+
+// linkCopy copies the frozen node src — foreign to every tree linking it —
+// into a new node of tree t in link mode: value slots are copied (invoking
+// t's OnDiverge hook once per distinct value with the VPN range it covers: a
+// leaf slot's page, a folded interior slot's whole span, a uniform fill once
+// for the node's entire range), but child subtrees are *shared* — the copy
+// links src's children directly, bumping their links counts. src's bits are
+// all held when linkCopy returns; the caller publishes the copy and then
+// releases them (src.unlockBits).
+//
+// The copy is a reader of src: it reads each of src's group lines once and
+// waits for no earlier copy in virtual time, so sibling copies of one node
+// overlap. It writes a group's line only when the hook wrote a value in it,
+// and it still takes src's bits in real time, which keeps a hook's
+// check-then-write of a source value exact under real parallelism. The copy
+// is born in src's image, which this sweep builds if src has none that is
+// current, and otherwise only checks slot by slot (shell.cell).
+func (t *Tree[V]) linkCopy(cpu *hw.CPU, src *node[V], extra int64) *node[V] {
 	// A source that is itself a copy may still hold groups in its image
-	// only. The sweep counts, bills, charges and mirrors groups with
-	// storage: realize them.
+	// only. The sweep counts, bills and reads groups with storage: realize
+	// them.
+	src.matMu.Lock()
 	src.materializeLocked(0, groupsPerNode-1, false)
 	src.matMu.Unlock()
 
-	dst := t.cloneShell(cpu, src, frozen)
+	dst := t.cloneShell(cpu, src)
 	cs := t.cpu(cpu)
-	if frozen {
-		// Group by group, from the directory the copy was sized from: a
-		// group a lookup materializes meanwhile holds the fill it came out
-		// of, which the copy's header stands for.
-		for gi := 0; gi < groupsPerNode; gi++ {
-			g := dst.over.get(gi)
+	// Group by group, from the directory the copy was sized from: a group a
+	// lookup materializes meanwhile holds the fill it came out of, which the
+	// copy's header stands for.
+	for gi := 0; gi < groupsPerNode; gi++ {
+		g := dst.over.get(gi)
+		if g != nil {
+			cpu.Read(&g.line)
+		}
+		wrote := false
+		for j := 0; j < slotsPerLine; j++ {
+			idx := gi*slotsPerLine + j
+			hw.LockBit(&src.bits[idx>>6], uint64(1)<<(uint(idx)&63))
+			st, child := src.uniSt, (*node[V])(nil) // no group: the fill
 			if g != nil {
-				cpu.Read(&g.line)
+				st, child = t.readSlot(cpu, src, g, idx)
 			}
-			wrote := false
-			for j := 0; j < slotsPerLine; j++ {
-				idx := gi*slotsPerLine + j
-				hw.LockBit(&src.bits[idx>>6], uint64(1)<<(uint(idx)&63))
-				st, child := src.uniSt, (*node[V])(nil) // no group: the fill
-				if g != nil {
-					st, child = t.readSlot(cpu, src, g, idx)
-				}
-				if dst.take(t, cpu, cs, src, idx, g, st, child) && !wrote {
-					cpu.Write(&g.line)
-					wrote = true
-				}
+			if dst.take(t, cpu, cs, src, idx, g, st, child) && !wrote {
+				cpu.Write(&g.line)
+				wrote = true
 			}
 		}
-	} else {
-		for idx := 0; idx < SlotsPerNode; idx++ {
-			g, st, child := t.sweepSlot(cpu, src, idx)
-			dst.take(t, cpu, cs, src, idx, g, st, child)
-		}
-		// A concurrent copy of src may have merged its busy period into the
-		// uniform table after our entry wait (it can release between our
-		// entry and our first bit load). Consult the merged table once more
-		// now that every bit is ours, so overlapping copies serialize in
-		// virtual time however the real-time race resolved.
-		src.matMu.Lock()
-		src.waitUniformLocked(cpu, arrive)
-		src.matMu.Unlock()
 	}
 	if dst.uniSt != nil {
 		dv := copyInto(&dst.uniStore, &dst.uniVal, src.uniSt.val)
@@ -187,7 +186,7 @@ func (t *Tree[V]) linkCopy(cpu *hw.CPU, src *node[V], extra int64, frozen bool) 
 	}
 	dst.obj = t.rc.NewObj(dst.used+extra, freeNode[V])
 	dst.obj.Data = dst.node
-	return dst.node, arrive
+	return dst.node
 }
 
 // divergeChild path-copies the foreign node child — pinned by the caller,
@@ -211,7 +210,7 @@ func (t *Tree[V]) divergeChild(cpu *hw.CPU, n *node[V], idx int, child *node[V])
 	// Copy the shared node under all of its bits, with one creator pin for
 	// the caller. The copy inherits the parent *node's* generation (native
 	// by construction: descent only writes under native parents).
-	dst, _ := t.linkCopy(cpu, child, 1, true)
+	dst := t.linkCopy(cpu, child, 1)
 	dst.gen = n.gen
 	dst.parent.Store(n)
 	dst.parentIdx = idx
@@ -294,6 +293,7 @@ func releaseContents[V any](cpu *hw.CPU, n *node[V]) {
 // sweep, and how the parent side of a fork family retires. The caller must
 // guarantee no concurrent operations on t are in flight.
 func (t *Tree[V]) Release(cpu *hw.CPU) {
-	t.dropLink(cpu, t.root)
-	t.rc.Dec(cpu, t.root.obj)
+	root := t.root.Load()
+	t.dropLink(cpu, root)
+	t.rc.Dec(cpu, root.obj)
 }

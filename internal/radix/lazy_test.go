@@ -369,7 +369,7 @@ func TestSiblingDivergencesOverlap(t *testing.T) {
 		if got, bound := c.Elapsed(), alone+uint64(i-1)*xfer; got > bound {
 			t.Errorf("core %d finished %d cycles after the shared arrival, want at most %d (a divergence alone takes %d): it waited for another's copy (%v)", i, got, bound, alone, y)
 		}
-		for _, wait := range []hw.Cause{hw.CauseDiverge, hw.CauseRootFork, hw.CauseSlotWait, hw.CauseLockWait} {
+		for _, wait := range []hw.Cause{hw.CauseDiverge, hw.CauseSlotWait, hw.CauseLockWait} {
 			if y[wait] != 0 {
 				t.Errorf("core %d charged %d cycles of %s", i, y[wait], wait)
 			}
@@ -431,4 +431,29 @@ func TestReclaimUnderReleasedParent(t *testing.T) {
 	a.Release(c)
 	tr.Release(c)
 	quiesce(rc)
+}
+
+// TestReleasedFamilyKeepsOnlyPooledGroups: once every tree of a fork family
+// is released and Refcache has reclaimed its nodes, the only slot groups
+// still counted live are those of nodes parked in the per-CPU pools — the
+// replaced and released roots and the released shared nodes, which go to
+// the GC, take theirs out of FootprintBytes.
+func TestReleasedFamilyKeepsOnlyPooledGroups(t *testing.T) {
+	m, rc, tr, full, sparse, _ := forkSource(t)
+	c := m.CPU(0)
+	a := tr.ForkLazy(c)
+	a.LockPage(c, full+7).Unlock()
+	tr.LockPage(c, sparse+5).Unlock() // the parent copies its frozen root
+	a.Release(c)
+	tr.Release(c)
+	quiesce(rc)
+	for _, x := range []*Tree[val]{tr, a} {
+		var pooled int64
+		for _, n := range x.cpu(c).pool {
+			pooled += countGroups(n)
+		}
+		if x.NodesLive() != 0 || x.groupsLive.Load() != pooled {
+			t.Errorf("after release: %d nodes live, %d groups counted live, %d of them pooled", x.NodesLive(), x.groupsLive.Load(), pooled)
+		}
+	}
 }

@@ -63,7 +63,7 @@ type Entry[V any] struct {
 func (t *Tree[V]) LockRange(cpu *hw.CPU, lo, hi uint64) *Range[V] {
 	checkRange(lo, hi)
 	r := t.getRange(t.opEnter(cpu), cpu, lo, hi)
-	t.lockIn(r, t.root, lo, hi)
+	t.lockIn(r, t.ownRoot(cpu), lo, hi)
 	return r
 }
 
@@ -228,7 +228,7 @@ func (t *Tree[V]) lockedDescend(r *Range[V], n *node[V], lo, hi uint64) {
 func (t *Tree[V]) LockPage(cpu *hw.CPU, vpn uint64) *Range[V] {
 	checkRange(vpn, vpn+1)
 	r := t.getRange(t.opEnter(cpu), cpu, vpn, vpn+1)
-	n := t.root
+	n := t.ownRoot(cpu)
 	for {
 		idx := n.slotIndex(vpn)
 		if n.level == 0 {

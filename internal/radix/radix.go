@@ -41,11 +41,10 @@
 //
 //	cloneShell of a ──────▶ image-born: present in the ────▶ its line is first touched:
 //	frozen node             directory, slots read through    realized (nodeImage.fill)
-//	(divergeChild)          to the source's image (peek)
-//	   └─ the image cannot serve (shell.abandon) ─┐
-//	                                              ▼
-//	cloneShell of a ───────────────────────────────────────▶ the copier's sweep reaches it:
-//	live root (ForkLazy)                                     mirrored (shell.cell, forkGroup)
+//	(linkCopy)              to the source's image (peek)
+//	   │
+//	   └─ the image cannot serve (shell.abandon) ──────────▶ the copier's sweep reaches it:
+//	                                                         mirrored (shell.cell, forkGroup)
 //
 // Every transition into storage is exact — the group holds what stood for its
 // slots: copies of the fill with gates restored from the table (materialized),
@@ -103,7 +102,15 @@ type Tree[V any] struct {
 	m        *hw.Machine
 	rc       *refcache.Refcache
 	pageZero uint64 // m.Config().PageZero, hoisted out of newNode
-	root     *node[V]
+
+	// root is the tree's root node. A fork freezes it, and the tree's next
+	// locking operation replaces it with a native copy (ownRoot) under
+	// rootBit, which with rootGate and rootLine plays the part of the parent
+	// slot a root does not have. Lookup loads root without a lock.
+	root     atomic.Pointer[node[V]]
+	rootBit  atomic.Uint64
+	rootGate hw.Gate
+	rootLine hw.Line
 
 	// cpus is the per-CPU scratch state (see cpuState), built on a core's
 	// first operation: a lazily forked child runs on two or three cores of
@@ -238,17 +245,6 @@ type node[V any] struct {
 	// and once per bulk release; never on steady-state paths.
 	matMu sync.Mutex
 	uni   uniformGates
-
-	// forkBusy/forkForks (matMu) track in-progress forks holding this root
-	// node's slot bits (ForkLazy; a copy of a frozen node waits for nobody
-	// and is not counted): forkForks counts them and forkBusy is the earliest
-	// arrival among them — the start of the busy period forkUnlock will
-	// merge into uni. A group materializing mid-fork merges it into its
-	// restored gates (initGroup): a locker could otherwise carry a later
-	// busyStart and pass the gate without waiting out the fork's critical
-	// section.
-	forkBusy  uint64
-	forkForks int32
 
 	bits [SlotsPerNode / 64]atomic.Uint64 // packed slot lock bits
 	dir  atomic.Pointer[groupDir[V]]      // the node's slot groups; nil = none
@@ -590,12 +586,6 @@ func (n *node[V]) materializeLocked(g0, g1 int, uniform bool) {
 // atomic store publishes it.
 func (n *node[V]) initGroup(g *slotGroup[V], gi int) {
 	base := gi * slotsPerLine
-	// A fork in progress has not merged its busy period into uni yet: merge
-	// it into the restored gates here (see node.forkBusy).
-	busyStart := n.uni.busyStart
-	if n.forkForks > 0 && n.forkBusy < busyStart {
-		busyStart = n.forkBusy
-	}
 	for j := 0; j < slotsPerLine; j++ {
 		var st *slotState[V]
 		if n.uniSt != nil {
@@ -603,7 +593,7 @@ func (n *node[V]) initGroup(g *slotGroup[V], gi int) {
 			copyInto(st, &g.vals[j], n.uniSt.val)
 		}
 		storePlain(&g.sts[j], st)
-		g.gates[j].Restore(n.uni.freeAt(base+j), busyStart)
+		g.gates[j].Restore(n.uni.freeAt(base+j), n.uni.busyStart)
 	}
 }
 
@@ -749,8 +739,9 @@ type slotState[V any] struct {
 func NewCopy[V any](m *hw.Machine, rc *refcache.Refcache) *Tree[V] {
 	t := treeShell[V](m, rc)
 	t.family = t
-	t.root = t.newNode(nil, Levels-1, 0, nil, 0, false)
-	// The root is permanent: its object holds one immortal reference.
+	t.root.Store(t.newNode(nil, Levels-1, 0, nil, 0, false))
+	// The root's object holds one immortal reference for the tree's pointer
+	// to it, dropped only when the tree replaces the root or is released.
 	return t
 }
 
@@ -911,7 +902,6 @@ func (t *Tree[V]) header(cpu *hw.CPU, level int, base uint64) *node[V] {
 	n.tree, n.level, n.base = t, level, base
 	n.uniSt = nil
 	n.uni = uniformGates{}
-	n.forkBusy, n.forkForks = 0, 0
 	n.gen = t.gen.Load()
 	n.links.Store(1)
 	t.nodesLive.Add(1)
@@ -929,7 +919,10 @@ func freeNode[V any](cpu *hw.CPU, o *refcache.Obj) {
 	t.nodesLive.Add(-1)
 	p := n.parent.Load()
 	if p == nil {
-		return // root (never freed in practice)
+		// A root, or a node whose contents were released: no parent slot
+		// to clear, and the node goes to the GC.
+		t.groupsLive.Add(-countGroups(n))
+		return
 	}
 	s := p.slot(n.parentIdx)
 	st := s.Load()
@@ -1050,7 +1043,7 @@ func (t *Tree[V]) SetHooks(h Hooks[V]) { t.hooks = h }
 // a slot group materializes it.
 func (t *Tree[V]) Lookup(cpu *hw.CPU, vpn uint64) *V {
 	checkRange(vpn, vpn+1)
-	n := t.root
+	n := t.root.Load()
 	var pinned [Levels]*node[V]
 	np := 0
 	var ret *V

@@ -3,14 +3,17 @@ package vm
 import "radixvm/internal/hw"
 
 // Fork implements System for RadixVM: the O(1) generation fork. The radix
-// tree is snapshotted by a root-only link copy plus a generation bump
-// (radix.Tree.ForkLazy), and the parent's translations are invalidated
-// wholesale (MMU.Reset — O(cores holding translations), independent of the size
-// of the space). Every later access on either side re-faults through the
-// metadata, whose locking descent path-copies the touched shared nodes first;
-// the divergence hook COW-arms the copied pages at that point, so the per-page
-// work of a fork — IncRef, COW flagging, share counting — happens per
-// *touched* node, not per existing node. What the copies share:
+// tree is snapshotted by a generation bump, which freezes the parent's root
+// and every node below it, plus a link copy of that root for the child
+// (radix.Tree.ForkLazy): the copy only reads the root, so concurrent forks of
+// one parent overlap, and the parent copies its own root on its next locking
+// operation. The parent's translations are invalidated wholesale (MMU.Reset —
+// O(cores holding translations), independent of the size of the space). Every
+// later access on either side re-faults through the metadata, whose locking
+// descent path-copies the touched shared nodes first; the divergence hook
+// COW-arms the copied pages at that point, so the per-page work of a fork —
+// IncRef, COW flagging, share counting — happens per *touched* node, not per
+// existing node. What the copies share:
 //
 //   - Never-faulted metadata (including folded interior entries) copies as
 //     is; each side faults its own frames later, privately.
@@ -18,9 +21,9 @@ import "radixvm/internal/hw"
 //     cache, to the same frame (OnDiverge).
 //   - Anonymous frames become copy-on-write on both sides (OnDiverge).
 //
-// Ordering: the tree snapshot (which bumps the tree generation under the
-// root's held bits) comes first, then the fork epoch bump, then the
-// invalidation. A fault that read the old epoch before the snapshot is
+// Ordering: the tree snapshot (which bumps the tree generation with the
+// tree's locked operations drained) comes first, then the fork epoch bump,
+// then the invalidation. A fault that read the old epoch before the snapshot is
 // either swept by the Reset or caught by its post-fill epoch validation; a
 // fault that reads the new epoch necessarily locks metadata after the
 // generation bump and therefore diverges before deriving a translation.

@@ -381,10 +381,11 @@ func Fork(env *Env, sys vm.System, cores int, iters int, regionPages uint64) Res
 //  4. tears its child down (reap), unwinding the child's COW shares and
 //     frame references exactly.
 //
-// On RadixVM the forks serialize only at the root's slot locks — a fork
-// copies one node — while the parent-side COW breaks stay per-page and
-// targeted (the stale translation lives only on the breaking core: no
-// shootdowns at all). The baselines serialize every fork, parent break,
+// On RadixVM a fork freezes the parent's root and copies it as a reader,
+// so concurrent forks do not wait for one another, and the parent copies
+// its frozen root once, at its next write; the parent-side COW breaks stay
+// per-page and targeted (the stale translation lives only on the breaking
+// core: no shootdowns at all). The baselines serialize every fork, parent break,
 // and parent fault on one address-space lock and broadcast a TLB flush to
 // every core using the parent per parent-side break — which is exactly
 // where they should, and do, collapse. The reported metric counts child
@@ -411,7 +412,8 @@ func Spawn(env *Env, sys vm.System, cores int, iters int, regionPages uint64) Re
 // is large, so the figure isolates how fork and exit cost scale with the
 // size of the address space being cloned.
 //
-// On RadixVM the fork copies one root node and bumps a generation, each
+// On RadixVM the fork bumps a generation, which freezes the template's root,
+// and copies that root as a reader, so forks from every core overlap; each
 // touch pays its path copy at divergence, and exit releases only the child's
 // own divergences — the whole cycle is O(pages the child actually touched).
 // Both baselines copy metadata proportional to the whole template per fork

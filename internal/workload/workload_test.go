@@ -274,18 +274,24 @@ func TestSpawnShootdownsTargetedOnRadixVM(t *testing.T) {
 	// schedule runs the cores' rounds one after another, and a core holds the
 	// parent from its re-dirty until the next fork anywhere sweeps it. Each
 	// fork therefore finds exactly one holder — the core whose round ran just
-	// before — and sends exactly one IPI.
+	// before — and sends one IPI, unless that core is the forking core itself,
+	// which has no one to interrupt. The schedule runs one core's rounds back
+	// to back exactly once: the warm-up's throwaway rounds all start at the
+	// barrier's instant and run in core order, and core 3, which ran the last
+	// of them, then has the lowest clock and forks first in the measured
+	// loop. After that the cores take turns (2, 1, 0, 3, ...). So every fork
+	// but that first one sends exactly one IPI.
 	const cores, iters = 4, 20
 	m := hw.NewMachine(hw.DefaultConfig(cores))
 	rc := refcache.New(m)
 	env := &Env{M: m, RC: rc}
 	sys := vm.New(env.M, env.RC, mem.NewAllocator(m, rc), nil)
 	r := Spawn(env, sys, cores, iters, 4)
-	if want := uint64(cores * iters); r.Stats.Shootdowns != want {
-		t.Errorf("radixvm spawn ran %d shootdown rounds, want %d (one per fork)", r.Stats.Shootdowns, want)
+	if want := uint64(cores*iters - 1); r.Stats.Shootdowns != want {
+		t.Errorf("radixvm spawn ran %d shootdown rounds, want %d (one per fork but the first)", r.Stats.Shootdowns, want)
 	}
-	if want := uint64(cores * iters); r.Stats.IPIsSent != want {
-		t.Errorf("radixvm spawn sent %d IPIs, want %d (one holder per fork)", r.Stats.IPIsSent, want)
+	if want := uint64(cores*iters - 1); r.Stats.IPIsSent != want {
+		t.Errorf("radixvm spawn sent %d IPIs, want %d (one holder per fork but the first)", r.Stats.IPIsSent, want)
 	}
 }
 
