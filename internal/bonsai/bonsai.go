@@ -196,23 +196,7 @@ func (t *Tree[V]) Get(cpu *hw.CPU, key uint64) *V {
 
 // Floor returns the greatest (key', val) with key' <= key, lock-free.
 func (t *Tree[V]) Floor(cpu *hw.CPU, key uint64) (uint64, *V, bool) {
-	var bk uint64
-	var bv *V
-	found := false
-	n := t.root.Load()
-	for n != nil {
-		cpu.Read(&n.line)
-		switch {
-		case n.key == key:
-			return n.key, n.val, true
-		case n.key < key:
-			bk, bv, found = n.key, n.val, true
-			n = n.right
-		default:
-			n = n.left
-		}
-	}
-	return bk, bv, found
+	return floor(cpu, t.root.Load(), key)
 }
 
 // Snapshot returns the current root for consistent multi-query reads.
@@ -225,10 +209,14 @@ type Snapshot[V any] struct{ root *node[V] }
 
 // Floor is Tree.Floor against the snapshot.
 func (s *Snapshot[V]) Floor(cpu *hw.CPU, key uint64) (uint64, *V, bool) {
+	return floor(cpu, s.root, key)
+}
+
+// floor is the one Floor walk, from root.
+func floor[V any](cpu *hw.CPU, n *node[V], key uint64) (uint64, *V, bool) {
 	var bk uint64
 	var bv *V
 	found := false
-	n := s.root
 	for n != nil {
 		cpu.Read(&n.line)
 		switch {

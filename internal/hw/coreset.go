@@ -40,11 +40,6 @@ func (s *CoreSet) Has(id int) bool {
 	return s.bits[id/64]&(1<<(uint(id)%64)) != 0
 }
 
-// Clear empties the set.
-func (s *CoreSet) Clear() {
-	s.bits = [MaxCores / 64]uint64{}
-}
-
 // Count returns the number of cores in the set.
 func (s *CoreSet) Count() int {
 	n := 0
@@ -80,27 +75,6 @@ func (s *CoreSet) ForEach(fn func(id int)) {
 			w &^= 1 << uint(b)
 		}
 	}
-}
-
-// OnlyMember returns the single core in the set, or -1 if the set does not
-// contain exactly one core. munmap uses this to detect the common
-// "only the unmapping core ever touched this page" case, which needs no
-// remote shootdown at all.
-func (s *CoreSet) OnlyMember() int {
-	found := -1
-	for i, w := range s.bits {
-		switch bits.OnesCount64(w) {
-		case 0:
-		case 1:
-			if found >= 0 {
-				return -1
-			}
-			found = i*64 + bits.TrailingZeros64(w)
-		default:
-			return -1
-		}
-	}
-	return found
 }
 
 // String renders the set as a compact list, e.g. "{0,3,17}".

@@ -51,25 +51,6 @@ func TestCoreSetBasics(t *testing.T) {
 	if s.String() != fmt.Sprintf("{0,64,%d}", MaxCores-1) {
 		t.Errorf("String = %q", s.String())
 	}
-	s.Clear()
-	if !s.Empty() {
-		t.Errorf("Clear left members")
-	}
-}
-
-func TestCoreSetOnlyMember(t *testing.T) {
-	var s CoreSet
-	if s.OnlyMember() != -1 {
-		t.Errorf("empty OnlyMember != -1")
-	}
-	s.Add(70)
-	if s.OnlyMember() != 70 {
-		t.Errorf("OnlyMember = %d, want 70", s.OnlyMember())
-	}
-	s.Add(2)
-	if s.OnlyMember() != -1 {
-		t.Errorf("two-member OnlyMember != -1")
-	}
 }
 
 func TestCoreSetUnion(t *testing.T) {

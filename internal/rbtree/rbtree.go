@@ -192,25 +192,6 @@ func (t *Tree[V]) Floor(cpu *hw.CPU, key uint64) *Node[V] {
 	return best
 }
 
-// Ceiling returns the smallest node with Key >= key, or nil.
-func (t *Tree[V]) Ceiling(cpu *hw.CPU, key uint64) *Node[V] {
-	var best *Node[V]
-	n := t.root
-	for n != nil {
-		cpu.Read(&n.line)
-		switch {
-		case n.Key == key:
-			return n
-		case n.Key > key:
-			best = n
-			n = n.left
-		default:
-			n = n.right
-		}
-	}
-	return best
-}
-
 // Delete removes key, reporting whether it was present.
 func (t *Tree[V]) Delete(cpu *hw.CPU, key uint64) bool {
 	n := t.lookup(cpu, key)
@@ -349,23 +330,6 @@ func (t *Tree[V]) Ascend(cpu *hw.CPU, from uint64, fn func(key uint64, val V) bo
 		return visit(n.right)
 	}
 	visit(t.root)
-}
-
-// Next returns the in-order successor of n.
-func (t *Tree[V]) Next(cpu *hw.CPU, n *Node[V]) *Node[V] {
-	if n.right != nil {
-		s := n.right
-		for s.left != nil {
-			cpu.Read(&s.line)
-			s = s.left
-		}
-		return s
-	}
-	p := n.par
-	for p != nil && n == p.right {
-		n, p = p, p.par
-	}
-	return p
 }
 
 // checkInvariants validates red-black properties; exported for tests via

@@ -183,34 +183,6 @@ func (l *List[V]) Contains(cpu *hw.CPU, key uint64) bool {
 	return curr.key == key
 }
 
-// Get returns the value for key, or nil when absent.
-func (l *List[V]) Get(cpu *hw.CPU, key uint64) *V {
-	pred := l.head
-	cpu.Read(&pred.line)
-	var curr *node[V]
-	for lvl := MaxLevel; lvl >= 0; lvl-- {
-		curr, _ = pred.succs[lvl].load()
-		for {
-			cpu.Read(&curr.line)
-			succ, marked := curr.succs[lvl].load()
-			for marked {
-				curr = succ
-				cpu.Read(&curr.line)
-				succ, marked = curr.succs[lvl].load()
-			}
-			if curr.key < key {
-				pred, curr = curr, succ
-			} else {
-				break
-			}
-		}
-	}
-	if curr.key == key {
-		return curr.val
-	}
-	return nil
-}
-
 // Len counts unmarked nodes (diagnostic; O(n), quiescent use only).
 func (l *List[V]) Len() int {
 	n := 0

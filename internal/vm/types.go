@@ -118,11 +118,11 @@ type System interface {
 	PageTableBytes() uint64
 }
 
-// Exiter is the optional whole-address-space teardown operation. A system
-// implementing it can retire an address space without an O(address space)
-// unmap sweep — RadixVM's generation fork makes child exit O(the child's
-// own divergences) — and workloads prefer it over per-region Munmaps when
-// present. The space must not be used after Exit.
+// Exiter is the optional whole-address-space teardown: it retires a space
+// without an O(address space) unmap sweep — RadixVM's exit is O(the child's
+// own divergences), where Munmap would path-copy every shared node it
+// clears — so workloads prefer it over per-region Munmaps when present.
+// The space must not be used after Exit.
 type Exiter interface {
 	Exit(cpu *hw.CPU)
 }
