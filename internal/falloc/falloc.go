@@ -16,8 +16,9 @@ import (
 	"radixvm/internal/vm"
 )
 
-// Allocator carves objects out of fixed-size mmapped blocks with
-// exclusively per-core free lists.
+// Allocator carves objects out of fixed-size mmapped blocks, one current
+// block per core. Nothing is freed: Metis keeps every object to the end of
+// its run, so the paper's per-core free lists would stay empty.
 type Allocator struct {
 	sys        vm.System
 	blockPages uint64
@@ -27,9 +28,8 @@ type Allocator struct {
 type coreHeap struct {
 	arenaNext uint64 // bump pointer for fresh block VAs
 	arenaEnd  uint64
-	blockVPN  uint64              // current block (0 = none)
-	blockUsed uint64              // pages used in the current block
-	free      map[uint64][]uint64 // size class (pages) -> free VPNs
+	blockVPN  uint64 // current block (0 = none)
+	blockUsed uint64 // pages used in the current block
 	_         [16]byte
 }
 
@@ -49,26 +49,18 @@ func New(sys vm.System, ncores int, blockPages uint64) *Allocator {
 		// so VPN 0 never allocates.
 		a.cores[i].arenaNext = uint64(i+1) * arenaPages
 		a.cores[i].arenaEnd = uint64(i+2) * arenaPages
-		a.cores[i].free = map[uint64][]uint64{}
 	}
 	return a
 }
 
-// Alloc returns the VPN of a zero-filled region of npages, taken from the
-// core-local free list or carved from the core's current block. Only the
-// owning core may call Alloc/Free with its CPU (per-core state is
-// unsynchronized by design, like the paper's allocator).
+// Alloc returns the VPN of a zero-filled region of npages, carved from the
+// core's current block. Only the owning core may call Alloc with its CPU
+// (per-core state is unsynchronized by design, like the paper's allocator).
 func (a *Allocator) Alloc(cpu *hw.CPU, npages uint64) (uint64, error) {
 	if npages == 0 || npages > a.blockPages {
 		return 0, fmt.Errorf("falloc: bad size %d (block is %d pages)", npages, a.blockPages)
 	}
 	h := &a.cores[cpu.ID()]
-	if lst := h.free[npages]; len(lst) > 0 {
-		vpn := lst[len(lst)-1]
-		h.free[npages] = lst[:len(lst)-1]
-		cpu.Tick(20)
-		return vpn, nil
-	}
 	if h.blockVPN == 0 || h.blockUsed+npages > a.blockPages {
 		if h.arenaNext+a.blockPages > h.arenaEnd {
 			return 0, fmt.Errorf("falloc: core %d arena exhausted", cpu.ID())
@@ -85,13 +77,4 @@ func (a *Allocator) Alloc(cpu *hw.CPU, npages uint64) (uint64, error) {
 	h.blockUsed += npages
 	cpu.Tick(20)
 	return vpn, nil
-}
-
-// Free returns a region to the core-local free list. Memory is never
-// munmapped back to the OS — the paper's allocator's deliberate workaround
-// for VM contention.
-func (a *Allocator) Free(cpu *hw.CPU, vpn, npages uint64) {
-	h := &a.cores[cpu.ID()]
-	h.free[npages] = append(h.free[npages], vpn)
-	cpu.Tick(20)
 }

@@ -43,20 +43,6 @@ func TestAllocCarvesBlocks(t *testing.T) {
 	}
 }
 
-func TestFreeReusesWithoutMunmap(t *testing.T) {
-	m, a, _ := newAlloc(1, 16)
-	c := m.CPU(0)
-	v, _ := a.Alloc(c, 8)
-	a.Free(c, v, 8)
-	v2, _ := a.Alloc(c, 8)
-	if v2 != v {
-		t.Fatalf("free list not reused: %d vs %d", v2, v)
-	}
-	if got := c.Stats().Munmaps; got != 0 {
-		t.Fatalf("allocator munmapped: %d", got)
-	}
-}
-
 func TestBlockSizeControlsMmapRate(t *testing.T) {
 	// The Figure 4 knob: same bytes through the allocator, 128x the
 	// mmaps with small blocks.

@@ -344,11 +344,11 @@ func FigScale(o Options) *Table {
 func Fig6(o Options) *Table {
 	return structureBench("Figure 6: skip list lookups/sec (millions)", o, []int{0, 1, 5},
 		func(m *hw.Machine) structure {
-			l := skiplist.New[int](m)
+			l := skiplist.New()
 			rng := rand.New(rand.NewSource(1))
 			seed := m.CPU(m.NCores() - 1)
 			for k := 1; k <= 1000; k++ {
-				l.Insert(seed, rng, uint64(k)*2048, &k)
+				l.Insert(seed, rng, uint64(k)*2048)
 			}
 			return structure{
 				lookup: func(c *hw.CPU, r *rand.Rand) {
@@ -356,7 +356,7 @@ func Fig6(o Options) *Table {
 				},
 				insertDelete: func(c *hw.CPU, r *rand.Rand) {
 					key := uint64(r.Intn(1<<22))*2048 + 1
-					l.Insert(c, r, key, nil)
+					l.Insert(c, r, key)
 					l.Delete(c, key)
 				},
 			}

@@ -66,6 +66,13 @@ func (s *CoreSet) Union(other CoreSet) {
 	}
 }
 
+// intersect removes from s every core not in other.
+func (s *CoreSet) intersect(other *CoreSet) {
+	for i, w := range other.bits {
+		s.bits[i] &= w
+	}
+}
+
 // ForEach calls fn for every core in the set, in ascending ID order.
 func (s *CoreSet) ForEach(fn func(id int)) {
 	for i, w := range s.bits {

@@ -271,8 +271,8 @@ func TestMailboxStampOrder(t *testing.T) {
 		t.Fatalf("second fold: Now = %d, want 2600", c.Now())
 	}
 	// Now() alone never advances past a future stamp.
-	if depth := atomic.LoadInt32(&c.mboxLen); depth != 1 {
-		t.Fatalf("queued = %d, want 1", depth)
+	if depth := len(c.mbox) - c.mboxHead; depth != 1 || atomic.LoadUint64(&c.mboxNext) != 3000 {
+		t.Fatalf("queued = %d, head stamp %d; want 1, 3000", depth, atomic.LoadUint64(&c.mboxNext))
 	}
 	c.Tick(400) // to 3000, handler runs => 3500
 	if c.Now() != 3500 {
@@ -311,9 +311,9 @@ func TestMailboxCascade(t *testing.T) {
 	byAdvance.AdvanceTo(2000)
 	// 2000 -> 2500 (stamp 1900 already due), stamp 2300 <= 2500 -> 3000.
 	for _, d := range []*CPU{byNow, byAdvance} {
-		if d.clock != 3000 || d.Stats().IPIMboxMax != 3 || len(d.mbox) != 1 {
+		if left := len(d.mbox) - d.mboxHead; d.clock != 3000 || d.Stats().IPIMboxMax != 3 || left != 1 {
 			t.Errorf("core %d: clock %d, IPIMboxMax %d, %d left; want 3000, 3, 1",
-				d.ID(), d.clock, d.Stats().IPIMboxMax, len(d.mbox))
+				d.ID(), d.clock, d.Stats().IPIMboxMax, left)
 		}
 	}
 }

@@ -1,7 +1,5 @@
 package hw
 
-import "sync/atomic"
-
 // SendIPIs models a TLB-shootdown interrupt round from core c to targets.
 // For each target core the handler function is executed (by this goroutine,
 // by proxy — functional effects are synchronous, which keeps page-table and
@@ -36,14 +34,10 @@ func (c *CPU) SendIPIs(targets CoreSet, handler func(target *CPU)) int {
 		return 0
 	}
 	cfg := &c.m.cfg
-	sock := c.Socket()
-	var nFar uint64
-	targets.ForEach(func(id int) {
-		if c.m.Socket(id) != sock {
-			nFar++
-		}
-	})
-	nNear := uint64(n) - nFar
+	near := targets
+	near.intersect(&c.m.sockets[c.Socket()])
+	nNear := uint64(near.Count())
+	nFar := uint64(n) - nNear
 	start := c.Now()
 	c.TickAs(CauseIPISend, cfg.IPIBase+nNear*cfg.IPIPerTarget+nFar*cfg.IPIPerTargetRemote)
 	// Each target's interrupt arrives when the serialized APIC protocol
@@ -52,14 +46,13 @@ func (c *CPU) SendIPIs(targets CoreSet, handler func(target *CPU)) int {
 	stamp := start + cfg.IPIBase
 	targets.ForEach(func(id int) {
 		t := c.m.CPU(id)
-		if t.Socket() != sock {
-			stamp += cfg.IPIPerTargetRemote
-		} else {
+		if near.Has(id) {
 			stamp += cfg.IPIPerTarget
+		} else {
+			stamp += cfg.IPIPerTargetRemote
 		}
 		handler(t)
 		t.DeliverAt(stamp, cfg.IPIHandler)
-		atomic.AddUint64(&t.stats.ipisRecv, 1)
 	})
 	// Wait for acknowledgments; acks arrive roughly in parallel but each
 	// costs the sender a serialized receive.

@@ -97,8 +97,9 @@ func TestConfig(ncores int) Config {
 // Machine is a simulated multicore machine. Create one per experiment with
 // NewMachine; obtain per-core contexts with CPU.
 type Machine struct {
-	cfg  Config
-	cpus []*CPU
+	cfg     Config
+	cpus    []*CPU
+	sockets []CoreSet // sockets[s] holds the cores of socket s
 }
 
 // NewMachine builds a machine with cfg.NCores cores.
@@ -112,7 +113,11 @@ func NewMachine(cfg Config) *Machine {
 	m := &Machine{cfg: cfg}
 	m.cpus = make([]*CPU, cfg.NCores)
 	for i := range m.cpus {
-		m.cpus[i] = &CPU{id: i, m: m}
+		m.cpus[i] = &CPU{id: i, m: m, mboxNext: ^uint64(0)}
+	}
+	m.sockets = make([]CoreSet, m.Socket(cfg.NCores-1)+1)
+	for i := range m.cpus {
+		m.sockets[m.Socket(i)].Add(i)
 	}
 	return m
 }
@@ -161,7 +166,8 @@ func (m *Machine) ResetStats() {
 
 // Stats counts the events the paper's evaluation reports on. All fields are
 // monotonic within one experiment. Per-core Stats are written only by the
-// owning core's goroutine except the Recv fields, which use atomics.
+// owning core's goroutine except ipisRecv and IPIMboxMax, which senders
+// write under the core's mailbox lock (DeliverAt).
 type Stats struct {
 	LocalHits      uint64 // line touches satisfied from the local cache
 	ColdMisses     uint64 // first-touch DRAM fills (not coherence traffic)
@@ -169,7 +175,7 @@ type Stats struct {
 	CrossSocket    uint64 // subset of Transfers that crossed sockets
 	IPIsSent       uint64 // shootdown interrupts issued by this core
 	IPIsRemote     uint64 // subset of IPIsSent that crossed a socket boundary
-	ipisRecv       uint64 // accessed atomically (written by remote senders)
+	ipisRecv       uint64 // written by senders under mboxMu
 	IPIMboxMax     uint64 // high-water mark of queued mailbox messages (written by senders under mboxMu)
 	Shootdowns     uint64 // munmap-triggered shootdown rounds
 	PageFaults     uint64
@@ -185,7 +191,7 @@ type Stats struct {
 }
 
 // IPIsReceived returns the number of shootdown IPIs this core received.
-func (s *Stats) IPIsReceived() uint64 { return atomic.LoadUint64(&s.ipisRecv) }
+func (s *Stats) IPIsReceived() uint64 { return s.ipisRecv }
 
 func (t *Stats) add(s *Stats) {
 	t.LocalHits += s.LocalHits
@@ -194,7 +200,7 @@ func (t *Stats) add(s *Stats) {
 	t.CrossSocket += s.CrossSocket
 	t.IPIsSent += s.IPIsSent
 	t.IPIsRemote += s.IPIsRemote
-	t.ipisRecv += atomic.LoadUint64(&s.ipisRecv)
+	t.ipisRecv += s.ipisRecv
 	if s.IPIMboxMax > t.IPIMboxMax {
 		t.IPIMboxMax = s.IPIMboxMax
 	}
@@ -222,9 +228,8 @@ type ipiMsg struct {
 // may drive a CPU at a time (the "thread running on that core"); all methods
 // except DeliverAt must be called only from that goroutine.
 type CPU struct {
-	id    int
-	m     *Machine
-	clock uint64 // virtual cycles; owned by the driving goroutine
+	id int
+	m  *Machine
 
 	// The mailbox holds remote charges (IPI handler work executed by
 	// proxy) stamped with their virtual arrival time. Senders enqueue
@@ -232,15 +237,25 @@ type CPU struct {
 	// messages in stamp order at every Now/Tick/advanceTo boundary,
 	// folding each cost at max(clock, stamp) — so where remote cycles
 	// land in virtual time is a function of the op stream's virtual-time
-	// order, never of goroutine scheduling. mboxLen mirrors len(mbox) so
-	// the empty-mailbox fast path is a single atomic load (a plain int32
-	// with atomic.LoadInt32 rather than an atomic.Int32: one method call
-	// less keeps Tick and TickAs within the inlining budget).
-	mboxLen int32 // accessed atomically
-	mboxMu  sync.Mutex
-	mbox    []ipiMsg // sorted by stamp, ascending; guarded by mboxMu
+	// order, never of goroutine scheduling. mboxNext is the stamp of the
+	// earliest queued message, ^0 when none is queued, so each fast path
+	// is one atomic load and a compare against the clock, and mboxMu is
+	// taken only when a message is due: a broadcast baseline keeps
+	// thousands of messages queued for the future. (A plain uint64 read
+	// with atomic.LoadUint64 rather than an atomic.Uint64: one method call
+	// less keeps Tick and TickAs within the inlining budget.)
+	//
+	// A CPU is 64-byte aligned (its size class is a multiple of 64), so
+	// id, m and the mailbox fill the first cache line and the stats a
+	// sender writes, ipisRecv and IPIMboxMax, end the second.
+	mboxNext uint64 // accessed atomically
+	mboxMu   sync.Mutex
+	mbox     []ipiMsg // mbox[mboxHead:] is queued, sorted by stamp; guarded by mboxMu
+	mboxHead int      // guarded by mboxMu
 
 	stats Stats
+
+	clock uint64 // virtual cycles; owned by the driving goroutine
 
 	// The cycle meter (meter.go): cycles charged by cause since ResetStats,
 	// and the clock at that reset. Owned by the driving goroutine.
@@ -262,11 +277,11 @@ func (c *CPU) Stats() *Stats { return &c.stats }
 
 // Now returns the core's current virtual time, folding in any mailbox
 // messages whose stamp has already been reached. The fast path is a single
-// atomic load: the mailbox is almost always empty (messages only arrive
-// during shootdowns), and heavier synchronization on every clock read showed
-// up as ~9% of flat CPU in the radix hot paths.
+// atomic load: a message is rarely due (messages only arrive during
+// shootdowns), and heavier synchronization on every clock read showed up as
+// ~9% of flat CPU in the radix hot paths.
 func (c *CPU) Now() uint64 {
-	if atomic.LoadInt32(&c.mboxLen) != 0 {
+	if atomic.LoadUint64(&c.mboxNext) <= c.clock {
 		c.advanceSlow(CauseMailbox, c.clock)
 	}
 	return c.clock
@@ -276,31 +291,32 @@ func (c *CPU) Now() uint64 {
 // CauseOp, spelled out so that both stay within the inlining budget.
 func (c *CPU) Tick(cycles uint64) {
 	c.cycles[CauseOp] += cycles
-	if atomic.LoadInt32(&c.mboxLen) != 0 {
-		c.tickSlow(cycles)
-		return
-	}
 	c.clock += cycles
+	if c.clock >= atomic.LoadUint64(&c.mboxNext) {
+		c.tickSlow(cycles)
+	}
 }
 
 // TickAs advances the core's virtual clock by cycles of local work, charged
 // to cause k.
 func (c *CPU) TickAs(k Cause, cycles uint64) {
 	c.cycles[k] += cycles
-	if atomic.LoadInt32(&c.mboxLen) != 0 {
-		c.tickSlow(cycles)
-		return
-	}
 	c.clock += cycles
+	if c.clock >= atomic.LoadUint64(&c.mboxNext) {
+		c.tickSlow(cycles)
+	}
 }
 
-// tickSlow interleaves mailbox deliveries with cycles of local work: a
-// message stamped inside the window preempts at its stamp, runs its handler,
-// and the remaining local work continues after it. The work's own cause has
-// been charged all of cycles already; the handlers are charged here.
+// tickSlow interleaves mailbox deliveries with cycles of local work that
+// Tick has already added to the clock, and which it takes back first: a
+// message stamped inside the window preempts at its stamp, runs its
+// handler, and the remaining local work continues after it. The work's own
+// cause has been charged all of cycles already; the handlers are charged
+// here.
 func (c *CPU) tickSlow(cycles uint64) {
+	c.clock -= cycles
 	c.mboxMu.Lock()
-	i := 0
+	i := c.mboxHead
 	for ; i < len(c.mbox); i++ {
 		m := c.mbox[i]
 		if m.stamp <= c.clock {
@@ -334,14 +350,13 @@ func (c *CPU) AdvanceToAs(k Cause, t uint64) { c.advanceTo(k, t) }
 // (a line transfer waiting for the line's home-node queue, a lock waiting
 // out its holder).
 func (c *CPU) advanceTo(k Cause, t uint64) {
-	if atomic.LoadInt32(&c.mboxLen) != 0 {
+	t = max(t, c.clock)
+	if t >= atomic.LoadUint64(&c.mboxNext) {
 		c.advanceSlow(k, t)
 		return
 	}
-	if t > c.clock {
-		c.cycles[k] += t - c.clock
-		c.clock = t
-	}
+	c.cycles[k] += t - c.clock
+	c.clock = t
 }
 
 // advanceSlow folds every message stamped at or before max(clock, t) at its
@@ -359,14 +374,10 @@ func (c *CPU) advanceTo(k Cause, t uint64) {
 // CauseMailbox.
 func (c *CPU) advanceSlow(k Cause, t uint64) {
 	c.mboxMu.Lock()
-	i := 0
+	i := c.mboxHead
 	for ; i < len(c.mbox); i++ {
 		m := c.mbox[i]
-		lim := c.clock
-		if t > lim {
-			lim = t
-		}
-		if m.stamp > lim {
+		if m.stamp > max(c.clock, t) {
 			break
 		}
 		if m.stamp > c.clock {
@@ -384,31 +395,62 @@ func (c *CPU) advanceSlow(k Cause, t uint64) {
 	}
 }
 
-// popMail removes the first n (already folded) messages. Caller holds
-// mboxMu.
-func (c *CPU) popMail(n int) {
-	if n == 0 {
-		return
+// popMail drops the folded messages before mbox[head] and republishes the
+// head stamp. The queue moves down to the front of its array once it is no
+// longer than what was popped since the last move, so a pop costs O(1)
+// amortized and the array, once grown to the deepest queue, is reused.
+// Caller holds mboxMu.
+func (c *CPU) popMail(head int) {
+	if 2*head >= len(c.mbox) {
+		n := copy(c.mbox, c.mbox[head:])
+		c.mbox, head = c.mbox[:n], 0
 	}
-	c.mbox = append(c.mbox[:0], c.mbox[n:]...)
-	atomic.StoreInt32(&c.mboxLen, int32(len(c.mbox)))
+	c.mboxHead = head
+	next := ^uint64(0)
+	if head < len(c.mbox) {
+		next = c.mbox[head].stamp
+	}
+	atomic.StoreUint64(&c.mboxNext, next)
 }
 
 // DeliverAt enqueues cost cycles of remote work (e.g. a shootdown IPI
-// handler) arriving at this core at virtual time stamp. Safe to call from
-// any goroutine; the owning goroutine folds it into the clock when its own
-// virtual time crosses the stamp. Messages with equal stamps commute under
-// the fold-at-max rule, so insertion order between them does not matter.
+// handler) arriving at this core at virtual time stamp, and counts it as a
+// received interrupt. Safe to call from any goroutine; the owning goroutine
+// folds it into the clock when its own virtual time crosses the stamp.
+// Messages with equal stamps commute under the fold-at-max rule, so
+// insertion order between them does not matter.
 func (c *CPU) DeliverAt(stamp, cost uint64) {
 	c.mboxMu.Lock()
-	c.mbox = append(c.mbox, ipiMsg{stamp, cost})
-	for i := len(c.mbox) - 1; i > 0 && c.mbox[i-1].stamp > c.mbox[i].stamp; i-- {
-		c.mbox[i-1], c.mbox[i] = c.mbox[i], c.mbox[i-1]
+	c.mbox = append(c.mbox, ipiMsg{})
+	q := c.mbox[c.mboxHead:]
+	// The message goes after every queued one stamped at or before it. It
+	// is usually within a few places of the tail, found by stepping back;
+	// one that is further back (concurrent forks interleave many senders'
+	// rounds) is placed by binary search and one copy.
+	i := len(q) - 1
+	for ; i > 0 && q[i-1].stamp > stamp; i-- {
+		if len(q)-i == 8 {
+			lo, hi := 0, i-1 // q[hi] is stamped after the message
+			for lo < hi {
+				if mid := int(uint(lo+hi) >> 1); q[mid].stamp > stamp {
+					hi = mid
+				} else {
+					lo = mid + 1
+				}
+			}
+			copy(q[lo+1:], q[lo:i])
+			i = lo
+			break
+		}
+		q[i] = q[i-1]
 	}
-	n := int32(len(c.mbox))
-	atomic.StoreInt32(&c.mboxLen, n)
-	if d := uint64(n); d > c.stats.IPIMboxMax {
+	q[i] = ipiMsg{stamp, cost}
+	if i == 0 {
+		atomic.StoreUint64(&c.mboxNext, stamp)
+	}
+	if d := uint64(len(q)); d > c.stats.IPIMboxMax {
 		c.stats.IPIMboxMax = d
 	}
+	c.stats.ipisRecv++
 	c.mboxMu.Unlock()
 }

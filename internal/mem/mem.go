@@ -9,6 +9,7 @@
 package mem
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -102,10 +103,18 @@ func (f *Frame) DropCOWShare(cpu *hw.CPU) {
 // waste 2 040 B; TestFrameChunkFillsItsSizeClass holds it).
 const frameChunk = 73
 
+// dirFan is the fan-out of both levels of the chunk directory: 1024 × 1024
+// chunks of 73 frames, 292 GiB of simulated memory.
+const dirFan = 1024
+
+// chunkDir is a block of the directory's second level: chunk pointers.
+type chunkDir [dirFan]atomic.Pointer[[frameChunk]Frame]
+
 // Allocator hands out reference-counted frames with per-core free lists.
 // Frames are created in chunks of frameChunk: a new frame is the next unused
-// element of the newest chunk, and only the directory of chunk pointers ever
-// reallocates, so frames have stable addresses.
+// element of the newest chunk. Chunks are published in a fixed two-level
+// directory that is never copied, so frames have stable addresses and ByPFN
+// takes no lock.
 type Allocator struct {
 	m        *hw.Machine
 	rc       *refcache.Refcache
@@ -117,10 +126,12 @@ type Allocator struct {
 	allocated atomic.Int64 // live frames
 	totals    atomic.Int64 // frames ever created; written under regMu
 
-	// Frame pfn is chunks[(pfn-1)/frameChunk][(pfn-1)%frameChunk]; chunks
-	// is append-only and totals is the highest PFN handed out.
-	regMu  sync.RWMutex
-	chunks []*[frameChunk]Frame
+	// Frame pfn is element (pfn-1)%frameChunk of chunk k = (pfn-1)/frameChunk,
+	// which is dir[k/dirFan][k%dirFan]. Frames are created under regMu, and
+	// a chunk and its frames' fields are stored before totals counts them,
+	// so a reader that loads totals first finds them all in place.
+	regMu sync.Mutex
+	dir   [dirFan]atomic.Pointer[chunkDir]
 }
 
 type freelist struct {
@@ -165,10 +176,19 @@ func (a *Allocator) Alloc(cpu *hw.CPU) *Frame {
 		// and ByPFN would hand the baselines the wrong frame from then on.
 		a.regMu.Lock()
 		n := uint64(a.totals.Load())
+		k := n / frameChunk
 		if n%frameChunk == 0 {
-			a.chunks = append(a.chunks, new([frameChunk]Frame))
+			if k == dirFan*dirFan {
+				panic(fmt.Sprintf("mem: more than %d frames", n))
+			}
+			d := a.dir[k/dirFan].Load()
+			if d == nil {
+				d = new(chunkDir)
+				a.dir[k/dirFan].Store(d)
+			}
+			d[k%dirFan].Store(new([frameChunk]Frame))
 		}
-		f = &a.chunks[n/frameChunk][n%frameChunk]
+		f = &a.chunk(k)[n%frameChunk]
 		f.PFN, f.Home = n+1, int32(id)
 		a.totals.Store(int64(n + 1))
 		a.regMu.Unlock()
@@ -212,12 +232,15 @@ func (a *Allocator) release(cpu *hw.CPU, f *Frame) {
 // ByPFN returns the frame with the given PFN (hardware page tables store
 // only the PFN, so baseline VMs use this to recover the frame at munmap).
 func (a *Allocator) ByPFN(pfn uint64) *Frame {
-	a.regMu.RLock()
-	defer a.regMu.RUnlock()
 	if pfn == 0 || pfn > uint64(a.totals.Load()) {
 		return nil
 	}
-	return &a.chunks[(pfn-1)/frameChunk][(pfn-1)%frameChunk]
+	return &a.chunk((pfn - 1) / frameChunk)[(pfn-1)%frameChunk]
+}
+
+// chunk returns chunk k, which must have been published.
+func (a *Allocator) chunk(k uint64) *[frameChunk]Frame {
+	return a.dir[k/dirFan].Load()[k%dirFan].Load()
 }
 
 // Live returns the number of frames currently allocated (reference held or

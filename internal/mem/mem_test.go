@@ -99,6 +99,52 @@ func TestByPFNAcrossChunks(t *testing.T) {
 	}
 }
 
+// TestByPFNAcrossDirectoryBlocks: the chunk directory's second level is
+// blocks of dirFan chunks; the frames on both sides of the first block
+// boundary find themselves, and the PFN after the last frame nothing.
+func TestByPFNAcrossDirectoryBlocks(t *testing.T) {
+	m, _, a := newAlloc(1)
+	c := m.CPU(0)
+	const n = dirFan*frameChunk + 2
+	for i := 0; i < n; i++ {
+		a.Alloc(c)
+	}
+	for _, pfn := range []uint64{1, dirFan*frameChunk - 1, dirFan * frameChunk, n - 1, n} {
+		if f := a.ByPFN(pfn); f == nil || f.PFN != pfn {
+			t.Fatalf("ByPFN(%d) = %v, want its frame", pfn, f)
+		}
+	}
+	if f := a.ByPFN(n + 1); f != nil {
+		t.Errorf("ByPFN(%d) = frame %d, want nil", n+1, f.PFN)
+	}
+}
+
+// TestByPFNWhileFramesAreCreated: ByPFN takes no lock, so a reader racing
+// the frames' creation must find every frame Created already counts, whole.
+func TestByPFNWhileFramesAreCreated(t *testing.T) {
+	m, _, a := newAlloc(1)
+	const n = 5 * frameChunk
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			a.Alloc(m.CPU(0))
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		for pfn := uint64(1); pfn <= uint64(a.Created()); pfn++ {
+			if f := a.ByPFN(pfn); f == nil || f.PFN != pfn || f.Home != 0 {
+				t.Fatalf("ByPFN(%d) = %+v while frames were being created", pfn, f)
+			}
+		}
+	}
+}
+
 // TestFramesNeverMove: page tables, free lists and refcache objects all hold
 // *Frame, so a frame's address must survive any amount of later growth.
 func TestFramesNeverMove(t *testing.T) {

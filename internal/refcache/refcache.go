@@ -365,9 +365,6 @@ func (rc *Refcache) reviewCore(cpu *hw.CPU) {
 	}
 }
 
-// Epoch returns the current global epoch (diagnostic).
-func (rc *Refcache) Epoch() uint64 { return rc.epoch.Load() }
-
 // Reviews sums the objects every core has examined in review passes — the
 // fleet figures' "review pressure" metric. Quiescent diagnostic: call only
 // while no core is inside Maintain.

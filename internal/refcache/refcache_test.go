@@ -104,7 +104,7 @@ func TestFalseZeroFromReordering(t *testing.T) {
 	rc.Dec(m.CPU(0), o)
 	rc.Inc(m.CPU(1), o)
 	// Flush core 0 first (global drops to 0 and is queued), then core 1.
-	ge := rc.Epoch()
+	ge := rc.epoch.Load()
 	rc.flushCore(m.CPU(0), ge)
 	if o.GlobalCount() != 0 {
 		t.Fatalf("global = %d after dec flush", o.GlobalCount())

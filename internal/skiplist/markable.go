@@ -5,16 +5,16 @@ import "sync/atomic"
 // markable is an atomic (pointer, marked) pair, the moral equivalent of
 // Java's AtomicMarkableReference: the pair is replaced wholesale by CAS on
 // an immutable cell.
-type markable[V any] struct {
-	p atomic.Pointer[markCell[V]]
+type markable struct {
+	p atomic.Pointer[markCell]
 }
 
-type markCell[V any] struct {
-	next   *node[V]
+type markCell struct {
+	next   *node
 	marked bool
 }
 
-func (m *markable[V]) load() (*node[V], bool) {
+func (m *markable) load() (*node, bool) {
 	c := m.p.Load()
 	if c == nil {
 		return nil, false
@@ -22,15 +22,15 @@ func (m *markable[V]) load() (*node[V], bool) {
 	return c.next, c.marked
 }
 
-func (m *markable[V]) store(n *node[V], marked bool) {
-	m.p.Store(&markCell[V]{next: n, marked: marked})
+func (m *markable) store(n *node, marked bool) {
+	m.p.Store(&markCell{next: n, marked: marked})
 }
 
 // compareAndSwap replaces (oldN, oldMark) with (newN, newMark) atomically.
-func (m *markable[V]) compareAndSwap(oldN *node[V], oldMark bool, newN *node[V], newMark bool) bool {
+func (m *markable) compareAndSwap(oldN *node, oldMark bool, newN *node, newMark bool) bool {
 	c := m.p.Load()
 	if c == nil || c.next != oldN || c.marked != oldMark {
 		return false
 	}
-	return m.p.CompareAndSwap(c, &markCell[V]{next: newN, marked: newMark})
+	return m.p.CompareAndSwap(c, &markCell{next: newN, marked: newMark})
 }

@@ -19,26 +19,24 @@ import (
 // MaxLevel is the tallest tower (supports ~2^20 keys comfortably).
 const MaxLevel = 20
 
-// List is a concurrent skip list from uint64 keys to values.
-type List[V any] struct {
-	m    *hw.Machine
-	head *node[V]
-	tail *node[V]
+// List is a concurrent set of uint64 keys.
+type List struct {
+	head *node
+	tail *node
 }
 
-type node[V any] struct {
+type node struct {
 	key      uint64
-	val      *V
 	topLevel int
-	succs    [MaxLevel + 1]markable[V]
+	succs    [MaxLevel + 1]markable
 	line     hw.Line // the node's header/tower cache line
 }
 
 // New creates an empty list.
-func New[V any](m *hw.Machine) *List[V] {
-	l := &List[V]{m: m}
-	l.head = &node[V]{key: 0, topLevel: MaxLevel}
-	l.tail = &node[V]{key: ^uint64(0), topLevel: MaxLevel}
+func New() *List {
+	l := &List{}
+	l.head = &node{key: 0, topLevel: MaxLevel}
+	l.tail = &node{key: ^uint64(0), topLevel: MaxLevel}
 	for lvl := 0; lvl <= MaxLevel; lvl++ {
 		l.head.succs[lvl].store(l.tail, false)
 	}
@@ -59,7 +57,7 @@ func randomLevel(rng *rand.Rand) int {
 // find locates key's predecessors and successors at every level, snipping
 // out marked nodes it encounters (the lock-free helping protocol). Returns
 // whether an unmarked node with the key was found at the bottom level.
-func (l *List[V]) find(cpu *hw.CPU, key uint64, preds, succs *[MaxLevel + 1]*node[V]) bool {
+func (l *List) find(cpu *hw.CPU, key uint64, preds, succs *[MaxLevel + 1]*node) bool {
 retry:
 	for {
 		pred := l.head
@@ -92,15 +90,15 @@ retry:
 	}
 }
 
-// Insert adds key→val; it returns false if the key is already present.
-func (l *List[V]) Insert(cpu *hw.CPU, rng *rand.Rand, key uint64, val *V) bool {
-	var preds, succs [MaxLevel + 1]*node[V]
+// Insert adds key; it returns false if the key is already present.
+func (l *List) Insert(cpu *hw.CPU, rng *rand.Rand, key uint64) bool {
+	var preds, succs [MaxLevel + 1]*node
 	topLevel := randomLevel(rng)
 	for {
 		if l.find(cpu, key, &preds, &succs) {
 			return false
 		}
-		n := &node[V]{key: key, val: val, topLevel: topLevel}
+		n := &node{key: key, topLevel: topLevel}
 		for lvl := 0; lvl <= topLevel; lvl++ {
 			n.succs[lvl].store(succs[lvl], false)
 		}
@@ -124,8 +122,8 @@ func (l *List[V]) Insert(cpu *hw.CPU, rng *rand.Rand, key uint64, val *V) bool {
 }
 
 // Delete removes key; it returns false if no unmarked node carries the key.
-func (l *List[V]) Delete(cpu *hw.CPU, key uint64) bool {
-	var preds, succs [MaxLevel + 1]*node[V]
+func (l *List) Delete(cpu *hw.CPU, key uint64) bool {
+	var preds, succs [MaxLevel + 1]*node
 	for {
 		if !l.find(cpu, key, &preds, &succs) {
 			return false
@@ -159,10 +157,10 @@ func (l *List[V]) Delete(cpu *hw.CPU, key uint64) bool {
 // Contains is the wait-free lookup: it never writes shared memory, only
 // re-reads node lines — which is exactly why concurrent writers on other
 // keys degrade it (Figure 6).
-func (l *List[V]) Contains(cpu *hw.CPU, key uint64) bool {
+func (l *List) Contains(cpu *hw.CPU, key uint64) bool {
 	pred := l.head
 	cpu.Read(&pred.line)
-	var curr *node[V]
+	var curr *node
 	for lvl := MaxLevel; lvl >= 0; lvl-- {
 		curr, _ = pred.succs[lvl].load()
 		for {
@@ -184,7 +182,7 @@ func (l *List[V]) Contains(cpu *hw.CPU, key uint64) bool {
 }
 
 // Len counts unmarked nodes (diagnostic; O(n), quiescent use only).
-func (l *List[V]) Len() int {
+func (l *List) Len() int {
 	n := 0
 	for curr, _ := l.head.succs[0].load(); curr != l.tail; {
 		succ, marked := curr.succs[0].load()

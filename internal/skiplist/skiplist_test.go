@@ -8,9 +8,9 @@ import (
 	"radixvm/internal/hw"
 )
 
-func newList(ncores int) (*hw.Machine, *List[int]) {
+func newList(ncores int) (*hw.Machine, *List) {
 	m := hw.NewMachine(hw.TestConfig(ncores))
-	return m, New[int](m)
+	return m, New()
 }
 
 func TestInsertContainsDelete(t *testing.T) {
@@ -20,10 +20,10 @@ func TestInsertContainsDelete(t *testing.T) {
 	if l.Contains(c, 10) {
 		t.Fatal("empty list contains 10")
 	}
-	if !l.Insert(c, rng, 10, ptr(100)) {
+	if !l.Insert(c, rng, 10) {
 		t.Fatal("insert failed")
 	}
-	if l.Insert(c, rng, 10, ptr(101)) {
+	if l.Insert(c, rng, 10) {
 		t.Fatal("duplicate insert succeeded")
 	}
 	if !l.Contains(c, 10) {
@@ -40,15 +40,13 @@ func TestInsertContainsDelete(t *testing.T) {
 	}
 }
 
-func ptr(x int) *int { return &x }
-
 func TestOrderedTraversalInvariant(t *testing.T) {
 	m, l := newList(1)
 	c := m.CPU(0)
 	rng := rand.New(rand.NewSource(2))
 	keys := rng.Perm(200)
 	for _, k := range keys {
-		l.Insert(c, rng, uint64(k)+1, ptr(k))
+		l.Insert(c, rng, uint64(k)+1)
 	}
 	// Bottom-level walk must be sorted and complete.
 	prev := uint64(0)
@@ -71,7 +69,7 @@ func TestOrderedTraversalInvariant(t *testing.T) {
 	}
 }
 
-func levelReachable[V any](l *List[V], target *node[V], lvl int) bool {
+func levelReachable(l *List, target *node, lvl int) bool {
 	for curr, _ := l.head.succs[lvl].load(); curr != nil && curr.key <= target.key; curr, _ = curr.succs[lvl].load() {
 		if curr == target {
 			return true
@@ -98,7 +96,7 @@ func TestQuickAgainstMapModel(t *testing.T) {
 				}
 				delete(model, k)
 			} else {
-				if l.Insert(c, rng, k, ptr(int(k))) == model[k] {
+				if l.Insert(c, rng, k) == model[k] {
 					return false
 				}
 				model[k] = true
@@ -126,7 +124,7 @@ func TestConcurrentDisjointKeys(t *testing.T) {
 		for k := 0; k < 300; k++ {
 			key := base + uint64(rng.Intn(500)) + 1
 			if !l.Contains(c, key) {
-				l.Insert(c, rng, key, ptr(k))
+				l.Insert(c, rng, key)
 			} else {
 				l.Delete(c, key)
 			}
@@ -154,7 +152,7 @@ func TestConcurrentSameKeyLinearizes(t *testing.T) {
 	hw.RunGang(m, ncores, func(c *hw.CPU, g *hw.Gang) {
 		rng := rand.New(rand.NewSource(int64(c.ID() + 100)))
 		for k := 0; k < 200; k++ {
-			l.Insert(c, rng, 42, ptr(c.ID()))
+			l.Insert(c, rng, 42)
 			l.Delete(c, 42)
 			g.Sync(c)
 		}
@@ -175,7 +173,7 @@ func TestReadersDegradeUnderWriters(t *testing.T) {
 		rng := rand.New(rand.NewSource(5))
 		// 1000 present keys, as in the paper's benchmark.
 		for k := 1; k <= 1000; k++ {
-			l.Insert(m.CPU(0), rng, uint64(k)*2, ptr(k))
+			l.Insert(m.CPU(0), rng, uint64(k)*2)
 		}
 		var lookups [hw.MaxCores]uint64
 		// Warm reader caches.
@@ -198,7 +196,7 @@ func TestReadersDegradeUnderWriters(t *testing.T) {
 			} else {
 				for k := 0; k < 300; k++ {
 					key := uint64(r.Intn(1<<20))*2 + 1 // absent odd keys
-					l.Insert(c, r, key, ptr(k))
+					l.Insert(c, r, key)
 					l.Delete(c, key)
 					g.Sync(c)
 				}

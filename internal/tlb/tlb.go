@@ -8,7 +8,9 @@ package tlb
 
 import (
 	"fmt"
+	"math"
 	"sync"
+	"sync/atomic"
 
 	"radixvm/internal/fifo"
 )
@@ -57,7 +59,13 @@ func unpack(raw uint64) Entry {
 type TLB struct {
 	mu       sync.Mutex
 	tab      *table // vpn -> packed Entry; nil until the first Insert
-	capacity int    // 0 means DefaultCapacity
+	capacity int32  // 0 means DefaultCapacity
+
+	// live counts the cached translations for FlushRange's lock-free
+	// empty check: a shootdown reaches every core that may hold a page,
+	// and most of them hold nothing. It is raised before an entry goes in
+	// and lowered after one goes out, so it is never below tab.n.
+	live atomic.Int32
 
 	// order is the FIFO eviction queue: one token per Insert of an absent
 	// VPN, oldest at the front. Flushing a page leaves its token behind,
@@ -93,7 +101,7 @@ const (
 // workloads touch a few dozen translations — and most cores of a forked
 // child's address space none at all.
 func New(capacity int) *TLB {
-	return &TLB{capacity: max(capacity, 0)}
+	return &TLB{capacity: int32(min(max(capacity, 0), math.MaxInt32))}
 }
 
 // table is the translations as an open-addressed hash table: one flat array
@@ -218,16 +226,19 @@ func (t *TLB) Insert(vpn uint64, e Entry) {
 	if t.tab == nil {
 		t.tab = newTable()
 	}
-	capacity := t.capacity
+	capacity := int(t.capacity)
 	if capacity == 0 {
 		capacity = DefaultCapacity
 	}
 	// order may hold stale VPNs flushed earlier; evict until below
 	// capacity.
 	for t.tab.n >= capacity && t.order.Len() > 0 {
-		t.tab.remove(t.pop())
+		if t.tab.remove(t.pop()) {
+			t.live.Add(-1)
+		}
 	}
 	t.push(vpn)
+	t.live.Add(1)
 	t.tab.put(vpn, e.pack())
 }
 
@@ -276,6 +287,7 @@ func (t *TLB) FlushPage(vpn uint64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.tab.remove(vpn) {
+		t.live.Add(-1)
 		t.Flushes++
 		return true
 	}
@@ -286,14 +298,17 @@ func (t *TLB) FlushPage(vpn uint64) bool {
 // Narrow ranges (the common munmap shape: a handful of pages) are flushed
 // by per-key INVLPG-style deletes; only ranges wider than the cached set
 // pay for a sweep of the whole table. The seed swept per munmap, which
-// dominated the shootdown path's real CPU time.
+// dominated the shootdown path's real CPU time. An empty TLB — most of the
+// targets of a broadcast — returns 0 without taking the lock: a flush that
+// finds nothing orders before any Insert racing it, and the inserting
+// access re-validates its walk afterwards (vm.MMU.Revalidate).
 func (t *TLB) FlushRange(lo, hi uint64) int {
+	if t.live.Load() == 0 {
+		return 0
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	tb := t.tab
-	if tb == nil {
-		return 0
-	}
 	n := 0
 	if hi-lo <= uint64(tb.n) {
 		for vpn := lo; vpn < hi; vpn++ {
@@ -315,6 +330,7 @@ func (t *TLB) FlushRange(lo, hi uint64) int {
 			n++
 		}
 	}
+	t.live.Add(int32(-n))
 	t.Flushes += uint64(n)
 	return n
 }
@@ -329,6 +345,7 @@ func (t *TLB) FlushAll() {
 	if t.tab != nil && t.tab.n > 0 {
 		clear(t.tab.slots)
 		t.tab.n = 0
+		t.live.Store(0)
 	}
 	t.order.Reset()
 	t.FullFlushes++

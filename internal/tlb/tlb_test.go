@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 	"unsafe"
 )
 
@@ -536,5 +537,62 @@ func TestFlushedTokensCostTheirOwnBytes(t *testing.T) {
 	got, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*tokens+16384+1024)
 	if got > limit {
 		t.Fatalf("rounds 2-%d allocated %d bytes for a queue of %d tokens, want at most %d", rounds, got, tokens, limit)
+	}
+}
+
+// An empty TLB, new or emptied, flushes a range without taking its lock
+// (the test holds it) and without counting a flush; a populated one is still
+// flushed.
+func TestFlushRangeOfEmptyTLB(t *testing.T) {
+	tl := New(8)
+	emptied := New(8)
+	emptied.Insert(5, ro(5))
+	emptied.FlushAll()
+	for _, tl := range []*TLB{tl, emptied} {
+		flushes := tl.Flushes
+		tl.mu.Lock()
+		done := make(chan int)
+		go func() { done <- tl.FlushRange(0, 1) }()
+		select {
+		case n := <-done:
+			if n != 0 || tl.Flushes != flushes {
+				t.Errorf("FlushRange of an empty TLB = %d, Flushes %d -> %d; want 0, unchanged", n, flushes, tl.Flushes)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("FlushRange of an empty TLB waited for its lock")
+		}
+		tl.mu.Unlock()
+	}
+	tl.Insert(3, ro(3))
+	if n := tl.FlushRange(3, 4); n != 1 || tl.Flushes != 1 || tl.Len() != 0 {
+		t.Errorf("FlushRange of one entry = %d, Flushes %d, Len %d; want 1, 1, 0", n, tl.Flushes, tl.Len())
+	}
+}
+
+// The live count FlushRange trusts is the table's size after every
+// operation: Insert over capacity (evicting, stale tokens included),
+// FlushPage, both FlushRange branches and FlushAll.
+func TestLiveCountTracksTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	tl := New(16)
+	for i := 0; i < 20000; i++ {
+		vpn := uint64(rng.Intn(48))
+		switch op := rng.Intn(20); {
+		case op < 12:
+			tl.Insert(vpn, ro(vpn))
+		case op < 16:
+			tl.FlushPage(vpn)
+		case op < 19:
+			tl.FlushRange(vpn, vpn+uint64(rng.Intn(40)))
+		default:
+			tl.FlushAll()
+		}
+		n := 0
+		if tl.tab != nil {
+			n = tl.tab.n
+		}
+		if live := int(tl.live.Load()); live != n {
+			t.Fatalf("op %d: live count %d, table holds %d", i, live, n)
+		}
 	}
 }

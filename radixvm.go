@@ -110,10 +110,6 @@ func (m *Machine) NCores() int { return m.hw.NCores() }
 // a time.
 func (m *Machine) CPU(i int) *CPU { return m.hw.CPU(i) }
 
-// HW exposes the underlying simulated machine (for gangs, barriers, and
-// custom cost models).
-func (m *Machine) HW() *hw.Machine { return m.hw }
-
 // NewAddressSpace creates a RadixVM address space: radix tree, per-core
 // page tables, targeted shootdown.
 func (m *Machine) NewAddressSpace() *AddressSpace {

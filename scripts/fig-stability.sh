@@ -17,9 +17,9 @@
 # FIG_SMOKE_BUDGET) so a simulator-side real-time scaling regression fails
 # this job instead of hanging it. The full committed-figure regenerations
 # get twice that: the longest, the full spawn sweep (80 cores, concurrent
-# forks), takes about 80 s of near-serial deterministic schedule on a
-# 2-vCPU host, so 300 s leaves headroom on a loaded runner and still
-# catches a real scaling regression.
+# forks), takes about 50 s of near-serial deterministic schedule on a
+# 2-vCPU host (45-52 s over three runs), so 300 s leaves headroom on a
+# loaded runner and still catches a real scaling regression.
 #
 # Usage: scripts/fig-stability.sh <scratch-dir>
 set -euo pipefail
