@@ -122,13 +122,13 @@ func TestByPFNAcrossDirectoryBlocks(t *testing.T) {
 // TestByPFNWhileFramesAreCreated: ByPFN takes no lock, so a reader racing
 // the frames' creation must find every frame Created already counts, whole.
 func TestByPFNWhileFramesAreCreated(t *testing.T) {
-	m, _, a := newAlloc(1)
+	m, _, a := newAlloc(2)
 	const n = 5 * frameChunk
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < n; i++ {
-			a.Alloc(m.CPU(0))
+			a.Alloc(m.CPU(1))
 		}
 	}()
 	for running := true; running; {
@@ -138,7 +138,7 @@ func TestByPFNWhileFramesAreCreated(t *testing.T) {
 		default:
 		}
 		for pfn := uint64(1); pfn <= uint64(a.Created()); pfn++ {
-			if f := a.ByPFN(pfn); f == nil || f.PFN != pfn || f.Home != 0 {
+			if f := a.ByPFN(pfn); f == nil || f.PFN != pfn || f.Home != 1 {
 				t.Fatalf("ByPFN(%d) = %+v while frames were being created", pfn, f)
 			}
 		}

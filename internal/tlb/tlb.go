@@ -8,7 +8,6 @@ package tlb
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -101,7 +100,7 @@ const (
 // workloads touch a few dozen translations — and most cores of a forked
 // child's address space none at all.
 func New(capacity int) *TLB {
-	return &TLB{capacity: int32(min(max(capacity, 0), math.MaxInt32))}
+	return &TLB{capacity: int32(max(capacity, 0))}
 }
 
 // table is the translations as an open-addressed hash table: one flat array
