@@ -3,6 +3,7 @@ package hw
 import (
 	"fmt"
 	"iter"
+	"math/bits"
 	"sort"
 )
 
@@ -54,7 +55,8 @@ type Sched struct {
 	// workloads never pay it.
 	SwitchCost uint64
 
-	cores       []core // [0, ncores); nil until Run starts
+	cores       []core             // [0, ncores); nil until Run starts
+	trees       [coreDone + 1]tree // per state, the cores in it; built for coreReady and coreIdle only
 	seq         uint64
 	procs       []*Proc   // every spawned proc, ascending seq
 	runq        *Proc     // migratable ready procs, ascending seq
@@ -261,7 +263,7 @@ func (s *Sched) Wake(p *Proc) {
 
 // enqueue marks p ready, inserts it seq-ordered into its queue, and wakes
 // an idle core that can run it: its own for a pinned proc, else the idle
-// core with the lowest (clock, ID) — the one the loop would step first.
+// tree's root, the lowest (clock, ID) — the one the loop would step first.
 func (s *Sched) enqueue(p *Proc) {
 	p.parked = false
 	s.ready++
@@ -286,6 +288,7 @@ func (s *Sched) wake(id int) {
 	if id >= 0 && id < len(s.cores) && s.cores[id].state == coreIdle {
 		s.cores[id].state = coreReady
 		s.active++
+		s.fix(id, coreIdle)
 	}
 }
 
@@ -315,17 +318,54 @@ func (s *Sched) pop(id int) *Proc {
 }
 
 // pick returns the core in the given state with the lowest (clock, ID), or
-// -1. Ties resolve by core ID, so the choice — and therefore the entire
-// schedule — is deterministic.
+// -1: the root of the state's tree, O(1). Ties resolve by core ID, so the
+// choice — and therefore the entire schedule — is deterministic.
 func (s *Sched) pick(state int8) int {
-	next := -1
-	var best uint64
-	for j := range s.cores {
-		if k := &s.cores[j]; k.state == state && (next == -1 || k.clock < best) {
-			next, best = j, k.clock
-		}
+	if t := s.trees[state]; len(t) > 0 && t[1] != out {
+		return int(t[1] & (1<<idBits - 1))
 	}
-	return next
+	return -1
+}
+
+// fix re-keys core id, which was in state was, after its state or pick clock
+// changed: it leaves was's tree and takes its (clock, ID) into its state's.
+func (s *Sched) fix(id int, was int8) {
+	k := &s.cores[id]
+	if k.clock >= out>>idBits {
+		panic(fmt.Sprintf("hw: core %d's clock %d overflows the pick's key", id, k.clock))
+	}
+	if was != k.state {
+		s.trees[was].set(id, out)
+	}
+	s.trees[k.state].set(id, k.clock<<idBits|uint64(id))
+}
+
+// tree is a tournament over the cores in one state: leaf len/2+i holds core
+// i's key, clock<<idBits | i, while core i is in the state, else out, and
+// each inner node the lower of its two children's. So node 1 is the pick,
+// and equal clocks go to the lower ID.
+type tree []uint64
+
+// idBits is a key's room for a core ID: MaxCores fits, or the array below
+// has a negative length. The clock gets the other 57 bits.
+const idBits = 7
+
+var _ [1<<idBits - MaxCores]struct{}
+
+// out is the key of a core not in the tree's state, or of a leaf past the
+// last core: it loses to every core.
+const out = ^uint64(0)
+
+// set stores core id's key and replays its matches up to the root, O(log
+// ncores). A nil tree ignores it.
+func (t tree) set(id int, key uint64) {
+	if len(t) == 0 {
+		return
+	}
+	i := len(t)/2 + id
+	for t[i] = key; i > 1; i >>= 1 {
+		t[i>>1] = min(t[i&^1], t[i|1])
+	}
 }
 
 // Run executes the scheduled machine on cores [0, ncores) of m and returns
@@ -338,17 +378,7 @@ func (s *Sched) Run(m *Machine, ncores int, quantum uint64) {
 	if s.cores != nil {
 		panic("hw: Sched.Run called twice")
 	}
-	s.cores = make([]core, ncores)
-	for _, p := range s.procs {
-		s.checkPin(p.pin)
-	}
-	sort.SliceStable(s.arrivals, func(i, j int) bool {
-		return s.arrivals[i].stamp < s.arrivals[j].stamp
-	})
-	for i := range s.cores {
-		s.cores[i] = core{cpu: m.CPU(i), clock: m.CPU(i).Now()}
-	}
-	s.active = ncores
+	s.start(m, ncores)
 	defer s.stop()
 	for id := s.pick(coreReady); id >= 0; id = s.pick(coreReady) {
 		s.step(&s.cores[id])
@@ -359,6 +389,28 @@ func (s *Sched) Run(m *Machine, ncores int, quantum uint64) {
 		// cannot fill), not a recoverable state.
 		panic("hw: deterministic schedule deadlock: no runnable core")
 	}
+}
+
+// start puts cores [0, ncores) of m in the pick, ready at their clocks.
+func (s *Sched) start(m *Machine, ncores int) {
+	s.cores = make([]core, ncores)
+	for _, p := range s.procs {
+		s.checkPin(p.pin)
+	}
+	sort.SliceStable(s.arrivals, func(i, j int) bool {
+		return s.arrivals[i].stamp < s.arrivals[j].stamp
+	})
+	n := 1 << bits.Len(uint(ncores-1)) // leaves: ncores rounded up to a power of two
+	t := make(tree, 4*n)
+	for i := range t {
+		t[i] = out
+	}
+	s.trees[coreReady], s.trees[coreIdle] = t[:2*n:2*n], t[2*n:]
+	for i := range s.cores {
+		s.cores[i] = core{cpu: m.CPU(i), clock: m.CPU(i).Now()}
+		s.fix(i, coreReady)
+	}
+	s.active = ncores
 }
 
 // stop cancels every coroutine Run created, so none outlives it. A carrier
@@ -382,6 +434,7 @@ func (s *Sched) stop() {
 // yields, account the yield, and record the clock the next pick sees.
 func (s *Sched) step(k *core) {
 	c := k.cpu
+	defer s.fix(c.ID(), coreReady)
 	p := k.cur
 	if p != nil {
 		c.advanceTo(CauseIdle, k.clock) // a barrier released p: align to the latest arrival
@@ -460,6 +513,7 @@ func (s *Sched) arrive(k *core, b *Barrier) {
 	}
 	for _, id := range b.waiters {
 		s.cores[id].state, s.cores[id].clock = coreReady, b.maxT
+		s.fix(id, coreBarrier)
 	}
 	b.maxT = 0
 	b.waiters = b.waiters[:0]

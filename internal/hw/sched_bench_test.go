@@ -1,30 +1,38 @@
 package hw
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // The scheduler's host cost, in the repo's own benchmark harness so CI can
 // print it. Each reports the host ns per scheduler event as ns/op: one
 // b.N iteration is one yield, one dispatch, or one proc's whole life.
 
-// BenchmarkSchedYield: 64 procs pinned one per core, Tick+Yield — the
-// fixed-gang shape every figure workload runs in. One op is one yield:
-// pick the lowest-clock core, resume its proc, requeue it.
+// BenchmarkSchedYield: one proc pinned to each core, Tick+Yield — the
+// fixed-gang shape every figure workload runs in — at 8, 64 and 128 cores.
+// One op is one yield: pick the lowest-clock core, resume its proc, requeue
+// it. The pick reads a tree over the cores, so the per-yield cost should
+// grow with log(cores), not with cores.
 func BenchmarkSchedYield(b *testing.B) {
-	const ncores = 64
-	rounds := b.N/ncores + 1
-	m := NewMachine(DefaultConfig(ncores))
-	s := NewSched(0)
-	for i := 0; i < ncores; i++ {
-		s.Spawn(i, func(tc *Ctx) {
-			for k := 0; k < rounds; k++ {
-				tc.CPU().Tick(100)
-				tc.Yield()
+	for _, ncores := range []int{8, 64, 128} {
+		b.Run(fmt.Sprintf("cores=%d", ncores), func(b *testing.B) {
+			rounds := b.N/ncores + 1
+			m := NewMachine(DefaultConfig(ncores))
+			s := NewSched(0)
+			for i := 0; i < ncores; i++ {
+				s.Spawn(i, func(tc *Ctx) {
+					for k := 0; k < rounds; k++ {
+						tc.CPU().Tick(100)
+						tc.Yield()
+					}
+				})
 			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			s.Run(m, ncores, 0)
 		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	s.Run(m, ncores, 0)
 }
 
 // BenchmarkSchedSwitch: 128 migratable procs on 64 cores with a switch

@@ -279,6 +279,14 @@ func TestAllocRecycledFrameZeroAlloc(t *testing.T) {
 	if got != 0 {
 		t.Errorf("recycled Alloc/DecRef/reclaim cycle = %v allocs/op, want 0", got)
 	}
+	// AllocsPerRun rounds down, so a list or queue that grew a little each
+	// cycle would still read 0 above: hold their storage to the one frame.
+	if n := cap(a.lists[0].frames); n > 1 {
+		t.Errorf("free list of %d frames for one frame in circulation", n)
+	}
+	if high := rc.ReviewQueueHighWater(); high > 1 {
+		t.Errorf("review queue %d deep for one frame in circulation", high)
+	}
 	if created := a.Created(); created != 1 {
 		t.Errorf("Created = %d, want 1 (every cycle reused the same frame)", created)
 	}

@@ -47,6 +47,8 @@ func TestLockPageSteadyStateAllocs(t *testing.T) {
 	c := m.CPU(0)
 	setRange(tr, c, 100, 101, &val{5})
 	v := &val{6}
+	cs := tr.cpu(c)
+	nodes, room, carriers := len(cs.pool), cap(cs.pool), cs.carriers.n
 	got := testing.AllocsPerRun(200, func() {
 		r := tr.LockPage(c, 100)
 		if r.Entry(0).Value() == nil {
@@ -57,6 +59,13 @@ func TestLockPageSteadyStateAllocs(t *testing.T) {
 	})
 	if got > 1 {
 		t.Errorf("steady-state LockPage+Set+Unlock = %v allocs/op, want <= 1", got)
+	}
+	// AllocsPerRun rounds down, so a pool that grew a little each round
+	// would still read <= 1 above: the rounds recycle nothing, so the
+	// CPU's pools end as they began.
+	if len(cs.pool) != nodes || cap(cs.pool) != room || cs.carriers.n != carriers {
+		t.Errorf("CPU pools went from %d nodes (room for %d) and %d carriers to %d (room for %d) and %d",
+			nodes, room, carriers, len(cs.pool), cap(cs.pool), cs.carriers.n)
 	}
 }
 

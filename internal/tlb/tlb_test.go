@@ -429,6 +429,12 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 	if allocs != 0 || tl.Len() != 1024 {
 		t.Errorf("steady state at 1024 entries: %v allocs per round, Len = %d; want 0 and 1024", allocs, tl.Len())
 	}
+	// AllocsPerRun rounds down, so a queue that grew by a word a round
+	// would still read 0 above: hold its words. Each round leaves one stale
+	// token, which the next turn of the queue evicts; 2 048 words hold.
+	if words := tl.order.Len(); words > 2*1024 {
+		t.Errorf("eviction queue of %d words for 1024 entries, want <= %d", words, 2*1024)
+	}
 }
 
 // TestFirstInsertAllocations: a forked child fills a fresh TLB on each core
