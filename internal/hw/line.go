@@ -19,42 +19,62 @@ import (
 // virtual time exactly as the paper describes. Touches that hit locally
 // cost Config.LocalHit and involve no shared state.
 //
-// The directory is seqlock-protected rather than mutex-protected: `seq` is
-// odd while a state transition is in progress, and transitions (transfers,
-// sharer additions, ownership changes) serialize on it. Hit paths never
-// take it:
+// The directory is one atomic state word beside a sharer bitmap:
 //
-//   - Repeated touches by a line's sole owner — the steady state of every
+//	bits 16-63  seq: odd while a transition is in progress
+//	bits  8-15  owner+1: the last core that wrote the line, 0 = none
+//	bits  0-7   exclusive+1: the core that alone caches and owns the line
+//
+// While the exclusive field is set, that core is the only sharer and owns
+// the line; the sharer words are stale then and are authoritative only
+// while the field is 0. A write therefore costs the state word alone: a
+// transfer is the locking CAS and one store that publishes seq+2 with the
+// writer as owner and exclusive holder. A read by a second core turns the
+// exclusive holder back into a sharer set: it stores {holder, reader}, one
+// store per sharer word, and clears the field.
+//
+// The word is a seqlock: transitions (transfers, sharer additions,
+// ownership changes) serialize on its seq. Hit paths never take it:
+//
+//   - Repeated touches by the exclusive holder — the steady state of every
 //     scalable workload the paper measures — are classified by one atomic
-//     load of `fast` ((sole sharer & owner core)+1).
+//     load of the word.
 //   - Read hits by one of several sharers — the read-shared steady state,
-//     e.g. many cores re-reading a published radix slot — validate the
-//     sharer bitmap against `seq` and complete without any store to the
-//     line's shared state, where the previous model took a mutex.
+//     e.g. many cores re-reading a published radix slot — take a snapshot
+//     with no exclusive holder and an even seq, find their sharer bit, and
+//     find the word unchanged: no store to the line's shared state.
 //
 // A stale lock-free hit is indistinguishable from the same touch
 // linearized just before the concurrent remote transfer that invalidated
-// it, so the cost accounting is exactly that of the mutex version.
+// it, so the cost accounting is exactly that of a mutex-protected
+// directory.
 //
 // The zero value is an uncached line, ready to use. Lines are embedded by
 // the thousand in simulated data structures, so the struct is kept as
-// small as the model allows (48 bytes).
+// small as the model allows (40 bytes).
 type Line struct {
-	fast   atomic.Int32                 // (sole sharer & owner core)+1, else 0
-	seq    atomic.Uint32                // seqlock word: odd = transition in progress
-	owner  atomic.Int32                 // last writing core + 1; 0 = none
-	shared [MaxCores / 64]atomic.Uint64 // directory: cores that have the line cached
+	state  atomic.Uint64                // seq<<16 | (owner+1)<<8 | (exclusive+1)
+	shared [MaxCores / 64]atomic.Uint64 // sharer bitmap, stale while exclusive is set
 	gate   waitGate                     // home-node service queue in virtual time
 }
+
+// The state word's fields. A core's field value is its ID plus one.
+const (
+	exclMask   = 1<<8 - 1
+	ownerShift = 8
+	seqOne     = 1 << 16
+)
+
+// The owner and exclusive fields hold MaxCores in 8 bits: this fails to
+// compile once MaxCores reaches 256.
+var _ [exclMask - MaxCores]struct{}
 
 // Reset returns l to the uncached zero state, for data structures that
 // recycle memory (e.g. the radix tree's per-CPU node pools): the recycled
 // object's lines behave exactly like freshly allocated memory — cold, owned
 // by nobody. Only legal when no core can touch l concurrently.
 func (l *Line) Reset() {
-	l.fast.Store(0)
-	l.seq.Store(0)
-	l.owner.Store(0)
+	l.state.Store(0)
 	for i := range l.shared {
 		l.shared[i].Store(0)
 	}
@@ -62,44 +82,54 @@ func (l *Line) Reset() {
 }
 
 // lock begins a directory transition: it spins until seq is even and flips
-// it odd. Critical sections are a handful of loads and stores in real
-// time, so losers yield rather than park.
-func (l *Line) lock() {
+// it odd, and returns the word as it was before. Critical sections are a
+// handful of loads and stores in real time, so losers yield rather than
+// park.
+func (l *Line) lock() uint64 {
 	for {
-		s := l.seq.Load()
-		if s&1 == 0 && l.seq.CompareAndSwap(s, s+1) {
-			return
+		s := l.state.Load()
+		if s&seqOne == 0 && l.state.CompareAndSwap(s, s+seqOne) {
+			return s
 		}
 		runtime.Gosched()
 	}
 }
 
-// unlock ends a transition, making seq even again.
-func (l *Line) unlock() { l.seq.Add(1) }
+// unlock ends the transition lock began on word s: one store publishes
+// seq+2 with the owner and exclusive fields f.
+func (l *Line) unlock(s, f uint64) { l.state.Store(s&^(seqOne-1) + 2*seqOne | f) }
 
-// sharedHas reports whether core id is in the sharer directory.
+// sharedHas reports whether core id is in the sharer bitmap.
 func (l *Line) sharedHas(id int) bool {
 	return l.shared[id/64].Load()&(1<<(uint(id)%64)) != 0
 }
 
-// sharedAdd / sharedClear mutate the directory; called with seq held odd.
+// sharedAdd and sharedSet mutate the bitmap; called with seq held odd.
 func (l *Line) sharedAdd(id int) {
 	w := &l.shared[id/64]
 	w.Store(w.Load() | 1<<(uint(id)%64))
 }
 
-func (l *Line) sharedClear() {
+// sharedSet makes {a, b} the sharer set, one store per word.
+func (l *Line) sharedSet(a, b int) {
+	var w [len(l.shared)]uint64
+	w[a/64] |= 1 << (uint(a) % 64)
+	w[b/64] |= 1 << (uint(b) % 64)
 	for i := range l.shared {
-		l.shared[i].Store(0)
+		l.shared[i].Store(w[i])
 	}
 }
 
-func (l *Line) sharedCount() int {
-	n := 0
+// sharedOnly reports whether core id is the one sharer.
+func (l *Line) sharedOnly(id int) bool {
+	var w [len(l.shared)]uint64
+	w[id/64] = 1 << (uint(id) % 64)
 	for i := range l.shared {
-		n += bits.OnesCount64(l.shared[i].Load())
+		if l.shared[i].Load() != w[i] {
+			return false
+		}
 	}
-	return n
+	return true
 }
 
 func (l *Line) sharedLowest() int {
@@ -111,94 +141,74 @@ func (l *Line) sharedLowest() int {
 	return -1
 }
 
-func (l *Line) sharedEmpty() bool {
-	for i := range l.shared {
-		if l.shared[i].Load() != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Read models a load from the line by core c.
 func (c *CPU) Read(l *Line) {
-	if l.fast.Load() == int32(c.id)+1 {
-		// Sole sharer and owner: hit, no shared state touched.
+	me := uint64(c.id) + 1
+	s := l.state.Load()
+	if s&exclMask == me {
+		// Exclusive holder: hit, no shared state touched.
 		c.stats.LocalHits++
 		c.TickAs(CauseLineHit, c.m.cfg.LocalHit)
 		return
 	}
 	now := c.Now()
-	// Read-shared hit, lock-free: if our directory bit is set under a
-	// stable even seq, we had the line cached at that instant and the
-	// load hits locally. A transition racing with us either left the bit
-	// set (we still share the line) or is about to invalidate it, in
-	// which case this hit linearizes just before the invalidation.
-	if s := l.seq.Load(); s&1 == 0 && l.sharedHas(c.id) && l.seq.Load() == s {
+	// Read-shared hit, lock-free: if our sharer bit is set while the word
+	// holds no exclusive holder and an even seq, and the word is unchanged
+	// after, we had the line cached at that instant and the load hits
+	// locally. A transition racing with us either left the bit set (we
+	// still share the line) or is about to invalidate it, in which case
+	// this hit linearizes just before the invalidation.
+	if s&(seqOne|exclMask) == 0 && l.sharedHas(c.id) && l.state.Load() == s {
 		c.hit(now)
 		return
 	}
-	l.lock()
-	if l.sharedHas(c.id) {
-		l.unlock()
+	s = l.lock()
+	f, x := s&(seqOne-1), s&exclMask
+	if x == me || x == 0 && l.sharedHas(c.id) {
+		l.unlock(s, f)
 		c.hit(now)
 		return
 	}
-	cost, cross, cold := c.xferCost(l)
+	cost, cross, cold := c.xferCost(l, s)
+	if x != 0 {
+		l.sharedSet(int(x)-1, c.id)
+		f &^= exclMask
+	} else {
+		// A line with no exclusive holder has no owner or two sharers
+		// already, so the reader joins them and never holds it alone.
+		l.sharedAdd(c.id)
+	}
 	start := l.gate.arrive(now)
 	end := start + cost
 	l.gate.release(end)
-	l.sharedAdd(c.id)
-	l.refreshFast(l.sharedCount() == 1)
-	l.unlock()
+	l.unlock(s, f)
 	c.miss(start, end, cross, cold)
 }
 
 // Write models a store to the line by core c.
 func (c *CPU) Write(l *Line) {
-	if l.fast.Load() == int32(c.id)+1 {
-		// Sole sharer and owner: silent upgrade, no shared state touched.
+	me := uint64(c.id) + 1
+	if l.state.Load()&exclMask == me {
+		// Exclusive holder: silent upgrade, no shared state touched.
 		c.stats.LocalHits++
 		c.TickAs(CauseLineHit, c.m.cfg.LocalHit)
 		return
 	}
 	now := c.Now()
-	l.lock()
-	if l.sharedCount() == 1 && l.sharedHas(c.id) {
+	s := l.lock()
+	mine := me<<ownerShift | me
+	if x := s & exclMask; x == me || x == 0 && l.sharedOnly(c.id) {
 		// Sole holder: hit or silent upgrade to exclusive.
-		l.owner.Store(int32(c.id) + 1)
-		l.fast.Store(int32(c.id) + 1)
-		l.unlock()
+		l.unlock(s, mine)
 		c.hit(now)
 		return
 	}
-	cost, cross, cold := c.xferCost(l)
+	cost, cross, cold := c.xferCost(l, s)
 	start := l.gate.arrive(now)
 	end := start + cost
 	l.gate.release(end)
-	l.owner.Store(int32(c.id) + 1)
-	l.sharedClear()
-	l.sharedAdd(c.id)
-	l.fast.Store(int32(c.id) + 1)
-	l.unlock()
+	l.unlock(s, mine)
 	c.miss(start, end, cross, cold)
-}
-
-// refreshFast updates the fast-path hint after a state change. Called with
-// seq held odd. The hint is set only when one core both caches and owns the
-// line (so a fast Write can skip the owner update too); soleSharer reports
-// whether exactly one core shares the line now.
-func (l *Line) refreshFast(soleSharer bool) {
-	if soleSharer {
-		// The sole sharer may fast-hit only if it is also the owner (a
-		// fast Write by a non-owning sole sharer would leave a stale
-		// owner, so require ownership).
-		if sole := l.sharedLowest(); sole >= 0 && l.owner.Load() == int32(sole)+1 {
-			l.fast.Store(int32(sole) + 1)
-			return
-		}
-	}
-	l.fast.Store(0)
 }
 
 // hit completes a touch that hit locally after the clock was read as now.
@@ -228,22 +238,21 @@ func (c *CPU) miss(start, end uint64, cross, cold bool) {
 	c.advanceTo(CauseLineXfer, end)
 }
 
-// xferCost picks the transfer cost for core c missing on line l.
-// Called with seq held odd.
-func (c *CPU) xferCost(l *Line) (cost uint64, crossSocket, cold bool) {
+// xferCost picks the transfer cost for core c missing on line l, whose
+// state word was s when c locked it. Called with seq held odd.
+func (c *CPU) xferCost(l *Line, s uint64) (cost uint64, crossSocket, cold bool) {
 	cfg := &c.m.cfg
-	owner := l.owner.Load()
-	if owner == 0 && l.sharedEmpty() {
-		// Cold: fill from DRAM (not coherence traffic).
-		return cfg.DRAMAccess, false, true
-	}
-	// Fetch from the previous owner's (or a sharer's) cache.
-	src := int(owner) - 1
+	// Fetch from the previous owner's cache; a line never written has no
+	// exclusive holder either, so its sharer bitmap is authoritative, and
+	// its source is approximated as the lowest sharer.
+	src := int(s>>ownerShift&exclMask) - 1
 	if src < 0 {
-		// Shared but clean; approximate source as the lowest sharer.
-		src = l.sharedLowest()
+		if src = l.sharedLowest(); src < 0 {
+			// Cold: fill from DRAM (not coherence traffic).
+			return cfg.DRAMAccess, false, true
+		}
 	}
-	if src >= 0 && c.m.Socket(src) == c.Socket() {
+	if c.m.Socket(src) == c.Socket() {
 		return cfg.SameSocketXfer, false, false
 	}
 	return cfg.CrossSocketXfer, true, false

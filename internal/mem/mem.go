@@ -99,12 +99,13 @@ func (f *Frame) DropCOWShare(cpu *hw.CPU) {
 //
 // A chunk holds pointers, so the Go runtime puts an 8-byte malloc header in
 // front of it and bills it at the next size class up. The count fills the
-// 16 KiB class: 73 × 224 B + 8 B = 16 360 B of 16 384 (64 frames would
-// waste 2 040 B; TestFrameChunkFillsItsSizeClass holds it).
-const frameChunk = 73
+// 16 KiB class: 81 × 200 B + 8 B = 16 208 B of 16 384 (64 frames would
+// waste 760 B of the 13 568 class; TestFrameChunkFillsItsSizeClass
+// holds it).
+const frameChunk = 81
 
 // dirFan is the fan-out of both levels of the chunk directory: 1024 × 1024
-// chunks of 73 frames, 292 GiB of simulated memory.
+// chunks of 81 frames, 324 GiB of simulated memory.
 const dirFan = 1024
 
 // chunkDir is a block of the directory's second level: chunk pointers.

@@ -174,7 +174,7 @@ func TestConcurrentFirstTouchOfTwoLines(t *testing.T) {
 	m, pt := newPT(ncores)
 	leaves := make([]*leaf, linesPerNode)
 	for r := range leaves {
-		leaves[r] = pt.walk(m.CPU(0), uint64(r)*EntriesPerNode, true) // the leaf exists, untouched
+		leaves[r] = pt.Walker().walk(m.CPU(0), uint64(r)*EntriesPerNode, true) // the leaf exists, untouched
 	}
 	cold := m.TotalStats().ColdMisses
 
@@ -218,17 +218,20 @@ func TestConcurrentFirstTouchOfTwoLines(t *testing.T) {
 	}
 }
 
-// TestNodeFillsItsSizeClass: a node with its inline line is exactly one
-// 128-byte size class at every level. A larger hw.Line or entry would move
+// TestNodeFillsItsSizeClass: a node with its inline line is exactly 120
+// bytes at every level, which the 128-byte size class holds and the
+// 112-byte class below it does not. A larger hw.Line or entry would move
 // every node of every table into the 144-byte class without failing
-// anything else.
+// anything else; a smaller one that fits 112 bytes should move this test
+// down with it.
 func TestNodeFillsItsSizeClass(t *testing.T) {
-	for name, size := range map[string]uintptr{
+	const size, class, below = 120, 128, 112
+	for name, got := range map[string]uintptr{
 		"leaf": unsafe.Sizeof(leaf{}), "dir1": unsafe.Sizeof(dir1{}),
 		"dir2": unsafe.Sizeof(dir2{}), "dir3": unsafe.Sizeof(dir3{}),
 	} {
-		if size != 128 {
-			t.Errorf("%s node is %d B, want 128", name, size)
+		if got != size {
+			t.Errorf("%s node is %d B, want %d: more than the %d-byte size class below, at most the %d-byte one", name, got, size, below, class)
 		}
 	}
 }

@@ -203,10 +203,10 @@ func idxAt(vpn uint64, level int) int {
 }
 
 // descend is one interior step of a walk: it reads entry i of n, charged to
-// cpu, and returns the node it points to, installing a fresh one when the
-// entry is empty and create is set. Returns nil when the entry is empty and
-// stays so.
-func descend[C any](pt *PageTable, cpu *hw.CPU, n *node[atomic.Pointer[C]], i int, create bool) *C {
+// cpu, and returns the line it read and the node the entry points to,
+// installing a fresh one when the entry is empty and create is set. The
+// node is nil when the entry is empty and stays so.
+func descend[C any](pt *PageTable, cpu *hw.CPU, n *node[atomic.Pointer[C]], i int, create bool) (*hw.Line, *C) {
 	l, slot := n.touch(i)
 	cpu.Read(l)
 	child := slot.Load()
@@ -214,34 +214,69 @@ func descend[C any](pt *PageTable, cpu *hw.CPU, n *node[atomic.Pointer[C]], i in
 		fresh := newNode[C](pt)
 		if slot.CompareAndSwap(nil, fresh) {
 			cpu.Write(l)
-			return fresh
+			return l, fresh
 		}
 		pt.nodes.Add(-1) // lost the race; discard ours
 		child = slot.Load()
 	}
-	return child
+	return l, child
 }
+
+// Walker walks one page table and keeps the path of its last walk that
+// reached a leaf: the three interior lines it read and the leaf. A walk to
+// a vpn under the same leaf reads the same three lines in the same order,
+// which is the whole charge of a fresh walk down a path that exists, and
+// skips the descents. A cached path cannot go stale: table nodes are never
+// freed or replaced (an interior entry goes from empty to a node once, by
+// CAS, and keeps it), so every later walk to that leaf would find the same
+// path. A walk that stops at an empty entry caches nothing, and the next
+// one starts from the root, as an uncached walk would.
+//
+// A range walk uses one Walker for the whole range; a single-entry
+// operation is a zero Walker's one walk. A Walker is for one goroutine.
+type Walker struct {
+	pt   *PageTable
+	span uint64 // vpn>>BitsPerLevel + 1 for the cached leaf; 0 while none
+	path [Levels - 1]*hw.Line
+	leaf *leaf
+}
+
+// Walker returns a Walker of pt with no path cached.
+func (pt *PageTable) Walker() *Walker { return &Walker{pt: pt} }
 
 // walk returns the leaf node for vpn, allocating intermediate nodes when
 // create is set. Returns nil when the path does not exist.
-func (pt *PageTable) walk(cpu *hw.CPU, vpn uint64, create bool) *leaf {
-	d2 := descend(pt, cpu, &pt.root, idxAt(vpn, 3), create)
+func (w *Walker) walk(cpu *hw.CPU, vpn uint64, create bool) *leaf {
+	span := vpn>>BitsPerLevel + 1
+	if span == w.span {
+		for _, l := range w.path {
+			cpu.Read(l)
+		}
+		return w.leaf
+	}
+	pt := w.pt
+	l3, d2 := descend(pt, cpu, &pt.root, idxAt(vpn, 3), create)
 	if d2 == nil {
 		return nil
 	}
-	d1 := descend(pt, cpu, d2, idxAt(vpn, 2), create)
+	l2, d1 := descend(pt, cpu, d2, idxAt(vpn, 2), create)
 	if d1 == nil {
 		return nil
 	}
-	return descend(pt, cpu, d1, idxAt(vpn, 1), create)
+	l1, n := descend(pt, cpu, d1, idxAt(vpn, 1), create)
+	if n == nil {
+		return nil
+	}
+	w.span, w.path, w.leaf = span, [Levels - 1]*hw.Line{l3, l2, l1}, n
+	return n
 }
 
-// entry is the one step every single-entry operation takes: it walks to
-// vpn's leaf, creating the path when create is set, touches vpn's entry and
+// entry is the one step every entry operation takes: it walks to vpn's
+// leaf, creating the path when create is set, touches vpn's entry and
 // charges its line to cpu, as a write when write is set. Returns nil when
 // the path does not exist.
-func (pt *PageTable) entry(cpu *hw.CPU, vpn uint64, create, write bool) *atomic.Uint64 {
-	n := pt.walk(cpu, vpn, create)
+func (w *Walker) entry(cpu *hw.CPU, vpn uint64, create, write bool) *atomic.Uint64 {
+	n := w.walk(cpu, vpn, create)
 	if n == nil {
 		return nil
 	}
@@ -258,8 +293,9 @@ func (pt *PageTable) entry(cpu *hw.CPU, vpn uint64, create, write bool) *atomic.
 // [lo, hi), each reached and charged as entry reaches it, and skips the rest
 // of a leaf's span when the leaf does not exist.
 func (pt *PageTable) each(cpu *hw.CPU, lo, hi uint64, write bool, op func(vpn uint64, pte *atomic.Uint64)) {
+	w := pt.Walker()
 	for vpn := lo; vpn < hi; vpn++ {
-		if pte := pt.entry(cpu, vpn, false, write); pte != nil {
+		if pte := w.entry(cpu, vpn, false, write); pte != nil {
 			op(vpn, pte)
 		} else {
 			vpn |= EntriesPerNode - 1 // jump to end of this leaf span
@@ -267,23 +303,28 @@ func (pt *PageTable) each(cpu *hw.CPU, lo, hi uint64, write bool, op func(vpn ui
 	}
 }
 
+// Map is PageTable.Map through w's cached path.
+func (w *Walker) Map(cpu *hw.CPU, vpn, pfn uint64, perm Perm) {
+	w.entry(cpu, vpn, true, true).Store(pack(pfn, perm))
+}
+
 // Map installs vpn→pfn with the given permissions, charged to cpu. Mapping
 // an already-present entry overwrites it (how a protection fault upgrades a
 // read-only PTE after mprotect widened the mapping's rights).
 func (pt *PageTable) Map(cpu *hw.CPU, vpn, pfn uint64, perm Perm) {
-	pt.entry(cpu, vpn, true, true).Store(pack(pfn, perm))
+	pt.Walker().Map(cpu, vpn, pfn, perm)
 }
 
 // MapIfAbsent installs vpn→pfn only if no translation is present, and
 // reports whether it installed. Concurrent faulters on a shared table race
 // here; exactly one wins (Linux's equivalent is the PTE lock + recheck).
 func (pt *PageTable) MapIfAbsent(cpu *hw.CPU, vpn, pfn uint64, perm Perm) bool {
-	return pt.entry(cpu, vpn, true, true).CompareAndSwap(0, pack(pfn, perm))
+	return pt.Walker().entry(cpu, vpn, true, true).CompareAndSwap(0, pack(pfn, perm))
 }
 
 // Unmap clears vpn's entry and reports whether it was present.
 func (pt *PageTable) Unmap(cpu *hw.CPU, vpn uint64) bool {
-	pte := pt.entry(cpu, vpn, false, true)
+	pte := pt.Walker().entry(cpu, vpn, false, true)
 	return pte != nil && pte.Swap(0)&rawPresent != 0
 }
 
@@ -298,6 +339,9 @@ func (pt *PageTable) UnmapRange(cpu *hw.CPU, lo, hi uint64) int {
 func (pt *PageTable) UnmapRangeFunc(cpu *hw.CPU, lo, hi uint64, fn func(vpn, pfn uint64)) int {
 	cleared := 0
 	pt.each(cpu, lo, hi, true, func(vpn uint64, pte *atomic.Uint64) {
+		if pte.Load() == 0 {
+			return // nothing to clear: skip the locked swap
+		}
 		if old := pte.Swap(0); old&rawPresent != 0 {
 			cleared++
 			if fn != nil {
@@ -326,7 +370,7 @@ func (pt *PageTable) ForEachRange(cpu *hw.CPU, lo, hi uint64, fn func(vpn uint64
 // wins — the loser discards its copy and adopts the winner's (the role the
 // per-PTE lock plays in Linux).
 func (pt *PageTable) Replace(cpu *hw.CPU, vpn uint64, old PTE, pfn uint64, perm Perm) bool {
-	pte := pt.entry(cpu, vpn, false, true)
+	pte := pt.Walker().entry(cpu, vpn, false, true)
 	return pte != nil && pte.CompareAndSwap(pack(old.PFN, old.Perm), pack(pfn, perm))
 }
 
@@ -355,7 +399,7 @@ func (pt *PageTable) ProtectRange(cpu *hw.CPU, lo, hi uint64, perm Perm) int {
 
 // Lookup performs a hardware-style walk for vpn.
 func (pt *PageTable) Lookup(cpu *hw.CPU, vpn uint64) (PTE, bool) {
-	return present(pt.entry(cpu, vpn, false, false))
+	return present(pt.Walker().entry(cpu, vpn, false, false))
 }
 
 // Peek returns vpn's entry without charging simulated cost — for callers

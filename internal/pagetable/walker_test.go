@@ -1,0 +1,151 @@
+package pagetable
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync/atomic"
+	"testing"
+
+	"radixvm/internal/hw"
+)
+
+// freshEntry is an uncached walk to vpn's entry: every call descends from
+// the root.
+func freshEntry(pt *PageTable, cpu *hw.CPU, vpn uint64, create, write bool) *atomic.Uint64 {
+	_, d2 := descend(pt, cpu, &pt.root, idxAt(vpn, 3), create)
+	if d2 == nil {
+		return nil
+	}
+	_, d1 := descend(pt, cpu, d2, idxAt(vpn, 2), create)
+	if d1 == nil {
+		return nil
+	}
+	_, n := descend(pt, cpu, d1, idxAt(vpn, 1), create)
+	if n == nil {
+		return nil
+	}
+	l, pte := n.touch(idxAt(vpn, 0))
+	if write {
+		cpu.Write(l)
+	} else {
+		cpu.Read(l)
+	}
+	return pte
+}
+
+// freshEach is the range walk with a fresh walk per vpn, skipping the rest
+// of a missing leaf's span.
+func freshEach(pt *PageTable, cpu *hw.CPU, lo, hi uint64, write bool, op func(vpn uint64, pte *atomic.Uint64)) {
+	for vpn := lo; vpn < hi; vpn++ {
+		if pte := freshEntry(pt, cpu, vpn, false, write); pte != nil {
+			op(vpn, pte)
+		} else {
+			vpn |= EntriesPerNode - 1
+		}
+	}
+}
+
+// TestWalkerMatchesFreshWalks runs random streams of every operation over
+// sparse ranges that cross leaf and directory boundaries on two tables, one
+// through the package's operations and one through per-vpn walks from the
+// root, each on a machine of its own. A cached path must charge exactly what
+// the descents it skips would: every core's cycles by cause and Stats, every
+// operation's result and the tables' contents must be equal.
+func TestWalkerMatchesFreshWalks(t *testing.T) {
+	const ncores, steps = 12, 300
+	// The clusters straddle the end of a leaf's, a dir1's and a dir2's span,
+	// and one sits alone in a root entry, so ranges cross every level's
+	// boundary and skip missing leaves.
+	bases := []uint64{EntriesPerNode - 40, EntriesPerNode * EntriesPerNode, 3*EntriesPerNode*EntriesPerNode*EntriesPerNode - 300, 5 << 30}
+	for seed := int64(1); seed <= 6; seed++ {
+		mw, pw := newPT(ncores)
+		mf, pf := newPT(ncores)
+		rng := rand.New(rand.NewSource(seed))
+		vpnAt := func() uint64 {
+			return bases[rng.Intn(len(bases))] + uint64(rng.Intn(1200)) - 400
+		}
+		var touched []uint64
+		for step := 0; step < steps; step++ {
+			c := rng.Intn(ncores)
+			cw, cf := mw.CPU(c), mf.CPU(c)
+			lo := vpnAt()
+			hi := lo + 1 + uint64(rng.Intn(1500))
+			perm := Perm(rng.Intn(int(permAll) + 1))
+			var got, want string
+			switch op := rng.Intn(7); op {
+			case 0: // Map through a Walker: fork's copy into the child
+				w := pw.Walker()
+				for vpn := lo; vpn < hi; vpn += 1 + uint64(rng.Intn(40)) {
+					w.Map(cw, vpn, vpn+7, perm)
+					freshEntry(pf, cf, vpn, true, true).Store(pack(vpn+7, perm))
+					touched = append(touched, vpn)
+				}
+			case 1:
+				pw.Map(cw, lo, lo+3, perm)
+				freshEntry(pf, cf, lo, true, true).Store(pack(lo+3, perm))
+				touched = append(touched, lo)
+			case 2:
+				got = fmt.Sprint(pw.Unmap(cw, lo))
+				pte := freshEntry(pf, cf, lo, false, true)
+				want = fmt.Sprint(pte != nil && pte.Swap(0)&rawPresent != 0)
+			case 3:
+				old, _ := pw.Peek(lo)
+				got = fmt.Sprint(pw.Replace(cw, lo, old, lo+9, perm))
+				pte := freshEntry(pf, cf, lo, false, true)
+				want = fmt.Sprint(pte != nil && pte.CompareAndSwap(pack(old.PFN, old.Perm), pack(lo+9, perm)))
+			case 4:
+				got = fmt.Sprint(pw.ProtectRange(cw, lo, hi, perm))
+				n := 0
+				freshEach(pf, cf, lo, hi, true, func(_ uint64, pte *atomic.Uint64) {
+					if old := pte.Load(); old&rawPresent != 0 {
+						pte.Store(pack(old>>rawShift, perm))
+						n++
+					}
+				})
+				want = fmt.Sprint(n)
+			case 5:
+				var gotV, wantV []uint64
+				n := pw.UnmapRangeFunc(cw, lo, hi, func(vpn, pfn uint64) { gotV = append(gotV, vpn, pfn) })
+				got = fmt.Sprint(n, gotV)
+				n = 0
+				freshEach(pf, cf, lo, hi, true, func(vpn uint64, pte *atomic.Uint64) {
+					if old := pte.Swap(0); old&rawPresent != 0 {
+						n++
+						wantV = append(wantV, vpn, old>>rawShift)
+					}
+				})
+				want = fmt.Sprint(n, wantV)
+			case 6:
+				var gotV, wantV []PTE
+				pw.ForEachRange(cw, lo, hi, func(_ uint64, pte PTE) { gotV = append(gotV, pte) })
+				freshEach(pf, cf, lo, hi, false, func(_ uint64, pte *atomic.Uint64) {
+					if raw := pte.Load(); raw&rawPresent != 0 {
+						wantV = append(wantV, unpack(raw))
+					}
+				})
+				got, want = fmt.Sprint(gotV), fmt.Sprint(wantV)
+			}
+			if got != want {
+				t.Fatalf("seed %d, step %d: [%#x, %#x) returned %s through the Walker, %s through fresh walks", seed, step, lo, hi, got, want)
+			}
+			for i := 0; i < ncores; i++ {
+				if a, b := mw.CPU(i), mf.CPU(i); a.Cycles() != b.Cycles() || *a.Stats() != *b.Stats() {
+					t.Fatalf("seed %d, step %d: core %d charged %v %+v through the Walker, %v %+v through fresh walks",
+						seed, step, i, a.Cycles(), *a.Stats(), b.Cycles(), *b.Stats())
+				}
+			}
+		}
+		if pw.Nodes() != pf.Nodes() {
+			t.Fatalf("seed %d: %d nodes through the Walker, %d through fresh walks", seed, pw.Nodes(), pf.Nodes())
+		}
+		slices.Sort(touched)
+		for _, vpn := range slices.Compact(touched) {
+			a, aok := pw.Peek(vpn)
+			b, bok := pf.Peek(vpn)
+			if a != b || aok != bok {
+				t.Fatalf("seed %d: vpn %#x holds %+v, %v through the Walker, %+v, %v through fresh walks", seed, vpn, a, aok, b, bok)
+			}
+		}
+	}
+}

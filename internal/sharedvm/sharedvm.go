@@ -338,8 +338,11 @@ func (s *Space) Fork(cpu *hw.CPU) (vm.System, error) {
 	// region, take a reference for the child's page table, install the
 	// translation there with write permission stripped, and downgrade the
 	// parent's entry in place when it was writable. Each copied entry is
-	// billed by its logical size, like the region structs above.
+	// billed by its logical size, like the region structs above. A
+	// Walker per table keeps the path to the leaf it last reached, so
+	// consecutive entries of one leaf skip the descents they would repeat.
 	parent, into := s.MMU.PageTable(), child.MMU.PageTable()
+	pw, cw := parent.Walker(), into.Walker()
 	lo, hi := ^uint64(0), uint64(0)
 	for _, sp := range anon {
 		parent.ForEachRange(cpu, sp.lo, sp.hi, func(vpn uint64, pte pagetable.PTE) {
@@ -350,9 +353,9 @@ func (s *Space) Fork(cpu *hw.CPU) (vm.System, error) {
 			cpu.TickAs(hw.CauseMetaCopy, vm.MetaCopyCost(pageZero, vm.PTECopyBytes))
 			s.Alloc.IncRef(cpu, f) // the child page table's reference
 			perm := pte.Perm &^ pagetable.PermW
-			into.Map(cpu, vpn, pte.PFN, perm)
+			cw.Map(cpu, vpn, pte.PFN, perm)
 			if pte.Perm&pagetable.PermW != 0 {
-				parent.Map(cpu, vpn, pte.PFN, perm)
+				pw.Map(cpu, vpn, pte.PFN, perm)
 				lo, hi = min(lo, vpn), max(hi, vpn+1)
 			}
 		})

