@@ -147,8 +147,7 @@ func (p *policy) Fault(s *sharedvm.Space, cpu *hw.CPU, vpn uint64, k vm.Kind, tr
 	// stale install would outlive the syscall's shootdown. The repair path
 	// is rare (it requires losing that race), so it serializes on the
 	// address-space lock and broadcasts a flush for the page: any third core
-	// that walked the transient PTE rechecks it (rights-aware
-	// MMU.Revalidate) or is flushed outright.
+	// that walked the transient PTE into its TLB is flushed.
 	cur := s.Find(cpu, vpn)
 	if cur == nil || cur.Prot != v.Prot || cur.COW != v.COW || !sameBacking(cur, v, vpn) {
 		p.Lock(cpu)

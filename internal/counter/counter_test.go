@@ -1,7 +1,6 @@
 package counter
 
 import (
-	"sync"
 	"testing"
 
 	"radixvm/internal/hw"
@@ -101,30 +100,26 @@ func TestSNZIManyCores(t *testing.T) {
 
 func TestSNZIConcurrentStress(t *testing.T) {
 	const ncores = 8
-	m := hw.NewMachine(hw.TestConfig(ncores))
-	s := NewSNZI(m, 1) // base arrival keeps it nonzero throughout
-	var wg sync.WaitGroup
-	for i := 0; i < ncores; i++ {
-		wg.Add(1)
-		go func(c *hw.CPU) {
-			defer wg.Done()
+	for seed := range hw.Seeds(8) {
+		m := hw.NewMachine(hw.TestConfig(ncores))
+		s := NewSNZI(m, 1) // base arrival keeps it nonzero throughout
+		hw.RunGang(m, ncores, seed, func(c *hw.CPU, _ *hw.Gang) {
 			for k := 0; k < 2000; k++ {
 				s.Inc(c)
 				if s.Zero() {
-					t.Error("zero observed while count held")
+					t.Errorf("seed %d: zero observed while count held", seed)
 					return
 				}
 				s.Dec(c)
 			}
-		}(m.CPU(i))
-	}
-	wg.Wait()
-	if s.Zero() {
-		t.Fatal("base arrival lost")
-	}
-	s.Dec(m.CPU(0))
-	if !s.Zero() {
-		t.Fatal("not zero after final departure")
+		})
+		if s.Zero() {
+			t.Fatalf("seed %d: base arrival lost", seed)
+		}
+		s.Dec(m.CPU(0))
+		if !s.Zero() {
+			t.Fatalf("seed %d: not zero after final departure", seed)
+		}
 	}
 }
 

@@ -20,11 +20,6 @@ type CoreSet struct {
 	bits [MaxCores / 64]uint64
 }
 
-// CoreSetOf returns the set whose word i holds cores [64i, 64i+64), one bit
-// each — for a holder that keeps the words itself, such as vm.ActiveSet,
-// which sets them atomically.
-func CoreSetOf(words [MaxCores / 64]uint64) CoreSet { return CoreSet{bits: words} }
-
 // Add inserts core id into the set.
 func (s *CoreSet) Add(id int) {
 	s.bits[id/64] |= 1 << (uint(id) % 64)

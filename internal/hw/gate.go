@@ -5,9 +5,9 @@ package hw
 // deterministic schedule steps the lowest-clock core first, but a core it
 // picks runs a whole inter-yield chunk, so a core can reach a resource
 // "after" (in real time) a holder whose critical section ran in the core's
-// virtual *future*. (Under RunGang the Go scheduler orders the cores, and
-// the inversion is unbounded.) Charging such an arrival
-// the full wait would be wrong — in a faithful timeline the arrival would
+// virtual *future*. (On RunGang's explorer the inversion reaches further:
+// it grants any core within a window of the lowest clock.) Charging such an
+// arrival the full wait would be wrong — in a faithful timeline the arrival would
 // have been served first — and worse, the errors compound into a global
 // max-plus ratchet that serializes everything (every jump inflates the
 // next resource's release time).
@@ -19,9 +19,6 @@ package hw
 // together therefore still serializes fully (they all arrive at the busy
 // period's start), while an arrival whose virtual clock predates the busy
 // period passes as if the resource were idle.
-//
-// Callers synchronize access to the gate themselves (a mutex or the
-// enclosing Line's lock).
 type waitGate struct {
 	free      uint64 // virtual time the resource becomes free
 	busyStart uint64 // arrival time that began the current busy period

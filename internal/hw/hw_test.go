@@ -2,7 +2,6 @@ package hw
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -164,21 +163,16 @@ func TestLineCrossSocketCost(t *testing.T) {
 
 func TestLineHomeSerialization(t *testing.T) {
 	// Transfers of the same line must queue in virtual time: N cores each
-	// writing once should see the last finisher's clock >= N * cost.
+	// writing once should see the last finisher's clock >= N * cost, in
+	// whatever order they write.
 	cfg := TestConfig(8)
-	m := NewMachine(cfg)
-	var l Line
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(c *CPU) {
-			defer wg.Done()
-			c.Write(&l)
-		}(m.CPU(i))
-	}
-	wg.Wait()
-	if got := m.MaxClock(); got < 8*cfg.SameSocketXfer {
-		t.Errorf("hot line did not serialize: max clock %d < %d", got, 8*cfg.SameSocketXfer)
+	for seed := range Seeds(16) {
+		m := NewMachine(cfg)
+		var l Line
+		RunGang(m, 8, seed, func(c *CPU, _ *Gang) { c.Write(&l) })
+		if got := m.MaxClock(); got < 8*cfg.SameSocketXfer {
+			t.Errorf("seed %d: hot line did not serialize: max clock %d < %d", seed, got, 8*cfg.SameSocketXfer)
+		}
 	}
 }
 
@@ -319,22 +313,81 @@ func TestMailboxCascade(t *testing.T) {
 }
 
 func TestLockSerializesVirtualTime(t *testing.T) {
-	m := testMachine(t, 4)
-	var lk Lock
 	const cs = 1000
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(c *CPU) {
-			defer wg.Done()
+	for seed := range Seeds(16) {
+		m := testMachine(t, 4)
+		var lk Lock
+		RunGang(m, 4, seed, func(c *CPU, _ *Gang) {
 			c.Acquire(&lk)
 			c.Tick(cs)
 			c.Release(&lk)
-		}(m.CPU(i))
+		})
+		if got := m.MaxClock(); got < 4*cs {
+			t.Errorf("seed %d: lock did not serialize critical sections: %d < %d", seed, got, 4*cs)
+		}
 	}
-	wg.Wait()
-	if got := m.MaxClock(); got < 4*cs {
-		t.Errorf("lock did not serialize critical sections: %d < %d", got, 4*cs)
+}
+
+// TestLocksExclude holds Lock, RWLock and the bit lock to mutual exclusion
+// on the explorer: each critical section touches a line, a preemption
+// point, between checking and leaving the count of cores inside it.
+func TestLocksExclude(t *testing.T) {
+	const ncores, iters = 4, 50
+	for seed := range Seeds(32) {
+		m := testMachine(t, ncores)
+		var (
+			lk         Lock
+			rw         RWLock
+			bit        uint64
+			gate       Gate
+			l          Line
+			inLock     int
+			inBit      int
+			readers    int
+			writers    int
+			violations []string
+		)
+		check := func(ok bool, what string) {
+			if !ok {
+				violations = append(violations, what)
+			}
+		}
+		RunGang(m, ncores, seed, func(c *CPU, _ *Gang) {
+			for k := 0; k < iters; k++ {
+				c.Acquire(&lk)
+				inLock++
+				c.Write(&l)
+				check(inLock == 1, "Lock held twice")
+				inLock--
+				c.Release(&lk)
+
+				c.AcquireBitIn(&bit, 1, &gate, CauseSlotWait)
+				inBit++
+				c.Read(&l)
+				check(inBit == 1, "lock bit held twice")
+				inBit--
+				c.ReleaseBitIn(&bit, 1, &gate)
+
+				if (k+c.ID())%3 == 0 {
+					c.WLock(&rw)
+					writers++
+					c.Write(&l)
+					check(writers == 1 && readers == 0, "RWLock written beside another holder")
+					writers--
+					c.WUnlock(&rw)
+				} else {
+					c.RLock(&rw)
+					readers++
+					c.Read(&l)
+					check(writers == 0, "RWLock read beside a writer")
+					readers--
+					c.RUnlock(&rw)
+				}
+			}
+		})
+		if len(violations) > 0 {
+			t.Fatalf("seed %d: %d violations, first: %s", seed, len(violations), violations[0])
+		}
 	}
 }
 
@@ -355,34 +408,30 @@ func TestRWLockWriterWaitsForReaders(t *testing.T) {
 func TestRWLockReadersPayLineWrite(t *testing.T) {
 	// The essential Linux-collapse behaviour: read acquisitions from many
 	// cores each transfer the lock cache line.
-	m := testMachine(t, 8)
-	var lk RWLock
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(c *CPU) {
-			defer wg.Done()
+	for seed := range Seeds(16) {
+		m := testMachine(t, 8)
+		var lk RWLock
+		RunGang(m, 8, seed, func(c *CPU, _ *Gang) {
 			c.RLock(&lk)
 			c.RUnlock(&lk)
-		}(m.CPU(i))
-	}
-	wg.Wait()
-	if tr := m.TotalStats().Transfers; tr < 7 {
-		t.Errorf("reader lock-word transfers = %d, want >= 7 (first touch is cold)", tr)
+		})
+		if tr := m.TotalStats().Transfers; tr < 7 {
+			t.Errorf("seed %d: reader lock-word transfers = %d, want >= 7 (first touch is cold)", seed, tr)
+		}
 	}
 }
 
 func TestPackedBitLock(t *testing.T) {
 	m := testMachine(t, 2)
 	c := m.CPU(0)
-	var word atomic.Uint64
+	var word uint64
 	var gates [2]Gate
 	const bit0, bit1 = uint64(1) << 0, uint64(1) << 7
 	c.AcquireBitIn(&word, bit0, &gates[0], CauseSlotWait)
 	// A different bit of the same word stays independently lockable.
 	c.AcquireBitIn(&word, bit1, &gates[1], CauseSlotWait)
-	if word.Load() != bit0|bit1 {
-		t.Fatalf("word = %#x with both bits held, want %#x", word.Load(), bit0|bit1)
+	if word != bit0|bit1 {
+		t.Fatalf("word = %#x with both bits held, want %#x", word, bit0|bit1)
 	}
 	c.ReleaseBitIn(&word, bit1, &gates[1])
 	c.Tick(777)
@@ -393,8 +442,8 @@ func TestPackedBitLock(t *testing.T) {
 		t.Errorf("bit did not serialize virtual time: %d", c2.Now())
 	}
 	c2.ReleaseBitIn(&word, bit0, &gates[0])
-	if word.Load() != 0 {
-		t.Errorf("released word = %#x, want 0", word.Load())
+	if word != 0 {
+		t.Errorf("released word = %#x, want 0", word)
 	}
 }
 
@@ -407,12 +456,7 @@ func TestSendIPIs(t *testing.T) {
 	targets.Add(1)
 	targets.Add(2)
 	var handled []int
-	var mu sync.Mutex
-	n := sender.SendIPIs(targets, func(t *CPU) {
-		mu.Lock()
-		handled = append(handled, t.ID())
-		mu.Unlock()
-	})
+	n := sender.SendIPIs(targets, func(t *CPU) { handled = append(handled, t.ID()) })
 	if n != 2 {
 		t.Fatalf("SendIPIs n = %d, want 2", n)
 	}

@@ -1,14 +1,15 @@
 package hw
 
 // SendIPIs models a TLB-shootdown interrupt round from core c to targets.
-// For each target core the handler function is executed (by this goroutine,
+// For each target core the handler function is executed (by the sender,
 // by proxy — functional effects are synchronous, which keeps page-table and
 // TLB state coherent for the ack that follows) while the handler *cost* is
 // mailed to the target stamped with its virtual arrival time: the sender's
 // send time plus the serialized per-target delivery latency accumulated in
 // ascending core-ID order. The target folds the cost into its own clock
 // when its virtual time crosses the stamp (see CPU.DeliverAt), so where the
-// cycles land depends only on virtual-time order, not goroutine scheduling.
+// cycles land depends only on virtual-time order, not on the order the
+// schedule ran the senders in.
 // The sender pays the APIC initiation cost, a serialized per-target
 // delivery cost (the paper observes that "the protocol used by the APIC
 // hardware to transmit the inter-processor interrupts ... appears to be

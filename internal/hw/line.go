@@ -1,10 +1,6 @@
 package hw
 
-import (
-	"math/bits"
-	"runtime"
-	"sync/atomic"
-)
+import "math/bits"
 
 // Line models one cache line of shared memory. Data structures embed Line
 // values at the granularity of their real memory layout (e.g. one Line per
@@ -19,50 +15,34 @@ import (
 // virtual time exactly as the paper describes. Touches that hit locally
 // cost Config.LocalHit and involve no shared state.
 //
-// The directory is one atomic state word beside a sharer bitmap:
+// The directory is one state word beside a sharer bitmap:
 //
-//	bits 16-63  seq: odd while a transition is in progress
-//	bits  8-15  owner+1: the last core that wrote the line, 0 = none
-//	bits  0-7   exclusive+1: the core that alone caches and owns the line
+//	bits 8-15  owner+1: the last core that wrote the line, 0 = none
+//	bits 0-7   exclusive+1: the core that alone caches and owns the line
 //
 // While the exclusive field is set, that core is the only sharer and owns
 // the line; the sharer words are stale then and are authoritative only
 // while the field is 0. A write therefore costs the state word alone: a
-// transfer is the locking CAS and one store that publishes seq+2 with the
-// writer as owner and exclusive holder. A read by a second core turns the
-// exclusive holder back into a sharer set: it stores {holder, reader}, one
-// store per sharer word, and clears the field.
-//
-// The word is a seqlock: transitions (transfers, sharer additions,
-// ownership changes) serialize on its seq. Hit paths never take it:
-//
-//   - Repeated touches by the exclusive holder — the steady state of every
-//     scalable workload the paper measures — are classified by one atomic
-//     load of the word.
-//   - Read hits by one of several sharers — the read-shared steady state,
-//     e.g. many cores re-reading a published radix slot — take a snapshot
-//     with no exclusive holder and an even seq, find their sharer bit, and
-//     find the word unchanged: no store to the line's shared state.
-//
-// A stale lock-free hit is indistinguishable from the same touch
-// linearized just before the concurrent remote transfer that invalidated
-// it, so the cost accounting is exactly that of a mutex-protected
-// directory.
+// transfer is one store that makes the writer owner and exclusive holder.
+// A read by a second core turns the exclusive holder back into a sharer
+// set: it stores {holder, reader}, one store per sharer word, and clears
+// the field. Repeated touches by the exclusive holder — the steady state
+// of every scalable workload the paper measures — are classified by one
+// load of the word.
 //
 // The zero value is an uncached line, ready to use. Lines are embedded by
 // the thousand in simulated data structures, so the struct is kept as
 // small as the model allows (40 bytes).
 type Line struct {
-	state  atomic.Uint64                // seq<<16 | (owner+1)<<8 | (exclusive+1)
-	shared [MaxCores / 64]atomic.Uint64 // sharer bitmap, stale while exclusive is set
-	gate   waitGate                     // home-node service queue in virtual time
+	state  uint64                // (owner+1)<<8 | (exclusive+1)
+	shared [MaxCores / 64]uint64 // sharer bitmap, stale while exclusive is set
+	gate   waitGate              // home-node service queue in virtual time
 }
 
 // The state word's fields. A core's field value is its ID plus one.
 const (
 	exclMask   = 1<<8 - 1
 	ownerShift = 8
-	seqOne     = 1 << 16
 )
 
 // The owner and exclusive fields hold MaxCores in 8 bits: this fails to
@@ -72,79 +52,44 @@ var _ [exclMask - MaxCores]struct{}
 // Reset returns l to the uncached zero state, for data structures that
 // recycle memory (e.g. the radix tree's per-CPU node pools): the recycled
 // object's lines behave exactly like freshly allocated memory — cold, owned
-// by nobody. Only legal when no core can touch l concurrently.
-func (l *Line) Reset() {
-	l.state.Store(0)
-	for i := range l.shared {
-		l.shared[i].Store(0)
-	}
-	l.gate = waitGate{}
-}
-
-// lock begins a directory transition: it spins until seq is even and flips
-// it odd, and returns the word as it was before. Critical sections are a
-// handful of loads and stores in real time, so losers yield rather than
-// park.
-func (l *Line) lock() uint64 {
-	for {
-		s := l.state.Load()
-		if s&seqOne == 0 && l.state.CompareAndSwap(s, s+seqOne) {
-			return s
-		}
-		runtime.Gosched()
-	}
-}
-
-// unlock ends the transition lock began on word s: one store publishes
-// seq+2 with the owner and exclusive fields f.
-func (l *Line) unlock(s, f uint64) { l.state.Store(s&^(seqOne-1) + 2*seqOne | f) }
+// by nobody.
+func (l *Line) Reset() { *l = Line{} }
 
 // sharedHas reports whether core id is in the sharer bitmap.
 func (l *Line) sharedHas(id int) bool {
-	return l.shared[id/64].Load()&(1<<(uint(id)%64)) != 0
+	return l.shared[id/64]&(1<<(uint(id)%64)) != 0
 }
 
-// sharedAdd and sharedSet mutate the bitmap; called with seq held odd.
-func (l *Line) sharedAdd(id int) {
-	w := &l.shared[id/64]
-	w.Store(w.Load() | 1<<(uint(id)%64))
-}
-
-// sharedSet makes {a, b} the sharer set, one store per word.
+// sharedSet makes {a, b} the sharer set.
 func (l *Line) sharedSet(a, b int) {
-	var w [len(l.shared)]uint64
-	w[a/64] |= 1 << (uint(a) % 64)
-	w[b/64] |= 1 << (uint(b) % 64)
-	for i := range l.shared {
-		l.shared[i].Store(w[i])
-	}
+	l.shared = [len(l.shared)]uint64{}
+	l.shared[a/64] |= 1 << (uint(a) % 64)
+	l.shared[b/64] |= 1 << (uint(b) % 64)
 }
 
 // sharedOnly reports whether core id is the one sharer.
 func (l *Line) sharedOnly(id int) bool {
 	var w [len(l.shared)]uint64
 	w[id/64] = 1 << (uint(id) % 64)
-	for i := range l.shared {
-		if l.shared[i].Load() != w[i] {
-			return false
-		}
-	}
-	return true
+	return l.shared == w
 }
 
 func (l *Line) sharedLowest() int {
-	for i := range l.shared {
-		if w := l.shared[i].Load(); w != 0 {
+	for i, w := range l.shared {
+		if w != 0 {
 			return i*64 + bits.TrailingZeros64(w)
 		}
 	}
 	return -1
 }
 
-// Read models a load from the line by core c.
+// Read models a load from the line by core c. It is a preemption point.
 func (c *CPU) Read(l *Line) {
+	if c.x != nil {
+		c.preempt()
+	}
 	me := uint64(c.id) + 1
-	s := l.state.Load()
+	s := l.state
 	if s&exclMask == me {
 		// Exclusive holder: hit, no shared state touched.
 		c.stats.LocalHits++
@@ -152,54 +97,43 @@ func (c *CPU) Read(l *Line) {
 		return
 	}
 	now := c.Now()
-	// Read-shared hit, lock-free: if our sharer bit is set while the word
-	// holds no exclusive holder and an even seq, and the word is unchanged
-	// after, we had the line cached at that instant and the load hits
-	// locally. A transition racing with us either left the bit set (we
-	// still share the line) or is about to invalidate it, in which case
-	// this hit linearizes just before the invalidation.
-	if s&(seqOne|exclMask) == 0 && l.sharedHas(c.id) && l.state.Load() == s {
-		c.hit(now)
-		return
-	}
-	s = l.lock()
-	f, x := s&(seqOne-1), s&exclMask
-	if x == me || x == 0 && l.sharedHas(c.id) {
-		l.unlock(s, f)
+	x := s & exclMask
+	if x == 0 && l.sharedHas(c.id) {
 		c.hit(now)
 		return
 	}
 	cost, cross, cold := c.xferCost(l, s)
 	if x != 0 {
 		l.sharedSet(int(x)-1, c.id)
-		f &^= exclMask
+		l.state = s &^ exclMask
 	} else {
 		// A line with no exclusive holder has no owner or two sharers
 		// already, so the reader joins them and never holds it alone.
-		l.sharedAdd(c.id)
+		l.shared[c.id/64] |= 1 << (uint(c.id) % 64)
 	}
 	start := l.gate.arrive(now)
 	end := start + cost
 	l.gate.release(end)
-	l.unlock(s, f)
 	c.miss(start, end, cross, cold)
 }
 
-// Write models a store to the line by core c.
+// Write models a store to the line by core c. It is a preemption point.
 func (c *CPU) Write(l *Line) {
+	if c.x != nil {
+		c.preempt()
+	}
 	me := uint64(c.id) + 1
-	if l.state.Load()&exclMask == me {
+	s := l.state
+	if s&exclMask == me {
 		// Exclusive holder: silent upgrade, no shared state touched.
 		c.stats.LocalHits++
 		c.TickAs(CauseLineHit, c.m.cfg.LocalHit)
 		return
 	}
 	now := c.Now()
-	s := l.lock()
-	mine := me<<ownerShift | me
-	if x := s & exclMask; x == me || x == 0 && l.sharedOnly(c.id) {
-		// Sole holder: hit or silent upgrade to exclusive.
-		l.unlock(s, mine)
+	l.state = me<<ownerShift | me
+	if s&exclMask == 0 && l.sharedOnly(c.id) {
+		// Sole holder: hit and silent upgrade to exclusive.
 		c.hit(now)
 		return
 	}
@@ -207,7 +141,6 @@ func (c *CPU) Write(l *Line) {
 	start := l.gate.arrive(now)
 	end := start + cost
 	l.gate.release(end)
-	l.unlock(s, mine)
 	c.miss(start, end, cross, cold)
 }
 
@@ -239,7 +172,7 @@ func (c *CPU) miss(start, end uint64, cross, cold bool) {
 }
 
 // xferCost picks the transfer cost for core c missing on line l, whose
-// state word was s when c locked it. Called with seq held odd.
+// state word was s when c touched it.
 func (c *CPU) xferCost(l *Line, s uint64) (cost uint64, crossSocket, cold bool) {
 	cfg := &c.m.cfg
 	// Fetch from the previous owner's cache; a line never written has no

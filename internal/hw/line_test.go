@@ -2,14 +2,12 @@ package hw
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 )
 
-// TestLineReadSharedHitsLockFree checks the seqlock directory's reason for
-// existing: once every core has pulled a line into the shared state,
-// further reads are local hits that move no cache lines and touch no
-// shared simulation state.
+// TestLineReadSharedHitsLockFree checks the directory's shared state: once
+// every core has pulled a line into it, further reads are local hits that
+// move no cache lines.
 func TestLineReadSharedHitsLockFree(t *testing.T) {
 	m := NewMachine(TestConfig(4))
 	var l Line
@@ -48,25 +46,20 @@ func TestLineSeqlockWriteInvalidates(t *testing.T) {
 	}
 }
 
-// TestLineSeqlockStress hammers a small set of lines from many goroutines
-// with mixed reads and writes. It exists for the race detector: the
-// lock-free hit paths read the sharer directory while transitions rewrite
-// it, and every interleaving must be race-clean and keep the per-core
-// accounting invariant (every touch is exactly one of hit, cold miss, or
-// transfer).
+// TestLineSeqlockStress hammers a small set of lines from many cores with
+// mixed reads and writes, interleaved by the explorer: every interleaving
+// must keep the per-core accounting invariant (every touch is exactly one of
+// hit, cold miss, or transfer).
 func TestLineSeqlockStress(t *testing.T) {
 	const (
 		ncores  = 8
 		nlines  = 16
 		touches = 4000
 	)
-	m := NewMachine(TestConfig(ncores))
-	lines := make([]Line, nlines)
-	var wg sync.WaitGroup
-	for i := 0; i < ncores; i++ {
-		wg.Add(1)
-		go func(c *CPU) {
-			defer wg.Done()
+	for seed := range Seeds(4) {
+		m := NewMachine(TestConfig(ncores))
+		lines := make([]Line, nlines)
+		RunGang(m, ncores, seed, func(c *CPU, _ *Gang) {
 			rng := rand.New(rand.NewSource(int64(c.ID() + 1)))
 			for k := 0; k < touches; k++ {
 				l := &lines[rng.Intn(nlines)]
@@ -76,13 +69,12 @@ func TestLineSeqlockStress(t *testing.T) {
 					c.Read(l)
 				}
 			}
-		}(m.CPU(i))
-	}
-	wg.Wait()
-	for i := 0; i < ncores; i++ {
-		s := m.CPU(i).Stats()
-		if got := s.LocalHits + s.ColdMisses + s.Transfers; got != touches {
-			t.Errorf("core %d: %d touches accounted, want %d (%+v)", i, got, touches, *s)
+		})
+		for i := 0; i < ncores; i++ {
+			s := m.CPU(i).Stats()
+			if got := s.LocalHits + s.ColdMisses + s.Transfers; got != touches {
+				t.Errorf("seed %d: core %d: %d touches accounted, want %d (%+v)", seed, i, got, touches, *s)
+			}
 		}
 	}
 }

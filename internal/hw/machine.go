@@ -5,31 +5,28 @@
 // "any contended cache line can be a scalability risk because frequently
 // written cache lines must be re-read by other cores, an operation that
 // typically serializes at the cache line's home node" (§3). This package
-// models exactly that. Each simulated core is driven by one goroutine at a
-// time and owns a private virtual clock measured in cycles. Shared memory the VM
-// system cares about is annotated with Line values; reading or writing a
-// Line advances the toucher's clock by the modeled coherence cost, and
-// transfers of the same line serialize against each other in virtual time
-// (the home-node queue). Code that touches only core-local lines advances
+// models exactly that. Each simulated core is driven by one proc of the
+// schedule at a time and owns a private virtual clock measured in cycles.
+// Shared memory the VM system cares about is annotated with Line values;
+// reading or writing a Line advances the toucher's clock by the modeled
+// coherence cost, and transfers of the same line serialize against each
+// other in virtual time (the home-node queue). Code that touches only core-local lines advances
 // only its own clock and induces no cross-core interaction — which is the
 // paper's definition of perfect scalability.
 //
-// Functional concurrency is real: the data structures built on top of hw use
-// genuine atomics and locks, so races and orderings are exercised by the Go
-// race detector. Only *time* is simulated, which is what lets a laptop sweep
-// 1..80 virtual cores and reproduce the paper's curves.
-//
-// One schedule keeps virtual time: the deterministic one (Sched, and
-// RunGangDet on it), which every figure and every test that asserts a clock
-// runs on. RunGang runs cores as plain goroutines, so the race detector sees
-// real interleavings; the clocks it leaves measure nothing.
+// The cores are coroutines of one event loop (Sched), so one body runs at a
+// time and the simulated machine needs no real locks; *time* is what is
+// simulated, which is what lets a laptop sweep 1..80 virtual cores and
+// reproduce the paper's curves. The loop's pick keeps virtual time: every
+// figure and every test that asserts a clock runs on it (Sched, and
+// RunGangDet on it). RunGang runs the cores on the seeded explorer instead,
+// which interleaves their operations at preemption points — every line
+// touch and lock acquire — so a test holds the functional code to many
+// interleavings, each replayed exactly from its seed; the clocks it leaves
+// measure nothing.
 package hw
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
 // Config describes the simulated machine and its cost model. All costs are
 // in cycles of the paper's 2.4 GHz clock.
@@ -165,9 +162,9 @@ func (m *Machine) ResetStats() {
 }
 
 // Stats counts the events the paper's evaluation reports on. All fields are
-// monotonic within one experiment. Per-core Stats are written only by the
-// owning core's goroutine except ipisRecv and IPIMboxMax, which senders
-// write under the core's mailbox lock (DeliverAt).
+// monotonic within one experiment. Per-core Stats are written by the
+// owning core's proc, except ipisRecv and IPIMboxMax, which senders write
+// (DeliverAt).
 type Stats struct {
 	LocalHits      uint64 // line touches satisfied from the local cache
 	ColdMisses     uint64 // first-touch DRAM fills (not coherence traffic)
@@ -175,8 +172,8 @@ type Stats struct {
 	CrossSocket    uint64 // subset of Transfers that crossed sockets
 	IPIsSent       uint64 // shootdown interrupts issued by this core
 	IPIsRemote     uint64 // subset of IPIsSent that crossed a socket boundary
-	ipisRecv       uint64 // written by senders under mboxMu
-	IPIMboxMax     uint64 // high-water mark of queued mailbox messages (written by senders under mboxMu)
+	ipisRecv       uint64 // written by senders
+	IPIMboxMax     uint64 // high-water mark of queued mailbox messages (written by senders)
 	Shootdowns     uint64 // munmap-triggered shootdown rounds
 	PageFaults     uint64
 	FillFaults     uint64 // faults that only filled a PTE (page existed)
@@ -224,41 +221,38 @@ type ipiMsg struct {
 	cost  uint64 // handler cycles to fold into the receiver's clock
 }
 
-// CPU is the execution context of one simulated core. Exactly one goroutine
-// may drive a CPU at a time (the "thread running on that core"); all methods
-// except DeliverAt must be called only from that goroutine.
+// CPU is the execution context of one simulated core. One proc drives a
+// CPU at a time (the "thread running on that core"); all methods but
+// DeliverAt act for that proc.
 type CPU struct {
 	id int
 	m  *Machine
 
 	// The mailbox holds remote charges (IPI handler work executed by
 	// proxy) stamped with their virtual arrival time. Senders enqueue
-	// under mboxMu via DeliverAt; the owning goroutine drains due
-	// messages in stamp order at every Now/Tick/advanceTo boundary,
-	// folding each cost at max(clock, stamp) — so where remote cycles
-	// land in virtual time is a function of the op stream's virtual-time
-	// order, never of goroutine scheduling. mboxNext is the stamp of the
+	// via DeliverAt; the owning core drains due messages in stamp order
+	// at every Now/Tick/advanceTo boundary, folding each cost at
+	// max(clock, stamp) — so where remote cycles land in virtual time is
+	// a function of the op stream's virtual-time order, never of the
+	// order the schedule ran the senders in. mboxNext is the stamp of the
 	// earliest queued message, ^0 when none is queued, so each fast path
-	// is one atomic load and a compare against the clock, and mboxMu is
-	// taken only when a message is due: a broadcast baseline keeps
-	// thousands of messages queued for the future. (A plain uint64 read
-	// with atomic.LoadUint64 rather than an atomic.Uint64: one method call
-	// less keeps Tick and TickAs within the inlining budget.)
+	// is one load and a compare against the clock: a broadcast baseline
+	// keeps thousands of messages queued for the future.
 	//
 	// A CPU is 64-byte aligned (its size class is a multiple of 64), so
-	// id, m and the mailbox fill the first cache line and the stats a
-	// sender writes, ipisRecv and IPIMboxMax, end the second.
-	mboxNext uint64 // accessed atomically
-	mboxMu   sync.Mutex
-	mbox     []ipiMsg // mbox[mboxHead:] is queued, sorted by stamp; guarded by mboxMu
-	mboxHead int      // guarded by mboxMu
+	// id, m, the explorer and the mailbox fill the first cache line and the
+	// stats a sender writes, ipisRecv and IPIMboxMax, end the second.
+	mboxNext uint64
+	x        *explorer // the explorer running the core, nil off it (Preempt)
+	mbox     []ipiMsg  // mbox[mboxHead:] is queued, sorted by stamp
+	mboxHead int
 
 	stats Stats
 
-	clock uint64 // virtual cycles; owned by the driving goroutine
+	clock uint64 // virtual cycles
 
 	// The cycle meter (meter.go): cycles charged by cause since ResetStats,
-	// and the clock at that reset. Owned by the driving goroutine.
+	// and the clock at that reset.
 	cycles Cycles
 	base   uint64
 }
@@ -276,12 +270,11 @@ func (c *CPU) Socket() int { return c.m.Socket(c.id) }
 func (c *CPU) Stats() *Stats { return &c.stats }
 
 // Now returns the core's current virtual time, folding in any mailbox
-// messages whose stamp has already been reached. The fast path is a single
-// atomic load: a message is rarely due (messages only arrive during
-// shootdowns), and heavier synchronization on every clock read showed up as
-// ~9% of flat CPU in the radix hot paths.
+// messages whose stamp has already been reached. The fast path is one
+// compare: a message is rarely due (messages only arrive during
+// shootdowns).
 func (c *CPU) Now() uint64 {
-	if atomic.LoadUint64(&c.mboxNext) <= c.clock {
+	if c.mboxNext <= c.clock {
 		c.advanceSlow(CauseMailbox, c.clock)
 	}
 	return c.clock
@@ -292,7 +285,7 @@ func (c *CPU) Now() uint64 {
 func (c *CPU) Tick(cycles uint64) {
 	c.cycles[CauseOp] += cycles
 	c.clock += cycles
-	if c.clock >= atomic.LoadUint64(&c.mboxNext) {
+	if c.clock >= c.mboxNext {
 		c.tickSlow(cycles)
 	}
 }
@@ -302,7 +295,7 @@ func (c *CPU) Tick(cycles uint64) {
 func (c *CPU) TickAs(k Cause, cycles uint64) {
 	c.cycles[k] += cycles
 	c.clock += cycles
-	if c.clock >= atomic.LoadUint64(&c.mboxNext) {
+	if c.clock >= c.mboxNext {
 		c.tickSlow(cycles)
 	}
 }
@@ -315,7 +308,6 @@ func (c *CPU) TickAs(k Cause, cycles uint64) {
 // here.
 func (c *CPU) tickSlow(cycles uint64) {
 	c.clock -= cycles
-	c.mboxMu.Lock()
 	i := c.mboxHead
 	for ; i < len(c.mbox); i++ {
 		m := c.mbox[i]
@@ -333,7 +325,6 @@ func (c *CPU) tickSlow(cycles uint64) {
 		c.cycles[CauseMailbox] += m.cost
 	}
 	c.popMail(i)
-	c.mboxMu.Unlock()
 	c.clock += cycles
 }
 
@@ -351,7 +342,7 @@ func (c *CPU) AdvanceToAs(k Cause, t uint64) { c.advanceTo(k, t) }
 // out its holder).
 func (c *CPU) advanceTo(k Cause, t uint64) {
 	t = max(t, c.clock)
-	if t >= atomic.LoadUint64(&c.mboxNext) {
+	if t >= c.mboxNext {
 		c.advanceSlow(k, t)
 		return
 	}
@@ -373,7 +364,6 @@ func (c *CPU) advanceTo(k Cause, t uint64) {
 // The clock's moves toward t are charged to k, the folded costs to
 // CauseMailbox.
 func (c *CPU) advanceSlow(k Cause, t uint64) {
-	c.mboxMu.Lock()
 	i := c.mboxHead
 	for ; i < len(c.mbox); i++ {
 		m := c.mbox[i]
@@ -388,7 +378,6 @@ func (c *CPU) advanceSlow(k Cause, t uint64) {
 		c.cycles[CauseMailbox] += m.cost
 	}
 	c.popMail(i)
-	c.mboxMu.Unlock()
 	if t > c.clock {
 		c.cycles[k] += t - c.clock
 		c.clock = t
@@ -399,7 +388,6 @@ func (c *CPU) advanceSlow(k Cause, t uint64) {
 // head stamp. The queue moves down to the front of its array once it is no
 // longer than what was popped since the last move, so a pop costs O(1)
 // amortized and the array, once grown to the deepest queue, is reused.
-// Caller holds mboxMu.
 func (c *CPU) popMail(head int) {
 	if 2*head >= len(c.mbox) {
 		n := copy(c.mbox, c.mbox[head:])
@@ -410,17 +398,16 @@ func (c *CPU) popMail(head int) {
 	if head < len(c.mbox) {
 		next = c.mbox[head].stamp
 	}
-	atomic.StoreUint64(&c.mboxNext, next)
+	c.mboxNext = next
 }
 
 // DeliverAt enqueues cost cycles of remote work (e.g. a shootdown IPI
 // handler) arriving at this core at virtual time stamp, and counts it as a
-// received interrupt. Safe to call from any goroutine; the owning goroutine
-// folds it into the clock when its own virtual time crosses the stamp.
-// Messages with equal stamps commute under the fold-at-max rule, so
-// insertion order between them does not matter.
+// received interrupt. Any core may send it; this core folds it into the
+// clock when its own virtual time crosses the stamp. Messages with equal
+// stamps commute under the fold-at-max rule, so insertion order between
+// them does not matter.
 func (c *CPU) DeliverAt(stamp, cost uint64) {
-	c.mboxMu.Lock()
 	c.mbox = append(c.mbox, ipiMsg{})
 	q := c.mbox[c.mboxHead:]
 	// The message goes after every queued one stamped at or before it,
@@ -436,11 +423,10 @@ func (c *CPU) DeliverAt(stamp, cost uint64) {
 	}
 	q[i] = ipiMsg{stamp, cost}
 	if i == 0 {
-		atomic.StoreUint64(&c.mboxNext, stamp)
+		c.mboxNext = stamp
 	}
 	if d := uint64(len(q)); d > c.stats.IPIMboxMax {
 		c.stats.IPIMboxMax = d
 	}
 	c.stats.ipisRecv++
-	c.mboxMu.Unlock()
 }

@@ -15,22 +15,24 @@ import (
 // due arrival or runs its lowest-seq runnable proc: its own pinned queue first,
 // then the shared migratable queue. Cores still overlap in virtual time, but
 // the *real* order in which overlapping operations resolve (home-node gate
-// folds, seqlock outcomes, mailbox enqueues) is a pure function of (virtual
+// folds, line transitions, mailbox enqueues) is a pure function of (virtual
 // clock, core ID, arrival seq), so figure outputs are byte-stable across
-// runs. This is the only schedule that keeps virtual time: every figure and
-// every test that asserts a clock runs on it. RunGang's plain goroutines keep
-// the functional code under real concurrency and the race detector, and
-// their clocks measure nothing.
+// runs. This is the schedule that keeps virtual time: every figure and every
+// test that asserts a clock runs on it. A RunGang replaces the pick with the
+// seeded explorer (gang.go), which also takes cores back at their preemption
+// points, to hold the functional code to many interleavings; its clocks
+// measure nothing.
 //
 // Procs are coroutines the loop resumes directly and cores are entries in
-// the loop, so nothing here runs concurrently, the scheduler takes no lock,
+// the loop, so nothing here or in the simulated machine runs concurrently,
 // and every Sched method must be called on-schedule: before Run, from a
-// proc body, or from an arrival handler. Bodies may hold no hw.Lock or
-// other real mutex across a yield point — all workloads yield only at top
-// level, between operations — so the running body never blocks on a lock
-// held by a suspended one. There are no off-schedule points: every way a
-// proc can wait, including on another proc (Park/Wake), is a yield back to
-// the loop, so the entire run is a pure function of virtual time.
+// proc body, or from an arrival handler. Off the explorer, bodies may hold
+// no lock across a yield point — all workloads yield only at top level,
+// between operations — so the running body never finds a lock held by a
+// suspended one (CPU.Stall panics if it does). There are no off-schedule
+// points: every way a proc can wait, including on another proc (Park/Wake),
+// is a yield back to the loop, so the entire run is a pure function of
+// virtual time, or of the seed on the explorer.
 //
 // A core with nothing runnable goes idle: its clock freezes and it leaves
 // the pick until a proc is enqueued for it. The one exception: while spawn
@@ -67,8 +69,9 @@ type Sched struct {
 	ready       int // procs currently in a queue (runq + all pinq)
 	active      int // cores neither idle nor retired
 
-	free     *carrier // carriers with no proc on them
-	stopping bool     // Run is unwinding: suspended bodies are being cancelled
+	free     *carrier  // carriers with no proc on them
+	stopping bool      // Run is unwinding: suspended bodies are being cancelled
+	x        *explorer // RunGang's seeded pick and preemption; nil: the (clock, ID) pick
 
 	// Diagnostics (read after Run via the accessors).
 	runqHigh     int
@@ -80,11 +83,13 @@ type Sched struct {
 
 // core is one simulated core's entry in the loop.
 type core struct {
-	cpu   *CPU
-	state int8
-	clock uint64 // the pick key: virtual clock at the last yield point, or the barrier's release time
-	last  *Proc  // proc last dispatched here, for switch accounting
-	cur   *Proc  // proc occupying the core: running, or waiting at a barrier
+	cpu     *CPU
+	state   int8
+	clock   uint64 // the pick key: virtual clock at the last yield point, or the barrier's release time
+	last    *Proc  // proc last dispatched here, for switch accounting
+	cur     *Proc  // proc occupying the core: running, or waiting at a barrier
+	stall   uint64 // explorer: out of the pick while above its progress
+	waiting bool   // explorer: the core's last step ended in a stall
 }
 
 // Core states.
@@ -101,6 +106,7 @@ const (
 	yieldPark
 	yieldBarrier
 	yieldDone
+	yieldStall // explorer: a contended acquire waits
 )
 
 // Proc is one schedulable context: a body that runs on whichever core
@@ -380,7 +386,7 @@ func (s *Sched) Run(m *Machine, ncores int, quantum uint64) {
 	}
 	s.start(m, ncores)
 	defer s.stop()
-	for id := s.pick(coreReady); id >= 0; id = s.pick(coreReady) {
+	for id := s.grant(); id >= 0; id = s.grant() {
 		s.step(&s.cores[id])
 	}
 	if s.remaining > 0 {
@@ -411,6 +417,20 @@ func (s *Sched) start(m *Machine, ncores int) {
 		s.fix(i, coreReady)
 	}
 	s.active = ncores
+	if s.x != nil {
+		for i := range s.cores {
+			s.cores[i].cpu.x = s.x
+		}
+	}
+}
+
+// grant returns the ready core to step next, or -1 when none is: the pick's
+// root, or the explorer's draw.
+func (s *Sched) grant() int {
+	if s.x != nil {
+		return s.x.pick()
+	}
+	return s.pick(coreReady)
 }
 
 // stop cancels every coroutine Run created, so none outlives it. A carrier
@@ -419,6 +439,9 @@ func (s *Sched) start(m *Machine, ncores int) {
 // the carrier swallows.
 func (s *Sched) stop() {
 	s.stopping = true
+	for i := range s.cores {
+		s.cores[i].cpu.x = nil
+	}
 	for on := s.free; on != nil; on = on.next {
 		on.stop()
 	}
@@ -458,7 +481,23 @@ func (s *Sched) step(k *core) {
 		k.cur, k.last = p, p
 	}
 	p.ctx.c = c
+	var passed uint64
+	if s.x != nil {
+		s.x.cur, passed = c.ID(), s.x.passed
+	}
 	kind, _ := p.on.resume()
+	if s.x != nil {
+		// A step that only found its resource still held — it passed no
+		// preemption point — is no progress; one that did may have released
+		// something before it stalled again.
+		s.x.cur = -1
+		if kind != yieldStall || s.x.passed != passed {
+			s.x.progress++
+		}
+		if k.waiting = kind == yieldStall; k.waiting {
+			k.stall = s.x.progress + 1
+		}
+	}
 	if kind == yieldBarrier {
 		s.arrive(k, p.bar)
 		return
@@ -577,20 +616,15 @@ func (s *Sched) next(k *core) *Proc {
 	}
 }
 
-// RunGangDet runs fn(cpu) on cores [0, ncores) of m like RunGang, but under
-// the deterministic schedule: same fn signature, clocks kept in step,
-// bit-identical output across runs. It is the degenerate fleet, one proc
-// pinned to each core, and in that shape the scheduler adds no virtual time
-// at all: a core redispatching the proc it last ran charges nothing, and
-// AdvanceTo to the proc's own last clock is a no-op. g.Sync is the calling
-// core's proc's Yield. quantum is ignored, as in Sched.Run.
+// RunGangDet runs fn(cpu) on cores [0, ncores) of m under the deterministic
+// schedule: clocks kept in step, bit-identical output across runs. It is the
+// degenerate fleet, one proc pinned to each core, and in that shape the
+// scheduler adds no virtual time at all: a core redispatching the proc it
+// last ran charges nothing, and AdvanceTo to the proc's own last clock is a
+// no-op. g.Sync is the calling core's proc's Yield. quantum is ignored, as in
+// Sched.Run.
 func RunGangDet(m *Machine, ncores int, quantum uint64, fn func(cpu *CPU, g *Gang)) {
-	s := NewSched(0)
-	g := &Gang{det: s}
-	for i := 0; i < ncores; i++ {
-		s.Spawn(i, func(tc *Ctx) { fn(tc.CPU(), g) })
-	}
-	s.Run(m, ncores, quantum)
+	runGang(NewSched(0), m, ncores, fn)
 }
 
 // running returns the context of the proc running on cpu.

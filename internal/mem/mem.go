@@ -10,8 +10,6 @@ package mem
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"radixvm/internal/hw"
 	"radixvm/internal/refcache"
@@ -41,10 +39,10 @@ type Frame struct {
 
 	// cowShares counts the copy-on-write mappings currently referencing
 	// this frame — the role struct page's mapcount plays in a real COW
-	// break. Unlike the reference count it is an eagerly shared atomic,
+	// break. Unlike the reference count it is an eagerly shared count,
 	// which is fine because it is touched only by fork, COW breaks, and
 	// unmaps of still-COW pages, never by the per-access hot path.
-	cowShares atomic.Int32
+	cowShares int32
 
 	obj  refcache.Obj    // embedded count, reinitialized per lifetime
 	data *[PageSize]byte // lazily materialized contents
@@ -79,17 +77,17 @@ func (f *Frame) CopyFrom(src *Frame) {
 // bookkeeping, exactly as a real fork touches every struct page.
 func (f *Frame) AddCOWShares(cpu *hw.CPU, n int32) {
 	cpu.Write(&f.line)
-	f.cowShares.Add(n)
+	f.cowShares += n
 }
 
 // COWShares returns the number of COW mappings currently referencing f.
-func (f *Frame) COWShares() int32 { return f.cowShares.Load() }
+func (f *Frame) COWShares() int32 { return f.cowShares }
 
 // DropCOWShare removes one COW mapping of f (a break that copied the frame
 // or took ownership, or an unmap of a still-COW page).
 func (f *Frame) DropCOWShare(cpu *hw.CPU) {
 	cpu.Write(&f.line)
-	f.cowShares.Add(-1)
+	f.cowShares--
 }
 
 // frameChunk is how many frames the allocator creates at a time. A run
@@ -99,23 +97,22 @@ func (f *Frame) DropCOWShare(cpu *hw.CPU) {
 //
 // A chunk holds pointers, so the Go runtime puts an 8-byte malloc header in
 // front of it and bills it at the next size class up. The count fills the
-// 16 KiB class: 81 × 200 B + 8 B = 16 208 B of 16 384 (64 frames would
-// waste 760 B of the 13 568 class; TestFrameChunkFillsItsSizeClass
+// 16 KiB class: 85 × 192 B + 8 B = 16 328 B of 16 384 (64 frames would
+// waste 1 272 B of the 13 568 class; TestFrameChunkFillsItsSizeClass
 // holds it).
-const frameChunk = 81
+const frameChunk = 85
 
 // dirFan is the fan-out of both levels of the chunk directory: 1024 × 1024
-// chunks of 81 frames, 324 GiB of simulated memory.
+// chunks of 85 frames, 340 GiB of simulated memory.
 const dirFan = 1024
 
 // chunkDir is a block of the directory's second level: chunk pointers.
-type chunkDir [dirFan]atomic.Pointer[[frameChunk]Frame]
+type chunkDir [dirFan]*[frameChunk]Frame
 
 // Allocator hands out reference-counted frames with per-core free lists.
 // Frames are created in chunks of frameChunk: a new frame is the next unused
-// element of the newest chunk. Chunks are published in a fixed two-level
-// directory that is never copied, so frames have stable addresses and ByPFN
-// takes no lock.
+// element of the newest chunk. Chunks sit in a fixed two-level directory that
+// is never copied, so frames have stable addresses.
 type Allocator struct {
 	m        *hw.Machine
 	rc       *refcache.Refcache
@@ -124,19 +121,15 @@ type Allocator struct {
 
 	lists []freelist
 
-	allocated atomic.Int64 // live frames
-	totals    atomic.Int64 // frames ever created; written under regMu
+	allocated int64  // live frames
+	totals    uint64 // frames ever created
 
 	// Frame pfn is element (pfn-1)%frameChunk of chunk k = (pfn-1)/frameChunk,
-	// which is dir[k/dirFan][k%dirFan]. Frames are created under regMu, and
-	// a chunk and its frames' fields are stored before totals counts them,
-	// so a reader that loads totals first finds them all in place.
-	regMu sync.Mutex
-	dir   [dirFan]atomic.Pointer[chunkDir]
+	// which is dir[k/dirFan][k%dirFan].
+	dir [dirFan]*chunkDir
 }
 
 type freelist struct {
-	mu     sync.Mutex
 	frames []*Frame
 	_      [40]byte // avoid false sharing between cores' lists
 }
@@ -163,40 +156,31 @@ func NewAllocator(m *hw.Machine, rc *refcache.Refcache) *Allocator {
 func (a *Allocator) Alloc(cpu *hw.CPU) *Frame {
 	id := cpu.ID()
 	fl := &a.lists[id]
-	fl.mu.Lock()
 	var f *Frame
 	if n := len(fl.frames); n > 0 {
 		f = fl.frames[n-1]
 		fl.frames = fl.frames[:n-1]
-	}
-	fl.mu.Unlock()
-	if f == nil {
-		// The PFN is the frame's position in the chunks, so the frame is
-		// taken and numbered under one lock: numbered outside it, two cores
-		// creating frames at once could number them out of position order
-		// and ByPFN would hand the baselines the wrong frame from then on.
-		a.regMu.Lock()
-		n := uint64(a.totals.Load())
+	} else {
+		// The PFN is the frame's position in the chunks, which ByPFN
+		// relies on to hand the baselines their frames.
+		n := a.totals
 		k := n / frameChunk
 		if n%frameChunk == 0 {
 			if k == dirFan*dirFan {
 				panic(fmt.Sprintf("mem: more than %d frames", n))
 			}
-			d := a.dir[k/dirFan].Load()
-			if d == nil {
-				d = new(chunkDir)
-				a.dir[k/dirFan].Store(d)
+			if a.dir[k/dirFan] == nil {
+				a.dir[k/dirFan] = new(chunkDir)
 			}
-			d[k%dirFan].Store(new([frameChunk]Frame))
+			a.dir[k/dirFan][k%dirFan] = new([frameChunk]Frame)
 		}
 		f = &a.chunk(k)[n%frameChunk]
 		f.PFN, f.Home = n+1, int32(id)
-		a.totals.Store(int64(n + 1))
-		a.regMu.Unlock()
+		a.totals = n + 1
 	}
 	a.rc.InitObj(&f.obj, 1, a.freeFn)
 	f.obj.Data = f
-	f.cowShares.Store(0)
+	f.cowShares = 0
 	if f.data != nil {
 		// The zeroing this call charges below must be real for recycled
 		// frames with materialized contents, or a new lifetime would read
@@ -205,7 +189,7 @@ func (a *Allocator) Alloc(cpu *hw.CPU) *Frame {
 	}
 	cpu.TickAs(hw.CausePageZero, a.pageZero)
 	cpu.Stats().PagesZeroed++
-	a.allocated.Add(1)
+	a.allocated++
 	return f
 }
 
@@ -224,16 +208,14 @@ func (a *Allocator) release(cpu *hw.CPU, f *Frame) {
 	if cpu.ID() != int(f.Home) {
 		cpu.Write(&f.line)
 	}
-	fl.mu.Lock()
 	fl.frames = append(fl.frames, f)
-	fl.mu.Unlock()
-	a.allocated.Add(-1)
+	a.allocated--
 }
 
 // ByPFN returns the frame with the given PFN (hardware page tables store
 // only the PFN, so baseline VMs use this to recover the frame at munmap).
 func (a *Allocator) ByPFN(pfn uint64) *Frame {
-	if pfn == 0 || pfn > uint64(a.totals.Load()) {
+	if pfn == 0 || pfn > a.totals {
 		return nil
 	}
 	return &a.chunk((pfn - 1) / frameChunk)[(pfn-1)%frameChunk]
@@ -241,12 +223,12 @@ func (a *Allocator) ByPFN(pfn uint64) *Frame {
 
 // chunk returns chunk k, which must have been published.
 func (a *Allocator) chunk(k uint64) *[frameChunk]Frame {
-	return a.dir[k/dirFan].Load()[k%dirFan].Load()
+	return a.dir[k/dirFan][k%dirFan]
 }
 
 // Live returns the number of frames currently allocated (reference held or
 // awaiting Refcache reclamation).
-func (a *Allocator) Live() int64 { return a.allocated.Load() }
+func (a *Allocator) Live() int64 { return a.allocated }
 
 // Created returns the number of distinct frames ever created.
-func (a *Allocator) Created() int64 { return a.totals.Load() }
+func (a *Allocator) Created() int64 { return int64(a.totals) }

@@ -2,7 +2,6 @@ package mem
 
 import (
 	"runtime"
-	"sync"
 	"testing"
 	"unsafe"
 
@@ -47,23 +46,20 @@ func TestAllocRefcountedLifecycle(t *testing.T) {
 // out of PFN order sends that DecRef to some other frame for good.
 func TestConcurrentAllocByPFN(t *testing.T) {
 	const ncores, perCore = 8, 500
-	m, _, a := newAlloc(ncores)
-	frames := make([][]*Frame, ncores)
-	var wg sync.WaitGroup
-	for i := 0; i < ncores; i++ {
-		wg.Add(1)
-		go func(c *hw.CPU) {
-			defer wg.Done()
+	for seed := range hw.Seeds(4) {
+		m, _, a := newAlloc(ncores)
+		frames := make([][]*Frame, ncores)
+		hw.RunGang(m, ncores, seed, func(c *hw.CPU, g *hw.Gang) {
 			for k := 0; k < perCore; k++ {
 				frames[c.ID()] = append(frames[c.ID()], a.Alloc(c))
+				g.Sync(c)
 			}
-		}(m.CPU(i))
-	}
-	wg.Wait()
-	for id, fs := range frames {
-		for _, f := range fs {
-			if got := a.ByPFN(f.PFN); got != f {
-				t.Fatalf("core %d: ByPFN(%d) returned frame with PFN %d", id, f.PFN, got.PFN)
+		})
+		for id, fs := range frames {
+			for _, f := range fs {
+				if got := a.ByPFN(f.PFN); got != f {
+					t.Fatalf("seed %d: core %d: ByPFN(%d) returned frame with PFN %d", seed, id, f.PFN, got.PFN)
+				}
 			}
 		}
 	}
@@ -119,29 +115,32 @@ func TestByPFNAcrossDirectoryBlocks(t *testing.T) {
 	}
 }
 
-// TestByPFNWhileFramesAreCreated: ByPFN takes no lock, so a reader racing
-// the frames' creation must find every frame Created already counts, whole.
+// TestByPFNWhileFramesAreCreated: a reader interleaved with the frames'
+// creation must find every frame Created already counts, whole.
 func TestByPFNWhileFramesAreCreated(t *testing.T) {
-	m, _, a := newAlloc(2)
 	const n = 5 * frameChunk
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < n; i++ {
-			a.Alloc(m.CPU(1))
-		}
-	}()
-	for running := true; running; {
-		select {
-		case <-done:
-			running = false
-		default:
-		}
-		for pfn := uint64(1); pfn <= uint64(a.Created()); pfn++ {
-			if f := a.ByPFN(pfn); f == nil || f.PFN != pfn || f.Home != 1 {
-				t.Fatalf("ByPFN(%d) = %+v while frames were being created", pfn, f)
+	for seed := range hw.Seeds(4) {
+		m, _, a := newAlloc(2)
+		done := false
+		hw.RunGang(m, 2, seed, func(c *hw.CPU, g *hw.Gang) {
+			if c.ID() == 1 {
+				for i := 0; i < n; i++ {
+					a.Alloc(c)
+					g.Sync(c)
+				}
+				done = true
+				return
 			}
-		}
+			for !done {
+				for pfn := uint64(1); pfn <= uint64(a.Created()); pfn++ {
+					if f := a.ByPFN(pfn); f == nil || f.PFN != pfn || f.Home != 1 {
+						t.Fatalf("seed %d: ByPFN(%d) = %+v while frames were being created", seed, pfn, f)
+					}
+				}
+				c.Tick(1000) // the reader's clock moves, so the creator stays in its window
+				g.Sync(c)
+			}
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package mem
 
 import (
 	"sort"
-	"sync"
 
 	"radixvm/internal/hw"
 )
@@ -24,7 +23,6 @@ type PageKey struct {
 type PageCache struct {
 	alloc *Allocator
 
-	mu    sync.Mutex
 	pages map[PageKey]*Frame
 
 	nextFile uint64
@@ -42,8 +40,6 @@ func (pc *PageCache) Allocator() *Allocator { return pc.alloc }
 
 // NewFileID names a new file in the cache's keyspace.
 func (pc *PageCache) NewFileID() uint64 {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
 	pc.nextFile++
 	return pc.nextFile
 }
@@ -52,8 +48,6 @@ func (pc *PageCache) NewFileID() uint64 {
 // use (the first faulter fills; later mappers share). The cache keeps the
 // base reference; filled reports whether this call brought the page in.
 func (pc *PageCache) Page(cpu *hw.CPU, k PageKey) (fr *Frame, filled bool) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
 	fr, ok := pc.pages[k]
 	if !ok {
 		fr = pc.alloc.Alloc(cpu) // the cache's base reference
@@ -69,7 +63,6 @@ func (pc *PageCache) Page(cpu *hw.CPU, k PageKey) (fr *Frame, filled bool) {
 // frames still carry the cache's base reference — the caller must DecRef
 // each once, after which any remaining mapping references keep them alive.
 func (pc *PageCache) DropRange(file, lo, hi uint64) []*Frame {
-	pc.mu.Lock()
 	var offs []uint64
 	for k := range pc.pages {
 		if k.File == file && k.Off >= lo && k.Off < hi {
@@ -83,20 +76,15 @@ func (pc *PageCache) DropRange(file, lo, hi uint64) []*Frame {
 		frames = append(frames, pc.pages[k])
 		delete(pc.pages, k)
 	}
-	pc.mu.Unlock()
 	return frames
 }
 
 // Pages returns the number of resident cached pages.
 func (pc *PageCache) Pages() int {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
 	return len(pc.pages)
 }
 
 // Fills returns the number of pages ever brought into the cache.
 func (pc *PageCache) Fills() uint64 {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
 	return pc.fills
 }

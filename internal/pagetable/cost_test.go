@@ -2,7 +2,6 @@ package pagetable
 
 import (
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"unsafe"
@@ -123,9 +122,8 @@ func TestCostScriptMatchesRecording(t *testing.T) {
 }
 
 // TestConcurrentFirstTouchOfOneLine: eight cores write the eight entries of
-// one never-touched line at once, over and over on fresh lines. Whichever
-// core's block wins the installation, all eight entries must land in it: an
-// entry stored into a losing block would simply vanish. The line is charged
+// one never-touched line, interleaved, over and over on fresh lines. All
+// eight entries must land in the line's one block, and the line is charged
 // as one line — one cold miss, whoever gets there first.
 func TestConcurrentFirstTouchOfOneLine(t *testing.T) {
 	const ncores, nleaves = slotsPerLine, 4
@@ -135,26 +133,18 @@ func TestConcurrentFirstTouchOfOneLine(t *testing.T) {
 	}
 	cold := m.TotalStats().ColdMisses
 
-	var start, done sync.WaitGroup
 	for li := uint64(0); li < nleaves*linesPerNode; li++ {
 		if li%linesPerNode == 0 {
 			continue
 		}
-		start.Add(1)
-		for i := 0; i < ncores; i++ {
-			done.Add(1)
-			go func(c *hw.CPU, vpn uint64) {
-				defer done.Done()
-				start.Wait()
-				pt.Map(c, vpn, vpn+1, PermW)
-			}(m.CPU(i), li*slotsPerLine+uint64(i))
-		}
-		start.Done()
-		done.Wait()
+		hw.RunGang(m, ncores, li, func(c *hw.CPU, _ *hw.Gang) {
+			vpn := li*slotsPerLine + uint64(c.ID())
+			pt.Map(c, vpn, vpn+1, PermW)
+		})
 		for i := uint64(0); i < ncores; i++ {
 			vpn := li*slotsPerLine + i
 			if pte, ok := pt.Peek(vpn); !ok || pte.PFN != vpn+1 {
-				t.Fatalf("line %d: entry %d = %+v, %v after a concurrent first touch", li, i, pte, ok)
+				t.Fatalf("line %d (seed %d): entry %d = %+v, %v after a concurrent first touch", li, li, i, pte, ok)
 			}
 		}
 	}
@@ -164,11 +154,11 @@ func TestConcurrentFirstTouchOfOneLine(t *testing.T) {
 }
 
 // TestConcurrentFirstTouchOfTwoLines: eight cores write into two
-// never-touched lines of a fresh node at once, four to each, so the two
-// lines race for the node's inline slot and the loser's writers race to
-// build the directory and install its block. Exactly one line must end up
-// inline and the other in the directory, every entry must land, and the
-// node is charged two cold misses — one per line, whoever wins.
+// never-touched lines of a fresh node, interleaved, four to each, so the
+// two lines race for the node's inline slot and the loser's writers build
+// the directory and its block. Exactly one line must end up inline and the
+// other in the directory, every entry must land, and the node is charged
+// two cold misses — one per line, whoever wins.
 func TestConcurrentFirstTouchOfTwoLines(t *testing.T) {
 	const ncores = slotsPerLine
 	m, pt := newPT(ncores)
@@ -187,21 +177,12 @@ func TestConcurrentFirstTouchOfTwoLines(t *testing.T) {
 			}
 			return uint64(r*EntriesPerNode + li*slotsPerLine + i/2)
 		}
-		var start, done sync.WaitGroup
-		start.Add(1)
-		for i := 0; i < ncores; i++ {
-			done.Add(1)
-			go func(c *hw.CPU, vpn uint64) {
-				defer done.Done()
-				start.Wait()
-				pt.Map(c, vpn, vpn+1, PermW)
-			}(m.CPU(i), vpn(i))
-		}
-		start.Done()
-		done.Wait()
+		hw.RunGang(m, ncores, uint64(r), func(c *hw.CPU, _ *hw.Gang) {
+			pt.Map(c, vpn(c.ID()), vpn(c.ID())+1, PermW)
+		})
 		for i := 0; i < ncores; i++ {
 			if pte, ok := pt.Peek(vpn(i)); !ok || pte.PFN != vpn(i)+1 {
-				t.Fatalf("leaf %d: vpn %#x = %+v, %v after a concurrent first touch", r, vpn(i), pte, ok)
+				t.Fatalf("leaf %d (seed %d): vpn %#x = %+v, %v after a concurrent first touch", r, r, vpn(i), pte, ok)
 			}
 		}
 		inline, d := int(n.at.Load())-1, n.dir.Load()

@@ -4,10 +4,10 @@
 // shared-table baselines; the MMU abstraction in internal/vm chooses how
 // many tables an address space has and who gets shot down.
 //
-// Walks are lock-free (a new node is installed in its parent's entry with
-// CAS); PTE reads and writes are atomic and charge coherence cost on the
+// Walks take no lock; PTE reads and writes charge coherence cost on the
 // containing line, which is how shared-table contention (Figure 9's "Shared"
-// curves) emerges.
+// curves) emerges. A walk touches a line before it reads the entries there,
+// so what it reads is current at its last preemption point.
 package pagetable
 
 import (
@@ -87,10 +87,10 @@ func unpack(raw uint64) PTE {
 // nearly a fifth of what a filemap run did.
 //
 // at names the inline line: its index plus one, 0 while no walk has touched
-// the node. The first toucher claims the inline line for its line with one
-// CAS, and the claim is final, so every toucher of a line agrees on where
-// it lives: inline if at names it, in the directory otherwise (whose slot
-// for the inline line stays nil). A directory exists only once at is set.
+// the node. The first toucher claims the inline line for its line, and the
+// claim is final, so every toucher of a line agrees on where it lives:
+// inline if at names it, in the directory otherwise (whose slot for the
+// inline line stays nil). A directory exists only once at is set.
 //
 // E is the entry type: atomic.Uint64 (a raw PTE) in a leaf, a pointer to the
 // next level's node above it. The four levels are four instantiations, so
@@ -105,14 +105,9 @@ type node[E any] struct {
 // eight entries it holds. The entries live with the Line because both appear
 // at the same moment — the first touch, an absent-entry read included, since
 // a read of an empty entry still pulls the line into the reader's cache and
-// the next toucher must find that sharer state — so one claim covers both
-// (the CAS on at for the inline line, one installing CAS per directory
-// line), and an entry of a never-touched line needs no storage: nothing can
-// have written it. Losing a race for the same line is harmless — both racers
-// then use the winner's line, which charges exactly what a mutex-ordered
-// pair of first touches would, and a losing block was never visible to hold
-// an entry. Losing the inline claim to another line sends the loser to the
-// directory.
+// the next toucher must find that sharer state — so one claim covers both,
+// and an entry of a never-touched line needs no storage: nothing can have
+// written it.
 type line[E any] struct {
 	hw.Line
 	e [slotsPerLine]E
@@ -131,27 +126,22 @@ type (
 // builds.
 func (n *node[E]) touch(i int) (*hw.Line, *E) {
 	li := int32(i/slotsPerLine) + 1
-	at := n.at.Load()
-	if at == 0 && !n.at.CompareAndSwap(0, li) {
-		at = n.at.Load() // lost the claim: the winner's line is inline
+	if n.at.Load() == 0 {
+		n.at.Store(li) // the first touch claims the inline line
 	}
-	if at == 0 || at == li { // claimed just now, or by an earlier touch
+	if n.at.Load() == li {
 		return &n.first.Line, &n.first.e[i%slotsPerLine]
 	}
 	d := n.dir.Load()
 	if d == nil {
 		d = new([linesPerNode]atomic.Pointer[line[E]])
-		if !n.dir.CompareAndSwap(nil, d) {
-			d = n.dir.Load()
-		}
+		n.dir.Store(d)
 	}
 	p := &d[li-1]
 	l := p.Load()
 	if l == nil {
 		l = new(line[E])
-		if !p.CompareAndSwap(nil, l) {
-			l = p.Load()
-		}
+		p.Store(l)
 	}
 	return &l.Line, &l.e[i%slotsPerLine]
 }
@@ -211,13 +201,9 @@ func descend[C any](pt *PageTable, cpu *hw.CPU, n *node[atomic.Pointer[C]], i in
 	cpu.Read(l)
 	child := slot.Load()
 	if child == nil && create {
-		fresh := newNode[C](pt)
-		if slot.CompareAndSwap(nil, fresh) {
-			cpu.Write(l)
-			return l, fresh
-		}
-		pt.nodes.Add(-1) // lost the race; discard ours
-		child = slot.Load()
+		child = newNode[C](pt)
+		slot.Store(child)
+		cpu.Write(l)
 	}
 	return l, child
 }
@@ -233,7 +219,7 @@ func descend[C any](pt *PageTable, cpu *hw.CPU, n *node[atomic.Pointer[C]], i in
 // one starts from the root, as an uncached walk would.
 //
 // A range walk uses one Walker for the whole range; a single-entry
-// operation is a zero Walker's one walk. A Walker is for one goroutine.
+// operation is a zero Walker's one walk. A Walker is for one core.
 type Walker struct {
 	pt   *PageTable
 	span uint64 // vpn>>BitsPerLevel + 1 for the cached leaf; 0 while none
@@ -382,16 +368,9 @@ func (pt *PageTable) Replace(cpu *hw.CPU, vpn uint64, old PTE, pfn uint64, perm 
 func (pt *PageTable) ProtectRange(cpu *hw.CPU, lo, hi uint64, perm Perm) int {
 	changed := 0
 	pt.each(cpu, lo, hi, true, func(_ uint64, pte *atomic.Uint64) {
-		for {
-			old := pte.Load()
-			if old&rawPresent == 0 {
-				return
-			}
-			newRaw := pack(old>>rawShift, perm)
-			if old == newRaw || pte.CompareAndSwap(old, newRaw) {
-				changed++
-				return
-			}
+		if old := pte.Load(); old&rawPresent != 0 {
+			pte.Store(pack(old>>rawShift, perm))
+			changed++
 		}
 	})
 	return changed

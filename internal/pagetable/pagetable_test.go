@@ -2,7 +2,6 @@ package pagetable
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -177,12 +176,9 @@ func TestUnmapRangeSkipsAbsentSubtrees(t *testing.T) {
 
 func TestConcurrentDisjointMaps(t *testing.T) {
 	const ncores = 8
-	m, pt := newPT(ncores)
-	var wg sync.WaitGroup
-	for i := 0; i < ncores; i++ {
-		wg.Add(1)
-		go func(c *hw.CPU) {
-			defer wg.Done()
+	for seed := range hw.Seeds(8) {
+		m, pt := newPT(ncores)
+		hw.RunGang(m, ncores, seed, func(c *hw.CPU, _ *hw.Gang) {
 			base := uint64(c.ID()) << 30
 			for k := uint64(0); k < 500; k++ {
 				pt.Map(c, base+k, base+k+1, PermW)
@@ -190,13 +186,12 @@ func TestConcurrentDisjointMaps(t *testing.T) {
 			for k := uint64(0); k < 500; k++ {
 				pte, ok := pt.Lookup(c, base+k)
 				if !ok || pte.PFN != base+k+1 {
-					t.Errorf("core %d lost vpn %d", c.ID(), base+k)
+					t.Errorf("seed %d: core %d lost vpn %d", seed, c.ID(), base+k)
 					return
 				}
 			}
-		}(m.CPU(i))
+		})
 	}
-	wg.Wait()
 }
 
 func TestQuickAgainstMapModel(t *testing.T) {

@@ -225,35 +225,37 @@ func TestNodePoolRecycles(t *testing.T) {
 	}
 }
 
-// TestConcurrentFoldExpandLookup races folded-range expansion (plain-store
-// node construction, bulk lock-bit propagation, pool recycling) against
-// lock-free lookups, for the race detector's benefit.
+// TestConcurrentFoldExpandLookup interleaves folded-range expansion (node
+// construction, bulk lock-bit propagation, pool recycling) with lock-free
+// lookups.
 func TestConcurrentFoldExpandLookup(t *testing.T) {
 	const ncores = 4
-	m, rc, tr := newTree(ncores)
-	hw.RunGang(m, ncores, func(c *hw.CPU, g *hw.Gang) {
-		if c.ID() == 0 {
-			for k := 0; k < 150; k++ {
-				setRange(tr, c, 0, 1024, &val{k}) // folds two interior slots
-				r := tr.LockPage(c, 513)          // expands one fold to a leaf
-				if v := r.Entry(0).Value(); v == nil || v.x != k {
-					t.Errorf("expanded page = %v, want %d", v, k)
+	for seed := range hw.Seeds(4) {
+		m, rc, tr := newTree(ncores)
+		hw.RunGang(m, ncores, seed, func(c *hw.CPU, g *hw.Gang) {
+			if c.ID() == 0 {
+				for k := 0; k < 150; k++ {
+					setRange(tr, c, 0, 1024, &val{k}) // folds two interior slots
+					r := tr.LockPage(c, 513)          // expands one fold to a leaf
+					if v := r.Entry(0).Value(); v == nil || v.x != k {
+						t.Errorf("seed %d: expanded page = %v, want %d", seed, v, k)
+					}
+					r.Unlock()
+					clearRange(tr, c, 0, 1024)
+					rc.Maintain(c)
+					g.Sync(c)
 				}
-				r.Unlock()
-				clearRange(tr, c, 0, 1024)
+				return
+			}
+			for k := 0; k < 150; k++ {
+				for j := uint64(0); j < 16; j++ {
+					if v := tr.Lookup(c, j*67%1024); v != nil && v.x < 0 {
+						t.Errorf("seed %d: torn value", seed)
+					}
+				}
 				rc.Maintain(c)
 				g.Sync(c)
 			}
-			return
-		}
-		for k := 0; k < 150; k++ {
-			for j := uint64(0); j < 16; j++ {
-				if v := tr.Lookup(c, j*67%1024); v != nil && v.x < 0 {
-					t.Error("torn value")
-				}
-			}
-			rc.Maintain(c)
-			g.Sync(c)
-		}
-	})
+		})
+	}
 }

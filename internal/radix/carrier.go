@@ -20,7 +20,7 @@ import "radixvm/internal/hw"
 // in the slotState comment (radix.go).
 //
 // Ownership discipline matches the node pools: a CPU's pool is touched only
-// by the goroutine driving that CPU, and a carrier is retired only by the Set
+// by the proc driving that CPU, and a carrier is retired only by the Set
 // that replaces it, under the slot's lock bit, so no carrier can be retired
 // twice or from two sides.
 

@@ -13,8 +13,8 @@ import "radixvm/internal/hw"
 //
 // Since nobody can write the source, its copy is a reader: one read of each
 // group line, a write only where the divergence hook wrote a source value, no
-// wait for an earlier copy, and bits taken and released in real time only
-// (hw.LockBit, unlockBits). Reads of a shared line scale; this is the paper's
+// wait for an earlier copy, and bits taken and released uncharged
+// (CPU.LockBit, unlockBits). Reads of a shared line scale; this is the paper's
 // rule applied to the index's own metadata.
 
 // Cost model: a copied node is billed by the *logical* size of what is
@@ -115,7 +115,7 @@ func (t *Tree[V]) cloneShell(cpu *hw.CPU, src *node[V]) shell[V] {
 }
 
 // shell is a copy under construction: the node, private to the copying
-// goroutine until its parent slot publishes it, and where the sweep puts what
+// core until its parent slot publishes it, and where the sweep puts what
 // the copy's slots are born holding (the package comment's last two rows).
 // The copy is born in img, the source's image: the sweep fills it if build is
 // set, and otherwise has nothing to write. A copy whose image was abandoned
@@ -258,10 +258,10 @@ func (sh *shell[V]) forkGroup(nt *Tree[V], gi int) *slotGroup[V] {
 }
 
 // unlockBits releases every slot bit of the frozen node n at the end of a
-// copy of it: in real time only, for the copy waited for no earlier holder
+// copy of it, uncharged: the copy waited for no earlier holder
 // in virtual time, and neither will the next.
 func (n *node[V]) unlockBits() {
 	for w := range n.bits {
-		n.bits[w].Store(0)
+		n.bits[w] = 0
 	}
 }

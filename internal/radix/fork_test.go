@@ -2,7 +2,6 @@ package radix
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"radixvm/internal/hw"
@@ -200,54 +199,50 @@ func TestForkCostModel(t *testing.T) {
 // (TestLazyForkConcurrent has the children diverge and leave as they go.)
 func TestConcurrentForksConsistent(t *testing.T) {
 	const forkers = 4
-	m, rc, tr := newTree(forkers)
-	seedC := m.CPU(0)
-	// Per-forker diverged leaves plus one shared folded range.
-	for f := 0; f < forkers; f++ {
-		for p := 0; p < 4; p++ {
-			vpn := uint64(f+1)*span(1) + uint64(p)
-			setRange(tr, seedC, vpn, vpn+1, &val{x: f*100 + p})
-		}
-	}
-	foldLo := span(1) * 16
-	r := tr.LockRange(seedC, foldLo, foldLo+span(1))
-	r.Entry(0).SetClone(&val{x: 7777})
-	r.Unlock()
-
-	var children [forkers][10]*Tree[val]
-	var wg sync.WaitGroup
-	for f := 0; f < forkers; f++ {
-		wg.Add(1)
-		go func(f int) {
-			defer wg.Done()
-			c := m.CPU(f)
-			for k := range children[f] {
-				children[f][k] = tr.ForkLazy(c)
-				rc.Maintain(c)
+	for seed := range hw.Seeds(4) {
+		m, rc, tr := newTree(forkers)
+		seedC := m.CPU(0)
+		// Per-forker diverged leaves plus one shared folded range.
+		for f := 0; f < forkers; f++ {
+			for p := 0; p < 4; p++ {
+				vpn := uint64(f+1)*span(1) + uint64(p)
+				setRange(tr, seedC, vpn, vpn+1, &val{x: f*100 + p})
 			}
-		}(f)
-	}
-	wg.Wait()
-	for f := range children {
-		for k, child := range children[f] {
-			for ff := 0; ff < forkers; ff++ {
-				for p := 0; p < 4; p++ {
-					vpn := uint64(ff+1)*span(1) + uint64(p)
-					got := child.Lookup(seedC, vpn)
-					if got == nil || got.x != ff*100+p {
-						t.Fatalf("forker %d child %d vpn %d: got %+v, want x=%d", f, k, vpn, got, ff*100+p)
+		}
+		foldLo := span(1) * 16
+		r := tr.LockRange(seedC, foldLo, foldLo+span(1))
+		r.Entry(0).SetClone(&val{x: 7777})
+		r.Unlock()
+
+		var children [forkers][10]*Tree[val]
+		hw.RunGang(m, forkers, seed, func(c *hw.CPU, g *hw.Gang) {
+			for k := range children[c.ID()] {
+				children[c.ID()][k] = tr.ForkLazy(c)
+				rc.Maintain(c)
+				g.Sync(c)
+			}
+		})
+		for f := range children {
+			for k, child := range children[f] {
+				for ff := 0; ff < forkers; ff++ {
+					for p := 0; p < 4; p++ {
+						vpn := uint64(ff+1)*span(1) + uint64(p)
+						got := child.Lookup(seedC, vpn)
+						if got == nil || got.x != ff*100+p {
+							t.Fatalf("seed %d: forker %d child %d vpn %d: got %+v, want x=%d", seed, f, k, vpn, got, ff*100+p)
+						}
 					}
 				}
+				if got := child.Lookup(seedC, foldLo+99); got == nil || got.x != 7777 {
+					t.Fatalf("seed %d: forker %d child %d folded value: %+v", seed, f, k, got)
+				}
+				child.Release(seedC)
 			}
-			if got := child.Lookup(seedC, foldLo+99); got == nil || got.x != 7777 {
-				t.Fatalf("forker %d child %d folded value: %+v", f, k, got)
-			}
-			child.Release(seedC)
 		}
+		// Every bit was released: a whole-space range lock goes through.
+		r = tr.LockRange(seedC, 1, MaxVPN-1)
+		r.Unlock()
 	}
-	// Every bit was released: a whole-space range lock goes through.
-	r = tr.LockRange(seedC, 1, MaxVPN-1)
-	r.Unlock()
 }
 
 // TestForkVsConcurrentLockRange races forks against range lock/write cycles
@@ -256,43 +251,45 @@ func TestConcurrentForksConsistent(t *testing.T) {
 // new value of the whole overlapping range. (TestLazyForkRangeAtomicity has
 // the range that spans two nodes.)
 func TestForkVsConcurrentLockRange(t *testing.T) {
-	m, rc, tr := newTree(2)
-	c0, c1 := m.CPU(0), m.CPU(1)
-	seed := func(c *hw.CPU, lo, n uint64, x int) {
-		r := tr.LockRange(c, lo, lo+n)
-		v := val{x: x}
-		for i := range r.Entries() {
-			r.Entry(i).SetClone(&v)
-		}
-		r.Unlock()
-	}
-	seed(c0, 100, 8, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for k := 0; k < 50; k++ {
-			seed(c1, 100, 8, 10+k) // overlaps the forked range
-			seed(c1, 5000, 4, k)   // disjoint
-			rc.Maintain(c1)
-		}
-	}()
-	for k := 0; k < 20; k++ {
-		child := tr.ForkLazy(c0)
-		first := child.Lookup(c0, 100)
-		if first == nil {
-			t.Fatalf("fork %d: seeded page missing", k)
-		}
-		for vpn := uint64(101); vpn < 108; vpn++ {
-			got := child.Lookup(c0, vpn)
-			if got == nil || got.x != first.x {
-				t.Fatalf("fork %d: torn snapshot at %d: %v vs %v", k, vpn, got, first)
+	for seed := range hw.Seeds(8) {
+		m, rc, tr := newTree(2)
+		write := func(c *hw.CPU, lo, n uint64, x int) {
+			r := tr.LockRange(c, lo, lo+n)
+			v := val{x: x}
+			for i := range r.Entries() {
+				r.Entry(i).SetClone(&v)
 			}
+			r.Unlock()
 		}
-		child.Release(c0)
-		rc.Maintain(c0)
+		write(m.CPU(0), 100, 8, 1)
+		hw.RunGang(m, 2, seed, func(c *hw.CPU, g *hw.Gang) {
+			if c.ID() == 1 {
+				for k := 0; k < 50; k++ {
+					write(c, 100, 8, 10+k) // overlaps the forked range
+					write(c, 5000, 4, k)   // disjoint
+					rc.Maintain(c)
+					g.Sync(c)
+				}
+				return
+			}
+			for k := 0; k < 20; k++ {
+				child := tr.ForkLazy(c)
+				first := child.Lookup(c, 100)
+				if first == nil {
+					t.Fatalf("seed %d: fork %d: seeded page missing", seed, k)
+				}
+				for vpn := uint64(101); vpn < 108; vpn++ {
+					got := child.Lookup(c, vpn)
+					if got == nil || got.x != first.x {
+						t.Fatalf("seed %d: fork %d: torn snapshot at %d: %v vs %v", seed, k, vpn, got, first)
+					}
+				}
+				child.Release(c)
+				rc.Maintain(c)
+				g.Sync(c)
+			}
+		})
 	}
-	wg.Wait()
 }
 
 // TestRootsHaveNoFill: a node's uniform fill is fixed at its birth, NewCopy
@@ -329,8 +326,8 @@ func TestRootsHaveNoFill(t *testing.T) {
 	}
 }
 
-// TestForkRacesRootReplacement races forks of one tree against range locks,
-// page locks and lock-free lookups on it, under real parallelism: every fork
+// TestForkRacesRootReplacement interleaves forks of one tree with range
+// locks, page locks and lock-free lookups on it: every fork
 // freezes the tree's root, the next locking operation replaces it with a
 // native copy (ownRoot) while lookups still descend from the frozen one and
 // later forks copy whichever root is current. Each snapshot holds one write
@@ -341,10 +338,18 @@ func TestForkRacesRootReplacement(t *testing.T) {
 	const ncores = 4
 	const lo, hi = 504, 520       // 8 pages in one leaf node, 8 in the next
 	page := 40*span(Levels-1) + 7 // under another root slot
+	for seed := range hw.Seeds(4) {
+		if forkRacesRootReplacement(t, seed, ncores, lo, hi, page); t.Failed() {
+			t.Fatalf("seed %d failed", seed)
+		}
+	}
+}
+
+func forkRacesRootReplacement(t *testing.T, seed uint64, ncores int, lo, hi, page uint64) {
 	m, rc, tr := newTree(ncores)
 	setRange(tr, m.CPU(0), lo, hi, &val{x: 1})
 	setPage(tr, m.CPU(0), page, 0)
-	hw.RunGang(m, ncores, func(c *hw.CPU, g *hw.Gang) {
+	hw.RunGang(m, ncores, seed, func(c *hw.CPU, g *hw.Gang) {
 		const rounds = 120
 		last := 0 // the page counter in the latest snapshot
 		for k := 1; k <= rounds; k++ {

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"testing"
 	"unsafe"
 
@@ -295,11 +294,19 @@ func TestImageAbandonedWhenSourceChanged(t *testing.T) {
 	quiesce(rc)
 }
 
-// TestConcurrentRealization (for the race detector): eight cores touch the
+// TestConcurrentRealization (on the explorer): eight cores touch the
 // pages of one copy born in an image, interleaved so that every run of groups
 // is wanted by several at once. One realization of each group wins and
 // everybody sees it.
 func TestConcurrentRealization(t *testing.T) {
+	for seed := range hw.Seeds(8) {
+		if concurrentRealization(t, seed); t.Failed() {
+			t.Fatalf("seed %d failed", seed)
+		}
+	}
+}
+
+func concurrentRealization(t *testing.T, seed uint64) {
 	const ncores = 8
 	m, rc, tr := newTree(ncores)
 	c0 := m.CPU(0)
@@ -317,25 +324,19 @@ func TestConcurrentRealization(t *testing.T) {
 	if leaf.img == nil || countGroups(leaf) != realizeRun {
 		t.Fatalf("setup: want a copy born in an image with one run realized, have %d groups with storage", countGroups(leaf))
 	}
-	var wg sync.WaitGroup
-	for i := 0; i < ncores; i++ {
-		wg.Add(1)
-		go func(c *hw.CPU) {
-			defer wg.Done()
-			for v := full + uint64(c.ID()); v < full+span(1); v += ncores {
-				if child.Lookup(c, v^1) == nil { // another core's page: its value is not ours to read
-					t.Errorf("core %d: page %d is gone", c.ID(), v^1)
-				}
-				r := child.LockPage(c, v)
-				e := r.Entry(0)
-				e.Value().x |= 1 << 30
-				e.Set(e.Value())
-				r.Unlock()
+	hw.RunGang(m, ncores, seed, func(c *hw.CPU, _ *hw.Gang) {
+		for v := full + uint64(c.ID()); v < full+span(1); v += ncores {
+			if child.Lookup(c, v^1) == nil { // another core's page: its value is not ours to read
+				t.Errorf("core %d: page %d is gone", c.ID(), v^1)
 			}
-			rc.Maintain(c)
-		}(m.CPU(i))
-	}
-	wg.Wait()
+			r := child.LockPage(c, v)
+			e := r.Entry(0)
+			e.Value().x |= 1 << 30
+			e.Set(e.Value())
+			r.Unlock()
+		}
+		rc.Maintain(c)
+	})
 	if got := countGroups(leaf); got != groupsPerNode || child.groupsLive.Load() != child.GroupsEver() {
 		t.Errorf("%d groups have storage (%d live of %d ever), want all %d once each",
 			got, child.groupsLive.Load(), child.GroupsEver(), groupsPerNode)
@@ -350,12 +351,13 @@ func TestConcurrentRealization(t *testing.T) {
 	}
 }
 
-// TestConcurrentDivergenceOfOneLeaf (for the race detector): four trees
-// diverge the same frozen path at once. Their sweeps serialize on the shared
-// nodes' bits; whichever builds an image, every copy is the slot-by-slot copy.
+// TestConcurrentDivergenceOfOneLeaf: four trees diverge the same frozen path
+// at once, one seed of the explorer a round. Their sweeps serialize on the
+// shared nodes' bits; whichever builds an image, every copy is the
+// slot-by-slot copy.
 func TestConcurrentDivergenceOfOneLeaf(t *testing.T) {
 	const ncores = 4
-	for round := 0; round < 4; round++ {
+	for round := range hw.Seeds(8) {
 		m, rc, tr, full, _, _ := forkSourceOn(t, ncores)
 		markingHook(tr)
 		kids := make([]*Tree[val], ncores)
@@ -363,16 +365,10 @@ func TestConcurrentDivergenceOfOneLeaf(t *testing.T) {
 			kids[i] = tr.ForkLazy(m.CPU(0))
 		}
 		src := descend(t, tr, full)[Levels-1]
-		var wg sync.WaitGroup
-		for i, child := range kids {
-			wg.Add(1)
-			go func(c *hw.CPU, child *Tree[val]) {
-				defer wg.Done()
-				child.LockPage(c, full+uint64(c.ID())).Unlock()
-				rc.Maintain(c)
-			}(m.CPU(i), child)
-		}
-		wg.Wait()
+		hw.RunGang(m, ncores, round, func(c *hw.CPU, _ *hw.Gang) {
+			kids[c.ID()].LockPage(c, full+uint64(c.ID())).Unlock()
+			rc.Maintain(c)
+		})
 		for i, child := range kids {
 			leaf := descend(t, child, full)[Levels-1]
 			if leaf.tree != child {

@@ -1,8 +1,6 @@
 package radix
 
 import (
-	"runtime"
-
 	"radixvm/internal/hw"
 )
 
@@ -53,8 +51,8 @@ import (
 //     to the writing tree. A copy is a reader of the frozen node: it reads
 //     the node's lines and waits for no earlier copy in virtual time, so
 //     sibling copies of one node overlap. It still takes all of the node's
-//     slot bits in real time, which orders the hook's writes to the source's
-//     values (COW arming) under real parallelism.
+//     slot bits, uncharged, which orders the hook's writes to the source's
+//     values (COW arming) against every other holder.
 //   - The deadlock-free order is preserved: a copy holds the parent slot's
 //     bit (the tree's root bit, for a root), then takes the copied node's
 //     bits, which is the global parent-before-child, ascending-VPN order
@@ -68,7 +66,7 @@ import (
 func (t *Tree[V]) ForkLazy(cpu *hw.CPU) *Tree[V] {
 	// Drain in-flight locked operations and hold new ones out until the
 	// snapshot is taken (the quiescence gate, above and on Tree.lazyForks),
-	// which makes the freeze atomic in real time. The drain costs no virtual
+	// which makes the freeze atomic against every operation. The drain costs no virtual
 	// time — it models the brief kernel-level fork/VM-op exclusion a real
 	// implementation gets from per-CPU reader flags — and the caller must
 	// not hold a Range on t (self-deadlock).
@@ -78,7 +76,7 @@ func (t *Tree[V]) ForkLazy(cpu *hw.CPU) *Tree[V] {
 		// now, its opEnter sees lazyForks raised and waits.
 		if cs := t.cpus[i].Load(); cs != nil {
 			for cs.hold.flag.Load() != 0 {
-				runtime.Gosched()
+				cpu.Stall()
 			}
 		}
 	}
@@ -135,17 +133,15 @@ func (t *Tree[V]) ownRoot(cpu *hw.CPU) *node[V] {
 // The copy is a reader of src: it reads each of src's group lines once and
 // waits for no earlier copy in virtual time, so sibling copies of one node
 // overlap. It writes a group's line only when the hook wrote a value in it,
-// and it still takes src's bits in real time, which keeps a hook's
-// check-then-write of a source value exact under real parallelism. The copy
+// and it still takes src's bits, uncharged, which keeps a hook's
+// check-then-write of a source value exact against every other holder. The copy
 // is born in src's image, which this sweep builds if src has none that is
 // current, and otherwise only checks slot by slot (shell.cell).
 func (t *Tree[V]) linkCopy(cpu *hw.CPU, src *node[V], extra int64) *node[V] {
 	// A source that is itself a copy may still hold groups in its image
 	// only. The sweep counts, bills and reads groups with storage: realize
 	// them.
-	src.matMu.Lock()
 	src.materializeLocked(0, groupsPerNode-1, false)
-	src.matMu.Unlock()
 
 	dst := t.cloneShell(cpu, src)
 	cs := t.cpu(cpu)
@@ -160,7 +156,7 @@ func (t *Tree[V]) linkCopy(cpu *hw.CPU, src *node[V], extra int64) *node[V] {
 		wrote := false
 		for j := 0; j < slotsPerLine; j++ {
 			idx := gi*slotsPerLine + j
-			hw.LockBit(&src.bits[idx>>6], uint64(1)<<(uint(idx)&63))
+			cpu.LockBit(&src.bits[idx>>6], uint64(1)<<(uint(idx)&63))
 			st, child := src.uniSt, (*node[V])(nil) // no group: the fill
 			if g != nil {
 				st, child = t.readSlot(cpu, src, g, idx)

@@ -1,7 +1,6 @@
 package radix
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -108,42 +107,45 @@ func TestLazyForkIsOrderOne(t *testing.T) {
 // whole-tree snapshot atomicity (lazy.go). The written range straddles the
 // leaf-node boundary at page 512.
 func TestLazyForkRangeAtomicity(t *testing.T) {
-	m, rc, tr := newTree(2)
-	c0, c1 := m.CPU(0), m.CPU(1)
 	const lo, hi = 504, 520 // 8 pages in one leaf node, 8 in the next
-	seed := func(c *hw.CPU, x int) {
-		r := tr.LockRange(c, lo, hi)
-		v := val{x: x}
-		for i := range r.Entries() {
-			r.Entry(i).SetClone(&v)
-		}
-		r.Unlock()
-	}
-	seed(c0, 1)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for k := 0; k < 200; k++ {
-			seed(c1, 10+k)
-			rc.Maintain(c1)
-		}
-	}()
-	for k := 0; k < 60; k++ {
-		child := tr.ForkLazy(c0)
-		first := child.Lookup(c0, lo)
-		if first == nil {
-			t.Fatalf("fork %d: seeded page missing", k)
-		}
-		for vpn := uint64(lo + 1); vpn < hi; vpn++ {
-			got := child.Lookup(c0, vpn)
-			if got == nil || got.x != first.x {
-				t.Fatalf("fork %d: torn snapshot at %d: %v vs page %d's %v", k, vpn, got, lo, first)
+	for seed := range hw.Seeds(8) {
+		m, rc, tr := newTree(2)
+		write := func(c *hw.CPU, x int) {
+			r := tr.LockRange(c, lo, hi)
+			v := val{x: x}
+			for i := range r.Entries() {
+				r.Entry(i).SetClone(&v)
 			}
+			r.Unlock()
 		}
-		child.Release(c0)
-		rc.Maintain(c0)
+		write(m.CPU(0), 1)
+		hw.RunGang(m, 2, seed, func(c *hw.CPU, g *hw.Gang) {
+			if c.ID() == 1 {
+				for k := 0; k < 200; k++ {
+					write(c, 10+k)
+					rc.Maintain(c)
+					g.Sync(c)
+				}
+				return
+			}
+			for k := 0; k < 60; k++ {
+				child := tr.ForkLazy(c)
+				first := child.Lookup(c, lo)
+				if first == nil {
+					t.Fatalf("seed %d: fork %d: seeded page missing", seed, k)
+				}
+				for vpn := uint64(lo + 1); vpn < hi; vpn++ {
+					got := child.Lookup(c, vpn)
+					if got == nil || got.x != first.x {
+						t.Fatalf("seed %d: fork %d: torn snapshot at %d: %v vs page %d's %v", seed, k, vpn, got, lo, first)
+					}
+				}
+				child.Release(c)
+				rc.Maintain(c)
+				g.Sync(c)
+			}
+		})
 	}
-	<-done
 }
 
 // TestLazyForkFootprint: FootprintBytes charges shared nodes to the tree
@@ -238,20 +240,17 @@ func TestLazyForkReleaseBalance(t *testing.T) {
 // and teardown keeps the tree usable.
 func TestLazyForkConcurrent(t *testing.T) {
 	const forkers = 4
-	m, rc, tr := newTree(forkers)
-	seedC := m.CPU(0)
-	for f := 0; f < forkers; f++ {
-		for p := 0; p < 4; p++ {
-			vpn := uint64(f+1)*span(1) + uint64(p)
-			setRange(tr, seedC, vpn, vpn+1, &val{x: f*100 + p})
+	for seed := range hw.Seeds(4) {
+		m, rc, tr := newTree(forkers)
+		seedC := m.CPU(0)
+		for f := 0; f < forkers; f++ {
+			for p := 0; p < 4; p++ {
+				vpn := uint64(f+1)*span(1) + uint64(p)
+				setRange(tr, seedC, vpn, vpn+1, &val{x: f*100 + p})
+			}
 		}
-	}
-	var wg sync.WaitGroup
-	for f := 0; f < forkers; f++ {
-		wg.Add(1)
-		go func(f int) {
-			defer wg.Done()
-			c := m.CPU(f)
+		hw.RunGang(m, forkers, seed, func(c *hw.CPU, g *hw.Gang) {
+			f := c.ID()
 			for k := 0; k < 10; k++ {
 				child := tr.ForkLazy(c)
 				for ff := 0; ff < forkers; ff++ {
@@ -259,7 +258,7 @@ func TestLazyForkConcurrent(t *testing.T) {
 						vpn := uint64(ff+1)*span(1) + uint64(p)
 						got := child.Lookup(c, vpn)
 						if got == nil || got.x != ff*100+p {
-							t.Errorf("forker %d child %d vpn %d: got %+v, want x=%d", f, k, vpn, got, ff*100+p)
+							t.Errorf("seed %d: forker %d child %d vpn %d: got %+v, want x=%d", seed, f, k, vpn, got, ff*100+p)
 							return
 						}
 					}
@@ -270,27 +269,27 @@ func TestLazyForkConcurrent(t *testing.T) {
 				r.Unlock()
 				child.Release(c)
 				rc.Maintain(c)
+				g.Sync(c)
 			}
-		}(f)
-	}
-	wg.Wait()
-	for f := 0; f < forkers; f++ {
-		for p := 0; p < 4; p++ {
-			vpn := uint64(f+1)*span(1) + uint64(p)
-			got := tr.Lookup(seedC, vpn)
-			if got == nil || got.x != f*100+p {
-				t.Fatalf("parent vpn %d after the fork storm: %+v, want x=%d", vpn, got, f*100+p)
+		})
+		for f := 0; f < forkers; f++ {
+			for p := 0; p < 4; p++ {
+				vpn := uint64(f+1)*span(1) + uint64(p)
+				got := tr.Lookup(seedC, vpn)
+				if got == nil || got.x != f*100+p {
+					t.Fatalf("seed %d: parent vpn %d after the fork storm: %+v, want x=%d", seed, vpn, got, f*100+p)
+				}
 			}
 		}
+		// Every bit is free: a whole-space range lock goes through.
+		r := tr.LockRange(seedC, 1, MaxVPN-1)
+		r.Unlock()
 	}
-	// Every bit is free: a whole-space range lock goes through.
-	r := tr.LockRange(seedC, 1, MaxVPN-1)
-	r.Unlock()
 }
 
 // siblingDivergences forks k children of a tree whose leaf full holds 512
 // pages, then has cores 1..divergers each touch one page of its own child at
-// one virtual instant, through run: runDet or RunGang. Every
+// one virtual instant, through run: runDet or an explorer seed. Every
 // touch copies the same frozen path, leaf included. The hook arms the source
 // the way vm's OnDiverge arms COW, and counts each page's shares the way it
 // counts a frame's: 2 when it arms, 1 after. It returns the machine, its
@@ -381,14 +380,18 @@ func TestSiblingDivergencesOverlap(t *testing.T) {
 }
 
 // TestSiblingDivergencesArmOnce is TestSiblingDivergencesOverlap's share
-// count under real parallelism (and the race detector): the copies take the
-// frozen leaf's bits in real time, so however the sweeps interleave, one hook
-// call per page arms the source and every other adds one share.
+// count on the explorer: the copies take the frozen leaf's bits, so however
+// the sweeps interleave, one hook call per page arms the source and every
+// other adds one share.
 func TestSiblingDivergencesArmOnce(t *testing.T) {
 	const k = 4
-	for round := 0; round < 4; round++ {
-		_, shares := siblingDivergences(t, k, k, hw.RunGang)
-		checkShares(t, shares, k)
+	for seed := range hw.Seeds(8) {
+		_, shares := siblingDivergences(t, k, k, func(m *hw.Machine, n int, fn func(*hw.CPU, *hw.Gang)) {
+			hw.RunGang(m, n, seed, fn)
+		})
+		if checkShares(t, shares, k); t.Failed() {
+			t.Fatalf("seed %d failed", seed)
+		}
 	}
 }
 

@@ -100,50 +100,52 @@ func TestLeafLockFetchesItsLineOnce(t *testing.T) {
 // cores at once, and no bump is lost.
 func TestConcurrentLeafLockers(t *testing.T) {
 	const ncores, iters, pages = 4, 200, 2 * slotsPerLine
-	base := 8 * span(1)
-	m, _, tr := newTree(ncores)
-	setRange(tr, m.CPU(0), base, base+pages, &val{0})
-	var held [pages]atomic.Int32
-	var bumps atomic.Int64
-	hw.RunGang(m, ncores, func(c *hw.CPU, g *hw.Gang) {
-		rng := rand.New(rand.NewSource(int64(c.ID())))
-		for k := 0; k < iters; k++ {
-			var r *Range[val]
-			if k%2 == 0 {
-				lo := base + uint64(rng.Intn(pages))
-				r = tr.LockRange(c, lo, min(lo+uint64(rng.Intn(slotsPerLine))+1, base+pages))
-			} else {
-				r = tr.LockPage(c, base+uint64(rng.Intn(slotsPerLine)))
-			}
-			for i := range r.Entries() {
-				e := r.Entry(i)
-				if !held[e.Lo-base].CompareAndSwap(0, int32(c.ID())+1) {
-					t.Errorf("core %d locked page %d while core %d held it", c.ID(), e.Lo, held[e.Lo-base].Load()-1)
+	for seed := range hw.Seeds(8) {
+		base := 8 * span(1)
+		m, _, tr := newTree(ncores)
+		setRange(tr, m.CPU(0), base, base+pages, &val{0})
+		var held [pages]atomic.Int32
+		var bumps atomic.Int64
+		hw.RunGang(m, ncores, seed, func(c *hw.CPU, g *hw.Gang) {
+			rng := rand.New(rand.NewSource(int64(c.ID())))
+			for k := 0; k < iters; k++ {
+				var r *Range[val]
+				if k%2 == 0 {
+					lo := base + uint64(rng.Intn(pages))
+					r = tr.LockRange(c, lo, min(lo+uint64(rng.Intn(slotsPerLine))+1, base+pages))
+				} else {
+					r = tr.LockPage(c, base+uint64(rng.Intn(slotsPerLine)))
 				}
-				v := e.Value()
-				if v == nil {
-					t.Errorf("page %d lost its value", e.Lo)
-					continue
+				for i := range r.Entries() {
+					e := r.Entry(i)
+					if !held[e.Lo-base].CompareAndSwap(0, int32(c.ID())+1) {
+						t.Errorf("seed %d: core %d locked page %d while core %d held it", seed, c.ID(), e.Lo, held[e.Lo-base].Load()-1)
+					}
+					v := e.Value()
+					if v == nil {
+						t.Errorf("seed %d: page %d lost its value", seed, e.Lo)
+						continue
+					}
+					v.x++
+					e.Set(v)
 				}
-				v.x++
-				e.Set(v)
+				c.Tick(100) // the critical section
+				for i := range r.Entries() {
+					held[r.Entry(i).Lo-base].Store(0)
+				}
+				bumps.Add(int64(len(r.Entries())))
+				r.Unlock()
+				g.Sync(c)
 			}
-			c.Tick(100) // the critical section
-			for i := range r.Entries() {
-				held[r.Entry(i).Lo-base].Store(0)
+		})
+		var sum int64
+		for p := base; p < base+pages; p++ {
+			if v := tr.Lookup(m.CPU(0), p); v != nil {
+				sum += int64(v.x)
 			}
-			bumps.Add(int64(len(r.Entries())))
-			r.Unlock()
-			g.Sync(c)
 		}
-	})
-	var sum int64
-	for p := base; p < base+pages; p++ {
-		if v := tr.Lookup(m.CPU(0), p); v != nil {
-			sum += int64(v.x)
+		if sum != bumps.Load() {
+			t.Errorf("seed %d: the pages' values add up to %d bumps, want %d", seed, sum, bumps.Load())
 		}
-	}
-	if sum != bumps.Load() {
-		t.Errorf("the pages' values add up to %d bumps, want %d", sum, bumps.Load())
 	}
 }

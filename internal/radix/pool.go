@@ -69,7 +69,7 @@ func (t *Tree[V]) recycle(cpu *hw.CPU, n *node[V]) {
 	n.img = nil
 	n.copyImg.Store(nil)
 	for w := range n.bits {
-		n.bits[w].Store(0)
+		n.bits[w] = 0
 	}
 	cs.pool = append(cs.pool, n)
 }

@@ -66,8 +66,6 @@ package radix
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -108,7 +106,7 @@ type Tree[V any] struct {
 	// rootBit, which with rootGate and rootLine plays the part of the parent
 	// slot a root does not have. Lookup loads root without a lock.
 	root     atomic.Pointer[node[V]]
-	rootBit  atomic.Uint64
+	rootBit  uint64
 	rootGate hw.Gate
 	rootLine hw.Line
 
@@ -210,7 +208,7 @@ type slotGroup[V any] struct {
 // node simulates the paper's 8 KB radix node (Figure 3): 512 slots, each a
 // 16-byte (value pointer, lock bit) pair, as a compact header plus a directory
 // of slot groups (package comment). The 512 lock bits are packed into 8
-// atomic words and always present (the lock really is one bit of the slot,
+// words and always present (the lock really is one bit of the slot,
 // as in the paper).
 type node[V any] struct {
 	tree      *Tree[V]
@@ -240,14 +238,10 @@ type node[V any] struct {
 	uniStore slotState[V]
 	uniVal   V
 
-	// matMu serializes group materialization against uniform-gate
-	// updates (bulk lock-bit releases). Taken once per group lifetime
-	// and once per bulk release; never on steady-state paths.
-	matMu sync.Mutex
-	uni   uniformGates
+	uni uniformGates
 
-	bits [SlotsPerNode / 64]atomic.Uint64 // packed slot lock bits
-	dir  atomic.Pointer[groupDir[V]]      // the node's slot groups; nil = none
+	bits [SlotsPerNode / 64]uint64   // packed slot lock bits
+	dir  atomic.Pointer[groupDir[V]] // the node's slot groups; nil = none
 
 	// img is the image this node was born from, if it is a path copy of a
 	// frozen node. peek reads it with no lock, so it is set while the copy
@@ -391,11 +385,11 @@ func (s groupSet) below(gi int) groupSet {
 // is realized.
 //
 // A published groupDir's membership is immutable. Adding groups
-// (materializeLocked under matMu) builds a new directory and publishes it
-// with one atomic pointer store, so lock-free readers get a consistent
-// bitmap+slice snapshot from a single load; giving a present group its
-// storage is one atomic store into the entry it already has. A node still
-// private to the goroutine constructing it has its directory filled in place.
+// (materializeLocked) builds a new directory and publishes it with one
+// pointer store, so readers get a consistent bitmap+slice snapshot from a
+// single load; giving a present group its storage is one store into the
+// entry it already has. A node still private to the core constructing it has
+// its directory filled in place.
 type groupDir[V any] struct {
 	bits   groupSet
 	groups []atomic.Pointer[slotGroup[V]]
@@ -426,7 +420,7 @@ func newGroupDirOf[V any](set groupSet) *groupDir[V] {
 	return d
 }
 
-// insert makes g group gi of a directory still private to the goroutine
+// insert makes g group gi of a directory still private to the core
 // filling it, which adds groups in ascending order.
 func (d *groupDir[V]) insert(gi int, g *slotGroup[V]) {
 	d.bits.add(gi)
@@ -495,9 +489,7 @@ func (n *node[V]) materialize(g0, g1 int) {
 	d := n.dir.Load()
 	for gi := g0; gi <= g1; gi++ {
 		if d.get(gi) == nil {
-			n.matMu.Lock()
 			n.materializeLocked(g0, g1, true)
-			n.matMu.Unlock()
 			return
 		}
 	}
@@ -510,7 +502,7 @@ func (n *node[V]) materialize(g0, g1 int) {
 const realizeRun = 4
 
 // materializeLocked gives groups [g0, g1] their storage, in one allocation and
-// at most one directory publish. matMu held. A group present without storage
+// at most one directory publish. A group present without storage
 // is realized together with its like in the aligned runs around the range.
 // If uniform is set, a group absent from the directory materializes out of the
 // node's uniform state; unlike a realization that is visible — a later fork
@@ -580,10 +572,9 @@ func (n *node[V]) materializeLocked(g0, g1 int, uniform bool) {
 
 // initGroup fills g with what the header stands for in slots
 // [gi*slotsPerLine, (gi+1)*slotsPerLine): copies of the uniform fill and
-// gates restored from the uniform gate history. Called with matMu held
-// (post-publication materialization) or with the node unpublished
-// (construction/recycling), so plain stores are legal — the group pointer's
-// atomic store publishes it.
+// gates restored from the uniform gate history. Called on a materialization
+// or with the node unpublished (construction/recycling); the group pointer's
+// store publishes it.
 func (n *node[V]) initGroup(g *slotGroup[V], gi int) {
 	base := gi * slotsPerLine
 	for j := 0; j < slotsPerLine; j++ {
@@ -660,15 +651,12 @@ func (n *node[V]) release(cpu *hw.CPU, idx int) {
 // provides (a locker that wins the freed bit observes the release time).
 func (n *node[V]) bulkRelease(cpu *hw.CPU, idx int) {
 	mask := uint64(1) << (uint(idx) & 63)
-	n.matMu.Lock()
 	if g := n.groupLoad(idx / slotsPerLine); g != nil {
-		n.matMu.Unlock()
 		cpu.ReleaseBitIn(&n.bits[idx>>6], mask, &g.gates[idx%slotsPerLine])
 		return
 	}
 	n.uni.release(idx, cpu.Now())
-	n.matMu.Unlock()
-	n.bits[idx>>6].And(^mask)
+	n.bits[idx>>6] &^= mask
 }
 
 // releaseAllExcept bulk-releases every slot lock bit except keep's, the
@@ -679,7 +667,6 @@ func (n *node[V]) bulkRelease(cpu *hw.CPU, idx int) {
 // as ReleaseBitIn orders it.
 func (n *node[V]) releaseAllExcept(cpu *hw.CPU, keep int) {
 	now := cpu.Now()
-	n.matMu.Lock()
 	n.uni.release(0, now) // one plateau covers all unmaterialized slots
 	n.forEachGroup(func(gi int, g *slotGroup[V]) {
 		for j := 0; j < slotsPerLine; j++ {
@@ -688,13 +675,12 @@ func (n *node[V]) releaseAllExcept(cpu *hw.CPU, keep int) {
 			}
 		}
 	})
-	n.matMu.Unlock()
 	for w := range n.bits {
 		mask := ^uint64(0)
 		if w == keep>>6 {
 			mask &^= uint64(1) << (uint(keep) & 63)
 		}
-		n.bits[w].And(^mask)
+		n.bits[w] &^= mask
 	}
 }
 
@@ -760,9 +746,8 @@ func treeShell[V any](m *hw.Machine, rc *refcache.Refcache) *Tree[V] {
 // family's Range carrier, recycled value carriers and the SetClone template
 // — which together make the steady-state lock, fault and mmap/munmap paths
 // allocation-free — plus the CPU's slot in the lazy-fork quiescence gate.
-// All of it but hold.flag is owner-goroutine state, like Refcache's delta
-// caches: touched only by the goroutine driving that CPU (one at a time, not
-// one forever). Each is a heap object of its own (~300 B; ~1 KB with the
+// All of it but hold.flag is the CPU's own state, like Refcache's delta
+// caches: touched only by the proc driving that CPU. Each is a heap object of its own (~300 B; ~1 KB with the
 // carrier), which keeps two CPUs' hot words out of one host cache line.
 type cpuState[V any] struct {
 	hold     opHold
@@ -780,8 +765,8 @@ type cpuState[V any] struct {
 }
 
 // cpu returns cpu's scratch state, building it on the CPU's first use of
-// the tree. Only the CPU's own goroutine stores its slot; the pointer is
-// atomic because ForkLazy scans every slot's hold flag.
+// the tree. Only the CPU's own proc stores its slot; ForkLazy scans every
+// slot's hold flag.
 func (t *Tree[V]) cpu(cpu *hw.CPU) *cpuState[V] {
 	p := &t.cpus[cpu.ID()]
 	if cs := p.Load(); cs != nil {
@@ -802,23 +787,21 @@ func (t *Tree[V]) cpu(cpu *hw.CPU) *cpuState[V] {
 }
 
 // Template returns cpu's scratch value for building what Entry.SetClone
-// copies into a slot without a per-call allocation. Owner-goroutine only; the
+// copies into a slot without a per-call allocation. The CPU's own proc only; the
 // contents do not survive the CPU's next use of it.
 func (t *Tree[V]) Template(cpu *hw.CPU) *V { return &t.cpu(cpu).template }
 
-// opHold is one CPU's slot in the lazy-fork quiescence gate. depth is
-// owner-goroutine state; flag is the published in-critical-section marker
-// ForkLazy scans.
+// opHold is one CPU's slot in the lazy-fork quiescence gate. depth is the
+// CPU's own state; flag is the published in-critical-section marker ForkLazy
+// scans.
 type opHold struct {
 	depth int32
 	flag  atomic.Int32
 }
 
 // opEnter marks cpu as inside a locked operation on t, waiting out a
-// draining ForkLazy first. Nested ranges on one CPU just deepen the existing
-// hold. A CPU's first operation publishes its state before raising the flag,
-// so a ForkLazy that scanned the slot while it was still empty is one this
-// operation then sees in lazyForks.
+// draining ForkLazy first (a preemption point, and a wait while one drains).
+// Nested ranges on one CPU just deepen the existing hold.
 func (t *Tree[V]) opEnter(cpu *hw.CPU) *cpuState[V] {
 	cs := t.cpu(cpu)
 	h := &cs.hold
@@ -826,16 +809,12 @@ func (t *Tree[V]) opEnter(cpu *hw.CPU) *cpuState[V] {
 	if h.depth > 1 {
 		return cs
 	}
-	for {
-		h.flag.Store(1)
-		if t.lazyForks.Load() == 0 {
-			return cs
-		}
-		h.flag.Store(0)
-		for t.lazyForks.Load() != 0 {
-			runtime.Gosched()
-		}
+	cpu.Preempt()
+	for t.lazyForks.Load() != 0 {
+		cpu.Stall()
 	}
+	h.flag.Store(1)
+	return cs
 }
 
 // opExit ends cpu's hold (when the outermost range unlocks).
@@ -868,7 +847,7 @@ func (t *Tree[V]) newNode(cpu *hw.CPU, level int, base uint64, fill *V, used int
 		// as acquiring 512 fresh, free bits.
 		n.uni.busyStart = cpu.Now()
 		for w := range n.bits {
-			n.bits[w].Store(^uint64(0))
+			n.bits[w] = ^uint64(0)
 		}
 	}
 	// A pooled node may carry groups from its previous incarnation (at

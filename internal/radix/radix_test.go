@@ -213,39 +213,41 @@ func TestRevivalBeforeReclamation(t *testing.T) {
 }
 
 func TestDisjointOpsNoCacheContention(t *testing.T) {
-	// The paper's headline: after warm-up, operations on disjoint ranges
-	// from different cores move no cache lines. Use ranges in different
-	// top-level subtrees, spaced so each core's root slot sits on its own
-	// cache line (the paper exempts false sharing at line granularity).
-	const ncores = 4
-	m, rc, tr := newTree(ncores)
-	base := func(id int) uint64 { return uint64(id*slotsPerLine+4) * span(3) }
-	for i := 0; i < ncores; i++ {
-		c := m.CPU(i)
-		setRange(tr, c, base(i), base(i)+8, &val{i}) // warm up paths
-		clearRange(tr, c, base(i), base(i)+8)
-	}
-	quiesce(rc)
-	// Re-create the leaves so steady-state ops don't expand/reclaim.
-	for i := 0; i < ncores; i++ {
-		setRange(tr, m.CPU(i), base(i), base(i)+8, &val{i})
-	}
-	m.ResetStats()
-	hw.RunGang(m, ncores, func(c *hw.CPU, g *hw.Gang) {
-		lo := base(c.ID())
-		for k := 0; k < 200; k++ {
-			setRange(tr, c, lo, lo+8, &val{k})
-			if tr.Lookup(c, lo+4) == nil {
-				t.Error("lost own mapping")
-				return
-			}
-			clearRange(tr, c, lo, lo+8)
-			setRange(tr, c, lo, lo+8, &val{k})
-			g.Sync(c)
+	for seed := range hw.Seeds(4) {
+		// The paper's headline: after warm-up, operations on disjoint ranges
+		// from different cores move no cache lines. Use ranges in different
+		// top-level subtrees, spaced so each core's root slot sits on its own
+		// cache line (the paper exempts false sharing at line granularity).
+		const ncores = 4
+		m, rc, tr := newTree(ncores)
+		base := func(id int) uint64 { return uint64(id*slotsPerLine+4) * span(3) }
+		for i := 0; i < ncores; i++ {
+			c := m.CPU(i)
+			setRange(tr, c, base(i), base(i)+8, &val{i}) // warm up paths
+			clearRange(tr, c, base(i), base(i)+8)
 		}
-	})
-	if tr := m.TotalStats().Transfers; tr != 0 {
-		t.Errorf("disjoint ops moved %d cache lines, want 0", tr)
+		quiesce(rc)
+		// Re-create the leaves so steady-state ops don't expand/reclaim.
+		for i := 0; i < ncores; i++ {
+			setRange(tr, m.CPU(i), base(i), base(i)+8, &val{i})
+		}
+		m.ResetStats()
+		hw.RunGang(m, ncores, seed, func(c *hw.CPU, g *hw.Gang) {
+			lo := base(c.ID())
+			for k := 0; k < 200; k++ {
+				setRange(tr, c, lo, lo+8, &val{k})
+				if tr.Lookup(c, lo+4) == nil {
+					t.Errorf("seed %d: lost own mapping", seed)
+					return
+				}
+				clearRange(tr, c, lo, lo+8)
+				setRange(tr, c, lo, lo+8, &val{k})
+				g.Sync(c)
+			}
+		})
+		if tr := m.TotalStats().Transfers; tr != 0 {
+			t.Errorf("seed %d: disjoint ops moved %d cache lines, want 0", seed, tr)
+		}
 	}
 }
 
@@ -276,55 +278,59 @@ func TestOverlappingOpsSerialize(t *testing.T) {
 
 func TestConcurrentDisjointStress(t *testing.T) {
 	const ncores = 8
-	m, rc, tr := newTree(ncores)
-	hw.RunGang(m, ncores, func(c *hw.CPU, g *hw.Gang) {
-		lo := uint64(c.ID()) * 10000
-		for k := 0; k < 300; k++ {
-			setRange(tr, c, lo, lo+16, &val{k})
-			for p := lo; p < lo+16; p++ {
-				if got := tr.Lookup(c, p); got == nil || got.x != k {
-					t.Errorf("core %d lost page %d", c.ID(), p)
-					return
+	for seed := range hw.Seeds(4) {
+		m, rc, tr := newTree(ncores)
+		hw.RunGang(m, ncores, seed, func(c *hw.CPU, g *hw.Gang) {
+			lo := uint64(c.ID()) * 10000
+			for k := 0; k < 300; k++ {
+				setRange(tr, c, lo, lo+16, &val{k})
+				for p := lo; p < lo+16; p++ {
+					if got := tr.Lookup(c, p); got == nil || got.x != k {
+						t.Errorf("seed %d: core %d lost page %d", seed, c.ID(), p)
+						return
+					}
 				}
+				clearRange(tr, c, lo, lo+16)
+				rc.Maintain(c)
+				g.Sync(c)
 			}
-			clearRange(tr, c, lo, lo+16)
-			rc.Maintain(c)
-			g.Sync(c)
+		})
+		quiesce(rc)
+		if tr.NodesLive() != 1 {
+			t.Errorf("seed %d: NodesLive = %d after full clear", seed, tr.NodesLive())
 		}
-	})
-	quiesce(rc)
-	if tr.NodesLive() != 1 {
-		t.Errorf("NodesLive = %d after full clear", tr.NodesLive())
 	}
 }
 
 func TestConcurrentOverlappingStress(t *testing.T) {
-	// All cores hammer the same small window with mixed page ops; the
-	// lock protocol must keep the tree consistent (no lost updates
-	// observable as torn values, no deadlock).
-	const ncores = 4
-	m, rc, tr := newTree(ncores)
-	hw.RunGang(m, ncores, func(c *hw.CPU, g *hw.Gang) {
-		rng := rand.New(rand.NewSource(int64(c.ID())))
-		for k := 0; k < 400; k++ {
-			vpn := uint64(rng.Intn(64))
-			switch rng.Intn(3) {
-			case 0:
-				setRange(tr, c, vpn, vpn+uint64(rng.Intn(8))+1, &val{k})
-			case 1:
-				clearRange(tr, c, vpn, vpn+uint64(rng.Intn(8))+1)
-			default:
-				tr.Lookup(c, vpn)
+	for seed := range hw.Seeds(8) {
+		// All cores hammer the same small window with mixed page ops; the
+		// lock protocol must keep the tree consistent (no lost updates
+		// observable as torn values, no deadlock).
+		const ncores = 4
+		m, rc, tr := newTree(ncores)
+		hw.RunGang(m, ncores, seed, func(c *hw.CPU, g *hw.Gang) {
+			rng := rand.New(rand.NewSource(int64(c.ID())))
+			for k := 0; k < 400; k++ {
+				vpn := uint64(rng.Intn(64))
+				switch rng.Intn(3) {
+				case 0:
+					setRange(tr, c, vpn, vpn+uint64(rng.Intn(8))+1, &val{k})
+				case 1:
+					clearRange(tr, c, vpn, vpn+uint64(rng.Intn(8))+1)
+				default:
+					tr.Lookup(c, vpn)
+				}
+				rc.Maintain(c)
+				g.Sync(c)
 			}
-			rc.Maintain(c)
-			g.Sync(c)
+		})
+		// Clean up and verify reclamation converges.
+		clearRange(tr, m.CPU(0), 0, 128)
+		quiesce(rc)
+		if tr.NodesLive() != 1 {
+			t.Errorf("seed %d: NodesLive = %d after clearing all", seed, tr.NodesLive())
 		}
-	})
-	// Clean up and verify reclamation converges.
-	clearRange(tr, m.CPU(0), 0, 128)
-	quiesce(rc)
-	if tr.NodesLive() != 1 {
-		t.Errorf("NodesLive = %d after clearing all", tr.NodesLive())
 	}
 }
 

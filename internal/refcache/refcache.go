@@ -25,7 +25,6 @@ package refcache
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -51,8 +50,7 @@ type Refcache struct {
 
 	epoch      atomic.Uint64 // current global epoch
 	epochLine  hw.Line       // the cache line holding the global epoch
-	barrierMu  sync.Mutex
-	numFlushed int // cores that have flushed in the current epoch
+	numFlushed int           // cores that have flushed in the current epoch
 }
 
 // cacheLine is the (real) host cache-line size the per-core padding targets.
@@ -112,11 +110,12 @@ func NewSized(m *hw.Machine, slots int) *Refcache {
 }
 
 // Obj is a reference-counted object. Obtain one with Refcache.NewObj and
-// manipulate it only through its Refcache. The object's fields are
-// protected by a fine-grained per-object lock, as in the paper.
+// manipulate it only through its Refcache. The paper guards the object's
+// fields with a fine-grained per-object lock; here every change to them
+// happens between two preemption points (each line touch is one), which
+// makes it atomic without one.
 type Obj struct {
 	id   uint64
-	mu   sync.Mutex
 	line hw.Line // the global count's cache line
 
 	// Data is an arbitrary payload (e.g. the radix-tree node this count
@@ -127,15 +126,15 @@ type Obj struct {
 	refcnt   int64 // global reference count
 	dirty    bool  // became non-zero while on a review queue
 	onReview bool
-	weak     atomic.Uint32       // weak-reference state: weakDead, weakAlive or weakDying
+	weak     uint32              // weak-reference state: weakDead, weakAlive or weakDying
 	weakLine hw.Line             // the weak state's cache line
 	free     func(*hw.CPU, *Obj) // invoked exactly once when truly dead
 }
 
 // NewObj creates an object with the given initial global count. free, if
 // non-nil, runs exactly once when Refcache determines the true count is
-// zero (and no TryGet revived the object). It runs with the object's lock
-// held, on the goroutine performing epoch maintenance.
+// zero (and no TryGet revived the object). It runs on the core performing
+// epoch maintenance.
 //
 // Construction is a single allocation: the weak state is a word in the
 // object, which matters to callers that create objects on hot paths (one per
@@ -175,20 +174,16 @@ func (rc *Refcache) InitObj(o *Obj, initial int64, free func(*hw.CPU, *Obj)) {
 	o.free = free
 	o.line.Reset()
 	o.weakLine.Reset()
-	o.weak.Store(weakAlive)
+	o.weak = weakAlive
 }
 
 // GlobalCount returns the object's current global count (diagnostic; the
 // true count also includes unflushed per-core deltas).
-func (o *Obj) GlobalCount() int64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.refcnt
-}
+func (o *Obj) GlobalCount() int64 { return o.refcnt }
 
 // Freed reports whether the object is dead: its deletion CAS has won and
-// its free callback has run, or is running under its lock.
-func (o *Obj) Freed() bool { return o.weak.Load() == weakDead }
+// its free callback has run, or is running.
+func (o *Obj) Freed() bool { return o.weak == weakDead }
 
 func (rc *Refcache) slot(cpu *hw.CPU, o *Obj) *entry {
 	cs := &rc.cores[cpu.ID()].coreStateData
@@ -241,23 +236,22 @@ func panicDead(cpu *hw.CPU) {
 // evict applies a cached delta to o's global count, implementing the
 // paper's evict(): a count that reaches zero is queued for review on this
 // core (unless already queued somewhere), and a count that is non-zero
-// marks any pending review dirty.
+// marks any pending review dirty. The count's line is touched first and the
+// weak state's last, so the update between them is one atomic step.
 func (rc *Refcache) evict(cpu *hw.CPU, o *Obj, delta int64) {
 	cpu.Write(&o.line)
-	o.mu.Lock()
 	o.refcnt += delta
-	if o.refcnt == 0 {
-		if !o.onReview {
-			o.dirty = false
-			o.onReview = true
-			o.setDying(cpu, true)
-			cs := &rc.cores[cpu.ID()]
-			cs.review.Push(reviewEntry{obj: o, epoch: rc.epoch.Load()})
-		}
-	} else {
+	if o.refcnt != 0 {
 		o.dirty = true
+		return
 	}
-	o.mu.Unlock()
+	if !o.onReview {
+		o.dirty = false
+		o.onReview = true
+		cs := &rc.cores[cpu.ID()]
+		cs.review.Push(reviewEntry{obj: o, epoch: rc.epoch.Load()})
+		o.setDying(cpu, true)
+	}
 }
 
 // Maintain performs this core's periodic Refcache work: once the core's
@@ -296,7 +290,6 @@ func (rc *Refcache) flushCore(cpu *hw.CPU, ge uint64) {
 	// Epoch barrier: the global epoch and flush count live on one shared
 	// line, the scheme's "small constant rate of cache line movement".
 	cpu.Write(&rc.epochLine)
-	rc.barrierMu.Lock()
 	// Join the barrier at most once per epoch per core (a core may flush
 	// again in the same epoch via FlushAll after Maintain already ran).
 	if rc.epoch.Load() == ge && !alreadyFlushed {
@@ -306,7 +299,6 @@ func (rc *Refcache) flushCore(cpu *hw.CPU, ge uint64) {
 			rc.epoch.Store(ge + 1)
 		}
 	}
-	rc.barrierMu.Unlock()
 
 	rc.reviewCore(cpu)
 }
@@ -336,7 +328,6 @@ func (rc *Refcache) reviewCore(cpu *hw.CPU) {
 		}
 		o := re.obj
 		cpu.Write(&o.line)
-		o.mu.Lock()
 		o.onReview = false
 		switch {
 		case o.refcnt != 0:
@@ -354,7 +345,6 @@ func (rc *Refcache) reviewCore(cpu *hw.CPU) {
 				o.free(cpu, o)
 			}
 		}
-		o.mu.Unlock()
 	}
 	cs.reviews += uint64(i)
 	if i > w {

@@ -3,8 +3,6 @@ package refcache
 import (
 	"math/rand"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -230,71 +228,53 @@ func TestMaintainRespectsEpochLength(t *testing.T) {
 
 func TestConcurrentIncDecStress(t *testing.T) {
 	const ncores = 8
-	m, rc := newTestRC(ncores)
-	freed := make(chan struct{})
-	o := rc.NewObj(1, func(*hw.CPU, *Obj) { close(freed) })
-	var wg sync.WaitGroup
-	for i := 0; i < ncores; i++ {
-		wg.Add(1)
-		go func(c *hw.CPU) {
-			defer wg.Done()
+	for seed := range hw.Seeds(4) {
+		m, rc := newTestRC(ncores)
+		freed := false
+		o := rc.NewObj(1, func(*hw.CPU, *Obj) { freed = true })
+		hw.RunGang(m, ncores, seed, func(c *hw.CPU, _ *hw.Gang) {
 			for k := 0; k < 5000; k++ {
 				rc.Inc(c, o)
 				rc.Dec(c, o)
 				c.Tick(100)
 				rc.Maintain(c)
 			}
-		}(m.CPU(i))
-	}
-	wg.Wait()
-	select {
-	case <-freed:
-		t.Fatal("object freed while base reference held")
-	default:
-	}
-	rc.Dec(m.CPU(0), o)
-	flushEpochs(rc, 6)
-	if !o.Freed() {
-		t.Fatal("object not reclaimed after final dec")
-	}
-	if rc.TrueCount(o) != 0 {
-		t.Fatalf("final true count %d", rc.TrueCount(o))
+		})
+		if freed {
+			t.Fatalf("seed %d: object freed while base reference held", seed)
+		}
+		rc.Dec(m.CPU(0), o)
+		flushEpochs(rc, 6)
+		if !o.Freed() {
+			t.Fatalf("seed %d: object not reclaimed after final dec", seed)
+		}
+		if rc.TrueCount(o) != 0 {
+			t.Fatalf("seed %d: final true count %d", seed, rc.TrueCount(o))
+		}
 	}
 }
 
 func TestConcurrentTryGetVsFree(t *testing.T) {
 	// Race TryGet against the reclamation path; the winner is decided by
 	// the CAS on the weak state word and the object is freed exactly once.
-	// Each simulated core is driven by exactly one goroutine.
-	const rounds = 100
+	// Each round is one seed of the explorer.
 	m, rc := newTestRC(2)
 	epoch := m.Config().EpochCycles
-	for r := 0; r < rounds; r++ {
-		var frees atomic.Int32
-		o := rc.NewObj(1, func(*hw.CPU, *Obj) { frees.Add(1) })
+	for r := range hw.Seeds(100) {
+		frees := 0
+		o := rc.NewObj(1, func(*hw.CPU, *Obj) { frees++ })
 		rc.Dec(m.CPU(0), o)
 		rc.FlushAll() // queued, dying bit set
 		var got *Obj
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() { // core 1: attempt revival, then run epochs
-			defer wg.Done()
-			c := m.CPU(1)
-			got = rc.TryGet(c, o)
+		hw.RunGang(m, 2, r, func(c *hw.CPU, _ *hw.Gang) {
+			if c.ID() == 1 { // attempt revival, then run epochs
+				got = rc.TryGet(c, o)
+			} // core 0: epoch maintenance (may free the object)
 			for i := 0; i < 20; i++ {
 				c.Tick(epoch)
 				rc.Maintain(c)
 			}
-		}()
-		go func() { // core 0: epoch maintenance (may free the object)
-			defer wg.Done()
-			c := m.CPU(0)
-			for i := 0; i < 20; i++ {
-				c.Tick(epoch)
-				rc.Maintain(c)
-			}
-		}()
-		wg.Wait()
+		})
 		if got != nil {
 			if o.Freed() {
 				t.Fatalf("round %d: TryGet returned a freed object", r)
@@ -302,7 +282,7 @@ func TestConcurrentTryGetVsFree(t *testing.T) {
 			rc.Dec(m.CPU(1), got)
 		}
 		flushEpochs(rc, 6)
-		if n := frees.Load(); !o.Freed() || n != 1 {
+		if n := frees; !o.Freed() || n != 1 {
 			t.Fatalf("round %d: freed %d times, want 1", r, n)
 		}
 	}
@@ -555,7 +535,6 @@ func oldReview(rc *Refcache, cpu *hw.CPU, q []reviewEntry) []reviewEntry {
 			break
 		}
 		o := re.obj
-		o.mu.Lock()
 		o.onReview = false
 		switch {
 		case o.refcnt != 0:
@@ -571,7 +550,6 @@ func oldReview(rc *Refcache, cpu *hw.CPU, q []reviewEntry) []reviewEntry {
 				o.free(cpu, o)
 			}
 		}
-		o.mu.Unlock()
 	}
 	w += copy(q[w:], q[i:])
 	clear(q[w:])

@@ -25,37 +25,31 @@ const (
 // of the weak line, so concurrent TryGets of a healthy object do not
 // contend.
 func (rc *Refcache) TryGet(cpu *hw.CPU, o *Obj) *Obj {
-	for {
-		switch o.weak.Load() {
-		case weakDead:
-			cpu.Read(&o.weakLine)
-			return nil
-		case weakAlive:
-			cpu.Read(&o.weakLine)
-			rc.Inc(cpu, o)
-			return o
-		}
-		// Revive: atomically clear the dying bit, then take a reference
-		// as usual.
-		if o.weak.CompareAndSwap(weakDying, weakAlive) {
-			cpu.Write(&o.weakLine)
-			rc.Inc(cpu, o)
-			return o
-		}
+	switch o.weak {
+	case weakDead:
+		cpu.Read(&o.weakLine)
+		return nil
+	case weakAlive:
+		cpu.Read(&o.weakLine)
+	default: // revive: clear the dying bit, then take a reference as usual
+		o.weak = weakAlive
+		cpu.Write(&o.weakLine)
 	}
+	rc.Inc(cpu, o)
+	return o
 }
 
 // setDying sets or clears the dying bit, leaving the pointer intact. No-op
-// if the object is already dead or the bit already has that value. The swap
-// is one CAS on a word in the object, so objects cycling through zero (the
-// shared-page Figure 8 workload, frame churn in the local workload) stay off
-// the heap.
+// if the object is already dead or the bit already has that value. The state
+// is a word in the object, so objects cycling through zero (the shared-page
+// Figure 8 workload, frame churn in the local workload) stay off the heap.
 func (o *Obj) setDying(cpu *hw.CPU, dying bool) {
 	from, to := weakAlive, weakDying
 	if !dying {
 		from, to = to, from
 	}
-	if o.weak.CompareAndSwap(from, to) {
+	if o.weak == from {
+		o.weak = to
 		cpu.Write(&o.weakLine)
 	}
 }
@@ -65,9 +59,10 @@ func (o *Obj) setDying(cpu *hw.CPU, dying bool) {
 // object since zero detection — and so at most once per lifetime, since
 // nothing but InitObj leaves the dead state.
 func (o *Obj) tryKill(cpu *hw.CPU) bool {
-	if o.weak.CompareAndSwap(weakDying, weakDead) {
-		cpu.Write(&o.weakLine)
-		return true
+	if o.weak != weakDying {
+		return false
 	}
-	return false
+	o.weak = weakDead
+	cpu.Write(&o.weakLine)
+	return true
 }

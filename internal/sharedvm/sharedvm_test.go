@@ -36,8 +36,8 @@ func (w *world) drained() int64 {
 	return w.alloc.Live()
 }
 
-// policies is the one table every test here runs over.
-var policies = []struct {
+// policy is one baseline's locking policy.
+type policy struct {
 	name string
 	new  func(w *world) *sharedvm.Space
 	// lockFree: faults run outside the lock. A published region must then
@@ -47,7 +47,10 @@ var policies = []struct {
 	// split is the index operations of a boundary mprotect of [103, 106)
 	// inside a region [100, 110).
 	split string
-}{
+}
+
+// policies is the one table every test here runs over.
+var policies = []policy{
 	{"linux", func(w *world) *sharedvm.Space { return linuxvm.New(w.m, w.rc, w.alloc) }, false, "D100 I100 I103 I106"},
 	{"bonsai", func(w *world) *sharedvm.Space { return bonsaivm.New(w.m, w.rc, w.alloc) }, true, "I106 I103 I100"},
 }
@@ -92,49 +95,72 @@ func checkBacking(t *testing.T, w *world, c *hw.CPU, as *sharedvm.Space, lo, hi 
 // page behind it, must not leave the old page installed. The file's counter
 // constructor runs inside the faulter's File.Page — exactly that window —
 // and remaps the page from offset 0 to offset 1 on another CPU. (Where
-// faults hold the lock the remap cannot land there; it runs beside the fault
-// and the final state must be just as consistent.) A second region keeps the
-// file's mapper count above zero, so the remap never needs the file's mutex
-// the faulter is holding.
+// faults hold the lock the remap cannot land there; it runs beside the fault,
+// on the explorer, and the final state must be just as consistent.) A second
+// region keeps the file's mapper count above zero.
 func TestFaultRevalidatesBacking(t *testing.T) {
 	for _, p := range policies {
 		t.Run(p.name, func(t *testing.T) {
-			w := newWorld(2)
-			c0, c1 := w.m.CPU(0), w.m.CPU(1)
-			as := p.new(w)
-			remapped := make(chan struct{})
-			var file *vm.File
-			armed := true
-			file = vm.NewFileWithCounter(w.alloc, func() counter.Counter {
-				if armed {
-					armed = false
-					remap := func() {
-						must(t, as.Mmap(c1, 100, 1, vm.MapOpts{Prot: vm.ProtRead, File: file, Offset: 1}))
-						close(remapped)
-					}
-					if p.lockFree {
-						remap()
-					} else {
-						go remap()
-					}
+			for seed := range hw.Seeds(8) {
+				faultRevalidatesBacking(t, p, seed)
+				if t.Failed() {
+					t.Fatalf("failed at seed %d", seed)
 				}
-				return counter.NewShared(0)
-			})
-			must(t, as.Mmap(c0, 200, 1, vm.MapOpts{Prot: vm.ProtRead, File: file, Offset: 8}))
-			must(t, as.Mmap(c0, 100, 1, vm.MapOpts{Prot: vm.ProtRead, File: file, Offset: 0}))
-			must(t, as.Access(c0, 100, false))
-			<-remapped
-			if pte, ok := as.MMU.PageTable().Peek(100); ok && pte.PFN != pfnOf(w, c0, file, 1) {
-				t.Fatalf("region maps file offset 1 (pfn %d) but the page table holds pfn %d",
-					pfnOf(w, c0, file, 1), pte.PFN)
-			}
-			checkBacking(t, w, c0, as, 100, 101)
-			must(t, as.Munmap(c0, 100, 101))
-			file.Truncate(c0, 0)
-			if live := w.drained(); live != 0 {
-				t.Errorf("%d frames live after teardown", live)
 			}
 		})
+	}
+}
+
+func faultRevalidatesBacking(t *testing.T, p policy, seed uint64) {
+	w := newWorld(2)
+	c0 := w.m.CPU(0)
+	as := p.new(w)
+	var file *vm.File
+	armed, remapped, beside := true, false, false
+	remap := func(c *hw.CPU) {
+		must(t, as.Mmap(c, 100, 1, vm.MapOpts{Prot: vm.ProtRead, File: file, Offset: 1}))
+		remapped = true
+	}
+	file = vm.NewFileWithCounter(w.alloc, func() counter.Counter {
+		if armed {
+			armed = false
+			if p.lockFree {
+				remap(w.m.CPU(1))
+			} else {
+				beside = true
+			}
+		}
+		return counter.NewShared(0)
+	})
+	must(t, as.Mmap(c0, 200, 1, vm.MapOpts{Prot: vm.ProtRead, File: file, Offset: 8}))
+	must(t, as.Mmap(c0, 100, 1, vm.MapOpts{Prot: vm.ProtRead, File: file, Offset: 0}))
+	faulted := false
+	hw.RunGang(w.m, 2, seed, func(c *hw.CPU, g *hw.Gang) {
+		if c.ID() == 0 {
+			must(t, as.Access(c, 100, false))
+			faulted = true
+			return
+		}
+		for !beside && !faulted {
+			c.Tick(100)
+			g.Sync(c)
+		}
+		if beside {
+			remap(c)
+		}
+	})
+	if !remapped {
+		t.Fatal("the fault never ran the counter constructor that remaps")
+	}
+	if pte, ok := as.MMU.PageTable().Peek(100); ok && pte.PFN != pfnOf(w, c0, file, 1) {
+		t.Fatalf("region maps file offset 1 (pfn %d) but the page table holds pfn %d",
+			pfnOf(w, c0, file, 1), pte.PFN)
+	}
+	checkBacking(t, w, c0, as, 100, 101)
+	must(t, as.Munmap(c0, 100, 101))
+	file.Truncate(c0, 0)
+	if live := w.drained(); live != 0 {
+		t.Errorf("%d frames live after teardown", live)
 	}
 }
 

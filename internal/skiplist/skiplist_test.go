@@ -117,30 +117,32 @@ func TestQuickAgainstMapModel(t *testing.T) {
 
 func TestConcurrentDisjointKeys(t *testing.T) {
 	const ncores = 8
-	m, l := newList(ncores)
-	hw.RunGang(m, ncores, func(c *hw.CPU, g *hw.Gang) {
-		rng := rand.New(rand.NewSource(int64(c.ID())))
-		base := uint64(c.ID()) * 1000
-		for k := 0; k < 300; k++ {
-			key := base + uint64(rng.Intn(500)) + 1
-			if !l.Contains(c, key) {
-				l.Insert(c, rng, key)
-			} else {
-				l.Delete(c, key)
+	for seed := range hw.Seeds(8) {
+		m, l := newList(ncores)
+		hw.RunGang(m, ncores, seed, func(c *hw.CPU, g *hw.Gang) {
+			rng := rand.New(rand.NewSource(int64(c.ID())))
+			base := uint64(c.ID()) * 1000
+			for k := 0; k < 300; k++ {
+				key := base + uint64(rng.Intn(500)) + 1
+				if !l.Contains(c, key) {
+					l.Insert(c, rng, key)
+				} else {
+					l.Delete(c, key)
+				}
+				g.Sync(c)
 			}
-			g.Sync(c)
+		})
+		// Structural sanity after the storm.
+		prev := uint64(0)
+		for curr, _ := l.head.succs[0].load(); curr != l.tail; curr, _ = curr.succs[0].load() {
+			if _, marked := curr.succs[0].load(); marked {
+				continue
+			}
+			if curr.key <= prev {
+				t.Fatalf("seed %d: unsorted after stress: %d after %d", seed, curr.key, prev)
+			}
+			prev = curr.key
 		}
-	})
-	// Structural sanity after the storm.
-	prev := uint64(0)
-	for curr, _ := l.head.succs[0].load(); curr != l.tail; curr, _ = curr.succs[0].load() {
-		if _, marked := curr.succs[0].load(); marked {
-			continue
-		}
-		if curr.key <= prev {
-			t.Fatalf("unsorted after stress: %d after %d", curr.key, prev)
-		}
-		prev = curr.key
 	}
 }
 
@@ -148,17 +150,19 @@ func TestConcurrentSameKeyLinearizes(t *testing.T) {
 	// Many cores inserting/deleting one key: at most one insert of a
 	// given generation wins, and the list never holds duplicates.
 	const ncores = 4
-	m, l := newList(ncores)
-	hw.RunGang(m, ncores, func(c *hw.CPU, g *hw.Gang) {
-		rng := rand.New(rand.NewSource(int64(c.ID() + 100)))
-		for k := 0; k < 200; k++ {
-			l.Insert(c, rng, 42)
-			l.Delete(c, 42)
-			g.Sync(c)
+	for seed := range hw.Seeds(16) {
+		m, l := newList(ncores)
+		hw.RunGang(m, ncores, seed, func(c *hw.CPU, g *hw.Gang) {
+			rng := rand.New(rand.NewSource(int64(c.ID() + 100)))
+			for k := 0; k < 200; k++ {
+				l.Insert(c, rng, 42)
+				l.Delete(c, 42)
+				g.Sync(c)
+			}
+		})
+		if n := l.Len(); n > 1 {
+			t.Fatalf("seed %d: duplicates survived: Len = %d", seed, n)
 		}
-	})
-	if n := l.Len(); n > 1 {
-		t.Fatalf("duplicates survived: Len = %d", n)
 	}
 }
 

@@ -2,14 +2,12 @@
 // targeted shootdown design needs nothing fancy from the TLB itself — the
 // cleverness is in tracking which cores *may* have an entry (the per-page
 // core set in mapping metadata) — so this TLB is a bounded hash table (open
-// addressing, linear probing) with FIFO eviction, safe for the owner core
-// plus shootdown-by-proxy senders.
+// addressing, linear probing) with FIFO eviction, which the owner core fills
+// and shootdown senders flush by proxy.
 package tlb
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"radixvm/internal/fifo"
 )
@@ -56,15 +54,8 @@ func unpack(raw uint64) Entry {
 // the one or two cores it runs on, and a shared-table MMU holds one TLB per
 // core of the machine.
 type TLB struct {
-	mu       sync.Mutex
 	tab      *table // vpn -> packed Entry; nil until the first Insert
 	capacity int32  // 0 means DefaultCapacity
-
-	// live counts the cached translations for FlushRange's lock-free
-	// empty check: a shootdown reaches every core that may hold a page,
-	// and most of them hold nothing. It is raised before an entry goes in
-	// and lowered after one goes out, so it is never below tab.n.
-	live atomic.Int32
 
 	// order is the FIFO eviction queue: one token per Insert of an absent
 	// VPN, oldest at the front. Flushing a page leaves its token behind,
@@ -216,8 +207,6 @@ func (tb *table) remove(vpn uint64) bool {
 // a present VPN overwrites its entry (how a protection-fault fill upgrades
 // a read-only translation in place).
 func (t *TLB) Insert(vpn uint64, e Entry) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if i, ok := t.tab.find(vpn); ok {
 		t.tab.slots[i].val = e.pack()
 		return
@@ -232,12 +221,9 @@ func (t *TLB) Insert(vpn uint64, e Entry) {
 	// order may hold stale VPNs flushed earlier; evict until below
 	// capacity.
 	for t.tab.n >= capacity && t.order.Len() > 0 {
-		if t.tab.remove(t.pop()) {
-			t.live.Add(-1)
-		}
+		t.tab.remove(t.pop())
 	}
 	t.push(vpn)
-	t.live.Add(1)
 	t.tab.put(vpn, e.pack())
 }
 
@@ -272,8 +258,6 @@ func (t *TLB) pop() uint64 {
 
 // Lookup reports the cached translation for vpn.
 func (t *TLB) Lookup(vpn uint64) (Entry, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	i, ok := t.tab.find(vpn)
 	if !ok {
 		return Entry{}, false
@@ -283,10 +267,7 @@ func (t *TLB) Lookup(vpn uint64) (Entry, bool) {
 
 // FlushPage invalidates vpn (INVLPG) and reports whether it was present.
 func (t *TLB) FlushPage(vpn uint64) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.tab.remove(vpn) {
-		t.live.Add(-1)
 		t.Flushes++
 		return true
 	}
@@ -298,16 +279,12 @@ func (t *TLB) FlushPage(vpn uint64) bool {
 // by per-key INVLPG-style deletes; only ranges wider than the cached set
 // pay for a sweep of the whole table. The seed swept per munmap, which
 // dominated the shootdown path's real CPU time. An empty TLB — most of the
-// targets of a broadcast — returns 0 without taking the lock: a flush that
-// finds nothing orders before any Insert racing it, and the inserting
-// access re-validates its walk afterwards (vm.MMU.Revalidate).
+// targets of a broadcast — returns 0 at once.
 func (t *TLB) FlushRange(lo, hi uint64) int {
-	if t.live.Load() == 0 {
+	tb := t.tab
+	if tb == nil || tb.n == 0 {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	tb := t.tab
 	n := 0
 	if hi-lo <= uint64(tb.n) {
 		for vpn := lo; vpn < hi; vpn++ {
@@ -329,7 +306,6 @@ func (t *TLB) FlushRange(lo, hi uint64) int {
 			n++
 		}
 	}
-	t.live.Add(int32(-n))
 	t.Flushes += uint64(n)
 	return n
 }
@@ -339,12 +315,9 @@ func (t *TLB) FlushRange(lo, hi uint64) int {
 // ran on, at each of its parent's forks and at its own exit — only counts
 // the flush.
 func (t *TLB) FlushAll() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.tab != nil && t.tab.n > 0 {
 		clear(t.tab.slots)
 		t.tab.n = 0
-		t.live.Store(0)
 	}
 	t.order.Reset()
 	t.FullFlushes++
@@ -352,8 +325,6 @@ func (t *TLB) FlushAll() {
 
 // Len returns the number of cached translations.
 func (t *TLB) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.tab == nil {
 		return 0
 	}

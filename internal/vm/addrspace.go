@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"radixvm/internal/counter"
@@ -66,11 +65,10 @@ type AddressSpace struct {
 
 	active ActiveSet
 
-	// revokeMu orders file-page revocations against Exit: a revoke holds
-	// the read side while it walks the tree, and Exit marks the space
-	// exited under the write side before releasing the tree, so a
-	// writeback can never walk freed radix nodes.
-	revokeMu sync.RWMutex
+	// revoking counts the file-page revocations walking the tree, and Exit
+	// waits for it to drain before it marks the space exited and releases
+	// the tree, so a writeback can never walk freed radix nodes.
+	revoking int
 	exited   atomic.Bool
 }
 

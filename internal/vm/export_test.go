@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"radixvm/internal/hw"
+	"radixvm/internal/pagetable"
 )
 
 // CheckHolders is the holder oracle: if a live space's private mapping holds
@@ -27,12 +28,10 @@ func CheckHolders(t testing.TB, cpu *hw.CPU, lo, hi uint64, spaces ...*AddressSp
 			}
 			held++
 			f, off := v.Back.File, v.Back.Offset+(e.Lo-v.Start)
-			f.mu.Lock()
 			p := f.page(off, false)
 			if p == nil || !slices.Contains(p.holders, holder{as, v.Start - v.Back.Offset}) {
 				t.Errorf("space %d holds frame %d of file page %d at VPN %d and its placement is not in the page's holder set", i, v.Frame.PFN, off, e.Lo)
 			}
-			f.mu.Unlock()
 		}
 		r.Unlock()
 	}
@@ -42,8 +41,6 @@ func CheckHolders(t testing.TB, cpu *hw.CPU, lo, hi uint64, spaces ...*AddressSp
 // Holders returns the entries of all of f's holder sets, leftovers of exited
 // spaces included.
 func (f *File) Holders() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	n := 0
 	for _, chunk := range f.pages {
 		for i := range chunk {
@@ -65,4 +62,20 @@ func (mmu *PerCoreMMU) SlotsBuilt() int {
 		}
 	}
 	return n
+}
+
+// PeekTable returns what core id's view of the page tables holds for vpn,
+// charging nothing.
+func PeekTable(mmu MMU, id int, vpn uint64) (pagetable.PTE, bool) {
+	var pt *pagetable.PageTable
+	switch mmu := mmu.(type) {
+	case *PerCoreMMU:
+		pt = mmu.core(id).table()
+	case *SharedMMU:
+		pt = mmu.pt
+	}
+	if pt == nil {
+		return pagetable.PTE{}, false
+	}
+	return pt.Peek(vpn)
 }

@@ -57,11 +57,11 @@ func (b *revokeBatch) flush(cpu *hw.CPU, alloc *mem.Allocator) {
 // per mapping address space. The mapping metadata itself survives, so a
 // post-writeback access refaults through the page cache. Allocates nothing.
 func (as *AddressSpace) revokeFile(cpu *hw.CPU, f *File, delta, lo, hi uint64, b *revokeBatch) (int, int) {
-	as.revokeMu.RLock()
-	defer as.revokeMu.RUnlock()
 	if as.exited.Load() {
 		return 0, 0 // a leftover holder entry: the space unmapped, then exited
 	}
+	as.revoking++
+	defer func() { as.revoking-- }()
 	revoked, maxSharers := 0, 0
 	r := as.tree.LockRange(cpu, lo, hi)
 	// Read under the lock: a core that cached a page of the range noted

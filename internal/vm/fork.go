@@ -140,11 +140,11 @@ func (as *AddressSpace) Exit(cpu *hw.CPU) {
 	cpu.Tick(RadixSyscallCost)
 	as.noteActive(cpu)
 	// Fence file-page revocations: once exited is set no writeback walks
-	// this tree again, and any revoke already inside the tree finished
-	// before the write lock was granted.
-	as.revokeMu.Lock()
+	// this tree again, and any revoke already inside the tree has finished.
+	for as.revoking > 0 {
+		cpu.Stall()
+	}
 	as.exited.Store(true)
-	as.revokeMu.Unlock()
 	as.tree.Release(cpu)
 	as.mmu.Reset(cpu, as.activeSet())
 }

@@ -2,6 +2,8 @@ package vm_test
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"radixvm/internal/hw"
@@ -44,17 +46,34 @@ type reaper func(t *testing.T, c *hw.CPU, sys vm.System, lo, npages uint64)
 
 // over runs scenario once per space as a subtest, each in a fresh world.
 func over(t *testing.T, spaces []space, ncores int, scenario func(t *testing.T, w *world, sys vm.System, reap reaper)) {
+	overSeeds(t, spaces, ncores, 0, scenario)
+}
+
+// overSeeds is over for a scenario that runs a gang on the explorer: each
+// subtest runs it once per seed in hw.Seeds(seeds), each in a fresh world
+// whose seed its RunGangs take (seeds 0: once, at seed 0).
+func overSeeds(t *testing.T, spaces []space, ncores int, seeds uint64, scenario func(t *testing.T, w *world, sys vm.System, reap reaper)) {
+	n := uint64(1)
+	if seeds > 0 {
+		n = hw.Seeds(seeds)
+	}
 	for _, sp := range spaces {
 		t.Run(sp.name, func(t *testing.T) {
-			w := newWorld(ncores)
-			scenario(t, w, sp.make(w), func(t *testing.T, c *hw.CPU, sys vm.System, lo, npages uint64) {
-				t.Helper()
-				if sp.exit {
-					sys.(vm.Exiter).Exit(c)
-				} else {
-					must(t, sys.Munmap(c, lo, npages))
+			for seed := range n {
+				w := newWorld(ncores)
+				w.seed = seed
+				scenario(t, w, sp.make(w), func(t *testing.T, c *hw.CPU, sys vm.System, lo, npages uint64) {
+					t.Helper()
+					if sp.exit {
+						sys.(vm.Exiter).Exit(c)
+					} else {
+						must(t, sys.Munmap(c, lo, npages))
+					}
+				})
+				if t.Failed() {
+					t.Fatalf("failed at seed %d", seed)
 				}
-			})
+			}
 		})
 	}
 }
@@ -69,20 +88,50 @@ func TestForkSharesFileMappings(t *testing.T)     { over(t, threeSystems(), 1, f
 func TestLazyForkSharesFileMappings(t *testing.T) { over(t, bothMMUs(), 1, forkSharesFileMappings) }
 
 func TestGangForkVsConcurrentWrite(t *testing.T) {
-	over(t, threeSystems(), gangCores, gangForkVsConcurrentWrite)
+	overSeeds(t, threeSystems(), gangCores, gangSeeds, gangForkVsConcurrentWrite)
 }
 func TestLazyGangForkVsConcurrentWrite(t *testing.T) {
-	over(t, bothMMUs(), gangCores, gangForkVsConcurrentWrite)
+	overSeeds(t, bothMMUs(), gangCores, gangSeeds, gangForkVsConcurrentWrite)
+}
+
+// TestGangSeedReplays: a seed of the explorer replays a gang scenario
+// exactly, frames included — the same clocks, cycle meters and statistics on
+// every core and the same count of frames created, run twice.
+func TestGangSeedReplays(t *testing.T) {
+	run := func(seed uint64) string {
+		sp := bothMMUs()[1]
+		w := newWorld(gangCores)
+		w.seed = seed
+		gangForkVsConcurrentWrite(t, w, sp.make(w), func(t *testing.T, c *hw.CPU, sys vm.System, _, _ uint64) {
+			sys.(vm.Exiter).Exit(c)
+		})
+		var b strings.Builder
+		for id := 0; id < gangCores; id++ {
+			c := w.m.CPU(id)
+			fmt.Fprintf(&b, "core %d: clock %d %+v %v\n", id, c.Now(), *c.Stats(), c.Cycles())
+		}
+		fmt.Fprintf(&b, "frames created %d, live %d", w.alloc.Created(), w.alloc.Live())
+		return b.String()
+	}
+	for seed := range hw.Seeds(4) {
+		if a, b := run(seed), run(seed); a != b {
+			t.Fatalf("seed %d does not replay:\n%s\nthen\n%s", seed, a, b)
+		}
+	}
 }
 
 // TestLazyGangForkLeavesNoStaleTranslation is the fork's translation oracle
 // (TLB ⊆ table ⊆ metadata), on both MMUs; Reset's holder scan is what it is for.
 func TestLazyGangForkLeavesNoStaleTranslation(t *testing.T) {
-	over(t, bothMMUs(), gangCores, gangForkLeavesNoStaleTranslation)
+	overSeeds(t, bothMMUs(), gangCores, gangSeeds, gangForkLeavesNoStaleTranslation)
 }
 
-func TestGangCOWFaultVsMunmap(t *testing.T)     { over(t, threeSystems(), gangCores, gangCOWFaultVsMunmap) }
-func TestLazyGangCOWFaultVsMunmap(t *testing.T) { over(t, bothMMUs(), gangCores, gangCOWFaultVsMunmap) }
+func TestGangCOWFaultVsMunmap(t *testing.T) {
+	overSeeds(t, threeSystems(), gangCores, gangSeeds, gangCOWFaultVsMunmap)
+}
+func TestLazyGangCOWFaultVsMunmap(t *testing.T) {
+	overSeeds(t, bothMMUs(), gangCores, gangSeeds, gangCOWFaultVsMunmap)
+}
 
 func TestDoubleForkChains(t *testing.T)     { over(t, threeSystems(), 1, doubleForkChains) }
 func TestLazyDoubleForkChains(t *testing.T) { over(t, bothMMUs(), 1, doubleForkChains) }
@@ -97,7 +146,9 @@ func TestLazyCOWBreakLeavesNoStaleTranslation(t *testing.T) {
 	over(t, bothMMUs(), 3, cowBreakLeavesNoStaleTranslation)
 }
 
-const gangCores = 4
+// A gang scenario runs on gangCores cores, over gangSeeds seeds of the
+// explorer by default.
+const gangCores, gangSeeds = 4, 16
 
 // cowBreakLeavesNoStaleTranslation: a COW break that copies the page must
 // invalidate every cached translation of the frame it copied from. On the
@@ -379,7 +430,7 @@ func gangForkVsConcurrentWrite(t *testing.T, w *world, sys vm.System, reap reape
 	const lo, npages = uint64(3000), uint64(8)
 	must(t, sys.Mmap(m0(w), lo, npages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
 	children := make([]vm.System, 0, 20)
-	hw.RunGang(w.m, gangCores, func(c *hw.CPU, g *hw.Gang) {
+	hw.RunGang(w.m, gangCores, w.seed, func(c *hw.CPU, g *hw.Gang) {
 		if c.ID() == 0 {
 			for k := 0; k < 20; k++ {
 				ch, err := sys.Fork(c)
@@ -462,9 +513,25 @@ func gangForkLeavesNoStaleTranslation(t *testing.T, w *world, sys vm.System, rea
 		}
 		return pte.PFN, pte.Writable(), inTable && perCore
 	}
+	// tlbInTable checks TLB ⊆ table on every core, mid-round: every operation
+	// here keeps it at each of its preemption points, where the other cores
+	// stand while one checks.
+	tlbInTable := func(round, k int) {
+		for id := 0; id < gangCores; id++ {
+			for v := lo; v < lo+npages; v++ {
+				e, inTLB := mmu.TLB(id).Lookup(v)
+				if !inTLB {
+					continue
+				}
+				if pte, ok := vm.PeekTable(mmu, id, v); !ok || pte.PFN != e.PFN || (e.Writable && !pte.Writable()) {
+					t.Errorf("round %d, step %d: core %d caches page %d -> frame %d (writable=%v) but its table holds %+v (present=%v)", round, k, id, v, e.PFN, e.Writable, pte, ok)
+				}
+			}
+		}
+	}
 	for round := 0; round < rounds; round++ {
 		idle := 1 + round%(gangCores-1)
-		hw.RunGang(w.m, gangCores, func(c *hw.CPU, g *hw.Gang) {
+		hw.RunGang(w.m, gangCores, w.seed, func(c *hw.CPU, g *hw.Gang) {
 			for k := 0; k < 40; k++ {
 				switch {
 				case c.ID() == 0 && k%4 == 0:
@@ -473,6 +540,7 @@ func gangForkLeavesNoStaleTranslation(t *testing.T, w *world, sys vm.System, rea
 					mustT(t, sys.Access(c, lo+uint64(k+c.ID())%npages, k%3 != 0))
 				}
 				w.rc.Maintain(c)
+				tlbInTable(round, k)
 				g.Sync(c)
 			}
 		})
@@ -552,7 +620,7 @@ func gangCOWFaultVsMunmap(t *testing.T, w *world, sys vm.System, reap reaper) {
 		}
 		childSys, err := sys.Fork(c0)
 		must(t, err)
-		hw.RunGang(w.m, gangCores, func(c *hw.CPU, g *hw.Gang) {
+		hw.RunGang(w.m, gangCores, w.seed, func(c *hw.CPU, g *hw.Gang) {
 			if c.ID() == 0 {
 				c.Tick(uint64(500 * (round + 1)))
 				mustT(t, childSys.Munmap(c, lo, npages))

@@ -2,7 +2,6 @@ package vm_test
 
 import (
 	"errors"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -48,14 +47,14 @@ func drained(t *testing.T, w *world, c *hw.CPU, f *vm.File) {
 // faults raced truncate/extend/writeback cycles, and every frame the space
 // still holds must be one a revocation can find.
 func TestHolderOracleFaultVsTruncate(t *testing.T) {
-	over(t, bothMMUs(), gangCores, func(t *testing.T, w *world, sys vm.System, reap reaper) {
+	overSeeds(t, bothMMUs(), gangCores, gangSeeds, func(t *testing.T, w *world, sys vm.System, reap reaper) {
 		c0 := m0(w)
 		f := vm.NewFile(w.alloc)
 		must(t, sys.Mmap(c0, holdFile, 64, vm.MapOpts{Prot: rw, File: f}))
 		// The readers run for as long as the ticker does and a little longer,
 		// so the race covers every revocation and leaves pages held.
 		var tickerDone atomic.Bool
-		hw.RunGang(w.m, gangCores, func(c *hw.CPU, g *hw.Gang) {
+		hw.RunGang(w.m, gangCores, w.seed, func(c *hw.CPU, g *hw.Gang) {
 			for k, after := 0, 0; after < 8; k++ {
 				switch {
 				case c.ID() != 0:
@@ -93,7 +92,7 @@ func TestHolderOracleFaultVsTruncate(t *testing.T) {
 // every other child exits — while core 0 revokes the file's translations the
 // whole time. The oracle then walks the parent and the children still alive.
 func TestHolderOracleWritebackVsForkCOWExit(t *testing.T) {
-	over(t, bothMMUs(), gangCores, func(t *testing.T, w *world, sys vm.System, reap reaper) {
+	overSeeds(t, bothMMUs(), gangCores, gangSeeds, func(t *testing.T, w *world, sys vm.System, reap reaper) {
 		c0 := m0(w)
 		f := vm.NewFile(w.alloc)
 		must(t, sys.Mmap(c0, holdFile, 32, vm.MapOpts{Prot: rw, File: f}))
@@ -102,12 +101,11 @@ func TestHolderOracleWritebackVsForkCOWExit(t *testing.T) {
 			must(t, sys.Access(c0, holdAnon+p, true))
 			must(t, sys.Access(c0, holdFile+8+p, false)) // the children inherit faulted file pages
 		}
-		var mu sync.Mutex
 		alive := []*vm.AddressSpace{sys.(*vm.AddressSpace)}
 		// The forkers run for as long as the ticker does and one round
 		// longer, so the race leaves the parent holding pages.
 		var tickerDone atomic.Bool
-		hw.RunGang(w.m, gangCores, func(c *hw.CPU, g *hw.Gang) {
+		hw.RunGang(w.m, gangCores, w.seed, func(c *hw.CPU, g *hw.Gang) {
 			for k, last := 0, false; !last; k++ {
 				if c.ID() == 0 {
 					f.Writeback(c, uint64(k%4)*8, 16)
@@ -134,9 +132,7 @@ func TestHolderOracleWritebackVsForkCOWExit(t *testing.T) {
 					if k%2 == 0 {
 						exit(c, ch)
 					} else {
-						mu.Lock()
 						alive = append(alive, ch.(*vm.AddressSpace))
-						mu.Unlock()
 					}
 				}
 				w.rc.Maintain(c)

@@ -28,11 +28,9 @@ func TestHolderTakeFetchesEachRecordOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f.mu.Lock()
 	before := c0.Stats().Transfers
 	b := f.takeHolders(c0, 0, k)
 	got := c0.Stats().Transfers - before
-	f.mu.Unlock()
 	if got != k {
 		t.Errorf("taking the holders of %d pages core 1 faulted: %d transfers, want %d", k, got, k)
 	}

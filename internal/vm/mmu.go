@@ -1,9 +1,6 @@
 package vm
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"radixvm/internal/hw"
 	"radixvm/internal/pagetable"
 	"radixvm/internal/tlb"
@@ -85,18 +82,11 @@ type MMU interface {
 	// mapping's current rights).
 	Fill(cpu *hw.CPU, vpn, pfn uint64, perm pagetable.Perm)
 	// Lookup performs the hardware walk a TLB miss would: it consults
-	// the faulting core's view of the page tables.
+	// the faulting core's view of the page tables. A walk that a Reset
+	// overtook — the table was swapped out while the walk was between two
+	// of its line touches — finds nothing, as the hardware walk that the
+	// shootdown interrupted would.
 	Lookup(cpu *hw.CPU, vpn uint64) (pagetable.PTE, bool)
-	// Revalidate reports whether a translation the caller's walk read —
-	// vpn→pfn with rights perm — is still what the table holds, without
-	// charging simulated cost. Access calls it after inserting a walked
-	// translation into its TLB: real hardware's walk+insert is atomic
-	// against the shootdown IPI protocol, the Go-level pair is not, so a
-	// racing munmap could clear the table (presence check) or a racing
-	// mprotect could downgrade it (rights check) between the walk's read
-	// and the insert. A false return means the insert must be undone and
-	// the access retried as a fault.
-	Revalidate(cpu *hw.CPU, vpn, pfn uint64, perm pagetable.Perm) bool
 	// TLB returns core id's translation cache.
 	TLB(id int) *tlb.TLB
 	// Shootdown removes [lo, hi) translations. precise is the set of
@@ -141,7 +131,10 @@ type MMU interface {
 // traps like a miss (trapped is true: the ProtFault is already counted), and
 // the handler consults the metadata and either re-fills with wider rights (an
 // mprotect upgrade being realized lazily), resolves a copy-on-write, or
-// reports ErrProt.
+// reports ErrProt. A walk's last preemption point is the touch of its PTE's
+// line, before the PTE is read, so the walk and its TLB insert are atomic
+// against shootdowns, as hardware's are (and MMU.Lookup reports a walk that
+// a Reset overtook as a miss).
 func Access(cpu *hw.CPU, mmu MMU, vpn uint64, k Kind, fault func(cpu *hw.CPU, vpn uint64, k Kind, trapped bool) error) error {
 	t := mmu.TLB(cpu.ID())
 	if e, ok := t.Lookup(vpn); ok {
@@ -163,14 +156,7 @@ func Access(cpu *hw.CPU, mmu MMU, vpn uint64, k Kind, fault func(cpu *hw.CPU, vp
 		}
 		cpu.Tick(WalkCost)
 		t.Insert(vpn, TLBEntry(pte))
-		// The Go-level walk+insert is not atomic against a concurrent
-		// shootdown the way hardware's is; re-validate the insert against
-		// the table and retry as a fault if the translation vanished or lost
-		// rights in between (see MMU.Revalidate).
-		if mmu.Revalidate(cpu, vpn, pte.PFN, pte.Perm) {
-			return nil
-		}
-		t.FlushPage(vpn)
+		return nil
 	}
 	return fault(cpu, vpn, k, false)
 }
@@ -184,25 +170,22 @@ type PerCoreMMU struct {
 	// call: a forked child runs on one or two cores of 64. Every path that
 	// only scans or clears reads an unbuilt (nil) slot as a nil table and an
 	// empty TLB, charges what it charges for those, and builds nothing.
-	cores []atomic.Pointer[coreMMU]
+	cores []*coreMMU
 	// spare is where the next slots are built: first the two allocated with
 	// the MMU, so a child that runs on two cores adds no heap object, then one
 	// chunk for every other core: a space that outgrows two cores pays for all
 	// of them at once, which no forked child of the benchmark's workloads
-	// does. buildMu serializes builds: host bookkeeping, at most once per core
-	// for the space's life, charged nothing.
-	buildMu sync.Mutex
-	spare   []coreMMU
-	first   [2]coreMMU
+	// does. Builds are host bookkeeping, at most once per core for the
+	// space's life, charged nothing.
+	spare []coreMMU
+	first [2]coreMMU
 }
 
-// coreMMU is one core's page table and TLB.
+// coreMMU is one core's page table and TLB. A fork's Reset replaces the
+// whole table with nil while the owner may be filling it; the fault path's
+// fork-epoch validation undoes such a fill (AddressSpace.fault).
 type coreMMU struct {
-	// pt is swapped atomically: a fork's Reset replaces a core's whole
-	// table with nil from the forking goroutine while the owner may be
-	// walking or filling it, and walkers re-load the pointer (Revalidate)
-	// after their TLB insert to detect the swap.
-	pt  atomic.Pointer[pagetable.PageTable]
+	pt  *pagetable.PageTable
 	tlb tlb.TLB
 }
 
@@ -210,7 +193,7 @@ type coreMMU struct {
 // lazily, matching the paper's observation that most applications touch a
 // small fraction of the address space per core.
 func NewPerCoreMMU(m *hw.Machine) *PerCoreMMU {
-	mmu := &PerCoreMMU{m: m, cores: make([]atomic.Pointer[coreMMU], m.NCores())}
+	mmu := &PerCoreMMU{m: m, cores: make([]*coreMMU, m.NCores())}
 	mmu.spare = mmu.first[:]
 	return mmu
 }
@@ -219,38 +202,28 @@ func NewPerCoreMMU(m *hw.Machine) *PerCoreMMU {
 func (mmu *PerCoreMMU) Name() string { return "percore" }
 
 // core returns core id's slot, nil if it was never built.
-func (mmu *PerCoreMMU) core(id int) *coreMMU { return mmu.cores[id].Load() }
+func (mmu *PerCoreMMU) core(id int) *coreMMU { return mmu.cores[id] }
 
 // build returns core id's slot, building it on first use.
 func (mmu *PerCoreMMU) build(id int) *coreMMU {
-	if c := mmu.core(id); c != nil {
+	if c := mmu.cores[id]; c != nil {
 		return c
-	}
-	mmu.buildMu.Lock()
-	defer mmu.buildMu.Unlock()
-	if c := mmu.core(id); c != nil {
-		return c // built by a racing caller
 	}
 	if len(mmu.spare) == 0 {
 		mmu.spare = make([]coreMMU, len(mmu.cores)-len(mmu.first))
 	}
 	c := &mmu.spare[0]
 	mmu.spare = mmu.spare[1:]
-	mmu.cores[id].Store(c)
+	mmu.cores[id] = c
 	return c
 }
 
 // mapTable returns the slot's table, allocating it on first use.
 func (c *coreMMU) mapTable(m *hw.Machine) *pagetable.PageTable {
-	for {
-		if pt := c.pt.Load(); pt != nil {
-			return pt
-		}
-		pt := pagetable.New(m)
-		if c.pt.CompareAndSwap(nil, pt) {
-			return pt
-		}
+	if c.pt == nil {
+		c.pt = pagetable.New(m)
 	}
+	return c.pt
 }
 
 // Fill implements MMU: only the faulting core's table is written, so
@@ -263,26 +236,13 @@ func (mmu *PerCoreMMU) Fill(cpu *hw.CPU, vpn, pfn uint64, perm pagetable.Perm) {
 
 // Lookup implements MMU.
 func (mmu *PerCoreMMU) Lookup(cpu *hw.CPU, vpn uint64) (pagetable.PTE, bool) {
-	if pt := mmu.core(cpu.ID()).table(); pt != nil {
-		return pt.Lookup(cpu, vpn)
+	c := mmu.core(cpu.ID())
+	if pt := c.table(); pt != nil {
+		if pte, ok := pt.Lookup(cpu, vpn); ok && c.pt == pt {
+			return pte, true
+		}
 	}
 	return pagetable.PTE{}, false
-}
-
-// Revalidate implements MMU. Re-loading the table pointer is what makes
-// Reset's wholesale swap visible to a walk that raced it: the walk's TLB
-// insert is ordered after Reset's flush by the TLB mutex, so this load
-// observes the nil (or replacement) table and fails the revalidation.
-func (mmu *PerCoreMMU) Revalidate(cpu *hw.CPU, vpn, pfn uint64, perm pagetable.Perm) bool {
-	pt := mmu.core(cpu.ID()).table()
-	return pt != nil && revalidate(pt, vpn, pfn, perm)
-}
-
-// revalidate checks that the table still holds vpn→pfn with at least the
-// rights the caller cached.
-func revalidate(pt *pagetable.PageTable, vpn, pfn uint64, perm pagetable.Perm) bool {
-	pte, ok := pt.Peek(vpn)
-	return ok && pte.PFN == pfn && pte.Perm&perm == perm
 }
 
 // TLB implements MMU.
@@ -327,11 +287,8 @@ func (mmu *PerCoreMMU) Protect(cpu *hw.CPU, lo, hi uint64, perm pagetable.Perm, 
 }
 
 // Reset implements MMU: each active core's table is swapped out whole and
-// its TLB flushed. The swap happens *before* the flush so that a concurrent
-// walk — whose TLB insert and Revalidate are ordered behind the flush by
-// the TLB mutex — observes the empty table and retries as a fault; a fault
-// concurrently filling the old table is caught by the caller's fork-epoch
-// validation (see AddressSpace.fault).
+// its TLB flushed. A fault concurrently filling the old table is caught by
+// the caller's fork-epoch validation (see AddressSpace.fault).
 //
 // Only holders are interrupted (§3.3: per-core tables say exactly which cores
 // can hold a translation). A TLB entry is only installed through the core's
@@ -372,14 +329,14 @@ func (c *coreMMU) table() *pagetable.PageTable {
 	if c == nil {
 		return nil
 	}
-	return c.pt.Load()
+	return c.pt
 }
 
 func (c *coreMMU) holds() bool { return c.table() != nil || c != nil && c.tlb.Len() != 0 }
 
 func (c *coreMMU) reset() {
 	if c != nil {
-		c.pt.Store(nil)
+		c.pt = nil
 		c.tlb.FlushAll()
 	}
 }
@@ -389,7 +346,7 @@ func (c *coreMMU) unmap(cpu *hw.CPU, lo, hi uint64) {
 	if c == nil {
 		return
 	}
-	if pt := c.pt.Load(); pt != nil {
+	if pt := c.pt; pt != nil {
 		pt.UnmapRange(cpu, lo, hi)
 	}
 	c.tlb.FlushRange(lo, hi)
@@ -399,7 +356,7 @@ func (c *coreMMU) protect(cpu *hw.CPU, lo, hi uint64, perm pagetable.Perm) {
 	if c == nil {
 		return
 	}
-	if pt := c.pt.Load(); pt != nil {
+	if pt := c.pt; pt != nil {
 		pt.ProtectRange(cpu, lo, hi, perm)
 	}
 	c.tlb.FlushRange(lo, hi)
@@ -423,17 +380,15 @@ func (mmu *PerCoreMMU) Bytes() uint64 {
 // 9's "Shared" curves.
 type SharedMMU struct {
 	m *hw.Machine
-	// pt is swapped atomically, as coreMMU.pt is and for the same reason:
-	// Reset replaces the whole table while other cores walk and fill it.
-	pt   atomic.Pointer[pagetable.PageTable]
+	// pt is replaced whole by Reset, as coreMMU.pt is, while other cores
+	// may be filling it.
+	pt   *pagetable.PageTable
 	tlbs []tlb.TLB // by value: one allocation, each TLB's map on first Insert
 }
 
 // NewSharedMMU builds the shared-page-table MMU.
 func NewSharedMMU(m *hw.Machine) *SharedMMU {
-	mmu := &SharedMMU{m: m, tlbs: make([]tlb.TLB, m.NCores())}
-	mmu.pt.Store(pagetable.New(m))
-	return mmu
+	return &SharedMMU{m: m, pt: pagetable.New(m), tlbs: make([]tlb.TLB, m.NCores())}
 }
 
 // Name implements MMU.
@@ -444,9 +399,9 @@ func (mmu *SharedMMU) Name() string { return "shared" }
 // as-is unless its rights are narrower than the mapping's (a fill after an
 // mprotect upgrade), in which case it is rewritten.
 func (mmu *SharedMMU) Fill(cpu *hw.CPU, vpn, pfn uint64, perm pagetable.Perm) {
-	pt := mmu.pt.Load()
+	pt := mmu.pt
 	if !pt.MapIfAbsent(cpu, vpn, pfn, perm) {
-		// The losing CAS already charged the PTE line; Peek re-reads it
+		// MapIfAbsent already charged the PTE line; Peek re-reads it
 		// cost-free.
 		if pte, ok := pt.Peek(vpn); ok && pte.Perm&perm != perm {
 			pt.Map(cpu, vpn, pfn, perm)
@@ -457,13 +412,11 @@ func (mmu *SharedMMU) Fill(cpu *hw.CPU, vpn, pfn uint64, perm pagetable.Perm) {
 
 // Lookup implements MMU.
 func (mmu *SharedMMU) Lookup(cpu *hw.CPU, vpn uint64) (pagetable.PTE, bool) {
-	return mmu.pt.Load().Lookup(cpu, vpn)
-}
-
-// Revalidate implements MMU. As on per-core tables, re-loading the pointer
-// is what shows a walk that raced Reset the replacement table.
-func (mmu *SharedMMU) Revalidate(_ *hw.CPU, vpn, pfn uint64, perm pagetable.Perm) bool {
-	return revalidate(mmu.pt.Load(), vpn, pfn, perm)
+	pt := mmu.pt
+	if pte, ok := pt.Lookup(cpu, vpn); ok && mmu.pt == pt {
+		return pte, true
+	}
+	return pagetable.PTE{}, false
 }
 
 // TLB implements MMU.
@@ -471,18 +424,18 @@ func (mmu *SharedMMU) TLB(id int) *tlb.TLB { return &mmu.tlbs[id] }
 
 // PageTable exposes the shared table (baseline VMs clear it themselves to
 // collect frames before the shootdown).
-func (mmu *SharedMMU) PageTable() *pagetable.PageTable { return mmu.pt.Load() }
+func (mmu *SharedMMU) PageTable() *pagetable.PageTable { return mmu.pt }
 
 // Shootdown implements MMU: broadcast. The shared table is cleared once
 // (by the caller or here), but every active core's TLB must be flushed.
 func (mmu *SharedMMU) Shootdown(cpu *hw.CPU, lo, hi uint64, _, active hw.CoreSet) {
-	mmu.pt.Load().UnmapRange(cpu, lo, hi)
+	mmu.pt.UnmapRange(cpu, lo, hi)
 	mmu.ShootdownTLBOnly(cpu, lo, hi, active)
 }
 
 // Unmap implements MMU: the one table, and a broadcast's worth of TLBs.
 func (mmu *SharedMMU) Unmap(cpu *hw.CPU, lo, hi uint64, _, active hw.CoreSet) hw.CoreSet {
-	mmu.pt.Load().UnmapRange(cpu, lo, hi)
+	mmu.pt.UnmapRange(cpu, lo, hi)
 	active.ForEach(func(id int) { mmu.tlbs[id].FlushRange(lo, hi) })
 	return active
 }
@@ -491,7 +444,7 @@ func (mmu *SharedMMU) Unmap(cpu *hw.CPU, lo, hi uint64, _, active hw.CoreSet) hw
 // active core's TLB is flushed — the hardware cannot say which cores cached
 // the old rights, so the flush is a broadcast, exactly like the unmap path.
 func (mmu *SharedMMU) Protect(cpu *hw.CPU, lo, hi uint64, perm pagetable.Perm, _, active hw.CoreSet) {
-	mmu.pt.Load().ProtectRange(cpu, lo, hi, perm)
+	mmu.pt.ProtectRange(cpu, lo, hi, perm)
 	mmu.ShootdownTLBOnly(cpu, lo, hi, active)
 }
 
@@ -503,12 +456,10 @@ func (mmu *SharedMMU) ShootdownTLBOnly(cpu *hw.CPU, lo, hi uint64, active hw.Cor
 }
 
 // Reset implements MMU: the shared table is swapped for an empty one — no
-// per-page work — and every active core's TLB flushed. Swap before flush, as
-// on per-core tables: a walk of the old table that raced the swap fails its
-// Revalidate against the new one, and a fault filling the old table is caught
-// by the caller's fork-epoch validation.
+// per-page work — and every active core's TLB flushed. A fault filling the
+// old table is caught by the caller's fork-epoch validation.
 func (mmu *SharedMMU) Reset(cpu *hw.CPU, active hw.CoreSet) {
-	mmu.pt.Store(pagetable.New(mmu.m))
+	mmu.pt = pagetable.New(mmu.m)
 	mmu.broadcast(cpu, active, (*tlb.TLB).FlushAll)
 }
 
@@ -527,4 +478,4 @@ func (mmu *SharedMMU) broadcast(cpu *hw.CPU, active hw.CoreSet, flush func(t *tl
 }
 
 // Bytes implements MMU.
-func (mmu *SharedMMU) Bytes() uint64 { return mmu.pt.Load().Bytes() }
+func (mmu *SharedMMU) Bytes() uint64 { return mmu.pt.Bytes() }

@@ -93,19 +93,19 @@ func TestMMUSlotsNotBuiltToClear(t *testing.T) {
 	}
 }
 
-// TestMMUSlotFirstFillVsProxyClears is for the race detector: a core's first
-// Fill builds its slot while another core unmaps the page from it by proxy
-// and a third resets the whole MMU. Whatever the interleaving, only the
+// TestMMUSlotFirstFillVsProxyClears: a core's first Fill builds its slot
+// while another core unmaps the page from it by proxy and a third resets the
+// whole MMU, one explorer seed a round. Whatever the interleaving, only the
 // filling core's slot exists afterwards, and a quiescent Reset leaves it
 // holding nothing.
 func TestMMUSlotFirstFillVsProxyClears(t *testing.T) {
-	for round := 0; round < 50; round++ {
+	for round := range hw.Seeds(50) {
 		w := newWorld(3)
 		mmu := vm.NewPerCoreMMU(w.m)
 		var owner, all hw.CoreSet
 		owner.Add(1)
 		all = allCores(w)
-		hw.RunGang(w.m, 3, func(c *hw.CPU, _ *hw.Gang) {
+		hw.RunGang(w.m, 3, round, func(c *hw.CPU, _ *hw.Gang) {
 			switch c.ID() {
 			case 0:
 				mmu.Unmap(c, 100, 101, owner, all)

@@ -10,7 +10,7 @@ import (
 // TestGangSimultaneousFork is the spawn-server race test: every core of a
 // gang forks its own child of one shared parent at the same time — no
 // barrier between the forks — then COW-writes its own disjoint region in
-// its child and tears the whole child down. Run under -race. Asserted, on
+// its child and tears the whole child down, one explorer seed a round. Asserted, on
 // all three systems: no deadlock at the tree locks (the test completes),
 // every child is internally consistent (its writes succeed and its region
 // was inherited), copy accounting is exactly-once (each child's writes
@@ -33,10 +33,10 @@ func TestGangSimultaneousFork(t *testing.T) {
 					must(t, sys.Access(c, v, true))
 				}
 			}
-			for round := 0; round < 5; round++ {
+			for round := range hw.Seeds(5) { // each round one explorer seed
 				var children [ncores]vm.System
 				w.m.ResetStats()
-				hw.RunGang(w.m, ncores, func(c *hw.CPU, g *hw.Gang) {
+				hw.RunGang(w.m, ncores, round, func(c *hw.CPU, g *hw.Gang) {
 					id := c.ID()
 					ch, err := sys.Fork(c) // all cores fork concurrently
 					if err != nil {
@@ -73,7 +73,7 @@ func TestGangSimultaneousFork(t *testing.T) {
 						round, st.COWBreaks, st.PagesZeroed, want)
 				}
 				// Each child exits: unmap every inherited region.
-				hw.RunGang(w.m, ncores, func(c *hw.CPU, g *hw.Gang) {
+				hw.RunGang(w.m, ncores, round, func(c *hw.CPU, g *hw.Gang) {
 					ch := children[c.ID()]
 					for id := 0; id < ncores; id++ {
 						if err := ch.Munmap(c, region(id), regionPages); err != nil {
@@ -95,7 +95,7 @@ func TestGangSimultaneousFork(t *testing.T) {
 			}
 			w.quiesce()
 			if live := w.alloc.Live(); live != 0 {
-				t.Fatalf("%d frames leaked after %d concurrent-fork rounds", live, 5)
+				t.Fatalf("%d frames leaked after %d concurrent-fork rounds", live, hw.Seeds(5))
 			}
 		})
 	}

@@ -8,8 +8,6 @@ package vm
 import (
 	"errors"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"radixvm/internal/counter"
 	"radixvm/internal/hw"
@@ -200,7 +198,12 @@ type File struct {
 	pc *mem.PageCache
 	id uint64
 
-	mu     sync.Mutex
+	// mu is a lock bit (CPU.LockBit) over the sections that touch lines
+	// while they read or change length and the holder sets: a fault's
+	// registration (pageFor, dropHolder) and a revocation's take (Writeback,
+	// Truncate). It is host bookkeeping, charged nothing; the rest of the
+	// file's state changes between preemption points and needs no lock.
+	mu     uint64
 	length uint64 // pages; accesses at or past it fault (truncated tail)
 
 	// mappers is the file's mm registry, in registration order (which the
@@ -233,8 +236,8 @@ type File struct {
 // each record of its window empty with one write, held or not (the xchg a
 // kernel would issue); a second placement of a space already in the set is
 // uncharged bookkeeping, like a membership hit on the fault path, which is
-// part of pageFor's lookup, uncharged as a whole (f.mu, the cache map,
-// f.length: ROADMAP 3e).
+// part of pageFor's lookup, uncharged as a whole (the file's lock, the cache
+// map, f.length: ROADMAP 3e).
 type filePage struct {
 	line    hw.Line
 	holders []holder
@@ -256,8 +259,7 @@ func holds(hs []holder, as *AddressSpace) bool {
 
 const filePagesPerChunk = 64
 
-// page returns off's record — nil if it has none and create is unset. The
-// caller holds f.mu.
+// page returns off's record — nil if it has none and create is unset.
 func (f *File) page(off uint64, create bool) *filePage {
 	chunk := f.pages[off/filePagesPerChunk]
 	if chunk == nil {
@@ -295,8 +297,8 @@ func (f *File) Cache() *mem.PageCache { return f.pc }
 // Page returns the frame backing the file page at off — filling it from
 // the allocator on first use, sharing the cached frame afterwards — plus
 // the page's baseline counter if configured. The caller's reference is
-// taken here, under the file lock, so a concurrent Truncate can never see
-// the frame between the cache handing it out and the mapping holding it.
+// taken here, under the file's lock, so a Truncate can never see the frame
+// between the cache handing it out and the mapping holding it.
 // Returns nil for an offset at or past the file's length (truncated away):
 // the fault becomes ErrSegv, as an access beyond EOF of a mapping would.
 func (f *File) Page(cpu *hw.CPU, off uint64) (*mem.Frame, counter.Counter) {
@@ -307,8 +309,8 @@ func (f *File) Page(cpu *hw.CPU, off uint64) (*mem.Frame, counter.Counter) {
 // the hold of f.mu that checks f.length, so a Truncate ordered after the fault
 // finds it there. The baselines (Page) are found through the registry.
 func (f *File) pageFor(cpu *hw.CPU, off uint64, h holder) (*mem.Frame, counter.Counter) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.lock(cpu)
+	defer f.unlock()
 	if off >= f.length {
 		return nil, nil
 	}
@@ -333,8 +335,8 @@ func (f *File) pageFor(cpu *hw.CPU, off uint64, h holder) (*mem.Frame, counter.C
 // dropHolder removes an exiting space, every placement of it, from off's
 // holder set.
 func (f *File) dropHolder(cpu *hw.CPU, off uint64, as *AddressSpace) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.lock(cpu)
+	defer f.unlock()
 	p := f.page(off, false)
 	if p != nil && holds(p.holders, as) {
 		p.holders = slices.DeleteFunc(p.holders, func(h holder) bool { return h.as == as })
@@ -356,7 +358,7 @@ type holderVisit struct {
 // so it feeds the virtual clock). A fault that registers after the take waits
 // for the next revocation; one that registered before but has not stored its
 // frame yet holds its page lock, which the visit's LockRange waits for. The
-// caller holds f.mu.
+// caller holds f's lock.
 func (f *File) takeHolders(cpu *hw.CPU, lo, hi uint64) *revokeBatch {
 	b := f.spare
 	if f.spare = nil; b == nil {
@@ -404,8 +406,6 @@ func (f *File) takeHolders(cpu *hw.CPU, lo, hi uint64) *revokeBatch {
 // pages — including forked children that never called Mmap themselves —
 // so writeback shootdowns reach every sharer.
 func (f *File) RegisterMapper(m FileMapper) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if !slices.Contains(f.mappers, m) {
 		f.mappers = append(f.mappers, m)
 	}
@@ -414,8 +414,6 @@ func (f *File) RegisterMapper(m FileMapper) {
 // UnregisterMapper removes m from the file's mm registry (the space
 // unmapped its last mapping of the file, or exited).
 func (f *File) UnregisterMapper(m FileMapper) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if i := slices.Index(f.mappers, m); i >= 0 {
 		f.mappers = slices.Delete(f.mappers, i, i+1)
 	}
@@ -423,36 +421,21 @@ func (f *File) UnregisterMapper(m FileMapper) {
 
 // Mappers returns the number of registered mapping address spaces.
 func (f *File) Mappers() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	return len(f.mappers)
 }
 
 // Len returns the file's length in pages (^uint64(0) until truncated).
-func (f *File) Len() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.length
-}
+func (f *File) Len() uint64 { return f.length }
 
 // Extend grows the file back to n pages (a write past EOF): no
 // invalidation is needed to expose new pages, they simply fault in.
 func (f *File) Extend(n uint64) {
-	f.mu.Lock()
-	if n > f.length {
-		f.length = n
-	}
-	f.mu.Unlock()
+	f.length = max(f.length, n)
 }
 
-// snapshotMappers returns the registry under the file lock; invalidation
-// passes run against the snapshot so mapper callbacks (which take address
-// space locks) never nest inside f.mu.
-func (f *File) snapshotMappers() []FileMapper {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return slices.Clone(f.mappers)
-}
+// lock takes the file's lock bit for cpu; unlock drops it.
+func (f *File) lock(cpu *hw.CPU) { cpu.LockBit(&f.mu, 1) }
+func (f *File) unlock()          { f.mu = 0 }
 
 // Writeback flushes the file's pages in [off, off+n) to backing store,
 // revoking every mapping's cached translations for them so later accesses
@@ -461,10 +444,10 @@ func (f *File) snapshotMappers() []FileMapper {
 // frames. Each space invalidates at its own precision (revoke).
 func (f *File) Writeback(cpu *hw.CPU, off, n uint64) {
 	cpu.Tick(LinuxSyscallCost)
-	f.mu.Lock()
+	f.lock(cpu)
 	f.stats.Writebacks++
 	b := f.takeHolders(cpu, off, off+n)
-	f.mu.Unlock()
+	f.unlock()
 	f.revoke(cpu, b, off, off+n)
 }
 
@@ -475,13 +458,11 @@ func (f *File) Writeback(cpu *hw.CPU, off, n uint64) {
 // return ErrSegv.
 func (f *File) Truncate(cpu *hw.CPU, newLen uint64) {
 	cpu.Tick(LinuxSyscallCost)
-	f.mu.Lock()
+	f.lock(cpu)
 	f.stats.Truncates++
-	if newLen < f.length {
-		f.length = newLen
-	}
+	f.length = min(f.length, newLen)
 	b := f.takeHolders(cpu, newLen, ^uint64(0))
-	f.mu.Unlock()
+	f.unlock()
 	dropped := f.pc.DropRange(f.id, newLen, ^uint64(0))
 	f.revoke(cpu, b, newLen, ^uint64(0))
 	alloc := f.pc.Allocator()
@@ -500,20 +481,17 @@ func (f *File) revoke(cpu *hw.CPU, b *revokeBatch, lo, hi uint64) {
 		f.noteRevoke(v.as.revokeFile(cpu, f, v.delta, v.lo+v.delta, v.hi+v.delta, b))
 	}
 	b.flush(cpu, f.pc.Allocator())
-	f.mu.Lock()
 	f.spare = b
-	f.mu.Unlock()
-	for _, m := range f.snapshotMappers() {
+	// A snapshot: a mapper's revocation may unregister it.
+	for _, m := range slices.Clone(f.mappers) {
 		f.noteRevoke(m.RevokeFilePages(cpu, f, lo, hi))
 	}
 }
 
 func (f *File) noteRevoke(revoked, sharers int) {
-	f.mu.Lock()
 	f.stats.Revoked += uint64(revoked)
 	f.stats.Visits++
 	f.stats.SharerHigh = max(f.stats.SharerHigh, sharers)
-	f.mu.Unlock()
 }
 
 // FileStats is what a file's writebacks and truncates did.
@@ -526,11 +504,7 @@ type FileStats struct {
 }
 
 // Stats returns the file's revocation statistics.
-func (f *File) Stats() FileStats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.stats
-}
+func (f *File) Stats() FileStats { return f.stats }
 
 // Backing identifies what is behind a mapping.
 type Backing struct {
@@ -541,25 +515,11 @@ type Backing struct {
 // ActiveSet tracks which cores have ever used an address space — the
 // equivalent of Linux's mm_cpumask. Conservative broadcast shootdowns must
 // cover every core in it, including cores whose accesses were satisfied
-// purely by hardware page walks (they still populated their TLBs). After
-// the first call per core, Note is one atomic load.
-type ActiveSet struct {
-	words [hw.MaxCores / 64]atomic.Uint64
-}
+// purely by hardware page walks (they still populated their TLBs).
+type ActiveSet struct{ set hw.CoreSet }
 
 // Note records core id as active.
-func (a *ActiveSet) Note(id int) {
-	w, bit := &a.words[id/64], uint64(1)<<(id%64)
-	if w.Load()&bit == 0 {
-		w.Or(bit)
-	}
-}
+func (a *ActiveSet) Note(id int) { a.set.Add(id) }
 
 // Get returns a copy of the active core set.
-func (a *ActiveSet) Get() hw.CoreSet {
-	var words [hw.MaxCores / 64]uint64
-	for i := range a.words {
-		words[i] = a.words[i].Load()
-	}
-	return hw.CoreSetOf(words)
-}
+func (a *ActiveSet) Get() hw.CoreSet { return a.set }

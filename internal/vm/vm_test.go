@@ -3,7 +3,6 @@ package vm_test
 import (
 	"errors"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"radixvm/internal/bonsaivm"
@@ -18,6 +17,7 @@ type world struct {
 	m     *hw.Machine
 	rc    *refcache.Refcache
 	alloc *mem.Allocator
+	seed  uint64 // the explorer seed of the world's gangs
 }
 
 func newWorld(ncores int) *world {
@@ -277,41 +277,43 @@ func TestLinuxBroadcastShootdown(t *testing.T) {
 }
 
 func TestRadixVMDisjointOpsZeroContention(t *testing.T) {
-	// End-to-end headline: cores doing mmap/fault/munmap in disjoint
-	// address ranges move no cache lines between them.
-	const ncores = 4
-	w := newWorld(ncores)
-	as := vm.New(w.m, w.rc, w.alloc, nil)
-	base := func(id int) uint64 { return uint64(id*8+8) << 18 } // distinct subtrees & lines
-	warm := func(c *hw.CPU) {
-		lo := base(c.ID())
-		must(t, as.Mmap(c, lo, 4, vm.MapOpts{Prot: vm.ProtWrite}))
-		for v := lo; v < lo+4; v++ {
-			must(t, as.Access(c, v, true))
-		}
-		must(t, as.Munmap(c, lo, 4))
-	}
-	for i := 0; i < ncores; i++ {
-		warm(w.m.CPU(i))
-		warm(w.m.CPU(i)) // twice: frames + weak lines settle
-	}
-	w.m.ResetStats()
-	hw.RunGang(w.m, ncores, func(c *hw.CPU, g *hw.Gang) {
-		lo := base(c.ID())
-		for k := 0; k < 100; k++ {
+	for seed := range hw.Seeds(4) {
+		// End-to-end headline: cores doing mmap/fault/munmap in disjoint
+		// address ranges move no cache lines between them.
+		const ncores = 4
+		w := newWorld(ncores)
+		as := vm.New(w.m, w.rc, w.alloc, nil)
+		base := func(id int) uint64 { return uint64(id*8+8) << 18 } // distinct subtrees & lines
+		warm := func(c *hw.CPU) {
+			lo := base(c.ID())
 			must(t, as.Mmap(c, lo, 4, vm.MapOpts{Prot: vm.ProtWrite}))
 			for v := lo; v < lo+4; v++ {
 				must(t, as.Access(c, v, true))
 			}
 			must(t, as.Munmap(c, lo, 4))
-			g.Sync(c)
 		}
-	})
-	if tr := w.m.TotalStats().Transfers; tr != 0 {
-		t.Errorf("disjoint VM ops moved %d cache lines, want 0", tr)
-	}
-	if ipi := w.m.TotalStats().IPIsSent; ipi != 0 {
-		t.Errorf("disjoint VM ops sent %d IPIs, want 0", ipi)
+		for i := 0; i < ncores; i++ {
+			warm(w.m.CPU(i))
+			warm(w.m.CPU(i)) // twice: frames + weak lines settle
+		}
+		w.m.ResetStats()
+		hw.RunGang(w.m, ncores, seed, func(c *hw.CPU, g *hw.Gang) {
+			lo := base(c.ID())
+			for k := 0; k < 100; k++ {
+				must(t, as.Mmap(c, lo, 4, vm.MapOpts{Prot: vm.ProtWrite}))
+				for v := lo; v < lo+4; v++ {
+					must(t, as.Access(c, v, true))
+				}
+				must(t, as.Munmap(c, lo, 4))
+				g.Sync(c)
+			}
+		})
+		if tr := w.m.TotalStats().Transfers; tr != 0 {
+			t.Errorf("seed %d: disjoint VM ops moved %d cache lines, want 0", seed, tr)
+		}
+		if ipi := w.m.TotalStats().IPIsSent; ipi != 0 {
+			t.Errorf("seed %d: disjoint VM ops sent %d IPIs, want 0", seed, ipi)
+		}
 	}
 }
 
@@ -324,22 +326,22 @@ func TestConcurrentFaultVsMunmapRace(t *testing.T) {
 		sys := systems(w)[i]
 		t.Run(sys.Name(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
-			for round := 0; round < 50; round++ {
+			for round := range hw.Seeds(50) { // each round one explorer seed
 				c0 := w.m.CPU(0)
 				must(t, sys.Mmap(c0, 700, 8, vm.MapOpts{Prot: vm.ProtWrite}))
-				done := make(chan struct{})
-				go func() {
-					defer close(done)
-					c1 := w.m.CPU(1)
-					for v := uint64(700); v < 708; v++ {
-						sys.Access(c1, v, true) // may segv; must not wedge
+				delay := rng.Intn(2) == 0
+				hw.RunGang(w.m, 2, round, func(c *hw.CPU, _ *hw.Gang) {
+					if c.ID() == 1 {
+						for v := uint64(700); v < 708; v++ {
+							sys.Access(c, v, true) // may segv; must not wedge
+						}
+						return
 					}
-				}()
-				if rng.Intn(2) == 0 {
-					c0.Tick(100)
-				}
-				must(t, sys.Munmap(c0, 700, 8))
-				<-done
+					if delay {
+						c.Tick(100)
+					}
+					must(t, sys.Munmap(c, 700, 8))
+				})
 				// Post-munmap, both cores must see it unmapped.
 				if err := sys.Access(w.m.CPU(1), 703, false); !errors.Is(err, vm.ErrSegv) {
 					t.Fatalf("round %d: stale access after munmap: %v", round, err)
@@ -584,52 +586,54 @@ func TestSharedMMUWalkStaleTLB(t *testing.T) {
 // with a gang of 4 cores: one core cycles mmap/munmap over a region while
 // three others hammer accesses into it. An access may succeed or report
 // ErrSegv/ErrProt ("the munmap got the lock first") but must never wedge,
-// corrupt metadata, or leak frames. Run under -race this also exercises
-// the carrier-recycling and walk-revalidation orderings.
+// corrupt metadata, or leak frames. On the explorer this also exercises
+// the carrier-recycling orderings and walks a shootdown overtakes.
 func TestGangMunmapVsPageFaultRace(t *testing.T) {
 	const ncores = 4
 	const lo, npages = uint64(5000), uint64(8)
 	for i := range systems(newWorld(ncores)) {
-		w := newWorld(ncores)
-		sys := systems(w)[i]
-		t.Run(sys.Name(), func(t *testing.T) {
-			hw.RunGang(w.m, ncores, func(c *hw.CPU, g *hw.Gang) {
-				if c.ID() == 0 {
-					for k := 0; k < 60; k++ {
-						mustT(t, sys.Mmap(c, lo, npages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
-						for v := lo; v < lo+npages; v += 2 {
-							mustT(t, sys.Access(c, v, true))
+		t.Run(systems(newWorld(ncores))[i].Name(), func(t *testing.T) {
+			for seed := range hw.Seeds(16) {
+				w := newWorld(ncores)
+				sys := systems(w)[i]
+				hw.RunGang(w.m, ncores, seed, func(c *hw.CPU, g *hw.Gang) {
+					if c.ID() == 0 {
+						for k := 0; k < 60; k++ {
+							mustT(t, sys.Mmap(c, lo, npages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
+							for v := lo; v < lo+npages; v += 2 {
+								mustT(t, sys.Access(c, v, true))
+							}
+							mustT(t, sys.Munmap(c, lo, npages))
+							w.rc.Maintain(c)
+							g.Sync(c)
 						}
-						mustT(t, sys.Munmap(c, lo, npages))
+						return
+					}
+					for k := 0; k < 120; k++ {
+						v := lo + uint64(k)%npages
+						if err := sys.Access(c, v, k%2 == 0); err != nil &&
+							!errors.Is(err, vm.ErrSegv) && !errors.Is(err, vm.ErrProt) {
+							t.Errorf("seed %d: core %d: unexpected access error: %v", seed, c.ID(), err)
+							return
+						}
 						w.rc.Maintain(c)
 						g.Sync(c)
 					}
-					return
+				})
+				if t.Failed() {
+					t.Fatalf("failed at seed %d", seed)
 				}
-				for k := 0; k < 120; k++ {
-					v := lo + uint64(k)%npages
-					if err := sys.Access(c, v, k%2 == 0); err != nil &&
-						!errors.Is(err, vm.ErrSegv) && !errors.Is(err, vm.ErrProt) {
-						t.Errorf("core %d: unexpected access error: %v", c.ID(), err)
-						return
+				// Post-conditions: the range is unmapped everywhere and no
+				// frame leaked.
+				for id := 0; id < ncores; id++ {
+					if err := sys.Access(w.m.CPU(id), lo+3, false); !errors.Is(err, vm.ErrSegv) {
+						t.Fatalf("seed %d: core %d: post-race access = %v, want ErrSegv", seed, id, err)
 					}
-					w.rc.Maintain(c)
-					g.Sync(c)
 				}
-			})
-			if t.Failed() {
-				return
-			}
-			// Post-conditions: the range is unmapped everywhere and no
-			// frame leaked.
-			for id := 0; id < ncores; id++ {
-				if err := sys.Access(w.m.CPU(id), lo+3, false); !errors.Is(err, vm.ErrSegv) {
-					t.Fatalf("core %d: post-race access = %v, want ErrSegv", id, err)
+				w.quiesce()
+				if live := w.alloc.Live(); live != 0 {
+					t.Fatalf("seed %d: %d frames leaked in the race", seed, live)
 				}
-			}
-			w.quiesce()
-			if live := w.alloc.Live(); live != 0 {
-				t.Fatalf("%d frames leaked in the race", live)
 			}
 		})
 	}
@@ -653,42 +657,44 @@ func TestGangMprotectVsFaultRace(t *testing.T) {
 	const ncores = 4
 	const lo, npages = uint64(7000), uint64(8)
 	for i := range systems(newWorld(ncores)) {
-		w := newWorld(ncores)
-		sys := systems(w)[i]
-		t.Run(sys.Name(), func(t *testing.T) {
-			must(t, sys.Mmap(w.m.CPU(0), lo, npages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
-			hw.RunGang(w.m, ncores, func(c *hw.CPU, g *hw.Gang) {
-				if c.ID() == 0 {
-					for k := 0; k < 80; k++ {
-						mustT(t, sys.Mprotect(c, lo, npages, vm.ProtRead))
-						mustT(t, sys.Mprotect(c, lo, npages, vm.ProtRead|vm.ProtWrite))
+		t.Run(systems(newWorld(ncores))[i].Name(), func(t *testing.T) {
+			for seed := range hw.Seeds(16) {
+				w := newWorld(ncores)
+				sys := systems(w)[i]
+				must(t, sys.Mmap(w.m.CPU(0), lo, npages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
+				hw.RunGang(w.m, ncores, seed, func(c *hw.CPU, g *hw.Gang) {
+					if c.ID() == 0 {
+						for k := 0; k < 80; k++ {
+							mustT(t, sys.Mprotect(c, lo, npages, vm.ProtRead))
+							mustT(t, sys.Mprotect(c, lo, npages, vm.ProtRead|vm.ProtWrite))
+							w.rc.Maintain(c)
+							g.Sync(c)
+						}
+						return
+					}
+					for k := 0; k < 160; k++ {
+						v := lo + uint64(k)%npages
+						write := k%2 == 0
+						err := sys.Access(c, v, write)
+						if errors.Is(err, vm.ErrSegv) {
+							t.Errorf("seed %d: core %d: spurious ErrSegv on a mapped page (write=%v)", seed, c.ID(), write)
+							return
+						}
+						if err != nil && (!write || !errors.Is(err, vm.ErrProt)) {
+							t.Errorf("seed %d: core %d: unexpected error: %v (write=%v)", seed, c.ID(), err, write)
+							return
+						}
 						w.rc.Maintain(c)
 						g.Sync(c)
 					}
-					return
+				})
+				if t.Failed() {
+					t.Fatalf("failed at seed %d", seed)
 				}
-				for k := 0; k < 160; k++ {
-					v := lo + uint64(k)%npages
-					write := k%2 == 0
-					err := sys.Access(c, v, write)
-					if errors.Is(err, vm.ErrSegv) {
-						t.Errorf("core %d: spurious ErrSegv on a mapped page (write=%v)", c.ID(), write)
-						return
-					}
-					if err != nil && (!write || !errors.Is(err, vm.ErrProt)) {
-						t.Errorf("core %d: unexpected error: %v (write=%v)", c.ID(), err, write)
-						return
-					}
-					w.rc.Maintain(c)
-					g.Sync(c)
+				// Post-race: rights ended read-write; everyone can write.
+				for id := 0; id < ncores; id++ {
+					must(t, sys.Access(w.m.CPU(id), lo+1, true))
 				}
-			})
-			if t.Failed() {
-				return
-			}
-			// Post-race: rights ended read-write; everyone can write.
-			for id := 0; id < ncores; id++ {
-				must(t, sys.Access(w.m.CPU(id), lo+1, true))
 			}
 		})
 	}
@@ -861,10 +867,9 @@ func TestFaultAfterRecycleZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestActiveSetNotesUnion: eight goroutines note overlapping core IDs at once,
-// and the set afterwards holds exactly their union. Note's check-then-Or may
-// skip an Or only for a bit already set, never lose one another goroutine set
-// in the same word.
+// TestActiveSetNotesUnion: eight cores note overlapping core IDs,
+// interleaved, and the set afterwards holds exactly their union: no Note
+// loses a bit another core set in the same word.
 func TestActiveSetNotesUnion(t *testing.T) {
 	noted := func(g, id int) bool { return id%(g+2) == 0 || id/16 == g }
 	var want hw.CoreSet
@@ -875,24 +880,16 @@ func TestActiveSetNotesUnion(t *testing.T) {
 			}
 		}
 	}
-	for trial := 0; trial < 100; trial++ {
+	for trial := range hw.Seeds(100) { // each trial one explorer seed
 		var a vm.ActiveSet
-		var wg sync.WaitGroup
-		start := make(chan struct{})
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				for id := 0; id < hw.MaxCores; id++ {
-					if noted(g, id) {
-						a.Note(id)
-					}
+		hw.RunGang(hw.NewMachine(hw.TestConfig(8)), 8, trial, func(c *hw.CPU, gang *hw.Gang) {
+			for id := 0; id < hw.MaxCores; id++ {
+				if noted(c.ID(), id) {
+					a.Note(id)
 				}
-			}()
-		}
-		close(start)
-		wg.Wait()
+				gang.Sync(c)
+			}
+		})
 		if got := a.Get(); got != want {
 			t.Fatalf("trial %d: active set %s after concurrent Notes, want the union %s", trial, got.String(), want.String())
 		}

@@ -371,7 +371,7 @@ func TestFileServeTickerVisitsHoldersNotMappers(t *testing.T) {
 }
 
 // TestRaceFileFaultVsTruncate races demand faults of a mapped file against
-// truncate/extend/writeback cycles under -race: every access must land as
+// truncate/extend/writeback cycles on the explorer: every access must land as
 // success or ErrSegv (an access past the racing EOF), the run must not
 // wedge, and once the space retires and the file empties no frame may
 // remain allocated.
@@ -379,41 +379,43 @@ func TestRaceFileFaultVsTruncate(t *testing.T) {
 	for _, name := range []string{"radixvm", "linux", "bonsai"} {
 		t.Run(name, func(t *testing.T) {
 			const ncores = 4
-			env, sys, alloc := fsSys(name, hw.TestConfig(ncores))
-			c0 := env.M.CPU(0)
-			file := vm.NewFile(alloc)
-			fsMust(t, sys.Mmap(c0, fsTestBase, 64, vm.MapOpts{
-				Prot: vm.ProtRead | vm.ProtWrite, File: file, Offset: 0,
-			}))
-			hw.RunGang(env.M, ncores, func(c *hw.CPU, g *hw.Gang) {
-				if c.ID() == 0 {
-					for k := 0; k < 40; k++ {
-						file.Truncate(c, 8)
-						file.Extend(64)
-						file.Writeback(c, 0, 64)
+			for seed := range hw.Seeds(8) {
+				env, sys, alloc := fsSys(name, hw.TestConfig(ncores))
+				c0 := env.M.CPU(0)
+				file := vm.NewFile(alloc)
+				fsMust(t, sys.Mmap(c0, fsTestBase, 64, vm.MapOpts{
+					Prot: vm.ProtRead | vm.ProtWrite, File: file, Offset: 0,
+				}))
+				hw.RunGang(env.M, ncores, seed, func(c *hw.CPU, g *hw.Gang) {
+					if c.ID() == 0 {
+						for k := 0; k < 40; k++ {
+							file.Truncate(c, 8)
+							file.Extend(64)
+							file.Writeback(c, 0, 64)
+							env.RC.Maintain(c)
+							g.Sync(c)
+						}
+						return
+					}
+					for k := 0; k < 120; k++ {
+						v := fsTestBase + uint64(k*7+c.ID()*13)%64
+						if err := sys.Access(c, v, false); err != nil && !errors.Is(err, vm.ErrSegv) {
+							t.Errorf("seed %d: core %d: fault vs truncate: %v", seed, c.ID(), err)
+							return
+						}
 						env.RC.Maintain(c)
 						g.Sync(c)
 					}
-					return
+				})
+				if t.Failed() {
+					t.Fatalf("failed at seed %d", seed)
 				}
-				for k := 0; k < 120; k++ {
-					v := fsTestBase + uint64(k*7+c.ID()*13)%64
-					if err := sys.Access(c, v, false); err != nil && !errors.Is(err, vm.ErrSegv) {
-						t.Errorf("core %d: fault vs truncate: %v", c.ID(), err)
-						return
-					}
-					env.RC.Maintain(c)
-					g.Sync(c)
+				fsRetire(c0, t, sys, [2]uint64{fsTestBase, 64})
+				file.Truncate(c0, 0)
+				fsQuiesce(env)
+				if live := alloc.Live(); live != 0 {
+					t.Fatalf("seed %d: %d frames leaked through the fault/truncate race", seed, live)
 				}
-			})
-			if t.Failed() {
-				return
-			}
-			fsRetire(c0, t, sys, [2]uint64{fsTestBase, 64})
-			file.Truncate(c0, 0)
-			fsQuiesce(env)
-			if live := alloc.Live(); live != 0 {
-				t.Fatalf("%d frames leaked through the fault/truncate race", live)
 			}
 		})
 	}
@@ -429,56 +431,58 @@ func TestRaceWritebackVsForkCOWExit(t *testing.T) {
 	for _, name := range []string{"radixvm", "linux", "bonsai"} {
 		t.Run(name, func(t *testing.T) {
 			const ncores = 4
-			env, sys, alloc := fsSys(name, hw.TestConfig(ncores))
-			c0 := env.M.CPU(0)
-			file := vm.NewFile(alloc)
-			fsMust(t, sys.Mmap(c0, fsTestBase, 32, vm.MapOpts{
-				Prot: vm.ProtRead | vm.ProtWrite, File: file, Offset: 0,
-			}))
-			fsMust(t, sys.Mmap(c0, fsTestAnon, 4, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
-			for p := uint64(0); p < 4; p++ {
-				fsMust(t, sys.Access(c0, fsTestAnon+p, true))
-			}
-			hw.RunGang(env.M, ncores, func(c *hw.CPU, g *hw.Gang) {
-				if c.ID() == 0 {
-					for k := 0; k < 40; k++ {
-						file.Writeback(c, 0, 32)
+			for seed := range hw.Seeds(8) {
+				env, sys, alloc := fsSys(name, hw.TestConfig(ncores))
+				c0 := env.M.CPU(0)
+				file := vm.NewFile(alloc)
+				fsMust(t, sys.Mmap(c0, fsTestBase, 32, vm.MapOpts{
+					Prot: vm.ProtRead | vm.ProtWrite, File: file, Offset: 0,
+				}))
+				fsMust(t, sys.Mmap(c0, fsTestAnon, 4, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
+				for p := uint64(0); p < 4; p++ {
+					fsMust(t, sys.Access(c0, fsTestAnon+p, true))
+				}
+				hw.RunGang(env.M, ncores, seed, func(c *hw.CPU, g *hw.Gang) {
+					if c.ID() == 0 {
+						for k := 0; k < 40; k++ {
+							file.Writeback(c, 0, 32)
+							env.RC.Maintain(c)
+							g.Sync(c)
+						}
+						return
+					}
+					for k := 0; k < 12; k++ {
+						ch, err := sys.Fork(c)
+						if err != nil {
+							t.Errorf("seed %d: core %d: fork: %v", seed, c.ID(), err)
+							return
+						}
+						for p := uint64(0); p < 4; p++ {
+							if err := ch.Access(c, fsTestBase+uint64(c.ID())*8+p, false); err != nil {
+								t.Errorf("seed %d: core %d: child file read: %v", seed, c.ID(), err)
+								return
+							}
+						}
+						for p := uint64(0); p < 4; p++ {
+							if err := ch.Access(c, fsTestAnon+p, true); err != nil {
+								t.Errorf("seed %d: core %d: child COW write: %v", seed, c.ID(), err)
+								return
+							}
+						}
+						fsRetire(c, t, ch, [2]uint64{fsTestBase, 32}, [2]uint64{fsTestAnon, 4})
 						env.RC.Maintain(c)
 						g.Sync(c)
 					}
-					return
+				})
+				if t.Failed() {
+					t.Fatalf("failed at seed %d", seed)
 				}
-				for k := 0; k < 12; k++ {
-					ch, err := sys.Fork(c)
-					if err != nil {
-						t.Errorf("core %d: fork: %v", c.ID(), err)
-						return
-					}
-					for p := uint64(0); p < 4; p++ {
-						if err := ch.Access(c, fsTestBase+uint64(c.ID())*8+p, false); err != nil {
-							t.Errorf("core %d: child file read: %v", c.ID(), err)
-							return
-						}
-					}
-					for p := uint64(0); p < 4; p++ {
-						if err := ch.Access(c, fsTestAnon+p, true); err != nil {
-							t.Errorf("core %d: child COW write: %v", c.ID(), err)
-							return
-						}
-					}
-					fsRetire(c, t, ch, [2]uint64{fsTestBase, 32}, [2]uint64{fsTestAnon, 4})
-					env.RC.Maintain(c)
-					g.Sync(c)
+				fsRetire(c0, t, sys, [2]uint64{fsTestBase, 32}, [2]uint64{fsTestAnon, 4})
+				file.Truncate(c0, 0)
+				fsQuiesce(env)
+				if live := alloc.Live(); live != 0 {
+					t.Fatalf("seed %d: %d frames leaked through the writeback/fork/exit race", seed, live)
 				}
-			})
-			if t.Failed() {
-				return
-			}
-			fsRetire(c0, t, sys, [2]uint64{fsTestBase, 32}, [2]uint64{fsTestAnon, 4})
-			file.Truncate(c0, 0)
-			fsQuiesce(env)
-			if live := alloc.Live(); live != 0 {
-				t.Fatalf("%d frames leaked through the writeback/fork/exit race", live)
 			}
 		})
 	}

@@ -114,8 +114,8 @@ func spread(id int) uint64 { return uint64(id*4+4) << 18 }
 // therefore reproduces the pre-scheduler figures byte-for-byte. Figures
 // run under the deterministic schedule so every cell is a pure function
 // of the op stream — byte-stable across runs and byte-gateable in CI.
-// hw.RunGang's plain goroutines drive only tests, which want real
-// concurrency under -race and keep no virtual time.
+// hw.RunGang's explorer drives only tests, which want many interleavings
+// and keep no virtual time.
 func run(env *Env, name string, sys vm.System, cores int, warm func(tc *hw.Ctx), body func(tc *hw.Ctx) uint64) Result {
 	var writes [hw.MaxCores]uint64
 	if warm != nil {

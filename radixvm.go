@@ -13,10 +13,11 @@
 // (internal/hw): each simulated core has a virtual clock, a deterministic
 // schedule (RunGang's and the figures') steps the cores in one loop, lowest
 // clock first, and shared cache lines are serialization resources with
-// modeled coherence costs. The data structures are really concurrent — their
-// tests drive them from parallel goroutines under the race detector; only
-// time is simulated — so the library reproduces both the semantics and the
-// scalability curves of the paper on any host. README.md ("The simulated
+// modeled coherence costs. The data structures are concurrent: every line
+// touch and lock acquire is a point where another core may run, and their
+// tests interleave the cores there on a seeded explorer — so the library
+// reproduces both the semantics and the scalability curves of the paper on
+// any host. README.md ("The simulated
 // machine") gives the full substitution argument.
 //
 // # Quick start
@@ -29,8 +30,9 @@
 //	as.Munmap(cpu, 0x1000, 16)                // targeted shootdown (none needed here)
 //	fmt.Println(m.Stats().Transfers)          // cache-line movement observed
 //
-// All addresses are virtual page numbers (4 KB pages). Each simulated core
-// must be driven by exactly one goroutine at a time.
+// All addresses are virtual page numbers (4 KB pages). The simulated machine
+// takes no locks: drive all of its cores from one goroutine, directly or
+// through RunGang.
 package radixvm
 
 import (
@@ -106,8 +108,8 @@ func NewWithConfig(cfg Config) *Machine {
 // NCores returns the simulated core count.
 func (m *Machine) NCores() int { return m.hw.NCores() }
 
-// CPU returns core i's context. Exactly one goroutine may drive a CPU at
-// a time.
+// CPU returns core i's context. Drive every core of a machine from one
+// goroutine.
 func (m *Machine) CPU(i int) *CPU { return m.hw.CPU(i) }
 
 // NewAddressSpace creates a RadixVM address space: radix tree, per-core
