@@ -83,27 +83,51 @@ func (l *Line) sharedLowest() int {
 	return -1
 }
 
+// How a touch can be served. A touch that is not a hit is a transfer or
+// a cold fill (xferCost).
+type hitKind uint8
+
+const (
+	miss      hitKind = iota
+	hitExcl           // the toucher holds the line alone: no shared state touched
+	hitShared         // a read by a sharer, or a write by the sole sharer
+)
+
+// hitBy is the one classification of a touch by core id of a line whose
+// state word is s, as a write when write is set: the exclusive holder hits
+// either way; a line that has an exclusive holder misses for every other
+// core; otherwise a read hits for any sharer and a write for the sole one.
+func (l *Line) hitBy(s uint64, id int, write bool) hitKind {
+	switch x := s & exclMask; {
+	case x == uint64(id)+1:
+		return hitExcl
+	case x != 0:
+		return miss
+	case write && l.sharedOnly(id), !write && l.sharedHas(id):
+		return hitShared
+	}
+	return miss
+}
+
 // Read models a load from the line by core c. It is a preemption point.
 func (c *CPU) Read(l *Line) {
 	if c.x != nil {
 		c.preempt()
 	}
-	me := uint64(c.id) + 1
 	s := l.state
-	if s&exclMask == me {
-		// Exclusive holder: hit, no shared state touched.
+	k := l.hitBy(s, c.id, false)
+	if k == hitExcl {
 		c.stats.LocalHits++
 		c.TickAs(CauseLineHit, c.m.cfg.LocalHit)
 		return
 	}
 	now := c.Now()
-	x := s & exclMask
-	if x == 0 && l.sharedHas(c.id) {
+	if k == hitShared {
 		c.hit(now)
 		return
 	}
 	cost, cross, cold := c.xferCost(l, s)
-	if x != 0 {
+	if x := s & exclMask; x != 0 {
 		l.sharedSet(int(x)-1, c.id)
 		l.state = s &^ exclMask
 	} else {
@@ -122,18 +146,19 @@ func (c *CPU) Write(l *Line) {
 	if c.x != nil {
 		c.preempt()
 	}
-	me := uint64(c.id) + 1
 	s := l.state
-	if s&exclMask == me {
-		// Exclusive holder: silent upgrade, no shared state touched.
+	k := l.hitBy(s, c.id, true)
+	if k == hitExcl {
+		// Silent upgrade, no shared state touched.
 		c.stats.LocalHits++
 		c.TickAs(CauseLineHit, c.m.cfg.LocalHit)
 		return
 	}
 	now := c.Now()
+	me := uint64(c.id) + 1
 	l.state = me<<ownerShift | me
-	if s&exclMask == 0 && l.sharedOnly(c.id) {
-		// Sole holder: hit and silent upgrade to exclusive.
+	if k == hitShared {
+		// Sole holder: silent upgrade to exclusive.
 		c.hit(now)
 		return
 	}
@@ -142,6 +167,41 @@ func (c *CPU) Write(l *Line) {
 	end := start + cost
 	l.gate.release(end)
 	c.miss(start, end, cross, cold)
+}
+
+// HitRun charges reads of every line of path and then a read of last, or a
+// write when write is set, in one step: LocalHit each to CauseLineHit, and
+// one LocalHits each — what those len(path)+1 touches charge one by one when
+// every one is a local hit. It reports whether it did. It refuses, charging
+// and changing nothing, on the explorer, where every touch stays a
+// preemption point; when any touch would not hit; and when a mailbox
+// message falls due at or before the run's end, so that the separate
+// touches would fold no message either. A read that hits changes no line,
+// so each touch finds the state hitBy classifies here; a write that hits as
+// the sole sharer upgrades last to exclusive, as Write does.
+func (c *CPU) HitRun(path []*Line, last *Line, write bool) bool {
+	n := uint64(len(path)) + 1
+	cost := n * c.m.cfg.LocalHit
+	if c.x != nil || c.clock+cost >= c.mboxNext {
+		return false
+	}
+	for _, l := range path {
+		if l.hitBy(l.state, c.id, false) == miss {
+			return false
+		}
+	}
+	k := last.hitBy(last.state, c.id, write)
+	if k == miss {
+		return false
+	}
+	if write && k == hitShared {
+		me := uint64(c.id) + 1
+		last.state = me<<ownerShift | me
+	}
+	c.stats.LocalHits += n
+	c.cycles[CauseLineHit] += cost
+	c.clock += cost
+	return true
 }
 
 // hit completes a touch that hit locally after the clock was read as now.
@@ -185,7 +245,7 @@ func (c *CPU) xferCost(l *Line, s uint64) (cost uint64, crossSocket, cold bool) 
 			return cfg.DRAMAccess, false, true
 		}
 	}
-	if c.m.Socket(src) == c.Socket() {
+	if sock := c.m.socket; sock[src] == sock[c.id] {
 		return cfg.SameSocketXfer, false, false
 	}
 	return cfg.CrossSocketXfer, true, false

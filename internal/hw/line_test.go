@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -255,10 +256,172 @@ func TestLineMatchesDirectoryModel(t *testing.T) {
 	}
 }
 
+// coreState is everything a touch can change on a core: its clock, cycle
+// meter, Stats and queued mail.
+type coreState struct {
+	clock, mboxNext uint64
+	cycles          Cycles
+	stats           Stats
+	mail            string
+}
+
+func stateOf(c *CPU) coreState {
+	return coreState{c.clock, c.mboxNext, c.cycles, c.stats, fmt.Sprint(c.mbox[c.mboxHead:])}
+}
+
+// TestHitRunMatchesTouches is HitRun's exactness oracle. Two machines take
+// the same seeded setup: a pool of lines each left owned by the running
+// core, shared by it alone, shared with others, cold, or written by another
+// core; some local work; and mailbox messages stamped before, inside, at the
+// end of or after the run. Then one machine runs HitRun over a path drawn
+// from the pool and the other the separate reads and the last read or write.
+// HitRun must accept exactly when every separate touch hit and no message is
+// stamped at or before the run's end, and must then leave every core's
+// clock, causes, Stats and mail and every line as the separate touches did;
+// when it refuses, nothing may have changed.
+func TestHitRunMatchesTouches(t *testing.T) {
+	const pool, trials = 4, 3000
+	for _, ncores := range []int{1, 12, 80} {
+		rng := rand.New(rand.NewSource(int64(ncores)))
+		var accepted, refused int
+		for trial := range trials {
+			ms := [2]*Machine{NewMachine(TestConfig(ncores)), NewMachine(TestConfig(ncores))}
+			lines := [2][pool]Line{}
+			c := rng.Intn(ncores)
+			others := func() int { return (c + 1 + rng.Intn(ncores-1)) % ncores }
+			// Setup touches, the same on both machines.
+			do := func(core int, li int, write bool) {
+				for k, m := range ms {
+					if write {
+						m.CPU(core).Write(&lines[k][li])
+					} else {
+						m.CPU(core).Read(&lines[k][li])
+					}
+				}
+			}
+			for li := range pool {
+				state := rng.Intn(8)
+				if ncores == 1 && state >= 5 {
+					state = rng.Intn(3)
+				}
+				switch state {
+				case 0, 1: // owned
+					do(c, li, true)
+				case 2, 3: // sole sharer, never written
+					do(c, li, false)
+				case 4: // cold
+				case 5: // sharers, never written
+					do(others(), li, false)
+					do(c, li, false)
+				case 6: // sharers, c wrote it last
+					do(c, li, true)
+					do(others(), li, false)
+				case 7: // another core's
+					do(others(), li, true)
+				}
+			}
+			work := uint64(rng.Intn(1000))
+			for _, m := range ms {
+				m.CPU(c).Tick(work)
+			}
+			write := rng.Intn(2) == 0
+			path := make([][]*Line, 2)
+			lastAt := rng.Intn(pool)
+			for range rng.Intn(4) {
+				li := rng.Intn(pool)
+				for k := range ms {
+					path[k] = append(path[k], &lines[k][li])
+				}
+			}
+			cost := uint64(len(path[0])+1) * ms[0].cfg.LocalHit
+			clock := ms[0].CPU(c).clock
+			when := rng.Intn(5)
+			for range 1 + rng.Intn(2) {
+				var stamp uint64
+				switch when {
+				case 0: // none
+					continue
+				case 1: // before the run
+					stamp = clock - uint64(rng.Int63n(int64(clock)+1))
+				case 2: // inside it
+					stamp = clock + 1 + uint64(rng.Int63n(int64(cost)-1))
+				case 3: // at its end
+					stamp = clock + cost
+				case 4: // after it
+					stamp = clock + cost + 1 + uint64(rng.Intn(50))
+				}
+				for _, m := range ms {
+					m.CPU(c).DeliverAt(stamp, 1000)
+				}
+			}
+
+			a, b := ms[0].CPU(c), ms[1].CPU(c)
+			before, linesBefore := stateOf(a), lines[0]
+			ok := a.HitRun(path[0], &lines[0][lastAt], write)
+			for _, l := range path[1] {
+				b.Read(l)
+			}
+			if write {
+				b.Write(&lines[1][lastAt])
+			} else {
+				b.Read(&lines[1][lastAt])
+			}
+			allHit := b.stats.LocalHits-before.stats.LocalHits == uint64(len(path[1])+1)
+			if want := allHit && before.mboxNext > clock+cost; ok != want {
+				t.Fatalf("%d cores, trial %d: HitRun of %d lines (write %v, mail %d) returned %v, want %v",
+					ncores, trial, len(path[0])+1, write, when, ok, want)
+			}
+			if !ok {
+				refused++
+				if after := stateOf(a); after != before || lines[0] != linesBefore {
+					t.Fatalf("%d cores, trial %d: a refused HitRun changed core %d from %+v to %+v, or a line",
+						ncores, trial, c, before, after)
+				}
+				continue
+			}
+			accepted++
+			for i := range ncores {
+				if x, y := stateOf(ms[0].CPU(i)), stateOf(ms[1].CPU(i)); x != y {
+					t.Fatalf("%d cores, trial %d: core %d after HitRun %+v, after the touches %+v", ncores, trial, i, x, y)
+				}
+			}
+			if lines[0] != lines[1] {
+				t.Fatalf("%d cores, trial %d: lines after HitRun %+v, after the touches %+v", ncores, trial, lines[0], lines[1])
+			}
+		}
+		if accepted < trials/10 || refused < trials/10 {
+			t.Errorf("%d cores: HitRun accepted %d and refused %d of %d runs; the draw must exercise both", ncores, accepted, refused, trials)
+		}
+	}
+}
+
+// TestHitRunRefusesOnExplorer: on the explorer every touch is a preemption
+// point, so HitRun charges nothing there even when every line is a hit.
+func TestHitRunRefusesOnExplorer(t *testing.T) {
+	for seed := range Seeds(4) {
+		m := NewMachine(TestConfig(2))
+		var lines [2][4]Line
+		RunGang(m, 2, seed, func(c *CPU, _ *Gang) {
+			ls := &lines[c.ID()]
+			for i := range ls {
+				c.Write(&ls[i])
+			}
+			before := stateOf(c)
+			if c.HitRun([]*Line{&ls[0], &ls[1], &ls[2]}, &ls[3], true) {
+				t.Errorf("seed %d: core %d: HitRun accepted on the explorer", seed, c.ID())
+			}
+			if after := stateOf(c); after != before {
+				t.Errorf("seed %d: core %d: HitRun refused but changed %+v to %+v", seed, c.ID(), before, after)
+			}
+		})
+	}
+}
+
 // BenchmarkLine is the host cost of one modelled touch on each of its paths:
 // the exclusive holder's hit, a lock-free read-shared hit, a write that
 // takes the line from another core, and a read that pulls a line written
-// by another core into a second cache. None may allocate.
+// by another core into a second cache; and of one HitRun of four lines.
+// None may allocate.
 func BenchmarkLine(b *testing.B) {
 	m := NewMachine(TestConfig(4))
 	c0, c1 := m.CPU(0), m.CPU(1)
@@ -302,6 +465,21 @@ func BenchmarkLine(b *testing.B) {
 				b.StartTimer()
 			}
 			c1.Read(l)
+		}
+	})
+	// A cached page-table walk's charge: three interior reads and a leaf
+	// write, all held by the toucher, charged in one step.
+	b.Run("hit_run", func(b *testing.B) {
+		var lines [4]Line
+		for i := range lines {
+			c0.Write(&lines[i])
+		}
+		path := []*Line{&lines[0], &lines[1], &lines[2]}
+		b.ReportAllocs()
+		for range b.N {
+			if !c0.HitRun(path, &lines[3], true) {
+				b.Fatal("HitRun refused a run of owned lines")
+			}
 		}
 	})
 }

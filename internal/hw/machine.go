@@ -96,6 +96,7 @@ func TestConfig(ncores int) Config {
 type Machine struct {
 	cfg     Config
 	cpus    []*CPU
+	socket  []int     // socket[id] is core id's socket, so no touch divides
 	sockets []CoreSet // sockets[s] holds the cores of socket s
 }
 
@@ -109,12 +110,14 @@ func NewMachine(cfg Config) *Machine {
 	}
 	m := &Machine{cfg: cfg}
 	m.cpus = make([]*CPU, cfg.NCores)
+	m.socket = make([]int, cfg.NCores)
 	for i := range m.cpus {
 		m.cpus[i] = &CPU{id: i, m: m, mboxNext: ^uint64(0)}
+		m.socket[i] = i / cfg.CoresPerSocket
 	}
-	m.sockets = make([]CoreSet, m.Socket(cfg.NCores-1)+1)
-	for i := range m.cpus {
-		m.sockets[m.Socket(i)].Add(i)
+	m.sockets = make([]CoreSet, m.socket[cfg.NCores-1]+1)
+	for i, s := range m.socket {
+		m.sockets[s].Add(i)
 	}
 	return m
 }
@@ -129,7 +132,7 @@ func (m *Machine) NCores() int { return m.cfg.NCores }
 func (m *Machine) CPU(id int) *CPU { return m.cpus[id] }
 
 // Socket returns the socket (chip) number of core id.
-func (m *Machine) Socket(id int) int { return id / m.cfg.CoresPerSocket }
+func (m *Machine) Socket(id int) int { return m.socket[id] }
 
 // MaxClock returns the largest virtual clock across all cores: the virtual
 // wall-clock time of the experiment so far.
@@ -264,7 +267,7 @@ func (c *CPU) ID() int { return c.id }
 func (c *CPU) Machine() *Machine { return c.m }
 
 // Socket returns this core's socket number.
-func (c *CPU) Socket() int { return c.m.Socket(c.id) }
+func (c *CPU) Socket() int { return c.m.socket[c.id] }
 
 // Stats returns this core's statistics counters for inspection.
 func (c *CPU) Stats() *Stats { return &c.stats }

@@ -60,3 +60,31 @@ func BenchmarkPageTableUnmapRange16(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPageTableCopyLeaf: the baselines' fork copy over one full leaf.
+// One op walks a populated 512-entry leaf with ForEachRange and maps every
+// entry into a second table through one Walker, so after the first op every
+// touch of both walks is a local hit. The steady state allocates nothing.
+func BenchmarkPageTableCopyLeaf(b *testing.B) {
+	m := hw.NewMachine(hw.DefaultConfig(1))
+	c := m.CPU(0)
+	src, dst := New(m), New(m)
+	for v := uint64(0); v < EntriesPerNode; v++ {
+		src.Map(c, v, v, PermR|PermW)
+	}
+	copyLeaf := func() {
+		w := dst.Walker()
+		src.ForEachRange(c, 0, EntriesPerNode, func(vpn uint64, pte PTE) {
+			w.Map(c, vpn, pte.PFN, pte.Perm&^PermW)
+		})
+	}
+	copyLeaf()
+	if n := testing.AllocsPerRun(10, copyLeaf); n != 0 {
+		b.Fatalf("a steady-state leaf copy allocated %.0f times", n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		copyLeaf()
+	}
+}

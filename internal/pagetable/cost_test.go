@@ -2,7 +2,6 @@ package pagetable
 
 import (
 	"reflect"
-	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -185,12 +184,12 @@ func TestConcurrentFirstTouchOfTwoLines(t *testing.T) {
 				t.Fatalf("leaf %d (seed %d): vpn %#x = %+v, %v after a concurrent first touch", r, r, vpn(i), pte, ok)
 			}
 		}
-		inline, d := int(n.at.Load())-1, n.dir.Load()
+		inline, d := int(n.at)-1, n.dir
 		other := a + b - inline
 		if inline != a && inline != b {
 			t.Fatalf("leaf %d: line %d is inline, want %d or %d", r, inline, a, b)
 		}
-		if d == nil || d[inline].Load() != nil || d[other].Load() == nil {
+		if d == nil || d[inline] != nil || d[other] == nil {
 			t.Fatalf("leaf %d: line %d inline, but the directory does not hold exactly line %d", r, inline, other)
 		}
 	}
@@ -238,9 +237,9 @@ func TestHostBytesFollowTouchedLines(t *testing.T) {
 		t.Errorf("a table holding one page reports %d nodes, %d B; the simulated table is %d nodes of %d B", pt.Nodes(), pt.Bytes(), Levels, NodeBytes)
 	}
 
-	node, block := unsafe.Sizeof(leaf{}), unsafe.Sizeof(line[atomic.Uint64]{})
-	dir := unsafe.Sizeof([linesPerNode]atomic.Pointer[line[atomic.Uint64]]{})
-	if interior := unsafe.Sizeof(line[atomic.Pointer[leaf]]{}); interior != block {
+	node, block := unsafe.Sizeof(leaf{}), unsafe.Sizeof(line[uint64]{})
+	dir := unsafe.Sizeof([linesPerNode]*line[uint64]{})
+	if interior := unsafe.Sizeof(line[*leaf]{}); interior != block {
 		t.Errorf("interior lines (%d B) differ from leaf ones (%d B)", interior, block)
 	}
 	if sparse := unsafe.Sizeof(PageTable{}) + (Levels-1)*node; sparse > 528 {

@@ -7,14 +7,12 @@
 // Walks take no lock; PTE reads and writes charge coherence cost on the
 // containing line, which is how shared-table contention (Figure 9's "Shared"
 // curves) emerges. A walk touches a line before it reads the entries there,
-// so what it reads is current at its last preemption point.
+// so what it reads is current at its last preemption point. Entries and
+// directories are plain words: the simulated cores run one at a time
+// (hw.Sched), so nothing but the touch of a line orders them.
 package pagetable
 
-import (
-	"sync/atomic"
-
-	"radixvm/internal/hw"
-)
+import "radixvm/internal/hw"
 
 const (
 	// BitsPerLevel is the number of VPN bits each level decodes.
@@ -92,13 +90,13 @@ func unpack(raw uint64) PTE {
 // inline if at names it, in the directory otherwise (whose slot for the
 // inline line stays nil). A directory exists only once at is set.
 //
-// E is the entry type: atomic.Uint64 (a raw PTE) in a leaf, a pointer to the
-// next level's node above it. The four levels are four instantiations, so
+// E is the entry type: a raw PTE in a leaf, a pointer to the next level's
+// node above it. The four levels are four instantiations, so
 // the walk is three typed descents rather than a loop over a level field.
 type node[E any] struct {
 	first line[E]
-	at    atomic.Int32
-	dir   atomic.Pointer[[linesPerNode]atomic.Pointer[line[E]]]
+	at    int32
+	dir   *[linesPerNode]*line[E]
 }
 
 // line is one touched cache line of a node: its coherence model and the
@@ -114,36 +112,38 @@ type line[E any] struct {
 }
 
 type (
-	leaf = node[atomic.Uint64] // level 0: PTEs, packed as pack describes
-	dir1 = node[atomic.Pointer[leaf]]
-	dir2 = node[atomic.Pointer[dir1]]
-	dir3 = node[atomic.Pointer[dir2]] // level Levels-1: the root
+	leaf = node[uint64] // level 0: PTEs, packed as pack describes
+	dir1 = node[*leaf]
+	dir2 = node[*dir1]
+	dir3 = node[*dir2] // level Levels-1: the root
 )
 
 // touch returns entry i of n and the cache line holding it, materializing
-// the line on first touch: the inline line when no walk has touched n yet,
-// else a block in the directory, which the first touch of a second line
-// builds.
+// the line on first touch.
 func (n *node[E]) touch(i int) (*hw.Line, *E) {
-	li := int32(i/slotsPerLine) + 1
-	if n.at.Load() == 0 {
-		n.at.Store(li) // the first touch claims the inline line
-	}
-	if n.at.Load() == li {
-		return &n.first.Line, &n.first.e[i%slotsPerLine]
-	}
-	d := n.dir.Load()
-	if d == nil {
-		d = new([linesPerNode]atomic.Pointer[line[E]])
-		n.dir.Store(d)
-	}
-	p := &d[li-1]
-	l := p.Load()
-	if l == nil {
-		l = new(line[E])
-		p.Store(l)
-	}
+	l := n.lineOf(i)
 	return &l.Line, &l.e[i%slotsPerLine]
+}
+
+// lineOf returns the line holding entry i of n, materializing it on first
+// touch: the inline line when no walk has touched n yet, else a block in the
+// directory, which the first touch of a second line builds.
+func (n *node[E]) lineOf(i int) *line[E] {
+	li := int32(i/slotsPerLine) + 1
+	if n.at == 0 {
+		n.at = li // the first touch claims the inline line
+	}
+	if n.at == li {
+		return &n.first
+	}
+	if n.dir == nil {
+		n.dir = new([linesPerNode]*line[E])
+	}
+	p := &n.dir[li-1]
+	if *p == nil {
+		*p = new(line[E])
+	}
+	return *p
 }
 
 // peek returns entry i of n without materializing anything: nil when no
@@ -154,37 +154,30 @@ func (n *node[E]) peek(i int) *E {
 		return nil
 	}
 	li := int32(i/slotsPerLine) + 1
-	if n.at.Load() == li {
+	if n.at == li {
 		return &n.first.e[i%slotsPerLine]
 	}
-	d := n.dir.Load()
-	if d == nil {
+	if n.dir == nil || n.dir[li-1] == nil {
 		return nil
 	}
-	l := d[li-1].Load()
-	if l == nil {
-		return nil
-	}
-	return &l.e[i%slotsPerLine]
+	return &n.dir[li-1].e[i%slotsPerLine]
 }
 
 // PageTable is one hardware page table tree.
 type PageTable struct {
 	m     *hw.Machine
 	root  dir3
-	nodes atomic.Int64 // allocated table nodes, for memory accounting
+	nodes int64 // allocated table nodes, for memory accounting
 }
 
 // New creates an empty page table: its root node, which lives in the
 // PageTable itself.
 func New(m *hw.Machine) *PageTable {
-	pt := &PageTable{m: m}
-	pt.nodes.Store(1)
-	return pt
+	return &PageTable{m: m, nodes: 1}
 }
 
 func newNode[N any](pt *PageTable) *N {
-	pt.nodes.Add(1)
+	pt.nodes++
 	return new(N)
 }
 
@@ -196,50 +189,59 @@ func idxAt(vpn uint64, level int) int {
 // cpu, and returns the line it read and the node the entry points to,
 // installing a fresh one when the entry is empty and create is set. The
 // node is nil when the entry is empty and stays so.
-func descend[C any](pt *PageTable, cpu *hw.CPU, n *node[atomic.Pointer[C]], i int, create bool) (*hw.Line, *C) {
+func descend[C any](pt *PageTable, cpu *hw.CPU, n *node[*C], i int, create bool) (*hw.Line, *C) {
 	l, slot := n.touch(i)
 	cpu.Read(l)
-	child := slot.Load()
-	if child == nil && create {
-		child = newNode[C](pt)
-		slot.Store(child)
+	if *slot == nil && create {
+		*slot = newNode[C](pt)
 		cpu.Write(l)
 	}
-	return l, child
+	return l, *slot
 }
 
 // Walker walks one page table and keeps the path of its last walk that
-// reached a leaf: the three interior lines it read and the leaf. A walk to
-// a vpn under the same leaf reads the same three lines in the same order,
-// which is the whole charge of a fresh walk down a path that exists, and
-// skips the descents. A cached path cannot go stale: table nodes are never
-// freed or replaced (an interior entry goes from empty to a node once, by
-// CAS, and keeps it), so every later walk to that leaf would find the same
-// path. A walk that stops at an empty entry caches nothing, and the next
-// one starts from the root, as an uncached walk would.
+// reached a leaf: the three interior lines it read, the leaf, and the leaf
+// line it last touched. A walk to a vpn under the same leaf reads the same
+// three lines in the same order, which is the whole charge of a fresh walk
+// down a path that exists, and skips the descents. A cached path cannot go
+// stale: table nodes and their lines are never freed or replaced (an
+// interior entry goes from empty to a node once and keeps it), so every
+// later walk to that leaf would find the same path. A walk that stops at an
+// empty entry caches nothing, and the next one starts from the root, as an
+// uncached walk would.
+//
+// The same core read those lines one walk earlier, so they are usually
+// still local hits, and so is the entry's line once a walk has touched it:
+// a cached walk charges its four touches in one step (hw.CPU.HitRun), and
+// touches them one by one only when that refuses — on the explorer, where
+// every touch is a preemption point, when a line has moved, or when a
+// mailbox message falls due by the run's end. Either way it charges what a
+// fresh walk would.
 //
 // A range walk uses one Walker for the whole range; a single-entry
-// operation is a zero Walker's one walk. A Walker is for one core.
+// operation is a zero Walker's one walk, or a walk of a Walker the caller
+// keeps for its table, as a per-core table keeps its core's. A Walker is
+// for one core.
 type Walker struct {
 	pt   *PageTable
 	span uint64 // vpn>>BitsPerLevel + 1 for the cached leaf; 0 while none
 	path [Levels - 1]*hw.Line
 	leaf *leaf
+	lat  uint64 // vpn/slotsPerLine + 1 for the cached leaf line; 0 while none
+	ln   *line[uint64]
 }
 
 // Walker returns a Walker of pt with no path cached.
 func (pt *PageTable) Walker() *Walker { return &Walker{pt: pt} }
 
-// walk returns the leaf node for vpn, allocating intermediate nodes when
-// create is set. Returns nil when the path does not exist.
+// Reset rebinds w to pt with no path cached: how the keeper of a Walker
+// follows its table being replaced (nil while there is none).
+func (w *Walker) Reset(pt *PageTable) { *w = Walker{pt: pt} }
+
+// walk returns the leaf node for vpn through descents from the root,
+// allocating intermediate nodes when create is set, and caches the path.
+// Returns nil when the path does not exist.
 func (w *Walker) walk(cpu *hw.CPU, vpn uint64, create bool) *leaf {
-	span := vpn>>BitsPerLevel + 1
-	if span == w.span {
-		for _, l := range w.path {
-			cpu.Read(l)
-		}
-		return w.leaf
-	}
 	pt := w.pt
 	l3, d2 := descend(pt, cpu, &pt.root, idxAt(vpn, 3), create)
 	if d2 == nil {
@@ -253,32 +255,56 @@ func (w *Walker) walk(cpu *hw.CPU, vpn uint64, create bool) *leaf {
 	if n == nil {
 		return nil
 	}
-	w.span, w.path, w.leaf = span, [Levels - 1]*hw.Line{l3, l2, l1}, n
+	w.span, w.path, w.leaf = vpn>>BitsPerLevel+1, [Levels - 1]*hw.Line{l3, l2, l1}, n
 	return n
+}
+
+// lineFor returns the line of the cached leaf that holds vpn's entry,
+// materializing it on first touch, and caches it.
+func (w *Walker) lineFor(vpn uint64) *line[uint64] {
+	if at := vpn/slotsPerLine + 1; at != w.lat {
+		w.ln, w.lat = w.leaf.lineOf(idxAt(vpn, 0)), at
+	}
+	return w.ln
 }
 
 // entry is the one step every entry operation takes: it walks to vpn's
 // leaf, creating the path when create is set, touches vpn's entry and
 // charges its line to cpu, as a write when write is set. Returns nil when
-// the path does not exist.
-func (w *Walker) entry(cpu *hw.CPU, vpn uint64, create, write bool) *atomic.Uint64 {
-	n := w.walk(cpu, vpn, create)
-	if n == nil {
+// the path does not exist. What it needs of w it reads before its first
+// touch: w's keeper may reset it at any preemption point.
+func (w *Walker) entry(cpu *hw.CPU, vpn uint64, create, write bool) *uint64 {
+	if vpn>>BitsPerLevel+1 == w.span {
+		path, ln := w.path, w.lineFor(vpn)
+		if !cpu.HitRun(path[:], &ln.Line, write) {
+			for _, l := range path {
+				cpu.Read(l)
+			}
+			touchAs(cpu, &ln.Line, write)
+		}
+		return &ln.e[vpn%slotsPerLine]
+	}
+	if w.walk(cpu, vpn, create) == nil {
 		return nil
 	}
-	l, pte := n.touch(idxAt(vpn, 0))
+	ln := w.lineFor(vpn)
+	touchAs(cpu, &ln.Line, write)
+	return &ln.e[vpn%slotsPerLine]
+}
+
+// touchAs charges cpu a touch of l, as a write when write is set.
+func touchAs(cpu *hw.CPU, l *hw.Line, write bool) {
 	if write {
 		cpu.Write(l)
 	} else {
 		cpu.Read(l)
 	}
-	return pte
 }
 
 // each is the one range walk: it runs op on the entry of every vpn in
 // [lo, hi), each reached and charged as entry reaches it, and skips the rest
 // of a leaf's span when the leaf does not exist.
-func (pt *PageTable) each(cpu *hw.CPU, lo, hi uint64, write bool, op func(vpn uint64, pte *atomic.Uint64)) {
+func (pt *PageTable) each(cpu *hw.CPU, lo, hi uint64, write bool, op func(vpn uint64, pte *uint64)) {
 	w := pt.Walker()
 	for vpn := lo; vpn < hi; vpn++ {
 		if pte := w.entry(cpu, vpn, false, write); pte != nil {
@@ -291,7 +317,7 @@ func (pt *PageTable) each(cpu *hw.CPU, lo, hi uint64, write bool, op func(vpn ui
 
 // Map is PageTable.Map through w's cached path.
 func (w *Walker) Map(cpu *hw.CPU, vpn, pfn uint64, perm Perm) {
-	w.entry(cpu, vpn, true, true).Store(pack(pfn, perm))
+	*w.entry(cpu, vpn, true, true) = pack(pfn, perm)
 }
 
 // Map installs vpn→pfn with the given permissions, charged to cpu. Mapping
@@ -305,13 +331,30 @@ func (pt *PageTable) Map(cpu *hw.CPU, vpn, pfn uint64, perm Perm) {
 // reports whether it installed. Concurrent faulters on a shared table race
 // here; exactly one wins (Linux's equivalent is the PTE lock + recheck).
 func (pt *PageTable) MapIfAbsent(cpu *hw.CPU, vpn, pfn uint64, perm Perm) bool {
-	return pt.Walker().entry(cpu, vpn, true, true).CompareAndSwap(0, pack(pfn, perm))
+	return swapIf(pt.Walker().entry(cpu, vpn, true, true), 0, pack(pfn, perm))
+}
+
+// swapIf stores to in *pte if it holds from, and reports whether it did:
+// the step a racing faulter or COW breaker wins or loses. It runs between
+// two preemption points, so no other core's step comes between its load and
+// its store.
+func swapIf(pte *uint64, from, to uint64) bool {
+	if pte == nil || *pte != from {
+		return false
+	}
+	*pte = to
+	return true
 }
 
 // Unmap clears vpn's entry and reports whether it was present.
 func (pt *PageTable) Unmap(cpu *hw.CPU, vpn uint64) bool {
 	pte := pt.Walker().entry(cpu, vpn, false, true)
-	return pte != nil && pte.Swap(0)&rawPresent != 0
+	if pte == nil {
+		return false
+	}
+	old := *pte
+	*pte = 0
+	return old&rawPresent != 0
 }
 
 // UnmapRange clears [lo, hi) and returns how many entries were present.
@@ -324,11 +367,10 @@ func (pt *PageTable) UnmapRange(cpu *hw.CPU, lo, hi uint64) int {
 // returns how many entries were present.
 func (pt *PageTable) UnmapRangeFunc(cpu *hw.CPU, lo, hi uint64, fn func(vpn, pfn uint64)) int {
 	cleared := 0
-	pt.each(cpu, lo, hi, true, func(vpn uint64, pte *atomic.Uint64) {
-		if pte.Load() == 0 {
-			return // nothing to clear: skip the locked swap
-		}
-		if old := pte.Swap(0); old&rawPresent != 0 {
+	pt.each(cpu, lo, hi, true, func(vpn uint64, pte *uint64) {
+		old := *pte
+		*pte = 0
+		if old&rawPresent != 0 {
 			cleared++
 			if fn != nil {
 				fn(vpn, old>>rawShift)
@@ -343,21 +385,20 @@ func (pt *PageTable) UnmapRangeFunc(cpu *hw.CPU, lo, hi uint64, fn func(vpn, pfn
 // them into the child and downgrade them in place. Each visited leaf line
 // is charged as a read.
 func (pt *PageTable) ForEachRange(cpu *hw.CPU, lo, hi uint64, fn func(vpn uint64, pte PTE)) {
-	pt.each(cpu, lo, hi, false, func(vpn uint64, pte *atomic.Uint64) {
-		if raw := pte.Load(); raw&rawPresent != 0 {
+	pt.each(cpu, lo, hi, false, func(vpn uint64, pte *uint64) {
+		if raw := *pte; raw&rawPresent != 0 {
 			fn(vpn, unpack(raw))
 		}
 	})
 }
 
-// Replace atomically swaps vpn's entry from old to (pfn, perm), reporting
+// Replace swaps vpn's entry from old to (pfn, perm), reporting
 // whether it installed. COW breaks on a shared table race here: two cores
 // resolving the same page each prepare a private copy, and exactly one
 // wins — the loser discards its copy and adopts the winner's (the role the
 // per-PTE lock plays in Linux).
 func (pt *PageTable) Replace(cpu *hw.CPU, vpn uint64, old PTE, pfn uint64, perm Perm) bool {
-	pte := pt.Walker().entry(cpu, vpn, false, true)
-	return pte != nil && pte.CompareAndSwap(pack(old.PFN, old.Perm), pack(pfn, perm))
+	return swapIf(pt.Walker().entry(cpu, vpn, false, true), pack(old.PFN, old.Perm), pack(pfn, perm))
 }
 
 // ProtectRange rewrites the permission bits of every present entry in
@@ -367,9 +408,9 @@ func (pt *PageTable) Replace(cpu *hw.CPU, vpn uint64, old PTE, pfn uint64, perm 
 // UnmapRange. Returns how many present entries the sweep covered.
 func (pt *PageTable) ProtectRange(cpu *hw.CPU, lo, hi uint64, perm Perm) int {
 	changed := 0
-	pt.each(cpu, lo, hi, true, func(_ uint64, pte *atomic.Uint64) {
-		if old := pte.Load(); old&rawPresent != 0 {
-			pte.Store(pack(old>>rawShift, perm))
+	pt.each(cpu, lo, hi, true, func(_ uint64, pte *uint64) {
+		if old := *pte; old&rawPresent != 0 {
+			*pte = pack(old>>rawShift, perm)
 			changed++
 		}
 	})
@@ -378,7 +419,12 @@ func (pt *PageTable) ProtectRange(cpu *hw.CPU, lo, hi uint64, perm Perm) int {
 
 // Lookup performs a hardware-style walk for vpn.
 func (pt *PageTable) Lookup(cpu *hw.CPU, vpn uint64) (PTE, bool) {
-	return present(pt.Walker().entry(cpu, vpn, false, false))
+	return pt.Walker().Lookup(cpu, vpn)
+}
+
+// Lookup is PageTable.Lookup through w's cached path.
+func (w *Walker) Lookup(cpu *hw.CPU, vpn uint64) (PTE, bool) {
+	return present(w.entry(cpu, vpn, false, false))
 }
 
 // Peek returns vpn's entry without charging simulated cost — for callers
@@ -397,11 +443,11 @@ func (pt *PageTable) Peek(vpn uint64) (PTE, bool) {
 
 // present reads an entry, reporting whether it holds a translation; a nil
 // entry (no path to it, or a line no walk has touched) holds none.
-func present(pte *atomic.Uint64) (PTE, bool) {
+func present(pte *uint64) (PTE, bool) {
 	if pte == nil {
 		return PTE{}, false
 	}
-	if raw := pte.Load(); raw&rawPresent != 0 {
+	if raw := *pte; raw&rawPresent != 0 {
 		return unpack(raw), true
 	}
 	return PTE{}, false
@@ -409,19 +455,18 @@ func present(pte *atomic.Uint64) (PTE, bool) {
 
 // peekChild returns the node that entry i of n points to, nil when there is
 // none.
-func peekChild[C any](n *node[atomic.Pointer[C]], i int) *C {
-	slot := n.peek(i)
-	if slot == nil {
-		return nil
+func peekChild[C any](n *node[*C], i int) *C {
+	if slot := n.peek(i); slot != nil {
+		return *slot
 	}
-	return slot.Load()
+	return nil
 }
 
 // Bytes returns the memory consumed by table nodes, matching how the paper
 // accounts hardware page table overhead (Table 2, §5.4).
 func (pt *PageTable) Bytes() uint64 {
-	return uint64(pt.nodes.Load()) * NodeBytes
+	return uint64(pt.nodes) * NodeBytes
 }
 
 // Nodes returns the number of allocated table nodes.
-func (pt *PageTable) Nodes() int64 { return pt.nodes.Load() }
+func (pt *PageTable) Nodes() int64 { return pt.nodes }

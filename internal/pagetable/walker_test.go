@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync/atomic"
 	"testing"
 
 	"radixvm/internal/hw"
@@ -12,7 +11,7 @@ import (
 
 // freshEntry is an uncached walk to vpn's entry: every call descends from
 // the root.
-func freshEntry(pt *PageTable, cpu *hw.CPU, vpn uint64, create, write bool) *atomic.Uint64 {
+func freshEntry(pt *PageTable, cpu *hw.CPU, vpn uint64, create, write bool) *uint64 {
 	_, d2 := descend(pt, cpu, &pt.root, idxAt(vpn, 3), create)
 	if d2 == nil {
 		return nil
@@ -34,9 +33,16 @@ func freshEntry(pt *PageTable, cpu *hw.CPU, vpn uint64, create, write bool) *ato
 	return pte
 }
 
+// swap stores v in *pte and returns what it held.
+func swap(pte *uint64, v uint64) uint64 {
+	old := *pte
+	*pte = v
+	return old
+}
+
 // freshEach is the range walk with a fresh walk per vpn, skipping the rest
 // of a missing leaf's span.
-func freshEach(pt *PageTable, cpu *hw.CPU, lo, hi uint64, write bool, op func(vpn uint64, pte *atomic.Uint64)) {
+func freshEach(pt *PageTable, cpu *hw.CPU, lo, hi uint64, write bool, op func(vpn uint64, pte *uint64)) {
 	for vpn := lo; vpn < hi; vpn++ {
 		if pte := freshEntry(pt, cpu, vpn, false, write); pte != nil {
 			op(vpn, pte)
@@ -46,11 +52,14 @@ func freshEach(pt *PageTable, cpu *hw.CPU, lo, hi uint64, write bool, op func(vp
 	}
 }
 
-// TestWalkerMatchesFreshWalks runs random streams of every operation over
+// TestWalkerMatchesFreshWalks runs random streams of every operation, and
+// of lookups and fills through per-core Walkers kept across steps, over
 // sparse ranges that cross leaf and directory boundaries on two tables, one
 // through the package's operations and one through per-vpn walks from the
-// root, each on a machine of its own. A cached path must charge exactly what
-// the descents it skips would: every core's cycles by cause and Stats, every
+// root, each on a machine of its own, with mailbox messages queued between
+// operations that fall due inside later walks. A cached path must charge
+// exactly what the descents it skips would, whether it charged its touches
+// in one step or refused to: every core's cycles by cause and Stats, every
 // operation's result and the tables' contents must be equal.
 func TestWalkerMatchesFreshWalks(t *testing.T) {
 	const ncores, steps = 12, 300
@@ -66,40 +75,56 @@ func TestWalkerMatchesFreshWalks(t *testing.T) {
 			return bases[rng.Intn(len(bases))] + uint64(rng.Intn(1200)) - 400
 		}
 		var touched []uint64
+		kept := make([]*Walker, ncores) // each core's Walker, kept across steps
+		for i := range kept {
+			kept[i] = pw.Walker()
+		}
 		for step := 0; step < steps; step++ {
 			c := rng.Intn(ncores)
 			cw, cf := mw.CPU(c), mf.CPU(c)
+			if rng.Intn(3) == 0 {
+				// Mail the core a handler's cost, due within the next
+				// operation's walks or later, on both machines.
+				stamp := cw.Now() + uint64(rng.Intn(3000))
+				cf.Now()
+				cw.DeliverAt(stamp, 1000)
+				cf.DeliverAt(stamp, 1000)
+			}
 			lo := vpnAt()
 			hi := lo + 1 + uint64(rng.Intn(1500))
 			perm := Perm(rng.Intn(int(permAll) + 1))
 			var got, want string
-			switch op := rng.Intn(7); op {
+			switch op := rng.Intn(8); op {
 			case 0: // Map through a Walker: fork's copy into the child
 				w := pw.Walker()
 				for vpn := lo; vpn < hi; vpn += 1 + uint64(rng.Intn(40)) {
 					w.Map(cw, vpn, vpn+7, perm)
-					freshEntry(pf, cf, vpn, true, true).Store(pack(vpn+7, perm))
+					*freshEntry(pf, cf, vpn, true, true) = pack(vpn+7, perm)
 					touched = append(touched, vpn)
 				}
 			case 1:
 				pw.Map(cw, lo, lo+3, perm)
-				freshEntry(pf, cf, lo, true, true).Store(pack(lo+3, perm))
+				*freshEntry(pf, cf, lo, true, true) = pack(lo+3, perm)
 				touched = append(touched, lo)
 			case 2:
 				got = fmt.Sprint(pw.Unmap(cw, lo))
 				pte := freshEntry(pf, cf, lo, false, true)
-				want = fmt.Sprint(pte != nil && pte.Swap(0)&rawPresent != 0)
+				want = fmt.Sprint(pte != nil && swap(pte, 0)&rawPresent != 0)
 			case 3:
 				old, _ := pw.Peek(lo)
 				got = fmt.Sprint(pw.Replace(cw, lo, old, lo+9, perm))
 				pte := freshEntry(pf, cf, lo, false, true)
-				want = fmt.Sprint(pte != nil && pte.CompareAndSwap(pack(old.PFN, old.Perm), pack(lo+9, perm)))
+				won := pte != nil && *pte == pack(old.PFN, old.Perm)
+				if won {
+					*pte = pack(lo+9, perm)
+				}
+				want = fmt.Sprint(won)
 			case 4:
 				got = fmt.Sprint(pw.ProtectRange(cw, lo, hi, perm))
 				n := 0
-				freshEach(pf, cf, lo, hi, true, func(_ uint64, pte *atomic.Uint64) {
-					if old := pte.Load(); old&rawPresent != 0 {
-						pte.Store(pack(old>>rawShift, perm))
+				freshEach(pf, cf, lo, hi, true, func(_ uint64, pte *uint64) {
+					if old := *pte; old&rawPresent != 0 {
+						*pte = pack(old>>rawShift, perm)
 						n++
 					}
 				})
@@ -109,8 +134,8 @@ func TestWalkerMatchesFreshWalks(t *testing.T) {
 				n := pw.UnmapRangeFunc(cw, lo, hi, func(vpn, pfn uint64) { gotV = append(gotV, vpn, pfn) })
 				got = fmt.Sprint(n, gotV)
 				n = 0
-				freshEach(pf, cf, lo, hi, true, func(vpn uint64, pte *atomic.Uint64) {
-					if old := pte.Swap(0); old&rawPresent != 0 {
+				freshEach(pf, cf, lo, hi, true, func(vpn uint64, pte *uint64) {
+					if old := swap(pte, 0); old&rawPresent != 0 {
 						n++
 						wantV = append(wantV, vpn, old>>rawShift)
 					}
@@ -119,12 +144,19 @@ func TestWalkerMatchesFreshWalks(t *testing.T) {
 			case 6:
 				var gotV, wantV []PTE
 				pw.ForEachRange(cw, lo, hi, func(_ uint64, pte PTE) { gotV = append(gotV, pte) })
-				freshEach(pf, cf, lo, hi, false, func(_ uint64, pte *atomic.Uint64) {
-					if raw := pte.Load(); raw&rawPresent != 0 {
+				freshEach(pf, cf, lo, hi, false, func(_ uint64, pte *uint64) {
+					if raw := *pte; raw&rawPresent != 0 {
 						wantV = append(wantV, unpack(raw))
 					}
 				})
 				got, want = fmt.Sprint(gotV), fmt.Sprint(wantV)
+			case 7: // a fault on a per-core table: a lookup, then a fill
+				pte, ok := kept[c].Lookup(cw, lo)
+				kept[c].Map(cw, lo, lo+5, perm)
+				got = fmt.Sprint(pte, ok)
+				want = fmt.Sprint(present(freshEntry(pf, cf, lo, false, false)))
+				*freshEntry(pf, cf, lo, true, true) = pack(lo+5, perm)
+				touched = append(touched, lo)
 			}
 			if got != want {
 				t.Fatalf("seed %d, step %d: [%#x, %#x) returned %s through the Walker, %s through fresh walks", seed, step, lo, hi, got, want)

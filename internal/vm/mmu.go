@@ -181,11 +181,17 @@ type PerCoreMMU struct {
 	first [2]coreMMU
 }
 
-// coreMMU is one core's page table and TLB. A fork's Reset replaces the
-// whole table with nil while the owner may be filling it; the fault path's
-// fork-epoch validation undoes such a fill (AddressSpace.fault).
+// coreMMU is one core's page table, its walker and TLB. A fork's Reset
+// replaces the whole table with nil while the owner may be filling it; the
+// fault path's fork-epoch validation undoes such a fill (AddressSpace.fault).
+// The owner's walks go through w, so a fault's Lookup and Fill share one
+// cached path. w is rebound whenever pt is replaced; a walk that a Reset
+// overtook may leave it the path of the dropped table, which no walk
+// follows: the owner walks only after mapTable, which rebinds a nil table's
+// walker to the new one.
 type coreMMU struct {
 	pt  *pagetable.PageTable
+	w   pagetable.Walker
 	tlb tlb.TLB
 }
 
@@ -218,19 +224,20 @@ func (mmu *PerCoreMMU) build(id int) *coreMMU {
 	return c
 }
 
-// mapTable returns the slot's table, allocating it on first use.
-func (c *coreMMU) mapTable(m *hw.Machine) *pagetable.PageTable {
+// mapTable allocates the slot's table on first use and binds w to it.
+func (c *coreMMU) mapTable(m *hw.Machine) {
 	if c.pt == nil {
 		c.pt = pagetable.New(m)
+		c.w.Reset(c.pt)
 	}
-	return c.pt
 }
 
 // Fill implements MMU: only the faulting core's table is written, so
 // faults on different cores share nothing.
 func (mmu *PerCoreMMU) Fill(cpu *hw.CPU, vpn, pfn uint64, perm pagetable.Perm) {
 	c := mmu.build(cpu.ID())
-	c.mapTable(mmu.m).Map(cpu, vpn, pfn, perm)
+	c.mapTable(mmu.m)
+	c.w.Map(cpu, vpn, pfn, perm)
 	c.tlb.Insert(vpn, tlbEntry(pfn, perm))
 }
 
@@ -238,7 +245,7 @@ func (mmu *PerCoreMMU) Fill(cpu *hw.CPU, vpn, pfn uint64, perm pagetable.Perm) {
 func (mmu *PerCoreMMU) Lookup(cpu *hw.CPU, vpn uint64) (pagetable.PTE, bool) {
 	c := mmu.core(cpu.ID())
 	if pt := c.table(); pt != nil {
-		if pte, ok := pt.Lookup(cpu, vpn); ok && c.pt == pt {
+		if pte, ok := c.w.Lookup(cpu, vpn); ok && c.pt == pt {
 			return pte, true
 		}
 	}
@@ -337,6 +344,7 @@ func (c *coreMMU) holds() bool { return c.table() != nil || c != nil && c.tlb.Le
 func (c *coreMMU) reset() {
 	if c != nil {
 		c.pt = nil
+		c.w.Reset(nil)
 		c.tlb.FlushAll()
 	}
 }
