@@ -93,6 +93,8 @@ func (p *policy) Fault(s *sharedvm.Space, cpu *hw.CPU, vpn uint64, k vm.Kind, tr
 		return p.breakCOW(s, cpu, vpn, k, trapped)
 	}
 	perm := v.PermBits()
+	// Each walk below names pt: s.Fill walks the table a fork's Reset may
+	// have installed since, through the same per-core Walker.
 	pt := s.MMU.PageTable()
 	pte, installed, ok := s.Fill(cpu, v, vpn, perm)
 	if !ok {
@@ -101,7 +103,7 @@ func (p *policy) Fault(s *sharedvm.Space, cpu *hw.CPU, vpn uint64, k vm.Kind, tr
 	if !installed {
 		// Raced with another faulter on the same page; adopt theirs,
 		// upgrading the PTE's rights if the region now grants more.
-		if pte, ok := pt.Lookup(cpu, vpn); ok {
+		if pte, ok := s.MMU.Walker(cpu, pt).Lookup(cpu, vpn); ok {
 			if pte.Perm&perm != perm {
 				// Rights upgrade wanted, but perm came from a region
 				// snapshot: a lock-free rewrite could resurrect rights
@@ -131,7 +133,7 @@ func (p *policy) Fault(s *sharedvm.Space, cpu *hw.CPU, vpn uint64, k vm.Kind, tr
 				}
 				perm = cur.PermBits()
 				if cur2.Perm&perm != perm {
-					pt.Map(cpu, vpn, cur2.PFN, perm)
+					s.MMU.Walker(cpu, pt).Map(cpu, vpn, cur2.PFN, perm)
 					cur2.Perm = perm
 				}
 				p.Unlock(cpu)
@@ -175,7 +177,7 @@ func (p *policy) Fault(s *sharedvm.Space, cpu *hw.CPU, vpn uint64, k vm.Kind, tr
 				p.Unlock(cpu)
 				return s.Fault(cpu, vpn, k, trapped)
 			}
-			pt.Map(cpu, vpn, pte.PFN, curPerm)
+			s.MMU.Walker(cpu, pt).Map(cpu, vpn, pte.PFN, curPerm)
 			s.Flush(cpu, vpn, vpn+1)
 			pte.Perm = curPerm
 		}
@@ -223,14 +225,14 @@ func (p *policy) breakCOW(s *sharedvm.Space, cpu *hw.CPU, vpn uint64, k vm.Kind,
 	pt := s.MMU.PageTable()
 	wperm := vm.PermBits(cur.Prot)
 	for {
-		pte, ok := pt.Lookup(cpu, vpn)
+		pte, ok := s.MMU.Walker(cpu, pt).Lookup(cpu, vpn)
 		switch {
 		case !ok:
 			// Never faulted in this space: no frame is shared, so fill
 			// privately with full rights. A lock-free reader may race the
 			// install; on failure, loop and resolve against its PTE.
 			frame := s.Alloc.Alloc(cpu)
-			if !pt.MapIfAbsent(cpu, vpn, frame.PFN, wperm) {
+			if !s.MMU.Walker(cpu, pt).MapIfAbsent(cpu, vpn, frame.PFN, wperm) {
 				s.Alloc.DecRef(cpu, frame)
 				continue
 			}
@@ -238,7 +240,7 @@ func (p *policy) breakCOW(s *sharedvm.Space, cpu *hw.CPU, vpn uint64, k vm.Kind,
 		case pte.Perm&pagetable.PermW == 0:
 			orig := s.Alloc.ByPFN(pte.PFN)
 			nf := s.CopyCOWFrame(cpu, orig)
-			pt.Map(cpu, vpn, nf.PFN, wperm)
+			s.MMU.Walker(cpu, pt).Map(cpu, vpn, nf.PFN, wperm)
 			s.Alloc.DecRef(cpu, orig) // the page table's ref moved to the copy
 			// Stale read-only translations of the old frame may be cached
 			// anywhere; the shared MMU can only broadcast.

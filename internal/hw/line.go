@@ -173,30 +173,38 @@ func (c *CPU) Write(l *Line) {
 // write when write is set, in one step: LocalHit each to CauseLineHit, and
 // one LocalHits each — what those len(path)+1 touches charge one by one when
 // every one is a local hit. It reports whether it did. It refuses, charging
-// and changing nothing, on the explorer, where every touch stays a
-// preemption point; when any touch would not hit; and when a mailbox
-// message falls due at or before the run's end, so that the separate
-// touches would fold no message either. A read that hits changes no line,
-// so each touch finds the state hitBy classifies here; a write that hits as
-// the sole sharer upgrades last to exclusive, as Write does.
+// and changing nothing, when any touch would not hit, and wherever
+// ChargeHits refuses. A read that hits changes no line, so each touch finds
+// the state hitBy classifies here; a write that hits as the sole sharer
+// upgrades last to exclusive, as Write does.
 func (c *CPU) HitRun(path []*Line, last *Line, write bool) bool {
-	n := uint64(len(path)) + 1
-	cost := n * c.m.cfg.LocalHit
-	if c.x != nil || c.clock+cost >= c.mboxNext {
-		return false
-	}
 	for _, l := range path {
 		if l.hitBy(l.state, c.id, false) == miss {
 			return false
 		}
 	}
 	k := last.hitBy(last.state, c.id, write)
-	if k == miss {
+	if k == miss || !c.ChargeHits(uint64(len(path))+1) {
 		return false
 	}
 	if write && k == hitShared {
 		me := uint64(c.id) + 1
 		last.state = me<<ownerShift | me
+	}
+	return true
+}
+
+// ChargeHits charges n touches in one step as local hits — LocalHit each to
+// CauseLineHit, and one LocalHits each — and reports whether it did: HitRun
+// without the proof, for a caller that knows every one of the touches hits
+// (a page-table range walk, on the lines its last walk touched). It refuses,
+// charging nothing, on the explorer, where every touch stays a preemption
+// point, and when a mailbox message falls due at or before the run's end, so
+// that the separate touches would fold no message either.
+func (c *CPU) ChargeHits(n uint64) bool {
+	cost := n * c.m.cfg.LocalHit
+	if c.x != nil || c.clock+cost >= c.mboxNext {
+		return false
 	}
 	c.stats.LocalHits += n
 	c.cycles[CauseLineHit] += cost

@@ -417,6 +417,26 @@ func TestHitRunRefusesOnExplorer(t *testing.T) {
 	}
 }
 
+// TestChargeHitsRefusesOnExplorer: ChargeHits proves nothing, so on the
+// explorer, where another core may run between two touches, it charges
+// nothing either, even for lines the core holds alone.
+func TestChargeHitsRefusesOnExplorer(t *testing.T) {
+	for seed := range Seeds(4) {
+		m := NewMachine(TestConfig(2))
+		var lines [2]Line
+		RunGang(m, 2, seed, func(c *CPU, _ *Gang) {
+			c.Write(&lines[c.ID()])
+			before := stateOf(c)
+			if c.ChargeHits(4) {
+				t.Errorf("seed %d: core %d: ChargeHits accepted on the explorer", seed, c.ID())
+			}
+			if after := stateOf(c); after != before {
+				t.Errorf("seed %d: core %d: ChargeHits refused but changed %+v to %+v", seed, c.ID(), before, after)
+			}
+		})
+	}
+}
+
 // BenchmarkLine is the host cost of one modelled touch on each of its paths:
 // the exclusive holder's hit, a lock-free read-shared hit, a write that
 // takes the line from another core, and a read that pulls a line written

@@ -126,10 +126,10 @@ func (p *policy) Fault(s *sharedvm.Space, cpu *hw.CPU, vpn uint64, k vm.Kind, tr
 		}
 	}
 	perm = v.PermBits()
-	pt := s.MMU.PageTable()
-	if pte, ok := pt.Lookup(cpu, vpn); ok {
+	w := s.MMU.Walker(cpu, s.MMU.PageTable())
+	if pte, ok := w.Lookup(cpu, vpn); ok {
 		if pte.Perm&perm != perm {
-			pt.Map(cpu, vpn, pte.PFN, perm)
+			w.Map(cpu, vpn, pte.PFN, perm)
 			pte.Perm = perm
 		}
 		s.Cache(cpu, vpn, pte)
@@ -148,7 +148,7 @@ func (p *policy) Fault(s *sharedvm.Space, cpu *hw.CPU, vpn uint64, k vm.Kind, tr
 // winner's copy.
 func breakCOW(s *sharedvm.Space, cpu *hw.CPU, vpn uint64, v *sharedvm.Region) bool {
 	pt := s.MMU.PageTable()
-	pte, ok := pt.Lookup(cpu, vpn)
+	pte, ok := s.MMU.Walker(cpu, pt).Lookup(cpu, vpn)
 	if !ok {
 		return false
 	}
@@ -160,12 +160,12 @@ func breakCOW(s *sharedvm.Space, cpu *hw.CPU, vpn uint64, v *sharedvm.Region) bo
 		return true
 	}
 	nf := s.CopyCOWFrame(cpu, orig)
-	if !pt.Replace(cpu, vpn, pte, nf.PFN, wperm) {
+	if !s.MMU.Walker(cpu, pt).Replace(cpu, vpn, pte, nf.PFN, wperm) {
 		// Lost the race to a concurrent breaker: discard our copy and
 		// adopt whatever is installed now (the winner's ref on orig was
 		// moved by the winner; ours never moved).
 		s.Alloc.DecRef(cpu, nf)
-		if cur, ok2 := pt.Lookup(cpu, vpn); ok2 {
+		if cur, ok2 := s.MMU.Walker(cpu, pt).Lookup(cpu, vpn); ok2 {
 			s.Cache(cpu, vpn, cur)
 		}
 		return true

@@ -26,7 +26,8 @@ func BenchmarkPageTableMapSparse(b *testing.B) {
 var sink PTE
 
 // BenchmarkPageTableLookupDense: hardware walks over one fully populated
-// leaf, every line of it hot.
+// leaf, every line of it hot, through one Walker kept across walks, as both
+// MMUs keep one per core.
 func BenchmarkPageTableLookupDense(b *testing.B) {
 	m := hw.NewMachine(hw.DefaultConfig(1))
 	c := m.CPU(0)
@@ -34,10 +35,11 @@ func BenchmarkPageTableLookupDense(b *testing.B) {
 	for v := uint64(0); v < EntriesPerNode; v++ {
 		pt.Map(c, v, v, PermR)
 	}
+	w := pt.Walker()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink, _ = pt.Lookup(c, uint64(i)%EntriesPerNode)
+		sink, _ = w.Lookup(c, uint64(i)%EntriesPerNode)
 	}
 }
 
@@ -58,6 +60,38 @@ func BenchmarkPageTableUnmapRange16(b *testing.B) {
 		if pt.UnmapRange(c, lo, lo+16) != 16 {
 			b.Fatal("UnmapRange missed pages it had just mapped")
 		}
+	}
+}
+
+// BenchmarkPageTableUnmapLeaf: the munmap shape over a whole leaf. One op is
+// one UnmapRangeFunc over a warmed 512-entry leaf, every line of it hot,
+// gathering each frame as munmap does, after a cost-free refill of the
+// leaf's entries. The steady state allocates nothing.
+func BenchmarkPageTableUnmapLeaf(b *testing.B) {
+	m := hw.NewMachine(hw.DefaultConfig(1))
+	c := m.CPU(0)
+	pt := New(m)
+	for v := uint64(0); v < EntriesPerNode; v++ {
+		pt.Map(c, v, v, PermR|PermW)
+	}
+	leaf := peekChild(peekChild(peekChild(&pt.root, 0), 0), 0)
+	var gathered uint64
+	unmapLeaf := func() {
+		for v := range EntriesPerNode {
+			*leaf.peek(v) = pack(uint64(v), PermR|PermW)
+		}
+		pt.UnmapRangeFunc(c, 0, EntriesPerNode, func(_, pfn uint64) { gathered += pfn })
+	}
+	if unmapLeaf(); gathered != EntriesPerNode*(EntriesPerNode-1)/2 {
+		b.Fatalf("UnmapRangeFunc gathered PFNs summing to %d", gathered)
+	}
+	if n := testing.AllocsPerRun(10, unmapLeaf); n != 0 {
+		b.Fatalf("a steady-state leaf unmap allocated %.0f times", n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		unmapLeaf()
 	}
 }
 

@@ -212,16 +212,17 @@ func descend[C any](pt *PageTable, cpu *hw.CPU, n *node[*C], i int, create bool)
 //
 // The same core read those lines one walk earlier, so they are usually
 // still local hits, and so is the entry's line once a walk has touched it:
-// a cached walk charges its four touches in one step (hw.CPU.HitRun), and
-// touches them one by one only when that refuses — on the explorer, where
-// every touch is a preemption point, when a line has moved, or when a
-// mailbox message falls due by the run's end. Either way it charges what a
-// fresh walk would.
+// a cached walk charges its four touches in one step (hw.CPU.HitRun). When
+// that refuses — on the explorer, where every touch is a preemption point,
+// when a line has moved, or when a mailbox message falls due by the run's
+// end — it charges the three path reads as one run if that holds, else one
+// by one, and then touches the entry's line, which is where a run most
+// often misses. Either way it charges what a fresh walk would.
 //
 // A range walk uses one Walker for the whole range; a single-entry
 // operation is a zero Walker's one walk, or a walk of a Walker the caller
-// keeps for its table, as a per-core table keeps its core's. A Walker is
-// for one core.
+// keeps for its table, as a per-core table keeps its core's and each core
+// of a shared table keeps its own (On). A Walker is for one core.
 type Walker struct {
 	pt   *PageTable
 	span uint64 // vpn>>BitsPerLevel + 1 for the cached leaf; 0 while none
@@ -237,6 +238,17 @@ func (pt *PageTable) Walker() *Walker { return &Walker{pt: pt} }
 // Reset rebinds w to pt with no path cached: how the keeper of a Walker
 // follows its table being replaced (nil while there is none).
 func (w *Walker) Reset(pt *PageTable) { *w = Walker{pt: pt} }
+
+// On returns w bound to pt: w itself, rebound with no path cached unless it
+// walks pt already. A keeper that names the table at each walk, as a shared
+// table's cores do while a fork may replace it, keeps w's path across walks
+// of one table.
+func (w *Walker) On(pt *PageTable) *Walker {
+	if w.pt != pt {
+		w.Reset(pt)
+	}
+	return w
+}
 
 // walk returns the leaf node for vpn through descents from the root,
 // allocating intermediate nodes when create is set, and caches the path.
@@ -277,8 +289,10 @@ func (w *Walker) entry(cpu *hw.CPU, vpn uint64, create, write bool) *uint64 {
 	if vpn>>BitsPerLevel+1 == w.span {
 		path, ln := w.path, w.lineFor(vpn)
 		if !cpu.HitRun(path[:], &ln.Line, write) {
-			for _, l := range path {
-				cpu.Read(l)
+			if !cpu.HitRun(path[:Levels-2], path[Levels-2], false) {
+				for _, l := range path {
+					cpu.Read(l)
+				}
 			}
 			touchAs(cpu, &ln.Line, write)
 		}
@@ -304,13 +318,31 @@ func touchAs(cpu *hw.CPU, l *hw.Line, write bool) {
 // each is the one range walk: it runs op on the entry of every vpn in
 // [lo, hi), each reached and charged as entry reaches it, and skips the rest
 // of a leaf's span when the leaf does not exist.
+//
+// Once entry has touched an entry's path and line, each later entry of the
+// same leaf line is charged as its Levels touches in one step
+// (hw.CPU.ChargeHits), without HitRun's proof that they hit, and goes
+// through entry only where that refuses: on the explorer, or when a mailbox
+// message falls due inside the run. The charge is exact by two invariants.
+// Off the explorer no other core runs between two entries of one walk:
+// bodies yield only between operations, an interrupt's handler runs on its
+// sender's turn, and no op of a range walk sends one. And a core's own touches never turn
+// its own hit into a miss, so nothing op charges — fork's Maps into the
+// child's table, the references it takes, or its downgrade of the parent's
+// entry through a second Walker, which upgrades the line this walk read —
+// can make those touches miss.
 func (pt *PageTable) each(cpu *hw.CPU, lo, hi uint64, write bool, op func(vpn uint64, pte *uint64)) {
 	w := pt.Walker()
 	for vpn := lo; vpn < hi; vpn++ {
-		if pte := w.entry(cpu, vpn, false, write); pte != nil {
-			op(vpn, pte)
-		} else {
+		pte := w.entry(cpu, vpn, false, write)
+		if pte == nil {
 			vpn |= EntriesPerNode - 1 // jump to end of this leaf span
+			continue
+		}
+		op(vpn, pte)
+		for ln := w.ln; (vpn+1)%slotsPerLine != 0 && vpn+1 < hi && cpu.ChargeHits(Levels); {
+			vpn++
+			op(vpn, &ln.e[vpn%slotsPerLine])
 		}
 	}
 }
@@ -331,7 +363,12 @@ func (pt *PageTable) Map(cpu *hw.CPU, vpn, pfn uint64, perm Perm) {
 // reports whether it installed. Concurrent faulters on a shared table race
 // here; exactly one wins (Linux's equivalent is the PTE lock + recheck).
 func (pt *PageTable) MapIfAbsent(cpu *hw.CPU, vpn, pfn uint64, perm Perm) bool {
-	return swapIf(pt.Walker().entry(cpu, vpn, true, true), 0, pack(pfn, perm))
+	return pt.Walker().MapIfAbsent(cpu, vpn, pfn, perm)
+}
+
+// MapIfAbsent is PageTable.MapIfAbsent through w's cached path.
+func (w *Walker) MapIfAbsent(cpu *hw.CPU, vpn, pfn uint64, perm Perm) bool {
+	return swapIf(w.entry(cpu, vpn, true, true), 0, pack(pfn, perm))
 }
 
 // swapIf stores to in *pte if it holds from, and reports whether it did:
@@ -398,7 +435,12 @@ func (pt *PageTable) ForEachRange(cpu *hw.CPU, lo, hi uint64, fn func(vpn uint64
 // wins — the loser discards its copy and adopts the winner's (the role the
 // per-PTE lock plays in Linux).
 func (pt *PageTable) Replace(cpu *hw.CPU, vpn uint64, old PTE, pfn uint64, perm Perm) bool {
-	return swapIf(pt.Walker().entry(cpu, vpn, false, true), pack(old.PFN, old.Perm), pack(pfn, perm))
+	return pt.Walker().Replace(cpu, vpn, old, pfn, perm)
+}
+
+// Replace is PageTable.Replace through w's cached path.
+func (w *Walker) Replace(cpu *hw.CPU, vpn uint64, old PTE, pfn uint64, perm Perm) bool {
+	return swapIf(w.entry(cpu, vpn, false, true), pack(old.PFN, old.Perm), pack(pfn, perm))
 }
 
 // ProtectRange rewrites the permission bits of every present entry in

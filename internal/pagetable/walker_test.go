@@ -60,7 +60,9 @@ func freshEach(pt *PageTable, cpu *hw.CPU, lo, hi uint64, write bool, op func(vp
 // operations that fall due inside later walks. A cached path must charge
 // exactly what the descents it skips would, whether it charged its touches
 // in one step or refused to: every core's cycles by cause and Stats, every
-// operation's result and the tables' contents must be equal.
+// operation's result and the tables' contents must be equal. Fork's copy,
+// whose callback charges between the entries of a range walk, runs into a
+// second table on each machine.
 func TestWalkerMatchesFreshWalks(t *testing.T) {
 	const ncores, steps = 12, 300
 	// The clusters straddle the end of a leaf's, a dir1's and a dir2's span,
@@ -70,11 +72,12 @@ func TestWalkerMatchesFreshWalks(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		mw, pw := newPT(ncores)
 		mf, pf := newPT(ncores)
+		pw2, pf2 := New(mw), New(mf) // the forked child's tables
 		rng := rand.New(rand.NewSource(seed))
 		vpnAt := func() uint64 {
 			return bases[rng.Intn(len(bases))] + uint64(rng.Intn(1200)) - 400
 		}
-		var touched []uint64
+		var touched, touched2 []uint64
 		kept := make([]*Walker, ncores) // each core's Walker, kept across steps
 		for i := range kept {
 			kept[i] = pw.Walker()
@@ -94,7 +97,7 @@ func TestWalkerMatchesFreshWalks(t *testing.T) {
 			hi := lo + 1 + uint64(rng.Intn(1500))
 			perm := Perm(rng.Intn(int(permAll) + 1))
 			var got, want string
-			switch op := rng.Intn(8); op {
+			switch op := rng.Intn(9); op {
 			case 0: // Map through a Walker: fork's copy into the child
 				w := pw.Walker()
 				for vpn := lo; vpn < hi; vpn += 1 + uint64(rng.Intn(40)) {
@@ -157,6 +160,33 @@ func TestWalkerMatchesFreshWalks(t *testing.T) {
 				want = fmt.Sprint(present(freshEntry(pf, cf, lo, false, false)))
 				*freshEntry(pf, cf, lo, true, true) = pack(lo+5, perm)
 				touched = append(touched, lo)
+			case 8: // fork: copy each entry into the child, downgrade it in place
+				work := uint64(rng.Intn(200))
+				var gotV, wantV []uint64
+				cwk, pwk := pw2.Walker(), pw.Walker()
+				pw.ForEachRange(cw, lo, hi, func(vpn uint64, pte PTE) {
+					cw.TickAs(hw.CauseMetaCopy, work)
+					cwk.Map(cw, vpn, pte.PFN, pte.Perm&^PermW)
+					if pte.Writable() {
+						pwk.Map(cw, vpn, pte.PFN, pte.Perm&^PermW)
+					}
+					gotV = append(gotV, vpn)
+				})
+				freshEach(pf, cf, lo, hi, false, func(vpn uint64, pte *uint64) {
+					raw := *pte
+					if raw&rawPresent == 0 {
+						return
+					}
+					p := unpack(raw)
+					cf.TickAs(hw.CauseMetaCopy, work)
+					*freshEntry(pf2, cf, vpn, true, true) = pack(p.PFN, p.Perm&^PermW)
+					if p.Writable() {
+						*freshEntry(pf, cf, vpn, true, true) = pack(p.PFN, p.Perm&^PermW)
+					}
+					wantV = append(wantV, vpn)
+				})
+				touched2 = append(touched2, gotV...)
+				got, want = fmt.Sprint(gotV), fmt.Sprint(wantV)
 			}
 			if got != want {
 				t.Fatalf("seed %d, step %d: [%#x, %#x) returned %s through the Walker, %s through fresh walks", seed, step, lo, hi, got, want)
@@ -168,15 +198,20 @@ func TestWalkerMatchesFreshWalks(t *testing.T) {
 				}
 			}
 		}
-		if pw.Nodes() != pf.Nodes() {
-			t.Fatalf("seed %d: %d nodes through the Walker, %d through fresh walks", seed, pw.Nodes(), pf.Nodes())
-		}
-		slices.Sort(touched)
-		for _, vpn := range slices.Compact(touched) {
-			a, aok := pw.Peek(vpn)
-			b, bok := pf.Peek(vpn)
-			if a != b || aok != bok {
-				t.Fatalf("seed %d: vpn %#x holds %+v, %v through the Walker, %+v, %v through fresh walks", seed, vpn, a, aok, b, bok)
+		for _, tabs := range []struct {
+			w, f    *PageTable
+			touched []uint64
+		}{{pw, pf, touched}, {pw2, pf2, touched2}} {
+			if tabs.w.Nodes() != tabs.f.Nodes() {
+				t.Fatalf("seed %d: %d nodes through the Walker, %d through fresh walks", seed, tabs.w.Nodes(), tabs.f.Nodes())
+			}
+			slices.Sort(tabs.touched)
+			for _, vpn := range slices.Compact(tabs.touched) {
+				a, aok := tabs.w.Peek(vpn)
+				b, bok := tabs.f.Peek(vpn)
+				if a != b || aok != bok {
+					t.Fatalf("seed %d: vpn %#x holds %+v, %v through the Walker, %+v, %v through fresh walks", seed, vpn, a, aok, b, bok)
+				}
 			}
 		}
 	}

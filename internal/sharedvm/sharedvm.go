@@ -113,13 +113,25 @@ type Space struct {
 	foundHi uint64
 	collect func(start uint64, r *Region) bool
 
+	// frames is the list a teardown (Sweep, RevokeFilePages) gathers the
+	// frames it clears into, one for a space and every space forked from it:
+	// a teardown borrows it by taking it and leaving nil, so a second one
+	// that runs meanwhile (preempted into on the explorer) builds its own,
+	// and puts it back emptied, holding no frame.
+	frames *[]*mem.Frame
+
 	active vm.ActiveSet
 }
 
 // New creates an empty address space governed by a policy from newPol;
 // name identifies the system in benchmark output.
 func New(m *hw.Machine, alloc *mem.Allocator, name string, newPol func() Policy) *Space {
-	s := &Space{Alloc: alloc, MMU: vm.NewSharedMMU(m), name: name, newPol: newPol, pol: newPol()}
+	return newSpace(m, alloc, name, newPol, new([]*mem.Frame))
+}
+
+// newSpace is New for a space whose fork family's frame list is frames.
+func newSpace(m *hw.Machine, alloc *mem.Allocator, name string, newPol func() Policy, frames *[]*mem.Frame) *Space {
+	s := &Space{Alloc: alloc, MMU: vm.NewSharedMMU(m), name: name, newPol: newPol, pol: newPol(), frames: frames}
 	s.collect = func(start uint64, r *Region) bool {
 		if start >= s.foundHi {
 			return false
@@ -265,23 +277,33 @@ func (s *Space) clear(cpu *hw.CPU, lo, hi uint64, frames []*mem.Frame) []*mem.Fr
 	return frames
 }
 
+// borrowFrames takes the fork family's frame list, empty, for a teardown to
+// gather into and hand to flushAndDrop; nil if another teardown holds it.
+func (s *Space) borrowFrames() []*mem.Frame {
+	frames := *s.frames
+	*s.frames = nil
+	return frames
+}
+
 // flushAndDrop broadcasts TLB shootdowns for [lo, hi) to every core using
 // the address space (the hardware gives no better information) and only
 // then releases frames — whoever clears a PTE drops the reference it held,
-// and no frame may be reused while a TLB still maps it. Returns the width.
+// and no frame may be reused while a TLB still maps it — and puts frames
+// back as the family's list, emptied. Returns the width.
 func (s *Space) flushAndDrop(cpu *hw.CPU, lo, hi uint64, frames []*mem.Frame) int {
 	width := s.Flush(cpu, lo, hi)
 	for _, f := range frames {
 		s.Alloc.DecRef(cpu, f)
 	}
+	clear(frames)
+	*s.frames = frames[:0]
 	return width
 }
 
 // Sweep removes every translation of [lo, hi): clear, broadcast, release.
 // Caller holds the lock.
 func (s *Space) Sweep(cpu *hw.CPU, lo, hi uint64) {
-	var buf [16]*mem.Frame
-	s.flushAndDrop(cpu, lo, hi, s.clear(cpu, lo, hi, buf[:0]))
+	s.flushAndDrop(cpu, lo, hi, s.clear(cpu, lo, hi, s.borrowFrames()))
 }
 
 // Flush broadcasts a TLB flush of [lo, hi) to every core using the space and
@@ -313,7 +335,7 @@ type span struct{ lo, hi uint64 }
 // post-fork writebacks would leave the child's translations stale.
 func (s *Space) Fork(cpu *hw.CPU) (vm.System, error) {
 	cpu.Stats().Forks++
-	child := New(cpu.Machine(), s.Alloc, s.name, s.newPol)
+	child := newSpace(cpu.Machine(), s.Alloc, s.name, s.newPol, s.frames)
 	s.enter(cpu)
 	defer s.pol.Unlock(cpu)
 
@@ -342,7 +364,7 @@ func (s *Space) Fork(cpu *hw.CPU) (vm.System, error) {
 	// Walker per table keeps the path to the leaf it last reached, so
 	// consecutive entries of one leaf skip the descents they would repeat.
 	parent, into := s.MMU.PageTable(), child.MMU.PageTable()
-	pw, cw := parent.Walker(), into.Walker()
+	pw, cw := s.MMU.Walker(cpu, parent), child.MMU.Walker(cpu, into)
 	lo, hi := ^uint64(0), uint64(0)
 	for _, sp := range anon {
 		parent.ForEachRange(cpu, sp.lo, sp.hi, func(vpn uint64, pte pagetable.PTE) {
@@ -474,7 +496,7 @@ func (s *Space) RevokeFilePages(cpu *hw.CPU, f *vm.File, offLo, offHi uint64) (i
 	if len(spans) == 0 {
 		return 0, 0
 	}
-	var frames []*mem.Frame
+	frames := s.borrowFrames()
 	for _, sp := range spans {
 		frames = s.clear(cpu, sp.lo, sp.hi, frames)
 	}
@@ -498,7 +520,7 @@ func (s *Space) Fill(cpu *hw.CPU, r *Region, vpn uint64, perm pagetable.Perm) (p
 	} else {
 		frame = s.Alloc.Alloc(cpu)
 	}
-	if s.MMU.PageTable().MapIfAbsent(cpu, vpn, frame.PFN, perm) {
+	if s.MMU.Walker(cpu, s.MMU.PageTable()).MapIfAbsent(cpu, vpn, frame.PFN, perm) {
 		return pagetable.PTE{PFN: frame.PFN, Perm: perm, Present: true}, true, true
 	}
 	cpu.Stats().FillFaults++

@@ -390,13 +390,35 @@ type SharedMMU struct {
 	m *hw.Machine
 	// pt is replaced whole by Reset, as coreMMU.pt is, while other cores
 	// may be filling it.
-	pt   *pagetable.PageTable
-	tlbs []tlb.TLB // by value: one allocation, each TLB's map on first Insert
+	pt    *pagetable.PageTable
+	cores []sharedCore // by value: one allocation, each TLB's map on first Insert
+}
+
+// sharedCore is one core's TLB and its Walker of the shared table, built on
+// the core's first walk: a forked child walks on one or two cores of 64. A
+// walk names the table it walks (Walker), so a Reset rebinds nobody's
+// walker: the owner's next walk of the new table does, and a walk that a
+// Reset overtook keeps the old table's path on a walker still bound to the
+// old table.
+type sharedCore struct {
+	tlb tlb.TLB
+	w   *pagetable.Walker
 }
 
 // NewSharedMMU builds the shared-page-table MMU.
 func NewSharedMMU(m *hw.Machine) *SharedMMU {
-	return &SharedMMU{m: m, pt: pagetable.New(m), tlbs: make([]tlb.TLB, m.NCores())}
+	return &SharedMMU{m: m, pt: pagetable.New(m), cores: make([]sharedCore, m.NCores())}
+}
+
+// Walker returns cpu's Walker of pt, a table of this MMU's (PageTable's, or
+// one a Reset has since replaced): a single-entry operation walks through
+// it, and keeps its path for the core's next walk of pt.
+func (mmu *SharedMMU) Walker(cpu *hw.CPU, pt *pagetable.PageTable) *pagetable.Walker {
+	c := &mmu.cores[cpu.ID()]
+	if c.w == nil {
+		c.w = new(pagetable.Walker)
+	}
+	return c.w.On(pt)
 }
 
 // Name implements MMU.
@@ -408,27 +430,28 @@ func (mmu *SharedMMU) Name() string { return "shared" }
 // mprotect upgrade), in which case it is rewritten.
 func (mmu *SharedMMU) Fill(cpu *hw.CPU, vpn, pfn uint64, perm pagetable.Perm) {
 	pt := mmu.pt
-	if !pt.MapIfAbsent(cpu, vpn, pfn, perm) {
+	w := mmu.Walker(cpu, pt)
+	if !w.MapIfAbsent(cpu, vpn, pfn, perm) {
 		// MapIfAbsent already charged the PTE line; Peek re-reads it
 		// cost-free.
 		if pte, ok := pt.Peek(vpn); ok && pte.Perm&perm != perm {
-			pt.Map(cpu, vpn, pfn, perm)
+			w.Map(cpu, vpn, pfn, perm)
 		}
 	}
-	mmu.tlbs[cpu.ID()].Insert(vpn, tlbEntry(pfn, perm))
+	mmu.cores[cpu.ID()].tlb.Insert(vpn, tlbEntry(pfn, perm))
 }
 
 // Lookup implements MMU.
 func (mmu *SharedMMU) Lookup(cpu *hw.CPU, vpn uint64) (pagetable.PTE, bool) {
 	pt := mmu.pt
-	if pte, ok := pt.Lookup(cpu, vpn); ok && mmu.pt == pt {
+	if pte, ok := mmu.Walker(cpu, pt).Lookup(cpu, vpn); ok && mmu.pt == pt {
 		return pte, true
 	}
 	return pagetable.PTE{}, false
 }
 
 // TLB implements MMU.
-func (mmu *SharedMMU) TLB(id int) *tlb.TLB { return &mmu.tlbs[id] }
+func (mmu *SharedMMU) TLB(id int) *tlb.TLB { return &mmu.cores[id].tlb }
 
 // PageTable exposes the shared table (baseline VMs clear it themselves to
 // collect frames before the shootdown).
@@ -444,7 +467,7 @@ func (mmu *SharedMMU) Shootdown(cpu *hw.CPU, lo, hi uint64, _, active hw.CoreSet
 // Unmap implements MMU: the one table, and a broadcast's worth of TLBs.
 func (mmu *SharedMMU) Unmap(cpu *hw.CPU, lo, hi uint64, _, active hw.CoreSet) hw.CoreSet {
 	mmu.pt.UnmapRange(cpu, lo, hi)
-	active.ForEach(func(id int) { mmu.tlbs[id].FlushRange(lo, hi) })
+	active.ForEach(func(id int) { mmu.cores[id].tlb.FlushRange(lo, hi) })
 	return active
 }
 
@@ -476,13 +499,13 @@ func (mmu *SharedMMU) Reset(cpu *hw.CPU, active hw.CoreSet) {
 // every other active core's by IPI.
 func (mmu *SharedMMU) broadcast(cpu *hw.CPU, active hw.CoreSet, flush func(t *tlb.TLB)) {
 	self := cpu.ID()
-	flush(&mmu.tlbs[self])
+	flush(&mmu.cores[self].tlb)
 	active.Remove(self)
 	if active.Empty() {
 		return
 	}
 	cpu.Stats().Shootdowns++
-	cpu.SendIPIs(active, func(t *hw.CPU) { flush(&mmu.tlbs[t.ID()]) })
+	cpu.SendIPIs(active, func(t *hw.CPU) { flush(&mmu.cores[t.ID()].tlb) })
 }
 
 // Bytes implements MMU.
