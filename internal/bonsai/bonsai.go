@@ -1,11 +1,13 @@
 // Package bonsai implements a persistent (path-copying) weight-balanced
-// binary tree with a lock-free atomically published root — the "Bonsai
+// binary tree whose root a writer replaces in one store — the "Bonsai
 // tree" of Clements et al.'s earlier RCU-balanced-tree VM system [7],
 // which the paper uses as its strongest baseline.
 //
-// Readers traverse an immutable snapshot obtained from one atomic load, so
-// lookups (pagefaults in the Bonsai VM) take no locks and induce no writes.
-// Writers build a new path and publish a new root; the Bonsai VM system
+// Readers traverse the immutable snapshot the root they read names, which a
+// writer replacing the root meanwhile (at a reader's line touch, a
+// preemption point) leaves whole, so lookups (pagefaults in the Bonsai VM)
+// take no locks and induce no writes. Writers build a new path and swap in a
+// new root; the Bonsai VM system
 // serializes writers (mmap/munmap) under the address space lock, and so
 // does internal/bonsaivm — per the paper, that serialization is exactly
 // why Bonsai collapses on mmap-heavy workloads (Figure 4, 64 KB).
@@ -15,11 +17,7 @@
 // other by more than weightRatio.
 package bonsai
 
-import (
-	"sync/atomic"
-
-	"radixvm/internal/hw"
-)
+import "radixvm/internal/hw"
 
 const weightRatio = 4
 
@@ -27,7 +25,7 @@ const weightRatio = 4
 // call Get/Floor/Len concurrently with one writer; writers (Insert/Delete)
 // must be externally serialized, as in the Bonsai VM system.
 type Tree[V any] struct {
-	root atomic.Pointer[node[V]]
+	root *node[V]
 }
 
 type node[V any] struct {
@@ -49,7 +47,7 @@ func size[V any](n *node[V]) int {
 }
 
 // Len returns the number of keys in the current snapshot.
-func (t *Tree[V]) Len() int { return size(t.root.Load()) }
+func (t *Tree[V]) Len() int { return size(t.root) }
 
 // mk builds a new immutable node, charging the writer for the fresh line.
 func mk[V any](cpu *hw.CPU, key uint64, val *V, l, r *node[V]) *node[V] {
@@ -83,12 +81,11 @@ func balance[V any](cpu *hw.CPU, key uint64, val *V, l, r *node[V]) *node[V] {
 	return mk(cpu, key, val, l, r)
 }
 
-// Insert adds or replaces key, publishing a new snapshot. It reports
+// Insert adds or replaces key, swapping in a new snapshot. It reports
 // whether the key was new. Writers must be serialized by the caller.
 func (t *Tree[V]) Insert(cpu *hw.CPU, key uint64, val *V) bool {
-	root := t.root.Load()
-	newRoot, added := insert(cpu, root, key, val)
-	t.root.Store(newRoot)
+	root, added := insert(cpu, t.root, key, val)
+	t.root = root
 	return added
 }
 
@@ -109,13 +106,12 @@ func insert[V any](cpu *hw.CPU, n *node[V], key uint64, val *V) (*node[V], bool)
 	}
 }
 
-// Delete removes key, publishing a new snapshot, and reports whether the
+// Delete removes key, swapping in a new snapshot, and reports whether the
 // key was present. Writers must be serialized by the caller.
 func (t *Tree[V]) Delete(cpu *hw.CPU, key uint64) bool {
-	root := t.root.Load()
-	newRoot, removed := del(cpu, root, key)
+	root, removed := del(cpu, t.root, key)
 	if removed {
-		t.root.Store(newRoot)
+		t.root = root
 	}
 	return removed
 }
@@ -179,7 +175,7 @@ func popMin[V any](cpu *hw.CPU, n *node[V]) (uint64, *V, *node[V]) {
 
 // Get returns key's value in the current snapshot, lock-free.
 func (t *Tree[V]) Get(cpu *hw.CPU, key uint64) *V {
-	n := t.root.Load()
+	n := t.root
 	for n != nil {
 		cpu.Read(&n.line)
 		switch {
@@ -196,12 +192,12 @@ func (t *Tree[V]) Get(cpu *hw.CPU, key uint64) *V {
 
 // Floor returns the greatest (key', val) with key' <= key, lock-free.
 func (t *Tree[V]) Floor(cpu *hw.CPU, key uint64) (uint64, *V, bool) {
-	return floor(cpu, t.root.Load(), key)
+	return floor(cpu, t.root, key)
 }
 
 // Snapshot returns the current root for consistent multi-query reads.
 func (t *Tree[V]) Snapshot() *Snapshot[V] {
-	return &Snapshot[V]{root: t.root.Load()}
+	return &Snapshot[V]{root: t.root}
 }
 
 // Snapshot is an immutable view of the tree.

@@ -84,7 +84,7 @@ func TestBalanceBound(t *testing.T) {
 	for k := uint64(0); k < n; k++ {
 		tr.Insert(c, k, iv(int(k)))
 	}
-	h := height(tr.root.Load())
+	h := height(tr.root)
 	// Weight-balanced trees have height <= ~2.5 log2 n.
 	if limit := int(2.5 * math.Log2(n)); h > limit {
 		t.Fatalf("height %d exceeds %d for %d sorted keys", h, limit, n)

@@ -1,10 +1,6 @@
 package counter
 
-import (
-	"sync/atomic"
-
-	"radixvm/internal/hw"
-)
+import "radixvm/internal/hw"
 
 // SNZI implements the Scalable NonZero Indicator of Ellen, Lev, Luchangco,
 // and Moir (PODC 2007), the strongest published scalable counter the paper
@@ -15,7 +11,7 @@ import (
 // root, which is why the paper measures SNZI hitting a scalability knee
 // near 10 cores.
 //
-// Node state is the algorithm's (c, v) pair packed into one atomic word:
+// Node state is the algorithm's (c, v) pair packed into one word:
 // c counts surplus arrivals in half units (so c=1 represents the transient
 // "½" state), and v is the version number that makes helping safe.
 type SNZI struct {
@@ -24,7 +20,7 @@ type SNZI struct {
 }
 
 type snziNode struct {
-	state  atomic.Uint64 // low 32 bits: 2*c (half units); high 32: version
+	state  uint64 // low 32 bits: 2*c (half units); high 32: version
 	parent *snziNode
 	line   hw.Line
 }
@@ -80,45 +76,43 @@ func (s *SNZI) Dec(cpu *hw.CPU) {
 
 // Zero reports whether the indicator shows zero.
 func (s *SNZI) Zero() bool {
-	c, _ := snziUnpack(s.root.state.Load())
+	c, _ := snziUnpack(s.root.state)
 	return c == 0
 }
 
 // Name implements Counter.
 func (s *SNZI) Name() string { return "snzi" }
 
-// arrive implements SNZI.Arrive on node n (Ellen et al., Figure 4).
+// arrive implements SNZI.Arrive on node n (Ellen et al., Figure 4). The
+// algorithm's CASes need no compare where nothing runs between the read of
+// the state and its update; the one after the recursive arrival at the parent
+// (whose line touches are preemption points) keeps its compare.
 func (s *SNZI) arrive(cpu *hw.CPU, n *snziNode) {
-	succ := false
 	undoArr := 0
-	for !succ {
+	for succ := false; !succ; {
 		cpu.Read(&n.line)
-		st := n.state.Load()
+		st := n.state
 		c, v := snziUnpack(st)
 		if c >= 2*snziHalf { // c >= 1
-			if n.state.CompareAndSwap(st, snziPack(c+2*snziHalf, v)) {
-				cpu.Write(&n.line)
-				succ = true
-			}
-			continue
+			n.state = snziPack(c+2*snziHalf, v)
+			cpu.Write(&n.line)
+			break
 		}
 		if c == 0 {
-			if n.state.CompareAndSwap(st, snziPack(snziHalf, v+1)) {
-				cpu.Write(&n.line)
-				succ = true
-				c, v = snziHalf, v+1
-				st = snziPack(c, v)
-			} else {
-				continue
-			}
+			c, v = snziHalf, v+1
+			st = snziPack(c, v)
+			n.state = st
+			cpu.Write(&n.line)
+			succ = true
 		}
 		if c == snziHalf { // the transient ½ state: propagate up
 			if n.parent != nil {
 				s.arrive(cpu, n.parent)
 			}
-			if !n.state.CompareAndSwap(st, snziPack(2*snziHalf, v)) {
+			if n.state != st {
 				undoArr++
 			} else {
+				n.state = snziPack(2*snziHalf, v)
 				cpu.Write(&n.line)
 			}
 		}
@@ -132,19 +126,14 @@ func (s *SNZI) arrive(cpu *hw.CPU, n *snziNode) {
 
 // depart implements SNZI.Depart on node n.
 func (s *SNZI) depart(cpu *hw.CPU, n *snziNode) {
-	for {
-		cpu.Read(&n.line)
-		st := n.state.Load()
-		c, v := snziUnpack(st)
-		if c < 2*snziHalf {
-			panic("counter: SNZI depart without matching arrive")
-		}
-		if n.state.CompareAndSwap(st, snziPack(c-2*snziHalf, v)) {
-			cpu.Write(&n.line)
-			if c == 2*snziHalf && n.parent != nil { // 1 -> 0
-				s.depart(cpu, n.parent)
-			}
-			return
-		}
+	cpu.Read(&n.line)
+	c, v := snziUnpack(n.state)
+	if c < 2*snziHalf {
+		panic("counter: SNZI depart without matching arrive")
+	}
+	n.state = snziPack(c-2*snziHalf, v)
+	cpu.Write(&n.line)
+	if c == 2*snziHalf && n.parent != nil { // 1 -> 0
+		s.depart(cpu, n.parent)
 	}
 }

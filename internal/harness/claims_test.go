@@ -2,6 +2,9 @@ package harness
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -370,5 +373,53 @@ func TestReadmePackageMapMatchesTree(t *testing.T) {
 		if rows[p] != 1 {
 			t.Errorf("README package map has %d rows for %s, want 1", rows[p], p)
 		}
+	}
+}
+
+// TestSimulatorIsSingleThreaded holds every Go file under internal/ and cmd/,
+// tests included, to the one execution model: hw.Sched runs one simulated
+// core at a time on one goroutine, so model state is plain words. No file
+// imports sync or sync/atomic, none starts a goroutine (a second goroutine
+// driving a core would race those words, and the race detector cannot see it:
+// it takes the schedule's coroutine hand-off for synchronization), and none
+// converts through unsafe.Pointer (what -race's pointer checks would be left
+// to check). No file is exempt.
+func TestSimulatorIsSingleThreaded(t *testing.T) {
+	fset := token.NewFileSet()
+	files := 0
+	for _, top := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(filepath.Join(repo, top), func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			files++
+			for _, imp := range f.Imports {
+				if p, _ := strconv.Unquote(imp.Path.Value); p == "sync" || p == "sync/atomic" {
+					t.Errorf("%s: imports %s", fset.Position(imp.Pos()), p)
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.GoStmt:
+					t.Errorf("%s: go statement", fset.Position(n.Pos()))
+				case *ast.SelectorExpr:
+					if x, ok := n.X.(*ast.Ident); ok && x.Name == "unsafe" && n.Sel.Name == "Pointer" {
+						t.Errorf("%s: unsafe.Pointer", fset.Position(n.Pos()))
+					}
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if files == 0 {
+		t.Fatal("found no Go file under internal/ or cmd/")
 	}
 }

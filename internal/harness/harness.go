@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
-	"sync/atomic"
 
 	"radixvm/internal/bonsaivm"
 	"radixvm/internal/counter"
@@ -422,7 +421,7 @@ func structureBench(title string, o Options, writerCounts []int, build func(m *h
 			m := hw.NewMachine(hw.DefaultConfig(n + 1))
 			s := build(m)
 			var lookups [hw.MaxCores]uint64
-			var readersDone atomic.Int64
+			var readersDone int
 			m.ResetStats()
 			hw.RunGangDet(m, n, 3000, func(c *hw.CPU, g *hw.Gang) {
 				r := rand.New(rand.NewSource(int64(c.ID() + 7)))
@@ -444,9 +443,9 @@ func structureBench(title string, o Options, writerCounts []int, build func(m *h
 						}
 					}
 					lookups[c.ID()] = count
-					readersDone.Add(1)
+					readersDone++
 				} else {
-					for readersDone.Load() < int64(readers) {
+					for readersDone < readers {
 						s.insertDelete(c, r)
 						if s.maintain != nil {
 							s.maintain(c)

@@ -2,7 +2,6 @@ package hw
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -265,8 +264,8 @@ func TestMailboxStampOrder(t *testing.T) {
 		t.Fatalf("second fold: Now = %d, want 2600", c.Now())
 	}
 	// Now() alone never advances past a future stamp.
-	if depth := len(c.mbox) - c.mboxHead; depth != 1 || atomic.LoadUint64(&c.mboxNext) != 3000 {
-		t.Fatalf("queued = %d, head stamp %d; want 1, 3000", depth, atomic.LoadUint64(&c.mboxNext))
+	if depth := len(c.mbox) - c.mboxHead; depth != 1 || c.mboxNext != 3000 {
+		t.Fatalf("queued = %d, head stamp %d; want 1, 3000", depth, c.mboxNext)
 	}
 	c.Tick(400) // to 3000, handler runs => 3500
 	if c.Now() != 3500 {

@@ -387,7 +387,7 @@ func (c *CPU) advanceSlow(k Cause, t uint64) {
 	}
 }
 
-// popMail drops the folded messages before mbox[head] and republishes the
+// popMail drops the folded messages before mbox[head] and recomputes the
 // head stamp. The queue moves down to the front of its array once it is no
 // longer than what was popped since the last move, so a pop costs O(1)
 // amortized and the array, once grown to the deepest queue, is reused.
@@ -403,6 +403,11 @@ func (c *CPU) popMail(head int) {
 	}
 	c.mboxNext = next
 }
+
+// MailQueued returns how many mailbox messages the core has not folded into
+// its clock yet. It folds nothing, so a test can see where a walk folds its
+// mail.
+func (c *CPU) MailQueued() int { return len(c.mbox) - c.mboxHead }
 
 // DeliverAt enqueues cost cycles of remote work (e.g. a shootdown IPI
 // handler) arriving at this core at virtual time stamp, and counts it as a

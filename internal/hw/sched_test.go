@@ -2,7 +2,6 @@ package hw
 
 import (
 	"runtime"
-	"sync/atomic"
 	"testing"
 )
 
@@ -175,12 +174,12 @@ func TestSchedIdleArrivalAdoption(t *testing.T) {
 	s := NewSched(0)
 	stamps := []uint64{10_000, 20_000, 30_000, 40_000}
 	foldCores := make(map[int]bool)
-	var late atomic.Uint64
+	var late int
 	for _, st := range stamps {
 		st := st
 		s.Arrive(st, func(c *CPU, seq uint64) {
 			if c.Now() < st {
-				late.Add(1) // fold before the stamp: clock never advanced
+				late++ // fold before the stamp: clock never advanced
 			}
 			foldCores[c.ID()] = true
 			s.Spawn(-1, func(tc *Ctx) {
@@ -189,8 +188,8 @@ func TestSchedIdleArrivalAdoption(t *testing.T) {
 		})
 	}
 	s.Run(m, ncores, 1000)
-	if late.Load() != 0 {
-		t.Errorf("%d arrivals folded below their stamp", late.Load())
+	if late != 0 {
+		t.Errorf("%d arrivals folded below their stamp", late)
 	}
 	if len(foldCores) < 2 {
 		t.Errorf("all folds landed on one core: %v (idle workers never adopted arrivals)", foldCores)

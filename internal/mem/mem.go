@@ -119,7 +119,7 @@ type Allocator struct {
 	pageZero uint64                       // m.Config().PageZero, hoisted out of Alloc
 	freeFn   func(*hw.CPU, *refcache.Obj) // shared free callback (frame in Obj.Data)
 
-	lists []freelist
+	lists [][]*Frame // each core's free frames
 
 	allocated int64  // live frames
 	totals    uint64 // frames ever created
@@ -129,11 +129,6 @@ type Allocator struct {
 	dir [dirFan]*chunkDir
 }
 
-type freelist struct {
-	frames []*Frame
-	_      [40]byte // avoid false sharing between cores' lists
-}
-
 // NewAllocator creates a frame allocator over machine m using rc for frame
 // reference counts.
 func NewAllocator(m *hw.Machine, rc *refcache.Refcache) *Allocator {
@@ -141,7 +136,7 @@ func NewAllocator(m *hw.Machine, rc *refcache.Refcache) *Allocator {
 		m:        m,
 		rc:       rc,
 		pageZero: m.Config().PageZero,
-		lists:    make([]freelist, m.NCores()),
+		lists:    make([][]*Frame, m.NCores()),
 	}
 	// One shared free callback for every frame (the frame rides in
 	// Obj.Data), instead of a fresh closure per Alloc.
@@ -157,9 +152,9 @@ func (a *Allocator) Alloc(cpu *hw.CPU) *Frame {
 	id := cpu.ID()
 	fl := &a.lists[id]
 	var f *Frame
-	if n := len(fl.frames); n > 0 {
-		f = fl.frames[n-1]
-		fl.frames = fl.frames[:n-1]
+	if n := len(*fl); n > 0 {
+		f = (*fl)[n-1]
+		*fl = (*fl)[:n-1]
 	} else {
 		// The PFN is the frame's position in the chunks, which ByPFN
 		// relies on to hand the baselines their frames.
@@ -208,7 +203,7 @@ func (a *Allocator) release(cpu *hw.CPU, f *Frame) {
 	if cpu.ID() != int(f.Home) {
 		cpu.Write(&f.line)
 	}
-	fl.frames = append(fl.frames, f)
+	*fl = append(*fl, f)
 	a.allocated--
 }
 

@@ -280,7 +280,7 @@ func TestAllocRecycledFrameZeroAlloc(t *testing.T) {
 	}
 	// AllocsPerRun rounds down, so a list or queue that grew a little each
 	// cycle would still read 0 above: hold their storage to the one frame.
-	if n := cap(a.lists[0].frames); n > 1 {
+	if n := cap(a.lists[0]); n > 1 {
 		t.Errorf("free list of %d frames for one frame in circulation", n)
 	}
 	if high := rc.ReviewQueueHighWater(); high > 1 {

@@ -56,13 +56,13 @@ func TestCostScriptMatchesRecording(t *testing.T) {
 	step(a, func() { _, ok := pt.Lookup(a, far); expect(!ok, "hit under a never-touched root entry") })
 	step(b, func() { _, ok := pt.Lookup(b, far); expect(!ok, "hit under a root entry only read so far") })
 	// Two faulters on one page: the second finds it mapped.
-	step(a, func() { expect(pt.MapIfAbsent(a, v0+3, 8, PermR), "MapIfAbsent of an absent page lost") })
-	step(b, func() { expect(!pt.MapIfAbsent(b, v0+3, 9, PermR), "MapIfAbsent of a present page won") })
+	step(a, func() { expect(pt.Walker().MapIfAbsent(a, v0+3, 8, PermR), "MapIfAbsent of an absent page lost") })
+	step(b, func() { expect(!pt.Walker().MapIfAbsent(b, v0+3, 9, PermR), "MapIfAbsent of a present page won") })
 	// Two COW breakers on one page: the second's old PTE is stale.
 	old, _ := pt.Peek(v0)
-	step(b, func() { expect(pt.Replace(b, v0, old, 9, PermR), "Replace from the current PTE lost") })
-	step(a, func() { expect(!pt.Replace(a, v0, old, 10, PermR), "Replace from a stale PTE won") })
-	step(a, func() { expect(!pt.Replace(a, far, old, 10, PermR), "Replace with no leaf won") })
+	step(b, func() { expect(pt.Walker().Replace(b, v0, old, 9, PermR), "Replace from the current PTE lost") })
+	step(a, func() { expect(!pt.Walker().Replace(a, v0, old, 10, PermR), "Replace from a stale PTE won") })
+	step(a, func() { expect(!pt.Walker().Replace(a, far, old, 10, PermR), "Replace with no leaf won") })
 	// Four pages across a leaf boundary, then the range operations over them.
 	for v := edge - 2; v < edge+2; v++ {
 		step(a, func() { pt.Map(a, v, v, PermR|PermW) })

@@ -362,11 +362,6 @@ func (pt *PageTable) Map(cpu *hw.CPU, vpn, pfn uint64, perm Perm) {
 // MapIfAbsent installs vpn→pfn only if no translation is present, and
 // reports whether it installed. Concurrent faulters on a shared table race
 // here; exactly one wins (Linux's equivalent is the PTE lock + recheck).
-func (pt *PageTable) MapIfAbsent(cpu *hw.CPU, vpn, pfn uint64, perm Perm) bool {
-	return pt.Walker().MapIfAbsent(cpu, vpn, pfn, perm)
-}
-
-// MapIfAbsent is PageTable.MapIfAbsent through w's cached path.
 func (w *Walker) MapIfAbsent(cpu *hw.CPU, vpn, pfn uint64, perm Perm) bool {
 	return swapIf(w.entry(cpu, vpn, true, true), 0, pack(pfn, perm))
 }
@@ -434,11 +429,6 @@ func (pt *PageTable) ForEachRange(cpu *hw.CPU, lo, hi uint64, fn func(vpn uint64
 // resolving the same page each prepare a private copy, and exactly one
 // wins — the loser discards its copy and adopts the winner's (the role the
 // per-PTE lock plays in Linux).
-func (pt *PageTable) Replace(cpu *hw.CPU, vpn uint64, old PTE, pfn uint64, perm Perm) bool {
-	return pt.Walker().Replace(cpu, vpn, old, pfn, perm)
-}
-
-// Replace is PageTable.Replace through w's cached path.
 func (w *Walker) Replace(cpu *hw.CPU, vpn uint64, old PTE, pfn uint64, perm Perm) bool {
 	return swapIf(w.entry(cpu, vpn, false, true), pack(old.PFN, old.Perm), pack(pfn, perm))
 }
@@ -469,14 +459,10 @@ func (w *Walker) Lookup(cpu *hw.CPU, vpn uint64) (PTE, bool) {
 	return present(w.entry(cpu, vpn, false, false))
 }
 
-// Peek returns vpn's entry without charging simulated cost — for callers
-// that just touched (and paid for) the entry's line and need to re-read it,
-// and for the walk/shootdown recheck: real hardware's page walk and TLB
-// insert are atomic against the shootdown protocol (the IPI ack round
-// orders them), the Go-level walk+insert is not, so the MMU re-validates
-// its insert through Peek. The recheck is an emulation artifact, not a
-// modeled memory operation, so it is cost-free. Peek materializes nothing:
-// an entry on a line no walk has touched is absent.
+// Peek returns vpn's entry without charging simulated cost, for callers
+// that just touched (and paid for) the entry's line and need to re-read it.
+// Peek materializes nothing: an entry on a line no walk has touched is
+// absent.
 func (pt *PageTable) Peek(vpn uint64) (PTE, bool) {
 	d2 := peekChild(&pt.root, idxAt(vpn, 3))
 	d1 := peekChild(d2, idxAt(vpn, 2))

@@ -266,7 +266,7 @@ func TestRandomOpsMatchMapReference(t *testing.T) {
 				model[vpn] = pfn
 				walked(vpn)
 			case 1:
-				if got := pt.MapIfAbsent(c, vpn, pfn, PermR); got == present {
+				if got := pt.Walker().MapIfAbsent(c, vpn, pfn, PermR); got == present {
 					t.Fatalf("seed %d op %d: MapIfAbsent(%#x) = %v with present = %v", seed, i, vpn, got, present)
 				}
 				if !present {

@@ -60,7 +60,10 @@ func freshEach(pt *PageTable, cpu *hw.CPU, lo, hi uint64, write bool, op func(vp
 // operations that fall due inside later walks. A cached path must charge
 // exactly what the descents it skips would, whether it charged its touches
 // in one step or refused to: every core's cycles by cause and Stats, every
-// operation's result and the tables' contents must be equal. Fork's copy,
+// operation's result and the tables' contents must be equal. So must the
+// mail each range walk has left unfolded at every entry it visits and every
+// core's after each operation: folding a message late ends at the same
+// clock, so only that sees a walk skip a message due inside it. Fork's copy,
 // whose callback charges between the entries of a range walk, runs into a
 // second table on each machine.
 func TestWalkerMatchesFreshWalks(t *testing.T) {
@@ -97,6 +100,9 @@ func TestWalkerMatchesFreshWalks(t *testing.T) {
 			hi := lo + 1 + uint64(rng.Intn(1500))
 			perm := Perm(rng.Intn(int(permAll) + 1))
 			var got, want string
+			var mailW, mailF []int // mail left unfolded at each range-walk entry
+			noteW := func() { mailW = append(mailW, cw.MailQueued()) }
+			noteF := func() { mailF = append(mailF, cf.MailQueued()) }
 			switch op := rng.Intn(9); op {
 			case 0: // Map through a Walker: fork's copy into the child
 				w := pw.Walker()
@@ -115,7 +121,7 @@ func TestWalkerMatchesFreshWalks(t *testing.T) {
 				want = fmt.Sprint(pte != nil && swap(pte, 0)&rawPresent != 0)
 			case 3:
 				old, _ := pw.Peek(lo)
-				got = fmt.Sprint(pw.Replace(cw, lo, old, lo+9, perm))
+				got = fmt.Sprint(kept[c].Replace(cw, lo, old, lo+9, perm))
 				pte := freshEntry(pf, cf, lo, false, true)
 				won := pte != nil && *pte == pack(old.PFN, old.Perm)
 				if won {
@@ -134,11 +140,12 @@ func TestWalkerMatchesFreshWalks(t *testing.T) {
 				want = fmt.Sprint(n)
 			case 5:
 				var gotV, wantV []uint64
-				n := pw.UnmapRangeFunc(cw, lo, hi, func(vpn, pfn uint64) { gotV = append(gotV, vpn, pfn) })
+				n := pw.UnmapRangeFunc(cw, lo, hi, func(vpn, pfn uint64) { noteW(); gotV = append(gotV, vpn, pfn) })
 				got = fmt.Sprint(n, gotV)
 				n = 0
 				freshEach(pf, cf, lo, hi, true, func(vpn uint64, pte *uint64) {
 					if old := swap(pte, 0); old&rawPresent != 0 {
+						noteF()
 						n++
 						wantV = append(wantV, vpn, old>>rawShift)
 					}
@@ -146,9 +153,10 @@ func TestWalkerMatchesFreshWalks(t *testing.T) {
 				want = fmt.Sprint(n, wantV)
 			case 6:
 				var gotV, wantV []PTE
-				pw.ForEachRange(cw, lo, hi, func(_ uint64, pte PTE) { gotV = append(gotV, pte) })
+				pw.ForEachRange(cw, lo, hi, func(_ uint64, pte PTE) { noteW(); gotV = append(gotV, pte) })
 				freshEach(pf, cf, lo, hi, false, func(_ uint64, pte *uint64) {
 					if raw := *pte; raw&rawPresent != 0 {
+						noteF()
 						wantV = append(wantV, unpack(raw))
 					}
 				})
@@ -165,6 +173,7 @@ func TestWalkerMatchesFreshWalks(t *testing.T) {
 				var gotV, wantV []uint64
 				cwk, pwk := pw2.Walker(), pw.Walker()
 				pw.ForEachRange(cw, lo, hi, func(vpn uint64, pte PTE) {
+					noteW()
 					cw.TickAs(hw.CauseMetaCopy, work)
 					cwk.Map(cw, vpn, pte.PFN, pte.Perm&^PermW)
 					if pte.Writable() {
@@ -178,6 +187,7 @@ func TestWalkerMatchesFreshWalks(t *testing.T) {
 						return
 					}
 					p := unpack(raw)
+					noteF()
 					cf.TickAs(hw.CauseMetaCopy, work)
 					*freshEntry(pf2, cf, vpn, true, true) = pack(p.PFN, p.Perm&^PermW)
 					if p.Writable() {
@@ -191,7 +201,13 @@ func TestWalkerMatchesFreshWalks(t *testing.T) {
 			if got != want {
 				t.Fatalf("seed %d, step %d: [%#x, %#x) returned %s through the Walker, %s through fresh walks", seed, step, lo, hi, got, want)
 			}
+			if !slices.Equal(mailW, mailF) {
+				t.Fatalf("seed %d, step %d: [%#x, %#x) left mail unfolded at its entries %v through the Walker, %v through fresh walks", seed, step, lo, hi, mailW, mailF)
+			}
 			for i := 0; i < ncores; i++ {
+				if a, b := mw.CPU(i).MailQueued(), mf.CPU(i).MailQueued(); a != b {
+					t.Fatalf("seed %d, step %d: core %d left %d messages unfolded through the Walker, %d through fresh walks", seed, step, i, a, b)
+				}
 				if a, b := mw.CPU(i), mf.CPU(i); a.Cycles() != b.Cycles() || *a.Stats() != *b.Stats() {
 					t.Fatalf("seed %d, step %d: core %d charged %v %+v through the Walker, %v %+v through fresh walks",
 						seed, step, i, a.Cycles(), *a.Stats(), b.Cycles(), *b.Stats())

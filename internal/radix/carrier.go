@@ -8,16 +8,16 @@ import "radixvm/internal/hw"
 //
 // A carrier owns one slotState and the value it points to. Entry.SetClone
 // copies the caller's template into a carrier popped from the writing CPU's
-// pool and publishes the carrier's state; when a later Set (the munmap
+// pool and stores the carrier's state in the slot; when a later Set (the munmap
 // clearing the slot, or a remap overwriting it) replaces a carrier-backed
 // state, the carrier returns to that CPU's pool, for the next Mmap.
 //
 // Safety: a retired carrier may be reused immediately because its
 // slotState words are written exactly once, at carrier construction, and
-// never again — a lock-free reader that loaded the state just before the
-// slot was replaced reads only immutable words. Reuse rewrites the carrier's
-// *value*, under its new slot's lock bit: the discipline for value contents
-// in the slotState comment (radix.go).
+// never again: a lock-free reader that read the state before a preemption
+// point at which the slot was replaced reads only immutable words. Reuse
+// rewrites the carrier's *value*, under its new slot's lock bit: the
+// discipline for value contents in the slotState comment (radix.go).
 //
 // Ownership discipline matches the node pools: a CPU's pool is touched only
 // by the proc driving that CPU, and a carrier is retired only by the Set
@@ -49,14 +49,14 @@ func (t *Tree[V]) getCarrier(cpu *hw.CPU) *valCarrier[V] {
 		c.next = nil
 		return c
 	}
-	t.carriersEver.Add(1)
+	t.carriersEver++
 	c := &valCarrier[V]{}
 	c.st = slotState[V]{val: &c.val, carrier: c}
 	return c
 }
 
 // retireCarrier returns a replaced carrier to cpu's pool. The caller holds
-// the lock bit of the slot that owned it and has already unpublished its
+// the lock bit of the slot that owned it and has already replaced its
 // state.
 func (t *Tree[V]) retireCarrier(cpu *hw.CPU, c *valCarrier[V]) {
 	p := &t.cpu(cpu).carriers

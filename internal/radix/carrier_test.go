@@ -195,7 +195,7 @@ func TestBulkReleasePlateaus(t *testing.T) {
 				}
 			}
 		}
-		walk(tr.root.Load())
+		walk(tr.root)
 	}
 	// Fault-style: expand a root-level fold down to one leaf.
 	r := tr.LockRange(c, 0, span(2))

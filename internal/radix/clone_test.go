@@ -57,7 +57,7 @@ func shapeOf[V any](t *testing.T, n *node[V]) nodeShape[V] {
 		v := *n.uniSt.val
 		s.Fill = &v
 	}
-	if d := n.dir.Load(); d != nil {
+	if d := n.dir; d != nil {
 		s.Bits = d.bits
 		s.Groups = len(d.groups)
 		if d.bits.count() != len(d.groups) {
@@ -84,7 +84,7 @@ func shapeOf[V any](t *testing.T, n *node[V]) nodeShape[V] {
 // materialization used to: by copying the directory around it.
 func insertGroup(n *node[val], gi int, g *slotGroup[val]) {
 	var set groupSet
-	old := n.dir.Load()
+	old := n.dir
 	if old != nil {
 		set = old.bits
 	}
@@ -92,12 +92,12 @@ func insertGroup(n *node[val], gi int, g *slotGroup[val]) {
 	nd := newGroupDirOf[val](set)
 	for i := 0; i < groupsPerNode; i++ {
 		if i == gi {
-			nd.entry(i).Store(g)
+			*nd.entry(i) = g
 		} else if e := old.entry(i); e != nil {
-			nd.entry(i).Store(e.Load())
+			*nd.entry(i) = *e
 		}
 	}
-	n.dir.Store(nd)
+	n.dir = nd
 }
 
 // copiedSlotBySlot builds what linkCopy made of src before directories were
@@ -130,19 +130,19 @@ func copiedSlotBySlot(src *node[val]) (*node[val], int) {
 		switch {
 		case st == nil:
 			if dst.uniSt != nil {
-				storePlain(&group(gi).sts[j], nil)
+				group(gi).sts[j] = nil
 			}
 		case st.child != nil:
 			g := group(gi)
 			g.slab[j] = slotState[val]{child: st.child}
-			storePlain(&g.sts[j], &g.slab[j])
+			g.sts[j] = &g.slab[j]
 		case sg == nil:
 			// Uniform fill: the copy's header stands for it.
 		default:
 			g := group(gi)
 			g.vals[j] = *st.val
 			g.slab[j] = slotState[val]{val: &g.vals[j]}
-			storePlain(&g.sts[j], &g.slab[j])
+			g.sts[j] = &g.slab[j]
 		}
 	}
 	return dst, made
@@ -161,8 +161,8 @@ func childOf(t *testing.T, n *node[val], idx int) *node[val] {
 // descend returns the nodes on the path from the root to vpn's leaf.
 func descend(t *testing.T, tr *Tree[val], vpn uint64) []*node[val] {
 	t.Helper()
-	path := []*node[val]{tr.root.Load()}
-	for n := tr.root.Load(); n.level > 0; {
+	path := []*node[val]{tr.root}
+	for n := tr.root; n.level > 0; {
 		n = childOf(t, n, n.slotIndex(vpn))
 		path = append(path, n)
 	}
@@ -264,7 +264,7 @@ func TestCopyEqualsSlotBySlotCopy(t *testing.T) {
 			}
 			return made
 		}
-		groups := check("the root", tr.root.Load(), child.root.Load(), -1)
+		groups := check("the root", tr.root, child.root, -1)
 		if got := child.GroupsEver(); got != 0 || groups == 0 {
 			t.Errorf("recycled=%v: the fork gave %d of the root copy's %d groups storage, want none", recycled, got, groups)
 		}
@@ -310,9 +310,9 @@ func TestCopyEqualsSlotBySlotCopy(t *testing.T) {
 			}
 			continue // a reused group is not materialized again
 		}
-		if got := int(child.GroupsEver()) - base; got == 0 || got > groups || child.groupsLive.Load() != child.GroupsEver() {
+		if got := int(child.GroupsEver()) - base; got == 0 || got > groups || child.groupsLive != child.GroupsEver() {
 			t.Errorf("touches gave %d groups storage (%d live of %d ever), the slot-by-slot copies have %d",
-				got, child.groupsLive.Load(), child.GroupsEver(), groups)
+				got, child.groupsLive, child.GroupsEver(), groups)
 		}
 	}
 }
@@ -341,8 +341,8 @@ func TestDivergeFullLeafAllocs(t *testing.T) {
 		runtime.ReadMemStats(&after)
 
 		leaf := descend(t, child, full)[Levels-1]
-		if leaf.tree != child || leaf.dir.Load().bits.count() != groupsPerNode {
-			t.Fatalf("setup: the touch did not copy a full leaf (groups=%d)", leaf.dir.Load().bits.count())
+		if leaf.tree != child || leaf.dir.bits.count() != groupsPerNode {
+			t.Fatalf("setup: the touch did not copy a full leaf (groups=%d)", leaf.dir.bits.count())
 		}
 		if got := countGroups(leaf); got != realizeRun {
 			t.Errorf("child %d: %d of the copy's groups have storage after one touch, want %d", i, got, realizeRun)
@@ -382,7 +382,7 @@ func TestDirectoryFilledInPlaceEqualsCopyOnInsert(t *testing.T) {
 		}
 		groups[gi] = g
 	}
-	want, got := published.dir.Load(), sh.dir.Load()
+	want, got := published.dir, sh.dir
 	if want.bits != got.bits || len(want.groups) != len(got.groups) {
 		t.Fatalf("in-place directory bits=%x n=%d, published bits=%x n=%d", got.bits, len(got.groups), want.bits, len(want.groups))
 	}

@@ -26,7 +26,7 @@ func TreeShape[V any](t *testing.T, tr *Tree[V]) (shapes any, pages []uint64) {
 			}
 		}
 	}
-	walk(tr.root.Load())
+	walk(tr.root)
 	return out, pages
 }
 
@@ -65,17 +65,17 @@ func (t *Tree[V]) OnRelease(fn func(cpu *hw.CPU, lo, hi uint64, v *V)) {
 }
 
 // NodesEver returns the number of nodes the tree ever allocated.
-func (t *Tree[V]) NodesEver() int64 { return t.nodesEver.Load() }
+func (t *Tree[V]) NodesEver() int64 { return t.nodesEver }
 
 // GroupsEver returns the number of slot groups ever given storage — the
 // divergence counter; an image-born group counts when it is realized, not
 // before.
-func (t *Tree[V]) GroupsEver() int64 { return t.groupsEver.Load() }
+func (t *Tree[V]) GroupsEver() int64 { return t.groupsEver }
 
 // CarriersEver returns the number of value carriers ever heap-allocated —
 // the carrier-leak tripwire: a steady-state remap cycle must stop growing
 // this counter once its pools are warm.
-func (t *Tree[V]) CarriersEver() int64 { return t.carriersEver.Load() }
+func (t *Tree[V]) CarriersEver() int64 { return t.carriersEver }
 
 // PoolSize returns the number of recycled nodes cached for cpu.
 func (t *Tree[V]) PoolSize(cpu *hw.CPU) int { return len(t.cpu(cpu).pool) }

@@ -45,7 +45,7 @@ func ForkNodeCost(pageZero uint64, groups int) uint64 {
 // bit: its state, and for a child link the child, pinned. A link whose child
 // died mid-reclaim reads as the empty slot it has become.
 func (t *Tree[V]) readSlot(cpu *hw.CPU, src *node[V], g *slotGroup[V], idx int) (st *slotState[V], child *node[V]) {
-	st = g.sts[idx%slotsPerLine].Load()
+	st = g.sts[idx%slotsPerLine]
 	if st != nil && st.child != nil {
 		if child = t.loadChild(cpu, src, idx, st); child == nil {
 			st = nil
@@ -71,7 +71,7 @@ func (t *Tree[V]) cloneShell(cpu *hw.CPU, src *node[V]) shell[V] {
 	// locked yet, but the count cannot come out short: the sweep reads the
 	// groups of this directory only, and in a frozen node a slot can go
 	// empty (a dead child's link) but never stop being empty.
-	sd := src.dir.Load()
+	sd := src.dir
 	srcGroups, kept := 0, 0
 	if sd != nil {
 		srcGroups = len(sd.groups)
@@ -79,9 +79,9 @@ func (t *Tree[V]) cloneShell(cpu *hw.CPU, src *node[V]) shell[V] {
 		if src.uniSt == nil {
 			kept = 0
 			for k := range sd.groups {
-				g := sd.groups[k].Load() // realized by linkCopy
+				g := sd.groups[k] // realized by linkCopy
 				for j := range g.sts {
-					if g.sts[j].Load() != nil {
+					if g.sts[j] != nil {
 						kept++
 						break
 					}
@@ -91,31 +91,31 @@ func (t *Tree[V]) cloneShell(cpu *hw.CPU, src *node[V]) shell[V] {
 	}
 	// A pooled node's groups are dropped: the copy's groups are src's,
 	// realized in runs as its owner touches them.
-	t.groupsLive.Add(-countGroups(n))
+	t.groupsLive -= countGroups(n)
 	sh := shell[V]{node: n, over: sd}
 	if n.uniSt != nil {
 		sh.used = SlotsPerNode
 	}
 	// Born in src's image: the cached one if it still describes src, else a
-	// new one, which the sweep fills and then publishes along with the
-	// copy's directory. A copy with no groups needs none.
+	// new one, which the sweep fills and then caches on src when it gives
+	// the copy its directory. A copy with no groups needs none.
 	var nd *groupDir[V]
 	if kept > 0 {
-		if sh.img = src.copyImg.Load(); sh.img != nil && sh.img.over == sd {
+		if sh.img = src.copyImg; sh.img != nil && sh.img.over == sd {
 			nd = newGroupDirOf[V](sh.img.bits)
 		} else {
 			sh.img = &nodeImage[V]{over: sd, groups: make([]imageGroup[V], 0, kept)}
 			sh.build = true
 		}
 	}
-	n.dir.Store(nd)
+	n.dir = nd
 	n.img = sh.img
 	cpu.TickAs(hw.CauseMetaCopy, ForkNodeCost(t.pageZero, srcGroups))
 	return sh
 }
 
 // shell is a copy under construction: the node, private to the copying
-// core until its parent slot publishes it, and where the sweep puts what
+// core until the caller links it into its parent slot, and where the sweep puts what
 // the copy's slots are born holding (the package comment's last two rows).
 // The copy is born in img, the source's image: the sweep fills it if build is
 // set, and otherwise has nothing to write. A copy whose image was abandoned
@@ -153,7 +153,7 @@ func (sh *shell[V]) take(t *Tree[V], cpu *hw.CPU, cs *cpuState[V], src *node[V],
 	case child != nil:
 		// Link mode: share the subtree instead of copying it. The pin
 		// makes the links bump safe against concurrent reclamation.
-		child.links.Add(1)
+		child.links++
 		if cell != nil {
 			*cell = slotState[V]{child: child.obj}
 		}
@@ -197,9 +197,9 @@ func (sh *shell[V]) cell(t *Tree[V], cs *cpuState[V], idx int, st *slotState[V])
 	}
 	dg := sh.forkGroup(t, gi)
 	if st == nil {
-		storePlain(&dg.sts[j], nil)
+		dg.sts[j] = nil
 	} else {
-		storePlain(&dg.sts[j], &dg.slab[j])
+		dg.sts[j] = &dg.slab[j]
 	}
 	return &dg.slab[j], &dg.vals[j]
 }
@@ -226,15 +226,17 @@ func (sh *shell[V]) abandon(t *Tree[V], src *node[V], idx int) {
 				slots = j
 			}
 			im.fill(&slab[k], g, slots)
-			d.groups[k].Store(&slab[k])
+			d.groups[k] = &slab[k]
 			k++
 		}
 	}
-	t.groupsEver.Add(int64(len(slab)))
-	t.groupsLive.Add(int64(len(slab)))
-	sh.dir.Store(d)
+	t.groupsEver += int64(len(slab))
+	t.groupsLive += int64(len(slab))
+	sh.dir = d
 	sh.node.img, sh.img, sh.build = nil, nil, false
-	src.copyImg.CompareAndSwap(im, nil)
+	if src.copyImg == im {
+		src.copyImg = nil
+	}
 }
 
 // forkGroup returns the abandoned copy's group gi, creating it zeroed if
@@ -243,17 +245,17 @@ func (sh *shell[V]) abandon(t *Tree[V], src *node[V], idx int) {
 // overwrites every slot of a mirrored group explicitly. nt is the tree the
 // copy belongs to.
 func (sh *shell[V]) forkGroup(nt *Tree[V], gi int) *slotGroup[V] {
-	d := sh.dir.Load()
+	d := sh.dir
 	if d == nil {
 		d = newGroupDir[V](0)
-		sh.dir.Store(d)
+		sh.dir = d
 	} else if g := d.get(gi); g != nil {
 		return g
 	}
 	g := new(slotGroup[V])
 	d.insert(gi, g) // the copy loops ask in ascending slot order
-	nt.groupsEver.Add(1)
-	nt.groupsLive.Add(1)
+	nt.groupsEver++
+	nt.groupsLive++
 	return g
 }
 

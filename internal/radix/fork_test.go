@@ -89,7 +89,7 @@ func TestForkPreservesCompactness(t *testing.T) {
 	}
 }
 
-func countLiveGroups[V any](t *Tree[V]) int64 { return t.groupsLive.Load() }
+func countLiveGroups[V any](t *Tree[V]) int64 { return t.groupsLive }
 
 // TestForkCopiesFrozenRootAsReader: a fork freezes the parent's root and
 // copies it as a reader, so two cores forking one unchanged parent at one
@@ -100,7 +100,7 @@ func countLiveGroups[V any](t *Tree[V]) int64 { return t.groupsLive.Load() }
 func TestForkCopiesFrozenRootAsReader(t *testing.T) {
 	m, rc, tr, _, _, _ := forkSourceOn(t, 3)
 	pz := m.Config().PageZero
-	rootGroups := len(tr.root.Load().dir.Load().groups)
+	rootGroups := len(tr.root.dir.groups)
 	quiesce(rc)
 	at := m.MaxClock()
 	for i := 0; i < 3; i++ {
@@ -135,14 +135,14 @@ func TestForkCopiesFrozenRootAsReader(t *testing.T) {
 	c := m.CPU(0)
 	unmapped := 40*span(Levels-1) + 100 // under an empty root slot: no path below the root to copy
 	for i, want := range []int64{1, 0} {
-		frozen, nodes := tr.root.Load(), tr.NodesEver()
+		frozen, nodes := tr.root, tr.NodesEver()
 		before := c.Cycles()[hw.CauseMetaCopy]
 		tr.LockPage(c, unmapped).Unlock()
 		copied := tr.NodesEver() - nodes
 		if billed := c.Cycles()[hw.CauseMetaCopy] - before; copied != want || billed != uint64(want)*ForkNodeCost(pz, rootGroups) {
 			t.Errorf("parent's LockPage %d after the forks copied %d nodes billed %d cycles, want %d", i+1, copied, billed, want)
 		}
-		if replaced := tr.root.Load() != frozen; replaced != (want == 1) {
+		if replaced := tr.root != frozen; replaced != (want == 1) {
 			t.Errorf("parent's LockPage %d after the forks replaced its root: %v", i+1, replaced)
 		}
 	}
@@ -320,7 +320,7 @@ func TestRootsHaveNoFill(t *testing.T) {
 		rc.Maintain(c)
 	}
 	for i, x := range trees {
-		if x.root.Load().uniSt != nil {
+		if x.root.uniSt != nil {
 			t.Errorf("tree %d of %d: its root has a uniform fill", i, len(trees))
 		}
 	}

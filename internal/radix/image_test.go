@@ -1,11 +1,11 @@
 package radix
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"runtime/debug"
 	"testing"
-	"unsafe"
 
 	"radixvm/internal/hw"
 )
@@ -17,27 +17,27 @@ import (
 // leaves what one group at a time left.
 
 // imageSnap is a deep copy of an image: pointers that are identities (the
-// source's slot states, child links) by address, values by content.
+// source's slot states, child links) by address (addr), values by content.
 type imageSnap struct {
-	Over   unsafe.Pointer
+	Over   string
 	Bits   groupSet
 	Groups []imageGroupSnap
 }
 
 type imageGroupSnap struct {
-	Src, Child [slotsPerLine]unsafe.Pointer
+	Src, Child [slotsPerLine]string
 	Own        [slotsPerLine]bool // the born value lives in the image's slab
 	Born, Vals [slotsPerLine]val
 }
 
 func snapImage(im *nodeImage[val]) imageSnap {
-	s := imageSnap{Over: unsafe.Pointer(im.over), Bits: im.bits, Groups: make([]imageGroupSnap, len(im.groups))}
+	s := imageSnap{Over: addr(im.over), Bits: im.bits, Groups: make([]imageGroupSnap, len(im.groups))}
 	for k := range im.groups {
 		ig, gs := &im.groups[k], &s.Groups[k]
 		gs.Vals = ig.vals
 		for j := range ig.sts {
-			gs.Src[j] = unsafe.Pointer(ig.src[j])
-			gs.Child[j] = unsafe.Pointer(ig.sts[j].child)
+			gs.Src[j] = addr(ig.src[j])
+			gs.Child[j] = addr(ig.sts[j].child)
 			if v := ig.sts[j].val; v != nil {
 				gs.Own[j] = v == &ig.vals[j]
 				gs.Born[j] = *v
@@ -46,6 +46,9 @@ func snapImage(im *nodeImage[val]) imageSnap {
 	}
 	return s
 }
+
+// addr is p's address, the identity imageSnap compares pointers by.
+func addr(p any) string { return fmt.Sprintf("%p", p) }
 
 // markingHook registers hooks shaped like the VM layer's: the copy is marked,
 // and so is the source the first time it is copied (vm's OnDiverge arms COW on
@@ -95,7 +98,7 @@ func TestCopiesShareOneImmutableImage(t *testing.T) {
 		if i == 0 {
 			im = leaf.img
 			imWas, srcWas = snapImage(im), shapeOf(t, src)
-			if src.copyImg.Load() != im || len(im.groups) != groupsPerNode {
+			if src.copyImg != im || len(im.groups) != groupsPerNode {
 				t.Fatalf("the first copy's image (%d groups) is not the one cached on the source", len(im.groups))
 			}
 		} else if leaf.img != im {
@@ -196,22 +199,22 @@ func TestStaleImageIsRebuilt(t *testing.T) {
 	sameAsSlotBySlot(t, "the first copy", src, la, -1)
 	was := shapeOf(t, la)
 
-	before := src.dir.Load()
+	before := src.dir
 	if got := tr.Lookup(c, holed+200); got == nil || got.x != 2 {
 		t.Fatalf("parent lookup in the shared leaf = %+v, want x=2", got)
 	}
-	if src.dir.Load() == before {
+	if src.dir == before {
 		t.Fatal("setup: the lookup materialized nothing in the shared leaf")
 	}
 
 	b := tr.ForkLazy(c)
 	lb := leafCopy(t, b, c, holed+3)
 	sameAsSlotBySlot(t, "the copy made after the lookup", src, lb, -1)
-	if lb.img == nil || lb.img == la.img || src.copyImg.Load() != lb.img {
+	if lb.img == nil || lb.img == la.img || src.copyImg != lb.img {
 		t.Errorf("the later copy did not build and cache a new image (reused the stale one: %v)", lb.img == la.img)
 	}
-	if lb.dir.Load().bits.count() != la.dir.Load().bits.count()+1 {
-		t.Errorf("the later copy has %d groups, the earlier %d: want one more", lb.dir.Load().bits.count(), la.dir.Load().bits.count())
+	if lb.dir.bits.count() != la.dir.bits.count()+1 {
+		t.Errorf("the later copy has %d groups, the earlier %d: want one more", lb.dir.bits.count(), la.dir.bits.count())
 	}
 	if !reflect.DeepEqual(shapeOf(t, la), was) {
 		t.Error("the earlier copy changed")
@@ -247,7 +250,7 @@ func TestImageAbandonedWhenSourceChanged(t *testing.T) {
 	a := tr.ForkLazy(c)
 	leafCopy(t, a, c, full)
 	ia := descend(t, a, full)[Levels-2]
-	if ia.img == nil || src.copyImg.Load() != ia.img || ia.peek(22) == nil {
+	if ia.img == nil || src.copyImg != ia.img || ia.peek(22) == nil {
 		t.Fatal("setup: the first copy was not born from an image that links the dying leaf")
 	}
 
@@ -262,10 +265,10 @@ func TestImageAbandonedWhenSourceChanged(t *testing.T) {
 	if ib.img != nil {
 		t.Error("the second copy kept an image that no longer describes the source")
 	}
-	if src.copyImg.Load() != nil {
+	if src.copyImg != nil {
 		t.Error("the stale image stayed cached on the source")
 	}
-	if got, want := countGroups(ib), int64(ib.dir.Load().bits.count()); got != want {
+	if got, want := countGroups(ib), int64(ib.dir.bits.count()); got != want {
 		t.Errorf("%d of the mirrored copy's %d groups have storage", got, want)
 	}
 	for _, slot := range []uint64{9, 11, 21, 40} {
@@ -285,7 +288,7 @@ func TestImageAbandonedWhenSourceChanged(t *testing.T) {
 	leafCopy(t, d, c, full)
 	id := descend(t, d, full)[Levels-2]
 	sameAsSlotBySlot(t, "the copy made after the abandoned one", src, id, 8)
-	if id.img == nil || id.img == ia.img || src.copyImg.Load() != id.img {
+	if id.img == nil || id.img == ia.img || src.copyImg != id.img {
 		t.Error("the third copy did not build and cache a current image")
 	}
 	for _, tt := range []*Tree[val]{a, b, d} {
@@ -337,9 +340,9 @@ func concurrentRealization(t *testing.T, seed uint64) {
 		}
 		rc.Maintain(c)
 	})
-	if got := countGroups(leaf); got != groupsPerNode || child.groupsLive.Load() != child.GroupsEver() {
+	if got := countGroups(leaf); got != groupsPerNode || child.groupsLive != child.GroupsEver() {
 		t.Errorf("%d groups have storage (%d live of %d ever), want all %d once each",
-			got, child.groupsLive.Load(), child.GroupsEver(), groupsPerNode)
+			got, child.groupsLive, child.GroupsEver(), groupsPerNode)
 	}
 	for v := full; v < full+span(1); v++ {
 		if got := child.Lookup(c0, v); got == nil || got.x != int(v)|1<<30 {
@@ -402,8 +405,8 @@ func TestRangeLockMaterializesPerNode(t *testing.T) {
 		// Grow the cached Range to 64 entries somewhere else, so the
 		// measured lock allocates for the leaf alone.
 		tr.LockRange(c, span(1)+lo, span(1)+hi).Unlock()
-		if leaf.level != 0 || leaf.dir.Load().bits.count() != 1 {
-			t.Fatalf("setup: want a leaf with one group, have level %d with %d", leaf.level, leaf.dir.Load().bits.count())
+		if leaf.level != 0 || leaf.dir.bits.count() != 1 {
+			t.Fatalf("setup: want a leaf with one group, have level %d with %d", leaf.level, leaf.dir.bits.count())
 		}
 		return c, tr, leaf
 	}
@@ -445,8 +448,8 @@ func TestRangeLockMaterializesPerNode(t *testing.T) {
 	if cb.Now() != cs.Now() || *cb.Stats() != *cs.Stats() {
 		t.Errorf("virtual cost differs: batched clock %d stats %+v, one at a time clock %d stats %+v", cb.Now(), *cb.Stats(), cs.Now(), *cs.Stats())
 	}
-	if batched.uni != single.uni || batched.dir.Load().bits != single.dir.Load().bits {
-		t.Errorf("batched leaf has groups %x, one at a time %x", batched.dir.Load().bits, single.dir.Load().bits)
+	if batched.uni != single.uni || batched.dir.bits != single.dir.bits {
+		t.Errorf("batched leaf has groups %x, one at a time %x", batched.dir.bits, single.dir.bits)
 	}
 	batched.forEachGroup(func(gi int, g *slotGroup[val]) {
 		s := single.groupLoad(gi)
@@ -454,7 +457,7 @@ func TestRangeLockMaterializesPerNode(t *testing.T) {
 			t.Errorf("group %d: line or gates differ between batched and single materialization", gi)
 		}
 		for j := range g.sts {
-			if !reflect.DeepEqual(shapeOfSlot(g.sts[j].Load()), shapeOfSlot(s.sts[j].Load())) {
+			if !reflect.DeepEqual(shapeOfSlot(g.sts[j]), shapeOfSlot(s.sts[j])) {
 				t.Errorf("group %d slot %d differs", gi, j)
 			}
 		}

@@ -70,27 +70,27 @@ func (t *Tree[V]) ForkLazy(cpu *hw.CPU) *Tree[V] {
 	// time — it models the brief kernel-level fork/VM-op exclusion a real
 	// implementation gets from per-CPU reader flags — and the caller must
 	// not hold a Range on t (self-deadlock).
-	t.lazyForks.Add(1)
+	t.lazyForks++
 	for i := range t.cpus {
 		// A CPU that never operated on t has no state yet; if it starts
 		// now, its opEnter sees lazyForks raised and waits.
-		if cs := t.cpus[i].Load(); cs != nil {
-			for cs.hold.flag.Load() != 0 {
+		if cs := t.cpus[i]; cs != nil {
+			for cs.holds != 0 {
 				cpu.Stall()
 			}
 		}
 	}
-	defer t.lazyForks.Add(-1)
 
 	// Leaving the generation freezes the root and everything below it. The
 	// child's copy is native to it by construction (generation 0 of a fresh
 	// tree); +1: the root's immortal reference.
-	t.gen.Add(1)
-	root := t.root.Load()
+	t.gen++
+	root := t.root
 	nt := treeShell[V](t.m, t.rc)
 	nt.hooks, nt.family = t.hooks, t.family
-	nt.root.Store(nt.linkCopy(cpu, root, 1))
+	nt.root = nt.linkCopy(cpu, root, 1)
 	root.unlockBits()
+	t.lazyForks--
 	return nt
 }
 
@@ -101,17 +101,17 @@ func (t *Tree[V]) ForkLazy(cpu *hw.CPU) *Tree[V] {
 // immortal reference go with this tree's pointer to it. A tree that never
 // forked never gets past the first check.
 func (t *Tree[V]) ownRoot(cpu *hw.CPU) *node[V] {
-	root := t.root.Load()
+	root := t.root
 	if !t.foreign(root) {
 		return root
 	}
 	cpu.Write(&t.rootLine)
 	cpu.AcquireBitIn(&t.rootBit, 1, &t.rootGate, hw.CauseSlotWait)
 	// Re-read under the bit: a racing operation may have copied it first.
-	if root = t.root.Load(); t.foreign(root) {
+	if root = t.root; t.foreign(root) {
 		old := root
 		root = t.linkCopy(cpu, old, 1)
-		t.root.Store(root)
+		t.root = root
 		cpu.Write(&t.rootLine)
 		old.unlockBits()
 		t.dropLink(cpu, old)
@@ -127,7 +127,7 @@ func (t *Tree[V]) ownRoot(cpu *hw.CPU) *node[V] {
 // leaf slot's page, a folded interior slot's whole span, a uniform fill once
 // for the node's entire range), but child subtrees are *shared* — the copy
 // links src's children directly, bumping their links counts. src's bits are
-// all held when linkCopy returns; the caller publishes the copy and then
+// all held when linkCopy returns; the caller links the copy in and then
 // releases them (src.unlockBits).
 //
 // The copy is a reader of src: it reads each of src's group lines once and
@@ -177,8 +177,8 @@ func (t *Tree[V]) linkCopy(cpu *hw.CPU, src *node[V], extra int64) *node[V] {
 	if dst.build {
 		// The image is complete, and every bit of src still held: the copy
 		// gets its directory and src the image, for its later copies.
-		dst.dir.Store(newGroupDirOf[V](dst.img.bits))
-		src.copyImg.Store(dst.img)
+		dst.dir = newGroupDirOf[V](dst.img.bits)
+		src.copyImg = dst.img
 	}
 	dst.obj = t.rc.NewObj(dst.used+extra, freeNode[V])
 	dst.obj.Data = dst.node
@@ -186,7 +186,7 @@ func (t *Tree[V]) linkCopy(cpu *hw.CPU, src *node[V], extra int64) *node[V] {
 }
 
 // divergeChild path-copies the foreign node child — pinned by the caller,
-// currently linked from n's slot idx — into a native copy, publishing it in
+// currently linked from n's slot idx — into a native copy, linking it into
 // the slot and dropping the shared node's link. It returns the replacement
 // with one traversal pin for the caller, or nil if the slot no longer
 // references child (another operation diverged it first, or the child
@@ -197,7 +197,7 @@ func (t *Tree[V]) divergeChild(cpu *hw.CPU, n *node[V], idx int, child *node[V])
 	// the bit is what serializes racing divergences of the same link.
 	cpu.Write(n.line(idx))
 	n.acquire(cpu, idx)
-	st := n.slot(idx).Load()
+	st := *n.slot(idx)
 	if st == nil || st.child != child.obj {
 		n.release(cpu, idx)
 		t.unpin(cpu, child)
@@ -208,9 +208,9 @@ func (t *Tree[V]) divergeChild(cpu *hw.CPU, n *node[V], idx int, child *node[V])
 	// by construction: descent only writes under native parents).
 	dst := t.linkCopy(cpu, child, 1)
 	dst.gen = n.gen
-	dst.parent.Store(n)
+	dst.parent = n
 	dst.parentIdx = idx
-	n.slot(idx).Store(&slotState[V]{child: dst.obj})
+	*n.slot(idx) = &slotState[V]{child: dst.obj}
 	cpu.Write(n.line(idx))
 	child.unlockBits()
 	// This tree's link moved to the private copy; drop the shared one.
@@ -225,7 +225,7 @@ func (t *Tree[V]) divergeChild(cpu *hw.CPU, n *node[V], idx int, child *node[V])
 // link releases the node's contents. Callers must hold a traversal pin on n
 // (or otherwise know it cannot be reclaimed mid-call).
 func (t *Tree[V]) dropLink(cpu *hw.CPU, n *node[V]) {
-	if n.links.Add(-1) > 0 {
+	if n.links--; n.links > 0 {
 		return
 	}
 	releaseContents(cpu, n)
@@ -245,7 +245,7 @@ func (t *Tree[V]) dropLink(cpu *hw.CPU, n *node[V]) {
 // that dies meanwhile is cleaned from their slots lazily (loadChild).
 func releaseContents[V any](cpu *hw.CPU, n *node[V]) {
 	t := n.tree
-	n.parent.Store(nil)
+	n.parent = nil
 	sp := span(n.level)
 	if n.uniSt != nil && t.hooks != nil {
 		hi := n.base + uint64(SlotsPerNode)*sp
@@ -261,7 +261,9 @@ func releaseContents[V any](cpu *hw.CPU, n *node[V]) {
 		if st.child != nil {
 			if obj := t.rc.TryGet(cpu, st.child); obj != nil {
 				child := obj.Data.(*node[V])
-				child.parent.CompareAndSwap(n, nil) // two releasers may share child
+				if child.parent == n { // two releasers may share child
+					child.parent = nil
+				}
 				t.dropLink(cpu, child)
 				t.rc.Dec(cpu, obj)
 			}
@@ -289,7 +291,7 @@ func releaseContents[V any](cpu *hw.CPU, n *node[V]) {
 // sweep, and how the parent side of a fork family retires. The caller must
 // guarantee no concurrent operations on t are in flight.
 func (t *Tree[V]) Release(cpu *hw.CPU) {
-	root := t.root.Load()
+	root := t.root
 	t.dropLink(cpu, root)
 	t.rc.Dec(cpu, root.obj)
 }

@@ -1,7 +1,6 @@
 package radix
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"radixvm/internal/hw"
@@ -196,9 +195,9 @@ func TestLazyForkFootprint(t *testing.T) {
 func TestLazyForkReleaseBalance(t *testing.T) {
 	m, rc, tr := newTree(1)
 	c := m.CPU(0)
-	var diverged, released atomic.Int64
-	tr.OnDiverge(func(_ *hw.CPU, lo, hi uint64, _, _ *val) bool { diverged.Add(int64(hi - lo)); return false })
-	tr.OnRelease(func(_ *hw.CPU, lo, hi uint64, _ *val) { released.Add(int64(hi - lo)) })
+	var diverged, released uint64
+	tr.OnDiverge(func(_ *hw.CPU, lo, hi uint64, _, _ *val) bool { diverged += hi - lo; return false })
+	tr.OnRelease(func(_ *hw.CPU, lo, hi uint64, _ *val) { released += hi - lo })
 
 	const pages = 8
 	for i := uint64(0); i < pages; i++ {
@@ -228,9 +227,9 @@ func TestLazyForkReleaseBalance(t *testing.T) {
 	}
 	tr.Release(c)
 	quiesce(rc)
-	if released.Load() != diverged.Load()+pages {
+	if released != diverged+pages {
 		t.Fatalf("release balance: %d released, want %d diverged + %d originals",
-			released.Load(), diverged.Load(), pages)
+			released, diverged, pages)
 	}
 }
 
@@ -294,17 +293,17 @@ func TestLazyForkConcurrent(t *testing.T) {
 // the way vm's OnDiverge arms COW, and counts each page's shares the way it
 // counts a frame's: 2 when it arms, 1 after. It returns the machine, its
 // cycle meters reset at that instant, and the shares.
-func siblingDivergences(t *testing.T, k, divergers int, run func(*hw.Machine, int, func(*hw.CPU, *hw.Gang))) (*hw.Machine, *[SlotsPerNode]atomic.Int64) {
+func siblingDivergences(t *testing.T, k, divergers int, run func(*hw.Machine, int, func(*hw.CPU, *hw.Gang))) (*hw.Machine, *[SlotsPerNode]int64) {
 	t.Helper()
 	m, rc, tr, full, _, _ := forkSourceOn(t, k+1)
-	shares := new([SlotsPerNode]atomic.Int64)
+	shares := new([SlotsPerNode]int64)
 	tr.OnDiverge(func(c *hw.CPU, lo, hi uint64, src, dst *val) bool {
 		wrote := markSource(c, lo, hi, src, dst)
 		if hi-lo == 1 && lo >= full && lo < full+span(1) {
 			if wrote {
-				shares[lo-full].Add(2)
+				shares[lo-full] += 2
 			} else {
-				shares[lo-full].Add(1)
+				shares[lo-full]++
 			}
 		}
 		return wrote
@@ -337,10 +336,10 @@ func runDet(m *hw.Machine, ncores int, fn func(*hw.CPU, *hw.Gang)) { hw.RunGangD
 
 // checkShares asserts that every page of the diverged leaf was armed once and
 // copied by each of k divergences: 2 + (k-1) shares.
-func checkShares(t *testing.T, shares *[SlotsPerNode]atomic.Int64, k int) {
+func checkShares(t *testing.T, shares *[SlotsPerNode]int64, k int) {
 	t.Helper()
 	for p := range shares {
-		if got := shares[p].Load(); got != int64(2+k-1) {
+		if got := shares[p]; got != int64(2+k-1) {
 			t.Fatalf("page %d of the leaf has %d shares after %d divergences, want %d", p, got, k, 2+k-1)
 		}
 	}
@@ -455,8 +454,8 @@ func TestReleasedFamilyKeepsOnlyPooledGroups(t *testing.T) {
 		for _, n := range x.cpu(c).pool {
 			pooled += countGroups(n)
 		}
-		if x.NodesLive() != 0 || x.groupsLive.Load() != pooled {
-			t.Errorf("after release: %d nodes live, %d groups counted live, %d of them pooled", x.NodesLive(), x.groupsLive.Load(), pooled)
+		if x.NodesLive() != 0 || x.groupsLive != pooled {
+			t.Errorf("after release: %d nodes live, %d groups counted live, %d of them pooled", x.NodesLive(), x.groupsLive, pooled)
 		}
 	}
 }

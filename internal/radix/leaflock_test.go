@@ -2,7 +2,6 @@ package radix
 
 import (
 	"math/rand"
-	"sync/atomic"
 	"testing"
 
 	"radixvm/internal/hw"
@@ -104,8 +103,8 @@ func TestConcurrentLeafLockers(t *testing.T) {
 		base := 8 * span(1)
 		m, _, tr := newTree(ncores)
 		setRange(tr, m.CPU(0), base, base+pages, &val{0})
-		var held [pages]atomic.Int32
-		var bumps atomic.Int64
+		var held [pages]int32
+		var bumps int64
 		hw.RunGang(m, ncores, seed, func(c *hw.CPU, g *hw.Gang) {
 			rng := rand.New(rand.NewSource(int64(c.ID())))
 			for k := 0; k < iters; k++ {
@@ -118,8 +117,10 @@ func TestConcurrentLeafLockers(t *testing.T) {
 				}
 				for i := range r.Entries() {
 					e := r.Entry(i)
-					if !held[e.Lo-base].CompareAndSwap(0, int32(c.ID())+1) {
-						t.Errorf("seed %d: core %d locked page %d while core %d held it", seed, c.ID(), e.Lo, held[e.Lo-base].Load()-1)
+					if h := &held[e.Lo-base]; *h != 0 {
+						t.Errorf("seed %d: core %d locked page %d while core %d held it", seed, c.ID(), e.Lo, *h-1)
+					} else {
+						*h = int32(c.ID()) + 1
 					}
 					v := e.Value()
 					if v == nil {
@@ -131,9 +132,9 @@ func TestConcurrentLeafLockers(t *testing.T) {
 				}
 				c.Tick(100) // the critical section
 				for i := range r.Entries() {
-					held[r.Entry(i).Lo-base].Store(0)
+					held[r.Entry(i).Lo-base] = 0
 				}
-				bumps.Add(int64(len(r.Entries())))
+				bumps += int64(len(r.Entries()))
 				r.Unlock()
 				g.Sync(c)
 			}
@@ -144,8 +145,8 @@ func TestConcurrentLeafLockers(t *testing.T) {
 				sum += int64(v.x)
 			}
 		}
-		if sum != bumps.Load() {
-			t.Errorf("seed %d: the pages' values add up to %d bumps, want %d", seed, sum, bumps.Load())
+		if sum != bumps {
+			t.Errorf("seed %d: the pages' values add up to %d bumps, want %d", seed, sum, bumps)
 		}
 	}
 }

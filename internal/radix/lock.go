@@ -72,7 +72,7 @@ func (t *Tree[V]) lockIn(r *Range[V], n *node[V], lo, hi uint64) {
 	sp := span(n.level)
 	// The walk below reads the line of every slot of n the range covers, so
 	// every one of their groups comes to exist: make the missing ones at
-	// once, in one allocation and one directory publish per node.
+	// once, in one allocation and one directory swap per node.
 	n.materialize(n.slotIndex(lo)/slotsPerLine, n.slotIndex(hi-1)/slotsPerLine)
 	for idx := n.slotIndex(lo); ; idx++ {
 		slotLo := n.slotBase(idx)
@@ -111,7 +111,7 @@ func (t *Tree[V]) step(r *Range[V], n *node[V], idx int) (*node[V], *slotState[V
 	for {
 		g := n.group(idx)
 		cpu.Read(&g.line)
-		st := g.sts[idx%slotsPerLine].Load()
+		st := g.sts[idx%slotsPerLine]
 		if st != nil && st.child != nil {
 			// Interior link: descend pinned, not locked.
 			child := t.loadChild(cpu, n, idx, st)
@@ -133,7 +133,7 @@ func (t *Tree[V]) step(r *Range[V], n *node[V], idx int) (*node[V], *slotState[V
 		// while we waited for the bit.
 		cpu.Write(&g.line) // CAS on the lock bit
 		n.acquire(cpu, idx)
-		if st = g.sts[idx%slotsPerLine].Load(); st != nil && st.child != nil {
+		if st = g.sts[idx%slotsPerLine]; st != nil && st.child != nil {
 			n.release(cpu, idx)
 			continue
 		}
@@ -173,7 +173,7 @@ func (t *Tree[V]) expand(cpu *hw.CPU, n *node[V], idx int, st *slotState[V]) *no
 		used = SlotsPerNode
 	}
 	child := t.newNode(cpu, n.level-1, n.slotBase(idx), fill, used, true)
-	child.parent.Store(n)
+	child.parent = n
 	child.parentIdx = idx
 	// The child inherits the parent *node's* generation, not the tree's
 	// current one: an op that validated n as native can race a concurrent
@@ -182,7 +182,7 @@ func (t *Tree[V]) expand(cpu *hw.CPU, n *node[V], idx int, st *slotState[V]) *no
 	// snapshot through n — the snapshot could then observe in-place writes.
 	// Stamping n.gen keeps the child exactly as foreign as its parent.
 	child.gen = n.gen
-	n.slot(idx).Store(&slotState[V]{child: child.obj})
+	*n.slot(idx) = &slotState[V]{child: child.obj}
 	cpu.Write(n.line(idx))
 	if st == nil {
 		t.rc.Inc(cpu, n.obj) // slot went empty -> used
@@ -309,7 +309,7 @@ func (r *Range[V]) Unlock() {
 // interior slot's Read before its CAS, or, in a child an expansion made,
 // the child's page zero.
 func (e *Entry[V]) Value() *V {
-	st := e.n.slot(e.idx).Load()
+	st := *e.n.slot(e.idx)
 	if st == nil {
 		return nil
 	}
@@ -326,10 +326,10 @@ func (e *Entry[V]) Set(v *V) {
 	t := e.r.t
 	cpu := e.r.cpu
 	s := e.n.slot(e.idx)
-	old := s.Load()
+	old := *s
 	cpu.Write(e.n.line(e.idx))
 	if v == nil {
-		s.Store(nil)
+		*s = nil
 		if old != nil {
 			t.rc.Dec(cpu, e.n.obj)
 			if old.carrier != nil {
@@ -341,7 +341,7 @@ func (e *Entry[V]) Set(v *V) {
 	if old != nil && old.child == nil && old.val == v {
 		return // identical state: nothing to swap in
 	}
-	s.Store(&slotState[V]{val: v})
+	*s = &slotState[V]{val: v}
 	if old == nil {
 		t.rc.Inc(cpu, e.n.obj)
 	} else if old.carrier != nil {
@@ -358,11 +358,11 @@ func (e *Entry[V]) SetClone(v *V) {
 	t := e.r.t
 	cpu := e.r.cpu
 	s := e.n.slot(e.idx)
-	old := s.Load()
+	old := *s
 	cpu.Write(e.n.line(e.idx))
 	c := t.getCarrier(cpu)
 	c.val = *v
-	s.Store(&c.st)
+	*s = &c.st
 	if old == nil {
 		t.rc.Inc(cpu, e.n.obj)
 	} else if old.carrier != nil {

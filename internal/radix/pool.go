@@ -46,28 +46,26 @@ func (t *Tree[V]) recycle(cpu *hw.CPU, n *node[V]) {
 	cs := t.cpu(cpu)
 	if len(cs.pool) >= poolCap {
 		// Pool full: let the GC take the node and its groups.
-		t.groupsLive.Add(-countGroups(n))
+		t.groupsLive -= countGroups(n)
 		return
 	}
 	var zeroV V
-	n.parent.Store(nil)
+	n.parent = nil
 	n.obj = nil
 	n.uniSt = nil
 	n.uniStore = slotState[V]{}
 	n.uniVal = zeroV // drop value references for the GC
 	n.uni = uniformGates{}
-	// Plain resets are legal: the node is unreachable, and the next
-	// incarnation is published through the parent slot's atomic store.
 	// An image-born copy drops its directory too: its entries without
 	// storage mean nothing without the image.
 	if cnt := countGroups(n); cnt > poolGroupCap || n.img != nil {
-		n.dir.Store(nil)
-		t.groupsLive.Add(-cnt)
+		n.dir = nil
+		t.groupsLive -= cnt
 	} else {
 		n.forEachGroup(func(_ int, g *slotGroup[V]) { resetGroup(g) })
 	}
 	n.img = nil
-	n.copyImg.Store(nil)
+	n.copyImg = nil
 	for w := range n.bits {
 		n.bits[w] = 0
 	}

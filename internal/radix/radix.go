@@ -66,7 +66,6 @@ package radix
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 	"unsafe"
 
 	"radixvm/internal/hw"
@@ -104,8 +103,8 @@ type Tree[V any] struct {
 	// root is the tree's root node. A fork freezes it, and the tree's next
 	// locking operation replaces it with a native copy (ownRoot) under
 	// rootBit, which with rootGate and rootLine plays the part of the parent
-	// slot a root does not have. Lookup loads root without a lock.
-	root     atomic.Pointer[node[V]]
+	// slot a root does not have. Lookup reads root without a lock.
+	root     *node[V]
 	rootBit  uint64
 	rootGate hw.Gate
 	rootLine hw.Line
@@ -114,7 +113,7 @@ type Tree[V any] struct {
 	// first operation: a lazily forked child runs on two or three cores of
 	// a 64-core machine. family is the tree NewCopy built, kept reachable by
 	// every tree it forks for its per-CPU states' Range carriers they borrow.
-	cpus   []atomic.Pointer[cpuState[V]]
+	cpus   []*cpuState[V]
 	family *Tree[V]
 
 	// gen is the tree's current generation. Nodes record the generation
@@ -122,25 +121,25 @@ type Tree[V any] struct {
 	// from the tree's — or that belongs to another tree outright — is
 	// *foreign*: shared with a lazily forked snapshot and copied on first
 	// write (see lazy.go). A tree that was never forked never bumps gen.
-	gen atomic.Uint64
+	gen uint64
 
 	// The fork's value hooks (SetHooks), inherited by ForkLazy children; nil
 	// for a tree of plain values.
 	hooks Hooks[V]
 
-	// The per-CPU holds (cpuState.hold) and lazyForks form the quiescence
+	// The per-CPU holds (cpuState.holds) and lazyForks form the quiescence
 	// gate that gives ForkLazy its whole-tree snapshot atomicity (lazy.go):
-	// every LockRange/LockPage raises its CPU's hold flag for its critical
+	// every LockRange/LockPage holds its CPU's count up for its critical
 	// section (no shared-line traffic, no virtual-time cost), and ForkLazy
 	// raises lazyForks and drains all holds before taking its snapshot, so
 	// no locked operation straddles the generation bump.
-	lazyForks atomic.Int32
+	lazyForks int32
 
-	nodesLive    atomic.Int64
-	nodesEver    atomic.Int64
-	groupsEver   atomic.Int64 // slot groups given storage (fresh allocations)
-	groupsLive   atomic.Int64 // slot groups with storage attached to live or pooled nodes
-	carriersEver atomic.Int64 // value carriers heap-allocated (the carrier-leak tripwire)
+	nodesLive    int64
+	nodesEver    int64
+	groupsEver   int64 // slot groups given storage (fresh allocations)
+	groupsLive   int64 // slot groups with storage attached to live or pooled nodes
+	carriersEver int64 // value carriers heap-allocated (the carrier-leak tripwire)
 }
 
 // uniformGates is the compact virtual-time gate state shared by every slot
@@ -200,7 +199,7 @@ func (u *uniformGates) release(i int, t uint64) {
 type slotGroup[V any] struct {
 	line  hw.Line
 	gates [slotsPerLine]hw.Gate
-	sts   [slotsPerLine]atomic.Pointer[slotState[V]]
+	sts   [slotsPerLine]*slotState[V]
 	slab  [slotsPerLine]slotState[V] // backs the states of slots holding a copy
 	vals  [slotsPerLine]V            // backs the copies
 }
@@ -212,9 +211,9 @@ type slotGroup[V any] struct {
 // as in the paper).
 type node[V any] struct {
 	tree      *Tree[V]
-	level     int                     // 0 at leaves
-	base      uint64                  // first VPN covered by this node
-	parent    atomic.Pointer[node[V]] // nil once released (releaseContents)
+	level     int      // 0 at leaves
+	base      uint64   // first VPN covered by this node
+	parent    *node[V] // nil once released (releaseContents)
 	parentIdx int
 	obj       *refcache.Obj // counts used slots + traversal pins
 
@@ -225,12 +224,12 @@ type node[V any] struct {
 	// node's contents (see lazy.go). Both are written only while the node
 	// is private or under its parent slot's lock bit.
 	gen   uint64
-	links atomic.Int32
+	links int32
 
 	// uniSt is the slot state every unmaterialized slot holds (nil for an
-	// empty node). It is written only while the node is unpublished and
-	// immutable afterwards: post-publication writes go through a slot's
-	// materialized group. uniStore and uniVal are its embedded backing: the
+	// empty node). It is written only while the node is unreachable and
+	// never after: once linked, writes go through a slot's materialized
+	// group. uniStore and uniVal are its embedded backing: the
 	// node allocates nothing for its fill and never aliases caller-owned
 	// storage — in particular not a value carrier's, which lets folded-slot
 	// expansion retire the carrier it just expanded.
@@ -240,8 +239,8 @@ type node[V any] struct {
 
 	uni uniformGates
 
-	bits [SlotsPerNode / 64]uint64   // packed slot lock bits
-	dir  atomic.Pointer[groupDir[V]] // the node's slot groups; nil = none
+	bits [SlotsPerNode / 64]uint64 // packed slot lock bits
+	dir  *groupDir[V]              // the node's slot groups; nil = none
 
 	// img is the image this node was born from, if it is a path copy of a
 	// frozen node. peek reads it with no lock, so it is set while the copy
@@ -250,7 +249,7 @@ type node[V any] struct {
 	// side: the image of this node's own copies, cached here by the first
 	// tree that path-copied it once no tree could write it anymore.
 	img     *nodeImage[V]
-	copyImg atomic.Pointer[nodeImage[V]]
+	copyImg *nodeImage[V]
 }
 
 // nodeImage is the state every path copy of one frozen node is born with.
@@ -264,7 +263,7 @@ type node[V any] struct {
 //
 // An image is immutable once its sweep ends, and it describes the source as
 // of the directory it was built over: a lookup that materializes a group in
-// the frozen source publishes a new directory, and the next divergence builds
+// the frozen source swaps in a new directory, and the next divergence builds
 // a new image. A repeat sweep also checks each source slot against src as it
 // goes, and falls back to mirroring if one has changed (shell.abandon).
 type nodeImage[V any] struct {
@@ -330,7 +329,7 @@ func (im *nodeImage[V]) fill(g *slotGroup[V], gi, upto int) {
 		default:
 			continue
 		}
-		storePlain(&g.sts[j], &g.slab[j])
+		g.sts[j] = &g.slab[j]
 	}
 }
 
@@ -384,16 +383,18 @@ func (s groupSet) below(gi int) groupSet {
 // (package comment) is present without storage: its entry stays nil until it
 // is realized.
 //
-// A published groupDir's membership is immutable. Adding groups
-// (materializeLocked) builds a new directory and publishes it with one
-// pointer store, so readers get a consistent bitmap+slice snapshot from a
-// single load; giving a present group its storage is one store into the
-// entry it already has. A node still private to the core constructing it has
-// its directory filled in place.
+// The membership of a directory a node has linked never changes. Adding
+// groups (materializeLocked) builds a new directory and swaps it in, because
+// a copy of a frozen node holds the directory it was sized from across its
+// sweep's preemption points (shell.over), while a lookup on another core may
+// materialize a group of the same node, and an image recognizes the
+// directory it describes by identity (nodeImage.over). Giving a present group
+// its storage is one store into the entry it already has. A node still
+// private to the core constructing it has its directory filled in place.
 type groupDir[V any] struct {
 	bits   groupSet
-	groups []atomic.Pointer[slotGroup[V]]
-	few    [dirInline]atomic.Pointer[slotGroup[V]] // backs groups while it fits
+	groups []*slotGroup[V]
+	few    [dirInline]*slotGroup[V] // backs groups while it fits
 }
 
 // dirInline is the number of directory entries a groupDir holds inline.
@@ -405,7 +406,7 @@ func newGroupDir[V any](n int) *groupDir[V] {
 	if n <= dirInline {
 		d.groups = d.few[:0]
 	} else {
-		d.groups = make([]atomic.Pointer[slotGroup[V]], 0, n)
+		d.groups = make([]*slotGroup[V], 0, n)
 	}
 	return d
 }
@@ -424,12 +425,11 @@ func newGroupDirOf[V any](set groupSet) *groupDir[V] {
 // filling it, which adds groups in ascending order.
 func (d *groupDir[V]) insert(gi int, g *slotGroup[V]) {
 	d.bits.add(gi)
-	d.groups = append(d.groups, atomic.Pointer[slotGroup[V]]{})
-	d.groups[len(d.groups)-1].Store(g)
+	d.groups = append(d.groups, g)
 }
 
 // entry returns group gi's directory entry, or nil if the group is absent.
-func (d *groupDir[V]) entry(gi int) *atomic.Pointer[slotGroup[V]] {
+func (d *groupDir[V]) entry(gi int) **slotGroup[V] {
 	if d == nil || !d.bits.has(gi) {
 		return nil
 	}
@@ -442,19 +442,19 @@ func (d *groupDir[V]) get(gi int) *slotGroup[V] {
 	if d == nil || !d.bits.has(gi) {
 		return nil
 	}
-	return d.groups[d.bits.rank(gi)].Load()
+	return d.groups[d.bits.rank(gi)]
 }
 
 // groupLoad returns the node's group gi, or nil if nothing has touched its
 // line yet.
 func (n *node[V]) groupLoad(gi int) *slotGroup[V] {
-	return n.dir.Load().get(gi)
+	return n.dir.get(gi)
 }
 
 // forEachGroup calls fn for every group that has storage, in ascending
 // group index order.
 func (n *node[V]) forEachGroup(fn func(gi int, g *slotGroup[V])) {
-	d := n.dir.Load()
+	d := n.dir
 	if d == nil {
 		return
 	}
@@ -464,7 +464,7 @@ func (n *node[V]) forEachGroup(fn func(gi int, g *slotGroup[V])) {
 		for bw != 0 {
 			b := bits.TrailingZeros64(bw)
 			bw &^= 1 << uint(b)
-			if g := d.groups[k].Load(); g != nil {
+			if g := d.groups[k]; g != nil {
 				fn(w*64+b, g)
 			}
 			k++
@@ -486,7 +486,7 @@ func (n *node[V]) group(idx int) *slotGroup[V] {
 // materialize gives groups [g0, g1], whose lines the caller is about to
 // touch, their storage if any of them lacks it.
 func (n *node[V]) materialize(g0, g1 int) {
-	d := n.dir.Load()
+	d := n.dir
 	for gi := g0; gi <= g1; gi++ {
 		if d.get(gi) == nil {
 			n.materializeLocked(g0, g1, true)
@@ -502,7 +502,7 @@ func (n *node[V]) materialize(g0, g1 int) {
 const realizeRun = 4
 
 // materializeLocked gives groups [g0, g1] their storage, in one allocation and
-// at most one directory publish. A group present without storage
+// at most one directory swap. A group present without storage
 // is realized together with its like in the aligned runs around the range.
 // If uniform is set, a group absent from the directory materializes out of the
 // node's uniform state; unlike a realization that is visible — a later fork
@@ -515,12 +515,12 @@ func (n *node[V]) materializeLocked(g0, g1 int, uniform bool) {
 	} else if !uniform {
 		return
 	}
-	d := n.dir.Load()
+	d := n.dir
 	var add groupSet
 	need := 0
 	for gi := w0; gi <= w1; gi++ {
 		if e := d.entry(gi); e != nil {
-			if e.Load() == nil {
+			if *e == nil {
 				need++
 			}
 		} else if uniform && g0 <= gi && gi <= g1 {
@@ -543,7 +543,7 @@ func (n *node[V]) materializeLocked(g0, g1 int, uniform bool) {
 		nd = newGroupDirOf[V](add)
 		for gi, k := 0, 0; d != nil && k < len(d.groups); gi++ {
 			if d.bits.has(gi) {
-				nd.groups[nd.bits.rank(gi)].Store(d.groups[k].Load())
+				nd.groups[nd.bits.rank(gi)] = d.groups[k]
 				k++
 			}
 		}
@@ -551,7 +551,7 @@ func (n *node[V]) materializeLocked(g0, g1 int, uniform bool) {
 	slab := make([]slotGroup[V], need)
 	for gi := w0; gi <= w1; gi++ {
 		e := nd.entry(gi)
-		if e == nil || e.Load() != nil {
+		if e == nil || *e != nil {
 			continue
 		}
 		g := &slab[0]
@@ -561,20 +561,19 @@ func (n *node[V]) materializeLocked(g0, g1 int, uniform bool) {
 		} else {
 			n.initGroup(g, gi)
 		}
-		e.Store(g)
+		*e = g
 	}
 	if nd != d {
-		n.dir.Store(nd)
+		n.dir = nd
 	}
-	n.tree.groupsEver.Add(int64(need))
-	n.tree.groupsLive.Add(int64(need))
+	n.tree.groupsEver += int64(need)
+	n.tree.groupsLive += int64(need)
 }
 
 // initGroup fills g with what the header stands for in slots
 // [gi*slotsPerLine, (gi+1)*slotsPerLine): copies of the uniform fill and
 // gates restored from the uniform gate history. Called on a materialization
-// or with the node unpublished (construction/recycling); the group pointer's
-// store publishes it.
+// or with the node unreachable (construction/recycling).
 func (n *node[V]) initGroup(g *slotGroup[V], gi int) {
 	base := gi * slotsPerLine
 	for j := 0; j < slotsPerLine; j++ {
@@ -583,7 +582,7 @@ func (n *node[V]) initGroup(g *slotGroup[V], gi int) {
 			st = &g.slab[j]
 			copyInto(st, &g.vals[j], n.uniSt.val)
 		}
-		storePlain(&g.sts[j], st)
+		g.sts[j] = st
 		g.gates[j].Restore(n.uni.freeAt(base+j), n.uni.busyStart)
 	}
 }
@@ -594,7 +593,7 @@ func resetGroup[V any](g *slotGroup[V]) {
 	g.line.Reset()
 	for j := 0; j < slotsPerLine; j++ {
 		g.gates[j].Reset()
-		storePlain(&g.sts[j], nil)
+		g.sts[j] = nil
 		g.slab[j] = slotState[V]{}
 		g.vals[j] = zeroV // drop value references for the GC
 	}
@@ -607,18 +606,18 @@ func resetGroup[V any](g *slotGroup[V]) {
 // model.
 func (n *node[V]) peek(idx int) *slotState[V] {
 	gi := idx / slotsPerLine
-	d := n.dir.Load()
+	d := n.dir
 	if d == nil || !d.bits.has(gi) {
 		return n.uniSt
 	}
-	if g := d.groups[d.bits.rank(gi)].Load(); g != nil {
-		return g.sts[idx%slotsPerLine].Load()
+	if g := d.groups[d.bits.rank(gi)]; g != nil {
+		return g.sts[idx%slotsPerLine]
 	}
 	return n.img.peek(gi, idx%slotsPerLine)
 }
 
 // slot returns slot idx's state word, materializing its group.
-func (n *node[V]) slot(idx int) *atomic.Pointer[slotState[V]] {
+func (n *node[V]) slot(idx int) **slotState[V] {
 	return &n.group(idx).sts[idx%slotsPerLine]
 }
 
@@ -647,8 +646,7 @@ func (n *node[V]) release(cpu *hw.CPU, idx int) {
 // release sweep (lockedDescend walking a freshly expanded child): ascending
 // contiguous index runs at at most two distinct virtual times (before and
 // after the boundary expansions). A slot whose group has no storage goes into
-// the plateau table, with the same gate-before-bit ordering ReleaseBitIn
-// provides (a locker that wins the freed bit observes the release time).
+// the plateau table.
 func (n *node[V]) bulkRelease(cpu *hw.CPU, idx int) {
 	mask := uint64(1) << (uint(idx) & 63)
 	if g := n.groupLoad(idx / slotsPerLine); g != nil {
@@ -663,8 +661,7 @@ func (n *node[V]) bulkRelease(cpu *hw.CPU, idx int) {
 // fault path's expansion step (§3.4: expand, then keep only the faulting
 // page's lock). All releases happen at one virtual instant, one plateau of
 // the uniform gate history; groups with storage (pooled nodes carry them) get
-// per-gate releases. Gate state is updated before any bit is cleared, exactly
-// as ReleaseBitIn orders it.
+// per-gate releases.
 func (n *node[V]) releaseAllExcept(cpu *hw.CPU, keep int) {
 	now := cpu.Now()
 	n.uni.release(0, now) // one plateau covers all unmaterialized slots
@@ -684,34 +681,19 @@ func (n *node[V]) releaseAllExcept(cpu *hw.CPU, keep int) {
 	}
 }
 
-// The plain-store fast path below assumes atomic.Pointer is exactly one
-// word; the two declarations assert size equality in both directions, so
-// compilation fails if a future runtime grows or shrinks the layout.
-var (
-	_ [unsafe.Sizeof(atomic.Pointer[int]{}) - unsafe.Sizeof(unsafe.Pointer(nil))]byte
-	_ [unsafe.Sizeof(unsafe.Pointer(nil)) - unsafe.Sizeof(atomic.Pointer[int]{})]byte
-)
-
-// storePlain initializes slot state p with a plain (non-atomic) store.
-// Only legal while the containing group is unpublished (group construction
-// or pool reset): the atomic store that later publishes the group (or the
-// node) orders these writes before any reader's atomic loads.
-func storePlain[V any](p *atomic.Pointer[slotState[V]], st *slotState[V]) {
-	*(**slotState[V])(unsafe.Pointer(p)) = st
-}
-
 // slotState is the content of a slot: either a child link (an interior
 // slot that has been expanded) or a value (a per-page value at a leaf, or a
 // folded value at an interior slot). nil slotState = empty.
 //
 // The three pointer words are written once, before the state is first
-// published through a slot, and never after — lock-free readers may hold a
-// slotState across a concurrent replacement, and immutability of the words
-// is what keeps those reads race-free. The *contents* of val follow a weaker
-// rule: they may be mutated under the owning slot's lock bit (the pagefault
-// path updates mapping metadata in place; a recycled carrier's value is
-// rewritten under its new slot's bit), so dereferencing a value obtained
-// without the slot's lock yields a point-in-time snapshot only.
+// stored in a slot, and never after: a lock-free reader (Lookup, a lock
+// walk's step) holds the state it read across the preemption points of its
+// line touches and pins, where another core may replace it in the slot, and
+// goes on reading what it holds. The *contents* of val follow a weaker rule:
+// they may be mutated under the owning slot's lock bit (the pagefault path
+// updates mapping metadata in place; a recycled carrier's value is rewritten
+// under its new slot's bit), so dereferencing a value obtained without the
+// slot's lock yields a point-in-time snapshot only.
 type slotState[V any] struct {
 	child   *refcache.Obj // Data holds the *node[V]; the weak reference TryGet pins through
 	val     *V
@@ -725,7 +707,7 @@ type slotState[V any] struct {
 func NewCopy[V any](m *hw.Machine, rc *refcache.Refcache) *Tree[V] {
 	t := treeShell[V](m, rc)
 	t.family = t
-	t.root.Store(t.newNode(nil, Levels-1, 0, nil, 0, false))
+	t.root = t.newNode(nil, Levels-1, 0, nil, 0, false)
 	// The root's object holds one immortal reference for the tree's pointer
 	// to it, dropped only when the tree replaces the root or is released.
 	return t
@@ -738,7 +720,7 @@ func treeShell[V any](m *hw.Machine, rc *refcache.Refcache) *Tree[V] {
 		m:        m,
 		rc:       rc,
 		pageZero: m.Config().PageZero,
-		cpus:     make([]atomic.Pointer[cpuState[V]], m.NCores()),
+		cpus:     make([]*cpuState[V], m.NCores()),
 	}
 }
 
@@ -746,11 +728,14 @@ func treeShell[V any](m *hw.Machine, rc *refcache.Refcache) *Tree[V] {
 // family's Range carrier, recycled value carriers and the SetClone template
 // — which together make the steady-state lock, fault and mmap/munmap paths
 // allocation-free — plus the CPU's slot in the lazy-fork quiescence gate.
-// All of it but hold.flag is the CPU's own state, like Refcache's delta
-// caches: touched only by the proc driving that CPU. Each is a heap object of its own (~300 B; ~1 KB with the
-// carrier), which keeps two CPUs' hot words out of one host cache line.
+// All of it but holds is the CPU's own state, like Refcache's delta caches:
+// touched only by the proc driving that CPU. Each is a heap object of its own
+// (~300 B; ~1 KB with the carrier).
 type cpuState[V any] struct {
-	hold     opHold
+	// holds is the CPU's slot in the quiescence gate: how many locked
+	// operations on the tree it is inside, counted from when it passed the
+	// gate. ForkLazy waits for every CPU's to drain.
+	holds    int32
 	pool     []*node[V]     // recycled nodes (pool.go)
 	carriers carrierPool[V] // recycled value carriers (carrier.go)
 	template V              // see Tree.Template
@@ -766,10 +751,10 @@ type cpuState[V any] struct {
 
 // cpu returns cpu's scratch state, building it on the CPU's first use of
 // the tree. Only the CPU's own proc stores its slot; ForkLazy scans every
-// slot's hold flag.
+// slot's holds.
 func (t *Tree[V]) cpu(cpu *hw.CPU) *cpuState[V] {
 	p := &t.cpus[cpu.ID()]
-	if cs := p.Load(); cs != nil {
+	if cs := *p; cs != nil {
 		return cs
 	}
 	var cs *cpuState[V]
@@ -782,7 +767,7 @@ func (t *Tree[V]) cpu(cpu *hw.CPU) *cpuState[V] {
 		})
 		cs, s.cpuState.rng = &s.cpuState, &s.rng
 	}
-	p.Store(cs)
+	*p = cs
 	return cs
 }
 
@@ -791,48 +776,36 @@ func (t *Tree[V]) cpu(cpu *hw.CPU) *cpuState[V] {
 // contents do not survive the CPU's next use of it.
 func (t *Tree[V]) Template(cpu *hw.CPU) *V { return &t.cpu(cpu).template }
 
-// opHold is one CPU's slot in the lazy-fork quiescence gate. depth is the
-// CPU's own state; flag is the published in-critical-section marker ForkLazy
-// scans.
-type opHold struct {
-	depth int32
-	flag  atomic.Int32
-}
-
 // opEnter marks cpu as inside a locked operation on t, waiting out a
 // draining ForkLazy first (a preemption point, and a wait while one drains).
-// Nested ranges on one CPU just deepen the existing hold.
+// Nested ranges on one CPU just deepen the existing hold. A CPU waiting at
+// the gate holds nothing, so that the ForkLazy it waits for does not wait for
+// it.
 func (t *Tree[V]) opEnter(cpu *hw.CPU) *cpuState[V] {
 	cs := t.cpu(cpu)
-	h := &cs.hold
-	h.depth++
-	if h.depth > 1 {
+	if cs.holds > 0 {
+		cs.holds++
 		return cs
 	}
 	cpu.Preempt()
-	for t.lazyForks.Load() != 0 {
+	for t.lazyForks != 0 {
 		cpu.Stall()
 	}
-	h.flag.Store(1)
+	cs.holds = 1
 	return cs
 }
 
-// opExit ends cpu's hold (when the outermost range unlocks).
-func (t *Tree[V]) opExit(cpu *hw.CPU) {
-	h := &t.cpu(cpu).hold
-	h.depth--
-	if h.depth == 0 {
-		h.flag.Store(0)
-	}
-}
+// opExit ends one of cpu's holds (the CPU's last when the outermost range
+// unlocks).
+func (t *Tree[V]) opExit(cpu *hw.CPU) { t.cpu(cpu).holds-- }
 
 // newNode allocates (or recycles) a node at the given level, born uniform:
 // its slots all logically hold copies of fill (nil for an empty node). If
 // locked, every slot's lock bit is taken by the caller (lock-bit propagation
 // during expansion). The caller receives the node with one traversal pin
 // already held on cpu (none for the root, which instead gets an immortal
-// reference); the node is private until the caller publishes it through the
-// parent slot's atomic store.
+// reference); the node is private until the caller links it into the parent
+// slot.
 func (t *Tree[V]) newNode(cpu *hw.CPU, level int, base uint64, fill *V, used int64, locked bool) *node[V] {
 	n := t.header(cpu, level, base)
 	if fill != nil {
@@ -842,7 +815,7 @@ func (t *Tree[V]) newNode(cpu *hw.CPU, level int, base uint64, fill *V, used int
 		copyInto(n.uniSt, &n.uniVal, fill)
 	}
 	if locked {
-		// Lock-bit propagation (§3.4) in bulk: the node is unpublished,
+		// Lock-bit propagation (§3.4) in bulk: the node is unreachable,
 		// so no contention is possible and no cost is charged — exactly
 		// as acquiring 512 fresh, free bits.
 		n.uni.busyStart = cpu.Now()
@@ -881,37 +854,36 @@ func (t *Tree[V]) header(cpu *hw.CPU, level int, base uint64) *node[V] {
 	n.tree, n.level, n.base = t, level, base
 	n.uniSt = nil
 	n.uni = uniformGates{}
-	n.gen = t.gen.Load()
-	n.links.Store(1)
-	t.nodesLive.Add(1)
-	t.nodesEver.Add(1)
+	n.gen = t.gen
+	n.links = 1
+	t.nodesLive++
+	t.nodesEver++
 	return n
 }
 
 // freeNode is the Refcache callback that reclaims an empty node: it clears
-// the parent's slot (racing fairly with concurrent lockers via CAS), drops
-// the used-slot reference the child link held on the parent, and recycles
-// the node.
+// the parent's slot if the slot still links the node, drops the used-slot
+// reference the child link held on the parent, and recycles the node.
 func freeNode[V any](cpu *hw.CPU, o *refcache.Obj) {
 	n := o.Data.(*node[V])
 	t := n.tree
-	t.nodesLive.Add(-1)
-	p := n.parent.Load()
+	t.nodesLive--
+	p := n.parent
 	if p == nil {
 		// A root, or a node whose contents were released: no parent slot
 		// to clear, and the node goes to the GC.
-		t.groupsLive.Add(-countGroups(n))
+		t.groupsLive -= countGroups(n)
 		return
 	}
-	s := p.slot(n.parentIdx)
-	st := s.Load()
-	if st != nil && st.child == o && s.CompareAndSwap(st, nil) {
+	if s := p.slot(n.parentIdx); *s != nil && (*s).child == o {
+		*s = nil
 		cpu.Write(p.line(n.parentIdx))
 		t.rc.Dec(cpu, p.obj)
 	}
-	// If the CAS failed, a locker already replaced the dead link and took
-	// over the accounting. Either way no core can reach n anymore (its true
-	// count is zero: no pins, no used slots), so it is safe to recycle.
+	// If the slot links something else, a locker already replaced the dead
+	// link and took over the accounting. Either way no core can reach n
+	// anymore (its true count is zero: no pins, no used slots), so it is safe
+	// to recycle.
 	o.Data = nil
 	t.recycle(cpu, n)
 }
@@ -928,11 +900,11 @@ func (n *node[V]) slotBase(idx int) uint64 {
 }
 
 // NodesLive returns the number of currently allocated tree nodes.
-func (t *Tree[V]) NodesLive() int64 { return t.nodesLive.Load() }
+func (t *Tree[V]) NodesLive() int64 { return t.nodesLive }
 
 // Bytes returns the tree's simulated structural memory footprint, the
 // paper's Table 2 accounting (every node is an 8 KB page there).
-func (t *Tree[V]) Bytes() uint64 { return uint64(t.nodesLive.Load()) * NodeBytes }
+func (t *Tree[V]) Bytes() uint64 { return uint64(t.nodesLive) * NodeBytes }
 
 // FootprintBytes estimates the tree's real Go-side memory: compact node
 // headers plus the slot groups that have storage (each charged one directory
@@ -943,8 +915,8 @@ func (t *Tree[V]) Bytes() uint64 { return uint64(t.nodesLive.Load()) * NodeBytes
 // child's footprint is one root header, growing only as divergence
 // path-copies nodes into it.
 func (t *Tree[V]) FootprintBytes() uint64 {
-	return uint64(t.nodesLive.Load())*uint64(unsafe.Sizeof(node[V]{})) +
-		uint64(t.groupsLive.Load())*uint64(unsafe.Sizeof(slotGroup[V]{})+unsafe.Sizeof(uintptr(0)))
+	return uint64(t.nodesLive)*uint64(unsafe.Sizeof(node[V]{})) +
+		uint64(t.groupsLive)*uint64(unsafe.Sizeof(slotGroup[V]{})+unsafe.Sizeof(uintptr(0)))
 }
 
 func checkRange(lo, hi uint64) {
@@ -960,9 +932,11 @@ func checkRange(lo, hi uint64) {
 func (t *Tree[V]) loadChild(cpu *hw.CPU, n *node[V], idx int, st *slotState[V]) *node[V] {
 	obj := t.rc.TryGet(cpu, st.child)
 	if obj == nil {
-		// The child died. Whoever swings the slot to nil does the
-		// parent accounting; the loser simply moves on.
-		if n.slot(idx).CompareAndSwap(st, nil) {
+		// The child died. TryGet touched a line, where another core may
+		// have cleared the slot first (its own loadChild or a locker):
+		// whoever clears it does the parent accounting.
+		if s := n.slot(idx); *s == st {
+			*s = nil
 			cpu.Write(n.line(idx))
 			t.rc.Dec(cpu, n.obj)
 		}
@@ -981,7 +955,7 @@ func (t *Tree[V]) unpin(cpu *hw.CPU, n *node[V]) {
 // tree outright (a ForkLazy child still linking parent nodes) or n predates
 // t's current generation (the parent side after ForkLazy bumped it).
 func (t *Tree[V]) foreign(n *node[V]) bool {
-	return n.tree != t || n.gen != t.gen.Load()
+	return n.tree != t || n.gen != t.gen
 }
 
 // Hooks are the fork's value hooks: what the tree's owner does to a value
@@ -1022,7 +996,7 @@ func (t *Tree[V]) SetHooks(h Hooks[V]) { t.hooks = h }
 // a slot group materializes it.
 func (t *Tree[V]) Lookup(cpu *hw.CPU, vpn uint64) *V {
 	checkRange(vpn, vpn+1)
-	n := t.root.Load()
+	n := t.root
 	var pinned [Levels]*node[V]
 	np := 0
 	var ret *V
@@ -1030,7 +1004,7 @@ func (t *Tree[V]) Lookup(cpu *hw.CPU, vpn uint64) *V {
 		idx := n.slotIndex(vpn)
 		g := n.group(idx)
 		cpu.Read(&g.line)
-		st := g.sts[idx%slotsPerLine].Load()
+		st := g.sts[idx%slotsPerLine]
 		if st == nil {
 			break
 		}

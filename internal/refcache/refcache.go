@@ -25,8 +25,6 @@ package refcache
 
 import (
 	"fmt"
-	"sync/atomic"
-	"unsafe"
 
 	"radixvm/internal/fifo"
 	"radixvm/internal/hw"
@@ -46,17 +44,15 @@ type Refcache struct {
 	slots     uint64
 	localHit  uint64 // m.Config().LocalHit, hoisted out of the Inc/Dec path
 	cores     []coreState
-	nextObjID atomic.Uint64
+	nextObjID uint64
 
-	epoch      atomic.Uint64 // current global epoch
-	epochLine  hw.Line       // the cache line holding the global epoch
-	numFlushed int           // cores that have flushed in the current epoch
+	epoch      uint64  // current global epoch
+	epochLine  hw.Line // the cache line holding the global epoch
+	numFlushed int     // cores that have flushed in the current epoch
 }
 
-// cacheLine is the (real) host cache-line size the per-core padding targets.
-const cacheLine = 64
-
-type coreStateData struct {
+// coreState is one core's delta cache and review queue.
+type coreState struct {
 	cache     []entry
 	review    fifo.Queue[reviewEntry]
 	epoch     uint64 // last epoch this core flushed in
@@ -66,15 +62,6 @@ type coreStateData struct {
 	// queue has been when a pass began.
 	reviews    uint64
 	reviewHigh int
-}
-
-// coreState pads coreStateData to a whole multiple of the cache-line size,
-// so adjacent cores' delta caches in the cores slice can never share a
-// line. (A fixed-size tail pad is not enough: it left the struct at 96
-// bytes, straddling every other line boundary.)
-type coreState struct {
-	coreStateData
-	_ [(cacheLine - unsafe.Sizeof(coreStateData{})%cacheLine) % cacheLine]byte
 }
 
 type entry struct {
@@ -105,7 +92,7 @@ func NewSized(m *hw.Machine, slots int) *Refcache {
 	}
 	rc := &Refcache{m: m, slots: uint64(slots), localHit: m.Config().LocalHit}
 	rc.cores = make([]coreState, m.NCores())
-	rc.epoch.Store(1)
+	rc.epoch = 1
 	return rc
 }
 
@@ -167,7 +154,8 @@ func (rc *Refcache) NewObj(initial int64, free func(*hw.CPU, *Obj)) *Obj {
 // count behaves like freshly allocated memory — cold, owned by nobody —
 // exactly as a heap-allocated Obj would.
 func (rc *Refcache) InitObj(o *Obj, initial int64, free func(*hw.CPU, *Obj)) {
-	o.id = rc.nextObjID.Add(1)
+	rc.nextObjID++
+	o.id = rc.nextObjID
 	o.refcnt = initial
 	o.dirty = false
 	o.onReview = false
@@ -186,7 +174,7 @@ func (o *Obj) GlobalCount() int64 { return o.refcnt }
 func (o *Obj) Freed() bool { return o.weak == weakDead }
 
 func (rc *Refcache) slot(cpu *hw.CPU, o *Obj) *entry {
-	cs := &rc.cores[cpu.ID()].coreStateData
+	cs := &rc.cores[cpu.ID()]
 	if cs.cache == nil {
 		cs.cache = make([]entry, rc.slots)
 	}
@@ -249,7 +237,7 @@ func (rc *Refcache) evict(cpu *hw.CPU, o *Obj, delta int64) {
 		o.dirty = false
 		o.onReview = true
 		cs := &rc.cores[cpu.ID()]
-		cs.review.Push(reviewEntry{obj: o, epoch: rc.epoch.Load()})
+		cs.review.Push(reviewEntry{obj: o, epoch: rc.epoch})
 		o.setDying(cpu, true)
 	}
 }
@@ -261,7 +249,7 @@ func (rc *Refcache) evict(cpu *hw.CPU, o *Obj, delta int64) {
 // simulated core's loop; it is cheap when no flush is due.
 func (rc *Refcache) Maintain(cpu *hw.CPU) {
 	cs := &rc.cores[cpu.ID()]
-	ge := rc.epoch.Load()
+	ge := rc.epoch
 	if cs.epoch >= ge {
 		return // already flushed in this epoch
 	}
@@ -292,11 +280,11 @@ func (rc *Refcache) flushCore(cpu *hw.CPU, ge uint64) {
 	cpu.Write(&rc.epochLine)
 	// Join the barrier at most once per epoch per core (a core may flush
 	// again in the same epoch via FlushAll after Maintain already ran).
-	if rc.epoch.Load() == ge && !alreadyFlushed {
+	if rc.epoch == ge && !alreadyFlushed {
 		rc.numFlushed++
 		if rc.numFlushed == len(rc.cores) {
 			rc.numFlushed = 0
-			rc.epoch.Store(ge + 1)
+			rc.epoch = ge + 1
 		}
 	}
 
@@ -313,7 +301,7 @@ func (rc *Refcache) flushCore(cpu *hw.CPU, ge uint64) {
 // objects via evict; those land behind the tail, where the pass never looks.
 func (rc *Refcache) reviewCore(cpu *hw.CPU) {
 	cs := &rc.cores[cpu.ID()]
-	now := rc.epoch.Load()
+	now := rc.epoch
 	q := &cs.review
 	n := q.Len()
 	if n > cs.reviewHigh {
@@ -384,7 +372,7 @@ func (rc *Refcache) ReviewQueueHighWater() int {
 // guarantees any object whose true count is zero has been freed (flush,
 // the 2-epoch review delay, review).
 func (rc *Refcache) FlushAll() {
-	ge := rc.epoch.Load()
+	ge := rc.epoch
 	for i := 0; i < rc.m.NCores(); i++ {
 		rc.flushCore(rc.m.CPU(i), ge)
 	}

@@ -102,7 +102,7 @@ func TestFalseZeroFromReordering(t *testing.T) {
 	rc.Dec(m.CPU(0), o)
 	rc.Inc(m.CPU(1), o)
 	// Flush core 0 first (global drops to 0 and is queued), then core 1.
-	ge := rc.epoch.Load()
+	ge := rc.epoch
 	rc.flushCore(m.CPU(0), ge)
 	if o.GlobalCount() != 0 {
 		t.Fatalf("global = %d after dec flush", o.GlobalCount())
@@ -504,7 +504,7 @@ func newReviewWorld() *reviewWorld {
 		}
 	}
 	queue := func(epoch uint64, n int) {
-		w.rc.epoch.Store(epoch)
+		w.rc.epoch = epoch
 		for i := range n {
 			o := w.rc.NewObj(1, free)
 			w.rc.evict(w.cpu, o, -1) // zero: queued
@@ -527,7 +527,7 @@ func newReviewWorld() *reviewWorld {
 // whatever free callbacks queued during the pass appended after that.
 func oldReview(rc *Refcache, cpu *hw.CPU, q []reviewEntry) []reviewEntry {
 	cs := &rc.cores[cpu.ID()]
-	now := rc.epoch.Load()
+	now := rc.epoch
 	w, i := 0, 0
 	for ; i < len(q); i++ {
 		re := q[i]
@@ -588,9 +588,9 @@ func TestReviewOrderAcrossBlocks(t *testing.T) {
 		if now > 20 {
 			t.Fatalf("queues not drained by epoch 20: %d and %d entries left", q.Len(), len(ref))
 		}
-		got.rc.epoch.Store(now)
+		got.rc.epoch = now
 		got.rc.reviewCore(got.cpu)
-		want.rc.epoch.Store(now)
+		want.rc.epoch = now
 		ref = oldReview(want.rc, want.cpu, ref)
 
 		if !slices.Equal(got.freed, want.freed) {

@@ -1,36 +1,24 @@
 package skiplist
 
-import "sync/atomic"
-
-// markable is an atomic (pointer, marked) pair, the moral equivalent of
-// Java's AtomicMarkableReference: the pair is replaced wholesale by CAS on
-// an immutable cell.
+// markable is a (next, marked) pair, the moral equivalent of Java's
+// AtomicMarkableReference: the pair changes as a whole, between two
+// preemption points.
 type markable struct {
-	p atomic.Pointer[markCell]
-}
-
-type markCell struct {
 	next   *node
 	marked bool
 }
 
-func (m *markable) load() (*node, bool) {
-	c := m.p.Load()
-	if c == nil {
-		return nil, false
-	}
-	return c.next, c.marked
-}
+func (m *markable) load() (*node, bool) { return m.next, m.marked }
 
-func (m *markable) store(n *node, marked bool) {
-	m.p.Store(&markCell{next: n, marked: marked})
-}
+func (m *markable) store(n *node, marked bool) { m.next, m.marked = n, marked }
 
-// compareAndSwap replaces (oldN, oldMark) with (newN, newMark) atomically.
+// compareAndSwap replaces (oldN, oldMark) with (newN, newMark) if the pair
+// still holds them: a caller that read it before a line touch may find that
+// another core changed it there.
 func (m *markable) compareAndSwap(oldN *node, oldMark bool, newN *node, newMark bool) bool {
-	c := m.p.Load()
-	if c == nil || c.next != oldN || c.marked != oldMark {
+	if m.next != oldN || m.marked != oldMark {
 		return false
 	}
-	return m.p.CompareAndSwap(c, &markCell{next: newN, marked: newMark})
+	m.next, m.marked = newN, newMark
+	return true
 }

@@ -6,8 +6,8 @@
 // O(log n) search, and lookups must re-read those cache lines — the
 // contention Figure 6 measures.
 //
-// Marked-pointer pairs are represented as immutable (next, marked) structs
-// swapped atomically, equivalent to the book's AtomicMarkableReference.
+// Marked-pointer pairs are (next, marked) structs that change as a whole,
+// equivalent to the book's AtomicMarkableReference.
 package skiplist
 
 import (
@@ -124,34 +124,26 @@ func (l *List) Insert(cpu *hw.CPU, rng *rand.Rand, key uint64) bool {
 // Delete removes key; it returns false if no unmarked node carries the key.
 func (l *List) Delete(cpu *hw.CPU, key uint64) bool {
 	var preds, succs [MaxLevel + 1]*node
-	for {
-		if !l.find(cpu, key, &preds, &succs) {
-			return false
-		}
-		victim := succs[0]
-		// Mark the tower top-down (logical deletion above the bottom).
-		for lvl := victim.topLevel; lvl >= 1; lvl-- {
-			succ, marked := victim.succs[lvl].load()
-			for !marked {
-				victim.succs[lvl].compareAndSwap(succ, false, succ, true)
-				cpu.Write(&victim.line)
-				succ, marked = victim.succs[lvl].load()
-			}
-		}
-		// Marking the bottom level linearizes the delete; only one
-		// caller wins.
-		for {
-			succ, marked := victim.succs[0].load()
-			if marked {
-				return false // another delete won
-			}
-			if victim.succs[0].compareAndSwap(succ, false, succ, true) {
-				cpu.Write(&victim.line)
-				l.find(cpu, key, &preds, &succs) // physically unlink
-				return true
-			}
+	if !l.find(cpu, key, &preds, &succs) {
+		return false
+	}
+	victim := succs[0]
+	// Mark the tower top-down (logical deletion above the bottom).
+	for lvl := victim.topLevel; lvl >= 1; lvl-- {
+		if succ, marked := victim.succs[lvl].load(); !marked {
+			victim.succs[lvl].store(succ, true)
+			cpu.Write(&victim.line)
 		}
 	}
+	// Marking the bottom level linearizes the delete; only one caller wins.
+	succ, marked := victim.succs[0].load()
+	if marked {
+		return false // another delete won
+	}
+	victim.succs[0].store(succ, true)
+	cpu.Write(&victim.line)
+	l.find(cpu, key, &preds, &succs) // physically unlink
+	return true
 }
 
 // Contains is the wait-free lookup: it never writes shared memory, only

@@ -1,8 +1,6 @@
 package vm
 
 import (
-	"sync/atomic"
-
 	"radixvm/internal/counter"
 	"radixvm/internal/hw"
 	"radixvm/internal/mem"
@@ -61,7 +59,7 @@ type AddressSpace struct {
 	// between means the fork's wholesale invalidation may already have
 	// swept this core, so the just-installed translation — derived from
 	// possibly pre-divergence metadata — is undone and the fault retried.
-	forkGen atomic.Uint64
+	forkGen uint64
 
 	active ActiveSet
 
@@ -69,7 +67,7 @@ type AddressSpace struct {
 	// waits for it to drain before it marks the space exited and releases
 	// the tree, so a writeback can never walk freed radix nodes.
 	revoking int
-	exited   atomic.Bool
+	exited   bool
 }
 
 // New creates an address space on machine m. mmu selects the paper's
@@ -311,7 +309,7 @@ func (as *AddressSpace) fault(cpu *hw.CPU, vpn uint64, k Kind, trapped bool) err
 // shootdown of the page) and the fault re-runs under the new epoch — whose
 // LockPage descent then diverges the metadata first.
 func (as *AddressSpace) faultOnce(cpu *hw.CPU, vpn uint64, k Kind, trapped bool) (error, bool) {
-	gen := as.forkGen.Load()
+	gen := as.forkGen
 	r := as.tree.LockPage(cpu, vpn)
 	defer r.Unlock()
 	e := r.Entry(0)
@@ -352,7 +350,7 @@ func (as *AddressSpace) faultOnce(cpu *hw.CPU, vpn uint64, k Kind, trapped bool)
 	as.mmu.Fill(cpu, vpn, v.Frame.PFN, v.permBits())
 	v.TLBCores.Add(cpu.ID())
 	e.Set(v)
-	if as.forkGen.Load() != gen {
+	if as.forkGen != gen {
 		// A fork's invalidation raced this fault; the translation
 		// just installed may be stale. Undo it and retry: on per-core
 		// tables only this core holds it, but on the shared table any

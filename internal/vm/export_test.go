@@ -51,7 +51,7 @@ func (f *File) Holders() int {
 }
 
 // Exited reports whether as has exited.
-func (as *AddressSpace) Exited() bool { return as.exited.Load() }
+func (as *AddressSpace) Exited() bool { return as.exited }
 
 // SlotsBuilt returns how many cores' slots mmu has built.
 func (mmu *PerCoreMMU) SlotsBuilt() int {

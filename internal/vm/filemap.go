@@ -57,7 +57,7 @@ func (b *revokeBatch) flush(cpu *hw.CPU, alloc *mem.Allocator) {
 // per mapping address space. The mapping metadata itself survives, so a
 // post-writeback access refaults through the page cache. Allocates nothing.
 func (as *AddressSpace) revokeFile(cpu *hw.CPU, f *File, delta, lo, hi uint64, b *revokeBatch) (int, int) {
-	if as.exited.Load() {
+	if as.exited {
 		return 0, 0 // a leftover holder entry: the space unmapped, then exited
 	}
 	as.revoking++

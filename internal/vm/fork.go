@@ -40,7 +40,7 @@ func (as *AddressSpace) Fork(cpu *hw.CPU) (System, error) {
 	child := &AddressSpace{m: as.m, rc: as.rc, alloc: as.alloc, mmu: as.newChildMMU()}
 	child.tree = as.tree.ForkLazy(cpu)
 	child.wireTree()
-	as.forkGen.Add(1)
+	as.forkGen++
 	as.mmu.Reset(cpu, as.activeSet())
 	return child, nil
 }
@@ -122,7 +122,7 @@ func (as *AddressSpace) OnRelease(cpu *hw.CPU, lo, hi uint64, v *Mapping) {
 	if v.altCtr != nil {
 		v.altCtr.Dec(cpu)
 	}
-	if v.Back.File != nil && as.exited.Load() {
+	if v.Back.File != nil && as.exited {
 		v.Back.File.dropHolder(cpu, v.Back.Offset+(lo-v.Start), as)
 	}
 }
@@ -144,7 +144,7 @@ func (as *AddressSpace) Exit(cpu *hw.CPU) {
 	for as.revoking > 0 {
 		cpu.Stall()
 	}
-	as.exited.Store(true)
+	as.exited = true
 	as.tree.Release(cpu)
 	as.mmu.Reset(cpu, as.activeSet())
 }

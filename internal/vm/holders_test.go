@@ -2,7 +2,6 @@ package vm_test
 
 import (
 	"errors"
-	"sync/atomic"
 	"testing"
 
 	"radixvm/internal/hw"
@@ -53,12 +52,12 @@ func TestHolderOracleFaultVsTruncate(t *testing.T) {
 		must(t, sys.Mmap(c0, holdFile, 64, vm.MapOpts{Prot: rw, File: f}))
 		// The readers run for as long as the ticker does and a little longer,
 		// so the race covers every revocation and leaves pages held.
-		var tickerDone atomic.Bool
+		var tickerDone bool
 		hw.RunGang(w.m, gangCores, w.seed, func(c *hw.CPU, g *hw.Gang) {
 			for k, after := 0, 0; after < 8; k++ {
 				switch {
 				case c.ID() != 0:
-					if tickerDone.Load() {
+					if tickerDone {
 						after++
 					}
 					v := holdFile + uint64(k*7+c.ID()*13)%64
@@ -70,7 +69,7 @@ func TestHolderOracleFaultVsTruncate(t *testing.T) {
 					f.Extend(64)
 					f.Writeback(c, uint64(k)%48, 16)
 				default:
-					tickerDone.Store(true)
+					tickerDone = true
 					after = 8
 				}
 				w.rc.Maintain(c)
@@ -104,7 +103,7 @@ func TestHolderOracleWritebackVsForkCOWExit(t *testing.T) {
 		alive := []*vm.AddressSpace{sys.(*vm.AddressSpace)}
 		// The forkers run for as long as the ticker does and one round
 		// longer, so the race leaves the parent holding pages.
-		var tickerDone atomic.Bool
+		var tickerDone bool
 		hw.RunGang(w.m, gangCores, w.seed, func(c *hw.CPU, g *hw.Gang) {
 			for k, last := 0, false; !last; k++ {
 				if c.ID() == 0 {
@@ -114,9 +113,9 @@ func TestHolderOracleWritebackVsForkCOWExit(t *testing.T) {
 						f.Extend(32)
 					}
 					last = k == 23
-					tickerDone.Store(last)
+					tickerDone = last
 				} else {
-					last = k >= 23 && tickerDone.Load()
+					last = k >= 23 && tickerDone
 					// The parent holds a file page the child will not read
 					// when it forks, revoked or not a moment ago.
 					mustT(t, sys.Access(c, holdFile+20+uint64(c.ID()), false))
