@@ -14,8 +14,11 @@
 // only its own clock and induces no cross-core interaction — which is the
 // paper's definition of perfect scalability.
 //
-// The cores are coroutines of one event loop (Sched), so one body runs at a
-// time and the simulated machine needs no real locks; *time* is what is
+// The cores are entries of one event loop (Sched), which runs their procs
+// one at a time: as coroutines it resumes, or, for a body that yields only
+// between operations, as step functions it calls (a call costs a fraction of
+// a coroutine switch's iter.Pull round trip). So one body runs at a time and
+// the simulated machine needs no real locks; *time* is what is
 // simulated, which is what lets a laptop sweep 1..80 virtual cores and
 // reproduce the paper's curves. The loop's pick keeps virtual time: every
 // figure and every test that asserts a clock runs on it (Sched, and

@@ -23,16 +23,27 @@ import (
 // points, to hold the functional code to many interleavings; its clocks
 // measure nothing.
 //
-// Procs are coroutines the loop resumes directly and cores are entries in
-// the loop, so nothing here or in the simulated machine runs concurrently,
-// and every Sched method must be called on-schedule: before Run, from a
-// proc body, or from an arrival handler. Off the explorer, bodies may hold
-// no lock across a yield point — all workloads yield only at top level,
-// between operations — so the running body never finds a lock held by a
-// suspended one (CPU.Stall panics if it does). There are no off-schedule
-// points: every way a proc can wait, including on another proc (Park/Wake),
-// is a yield back to the loop, so the entire run is a pure function of
-// virtual time, or of the seed on the explorer.
+// Cores are entries in the loop and procs come in two kinds, so nothing here
+// or in the simulated machine runs concurrently, and every Sched method must
+// be called on-schedule: before Run, from a proc body, or from an arrival
+// handler. A proc from Spawn is a coroutine the loop resumes, for a body that
+// needs its stack across a yield point: one that yields inside a loop it
+// cannot unwind, parks, or runs on the explorer. A proc from SpawnStep is a
+// step proc, for a body that yields only between operations: the loop calls
+// its step function on its own goroutine, which runs from one yield point to
+// the next and returns how it yields. Both kinds go through the same dispatch
+// and yield accounting, so a body written either way leaves the same clocks,
+// counts and schedule. A step costs a function call where a coroutine's yield
+// costs an iter.Pull round trip, about 160 ns of the 210 ns a yield takes at
+// 64 cores (BenchmarkSchedStep against BenchmarkSchedYield).
+//
+// Off the explorer, bodies may hold no lock across a yield point — all
+// workloads yield only at top level, between operations — so the running
+// body never finds a lock held by a suspended one (CPU.Stall panics if it
+// does). There are no off-schedule points: every way a proc can wait,
+// including on another proc (Park/Wake), is a yield back to the loop, so the
+// entire run is a pure function of virtual time, or of the seed on the
+// explorer.
 //
 // A core with nothing runnable goes idle: its clock freezes and it leaves
 // the pick until a proc is enqueued for it. The one exception: while spawn
@@ -109,6 +120,16 @@ const (
 	yieldStall // explorer: a contended acquire waits
 )
 
+// Step is how a step proc's step function yields: the loop does what a
+// coroutine's yield of that kind does. StepYield is Ctx.Yield, StepDone is
+// the body returning, and Ctx.StepWait's result is Ctx.Wait.
+type Step int8
+
+const (
+	StepYield = Step(yieldSync)
+	StepDone  = Step(yieldDone)
+)
+
 // Proc is one schedulable context: a body that runs on whichever core
 // dispatches it, yielding the core back cooperatively.
 type Proc struct {
@@ -117,7 +138,7 @@ type Proc struct {
 	body func(*Ctx)
 	ctx  Ctx
 	next *Proc    // run-queue link
-	on   *carrier // the coroutine running body, from first dispatch to return
+	on   *carrier // the coroutine running body, from first dispatch to return; a step proc's own from spawn
 	bar  *Barrier // the barrier a yieldBarrier waits at
 
 	parked      bool   // in Park, waiting for a Wake
@@ -129,13 +150,15 @@ type Proc struct {
 // takes a free one at its first dispatch and frees it when its body
 // returns. A coroutine costs a dozen allocations and a fleet's procs are
 // mostly short-lived, so a run creates as many as it has procs alive at
-// once, not one per proc.
+// once, not one per proc. A step proc's carrier is no coroutine: resume
+// calls its step function, stop is nil, and yield panics, and the loop
+// steps both kinds through the same resume call.
 type carrier struct {
 	p      *Proc
 	next   *carrier            // free-list link
 	resume func() (int8, bool) // run p until its next yield
-	stop   func()
-	yield  func(int8) bool // called on the coroutine: hand a kind to the loop
+	stop   func()              // nil on a step proc's carrier
+	yield  func(int8) bool     // called on the coroutine: hand a kind to the loop
 }
 
 // arrival is a future spawn request: at virtual time stamp, fn runs on
@@ -171,7 +194,7 @@ func (tc *Ctx) Yield() { tc.yield(yieldSync) }
 // wakeup protocol, so a producer's Wake is never lost to a later Park).
 // The proc's virtual clock freezes while parked.
 func (tc *Ctx) Park() {
-	if tc.p.wakePending {
+	if tc.p.wakePending && tc.p.on.stop != nil { // a step proc's Park panics in yield
 		tc.p.wakePending = false
 		return
 	}
@@ -185,6 +208,13 @@ func (tc *Ctx) Park() {
 func (tc *Ctx) Wait(b *Barrier) {
 	tc.p.bar = b
 	tc.yield(yieldBarrier)
+}
+
+// StepWait is a step function's Wait: returned as its Step, it has the proc
+// wait at b.
+func (tc *Ctx) StepWait(b *Barrier) Step {
+	tc.p.bar = b
+	return Step(yieldBarrier)
 }
 
 func (tc *Ctx) yield(kind int8) {
@@ -227,6 +257,34 @@ func (s *Sched) SpawnAt(pin int, notBefore uint64, body func(*Ctx)) *Proc {
 	s.enqueue(p)
 	return p
 }
+
+// SpawnStep adds a step proc, pinned as Spawn's procs are: the loop runs it
+// by calling step at each dispatch, which runs the body from its last yield
+// point to its next and returns how it yields. The body keeps its own
+// progress between calls, and calls neither Yield, Park nor Wait (each
+// panics naming the proc). Step procs run only on the deterministic
+// schedule: the explorer takes a core back mid-step, at a line touch, and
+// only a coroutine can be suspended there.
+func (s *Sched) SpawnStep(pin int, step func(*Ctx) Step) *Proc { return s.SpawnStepAt(pin, 0, step) }
+
+// SpawnStepAt is SpawnStep for mid-run callers, as SpawnAt is Spawn's.
+func (s *Sched) SpawnStepAt(pin int, notBefore uint64, step func(*Ctx) Step) *Proc {
+	if s.x != nil {
+		panic("hw: a step proc on the explorer, which preempts mid-step: spawn a coroutine")
+	}
+	p := s.SpawnAt(pin, notBefore, nil)
+	p.on = &carrier{
+		p:      p,
+		resume: func() (int8, bool) { return int8(step(&p.ctx)), true },
+		yield: func(kind int8) bool {
+			panic(fmt.Sprintf("hw: step proc %d called Ctx.%s: a step function yields by returning its Step", p.seq, yieldNames[kind]))
+		},
+	}
+	return p
+}
+
+// yieldNames names the Ctx method behind each yield kind.
+var yieldNames = [...]string{yieldSync: "Yield", yieldPark: "Park", yieldBarrier: "Wait"}
 
 // checkPin panics if Run has started and a proc pinned to core pin could
 // never run on its cores.
@@ -446,7 +504,7 @@ func (s *Sched) stop() {
 		on.stop()
 	}
 	for _, p := range s.procs {
-		if p.on != nil {
+		if p.on != nil && p.on.stop != nil {
 			p.on.stop()
 		}
 	}
@@ -506,7 +564,9 @@ func (s *Sched) step(k *core) {
 	k.cur = nil
 	switch kind {
 	case yieldDone:
-		p.on.next, s.free = s.free, p.on
+		if p.on.stop != nil {
+			p.on.next, s.free = s.free, p.on
+		}
 		p.on = nil
 		s.remaining--
 	case yieldPark:

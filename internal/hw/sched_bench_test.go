@@ -35,6 +35,33 @@ func BenchmarkSchedYield(b *testing.B) {
 	}
 }
 
+// BenchmarkSchedStep: BenchmarkSchedYield's shape with step procs, which
+// the loop calls instead of resuming: the same pick, dispatch and requeue
+// per op, without the coroutine switch.
+func BenchmarkSchedStep(b *testing.B) {
+	for _, ncores := range []int{8, 64, 128} {
+		b.Run(fmt.Sprintf("cores=%d", ncores), func(b *testing.B) {
+			rounds := b.N/ncores + 1
+			m := NewMachine(DefaultConfig(ncores))
+			s := NewSched(0)
+			for i := 0; i < ncores; i++ {
+				k := 0
+				s.SpawnStep(i, func(tc *Ctx) Step {
+					if k == rounds {
+						return StepDone
+					}
+					k++
+					tc.CPU().Tick(100)
+					return StepYield
+				})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			s.Run(m, ncores, 0)
+		})
+	}
+}
+
 // BenchmarkSchedSwitch: 128 migratable procs on 64 cores with a switch
 // cost. Dispatch is lowest-seq first, so procs that only yield would run
 // to completion one after another on whichever core is behind; these are

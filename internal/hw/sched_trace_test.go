@@ -23,7 +23,29 @@ import (
 // a schedule without arrivals does not move — and the core that folded
 // arrival 6 now goes back through the pick instead of dispatching first. A
 // scheduler change that moves one resume, one clock or one counter fails here.
+//
+// The steps variant spawns the scenario's yield-only pinned procs — the two
+// barrier members and the short proc arrival 6 pins to core 3 — as step
+// procs, and must leave the same trace: a step proc's yield is accounted as
+// a coroutine's is.
 func TestSchedTraceGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/sched_trace.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, steps := range []bool{false, true} {
+		name := map[bool]string{false: "coroutines", true: "steps"}[steps]
+		t.Run(name, func(t *testing.T) {
+			if got := schedTrace(t, steps); got != string(want) {
+				t.Errorf("schedule trace differs from testdata/sched_trace.golden; got:\n%s", got)
+			}
+		})
+	}
+}
+
+// schedTrace runs TestSchedTraceGolden's scenario, its yield-only pinned
+// procs as step procs if steps is set, and returns the trace.
+func schedTrace(t *testing.T, steps bool) string {
 	const ncores = 4
 	m := NewMachine(TestConfig(ncores))
 	s := NewSched(4)
@@ -45,6 +67,24 @@ func TestSchedTraceGolden(t *testing.T) {
 	bar := NewBarrier(2)
 	for id := 0; id < 2; id++ {
 		id := id
+		if steps {
+			round, k := 0, 0
+			s.SpawnStep(id, func(tc *Ctx) Step {
+				mark(tc)
+				switch {
+				case round == 2:
+					work(tc.CPU(), 50)
+					return StepDone
+				case k < 3+2*id:
+					work(tc.CPU(), uint64(400+150*id))
+					k++
+					return StepYield
+				}
+				round, k = round+1, 0
+				return tc.StepWait(bar)
+			})
+			continue
+		}
 		s.Spawn(id, func(tc *Ctx) {
 			mark(tc)
 			for round := 0; round < 2; round++ {
@@ -103,6 +143,18 @@ func TestSchedTraceGolden(t *testing.T) {
 			}
 		}
 	}
+	shortStep := func(n int) func(*Ctx) Step {
+		k := 0
+		return func(tc *Ctx) Step {
+			mark(tc)
+			if k == n {
+				return StepDone
+			}
+			work(tc.CPU(), 250)
+			k++
+			return StepYield
+		}
+	}
 	fold := func(c *CPU, seq uint64) {
 		fmt.Fprintf(&out, "fold   core=%d seq=%d clock=%d deferred=%d\n", c.ID(), seq, c.Now(), s.DeferredArrivals())
 	}
@@ -115,7 +167,11 @@ func TestSchedTraceGolden(t *testing.T) {
 		for j := 0; j < 3; j++ {
 			s.SpawnAt(-1, c.Now(), short(2))
 		}
-		s.SpawnAt(3, c.Now(), short(3))
+		if steps {
+			s.SpawnStepAt(3, c.Now(), shortStep(3))
+		} else {
+			s.SpawnAt(3, c.Now(), short(3))
+		}
 	})
 	s.Arrive(1600, func(c *CPU, seq uint64) {
 		fold(c, seq)
@@ -147,11 +203,5 @@ func TestSchedTraceGolden(t *testing.T) {
 	if s.DeferredArrivals() == 0 {
 		t.Errorf("no arrival was deferred: the scenario no longer reaches the admission cap")
 	}
-	want, err := os.ReadFile("testdata/sched_trace.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := out.String(); got != string(want) {
-		t.Errorf("schedule trace differs from testdata/sched_trace.golden; got:\n%s", got)
-	}
+	return out.String()
 }

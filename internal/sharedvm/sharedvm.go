@@ -113,25 +113,58 @@ type Space struct {
 	foundHi uint64
 	collect func(start uint64, r *Region) bool
 
-	// frames is the list a teardown (Sweep, RevokeFilePages) gathers the
-	// frames it clears into, one for a space and every space forked from it:
-	// a teardown borrows it by taking it and leaving nil, so a second one
-	// that runs meanwhile (preempted into on the explorer) builds its own,
-	// and puts it back emptied, holding no frame.
-	frames *[]*mem.Frame
+	// fam is the scratch this space shares with every space of its fork
+	// family.
+	fam *family
 
 	active vm.ActiveSet
+}
+
+// family is the scratch a space and every space forked from it share: the
+// list a teardown (Sweep, RevokeFilePages) gathers the frames it clears
+// into, and RevokeFilePages' span scan. A caller borrows one by taking it
+// and leaving nil, so a second one that runs meanwhile (preempted into on
+// the explorer) builds its own, and puts it back emptied: the list holding
+// no frame, the scan no file.
+type family struct {
+	frames []*mem.Frame
+	scan   *fileScan
+}
+
+// fileScan gathers the spans of a space's regions that map file f's pages
+// [lo, hi): visit is the Ascend callback that appends them, built with the
+// scan because a func value handed to the policy escapes.
+type fileScan struct {
+	f      *vm.File
+	lo, hi uint64
+	spans  []span
+	visit  func(start uint64, r *Region) bool
+}
+
+func newFileScan() *fileScan {
+	sc := &fileScan{}
+	sc.visit = func(_ uint64, o *Region) bool {
+		if o.Back.File != sc.f {
+			return true
+		}
+		oLo, oHi := o.Back.Offset, o.Back.Offset+(o.End-o.Start)
+		if cLo, cHi := max(oLo, sc.lo), min(oHi, sc.hi); cLo < cHi {
+			sc.spans = append(sc.spans, span{o.Start + (cLo - oLo), o.Start + (cHi - oLo)})
+		}
+		return true
+	}
+	return sc
 }
 
 // New creates an empty address space governed by a policy from newPol;
 // name identifies the system in benchmark output.
 func New(m *hw.Machine, alloc *mem.Allocator, name string, newPol func() Policy) *Space {
-	return newSpace(m, alloc, name, newPol, new([]*mem.Frame))
+	return newSpace(m, alloc, name, newPol, new(family))
 }
 
-// newSpace is New for a space whose fork family's frame list is frames.
-func newSpace(m *hw.Machine, alloc *mem.Allocator, name string, newPol func() Policy, frames *[]*mem.Frame) *Space {
-	s := &Space{Alloc: alloc, MMU: vm.NewSharedMMU(m), name: name, newPol: newPol, pol: newPol(), frames: frames}
+// newSpace is New for a space of fork family fam.
+func newSpace(m *hw.Machine, alloc *mem.Allocator, name string, newPol func() Policy, fam *family) *Space {
+	s := &Space{Alloc: alloc, MMU: vm.NewSharedMMU(m), name: name, newPol: newPol, pol: newPol(), fam: fam}
 	s.collect = func(start uint64, r *Region) bool {
 		if start >= s.foundHi {
 			return false
@@ -280,8 +313,8 @@ func (s *Space) clear(cpu *hw.CPU, lo, hi uint64, frames []*mem.Frame) []*mem.Fr
 // borrowFrames takes the fork family's frame list, empty, for a teardown to
 // gather into and hand to flushAndDrop; nil if another teardown holds it.
 func (s *Space) borrowFrames() []*mem.Frame {
-	frames := *s.frames
-	*s.frames = nil
+	frames := s.fam.frames
+	s.fam.frames = nil
 	return frames
 }
 
@@ -296,7 +329,7 @@ func (s *Space) flushAndDrop(cpu *hw.CPU, lo, hi uint64, frames []*mem.Frame) in
 		s.Alloc.DecRef(cpu, f)
 	}
 	clear(frames)
-	*s.frames = frames[:0]
+	s.fam.frames = frames[:0]
 	return width
 }
 
@@ -335,7 +368,7 @@ type span struct{ lo, hi uint64 }
 // post-fork writebacks would leave the child's translations stale.
 func (s *Space) Fork(cpu *hw.CPU) (vm.System, error) {
 	cpu.Stats().Forks++
-	child := newSpace(cpu.Machine(), s.Alloc, s.name, s.newPol, s.frames)
+	child := newSpace(cpu.Machine(), s.Alloc, s.name, s.newPol, s.fam)
 	s.enter(cpu)
 	defer s.pol.Unlock(cpu)
 
@@ -481,18 +514,15 @@ func (s *Space) RevokeFilePages(cpu *hw.CPU, f *vm.File, offLo, offHi uint64) (i
 	if s.mapped[f] == 0 {
 		return 0, 0 // raced the last munmap: nothing maps f anymore
 	}
-	var spans []span
-	s.pol.Ascend(cpu, 0, func(_ uint64, o *Region) bool {
-		if o.Back.File != f {
-			return true
-		}
-		oLo, oHi := o.Back.Offset, o.Back.Offset+(o.End-o.Start)
-		cLo, cHi := max(oLo, offLo), min(oHi, offHi)
-		if cLo < cHi {
-			spans = append(spans, span{o.Start + (cLo - oLo), o.Start + (cHi - oLo)})
-		}
-		return true
-	})
+	sc := s.fam.scan
+	if sc == nil {
+		sc = newFileScan()
+	}
+	s.fam.scan = nil
+	defer func() { sc.f, s.fam.scan = nil, sc }()
+	sc.f, sc.lo, sc.hi, sc.spans = f, offLo, offHi, sc.spans[:0]
+	s.pol.Ascend(cpu, 0, sc.visit)
+	spans := sc.spans
 	if len(spans) == 0 {
 		return 0, 0
 	}

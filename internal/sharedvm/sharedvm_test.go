@@ -281,6 +281,40 @@ func TestWholeRegionMprotectAllocations(t *testing.T) {
 	}
 }
 
+// TestRevokeFilePagesAllocatesNothing: a revocation reuses its fork
+// family's span list and scan callback, so once warm it allocates nothing,
+// and the list it reuses stays the size of one call's spans.
+func TestRevokeFilePagesAllocatesNothing(t *testing.T) {
+	for _, p := range policies {
+		t.Run(p.name, func(t *testing.T) {
+			w := newWorld(2)
+			c := w.m.CPU(0)
+			as := p.new(w)
+			file := vm.NewFile(w.alloc)
+			// Three regions map the file: three spans a call.
+			must(t, as.Mmap(c, 100, 8, vm.MapOpts{Prot: rw, File: file}))
+			must(t, as.Mmap(c, 200, 8, vm.MapOpts{Prot: rw, File: file, Offset: 4}))
+			must(t, as.Mmap(c, 300, 4, vm.MapOpts{Prot: rw, File: file}))
+			const spans = 3
+			revoke := func() {
+				must(t, as.Access(c, 102, true))
+				must(t, as.Access(c, 301, false))
+				if n, _ := as.RevokeFilePages(c, file, 0, 16); n != 2 {
+					t.Fatalf("revoked %d pages, want the 2 just faulted", n)
+				}
+			}
+			revoke()
+			warm := as.ScanCap()
+			if allocs := testing.AllocsPerRun(100, revoke); allocs != 0 {
+				t.Errorf("RevokeFilePages: %v allocs a call, want 0", allocs)
+			}
+			if got := as.ScanCap(); got != warm || got > 2*spans {
+				t.Errorf("span list capacity %d after 101 calls, %d after the first; want it unchanged and at most %d", got, warm, 2*spans)
+			}
+		})
+	}
+}
+
 // spy records every index operation and runs a check after each.
 type spy struct {
 	sharedvm.Policy

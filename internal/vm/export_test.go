@@ -53,11 +53,11 @@ func (f *File) Holders() int {
 // Exited reports whether as has exited.
 func (as *AddressSpace) Exited() bool { return as.exited }
 
-// SlotsBuilt returns how many cores' slots mmu has built.
-func (mmu *PerCoreMMU) SlotsBuilt() int {
+// SlotsBuilt returns how many cores' slots an MMU has built.
+func (s *slots[T]) SlotsBuilt() int {
 	n := 0
-	for id := range mmu.cores {
-		if mmu.core(id) != nil {
+	for id := range s.cores {
+		if s.core(id) != nil {
 			n++
 		}
 	}

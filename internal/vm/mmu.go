@@ -166,19 +166,53 @@ func Access(cpu *hw.CPU, mmu MMU, vpn uint64, k Kind, fault func(cpu *hw.CPU, vp
 // those — zero IPIs when a region never left its core (§3.3).
 type PerCoreMMU struct {
 	m *hw.Machine
-	// cores holds one slot per core, built on the core's first Fill or TLB
-	// call: a forked child runs on one or two cores of 64. Every path that
-	// only scans or clears reads an unbuilt (nil) slot as a nil table and an
-	// empty TLB, charges what it charges for those, and builds nothing.
-	cores []*coreMMU
+	// slots is each core's table, walker and TLB, built on the core's first
+	// Fill or TLB call. Every path that only scans or clears reads an
+	// unbuilt (nil) slot as a nil table and an empty TLB, charges what it
+	// charges for those, and builds nothing.
+	slots[coreMMU]
+}
+
+// slots holds one T per core, built on the core's first use: a forked child
+// runs on one or two cores of 64, and an MMU is built at every fork. It must
+// not be copied after reserve.
+type slots[T any] struct {
+	cores []*T
 	// spare is where the next slots are built: first the two allocated with
 	// the MMU, so a child that runs on two cores adds no heap object, then one
 	// chunk for every other core: a space that outgrows two cores pays for all
 	// of them at once, which no forked child of the benchmark's workloads
 	// does. Builds are host bookkeeping, at most once per core for the
 	// space's life, charged nothing.
-	spare []coreMMU
-	first [2]coreMMU
+	spare []T
+	first [2]T
+}
+
+// reserve sizes s for ncores cores, none built.
+func (s *slots[T]) reserve(ncores int) {
+	s.cores = make([]*T, ncores)
+	s.spare = s.first[:]
+}
+
+// core returns core id's slot, nil if it was never built.
+func (s *slots[T]) core(id int) *T { return s.cores[id] }
+
+// build returns core id's slot, building it on first use.
+func (s *slots[T]) build(id int) *T {
+	if c := s.cores[id]; c != nil {
+		return c
+	}
+	return s.add(id)
+}
+
+func (s *slots[T]) add(id int) *T {
+	if len(s.spare) == 0 {
+		s.spare = make([]T, len(s.cores)-len(s.first))
+	}
+	c := &s.spare[0]
+	s.spare = s.spare[1:]
+	s.cores[id] = c
+	return c
 }
 
 // coreMMU is one core's page table, its walker and TLB. A fork's Reset
@@ -199,30 +233,13 @@ type coreMMU struct {
 // lazily, matching the paper's observation that most applications touch a
 // small fraction of the address space per core.
 func NewPerCoreMMU(m *hw.Machine) *PerCoreMMU {
-	mmu := &PerCoreMMU{m: m, cores: make([]*coreMMU, m.NCores())}
-	mmu.spare = mmu.first[:]
+	mmu := &PerCoreMMU{m: m}
+	mmu.reserve(m.NCores())
 	return mmu
 }
 
 // Name implements MMU.
 func (mmu *PerCoreMMU) Name() string { return "percore" }
-
-// core returns core id's slot, nil if it was never built.
-func (mmu *PerCoreMMU) core(id int) *coreMMU { return mmu.cores[id] }
-
-// build returns core id's slot, building it on first use.
-func (mmu *PerCoreMMU) build(id int) *coreMMU {
-	if c := mmu.cores[id]; c != nil {
-		return c
-	}
-	if len(mmu.spare) == 0 {
-		mmu.spare = make([]coreMMU, len(mmu.cores)-len(mmu.first))
-	}
-	c := &mmu.spare[0]
-	mmu.spare = mmu.spare[1:]
-	mmu.cores[id] = c
-	return c
-}
 
 // mapTable allocates the slot's table on first use and binds w to it.
 func (c *coreMMU) mapTable(m *hw.Machine) {
@@ -390,35 +407,35 @@ type SharedMMU struct {
 	m *hw.Machine
 	// pt is replaced whole by Reset, as coreMMU.pt is, while other cores
 	// may be filling it.
-	pt    *pagetable.PageTable
-	cores []sharedCore // by value: one allocation, each TLB's map on first Insert
+	pt *pagetable.PageTable
+	// slots is each core's TLB and walker, built on the core's first walk
+	// or TLB call, as PerCoreMMU's are. A broadcast or Unmap reads an
+	// unbuilt (nil) slot as an empty TLB, charges what it charges for one,
+	// and builds nothing.
+	slots[sharedCore]
 }
 
-// sharedCore is one core's TLB and its Walker of the shared table, built on
-// the core's first walk: a forked child walks on one or two cores of 64. A
-// walk names the table it walks (Walker), so a Reset rebinds nobody's
-// walker: the owner's next walk of the new table does, and a walk that a
-// Reset overtook keeps the old table's path on a walker still bound to the
-// old table.
+// sharedCore is one core's TLB and its Walker of the shared table. A walk
+// names the table it walks (Walker), so a Reset rebinds nobody's walker: the
+// owner's next walk of the new table does, and a walk that a Reset overtook
+// keeps the old table's path on a walker still bound to the old table.
 type sharedCore struct {
 	tlb tlb.TLB
-	w   *pagetable.Walker
+	w   pagetable.Walker
 }
 
 // NewSharedMMU builds the shared-page-table MMU.
 func NewSharedMMU(m *hw.Machine) *SharedMMU {
-	return &SharedMMU{m: m, pt: pagetable.New(m), cores: make([]sharedCore, m.NCores())}
+	mmu := &SharedMMU{m: m, pt: pagetable.New(m)}
+	mmu.reserve(m.NCores())
+	return mmu
 }
 
 // Walker returns cpu's Walker of pt, a table of this MMU's (PageTable's, or
 // one a Reset has since replaced): a single-entry operation walks through
 // it, and keeps its path for the core's next walk of pt.
 func (mmu *SharedMMU) Walker(cpu *hw.CPU, pt *pagetable.PageTable) *pagetable.Walker {
-	c := &mmu.cores[cpu.ID()]
-	if c.w == nil {
-		c.w = new(pagetable.Walker)
-	}
-	return c.w.On(pt)
+	return mmu.build(cpu.ID()).w.On(pt)
 }
 
 // Name implements MMU.
@@ -438,7 +455,7 @@ func (mmu *SharedMMU) Fill(cpu *hw.CPU, vpn, pfn uint64, perm pagetable.Perm) {
 			w.Map(cpu, vpn, pfn, perm)
 		}
 	}
-	mmu.cores[cpu.ID()].tlb.Insert(vpn, tlbEntry(pfn, perm))
+	mmu.build(cpu.ID()).tlb.Insert(vpn, tlbEntry(pfn, perm))
 }
 
 // Lookup implements MMU.
@@ -451,7 +468,7 @@ func (mmu *SharedMMU) Lookup(cpu *hw.CPU, vpn uint64) (pagetable.PTE, bool) {
 }
 
 // TLB implements MMU.
-func (mmu *SharedMMU) TLB(id int) *tlb.TLB { return &mmu.cores[id].tlb }
+func (mmu *SharedMMU) TLB(id int) *tlb.TLB { return &mmu.build(id).tlb }
 
 // PageTable exposes the shared table (baseline VMs clear it themselves to
 // collect frames before the shootdown).
@@ -467,7 +484,7 @@ func (mmu *SharedMMU) Shootdown(cpu *hw.CPU, lo, hi uint64, _, active hw.CoreSet
 // Unmap implements MMU: the one table, and a broadcast's worth of TLBs.
 func (mmu *SharedMMU) Unmap(cpu *hw.CPU, lo, hi uint64, _, active hw.CoreSet) hw.CoreSet {
 	mmu.pt.UnmapRange(cpu, lo, hi)
-	active.ForEach(func(id int) { mmu.cores[id].tlb.FlushRange(lo, hi) })
+	active.ForEach(func(id int) { mmu.flush(id, func(t *tlb.TLB) { t.FlushRange(lo, hi) }) })
 	return active
 }
 
@@ -499,13 +516,21 @@ func (mmu *SharedMMU) Reset(cpu *hw.CPU, active hw.CoreSet) {
 // every other active core's by IPI.
 func (mmu *SharedMMU) broadcast(cpu *hw.CPU, active hw.CoreSet, flush func(t *tlb.TLB)) {
 	self := cpu.ID()
-	flush(&mmu.cores[self].tlb)
+	mmu.flush(self, flush)
 	active.Remove(self)
 	if active.Empty() {
 		return
 	}
 	cpu.Stats().Shootdowns++
-	cpu.SendIPIs(active, func(t *hw.CPU) { flush(&mmu.cores[t.ID()].tlb) })
+	cpu.SendIPIs(active, func(t *hw.CPU) { mmu.flush(t.ID(), flush) })
+}
+
+// flush runs flush on core id's TLB if its slot is built: an unbuilt one is
+// empty, and a flush charges nothing.
+func (mmu *SharedMMU) flush(id int, flush func(t *tlb.TLB)) {
+	if c := mmu.core(id); c != nil {
+		flush(&c.tlb)
+	}
 }
 
 // Bytes implements MMU.

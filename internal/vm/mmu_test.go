@@ -44,50 +44,66 @@ func TestMMUSlotsOnlyWhereTheChildRuns(t *testing.T) {
 // TestMMUSlotsNotBuiltToClear: a Reset, Shootdown, Unmap or Protect that
 // names cores which never used the MMU builds no slot for them, and charges
 // exactly what it charges when their slots are built but empty: the same
-// clock on every core and the same hits, transfers and interrupts.
+// clock on every core and the same hits, transfers and interrupts. Both MMUs
+// build a core's slot on its first use, not with the MMU.
 func TestMMUSlotsNotBuiltToClear(t *testing.T) {
+	type lazyMMU interface {
+		vm.MMU
+		SlotsBuilt() int
+	}
+	mmus := []struct {
+		name string
+		new  func(m *hw.Machine) lazyMMU
+	}{
+		{"percore", func(m *hw.Machine) lazyMMU { return vm.NewPerCoreMMU(m) }},
+		{"shared", func(m *hw.Machine) lazyMMU { return vm.NewSharedMMU(m) }},
+	}
 	ops := []struct {
 		name string
-		run  func(mmu *vm.PerCoreMMU, c *hw.CPU, named hw.CoreSet)
+		run  func(mmu vm.MMU, c *hw.CPU, named hw.CoreSet)
 	}{
-		{"Reset", func(mmu *vm.PerCoreMMU, c *hw.CPU, named hw.CoreSet) { mmu.Reset(c, named) }},
-		{"Shootdown", func(mmu *vm.PerCoreMMU, c *hw.CPU, named hw.CoreSet) { mmu.Shootdown(c, 100, 104, named, named) }},
-		{"Unmap", func(mmu *vm.PerCoreMMU, c *hw.CPU, named hw.CoreSet) { mmu.Unmap(c, 100, 104, named, named) }},
-		{"Protect", func(mmu *vm.PerCoreMMU, c *hw.CPU, named hw.CoreSet) {
+		{"Reset", func(mmu vm.MMU, c *hw.CPU, named hw.CoreSet) { mmu.Reset(c, named) }},
+		{"Shootdown", func(mmu vm.MMU, c *hw.CPU, named hw.CoreSet) { mmu.Shootdown(c, 100, 104, named, named) }},
+		{"Unmap", func(mmu vm.MMU, c *hw.CPU, named hw.CoreSet) { mmu.Unmap(c, 100, 104, named, named) }},
+		{"Protect", func(mmu vm.MMU, c *hw.CPU, named hw.CoreSet) {
 			mmu.Protect(c, 100, 104, pagetable.PermR, named, named)
 		}},
 	}
 	for _, op := range ops {
 		t.Run(op.name, func(t *testing.T) {
-			var clocks [2][]uint64
-			var stats [2]hw.Stats
-			for i, prebuilt := range []bool{false, true} {
-				w := newWorld(64)
-				mmu := vm.NewPerCoreMMU(w.m)
-				// Core 63 holds a translation, so the Reset interrupts someone.
-				mmu.Fill(w.m.CPU(63), 100, 7, pagetable.PermR|pagetable.PermW)
-				named := allCores(w)
-				if prebuilt {
-					named.ForEach(func(id int) { mmu.TLB(id) }) // built, holding nothing
+			for _, kind := range mmus {
+				var clocks [2][]uint64
+				var stats [2]hw.Stats
+				for i, prebuilt := range []bool{false, true} {
+					w := newWorld(64)
+					mmu := kind.new(w.m)
+					// Core 63 holds a translation, so the Reset interrupts someone.
+					mmu.Fill(w.m.CPU(63), 100, 7, pagetable.PermR|pagetable.PermW)
+					named := allCores(w)
+					if prebuilt {
+						named.ForEach(func(id int) { mmu.TLB(id) }) // built, holding nothing
+					} else if got := mmu.SlotsBuilt(); got != 1 {
+						t.Errorf("%s: one core's fill left %d slots built, want 1", kind.name, got)
+					}
+					built := mmu.SlotsBuilt()
+					op.run(mmu, m0(w), named)
+					foldMail(w, m0(w).Now())
+					if got := mmu.SlotsBuilt(); got != built {
+						t.Errorf("%s, prebuilt=%v: %s built %d slots, had %d", kind.name, prebuilt, op.name, got, built)
+					}
+					for id := 0; id < 64; id++ {
+						clocks[i] = append(clocks[i], w.m.CPU(id).Now())
+					}
+					stats[i] = w.m.TotalStats()
 				}
-				built := mmu.SlotsBuilt()
-				op.run(mmu, m0(w), named)
-				foldMail(w, m0(w).Now())
-				if got := mmu.SlotsBuilt(); got != built {
-					t.Errorf("prebuilt=%v: %s built %d slots, had %d", prebuilt, op.name, got, built)
+				for id := range clocks[0] {
+					if clocks[0][id] != clocks[1][id] {
+						t.Errorf("%s: core %d clock %d with unbuilt slots, %d with built empty ones", kind.name, id, clocks[0][id], clocks[1][id])
+					}
 				}
-				for id := 0; id < 64; id++ {
-					clocks[i] = append(clocks[i], w.m.CPU(id).Now())
+				if stats[0] != stats[1] {
+					t.Errorf("%s: stats with unbuilt slots %+v, with built empty ones %+v", kind.name, stats[0], stats[1])
 				}
-				stats[i] = w.m.TotalStats()
-			}
-			for id := range clocks[0] {
-				if clocks[0][id] != clocks[1][id] {
-					t.Errorf("core %d clock %d with unbuilt slots, %d with built empty ones", id, clocks[0][id], clocks[1][id])
-				}
-			}
-			if stats[0] != stats[1] {
-				t.Errorf("stats with unbuilt slots %+v, with built empty ones %+v", stats[0], stats[1])
 			}
 		})
 	}

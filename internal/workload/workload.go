@@ -103,20 +103,27 @@ func fork(sys vm.System, c *hw.CPU) vm.System {
 // disjoint arenas.
 func spread(id int) uint64 { return uint64(id*4+4) << 18 }
 
-// run executes body as a fleet of cores processes, one pinned per core,
-// on the process scheduler, measures virtual time, and gathers stats. warm
+// run executes a fleet of cores processes, one pinned per core, on the
+// process scheduler, measures virtual time, and gathers stats: spawn puts
+// core id's proc on s, counting the page writes it makes into *writes. warm
 // runs once per core before measurement.
 //
 // A fixed gang is the degenerate fleet: the scheduler dispatches each
 // core's single pinned proc at the same virtual instants the old per-
-// workload gang loops synced at (Ctx.Yield is where the bodies called
+// workload gang loops synced at (a yield is where the bodies called
 // g.Sync), charges no switch cost for redispatching the same proc, and
 // therefore reproduces the pre-scheduler figures byte-for-byte. Figures
 // run under the deterministic schedule so every cell is a pure function
 // of the op stream — byte-stable across runs and byte-gateable in CI.
 // hw.RunGang's explorer drives only tests, which want many interleavings
 // and keep no virtual time.
-func run(env *Env, name string, sys vm.System, cores int, warm func(tc *hw.Ctx), body func(tc *hw.Ctx) uint64) Result {
+//
+// A measured body that yields only between operations (rounds, Global) is a
+// step proc: the loop calls it once per yield point, which costs a fraction
+// of a coroutine's switch and leaves every clock and count the same. The
+// bodies that need a stack across a yield (Pipeline's hand-off loop, the
+// warm phases) are coroutines.
+func run(env *Env, name string, sys vm.System, cores int, warm func(tc *hw.Ctx), spawn func(s *hw.Sched, id int, writes *uint64)) Result {
 	var writes [hw.MaxCores]uint64
 	if warm != nil {
 		s := hw.NewSched(0)
@@ -129,7 +136,7 @@ func run(env *Env, name string, sys vm.System, cores int, warm func(tc *hw.Ctx),
 	start := env.M.MaxClock()
 	s := hw.NewSched(0)
 	for i := 0; i < cores; i++ {
-		s.Spawn(i, func(tc *hw.Ctx) { writes[i] = body(tc) })
+		spawn(s, i, &writes[i])
 	}
 	s.Run(env.M, cores, 4000)
 	var total uint64
@@ -147,17 +154,23 @@ func run(env *Env, name string, sys vm.System, cores int, warm func(tc *hw.Ctx),
 }
 
 // rounds is a measured body: iters rounds, Refcache maintenance and a yield
-// after each.
-func rounds(env *Env, iters int, round func(tc *hw.Ctx) uint64) func(tc *hw.Ctx) uint64 {
-	return func(tc *hw.Ctx) uint64 {
-		c := tc.CPU()
-		var writes uint64
-		for k := 0; k < iters; k++ {
-			writes += round(tc)
-			env.RC.Maintain(c)
-			tc.Yield()
-		}
-		return writes
+// after each. A round is its phases in order, every core meeting at bar
+// between two of them; the body is a step proc, one call per phase.
+func rounds(env *Env, iters int, bar *hw.Barrier, phases ...func(tc *hw.Ctx) uint64) func(s *hw.Sched, id int, writes *uint64) {
+	return func(s *hw.Sched, id int, writes *uint64) {
+		k, j := 0, 0 // rounds done, phases of this one done
+		s.SpawnStep(id, func(tc *hw.Ctx) hw.Step {
+			if k == iters {
+				return hw.StepDone
+			}
+			*writes += phases[j](tc)
+			if j++; j < len(phases) {
+				return tc.StepWait(bar)
+			}
+			k, j = k+1, 0
+			env.RC.Maintain(tc.CPU())
+			return hw.StepYield
+		})
 	}
 }
 
@@ -177,7 +190,7 @@ func Local(env *Env, sys vm.System, cores int, iters int, regionPages uint64) Re
 			round(tc)
 		}
 	}
-	return run(env, "local", sys, cores, warm, rounds(env, iters, round))
+	return run(env, "local", sys, cores, warm, rounds(env, iters, nil, round))
 }
 
 // Pipeline runs the pipeline microbenchmark: core i maps and writes a
@@ -242,7 +255,9 @@ func Pipeline(env *Env, sys vm.System, cores int, iters int, regionPages uint64)
 		}
 		return writes
 	}
-	return run(env, "pipeline", sys, cores, nil, body)
+	return run(env, "pipeline", sys, cores, nil, func(s *hw.Sched, id int, writes *uint64) {
+		s.Spawn(id, func(tc *hw.Ctx) { *writes = body(tc) })
+	})
 }
 
 // Global runs the global microbenchmark: each thread maps its own
@@ -252,36 +267,48 @@ func Pipeline(env *Env, sys vm.System, cores int, iters int, regionPages uint64)
 func Global(env *Env, sys vm.System, cores int, iters int, piecePages uint64) Result {
 	const regionBase = uint64(3) << 32 // shared region, distinct from spreads
 	bar := hw.NewBarrier(cores)
-	body := func(tc *hw.Ctx) uint64 {
-		c := tc.CPU()
-		id := c.ID()
+	total := piecePages * uint64(cores)
+	return run(env, "global", sys, cores, nil, func(s *hw.Sched, id int, writes *uint64) {
 		rng := rand.New(rand.NewSource(int64(id + 1)))
-		total := piecePages * uint64(cores)
 		mine := regionBase + uint64(id)*piecePages
 		order := make([]int, total)
-		var writes uint64
-		for k := 0; k < iters; k++ {
-			Check(sys, c, "mmap", mine, sys.Mmap(c, mine, piecePages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
-			tc.Wait(bar)
-			perm(rng, order)
-			for _, off := range order {
-				v := regionBase + uint64(off)
+		// A round is map, wait, one access per step in a fresh random
+		// order, wait, unmap and maintain, wait. Yield every access:
+		// contended fill faults cost thousands of cycles each, so coarser
+		// yields would let one core run many of them ahead of the others
+		// before the loop picks the lowest clock again.
+		k, phase, i := 0, 0, 0 // rounds done, where this one is, accesses done
+		s.SpawnStep(id, func(tc *hw.Ctx) hw.Step {
+			c := tc.CPU()
+			switch phase {
+			case 0:
+				if k == iters {
+					return hw.StepDone
+				}
+				Check(sys, c, "mmap", mine, sys.Mmap(c, mine, piecePages, vm.MapOpts{Prot: vm.ProtRead | vm.ProtWrite}))
+				phase, i = 1, 0
+				return tc.StepWait(bar)
+			case 1:
+				if i == 0 {
+					perm(rng, order)
+				}
+				if i == len(order) {
+					phase = 2
+					return tc.StepWait(bar)
+				}
+				v := regionBase + uint64(order[i])
 				Check(sys, c, "access", v, sys.Access(c, v, true))
-				writes++
-				// Yield every access: contended fill faults cost
-				// thousands of cycles each, so coarser yields would
-				// let one core run many of them ahead of the others
-				// before the loop picks the lowest clock again.
-				tc.Yield()
+				*writes++
+				i++
+				return hw.StepYield
+			default:
+				Check(sys, c, "munmap", mine, sys.Munmap(c, mine, piecePages))
+				env.RC.Maintain(c)
+				k, phase = k+1, 0
+				return tc.StepWait(bar)
 			}
-			tc.Wait(bar)
-			Check(sys, c, "munmap", mine, sys.Munmap(c, mine, piecePages))
-			env.RC.Maintain(c)
-			tc.Wait(bar)
-		}
-		return writes
-	}
-	return run(env, "global", sys, cores, nil, body)
+		})
+	})
 }
 
 // perm fills m with rng.Perm(len(m)) — the same permutation from the same
@@ -320,7 +347,7 @@ func Protect(env *Env, sys vm.System, cores int, iters int, regionPages uint64) 
 		Populate(sys, c, spread(c.ID()), regionPages, regionPages)
 		cycle(tc)
 	}
-	return run(env, "protect", sys, cores, warm, rounds(env, iters, cycle))
+	return run(env, "protect", sys, cores, warm, rounds(env, iters, nil, cycle))
 }
 
 // Fork runs the fork+COW microbenchmark, the Metis/posix-spawn pattern the
@@ -345,23 +372,29 @@ func Protect(env *Env, sys vm.System, cores int, iters int, regionPages uint64) 
 func Fork(env *Env, sys vm.System, cores int, iters int, regionPages uint64) Result {
 	bar := hw.NewBarrier(cores)
 	var child vm.System // published by core 0, read by all after the barrier
-	return forkRounds(env, "fork", sys, cores, iters, regionPages, func(tc *hw.Ctx) uint64 {
-		c := tc.CPU()
-		id := c.ID()
-		if id == 0 {
-			child = fork(sys, c)
-		}
-		tc.Wait(bar)
-		ch := child
-		lo := spread(id)
-		writes := touch(ch, c, lo, regionPages, true)
-		Check(ch, c, "munmap", lo, ch.Munmap(c, lo, regionPages))
-		tc.Wait(bar) // every thread done with the child before it goes
-		if ex, ok := ch.(vm.Exiter); ok && id == 0 {
-			ex.Exit(c)
-		}
-		return writes
-	})
+	return forkRounds(env, "fork", sys, cores, iters, regionPages, bar,
+		func(tc *hw.Ctx) uint64 {
+			if c := tc.CPU(); c.ID() == 0 {
+				child = fork(sys, c)
+			}
+			return 0
+		},
+		func(tc *hw.Ctx) uint64 {
+			c := tc.CPU()
+			lo := spread(c.ID())
+			writes := touch(child, c, lo, regionPages, true)
+			Check(child, c, "munmap", lo, child.Munmap(c, lo, regionPages))
+			return writes
+		},
+		// Every thread is done with the child before it goes.
+		func(tc *hw.Ctx) uint64 {
+			if c := tc.CPU(); c.ID() == 0 {
+				if ex, ok := child.(vm.Exiter); ok {
+					ex.Exit(c)
+				}
+			}
+			return 0
+		})
 }
 
 // Spawn runs the spawn-server microbenchmark, the concurrent half of the
@@ -391,7 +424,7 @@ func Fork(env *Env, sys vm.System, cores int, iters int, regionPages uint64) Res
 // where they should, and do, collapse. The reported metric counts child
 // and parent page writes, as in the local benchmark.
 func Spawn(env *Env, sys vm.System, cores int, iters int, regionPages uint64) Result {
-	return forkRounds(env, "spawn", sys, cores, iters, regionPages, func(tc *hw.Ctx) uint64 {
+	return forkRounds(env, "spawn", sys, cores, iters, regionPages, nil, func(tc *hw.Ctx) uint64 {
 		c := tc.CPU()
 		lo := spread(c.ID())
 		ch := fork(sys, c)
@@ -420,7 +453,7 @@ func Spawn(env *Env, sys vm.System, cores int, iters int, regionPages uint64) Re
 // and pay an exit_mmap munmap sweep per child because they lack a whole-space
 // teardown (reap).
 func Clone(env *Env, sys vm.System, cores int, iters int, slicePages, touchPages uint64) Result {
-	return forkRounds(env, "clone", sys, cores, iters, slicePages, func(tc *hw.Ctx) uint64 {
+	return forkRounds(env, "clone", sys, cores, iters, slicePages, nil, func(tc *hw.Ctx) uint64 {
 		c := tc.CPU()
 		ch := fork(sys, c)
 		writes := touch(ch, c, spread(c.ID()), touchPages, true) // COW breaks in the child's slice
@@ -433,16 +466,22 @@ func Clone(env *Env, sys vm.System, cores int, iters int, slicePages, touchPages
 // mapped and write-faulted its own pages-page region at spread(id). The warm
 // phase builds that parent, waits until every region exists, and runs one
 // throwaway round to settle first-fork one-time costs and every line the
-// loop touches; then iters measured rounds.
-func forkRounds(env *Env, name string, sys vm.System, cores, iters int, pages uint64, round func(tc *hw.Ctx) uint64) Result {
-	bar := hw.NewBarrier(cores)
+// loop touches; then iters measured rounds. A round is phases, the cores
+// meeting at bar between two of them, as in rounds.
+func forkRounds(env *Env, name string, sys vm.System, cores, iters int, pages uint64, bar *hw.Barrier, phases ...func(tc *hw.Ctx) uint64) Result {
+	built := hw.NewBarrier(cores)
 	warm := func(tc *hw.Ctx) {
 		c := tc.CPU()
 		Populate(sys, c, spread(c.ID()), pages, pages)
-		tc.Wait(bar)
-		round(tc)
+		tc.Wait(built)
+		for j, phase := range phases {
+			if j > 0 {
+				tc.Wait(bar)
+			}
+			phase(tc)
+		}
 	}
-	return run(env, name, sys, cores, warm, rounds(env, iters, round))
+	return run(env, name, sys, cores, warm, rounds(env, iters, bar, phases...))
 }
 
 // reap tears down a forked child whose parent gave each of cores cores a

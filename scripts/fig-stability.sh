@@ -4,9 +4,10 @@
 # deterministic end-to-end: remote IPI cycle charges travel through
 # virtual-time-stamped per-core mailboxes (drained in stamp order at clock
 # crossings), and figure workloads run under the deterministic schedule
-# (hw.Sched: one loop stepping cores, procs as coroutines), which resolves
-# virtually-concurrent operations in (virtual clock, core ID, arrival seq)
-# order instead of whatever order the Go scheduler happens to pick. Any new real-time dependency — a
+# (hw.Sched: one loop stepping cores, procs as coroutines or step
+# functions), which resolves virtually-concurrent operations in (virtual
+# clock, core ID, arrival seq) order instead of whatever order the Go
+# scheduler happens to pick. Any new real-time dependency — a
 # map-iteration-order leak, an unstamped cycle charge, a raced lock fold —
 # breaks this gate.
 #
