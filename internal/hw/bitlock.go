@@ -11,26 +11,6 @@ package hw
 // (CPU.Stall) until the holder clears it. Virtual-time serialization comes
 // from the per-bit Gate, exactly as a Lock's comes from its gate.
 
-// Gate is an exported wrapper of the virtual-time wait gate, for use with
-// the packed-bit lock operations. The zero value is an idle gate.
-type Gate struct{ g waitGate }
-
-// Reset reinitializes the gate of an unheld bit embedded in recycled
-// memory: the new incarnation starts with no critical-section history.
-func (g *Gate) Reset() { g.g = waitGate{} }
-
-// Restore sets the gate's state wholesale: the resource is free at virtual
-// time free, and its current/most recent busy period began at busyStart
-// (Restore(0, now) records a bulk acquisition — "priming" — of an
-// already-set bit at now without contention modeling). This exists for
-// lazily materialized gate tables (the radix tree's copy-on-diverge slot
-// groups): a gate created long after the bulk lock-bit propagation that
-// would have primed and released it must carry exactly the state the eager
-// table would have had.
-func (g *Gate) Restore(free, busyStart uint64) {
-	g.g = waitGate{free: free, busyStart: busyStart}
-}
-
 // AcquireBitIn locks bit mask of word w for core c, waiting until it is
 // free, then waits out the previous holder's critical section in virtual
 // time through gate, charging the wait to cause k. The caller must have
@@ -40,7 +20,7 @@ func (c *CPU) AcquireBitIn(w *uint64, mask uint64, gate *Gate, k Cause) {
 	c.Preempt()
 	now := c.Now() // arrival time: before any wait
 	c.takeBit(w, mask)
-	c.advanceTo(k, gate.g.arrive(now))
+	c.advanceTo(k, gate.arrive(now))
 }
 
 // LockBit locks bit mask of word w for core c, waiting until it is free, for
@@ -60,6 +40,6 @@ func (c *CPU) takeBit(w *uint64, mask uint64) {
 // ReleaseBitIn unlocks bit mask of word w, recording the end of c's
 // critical section on gate.
 func (c *CPU) ReleaseBitIn(w *uint64, mask uint64, gate *Gate) {
-	gate.g.release(c.Now())
+	gate.release(c.Now())
 	*w &^= mask
 }

@@ -1,6 +1,6 @@
 package hw
 
-// waitGate models a serialization resource (a lock's critical section, a
+// Gate models a serialization resource (a lock's critical section, a
 // cache line's home-node queue) in virtual time. The subtlety: the
 // deterministic schedule steps the lowest-clock core first, but a core it
 // picks runs a whole inter-yield chunk, so a core can reach a resource
@@ -19,14 +19,31 @@ package hw
 // together therefore still serializes fully (they all arrive at the busy
 // period's start), while an arrival whose virtual clock predates the busy
 // period passes as if the resource were idle.
-type waitGate struct {
+//
+// Lock, RWLock and Line embed one, and the packed bit locks (bitlock.go)
+// take one per bit from their caller. The zero value is an idle gate.
+type Gate struct {
 	free      uint64 // virtual time the resource becomes free
 	busyStart uint64 // arrival time that began the current busy period
 }
 
+// Reset reinitializes the gate of an unheld bit embedded in recycled
+// memory: the new incarnation starts with no critical-section history.
+func (g *Gate) Reset() { *g = Gate{} }
+
+// Restore sets the gate's state wholesale: the resource is free at virtual
+// time free, and its current/most recent busy period began at busyStart
+// (Restore(0, now) records a bulk acquisition — "priming" — of an
+// already-set bit at now without contention modeling). This exists for
+// lazily materialized gate tables (the radix tree's copy-on-diverge slot
+// groups): a gate created long after the bulk lock-bit propagation that
+// would have primed and released it must carry exactly the state the eager
+// table would have had.
+func (g *Gate) Restore(free, busyStart uint64) { *g = Gate{free: free, busyStart: busyStart} }
+
 // arrive records an arrival whose pre-wait clock is now, returning the
 // virtual time service may start. It must be paired with release.
-func (g *waitGate) arrive(now uint64) (start uint64) {
+func (g *Gate) arrive(now uint64) (start uint64) {
 	if g.free <= now {
 		// Idle resource: a new busy period begins with us.
 		g.busyStart = now
@@ -45,7 +62,7 @@ func (g *waitGate) arrive(now uint64) (start uint64) {
 // waitOnly is arrive for a resource the caller observes but does not
 // occupy (e.g. a reader checking the writer gate): same overlap rule, no
 // busy-period bookkeeping.
-func (g *waitGate) waitOnly(now uint64) uint64 {
+func (g *Gate) waitOnly(now uint64) uint64 {
 	if g.free > now && now >= g.busyStart {
 		return g.free
 	}
@@ -54,7 +71,7 @@ func (g *waitGate) waitOnly(now uint64) uint64 {
 
 // release marks the caller's occupancy as ending at end. Monotonic: an
 // inverted-order passer never shortens the queue it bypassed.
-func (g *waitGate) release(end uint64) {
+func (g *Gate) release(end uint64) {
 	if end > g.free {
 		g.free = end
 	}

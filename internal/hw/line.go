@@ -36,7 +36,7 @@ import "math/bits"
 type Line struct {
 	state  uint64                // (owner+1)<<8 | (exclusive+1)
 	shared [MaxCores / 64]uint64 // sharer bitmap, stale while exclusive is set
-	gate   waitGate              // home-node service queue in virtual time
+	gate   Gate                  // home-node service queue in virtual time
 }
 
 // The state word's fields. A core's field value is its ID plus one.

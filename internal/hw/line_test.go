@@ -101,7 +101,7 @@ func TestLineResetMakesCold(t *testing.T) {
 type refLine struct {
 	sharers [MaxCores]bool
 	owner   int // -1: never written since the last reset
-	gate    waitGate
+	gate    Gate
 }
 
 func (l *refLine) reset() { *l = refLine{owner: -1} }

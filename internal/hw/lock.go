@@ -11,12 +11,12 @@ package hw
 type Lock struct {
 	held bool
 	line Line
-	gate waitGate // critical-section queue
+	gate Gate // critical-section queue
 }
 
 // Acquire takes the lock on behalf of core c, advancing c's virtual clock
 // past both the lock-word transfer and the previous holder's critical
-// section (when their busy periods genuinely overlap — see waitGate). It is
+// section (when their busy periods genuinely overlap — see Gate). It is
 // a preemption point. Release must be called by the same core's proc.
 func (c *CPU) Acquire(l *Lock) {
 	c.Preempt()
@@ -48,8 +48,8 @@ type RWLock struct {
 	readers int  // cores holding the read side
 	writer  bool // a core holds the write side
 	line    Line
-	wgate   waitGate // writer critical sections
-	rgate   waitGate // aggregate reader occupancy
+	wgate   Gate // writer critical sections
+	rgate   Gate // aggregate reader occupancy
 }
 
 // RLock acquires the lock in read (shared) mode for core c. It is a

@@ -12,16 +12,16 @@ import (
 // them. Exactly one body executes at a time. At every yield point (Ctx.Yield,
 // Ctx.Park, Ctx.Wait, an arrival fold, a core going idle) the loop steps the
 // ready core with the lowest (virtual clock, core ID), and that core folds one
-// due arrival or runs its lowest-seq runnable proc: its own pinned queue first,
-// then the shared migratable queue. Cores still overlap in virtual time, but
-// the *real* order in which overlapping operations resolve (home-node gate
-// folds, line transitions, mailbox enqueues) is a pure function of (virtual
-// clock, core ID, arrival seq), so figure outputs are byte-stable across
-// runs. This is the schedule that keeps virtual time: every figure and every
-// test that asserts a clock runs on it. A RunGang replaces the pick with the
-// seeded explorer (gang.go), which also takes cores back at their preemption
-// points, to hold the functional code to many interleavings; its clocks
-// measure nothing.
+// due arrival or runs the lowest-seq runnable proc of its own queue: every
+// proc is pinned to the core it names at spawn. Cores still overlap in
+// virtual time, but the *real* order in which overlapping operations resolve
+// (home-node gate folds, line transitions, mailbox enqueues) is a pure
+// function of (virtual clock, core ID, arrival seq), so figure outputs are
+// byte-stable across runs. This is the schedule that keeps virtual time:
+// every figure and every test that asserts a clock runs on it. A RunGang
+// replaces the pick with the seeded explorer (gang.go), which also takes
+// cores back at their preemption points, to hold the functional code to
+// many interleavings; its clocks measure nothing.
 //
 // Cores are entries in the loop and procs come in two kinds, so nothing here
 // or in the simulated machine runs concurrently, and every Sched method must
@@ -43,10 +43,12 @@ import (
 // does). There are no off-schedule points: every way a proc can wait,
 // including on another proc (Park/Wake), is a yield back to the loop, so the
 // entire run is a pure function of virtual time, or of the seed on the
-// explorer.
+// explorer. And since one body runs at a time, no Wake can fall between a
+// body's check of what it waits for and its Park: a parker checks in a loop
+// around Park, and a Wake of a proc that is not parked does nothing.
 //
 // A core with nothing runnable goes idle: its clock freezes and it leaves
-// the pick until a proc is enqueued for it. The one exception: while spawn
+// the pick until a proc is enqueued on it. The one exception: while spawn
 // arrivals are still pending and the backlog has room, an idle core is a
 // halted CPU sleeping until the next event — it advances its clock to the
 // next arrival stamp instead, so virtual time always progresses toward the
@@ -54,12 +56,12 @@ import (
 // arrival folds land on them before busy cores and spread the fleet across
 // the machine.
 type Sched struct {
-	// queueCap bounds the total ready backlog (migratable run queue plus
-	// every pinned queue). Arrivals are admission-controlled against it: a
-	// due arrival is folded only while the backlog has room, mirroring a
-	// fork handler that pulls from its accept queue only when the run
-	// queue can take the children. Yield requeues are exempt — the cap is
-	// admission control, not a running-proc limit.
+	// queueCap bounds the total ready backlog, every core's queue
+	// together. Arrivals are admission-controlled against it: a due arrival
+	// is folded only while the backlog has room, mirroring a fork handler
+	// that pulls from its accept queue only when the run queue can take the
+	// children. Yield requeues are exempt — the cap is admission control,
+	// not a running-proc limit.
 	queueCap int
 
 	// SwitchCost is the virtual cycles a core charges when it dispatches
@@ -68,24 +70,23 @@ type Sched struct {
 	// workloads never pay it.
 	SwitchCost uint64
 
-	cores       []core             // [0, ncores); nil until Run starts
-	trees       [coreDone + 1]tree // per state, the cores in it; built for coreReady and coreIdle only
+	cores       []core // [0, ncores); nil until Run starts
+	tree        tree   // the ready cores by (clock, ID)
 	seq         uint64
-	procs       []*Proc   // every spawned proc, ascending seq
-	runq        *Proc     // migratable ready procs, ascending seq
-	pinq        []*Proc   // per-core pinned ready procs, ascending seq
+	queues      []*Proc   // per core, its ready procs, ascending seq; grown by spawns before Run
 	arrivals    []arrival // future spawn requests, ascending (stamp, seq)
 	nextArrival int
 	remaining   int // procs not yet done
-	ready       int // procs currently in a queue (runq + all pinq)
+	ready       int // procs currently in a queue
 	active      int // cores neither idle nor retired
 
-	free     *carrier  // carriers with no proc on them
-	stopping bool      // Run is unwinding: suspended bodies are being cancelled
-	x        *explorer // RunGang's seeded pick and preemption; nil: the (clock, ID) pick
+	carriers []*carrier // every coroutine Run created, for stop
+	free     *carrier   // carriers with no proc on them
+	stopping bool       // Run is unwinding: suspended bodies are being cancelled
+	x        *explorer  // RunGang's seeded pick and preemption; nil: the (clock, ID) pick
 
 	// Diagnostics (read after Run via the accessors).
-	runqHigh     int
+	readyHigh    int
 	dispatches   uint64
 	switches     uint64
 	deferred     uint64 // arrivals whose fold was deferred by a full queue
@@ -130,20 +131,18 @@ const (
 	StepDone  = Step(yieldDone)
 )
 
-// Proc is one schedulable context: a body that runs on whichever core
-// dispatches it, yielding the core back cooperatively.
+// Proc is one schedulable context: a body that runs on the core it is
+// pinned to, yielding the core back cooperatively.
 type Proc struct {
-	seq  uint64 // arrival order: dispatch tiebreak and determinism anchor
-	pin  int    // core ID the proc is pinned to, or -1 if migratable
-	body func(*Ctx)
-	ctx  Ctx
-	next *Proc    // run-queue link
-	on   *carrier // the coroutine running body, from first dispatch to return; a step proc's own from spawn
-	bar  *Barrier // the barrier a yieldBarrier waits at
-
-	parked      bool   // in Park, waiting for a Wake
-	wakePending bool   // Wake arrived while not parked: next Park no-ops
-	lastClock   uint64 // virtual clock at the proc's last yield
+	seq       uint64 // arrival order: dispatch tiebreak and determinism anchor
+	pin       int    // the core ID the proc runs on
+	notBefore uint64 // virtual time its first dispatch may not precede (SpawnAt)
+	parked    bool   // in Park, waiting for a Wake
+	body      func(*Ctx)
+	ctx       Ctx
+	next      *Proc    // ready-queue link
+	on        *carrier // the coroutine running body, from first dispatch to return; a step proc's own from spawn
+	bar       *Barrier // the barrier a yieldBarrier waits at
 }
 
 // carrier is a coroutine that runs proc bodies one after another: a proc
@@ -170,16 +169,15 @@ type arrival struct {
 	fn    func(c *CPU, seq uint64)
 }
 
-// Ctx is the execution context a proc body runs under. CPU returns the
-// currently lent core — it changes across Yield/Park for migratable
-// procs, so bodies must re-read it after every yield point.
+// Ctx is the execution context a proc body runs under.
 type Ctx struct {
 	s *Sched
 	p *Proc
 	c *CPU
 }
 
-// CPU returns the core currently lent to the proc.
+// CPU returns the core the proc is pinned to: the same core at every yield
+// point, so a body may read it once.
 func (tc *Ctx) CPU() *CPU { return tc.c }
 
 // Sched returns the scheduler running the proc.
@@ -189,17 +187,12 @@ func (tc *Ctx) Sched() *Sched { return tc.s }
 // the core's clock, and redispatches by (virtual clock, core ID, seq).
 func (tc *Ctx) Yield() { tc.yield(yieldSync) }
 
-// Park blocks the proc until another proc Wakes it. A Wake that arrived
-// since the last yield point makes Park return immediately (the pending-
-// wakeup protocol, so a producer's Wake is never lost to a later Park).
-// The proc's virtual clock freezes while parked.
-func (tc *Ctx) Park() {
-	if tc.p.wakePending && tc.p.on.stop != nil { // a step proc's Park panics in yield
-		tc.p.wakePending = false
-		return
-	}
-	tc.yield(yieldPark)
-}
+// Park blocks the proc until another proc Wakes it, and always yields. A
+// Wake that came before the Park is not remembered, so a body Parks in a
+// loop that checks what it waits for: one body runs at a time, so nothing
+// can change between the check and the Park. The proc's core runs its
+// other procs, or goes idle, while it is parked.
+func (tc *Ctx) Park() { tc.yield(yieldPark) }
 
 // Wait blocks the proc at b until all of b's members have arrived, then
 // resumes it with its core's clock aligned to the latest arrival. The proc
@@ -234,25 +227,24 @@ func NewSched(queueCap int) *Sched {
 	return &Sched{queueCap: queueCap, lastDeferred: ^uint64(0)}
 }
 
-// Spawn adds a proc. pin >= 0 pins it to that core ID; pin < 0 lets any
-// core run it. Procs spawned before Run are ready at virtual time zero;
-// procs spawned mid-run (by arrival handlers or by other procs) should use
-// SpawnAt with the spawner's virtual present instead. Spawned procs bypass
-// the admission cap — the cap gates arrival folds, not running work's
-// children; size the cap to include the threads each arrival spawns.
+// Spawn adds a proc pinned to core pin, which runs it and no other core: a
+// negative pin panics, and so does one past the cores Run is given. Procs
+// spawned before Run are ready at virtual time zero; procs spawned mid-run
+// (by arrival handlers or by other procs) should use SpawnAt with the
+// spawner's virtual present instead. Spawned procs bypass the admission cap
+// — the cap gates arrival folds, not running work's children; size the cap
+// to include the threads each arrival spawns.
 func (s *Sched) Spawn(pin int, body func(*Ctx)) *Proc { return s.SpawnAt(pin, 0, body) }
 
 // SpawnAt is Spawn for mid-run callers: the proc becomes runnable no
 // earlier than virtual time notBefore — a forked thread cannot run before
 // the fork that created it returned, even on a core whose own clock still
-// lags the fork. The dispatching core advances to notBefore exactly as it
-// advances to a previously-run proc's last clock.
+// lags the fork. Its core advances to notBefore at its first dispatch.
 func (s *Sched) SpawnAt(pin int, notBefore uint64, body func(*Ctx)) *Proc {
 	s.checkPin(pin)
-	p := &Proc{seq: s.seq, pin: pin, body: body, lastClock: notBefore}
+	p := &Proc{seq: s.seq, pin: pin, body: body, notBefore: notBefore}
 	p.ctx = Ctx{s: s, p: p}
 	s.seq++
-	s.procs = append(s.procs, p)
 	s.remaining++
 	s.enqueue(p)
 	return p
@@ -286,9 +278,12 @@ func (s *Sched) SpawnStepAt(pin int, notBefore uint64, step func(*Ctx) Step) *Pr
 // yieldNames names the Ctx method behind each yield kind.
 var yieldNames = [...]string{yieldSync: "Yield", yieldPark: "Park", yieldBarrier: "Wait"}
 
-// checkPin panics if Run has started and a proc pinned to core pin could
-// never run on its cores.
+// checkPin panics if pin names no core, or Run has started and a proc
+// pinned to core pin could never run on its cores.
 func (s *Sched) checkPin(pin int) {
+	if pin < 0 {
+		panic(fmt.Sprintf("hw: proc pinned to core %d: every proc names its core", pin))
+	}
 	if s.cores != nil && pin >= len(s.cores) {
 		panic(fmt.Sprintf("hw: proc pinned to core %d but Run has only %d cores", pin, len(s.cores)))
 	}
@@ -305,54 +300,36 @@ func (s *Sched) Arrive(stamp uint64, fn func(c *CPU, seq uint64)) {
 	s.seq++
 }
 
-// Proc returns the proc with the given arrival seq, or nil. Procs spawned
-// before any Arrive call have seq equal to their spawn order.
-func (s *Sched) Proc(seq uint64) *Proc {
-	i := sort.Search(len(s.procs), func(i int) bool { return s.procs[i].seq >= seq })
-	if i < len(s.procs) && s.procs[i].seq == seq {
-		return s.procs[i]
-	}
-	return nil
-}
-
-// Wake makes a parked proc runnable again (or arms the pending-wakeup
-// flag if it has not parked yet).
+// Wake makes a parked proc runnable again. A proc that is not parked is
+// left as it is.
 func (s *Sched) Wake(p *Proc) {
 	if p.parked {
 		s.enqueue(p)
-	} else {
-		p.wakePending = true
 	}
 }
 
-// enqueue marks p ready, inserts it seq-ordered into its queue, and wakes
-// an idle core that can run it: its own for a pinned proc, else the idle
-// tree's root, the lowest (clock, ID) — the one the loop would step first.
+// enqueue marks p ready, inserts it seq-ordered into its core's queue, and
+// wakes the core if it is idle.
 func (s *Sched) enqueue(p *Proc) {
 	p.parked = false
 	s.ready++
-	if s.ready > s.runqHigh {
-		s.runqHigh = s.ready
+	if s.ready > s.readyHigh {
+		s.readyHigh = s.ready
 	}
-	if p.pin < 0 {
-		insertBySeq(&s.runq, p)
-		s.wake(s.pick(coreIdle))
-		return
+	for len(s.queues) <= p.pin {
+		s.queues = append(s.queues, nil)
 	}
-	for len(s.pinq) <= p.pin {
-		s.pinq = append(s.pinq, nil)
-	}
-	insertBySeq(&s.pinq[p.pin], p)
+	insertBySeq(&s.queues[p.pin], p)
 	s.wake(p.pin)
 }
 
 // wake puts core id, if there is one and it is idle, back in the pick with
 // its clock still frozen where it went idle.
 func (s *Sched) wake(id int) {
-	if id >= 0 && id < len(s.cores) && s.cores[id].state == coreIdle {
+	if id < len(s.cores) && s.cores[id].state == coreIdle {
 		s.cores[id].state = coreReady
 		s.active++
-		s.fix(id, coreIdle)
+		s.fix(id)
 	}
 }
 
@@ -366,48 +343,48 @@ func insertBySeq(q **Proc, p *Proc) {
 	p.next, *q = *q, p
 }
 
-// pop removes and returns the lowest-seq runnable proc for core id: its
-// pinned queue first, then the migratable queue.
+// pop removes and returns the lowest-seq runnable proc of core id's queue,
+// or nil.
 func (s *Sched) pop(id int) *Proc {
-	q := &s.runq
-	if id < len(s.pinq) && s.pinq[id] != nil {
-		q = &s.pinq[id]
+	if id >= len(s.queues) {
+		return nil
 	}
-	p := *q
+	p := s.queues[id]
 	if p != nil {
-		*q, p.next = p.next, nil
+		s.queues[id], p.next = p.next, nil
 		s.ready--
 	}
 	return p
 }
 
-// pick returns the core in the given state with the lowest (clock, ID), or
-// -1: the root of the state's tree, O(1). Ties resolve by core ID, so the
-// choice — and therefore the entire schedule — is deterministic.
-func (s *Sched) pick(state int8) int {
-	if t := s.trees[state]; len(t) > 0 && t[1] != out {
+// pick returns the ready core with the lowest (clock, ID), or -1: the root
+// of the tree, O(1). Ties resolve by core ID, so the choice — and therefore
+// the entire schedule — is deterministic.
+func (s *Sched) pick() int {
+	if t := s.tree; t[1] != out {
 		return int(t[1] & (1<<idBits - 1))
 	}
 	return -1
 }
 
-// fix re-keys core id, which was in state was, after its state or pick clock
-// changed: it leaves was's tree and takes its (clock, ID) into its state's.
-func (s *Sched) fix(id int, was int8) {
+// fix re-keys core id after its state or pick clock changed: a ready core's
+// leaf takes its (clock, ID), any other core's leaves the pick.
+func (s *Sched) fix(id int) {
 	k := &s.cores[id]
+	if k.state != coreReady {
+		s.tree.set(id, out)
+		return
+	}
 	if k.clock >= out>>idBits {
 		panic(fmt.Sprintf("hw: core %d's clock %d overflows the pick's key", id, k.clock))
 	}
-	if was != k.state {
-		s.trees[was].set(id, out)
-	}
-	s.trees[k.state].set(id, k.clock<<idBits|uint64(id))
+	s.tree.set(id, k.clock<<idBits|uint64(id))
 }
 
-// tree is a tournament over the cores in one state: leaf len/2+i holds core
-// i's key, clock<<idBits | i, while core i is in the state, else out, and
-// each inner node the lower of its two children's. So node 1 is the pick,
-// and equal clocks go to the lower ID.
+// tree is a tournament over the cores: leaf len/2+i holds core i's key,
+// clock<<idBits | i, while core i is ready, else out, and each inner node
+// the lower of its two children's. So node 1 is the pick, and equal clocks
+// go to the lower ID.
 type tree []uint64
 
 // idBits is a key's room for a core ID: MaxCores fits, or the array below
@@ -421,11 +398,8 @@ var _ [1<<idBits - MaxCores]struct{}
 const out = ^uint64(0)
 
 // set stores core id's key and replays its matches up to the root, O(log
-// ncores). A nil tree ignores it.
+// ncores).
 func (t tree) set(id int, key uint64) {
-	if len(t) == 0 {
-		return
-	}
 	i := len(t)/2 + id
 	for t[i] = key; i > 1; i >>= 1 {
 		t[i>>1] = min(t[i&^1], t[i|1])
@@ -458,21 +432,21 @@ func (s *Sched) Run(m *Machine, ncores int, quantum uint64) {
 // start puts cores [0, ncores) of m in the pick, ready at their clocks.
 func (s *Sched) start(m *Machine, ncores int) {
 	s.cores = make([]core, ncores)
-	for _, p := range s.procs {
-		s.checkPin(p.pin)
+	for pin := ncores; pin < len(s.queues); pin++ {
+		if s.queues[pin] != nil {
+			s.checkPin(pin)
+		}
 	}
 	sort.SliceStable(s.arrivals, func(i, j int) bool {
 		return s.arrivals[i].stamp < s.arrivals[j].stamp
 	})
-	n := 1 << bits.Len(uint(ncores-1)) // leaves: ncores rounded up to a power of two
-	t := make(tree, 4*n)
-	for i := range t {
-		t[i] = out
+	s.tree = make(tree, 2<<bits.Len(uint(ncores-1))) // leaves: ncores rounded up to a power of two
+	for i := range s.tree {
+		s.tree[i] = out
 	}
-	s.trees[coreReady], s.trees[coreIdle] = t[:2*n:2*n], t[2*n:]
 	for i := range s.cores {
 		s.cores[i] = core{cpu: m.CPU(i), clock: m.CPU(i).Now()}
-		s.fix(i, coreReady)
+		s.fix(i)
 	}
 	s.active = ncores
 	if s.x != nil {
@@ -488,7 +462,7 @@ func (s *Sched) grant() int {
 	if s.x != nil {
 		return s.x.pick()
 	}
-	return s.pick(coreReady)
+	return s.pick()
 }
 
 // stop cancels every coroutine Run created, so none outlives it. A carrier
@@ -500,13 +474,8 @@ func (s *Sched) stop() {
 	for i := range s.cores {
 		s.cores[i].cpu.x = nil
 	}
-	for on := s.free; on != nil; on = on.next {
+	for _, on := range s.carriers {
 		on.stop()
-	}
-	for _, p := range s.procs {
-		if p.on != nil && p.on.stop != nil {
-			p.on.stop()
-		}
 	}
 }
 
@@ -515,15 +484,20 @@ func (s *Sched) stop() {
 // yields, account the yield, and record the clock the next pick sees.
 func (s *Sched) step(k *core) {
 	c := k.cpu
-	defer s.fix(c.ID(), coreReady)
+	defer s.fix(c.ID())
 	p := k.cur
 	if p != nil {
 		c.advanceTo(CauseIdle, k.clock) // a barrier released p: align to the latest arrival
 	} else if p = s.next(k); p == nil {
 		return
 	} else {
-		if p.lastClock > c.Now() {
-			c.advanceTo(CauseIdle, p.lastClock)
+		if p.ctx.c == nil {
+			// The first dispatch: after it the core's clock, which never
+			// falls, is past notBefore.
+			p.ctx.c = c
+			if p.notBefore > c.Now() {
+				c.advanceTo(CauseIdle, p.notBefore)
+			}
 		}
 		s.dispatches++
 		if k.last != nil && p != k.last {
@@ -538,7 +512,6 @@ func (s *Sched) step(k *core) {
 		}
 		k.cur, k.last = p, p
 	}
-	p.ctx.c = c
 	var passed uint64
 	if s.x != nil {
 		s.x.cur, passed = c.ID(), s.x.passed
@@ -560,7 +533,6 @@ func (s *Sched) step(k *core) {
 		s.arrive(k, p.bar)
 		return
 	}
-	p.lastClock = c.Now()
 	k.cur = nil
 	switch kind {
 	case yieldDone:
@@ -584,6 +556,7 @@ func (s *Sched) carrier() *carrier {
 		return on
 	}
 	on := &carrier{}
+	s.carriers = append(s.carriers, on)
 	on.resume, on.stop = iter.Pull(func(yield func(int8) bool) {
 		on.yield = yield
 		defer func() {
@@ -612,7 +585,7 @@ func (s *Sched) arrive(k *core, b *Barrier) {
 	}
 	for _, id := range b.waiters {
 		s.cores[id].state, s.cores[id].clock = coreReady, b.maxT
-		s.fix(id, coreBarrier)
+		s.fix(id)
 	}
 	b.maxT = 0
 	b.waiters = b.waiters[:0]
@@ -690,9 +663,9 @@ func RunGangDet(m *Machine, ncores int, quantum uint64, fn func(cpu *CPU, g *Gan
 // running returns the context of the proc running on cpu.
 func (s *Sched) running(cpu *CPU) *Ctx { return &s.cores[cpu.ID()].cur.ctx }
 
-// RunQueueHighWater reports the deepest the ready backlog got (migratable
-// run queue plus all pinned queues).
-func (s *Sched) RunQueueHighWater() int { return s.runqHigh }
+// RunQueueHighWater reports the deepest the ready backlog got, every
+// core's queue together.
+func (s *Sched) RunQueueHighWater() int { return s.readyHigh }
 
 // Dispatches reports the total number of proc dispatches.
 func (s *Sched) Dispatches() uint64 { return s.dispatches }

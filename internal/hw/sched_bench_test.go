@@ -62,20 +62,14 @@ func BenchmarkSchedStep(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedSwitch: 128 migratable procs on 64 cores with a switch
-// cost. Dispatch is lowest-seq first, so procs that only yield would run
-// to completion one after another on whichever core is behind; these are
-// 64 pairs handing a turn back and forth through Wake and Park instead, so
-// a dispatch finds a different proc than the core ran last, charges the
-// switch, and parks it again. One op is one dispatch: a Wake that finds its
-// partner not yet parked makes the partner's next Park return at once, so a
-// dispatch covers two turns of the loop. How many dispatches switch drifts
-// with the run's length (0.57 of them at 1 000 rounds, 0.48–0.51 from 5 000
-// to 100 000), so that the shape switches at all is TestSchedSwitchShape's
-// to hold at one fixed size, not this benchmark's at whatever b.N it is
-// given.
+// BenchmarkSchedSwitch: 64 pairs of procs on 64 cores with a switch cost,
+// a pair's two procs pinned to one core. Procs that only yield would run to
+// completion one after another, lowest seq first; these hand a turn back
+// and forth through Wake and Park instead. A Park always yields, so every
+// dispatch finds the other proc than the core ran last and charges the
+// switch. One op is one dispatch, one turn.
 func BenchmarkSchedSwitch(b *testing.B) {
-	m, s := pingPongPairs(b.N/switchPairs + 1)
+	m, s := pingPongPairs(b.N/(2*switchPairs) + 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	s.Run(m, switchCores, 0)
@@ -88,7 +82,9 @@ func BenchmarkSchedSwitch(b *testing.B) {
 const switchCores, switchPairs = 64, 64
 
 // pingPongPairs builds BenchmarkSchedSwitch's machine and scheduler: 64
-// pairs of migratable procs that wake each other and park, rounds times.
+// pairs of procs, pair i's two on core i, that wake each other and park,
+// rounds times each: two dispatches a round, all but the first on a core
+// switching procs (128 064 switches in 128 128 dispatches at 1 000 rounds).
 func pingPongPairs(rounds int) (*Machine, *Sched) {
 	m := NewMachine(DefaultConfig(switchCores))
 	s := NewSched(0)
@@ -96,7 +92,7 @@ func pingPongPairs(rounds int) (*Machine, *Sched) {
 	for i := 0; i < switchPairs; i++ {
 		var ping, pong *Proc
 		done := false
-		ping = s.Spawn(-1, func(tc *Ctx) {
+		ping = s.Spawn(i, func(tc *Ctx) {
 			for k := 0; k < rounds; k++ {
 				tc.CPU().Tick(100)
 				s.Wake(pong)
@@ -105,7 +101,7 @@ func pingPongPairs(rounds int) (*Machine, *Sched) {
 			done = true
 			s.Wake(pong)
 		})
-		pong = s.Spawn(-1, func(tc *Ctx) {
+		pong = s.Spawn(i, func(tc *Ctx) {
 			for !done {
 				tc.CPU().Tick(100)
 				s.Wake(ping)
@@ -118,8 +114,8 @@ func pingPongPairs(rounds int) (*Machine, *Sched) {
 
 // TestSchedSwitchShape: BenchmarkSchedSwitch is only worth its name if its
 // dispatches mostly find another proc than the core ran last. The schedule
-// is deterministic, so at a fixed size the counts are constants: 36 563
-// switches in 64 128 dispatches.
+// is deterministic, so at a fixed size the counts are constants: 128 064
+// switches in 128 128 dispatches.
 func TestSchedSwitchShape(t *testing.T) {
 	const rounds = 1000
 	m, s := pingPongPairs(rounds)
@@ -132,7 +128,8 @@ func TestSchedSwitchShape(t *testing.T) {
 
 // BenchmarkSchedSpawnExit: short-lived procs arriving one at a time, each
 // spawned by an arrival, dispatched, yielding once and exiting — the
-// fleet's churn. One op is one proc, spawn to exit.
+// fleet's churn, pinned round-robin by arrival. One op is one proc, spawn to
+// exit.
 func BenchmarkSchedSpawnExit(b *testing.B) {
 	const ncores = 4
 	m := NewMachine(DefaultConfig(ncores))
@@ -142,7 +139,7 @@ func BenchmarkSchedSpawnExit(b *testing.B) {
 		tc.Yield()
 	}
 	for i := 0; i < b.N; i++ {
-		s.Arrive(uint64(i)*200, func(c *CPU, seq uint64) { s.SpawnAt(-1, c.Now(), body) })
+		s.Arrive(uint64(i)*200, func(c *CPU, seq uint64) { s.SpawnAt(int(seq%ncores), c.Now(), body) })
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

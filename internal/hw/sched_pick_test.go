@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// scanPick is the pick the trees replaced, kept as their reference: the
-// core in the given state with the lowest (clock, ID), or -1, by a pass
-// over every core. tie reports whether another core in the state shares
-// the winner's clock.
+// scanPick is the pick the tree replaced, kept as its reference: the core
+// in the given state with the lowest (clock, ID), or -1, by a pass over
+// every core. tie reports whether another core in the state shares the
+// winner's clock.
 func scanPick(s *Sched, state int8) (next int, tie bool) {
 	next = -1
 	var best uint64
@@ -32,22 +32,17 @@ func scanPick(s *Sched, state int8) (next int, tie bool) {
 // pickCoverage counts the paths the random schedules reached, so the test
 // fails if a change to its generator stops exercising one.
 type pickCoverage struct {
-	picks, ties, idlePicks, deferred, releases, parks int
+	picks, ties, idle, deferred, releases, parks int
 }
 
 // randomSchedule spawns a seeded mix onto s: a barrier gang pinned to
-// distinct cores, Park/Wake pairs, pinned and migratable procs that yield,
-// and arrivals that spawn more, some late enough to find cores idle or
+// distinct cores, Park/Wake pairs, procs that yield, several to a core, and
+// arrivals that spawn more, some late enough to find cores idle or
 // sleeping. Work comes in multiples of 100 cycles so clocks often tie.
 // check runs at every point a body or handler regains control.
 func randomSchedule(s *Sched, rng *rand.Rand, ncores int, cov *pickCoverage, check func()) {
 	work := func(c *CPU) { c.Tick(uint64(100 * (1 + rng.Intn(4)))) }
-	pin := func() int {
-		if rng.Intn(2) == 0 {
-			return -1
-		}
-		return rng.Intn(ncores)
-	}
+	pin := func() int { return rng.Intn(ncores) }
 	yielder := func(n int) func(*Ctx) {
 		return func(tc *Ctx) {
 			check()
@@ -124,15 +119,14 @@ func randomSchedule(s *Sched, rng *rand.Rand, ncores int, cov *pickCoverage, che
 	}
 }
 
-// TestSchedPickMatchesScan: the trees pick exactly what a scan of every
-// core picks. Seeded random schedules (barriers, Park/Wake, pinned and
-// migratable procs, arrivals deferred by the admission cap, idle wakes,
-// retirement, equal clocks after a barrier release) run on 1, 3, 64, 80
-// and 128 cores, so padded trees are covered. The test drives Run's loop
-// itself to compare both trees' roots with scanPick before every pick, and
-// bodies and handlers compare them wherever they regain control, where an
-// enqueue may read the idle tree. The same schedule run by Run must leave
-// every clock and counter as the test's loop did.
+// TestSchedPickMatchesScan: the tree picks exactly what a scan of every
+// core picks. Seeded random schedules (barriers, Park/Wake, procs sharing
+// cores, arrivals deferred by the admission cap, idle wakes, retirement,
+// equal clocks after a barrier release) run on 1, 3, 64, 80 and 128 cores,
+// so padded trees are covered. The test drives Run's loop itself to compare
+// the tree's root with scanPick before every pick, and bodies and handlers
+// compare it wherever they regain control. The same schedule run by Run
+// must leave every clock and counter as the test's loop did.
 func TestSchedPickMatchesScan(t *testing.T) {
 	const seeds = 40
 	var cov pickCoverage
@@ -147,17 +141,15 @@ func TestSchedPickMatchesScan(t *testing.T) {
 			var bad string
 			where := "before the pick"
 			check := func() {
-				for _, state := range []int8{coreReady, coreIdle} {
-					want, tie := scanPick(s, state)
-					if got := s.pick(state); got != want && bad == "" {
-						bad = fmt.Sprintf("%d cores, seed %d, %s: state %d picks core %d, the scan core %d", ncores, seed, where, state, got, want)
-					}
-					if state == coreReady && tie {
-						cov.ties++
-					}
-					if state == coreIdle && want >= 0 {
-						cov.idlePicks++
-					}
+				want, tie := scanPick(s, coreReady)
+				if got := s.pick(); got != want && bad == "" {
+					bad = fmt.Sprintf("%d cores, seed %d, %s: the tree picks core %d, the scan core %d", ncores, seed, where, got, want)
+				}
+				if tie {
+					cov.ties++
+				}
+				if idle, _ := scanPick(s, coreIdle); idle >= 0 {
+					cov.idle++
 				}
 			}
 			randomSchedule(s, rand.New(rand.NewSource(seed)), ncores, &cov, func() {
@@ -173,7 +165,7 @@ func TestSchedPickMatchesScan(t *testing.T) {
 					t.Fatal(bad)
 				}
 				cov.picks++
-				id := s.pick(coreReady)
+				id := s.pick()
 				if id < 0 {
 					break
 				}
@@ -202,7 +194,7 @@ func TestSchedPickMatchesScan(t *testing.T) {
 		}
 	}
 	t.Logf("%+v", cov)
-	if cov.ties == 0 || cov.idlePicks == 0 || cov.deferred == 0 || cov.releases == 0 || cov.parks == 0 {
+	if cov.ties == 0 || cov.idle == 0 || cov.deferred == 0 || cov.releases == 0 || cov.parks == 0 {
 		t.Errorf("the random schedules missed a path: %+v", cov)
 	}
 }

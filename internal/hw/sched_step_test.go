@@ -23,8 +23,9 @@ const (
 	opWait
 )
 
-// script is a machine's op scripts: one pinned per core, each with the same
-// number of barrier waits, and migratable ones that never wait.
+// script is a machine's op scripts: one per core, each with the same number
+// of barrier waits, and loose ones that never wait, spawned onto the cores
+// round-robin after them.
 type script struct {
 	pinned, loose [][]scriptOp
 	lines         []Line // the lines the ops touch: fresh for each run
@@ -145,8 +146,8 @@ func (sc *script) run(ncores int, steps bool) (string, Cycles, Stats, uint64) {
 	for id, ops := range sc.pinned {
 		spawn(id, ops)
 	}
-	for _, ops := range sc.loose {
-		spawn(-1, ops)
+	for i, ops := range sc.loose {
+		spawn(i%ncores, ops)
 	}
 	s.Run(m, ncores, 0)
 	var b strings.Builder
@@ -163,7 +164,7 @@ func (sc *script) run(ncores int, steps bool) (string, Cycles, Stats, uint64) {
 // cycles by cause, Stats, dispatches and switches, on 1, 8 and 64 cores.
 // The scripts cross barriers, transfer lines and mail interrupts, which
 // their targets fold as their clocks pass the stamps, at yield points among
-// other places; the migratable procs make cores switch.
+// other places; the loose procs make cores switch.
 func TestStepProcsMatchCoroutines(t *testing.T) {
 	for _, ncores := range []int{1, 8, 64} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -184,8 +185,9 @@ func TestStepProcsMatchCoroutines(t *testing.T) {
 }
 
 // TestStepProcYieldPanics: a step function that calls Yield, Park or Wait
-// panics naming the proc and the call, a Park with a Wake pending included,
-// and so does spawning a step proc on the explorer.
+// panics naming the proc and the call, a Park after a Wake that found the
+// proc not parked included, and so does spawning a step proc on the
+// explorer.
 func TestStepProcYieldPanics(t *testing.T) {
 	bar := NewBarrier(1)
 	for _, tc := range []struct {

@@ -2,6 +2,7 @@ package hw
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -51,86 +52,57 @@ func TestSchedPinnedGangEquivalence(t *testing.T) {
 	}
 }
 
-// TestSchedMigration: more migratable procs than cores must all run to
-// completion, spreading across workers, and every redispatch that changes
-// procs on a worker must be counted as a switch.
-func TestSchedMigration(t *testing.T) {
-	const ncores = 2
-	const nprocs = 6
-	m := NewMachine(TestConfig(ncores))
-	s := NewSched(0)
-	s.SwitchCost = 500
-	cores := make([]map[int]bool, nprocs)
-	for i := 0; i < nprocs; i++ {
-		i := i
-		cores[i] = make(map[int]bool)
-		s.Spawn(-1, func(tc *Ctx) {
-			for k := 0; k < 20; k++ {
-				c := tc.CPU()
-				cores[i][c.ID()] = true
-				c.Tick(300)
-				tc.Yield()
-			}
-		})
-	}
-	s.Run(m, ncores, 1000)
-	migrated := false
-	for i, set := range cores {
-		if len(set) == 0 {
-			t.Fatalf("proc %d never ran", i)
-		}
-		if len(set) > 1 {
-			migrated = true
-		}
-	}
-	if !migrated {
-		t.Errorf("no proc ever migrated across %d workers", ncores)
-	}
-	if s.Switches() == 0 {
-		t.Errorf("oversubscribed fleet recorded zero context switches")
-	}
-	if s.Dispatches() < nprocs*20 {
-		t.Errorf("dispatches = %d, want >= %d", s.Dispatches(), nprocs*20)
-	}
-}
-
-// TestSchedParkWake: a consumer parks until a producer wakes it; a Wake
-// that lands before the Park (the pending-wakeup protocol) makes the Park
-// return immediately instead of stranding the consumer.
+// TestSchedParkWake: a Wake of a proc that is not parked changes nothing —
+// the proc's next Park still blocks — and a consumer that checks what it
+// waits for before every Park loses no hand-off, whether the producer's
+// Wake finds it parked or not.
 func TestSchedParkWake(t *testing.T) {
 	m := NewMachine(TestConfig(2))
 	s := NewSched(0)
 	var order []string
+	posted, taken := 0, 0
 	consumer := s.Spawn(0, func(tc *Ctx) {
-		order = append(order, "consumer-park")
-		tc.Park()
-		order = append(order, "consumer-woke")
-		tc.Park() // the producer's second Wake is already pending: no block
-		order = append(order, "consumer-done")
+		tc.CPU().Tick(5000) // the first hand-off finds the consumer ready, not parked
+		tc.Yield()
+		for taken < 2 {
+			for posted == taken {
+				order = append(order, "consumer-park")
+				tc.Park()
+			}
+			taken++
+			order = append(order, "consumer-take")
+		}
 	})
 	s.Spawn(1, func(tc *Ctx) {
-		tc.CPU().Tick(5000) // let the consumer reach its Park first
-		tc.Yield()
-		order = append(order, "producer-wake")
-		tc.Sched().Wake(consumer)
-		tc.Sched().Wake(consumer) // consumer is ready: arms wakePending
+		for k := 0; k < 2; k++ {
+			posted++
+			order = append(order, "producer-post")
+			ready := s.ready
+			s.Wake(consumer)
+			if k == 0 {
+				s.Wake(consumer)
+				if s.ready != ready || consumer.parked {
+					t.Errorf("Wakes of a proc that was not parked changed the ready backlog %d -> %d", ready, s.ready)
+				}
+			}
+			tc.CPU().Tick(10_000)
+			tc.Yield()
+		}
 	})
 	s.Run(m, 2, 1000)
-	want := []string{"consumer-park", "producer-wake", "consumer-woke", "consumer-done"}
-	if len(order) != len(want) {
+	// One park: the Wakes that found the consumer ready did not make its
+	// Park return at once.
+	want := []string{"producer-post", "consumer-take", "consumer-park", "producer-post", "consumer-take"}
+	if !slices.Equal(order, want) {
 		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
 	}
 }
 
 // TestSchedQueueCapDefersArrivals: the admission cap counts the whole
-// ready backlog — pinned queues included — and a due arrival must wait
-// until the backlog drains below the cap. (The cap originally counted only
-// the migratable queue, which made it dead for all-pinned fleets.)
+// ready backlog — every core's queue — and a due arrival must wait until
+// the backlog drains below the cap. (The cap once counted only a shared
+// queue of procs any core could run, which made it dead for fleets whose
+// procs all name their cores.)
 func TestSchedQueueCapDefersArrivals(t *testing.T) {
 	m := NewMachine(TestConfig(2))
 	s := NewSched(2)
@@ -182,7 +154,7 @@ func TestSchedIdleArrivalAdoption(t *testing.T) {
 				late++ // fold before the stamp: clock never advanced
 			}
 			foldCores[c.ID()] = true
-			s.Spawn(-1, func(tc *Ctx) {
+			s.Spawn(c.ID(), func(tc *Ctx) {
 				tc.CPU().Tick(2000)
 			})
 		})
@@ -245,27 +217,42 @@ func mustPanic(t *testing.T, fn func()) (v any) {
 	return nil
 }
 
-// TestSchedPinOutOfRange: a proc pinned past the machine must be refused
-// by name whether it is spawned before Run or from inside it. (Only the
-// first was checked; a mid-run SpawnAt got past and died on a bare
+// TestSchedPinOutOfRange: a proc pinned past the machine, or to a negative
+// core, must be refused by a panic that names the pin, whether it is spawned
+// before Run or from inside it. (A pin past the machine was once checked
+// only before Run; a mid-run SpawnAt got past and died on a bare
 // index-out-of-range in the idle-wake path.)
 func TestSchedPinOutOfRange(t *testing.T) {
-	const want = "hw: proc pinned to core 5 but Run has only 2 cores"
+	const past = "hw: proc pinned to core 5 but Run has only 2 cores"
+	const negative = "hw: proc pinned to core -1: every proc names its core"
 	noop := func(*Ctx) {}
-	spawners := map[string]func(s *Sched){
-		"before Run": func(s *Sched) { s.Spawn(5, noop) },
-		"from an arrival": func(s *Sched) {
+	for _, tc := range []struct {
+		name  string
+		spawn func(s *Sched)
+		want  string
+	}{
+		{"before Run", func(s *Sched) { s.Spawn(5, noop) }, past},
+		{"from an arrival", func(s *Sched) {
 			s.Arrive(100, func(c *CPU, seq uint64) { s.SpawnAt(5, c.Now(), noop) })
-		},
-		"from a proc": func(s *Sched) {
+		}, past},
+		{"from a proc", func(s *Sched) {
 			s.Spawn(0, func(tc *Ctx) { s.SpawnAt(5, tc.CPU().Now(), noop) })
-		},
-	}
-	for name, spawn := range spawners {
-		s := NewSched(0)
-		spawn(s)
-		if got := mustPanic(t, func() { s.Run(NewMachine(TestConfig(2)), 2, 0) }); got != want {
-			t.Errorf("%s: panic %q, want %q", name, got, want)
+		}, past},
+		{"negative before Run", func(s *Sched) { s.Spawn(-1, noop) }, negative},
+		{"negative step proc before Run", func(s *Sched) {
+			s.SpawnStep(-1, func(*Ctx) Step { return StepDone })
+		}, negative},
+		{"negative from a proc", func(s *Sched) {
+			s.Spawn(0, func(tc *Ctx) { s.SpawnAt(-1, tc.CPU().Now(), noop) })
+		}, negative},
+	} {
+		got := mustPanic(t, func() {
+			s := NewSched(0)
+			tc.spawn(s)
+			s.Run(NewMachine(TestConfig(2)), 2, 0)
+		})
+		if got != tc.want {
+			t.Errorf("%s: panic %q, want %q", tc.name, got, tc.want)
 		}
 	}
 }
@@ -326,14 +313,14 @@ func TestSchedBodyPanic(t *testing.T) {
 }
 
 // TestSchedCarrierReuse: coroutines are per proc alive at once, not per
-// proc — 20 migratable procs on 4 cores run lowest-seq first, so few are
-// ever mid-body together — and none outlives Run.
+// proc — 20 procs, 5 to each of 4 cores, and a core runs its lowest-seq
+// proc first, so few are ever mid-body together — and none outlives Run.
 func TestSchedCarrierReuse(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s := NewSched(0)
 	alive, aliveHigh := 0, 0
 	for i := 0; i < 20; i++ {
-		s.Spawn(-1, func(tc *Ctx) {
+		s.Spawn(i%4, func(tc *Ctx) {
 			if alive++; alive > aliveHigh {
 				aliveHigh = alive
 			}
@@ -391,7 +378,7 @@ func TestSchedYieldAllocs(t *testing.T) {
 }
 
 // spawnExitAllocs is the heap allocations per proc of spawning 1000 short
-// migratable procs and running them to completion on 4 cores.
+// procs, 250 to a core, and running them to completion on 4 cores.
 func spawnExitAllocs() float64 {
 	const nprocs = 1000
 	m := NewMachine(TestConfig(4))
@@ -402,16 +389,16 @@ func spawnExitAllocs() float64 {
 	return testing.AllocsPerRun(5, func() {
 		s := NewSched(0)
 		for i := 0; i < nprocs; i++ {
-			s.Spawn(-1, body)
+			s.Spawn(i%4, body)
 		}
 		s.Run(m, 4, 0)
 	}) / nprocs
 }
 
 // TestSchedSpawnExitAllocs: a short-lived proc costs its Proc and a share
-// of the procs slice's growth, not a coroutine. The goroutine-and-two-
-// channels proc this scheduler replaced measured 4.04 allocations per proc
-// on this test; the loop measures 1.03.
+// of the run's few coroutines and tables, not a coroutine of its own. The
+// goroutine-and-two-channels proc this scheduler replaced measured 4.04
+// allocations per proc on this test; the loop measures 1.07.
 func TestSchedSpawnExitAllocs(t *testing.T) {
 	if got := spawnExitAllocs(); got > 1.5 {
 		t.Errorf("%.2f allocations per short-lived proc, want <= 1.5 (4.04 with a goroutine per proc)", got)

@@ -9,25 +9,23 @@ import (
 
 // TestSchedTraceGolden pins the dispatch order itself. The figures prove
 // the order only on the paths they happen to take; this scenario takes all
-// of them on purpose — pinned and migratable procs, a context-switch cost,
-// arrivals against a small admission cap (two folds are deferred), SpawnAt
-// from an arrival handler, a Park that blocks and a Park that finds its
-// wake already pending, a two-member barrier crossed twice while the other
-// procs keep yielding, idle cores sleeping to a late arrival, and one line
-// every body writes so the order shows up in the transfer counts. Every
-// core's cycle meter must sum to its clock. The
-// expected text in testdata/sched_trace.golden was produced by the
-// scheduler this one replaced (per-core member goroutines passing a token,
-// PR 14's tree) and regenerated once since, when a fold became a yield point
-// (PR 22): every line up to and including the first fold stayed as it was —
-// a schedule without arrivals does not move — and the core that folded
-// arrival 6 now goes back through the pick instead of dispatching first. A
-// scheduler change that moves one resume, one clock or one counter fails here.
+// of them on purpose — several procs pinned to one core, a context-switch
+// cost, arrivals against a small admission cap (two folds are deferred),
+// SpawnAt from an arrival handler, a consumer whose Parks sit in check loops
+// (one Wake finds it parked, a second finds it ready and changes nothing),
+// a two-member barrier crossed twice while the proc sharing a member's core
+// waits behind it, idle cores sleeping to a late arrival, and one line every
+// body writes so the order shows up in the transfer counts. Every core's
+// cycle meter must sum to its clock. The expected text in
+// testdata/sched_trace.golden was produced by the scheduler that still had
+// migratable procs and the pending-wakeup flag, from this scenario, which
+// needs neither: a scheduler change that moves one resume, one clock or one
+// counter fails here.
 //
-// The steps variant spawns the scenario's yield-only pinned procs — the two
-// barrier members and the short proc arrival 6 pins to core 3 — as step
-// procs, and must leave the same trace: a step proc's yield is accounted as
-// a coroutine's is.
+// The steps variant spawns the scenario's yield-only procs — the two barrier
+// members, procs 3-5 and every arrival's short procs — as step procs, and
+// must leave the same trace: a step proc's yield is accounted as a
+// coroutine's is.
 func TestSchedTraceGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/sched_trace.golden")
 	if err != nil {
@@ -100,33 +98,61 @@ func schedTrace(t *testing.T, steps bool) string {
 		})
 	}
 
-	// Proc 2: the consumer, pinned to core 2. Its first Park blocks until
-	// proc 3 wakes it; that proc's second Wake finds it ready and arms the
-	// pending flag, so the second Park returns without yielding.
+	// Proc 2: the consumer, pinned to core 2. Each Park sits in a loop that
+	// checks what it waits for. Proc 3 posts the first hand-off and Wakes it
+	// twice: the first Wake finds it parked, the second finds it ready and
+	// changes nothing. Proc 3 posts the second hand-off later.
+	posted := 0
 	consumer := s.Spawn(2, func(tc *Ctx) {
 		mark(tc)
 		work(tc.CPU(), 100)
-		tc.Park()
+		for posted < 1 {
+			tc.Park()
+		}
 		mark(tc)
 		work(tc.CPU(), 100)
-		tc.Park()
+		for posted < 2 {
+			tc.Park()
+		}
 		mark(tc)
 		work(tc.CPU(), 100)
 		tc.Yield()
 		mark(tc)
 	})
 
-	// Procs 3-5: migratable, not barrier members, yielding throughout.
-	for i := 0; i < 3; i++ {
+	// Procs 3-5: not barrier members, yielding throughout, pinned beside
+	// others: 3 alone on core 3 until the arrivals, 4 beside the consumer,
+	// 5 beside barrier member 0.
+	post := func(i, k int) {
+		if i == 0 && (k == 4 || k == 6) {
+			posted++
+			s.Wake(consumer)
+			if k == 4 {
+				s.Wake(consumer)
+			}
+		}
+	}
+	for i, pin := range []int{3, 2, 0} {
 		i := i
-		s.Spawn(-1, func(tc *Ctx) {
+		if steps {
+			k := 0
+			s.SpawnStep(pin, func(tc *Ctx) Step {
+				mark(tc)
+				if k == 8 {
+					return StepDone
+				}
+				work(tc.CPU(), uint64(300+50*i))
+				post(i, k)
+				k++
+				return StepYield
+			})
+			continue
+		}
+		s.Spawn(pin, func(tc *Ctx) {
 			mark(tc)
 			for k := 0; k < 8; k++ {
 				work(tc.CPU(), uint64(300+50*i))
-				if i == 0 && k == 4 {
-					s.Wake(consumer)
-					s.Wake(consumer)
-				}
+				post(i, k)
 				tc.Yield()
 				mark(tc)
 			}
@@ -155,6 +181,13 @@ func schedTrace(t *testing.T, steps bool) string {
 			return StepYield
 		}
 	}
+	spawnShort := func(pin int, now uint64, n int) {
+		if steps {
+			s.SpawnStepAt(pin, now, shortStep(n))
+		} else {
+			s.SpawnAt(pin, now, short(n))
+		}
+	}
 	fold := func(c *CPU, seq uint64) {
 		fmt.Fprintf(&out, "fold   core=%d seq=%d clock=%d deferred=%d\n", c.ID(), seq, c.Now(), s.DeferredArrivals())
 	}
@@ -165,24 +198,20 @@ func schedTrace(t *testing.T, steps bool) string {
 		fold(c, seq)
 		work(c, 200)
 		for j := 0; j < 3; j++ {
-			s.SpawnAt(-1, c.Now(), short(2))
+			spawnShort(j+1, c.Now(), 2)
 		}
-		if steps {
-			s.SpawnStepAt(3, c.Now(), shortStep(3))
-		} else {
-			s.SpawnAt(3, c.Now(), short(3))
-		}
+		spawnShort(3, c.Now(), 3)
 	})
 	s.Arrive(1600, func(c *CPU, seq uint64) {
 		fold(c, seq)
 		work(c, 200)
-		s.SpawnAt(-1, c.Now(), short(1))
+		spawnShort(0, c.Now(), 1)
 	})
 	// Arrival 8 comes after everything else has finished: idle cores sleep
 	// to its stamp instead of parking.
 	s.Arrive(60_000, func(c *CPU, seq uint64) {
 		fold(c, seq)
-		s.SpawnAt(-1, c.Now(), short(1))
+		spawnShort(1, c.Now(), 1)
 	})
 
 	s.Run(m, ncores, 1000)

@@ -147,7 +147,7 @@ func Run(env *workload.Env, sys vm.System, cores int, cfg Config) Result {
 	perCore := cfg.Words / cores
 
 	job := func(tc *hw.Ctx) {
-		c := tc.CPU() // pinned: the same core across every yield
+		c := tc.CPU()
 		id := c.ID()
 		// --- Map phase: parse the chunk, spill (word, pos) by bucket.
 		gen := wordGen{state: cfg.Seed + uint64(id)*0x9E3779B97F4A7C15, vocab: uint64(cfg.Vocab)}

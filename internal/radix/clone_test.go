@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
-	"slices"
 	"testing"
 
 	"radixvm/internal/hw"
@@ -357,41 +356,5 @@ func TestDivergeFullLeafAllocs(t *testing.T) {
 	t.Logf("later children: %d allocations, %d B", least, fewest)
 	if least > 8 || fewest > 4096 {
 		t.Errorf("diverging and touching a fully populated leaf made %d allocations of %d B, want <= 8 and <= 4096", least, fewest)
-	}
-}
-
-// TestDirectoryFilledInPlaceEqualsCopyOnInsert: a private directory filled
-// in place, in the ascending order a copy's sweep asks in, is the directory
-// materialization publishes whatever order its groups came in.
-func TestDirectoryFilledInPlaceEqualsCopyOnInsert(t *testing.T) {
-	order := []int{5, 127, 0, 64, 63, 1, 126, 65, 2}
-	tr := &Tree[val]{}
-	published := &node[val]{tree: tr}
-	for _, gi := range order {
-		published.materialize(gi, gi)
-	}
-	if n := tr.GroupsEver(); n != int64(len(order)) {
-		t.Errorf("GroupsEver = %d after materializing, want %d", n, len(order))
-	}
-	groups := map[int]*slotGroup[val]{}
-	sh := shell[val]{node: &node[val]{}}
-	for _, gi := range slices.Sorted(slices.Values(order)) {
-		g := sh.forkGroup(tr, gi)
-		if sh.forkGroup(tr, gi) != g {
-			t.Fatalf("group %d created twice", gi)
-		}
-		groups[gi] = g
-	}
-	want, got := published.dir, sh.dir
-	if want.bits != got.bits || len(want.groups) != len(got.groups) {
-		t.Fatalf("in-place directory bits=%x n=%d, published bits=%x n=%d", got.bits, len(got.groups), want.bits, len(want.groups))
-	}
-	for _, gi := range order {
-		if got.get(gi) != groups[gi] || want.get(gi) == nil {
-			t.Errorf("group %d not where the bitmap says", gi)
-		}
-	}
-	if n := tr.GroupsEver(); n != 2*int64(len(order)) {
-		t.Errorf("GroupsEver = %d, want %d", n, 2*len(order))
 	}
 }

@@ -90,41 +90,35 @@ func (t *Tree[V]) cloneShell(cpu *hw.CPU, src *node[V]) shell[V] {
 		}
 	}
 	// A pooled node's groups are dropped: the copy's groups are src's,
-	// realized in runs as its owner touches them.
+	// realized in runs as its owner touches them. The copy gets its
+	// directory, the image's groups, when the sweep is done (linkCopy).
 	t.groupsLive -= countGroups(n)
+	n.dir = nil
 	sh := shell[V]{node: n, over: sd}
 	if n.uniSt != nil {
 		sh.used = SlotsPerNode
 	}
 	// Born in src's image: the cached one if it still describes src, else a
-	// new one, which the sweep fills and then caches on src when it gives
-	// the copy its directory. A copy with no groups needs none.
-	var nd *groupDir[V]
+	// new one, which the sweep fills and then caches on src. A copy with no
+	// groups needs none.
 	if kept > 0 {
-		if sh.img = src.copyImg; sh.img != nil && sh.img.over == sd {
-			nd = newGroupDirOf[V](sh.img.bits)
-		} else {
-			sh.img = &nodeImage[V]{over: sd, groups: make([]imageGroup[V], 0, kept)}
+		if n.img = src.copyImg; n.img == nil || n.img.over != sd {
+			n.img = &nodeImage[V]{over: sd, groups: make([]imageGroup[V], 0, kept)}
 			sh.build = true
 		}
 	}
-	n.dir = nd
-	n.img = sh.img
 	cpu.TickAs(hw.CauseMetaCopy, ForkNodeCost(t.pageZero, srcGroups))
 	return sh
 }
 
 // shell is a copy under construction: the node, private to the copying
-// core until the caller links it into its parent slot, and where the sweep puts what
-// the copy's slots are born holding (the package comment's last two rows).
-// The copy is born in img, the source's image: the sweep fills it if build is
-// set, and otherwise has nothing to write. A copy whose image was abandoned
-// has img nil, and the sweep mirrors the rest of it into groups of its own,
-// its directory filled in place. over is the source's directory the copy was
-// sized from, and used counts the copy's used slots as the sweep takes them.
+// core until the caller links it into its parent slot. The copy is born in
+// its img, the source's image (the package comment's second row): the sweep
+// fills it if build is set, and otherwise has nothing to write. over is the
+// source's directory the copy was sized from, and used counts the copy's
+// used slots as the sweep takes them.
 type shell[V any] struct {
 	*node[V]
-	img   *nodeImage[V]
 	build bool
 	over  *groupDir[V]
 	used  int64
@@ -139,11 +133,11 @@ func (sh *shell[V]) take(t *Tree[V], cpu *hw.CPU, cs *cpuState[V], src *node[V],
 	// A slot the copy's header does not already stand for — one that
 	// diverged from src's fill, to empty included, or anything a node
 	// without a fill holds — goes into the copy's group.
-	mirror := g != nil && (st != nil || fill)
-	if sh.img != nil && !sh.build && !sh.img.agrees(idx, st, mirror) {
-		sh.abandon(t, src, idx)
+	grouped := g != nil && (st != nil || fill)
+	if sh.img != nil && !sh.build && !sh.img.agrees(idx, st, grouped) {
+		sh.rebuild(idx)
 	}
-	if !mirror {
+	if !grouped {
 		return false
 	}
 	cell, store := sh.cell(t, cs, idx, st)
@@ -174,89 +168,61 @@ func (sh *shell[V]) take(t *Tree[V], cpu *hw.CPU, cs *cpuState[V], src *node[V],
 // cell returns the storage for what slot idx of the copy is born holding — a
 // slot state and the value behind it — for the sweep to fill; st is what
 // src's slot holds (nil: empty). The slot is one the copy's header does not
-// stand for. The cell of a copy whose sweep builds an image is in the image;
-// an abandoned copy's is in its own group, created at need.
-// When the image is there already the sweep has nothing to write and cell
-// returns nil — unless the slot holds a value and there is an OnDiverge hook
-// to hand a dst to: cs's scratch cell, filled and forgotten.
+// stand for, so the copy has an image. The cell of a copy whose sweep builds
+// the image is in the image. When the image is there already the sweep has
+// nothing to write and cell returns nil — unless the slot holds a value and
+// there is an OnDiverge hook to hand a dst to: cs's scratch cell, filled and
+// forgotten.
 func (sh *shell[V]) cell(t *Tree[V], cs *cpuState[V], idx int, st *slotState[V]) (*slotState[V], *V) {
-	gi, j := idx/slotsPerLine, idx%slotsPerLine
-	if sh.build {
-		ig := sh.img.group(gi)
-		if ig == nil {
-			ig = sh.img.grow(gi)
-		}
-		ig.src[j] = st
-		return &ig.sts[j], &ig.vals[j]
-	}
-	if sh.img != nil {
+	if !sh.build {
 		if st == nil || st.child != nil || t.hooks == nil {
 			return nil, nil
 		}
 		return &cs.bornSt, &cs.born
 	}
-	dg := sh.forkGroup(t, gi)
-	if st == nil {
-		dg.sts[j] = nil
-	} else {
-		dg.sts[j] = &dg.slab[j]
+	gi, j := idx/slotsPerLine, idx%slotsPerLine
+	ig := sh.img.group(gi)
+	if ig == nil {
+		ig = sh.img.grow(gi)
 	}
-	return &dg.slab[j], &dg.vals[j]
+	ig.src[j] = st
+	return &ig.sts[j], &ig.vals[j]
 }
 
-// abandon turns a copy being born in an image into a mirrored one, when the
-// sweep finds at slot idx that the image cannot serve: the source no longer
-// reads as the image recorded, because a child of a frozen interior node died
-// since. The groups swept so far agreed with the image and become real groups
-// filled from it; the sweep mirrors the rest. The source's cached image, if
-// this is it, is dropped.
-func (sh *shell[V]) abandon(t *Tree[V], src *node[V], idx int) {
-	im := sh.img
+// rebuild gives the copy a new image when the sweep finds at slot idx that
+// the source no longer reads as its cached image recorded: a child of the
+// frozen node died since, and its link reads empty. The slots swept so far
+// agreed with the old image, so the new one starts as their copy, as this
+// sweep would have built it; the sweep builds the rest, and linkCopy caches
+// the new image on the source. The old image stays with the copies born in
+// it.
+func (sh *shell[V]) rebuild(idx int) {
+	old := sh.img
+	// The source has only lost slots since the old image was sized, so its
+	// capacity holds the new one.
+	sh.img = &nodeImage[V]{over: old.over, groups: make([]imageGroup[V], 0, cap(old.groups))}
+	sh.build = true
+	fill := sh.uniSt != nil
 	gi, j := idx/slotsPerLine, idx%slotsPerLine
-	upto := gi
-	if j > 0 && im.bits.has(gi) {
-		upto++ // partly swept: its first j slots are the image's
-	}
-	d := newGroupDirOf[V](im.bits.below(upto))
-	slab := make([]slotGroup[V], len(d.groups))
-	for k, g := 0, 0; k < len(slab); g++ {
-		if d.bits.has(g) {
-			slots := slotsPerLine
-			if g == gi {
-				slots = j
+	for g := 0; g <= gi; g++ {
+		og := old.group(g)
+		if og == nil {
+			continue
+		}
+		var ng *imageGroup[V]
+		for k := 0; k < slotsPerLine && (g < gi || k < j); k++ {
+			if og.src[k] == nil && !fill {
+				continue // an empty slot puts no group in the image
 			}
-			im.fill(&slab[k], g, slots)
-			d.groups[k] = &slab[k]
-			k++
+			if ng == nil {
+				ng = sh.img.grow(g)
+			}
+			ng.src[k], ng.sts[k] = og.src[k], og.sts[k]
+			if v := og.sts[k].val; v != nil {
+				copyInto(&ng.sts[k], &ng.vals[k], v)
+			}
 		}
 	}
-	t.groupsEver += int64(len(slab))
-	t.groupsLive += int64(len(slab))
-	sh.dir = d
-	sh.node.img, sh.img, sh.build = nil, nil, false
-	if src.copyImg == im {
-		src.copyImg = nil
-	}
-}
-
-// forkGroup returns the abandoned copy's group gi, creating it zeroed if
-// absent (a fresh child group's gates start free, as in a brand-new address
-// space). Unlike initGroup it does not pre-fill slot states: the sweep
-// overwrites every slot of a mirrored group explicitly. nt is the tree the
-// copy belongs to.
-func (sh *shell[V]) forkGroup(nt *Tree[V], gi int) *slotGroup[V] {
-	d := sh.dir
-	if d == nil {
-		d = newGroupDir[V](0)
-		sh.dir = d
-	} else if g := d.get(gi); g != nil {
-		return g
-	}
-	g := new(slotGroup[V])
-	d.insert(gi, g) // the copy loops ask in ascending slot order
-	nt.groupsEver++
-	nt.groupsLive++
-	return g
 }
 
 // unlockBits releases every slot bit of the frozen node n at the end of a

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"radixvm/internal/hw"
@@ -226,50 +227,71 @@ func TestStaleImageIsRebuilt(t *testing.T) {
 
 // TestImageAbandonedWhenSourceChanged: a frozen interior node links a leaf
 // that is empty but not yet reclaimed when the first child copies the node,
-// and reclaimed — its slot swung to empty — when the second does. The second
-// sweep finds the slot differs from the image midway through a group: the
-// groups it has passed become real groups filled from the image, the rest is
-// mirrored, and the result is the slot-by-slot copy. The stale image is
-// dropped, and a third child builds the current one.
+// and reclaimed — its slot swung to empty — when the second does. The
+// second sweep finds the slot differs from the cached image: it builds a
+// new image, seeded with the slots it has passed, which equals the image a
+// sweep of the source as it now is builds, and it caches that image on the
+// source; the copy is the slot-by-slot copy. A third child reuses the new
+// image. The dying leaf sits mid-group, beside a live leaf at 21 (slot 22)
+// or alone in its group (26), or at a group's first slot (24): where it is
+// alone, the new image keeps nothing of the group.
 func TestImageAbandonedWhenSourceChanged(t *testing.T) {
+	for _, dying := range []int{22, 24, 26} {
+		t.Run(fmt.Sprintf("slot%d", dying), func(t *testing.T) { imageRebuiltWhenSourceChanged(t, dying) })
+	}
+}
+
+func imageRebuiltWhenSourceChanged(t *testing.T, dying int) {
 	m, rc, tr, full, _, _ := forkSource(t)
 	c := m.CPU(0)
 	markingHook(tr)
 	// forkSource's level-1 node holds slots 8, 9, 11 (leaves) and 13 (a folded
-	// value). Add leaves at 21 and 22 — one group, the second about to die —
-	// and at 40, past them.
-	for _, slot := range []uint64{21, 22, 40} {
+	// value). Add leaves at 21, at the dying slot, and at 40, past them.
+	for _, slot := range []uint64{21, uint64(dying), 40} {
 		setPage(tr, c, slot*span(1)+1, int(slot))
 	}
-	clearRange(tr, c, 22*span(1)+1, 22*span(1)+2)
+	clearRange(tr, c, uint64(dying)*span(1)+1, uint64(dying)*span(1)+2)
 	src := descend(t, tr, full)[Levels-2]
-	if st := src.peek(22); st == nil || st.child == nil {
+	if st := src.peek(dying); st == nil || st.child == nil {
 		t.Fatal("setup: the emptied leaf was unlinked before the fork")
 	}
 
 	a := tr.ForkLazy(c)
 	leafCopy(t, a, c, full)
 	ia := descend(t, a, full)[Levels-2]
-	if ia.img == nil || src.copyImg != ia.img || ia.peek(22) == nil {
+	if ia.img == nil || src.copyImg != ia.img || ia.peek(dying) == nil {
 		t.Fatal("setup: the first copy was not born from an image that links the dying leaf")
 	}
+	stale := snapImage(ia.img)
 
 	quiesce(rc) // the empty leaf is reclaimed; its slot in the frozen node reads empty
-	if src.peek(22) != nil {
+	if src.peek(dying) != nil {
 		t.Fatal("setup: the emptied leaf is still linked")
 	}
 	b := tr.ForkLazy(c)
 	leafCopy(t, b, c, full)
 	ib := descend(t, b, full)[Levels-2]
-	sameAsSlotBySlot(t, "the copy that abandoned its image", src, ib, 8)
-	if ib.img != nil {
-		t.Error("the second copy kept an image that no longer describes the source")
+	sameAsSlotBySlot(t, "the copy that found the image stale", src, ib, 8)
+	if ib.img == nil || ib.img == ia.img || src.copyImg != ib.img {
+		t.Fatal("the second copy did not build a new image and cache it on the source")
 	}
-	if src.copyImg != nil {
-		t.Error("the stale image stayed cached on the source")
+	if !reflect.DeepEqual(snapImage(ia.img), stale) {
+		t.Error("the stale image changed")
 	}
-	if got, want := countGroups(ib), int64(ib.dir.bits.count()); got != want {
-		t.Errorf("%d of the mirrored copy's %d groups have storage", got, want)
+	gi, j := dying/slotsPerLine, dying%slotsPerLine
+	og, ng := ia.img.group(gi), ib.img.group(gi)
+	if og == nil {
+		t.Fatalf("setup: the stale image has no group %d", gi)
+	}
+	alone := true
+	for k := 0; k < j; k++ {
+		alone = alone && og.src[k] == nil
+	}
+	switch {
+	case alone && ng != nil:
+		t.Errorf("the new image kept group %d, whose only held slot %d died", gi, dying)
+	case !alone && (ng == nil || ng.src[j] != nil || !slices.Equal(ng.src[:j], og.src[:j])):
+		t.Errorf("the new image's group %d does not keep the stale one's slots below %d and drop %d", gi, dying, dying)
 	}
 	for _, slot := range []uint64{9, 11, 21, 40} {
 		vpn := slot*span(1) + 1
@@ -281,17 +303,26 @@ func TestImageAbandonedWhenSourceChanged(t *testing.T) {
 		}
 	}
 	if got := b.Lookup(c, 13*span(1)+5); got == nil || got.x != 3|1<<20 {
-		t.Errorf("folded value in the abandoned copy = %+v, want the marked copy of 3", got)
+		t.Errorf("folded value in the second copy = %+v, want the marked copy of 3", got)
 	}
 
 	d := tr.ForkLazy(c)
 	leafCopy(t, d, c, full)
 	id := descend(t, d, full)[Levels-2]
-	sameAsSlotBySlot(t, "the copy made after the abandoned one", src, id, 8)
-	if id.img == nil || id.img == ia.img || src.copyImg != id.img {
-		t.Error("the third copy did not build and cache a current image")
+	sameAsSlotBySlot(t, "the copy made after the rebuild", src, id, 8)
+	if id.img != ib.img || src.copyImg != ib.img {
+		t.Error("the third copy did not reuse the rebuilt image")
 	}
-	for _, tt := range []*Tree[val]{a, b, d} {
+
+	// A sweep with no image cached builds the same one from scratch.
+	src.copyImg = nil
+	e := tr.ForkLazy(c)
+	leafCopy(t, e, c, full)
+	ie := descend(t, e, full)[Levels-2]
+	if ie.img == ib.img || !reflect.DeepEqual(snapImage(ie.img), snapImage(ib.img)) {
+		t.Error("the rebuilt image differs from one built from scratch")
+	}
+	for _, tt := range []*Tree[val]{a, b, d, e} {
 		tt.Release(c)
 	}
 	quiesce(rc)

@@ -36,7 +36,7 @@ import (
 //     that builds it, under all of the node's bits, and by nobody
 //     afterwards; what can still change in the node itself (a lookup
 //     materializing a group, a dead child's link swung to empty) makes the
-//     next copy rebuild or abandon it. The divergence hook's writes to the
+//     next copy rebuild it. The divergence hook's writes to the
 //     source's values (COW arming) do not: what the hook makes of a copy may
 //     depend on the source alone.
 //   - The snapshot is whole-tree atomic: a Range operation spanning nodes
@@ -136,7 +136,8 @@ func (t *Tree[V]) ownRoot(cpu *hw.CPU) *node[V] {
 // and it still takes src's bits, uncharged, which keeps a hook's
 // check-then-write of a source value exact against every other holder. The copy
 // is born in src's image, which this sweep builds if src has none that is
-// current, and otherwise only checks slot by slot (shell.cell).
+// current, and otherwise checks slot by slot, building a new one from the
+// first slot that disagrees (shell.rebuild).
 func (t *Tree[V]) linkCopy(cpu *hw.CPU, src *node[V], extra int64) *node[V] {
 	// A source that is itself a copy may still hold groups in its image
 	// only. The sweep counts, bills and reads groups with storage: realize
@@ -174,11 +175,14 @@ func (t *Tree[V]) linkCopy(cpu *hw.CPU, src *node[V], extra int64) *node[V] {
 			t.hooks.OnDiverge(cpu, src.base, src.base+uint64(SlotsPerNode)*sp, src.uniSt.val, dv)
 		}
 	}
-	if dst.build {
+	if dst.img != nil {
 		// The image is complete, and every bit of src still held: the copy
-		// gets its directory and src the image, for its later copies.
+		// gets its directory, and src the image if this sweep built it, for
+		// its later copies.
 		dst.dir = newGroupDirOf[V](dst.img.bits)
-		src.copyImg = dst.img
+		if dst.build {
+			src.copyImg = dst.img
+		}
 	}
 	dst.obj = t.rc.NewObj(dst.used+extra, freeNode[V])
 	dst.obj.Data = dst.node

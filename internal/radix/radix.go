@@ -42,14 +42,11 @@
 //	cloneShell of a ──────▶ image-born: present in the ────▶ its line is first touched:
 //	frozen node             directory, slots read through    realized (nodeImage.fill)
 //	(linkCopy)              to the source's image (peek)
-//	   │
-//	   └─ the image cannot serve (shell.abandon) ──────────▶ the copier's sweep reaches it:
-//	                                                         mirrored (shell.cell, forkGroup)
 //
 // Every transition into storage is exact — the group holds what stood for its
 // slots: copies of the fill with gates restored from the table (materialized),
-// copies of the image's or the source's values behind a cold line and free
-// gates (realized, mirrored) — so the representation moves no virtual cycle;
+// copies of the image's values behind a cold line and free gates (realized) —
+// so the representation moves no virtual cycle;
 // only host memory follows what a tree's owner touches (a child touching 32
 // pages of a 512-page leaf pays for eight groups, not 128). An image
 // (nodeImage) is the one immutable record, shared by all copies of a node no
@@ -264,8 +261,9 @@ type node[V any] struct {
 // An image is immutable once its sweep ends, and it describes the source as
 // of the directory it was built over: a lookup that materializes a group in
 // the frozen source swaps in a new directory, and the next divergence builds
-// a new image. A repeat sweep also checks each source slot against src as it
-// goes, and falls back to mirroring if one has changed (shell.abandon).
+// a new image. A repeat sweep also checks each source slot against the image
+// as it goes, and builds a new image from the first one that has changed
+// (shell.rebuild).
 type nodeImage[V any] struct {
 	over   *groupDir[V] // the source's directory when the image was built
 	bits   groupSet
@@ -297,13 +295,13 @@ func (im *nodeImage[V]) grow(gi int) *imageGroup[V] {
 }
 
 // agrees reports whether the image was built from a source whose slot idx
-// held st, mirror saying whether a copy's header fails to stand for that (so
-// that the slot's group is one copies have).
-func (im *nodeImage[V]) agrees(idx int, st *slotState[V], mirror bool) bool {
+// held st, grouped saying whether a copy's header fails to stand for that
+// (so that the slot's group is one copies have).
+func (im *nodeImage[V]) agrees(idx int, st *slotState[V], grouped bool) bool {
 	if ig := im.group(idx / slotsPerLine); ig != nil {
 		return ig.src[idx%slotsPerLine] == st
 	}
-	return !mirror
+	return !grouped
 }
 
 // peek returns what slot j of group gi is born holding: a state inside the
@@ -389,8 +387,7 @@ func (s groupSet) below(gi int) groupSet {
 // sweep's preemption points (shell.over), while a lookup on another core may
 // materialize a group of the same node, and an image recognizes the
 // directory it describes by identity (nodeImage.over). Giving a present group
-// its storage is one store into the entry it already has. A node still
-// private to the core constructing it has its directory filled in place.
+// its storage is one store into the entry it already has.
 type groupDir[V any] struct {
 	bits   groupSet
 	groups []*slotGroup[V]
@@ -400,32 +397,17 @@ type groupDir[V any] struct {
 // dirInline is the number of directory entries a groupDir holds inline.
 const dirInline = 4
 
-// newGroupDir returns an empty, private directory with room for n groups.
-func newGroupDir[V any](n int) *groupDir[V] {
-	d := &groupDir[V]{}
-	if n <= dirInline {
-		d.groups = d.few[:0]
-	} else {
-		d.groups = make([]*slotGroup[V], 0, n)
-	}
-	return d
-}
-
 // newGroupDirOf returns a private directory in which exactly the groups of
 // set are present, none with storage yet.
 func newGroupDirOf[V any](set groupSet) *groupDir[V] {
 	n := set.count()
-	d := newGroupDir[V](n)
-	d.bits = set
-	d.groups = d.groups[:n]
+	d := &groupDir[V]{bits: set}
+	if n <= dirInline {
+		d.groups = d.few[:n]
+	} else {
+		d.groups = make([]*slotGroup[V], n)
+	}
 	return d
-}
-
-// insert makes g group gi of a directory still private to the core
-// filling it, which adds groups in ascending order.
-func (d *groupDir[V]) insert(gi int, g *slotGroup[V]) {
-	d.bits.add(gi)
-	d.groups = append(d.groups, g)
 }
 
 // entry returns group gi's directory entry, or nil if the group is absent.
@@ -506,7 +488,7 @@ const realizeRun = 4
 // is realized together with its like in the aligned runs around the range.
 // If uniform is set, a group absent from the directory materializes out of the
 // node's uniform state; unlike a realization that is visible — a later fork
-// mirrors, charges and bills the group — so it happens for exactly the groups
+// copies, charges and bills the group — so it happens for exactly the groups
 // asked for.
 func (n *node[V]) materializeLocked(g0, g1 int, uniform bool) {
 	w0, w1 := g0, g1

@@ -143,8 +143,8 @@ func compareFleet(t *testing.T, name string, a, b FleetResult) {
 }
 
 // TestFleetDeterministic is the scheduled-machine extension of the
-// determinism gate: a 512-process fleet — Poisson arrivals, migratable
-// multithreaded procs, admission control, LRU pool eviction — run twice at
+// determinism gate: a 512-process fleet — Poisson arrivals, multithreaded
+// procs pinned round-robin, admission control, LRU pool eviction — run twice at
 // 8 cores must reproduce not just clocks and stats but the latency
 // percentiles and the exact LRU eviction sequence. Dispatch order is a
 // pure function of (virtual clock, core ID, arrival seq), so any real-time
@@ -162,8 +162,8 @@ func TestFleetDeterministic(t *testing.T) {
 }
 
 // TestFleetDeterministicManyCores runs the fleet across every socket of
-// the big machine, where idle-worker arrival adoption and cross-socket
-// proc migration get the most room to reorder events.
+// the big machine, where idle-worker arrival adoption and children spread
+// across sockets get the most room to reorder events.
 func TestFleetDeterministicManyCores(t *testing.T) {
 	if testing.Short() {
 		t.Skip("64-core double fleet run")

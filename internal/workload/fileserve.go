@@ -196,7 +196,6 @@ func FileServe(env *Env, sys vm.System, cores int, alloc *mem.Allocator, cfg Fil
 				env.RC.Maintain(c)
 				c.TickAs(hw.CauseThink, cfg.WBGap)
 				tc.Yield()
-				c = tc.CPU()
 			}
 		}
 	}
@@ -217,7 +216,7 @@ func FileServe(env *Env, sys vm.System, cores int, alloc *mem.Allocator, cfg Fil
 	env.RC.FlushAll()
 	env.RC.FlushAll()
 
-	res, fs := run.result("filemap"), file.Stats()
+	res, fs := result(env, "filemap", sys, cores, run.start, run.touched), file.Stats()
 	return FileServeResult{
 		Result:          res,
 		Spawns:          uint64(cfg.Procs),

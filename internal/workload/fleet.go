@@ -136,7 +136,7 @@ func Fleet(env *Env, sys vm.System, cores int, cfg FleetConfig) FleetResult {
 		p99 = lats[len(lats)*99/100]
 	}
 	return FleetResult{
-		Result:      run.result("fleet"),
+		Result:      result(env, "fleet", sys, cores, run.start, run.touched),
 		Spawns:      uint64(cfg.Procs),
 		P50:         p50,
 		P99:         p99,
@@ -167,9 +167,6 @@ type fleetSpec struct {
 
 // fleetRun is what one run of the skeleton leaves to report from.
 type fleetRun struct {
-	env                      *Env
-	sys                      vm.System
-	cores                    int
 	start, reviews0, touched uint64
 	sched                    *hw.Sched
 	pool                     *pool
@@ -190,7 +187,7 @@ type fleetRun struct {
 // under backlog, not steady state.
 func runFleet(env *Env, sys vm.System, cores int, f fleetSpec) *fleetRun {
 	env.M.ResetStats()
-	r := &fleetRun{env: env, sys: sys, cores: cores, start: env.M.MaxClock(), reviews0: env.RC.Reviews()}
+	r := &fleetRun{start: env.M.MaxClock(), reviews0: env.RC.Reviews()}
 	r.children = make([]*process, f.procs)
 	ceiling := uint64(f.maxLive) * uint64(f.threads) * f.touchPages * 4096
 	r.pool = newPool(f.maxLive, ceiling, func(c *hw.CPU, p *process) {
@@ -219,7 +216,6 @@ func runFleet(env *Env, sys vm.System, cores int, f fleetSpec) *fleetRun {
 					p.noteRun(c.Now())
 					env.RC.Maintain(c)
 					tc.Yield()
-					c = tc.CPU()
 				}
 			}
 			r.pool.charge(c, p, f.touchPages*4096)
@@ -228,7 +224,6 @@ func runFleet(env *Env, sys vm.System, cores int, f fleetSpec) *fleetRun {
 				p.noteRun(c.Now())
 				env.RC.Maintain(c)
 				tc.Yield()
-				c = tc.CPU()
 			}
 			r.touched += f.touchPages // on-schedule: serialized by the schedule
 			r.pool.threadDone(c, p, c.Now())
@@ -261,16 +256,4 @@ func runFleet(env *Env, sys vm.System, cores int, f fleetSpec) *fleetRun {
 	}
 	s.Run(env.M, cores, 4000)
 	return r
-}
-
-// result is the run's Result, read once the workload is done with the machine.
-func (r *fleetRun) result(name string) Result {
-	return Result{
-		Name:       name,
-		System:     r.sys.Name(),
-		Cores:      r.cores,
-		PageWrites: r.touched,
-		Cycles:     r.env.M.MaxClock() - r.start,
-		Stats:      r.env.M.TotalStats(),
-	}
 }

@@ -143,11 +143,17 @@ func run(env *Env, name string, sys vm.System, cores int, warm func(tc *hw.Ctx),
 	for i := 0; i < cores; i++ {
 		total += writes[i]
 	}
+	return result(env, name, sys, cores, start, total)
+}
+
+// result is a run's Result, read once the workload is done with the
+// machine: writes page writes in the virtual time since start.
+func result(env *Env, name string, sys vm.System, cores int, start, writes uint64) Result {
 	return Result{
 		Name:       name,
 		System:     sys.Name(),
 		Cores:      cores,
-		PageWrites: total,
+		PageWrites: writes,
 		Cycles:     env.M.MaxClock() - start,
 		Stats:      env.M.TotalStats(),
 	}
@@ -200,9 +206,10 @@ func Pipeline(env *Env, sys vm.System, cores int, iters int, regionPages uint64)
 	// Hand-off queues, one per receiving core, bounded as a real pipeline's
 	// are. The handoff carries the producer's virtual time so the consumer
 	// observes proper causality. Delivery is the scheduler's park/wake
-	// protocol: the producer Parks while the consumer's inbox is full, then
-	// enqueues and Wakes the consumer's proc; a consumer with an empty inbox
-	// Parks, and Wakes its producer after each dequeue. Every core produces
+	// protocol, each Park in a loop that re-checks the inbox: the producer
+	// Parks while the consumer's inbox is full, then enqueues and Wakes the
+	// consumer's proc; a consumer with an empty inbox Parks, and Wakes its
+	// producer after each dequeue. Every core produces
 	// one hand-off and consumes one per iteration, so at most cores are in
 	// flight and a full inbox always has a consumer draining it.
 	const (
@@ -217,6 +224,7 @@ func Pipeline(env *Env, sys vm.System, cores int, iters int, regionPages uint64)
 		slot int
 	}
 	inbox := make([][]handoff, cores)
+	procs := make([]*hw.Proc, cores) // core i's proc, for the Wakes
 	// live[i][slot]: core i's region at that slot is mapped and its consumer
 	// has not unmapped it yet.
 	live := make([][pipeSlots]bool, cores)
@@ -239,13 +247,13 @@ func Pipeline(env *Env, sys vm.System, cores int, iters int, regionPages uint64)
 				tc.Park()
 			}
 			inbox[next] = append(inbox[next], handoff{lo: lo, t: c.Now(), slot: slot})
-			s.Wake(s.Proc(uint64(next))) // run()'s pinned procs: seq == core ID
+			s.Wake(procs[next])
 			for len(inbox[id]) == 0 {
 				tc.Park()
 			}
 			in := inbox[id][0]
 			inbox[id] = inbox[id][:copy(inbox[id], inbox[id][1:])]
-			s.Wake(s.Proc(uint64(prev)))
+			s.Wake(procs[prev])
 			c.AdvanceTo(in.t + 200) // cross-core queue hand-off
 			writes += touch(sys, c, in.lo, regionPages, true)
 			Check(sys, c, "munmap", in.lo, sys.Munmap(c, in.lo, regionPages))
@@ -256,7 +264,7 @@ func Pipeline(env *Env, sys vm.System, cores int, iters int, regionPages uint64)
 		return writes
 	}
 	return run(env, "pipeline", sys, cores, nil, func(s *hw.Sched, id int, writes *uint64) {
-		s.Spawn(id, func(tc *hw.Ctx) { *writes = body(tc) })
+		procs[id] = s.Spawn(id, func(tc *hw.Ctx) { *writes = body(tc) })
 	})
 }
 
